@@ -153,8 +153,8 @@ def main(argv=None):
     if backend is None:
         print("FAIL: no compiled native backend resolved "
               f"(status: {registry.native_status()['errors']}); "
-              "this benchmark gates the compiled tier — install numba or "
-              "provide a C toolchain", file=sys.stderr)
+              "this benchmark gates the compiled tier — provide a C "
+              "toolchain (REPRO_NATIVE_CC)", file=sys.stderr)
         return 1
 
     if args.quick:

@@ -60,8 +60,8 @@ RULE_SUMMARIES: Dict[str, str] = {
     "R8": "exec-centralized: front-end query_batch implementations "
           "delegate to repro.exec.run_plan, and gate reads / Deadline / "
           "StageTimer plumbing never reappears inline outside repro/exec",
-    "R9": "native-dispatch: compiled kernel backends (kernels_numba / "
-          "kernels_cext) are imported only by repro.native.registry — "
+    "R9": "native-dispatch: the compiled kernel backend (kernels_cext) "
+          "is imported only by repro.native.registry — "
           "every compiled entry point is reached through engine='native' "
           "resolution, never directly",
     "R10": "lock-order: the static lock-acquisition graph is acyclic, "

@@ -595,15 +595,14 @@ def check_exec_centralized(
 # --------------------------------------------------------------------- R9
 
 #: The compiled-kernel backend modules.  Importing them anywhere except
-#: the registry bypasses the resolution ladder (availability probing,
-#: warn-once fallback, obs accounting) and couples callers to one
+#: the registry bypasses backend resolution (availability probing,
+#: warn-once fallback, obs accounting) and couples callers to the
 #: backend's presence.
 NATIVE_BACKEND_MODULES = frozenset({
-    "repro.native.kernels_numba",
     "repro.native.kernels_cext",
 })
 
-#: Bare submodule names, for ``from repro.native import kernels_numba``.
+#: Bare submodule names, for ``from repro.native import kernels_cext``.
 _NATIVE_BACKEND_NAMES = frozenset(
     name.rpartition(".")[2] for name in NATIVE_BACKEND_MODULES
 )
@@ -615,8 +614,7 @@ def check_native_dispatch(
 ) -> List[Violation]:
     """R9: compiled kernels are reachable only through the registry.
 
-    The native tier's backend modules
-    (:mod:`repro.native.kernels_numba`, :mod:`repro.native.kernels_cext`)
+    The native tier's backend module (:mod:`repro.native.kernels_cext`)
     may be imported by exactly one module — the dispatch table in
     :mod:`repro.native.registry` — so every compiled entry point is
     reached through ``engine="native"`` resolution: one availability

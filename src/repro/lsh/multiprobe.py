@@ -150,7 +150,10 @@ def _emit_adaptive(code: np.ndarray, scores: Sequence[float],
     total = weights.sum()
     cumulative = (np.cumsum(weights) / total if total > 0
                   else np.ones(len(weights), dtype=np.float64))
-    cutoff = int(np.searchsorted(cumulative, confidence, side="left")) + 1
+    # Rounding can leave cumulative[-1] a hair under 1.0, so confidence=1.0
+    # may find no position: every candidate is wanted, not one more.
+    cutoff = min(int(np.searchsorted(cumulative, confidence, side="left")) + 1,
+                 len(candidates))
     out = np.empty((cutoff, code.size), dtype=np.int64)
     for row, pset in enumerate(candidates[:cutoff]):
         probe = code.copy()

@@ -4,8 +4,9 @@
  * repro/native/ref.py and must stay BIT-IDENTICAL to it: floating-point
  * sums use the same power-of-two halving tree (tree_dot below), compare
  * with the same operators, and break ties by the same conventions.  The
- * file is compiled on demand by repro/native/kernels_cext.py with -O2 and
- * WITHOUT -ffast-math — re-association would silently break parity.
+ * file is compiled on demand by repro/native/kernels_cext.py with
+ * -O3 -ffp-contract=off and WITHOUT -ffast-math: re-association or an FMA
+ * fusing a product into the tree's first add would silently break parity.
  *
  * Entry points are exported with a repro_ prefix and a plain-C ABI so
  * ctypes can bind them; they are reachable from Python only through the
@@ -19,18 +20,37 @@
 
 #define EXPORT __attribute__((visibility("default")))
 
+/* kernels_cext.py defines REPRO_SIMD_CLONES on its first compile attempt
+ * and drops it when that attempt fails (no ifunc in the toolchain). */
+#if defined(REPRO_SIMD_CLONES) && defined(__x86_64__)
+#define SIMD_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define SIMD_CLONES
+#endif
+
 typedef int64_t i64;
 
 /* Halving-tree dot product: the one summation-order spec shared with
- * ref.tree_rowdot.  buf must hold pw doubles, pw = next pow2 >= d. */
-static double tree_dot(const double *a, const double *b, i64 d,
-                       double *buf, i64 pw) {
-    i64 i, w;
-    for (i = 0; i < d; i++) buf[i] = a[i] * b[i];
-    for (i = d; i < pw; i++) buf[i] = 0.0;
-    for (w = pw >> 1; w >= 1; w >>= 1)
+ * ref.tree_rowdot — products zero-padded to pw = next pow2 >= d, then
+ * x[i] += x[i + w] for w = pw/2 .. 1.  The first halving is fused with
+ * the products (each product and each sum still rounds on its own, in the
+ * reference's order; the explicit + 0.0 is the pad, which turns a -0.0
+ * product into the reference's +0.0), so every level is a straight loop
+ * over disjoint halves the compiler can vectorise.  buf holds pw/2. */
+static inline __attribute__((always_inline)) double
+tree_dot(const double *restrict a, const double *restrict b, i64 d,
+         double *restrict buf, i64 pw) {
+    i64 i, w = pw >> 1;
+    if (d < 2) return d ? a[0] * b[0] : 0.0;
+    for (i = 0; i < d - w; i++) buf[i] = a[i] * b[i] + a[i + w] * b[i + w];
+    for (; i < w; i++) buf[i] = a[i] * b[i] + 0.0;
+    while (w > 4) {
+        w >>= 1;
+#pragma GCC ivdep
         for (i = 0; i < w; i++) buf[i] = buf[i] + buf[i + w];
-    return buf[0];
+    }
+    if (w == 4) return (buf[0] + buf[2]) + (buf[1] + buf[3]);
+    return w == 2 ? buf[0] + buf[1] : buf[0];
 }
 
 static i64 next_pow2(i64 d) {
@@ -81,91 +101,154 @@ EXPORT void repro_lookup_codes(const i64 *bucket_codes, i64 n_buckets,
 
 /* ----------------------------------------------------------------- dedup */
 
-static int cmp_i64(const void *pa, const void *pb) {
-    i64 a = *(const i64 *)pa, b = *(const i64 *)pb;
-    return (a > b) - (a < b);
+/* In-place ascending sort for the sparse dedup path: insertion sort for
+ * short segments, heapsort (no recursion, O(n log n) worst case) above. */
+static void sift_down(i64 *v, i64 root, i64 n) {
+    i64 x = v[root], child;
+    while ((child = 2 * root + 1) < n) {
+        if (child + 1 < n && v[child + 1] > v[child]) child++;
+        if (v[child] <= x) break;
+        v[root] = v[child];
+        root = child;
+    }
+    v[root] = x;
 }
+
+static void sort_i64(i64 *v, i64 n) {
+    i64 i, j;
+    if (n <= 16) {
+        for (i = 1; i < n; i++) {
+            i64 x = v[i];
+            for (j = i; j > 0 && v[j - 1] > x; j--) v[j] = v[j - 1];
+            v[j] = x;
+        }
+        return;
+    }
+    for (i = n / 2 - 1; i >= 0; i--) sift_down(v, i, n);
+    for (i = n - 1; i > 0; i--) {
+        i64 top = v[0];
+        v[0] = v[i];
+        v[i] = top;
+        sift_down(v, 0, i);
+    }
+}
+
+/* A segment takes the bitmap path unless its id range spans more than
+ * this many 64-bit words per id: past that, skipping the empty words
+ * costs more than sorting the few ids.  Measured crossover (random ids,
+ * this file's two paths): about 32 words per id at 32 ids, 100 at 128 and
+ * 110 from 1024 up; well below it the bitmap wins by up to 4x. */
+#define SPARSE_WORDS_PER_ID 64
+
+#define TOMBSTONED(id) \
+    (deleted && (uint64_t)(id) < (uint64_t)del_len && deleted[id])
 
 /* Tombstone filter + per-query sort + dedup of flattened candidates.
  * Output segments are sorted by (query, id) ascending — identical in
- * content and order to StandardLSH._dedup_per_query.  Returns the total
- * number of surviving ids; out_ids/out_qidx must hold n entries. */
+ * content and order to StandardLSH._dedup_per_query.  Survivors are
+ * counting-sorted by query; each segment then marks its ids, relative to
+ * its smallest, in a bitmap and reads the words back with ctz (ascending
+ * and unique by construction, cleared on the way) — or, when its id range
+ * is much wider than the segment is long, is sorted in place and scanned.
+ * Which path runs depends on the segment alone.  Returns the number of
+ * surviving ids (out_ids/out_qidx hold n entries, counts nq), or -1 when
+ * scratch memory cannot be allocated. */
 EXPORT i64 repro_dedup_candidates(const i64 *ids, const i64 *qidx, i64 n,
                                   i64 nq, const unsigned char *deleted,
                                   i64 del_len, i64 *out_ids, i64 *out_qidx,
                                   i64 *counts) {
-    i64 i, q, total = 0;
-    i64 *seg_counts = (i64 *)calloc((size_t)nq, sizeof(i64));
-    i64 *cursors = (i64 *)malloc((size_t)(nq + 1) * sizeof(i64));
+    i64 i, q, total = 0, seg_start = 0, bits_cap = 0;
+    uint64_t *bits = NULL;
+    i64 *cursors = (i64 *)calloc((size_t)nq + 1, sizeof(i64));
     i64 *tmp = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    if (!seg_counts || !cursors || !tmp) {
-        free(seg_counts); free(cursors); free(tmp);
-        for (q = 0; q < nq; q++) counts[q] = 0;
-        return -1;
-    }
-    /* Pass 1: per-query counts of surviving (non-tombstoned) ids. */
-    for (i = 0; i < n; i++) {
-        i64 id = ids[i];
-        if (deleted && id < del_len && deleted[id]) continue;
-        seg_counts[qidx[i]]++;
-    }
-    cursors[0] = 0;
-    for (q = 0; q < nq; q++) cursors[q + 1] = cursors[q] + seg_counts[q];
-    /* Pass 2: bucket survivors by query (counting sort, stable). */
-    for (q = 0; q < nq; q++) cursors[q] = cursors[q + 1] - seg_counts[q];
-    for (i = 0; i < n; i++) {
-        i64 id = ids[i];
-        if (deleted && id < del_len && deleted[id]) continue;
-        tmp[cursors[qidx[i]]++] = id;
-    }
-    /* Pass 3: sort + dedup each query segment into the packed output. */
+    if (!cursors || !tmp) goto fail;
+    /* Pass 1: survivors per query. */
+    for (i = 0; i < n; i++)
+        if (!TOMBSTONED(ids[i])) cursors[qidx[i] + 1]++;
+    for (q = 0; q < nq; q++) cursors[q + 1] += cursors[q];
+    /* Pass 2: bucket survivors by query (counting sort, stable); this
+     * advances cursors[q] from segment q's start to its end. */
+    for (i = 0; i < n; i++)
+        if (!TOMBSTONED(ids[i])) tmp[cursors[qidx[i]]++] = ids[i];
+    /* Pass 3: ascending unique ids of each segment into the output. */
     for (q = 0; q < nq; q++) {
-        i64 seg_end = cursors[q];
-        i64 seg_start = seg_end - seg_counts[q];
-        i64 len = seg_end - seg_start;
-        i64 kept = 0;
-        if (len > 0) {
-            qsort(tmp + seg_start, (size_t)len, sizeof(i64), cmp_i64);
-            for (i = seg_start; i < seg_end; i++) {
-                if (kept && out_ids[total + kept - 1] == tmp[i]) continue;
-                out_ids[total + kept] = tmp[i];
-                out_qidx[total + kept] = q;
-                kept++;
+        i64 *seg = tmp + seg_start, *dst = out_ids + total;
+        i64 len = cursors[q] - seg_start, kept = 0, words;
+        i64 lo = len ? seg[0] : 0, hi = lo;
+        seg_start = cursors[q];
+        for (i = 1; i < len; i++) {
+            if (seg[i] < lo) lo = seg[i];
+            if (seg[i] > hi) hi = seg[i];
+        }
+        words = ((hi - lo) >> 6) + 1;
+        if (words > SPARSE_WORDS_PER_ID * len) {
+            sort_i64(seg, len);
+            for (i = 0; i < len; i++)
+                if (!kept || dst[kept - 1] != seg[i]) dst[kept++] = seg[i];
+        } else {
+            if (words > bits_cap) {  /* all-zero between segments: no copy */
+                free(bits);
+                bits_cap = words > 2 * bits_cap ? words : 2 * bits_cap;
+                bits = (uint64_t *)calloc((size_t)bits_cap, sizeof(uint64_t));
+                if (!bits) goto fail;
+            }
+            for (i = 0; i < len; i++)
+                bits[(seg[i] - lo) >> 6] |= (uint64_t)1 << ((seg[i] - lo) & 63);
+            for (i = 0; i < words; i++) {
+                uint64_t word = bits[i];
+                if (!word) continue;
+                bits[i] = 0;
+                for (; word; word &= word - 1)
+                    dst[kept++] = lo + ((i << 6) | __builtin_ctzll(word));
             }
         }
+        for (i = 0; i < kept; i++) out_qidx[total + i] = q;
         counts[q] = kept;
         total += kept;
     }
-    free(seg_counts); free(cursors); free(tmp);
+    free(bits); free(cursors); free(tmp);
     return total;
+fail:
+    free(bits); free(cursors); free(tmp);
+    return -1;
 }
 
 /* ------------------------------------------------------------------ rank */
 
+/* Candidate rows are fetched this many candidates ahead of the one being
+ * scored: the ids are known, the rows are scattered over the matrix. */
+#define PREFETCH_AHEAD 4
+
 /* Fused gather + cached-norm distance + per-query top-k selection.
- * sel/dist rows are ordered by (distance, id) ascending — the vectorized
+ * Query q's candidates are the next counts[q] entries of cand.  sel/dist
+ * rows are ordered by (distance, id) ascending — the vectorized
  * lexsort((cand, dists, qidx)) convention — padded with -1 / inf.
  * sq_norms may be NULL (out-of-core data): row norms are then computed
  * with the same tree_dot the reference uses. */
-EXPORT int repro_rank_topk(const double *data, i64 dim,
-                           const double *sq_norms,
-                           const double *queries, i64 nq,
-                           const double *q_sq,
-                           const i64 *cand, const i64 *offsets,
-                           i64 k, i64 *sel_out, double *dist_out) {
-    i64 pw = next_pow2(dim);
-    double *buf = (double *)malloc((size_t)(pw > 0 ? pw : 1) * sizeof(double));
+EXPORT SIMD_CLONES int repro_rank_topk(const double *data, i64 dim,
+                                       const double *sq_norms,
+                                       const double *queries, i64 nq,
+                                       const double *q_sq, const i64 *cand,
+                                       const i64 *counts, i64 k,
+                                       i64 *sel_out, double *dist_out) {
+    i64 pw = next_pow2(dim), end = 0;
+    double *buf = (double *)malloc((size_t)(pw > 1 ? pw >> 1 : 1) *
+                                   sizeof(double));
     if (!buf) return -1;
     for (i64 q = 0; q < nq; q++) {
-        i64 start = offsets[q], end = offsets[q + 1];
+        i64 start = end;
         const double *qrow = queries + q * dim;
         double qs = q_sq[q];
         i64 *sel = sel_out + q * k;
         double *dst = dist_out + q * k;
         i64 filled = 0;
+        end = start + counts[q];
+        for (i64 j = 0; j < k; j++) { sel[j] = -1; dst[j] = INFINITY; }
         for (i64 c = start; c < end; c++) {
             i64 id = cand[c];
             const double *row = data + id * dim;
+            if (c + PREFETCH_AHEAD < end)
+                __builtin_prefetch(data + cand[c + PREFETCH_AHEAD] * dim);
             double dot = tree_dot(row, qrow, dim, buf, pw);
             double row_sq = sq_norms ? sq_norms[id]
                                      : tree_dot(row, row, dim, buf, pw);
@@ -232,7 +315,7 @@ EXPORT void repro_dm_decode(const double *y, i64 n, i64 m, i64 *codes) {
  * are emitted in half-integer units (real coordinates * 2). */
 EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
                             i64 *codes) {
-    double d8[8], half[8], shifted[8], err[8], buf[8];
+    double d8[8], half[8], shifted[8], err[8], buf[4];
     i64 stride = n_blocks * 8;
     for (i64 i = 0; i < n; i++) {
         for (i64 b = 0; b < n_blocks; b++) {
@@ -253,6 +336,6 @@ EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
     }
 }
 
-/* Version tag checked by the loader so a stale cached .so from an older
- * source revision is recompiled instead of silently used. */
-EXPORT i64 repro_kernels_abi(void) { return 1; }
+/* Version tag checked by the loader: bumped with every exported-signature
+ * change so a library built from another revision is refused. */
+EXPORT i64 repro_kernels_abi(void) { return 2; }

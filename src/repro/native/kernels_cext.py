@@ -1,14 +1,24 @@
-"""C-extension backend: compile ``_kernels.c`` on demand, bind via ctypes.
+"""The compiled backend: build ``_kernels.c`` on demand, bind via ctypes.
 
-This is the fallback rung of the native ladder for environments with a C
-toolchain but no numba.  The shared object is compiled once per source
-revision into a cache directory (keyed by a hash of the source), loaded
-with :mod:`ctypes`, and wrapped in numpy-facing functions with the exact
-signatures the dispatch table in :mod:`repro.native.registry` expects.
+The shared object is compiled once per (source, flags, compiler) into a
+cache directory, loaded with :mod:`ctypes`, and wrapped in numpy-facing
+functions with the exact signatures the dispatch table in
+:mod:`repro.native.registry` expects.
 
-Compilation is strict-FP on purpose: ``-O2`` without ``-ffast-math``, so
-the compiler cannot re-associate the halving-tree sums that make the
-kernels bit-identical to :mod:`repro.native.ref`.
+The flag contract is ``-O3 -ffp-contract=off`` and never
+``-ffast-math``: the optimiser may vectorise the halving-tree sums that
+make the kernels bit-identical to :mod:`repro.native.ref`, but it may
+neither re-associate them nor contract a product and the tree's first
+add into one FMA (which rounds once where the reference rounds twice).
+``repro_rank_topk`` is built as an ``avx2``/``default`` ``target_clones``
+pair where the toolchain can; when that compile fails the same source is
+built without the clones, so a missing ifunc costs speed, not the tier.
+
+Arguments cross as raw addresses (``c_void_p``): every wrapper first
+brings its arrays to the C-contiguous dtype the kernel reads — a no-op
+for the arrays the engine passes — so the per-argument ``ndpointer``
+check would only re-verify what the line above it established, at
+several microseconds per array per call.
 
 Nothing outside :mod:`repro.native` may import this module (invariant
 R9): kernels are reachable only through ``engine="native"`` resolution.
@@ -21,19 +31,22 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
-#: an exported signature changes so stale cached .so files are rejected.
-KERNELS_ABI = 1
+#: an exported signature changes so a library from another revision is
+#: refused.
+KERNELS_ABI = 2
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
-_i64_p = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_f64_p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_u8_p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+#: Strict-FP build flags (see the module docstring); part of the cache key.
+_CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",
+           "-fvisibility=hidden"]
+#: Tried first; turns on the target_clones pair in _kernels.c.
+_SIMD_FLAG = "-DREPRO_SIMD_CLONES"
 
 
 def _cache_dir() -> str:
@@ -58,27 +71,37 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _compile(source_path: str) -> str:
-    """Compile the kernel source into the cache dir; return the .so path."""
-    with open(source_path, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    so_path = os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
+def _compile(source_path: str) -> Tuple[str, List[str]]:
+    """Build the kernel source into the cache dir.
+
+    Returns ``(so_path, flags)``.  The cache key covers everything that
+    decides the object code — source bytes, flag list, ``cc --version`` —
+    so a flag or toolchain change can never reuse a stale library.
+    """
     cc = _find_compiler()
     if cc is None:
         raise RuntimeError("no C compiler found (set REPRO_NATIVE_CC)")
-    # Strict FP flags: no -ffast-math / -Ofast, ever — see module docstring.
-    tmp_path = so_path + f".tmp{os.getpid()}"
-    cmd = [cc, "-O2", "-fPIC", "-shared", "-fvisibility=hidden",
-           source_path, "-o", tmp_path, "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"kernel compilation failed ({' '.join(cmd)}): {proc.stderr}")
-    os.replace(tmp_path, so_path)  # atomic publish for concurrent builders
-    return so_path
+    with open(source_path, "rb") as fh:
+        source = fh.read()
+    version = subprocess.run([cc, "--version"], capture_output=True,
+                             timeout=30).stdout
+    cache_dir = _cache_dir()
+    errors = []
+    for flags in (_CFLAGS + [_SIMD_FLAG], _CFLAGS):
+        key = hashlib.sha256(b"\0".join(
+            [source, " ".join(flags).encode(), version])).hexdigest()[:16]
+        so_path = os.path.join(cache_dir, f"repro_kernels_{key}.so")
+        if os.path.exists(so_path):
+            return so_path, flags
+        tmp_path = so_path + f".tmp{os.getpid()}"
+        cmd = [cc, *flags, source_path, "-o", tmp_path, "-lm"]
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=120)
+        if proc.returncode == 0:
+            os.replace(tmp_path, so_path)  # atomic for concurrent builders
+            return so_path, flags
+        errors.append(f"{' '.join(cmd)}: {proc.stderr}")
+    raise RuntimeError("kernel compilation failed (" + "; ".join(errors) + ")")
 
 
 class CExtKernels:
@@ -86,34 +109,35 @@ class CExtKernels:
 
     backend = "cext"
 
-    def __init__(self, lib: ctypes.CDLL) -> None:
+    def __init__(self, lib: ctypes.CDLL, flags: List[str]) -> None:
         self._lib = lib
+        #: Compiler flags the loaded library was built with.
+        self.flags = tuple(flags)
         lib.repro_kernels_abi.restype = ctypes.c_int64
         abi = int(lib.repro_kernels_abi())
         if abi != KERNELS_ABI:
             raise RuntimeError(
                 f"kernel ABI mismatch: library reports {abi}, "
                 f"loader expects {KERNELS_ABI}")
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
         lib.repro_lookup_codes.restype = None
-        lib.repro_lookup_codes.argtypes = [
-            _i64_p, ctypes.c_int64, ctypes.c_int64, _i64_p, ctypes.c_int64,
-            _i64_p]
-        lib.repro_dedup_candidates.restype = ctypes.c_int64
+        lib.repro_lookup_codes.argtypes = [ptr, i64, i64, ptr, i64, ptr]
+        lib.repro_dedup_candidates.restype = i64
         lib.repro_dedup_candidates.argtypes = [
-            _i64_p, _i64_p, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_int64, _i64_p, _i64_p, _i64_p]
+            ptr, ptr, i64, i64, ptr, i64, ptr, ptr, ptr]
         lib.repro_rank_topk.restype = ctypes.c_int
         lib.repro_rank_topk.argtypes = [
-            _f64_p, ctypes.c_int64, ctypes.c_void_p, _f64_p, ctypes.c_int64,
-            _f64_p, _i64_p, _i64_p, ctypes.c_int64, _i64_p, _f64_p]
+            ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
         lib.repro_dm_decode.restype = None
-        lib.repro_dm_decode.argtypes = [
-            _f64_p, ctypes.c_int64, ctypes.c_int64, _i64_p]
+        lib.repro_dm_decode.argtypes = [ptr, i64, i64, ptr]
         lib.repro_e8_decode.restype = None
-        lib.repro_e8_decode.argtypes = [
-            _f64_p, ctypes.c_int64, ctypes.c_int64, _i64_p]
+        lib.repro_e8_decode.argtypes = [ptr, i64, i64, ptr]
 
     # -- kernel wrappers ---------------------------------------------------
+    # Each wrapper owns the pointer contract the C side relies on: inputs
+    # pass through np.ascontiguousarray (which returns the array itself
+    # when it already conforms), outputs are allocated here, and every
+    # array stays referenced by a local until the call returns.
 
     def lookup_codes(self, bucket_codes: np.ndarray,
                      codes: np.ndarray) -> np.ndarray:
@@ -121,8 +145,9 @@ class CExtKernels:
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         r = codes.shape[0]
         bidx = np.empty(r, dtype=np.int64)
-        self._lib.repro_lookup_codes(bucket_codes, bucket_codes.shape[0],
-                                     codes.shape[1], codes, r, bidx)
+        self._lib.repro_lookup_codes(
+            bucket_codes.ctypes.data, bucket_codes.shape[0], codes.shape[1],
+            codes.ctypes.data, r, bidx.ctypes.data)
         return bidx
 
     def dedup_candidates(self, local_ids: np.ndarray, qidx: np.ndarray,
@@ -133,16 +158,17 @@ class CExtKernels:
         n = local_ids.shape[0]
         out_ids = np.empty(n, dtype=np.int64)
         out_qidx = np.empty(n, dtype=np.int64)
-        counts = np.zeros(nq, dtype=np.int64)
+        counts = np.empty(nq, dtype=np.int64)
+        del_ptr, del_len = None, 0
         if deleted is not None:
+            if deleted.dtype == np.bool_:  # same bytes, no copy
+                deleted = deleted.view(np.uint8)
             deleted = np.ascontiguousarray(deleted, dtype=np.uint8)
-            del_ptr = deleted.ctypes.data_as(ctypes.c_void_p)
-            del_len = deleted.shape[0]
-        else:
-            del_ptr, del_len = None, 0
+            del_ptr, del_len = deleted.ctypes.data, deleted.shape[0]
         total = int(self._lib.repro_dedup_candidates(
-            local_ids, qidx, n, int(nq), del_ptr, del_len,
-            out_ids, out_qidx, counts))
+            local_ids.ctypes.data, qidx.ctypes.data, n, int(nq), del_ptr,
+            del_len, out_ids.ctypes.data, out_qidx.ctypes.data,
+            counts.ctypes.data))
         if total < 0:
             raise MemoryError("dedup_candidates scratch allocation failed")
         return out_ids[:total], out_qidx[:total], counts
@@ -157,18 +183,16 @@ class CExtKernels:
         cand = np.ascontiguousarray(cand, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.int64)
         nq = counts.shape[0]
-        offsets = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        sel = np.full((nq, int(k)), -1, dtype=np.int64)
-        dists = np.full((nq, int(k)), np.inf, dtype=np.float64)
+        sel = np.empty((nq, int(k)), dtype=np.int64)
+        dists = np.empty((nq, int(k)), dtype=np.float64)
+        norms_ptr = None
         if sq_norms is not None:
             sq_norms = np.ascontiguousarray(sq_norms, dtype=np.float64)
-            norms_ptr = sq_norms.ctypes.data_as(ctypes.c_void_p)
-        else:
-            norms_ptr = None
+            norms_ptr = sq_norms.ctypes.data
         rc = self._lib.repro_rank_topk(
-            data, data.shape[1], norms_ptr, queries, nq, q_sq, cand,
-            offsets, int(k), sel, dists)
+            data.ctypes.data, data.shape[1], norms_ptr, queries.ctypes.data,
+            nq, q_sq.ctypes.data, cand.ctypes.data, counts.ctypes.data,
+            int(k), sel.ctypes.data, dists.ctypes.data)
         if rc != 0:
             raise MemoryError("rank_topk scratch allocation failed")
         return sel, dists
@@ -176,7 +200,8 @@ class CExtKernels:
     def dm_decode(self, y: np.ndarray) -> np.ndarray:
         y = np.ascontiguousarray(y, dtype=np.float64)
         codes = np.empty(y.shape, dtype=np.int64)
-        self._lib.repro_dm_decode(y, y.shape[0], y.shape[1], codes)
+        self._lib.repro_dm_decode(y.ctypes.data, y.shape[0], y.shape[1],
+                                  codes.ctypes.data)
         return codes
 
     def e8_decode(self, y: np.ndarray) -> np.ndarray:
@@ -186,11 +211,12 @@ class CExtKernels:
             raise ValueError(f"e8_decode needs a multiple-of-8 width, "
                              f"got {padded}")
         codes = np.empty((n, padded), dtype=np.int64)
-        self._lib.repro_e8_decode(y, n, padded // 8, codes)
+        self._lib.repro_e8_decode(y.ctypes.data, n, padded // 8,
+                                  codes.ctypes.data)
         return codes
 
 
 def load() -> CExtKernels:
     """Compile (if needed) and bind the C kernel backend."""
-    so_path = _compile(_SOURCE_PATH)
-    return CExtKernels(ctypes.CDLL(so_path))
+    so_path, flags = _compile(_SOURCE_PATH)
+    return CExtKernels(ctypes.CDLL(so_path), flags)

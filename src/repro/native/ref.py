@@ -1,19 +1,18 @@
 """Numpy reference implementations of the native-kernel numeric spec.
 
-The compiled kernels (:mod:`repro.native.kernels_cext`,
-:mod:`repro.native.kernels_numba`) promise **bit-identical** results to
-the vectorized engine.  Floating-point summation is not associative, so
+The compiled kernels (:mod:`repro.native.kernels_cext`) promise
+**bit-identical** results to the vectorized engine.  Floating-point summation is not associative, so
 "the same math" is not enough — both sides must execute the *same
 summation tree*.  This module is that tree, written once in numpy:
 
 - the vectorized engine calls :func:`tree_rowdot` for its fused-rank dot
   products (``repro.lsh.index._rank_shortlists``) and the E8 decoder
   calls :func:`tree_sq_dist` for its D8-vs-half-coset comparison;
-- every compiled backend replicates the identical pairwise
-  power-of-two halving order, element by element.
+- the compiled backend replicates the identical pairwise power-of-two
+  halving order, element by element.
 
 Anything here must stay importable with numpy alone — the reference spec
-is what the no-compiler, no-numba fallback runs on.
+is what the no-compiler fallback runs on.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ def tree_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The ``d`` products of each row are padded with zeros to the next
     power of two ``P`` and reduced by repeated halving:
-    ``x[i] <- x[i] + x[i + w]`` for ``w = P/2, P/4, ..., 1``.  Every
-    native backend implements this exact order, which is what makes
-    compiled distances bit-identical to the numpy reference.
+    ``x[i] <- x[i] + x[i + w]`` for ``w = P/2, P/4, ..., 1``.  The
+    compiled ``tree_dot`` implements this exact order, which is what
+    makes compiled distances bit-identical to the numpy reference.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -564,7 +564,7 @@ def build_worker_schema(n_tables: int) -> SlotSchema:
     from repro.resilience.faults import KNOWN_SITES
 
     engines = ("vectorized", "native", "scalar")
-    backends = ("numba", "cext", "?")
+    backends = ("cext", "?")
     stages = ("lsh.validate", "lsh.hash", "lsh.gather", "lsh.escalate",
               "lsh.rank")
     event_kinds = ("shard_recv", "shard_ok", "shard_err")
@@ -632,11 +632,10 @@ def build_worker_schema(n_tables: int) -> SlotSchema:
                 "Per-call compiled-kernel latency (seconds).",
                 _labels(kernel=kernel, backend=backend),
                 LATENCY_BUCKETS_SECONDS))
-    for backend in ("numba", "cext"):
-        histograms.append(HistogramCell(
-            obs.NATIVE_SETUP_SECONDS,
-            "One-time native-backend setup latency (seconds).",
-            _labels(backend=backend), LATENCY_BUCKETS_SECONDS))
+    histograms.append(HistogramCell(
+        obs.NATIVE_SETUP_SECONDS,
+        "One-time native-backend setup latency (seconds).",
+        _labels(backend="cext"), LATENCY_BUCKETS_SECONDS))
     histograms.append(HistogramCell(
         obs.SHORTLIST_SIZE, "Candidates ranked per query.", (),
         COUNT_BUCKETS))

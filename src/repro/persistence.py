@@ -336,6 +336,14 @@ def _forest_restore(meta: dict, arrays) -> LSHForest:
 
 # ----------------------------------------------------------- integrity layer
 
+def _crc32(arr: np.ndarray) -> int:
+    """CRC-32 of a C-contiguous array's bytes, read in place.
+
+    ``tobytes()`` would copy the array first — for the point matrix that
+    is a transient the size of the corpus on every save and load."""
+    return int(zlib.crc32(arr.reshape(-1).view(np.uint8)))
+
+
 def _array_checksums(arrays: Dict[str, np.ndarray],
                      ) -> Dict[str, Dict[str, object]]:
     """CRC-32 + dtype + shape per archive entry (stored in ``__meta__``)."""
@@ -343,7 +351,7 @@ def _array_checksums(arrays: Dict[str, np.ndarray],
     for key, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         out[key] = {
-            "crc32": int(zlib.crc32(arr.tobytes())),
+            "crc32": _crc32(arr),
             "dtype": str(arr.dtype),
             "shape": list(arr.shape),
         }
@@ -376,7 +384,7 @@ def _verify_arrays(path: str, meta: dict,
                 path, key,
                 f"has shape {list(arr.shape)}, expected "
                 f"{list(info['shape'])}")
-        crc = int(zlib.crc32(arr.tobytes()))
+        crc = _crc32(arr)
         if crc != int(info["crc32"]):
             raise CorruptIndexError(
                 path, key,

@@ -548,10 +548,26 @@ class IndexRuntime:
 
     def insert(self, points: np.ndarray,
                ids: Optional[np.ndarray] = None) -> np.ndarray:
-        """Durable insert: WAL append-before-ack via the owned index."""
+        """Durable insert: WAL append-before-ack via the owned index.
+
+        ``ids`` reach the index only when given: ``BiLevelLSH`` numbers
+        inserted rows by position (WAL replay relies on it) and takes
+        none, so explicit ids on one are refused with the reason.
+        """
         if self._closed:
             raise RuntimeError("runtime is closed")
-        assigned = self.index.insert(points, ids)  # type: ignore[attr-defined]
+        if ids is None:
+            assigned = self.index.insert(points)  # type: ignore[attr-defined]
+        else:
+            from repro.core.bilevel import BiLevelLSH
+
+            if isinstance(self.index, BiLevelLSH):
+                raise ValueError(
+                    "explicit ids are not supported on a BiLevelLSH index: "
+                    "it assigns ids by row position so WAL replay can "
+                    "regenerate them; insert without ids and use the "
+                    "returned ones")
+            assigned = self.index.insert(points, ids)  # type: ignore[attr-defined]
         self._mark_executor_stale()
         return assigned
 

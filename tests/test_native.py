@@ -1,25 +1,33 @@
-"""Native-tier tests (DESIGN.md §12): parity matrix, decoders, fallback.
+"""Native-tier tests (DESIGN.md §12): parity matrix, kernels, fallback.
 
-Three contracts:
+Four contracts:
 
 1. **Bit-parity matrix** — ``engine="native"`` returns *identical*
    indices and distances to the vectorized and scalar engines across
    lattices × hierarchy × multiprobe × ``max_batch_rows`` × ``n_jobs``.
    When no compiled backend is available the native engine degrades to
    the vectorized plan, so the parity assertions hold either way; the CI
-   ``native`` job pins ``REPRO_NATIVE_BACKEND=numba`` so the compiled
-   path itself is exercised there (locally the C-extension rung usually
-   resolves).
-2. **Decoder properties** — the compiled E8/Dm decoders match the
+   ``native`` job pins ``REPRO_NATIVE_BACKEND=cext`` so the compiled
+   path itself is exercised there.
+2. **Kernel properties** — ``dedup_candidates`` and ``rank_topk`` equal
+   their ``repro.native.ref`` twins on drawn inputs that reach both
+   dedup paths and every ``tree_dot`` shape, on the build the toolchain
+   resolves *and* on the portable build a failed SIMD compile falls
+   back to; an FMA canary proves contraction is off; the ``.so`` cache
+   key covers the flags.
+3. **Decoder properties** — the compiled E8/Dm decoders match the
    pure-numpy references in ``repro.lattice`` on random inputs *and* on
    the boundary grid (exact integers, half-integers, quarter-point
    D8-vs-coset ties) where any summation or rounding divergence shows.
-3. **Graceful fallback** — with backends disabled, ``engine="native"``
+4. **Graceful fallback** — with the backend disabled, ``engine="native"``
    answers bit-identically to vectorized with exactly one
    ``RuntimeWarning`` and one ``repro_native_fallbacks_total`` bump.
 """
 
+import os
+import stat
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +40,8 @@ from repro.core.config import BiLevelConfig
 from repro.lattice.dm import decode_dm
 from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
-from repro.native import registry
+from repro.native import kernels_cext, registry
+from repro.native.ref import dedup_candidates_ref, rank_topk_ref
 from repro.obs.registry import MetricsRegistry
 
 N_QUERIES = 19
@@ -152,6 +161,145 @@ class TestParityMatrix:
     def test_unknown_engine_raises(self, index_cache, queries):
         with pytest.raises(ValueError, match="engine must be one of"):
             index_cache("zm").query_batch(queries, K, engine="warp")
+
+
+# --------------------------------------------------------- kernel parity
+
+
+@pytest.fixture(scope="module")
+def portable_kernels(kernels, tmp_path_factory):
+    """The build a toolchain without ifunc ends up with.
+
+    A wrapper compiler refuses the first (``-DREPRO_SIMD_CLONES``)
+    attempt, so ``load`` must come back with the plain build — never
+    ``None`` — and that build is held to the same reference.
+    """
+    root = tmp_path_factory.mktemp("portable")
+    wrapper = root / "cc-no-clones"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'case " $* " in *" {kernels_cext._SIMD_FLAG} "*) exit 1;; esac\n'
+        f'exec {kernels_cext._find_compiler()} "$@"\n')
+    wrapper.chmod(wrapper.stat().st_mode | stat.S_IXUSR)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NATIVE_CC", str(wrapper))
+        patch.setenv("REPRO_NATIVE_CACHE", str(root / "cache"))
+        loaded = kernels_cext.load()
+    assert kernels_cext._SIMD_FLAG not in loaded.flags
+    return loaded
+
+
+@pytest.fixture(scope="module", params=["resolved", "portable"])
+def build(request):
+    return request.getfixturevalue(
+        "kernels" if request.param == "resolved" else "portable_kernels")
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestKernelParity:
+    # id_span reaches both dedup paths (rule: more than 64 bitmap words
+    # per id -> sort): spans up to 10**4 are at most 157 words, bitmap for
+    # any segment of 3+ ids; 2**40 always sorts; 10**6 (15 625 words)
+    # goes either way around 244 ids.  del_len puts tombstones below, at
+    # and beyond the drawn ids.
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_ids=st.integers(0, 600),
+           id_span=st.sampled_from([1, 5, 64, 700, 10**4, 10**6, 2**40]),
+           nq=st.integers(0, 6),
+           del_len=st.sampled_from([None, 0, 3, 500, 10**5]))
+    def test_dedup_matches_reference(self, build, seed, n_ids, id_span, nq,
+                                     del_len):
+        rng = np.random.default_rng(seed)
+        if nq == 0:
+            n_ids = 0
+        ids = rng.integers(0, id_span, size=n_ids)
+        # Skewed so some segments stay empty and one holds most ids.
+        qidx = np.minimum(rng.integers(0, 2 * max(nq, 1), size=n_ids),
+                          max(nq - 1, 0)) // 2
+        deleted = None if del_len is None else rng.random(del_len) < 0.3
+        got = build.dedup_candidates(ids, qidx, nq, deleted=deleted)
+        want = dedup_candidates_ref(ids, qidx, nq, deleted=deleted)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_dedup_far_apart_dense_segments(self, build):
+        # Two bitmap-path segments 2**40 apart: the bitmap is relative to
+        # each segment, so neither its size nor a stale bit carries over.
+        near = np.arange(300)[::-1] % 200
+        ids = np.concatenate([near, near + 2**40, [-3, -3, -1]])
+        qidx = np.repeat([0, 2, 1], [300, 300, 3])
+        got = build.dedup_candidates(ids, qidx, 4)
+        want = dedup_candidates_ref(ids, qidx, 4)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dim=st.sampled_from([1, 3, 7, 8, 33, 64, 100, 128]),
+           with_norms=st.booleans(), k=st.sampled_from([1, 4, 10]))
+    def test_rank_matches_reference(self, build, seed, dim, with_norms, k):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((40, dim))
+        # Exact-tie ids: duplicate rows (equal distances to every query)
+        # and quarter-grid rows (many equal sums); -0.0 products too.
+        data[10:20] = data[:10]
+        data[20:30] = np.round(data[20:30] * 2.0) / 4.0
+        data[30, : dim // 2] = -0.0
+        queries = np.vstack([rng.standard_normal((3, dim)), data[3:5],
+                             np.zeros((1, dim))])
+        counts = rng.integers(0, 40, size=queries.shape[0])
+        counts[rng.integers(0, counts.size)] = 0
+        cand = np.concatenate(
+            [np.sort(rng.choice(40, size=c, replace=False)) for c in counts]
+            + [np.empty(0, dtype=np.int64)]).astype(np.int64)
+        sq_norms = ((data * data).sum(axis=1) if with_norms else None)
+        q_sq = (queries * queries).sum(axis=1)
+        sel, dists = build.rank_topk(data, sq_norms, queries, q_sq, cand,
+                                     counts, k)
+        want_sel, want_dists = rank_topk_ref(data, sq_norms, queries, q_sq,
+                                             cand, counts, k)
+        assert np.array_equal(sel, want_sel)
+        assert np.array_equal(_bits(dists), _bits(want_dists))
+
+    @pytest.mark.parametrize("dim", [2, 8, 64, 100])
+    def test_fma_canary(self, build, dim):
+        """``a*b + c`` must round twice, as the reference does.
+
+        Every first-level pair ``(i, i + w)`` is ``(1+e)(1-e) + 1*(-1)``
+        with ``e = 2**-30`` (unpaired columns are 0): the product
+        ``1 - 2**-60`` rounds to 1.0, so the unfused sum is exactly 0; an
+        FMA keeps the ``-2**-60``.  With norms passed as 0 the distance
+        is ``sqrt(-2 * dot)``: 0.0 unfused, above ``2**-30`` contracted.
+        """
+        w = (1 << (dim - 1).bit_length()) // 2
+        e = 2.0 ** -30
+        row, query = np.zeros((1, dim)), np.zeros((1, dim))
+        row[0, : dim - w], query[0, : dim - w] = 1.0 + e, 1.0 - e
+        row[0, w:], query[0, w:] = 1.0, -1.0
+        fused = Fraction(1.0 + e) * Fraction(1.0 - e) - 1
+        assert fused == -Fraction(1, 2**60) and (1.0 + e) * (1.0 - e) == 1.0
+        zero, one = np.zeros(1), np.ones(1, dtype=np.int64)
+        sel, dists = build.rank_topk(row, zero, query, zero, zero.astype(
+            np.int64), one, 1)
+        want_sel, want_dists = rank_topk_ref(row, zero, query, zero,
+                                             zero.astype(np.int64), one, 1)
+        assert np.array_equal(sel, want_sel) and dists[0, 0] == 0.0
+        assert np.array_equal(_bits(dists), _bits(want_dists))
+
+    def test_cache_key_covers_flags(self, kernels, tmp_path, monkeypatch):
+        # A flag change must never reuse the object built without it.
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        first, flags = kernels_cext._compile(kernels_cext._SOURCE_PATH)
+        assert kernels_cext._compile(kernels_cext._SOURCE_PATH)[0] == first
+        monkeypatch.setattr(kernels_cext, "_CFLAGS",
+                            kernels_cext._CFLAGS + ["-DREPRO_UNUSED"])
+        second, new_flags = kernels_cext._compile(kernels_cext._SOURCE_PATH)
+        assert second != first and os.path.exists(second)
+        assert "-DREPRO_UNUSED" in new_flags and new_flags != flags
 
 
 # ------------------------------------------------------- compiled decoders

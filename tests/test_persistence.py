@@ -302,3 +302,19 @@ def test_loaded_arrays_own_their_data(gaussian_data, tmp_path):
     # The archive context is closed: a full reload must still read clean.
     loaded = load_index(path)
     np.testing.assert_array_equal(loaded._data, index._data)
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(24, dtype=np.float64).reshape(4, 6),
+    np.zeros((0, 3)), np.zeros((3, 0), dtype=np.int64), np.array(5.0),
+    np.array([True, False, True]), np.arange(7, dtype=np.uint8),
+], ids=["matrix", "no-rows", "no-cols", "0-d", "bool", "uint8"])
+def test_in_place_checksum_matches_the_stored_one(arr):
+    """``_crc32`` reads the array in place; archives written when the
+    checksum was taken over ``tobytes()`` must keep verifying."""
+    import zlib
+
+    from repro.persistence import _crc32
+
+    arr = np.ascontiguousarray(arr)
+    assert _crc32(arr) == zlib.crc32(arr.tobytes())

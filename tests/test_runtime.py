@@ -785,6 +785,57 @@ class TestRuntimeServerErrors:
         runtime.close()
 
 
+    def test_insert_on_served_bilevel_index(self, base_data):
+        """``/insert`` on a Bi-level index: 200 without ids, 400 with.
+
+        ``IndexRuntime.insert`` used to pass ``ids`` positionally to
+        ``BiLevelLSH.insert(points)``, so every served insert answered
+        400 with an arity ``TypeError``.
+        """
+        from repro.runtime.server import RuntimeServer
+
+        index = BiLevelLSH(BiLevelConfig(n_groups=4, n_tables=4,
+                                         bucket_width=4.0,
+                                         seed=5)).fit(base_data)
+        runtime = IndexRuntime(index)
+        server = RuntimeServer(runtime)
+        point = np.random.default_rng(12).standard_normal(DIM).tolist()
+
+        async def post(path, payload):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            body = json.dumps(payload).encode("utf-8")
+            writer.write(
+                b"POST " + path + b" HTTP/1.1\r\nContent-Length: " +
+                str(len(body)).encode() + b"\r\n\r\n" + body)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            head, _, rest = raw.partition(b"\r\n\r\n")
+            return int(head.split()[1]), json.loads(rest)
+
+        async def drive():
+            await server.start()
+            try:
+                return (await post(b"/insert", {"points": [point]}),
+                        await post(b"/query", {"queries": [point], "k": 1}),
+                        await post(b"/insert", {"points": [point],
+                                                "ids": [4242]}))
+            finally:
+                await server.stop()
+
+        try:
+            inserted, queried, refused = asyncio.run(drive())
+        finally:
+            runtime.close()
+        assert inserted == (200, {"ids": [base_data.shape[0]], "count": 1})
+        assert queried[0] == 200
+        assert queried[1]["ids"][0][0] == base_data.shape[0]
+        assert queried[1]["distances"][0][0] == 0.0
+        assert refused[0] == 400
+        assert "assigns ids by row position" in refused[1]["error"]
+
+
 @pytest.mark.concurrency
 class TestShardPoolRuntime:
     def test_submit_routes_through_process_pool(self, base_data, queries,
