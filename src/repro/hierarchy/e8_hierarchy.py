@@ -10,40 +10,38 @@ applications of ``c -> 2 * DECODE(c / 2)`` (Eq. (10)).  The structure is
 2. repeatedly map every bucket to its next ancestor, grouping buckets whose
    ancestor codes coincide, until a level where all buckets share one code
    (or a configured cap is reached);
-3. each tree node stores its level, its common ancestor code and the set of
-   level-0 buckets below it.
+3. ancestors nest (``code_{k+1}`` is a function of ``code_k``), so ordering
+   the buckets by (coarsest group, ..., finest group) makes every node of
+   every level one contiguous run of a single point-id array; a level is
+   its sorted distinct ancestor codes plus ``(start, end)`` bounds into it.
 
-A query walks down from the root through the child whose code equals the
-query's ancestor code at that level; when no matching child exists (or a
-bigger short-list is needed) all buckets rooted at the current node are
-probed.
+A query walks up from level 0 through the nodes matching its ancestor code,
+comparing node sizes (``end - start``), and gathers ids once, as a slice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.lattice.base import Lattice
-from repro.lsh.table import LSHTable
+from repro.lsh.table import LSHTable, pack_codes
 
 
 class E8Hierarchy:
     """Ancestor hierarchy over the buckets of one ``E8`` :class:`LSHTable`.
 
-    Parameters
-    ----------
-    table:
-        Table whose buckets to organize.
-    lattice:
-        The :class:`~repro.lattice.e8.E8Lattice` that produced the codes
-        (provides the :meth:`ancestor` map).
-    max_levels:
-        Safety cap on the number of ancestor applications; the paper's
-        construction stops when all buckets merge, which for well-scaled
-        codes happens after ``O(log extent)`` levels.
+    ``table`` is the table whose buckets to organize, ``lattice`` the
+    :class:`~repro.lattice.e8.E8Lattice` that produced its codes (it
+    provides the ancestor map) and ``max_levels`` a cap on the number of
+    ancestor applications: the paper's construction stops when all buckets
+    merge, but codes that reach a fixed point of Eq. (10) never do.
+
+    ``ids`` holds the table's point ids in tree order; per level,
+    ``level_codes`` are the sorted distinct ancestor codes and
+    ``level_starts`` / ``level_ends`` each node's run inside ``ids``.
     """
 
     def __init__(self, table: LSHTable, lattice: Lattice, max_levels: int = 24):
@@ -51,36 +49,49 @@ class E8Hierarchy:
             raise ValueError(f"max_levels must be positive, got {max_levels}")
         self.table = table
         self.lattice = lattice
-        # levels[k] maps ancestor-code bytes -> array of level-0 bucket indices.
-        self.levels: List[Dict[bytes, np.ndarray]] = []
         codes = table.bucket_codes
-        for _, level_codes in self.lattice.ancestor_chain(codes, max_levels):
-            self.levels.append(self._group_buckets(level_codes))
-            if len(self.levels[-1]) <= 1:
-                break
-        self.n_levels = len(self.levels)
+        # Level 0 is the table's own (sorted, distinct) bucket codes.
+        self.level_codes: List[np.ndarray] = [codes]
+        groups = [np.arange(codes.shape[0], dtype=np.int64)]  # bucket -> node
+        chain = lattice.ancestor_chain(codes, max_levels)
+        next(chain)
+        # First level whose nodes all sit at fixed points of Eq. (10): from
+        # there on codes only double (no decode needed), nodes never merge.
+        self._settled = max_levels
+        while len(groups) < max_levels and self.level_codes[-1].shape[0] > 1:
+            uniq, group = 2 * self.level_codes[-1], groups[-1]
+            if self._settled == max_levels:
+                # Nesting: a node's ancestor is its first bucket's ancestor.
+                first = np.unique(group, return_index=True)[1]
+                uniq, inverse = np.unique(next(chain)[1][first], axis=0,
+                                          return_inverse=True)
+                group = inverse.ravel()[group]
+                if np.array_equal(uniq, 2 * self.level_codes[-1]):
+                    self._settled = len(groups) - 1
+            self.level_codes.append(uniq)
+            groups.append(group)
+        self._level_keys = [table._bucket_keys] + [
+            pack_codes(uniq) for uniq in self.level_codes[1:]]
+        self.n_levels = len(groups)
+        # Tree order: coarsest node first, bucket index last — every node
+        # of every level is then one run of consecutive buckets.
+        order = np.lexsort(groups)
+        sizes = table.bucket_sizes()[order]
+        self.ids = LSHTable._gather_segments(table.sorted_ids,
+                                             table._starts[order], sizes)
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        runs = [np.unique(group[order], return_index=True, return_counts=True)
+                for group in groups]
+        self.level_starts = [offsets[head] for _, head, _ in runs]
+        self.level_ends = [offsets[head + length] for _, head, length in runs]
 
-    @staticmethod
-    def _group_buckets(level_codes: np.ndarray) -> Dict[bytes, np.ndarray]:
-        """Group bucket indices by identical ancestor code (vectorized)."""
-        uniq, inverse = np.unique(level_codes, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        order = np.argsort(inverse, kind="stable")
-        counts = np.bincount(inverse, minlength=uniq.shape[0])
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        return {
-            uniq[g].tobytes(): order[bounds[g]:bounds[g + 1]].astype(np.int64)
-            for g in range(uniq.shape[0])
-        }
-
-    def _bucket_ids(self, buckets: np.ndarray) -> np.ndarray:
-        parts = []
-        for b in buckets:
-            s, e = self.table.bucket_bounds(int(b))
-            parts.append(self.table.sorted_ids[s:e])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+    def _find(self, level: int, codes: np.ndarray,
+              kernels: Optional[object] = None) -> np.ndarray:
+        """Node index at ``level`` per ancestor-code row (``-1``: absent)."""
+        if kernels is not None:
+            return kernels.lookup_codes(self.level_codes[level], codes)
+        return LSHTable._searchsorted_keys(self._level_keys[level],
+                                           pack_codes(codes))
 
     def ids_at_level(self, code: np.ndarray, level: int) -> Optional[np.ndarray]:
         """Point ids under the node matching ``code``'s ancestor at ``level``.
@@ -89,40 +100,58 @@ class E8Hierarchy:
         """
         if not 0 <= level < self.n_levels:
             raise ValueError(f"level must be in [0, {self.n_levels}), got {level}")
-        code = np.asarray(code, dtype=np.int64).reshape(1, -1)
-        key = self.lattice.ancestor(code, level)[0].tobytes()
-        buckets = self.levels[level].get(key)
-        if buckets is None:
+        node = int(self._find(level, self.lattice.ancestor(code, level))[0])
+        if node < 0:
             return None
-        return self._bucket_ids(buckets)
+        return self.ids[self.level_starts[level][node]:
+                        self.level_ends[level][node]]
+
+    def candidates_batch(self, codes: np.ndarray, min_count: int,
+                         kernels: Optional[object] = None,
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate ids for every code row, flattened: ``(ids, counts)``.
+
+        All rows climb one level per decode pass and batched node lookup.
+        A row settles on the first matching ancestor node holding at least
+        ``min_count`` points, else on the first largest matching node
+        (none, ``counts == 0``, when its ancestors never meet a populated
+        branch).  ``kernels`` (the native engine's table) runs decode and
+        lookup compiled, with identical results.
+        """
+        codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
+        size = np.zeros(codes.shape[0], dtype=np.int64)
+        start = np.zeros_like(size)
+        depth = np.zeros_like(size)
+        todo = np.arange(codes.shape[0], dtype=np.int64)
+        for level, anc in self.lattice.ancestor_chain(codes, self.n_levels,
+                                                      kernels):
+            node = self._find(level, anc[todo], kernels)
+            hit = node >= 0
+            rows, node = todo[hit], node[hit]
+            found = self.level_ends[level][node] - self.level_starts[level][node]
+            grew = found > size[rows]
+            rows, node = rows[grew], node[grew]
+            size[rows] = found[grew]
+            start[rows] = self.level_starts[level][node]
+            depth[rows] = level
+            climbing = size[todo] < min_count
+            if level >= self._settled:
+                # Nodes only double from here: a row that has matched keeps
+                # its node, one whose own code only doubles never will.
+                climbing &= ~hit
+                if level:
+                    climbing &= (anc[todo] != 2 * below[todo]).any(axis=1)
+            todo, below = todo[climbing], anc
+            if not todo.size:
+                break
+        ob = obs.active()
+        if ob is not None:
+            ob.record_escalation_depth("e8", depth)
+        return LSHTable._gather_segments(self.ids, start, size), size
 
     def candidates(self, code: np.ndarray, min_count: int) -> np.ndarray:
-        """Candidate ids for ``code``, escalating levels until ``min_count``.
-
-        Walks up from level 0; returns the first matching ancestor group
-        holding at least ``min_count`` points, else the largest matching
-        group found (possibly empty when the query's ancestors never meet a
-        populated branch within the built levels).
-        """
-        code = np.asarray(code, dtype=np.int64).reshape(1, -1)
-        ob = obs.active()
-        best = np.empty(0, dtype=np.int64)
-        best_level = 0
-        for level, anc in self.lattice.ancestor_chain(code, self.n_levels):
-            buckets = self.levels[level].get(anc[0].tobytes())
-            if buckets is None:
-                continue
-            ids = self._bucket_ids(buckets)
-            if ids.size >= min_count:
-                if ob is not None:
-                    ob.record_escalation_depth("e8", level)
-                return np.unique(ids)
-            if ids.size > best.size:
-                best = ids
-                best_level = level
-        if ob is not None:
-            ob.record_escalation_depth("e8", best_level)
-        return np.unique(best) if best.size else best
+        """One row of :meth:`candidates_batch`, ids ascending."""
+        return np.sort(self.candidates_batch(code, min_count)[0])
 
     def deepest_match(self, code: np.ndarray) -> Optional[int]:
         """The smallest level at which ``code``'s ancestor is populated.
@@ -131,14 +160,11 @@ class E8Hierarchy:
         with the query's code exists; the returned level is where the
         descent stops (``None`` if even the coarsest built level misses).
         """
-        code = np.asarray(code, dtype=np.int64).reshape(1, -1)
-        matches = []
-        for level, anc in self.lattice.ancestor_chain(code, self.n_levels):
-            matches.append(anc[0].tobytes() in self.levels[level])
+        matches = [self._find(level, anc)[0] >= 0 for level, anc
+                   in self.lattice.ancestor_chain(code, self.n_levels)]
         found = None
-        for level in range(self.n_levels - 1, -1, -1):
-            if matches[level]:
-                found = level
-            else:
+        for level in reversed(range(self.n_levels)):
+            if not matches[level]:
                 break
+            found = level
         return found

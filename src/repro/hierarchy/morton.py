@@ -21,7 +21,8 @@ curve.
 
 from __future__ import annotations
 
-from typing import List
+from bisect import bisect_left
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,33 +53,20 @@ def morton_encode(codes: np.ndarray, bits: int) -> List[int]:
     if codes.size and (codes.min() < 0 or (bits < 63 and codes.max() >= (1 << bits))):
         raise ValueError("codes must be non-negative and fit in the bit budget")
     n, m = codes.shape
-    if bits * m <= 62:
-        # Fast path: the interleaved code fits a uint64; place bit b of
-        # coordinate j at position b*m + (m-1-j) with vectorized shifts.
-        cu = codes.astype(np.uint64)
-        out_u = np.zeros(n, dtype=np.uint64)
-        for b in range(bits):
-            for j in range(m):
-                bitvals = (cu[:, j] >> np.uint64(b)) & np.uint64(1)
-                out_u |= bitvals << np.uint64(b * m + (m - 1 - j))
-        return [int(v) for v in out_u]
-    out = [0] * n
-    for b in range(bits - 1, -1, -1):
+    # uint64 while the interleaved code fits, Python ints (object) past it.
+    out = np.zeros(n, dtype=np.uint64 if bits * m <= 62 else object)
+    for b in range(bits):
         for j in range(m):
-            bitvals = (codes[:, j] >> b) & 1
-            for i in range(n):
-                out[i] = (out[i] << 1) | int(bitvals[i])
-    return out
+            bitvals = ((codes[:, j] >> b) & 1).astype(out.dtype)
+            out |= bitvals << (b * m + (m - 1 - j))
+    return out.tolist()
 
 
 class MortonHierarchy:
     """Hierarchy over the buckets of one ``Z^M`` :class:`LSHTable`.
 
-    Parameters
-    ----------
-    table:
-        The table whose buckets to organize.  The hierarchy keeps a
-        reference and reads bucket membership through it.
+    Bucket membership is copied out of ``table`` into one id array in
+    curve order, so any window of the curve is a slice.
     """
 
     def __init__(self, table: LSHTable):
@@ -91,85 +79,52 @@ class MortonHierarchy:
         self.bits = max(int(span).bit_length(), 1)
         self.total_bits = self.bits * self.m
         mortons = morton_encode(shifted, self.bits)
-        order = np.argsort(np.array([float(v) for v in mortons]))
-        # Sorting via float can collide for > 2^53 codes; fall back to exact
-        # Python-int sort when the bit budget is large.
-        if self.total_bits > 50:
-            order = np.array(sorted(range(len(mortons)), key=mortons.__getitem__),
-                             dtype=np.int64)
+        if self.total_bits <= 62:
+            order = np.argsort(np.array(mortons, dtype=np.int64))
+        else:  # past int64: exact Python-int sort
+            order = np.array(sorted(range(len(mortons)),
+                                    key=mortons.__getitem__), dtype=np.int64)
         self._sorted_mortons = [mortons[i] for i in order]
-        self._bucket_order = order  # curve position -> bucket index
-        sizes = table.bucket_sizes()
-        self._cum_sizes = np.concatenate(
-            ([0], np.cumsum(sizes[order]))).astype(np.int64)
+        sizes = table.bucket_sizes()[order]
+        self._cum_sizes = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        self._ids = LSHTable._gather_segments(table.sorted_ids,
+                                              table._starts[order], sizes)
 
     @property
     def n_buckets(self) -> int:
         return len(self._sorted_mortons)
 
-    def _encode_query(self, code: np.ndarray) -> int:
-        code = np.asarray(code, dtype=np.int64).reshape(1, -1)
-        shifted = code - self.offset
+    def _encode_query(self, codes: np.ndarray) -> List[int]:
+        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         limit = (1 << self.bits) - 1
-        shifted = np.clip(shifted, 0, limit)
-        return morton_encode(shifted, self.bits)[0]
-
-    def _insertion_position(self, morton: int) -> int:
-        lo, hi = 0, len(self._sorted_mortons)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._sorted_mortons[mid] < morton:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return morton_encode(np.clip(codes - self.offset, 0, limit), self.bits)
 
     def _prefix_window(self, morton: int, dropped_bits: int) -> tuple:
-        """Curve positions of buckets sharing the top bits with ``morton``.
-
-        ``dropped_bits`` low-order Morton bits are ignored; the matching
-        buckets form the half-open range returned as ``(lo, hi)``.
-        """
+        """Half-open curve range ``(lo, hi)`` of the buckets sharing
+        ``morton``'s bits above the ``dropped_bits`` low-order ones."""
         prefix = morton >> dropped_bits
-        low = prefix << dropped_bits
-        high = (prefix + 1) << dropped_bits
-        return self._insertion_position(low), self._insertion_position(high)
-
-    def _ids_in_window(self, lo: int, hi: int) -> np.ndarray:
-        if lo >= hi:
-            return np.empty(0, dtype=np.int64)
-        parts = []
-        for pos in range(lo, hi):
-            b = int(self._bucket_order[pos])
-            s, e = self.table.bucket_bounds(b)
-            parts.append(self.table.sorted_ids[s:e])
-        return np.concatenate(parts)
+        return (bisect_left(self._sorted_mortons, prefix << dropped_bits),
+                bisect_left(self._sorted_mortons, (prefix + 1) << dropped_bits))
 
     def window_size(self, lo: int, hi: int) -> int:
         """Number of points stored in curve positions ``[lo, hi)``."""
         return int(self._cum_sizes[hi] - self._cum_sizes[lo])
 
-    def candidates(self, code: np.ndarray, min_count: int) -> np.ndarray:
-        """Candidate ids near ``code``, escalating until ``min_count``.
+    def _window(self, morton: int, min_count: int) -> Tuple[int, int, int]:
+        """``(lo, hi, dropped_bits)``: one query's escalated curve window.
 
-        Starts from the exact-prefix window (``dropped_bits = 0``: only the
-        query's own bucket, if populated, plus the curve neighbors below)
-        and drops one more Morton bit per step — halving the shared prefix
-        — until the window holds at least ``min_count`` points or covers
-        the whole curve.  Single-bit steps keep the escalation fine-grained
-        (a full bit plane would grow the window by ``2^M`` at once and
-        overshoot the candidate budget).  The immediate
-        predecessor/successor buckets on the curve are always included,
-        mirroring the paper's insert-position probing.
+        Starts from the exact-prefix window plus the immediate predecessor
+        and successor buckets (the paper's insert-position probing) and
+        drops one more Morton bit per step until the window holds
+        ``min_count`` points or covers the curve.  Single-bit steps keep
+        the escalation fine-grained: a full bit plane would grow the
+        window by ``2^M`` at once and overshoot the candidate budget.
         """
-        morton = self._encode_query(code)
-        pos = self._insertion_position(morton)
-        neighbor_lo = max(pos - 1, 0)
-        neighbor_hi = min(pos + 1, self.n_buckets)
+        pos = bisect_left(self._sorted_mortons, morton)
         dropped = 0
         lo, hi = self._prefix_window(morton, dropped)
-        lo = min(lo, neighbor_lo)
-        hi = max(hi, neighbor_hi)
+        lo = min(lo, max(pos - 1, 0))
+        hi = max(hi, min(pos + 1, self.n_buckets))
         while (self.window_size(lo, hi) < min_count
                and (lo > 0 or hi < self.n_buckets)
                and dropped < self.total_bits):
@@ -177,10 +132,29 @@ class MortonHierarchy:
             lo2, hi2 = self._prefix_window(morton, dropped)
             lo = min(lo, lo2)
             hi = max(hi, hi2)
+        return lo, hi, dropped
+
+    def candidates_batch(self, codes: np.ndarray, min_count: int,
+                         kernels: Optional[object] = None,
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate ids near every code row, flattened: ``(ids, counts)``.
+
+        Same call shape as :meth:`E8Hierarchy.candidates_batch`;
+        ``kernels`` is unused (the walk is exact big-int arithmetic).
+        """
+        windows = np.array([self._window(morton, min_count)
+                            for morton in self._encode_query(codes)],
+                           dtype=np.int64).reshape(-1, 3)
         ob = obs.active()
         if ob is not None:
-            ob.record_escalation_depth("morton", dropped)
-        return np.unique(self._ids_in_window(lo, hi))
+            ob.record_escalation_depth("morton", windows[:, 2])
+        starts = self._cum_sizes[windows[:, 0]]
+        counts = self._cum_sizes[windows[:, 1]] - starts
+        return LSHTable._gather_segments(self._ids, starts, counts), counts
+
+    def candidates(self, code: np.ndarray, min_count: int) -> np.ndarray:
+        """One row of :meth:`candidates_batch`, ids ascending."""
+        return np.sort(self.candidates_batch(code, min_count)[0])
 
     def shared_msb(self, code: np.ndarray) -> int:
         """Most-significant bits shared with the nearest curve neighbors.
@@ -189,12 +163,11 @@ class MortonHierarchy:
         query must travel: few shared bits means the query sits in a sparse
         region and should use a coarse (large) bucket.
         """
-        morton = self._encode_query(code)
-        pos = self._insertion_position(morton)
+        morton = self._encode_query(code)[0]
+        pos = bisect_left(self._sorted_mortons, morton)
         best = 0
         for neighbor_pos in (pos - 1, pos):
             if 0 <= neighbor_pos < self.n_buckets:
                 diff = morton ^ self._sorted_mortons[neighbor_pos]
-                shared = self.total_bits - diff.bit_length()
-                best = max(best, shared)
+                best = max(best, self.total_bits - diff.bit_length())
         return best

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -85,12 +85,15 @@ class Lattice(ABC):
         """
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
+                       kernels: Optional[object] = None,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(k, ancestor(codes, k))`` for ``k = 0 .. max_k - 1``.
 
         Subclasses override this when ancestors can be computed
         incrementally (one level from the previous) instead of from
         scratch at every level; the default delegates to :meth:`ancestor`.
+        ``kernels`` is the native engine's kernel table: a lattice with a
+        compiled decoder steps through it, with bit-identical codes.
         """
         for k in range(max_k):
             yield k, self.ancestor(codes, k)

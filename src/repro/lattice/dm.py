@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -121,6 +121,7 @@ class DMLattice(Lattice):
         return np.round(current * float(2 ** k)).astype(np.int64)
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
+                       kernels: Optional[object] = None,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         if codes.shape[1] != self.dim:
@@ -128,5 +129,6 @@ class DMLattice(Lattice):
         current = codes.astype(np.float64)
         for k in range(max_k):
             if k > 0:
-                current = decode_dm(current / 2.0)
+                current = (decode_dm(current / 2.0) if kernels is None else
+                           kernels.dm_decode(current / 2.0).astype(np.float64))
             yield k, np.round(current * float(2 ** k)).astype(np.int64)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -173,40 +173,47 @@ class E8Lattice(Lattice):
             codes[:, sl] = scaled.astype(np.int64)
         return codes
 
+    #: Query rows scored per block of :meth:`probe_codes` (bounds the
+    #: ``(rows, blocks, 240, 8)`` candidate temporaries to a few MB).
+    PROBE_CHUNK = 256
+
     def probe_codes(self, y: np.ndarray, code: np.ndarray, n_probes: int) -> np.ndarray:
         """Neighboring ``E8`` cells ordered by distance to the query.
 
         For each block, candidate codes are ``code_block + m`` for each of
         the 240 minimal vectors ``m``; candidates across blocks are merged
-        and sorted by the squared distance between the query's (scaled)
-        projection and the perturbed lattice point.
+        and sorted (stably) by the squared distance between the query's
+        (scaled) projection and the perturbed lattice point.
+
+        ``y``/``code`` are one query, giving ``(<= n_probes, padded_dim)``,
+        or a ``(q, M)``/``(q, padded_dim)`` block, giving
+        ``(q, <= n_probes, padded_dim)`` with every row the one-query
+        result.
         """
-        if n_probes <= 0:
-            return np.empty((0, self.padded_dim), dtype=np.int64)
-        y2 = self._pad(np.asarray(y, dtype=np.float64))[0] * 2.0  # half-integer units
         code = np.asarray(code, dtype=np.int64)
-        if code.shape != (self.padded_dim,):
+        if code.ndim not in (1, 2) or code.shape[-1] != self.padded_dim:
             raise ValueError(
-                f"code must have shape ({self.padded_dim},), got {code.shape}"
+                f"code must have shape ({self.padded_dim},) or "
+                f"(q, {self.padded_dim}), got {code.shape}"
             )
+        codes = np.atleast_2d(code)
         minimal = e8_minimal_vectors()
-        scores = []
-        perturbations = []
-        for b in range(self.n_blocks):
-            sl = slice(b * BLOCK, (b + 1) * BLOCK)
-            block_code = code[sl]
-            candidates = block_code[None, :] + minimal  # (240, 8)
-            d = np.sum((y2[sl][None, :] - candidates) ** 2, axis=1)
-            scores.append(d)
-            perturbations.extend((b, idx) for idx in range(minimal.shape[0]))
-        scores = np.concatenate(scores)
-        order = np.argsort(scores, kind="stable")[:n_probes]
-        out = np.tile(code, (order.size, 1))
-        for row, flat_idx in enumerate(order):
-            b, m_idx = perturbations[flat_idx]
-            sl = slice(b * BLOCK, (b + 1) * BLOCK)
-            out[row, sl] = code[sl] + minimal[m_idx]
-        return out
+        width = min(max(int(n_probes), 0), self.n_blocks * minimal.shape[0])
+        out = np.repeat(codes[:, None, :], width, axis=1)
+        y2 = self._pad(np.asarray(y, dtype=np.float64)) * 2.0  # half-integer units
+        lanes = np.arange(BLOCK, dtype=np.int64)
+        for s in range(0, codes.shape[0], self.PROBE_CHUNK):
+            rows = slice(s, s + self.PROBE_CHUNK)
+            blocks = codes[rows].reshape(-1, self.n_blocks, 1, BLOCK)
+            target = y2[rows].reshape(-1, self.n_blocks, 1, BLOCK)
+            d = np.sum((target - (blocks + minimal)) ** 2, axis=3)
+            order = np.argsort(d.reshape(blocks.shape[0], -1), axis=1,
+                               kind="stable")[:, :width]
+            b, m_idx = np.divmod(order, minimal.shape[0])
+            cols = (b * BLOCK)[:, :, None] + lanes
+            moved = np.take_along_axis(out[rows], cols, axis=2) + minimal[m_idx]
+            np.put_along_axis(out[rows], cols, moved, axis=2)
+        return out if code.ndim == 2 else out[0]
 
     def ancestor(self, codes: np.ndarray, k: int) -> np.ndarray:
         """Eq. (10): ``H^k = 2^k * DECODE(1/2 * DECODE(1/2 * ... c))``.
@@ -240,12 +247,14 @@ class E8Lattice(Lattice):
         return out
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
+                       kernels: Optional[object] = None,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         """Incremental Eq. (10) iteration: one decode pass per level.
 
         Yields ``(k, ancestor(codes, k))`` while reusing the previous
         level's half-point, turning the naive ``O(max_k^2)`` decode count
-        of repeated :meth:`ancestor` calls into ``O(max_k)``.
+        of repeated :meth:`ancestor` calls into ``O(max_k)``.  With
+        ``kernels`` each pass is one compiled ``e8_decode`` call.
         """
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         if codes.shape[1] != self.padded_dim:
@@ -254,8 +263,10 @@ class E8Lattice(Lattice):
             )
         current = codes.astype(np.float64) / 2.0  # real units: d_0 = c
         for k in range(max_k):
-            if k > 0:
-                current = self._decode_blocks(current / 2.0)
+            if k > 0:  # the kernel hands back half-integer codes
+                current = (self._decode_blocks(current / 2.0)
+                           if kernels is None
+                           else kernels.e8_decode(current / 2.0) / 2.0)
             real = current * float(2 ** k)
             yield k, np.round(real * 2.0).astype(np.int64)
 

@@ -36,7 +36,7 @@ from repro.lsh.functions import PStableHashFamily
 from repro.lsh.multiprobe import adaptive_probes, adaptive_probes_batch
 from repro.lsh.table import LSHTable
 from repro.native import registry as native_registry
-from repro.native.ref import tree_rowdot
+from repro.native.ref import tree_rowdot, zm_probe_codes_ref
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault, QueryValidationError
 from repro.resilience.faults import FaultPlan
@@ -413,32 +413,41 @@ class StandardLSH:
 
     def _probe_rows(self, projections: List[np.ndarray],
                     codes: List[np.ndarray], t: int,
+                    kernels: Optional[object] = None,
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """All codes to look up in table ``t``: self codes plus probes.
 
-        Returns ``(codes_all, query_of_row)`` with one row per lookup; the
-        probe sequences themselves are generated per query (the heap
-        enumeration is sequential) but resolved against the table in one
-        batched call by the caller.
+        Returns ``(codes_all, query_of_row)`` with one row per lookup: the
+        self codes, then each query's probes in sequence order.  The whole
+        sub-batch's sequences come from one call — the compiled
+        ``zm_probe_codes`` (``kernels``) or its row-by-row reference for
+        ``Z^M``, :meth:`E8Lattice.probe_codes` on the block for ``E8`` —
+        except the per-query adaptive and ``D_M`` forms.
         """
-        q = codes[t].shape[0]
-        rows = [codes[t]]
-        qidx = [np.arange(q, dtype=np.int64)]
-        if self.n_probes > 0:
+        y, own = projections[t], codes[t]
+        q = own.shape[0]
+        rows = np.arange(q, dtype=np.int64)
+        lattice = self._lattice
+        if self.n_probes <= 0:
+            return own, rows
+        if isinstance(lattice, ZMLattice) and not self.adaptive_probing:
+            enumerate_block = (kernels.zm_probe_codes if kernels is not None
+                               else zm_probe_codes_ref)
+            probes, counts = enumerate_block(y, own, self.n_probes)
+        else:
             if self.adaptive_probing:
-                probe_list = adaptive_probes_batch(
-                    projections[t], codes[t], self.n_probes,
-                    confidence=self.probe_confidence)
+                parts = adaptive_probes_batch(y, own, self.n_probes,
+                                              confidence=self.probe_confidence)
+            elif isinstance(lattice, E8Lattice):
+                parts = lattice.probe_codes(y, own, self.n_probes)
             else:
-                probe_list = [self._lattice.probe_codes(projections[t][qi],
-                                                        codes[t][qi],
-                                                        self.n_probes)
-                              for qi in range(q)]
-            for qi, probes in enumerate(probe_list):
-                if probes.shape[0]:
-                    rows.append(probes)
-                    qidx.append(np.full(probes.shape[0], qi, dtype=np.int64))
-        return np.concatenate(rows, axis=0), np.concatenate(qidx)
+                parts = [lattice.probe_codes(y[qi], own[qi], self.n_probes)
+                         for qi in range(q)]
+            counts = np.array([part.shape[0] for part in parts],
+                              dtype=np.int64)
+            probes = np.concatenate(parts, axis=0)
+        return (np.concatenate([own, probes], axis=0),
+                np.concatenate([rows, np.repeat(rows, counts)]))
 
     def _dedup_per_query(self, local_ids: np.ndarray, qidx: np.ndarray,
                          nq: int, kernels: Optional[object] = None,
@@ -474,8 +483,8 @@ class StandardLSH:
         return local_ids, qidx, counts
 
     def _gather_table(self, projections: List[np.ndarray],
-                      codes: List[np.ndarray], t: int, nq: int,
-                      want_obs: bool, plan: Optional[FaultPlan],
+                      codes: List[np.ndarray], t: int, table: LSHTable,
+                      nq: int, want_obs: bool, plan: Optional[FaultPlan],
                       kernels: Optional[object] = None,
                       ) -> Tuple[np.ndarray, np.ndarray,
                                  Optional[Tuple[int, int, np.ndarray]]]:
@@ -496,8 +505,7 @@ class StandardLSH:
         """
         if plan is not None and plan.check("lsh.gather", table=t):
             raise InjectedFault("lsh.gather", f"table={t} corruption")
-        codes_all, row_q = self._probe_rows(projections, codes, t)
-        table = self._tables[t]
+        codes_all, row_q = self._probe_rows(projections, codes, t, kernels)
         if kernels is not None and table.n_extra == 0:
             # Compiled lookup straight on the sorted bucket-code rows
             # (lexicographic binary search == packed-key searchsorted);
@@ -557,15 +565,18 @@ class StandardLSH:
         probes_acc = (np.zeros(nq, dtype=np.int64)
                       if ob is not None else None)
         want_obs = ob is not None
-        for t in range(self.n_tables):
+        # One snapshot of the published list: a concurrent rebuild swaps
+        # in a new list, it never edits this one (see _rebuild_tables).
+        for t, table in enumerate(self._tables):
             if pol is None:
                 ids_flat, q_flat, tstats = self._gather_table(
-                    projections, codes, t, nq, want_obs, plan, kernels)
+                    projections, codes, t, table, nq, want_obs, plan, kernels)
             else:
                 result, action, records = pol.run(
                     "lsh.gather", f"table={t}",
-                    lambda t=t: self._gather_table(
-                        projections, codes, t, nq, want_obs, plan, kernels))
+                    lambda t=t, table=table: self._gather_table(
+                        projections, codes, t, table, nq, want_obs, plan,
+                        kernels))
                 if res_out is not None and records:
                     res_out["failures"].extend(records)
                 if action == "gave_up" or result is None:
@@ -953,6 +964,11 @@ class StandardLSH:
 # --------------------------------------------------------------------------
 
 
+#: Escalated rows walked per ``candidates_batch`` call — the granularity
+#: of the deadline check in ``_stage_escalate``.
+ESCALATE_CHUNK = 256
+
+
 class _VectorPlan(QueryPlan):
     """Staged vectorized engine: hash → gather → [escalate] → rank."""
 
@@ -1025,16 +1041,15 @@ class _VectorPlan(QueryPlan):
         ctx.n_candidates[:] = counts
 
     def _stage_escalate(self, ctx: ExecutionContext) -> None:
-        # Hierarchy walks are per query (each escalated query takes its
-        # own path up the bucket tree); their extra ids are appended to
-        # the flattened layout and folded in with one more global sort +
-        # dedup.  With a deadline, the budget is re-checked between
-        # per-query walks: queries whose walk was cut short keep their
-        # base short-list and are flagged `exhausted_budget` (they were
-        # *not* escalated).
+        # Every table's hierarchy walks a chunk of escalated rows in one
+        # batched call (each row still takes its own path up the bucket
+        # tree); the extra ids are appended to the flattened layout and
+        # folded in with one more global sort + dedup.  With a deadline,
+        # the budget is re-checked before each chunk: rows of chunks not
+        # started keep their base short-list and are flagged
+        # `exhausted_budget` (they were *not* escalated).
         index = self.index
-        cand = ctx.scratch["cand"]
-        qidx = ctx.scratch["qidx"]
+        hierarchies = index._hierarchies  # one snapshot, as for _tables
         threshold = index._resolve_threshold(ctx.n_candidates, ctx.k,
                                              self.hierarchy_threshold)
         ctx.escalated[:] = ctx.n_candidates < threshold
@@ -1042,20 +1057,20 @@ class _VectorPlan(QueryPlan):
         if not esc_rows.size:
             return
         codes = ctx.scratch["codes"]
-        deadline = ctx.deadline
-        extra_ids = [cand]
-        extra_q = [qidx]
+        kernels = self._kernels_for(ctx)
+        extra_ids = [ctx.scratch["cand"]]
+        extra_q = [ctx.scratch["qidx"]]
         done = esc_rows.size
-        for i, qi in enumerate(esc_rows):
-            if deadline is not None and deadline.expired():
-                done = i
+        for s in range(0, esc_rows.size, ESCALATE_CHUNK):
+            if ctx.deadline is not None and ctx.deadline.expired():
+                done = s
                 break
-            for t in range(index.n_tables):
-                ids_t = index._hierarchies[t].candidates(
-                    codes[t][qi], threshold)
-                if ids_t.size:
-                    extra_ids.append(ids_t)
-                    extra_q.append(np.full(ids_t.size, qi, dtype=np.int64))
+            chunk = esc_rows[s:s + ESCALATE_CHUNK]
+            for t, hierarchy in enumerate(hierarchies):
+                ids_t, counts_t = hierarchy.candidates_batch(
+                    codes[t][chunk], threshold, kernels)
+                extra_ids.append(ids_t)
+                extra_q.append(np.repeat(chunk, counts_t))
         if done < esc_rows.size:
             skipped = esc_rows[done:]
             ctx.escalated[skipped] = False
@@ -1065,7 +1080,7 @@ class _VectorPlan(QueryPlan):
                                                  int(skipped.size))
         cand, qidx, counts = index._dedup_per_query(
             np.concatenate(extra_ids), np.concatenate(extra_q), ctx.nq,
-            self._kernels_for(ctx))
+            kernels)
         ctx.scratch["cand"] = cand
         ctx.scratch["qidx"] = qidx
         ctx.n_candidates[:] = counts
@@ -1101,15 +1116,17 @@ class _VectorPlan(QueryPlan):
 
 class _NativePlan(_VectorPlan):
     """Compiled-kernel engine: the vectorized stages with the hot inner
-    loops (lattice decode, bucket probe, candidate dedup, fused rank)
-    running through a :mod:`repro.native` backend.
+    loops (lattice decode, ``Z^M`` probe sequences, bucket and hierarchy
+    node lookup, candidate dedup, fused rank) running through a
+    :mod:`repro.native` backend.
 
     Bit-identical to :class:`_VectorPlan` by construction — every kernel
     replicates the halving-tree summation and ``(distance, id)``
     tie-break of :mod:`repro.native.ref` — and enforced by the parity
     matrix in ``tests/test_native.py``.  Anything the kernels do not
-    cover (``Z^M`` floor quantize, overlay buckets, memmapped data)
-    stays on the numpy path, which preserves parity trivially.
+    cover (``Z^M`` floor quantize, adaptive probe budgets, overlay
+    buckets, memmapped data) stays on the numpy path, which preserves
+    parity trivially.
     """
 
     engine = "native"

@@ -76,13 +76,15 @@ def perturbation_sets(scores: Sequence[float],
     n = len(scores)
     if n == 0 or max_sets <= 0:
         return
-    prefix = np.cumsum(scores)
 
     def set_score(positions: Tuple[int, ...]) -> float:
         return float(sum(scores[p] for p in positions))
 
+    # Heap entries are distinct — every set has exactly one parent (the
+    # expand parent when its two largest positions are adjacent, the shift
+    # parent otherwise) — so the pop order is the total order of
+    # (score, positions) itself, which the compiled twin reproduces.
     heap: List[Tuple[float, Tuple[int, ...]]] = [(float(scores[0]), (0,))]
-    seen = {(0,)}
     emitted = 0
     while heap and emitted < max_sets:
         score, positions = heapq.heappop(heap)
@@ -90,20 +92,13 @@ def perturbation_sets(scores: Sequence[float],
         # Successors first, so the frontier stays complete even when the
         # popped set itself is invalid.
         if last + 1 < n:
-            shifted = positions[:-1] + (last + 1,)
-            if shifted not in seen:
-                seen.add(shifted)
-                heapq.heappush(heap, (set_score(shifted), shifted))
-            expanded = positions + (last + 1,)
-            if expanded not in seen:
-                seen.add(expanded)
-                heapq.heappush(heap, (set_score(expanded), expanded))
+            for successor in (positions[:-1] + (last + 1,),   # shift
+                              positions + (last + 1,)):       # expand
+                heapq.heappush(heap, (set_score(successor), successor))
         dims = [labels[p][0] for p in positions]
         if len(set(dims)) == len(dims):  # no dimension probed twice
             emitted += 1
             yield [labels[p] for p in positions]
-    # prefix retained for introspection/debugging of score growth
-    del prefix
 
 
 def boundary_distances_batch(y: np.ndarray, codes: np.ndarray,

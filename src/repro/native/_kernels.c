@@ -276,6 +276,138 @@ EXPORT SIMD_CLONES int repro_rank_topk(const double *data, i64 dim,
     return 0;
 }
 
+/* ----------------------------------------------------------- multi-probe */
+
+/* One perturbation set of the Lv et al. enumeration, as a node of a
+ * prefix tree: its positions are its parent's followed by `last`, and
+ * `score` is the left-to-right double sum of scores[] over them — the
+ * parent's sum plus one add, which is how ref's sum() forms it. */
+typedef struct { double score; i64 parent; int32_t last, len; } pset;
+
+/* The total order the sequence is emitted in: (score, positions tuple),
+ * tuples compared as Python compares them (lexicographic, a proper
+ * prefix first).  Entries are distinct, so any heap pops them alike. */
+static int pset_less(const pset *pool, i64 a, i64 b, int32_t *pa,
+                     int32_t *pb) {
+    i64 i, node, la = pool[a].len, lb = pool[b].len;
+    if (pool[a].score != pool[b].score) return pool[a].score < pool[b].score;
+    for (node = a, i = la; i-- > 0; node = pool[node].parent)
+        pa[i] = pool[node].last;
+    for (node = b, i = lb; i-- > 0; node = pool[node].parent)
+        pb[i] = pool[node].last;
+    for (i = 0; i < la && i < lb; i++)
+        if (pa[i] != pb[i]) return pa[i] < pb[i];
+    return la < lb;
+}
+
+static void pset_push(const pset *pool, i64 *heap, i64 *n_heap, i64 node,
+                      int32_t *pa, int32_t *pb) {
+    i64 at = (*n_heap)++;
+    while (at > 0 && pset_less(pool, node, heap[(at - 1) >> 1], pa, pb)) {
+        heap[at] = heap[(at - 1) >> 1];
+        at = (at - 1) >> 1;
+    }
+    heap[at] = node;
+}
+
+static i64 pset_pop(const pset *pool, i64 *heap, i64 *n_heap, int32_t *pa,
+                    int32_t *pb) {
+    i64 top = heap[0], node = heap[--(*n_heap)], at = 0, child;
+    while ((child = 2 * at + 1) < *n_heap) {
+        if (child + 1 < *n_heap &&
+            pset_less(pool, heap[child + 1], heap[child], pa, pb))
+            child++;
+        if (!pset_less(pool, heap[child], node, pa, pb)) break;
+        heap[at] = heap[child];
+        at = child;
+    }
+    heap[at] = node;
+    return top;
+}
+
+/* Query-directed Z^M probe sequences for a (q, m) block — the C twin of
+ * ref.zm_probe_codes_ref (lsh/multiprobe.py row by row): squared boundary
+ * distances stably sorted, then shift/expand successors popped in the
+ * order of pset_less; a set touching one dimension twice is popped and
+ * expanded but not emitted.  Row r's counts[r] <= n_probes codes follow
+ * the earlier rows' in out (the set space runs out for small m).  Returns
+ * the number of codes written, or -1 when scratch cannot be allocated. */
+EXPORT i64 repro_zm_probe_codes(const double *y, const i64 *codes, i64 q,
+                                i64 m, i64 n_probes, i64 *out, i64 *counts) {
+    i64 n = 2 * m, cap = 2 * n_probes + 64, total = 0, serial = 0, r, i, j;
+    double *dist = (double *)malloc((size_t)n * 2 * sizeof(double)), *score;
+    int32_t *order = (int32_t *)malloc((size_t)n * 3 * sizeof(int32_t));
+    int32_t *pa, *pb;
+    i64 *stamp = (i64 *)calloc((size_t)m, sizeof(i64));
+    pset *pool = (pset *)malloc((size_t)cap * sizeof(pset));
+    i64 *heap = (i64 *)malloc((size_t)cap * sizeof(i64));
+    if (!dist || !order || !stamp || !pool || !heap) goto fail;
+    score = dist + n;
+    pa = order + n;
+    pb = pa + n;
+    for (r = 0; r < q; r++) {
+        const i64 *code = codes + r * m;
+        i64 n_pool = 1, n_heap = 0, emitted = 0;
+        for (j = 0; j < m; j++) {
+            double resid = y[r * m + j] - (double)code[j];
+            dist[j] = resid;            /* to the lower boundary: delta -1 */
+            dist[m + j] = 1.0 - resid;  /* to the upper boundary: delta +1 */
+        }
+        for (i = 0; i < n; i++) {       /* stable argsort, ascending */
+            for (j = i; j > 0 && dist[order[j - 1]] > dist[i]; j--)
+                order[j] = order[j - 1];
+            order[j] = (int32_t)i;
+        }
+        for (i = 0; i < n; i++) score[i] = dist[order[i]] * dist[order[i]];
+        pool[0] = (pset){score[0], -1, 0, 1};
+        pset_push(pool, heap, &n_heap, 0, pa, pb);
+        while (n_heap && emitted < n_probes) {
+            i64 cur = pset_pop(pool, heap, &n_heap, pa, pb), node;
+            int32_t next = pool[cur].last + 1;
+            int valid = 1;
+            if (next < n) {             /* successors: shift, then expand */
+                i64 up = pool[cur].parent;
+                if (n_pool + 2 > cap) {
+                    void *grown = realloc(pool, (size_t)(cap *= 2) * sizeof(pset));
+                    if (!grown) goto fail;
+                    pool = (pset *)grown;
+                    grown = realloc(heap, (size_t)cap * sizeof(i64));
+                    if (!grown) goto fail;
+                    heap = (i64 *)grown;
+                }
+                pool[n_pool] = (pset){
+                    (up < 0 ? 0.0 : pool[up].score) + score[next], up, next,
+                    pool[cur].len};
+                pool[n_pool + 1] = (pset){pool[cur].score + score[next], cur,
+                                          next, pool[cur].len + 1};
+                pset_push(pool, heap, &n_heap, n_pool++, pa, pb);
+                pset_push(pool, heap, &n_heap, n_pool++, pa, pb);
+            }
+            serial++;
+            for (node = cur; node >= 0 && valid; node = pool[node].parent) {
+                i64 dim = order[pool[node].last] % m;
+                valid = stamp[dim] != serial;
+                stamp[dim] = serial;
+            }
+            if (!valid) continue;
+            i64 *probe = out + total * m;
+            memcpy(probe, code, (size_t)m * sizeof(i64));
+            for (node = cur; node >= 0; node = pool[node].parent) {
+                i64 column = order[pool[node].last];
+                probe[column % m] += column < m ? -1 : 1;
+            }
+            total++;
+            emitted++;
+        }
+        counts[r] = emitted;
+    }
+    free(dist); free(order); free(stamp); free(pool); free(heap);
+    return total;
+fail:
+    free(dist); free(order); free(stamp); free(pool); free(heap);
+    return -1;
+}
+
 /* --------------------------------------------------------- lattice codes */
 
 /* Conway–Sloane D_M decoder core: round every coordinate, and if the
@@ -338,4 +470,4 @@ EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
 
 /* Version tag checked by the loader: bumped with every exported-signature
  * change so a library built from another revision is refused. */
-EXPORT i64 repro_kernels_abi(void) { return 2; }
+EXPORT i64 repro_kernels_abi(void) { return 3; }

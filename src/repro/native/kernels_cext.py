@@ -38,7 +38,7 @@ import numpy as np
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 2
+KERNELS_ABI = 3
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -128,6 +128,8 @@ class CExtKernels:
         lib.repro_rank_topk.restype = ctypes.c_int
         lib.repro_rank_topk.argtypes = [
             ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
+        lib.repro_zm_probe_codes.restype = i64
+        lib.repro_zm_probe_codes.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr]
         lib.repro_dm_decode.restype = None
         lib.repro_dm_decode.argtypes = [ptr, i64, i64, ptr]
         lib.repro_e8_decode.restype = None
@@ -196,6 +198,24 @@ class CExtKernels:
         if rc != 0:
             raise MemoryError("rank_topk scratch allocation failed")
         return sel, dists
+
+    def zm_probe_codes(self, y: np.ndarray, codes: np.ndarray,
+                       n_probes: int) -> Tuple[np.ndarray, np.ndarray]:
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        codes = np.ascontiguousarray(codes, dtype=np.int64)
+        if y.shape != codes.shape or codes.ndim != 2:
+            raise ValueError(f"zm_probe_codes needs matching (q, M) blocks, "
+                             f"got {y.shape} and {codes.shape}")
+        q, m = codes.shape
+        n_probes = max(int(n_probes), 0)
+        out = np.empty((q * n_probes, m), dtype=np.int64)
+        counts = np.empty(q, dtype=np.int64)
+        total = int(self._lib.repro_zm_probe_codes(
+            y.ctypes.data, codes.ctypes.data, q, m, n_probes,
+            out.ctypes.data, counts.ctypes.data))
+        if total < 0:
+            raise MemoryError("zm_probe_codes scratch allocation failed")
+        return out[:total], counts
 
     def dm_decode(self, y: np.ndarray) -> np.ndarray:
         y = np.ascontiguousarray(y, dtype=np.float64)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["tree_rowdot", "tree_sq_dist", "dedup_candidates_ref",
-           "lookup_codes_ref", "rank_topk_ref"]
+           "lookup_codes_ref", "rank_topk_ref", "zm_probe_codes_ref"]
 
 
 def tree_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,3 +155,22 @@ def rank_topk_ref(data: np.ndarray, sq_norms: "np.ndarray | None",
     sel[rows_out, rel] = cand[pick]
     dists_out[rows_out, rel] = dists[pick]
     return sel, dists_out
+
+
+def zm_probe_codes_ref(y: np.ndarray, codes: np.ndarray, n_probes: int,
+                       ) -> "tuple[np.ndarray, np.ndarray]":
+    """Reference for ``zm_probe_codes``: Lv et al. sequences, row by row.
+
+    Returns ``(probes, counts)``: row ``i``'s ``counts[i] <= n_probes``
+    probe codes, most promising first, stacked after the earlier rows'
+    (:func:`repro.lsh.multiprobe.query_directed_probes` is the spec; it
+    is also what the vectorized engine and the no-compiler fallback run).
+    """
+    from repro.lsh.multiprobe import query_directed_probes  # local: cycle
+
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+    parts = [query_directed_probes(y_row, code, n_probes)
+             for y_row, code in zip(y, codes)]
+    counts = np.array([part.shape[0] for part in parts], dtype=np.int64)
+    return np.concatenate(parts, axis=0), counts

@@ -39,7 +39,8 @@ REGISTERED_ENGINES: Tuple[str, ...] = ("vectorized", "scalar", "native")
 
 #: Kernel entry points every backend must provide (the table's schema).
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
-                                 "rank_topk", "dm_decode", "e8_decode")
+                                 "rank_topk", "dm_decode", "e8_decode",
+                                 "zm_probe_codes")
 
 _VALID_PINS = ("auto", "cext", "none")
 

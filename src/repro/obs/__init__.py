@@ -213,11 +213,11 @@ class Observer:
             OVERLAY_MERGES_TOTAL,
             "Lazy overlay->CSR merges materialized.").inc()
 
-    def record_escalation_depth(self, kind: str, depth: int) -> None:
+    def record_escalation_depth(self, kind: str, depths: np.ndarray) -> None:
         self.registry.histogram(
             ESCALATION_DEPTH,
             "Hierarchy levels climbed per escalated query.",
-            buckets=COUNT_BUCKETS).labels(kind=kind).observe(depth)
+            buckets=COUNT_BUCKETS).labels(kind=kind).observe_many(depths)
 
     # -- resilience events ---------------------------------------------------
 

@@ -17,6 +17,7 @@ raw kernels object is used directly, keeping the ≤2%-when-off contract
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import TYPE_CHECKING, Dict
 
@@ -32,16 +33,17 @@ NATIVE_KERNEL_SECONDS = "repro_native_kernel_seconds"
 #: never imports :mod:`repro.native` — R9 keeps backend resolution in
 #: ``native/registry.py`` and this module must stay import-light).
 TIMED_KERNEL_NAMES = ("lookup_codes", "dedup_candidates", "rank_topk",
-                      "dm_decode", "e8_decode")
+                      "dm_decode", "e8_decode", "zm_probe_codes")
 
 
 class TimedKernels:
     """Kernel-bundle proxy that times every call.
 
-    Forwards the five known kernels through a timing shim and everything
-    else (``backend``, capability probes) verbatim.  One instance is
-    created per batch and shares the batch's ``stages`` dict, so kernel
-    time accumulates across stages and shows up in the sampled trace.
+    Forwards the kernels named in ``TIMED_KERNEL_NAMES`` through a timing
+    shim and everything else (``backend``, capability probes) verbatim.
+    One instance is created per batch and shares the batch's ``stages``
+    dict, so kernel time accumulates across stages and shows up in the
+    sampled trace.
     """
 
     __slots__ = ("_kernels", "_observer", "_stages", "backend")
@@ -63,20 +65,7 @@ class TimedKernels:
         self._stages[key] = self._stages.get(key, 0.0) + elapsed
         return result
 
-    def lookup_codes(self, *args: object, **kwargs: object) -> object:
-        return self._call("lookup_codes", *args, **kwargs)
-
-    def dedup_candidates(self, *args: object, **kwargs: object) -> object:
-        return self._call("dedup_candidates", *args, **kwargs)
-
-    def rank_topk(self, *args: object, **kwargs: object) -> object:
-        return self._call("rank_topk", *args, **kwargs)
-
-    def dm_decode(self, *args: object, **kwargs: object) -> object:
-        return self._call("dm_decode", *args, **kwargs)
-
-    def e8_decode(self, *args: object, **kwargs: object) -> object:
-        return self._call("e8_decode", *args, **kwargs)
-
     def __getattr__(self, name: str) -> object:
+        if name in TIMED_KERNEL_NAMES:
+            return functools.partial(self._call, name)
         return getattr(self._kernels, name)

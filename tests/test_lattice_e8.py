@@ -184,6 +184,42 @@ class TestE8Lattice:
                        for b in range(2)]
             assert sum(changed) == 1
 
+    @staticmethod
+    def _probe_one_query(lat, y, code, n_probes):
+        """The per-block scoring loop the block form replaced: the oracle
+        for its order (stable argsort over blocks x 240 scores)."""
+        y2 = lat._pad(y)[0] * 2.0
+        minimal = e8_minimal_vectors()
+        scores = np.concatenate([
+            np.sum((y2[b * 8:(b + 1) * 8][None, :]
+                    - (code[b * 8:(b + 1) * 8][None, :] + minimal)) ** 2,
+                   axis=1) for b in range(lat.n_blocks)])
+        out = np.tile(code, (min(n_probes, scores.size), 1))
+        for row, flat in enumerate(np.argsort(scores,
+                                              kind="stable")[:n_probes]):
+            b, m_idx = divmod(int(flat), minimal.shape[0])
+            out[row, b * 8:(b + 1) * 8] += minimal[m_idx]
+        return out
+
+    @pytest.mark.parametrize("dim", [5, 8, 16, 20])
+    @pytest.mark.parametrize("grid", [None, 4])  # 4: scores tie in droves
+    def test_probe_codes_block_matches_per_query_order(self, dim, grid):
+        lat = E8Lattice(dim)
+        rng = np.random.default_rng(dim)
+        q = lat.PROBE_CHUNK + 40  # crosses a scoring-chunk boundary
+        y = (rng.uniform(-4, 4, (q, dim)) if grid is None
+             else rng.integers(-12, 12, (q, dim)) / grid)
+        codes = lat.quantize(y)
+        for n_probes in (1, 33, 240 * lat.n_blocks + 5):
+            block = lat.probe_codes(y, codes, n_probes)
+            assert block.shape == (q, min(n_probes, 240 * lat.n_blocks),
+                                   lat.padded_dim)
+            for qi in range(0, q, 17):
+                want = self._probe_one_query(lat, y[qi], codes[qi], n_probes)
+                np.testing.assert_array_equal(block[qi], want)
+                np.testing.assert_array_equal(
+                    lat.probe_codes(y[qi], codes[qi], n_probes), want)
+
     def test_zero_probes(self):
         lat = E8Lattice(8)
         assert lat.probe_codes(np.zeros(8), np.zeros(8, dtype=np.int64),

@@ -112,3 +112,35 @@ class TestMortonHierarchy:
         table, hier = _build_hierarchy(codes)
         got = hier.candidates(np.array([0, 0]), min_count=1)
         assert got.size < 205
+
+
+class TestCandidatesBatch:
+    @staticmethod
+    def _ids_bucket_by_bucket(table, hier, code, min_count):
+        """The window's ids gathered one bucket lookup at a time."""
+        lo, hi, _ = hier._window(hier._encode_query(code)[0], min_count)
+        shifted = table.bucket_codes - hier.offset
+        mortons = morton_encode(shifted, hier.bits)
+        curve = sorted(range(len(mortons)), key=mortons.__getitem__)
+        parts = [table.lookup(table.bucket_codes[b]) for b in curve[lo:hi]]
+        return np.unique(np.concatenate(parts)) if parts else np.empty(0)
+
+    @pytest.mark.parametrize("m,span", [(1, 40), (2, 8), (3, 4), (8, 3),
+                                        (12, 2000)])  # last: > 62 bits
+    @pytest.mark.parametrize("min_count", [1, 25, 10_000])
+    def test_batch_rows_equal_single_calls(self, m, span, min_count):
+        rng = np.random.default_rng(m * 1000 + span)
+        codes = rng.integers(-span, span, size=(150, m))
+        table, hier = _build_hierarchy(codes)
+        # Indexed codes plus rogue ones outside the bounding box.
+        rows = np.vstack([codes[:10],
+                          rng.integers(-3 * span, 3 * span, size=(10, m))])
+        ids, counts = hier.candidates_batch(rows, min_count)
+        assert counts.sum() == ids.size
+        for row, got in zip(rows, np.split(ids, np.cumsum(counts)[:-1])):
+            want = hier.candidates(row, min_count)
+            np.testing.assert_array_equal(np.sort(got), want)
+            np.testing.assert_array_equal(
+                want, self._ids_bucket_by_bucket(table, hier, row, min_count))
+        if min_count == 10_000:
+            assert np.all(counts == 150)

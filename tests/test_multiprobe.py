@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsh.multiprobe import (
     boundary_distances,
@@ -90,6 +92,20 @@ class TestPerturbationSets:
     def test_zero_budget(self):
         y = np.array([0.5])
         assert self._sets(y, 0) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           grid=st.sampled_from([None, 2, 4]))
+    def test_shift_expand_generates_every_set_exactly_once(self, m, seed,
+                                                           grid):
+        # Each set has one parent, so the enumeration needs no "seen" set:
+        # run to exhaustion it yields all 3^M - 1 valid sets, none twice —
+        # also on boundary grids where many scores tie.
+        rng = np.random.default_rng(seed)
+        y = (rng.uniform(0, 1, m) if grid is None
+             else rng.integers(0, grid + 1, m) / grid)
+        sets = [frozenset(p) for p in self._sets(y, 10**6)]
+        assert len(sets) == len(set(sets)) == 3 ** m - 1
 
 
 class TestQueryDirectedProbes:

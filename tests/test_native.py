@@ -41,7 +41,9 @@ from repro.lattice.dm import decode_dm
 from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
 from repro.native import kernels_cext, registry
-from repro.native.ref import dedup_candidates_ref, rank_topk_ref
+from repro.native.ref import (dedup_candidates_ref, rank_topk_ref,
+                              zm_probe_codes_ref)
+from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
 
 N_QUERIES = 19
@@ -148,6 +150,39 @@ class TestParityMatrix:
         native = index.query_batch(queries, K, engine="native",
                                    max_batch_rows=rows)
         assert_same_results(base, native)
+
+    @pytest.mark.parametrize("lattice", ["zm", "e8"])
+    @pytest.mark.parametrize("tombstones", [False, True])
+    def test_bilevel_adaptive_structures_agree(self, dataset, queries,
+                                               lattice, tombstones):
+        # Both query-adaptive structures at once — 32 probes per table
+        # and hierarchy escalation at an integer threshold — through the
+        # bi-level front-end: ids, distances and QueryStats must agree
+        # across the three engines, with and without tombstones.
+        cfg = BiLevelConfig(n_groups=4, n_tables=4, bucket_width=6.0,
+                            lattice=lattice, n_probes=32, hierarchy=True,
+                            seed=5)
+        index = BiLevelLSH(cfg).fit(dataset)
+        if tombstones:
+            assert index.delete(np.arange(0, dataset.shape[0], 5)) > 0
+        base = index.query_batch(queries, K, hierarchy_threshold=14)
+        assert base[2].escalated.any() and not base[2].escalated.all()
+        for engine in ("native", "scalar"):
+            other = index.query_batch(queries, K, engine=engine,
+                                      hierarchy_threshold=14)
+            assert_same_results(base, other, exact=(engine == "native"))
+            assert other[2].exhausted_budget is None
+
+    @pytest.mark.parametrize("config", ["e8-hier", "dm-probes-hier"])
+    def test_expired_deadline_flags_every_escalated_row(self, index_cache,
+                                                        queries, config):
+        index = index_cache(config)
+        kwargs = dict(engine="native", hierarchy_threshold=12)
+        base = index.query_batch(queries, K, **kwargs)[2]
+        cut = index.query_batch(queries, K, deadline_ms=1e-6, **kwargs)[2]
+        assert base.escalated.any()
+        assert np.array_equal(cut.exhausted_budget, base.escalated)
+        assert not cut.escalated.any()
 
     def test_self_distance_is_exactly_zero(self, index_cache, queries):
         # Query row 0 is dataset row 17 verbatim; every engine must rank
@@ -302,6 +337,42 @@ class TestKernelParity:
         assert "-DREPRO_UNUSED" in new_flags and new_flags != flags
 
 
+class TestZmProbeKernel:
+    # M = 33 puts 2M past 64 positions; n_probes reaches past the set
+    # space (2 sets for M = 1, 8 for M = 2); grid draws put projections on
+    # integer / half-integer / quarter boundaries, where many scores are
+    # equal and the (score, positions) tuple order decides the sequence.
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           m=st.sampled_from([1, 2, 8, 16, 33]), q=st.integers(1, 6),
+           n_probes=st.sampled_from([1, 3, 10, 32, 90]),
+           grid=st.sampled_from([None, 1, 2, 4]))
+    def test_matches_reference(self, build, seed, m, q, n_probes, grid):
+        rng = np.random.default_rng(seed)
+        y = (rng.uniform(-6, 6, (q, m)) if grid is None
+             else rng.integers(-12, 12, (q, m)) / grid)
+        codes = np.floor(y).astype(np.int64)
+        probes, counts = build.zm_probe_codes(y, codes, n_probes)
+        want_probes, want_counts = zm_probe_codes_ref(y, codes, n_probes)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(probes, want_probes)
+
+    def test_set_space_runs_out_for_small_m(self, build):
+        y = np.array([[0.25], [0.5]])
+        probes, counts = build.zm_probe_codes(y, np.floor(y).astype(np.int64),
+                                              32)
+        assert counts.tolist() == [2, 2]
+        assert probes.tolist() == [[-1], [1], [-1], [1]]
+
+    def test_rejects_mismatched_blocks(self, build):
+        with pytest.raises(ValueError, match="matching"):
+            build.zm_probe_codes(np.zeros((2, 3)),
+                                 np.zeros((2, 4), dtype=np.int64), 4)
+
+    def test_timed_kernel_names_match_the_dispatch_table(self):
+        assert TIMED_KERNEL_NAMES == registry.KERNEL_NAMES
+
+
 # ------------------------------------------------------- compiled decoders
 
 
@@ -434,6 +505,23 @@ class TestFallback:
             assert_same_results(base, second)
             snap = reg.snapshot()
             assert "repro_native_fallbacks_total" in snap
+        finally:
+            registry.reset()
+
+    def test_disabled_backend_answers_multiprobe_through_reference(
+            self, monkeypatch, dataset, queries):
+        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "none")
+        registry.reset()
+        try:
+            index = StandardLSH(n_tables=4, bucket_width=3.0, n_probes=32,
+                                seed=5).fit(dataset)
+            base = index.query_batch(queries, K)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                native = index.query_batch(queries, K, engine="native")
+            assert_same_results(base, native)
+            assert_same_results(base, index.query_batch(
+                queries, K, engine="scalar"), exact=False)
         finally:
             registry.reset()
 

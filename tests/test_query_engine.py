@@ -222,3 +222,51 @@ class TestInsertRebuild:
         assert all(h is not old for h, old in zip(index._hierarchies,
                                                   old_hierarchies))
         assert all(t is not old for t, old in zip(index._tables, old_tables))
+
+
+class TestPublishedListSnapshots:
+    """A batch reads ``_tables`` / ``_hierarchies`` once per stage: a
+    writer publishing a new list mid-batch (``_rebuild_tables``,
+    ``_compact_once``) must not be indexed into by the running loops."""
+
+    def _index(self, gaussian_data, hierarchy):
+        return StandardLSH(bucket_width=8.0, n_tables=3, hierarchy=hierarchy,
+                           seed=28).fit(gaussian_data[:200])
+
+    def test_hierarchies_swapped_between_gather_and_escalate(
+            self, gaussian_data, monkeypatch):
+        from repro.lsh import index as index_module
+
+        queries = gaussian_data[200:230]
+        flat = self._index(gaussian_data, False).query_batch(queries, 5)
+        index = self._index(gaussian_data, True)
+        gather = index_module._VectorPlan._stage_gather
+
+        def gather_then_publish(plan, ctx):
+            gather(plan, ctx)
+            plan.index._hierarchies = []
+
+        monkeypatch.setattr(index_module._VectorPlan, "_stage_gather",
+                            gather_then_publish)
+        ids, dists, stats = index.query_batch(queries, 5,
+                                              hierarchy_threshold=10**6)
+        # The stage walked the (empty) list it snapshotted: every row is
+        # marked escalated, none gained a candidate, nothing raised.
+        assert stats.escalated.all()
+        np.testing.assert_array_equal(ids, flat[0])
+        np.testing.assert_array_equal(dists, flat[1])
+
+    def test_tables_swapped_during_gather(self, gaussian_data, monkeypatch):
+        queries = gaussian_data[200:230]
+        index = self._index(gaussian_data, False)
+        base = index.query_batch(queries, 5)
+        probe_rows = index._probe_rows
+
+        def probe_then_publish(*args, **kwargs):
+            index._tables = []
+            return probe_rows(*args, **kwargs)
+
+        monkeypatch.setattr(index, "_probe_rows", probe_then_publish)
+        ids, dists, _ = index.query_batch(queries, 5)
+        np.testing.assert_array_equal(ids, base[0])
+        np.testing.assert_array_equal(dists, base[1])
