@@ -93,8 +93,7 @@ def bench_process_sharded(index, workload, k, n_workers, rounds):
 
     queries = workload.queries
     exact_ids, _ = workload.ground_truth.neighbors(RECALL_K)
-    with ProcessShardExecutor(index, n_workers=n_workers,
-                              engine="vectorized") as executor:
+    with ProcessShardExecutor(index, n_workers=n_workers) as executor:
         timings = interleaved_times({
             "in-process": lambda: index.query_batch(queries, k),
             "process-sharded": lambda: executor.query_batch(queries, k),
@@ -139,8 +138,8 @@ def instrumented_snapshot(index, queries, k, max_batch_rows, n_workers):
     try:
         if n_workers:
             from repro.exec import ProcessShardExecutor
-            with ProcessShardExecutor(index, n_workers=n_workers,
-                                      engine="vectorized") as executor:
+            with ProcessShardExecutor(index,
+                                      n_workers=n_workers) as executor:
                 executor.query_batch(queries, k,
                                      max_batch_rows=max_batch_rows)
         else:

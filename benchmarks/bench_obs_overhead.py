@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Observability + resilience overhead guard for the vectorized engine.
+"""Observability + resilience overhead guard for the LSH query plan.
 
 Times five configurations of the same :class:`StandardLSH` batch query,
 interleaved round-robin so machine drift cancels:
 
-- ``plain``   — the engine body called directly with no observer
-  (bypasses even the once-per-batch ``obs.active()`` gate read);
+- ``plain``   — the plan's stages run directly with no observer
+  (``execute_stages``: bypasses even the once-per-batch
+  ``obs.active()`` gate read);
 - ``off``     — the public path with observability disabled AND no
   resilience policy installed (what every production query pays: one
   module-global read per batch for each gate — obs, faults, policy);
@@ -70,6 +71,7 @@ from conftest import interleaved_times
 
 from repro import obs
 from repro.analysis import sanitizer
+from repro.exec.executor import execute_stages
 from repro.experiments.workloads import Scale, make_workload
 from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
@@ -128,25 +130,25 @@ def main(argv=None):
     registry = MetricsRegistry()
 
     def run_plain():
-        # The engine body with the observer hard-wired to None: no gate
+        # The stage loop with the observer hard-wired to None: no gate
         # read, no StageTimer, nothing — the floor the public path chases.
-        return index._vectorized_engine(queries, k, "median", None)
+        return execute_stages(index.execution_plan("median"), queries, k)
 
     def run_off():
         obs.disable()
-        return index.query_batch(queries, k, engine="vectorized")
+        return index.query_batch(queries, k)
 
     def run_metrics():
         obs.enable(registry=registry)
         try:
-            return index.query_batch(queries, k, engine="vectorized")
+            return index.query_batch(queries, k)
         finally:
             obs.disable()
 
     def run_sampled():
         obs.enable(registry=registry, trace_sample_rate=TRACE_RATE)
         try:
-            return index.query_batch(queries, k, engine="vectorized")
+            return index.query_batch(queries, k)
         finally:
             obs.disable()
 
@@ -155,8 +157,7 @@ def main(argv=None):
     def run_supervised():
         obs.disable()
         policy.clear_failures()
-        return index.query_batch(queries, k, engine="vectorized",
-                                 policy=policy)
+        return index.query_batch(queries, k, policy=policy)
 
     def run_sanitizer_off():
         # Production state: the module is importable but nothing is
@@ -165,13 +166,13 @@ def main(argv=None):
         # nothing unless REPRO_SANITIZE_LOCKS switches it on.
         assert not sanitizer.active()
         obs.disable()
-        return index.query_batch(queries, k, engine="vectorized")
+        return index.query_batch(queries, k)
 
     def run_sanitizer_on():
         sanitizer.install()
         try:
             obs.disable()
-            return index.query_batch(queries, k, engine="vectorized")
+            return index.query_batch(queries, k)
         finally:
             sanitizer.uninstall()
 

@@ -13,7 +13,7 @@ series the figure plots.  The scale is selected with the
 
 The module also hosts the one sanctioned wall-clock timer for the
 repository: :func:`time_calls` / :func:`interleaved_times` (used by
-``bench_query_engine.py`` and ``bench_obs_overhead.py``).  Pipeline code
+``bench_exec.py`` and ``bench_obs_overhead.py``).  Pipeline code
 under ``src/repro`` is barred from raw ``time.perf_counter()`` reads by
 invariant R6; benchmarks time from the outside, here.
 """

@@ -62,7 +62,7 @@ RULE_SUMMARIES: Dict[str, str] = {
           "StageTimer plumbing never reappears inline outside repro/exec",
     "R9": "native-dispatch: the compiled kernel backend (kernels_cext) "
           "is imported only by repro.native.registry — "
-          "every compiled entry point is reached through engine='native' "
+          "every compiled entry point is reached through load_kernels() "
           "resolution, never directly",
     "R10": "lock-order: the static lock-acquisition graph is acyclic, "
            "non-reentrant locks are never re-acquired while held, and no "
@@ -110,7 +110,7 @@ class AnalysisConfig:
     #: ``self.<attr>`` names that constitute shared index state (R3).
     guarded_attrs: frozenset = field(default_factory=lambda: frozenset({
         "_starts", "_ends", "_overlay", "_extra_codes", "_extra_ids",
-        "_n_extra", "_bucket_keys", "_bucket_codes", "_sorted_ids",
+        "_n_extra", "_bucket_codes", "_sorted_ids",
         "_tables", "_hierarchies", "_families", "_lattice",
         "_sq_norms", "_deleted", "_data", "_ids", "n_points",
         "group_indexes", "group_widths", "partitioner",

@@ -617,7 +617,7 @@ def check_native_dispatch(
     The native tier's backend module (:mod:`repro.native.kernels_cext`)
     may be imported by exactly one module — the dispatch table in
     :mod:`repro.native.registry` — so every compiled entry point is
-    reached through ``engine="native"`` resolution: one availability
+    reached through ``load_kernels()`` resolution: one availability
     probe, one warn-once fallback, one ``KERNEL_NAMES`` surface.  A
     direct import anywhere else would crash when that backend is absent
     and skip the fallback/obs accounting the registry provides.
@@ -645,8 +645,7 @@ def check_native_dispatch(
                     "R9", module.posix_path, node.lineno,
                     f"direct import of compiled backend {bad}; kernels "
                     "are dispatched only through "
-                    "repro.native.registry.load_kernels() "
-                    "(engine='native' resolution)",
+                    "repro.native.registry.load_kernels()",
                 ))
     return violations
 

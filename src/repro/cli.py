@@ -94,14 +94,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def _resolve_config(args: argparse.Namespace) -> "Optional[object]":
-    """Shared CLI option resolution (``query``/``bench``/``serve``).
+    """Shared CLI option resolution (``query``/``serve``).
 
     One seam — :meth:`repro.runtime.RuntimeConfig.from_args` — interprets
-    ``--engine`` / ``--deadline-ms`` / ``--resilient`` /
-    ``--max-batch-rows`` / ``--shard-workers`` (and the serving knobs)
-    for every subcommand, so their defaults cannot drift apart.  Returns
-    ``None`` after printing to stderr on an invalid option (callers exit
-    2), matching the CLI's historical unknown-engine behavior.
+    ``--deadline-ms`` / ``--resilient`` / ``--max-batch-rows`` /
+    ``--shard-workers`` (and the serving knobs) for both subcommands, so
+    their defaults cannot drift apart.  Returns ``None`` after printing
+    to stderr on an invalid option (callers exit 2).
     """
     from repro.runtime import RuntimeConfig
 
@@ -266,16 +265,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import inspect
-
     from repro.experiments import figures
     from repro.experiments.workloads import Scale
 
-    # Same option-resolution seam as query/serve: an unknown --engine is
-    # rejected here with the same message and exit code.
-    config = _resolve_config(args)
-    if config is None:
-        return 2
     scale = {"smoke": Scale.smoke(), "default": Scale(),
              "paper": Scale.paper()}[args.scale]
     driver = getattr(figures, args.figure, None)
@@ -284,15 +276,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"unknown figure {args.figure!r}; available: {names}",
               file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.engine is not None:
-        if "engine" in inspect.signature(driver).parameters:
-            kwargs["engine"] = args.engine
-        else:
-            print(f"note: figure driver {args.figure!r} has no engine "
-                  f"knob; --engine ignored", file=sys.stderr)
     with _observed(args.metrics_out):
-        driver(scale, **kwargs)
+        driver(scale)
     return 0
 
 
@@ -502,10 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded-memory sharding: split the batch into "
                         "shards of at most this many queries (results are "
                         "bit-identical to the unsharded run)")
-    p.add_argument("--engine", default=None,
-                   help="execution engine: vectorized (default), native "
-                        "(compiled kernels, falls back to vectorized when "
-                        "no backend is available) or scalar (reference)")
     p.add_argument("--shard-workers", type=int, default=0,
                    help="standard indexes only: answer shards on this many "
                         "worker processes over a shared-memory snapshot "
@@ -591,8 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many seconds (default: serve "
                         "until interrupted)")
     p.add_argument("--engine", default=None,
-                   help="execution engine: vectorized (default), native "
-                        "or scalar")
+                   help="inert (there is one engine; 'native' and "
+                        "'vectorized' are accepted and ignored); pending "
+                        "deletion")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="default per-request budget; a request's own "
                         "deadline_ms overrides it")
@@ -625,9 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", default="fig05")
     p.add_argument("--scale", choices=["smoke", "default", "paper"],
                    default="smoke")
-    p.add_argument("--engine", default=None,
-                   help="execution engine for drivers that take one "
-                        "(validated against the registered engine set)")
     p.add_argument("--metrics-out", default=None,
                    help="run with observability on; write a JSON metrics "
                         "snapshot here")

@@ -32,7 +32,8 @@ from repro.cluster.kmeans import KMeansPartitioner
 from repro.core.config import BiLevelConfig
 from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
 from repro.exec.executor import run_shards
-from repro.runtime.session import QueryRequest, execute_request
+from repro.runtime.session import (QueryRequest, check_legacy_engine,
+                                   execute_request)
 from repro.exec.merge import merge_topk_rows
 from repro.lsh.index import StandardLSH
 from repro.lsh.params import CollisionModel, tune_bucket_width
@@ -319,7 +320,7 @@ class BiLevelLSH:
 
     def query_batch(self, queries: np.ndarray, k: int,
                     hierarchy_threshold: Union[str, int] = "median",
-                    engine: str = "vectorized",
+                    engine: Optional[str] = None,
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
                     policy: Optional[ResiliencePolicy] = None,
@@ -364,21 +365,24 @@ class BiLevelLSH:
         already below the bound run exactly once with zero overhead.
         """
         self._check_fitted()
+        check_legacy_engine(engine)
         if max_batch_rows is None:
             max_batch_rows = self.config.max_batch_rows
-        request = QueryRequest(queries=queries, k=k, engine=engine,
+        request = QueryRequest(queries=queries, k=k,
                                hierarchy_threshold=hierarchy_threshold,
                                deadline_ms=deadline_ms, deadline=deadline,
                                policy=policy, max_batch_rows=max_batch_rows)
         return execute_request(self, request).as_tuple()
 
-    def execution_plan(self, engine: str = "vectorized",
+    def execution_plan(self,
                        hierarchy_threshold: Union[str, int] = "median",
-                       ) -> QueryPlan:
+                       engine: Optional[str] = None) -> QueryPlan:
         """Staged bi-level plan (route → dispatch → merge) for
         :func:`repro.exec.run_plan`; the runtime layer builds it when a
-        :class:`~repro.runtime.QueryRequest` targets this index."""
-        return _BiLevelPlan(self, hierarchy_threshold, engine)
+        :class:`~repro.runtime.QueryRequest` targets this index.
+        ``engine`` is the inert keyword of :meth:`query_batch`."""
+        check_legacy_engine(engine)
+        return _BiLevelPlan(self, hierarchy_threshold)
 
     def _dispatch_groups(self, active: List[Tuple[int, np.ndarray]],
                          run_group: "Callable[[int, np.ndarray], Tuple[np.ndarray, np.ndarray, QueryStats]]",
@@ -459,28 +463,7 @@ class BiLevelLSH:
             results.append(outcome)
         return results
 
-    @staticmethod
-    def _merge_topk_batch(ids_out: np.ndarray, dists_out: np.ndarray,
-                          rows: np.ndarray, new_ids: np.ndarray,
-                          new_dists: np.ndarray, k: int) -> None:
-        """Merge a group's top-k blocks into the running top-k (in place).
-
-        Thin alias over the execution core's shared
-        :func:`repro.exec.merge.merge_topk_rows` (kept for its long tail
-        of direct callers in tests).
-        """
-        merge_topk_rows(ids_out, dists_out, rows, new_ids, new_dists, k)
-
-    def _merge_topk(self, ids_out: np.ndarray, dists_out: np.ndarray, qi: int,
-                    new_ids: np.ndarray, new_dists: np.ndarray, k: int) -> None:
-        """Single-row wrapper over :meth:`_merge_topk_batch`."""
-        self._merge_topk_batch(ids_out, dists_out,
-                               np.array([qi], dtype=np.int64),
-                               np.atleast_2d(new_ids),
-                               np.atleast_2d(new_dists), k)
-
-    def candidate_sets(self, queries: np.ndarray,
-                       engine: str = "vectorized") -> List[np.ndarray]:
+    def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw per-query candidate id sets (before short-list ranking)."""
         self._check_fitted()
         queries = as_float_matrix(queries, name="queries")
@@ -490,7 +473,7 @@ class BiLevelLSH:
             rows = np.nonzero(groups == g)[0]
             if rows.size == 0:
                 continue
-            sets_g = index.candidate_sets(queries[rows], engine=engine)
+            sets_g = index.candidate_sets(queries[rows])
             for local, row in enumerate(rows):
                 out[row] = sets_g[local]
         return out
@@ -529,8 +512,6 @@ class _BiLevelPlan(QueryPlan):
     """
 
     site = "bilevel"
-    engine = "bilevel"
-    supports_supervision = True
     #: ``max_batch_rows`` is applied per *group sub-batch* inside the
     #: dispatch stage, not by slicing the top-level batch: routing
     #: already fans the rows out across groups, so top-level shards
@@ -540,11 +521,9 @@ class _BiLevelPlan(QueryPlan):
     delegates_sharding = True
 
     def __init__(self, index: BiLevelLSH,
-                 hierarchy_threshold: Union[str, int],
-                 group_engine: str) -> None:
+                 hierarchy_threshold: Union[str, int]) -> None:
         self.index = index
         self.hierarchy_threshold = hierarchy_threshold
-        self.group_engine = group_engine
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
@@ -598,7 +577,7 @@ class _BiLevelPlan(QueryPlan):
             # level (see _BiLevelPlan.delegates_sharding).
             return run_shards(
                 index.group_indexes[g].execution_plan(
-                    self.group_engine, self.hierarchy_threshold),
+                    self.hierarchy_threshold),
                 ctx.queries[rows], ctx.k, ob=ctx.ob, deadline=deadline,
                 policy=pol, fault_plan=plan,
                 max_batch_rows=ctx.max_batch_rows)

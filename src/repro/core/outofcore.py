@@ -28,10 +28,9 @@ import numpy as np
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH, make_lattice
+from repro.lsh.index import StandardLSH, table_codes
 from repro.lattice.base import Lattice
 from repro.lsh.functions import PStableHashFamily
-from repro.lsh.table import LSHTable
 from repro.resilience.errors import QueryValidationError
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import check_matrix_2d, check_positive
@@ -55,13 +54,7 @@ def chunked_codes(family: PStableHashFamily, lattice: Lattice,
     """Quantized codes of ``data`` computed in bounded-memory chunks."""
     check_positive(chunk_size, "chunk_size")
     _validate_2d(data)
-    n = data.shape[0]
-    codes = np.empty((n, lattice.code_dim), dtype=np.int64)
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        block = np.asarray(data[start:stop], dtype=np.float64)
-        codes[start:stop] = lattice.quantize(family.project(block))
-    return codes
+    return table_codes(family, lattice, data, chunk_size)
 
 
 def fit_standard_chunked(index: StandardLSH, data: np.ndarray,
@@ -72,33 +65,8 @@ def fit_standard_chunked(index: StandardLSH, data: np.ndarray,
     ``data`` may be a ``numpy.memmap``; it is stored by reference, so
     queries fault in only the candidate rows they rank.
     """
-    _validate_2d(data)
-    n, dim = data.shape
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
-    else:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape != (n,):
-            raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
-    index._data = data
-    index._ids = ids
-    index._deleted = None
-    index._lattice = make_lattice(index.lattice_kind, index.n_hashes)
-    rngs = spawn_rngs(index._seed, index.n_tables)
-    index._families = [
-        PStableHashFamily(dim, index.n_hashes, index.bucket_width, seed=rng)
-        for rng in rngs
-    ]
-    index._tables = []
-    index._hierarchies = []
-    local_ids = np.arange(n, dtype=np.int64)
-    for family in index._families:
-        codes = chunked_codes(family, index._lattice, data, chunk_size)
-        table = LSHTable(codes, ids=local_ids)
-        index._tables.append(table)
-        if index.use_hierarchy:
-            index._hierarchies.append(index._build_hierarchy(table))
-    return index
+    check_positive(chunk_size, "chunk_size")
+    return index._fit(_validate_2d(data), ids, chunk_size)
 
 
 def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,

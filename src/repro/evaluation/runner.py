@@ -241,8 +241,6 @@ class _EvaluationPlan(QueryPlan):
     """
 
     site = "evaluate"
-    engine = "evaluate"
-    supports_supervision = True
 
     def __init__(self, index: KNNIndex, dim: int, *,
                  forward_deadline: bool, forward_policy: bool) -> None:

@@ -65,8 +65,7 @@ def execute_stages(plan: QueryPlan, queries: np.ndarray, k: int, *,
             stage.skip(ctx)
         else:
             stage.fn(ctx)
-        if stage.timed:
-            ctx.timer.lap(stage.name)
+        ctx.timer.lap(stage.name)
     plan.finish(ctx)
     if deadline is not None and ctx.exhausted is None:
         ctx.exhausted = np.zeros(ctx.nq, dtype=bool)
@@ -140,8 +139,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     Resolution order (identical for every front-end): explicit ``policy``
     else the installed gate; plan validation (non-finite rows tolerated
     only under a policy); explicit ``deadline`` else one built from
-    ``deadline_ms``; supervision rejected with a typed error when the
-    plan cannot honor it.  ``max_batch_rows`` bounds rows per executed
+    ``deadline_ms``.  ``max_batch_rows`` bounds rows per executed
     shard — results are bit-identical to unsharded execution, the
     deadline is one absolute expiry shared by all shards, and shards
     past an expired deadline return padded answers flagged
@@ -161,11 +159,6 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     pre_stages = vtimer.stages if ob is not None else None
     if deadline is None:
         deadline = Deadline.from_ms(deadline_ms)
-    if (deadline is not None or pol is not None) \
-            and not plan.supports_supervision:
-        raise QueryValidationError(
-            "deadline/policy supervision requires the 'vectorized' engine",
-            field="engine")
     if max_batch_rows is not None:
         if not isinstance(max_batch_rows, (int, np.integer)) \
                 or isinstance(max_batch_rows, bool) or max_batch_rows <= 0:

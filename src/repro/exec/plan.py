@@ -35,14 +35,13 @@ class Stage:
     once the batch deadline has expired before this stage (typically:
     flag every row ``exhausted_budget`` and leave the padded outputs).
     Stages without a ``skip`` always run — their work is required for a
-    well-formed answer.  ``timed`` stages are lapped into the shared
-    ``repro_stage_seconds`` histogram under the stage name.
+    well-formed answer.  Every stage is lapped into the shared
+    ``repro_stage_seconds`` histogram under its name.
     """
 
     name: str
     fn: StageFn
     skip: Optional[StageFn] = None
-    timed: bool = True
 
 
 class QueryPlan:
@@ -53,13 +52,8 @@ class QueryPlan:
     site:
         Short front-end name (``"lsh"``, ``"bilevel"``, ``"forest"``,
         ``"gpu"``, ``"evaluate"``) used to prefix failure-record and
-        telemetry sites (e.g. ``"lsh.validate"``).
-    engine:
-        Engine label for telemetry (``record_batch``).
-    supports_supervision:
-        Whether deadline/policy supervision is meaningful for this plan.
-        When ``False`` the executor rejects supervised calls with the
-        same typed error the scalar engine always raised.
+        telemetry sites (e.g. ``"lsh.validate"``), and the ``engine``
+        label of ``record_batch``.
     delegates_sharding:
         Whether the plan applies ``max_batch_rows`` itself instead of
         the executor slicing the batch at the top level.  Plans that fan
@@ -72,8 +66,6 @@ class QueryPlan:
     """
 
     site: str = "plan"
-    engine: str = "plan"
-    supports_supervision: bool = True
     delegates_sharding: bool = False
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,

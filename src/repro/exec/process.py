@@ -250,14 +250,15 @@ def _reconstruct_index(shm: SharedMemory, manifest: List[_ManifestEntry],
     Runs in the worker process.  Every array attribute of the returned
     index is a read-only view into ``shm`` — the caller must keep the
     index referenced strictly within the lifetime of its ``shm`` handle.
-    The only per-worker allocations are the packed bucket keys (one
-    ``pack_codes`` pass per table, O(buckets)) and, with hierarchies, the
-    deterministic per-table bucket hierarchy — both derived from the
-    shared CSR arrays, so worker answers stay bit-identical.
+    The only per-worker allocations are the packed bucket keys (when a
+    numpy lookup first needs them, O(buckets) per table) and, with
+    hierarchies, the deterministic per-table bucket hierarchy — both
+    derived from the shared CSR arrays, so worker answers stay
+    bit-identical.
     """
     from repro.lsh.functions import PStableHashFamily
     from repro.lsh.index import StandardLSH, make_lattice
-    from repro.lsh.table import LSHTable, pack_codes
+    from repro.lsh.table import LSHTable
 
     views: Dict[str, np.ndarray] = {
         key: _segment_view(shm, dtype_str, shape, off)
@@ -299,7 +300,6 @@ def _reconstruct_index(shm: SharedMemory, manifest: List[_ManifestEntry],
         table._sorted_ids = views[f"t{t}/sorted_ids"]
         table.code_dim = table._bucket_codes.shape[1]
         table.n_points = table._sorted_ids.shape[0]
-        table._bucket_keys = pack_codes(table._bucket_codes)
         table._overlay_lock = threading.Lock()
         table._extra_codes = []
         table._extra_ids = []
@@ -317,7 +317,7 @@ def _reconstruct_index(shm: SharedMemory, manifest: List[_ManifestEntry],
 
 def _worker_main(conn: Connection, shm_name: str,
                  manifest: List[_ManifestEntry], meta: dict,
-                 engine: str, sink_name: Optional[str],
+                 sink_name: Optional[str],
                  sink_schema: Optional[object], slot: int) -> None:
     """Worker process loop: reconstruct once, answer shards until 'stop'.
 
@@ -389,7 +389,7 @@ def _worker_main(conn: Connection, shm_name: str,
             try:
                 ids, dists, stats = index.query_batch(
                     queries, k, hierarchy_threshold=threshold,
-                    engine=engine, deadline=deadline)
+                    deadline=deadline)
             except Exception as error:  # invariant: disable=R7 — shipped
                 # to the parent, whose policy records it (note_failure).
                 if wob is not None:
@@ -449,9 +449,6 @@ class ProcessShardExecutor:
     n_workers:
         Pool size.  Each worker holds zero-copy views, so memory cost is
         one segment regardless of pool size.
-    engine:
-        Engine the workers run per shard: ``"vectorized"`` (default) or
-        ``"native"`` (each worker resolves its own compiled backend).
     metrics:
         When True (default) the executor allocates the cross-process
         metrics segment (one :class:`repro.obs.shm` slot per worker, a
@@ -466,18 +463,12 @@ class ProcessShardExecutor:
     SITE = "exec.process"
 
     def __init__(self, index: "StandardLSH", n_workers: int = 2,
-                 engine: str = "vectorized", metrics: bool = True) -> None:
-        from repro.native.registry import REGISTERED_ENGINES
+                 metrics: bool = True) -> None:
         from repro.obs import shm as obs_shm
 
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if engine not in REGISTERED_ENGINES or engine == "scalar":
-            raise ValueError(
-                f"engine must be 'vectorized' or 'native' for process "
-                f"sharding, got {engine!r}")
         self._index = index
-        self._engine = engine
         self.n_workers = int(n_workers)
         self._ctx = get_context("spawn")
         self._closed = False
@@ -516,7 +507,7 @@ class ProcessShardExecutor:
         process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self._shm.name, self._manifest, self._meta,
-                  self._engine, sink_name, self._sink_schema, widx),
+                  sink_name, self._sink_schema, widx),
             daemon=True)
         process.start()
         child_conn.close()
@@ -879,7 +870,7 @@ class ProcessShardExecutor:
         for start, shard_id, meta, trace_dict in pending:
             ob.tracer.add(obs.QueryTrace(
                 query_index=start + int(trace_dict.get("query_index", 0)),
-                engine=f"process:{trace_dict.get('engine', self._engine)}",
+                engine=f"process:{trace_dict.get('engine', 'lsh')}",
                 n_candidates=int(trace_dict.get("n_candidates", 0)),
                 n_probes=int(trace_dict.get("n_probes", 0)),
                 escalated=bool(trace_dict.get("escalated", False)),
@@ -995,5 +986,4 @@ class ProcessShardExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ProcessShardExecutor(n_workers={self.n_workers}, "
-                f"engine={self._engine!r}, "
                 f"segment={self._shm.name!r}, closed={self._closed})")

@@ -191,8 +191,6 @@ class _GPUPlan(QueryPlan):
     """
 
     site = "gpu"
-    engine = "gpu"
-    supports_supervision = True
 
     def __init__(self, pipeline: GPUPipeline, data: np.ndarray,
                  mode: str) -> None:

@@ -27,7 +27,8 @@ import numpy as np
 
 from repro import obs
 from repro.lattice.base import Lattice
-from repro.lsh.table import LSHTable, pack_codes
+from repro.lsh.table import LSHTable
+from repro.native.registry import NUMPY_KERNELS
 
 
 class E8Hierarchy:
@@ -70,8 +71,6 @@ class E8Hierarchy:
                     self._settled = len(groups) - 1
             self.level_codes.append(uniq)
             groups.append(group)
-        self._level_keys = [table._bucket_keys] + [
-            pack_codes(uniq) for uniq in self.level_codes[1:]]
         self.n_levels = len(groups)
         # Tree order: coarsest node first, bucket index last — every node
         # of every level is then one run of consecutive buckets.
@@ -85,14 +84,6 @@ class E8Hierarchy:
         self.level_starts = [offsets[head] for _, head, _ in runs]
         self.level_ends = [offsets[head + length] for _, head, length in runs]
 
-    def _find(self, level: int, codes: np.ndarray,
-              kernels: Optional[object] = None) -> np.ndarray:
-        """Node index at ``level`` per ancestor-code row (``-1``: absent)."""
-        if kernels is not None:
-            return kernels.lookup_codes(self.level_codes[level], codes)
-        return LSHTable._searchsorted_keys(self._level_keys[level],
-                                           pack_codes(codes))
-
     def ids_at_level(self, code: np.ndarray, level: int) -> Optional[np.ndarray]:
         """Point ids under the node matching ``code``'s ancestor at ``level``.
 
@@ -100,14 +91,15 @@ class E8Hierarchy:
         """
         if not 0 <= level < self.n_levels:
             raise ValueError(f"level must be in [0, {self.n_levels}), got {level}")
-        node = int(self._find(level, self.lattice.ancestor(code, level))[0])
+        node = int(NUMPY_KERNELS.lookup_codes(
+            self.level_codes[level], self.lattice.ancestor(code, level))[0])
         if node < 0:
             return None
         return self.ids[self.level_starts[level][node]:
                         self.level_ends[level][node]]
 
     def candidates_batch(self, codes: np.ndarray, min_count: int,
-                         kernels: Optional[object] = None,
+                         kernels: object = NUMPY_KERNELS,
                          ) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate ids for every code row, flattened: ``(ids, counts)``.
 
@@ -115,8 +107,9 @@ class E8Hierarchy:
         A row settles on the first matching ancestor node holding at least
         ``min_count`` points, else on the first largest matching node
         (none, ``counts == 0``, when its ancestors never meet a populated
-        branch).  ``kernels`` (the native engine's table) runs decode and
-        lookup compiled, with identical results.
+        branch).  Decode and node lookup go through ``kernels`` — the
+        query plan passes the table that loaded, the one-row methods and
+        the build keep the numpy one — with identical results.
         """
         codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
         size = np.zeros(codes.shape[0], dtype=np.int64)
@@ -125,7 +118,8 @@ class E8Hierarchy:
         todo = np.arange(codes.shape[0], dtype=np.int64)
         for level, anc in self.lattice.ancestor_chain(codes, self.n_levels,
                                                       kernels):
-            node = self._find(level, anc[todo], kernels)
+            # Node index per ancestor-code row, -1 where absent.
+            node = kernels.lookup_codes(self.level_codes[level], anc[todo])
             hit = node >= 0
             rows, node = todo[hit], node[hit]
             found = self.level_ends[level][node] - self.level_starts[level][node]
@@ -160,7 +154,8 @@ class E8Hierarchy:
         with the query's code exists; the returned level is where the
         descent stops (``None`` if even the coarsest built level misses).
         """
-        matches = [self._find(level, anc)[0] >= 0 for level, anc
+        matches = [NUMPY_KERNELS.lookup_codes(self.level_codes[level],
+                                              anc)[0] >= 0 for level, anc
                    in self.lattice.ancestor_chain(code, self.n_levels)]
         found = None
         for level in reversed(range(self.n_levels)):

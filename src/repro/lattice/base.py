@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
+
+from repro.native.registry import NUMPY_KERNELS
 
 
 class Lattice(ABC):
@@ -54,6 +56,12 @@ class Lattice(ABC):
             ``int64`` array of shape ``(n, code_dim)``.
         """
 
+    def quantize_with(self, y: np.ndarray, kernels: object) -> np.ndarray:
+        """:meth:`quantize` decoded through ``kernels``, the table the query
+        plan holds — same codes bit for bit.  Lattices with a decoder in
+        the table override this; a plain floor has nothing to hand over."""
+        return self.quantize(y)
+
     @abstractmethod
     def probe_codes(self, y: np.ndarray, code: np.ndarray, n_probes: int) -> np.ndarray:
         """Return up to ``n_probes`` additional codes to probe for one query.
@@ -85,15 +93,15 @@ class Lattice(ABC):
         """
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
-                       kernels: Optional[object] = None,
+                       kernels: object = NUMPY_KERNELS,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(k, ancestor(codes, k))`` for ``k = 0 .. max_k - 1``.
 
         Subclasses override this when ancestors can be computed
         incrementally (one level from the previous) instead of from
         scratch at every level; the default delegates to :meth:`ancestor`.
-        ``kernels`` is the native engine's kernel table: a lattice with a
-        compiled decoder steps through it, with bit-identical codes.
+        ``kernels`` is the kernel table (see :meth:`quantize_with`): a
+        lattice with a decoder in it steps through that decoder.
         """
         for k in range(max_k):
             yield k, self.ancestor(codes, k)

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.lattice.base import Lattice
+from repro.native.registry import NUMPY_KERNELS
 
 
 def decode_dm(x: np.ndarray) -> np.ndarray:
@@ -44,6 +45,9 @@ def decode_dm(x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] < 2:
         raise ValueError(f"D_M needs dimension >= 2, got {x.shape[1]}")
+    # Round half up, not ``np.rint``'s banker's rounding: any nearest
+    # point is acceptable at ties, but a fixed convention keeps the
+    # decoder deterministic across numpy versions.
     f = np.floor(x + 0.5)
     parity = np.mod(f.sum(axis=1), 2.0)
     odd = parity != 0
@@ -52,6 +56,8 @@ def decode_dm(x: np.ndarray) -> np.ndarray:
         err = x[odd] - f[odd]
         worst = np.argmax(np.abs(err), axis=1)
         rows = np.nonzero(odd)[0]
+        # Re-round the worst coordinate the other way; for an exact integer
+        # (err == 0) both directions are equidistant, step up by convention.
         step = np.where(err[np.arange(rows.size, dtype=np.int64), worst] >= 0.0, 1.0, -1.0)
         f[rows, worst] += step
     return f
@@ -89,11 +95,17 @@ class DMLattice(Lattice):
     def code_dim(self) -> int:
         return self.dim
 
-    def quantize(self, y: np.ndarray) -> np.ndarray:
+    def _check(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         if y.shape[1] != self.dim:
             raise ValueError(f"expected projected dim {self.dim}, got {y.shape[1]}")
-        return decode_dm(y).astype(np.int64)
+        return y
+
+    def quantize(self, y: np.ndarray) -> np.ndarray:
+        return decode_dm(self._check(y)).astype(np.int64)
+
+    def quantize_with(self, y: np.ndarray, kernels: object) -> np.ndarray:
+        return kernels.dm_decode(self._check(y))
 
     def probe_codes(self, y: np.ndarray, code: np.ndarray, n_probes: int) -> np.ndarray:
         """Adjacent ``D_M`` cells, ordered by distance to the query."""
@@ -112,16 +124,12 @@ class DMLattice(Lattice):
         """Scaled-lattice ancestors: ``2^k * DECODE(... DECODE(c/2)/2 ...)``."""
         if k < 0:
             raise ValueError(f"ancestor level must be non-negative, got {k}")
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-        if codes.shape[1] != self.dim:
-            raise ValueError(f"codes must have {self.dim} columns, got {codes.shape[1]}")
-        current = codes.astype(np.float64)
-        for _ in range(k):
-            current = decode_dm(current / 2.0)
-        return np.round(current * float(2 ** k)).astype(np.int64)
+        for _, level in self.ancestor_chain(codes, k + 1):
+            pass
+        return level
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
-                       kernels: Optional[object] = None,
+                       kernels: object = NUMPY_KERNELS,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         if codes.shape[1] != self.dim:
@@ -129,6 +137,5 @@ class DMLattice(Lattice):
         current = codes.astype(np.float64)
         for k in range(max_k):
             if k > 0:
-                current = (decode_dm(current / 2.0) if kernels is None else
-                           kernels.dm_decode(current / 2.0).astype(np.float64))
+                current = kernels.dm_decode(current / 2.0).astype(np.float64)
             yield k, np.round(current * float(2 ** k)).astype(np.int64)

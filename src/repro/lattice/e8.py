@@ -23,24 +23,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.lattice.base import Lattice
+from repro.lattice.dm import decode_dm
 from repro.native.ref import tree_sq_dist
+from repro.native.registry import NUMPY_KERNELS
 
 BLOCK = 8
-
-
-def _round_nearest(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero (plain nearest-integer rounding).
-
-    ``np.rint`` uses banker's rounding; for lattice decoding any nearest
-    point is acceptable at ties, but a fixed convention keeps the decoder
-    deterministic across numpy versions.
-    """
-    return np.floor(x + 0.5)
 
 
 def decode_d8(x: np.ndarray) -> np.ndarray:
@@ -60,19 +52,7 @@ def decode_d8(x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != BLOCK:
         raise ValueError(f"decode_d8 expects dim-8 input, got dim {x.shape[1]}")
-    f = _round_nearest(x)
-    parity = np.mod(f.sum(axis=1), 2.0)
-    odd = parity != 0
-    if np.any(odd):
-        f = f.copy()
-        err = x[odd] - f[odd]
-        worst = np.argmax(np.abs(err), axis=1)
-        rows = np.nonzero(odd)[0]
-        # Re-round the worst coordinate the other way; for an exact integer
-        # (err == 0) both directions are equidistant, step up by convention.
-        step = np.where(err[np.arange(rows.size, dtype=np.int64), worst] >= 0.0, 1.0, -1.0)
-        f[rows, worst] += step
-    return f
+    return decode_dm(x)
 
 
 def decode_e8(x: np.ndarray) -> np.ndarray:
@@ -86,13 +66,28 @@ def decode_e8(x: np.ndarray) -> np.ndarray:
     half = decode_d8(x - 0.5) + 0.5
     # tree_sq_dist is the explicit halving-tree summation spec shared
     # with the compiled native decoders; the coset choice below must be
-    # made on bit-identical distances or the engines could disagree at
-    # exact D8-vs-half ties.
+    # made on bit-identical distances or the kernel tables could disagree
+    # at exact D8-vs-half ties.
     dist_d8 = tree_sq_dist(x, d8)
     dist_half = tree_sq_dist(x, half)
     take_half = dist_half < dist_d8
     out = np.where(take_half[:, None], half, d8)
     return out
+
+
+def e8_decode(points: np.ndarray) -> np.ndarray:
+    """Blockwise nearest-``E8`` codes of an ``(n, 8 * blocks)`` array.
+
+    Codes are ``int64`` in half-integer units.  This is the numpy
+    ``e8_decode`` kernel (:class:`repro.native.registry.NumpyKernels`);
+    the compiled one returns the same codes bit for bit.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    codes = np.empty(points.shape, dtype=np.int64)
+    for b in range(points.shape[1] // BLOCK):
+        sl = slice(b * BLOCK, (b + 1) * BLOCK)
+        codes[:, sl] = np.round(decode_e8(points[:, sl]) * 2.0)
+    return codes
 
 
 @lru_cache(maxsize=1)
@@ -164,14 +159,10 @@ class E8Lattice(Lattice):
         return padded
 
     def quantize(self, y: np.ndarray) -> np.ndarray:
-        padded = self._pad(y)
-        codes = np.empty((padded.shape[0], self.padded_dim), dtype=np.int64)
-        for b in range(self.n_blocks):
-            sl = slice(b * BLOCK, (b + 1) * BLOCK)
-            real = decode_e8(padded[:, sl])
-            scaled = np.round(real * 2.0)
-            codes[:, sl] = scaled.astype(np.int64)
-        return codes
+        return e8_decode(self._pad(y))
+
+    def quantize_with(self, y: np.ndarray, kernels: object) -> np.ndarray:
+        return kernels.e8_decode(self._pad(y))
 
     #: Query rows scored per block of :meth:`probe_codes` (bounds the
     #: ``(rows, blocks, 240, 8)`` candidate temporaries to a few MB).
@@ -227,34 +218,19 @@ class E8Lattice(Lattice):
         """
         if k < 0:
             raise ValueError(f"ancestor level must be non-negative, got {k}")
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-        if codes.shape[1] != self.padded_dim:
-            raise ValueError(
-                f"codes must have {self.padded_dim} columns, got {codes.shape[1]}"
-            )
-        current = codes.astype(np.float64) / 2.0  # real units: d_0 = c
-        for _ in range(k):
-            current = self._decode_blocks(current / 2.0)
-        real = current * float(2 ** k)
-        return np.round(real * 2.0).astype(np.int64)
-
-    def _decode_blocks(self, points: np.ndarray) -> np.ndarray:
-        """Blockwise E8 decode of an ``(n, padded_dim)`` real array."""
-        out = np.empty_like(points)
-        for b in range(self.n_blocks):
-            sl = slice(b * BLOCK, (b + 1) * BLOCK)
-            out[:, sl] = decode_e8(points[:, sl])
-        return out
+        for _, level in self.ancestor_chain(codes, k + 1):
+            pass
+        return level
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
-                       kernels: Optional[object] = None,
+                       kernels: object = NUMPY_KERNELS,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         """Incremental Eq. (10) iteration: one decode pass per level.
 
         Yields ``(k, ancestor(codes, k))`` while reusing the previous
         level's half-point, turning the naive ``O(max_k^2)`` decode count
-        of repeated :meth:`ancestor` calls into ``O(max_k)``.  With
-        ``kernels`` each pass is one compiled ``e8_decode`` call.
+        of repeated :meth:`ancestor` calls into ``O(max_k)``.  Each pass
+        is one ``kernels.e8_decode`` call.
         """
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         if codes.shape[1] != self.padded_dim:
@@ -264,9 +240,7 @@ class E8Lattice(Lattice):
         current = codes.astype(np.float64) / 2.0  # real units: d_0 = c
         for k in range(max_k):
             if k > 0:  # the kernel hands back half-integer codes
-                current = (self._decode_blocks(current / 2.0)
-                           if kernels is None
-                           else kernels.e8_decode(current / 2.0) / 2.0)
+                current = kernels.e8_decode(current / 2.0) / 2.0
             real = current * float(2 ** k)
             yield k, np.round(real * 2.0).astype(np.int64)
 

@@ -191,16 +191,16 @@ class LSHForest:
                                policy=policy, max_batch_rows=max_batch_rows)
         return execute_request(self, request).as_tuple()
 
-    def execution_plan(self, engine: Optional[str] = None,
+    def execution_plan(self,
                        hierarchy_threshold: Union[str, int, None] = None,
                        ) -> "_ForestPlan":
         """Staged forest plan for :func:`repro.exec.run_plan`.
 
-        ``engine`` and ``hierarchy_threshold`` are accepted (and
-        ignored) for interface compatibility with the runtime layer —
-        the forest has a single engine and no hierarchical table.
+        ``hierarchy_threshold`` is accepted (and ignored) for interface
+        compatibility with the runtime layer — the forest has no
+        hierarchical table.
         """
-        del engine, hierarchy_threshold
+        del hierarchy_threshold
         return _ForestPlan(self)
 
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
@@ -235,8 +235,6 @@ class _ForestPlan(QueryPlan):
     """
 
     site = "forest"
-    engine = "forest"
-    supports_supervision = True
 
     def __init__(self, forest: LSHForest) -> None:
         self.forest = forest
@@ -310,5 +308,5 @@ class _ForestPlan(QueryPlan):
 
     def record_obs(self, ctx: ExecutionContext) -> None:
         assert ctx.ob is not None
-        ctx.ob.record_batch(self.engine, ctx.n_candidates, ctx.escalated,
+        ctx.ob.record_batch(self.site, ctx.n_candidates, ctx.escalated,
                             ctx.timer.stages)

@@ -19,15 +19,14 @@ the apples-to-apples setup of the paper's experiments.
 from __future__ import annotations
 
 import threading
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
-from repro.exec.executor import execute_stages
-from repro.runtime.session import QueryRequest, execute_request
+from repro.runtime.session import (QueryRequest, check_legacy_engine,
+                                   execute_request)
 from repro.lattice.base import Lattice
 from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
@@ -36,10 +35,9 @@ from repro.lsh.functions import PStableHashFamily
 from repro.lsh.multiprobe import adaptive_probes, adaptive_probes_batch
 from repro.lsh.table import LSHTable
 from repro.native import registry as native_registry
-from repro.native.ref import tree_rowdot, zm_probe_codes_ref
+from repro.native.ref import rank_topk_ref, tree_rowdot
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault, QueryValidationError
-from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import ResiliencePolicy
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
 from repro.utils.validation import (as_float_matrix, as_query_matrix, check_k,
@@ -49,7 +47,7 @@ if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.compactor import Compactor
     from repro.maintenance.wal import WriteAheadLog
 
-__all__ = ["QueryStats", "StandardLSH", "make_lattice"]
+__all__ = ["QueryStats", "StandardLSH", "make_lattice", "oracle_query_batch"]
 
 
 def make_lattice(kind: str, dim: int) -> Lattice:
@@ -60,11 +58,28 @@ def make_lattice(kind: str, dim: int) -> Lattice:
     if kind == "e8":
         return E8Lattice(dim)
     if kind == "dm":
-        from repro.lattice.dm import DMLattice
-
         return DMLattice(dim)
     raise ValueError(
         f"unknown lattice kind {kind!r}; expected 'zm', 'e8' or 'dm'")
+
+
+def table_codes(family: PStableHashFamily, lattice: Lattice,
+                data: np.ndarray,
+                chunk_size: Optional[int] = None) -> np.ndarray:
+    """Lattice codes of every row of ``data`` under one hash family.
+
+    With ``chunk_size`` the rows are projected that many at a time, so a
+    memmapped corpus is never materialized whole.
+    """
+    if chunk_size is None:
+        return lattice.quantize(family.project(data))
+    n = data.shape[0]
+    codes = np.empty((n, lattice.code_dim), dtype=np.int64)
+    for start in range(0, n, chunk_size):
+        stop = min(start + chunk_size, n)
+        block = np.asarray(data[start:stop], dtype=np.float64)
+        codes[start:stop] = lattice.quantize(family.project(block))
+    return codes
 
 
 # QueryStats moved to repro.exec.context with the execution-core refactor;
@@ -161,7 +176,13 @@ class StandardLSH:
         Distances during short-list search are computed against ``data``
         rows, but the ids returned by queries are the supplied ``ids``.
         """
-        data = as_float_matrix(data)
+        return self._fit(as_float_matrix(data), ids)
+
+    def _fit(self, data: np.ndarray, ids: Optional[np.ndarray],
+             chunk_size: Optional[int] = None) -> "StandardLSH":
+        """:meth:`fit` over a checked matrix, kept by reference — the
+        out-of-core fit hands in a memmap and the ``chunk_size`` that
+        :meth:`_rebuild_tables` projects it by."""
         n, dim = data.shape
         if ids is None:
             ids = np.arange(n, dtype=np.int64)
@@ -181,7 +202,7 @@ class StandardLSH:
         ]
         with self._update_lock:
             self._mutations += 1
-        self._rebuild_tables()
+        self._rebuild_tables(chunk_size)
         return self
 
     # ---------------------------------------------------------- maintenance
@@ -248,8 +269,12 @@ class StandardLSH:
                 ob.record_rebuild()
         return True
 
-    def _rebuild_tables(self) -> None:
+    def _rebuild_tables(self, chunk_size: Optional[int] = None) -> None:
         """(Re)build the sorted tables and hierarchies from current data.
+
+        The one project → quantize → :class:`LSHTable` → hierarchy loop:
+        ``fit``, the insert trigger, snapshot restore and the out-of-core
+        fit (with a ``chunk_size``, see :func:`table_codes`) build here.
 
         The new tables and hierarchies are built into locals and published
         with two reference assignments, so an in-flight batch query (which
@@ -263,8 +288,8 @@ class StandardLSH:
             tables: List[LSHTable] = []
             hierarchies: list = []
             for family in self._families:
-                codes = self._lattice.quantize(family.project(data))
-                table = LSHTable(codes, ids=local_ids)
+                table = LSHTable(table_codes(family, self._lattice, data,
+                                             chunk_size), ids=local_ids)
                 tables.append(table)
                 if self.use_hierarchy:
                     hierarchies.append(self._build_hierarchy(table))
@@ -358,17 +383,6 @@ class StandardLSH:
                 self._deleted = deleted
         return found
 
-    def _filter_deleted(self, local_ids: np.ndarray) -> np.ndarray:
-        deleted = self._deleted
-        if deleted is None or local_ids.size == 0:
-            return local_ids
-        # Ids at/above the mask length were inserted after the snapshot was
-        # taken and therefore cannot be tombstoned.
-        drop = np.zeros(local_ids.size, dtype=bool)
-        in_mask = local_ids < deleted.shape[0]
-        drop[in_mask] = deleted[local_ids[in_mask]]
-        return local_ids[~drop]
-
     def _build_hierarchy(self, table: LSHTable):
         if self.lattice_kind.lower() == "zm":
             from repro.hierarchy.morton import MortonHierarchy
@@ -411,236 +425,6 @@ class StandardLSH:
                 self._sq_norms = norms
         return norms
 
-    def _probe_rows(self, projections: List[np.ndarray],
-                    codes: List[np.ndarray], t: int,
-                    kernels: Optional[object] = None,
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All codes to look up in table ``t``: self codes plus probes.
-
-        Returns ``(codes_all, query_of_row)`` with one row per lookup: the
-        self codes, then each query's probes in sequence order.  The whole
-        sub-batch's sequences come from one call — the compiled
-        ``zm_probe_codes`` (``kernels``) or its row-by-row reference for
-        ``Z^M``, :meth:`E8Lattice.probe_codes` on the block for ``E8`` —
-        except the per-query adaptive and ``D_M`` forms.
-        """
-        y, own = projections[t], codes[t]
-        q = own.shape[0]
-        rows = np.arange(q, dtype=np.int64)
-        lattice = self._lattice
-        if self.n_probes <= 0:
-            return own, rows
-        if isinstance(lattice, ZMLattice) and not self.adaptive_probing:
-            enumerate_block = (kernels.zm_probe_codes if kernels is not None
-                               else zm_probe_codes_ref)
-            probes, counts = enumerate_block(y, own, self.n_probes)
-        else:
-            if self.adaptive_probing:
-                parts = adaptive_probes_batch(y, own, self.n_probes,
-                                              confidence=self.probe_confidence)
-            elif isinstance(lattice, E8Lattice):
-                parts = lattice.probe_codes(y, own, self.n_probes)
-            else:
-                parts = [lattice.probe_codes(y[qi], own[qi], self.n_probes)
-                         for qi in range(q)]
-            counts = np.array([part.shape[0] for part in parts],
-                              dtype=np.int64)
-            probes = np.concatenate(parts, axis=0)
-        return (np.concatenate([own, probes], axis=0),
-                np.concatenate([rows, np.repeat(rows, counts)]))
-
-    def _dedup_per_query(self, local_ids: np.ndarray, qidx: np.ndarray,
-                         nq: int, kernels: Optional[object] = None,
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Drop tombstones and per-query duplicates from flattened candidates.
-
-        Returns ``(local_ids, qidx, counts)`` sorted by ``(query, id)``;
-        segment ``i`` of the flattened arrays is query ``i``'s deduplicated
-        candidate set with ids ascending — the order :func:`numpy.unique`
-        produced in the scalar engine.  With ``kernels`` (the native
-        engine's dispatch table) the sort+dedup runs compiled, with
-        bit-identical output.
-        """
-        deleted = self._deleted
-        if kernels is not None:
-            return kernels.dedup_candidates(local_ids, qidx, nq,
-                                            deleted=deleted)
-        if deleted is not None and local_ids.size:
-            drop = np.zeros(local_ids.size, dtype=bool)
-            in_mask = local_ids < deleted.shape[0]
-            drop[in_mask] = deleted[local_ids[in_mask]]
-            local_ids = local_ids[~drop]
-            qidx = qidx[~drop]
-        if local_ids.size:
-            order = np.lexsort((local_ids, qidx))
-            local_ids = local_ids[order]
-            qidx = qidx[order]
-            keep = np.ones(local_ids.size, dtype=bool)
-            keep[1:] = (qidx[1:] != qidx[:-1]) | (local_ids[1:] != local_ids[:-1])
-            local_ids = local_ids[keep]
-            qidx = qidx[keep]
-        counts = np.bincount(qidx, minlength=nq).astype(np.int64)
-        return local_ids, qidx, counts
-
-    def _gather_table(self, projections: List[np.ndarray],
-                      codes: List[np.ndarray], t: int, table: LSHTable,
-                      nq: int, want_obs: bool, plan: Optional[FaultPlan],
-                      kernels: Optional[object] = None,
-                      ) -> Tuple[np.ndarray, np.ndarray,
-                                 Optional[Tuple[int, int, np.ndarray]]]:
-        """One table's flattened candidate contribution (the supervised unit).
-
-        This is the body the resilience policy retries/drops per table; the
-        ``lsh.gather`` fault site sits at its top.  A corruption-kind hit
-        is escalated to :class:`InjectedFault` here because a gather has no
-        integrity check that could catch silently corrupted candidates
-        (unlike ``persistence.load``, whose checksums do).
-
-        Observability stays local: the third element is
-        ``(n_lookups, n_misses, probes_per_query)`` (``None`` unless
-        ``want_obs``) and the *caller* commits it to the Observer and the
-        shared probe accumulator only after this attempt succeeds — a
-        timed-out, abandoned attempt must not race the retry on shared
-        counters or double-count its lookups.
-        """
-        if plan is not None and plan.check("lsh.gather", table=t):
-            raise InjectedFault("lsh.gather", f"table={t} corruption")
-        codes_all, row_q = self._probe_rows(projections, codes, t, kernels)
-        if kernels is not None and table.n_extra == 0:
-            # Compiled lookup straight on the sorted bucket-code rows
-            # (lexicographic binary search == packed-key searchsorted);
-            # tables with a live overlay keep the numpy path, which is
-            # the only one that merges overlay buckets.
-            bidx = kernels.lookup_codes(
-                table._bucket_codes,
-                np.ascontiguousarray(codes_all, dtype=np.int64))
-            found = bidx >= 0
-            safe = np.where(found, bidx, 0)
-            if table.n_buckets:
-                starts = np.where(found, table._starts[safe], 0)
-                counts = np.where(found,
-                                  table._ends[safe] - table._starts[safe], 0)
-            else:
-                starts = np.zeros(codes_all.shape[0], dtype=np.int64)
-                counts = np.zeros(codes_all.shape[0], dtype=np.int64)
-            ids_flat = LSHTable._gather_segments(table._sorted_ids, starts,
-                                                 counts)
-        else:
-            ids_flat, counts = table.gather_batch(codes_all)
-        stats = None
-        if want_obs:
-            stats = (int(codes_all.shape[0]),
-                     int(np.count_nonzero(counts == 0)),
-                     np.bincount(row_q, minlength=nq)[:nq] - 1)
-        return ids_flat, np.repeat(row_q, counts), stats
-
-    def _gather_candidates_batch(self, projections: List[np.ndarray],
-                                 codes: List[np.ndarray], nq: int,
-                                 ob: "Optional[obs.Observer]" = None,
-                                 probe_out: Optional[Dict[str, np.ndarray]] = None,
-                                 plan: Optional[FaultPlan] = None,
-                                 pol: Optional[ResiliencePolicy] = None,
-                                 res_out: Optional[Dict[str, List[object]]] = None,
-                                 kernels: Optional[object] = None,
-                                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidate gathering for the whole batch, array-at-a-time.
-
-        For each table, every query's self code and probe codes are stacked
-        and resolved with a single packed-key ``searchsorted``
-        (:meth:`LSHTable.gather_batch`); the per-table results are then
-        concatenated and deduplicated per query with one global sort.
-
-        When an :class:`repro.obs.Observer` is passed, per-table bucket
-        lookup/miss/probe counters are recorded and the per-query probe
-        totals are returned through ``probe_out['probes_per_query']``.
-
-        When a :class:`ResiliencePolicy` is passed, each table runs as a
-        supervised unit: a table that still fails after retries is dropped
-        (its ids/tables recorded in ``res_out``) and gathering continues
-        with the remaining tables — the caller flags the sub-batch
-        degraded.  Without a policy, failures propagate.
-        """
-        id_parts: List[np.ndarray] = []
-        q_parts: List[np.ndarray] = []
-        probes_acc = (np.zeros(nq, dtype=np.int64)
-                      if ob is not None else None)
-        want_obs = ob is not None
-        # One snapshot of the published list: a concurrent rebuild swaps
-        # in a new list, it never edits this one (see _rebuild_tables).
-        for t, table in enumerate(self._tables):
-            if pol is None:
-                ids_flat, q_flat, tstats = self._gather_table(
-                    projections, codes, t, table, nq, want_obs, plan, kernels)
-            else:
-                result, action, records = pol.run(
-                    "lsh.gather", f"table={t}",
-                    lambda t=t, table=table: self._gather_table(
-                        projections, codes, t, table, nq, want_obs, plan,
-                        kernels))
-                if res_out is not None and records:
-                    res_out["failures"].extend(records)
-                if action == "gave_up" or result is None:
-                    if res_out is not None:
-                        res_out["dropped_tables"].append(t)
-                    continue
-                ids_flat, q_flat, tstats = result
-            # Commit observability only for the attempt whose result we
-            # keep — abandoned timed-out attempts threw theirs away.
-            if ob is not None and tstats is not None:
-                n_lookups, n_misses, probe_counts = tstats
-                ob.record_table_lookup(t, n_lookups=n_lookups,
-                                       n_misses=n_misses,
-                                       n_probes=n_lookups - nq)
-                if probes_acc is not None:
-                    probes_acc += probe_counts
-            id_parts.append(ids_flat)
-            q_parts.append(q_flat)
-        local_ids = (np.concatenate(id_parts) if id_parts
-                     else np.empty(0, dtype=np.int64))
-        qidx = (np.concatenate(q_parts) if q_parts
-                else np.empty(0, dtype=np.int64))
-        if probe_out is not None and probes_acc is not None:
-            probe_out["probes_per_query"] = probes_acc
-        return self._dedup_per_query(local_ids, qidx, nq, kernels)
-
-    def _gather_candidates(self, projections: List[np.ndarray],
-                           codes: List[np.ndarray], qi: int) -> np.ndarray:
-        """Union of bucket hits for query ``qi`` across all tables (local ids).
-
-        This is the scalar reference engine, kept for equivalence testing
-        and old-vs-new benchmarking; the batch path goes through
-        :meth:`_gather_candidates_batch`.
-        """
-        parts = []
-        for t in range(self.n_tables):
-            code = codes[t][qi]
-            parts.append(self._tables[t].lookup(code))
-            if self.n_probes > 0:
-                if self.adaptive_probing:
-                    probes = adaptive_probes(projections[t][qi], code,
-                                             self.n_probes,
-                                             confidence=self.probe_confidence)
-                else:
-                    probes = self._lattice.probe_codes(projections[t][qi],
-                                                       code, self.n_probes)
-                for probe in probes:
-                    parts.append(self._tables[t].lookup(probe))
-        merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        merged = np.unique(merged) if merged.size else merged
-        return self._filter_deleted(merged)
-
-    def _escalate(self, codes: List[np.ndarray], qi: int, min_count: int,
-                  base: np.ndarray) -> np.ndarray:
-        """Grow query ``qi``'s candidate set via the bucket hierarchies."""
-        parts = [base]
-        for t in range(self.n_tables):
-            extra = self._hierarchies[t].candidates(codes[t][qi], min_count)
-            if extra.size:
-                parts.append(extra)
-        merged = np.concatenate(parts)
-        merged = np.unique(merged) if merged.size else merged
-        return self._filter_deleted(merged)
-
     def query(self, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """KNN for a single query vector; returns ``(ids, distances)``."""
         ids, dists, _ = self.query_batch(np.atleast_2d(query), k)
@@ -649,7 +433,7 @@ class StandardLSH:
     def _validate_query_batch(self, queries: np.ndarray, k: int,
                               allow_nonfinite: bool,
                               ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Typed top-of-query validation shared by every engine.
+        """Typed top-of-query validation (the plan's and the oracle's).
 
         Returns ``(queries, finite_row_mask_or_None, k)``; shape, dim and
         ``k`` problems raise :class:`QueryValidationError` (a
@@ -670,7 +454,7 @@ class StandardLSH:
 
     def query_batch(self, queries: np.ndarray, k: int,
                     hierarchy_threshold: Union[str, int] = "median",
-                    engine: str = "vectorized",
+                    engine: Optional[str] = None,
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
                     policy: Optional[ResiliencePolicy] = None,
@@ -681,10 +465,15 @@ class StandardLSH:
         Thin adapter over the runtime layer (rule R14): the keyword
         options become a :class:`repro.runtime.QueryRequest` and
         execution delegates to :func:`repro.runtime.execute_request`,
-        which feeds the staged plan for ``engine`` to
+        which feeds :meth:`execution_plan` to
         :func:`repro.exec.run_plan`; validation, deadline construction,
         policy resolution, stage timing and batch sharding all live in
         the execution core.
+
+        The whole batch runs array-at-a-time through the kernel table
+        :func:`repro.native.load_kernels` resolved (compiled when a C
+        compiler is present, numpy otherwise — bit-identical answers).
+        Exact distance ties break by ascending id.
 
         Parameters
         ----------
@@ -701,18 +490,14 @@ class StandardLSH:
             pass an integer threshold for shard-invariant results under
             ``max_batch_rows``.
         engine:
-            ``'vectorized'`` (default) runs the whole batch array-at-a-time
-            — packed-key bucket lookups, CSR candidate gathering and a
-            fused cached-norm distance kernel.  ``'scalar'`` runs the
-            per-query reference engine; both return the same neighbors
-            (the vectorized engine breaks exact distance ties by ascending
-            id, and its fused kernel may differ from the scalar one in the
-            last float ulp).
+            Inert — name-checked and ignored
+            (:func:`repro.runtime.session.check_legacy_engine`); scheduled for
+            deletion by the next benchmark PR.
         deadline_ms / deadline:
-            Optional wall-clock budget (vectorized engine only).  The
-            budget is checked between escalation rounds; queries whose
-            escalation the budget cut short return their best-effort base
-            results with ``stats.exhausted_budget`` set.
+            Optional wall-clock budget.  The budget is checked between
+            escalation rounds; queries whose escalation the budget cut
+            short return their best-effort base results with
+            ``stats.exhausted_budget`` set.
         policy:
             Optional :class:`~repro.resilience.policy.ResiliencePolicy`
             supervising the per-table gather loop: a failing table is
@@ -737,38 +522,28 @@ class StandardLSH:
             budget-exhausted masks.
         """
         self._check_fitted()
-        request = QueryRequest(queries=queries, k=k, engine=engine,
+        check_legacy_engine(engine)
+        request = QueryRequest(queries=queries, k=k,
                                hierarchy_threshold=hierarchy_threshold,
                                deadline_ms=deadline_ms, deadline=deadline,
                                policy=policy, max_batch_rows=max_batch_rows)
         return execute_request(self, request).as_tuple()
 
-    def execution_plan(self, engine: str = "vectorized",
+    def execution_plan(self,
                        hierarchy_threshold: Union[str, int] = "median",
-                       ) -> QueryPlan:
+                       engine: Optional[str] = None) -> QueryPlan:
         """Staged :class:`~repro.exec.plan.QueryPlan` for this index.
 
         :meth:`query_batch` feeds it to :func:`repro.exec.run_plan`;
         :class:`~repro.core.bilevel.BiLevelLSH` feeds per-group plans to
-        the gate-free :func:`repro.exec.execute_stages` so inner group
+        the gate-free :func:`repro.exec.run_shards` so inner group
         sub-batches skip re-validation and re-reading the obs / policy /
-        fault gates the outer batch already resolved.
+        fault gates the outer batch already resolved.  ``engine`` is the
+        inert keyword of :meth:`query_batch`.
         """
-        if engine == "vectorized":
-            return _VectorPlan(self, hierarchy_threshold)
-        if engine == "scalar":
-            return _ScalarPlan(self, hierarchy_threshold)
-        if engine == "native":
-            kernels = native_registry.load_kernels()
-            if kernels is None:
-                # load_kernels already warned once and bumped the obs
-                # fallback counter; degrade to the bit-identical
-                # vectorized plan (acceptance contract (d)).
-                return _VectorPlan(self, hierarchy_threshold)
-            return _NativePlan(self, hierarchy_threshold, kernels)
-        raise ValueError(
-            f"engine must be one of {native_registry.REGISTERED_ENGINES}, "
-            f"got {engine!r}")
+        check_legacy_engine(engine)
+        return _LSHPlan(self, hierarchy_threshold,
+                        native_registry.load_kernels())
 
     def _resolve_threshold(self, counts: np.ndarray, k: int,
                            hierarchy_threshold: Union[str, int]) -> int:
@@ -777,89 +552,6 @@ class StandardLSH:
         else:
             threshold = int(hierarchy_threshold)
         return max(threshold, k)
-
-    # ---------------------------------------------------- vectorized engine
-
-    def _vectorized_engine(self, queries: np.ndarray, k: int,
-                           hierarchy_threshold: Union[str, int],
-                           ob: "Optional[obs.Observer]",
-                           deadline: Optional[Deadline] = None,
-                           pol: Optional[ResiliencePolicy] = None,
-                           ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-        """Gate-bypassing engine entry with the observer pinned by the caller.
-
-        ``benchmarks/bench_obs_overhead.py`` times this directly to bound
-        the cost of the observability/resilience gates; normal entry is
-        :meth:`query_batch` → :func:`repro.exec.run_plan` (which also
-        reads the fault-injection gate — pinned to ``None`` here, the
-        benchmark never installs faults).
-        """
-        ctx = execute_stages(_VectorPlan(self, hierarchy_threshold),
-                             queries, k, ob=ob, deadline=deadline,
-                             policy=pol)
-        return ctx.ids_out, ctx.dists_out, ctx.build_stats()
-
-    #: Flattened-candidate rows ranked per fused-kernel chunk (bounds the
-    #: gathered ``(rows, D)`` temporary to ~chunk * D floats).
-    RANK_CHUNK = 1 << 20
-
-    def _rank_shortlists(self, queries: np.ndarray, k: int,
-                         cand: np.ndarray, qidx: np.ndarray,
-                         counts: np.ndarray,
-                         kernels: Optional[object] = None,
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rank all short-lists with one fused distance kernel.
-
-        Distances come from ``||x||^2 - 2 x.q + ||q||^2`` with the
-        per-point squared norms cached across batches, so no
-        ``data[cand] - query`` difference temporaries are formed.  Top-k
-        selection is one global ``lexsort`` by ``(query, distance, id)``
-        followed by segment-offset arithmetic — no per-query kernels.
-
-        The dot products use :func:`repro.native.ref.tree_rowdot` — the
-        explicit halving-tree summation spec — rather than ``einsum``:
-        the compiled native kernels replicate that tree, which is what
-        makes ``engine="native"`` results bit-identical to this engine.
-        With ``kernels`` the whole gather+distance+top-k loop runs
-        compiled (memmapped data stays on the numpy path so candidate
-        rows are the only pages touched).
-        """
-        nq = queries.shape[0]
-        ids_out = np.full((nq, k), -1, dtype=np.int64)
-        dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-        if cand.size == 0:
-            return ids_out, dists_out
-        sq_norms = self._point_sq_norms()
-        q_sq = tree_rowdot(queries, queries)
-        if kernels is not None and not isinstance(self._data, np.memmap):
-            sel, kdists = kernels.rank_topk(self._data, sq_norms, queries,
-                                            q_sq, cand, counts, k)
-            hit = sel >= 0
-            ids_out[hit] = self._ids[sel[hit]]
-            dists_out[hit] = kdists[hit]
-            return ids_out, dists_out
-        d2 = np.empty(cand.size, dtype=np.float64)
-        for s in range(0, cand.size, self.RANK_CHUNK):
-            e = min(s + self.RANK_CHUNK, cand.size)
-            rows = self._data[cand[s:e]]
-            dots = tree_rowdot(rows, queries[qidx[s:e]])
-            if sq_norms is None:  # memmapped data: norms on gathered rows
-                row_sq = tree_rowdot(rows, rows)
-            else:
-                row_sq = sq_norms[cand[s:e]]
-            d2[s:e] = row_sq - 2.0 * dots + q_sq[qidx[s:e]]
-        np.maximum(d2, 0.0, out=d2)
-        dists = np.sqrt(d2)
-        order = np.lexsort((cand, dists, qidx))
-        offsets = np.cumsum(counts) - counts
-        take = np.minimum(counts, k)
-        rel = np.arange(int(take.sum()), dtype=np.int64)
-        rel -= np.repeat(np.cumsum(take) - take, take)
-        pick = order[np.repeat(offsets, take) + rel]
-        rows_out = np.repeat(np.arange(nq, dtype=np.int64), take)
-        ids_out[rows_out, rel] = self._ids[cand[pick]]
-        dists_out[rows_out, rel] = dists[pick]
-        return ids_out, dists_out
 
     #: Data rows scanned per brute-force block (bounds the distance
     #: temporary to ~block * nq floats).
@@ -875,7 +567,7 @@ class StandardLSH:
         structures are the thing that failed.  Returns ``(ids, dists)`` of
         shape ``(nq, k)``, padded with ``-1`` / ``inf`` when fewer than
         ``k`` live points exist, with exact ties broken by ascending id
-        (the vectorized engine's convention).
+        (the query plan's convention).
         """
         self._check_fitted()
         queries, _, k = self._validate_query_batch(queries, k,
@@ -931,26 +623,21 @@ class StandardLSH:
         ids_out[:, :] = sel_ids
         dists_out[:, :] = sel_dists
 
-    def candidate_sets(self, queries: np.ndarray,
-                       engine: str = "vectorized") -> List[np.ndarray]:
+
+    def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw candidate id sets (before short-list ranking), per query.
 
         Exposed for the GPU short-list benchmarks, which consume candidate
         sets directly.
         """
         self._check_fitted()
-        queries = as_float_matrix(queries, name="queries")
-        projections = [family.project(queries) for family in self._families]
-        codes = [self._lattice.quantize(proj) for proj in projections]
-        nq = queries.shape[0]
-        if engine != "scalar":  # vectorized and native share one gather
-            cand, _, counts = self._gather_candidates_batch(
-                projections, codes, nq)
-            bounds = np.cumsum(counts)[:-1]
-            return [self._ids[c] for c in np.split(cand, bounds)]
-        local = [self._gather_candidates(projections, codes, qi)
-                 for qi in range(nq)]
-        return [self._ids[c] for c in local]
+        plan = self.execution_plan()
+        ctx = ExecutionContext.for_batch(
+            as_float_matrix(queries, name="queries"), 1)
+        plan._stage_hash(ctx)
+        plan._stage_gather(ctx)
+        bounds = np.cumsum(ctx.n_candidates)[:-1]
+        return [self._ids[c] for c in np.split(ctx.scratch["cand"], bounds)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"StandardLSH(M={self.n_hashes}, L={self.n_tables}, "
@@ -958,9 +645,11 @@ class StandardLSH:
                 f"n_probes={self.n_probes}, hierarchy={self.use_hierarchy})")
 
 
+
+
 # --------------------------------------------------------------------------
-# Execution plans (repro.exec).  The stage bodies need private access to the
-# index internals, so the plans live here rather than in repro/exec.
+# The execution plan (repro.exec).  The stage bodies need private access to
+# the index internals, so the plan lives here rather than in repro/exec.
 # --------------------------------------------------------------------------
 
 
@@ -969,44 +658,29 @@ class StandardLSH:
 ESCALATE_CHUNK = 256
 
 
-class _VectorPlan(QueryPlan):
-    """Staged vectorized engine: hash → gather → [escalate] → rank."""
+class _LSHPlan(QueryPlan):
+    """The staged LSH engine: hash → gather → [escalate] → rank.
+
+    Every hot inner loop (lattice decode, ``Z^M`` probe sequences, bucket
+    and hierarchy node lookup, candidate dedup, fused rank) is a call on
+    ``kernels``, the table :func:`repro.native.load_kernels` resolved —
+    compiled or numpy, bit-identical by the parity matrix in
+    ``tests/test_native.py``.  Overlay buckets and memmapped data take
+    the numpy routes their call sites name.
+    """
 
     site = "lsh"
-    engine = "vectorized"
-    supports_supervision = True
-    #: Compiled kernel table (``None`` for the pure-numpy plan); set by
-    #: :class:`_NativePlan`, threaded through every stage so the whole
-    #: probe→gather→dedup→rank path runs compiled when present.
-    kernels: Optional[object] = None
 
     def __init__(self, index: StandardLSH,
-                 hierarchy_threshold: Union[str, int]) -> None:
+                 hierarchy_threshold: Union[str, int],
+                 kernels: object) -> None:
         self.index = index
         self.hierarchy_threshold = hierarchy_threshold
+        self.kernels = kernels
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
         return self.index._validate_query_batch(queries, k, allow_nonfinite)
-
-    def _kernels_for(self, ctx: ExecutionContext) -> Optional[object]:
-        """The kernel bundle for this batch — timed when obs is on.
-
-        With observability enabled the raw kernels are wrapped once per
-        batch in :class:`repro.obs.TimedKernels` (cached in
-        ``ctx.scratch``), so each compiled-kernel call lands in the
-        ``repro_native_kernel_seconds`` histogram and the batch's
-        ``kernel/*`` trace spans.  With observability off this returns
-        the raw bundle untouched — zero indirection on the gated path.
-        """
-        kernels = self.kernels
-        if kernels is None or ctx.ob is None:
-            return kernels
-        timed = ctx.scratch.get("timed_kernels")
-        if timed is None:
-            timed = ctx.ob.timed_kernels(kernels, ctx.timer.stages)
-            ctx.scratch["timed_kernels"] = timed
-        return timed
 
     def stages(self) -> Tuple[Stage, ...]:
         stages = [Stage("lsh.hash", self._stage_hash),
@@ -1017,27 +691,159 @@ class _VectorPlan(QueryPlan):
         return tuple(stages)
 
     def _stage_hash(self, ctx: ExecutionContext) -> None:
-        index = self.index
+        index, kernels = self.index, self.kernels
+        if ctx.ob is not None:
+            # Each kernel call of this batch lands in the
+            # ``repro_native_kernel_seconds`` histogram and the batch's
+            # ``kernel/*`` trace spans; with observability off the stages
+            # hold the raw table — zero indirection on the gated path.
+            kernels = ctx.ob.timed_kernels(kernels, ctx.timer.stages)
+        ctx.scratch["kernels"] = kernels
         projections = [family.project(ctx.queries)
                        for family in index._families]
         ctx.scratch["projections"] = projections
-        ctx.scratch["codes"] = [index._lattice.quantize(proj)
+        ctx.scratch["codes"] = [index._lattice.quantize_with(proj, kernels)
                                 for proj in projections]
 
+    def _probe_rows(self, ctx: ExecutionContext, t: int,
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """All codes to look up in table ``t``: self codes plus probes.
+
+        Returns ``(codes_all, query_of_row)`` with one row per lookup: the
+        self codes, then each query's probes in sequence order.  The whole
+        sub-batch's sequences come from one call —
+        the ``zm_probe_codes`` kernel for ``Z^M``,
+        :meth:`E8Lattice.probe_codes` on the block for ``E8`` — except
+        the per-query adaptive and ``D_M`` forms.
+        """
+        index = self.index
+        y, own = ctx.scratch["projections"][t], ctx.scratch["codes"][t]
+        q = own.shape[0]
+        rows = np.arange(q, dtype=np.int64)
+        lattice = index._lattice
+        if index.n_probes <= 0:
+            return own, rows
+        if isinstance(lattice, ZMLattice) and not index.adaptive_probing:
+            probes, counts = ctx.scratch["kernels"].zm_probe_codes(
+                y, own, index.n_probes)
+        else:
+            if index.adaptive_probing:
+                parts = adaptive_probes_batch(
+                    y, own, index.n_probes,
+                    confidence=index.probe_confidence)
+            elif isinstance(lattice, E8Lattice):
+                parts = lattice.probe_codes(y, own, index.n_probes)
+            else:
+                parts = [lattice.probe_codes(y[qi], own[qi], index.n_probes)
+                         for qi in range(q)]
+            counts = np.array([part.shape[0] for part in parts],
+                              dtype=np.int64)
+            probes = np.concatenate(parts, axis=0)
+        return (np.concatenate([own, probes], axis=0),
+                np.concatenate([rows, np.repeat(rows, counts)]))
+
+    def _gather_table(self, ctx: ExecutionContext, t: int, table: LSHTable,
+                      ) -> Tuple[np.ndarray, np.ndarray,
+                                 Optional[Tuple[int, int, np.ndarray]]]:
+        """One table's flattened candidate contribution (the supervised unit).
+
+        This is the body the resilience policy retries/drops per table; the
+        ``lsh.gather`` fault site sits at its top.  A corruption-kind hit
+        is escalated to :class:`InjectedFault` here because a gather has no
+        integrity check that could catch silently corrupted candidates
+        (unlike ``persistence.load``, whose checksums do).
+
+        Observability stays local: the third element is
+        ``(n_lookups, n_misses, probes_per_query)`` (``None`` with obs
+        off) and the *caller* commits it to the Observer and the shared
+        probe accumulator only after this attempt succeeds — a timed-out,
+        abandoned attempt must not race the retry on shared counters or
+        double-count its lookups.
+        """
+        plan = ctx.fault_plan
+        if plan is not None and plan.check("lsh.gather", table=t):
+            raise InjectedFault("lsh.gather", f"table={t} corruption")
+        codes_all, row_q = self._probe_rows(ctx, t)
+        if table.n_extra == 0:
+            # Lookup straight on the sorted bucket-code rows.  The fork
+            # reads the table, not the kernels: only
+            # :meth:`LSHTable.gather_batch` merges the buckets of a live
+            # insert overlay.
+            starts, counts = table.bucket_spans(
+                ctx.scratch["kernels"].lookup_codes(table._bucket_codes,
+                                                    codes_all))
+            ids_flat = LSHTable._gather_segments(table._sorted_ids, starts,
+                                                 counts)
+        else:
+            ids_flat, counts = table.gather_batch(codes_all)
+        stats = None
+        if ctx.ob is not None:
+            stats = (int(codes_all.shape[0]),
+                     int(np.count_nonzero(counts == 0)),
+                     np.bincount(row_q, minlength=ctx.nq)[:ctx.nq] - 1)
+        return ids_flat, np.repeat(row_q, counts), stats
+
     def _stage_gather(self, ctx: ExecutionContext) -> None:
-        res_out: Optional[Dict[str, List[object]]] = (
-            {"dropped_tables": [], "failures": []}
-            if ctx.policy is not None else None)
-        probe_out: Optional[Dict[str, np.ndarray]] = (
-            {} if ctx.ob is not None else None)
-        cand, qidx, counts = self.index._gather_candidates_batch(
-            ctx.scratch["projections"], ctx.scratch["codes"], ctx.nq,
-            ob=ctx.ob, probe_out=probe_out, plan=ctx.fault_plan,
-            pol=ctx.policy, res_out=res_out, kernels=self._kernels_for(ctx))
+        """Candidate gathering for the whole batch, array-at-a-time.
+
+        For each table, every query's self code and probe codes are stacked
+        and resolved with a single sorted-code lookup; the per-table
+        results are then concatenated, and ``kernels.dedup_candidates``
+        drops tombstones and per-query duplicates, leaving
+        ``scratch["cand"]`` / ``scratch["qidx"]`` sorted by ``(query,
+        id)``: segment ``i`` is query ``i``'s candidate set with ids
+        ascending — the order :func:`numpy.unique` gives the scalar
+        oracle.
+
+        Under a :class:`ResiliencePolicy` each table runs as a supervised
+        unit: a table that still fails after retries is dropped and
+        gathering continues with the rest.  A dropped table removes
+        candidates from *every* query in the shard, so all of them are
+        flagged degraded rather than silently returning possibly-weaker
+        answers.  Without a policy, failures propagate.
+        """
+        index, ob, pol, nq = self.index, ctx.ob, ctx.policy, ctx.nq
+        id_parts: List[np.ndarray] = []
+        q_parts: List[np.ndarray] = []
+        probes = np.zeros(nq, dtype=np.int64) if ob is not None else None
+        dropped = False
+        # One snapshot of the published list: a concurrent rebuild swaps
+        # in a new list, it never edits this one (see _rebuild_tables).
+        for t, table in enumerate(index._tables):
+            if pol is None:
+                ids_flat, q_flat, tstats = self._gather_table(ctx, t, table)
+            else:
+                result, action, records = pol.run(
+                    "lsh.gather", f"table={t}",
+                    lambda t=t, table=table: self._gather_table(ctx, t,
+                                                                table))
+                ctx.failures.extend(records)
+                if action == "gave_up" or result is None:
+                    dropped = True
+                    continue
+                ids_flat, q_flat, tstats = result
+            # Commit observability only for the attempt whose result we
+            # keep — abandoned timed-out attempts threw theirs away.
+            if tstats is not None:
+                n_lookups, n_misses, probe_counts = tstats
+                ob.record_table_lookup(t, n_lookups=n_lookups,
+                                       n_misses=n_misses,
+                                       n_probes=n_lookups - nq)
+                probes += probe_counts
+            id_parts.append(ids_flat)
+            q_parts.append(q_flat)
+        if dropped:
+            ctx.ensure_degraded()[:] = True
+            if ob is not None:
+                ob.record_degraded("table_dropped", nq)
+        empty = np.empty(0, dtype=np.int64)
+        cand, qidx, counts = ctx.scratch["kernels"].dedup_candidates(
+            np.concatenate(id_parts) if id_parts else empty,
+            np.concatenate(q_parts) if q_parts else empty, nq,
+            deleted=index._deleted)
         ctx.scratch["cand"] = cand
         ctx.scratch["qidx"] = qidx
-        ctx.scratch["res_out"] = res_out
-        ctx.scratch["probe_out"] = probe_out
+        ctx.scratch["probes"] = probes
         ctx.n_candidates[:] = counts
 
     def _stage_escalate(self, ctx: ExecutionContext) -> None:
@@ -1057,7 +863,7 @@ class _VectorPlan(QueryPlan):
         if not esc_rows.size:
             return
         codes = ctx.scratch["codes"]
-        kernels = self._kernels_for(ctx)
+        kernels = ctx.scratch["kernels"]
         extra_ids = [ctx.scratch["cand"]]
         extra_q = [ctx.scratch["qidx"]]
         done = esc_rows.size
@@ -1078,141 +884,132 @@ class _VectorPlan(QueryPlan):
             if ctx.ob is not None:
                 ctx.ob.record_deadline_exhausted("lsh.escalate",
                                                  int(skipped.size))
-        cand, qidx, counts = index._dedup_per_query(
+        cand, _, counts = kernels.dedup_candidates(
             np.concatenate(extra_ids), np.concatenate(extra_q), ctx.nq,
-            kernels)
+            deleted=index._deleted)
         ctx.scratch["cand"] = cand
-        ctx.scratch["qidx"] = qidx
         ctx.n_candidates[:] = counts
 
     def _stage_rank(self, ctx: ExecutionContext) -> None:
-        ids_out, dists_out = self.index._rank_shortlists(
-            ctx.queries, ctx.k, ctx.scratch["cand"], ctx.scratch["qidx"],
-            ctx.n_candidates, kernels=self._kernels_for(ctx))
-        ctx.ids_out[:] = ids_out
-        ctx.dists_out[:] = dists_out
-
-    def finish(self, ctx: ExecutionContext) -> None:
-        res_out = ctx.scratch.get("res_out")
-        if res_out is None:
+        # One fused gather+distance+top-k call over all short-lists.
+        # ``rank_topk`` — and every cached norm — sums each dot product in
+        # the halving-tree order of :func:`repro.native.ref.tree_rowdot`,
+        # which is what makes the kernel tables bit-identical and an
+        # indexed query's self-distance exactly ``0.0``.
+        index, cand = self.index, ctx.scratch["cand"]
+        if cand.size == 0:
             return
-        if res_out["dropped_tables"]:
-            # A dropped table removes candidates from *every* query in
-            # the shard; all of them are flagged rather than silently
-            # returning possibly-weaker answers.
-            ctx.ensure_degraded()[:] = True
-            if ctx.ob is not None:
-                ctx.ob.record_degraded("table_dropped", ctx.nq)
-        if res_out["failures"]:
-            ctx.failures.extend(res_out["failures"])
+        # The fork reads the data, not the kernels: a memmapped corpus is
+        # always ranked by the numpy spec, which gathers candidate rows
+        # before touching them — the only pages read off disk.
+        rank = (rank_topk_ref if isinstance(index._data, np.memmap)
+                else ctx.scratch["kernels"].rank_topk)
+        sel, dists = rank(index._data, index._point_sq_norms(), ctx.queries,
+                          tree_rowdot(ctx.queries, ctx.queries), cand,
+                          ctx.n_candidates, ctx.k)
+        hit = sel >= 0
+        ctx.ids_out[hit] = index._ids[sel[hit]]
+        ctx.dists_out[hit] = dists[hit]
 
     def record_obs(self, ctx: ExecutionContext) -> None:
-        probe_out = ctx.scratch.get("probe_out")
-        probes = (probe_out.get("probes_per_query")
-                  if probe_out is not None else None)
-        ctx.ob.record_batch("vectorized", ctx.n_candidates, ctx.escalated,
-                            ctx.timer.stages, probes=probes)
+        ctx.ob.record_batch(self.site, ctx.n_candidates, ctx.escalated,
+                            ctx.timer.stages, probes=ctx.scratch["probes"])
+        ctx.ob.record_native_batch(self.kernels.backend)
 
 
-class _NativePlan(_VectorPlan):
-    """Compiled-kernel engine: the vectorized stages with the hot inner
-    loops (lattice decode, ``Z^M`` probe sequences, bucket and hierarchy
-    node lookup, candidate dedup, fused rank) running through a
-    :mod:`repro.native` backend.
+# --------------------------------------------------------------------------
+# The scalar oracle: the seed's per-query path, the reference the parity
+# tests hold the plan to.  It shares no gather, dedup or distance code with
+# the plan (one bucket lookup per code, ``numpy.unique``, direct
+# ``||x - q||``) and is not reachable from any query front-end.
+# --------------------------------------------------------------------------
 
-    Bit-identical to :class:`_VectorPlan` by construction — every kernel
-    replicates the halving-tree summation and ``(distance, id)``
-    tie-break of :mod:`repro.native.ref` — and enforced by the parity
-    matrix in ``tests/test_native.py``.  Anything the kernels do not
-    cover (``Z^M`` floor quantize, adaptive probe budgets, overlay
-    buckets, memmapped data) stays on the numpy path, which preserves
-    parity trivially.
+
+def _filter_deleted(index: StandardLSH, local_ids: np.ndarray) -> np.ndarray:
+    deleted = index._deleted
+    if deleted is None or local_ids.size == 0:
+        return local_ids
+    # Ids at/above the mask length were inserted after the snapshot was
+    # taken and therefore cannot be tombstoned.
+    drop = np.zeros(local_ids.size, dtype=bool)
+    in_mask = local_ids < deleted.shape[0]
+    drop[in_mask] = deleted[local_ids[in_mask]]
+    return local_ids[~drop]
+
+
+def _gather_candidates(index: StandardLSH, projections: List[np.ndarray],
+                       codes: List[np.ndarray], qi: int) -> np.ndarray:
+    """Union of bucket hits for query ``qi`` across all tables (local ids)."""
+    parts = []
+    for t in range(index.n_tables):
+        code = codes[t][qi]
+        parts.append(index._tables[t].lookup(code))
+        if index.n_probes > 0:
+            if index.adaptive_probing:
+                probes = adaptive_probes(projections[t][qi], code,
+                                         index.n_probes,
+                                         confidence=index.probe_confidence)
+            else:
+                probes = index._lattice.probe_codes(projections[t][qi],
+                                                    code, index.n_probes)
+            for probe in probes:
+                parts.append(index._tables[t].lookup(probe))
+    merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    merged = np.unique(merged) if merged.size else merged
+    return _filter_deleted(index, merged)
+
+
+def _escalate(index: StandardLSH, codes: List[np.ndarray], qi: int,
+              min_count: int, base: np.ndarray) -> np.ndarray:
+    """Grow query ``qi``'s candidate set via the bucket hierarchies."""
+    parts = [base]
+    for t in range(index.n_tables):
+        extra = index._hierarchies[t].candidates(codes[t][qi], min_count)
+        if extra.size:
+            parts.append(extra)
+    merged = np.concatenate(parts)
+    merged = np.unique(merged) if merged.size else merged
+    return _filter_deleted(index, merged)
+
+
+def oracle_query_batch(index: StandardLSH, queries: np.ndarray, k: int,
+                       hierarchy_threshold: Union[str, int] = "median",
+                       ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+    """:meth:`StandardLSH.query_batch` by the per-query reference path.
+
+    Same ids, candidate counts and escalation flags as the plan; the
+    distances agree to the last ulp or so (direct ``||x - q||`` here,
+    ``||x||^2 - 2 x.q + ||q||^2`` there) and exact ties may order
+    differently.
     """
-
-    engine = "native"
-
-    def __init__(self, index: StandardLSH,
-                 hierarchy_threshold: Union[str, int],
-                 kernels: object) -> None:
-        super().__init__(index, hierarchy_threshold)
-        self.kernels = kernels
-
-    def _stage_hash(self, ctx: ExecutionContext) -> None:
-        index = self.index
-        kernels = self._kernels_for(ctx)
-        projections = [family.project(ctx.queries)
-                       for family in index._families]
-        ctx.scratch["projections"] = projections
-        lattice = index._lattice
-        if isinstance(lattice, E8Lattice):
-            codes = [kernels.e8_decode(lattice._pad(proj))
-                     for proj in projections]
-        elif isinstance(lattice, DMLattice):
-            codes = [kernels.dm_decode(
-                np.atleast_2d(np.asarray(proj, dtype=np.float64)))
-                for proj in projections]
-        else:  # Z^M floor: already a single numpy ufunc, nothing to fuse
-            codes = [lattice.quantize(proj) for proj in projections]
-        ctx.scratch["codes"] = codes
-
-    def record_obs(self, ctx: ExecutionContext) -> None:
-        probe_out = ctx.scratch.get("probe_out")
-        probes = (probe_out.get("probes_per_query")
-                  if probe_out is not None else None)
-        ctx.ob.record_batch("native", ctx.n_candidates, ctx.escalated,
-                            ctx.timer.stages, probes=probes)
-        ctx.ob.record_native_batch(getattr(self.kernels, "backend", "?"))
-
-
-class _ScalarPlan(QueryPlan):
-    """The seed per-query engine, kept as the equivalence reference."""
-
-    site = "lsh"
-    engine = "scalar"
-    supports_supervision = False
-
-    def __init__(self, index: StandardLSH,
-                 hierarchy_threshold: Union[str, int]) -> None:
-        self.index = index
-        self.hierarchy_threshold = hierarchy_threshold
-
-    def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
-                 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        return self.index._validate_query_batch(queries, k, allow_nonfinite)
-
-    def stages(self) -> Tuple[Stage, ...]:
-        return (Stage("lsh.scalar", self._stage_all, timed=False),)
-
-    def _stage_all(self, ctx: ExecutionContext) -> None:
-        index = self.index
-        nq = ctx.nq
-        projections = [family.project(ctx.queries)
-                       for family in index._families]
-        codes = [index._lattice.quantize(proj) for proj in projections]
-        candidate_sets = [index._gather_candidates(projections, codes, qi)
-                          for qi in range(nq)]
-        if index.use_hierarchy and nq > 0:
-            sizes = np.array([c.size for c in candidate_sets],
-                             dtype=np.int64)
-            threshold = index._resolve_threshold(sizes, ctx.k,
-                                                 self.hierarchy_threshold)
-            for qi in range(nq):
-                if candidate_sets[qi].size < threshold:
-                    candidate_sets[qi] = index._escalate(
-                        codes, qi, threshold, candidate_sets[qi])
-                    ctx.escalated[qi] = True
+    index._check_fitted()
+    queries, _, k = index._validate_query_batch(queries, k,
+                                                allow_nonfinite=False)
+    nq = queries.shape[0]
+    ids_out = np.full((nq, k), -1, dtype=np.int64)
+    dists_out = np.full((nq, k), np.inf, dtype=np.float64)
+    escalated = np.zeros(nq, dtype=bool)
+    projections = [family.project(queries) for family in index._families]
+    codes = [index._lattice.quantize(proj) for proj in projections]
+    candidate_sets = [_gather_candidates(index, projections, codes, qi)
+                      for qi in range(nq)]
+    if index.use_hierarchy:
+        sizes = np.array([c.size for c in candidate_sets], dtype=np.int64)
+        threshold = index._resolve_threshold(sizes, k, hierarchy_threshold)
         for qi in range(nq):
-            cand = candidate_sets[qi]
-            ctx.n_candidates[qi] = cand.size
-            if cand.size == 0:
-                continue
-            diffs = index._data[cand] - ctx.queries[qi]
-            dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-            take = min(ctx.k, cand.size)
-            top = np.argpartition(dists, take - 1)[:take]
-            top = top[np.argsort(dists[top], kind="stable")]
-            ctx.ids_out[qi, :take] = index._ids[cand[top]]
-            ctx.dists_out[qi, :take] = dists[top]
-
-    def record_obs(self, ctx: ExecutionContext) -> None:
-        ctx.ob.record_batch("scalar", ctx.n_candidates, ctx.escalated, {})
+            if candidate_sets[qi].size < threshold:
+                candidate_sets[qi] = _escalate(index, codes, qi, threshold,
+                                               candidate_sets[qi])
+                escalated[qi] = True
+    for qi, cand in enumerate(candidate_sets):
+        if cand.size == 0:
+            continue
+        diffs = index._data[cand] - queries[qi]
+        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        take = min(k, cand.size)
+        top = np.argpartition(dists, take - 1)[:take]
+        top = top[np.argsort(dists[top], kind="stable")]
+        ids_out[qi, :take] = index._ids[cand[top]]
+        dists_out[qi, :take] = dists[top]
+    n_candidates = np.array([c.size for c in candidate_sets], dtype=np.int64)
+    return ids_out, dists_out, QueryStats(n_candidates, escalated)

@@ -19,7 +19,8 @@ bucket indices with a single :func:`numpy.searchsorted` call
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional, Tuple
+import weakref
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +53,28 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=f"S{8 * m}")
     packed = (codes.view(np.uint64) ^ _SIGN_FLIP).astype(">u8")
     return np.ascontiguousarray(packed, dtype=">u8").view(f"S{8 * m}").ravel()
+
+
+#: Packed keys of the sorted code arrays searched so far, by ``id`` of the
+#: array, dropped when the array dies.  Tables and hierarchy levels publish
+#: their code arrays once and never write to them, and search the same ones
+#: on every batch — repacking per call would cost more than the search.
+_PACKED: Dict[int, Tuple["weakref.ref[np.ndarray]", np.ndarray]] = {}
+
+
+def packed_keys(sorted_codes: np.ndarray) -> np.ndarray:
+    """:func:`pack_codes` of a published (never rewritten) code array,
+    remembered for as long as the array lives."""
+    token = id(sorted_codes)
+    entry = _PACKED.get(token)
+    if entry is not None and entry[0]() is sorted_codes:
+        return entry[1]
+    keys = pack_codes(sorted_codes)
+    _PACKED[token] = (
+        weakref.ref(sorted_codes,
+                    lambda _ref, token=token: _PACKED.pop(token, None)),
+        keys)
+    return keys
 
 
 class LSHTable:
@@ -94,8 +117,6 @@ class LSHTable:
             self._starts = np.concatenate(([0], change)).astype(np.int64)
             self._ends = np.concatenate((change, [n])).astype(np.int64)
             self._bucket_codes = sorted_codes[self._starts]
-        # Packed sorted keys, one per bucket: the searchsorted index table.
-        self._bucket_keys = pack_codes(self._bucket_codes)
 
         # Dynamic overlay for post-build insertions (kept as raw row/id
         # chunks; a sorted CSR view over them is built lazily).  The lock
@@ -248,7 +269,8 @@ class LSHTable:
         if codes.shape[1] != self.code_dim:
             raise ValueError(
                 f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
-        return self._searchsorted_keys(self._bucket_keys, pack_codes(codes))
+        return self._searchsorted_keys(packed_keys(self._bucket_codes),
+                                       pack_codes(codes))
 
     @staticmethod
     def _gather_segments(values: np.ndarray, starts: np.ndarray,
@@ -271,6 +293,18 @@ class LSHTable:
         out[np.repeat(out_starts, lengths) + rel] = gathered
         return out
 
+    def bucket_spans(self, bucket_index: np.ndarray,
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` inside :attr:`sorted_ids` per bucket index
+        (as :meth:`lookup_batch` returns them); ``-1`` is an empty span."""
+        found = bucket_index >= 0
+        if not self.n_buckets:
+            zeros = np.zeros(bucket_index.shape[0], dtype=np.int64)
+            return zeros, zeros
+        safe = np.where(found, bucket_index, 0)
+        starts = np.where(found, self._starts[safe], 0)
+        return starts, np.where(found, self._ends[safe] - starts, 0)
+
     def gather_batch(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate ids for every code row, flattened CSR-style.
 
@@ -285,16 +319,8 @@ class LSHTable:
             raise ValueError(
                 f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
         keys = pack_codes(codes)
-        r = codes.shape[0]
-        bidx = self._searchsorted_keys(self._bucket_keys, keys)
-        found = bidx >= 0
-        safe = np.where(found, bidx, 0)
-        if self.n_buckets:
-            base_starts = np.where(found, self._starts[safe], 0)
-            base_lens = np.where(found, self._ends[safe] - self._starts[safe], 0)
-        else:
-            base_starts = np.zeros(r, dtype=np.int64)
-            base_lens = np.zeros(r, dtype=np.int64)
+        base_starts, base_lens = self.bucket_spans(
+            self._searchsorted_keys(packed_keys(self._bucket_codes), keys))
         if self._n_extra == 0:
             return (self._gather_segments(self._sorted_ids, base_starts,
                                           base_lens), base_lens)

@@ -21,7 +21,7 @@ check would only re-verify what the line above it established, at
 several microseconds per array per call.
 
 Nothing outside :mod:`repro.native` may import this module (invariant
-R9): kernels are reachable only through ``engine="native"`` resolution.
+R9): kernels are reachable only through ``registry.load_kernels()``.
 """
 
 from __future__ import annotations

@@ -1,18 +1,24 @@
-"""Numpy reference implementations of the native-kernel numeric spec.
+"""The kernel numeric spec in numpy — and the kernels without a compiler.
 
 The compiled kernels (:mod:`repro.native.kernels_cext`) promise
-**bit-identical** results to the vectorized engine.  Floating-point summation is not associative, so
-"the same math" is not enough — both sides must execute the *same
-summation tree*.  This module is that tree, written once in numpy:
+**bit-identical** results to the functions here.  Floating-point
+summation is not associative, so "the same math" is not enough — both
+sides must execute the *same summation tree*.  This module is that
+tree, written once in numpy:
 
-- the vectorized engine calls :func:`tree_rowdot` for its fused-rank dot
-  products (``repro.lsh.index._rank_shortlists``) and the E8 decoder
-  calls :func:`tree_sq_dist` for its D8-vs-half-coset comparison;
+- :func:`tree_rowdot` is the dot product behind every ranked distance
+  and cached norm, and the E8 decoder calls :func:`tree_sq_dist` for its
+  D8-vs-half-coset comparison;
 - the compiled backend replicates the identical pairwise power-of-two
   halving order, element by element.
 
-Anything here must stay importable with numpy alone — the reference spec
-is what the no-compiler fallback runs on.
+The ``*_ref`` functions are the only numpy implementation of bucket
+lookup, candidate dedup, short-list ranking and ``Z^M`` probe
+enumeration: :class:`repro.native.registry.NumpyKernels` serves them
+under the kernel names when nothing compiled, memmapped corpora are
+always ranked by :func:`rank_topk_ref`, and the parity tests diff every
+compiled build against them.  Anything here must stay importable with
+numpy alone.
 """
 
 from __future__ import annotations
@@ -60,34 +66,19 @@ def tree_sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return tree_rowdot(err, err)
 
 
-# --------------------------------------------------------------------------
-# Pure-numpy references for the remaining kernels.  These are *not* hot
-# paths (the vectorized engine has its own equivalents); they exist so the
-# kernel contract has an executable, dependency-free specification that
-# the parity tests can diff every backend against.
-# --------------------------------------------------------------------------
-
-
 def lookup_codes_ref(bucket_codes: np.ndarray,
                      codes: np.ndarray) -> np.ndarray:
     """Reference for ``lookup_codes``: lexicographic binary search.
 
     ``bucket_codes`` is the ``(B, M)`` lexicographically sorted array of
-    distinct bucket codes; returns the bucket index per query row, ``-1``
-    for rows with no bucket.
+    distinct bucket codes (not written to after its first lookup — its
+    packed keys are remembered); returns the bucket index per query row,
+    ``-1`` for rows with no bucket.
     """
-    from repro.lsh.table import pack_codes  # local: avoid import cycle
+    from repro.lsh.table import LSHTable, pack_codes, packed_keys  # cycle
 
-    bucket_codes = np.ascontiguousarray(bucket_codes, dtype=np.int64)
-    codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
-    keys = pack_codes(bucket_codes)
-    query_keys = pack_codes(codes)
-    if keys.size == 0:
-        return np.full(codes.shape[0], -1, dtype=np.int64)
-    pos = np.searchsorted(keys, query_keys).astype(np.int64)
-    clipped = np.minimum(pos, keys.size - 1)
-    found = (pos < keys.size) & (keys[clipped] == query_keys)
-    return np.where(found, clipped, np.int64(-1))
+    return LSHTable._searchsorted_keys(packed_keys(bucket_codes),
+                                       pack_codes(codes))
 
 
 def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,
@@ -95,9 +86,10 @@ def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,
                          ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Reference for ``dedup_candidates``: tombstone filter + (q, id) dedup.
 
-    Matches ``StandardLSH._dedup_per_query``: drop tombstoned ids, sort
-    by ``(query, id)``, drop per-query duplicates, return
-    ``(ids, qidx, counts)`` with ``counts`` per query.
+    Drop tombstoned ids (ids at or past the mask's length were inserted
+    after it was taken and cannot be tombstoned), sort by ``(query,
+    id)``, drop per-query duplicates, return ``(ids, qidx, counts)``
+    with ``counts`` per query.
     """
     local_ids = np.asarray(local_ids, dtype=np.int64)
     qidx = np.asarray(qidx, dtype=np.int64)
@@ -119,16 +111,26 @@ def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,
     return local_ids, qidx, counts
 
 
+#: Flattened-candidate rows ranked per chunk of :func:`rank_topk_ref`
+#: (bounds the gathered ``(rows, D)`` temporary to ~chunk * D floats).
+RANK_CHUNK = 1 << 20
+
+
 def rank_topk_ref(data: np.ndarray, sq_norms: "np.ndarray | None",
                   queries: np.ndarray, q_sq: np.ndarray,
                   cand: np.ndarray, counts: np.ndarray, k: int,
                   ) -> "tuple[np.ndarray, np.ndarray]":
     """Reference for ``rank_topk``: fused cached-norm top-k ranking.
 
+    Distances come from ``||x||^2 - 2 x.q + ||q||^2`` (no ``data[cand] -
+    query`` temporaries; ``sq_norms=None`` takes the norms of the
+    gathered rows instead, so a memmapped ``data`` is read only at its
+    candidate rows).  Top-k selection is one global ``lexsort`` by
+    ``(query, distance, id)`` followed by segment-offset arithmetic.
+
     Returns ``(sel, dists)`` of shape ``(nq, k)``: ``sel`` holds *local*
     candidate row indices (``-1`` pad), ``dists`` the matching distances
-    (``inf`` pad), ordered by ``(distance, id)`` ascending per query —
-    the vectorized engine's tie-break convention.
+    (``inf`` pad), ordered by ``(distance, id)`` ascending per query.
     """
     nq = int(counts.shape[0])
     sel = np.full((nq, k), -1, dtype=np.int64)
@@ -136,13 +138,16 @@ def rank_topk_ref(data: np.ndarray, sq_norms: "np.ndarray | None",
     if cand.size == 0:
         return sel, dists_out
     qidx = np.repeat(np.arange(nq, dtype=np.int64), counts)
-    rows = data[cand]
-    dots = tree_rowdot(rows, queries[qidx])
-    if sq_norms is None:
-        row_sq = tree_rowdot(rows, rows)
-    else:
-        row_sq = sq_norms[cand]
-    d2 = row_sq - 2.0 * dots + q_sq[qidx]
+    d2 = np.empty(cand.size, dtype=np.float64)
+    for s in range(0, cand.size, RANK_CHUNK):
+        e = min(s + RANK_CHUNK, cand.size)
+        rows = data[cand[s:e]]
+        dots = tree_rowdot(rows, queries[qidx[s:e]])
+        if sq_norms is None:
+            row_sq = tree_rowdot(rows, rows)
+        else:
+            row_sq = sq_norms[cand[s:e]]
+        d2[s:e] = row_sq - 2.0 * dots + q_sq[qidx[s:e]]
     np.maximum(d2, 0.0, out=d2)
     dists = np.sqrt(d2)
     order = np.lexsort((cand, dists, qidx))
@@ -163,8 +168,7 @@ def zm_probe_codes_ref(y: np.ndarray, codes: np.ndarray, n_probes: int,
 
     Returns ``(probes, counts)``: row ``i``'s ``counts[i] <= n_probes``
     probe codes, most promising first, stacked after the earlier rows'
-    (:func:`repro.lsh.multiprobe.query_directed_probes` is the spec; it
-    is also what the vectorized engine and the no-compiler fallback run).
+    (:func:`repro.lsh.multiprobe.query_directed_probes` is the spec).
     """
     from repro.lsh.multiprobe import query_directed_probes  # local: cycle
 

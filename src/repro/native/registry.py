@@ -1,23 +1,25 @@
-"""The one dispatch table for compiled-kernel entry points (invariant R9).
+"""The one dispatch table for kernel entry points (invariant R9).
 
-Every compiled kernel the native engine can run is reachable *only*
-through :func:`load_kernels` here, which front-ends reach only through
-``engine="native"`` resolution (``StandardLSH.execution_plan``).  No
-other module may import the backend module
+The staged LSH plan (``StandardLSH.execution_plan``) calls its hot inner
+loops as ``kernels.<name>`` on whatever :func:`load_kernels` returns —
+there is no engine to choose, only the table that loaded:
+
+1. ``cext`` — ``_kernels.c`` compiled on demand via the system C
+   compiler, bound with ctypes;
+2. ``numpy`` — :class:`NumpyKernels`, the numeric spec itself
+   (:mod:`repro.native.ref` plus the lattice decoders), when no
+   toolchain is usable: one :class:`RuntimeWarning` and an obs counter on
+   the first query, bit-identical answers.
+
+No other module may import the backend module
 (:mod:`repro.native.kernels_cext`) directly; rule R9 of the invariant
 checker enforces this, which keeps exactly one seam where the backend
 can be pinned or disabled.
 
-Resolution (once per process, cached) has two outcomes:
-
-1. ``cext`` — ``_kernels.c`` compiled on demand via the system C
-   compiler, bound with ctypes;
-2. ``None`` — no usable toolchain: the caller degrades to the vectorized
-   engine with a single :class:`RuntimeWarning` and an obs counter.
-
 ``REPRO_NATIVE_BACKEND`` is ``auto`` (default; same as ``cext``),
-``cext``, or ``none`` (force the fallback; used by the no-compiled-tier
-CI job and the fallback tests).
+``cext``, or ``none`` (force the numpy table; used by the
+no-compiled-tier CI job and the parity tests, which re-pin through
+:func:`reset`).
 """
 
 from __future__ import annotations
@@ -27,34 +29,65 @@ import threading
 import warnings
 from typing import Dict, Optional, Tuple
 
-from repro import obs
+import numpy as np
 
-__all__ = ["REGISTERED_ENGINES", "KERNEL_NAMES", "load_kernels",
+from repro import obs
+from repro.native import ref
+
+__all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels", "load_kernels",
            "native_backend", "native_status", "reset"]
 
-#: The registered engine set: every valid ``engine=`` value across the
-#: query front-ends and the CLI.  ``native`` resolves through this
-#: module; the other two are pure-numpy plans in ``repro.lsh.index``.
-REGISTERED_ENGINES: Tuple[str, ...] = ("vectorized", "scalar", "native")
-
-#: Kernel entry points every backend must provide (the table's schema).
+#: Kernel entry points every table must provide (the table's schema).
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
                                  "rank_topk", "dm_decode", "e8_decode",
                                  "zm_probe_codes")
 
 _VALID_PINS = ("auto", "cext", "none")
 
+
+class NumpyKernels:
+    """The kernel table with no compiler behind it: the spec, by name.
+
+    Index builds and the scalar test oracle always decode and look up
+    through this table (:data:`NUMPY_KERNELS`), so neither depends on
+    what the toolchain resolved.
+    """
+
+    backend = "numpy"
+
+    lookup_codes = staticmethod(ref.lookup_codes_ref)
+    dedup_candidates = staticmethod(ref.dedup_candidates_ref)
+    rank_topk = staticmethod(ref.rank_topk_ref)
+    zm_probe_codes = staticmethod(ref.zm_probe_codes_ref)
+
+    # The decoders live with their lattices, which import ``ref`` for the
+    # summation tree — hence the call-time imports.
+
+    @staticmethod
+    def dm_decode(y: np.ndarray) -> np.ndarray:
+        from repro.lattice.dm import decode_dm
+
+        return decode_dm(y).astype(np.int64)
+
+    @staticmethod
+    def e8_decode(y: np.ndarray) -> np.ndarray:
+        from repro.lattice.e8 import e8_decode
+
+        return e8_decode(y)
+
+
+NUMPY_KERNELS = NumpyKernels()
+
 _lock = threading.Lock()
 _resolved = False
-_kernels: Optional[object] = None
-_backend: Optional[str] = None
+_kernels: object = NUMPY_KERNELS
 _setup_seconds: float = 0.0
 _errors: Dict[str, str] = {}
 _warned = False
 
 
 def _resolve_locked() -> None:
-    global _resolved, _kernels, _backend, _setup_seconds
+    global _resolved, _kernels, _setup_seconds
     if _resolved:
         return
     pin = os.environ.get("REPRO_NATIVE_BACKEND", "auto").lower()
@@ -72,69 +105,64 @@ def _resolve_locked() -> None:
         t0 = time.perf_counter()  # invariant: disable=R6 — setup-only timing
         try:
             _kernels = kernels_cext.load()
-        except Exception as error:  # any build/load failure -> fallback
+        except Exception as error:  # any build/load failure -> numpy table
             _errors["cext"] = f"{type(error).__name__}: {error}"
         else:
             _setup_seconds = time.perf_counter() - t0  # invariant: disable=R6 — setup-only timing
-            _backend = "cext"
             ob = obs.active()
             if ob is not None:
-                ob.record_native_setup(_backend, _setup_seconds)
+                ob.record_native_setup("cext", _setup_seconds)
     _resolved = True
 
 
-def load_kernels() -> Optional[object]:
-    """The resolved kernel table, or ``None`` when no backend is usable.
+def load_kernels() -> object:
+    """The resolved kernel table: compiled, else :data:`NUMPY_KERNELS`.
 
-    On the first ``None`` resolution a single :class:`RuntimeWarning` is
-    emitted and the ``repro_native_fallbacks_total`` counter bumped —
-    acceptance contract (d): ``engine="native"`` without a compiled tier
-    degrades loudly-once, never crashes.
+    The first call that resolves to the numpy table emits a single
+    :class:`RuntimeWarning` and bumps ``repro_native_fallbacks_total`` —
+    a missing compiler costs speed loudly-once, never an answer.
     """
     global _warned
     with _lock:
         _resolve_locked()
         kernels = _kernels
-        if kernels is None and not _warned:
+        if kernels is NUMPY_KERNELS and not _warned:
             _warned = True
             reason = "; ".join(f"{k}: {v}" for k, v in _errors.items()) \
                 or "disabled (REPRO_NATIVE_BACKEND=none)"
             warnings.warn(
                 f"native kernels unavailable ({reason}); "
-                f"engine='native' falling back to 'vectorized'",
+                f"queries run on the numpy kernel table",
                 RuntimeWarning, stacklevel=3)
             ob = obs.active()
             if ob is not None:
                 ob.record_native_fallback(
-                    "disabled" if "config" not in _errors and not _errors
-                    else "unavailable")
+                    "unavailable" if _errors else "disabled")
     return kernels
 
 
 def native_backend() -> Optional[str]:
-    """Name of the resolved backend (``'cext'``) or ``None``."""
-    with _lock:
-        _resolve_locked()
-        return _backend
+    """Name of the compiled backend (``'cext'``), ``None`` without one."""
+    backend = native_status()["backend"]
+    return None if backend == "numpy" else str(backend)
 
 
 def native_status() -> Dict[str, object]:
-    """Diagnostic snapshot: backend, setup time, resolution errors."""
+    """Diagnostic snapshot: the table serving queries (``backend`` is
+    ``'cext'`` or ``'numpy'``), setup time, resolution errors."""
     with _lock:
         _resolve_locked()
-        return {"backend": _backend,
+        return {"backend": getattr(_kernels, "backend"),
                 "setup_seconds": _setup_seconds,
-                "errors": dict(_errors),
-                "engines": list(REGISTERED_ENGINES)}
+                "errors": dict(_errors)}
 
 
 def reset() -> None:
     """Forget the cached resolution (tests re-pin via the env var)."""
-    global _resolved, _kernels, _backend, _setup_seconds, _warned
+    global _resolved, _kernels, _setup_seconds, _warned
     with _lock:
         _resolved = False
-        _kernels = None
-        _backend = None
+        _kernels = NUMPY_KERNELS
         _setup_seconds = 0.0
         _errors.clear()
         _warned = False

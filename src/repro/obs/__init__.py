@@ -337,17 +337,17 @@ class Observer:
                 backend=backend).observe(seconds)
 
     def record_native_fallback(self, reason: str) -> None:
-        """engine='native' resolved to the vectorized fallback."""
+        """Kernel resolution fell back to the numpy table."""
         self.registry.counter(
             NATIVE_FALLBACKS_TOTAL,
-            "Native-engine requests served by the vectorized fallback."
+            "Resolutions that fell back to the numpy kernel table."
             ).labels(reason=reason).inc()
 
     def record_native_batch(self, backend: str) -> None:
-        """One batch executed by a compiled backend."""
+        """One batch executed on the ``backend`` kernel table."""
         self.registry.counter(
             NATIVE_BATCHES_TOTAL,
-            "Query batches executed by a compiled native backend."
+            "Query batches executed, per kernel table."
             ).labels(backend=backend).inc()
 
     def record_worker_event(self, kind: str) -> None:
@@ -371,14 +371,14 @@ class Observer:
 
     def timed_kernels(self, kernels: object,
                       stages: Dict[str, float]) -> TimedKernels:
-        """Wrap a native kernel bundle with per-call timing."""
+        """Wrap a kernel table with per-call timing."""
         return TimedKernels(kernels, self, stages)
 
     def observe_kernel(self, kernel: str, backend: str,
                        seconds: float) -> None:
         self.registry.histogram(
             NATIVE_KERNEL_SECONDS,
-            "Per-call compiled-kernel latency (seconds).",
+            "Per-call kernel latency (seconds).",
             buckets=LATENCY_BUCKETS_SECONDS).labels(
                 kernel=kernel, backend=backend).observe(seconds)
 

@@ -1,8 +1,8 @@
-"""Gated per-kernel timing for the compiled native tier.
+"""Gated per-kernel timing for the kernel table.
 
-:class:`TimedKernels` wraps a loaded :class:`repro.native.Kernels`
-bundle and times each kernel call into the
-``repro_native_kernel_seconds{kernel=...,backend=...}`` histogram, while
+:class:`TimedKernels` wraps the table
+:func:`repro.native.load_kernels` returned and times each kernel call
+into the ``repro_native_kernel_seconds{kernel=...,backend=...}`` histogram, while
 also accumulating the elapsed time into a caller-supplied ``stages``
 dict under ``kernel/<name>`` keys so sampled
 :class:`~repro.obs.trace.QueryTrace` waterfalls show kernel spans next
@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Dict
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.obs import Observer
 
-#: Per-call compiled-kernel latency histogram, labeled by ``kernel``
-#: and ``backend``.
+#: Per-call kernel latency histogram, labeled by ``kernel`` and
+#: ``backend`` (the table: ``cext`` or ``numpy``).
 NATIVE_KERNEL_SECONDS = "repro_native_kernel_seconds"
 
 #: The kernels :class:`TimedKernels` instruments (matches

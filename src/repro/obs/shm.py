@@ -552,8 +552,7 @@ def build_worker_schema(n_tables: int) -> SlotSchema:
     """The default slot layout: every metric a shard worker records.
 
     Enumerates the closed label vocabularies of the worker-reachable
-    instrumentation sites — engines, native backends, kernel names,
-    stage names, per-table counters up to ``n_tables``, fault sites,
+    instrumentation sites — kernel tables, kernel names, stage names, per-table counters up to ``n_tables``, fault sites,
     degraded reasons, escalation kinds, and the worker lifecycle events.
     Anything outside this vocabulary lands in the overflow counter.
     """
@@ -563,8 +562,7 @@ def build_worker_schema(n_tables: int) -> SlotSchema:
     from repro.obs.trace import STAGE_SECONDS
     from repro.resilience.faults import KNOWN_SITES
 
-    engines = ("vectorized", "native", "scalar")
-    backends = ("cext", "?")
+    backends = ("cext", "numpy")
     stages = ("lsh.validate", "lsh.hash", "lsh.gather", "lsh.escalate",
               "lsh.rank")
     event_kinds = ("shard_recv", "shard_ok", "shard_err")
@@ -572,12 +570,11 @@ def build_worker_schema(n_tables: int) -> SlotSchema:
     escalation_kinds = ("morton", "e8")
 
     counters: List[CounterCell] = []
-    for engine in engines:
-        counters.append(CounterCell(obs.QUERIES_TOTAL, "Queries answered.",
-                                    _labels(engine=engine)))
-        counters.append(CounterCell(obs.BATCHES_TOTAL,
-                                    "Query batches answered.",
-                                    _labels(engine=engine)))
+    # Workers run the LSH plan only; it reports its site as the label.
+    counters.append(CounterCell(obs.QUERIES_TOTAL, "Queries answered.",
+                                _labels(engine="lsh")))
+    counters.append(CounterCell(obs.BATCHES_TOTAL, "Query batches answered.",
+                                _labels(engine="lsh")))
     counters.append(CounterCell(obs.ESCALATIONS_TOTAL,
                                 "Queries escalated by the hierarchy."))
     for table in range(int(n_tables)):
@@ -595,12 +592,12 @@ def build_worker_schema(n_tables: int) -> SlotSchema:
     for backend in backends:
         counters.append(CounterCell(
             obs.NATIVE_BATCHES_TOTAL,
-            "Query batches executed by a compiled native backend.",
+            "Query batches executed, per kernel table.",
             _labels(backend=backend)))
     for reason in ("disabled", "unavailable"):
         counters.append(CounterCell(
             obs.NATIVE_FALLBACKS_TOTAL,
-            "Native-engine requests served by the vectorized fallback.",
+            "Resolutions that fell back to the numpy kernel table.",
             _labels(reason=reason)))
     for kind in event_kinds:
         counters.append(CounterCell(
@@ -629,7 +626,7 @@ def build_worker_schema(n_tables: int) -> SlotSchema:
         for backend in backends:
             histograms.append(HistogramCell(
                 NATIVE_KERNEL_SECONDS,
-                "Per-call compiled-kernel latency (seconds).",
+                "Per-call kernel latency (seconds).",
                 _labels(kernel=kernel, backend=backend),
                 LATENCY_BUCKETS_SECONDS))
     histograms.append(HistogramCell(

@@ -29,8 +29,7 @@ from repro.core.config import BiLevelConfig
 from repro.cluster.kmeans import KMeansPartitioner
 from repro.lsh.forest import LSHForest
 from repro.lsh.functions import PStableHashFamily
-from repro.lsh.index import StandardLSH
-from repro.lsh.table import LSHTable
+from repro.lsh.index import StandardLSH, make_lattice
 from repro.resilience.errors import CorruptIndexError, InjectedFault
 from repro.resilience.faults import faults_active
 from repro.rptree.rules import SplitResult
@@ -107,22 +106,12 @@ def _standard_restore(prefix: str, meta: dict, arrays,
     # Tombstone mask: absent from pre-maintenance archives (stays None).
     if f"{prefix}/deleted" in arrays:
         index._deleted = np.asarray(arrays[f"{prefix}/deleted"], dtype=bool)
-    from repro.lsh.index import make_lattice
-
     index._lattice = make_lattice(index.lattice_kind, index.n_hashes)
     index._families = [
         _family_restore(f"{prefix}/family{t}", fam_meta, arrays)
         for t, fam_meta in enumerate(meta["families"])
     ]
-    index._tables = []
-    index._hierarchies = []
-    local_ids = np.arange(index._data.shape[0], dtype=np.int64)
-    for family in index._families:
-        codes = index._lattice.quantize(family.project(index._data))
-        table = LSHTable(codes, ids=local_ids)
-        index._tables.append(table)
-        if index.use_hierarchy:
-            index._hierarchies.append(index._build_hierarchy(table))
+    index._rebuild_tables()
     return index
 
 

@@ -28,8 +28,7 @@ from repro.runtime.batching import (DEADLINE_BUCKET_MS, MicroBatcher,
                                     merge_key, split_stats)
 from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
                                    RuntimeConfig, execute_plan_request,
-                                   execute_request, shed_response,
-                                   validate_engine)
+                                   execute_request, shed_response)
 
 __all__ = [
     "AdmissionController",
@@ -45,5 +44,4 @@ __all__ = [
     "merge_key",
     "shed_response",
     "split_stats",
-    "validate_engine",
 ]

@@ -1,11 +1,11 @@
 """Micro-batching: coalesce concurrent requests into one executor batch.
 
-The vectorized/native engines amortize hashing and candidate scoring
-across query rows, so ten concurrent 1-row requests cost far more as
+The batch engine amortizes hashing and candidate scoring across
+query rows, so ten concurrent 1-row requests cost far more as
 ten ``run_plan`` calls than as one 10-row call.  :class:`MicroBatcher`
 exploits that without changing answers: concurrent requests whose
-execution options agree (same ``k``, engine, threshold, policy,
-sharding, deadline-ness) are merged under a small time/size window,
+execution options agree (same ``k``, threshold, policy, sharding,
+deadline-ness) are merged under a small time/size window,
 executed as one batch, and the results split back per request
 **bit-identically** to solo execution.
 
@@ -94,7 +94,6 @@ def merge_key(request: QueryRequest, *,
         deadline_bucket = int(remaining_ms // deadline_bucket_ms)
     return (
         int(request.k),
-        request.engine,
         request.hierarchy_threshold,
         id(request.policy) if request.policy is not None else None,
         request.max_batch_rows,

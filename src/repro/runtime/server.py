@@ -27,7 +27,8 @@ the condition as ``executor_stale``.
 Routes
 ------
 ``POST /query``       ``{"queries": [[...]], "k": 5, "deadline_ms"?: float,
-``                    ``"engine"?: str, "hierarchy_threshold"?: int}``
+``                    ``"hierarchy_threshold"?: int}`` (an ``"engine"`` key
+``                    ``is name-checked and ignored — pending deletion)
 ``POST /insert``      ``{"points": [[...]], "ids"?: [int]}``
 ``POST /delete``      ``{"ids": [int]}``
 ``POST /checkpoint``  ``{"path": str}``
@@ -53,7 +54,7 @@ import numpy as np
 from repro.runtime.admission import AdmissionController
 from repro.runtime.batching import MicroBatcher
 from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
-                                   shed_response)
+                                   check_legacy_engine, shed_response)
 
 __all__ = ["RuntimeServer", "serialize_response"]
 
@@ -302,9 +303,10 @@ class RuntimeServer:
         if isinstance(threshold, float):
             threshold = int(threshold)
         max_rows = payload.get("max_batch_rows")
+        # Inert body key (see check_legacy_engine): name-checked, dropped.
+        check_legacy_engine(payload.get("engine"))  # type: ignore[arg-type]
         request = QueryRequest(
             queries=queries, k=k,
-            engine=payload.get("engine"),  # type: ignore[arg-type]
             hierarchy_threshold=threshold,  # type: ignore[arg-type]
             deadline_ms=(float(deadline_ms)  # type: ignore[arg-type]
                          if deadline_ms is not None else None),

@@ -1,8 +1,8 @@
 """Process-lifetime index sessions: one object that owns an index plus
 every cross-cutting attachment.
 
-Before this package, each concern a server needs — execution engine,
-deadline budget, resilience policy, batch sharding, the WAL/compactor
+Before this package, each concern a server needs — deadline budget,
+resilience policy, batch sharding, the WAL/compactor
 wiring from :mod:`repro.maintenance`, the obs registry, the process
 shard pool — was threaded as per-call ``query_batch`` kwargs plus
 stateful ``attach_*`` mutators duplicated across every front-end.  There
@@ -11,9 +11,9 @@ was no long-lived object a serving layer could hold.
 This module provides that object and the request model under it:
 
 - :class:`RuntimeConfig` — the resolved execution defaults for a
-  process (engine, deadline, policy, ``max_batch_rows``, shard workers,
+  process (deadline, policy, ``max_batch_rows``, shard workers,
   micro-batch window), with :meth:`RuntimeConfig.from_args` as the one
-  CLI argument-resolution seam shared by ``query``/``bench``/``serve``;
+  CLI argument-resolution seam shared by ``query``/``serve``;
 - :class:`QueryRequest` / :class:`QueryResponse` — dataclasses that
   replace the six-kwarg ``query_batch`` signatures.  The old signatures
   survive as thin adapters that build a request (rule R14 keeps them
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import argparse
 import threading
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from dataclasses import InitVar, dataclass, replace
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,10 +55,10 @@ __all__ = [
     "QueryResponse",
     "RuntimeConfig",
     "RuntimeInfo",
+    "check_legacy_engine",
     "execute_plan_request",
     "execute_request",
     "shed_response",
-    "validate_engine",
 ]
 
 Threshold = Union[str, int]
@@ -78,8 +78,9 @@ class RuntimeConfig:
     Attributes
     ----------
     engine:
-        Execution engine (``vectorized`` / ``scalar`` / ``native``), or
-        ``None`` for each front-end's own default.
+        Inert, init-only and not stored: there is one engine.  Name-checked
+        by :func:`check_legacy_engine`; scheduled for deletion by the
+        next benchmark PR.
     hierarchy_threshold:
         Escalation threshold forwarded to hierarchical plans; ``None``
         keeps the front-end default (``"median"``).  Micro-batching
@@ -96,7 +97,7 @@ class RuntimeConfig:
     shard_workers:
         When positive, :class:`IndexRuntime` answers requests over a
         :class:`~repro.exec.process.ProcessShardExecutor` pool of this
-        many worker processes (standard indexes, non-scalar engines).
+        many worker processes (standard indexes).
     batch_window_ms / batch_max_rows:
         Micro-batching coalescing window for the serving layer: a
         leader request waits up to ``batch_window_ms`` for companions,
@@ -108,7 +109,7 @@ class RuntimeConfig:
         never crashed) instead of growing the queue without bound.
     """
 
-    engine: Optional[str] = None
+    engine: InitVar[Optional[str]] = None
     hierarchy_threshold: Optional[Threshold] = None
     deadline_ms: Optional[float] = None
     policy: Optional[ResiliencePolicy] = None
@@ -118,9 +119,8 @@ class RuntimeConfig:
     batch_max_rows: int = 256
     max_queue_depth: int = 64
 
-    def __post_init__(self) -> None:
-        if self.engine is not None:
-            validate_engine(self.engine)
+    def __post_init__(self, engine: Optional[str]) -> None:
+        check_legacy_engine(engine)
         if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise ValueError(
                 f"deadline_ms must be positive, got {self.deadline_ms}")
@@ -144,13 +144,13 @@ class RuntimeConfig:
     def from_args(cls, args: argparse.Namespace) -> "RuntimeConfig":
         """Resolve a config from parsed CLI arguments.
 
-        The one place ``--engine`` / ``--deadline-ms`` / ``--resilient``
-        / ``--max-batch-rows`` / ``--shard-workers`` (and the serving
-        knobs) are interpreted, shared by ``cmd_query``, ``cmd_bench``
-        and ``cmd_serve`` so their defaults cannot diverge.  Missing
-        attributes fall back to the dataclass defaults, so one parser
-        does not need every flag.  Raises :class:`ValueError` for an
-        unknown engine (callers map it to exit code 2).
+        The one place ``--deadline-ms`` / ``--resilient`` /
+        ``--max-batch-rows`` / ``--shard-workers`` (and the serving
+        knobs) are interpreted, shared by ``cmd_query`` and ``cmd_serve``
+        so their defaults cannot diverge.  Missing attributes fall back
+        to the dataclass defaults, so one parser does not need every
+        flag.  Raises :class:`ValueError` for an invalid value (callers
+        map it to exit code 2).
         """
         policy: Optional[ResiliencePolicy] = None
         if getattr(args, "resilient", False):
@@ -168,19 +168,25 @@ class RuntimeConfig:
         )
 
 
-def validate_engine(engine: str) -> str:
-    """Check ``engine`` against the registered engine set; return it.
+def check_legacy_engine(engine: Optional[str]) -> None:
+    """Name-check an inert ``engine=`` value; it selects nothing.
 
-    Raises :class:`ValueError` with the full valid-engine listing —
-    the message the CLI used to assemble by hand in two places.
+    There is one engine: the staged plan over whichever kernel table
+    :func:`repro.native.load_kernels` resolved.  The keyword survives
+    only where the pinned benchmark spells it (``StandardLSH`` /
+    ``BiLevelLSH`` ``.query_batch`` and ``.execution_plan``,
+    :class:`RuntimeConfig`, the ``/query`` body, ``serve --engine``) and
+    goes with the next benchmark PR.  Until then the two names that
+    meant "the fast path" pass; ``'scalar'`` and anything unknown are
+    refused rather than silently served by something else.
     """
-    from repro.native.registry import REGISTERED_ENGINES
-
-    if engine not in REGISTERED_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; valid engines: "
-            f"{', '.join(REGISTERED_ENGINES)}")
-    return engine
+    if engine is None or engine in ("native", "vectorized"):
+        return
+    raise ValueError(
+        f"unknown engine {engine!r}: engine= no longer selects anything "
+        f"('native' and 'vectorized' are accepted and ignored); the "
+        f"per-query scalar path is the test oracle "
+        f"repro.lsh.index.oracle_query_batch, not an engine")
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,6 @@ class QueryRequest:
 
     queries: np.ndarray
     k: int
-    engine: Optional[str] = None
     hierarchy_threshold: Optional[Threshold] = None
     deadline_ms: Optional[float] = None
     deadline: Optional[Deadline] = None
@@ -287,32 +292,35 @@ def execute_request(index: object, request: QueryRequest,
                     ) -> QueryResponse:
     """Resolve ``request`` against ``config`` and execute it on ``index``.
 
-    ``index`` must expose ``execution_plan(engine, hierarchy_threshold)``
-    (every in-repo front-end does).  Request fields win over config
-    fields; unset both fall back to the front-end defaults the plan
-    builder owns (engine ``"vectorized"``, threshold ``"median"``).
+    ``index`` must expose ``execution_plan(hierarchy_threshold)`` (every
+    in-repo front-end does).  Request fields win over config fields;
+    unset both fall back to the front-end default the plan builder owns
+    (threshold ``"median"``).
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
-    engine = request.engine if request.engine is not None else cfg.engine
-    threshold = (request.hierarchy_threshold
-                 if request.hierarchy_threshold is not None
-                 else cfg.hierarchy_threshold)
+    resolved = _fill_from_config(
+        request, config if config is not None else _DEFAULT_CONFIG)
     plan_builder = getattr(index, "execution_plan")
-    kwargs: Dict[str, object] = {}
-    if engine is not None:
-        kwargs["engine"] = engine
-    if threshold is not None:
-        kwargs["hierarchy_threshold"] = threshold
-    plan = plan_builder(**kwargs)
-    resolved = request
+    threshold = resolved.hierarchy_threshold
+    plan = (plan_builder() if threshold is None
+            else plan_builder(hierarchy_threshold=threshold))
+    return execute_plan_request(plan, resolved)
+
+
+def _fill_from_config(request: QueryRequest,
+                      cfg: RuntimeConfig) -> QueryRequest:
+    """``request`` with every option it leaves unset taken from ``cfg``."""
+    fill: Dict[str, Any] = {}
+    if request.hierarchy_threshold is None \
+            and cfg.hierarchy_threshold is not None:
+        fill["hierarchy_threshold"] = cfg.hierarchy_threshold
     if request.deadline is None and request.deadline_ms is None \
             and cfg.deadline_ms is not None:
-        resolved = replace(resolved, deadline_ms=cfg.deadline_ms)
+        fill["deadline_ms"] = cfg.deadline_ms
     if request.policy is None and cfg.policy is not None:
-        resolved = replace(resolved, policy=cfg.policy)
+        fill["policy"] = cfg.policy
     if request.max_batch_rows is None and cfg.max_batch_rows is not None:
-        resolved = replace(resolved, max_batch_rows=cfg.max_batch_rows)
-    return execute_plan_request(plan, resolved)
+        fill["max_batch_rows"] = cfg.max_batch_rows
+    return replace(request, **fill) if fill else request
 
 
 _DEFAULT_CONFIG = RuntimeConfig()
@@ -324,7 +332,8 @@ class RuntimeInfo:
 
     ready: bool
     n_points: int
-    engine: Optional[str]
+    #: The kernel table answering queries: ``"cext"`` or ``"numpy"``.
+    kernels: str
     shard_workers: int
     worker_pids: Tuple[int, ...]
     wal_attached: bool
@@ -337,7 +346,7 @@ class RuntimeInfo:
     def to_dict(self) -> Dict[str, object]:
         return {
             "ready": self.ready, "n_points": self.n_points,
-            "engine": self.engine, "shard_workers": self.shard_workers,
+            "kernels": self.kernels, "shard_workers": self.shard_workers,
             "worker_pids": list(self.worker_pids),
             "wal_attached": self.wal_attached,
             "compactor_attached": self.compactor_attached,
@@ -385,8 +394,6 @@ class IndexRuntime:
         #: WAL replay report from :meth:`open` (None for direct loads).
         self.recovery_report: Optional[object] = None
         self._closed = False
-        if self.config.engine is not None:
-            validate_engine(self.config.engine)
         if self.config.shard_workers > 0:
             self._executor = self._make_executor()
 
@@ -400,12 +407,8 @@ class IndexRuntime:
             raise ValueError(
                 "shard_workers requires a standard index "
                 "(build with --index-type standard)")
-        engine = self.config.engine or "vectorized"
-        if engine == "scalar":
-            raise ValueError(
-                "shard_workers supports engines 'vectorized' and 'native'")
         return ProcessShardExecutor(
-            self.index, n_workers=self.config.shard_workers, engine=engine)
+            self.index, n_workers=self.config.shard_workers)
 
     def attach_maintenance(self, wal: "Optional[WriteAheadLog]" = None,
                            compactor: "Optional[Compactor]" = None,
@@ -490,9 +493,8 @@ class IndexRuntime:
     def submit(self, request: QueryRequest) -> QueryResponse:
         """Answer one request; the runtime's single query entry.
 
-        Requests route to the process shard pool when one is attached,
-        its snapshot is current, and the request does not pin an engine
-        other than the pool's; everything else runs through the
+        Requests route to the process shard pool when one is attached
+        and its snapshot is current; everything else runs through the
         in-process executor.  Results are bit-identical between the two
         paths given an integer ``hierarchy_threshold`` — the process
         pool's documented contract.  After a live :meth:`insert` /
@@ -503,38 +505,14 @@ class IndexRuntime:
         if self._closed:
             raise RuntimeError("runtime is closed")
         request = request.with_deadline_started()
-        if self._executor is not None and (
-                request.engine is None
-                or request.engine == self._pool_engine()):
+        if self._executor is not None:
             with self._executor_lock:
                 # Re-checked under the lock: a writer may have flipped
                 # the stale flag between the fast check and here.
                 if self._executor is not None and not self._executor_stale:
                     return self._executor.submit(  # type: ignore[attr-defined]
-                        self._resolve_for_executor(request))
+                        _fill_from_config(request, self.config))
         return execute_request(self.index, request, self.config)
-
-    def _pool_engine(self) -> str:
-        """The engine the shard pool workers were built with."""
-        return self.config.engine or "vectorized"
-
-    def _resolve_for_executor(self, request: QueryRequest) -> QueryRequest:
-        """Fill config defaults for the pool path (its engine is fixed)."""
-        resolved = request
-        if resolved.hierarchy_threshold is None \
-                and self.config.hierarchy_threshold is not None:
-            resolved = replace(
-                resolved, hierarchy_threshold=self.config.hierarchy_threshold)
-        if resolved.deadline is None and resolved.deadline_ms is None \
-                and self.config.deadline_ms is not None:
-            resolved = replace(resolved, deadline_ms=self.config.deadline_ms)
-        if resolved.policy is None and self.config.policy is not None:
-            resolved = replace(resolved, policy=self.config.policy)
-        if resolved.max_batch_rows is None \
-                and self.config.max_batch_rows is not None:
-            resolved = replace(resolved,
-                               max_batch_rows=self.config.max_batch_rows)
-        return resolved
 
     def query_batch(self, queries: np.ndarray, k: int,
                     **options: object) -> Tuple[np.ndarray, np.ndarray,
@@ -689,8 +667,11 @@ class IndexRuntime:
         if self._compactor is not None and ready \
                 and not self._compactor.is_alive():
             ready, detail = False, "compactor thread dead"
+        from repro.native.registry import native_status
+
         return RuntimeInfo(
-            ready=ready, n_points=n_points, engine=self.config.engine,
+            ready=ready, n_points=n_points,
+            kernels=str(native_status()["backend"]),
             shard_workers=self.config.shard_workers,
             worker_pids=worker_pids,
             wal_attached=self._wal is not None,
@@ -701,7 +682,6 @@ class IndexRuntime:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"IndexRuntime({type(self.index).__name__}, "
-                f"engine={self.config.engine!r}, "
                 f"shard_workers={self.config.shard_workers}, "
                 f"wal={'on' if self._wal is not None else 'off'})")
 

@@ -126,7 +126,7 @@ class TestStats:
                      "--trace-sample", "1.0", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["traces"]) == 30
-        assert payload["traces"][0]["engine"] == "vectorized"
+        assert payload["traces"][0]["engine"] == "lsh"
 
     def test_trace_sampling_is_seed_deterministic(self, tmp_path, index_file,
                                                   query_file):

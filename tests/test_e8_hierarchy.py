@@ -12,6 +12,7 @@ from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
 from repro.lsh.table import LSHTable
 from repro.native import load_kernels
+from repro.native.registry import NUMPY_KERNELS
 
 
 def _make(points_scale=4.0, n=150, seed=0, max_levels=24):
@@ -124,7 +125,7 @@ class TestCandidatesBatch:
             codes[:12],
             lattice.quantize(rng.normal(0, 2 * scale, (12, lattice.dim))),
             lattice.quantize(np.full((2, lattice.dim), 1e4))])
-        kernels = None
+        kernels = NUMPY_KERNELS
         if compiled:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,14 +1,16 @@
-"""Native-tier tests (DESIGN.md §12): parity matrix, kernels, fallback.
+"""Kernel-table tests (DESIGN.md §12): parity matrix, kernels, fallback.
 
 Four contracts:
 
-1. **Bit-parity matrix** — ``engine="native"`` returns *identical*
-   indices and distances to the vectorized and scalar engines across
-   lattices × hierarchy × multiprobe × ``max_batch_rows`` × ``n_jobs``.
-   When no compiled backend is available the native engine degrades to
-   the vectorized plan, so the parity assertions hold either way; the CI
-   ``native`` job pins ``REPRO_NATIVE_BACKEND=cext`` so the compiled
-   path itself is exercised there.
+1. **Bit-parity matrix** — the one staged plan returns *identical*
+   indices and distances on the compiled kernel table and on the numpy
+   one, and the scalar oracle's neighbours, across lattices × multiprobe
+   (fixed, adaptive) × hierarchy × tombstones × live overlay × memmap ×
+   ``max_batch_rows`` × ``n_jobs`` × spill.  The numpy side is pinned
+   through the ``REPRO_NATIVE_BACKEND`` + ``registry.reset()`` seam; the
+   other side is whatever the environment resolves (the CI ``native``
+   job requires that to be ``cext``, and reruns everything under
+   ``none``).
 2. **Kernel properties** — ``dedup_candidates`` and ``rank_topk`` equal
    their ``repro.native.ref`` twins on drawn inputs that reach both
    dedup paths and every ``tree_dot`` shape, on the build the toolchain
@@ -19,11 +21,14 @@ Four contracts:
    pure-numpy references in ``repro.lattice`` on random inputs *and* on
    the boundary grid (exact integers, half-integers, quarter-point
    D8-vs-coset ties) where any summation or rounding divergence shows.
-4. **Graceful fallback** — with the backend disabled, ``engine="native"``
-   answers bit-identically to vectorized with exactly one
-   ``RuntimeWarning`` and one ``repro_native_fallbacks_total`` bump.
+4. **One path, loud fallback** — a bare ``query_batch`` runs the
+   compiled table when there is one; without one it answers
+   bit-identically from the numpy table with exactly one
+   ``RuntimeWarning`` and one ``repro_native_fallbacks_total`` bump; the
+   inert ``engine=`` keyword changes nothing and refuses ``"scalar"``.
 """
 
+import contextlib
 import os
 import stat
 import warnings
@@ -37,6 +42,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
+from repro.core.outofcore import fit_standard_chunked
+from repro.exec import run_plan
 from repro.lattice.dm import decode_dm
 from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
@@ -45,6 +52,8 @@ from repro.native.ref import (dedup_candidates_ref, rank_topk_ref,
                               zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
+from repro.runtime import RuntimeConfig
+from tests.oracle import oracle_query
 
 N_QUERIES = 19
 DIM = 16
@@ -68,47 +77,94 @@ def queries(dataset):
 
 @pytest.fixture(scope="module")
 def kernels():
-    """The resolved compiled backend, skipping tests that require one."""
+    """The resolved compiled table, skipping tests that require one."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         loaded = registry.load_kernels()
-    if loaded is None:
+    if loaded.backend != "cext":
         pytest.skip("no compiled native backend available "
                     f"(status: {registry.native_status()['errors']})")
     return loaded
 
 
-#: Index configurations spanning the parity matrix dimensions the native
-#: kernels touch: lattice decoder, multiprobe expansion, hierarchy
-#: escalation (integer threshold — shard-invariant by construction).
+@contextlib.contextmanager
+def numpy_table():
+    """Queries inside run on the numpy kernel table (the existing seam:
+    ``REPRO_NATIVE_BACKEND=none`` + ``registry.reset()``)."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        patch.setenv("REPRO_NATIVE_BACKEND", "none")
+        registry.reset()
+        try:
+            assert registry.load_kernels() is registry.NUMPY_KERNELS
+            yield
+        finally:
+            registry.reset()
+
+
+#: Index configurations spanning what the kernels touch: lattice decoder,
+#: multiprobe expansion (fixed and adaptive budgets), hierarchy
+#: escalation (integer threshold — shard-invariant by construction), and
+#: the index states that fork on their input — tombstones, a live insert
+#: overlay, a memmapped corpus.
 INDEX_CONFIGS = {
     "zm": dict(lattice="zm"),
     "zm-probes": dict(lattice="zm", n_probes=4),
     "e8-hier": dict(lattice="e8", hierarchy=True),
     "dm-probes-hier": dict(lattice="dm", n_probes=2, hierarchy=True),
+    "zm-probes16-hier-tombstones": dict(lattice="zm", n_probes=16,
+                                        hierarchy=True, tombstones=True),
+    "zm-adaptive-overlay": dict(lattice="zm", n_probes=16,
+                                adaptive_probing=True, overlay=True),
+    "zm-memmap-tombstones": dict(lattice="zm", memmap=True, tombstones=True),
+    "e8-probes16-overlay-tombstones": dict(lattice="e8", n_probes=16,
+                                           overlay=True, tombstones=True),
+    "e8-hier-memmap": dict(lattice="e8", hierarchy=True, memmap=True),
+    "dm": dict(lattice="dm"),
+    "dm-probes16-overlay": dict(lattice="dm", n_probes=16, overlay=True),
+    "dm-hier-memmap": dict(lattice="dm", hierarchy=True, memmap=True),
 }
 
 
 @pytest.fixture(scope="module")
-def index_cache(dataset):
+def index_cache(dataset, tmp_path_factory):
     cache = {}
 
     def get(name):
-        if name not in cache:
-            cache[name] = StandardLSH(n_tables=6, bucket_width=6.0, seed=5,
-                                      **INDEX_CONFIGS[name]).fit(dataset)
-        return cache[name]
+        if name in cache:
+            return cache[name]
+        config = dict(INDEX_CONFIGS[name])
+        states = {state: config.pop(state, False)
+                  for state in ("tombstones", "overlay", "memmap")}
+        index = StandardLSH(n_tables=6, bucket_width=6.0, seed=5, **config)
+        base = dataset[:500] if states["overlay"] else dataset
+        if states["memmap"]:
+            path = tmp_path_factory.mktemp("memmap") / f"{name}.dat"
+            on_disk = np.memmap(path, dtype=np.float64, mode="w+",
+                                shape=base.shape)
+            on_disk[:] = base
+            fit_standard_chunked(index, on_disk, chunk_size=128)
+            assert isinstance(index._data, np.memmap)
+        else:
+            index.fit(base)
+        if states["overlay"]:
+            index.insert(dataset[500:])  # < 20 %: stays in the overlay
+            assert all(table.n_extra for table in index._tables)
+        if states["tombstones"]:
+            assert index.delete(np.arange(3, dataset.shape[0], 5)) > 0
+        cache[name] = index
+        return index
 
     return get
 
 
 def assert_same_results(a, b, exact=True):
-    """Engine-parity check.
+    """Parity check.
 
-    ``exact=True`` is the native/vectorized contract: bitwise-identical
+    ``exact=True`` is the kernel-table contract: bitwise-identical
     distances (compared through the raw float64 payloads, inf-safe).
-    The scalar engine is the seed reference with its own summation
-    order, so scalar comparisons drop to ids-exact + allclose distances
+    The scalar oracle is the seed reference with its own summation
+    order, so oracle comparisons drop to ids-exact + allclose distances
     (same convention as ``tests/test_query_engine.py``).
     """
     ids_a, dists_a, stats_a = a
@@ -126,6 +182,8 @@ def assert_same_results(a, b, exact=True):
 
 
 class TestParityMatrix:
+    # ``native``: the resolved table, sharded, byte-equal to the numpy
+    # table.  ``scalar``: the resolved table, sharded, against the oracle.
     @pytest.mark.parametrize("config", sorted(INDEX_CONFIGS))
     @pytest.mark.parametrize("engine", ["scalar", "native"])
     @pytest.mark.parametrize("rows", [None, 5])
@@ -135,21 +193,28 @@ class TestParityMatrix:
         kwargs = {}
         if INDEX_CONFIGS[config].get("hierarchy"):
             kwargs["hierarchy_threshold"] = 12
-        base = index.query_batch(queries, K, **kwargs)
-        other = index.query_batch(queries, K, engine=engine,
-                                  max_batch_rows=rows, **kwargs)
-        assert_same_results(base, other, exact=(engine == "native"))
+        resolved = index.query_batch(queries, K, max_batch_rows=rows,
+                                     **kwargs)
+        if engine == "native":
+            with numpy_table():
+                assert_same_results(
+                    index.query_batch(queries, K, **kwargs), resolved)
+        else:
+            assert_same_results(oracle_query(index, queries, K, **kwargs),
+                                resolved, exact=False)
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("rows", [None, 7])
     def test_bilevel_native_parity(self, dataset, queries, n_jobs, rows):
-        cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=6.0,
-                            n_jobs=n_jobs, seed=5)
-        index = BiLevelLSH(cfg).fit(dataset)
-        base = index.query_batch(queries, K)
-        native = index.query_batch(queries, K, engine="native",
-                                   max_batch_rows=rows)
-        assert_same_results(base, native)
+        for spill in (1, 2):
+            cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=6.0,
+                                n_jobs=n_jobs, multi_assign=spill, seed=5)
+            index = BiLevelLSH(cfg).fit(dataset)
+            resolved = index.query_batch(queries, K, max_batch_rows=rows)
+            with numpy_table():
+                assert_same_results(index.query_batch(queries, K), resolved)
+            assert_same_results(oracle_query(index, queries, K), resolved,
+                                exact=False)
 
     @pytest.mark.parametrize("lattice", ["zm", "e8"])
     @pytest.mark.parametrize("tombstones", [False, True])
@@ -158,7 +223,8 @@ class TestParityMatrix:
         # Both query-adaptive structures at once — 32 probes per table
         # and hierarchy escalation at an integer threshold — through the
         # bi-level front-end: ids, distances and QueryStats must agree
-        # across the three engines, with and without tombstones.
+        # across both kernel tables and the oracle, with and without
+        # tombstones.
         cfg = BiLevelConfig(n_groups=4, n_tables=4, bucket_width=6.0,
                             lattice=lattice, n_probes=32, hierarchy=True,
                             seed=5)
@@ -167,35 +233,62 @@ class TestParityMatrix:
             assert index.delete(np.arange(0, dataset.shape[0], 5)) > 0
         base = index.query_batch(queries, K, hierarchy_threshold=14)
         assert base[2].escalated.any() and not base[2].escalated.all()
-        for engine in ("native", "scalar"):
-            other = index.query_batch(queries, K, engine=engine,
-                                      hierarchy_threshold=14)
-            assert_same_results(base, other, exact=(engine == "native"))
-            assert other[2].exhausted_budget is None
+        assert base[2].exhausted_budget is None
+        with numpy_table():
+            assert_same_results(base, index.query_batch(
+                queries, K, hierarchy_threshold=14))
+        assert_same_results(base, oracle_query(
+            index, queries, K, hierarchy_threshold=14), exact=False)
 
     @pytest.mark.parametrize("config", ["e8-hier", "dm-probes-hier"])
     def test_expired_deadline_flags_every_escalated_row(self, index_cache,
                                                         queries, config):
         index = index_cache(config)
-        kwargs = dict(engine="native", hierarchy_threshold=12)
-        base = index.query_batch(queries, K, **kwargs)[2]
-        cut = index.query_batch(queries, K, deadline_ms=1e-6, **kwargs)[2]
+        base = index.query_batch(queries, K, hierarchy_threshold=12)[2]
+        cut = index.query_batch(queries, K, hierarchy_threshold=12,
+                                deadline_ms=1e-6)[2]
         assert base.escalated.any()
         assert np.array_equal(cut.exhausted_budget, base.escalated)
         assert not cut.escalated.any()
 
     def test_self_distance_is_exactly_zero(self, index_cache, queries):
-        # Query row 0 is dataset row 17 verbatim; every engine must rank
-        # it first at bitwise 0.0 (the three-term cancellation contract).
+        # Query row 0 is dataset row 17 verbatim; both tables and the
+        # oracle must rank it first at bitwise 0.0 (the three-term
+        # cancellation contract).
         index = index_cache("zm")
-        for engine in ("vectorized", "scalar", "native"):
-            ids, dists, _ = index.query_batch(queries, K, engine=engine)
+        with numpy_table():
+            answers = [index.query_batch(queries, K)]
+        answers += [index.query_batch(queries, K),
+                    oracle_query(index, queries, K)]
+        for ids, dists, _ in answers:
             assert ids[0, 0] == 17
             assert dists[0, 0] == 0.0
 
-    def test_unknown_engine_raises(self, index_cache, queries):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            index_cache("zm").query_batch(queries, K, engine="warp")
+    def test_unknown_engine_raises(self, index_cache, dataset, queries):
+        # Every spelling the inert keyword survives on refuses the old
+        # reference engine and unknown names, and says where it went.
+        standard = index_cache("zm")
+        bilevel = BiLevelLSH(BiLevelConfig(n_groups=2, seed=5)).fit(dataset)
+        for name in ("scalar", "warp"):
+            for index in (standard, bilevel):
+                with pytest.raises(ValueError, match="oracle_query_batch"):
+                    index.query_batch(queries, K, engine=name)
+                with pytest.raises(ValueError, match="oracle_query_batch"):
+                    index.execution_plan(engine=name)
+            with pytest.raises(ValueError, match="oracle_query_batch"):
+                RuntimeConfig(engine=name)
+
+    @pytest.mark.parametrize("name", ["native", "vectorized"])
+    def test_legacy_engine_names_change_nothing(self, index_cache, dataset,
+                                                queries, name):
+        bilevel = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=6.0,
+                                           seed=5)).fit(dataset)
+        for index in (index_cache("zm-probes"), bilevel):
+            bare = index.query_batch(queries, K)
+            assert_same_results(bare,
+                                index.query_batch(queries, K, engine=name))
+            assert_same_results(bare, run_plan(
+                index.execution_plan(engine=name), queries, K))
 
 
 # --------------------------------------------------------- kernel parity
@@ -370,7 +463,11 @@ class TestZmProbeKernel:
                                  np.zeros((2, 4), dtype=np.int64), 4)
 
     def test_timed_kernel_names_match_the_dispatch_table(self):
+        table = registry.NUMPY_KERNELS
+        served = {name for name in dir(table)
+                  if not name.startswith("_") and callable(getattr(table, name))}
         assert TIMED_KERNEL_NAMES == registry.KERNEL_NAMES
+        assert served == set(registry.KERNEL_NAMES)
 
 
 # ------------------------------------------------------- compiled decoders
@@ -457,23 +554,23 @@ class TestCompiledE8Decoder:
 
 class TestNativeObservability:
     def test_native_batches_counted(self, kernels, index_cache, queries):
+        # A bare query_batch — no keyword, no config — *is* the compiled
+        # path when a compiler is present.
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         try:
-            index_cache("zm").query_batch(queries, K, engine="native")
+            index_cache("zm").query_batch(queries, K)
         finally:
             obs.disable()
-        snap = reg.snapshot()
-        assert "repro_native_batches_total" in snap
-        samples = snap["repro_native_batches_total"]["samples"]
-        assert any(s["labels"].get("backend") == kernels.backend
-                   for s in samples)
+        samples = reg.snapshot()["repro_native_batches_total"]["samples"]
+        assert [(s["labels"], s["value"]) for s in samples] \
+            == [({"backend": "cext"}, 1.0)]
 
     def test_native_status_shape(self):
         status = registry.native_status()
-        assert set(status) == {"backend", "setup_seconds", "errors",
-                               "engines"}
-        assert status["engines"] == list(registry.REGISTERED_ENGINES)
+        assert set(status) == {"backend", "setup_seconds", "errors"}
+        assert status["backend"] in ("cext", "numpy")
+        assert registry.native_backend() in ("cext", None)
 
 
 # ---------------------------------------------------------------- fallback
@@ -482,19 +579,20 @@ class TestNativeObservability:
 class TestFallback:
     def test_disabled_backend_degrades_loudly_once(self, monkeypatch,
                                                    dataset, queries):
+        index = StandardLSH(n_tables=4, bucket_width=6.0,
+                            seed=5).fit(dataset)
+        base = index.query_batch(queries, K)  # as the environment resolves
         monkeypatch.setenv("REPRO_NATIVE_BACKEND", "none")
         registry.reset()
         try:
             reg = MetricsRegistry()
             obs.enable(registry=reg)
             try:
-                index = StandardLSH(n_tables=4, bucket_width=6.0,
-                                    seed=5).fit(dataset)
-                base = index.query_batch(queries, K)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    first = index.query_batch(queries, K, engine="native")
-                    second = index.query_batch(queries, K, engine="native")
+                    # The default path: no engine keyword anywhere.
+                    first = index.query_batch(queries, K)
+                    second = index.query_batch(queries, K)
             finally:
                 obs.disable()
             relevant = [w for w in caught
@@ -505,25 +603,20 @@ class TestFallback:
             assert_same_results(base, second)
             snap = reg.snapshot()
             assert "repro_native_fallbacks_total" in snap
+            batches = snap["repro_native_batches_total"]["samples"]
+            assert [s["labels"] for s in batches] == [{"backend": "numpy"}]
         finally:
             registry.reset()
 
     def test_disabled_backend_answers_multiprobe_through_reference(
-            self, monkeypatch, dataset, queries):
-        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "none")
-        registry.reset()
-        try:
-            index = StandardLSH(n_tables=4, bucket_width=3.0, n_probes=32,
-                                seed=5).fit(dataset)
-            base = index.query_batch(queries, K)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                native = index.query_batch(queries, K, engine="native")
-            assert_same_results(base, native)
-            assert_same_results(base, index.query_batch(
-                queries, K, engine="scalar"), exact=False)
-        finally:
-            registry.reset()
+            self, dataset, queries):
+        index = StandardLSH(n_tables=4, bucket_width=3.0, n_probes=32,
+                            seed=5).fit(dataset)
+        base = index.query_batch(queries, K)
+        with numpy_table():
+            assert_same_results(base, index.query_batch(queries, K))
+        assert_same_results(base, oracle_query(index, queries, K),
+                            exact=False)
 
     def test_invalid_pin_is_reported_not_fatal(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_BACKEND", "warp9")
@@ -531,7 +624,9 @@ class TestFallback:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                assert registry.load_kernels() is None
-            assert "config" in registry.native_status()["errors"]
+                assert registry.load_kernels() is registry.NUMPY_KERNELS
+            status = registry.native_status()
+            assert "config" in status["errors"]
+            assert status["backend"] == "numpy"
         finally:
             registry.reset()

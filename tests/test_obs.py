@@ -417,7 +417,7 @@ class TestTraceSampling:
         for trace in traces:
             assert isinstance(trace, QueryTrace)
             record = trace.to_dict()
-            assert record["engine"] == "vectorized"
+            assert record["engine"] == "lsh"
             assert record["n_candidates"] >= 0
             assert "lsh.rank" in record["stages"]
 

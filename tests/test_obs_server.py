@@ -233,7 +233,7 @@ class TestServeCliSmoke:
                 float(line.rsplit(" ", 1)[1])  # value parses
                 saw_sample = True
             assert saw_sample
-            assert 'repro_queries_total{engine="vectorized"} 12' in body
+            assert 'repro_queries_total{engine="lsh"} 12' in body
 
             _, _, traces_body = _get(f"http://{host}:{port}/traces")
             traces = json.loads(traces_body)

@@ -140,7 +140,7 @@ class TestWorkerSlotRegistry:
         slot = attach_worker_slot(sink.name, schema, 0)
         try:
             ob = obs.enable(registry=slot.registry)
-            ob.record_batch("native", np.array([5, 7]),
+            ob.record_batch("lsh", np.array([5, 7]),
                             np.array([True, False]), {})
             ob.record_native_batch("cext")
             ob.record_table_lookup(1, 12, 2, 3)
@@ -150,7 +150,7 @@ class TestWorkerSlotRegistry:
             reg = MetricsRegistry()
             sink.drain_into(reg)
             assert reg.counter("repro_queries_total").labels(
-                engine="native").value == 2.0
+                engine="lsh").value == 2.0
             assert reg.counter("repro_native_batches_total").labels(
                 backend="cext").value == 1.0
             assert reg.counter("repro_bucket_lookups_total").labels(
@@ -219,7 +219,7 @@ class TestWorkerSchemaCoverage:
         schema = build_worker_schema(6)
         # Spot-check the vocabularies the worker pipeline records.
         assert schema.counter_index("repro_queries_total",
-                                    (("engine", "native"),)) is not None
+                                    (("engine", "lsh"),)) is not None
         assert schema.counter_index("repro_bucket_lookups_total",
                                     (("table", "5"),)) is not None
         assert schema.counter_index("repro_bucket_lookups_total",
@@ -231,6 +231,10 @@ class TestWorkerSchemaCoverage:
         assert schema.histogram_index(
             "repro_native_kernel_seconds",
             (("backend", "cext"), ("kernel", "rank_topk"))) is not None
+        assert schema.histogram_index(
+            "repro_native_kernel_seconds",
+            (("backend", "numpy"), ("kernel", "dedup_candidates"))) \
+            is not None
         assert schema.histogram_index("repro_exec_queue_wait_seconds",
                                       ()) is not None
 

@@ -110,6 +110,30 @@ class TestParity:
         assert ids[3, 0] == 41
         assert dists[3, 0] == 0.0
 
+    def test_workers_on_the_numpy_table_are_bit_identical(
+            self, index, queries, reference):
+        # Spawned workers resolve their own kernel table from the
+        # environment they inherit; ``reference`` is in-process on
+        # whatever this one resolved.
+        from repro.native import registry
+
+        reg = MetricsRegistry()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NATIVE_BACKEND", "none")
+            registry.reset()
+            obs.enable(registry=reg)
+            try:
+                with ProcessShardExecutor(index, n_workers=2) as ex:
+                    result = ex.query_batch(queries, K,
+                                            hierarchy_threshold=THRESHOLD,
+                                            max_batch_rows=8)
+            finally:
+                obs.disable()
+        registry.reset()
+        assert_bit_identical(result, reference)
+        assert set(_samples(reg.snapshot(), "repro_native_batches_total")) \
+            == {(("backend", "numpy"),)}
+
     def test_median_threshold_single_shard(self, index, executor, queries):
         # One shard == whole batch, so even the per-shard "median" rule
         # matches the unsharded run exactly.
@@ -125,14 +149,6 @@ class TestValidation:
     def test_rejects_zero_workers(self, index):
         with pytest.raises(ValueError, match="n_workers"):
             ProcessShardExecutor(index, n_workers=0)
-
-    def test_rejects_scalar_engine(self, index):
-        with pytest.raises(ValueError, match="engine"):
-            ProcessShardExecutor(index, engine="scalar")
-
-    def test_rejects_unknown_engine(self, index):
-        with pytest.raises(ValueError, match="engine"):
-            ProcessShardExecutor(index, engine="warp")
 
     def test_worker_pids_match_pool_size(self, executor):
         pids = executor.worker_pids()
@@ -388,7 +404,7 @@ class TestCrossProcessMetrics:
         # Worker-side pipeline counters, recorded inside the shard
         # processes, drained into the parent registry.
         queries_by_engine = _samples(snap, "repro_queries_total")
-        assert queries_by_engine.get((("engine", "vectorized"),), 0) \
+        assert queries_by_engine.get((("engine", "lsh"),), 0) \
             == N_QUERIES
         lookups = _samples(snap, "repro_bucket_lookups_total")
         assert sum(lookups.values()) > 0
@@ -437,7 +453,7 @@ class TestCrossProcessMetrics:
         finally:
             obs.disable()
         assert_bit_identical(result, reference)
-        stitched = [t for t in traces if t.engine == "process:vectorized"]
+        stitched = [t for t in traces if t.engine == "process:lsh"]
         # rate=1.0: one stitched waterfall per query, no re-sampling.
         assert len(stitched) == N_QUERIES
         assert sorted(t.query_index for t in stitched) == \
@@ -455,15 +471,11 @@ class TestCrossProcessMetrics:
 
     def test_native_kernel_spans_in_stitched_trace(self, index, queries,
                                                    reference):
-        from repro.native import registry as native_registry
-
-        if native_registry.load_kernels() is None:
-            pytest.skip("no compiled native backend available")
+        # Whichever table the workers resolved, its calls are spans.
         reg = MetricsRegistry()
         obs.enable(registry=reg, trace_sample_rate=1.0, trace_seed=11)
         try:
-            with ProcessShardExecutor(index, n_workers=2,
-                                      engine="native") as ex:
+            with ProcessShardExecutor(index, n_workers=2) as ex:
                 result = ex.query_batch(queries, K,
                                         hierarchy_threshold=THRESHOLD,
                                         max_batch_rows=8)
@@ -471,7 +483,7 @@ class TestCrossProcessMetrics:
         finally:
             obs.disable()
         assert_bit_identical(result, reference)
-        stitched = [t for t in traces if t.engine == "process:native"]
+        stitched = [t for t in traces if t.engine == "process:lsh"]
         assert len(stitched) == N_QUERIES
         kernel_spans = set()
         for trace in stitched:
@@ -513,7 +525,7 @@ class TestCrossProcessMetrics:
         finally:
             obs.disable()
         assert before == after
-        assert before.get((("engine", "vectorized"),), 0) == N_QUERIES
+        assert before.get((("engine", "lsh"),), 0) == N_QUERIES
 
     def test_obs_disabled_ships_no_trace_context(self, index, queries,
                                                  reference):

@@ -1,8 +1,9 @@
-"""Engine equivalence: the vectorized batch path vs the scalar reference.
+"""Engine equivalence: the batch plan vs the scalar oracle.
 
-The vectorized engine (packed-key bucket lookup, CSR candidate gathering,
-fused cached-norm ranking, batched top-k merge) must return the same
-neighbors as the seed per-query engine across the full configuration
+The staged plan (sorted-code bucket lookup, CSR candidate gathering,
+fused cached-norm ranking, batched top-k merge — on whichever kernel
+table loaded) must return the same neighbors as the seed per-query path
+(``repro.lsh.index.oracle_query_batch``) across the full configuration
 matrix: both lattices, multi-probe on/off, hierarchy on/off, spill
 routing, and post-insert/delete states.  Distances are compared with
 ``allclose`` because the fused kernel ``||x||^2 - 2 x.q + ||q||^2`` and
@@ -14,8 +15,9 @@ import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH
+from repro.lsh.index import StandardLSH, _gather_candidates
 from repro.lsh.table import LSHTable, pack_codes
+from tests.oracle import oracle_query
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +29,8 @@ def dataset():
 
 
 def assert_engines_match(index, queries, k, **kwargs):
-    ids_s, dists_s, stats_s = index.query_batch(queries, k, engine="scalar",
-                                                **kwargs)
-    ids_v, dists_v, stats_v = index.query_batch(queries, k,
-                                                engine="vectorized", **kwargs)
+    ids_s, dists_s, stats_s = oracle_query(index, queries, k, **kwargs)
+    ids_v, dists_v, stats_v = index.query_batch(queries, k, **kwargs)
     np.testing.assert_array_equal(ids_s, ids_v)
     np.testing.assert_allclose(dists_s, dists_v, equal_nan=True)
     np.testing.assert_array_equal(stats_s.n_candidates, stats_v.n_candidates)
@@ -81,8 +81,12 @@ class TestStandardEquivalence:
         data, queries = dataset
         index = StandardLSH(bucket_width=5.0, n_tables=4, n_probes=3,
                             seed=16).fit(data)
-        scalar = index.candidate_sets(queries[:30], engine="scalar")
-        vectorized = index.candidate_sets(queries[:30], engine="vectorized")
+        batch = queries[:30]
+        projections = [family.project(batch) for family in index._families]
+        codes = [index._lattice.quantize(proj) for proj in projections]
+        scalar = [index._ids[_gather_candidates(index, projections, codes, qi)]
+                  for qi in range(batch.shape[0])]
+        vectorized = index.candidate_sets(batch)
         assert len(scalar) == len(vectorized)
         for a, b in zip(scalar, vectorized):
             np.testing.assert_array_equal(a, b)
@@ -240,13 +244,13 @@ class TestPublishedListSnapshots:
         queries = gaussian_data[200:230]
         flat = self._index(gaussian_data, False).query_batch(queries, 5)
         index = self._index(gaussian_data, True)
-        gather = index_module._VectorPlan._stage_gather
+        gather = index_module._LSHPlan._stage_gather
 
         def gather_then_publish(plan, ctx):
             gather(plan, ctx)
             plan.index._hierarchies = []
 
-        monkeypatch.setattr(index_module._VectorPlan, "_stage_gather",
+        monkeypatch.setattr(index_module._LSHPlan, "_stage_gather",
                             gather_then_publish)
         ids, dists, stats = index.query_batch(queries, 5,
                                               hierarchy_threshold=10**6)
@@ -260,13 +264,16 @@ class TestPublishedListSnapshots:
         queries = gaussian_data[200:230]
         index = self._index(gaussian_data, False)
         base = index.query_batch(queries, 5)
-        probe_rows = index._probe_rows
+        from repro.lsh import index as index_module
 
-        def probe_then_publish(*args, **kwargs):
+        probe_rows = index_module._LSHPlan._probe_rows
+
+        def probe_then_publish(plan, *args, **kwargs):
             index._tables = []
-            return probe_rows(*args, **kwargs)
+            return probe_rows(plan, *args, **kwargs)
 
-        monkeypatch.setattr(index, "_probe_rows", probe_then_publish)
+        monkeypatch.setattr(index_module._LSHPlan, "_probe_rows",
+                            probe_then_publish)
         ids, dists, _ = index.query_batch(queries, 5)
         np.testing.assert_array_equal(ids, base[0])
         np.testing.assert_array_equal(dists, base[1])

@@ -23,13 +23,14 @@ import argparse
 import asyncio
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH
+from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.maintenance import WriteAheadLog, recover_index
 from repro.persistence import save_index
 from repro.resilience.deadline import Deadline
@@ -88,7 +89,6 @@ def _assert_response_equals_tuple(response, triple):
 class TestRuntimeConfig:
     def test_defaults(self):
         cfg = RuntimeConfig()
-        assert cfg.engine is None
         assert cfg.shard_workers == 0
         assert cfg.batch_window_ms == 2.0
         assert cfg.max_queue_depth == 64
@@ -96,6 +96,8 @@ class TestRuntimeConfig:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             RuntimeConfig(engine="bogus")
+        # The inert keyword is name-checked and not stored.
+        assert RuntimeConfig(engine="native") == RuntimeConfig()
 
     @pytest.mark.parametrize("kwargs", [
         {"deadline_ms": 0.0},
@@ -116,7 +118,6 @@ class TestRuntimeConfig:
             max_batch_rows=128, shard_workers=2, hierarchy_threshold=40,
             batch_window_ms=1.5, batch_max_rows=64, max_queue_depth=8)
         cfg = RuntimeConfig.from_args(args)
-        assert cfg.engine == "vectorized"
         assert cfg.deadline_ms == 25.0
         assert isinstance(cfg.policy, ResiliencePolicy)
         assert cfg.max_batch_rows == 128
@@ -133,7 +134,7 @@ class TestRuntimeConfig:
         assert cfg == RuntimeConfig()
 
     def test_from_args_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="valid engines"):
+        with pytest.raises(ValueError, match="oracle_query_batch"):
             RuntimeConfig.from_args(argparse.Namespace(engine="warp"))
 
 
@@ -182,13 +183,18 @@ class TestExecuteRequest:
         assert not response.stats.exhausted_budget.any()
 
     def test_request_fields_win_over_config(self, standard_index, queries):
-        cfg = RuntimeConfig(engine="scalar")
+        # The config's budget is spent before the second 4-row shard
+        # starts; a request carrying its own generous one is not cut.
+        cfg = RuntimeConfig(deadline_ms=1e-6, max_batch_rows=4)
+        cut = execute_request(
+            standard_index, QueryRequest(queries=queries, k=5), cfg)
+        assert cut.stats.exhausted_budget.any()
         response = execute_request(
             standard_index,
-            QueryRequest(queries=queries, k=5, engine="vectorized"), cfg)
-        _assert_response_equals_tuple(
-            response, standard_index.query_batch(queries, 5,
-                                                 engine="vectorized"))
+            QueryRequest(queries=queries, k=5, deadline_ms=60_000.0), cfg)
+        assert not response.stats.exhausted_budget.any()
+        np.testing.assert_array_equal(
+            response.ids, standard_index.query_batch(queries, 5)[0])
 
 
 class TestIndexRuntime:
@@ -198,13 +204,12 @@ class TestIndexRuntime:
             _assert_response_equals_tuple(
                 response, standard_index.query_batch(queries, 5))
 
-    def test_config_engine_applies(self, standard_index, queries):
+    def test_config_engine_is_inert(self, standard_index, queries):
         with IndexRuntime(standard_index,
-                          RuntimeConfig(engine="scalar")) as runtime:
+                          RuntimeConfig(engine="native")) as runtime:
             response = runtime.submit(QueryRequest(queries=queries, k=5))
             _assert_response_equals_tuple(
-                response, standard_index.query_batch(queries, 5,
-                                                     engine="scalar"))
+                response, standard_index.query_batch(queries, 5))
 
     def test_query_batch_convenience(self, standard_index, queries):
         with IndexRuntime(standard_index) as runtime:
@@ -217,11 +222,6 @@ class TestIndexRuntime:
                                            seed=3)).fit(base_data)
         with pytest.raises(ValueError, match="standard index"):
             IndexRuntime(bilevel, RuntimeConfig(shard_workers=2))
-
-    def test_shard_workers_rejects_scalar_engine(self, standard_index):
-        with pytest.raises(ValueError, match="vectorized"):
-            IndexRuntime(standard_index,
-                         RuntimeConfig(engine="scalar", shard_workers=2))
 
     def test_close_is_idempotent_and_final(self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
@@ -423,21 +423,20 @@ def _submit_concurrently(batcher, requests):
 
 @pytest.mark.concurrency
 class TestMicroBatcher:
-    # Scalar + policy is excluded: the executor's documented contract
-    # restricts deadline/policy supervision to the vectorized engine.
-    @pytest.mark.parametrize("engine,resilient", [
+    # The split-back answers against the same request run solo, bit for
+    # bit (``vectorized``), and against the scalar oracle (``scalar``).
+    @pytest.mark.parametrize("reference,resilient", [
         ("vectorized", False),
         ("vectorized", True),
         ("scalar", False),
     ])
     def test_merged_results_bit_identical_to_solo(self, standard_index,
-                                                  queries, engine,
+                                                  queries, reference,
                                                   resilient):
         policy = ResiliencePolicy() if resilient else None
         runtime = IndexRuntime(standard_index)
         requests = [
-            QueryRequest(queries=queries[i:i + 3], k=5, engine=engine,
-                         policy=policy)
+            QueryRequest(queries=queries[i:i + 3], k=5, policy=policy)
             for i in range(0, 12, 3)
         ]
         with MicroBatcher(runtime.submit, window_ms=200.0,
@@ -446,8 +445,16 @@ class TestMicroBatcher:
         merged_batches, merged_requests = batcher.merge_counts
         assert merged_requests >= 2  # coalescing actually happened
         for request, response in zip(requests, responses):
-            solo = runtime.submit(request)
-            _assert_response_equals_tuple(response, solo.as_tuple())
+            if reference == "vectorized":
+                solo = runtime.submit(request)
+                _assert_response_equals_tuple(response, solo.as_tuple())
+            else:
+                ids, dists, stats = oracle_query_batch(
+                    standard_index, request.queries, 5)
+                np.testing.assert_array_equal(response.ids, ids)
+                np.testing.assert_allclose(response.distances, dists)
+                np.testing.assert_array_equal(response.stats.n_candidates,
+                                              stats.n_candidates)
             assert response.shed is False
         assert merged_batches >= 1
 
@@ -836,6 +843,61 @@ class TestRuntimeServerErrors:
         assert "assigns ids by row position" in refused[1]["error"]
 
 
+    def test_readyz_reports_the_table_that_runs(self, standard_index):
+        """``/readyz`` names the kernel table answering queries, not the
+        engine someone asked for: a server started with ``engine="native"``
+        where nothing compiled used to answer ``"engine": "native"``
+        while serving numpy (and ``null`` when started without the flag).
+        """
+        from repro.native import registry
+        from repro.runtime.server import RuntimeServer
+
+        runtime = IndexRuntime(standard_index, RuntimeConfig(engine="native"))
+        server = RuntimeServer(runtime)
+        query = {"queries": [[0.0] * DIM], "k": 3}
+
+        async def call(method, path, payload=None):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            body = b"" if payload is None else json.dumps(payload).encode()
+            writer.write(
+                method + b" " + path + b" HTTP/1.1\r\nContent-Length: " +
+                str(len(body)).encode() + b"\r\n\r\n" + body)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            head, _, rest = raw.partition(b"\r\n\r\n")
+            return int(head.split()[1]), json.loads(rest)
+
+        async def drive():
+            await server.start()
+            try:
+                return (await call(b"GET", b"/readyz"),
+                        await call(b"POST", b"/query",
+                                   dict(query, engine="native")),
+                        await call(b"POST", b"/query",
+                                   dict(query, engine="scalar")))
+            finally:
+                await server.stop()
+
+        with pytest.MonkeyPatch.context() as patch, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            patch.setenv("REPRO_NATIVE_BACKEND", "none")
+            registry.reset()
+            try:
+                ready, answered, refused = asyncio.run(drive())
+            finally:
+                runtime.close()
+        registry.reset()
+        assert ready[0] == 200 and ready[1]["ready"] is True
+        assert ready[1]["kernels"] == "numpy"
+        assert "engine" not in ready[1]
+        assert answered[0] == 200 and len(answered[1]["ids"][0]) == 3
+        assert refused[0] == 400
+        assert "oracle_query_batch" in refused[1]["error"]
+
+
 @pytest.mark.concurrency
 class TestShardPoolRuntime:
     def test_submit_routes_through_process_pool(self, base_data, queries,
@@ -913,29 +975,3 @@ class TestShardPoolRuntime:
     def test_refresh_without_pool_is_a_noop(self, standard_index):
         with IndexRuntime(standard_index) as runtime:
             assert runtime.refresh_executor() is False
-
-    def test_pinned_engine_mismatch_bypasses_pool(self, base_data, queries):
-        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
-                            seed=5).fit(base_data)
-        cfg = RuntimeConfig(shard_workers=2, hierarchy_threshold=32)
-        with IndexRuntime(index, cfg) as runtime:
-            pool_calls = []
-            executor = runtime._executor
-            orig_submit = executor.submit
-            executor.submit = lambda req: (pool_calls.append(req.engine)
-                                           or orig_submit(req))
-            # Unset engine and the pool's own engine ride the pool.
-            runtime.submit(QueryRequest(queries=queries, k=5))
-            runtime.submit(QueryRequest(queries=queries, k=5,
-                                        engine="vectorized"))
-            assert pool_calls == [None, "vectorized"]
-            # A request pinning any other engine must execute in-process
-            # under that engine, not silently under the pool's.
-            for engine in ("scalar", "native"):
-                response = runtime.submit(
-                    QueryRequest(queries=queries, k=5, engine=engine))
-                want = index.query_batch(queries, 5, engine=engine,
-                                         hierarchy_threshold=32)
-                np.testing.assert_array_equal(response.ids, want[0])
-                assert np.array_equal(response.distances, want[1])
-            assert len(pool_calls) == 2  # pinned requests never dispatched
