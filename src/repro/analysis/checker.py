@@ -150,6 +150,10 @@ class AnalysisConfig:
     #: Bare names of the SharedMemory view factories (R11): calling one
     #: without ``writeable=True`` yields a read-only cross-process array.
     shm_view_factories: Tuple[str, ...] = ("_segment_view",)
+    #: Bare names of the functions that keep array arguments by reference
+    #: (R11): a worker hands them read-only views, so the attributes
+    #: they store those arguments into are manifest-backed.
+    shm_adopter_names: Tuple[str, ...] = ("from_state", "from_arrays")
     #: Bare names of the worker-side entry points whose reachable set
     #: must never write a manifest-backed attribute in place (R11).
     shm_root_names: Tuple[str, ...] = ("_worker_main", "_reconstruct_index")
@@ -234,7 +238,8 @@ def analyze_modules(
     if "R11" in config.rules and graph is not None:
         violations += check_shm_read_only(
             modules, graph, config.shm_view_factories,
-            config.shm_root_names, config.shm_scope_parts
+            config.shm_root_names, config.shm_scope_parts,
+            config.shm_adopter_names
         )
     if "R12" in config.rules and graph is not None:
         violations += check_spawn_safe(modules, graph)

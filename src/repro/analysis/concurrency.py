@@ -215,6 +215,9 @@ def _expr_taints(node: ast.expr, taint: Set[str],
         return True
     if isinstance(node, ast.Name):
         return node.id in taint
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "get":  # arrays.get("deleted")
+        return _expr_taints(node.func.value, taint, factories)
     if isinstance(node, ast.IfExp):
         return (_expr_taints(node.body, taint, factories)
                 or _expr_taints(node.orelse, taint, factories))
@@ -232,10 +235,19 @@ def _expr_taints(node: ast.expr, taint: Set[str],
     return False
 
 
-def _tainted_locals(fnode: FunctionNode,
-                    factories: Tuple[str, ...]) -> Set[str]:
-    """Local names that may alias a read-only SHM view (small fixpoint)."""
+def _tainted_locals(fnode: FunctionNode, factories: Tuple[str, ...],
+                    adopters: Tuple[str, ...]) -> Set[str]:
+    """Local names that may alias a read-only SHM view (small fixpoint).
+
+    The parameters of an ``adopters`` function start out tainted: a
+    worker calls it with views, and it keeps what it is given by
+    reference.
+    """
     taint: Set[str] = set()
+    if fnode.name in adopters:
+        args = fnode.node.args
+        taint.update(a.arg for a in
+                     (args.posonlyargs + args.args + args.kwonlyargs)[1:])
     changed = True
     while changed:
         changed = False
@@ -269,12 +281,31 @@ def _base_name(expr: ast.expr) -> Optional[str]:
     return None
 
 
+def shm_escaped_attrs(graph: CallGraph,
+                      shm_view_factories: Tuple[str, ...],
+                      shm_adopter_names: Tuple[str, ...]) -> Set[str]:
+    """The manifest-backed attribute set: every ``attr`` some function
+    stores a read-only SHM view into (``obj.attr = <view>``)."""
+    escaped: Set[str] = set()
+    for fnode in graph.nodes:
+        taint = _tainted_locals(fnode, shm_view_factories, shm_adopter_names)
+        for node in ast.walk(fnode.node):
+            if isinstance(node, ast.Assign) and \
+                    _expr_taints(node.value, taint, shm_view_factories):
+                escaped.update(
+                    target.attr for target in node.targets
+                    if isinstance(target, ast.Attribute)
+                    and target.attr != "writeable")
+    return escaped
+
+
 def check_shm_read_only(
     modules: Sequence[ModuleInfo],
     graph: CallGraph,
     shm_view_factories: Tuple[str, ...],
     shm_root_names: Tuple[str, ...],
     shm_scope_parts: Tuple[str, ...],
+    shm_adopter_names: Tuple[str, ...],
 ) -> List[Violation]:
     """R11: no statically-reachable write to SharedMemory-backed arrays.
 
@@ -290,16 +321,16 @@ def check_shm_read_only(
     """
     checked_paths = {m.posix_path for m in modules}
     violations: List[Violation] = []
-    escaped_attrs: Set[str] = set()
+    escaped_attrs = shm_escaped_attrs(graph, shm_view_factories,
+                                      shm_adopter_names)
 
     local_findings: List[Tuple[str, int, str]] = []
     for fnode in graph.nodes:
-        taint = _tainted_locals(fnode, shm_view_factories)
+        taint = _tainted_locals(fnode, shm_view_factories, shm_adopter_names)
         for node in ast.walk(fnode.node):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = list(node.targets) if isinstance(node, ast.Assign) \
                     else [node.target]
-                value = node.value if isinstance(node, ast.Assign) else None
                 for target in targets:
                     if isinstance(target, ast.Name):
                         # Plain rebinding is fine; augmented assignment on
@@ -336,13 +367,6 @@ def check_shm_read_only(
                             "SharedMemory-reconstructed view; worker arrays "
                             "are read-only by contract — route writes "
                             "through the writeable=True copy-in seam"))
-                # attribute escapes: obj.attr = <tainted>
-                if value is not None and \
-                        _expr_taints(value, taint, shm_view_factories):
-                    for target in targets:
-                        if isinstance(target, ast.Attribute) and \
-                                target.attr != "writeable":
-                            escaped_attrs.add(target.attr)
             elif isinstance(node, ast.Call):
                 func = node.func
                 if isinstance(func, ast.Attribute) and \

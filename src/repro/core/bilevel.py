@@ -32,18 +32,18 @@ from repro.cluster.kmeans import KMeansPartitioner
 from repro.core.config import BiLevelConfig
 from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
 from repro.exec.executor import run_shards
+from repro.exec.plan import validate_query_batch
 from repro.runtime.session import (QueryRequest, check_legacy_engine,
                                    execute_request)
 from repro.exec.merge import merge_topk_rows
 from repro.lsh.index import StandardLSH
 from repro.lsh.params import CollisionModel, tune_bucket_width
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import InjectedFault, QueryValidationError
+from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import FailureRecord, ResiliencePolicy
 from repro.rptree.tree import RPTree
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import (as_float_matrix, as_query_matrix,
-                                    check_k)
+from repro.utils.validation import as_float_matrix
 
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.compactor import Compactor
@@ -102,22 +102,44 @@ class BiLevelLSH:
     def fit(self, data: np.ndarray) -> "BiLevelLSH":
         """Partition ``data`` and build one LSH index per group."""
         data = as_float_matrix(data)
+        return self._build_groups(data, *self._fit_partitioner(data))
+
+    def _fit_partitioner(self, sample: np.ndarray) -> Tuple[object, list]:
+        """Fit the first-level partitioner on ``sample``; returns the
+        ``(tuner_rng, group_rngs)`` :meth:`_build_groups` continues from.
+
+        One stream for the partitioner, one for the tuner samples, one
+        per group index — all derived from the master seed.
+        """
         cfg = self.config
-        # One RNG stream for the partitioner, one per group index, one for
-        # the tuner samples — all derived from the master seed.
         rngs = spawn_rngs(cfg.seed, cfg.n_groups + 2)
-        tree_rng, tuner_rng, group_rngs = rngs[0], rngs[1], rngs[2:]
-        if cfg.tree_seed is not None:
-            tree_rng = cfg.tree_seed
-        self.partitioner = self._make_partitioner(tree_rng)
-        self.partitioner.fit(data)
+        self.partitioner = self._make_partitioner(
+            rngs[0] if cfg.tree_seed is None else cfg.tree_seed)
+        self.partitioner.fit(sample)
+        return rngs[1], rngs[2:]
+
+    def _build_groups(self, data: np.ndarray, tuner_rng: object,
+                      group_rngs: list) -> "BiLevelLSH":
+        """Build one LSH index per leaf of the fitted partitioner.
+
+        The one group-building loop: :meth:`fit` and the out-of-core
+        :func:`~repro.core.outofcore.fit_bilevel_chunked` (``data`` a
+        memmap, leaves re-pointed at the full dataset's rows) both end
+        here, so every config field reaches the group indexes the same
+        way.  Only one group's rows are gathered into memory at a time.
+        """
+        cfg = self.config
         self._data = data
         self.group_indexes = []
         self.group_widths = []
         scale_factors = (self._width_scales(data, tuner_rng)
                          if cfg.scale_widths and not cfg.tune_params else None)
         for g, indices in enumerate(self.partitioner.leaf_indices()):
-            group_data = data[indices]
+            if indices.size == 0:
+                # A leaf of a sample-fitted tree that no row of the full
+                # dataset reached: index row 0 so the group can be built.
+                indices = np.zeros(1, dtype=np.int64)
+            group_data = np.asarray(data[indices], dtype=np.float64)
             width = cfg.bucket_width
             if cfg.tune_params and group_data.shape[0] > 1:
                 model = CollisionModel(group_data, k=cfg.tuner_k,
@@ -270,29 +292,6 @@ class BiLevelLSH:
             n_jobs = os.cpu_count() or 1
         return max(1, min(n_jobs, n_work))
 
-    def _validate_query_batch(self, queries: np.ndarray, k: int,
-                              allow_nonfinite: bool,
-                              ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Typed top-of-query validation (mirrors StandardLSH's)."""
-        try:
-            queries, finite_row = as_query_matrix(
-                queries, dim=self._data.shape[1], name="queries",
-                allow_nonfinite=allow_nonfinite)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="queries") from error
-        try:
-            k = check_k(k)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="k") from error
-        return queries, finite_row, k
-
-    def _group_live_points(self, g: int) -> int:
-        """Non-tombstoned point count in group ``g`` (fallback stats)."""
-        index = self.group_indexes[g]
-        deleted = index._deleted
-        n = index.n_points
-        return n - int(deleted.sum()) if deleted is not None else n
-
     def _fallback_results(self, g: int, rows: np.ndarray, k: int, kind: str,
                           queries: np.ndarray,
                           ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
@@ -309,7 +308,7 @@ class BiLevelLSH:
         if kind == "bruteforce":
             ids_g, dists_g = self.group_indexes[g].brute_force_batch(
                 queries[rows], k)
-            n_candidates = np.full(nr, self._group_live_points(g),
+            n_candidates = np.full(nr, self.group_indexes[g].n_live,
                                    dtype=np.int64)
         else:
             ids_g = np.full((nr, k), -1, dtype=np.int64)
@@ -527,7 +526,8 @@ class _BiLevelPlan(QueryPlan):
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        return self.index._validate_query_batch(queries, k, allow_nonfinite)
+        return validate_query_batch(queries, k, self.index._data.shape[1],
+                                    allow_nonfinite)
 
     def stages(self) -> Tuple[Stage, ...]:
         return (Stage("bilevel.route", self._stage_route),

@@ -32,7 +32,7 @@ from repro.lsh.index import StandardLSH, table_codes
 from repro.lattice.base import Lattice
 from repro.lsh.functions import PStableHashFamily
 from repro.resilience.errors import QueryValidationError
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_matrix_2d, check_positive
 
 DEFAULT_CHUNK = 8192
@@ -78,8 +78,9 @@ def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,
     Parameters
     ----------
     config:
-        The Bi-level configuration (``tune_params``/``scale_widths`` are
-        honored; their samples are drawn from the in-memory group rows).
+        The Bi-level configuration; every field reaches the group
+        indexes as in :meth:`BiLevelLSH.fit` (tuner samples are drawn
+        from the in-memory group rows).
     data:
         2-D array-like, typically a ``numpy.memmap``.
     sample_size:
@@ -105,10 +106,8 @@ def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,
     # 1. Fit the partitioner on a sample.
     m = min(int(sample_size), n)
     sample_rows = np.sort(rng.choice(n, size=m, replace=False))
-    sample = np.asarray(data[sample_rows], dtype=np.float64)
-    tree_seed = config.tree_seed if config.tree_seed is not None else config.seed
-    index.partitioner = index._make_partitioner(ensure_rng(tree_seed))
-    index.partitioner.fit(sample)
+    rngs = index._fit_partitioner(
+        np.asarray(data[sample_rows], dtype=np.float64))
     # 2. Stream the group assignment.
     groups = np.empty(n, dtype=np.int64)
     for start in range(0, n, chunk_size):
@@ -117,38 +116,12 @@ def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,
         groups[start:stop] = index.partitioner.assign(block)
     # Re-point the partitioner's leaves at the *full* dataset's rows so
     # leaf_indices()/diagnostics reflect the real partition.
-    full_leaf_indices = [np.nonzero(groups == g)[0].astype(np.int64)
-                         for g in range(index.partitioner.n_leaves)]
-    _override_leaf_indices(index.partitioner, full_leaf_indices)
+    _override_leaf_indices(
+        index.partitioner,
+        [np.nonzero(groups == g)[0].astype(np.int64)
+         for g in range(index.partitioner.n_leaves)])
     # 3. Build one LSH index per group from its row subset.
-    index._data = data
-    index.group_indexes = []
-    index.group_widths = []
-    group_rngs = spawn_rngs(config.seed, len(full_leaf_indices) + 1)
-    for g, rows in enumerate(full_leaf_indices):
-        if rows.size == 0:
-            rows = np.array([0], dtype=np.int64)  # degenerate guard
-        group_data = np.asarray(data[rows], dtype=np.float64)
-        width = config.bucket_width
-        if config.tune_params and group_data.shape[0] > 1:
-            from repro.lsh.params import CollisionModel, tune_bucket_width
-
-            model = CollisionModel(group_data, k=config.tuner_k,
-                                   sample_size=config.tuner_sample_size,
-                                   seed=group_rngs[-1])
-            width = tune_bucket_width(model, config.n_hashes,
-                                      config.n_tables,
-                                      target_recall=config.target_recall
-                                      ).bucket_width
-        sub = StandardLSH(n_hashes=config.n_hashes, n_tables=config.n_tables,
-                          bucket_width=width, lattice=config.lattice,
-                          n_probes=config.n_probes,
-                          hierarchy=config.hierarchy,
-                          seed=group_rngs[g])
-        sub.fit(group_data, ids=rows)
-        index.group_indexes.append(sub)
-        index.group_widths.append(width)
-    return index
+    return index._build_groups(data, *rngs)
 
 
 def _override_leaf_indices(partitioner, leaf_indices) -> None:

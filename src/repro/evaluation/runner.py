@@ -20,9 +20,8 @@ from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.metrics import error_ratio, recall_ratio, selectivity
 from repro.evaluation.variance import VarianceSummary, decompose_variance
 from repro.exec import ExecutionContext, QueryPlan, Stage
+from repro.exec.plan import validate_query_batch
 from repro.runtime.session import QueryRequest, execute_plan_request
-from repro.resilience.errors import QueryValidationError
-from repro.utils.validation import as_query_matrix, check_k
 
 #: An index factory: seed -> unfitted index with fit()/query_batch().
 IndexFactory = Callable[[int], object]
@@ -251,17 +250,8 @@ class _EvaluationPlan(QueryPlan):
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        try:
-            arr, finite_row = as_query_matrix(
-                queries, dim=self.dim, name="queries",
-                allow_nonfinite=allow_nonfinite)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="queries") from error
-        try:
-            k = check_k(k)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="k") from error
-        return arr, finite_row, k
+        return validate_query_batch(queries, k, self.dim,
+                                    allow_nonfinite)
 
     def stages(self) -> Tuple[Stage, ...]:
         return (Stage("evaluate.query", self._stage_query,

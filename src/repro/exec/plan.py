@@ -22,8 +22,34 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exec.context import ExecutionContext
+from repro.resilience.errors import QueryValidationError
+from repro.utils.validation import as_query_matrix, check_k
 
 StageFn = Callable[[ExecutionContext], None]
+
+
+def validate_query_batch(queries: object, k: int, dim: int,
+                         allow_nonfinite: bool,
+                         ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+    """Typed top-of-query validation, the body of every plan's
+    :meth:`QueryPlan.validate` over a ``dim``-column index.
+
+    Returns ``(queries, finite_row_mask_or_None, k)``; shape, dim and
+    ``k`` problems raise :class:`QueryValidationError` (a ``ValueError``
+    subclass, so pre-existing callers keep working) instead of a
+    downstream broadcasting or index error.
+    """
+    try:
+        queries, finite_row = as_query_matrix(
+            queries, dim=dim, name="queries",
+            allow_nonfinite=allow_nonfinite)
+    except ValueError as error:
+        raise QueryValidationError(str(error), field="queries") from error
+    try:
+        k = check_k(k)
+    except ValueError as error:
+        raise QueryValidationError(str(error), field="k") from error
+    return queries, finite_row, k
 
 
 @dataclass(frozen=True)

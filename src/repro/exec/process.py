@@ -3,12 +3,12 @@
 :class:`ProcessShardExecutor` runs :class:`~repro.lsh.index.StandardLSH`
 batch queries across a persistent pool of **processes** instead of the
 ``n_jobs`` thread pool — true multi-core execution for the GIL-bound
-parts of the pipeline.  The read-only index arrays (data rows, external
-ids, cached norms, tombstones, and every table's CSR layout) are
-materialized into one :class:`multiprocessing.shared_memory.SharedMemory`
-segment exactly once; each worker reconstructs zero-copy numpy views
-over that segment and answers contiguous ``max_batch_rows`` row shards
-dispatched over a pipe.
+parts of the pipeline.  The arrays of the index's own description,
+:meth:`StandardLSH.state() <repro.lsh.index.StandardLSH.state>`, are
+copied into one :class:`multiprocessing.shared_memory.SharedMemory`
+segment exactly once; each worker adopts zero-copy read-only views over
+that segment with ``StandardLSH.from_state`` and answers contiguous
+``max_batch_rows`` row shards dispatched over a pipe.
 
 Contracts (mirroring :func:`repro.exec.run_shards`):
 
@@ -16,11 +16,11 @@ Contracts (mirroring :func:`repro.exec.run_shards`):
   integer ``hierarchy_threshold`` (the stages are row-independent; the
   workers execute the very same plan code over views of the very same
   arrays);
-- one **absolute deadline** is shared by every shard: the expiry is
-  shipped to workers as an absolute ``time.monotonic()`` timestamp
-  (system-wide on Linux, shippable across processes), and shards not yet
-  dispatched when the budget expires return padded answers flagged
-  ``exhausted_budget``;
+- one **absolute deadline** is shared by every shard: the
+  :class:`Deadline` itself is shipped to workers (it pickles with its
+  absolute ``time.monotonic()`` expiry, a clock that is system-wide on
+  Linux), and shards not yet dispatched when the budget expires return
+  padded answers flagged ``exhausted_budget``;
 - with a :class:`~repro.resilience.policy.ResiliencePolicy`, a shard
   whose worker **dies mid-batch** is retried on a fresh worker and then
   answered by an exact brute-force scan, with the affected rows flagged
@@ -42,7 +42,6 @@ from __future__ import annotations
 import atexit
 import os
 import signal
-import threading
 import weakref
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
@@ -52,14 +51,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.exec.context import QueryStats
+from repro.exec.context import ExecutionContext, QueryStats
+from repro.exec.executor import run_plan
+from repro.exec.plan import QueryPlan, Stage, validate_query_batch
 from repro.resilience.deadline import Deadline
-from repro.resilience.policy import (FailureRecord, ResiliencePolicy,
-                                     active_policy)
+from repro.resilience.policy import FailureRecord, ResiliencePolicy
 
 if TYPE_CHECKING:  # runtime import would cycle: lsh.index imports repro.exec
     from repro.lsh.index import StandardLSH
-    from repro.runtime.session import QueryRequest, QueryResponse
 
 __all__ = ["ProcessShardExecutor", "WorkerCrashError"]
 
@@ -171,12 +170,16 @@ def _segment_view(shm: SharedMemory, dtype_str: str,
 
 def _materialize(index: "StandardLSH",
                  ) -> Tuple[SharedMemory, List[_ManifestEntry], dict]:
-    """Copy the index's read-only arrays into one fresh SHM segment.
+    """Copy ``index.state()`` into one fresh SHM segment.
 
-    Returns ``(shm, manifest, meta)``; the parent owns ``shm`` (it must
-    ``close()`` + ``unlink()`` it) and every copy-in view created here is
-    local to this function, so no export outlives the call.
+    Returns ``(shm, manifest, scalars)``; the parent owns ``shm`` (it
+    must ``close()`` + ``unlink()`` it) and every copy-in view created
+    here is local to this function, so no export outlives the call.
+    Source and derived arrays both go in, under ``source/`` and
+    ``derived/``, so a worker neither sorts a table nor sums a norm.
     """
+    from repro.lsh.index import prefixed
+
     index._check_fitted()
     if isinstance(index._data, np.memmap):
         raise ValueError(
@@ -186,137 +189,52 @@ def _materialize(index: "StandardLSH",
     if any(table.n_extra for table in index._tables):
         # The overlay is mutable post-build state; the shared segment is
         # a frozen snapshot.  One rebuild folds the overlay into the CSR
-        # layout and restores the shareable invariant.
+        # layout, and state() exports table layouts only without one.
         index._rebuild_tables()
-
-    arrays: List[Tuple[str, np.ndarray]] = [
-        ("data", np.ascontiguousarray(index._data, dtype=np.float64)),
-        ("ids", np.ascontiguousarray(index._ids, dtype=np.int64)),
-        ("sq_norms", np.ascontiguousarray(index._point_sq_norms(),
-                                          dtype=np.float64)),
-    ]
-    if index._deleted is not None:
-        arrays.append(("deleted", np.ascontiguousarray(index._deleted,
-                                                       dtype=np.bool_)))
-    for t, (family, table) in enumerate(zip(index._families,
-                                            index._tables)):
-        arrays.append((f"f{t}/directions",
-                       np.ascontiguousarray(family.directions,
-                                            dtype=np.float64)))
-        arrays.append((f"f{t}/offsets_unit",
-                       np.ascontiguousarray(family.offsets_unit,
-                                            dtype=np.float64)))
-        arrays.append((f"t{t}/bucket_codes",
-                       np.ascontiguousarray(table._bucket_codes,
-                                            dtype=np.int64)))
-        arrays.append((f"t{t}/starts",
-                       np.ascontiguousarray(table._starts, dtype=np.int64)))
-        arrays.append((f"t{t}/ends",
-                       np.ascontiguousarray(table._ends, dtype=np.int64)))
-        arrays.append((f"t{t}/sorted_ids",
-                       np.ascontiguousarray(table._sorted_ids,
-                                            dtype=np.int64)))
+    index._point_sq_norms()  # cached, so state() exports the one copy
+    scalars, source, derived = index.state()
+    arrays = {**prefixed("source/", source), **prefixed("derived/", derived)}
 
     manifest: List[_ManifestEntry] = []
     offset = 0
-    for key, arr in arrays:
+    for key, arr in arrays.items():
         offset = _align(offset)
         manifest.append((key, arr.dtype.str, tuple(arr.shape), offset))
         offset += arr.nbytes
     shm = SharedMemory(create=True, size=max(offset, 1))
-    for (key, arr), (_, dtype_str, shape, off) in zip(arrays, manifest):
+    for key, dtype_str, shape, off in manifest:
         # Copy-in view: function-local on purpose — it dies with this
         # frame, long before the parent's shm.close()/unlink().
-        _segment_view(shm, dtype_str, shape, off, writeable=True)[...] = arr
-
-    meta = {
-        "n_hashes": index.n_hashes,
-        "n_tables": index.n_tables,
-        "bucket_width": index.bucket_width,
-        "lattice": index.lattice_kind,
-        "n_probes": index.n_probes,
-        "hierarchy": index.use_hierarchy,
-        "adaptive_probing": index.adaptive_probing,
-        "probe_confidence": index.probe_confidence,
-        "has_deleted": index._deleted is not None,
-    }
-    return shm, manifest, meta
+        _segment_view(shm, dtype_str, shape, off,
+                      writeable=True)[...] = arrays[key]
+    return shm, manifest, scalars
 
 
 def _reconstruct_index(shm: SharedMemory, manifest: List[_ManifestEntry],
-                       meta: dict) -> "StandardLSH":
-    """Rebuild a queryable ``StandardLSH`` over zero-copy segment views.
+                       scalars: dict) -> "StandardLSH":
+    """The index ``_materialize`` described, over zero-copy segment views.
 
-    Runs in the worker process.  Every array attribute of the returned
-    index is a read-only view into ``shm`` — the caller must keep the
-    index referenced strictly within the lifetime of its ``shm`` handle.
-    The only per-worker allocations are the packed bucket keys (when a
+    Runs in the worker process.  Every array of the returned index is a
+    read-only view into ``shm`` — the caller must keep the index
+    referenced strictly within the lifetime of its ``shm`` handle.  The
+    only per-worker allocations are the packed bucket keys (when a
     numpy lookup first needs them, O(buckets) per table) and, with
     hierarchies, the deterministic per-table bucket hierarchy — both
     derived from the shared CSR arrays, so worker answers stay
     bit-identical.
     """
-    from repro.lsh.functions import PStableHashFamily
-    from repro.lsh.index import StandardLSH, make_lattice
-    from repro.lsh.table import LSHTable
+    from repro.lsh.index import StandardLSH, sub_arrays
 
     views: Dict[str, np.ndarray] = {
         key: _segment_view(shm, dtype_str, shape, off)
         for key, dtype_str, shape, off in manifest
     }
-    index = object.__new__(StandardLSH)
-    index.n_hashes = int(meta["n_hashes"])
-    index.n_tables = int(meta["n_tables"])
-    index.bucket_width = float(meta["bucket_width"])
-    index.lattice_kind = str(meta["lattice"])
-    index.n_probes = int(meta["n_probes"])
-    index.use_hierarchy = bool(meta["hierarchy"])
-    index.adaptive_probing = bool(meta["adaptive_probing"])
-    index.probe_confidence = float(meta["probe_confidence"])
-    index._seed = None
-    index._data = views["data"]
-    index._ids = views["ids"]
-    index._sq_norms = views["sq_norms"]
-    index._deleted = views["deleted"] if meta["has_deleted"] else None
-    index._lattice = make_lattice(index.lattice_kind, index.n_hashes)
-    index._update_lock = threading.RLock()
-    index._norms_lock = threading.Lock()
-    dim = views["data"].shape[1]
-    families: List[PStableHashFamily] = []
-    tables: List[LSHTable] = []
-    hierarchies: List[object] = []
-    for t in range(index.n_tables):
-        family = object.__new__(PStableHashFamily)
-        family.directions = views[f"f{t}/directions"]
-        family.offsets_unit = views[f"f{t}/offsets_unit"]
-        family.dim = dim
-        family._n_hashes = index.n_hashes
-        family.bucket_width = index.bucket_width
-        families.append(family)
-        table = object.__new__(LSHTable)
-        table._bucket_codes = views[f"t{t}/bucket_codes"]
-        table._starts = views[f"t{t}/starts"]
-        table._ends = views[f"t{t}/ends"]
-        table._sorted_ids = views[f"t{t}/sorted_ids"]
-        table.code_dim = table._bucket_codes.shape[1]
-        table.n_points = table._sorted_ids.shape[0]
-        table._overlay_lock = threading.Lock()
-        table._extra_codes = []
-        table._extra_ids = []
-        table._overlay = None
-        table._n_extra = 0
-        tables.append(table)
-    index._families = families
-    index._tables = tables
-    for table in tables:
-        if index.use_hierarchy:
-            hierarchies.append(index._build_hierarchy(table))
-    index._hierarchies = hierarchies
-    return index
+    return StandardLSH.from_state(scalars, sub_arrays(views, "source/"),
+                                  sub_arrays(views, "derived/"))
 
 
 def _worker_main(conn: Connection, shm_name: str,
-                 manifest: List[_ManifestEntry], meta: dict,
+                 manifest: List[_ManifestEntry], scalars: dict,
                  sink_name: Optional[str],
                  sink_schema: Optional[object], slot: int) -> None:
     """Worker process loop: reconstruct once, answer shards until 'stop'.
@@ -350,7 +268,7 @@ def _worker_main(conn: Connection, shm_name: str,
     index: Optional[object] = None
     worker_slot: Optional[obs_shm.WorkerSlot] = None
     try:
-        index = _reconstruct_index(shm, manifest, meta)
+        index = _reconstruct_index(shm, manifest, scalars)
         if sink_name is not None and sink_schema is not None:
             try:
                 worker_slot = obs_shm.attach_worker_slot(
@@ -365,16 +283,10 @@ def _worker_main(conn: Connection, shm_name: str,
             msg = conn.recv()
             if msg[0] == "stop":
                 break
-            (_, shard_id, queries, k, threshold, budget_ms,
-             expires_at, tctx) = msg
-            deadline = None
-            if expires_at is not None:
-                # Reconstruct the parent's absolute deadline: monotonic
-                # clocks are system-wide on Linux, so the shipped expiry
-                # means the same instant in this process.
-                deadline = object.__new__(Deadline)
-                deadline.budget_ms = budget_ms
-                deadline._expires_at = expires_at
+            # ``deadline`` is the parent's own object: it pickles with
+            # its absolute expiry, and monotonic clocks are system-wide
+            # on Linux, so it means the same instant in this process.
+            _, shard_id, queries, k, threshold, deadline, tctx = msg
             wob: Optional[obs.Observer] = None
             if worker_slot is not None and tctx is not None:
                 wob = obs.enable(registry=worker_slot.registry,
@@ -477,7 +389,7 @@ class ProcessShardExecutor:
         # recorded through the obs setup histogram, never per-query.
 
         t0 = time.perf_counter()  # invariant: disable=R6 — setup-only timing
-        self._shm, self._manifest, self._meta = _materialize(index)
+        self._shm, self._manifest, self._scalars = _materialize(index)
         self._sink: Optional[obs_shm.ShmMetricsSink] = None
         self._sink_schema: Optional[obs_shm.SlotSchema] = None
         if metrics:
@@ -506,7 +418,7 @@ class ProcessShardExecutor:
         sink_name = None if self._sink is None else self._sink.name
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._shm.name, self._manifest, self._meta,
+            args=(child_conn, self._shm.name, self._manifest, self._scalars,
                   sink_name, self._sink_schema, widx),
             daemon=True)
         process.start()
@@ -630,25 +542,14 @@ class ProcessShardExecutor:
 
     # ------------------------------------------------------------- querying
 
-    def submit(self, request: "QueryRequest") -> "QueryResponse":
-        """Runtime-layer entry: answer one
-        :class:`~repro.runtime.QueryRequest` over the pool.
-
-        Mirrors :meth:`repro.runtime.session.IndexRuntime.submit` so a
-        runtime holding a shard pool routes requests here unchanged;
-        unset request fields fall back to this method's historical
-        ``query_batch`` defaults (threshold ``"median"``).
-        """
-        from repro.runtime.session import QueryResponse
-
-        threshold: object = request.hierarchy_threshold
-        if threshold is None:
-            threshold = "median"
-        ids, dists, stats = self.query_batch(
-            request.queries, request.k, hierarchy_threshold=threshold,
-            deadline_ms=request.deadline_ms, deadline=request.deadline,
-            policy=request.policy, max_batch_rows=request.max_batch_rows)
-        return QueryResponse(ids=ids, distances=dists, stats=stats)
+    def execution_plan(self, hierarchy_threshold: object = "median",
+                       ) -> QueryPlan:
+        """The pool as a one-stage plan for :func:`repro.exec.run_plan` —
+        what :func:`repro.runtime.execute_request` asks of any index, so
+        a runtime holding a pool routes requests to it unchanged."""
+        if self._closed:
+            raise RuntimeError("executor is closed")
+        return _PoolPlan(self, hierarchy_threshold)
 
     def query_batch(self, queries: np.ndarray, k: int,
                     hierarchy_threshold: object = "median",
@@ -669,106 +570,42 @@ class ProcessShardExecutor:
         affected rows (retry on a fresh worker, then exact brute-force,
         then flagged padding) — the batch always returns.
         """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        pol = policy if policy is not None else active_policy()
-        ob = obs.active()
-        timer = obs.StageTimer(ob)  # clock-free when ob is None
-        arr, finite_row, k = self._index._validate_query_batch(
-            queries, k, allow_nonfinite=pol is not None)
-        timer.lap(f"{self.SITE}.validate")
-        if deadline is None:
-            deadline = Deadline.from_ms(deadline_ms)
-        nq = int(arr.shape[0])
-        failures: List[FailureRecord] = []
+        return run_plan(self.execution_plan(hierarchy_threshold), queries, k,
+                        deadline_ms=deadline_ms, deadline=deadline,
+                        policy=policy, max_batch_rows=max_batch_rows)
 
-        if finite_row is not None and not bool(finite_row.all()):
-            # Policy-gated non-finite rows: answered with flagged padding
-            # (mirrors repro.exec.executor._run_shard).
-            assert pol is not None
-            ids_out = np.full((nq, k), -1, dtype=np.int64)
-            dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-            n_candidates = np.zeros(nq, dtype=np.int64)
-            escalated = np.zeros(nq, dtype=bool)
-            degraded = ~finite_row
-            exhausted: Optional[np.ndarray] = (
-                np.zeros(nq, dtype=bool) if deadline is not None else None)
-            good = np.nonzero(finite_row)[0]
-            n_bad = nq - int(good.size)
-            from repro.resilience.errors import QueryValidationError
-
-            failures.append(pol.note_failure(
-                f"{self.SITE}.validate", f"rows={n_bad}",
-                QueryValidationError(
-                    "query rows contain NaN or infinite values",
-                    field="queries"),
-                "degraded"))
-            if ob is not None:
-                ob.record_degraded("nonfinite_query", n_bad)
-            if good.size:
-                sub_ids, sub_dists, sub_stats = self._run_rows(
-                    np.ascontiguousarray(arr[good], dtype=np.float64), k,
-                    hierarchy_threshold, deadline, pol, max_batch_rows,
-                    failures, timer)
-                ids_out[good] = sub_ids
-                dists_out[good] = sub_dists
-                n_candidates[good] = sub_stats.n_candidates
-                escalated[good] = sub_stats.escalated
-                if sub_stats.degraded is not None:
-                    degraded[good] |= sub_stats.degraded
-                if exhausted is not None \
-                        and sub_stats.exhausted_budget is not None:
-                    exhausted[good] = sub_stats.exhausted_budget
-            return ids_out, dists_out, QueryStats(
-                n_candidates, escalated, degraded=degraded,
-                exhausted_budget=exhausted,
-                failures=tuple(failures) if failures else None)
-
-        return self._run_rows(arr, k, hierarchy_threshold, deadline, pol,
-                              max_batch_rows, failures, timer)
-
-    def _run_rows(self, queries: np.ndarray, k: int,
-                  hierarchy_threshold: object,
-                  deadline: Optional[Deadline],
-                  pol: Optional[ResiliencePolicy],
-                  max_batch_rows: Optional[int],
-                  failures: List[FailureRecord],
-                  timer: "obs.StageTimer",
-                  ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+    def _run_rows(self, ctx: ExecutionContext,
+                  hierarchy_threshold: object) -> None:
         """Shard validated all-finite rows over the pool and merge.
 
-        Dispatch is wave-pipelined: each wave sends one shard to every
-        worker, then collects replies in shard order — at most one shard
-        is in flight per worker, so a dying worker loses exactly the
-        shard being supervised and the retry path stays simple.
+        The pool plan's one stage.  Dispatch is wave-pipelined: each
+        wave sends one shard to every worker, then collects replies in
+        shard order — at most one shard is in flight per worker, so a
+        dying worker loses exactly the shard being supervised and the
+        retry path stays simple.
 
         With observability on, every dispatched shard carries a
         :class:`~repro.obs.TraceContext`; the workers return their
-        sampled trace dicts with each result and this method stitches
-        them into parent :class:`~repro.obs.QueryTrace` records (parent
-        validate/dispatch/collect spans + per-worker stage and kernel
-        spans), then drains the shared-memory metrics segment so worker
-        counters appear in the parent registry.
+        sampled trace dicts with each result, which
+        :meth:`_PoolPlan.record_obs` stitches once the stage is timed.
         """
-        nq = int(queries.shape[0])
-        rows_per_shard = (nq if max_batch_rows is None
-                          else max(1, int(max_batch_rows)))
+        queries, k, nq = ctx.queries, ctx.k, ctx.nq
+        deadline, pol, ob = ctx.deadline, ctx.policy, ctx.ob
+        rows_per_shard = nq if ctx.max_batch_rows is None \
+            else ctx.max_batch_rows
         shards = [(s, min(s + rows_per_shard, nq))
                   for s in range(0, nq, rows_per_shard)]
-        ids_out = np.full((nq, k), -1, dtype=np.int64)
-        dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-        n_candidates = np.zeros(nq, dtype=np.int64)
-        escalated = np.zeros(nq, dtype=bool)
-        degraded: Optional[np.ndarray] = None
-        exhausted: Optional[np.ndarray] = (
-            np.zeros(nq, dtype=bool) if deadline is not None else None)
-        ob = obs.active()
         self._batch_seq += 1
         batch_id = self._batch_seq
-        # (row_start, shard_id, worker_meta, worker_trace_dict) tuples,
-        # stitched after the final lap so parent spans are complete.
+        # (row_start, shard_id, worker_meta, worker_trace_dict) tuples.
         pending_traces: List[Tuple[int, int, dict, dict]] = []
+        ctx.scratch["traces"] = pending_traces
+        ctx.scratch["n_shards"] = len(shards)
         for wave_start in range(0, len(shards), self.n_workers):
+            if wave_start:
+                # The previous wave's collect; the last wave's is the
+                # stage's own lap.
+                ctx.timer.lap(f"{self.SITE}.collect")
             wave = shards[wave_start:wave_start + self.n_workers]
             sent: List[bool] = [False] * len(wave)
             for slot, (start, stop) in enumerate(wave):
@@ -794,57 +631,44 @@ class ProcessShardExecutor:
                         raise WorkerCrashError(
                             f"shard worker dispatch failed "
                             f"({type(error).__name__})") from error
-                    failures.append(pol.note_failure(
+                    ctx.failures.append(pol.note_failure(
                         self.SITE, f"shard={wave_start + slot}",
                         error, "retried"))
-            timer.lap(f"{self.SITE}.dispatch")
+            ctx.timer.lap(f"{self.SITE}.dispatch")
             for slot, (start, stop) in enumerate(wave):
                 shard_id = wave_start + slot
                 if not sent[slot] and deadline is not None \
                         and deadline.expired():
                     # Budget spent before dispatch: padded best-effort
                     # rows, flagged exhausted — identical to run_shards.
-                    assert exhausted is not None
-                    exhausted[start:stop] = True
+                    ctx.ensure_exhausted()[start:stop] = True
                     if ob is not None:
                         ob.record_deadline_exhausted(
                             f"{self.SITE}.shard", stop - start)
                     continue
                 result, shard_failures, shard_degraded = self._collect(
-                    shard_id, slot, sent[slot], queries[start:stop], k,
-                    hierarchy_threshold, deadline, pol, batch_id)
+                    ctx, shard_id, slot, sent[slot], queries[start:stop],
+                    hierarchy_threshold, batch_id)
                 if ob is not None:
                     ob.record_worker_inflight(slot, 0)
-                failures.extend(shard_failures)
+                ctx.failures.extend(shard_failures)
                 if shard_degraded or result is None:
-                    if degraded is None:
-                        degraded = np.zeros(nq, dtype=bool)
-                    degraded[start:stop] = True
+                    ctx.ensure_degraded()[start:stop] = True
                     if ob is not None:
                         ob.record_degraded("worker_crash", stop - start)
                 if result is None:
                     continue  # flagged padding stays in place
                 s_ids, s_dists, s_cand, s_esc, s_exh, s_meta = result
-                ids_out[start:stop] = s_ids
-                dists_out[start:stop] = s_dists
-                n_candidates[start:stop] = s_cand
-                escalated[start:stop] = s_esc
-                if exhausted is not None and s_exh is not None:
-                    exhausted[start:stop] = s_exh
+                ctx.ids_out[start:stop] = s_ids
+                ctx.dists_out[start:stop] = s_dists
+                ctx.n_candidates[start:stop] = s_cand
+                ctx.escalated[start:stop] = s_esc
+                if s_exh is not None:
+                    ctx.ensure_exhausted()[start:stop] = s_exh
                 if ob is not None and s_meta is not None:
                     for trace_dict in s_meta.get("traces", ()):
                         pending_traces.append((start, shard_id, s_meta,
                                                trace_dict))
-            timer.lap(f"{self.SITE}.collect")
-        if ob is not None:
-            ob.record_shards(self.SITE, len(shards))
-            self._stitch_traces(ob, timer, pending_traces)
-            self.drain_metrics(ob)
-        stats = QueryStats(
-            n_candidates, escalated, degraded=degraded,
-            exhausted_budget=exhausted,
-            failures=tuple(failures) if failures else None)
-        return ids_out, dists_out, stats
 
     def _make_tctx(self, ob: Optional[obs.Observer], batch_id: int,
                    shard_id: int, widx: int) -> Optional[obs.TraceContext]:
@@ -858,7 +682,7 @@ class ProcessShardExecutor:
             trace_seed=batch_id * 1_000_003 + shard_id,
             sent_at=ob.clock())
 
-    def _stitch_traces(self, ob: obs.Observer, timer: "obs.StageTimer",
+    def _stitch_traces(self, ob: obs.Observer, stages: Dict[str, float],
                        pending: List[Tuple[int, int, dict, dict]]) -> None:
         """Fold worker-sampled trace dicts into parent QueryTrace records.
 
@@ -866,7 +690,6 @@ class ProcessShardExecutor:
         deterministic per-shard seed), so every pending trace is added
         directly — re-sampling here would square the rate.
         """
-        stages = dict(timer.stages)
         for start, shard_id, meta, trace_dict in pending:
             ob.tracer.add(obs.QueryTrace(
                 query_index=start + int(trace_dict.get("query_index", 0)),
@@ -902,16 +725,11 @@ class ProcessShardExecutor:
                  deadline: Optional[Deadline],
                  tctx: Optional[obs.TraceContext]) -> tuple:
         return ("query", shard_id, queries, k, hierarchy_threshold,
-                None if deadline is None else deadline.budget_ms,
-                None if deadline is None else deadline._expires_at,
-                tctx)
+                deadline, tctx)
 
-    def _collect(self, shard_id: int, widx: int, in_flight: bool,
-                 queries: np.ndarray, k: int,
-                 hierarchy_threshold: object,
-                 deadline: Optional[Deadline],
-                 pol: Optional[ResiliencePolicy],
-                 batch_id: int,
+    def _collect(self, ctx: ExecutionContext, shard_id: int, widx: int,
+                 in_flight: bool, queries: np.ndarray,
+                 hierarchy_threshold: object, batch_id: int,
                  ) -> Tuple[Optional[tuple], List[FailureRecord], bool]:
         """Await one shard's reply, supervising crashes.
 
@@ -922,10 +740,9 @@ class ProcessShardExecutor:
         re-send to a fresh worker themselves.
         """
         from repro.resilience.errors import InjectedFault
-        from repro.resilience.faults import faults_active
 
         state = {"in_flight": in_flight}
-        fault_plan = faults_active()
+        fault_plan, pol = ctx.fault_plan, ctx.policy
 
         def attempt() -> tuple:
             if fault_plan is not None:
@@ -942,10 +759,9 @@ class ProcessShardExecutor:
             try:
                 if not state["in_flight"]:
                     worker.conn.send(self._request(
-                        shard_id, queries, k, hierarchy_threshold,
-                        deadline,
-                        self._make_tctx(obs.active(), batch_id, shard_id,
-                                        widx)))
+                        shard_id, queries, ctx.k, hierarchy_threshold,
+                        ctx.deadline,
+                        self._make_tctx(ctx.ob, batch_id, shard_id, widx)))
                 state["in_flight"] = False
                 msg = self._recv(worker)
             except WorkerCrashError:
@@ -964,26 +780,59 @@ class ProcessShardExecutor:
             return attempt(), [], False
 
         def brute_force() -> tuple:
-            ids, dists = self._index.brute_force_batch(queries, k)
-            alive = self._live_points()
+            ids, dists = self._index.brute_force_batch(queries, ctx.k)
             nr = queries.shape[0]
-            return (ids, dists, np.full(nr, alive, dtype=np.int64),
+            return (ids, dists,
+                    np.full(nr, self._index.n_live, dtype=np.int64),
                     np.zeros(nr, dtype=bool), None, None)
 
         result, action, records = pol.run(
             self.SITE, f"shard={shard_id}", attempt,
             fallbacks=(("brute_force", brute_force),))
-        ob = obs.active()
-        if ob is not None and action is not None:
-            ob.record_worker_event(f"shard_{action.split(':', 1)[0]}")
+        if ctx.ob is not None and action is not None:
+            ctx.ob.record_worker_event(f"shard_{action.split(':', 1)[0]}")
         return result, list(records), action is not None and \
             action.startswith("fallback")
-
-    def _live_points(self) -> int:
-        deleted = self._index._deleted
-        n = int(self._index._data.shape[0])
-        return n - int(deleted.sum()) if deleted is not None else n
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ProcessShardExecutor(n_workers={self.n_workers}, "
                 f"segment={self._shm.name!r}, closed={self._closed})")
+
+
+class _PoolPlan(QueryPlan):
+    """The pool behind :func:`repro.exec.run_plan`: one stage.
+
+    ``run_plan`` owns the front half every front-end shares (policy
+    resolution, timed validation, deadline construction, the
+    non-finite-row split); the stage shards the rows it is handed over
+    the workers itself — a shard is a pipe message, not a slice of this
+    process's scratch — hence ``delegates_sharding``.
+    """
+
+    site = ProcessShardExecutor.SITE
+    delegates_sharding = True
+
+    def __init__(self, executor: ProcessShardExecutor,
+                 hierarchy_threshold: object) -> None:
+        self.executor = executor
+        self.hierarchy_threshold = hierarchy_threshold
+
+    def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+        return validate_query_batch(
+            queries, k, self.executor._index._data.shape[1], allow_nonfinite)
+
+    def stages(self) -> Tuple[Stage, ...]:
+        return (Stage(f"{self.site}.collect", self._stage_run),)
+
+    def _stage_run(self, ctx: ExecutionContext) -> None:
+        self.executor._run_rows(ctx, self.hierarchy_threshold)
+
+    def record_obs(self, ctx: ExecutionContext) -> None:
+        # After the stage's closing lap, so the stitched traces carry
+        # the complete parent spans (validate / dispatch / collect).
+        executor, ob = self.executor, ctx.ob
+        ob.record_shards(self.site, ctx.scratch["n_shards"])
+        executor._stitch_traces(ob, dict(ctx.timer.stages),
+                                ctx.scratch["traces"])
+        executor.drain_metrics(ob)

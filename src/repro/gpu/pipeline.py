@@ -26,6 +26,7 @@ import numpy as np
 from repro import obs
 from repro.exec import ExecutionContext, QueryPlan, Stage
 from repro.exec.executor import run_plan
+from repro.exec.plan import validate_query_batch
 from repro.gpu.cuckoo import CuckooHashTable, compress_code
 from repro.gpu.device import CPUModel, DeviceModel, ExecutionTimer
 from repro.gpu.shortlist import (
@@ -35,8 +36,7 @@ from repro.gpu.shortlist import (
     work_queue_shortlist,
 )
 from repro.lsh.table import LSHTable
-from repro.resilience.errors import QueryValidationError
-from repro.utils.validation import as_float_matrix, as_query_matrix, check_k
+from repro.utils.validation import as_float_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import-time types only
     from repro.core.bilevel import BiLevelLSH
@@ -203,17 +203,8 @@ class _GPUPlan(QueryPlan):
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> "tuple[np.ndarray, Optional[np.ndarray], int]":
-        try:
-            arr, finite_row = as_query_matrix(
-                queries, dim=self.data.shape[1], name="queries",
-                allow_nonfinite=allow_nonfinite)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="queries") from error
-        try:
-            k = check_k(k)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="k") from error
-        return arr, finite_row, k
+        return validate_query_batch(queries, k, self.data.shape[1],
+                                    allow_nonfinite)
 
     def stages(self) -> "tuple[Stage, ...]":
         return (Stage("gpu.lookup", self._stage_lookup),

@@ -29,13 +29,13 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
+from repro.exec.plan import validate_query_batch
 from repro.runtime.session import QueryRequest, execute_request
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import InjectedFault, QueryValidationError
+from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import ResiliencePolicy
 from repro.utils.rng import SeedLike, spawn_rngs
-from repro.utils.validation import (as_float_matrix, as_query_matrix, check_k,
-                                    check_positive)
+from repro.utils.validation import as_float_matrix, check_positive
 
 MAX_DEPTH_LIMIT = 62  # codes are packed into uint64
 
@@ -241,17 +241,8 @@ class _ForestPlan(QueryPlan):
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        try:
-            arr, finite_row = as_query_matrix(
-                queries, dim=self.forest._data.shape[1], name="queries",
-                allow_nonfinite=allow_nonfinite)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="queries") from error
-        try:
-            k = check_k(k)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="k") from error
-        return arr, finite_row, k
+        return validate_query_batch(queries, k, self.forest._data.shape[1],
+                                    allow_nonfinite)
 
     def stages(self) -> Tuple[Stage, ...]:
         return (Stage("forest.encode", self._stage_encode),

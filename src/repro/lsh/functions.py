@@ -13,6 +13,8 @@ serves both the ``Z^M`` and the ``E8`` variants.
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from repro.utils.rng import SeedLike, ensure_rng
@@ -60,16 +62,37 @@ class PStableHashFamily(HashFamily):
         check_positive(n_hashes, "n_hashes")
         check_positive(bucket_width, "bucket_width")
         rng = ensure_rng(seed)
-        self.dim = int(dim)
-        self._n_hashes = int(n_hashes)
         self.bucket_width = float(bucket_width)
         # (D, M) so projection is a single GEMV/GEMM.
-        self.directions = rng.standard_normal((self.dim, self._n_hashes))
-        self.offsets_unit = rng.uniform(0.0, 1.0, size=self._n_hashes)
+        self.directions = rng.standard_normal((int(dim), int(n_hashes)))
+        self.offsets_unit = rng.uniform(0.0, 1.0, size=int(n_hashes))
+
+    @classmethod
+    def from_arrays(cls, directions: np.ndarray, offsets_unit: np.ndarray,
+                    bucket_width: float) -> "PStableHashFamily":
+        """A family over existing arrays, adopted by reference.
+
+        The one way a family is made without drawing it: snapshot
+        restore, shared-memory workers (read-only views) and
+        :meth:`with_bucket_width` all come through here.
+        """
+        family = cls(1, 1, bucket_width, seed=0)
+        family.directions = directions
+        family.offsets_unit = offsets_unit
+        return family
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The arrays :meth:`from_arrays` takes, by its keyword names."""
+        return {"directions": self.directions,
+                "offsets_unit": self.offsets_unit}
+
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[0]
 
     @property
     def n_hashes(self) -> int:
-        return self._n_hashes
+        return self.directions.shape[1]
 
     @property
     def offsets(self) -> np.ndarray:
@@ -90,7 +113,7 @@ class PStableHashFamily(HashFamily):
             Array of shape ``(n, M)`` of pre-quantization values.
         """
         arr = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        if arr.shape[1] != self.dim:
+        if arr.shape[1] != self.directions.shape[0]:
             raise ValueError(f"expected input dim {self.dim}, got {arr.shape[1]}")
         return arr @ self.directions / self.bucket_width + self.offsets_unit
 
@@ -100,15 +123,8 @@ class PStableHashFamily(HashFamily):
         Used by per-group parameter tuning: the Bi-level scheme tunes the
         bucket size per RP-tree leaf while sharing projection directions.
         """
-        check_positive(bucket_width, "bucket_width")
-        clone = object.__new__(PStableHashFamily)
-        clone.dim = self.dim
-        clone._n_hashes = self._n_hashes
-        clone.bucket_width = float(bucket_width)
-        clone.directions = self.directions
-        clone.offsets_unit = self.offsets_unit
-        return clone
+        return self.from_arrays(bucket_width=bucket_width, **self.arrays())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"PStableHashFamily(dim={self.dim}, n_hashes={self._n_hashes}, "
+        return (f"PStableHashFamily(dim={self.dim}, n_hashes={self.n_hashes}, "
                 f"bucket_width={self.bucket_width:g})")

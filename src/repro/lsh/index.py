@@ -19,12 +19,13 @@ the apples-to-apples setup of the paper's experiments.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
+from repro.exec.plan import validate_query_batch
 from repro.runtime.session import (QueryRequest, check_legacy_engine,
                                    execute_request)
 from repro.lattice.base import Lattice
@@ -37,11 +38,10 @@ from repro.lsh.table import LSHTable
 from repro.native import registry as native_registry
 from repro.native.ref import rank_topk_ref, tree_rowdot
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import InjectedFault, QueryValidationError
+from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import ResiliencePolicy
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
-from repro.utils.validation import (as_float_matrix, as_query_matrix, check_k,
-                                    check_positive)
+from repro.utils.validation import as_float_matrix, check_positive
 
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.compactor import Compactor
@@ -80,6 +80,20 @@ def table_codes(family: PStableHashFamily, lattice: Lattice,
         block = np.asarray(data[start:stop], dtype=np.float64)
         codes[start:stop] = lattice.quantize(family.project(block))
     return codes
+
+
+def prefixed(prefix: str, arrays: Dict[str, np.ndarray],
+             ) -> Dict[str, np.ndarray]:
+    """``arrays`` with ``prefix`` put before every key."""
+    return {prefix + key: arr for key, arr in arrays.items()}
+
+
+def sub_arrays(arrays: Dict[str, np.ndarray], prefix: str,
+               ) -> Dict[str, np.ndarray]:
+    """The entries of ``arrays`` under ``prefix``, with it stripped
+    (the inverse of :func:`prefixed`)."""
+    return {key[len(prefix):]: arr for key, arr in arrays.items()
+            if key.startswith(prefix)}
 
 
 # QueryStats moved to repro.exec.context with the execution-core refactor;
@@ -204,6 +218,86 @@ class StandardLSH:
             self._mutations += 1
         self._rebuild_tables(chunk_size)
         return self
+
+    # ---------------------------------------------------------------- state
+
+    def state(self) -> Tuple[dict, Dict[str, np.ndarray],
+                             Dict[str, np.ndarray]]:
+        """What this fitted index is: ``(scalars, source, derived)``.
+
+        The one description persistence, the shared-memory pool and any
+        other consumer read — a field added to the index is added here
+        and in :meth:`from_state`, nowhere else.  ``scalars`` are the
+        JSON-able constructor keywords.  ``source`` holds the arrays
+        that cannot be recomputed: ``data``, ``ids``, ``deleted`` (only
+        once something was deleted) and each ``family{t}/...``.
+        ``derived`` holds what :meth:`_rebuild_tables` and the first
+        query would recompute from those: ``sq_norms`` (only once
+        cached) and each ``table{t}/...`` sorted layout.  A live insert
+        overlay is never part of the state: while one exists the table
+        layouts are left out, and an adopter rebuilds them from
+        ``data``, which folds the overlay in.
+
+        Arrays are returned by reference, captured under the writer
+        lock; writers publish fresh arrays instead of writing in place,
+        so the capture stays frozen.
+        """
+        self._check_fitted()
+        with self._update_lock:
+            scalars = {"n_hashes": self.n_hashes, "n_tables": self.n_tables,
+                       "bucket_width": self.bucket_width,
+                       "lattice": self.lattice_kind,
+                       "n_probes": self.n_probes,
+                       "hierarchy": self.use_hierarchy,
+                       "adaptive_probing": self.adaptive_probing,
+                       "probe_confidence": self.probe_confidence}
+            source = {"data": self._data, "ids": self._ids}
+            if self._deleted is not None:
+                source["deleted"] = self._deleted
+            for t, family in enumerate(self._families):
+                source.update(prefixed(f"family{t}/", family.arrays()))
+            derived: Dict[str, np.ndarray] = {}
+            if self._sq_norms is not None:
+                derived["sq_norms"] = self._sq_norms
+            if not any(table.n_extra for table in self._tables):
+                for t, table in enumerate(self._tables):
+                    derived.update(prefixed(f"table{t}/", table.arrays()))
+        return scalars, source, derived
+
+    @classmethod
+    def from_state(cls, scalars: dict, source: Dict[str, np.ndarray],
+                   derived: Optional[Dict[str, np.ndarray]] = None,
+                   ) -> "StandardLSH":
+        """The index :meth:`state` described, over the arrays given.
+
+        Every array is adopted by reference — no copy, so read-only
+        shared-memory views stay read-only views and a memmap stays a
+        memmap.  Table layouts absent from ``derived`` are rebuilt from
+        ``data``; hierarchies are always rebuilt from the tables (their
+        Morton keys are Python ints past 62 bits, not an array).
+        """
+        index = cls(**scalars)
+        derived = derived or {}
+        index._data = source["data"]
+        index._ids = source["ids"]
+        index._deleted = source.get("deleted")
+        index._sq_norms = derived.get("sq_norms")
+        index._lattice = make_lattice(index.lattice_kind, index.n_hashes)
+        index._families = [
+            PStableHashFamily.from_arrays(
+                bucket_width=index.bucket_width,
+                **sub_arrays(source, f"family{t}/"))
+            for t in range(index.n_tables)]
+        layouts = [sub_arrays(derived, f"table{t}/")
+                   for t in range(index.n_tables)]
+        if not all(layouts):
+            index._rebuild_tables()
+            return index
+        index._tables = [LSHTable.from_arrays(**layout) for layout in layouts]
+        if index.use_hierarchy:
+            index._hierarchies = [index._build_hierarchy(table)
+                                  for table in index._tables]
+        return index
 
     # ---------------------------------------------------------- maintenance
 
@@ -399,6 +493,12 @@ class StandardLSH:
         self._check_fitted()
         return self._data.shape[0]
 
+    @property
+    def n_live(self) -> int:
+        """Rows not tombstoned by :meth:`delete`."""
+        n, deleted = self.n_points, self._deleted
+        return n if deleted is None else n - int(np.count_nonzero(deleted))
+
     def _check_fitted(self) -> None:
         if self._data is None:
             raise RuntimeError("index is not fitted; call fit(data) first")
@@ -406,8 +506,8 @@ class StandardLSH:
     def _point_sq_norms(self) -> Optional[np.ndarray]:
         """Cached ``||x||^2`` per data row (``None`` for memmapped data).
 
-        Computed lazily so restore paths that assign ``_data`` directly
-        (persistence, out-of-core) stay valid; memmapped datasets skip the
+        Computed lazily, so an index adopted by :meth:`from_state`
+        without them stays valid; memmapped datasets skip the
         cache because a full-norm pass would fault in every row, defeating
         the out-of-core promise of touching only candidate rows.
         """
@@ -429,28 +529,6 @@ class StandardLSH:
         """KNN for a single query vector; returns ``(ids, distances)``."""
         ids, dists, _ = self.query_batch(np.atleast_2d(query), k)
         return ids[0], dists[0]
-
-    def _validate_query_batch(self, queries: np.ndarray, k: int,
-                              allow_nonfinite: bool,
-                              ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Typed top-of-query validation (the plan's and the oracle's).
-
-        Returns ``(queries, finite_row_mask_or_None, k)``; shape, dim and
-        ``k`` problems raise :class:`QueryValidationError` (a
-        ``ValueError`` subclass, so pre-existing callers keep working)
-        instead of a downstream broadcasting or index error.
-        """
-        try:
-            queries, finite_row = as_query_matrix(
-                queries, dim=self._data.shape[1], name="queries",
-                allow_nonfinite=allow_nonfinite)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="queries") from error
-        try:
-            k = check_k(k)
-        except ValueError as error:
-            raise QueryValidationError(str(error), field="k") from error
-        return queries, finite_row, k
 
     def query_batch(self, queries: np.ndarray, k: int,
                     hierarchy_threshold: Union[str, int] = "median",
@@ -570,8 +648,8 @@ class StandardLSH:
         (the query plan's convention).
         """
         self._check_fitted()
-        queries, _, k = self._validate_query_batch(queries, k,
-                                                   allow_nonfinite=False)
+        queries, _, k = validate_query_batch(
+            queries, k, self._data.shape[1], allow_nonfinite=False)
         nq = queries.shape[0]
         ids_out = np.full((nq, k), -1, dtype=np.int64)
         dists_out = np.full((nq, k), np.inf, dtype=np.float64)
@@ -680,7 +758,8 @@ class _LSHPlan(QueryPlan):
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        return self.index._validate_query_batch(queries, k, allow_nonfinite)
+        return validate_query_batch(queries, k, self.index._data.shape[1],
+                                    allow_nonfinite)
 
     def stages(self) -> Tuple[Stage, ...]:
         stages = [Stage("lsh.hash", self._stage_hash),
@@ -983,8 +1062,8 @@ def oracle_query_batch(index: StandardLSH, queries: np.ndarray, k: int,
     differently.
     """
     index._check_fitted()
-    queries, _, k = index._validate_query_batch(queries, k,
-                                                allow_nonfinite=False)
+    queries, _, k = validate_query_batch(
+        queries, k, index._data.shape[1], allow_nonfinite=False)
     nq = queries.shape[0]
     ids_out = np.full((nq, k), -1, dtype=np.int64)
     dists_out = np.full((nq, k), np.inf, dtype=np.float64)

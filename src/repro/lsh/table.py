@@ -131,6 +131,29 @@ class LSHTable:
                                       np.ndarray, np.ndarray]] = None
         self._n_extra = 0
 
+    @classmethod
+    def from_arrays(cls, bucket_codes: np.ndarray, starts: np.ndarray,
+                    ends: np.ndarray, sorted_ids: np.ndarray) -> "LSHTable":
+        """A table over an existing CSR layout, adopted by reference.
+
+        No sort and no copy: the shared-memory workers hand in read-only
+        views of the layout :meth:`arrays` exported.  The overlay starts
+        empty, as after any build.
+        """
+        table = cls(bucket_codes[:0])
+        table._bucket_codes = bucket_codes
+        table._starts = starts
+        table._ends = ends
+        table._sorted_ids = sorted_ids
+        table.n_points = sorted_ids.shape[0]
+        return table
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The sorted layout :meth:`from_arrays` takes, by its keyword
+        names (the overlay is not part of it — fold it first)."""
+        return {"bucket_codes": self._bucket_codes, "starts": self._starts,
+                "ends": self._ends, "sorted_ids": self._sorted_ids}
+
     @property
     def n_buckets(self) -> int:
         return self._starts.shape[0]

@@ -69,16 +69,6 @@ class DriftDetector:
         self.escalation_threshold = float(escalation_threshold)
         self.occupancy_threshold = float(occupancy_threshold)
 
-    def _live_points(self, group_index: object) -> int:
-        ids = getattr(group_index, "_ids", None)
-        if ids is None:
-            return 0
-        deleted = getattr(group_index, "_deleted", None)
-        n = int(np.asarray(ids, dtype=np.int64).shape[0])
-        if deleted is not None:
-            n -= int(np.count_nonzero(np.asarray(deleted, dtype=bool)))
-        return n
-
     def survey(self, registry: Optional[MetricsRegistry] = None,
                ) -> List[GroupDrift]:
         """Current drift signals for every leaf group (no scheduling)."""
@@ -91,8 +81,7 @@ class DriftDetector:
         raw = summary.get("per_group")
         if isinstance(raw, dict):
             per_group = raw
-        live = np.array([self._live_points(g) for g in groups],
-                        dtype=np.float64)
+        live = np.array([g.n_live for g in groups], dtype=np.float64)
         mean_live = float(live.mean()) if live.size else 0.0
         out: List[GroupDrift] = []
         for g in range(len(groups)):

@@ -9,14 +9,18 @@ sorts; persisting it makes query-only deployments cheap.  Supported:
 Format: one compressed ``.npz`` archive holding every array under a
 path-like key (``group3/family2/directions``) plus a ``__meta__`` JSON
 blob with the scalars, so no pickle is involved and files are portable
-across Python versions.  Hash tables and bucket hierarchies are *rebuilt*
-on load from the stored projection arrays — reconstruction is
-deterministic and cheaper than serializing the derived structures.
+across Python versions.  Which arrays and scalars a
+:class:`StandardLSH` is made of is not decided here: the archive holds
+the *source* half of :meth:`StandardLSH.state`, and hash tables and
+bucket hierarchies are *rebuilt* on load by :meth:`StandardLSH.from_state`
+— reconstruction is deterministic and cheaper than serializing the
+derived structures.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import zlib
@@ -28,8 +32,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.cluster.kmeans import KMeansPartitioner
 from repro.lsh.forest import LSHForest
-from repro.lsh.functions import PStableHashFamily
-from repro.lsh.index import StandardLSH, make_lattice
+from repro.lsh.index import StandardLSH, prefixed, sub_arrays
 from repro.resilience.errors import CorruptIndexError, InjectedFault
 from repro.resilience.faults import faults_active
 from repro.rptree.rules import SplitResult
@@ -41,78 +44,31 @@ FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 
 
-# ----------------------------------------------------------------- families
-
-def _family_arrays(prefix: str, family: PStableHashFamily,
-                   arrays: Dict[str, np.ndarray]) -> dict:
-    arrays[f"{prefix}/directions"] = family.directions
-    arrays[f"{prefix}/offsets_unit"] = family.offsets_unit
-    return {"bucket_width": family.bucket_width}
-
-
-def _family_restore(prefix: str, meta: dict, arrays) -> PStableHashFamily:
-    family = object.__new__(PStableHashFamily)
-    family.directions = np.asarray(arrays[f"{prefix}/directions"])
-    family.offsets_unit = np.asarray(arrays[f"{prefix}/offsets_unit"])
-    family.dim = family.directions.shape[0]
-    family._n_hashes = family.directions.shape[1]
-    family.bucket_width = float(meta["bucket_width"])
-    return family
-
-
 # ------------------------------------------------------------- standard LSH
 
 def _standard_arrays(prefix: str, index: StandardLSH,
                      arrays: Dict[str, np.ndarray],
                      include_data: bool = True) -> dict:
-    index._check_fitted()
-    meta = {
-        "n_hashes": index.n_hashes,
-        "n_tables": index.n_tables,
-        "bucket_width": index.bucket_width,
-        "lattice": index.lattice_kind,
-        "n_probes": index.n_probes,
-        "hierarchy": index.use_hierarchy,
-        "adaptive_probing": index.adaptive_probing,
-        "probe_confidence": index.probe_confidence,
-        "families": [],
-    }
-    if include_data:
-        arrays[f"{prefix}/data"] = index._data
-    arrays[f"{prefix}/ids"] = index._ids
-    if index._deleted is not None:
-        arrays[f"{prefix}/deleted"] = index._deleted
-    for t, family in enumerate(index._families):
-        meta["families"].append(
-            _family_arrays(f"{prefix}/family{t}", family, arrays))
-    return meta
+    """Store ``index.state()``'s source arrays under ``prefix/``; the
+    derived ones are rebuilt on load, so they are not stored."""
+    scalars, source, _ = index.state()
+    if not include_data:
+        del source["data"]
+    arrays.update(prefixed(f"{prefix}/", source))
+    # Readers before the state description take each family's width
+    # from here; it has only ever been the index's.
+    return dict(scalars, families=[{"bucket_width": index.bucket_width}]
+                * index.n_tables)
 
 
 def _standard_restore(prefix: str, meta: dict, arrays,
                       data: Optional[np.ndarray] = None) -> StandardLSH:
-    index = StandardLSH(n_hashes=int(meta["n_hashes"]),
-                        n_tables=int(meta["n_tables"]),
-                        bucket_width=float(meta["bucket_width"]),
-                        lattice=str(meta["lattice"]),
-                        n_probes=int(meta["n_probes"]),
-                        hierarchy=bool(meta["hierarchy"]),
-                        adaptive_probing=bool(meta.get("adaptive_probing",
-                                                       False)),
-                        probe_confidence=float(meta.get("probe_confidence",
-                                                        0.9)))
-    index._data = (np.asarray(arrays[f"{prefix}/data"])
-                   if data is None else data)
-    index._ids = np.asarray(arrays[f"{prefix}/ids"])
-    # Tombstone mask: absent from pre-maintenance archives (stays None).
-    if f"{prefix}/deleted" in arrays:
-        index._deleted = np.asarray(arrays[f"{prefix}/deleted"], dtype=bool)
-    index._lattice = make_lattice(index.lattice_kind, index.n_hashes)
-    index._families = [
-        _family_restore(f"{prefix}/family{t}", fam_meta, arrays)
-        for t, fam_meta in enumerate(meta["families"])
-    ]
-    index._rebuild_tables()
-    return index
+    scalars = {key: value for key, value in meta.items()
+               if key != "families"}
+    source = sub_arrays(arrays, f"{prefix}/")
+    if data is not None:
+        source["data"] = data
+    return StandardLSH.from_state(scalars, source)
 
 
 # ------------------------------------------------------------------ RP-tree
@@ -238,23 +194,8 @@ def _kmeans_restore(prefix: str, meta: dict, arrays) -> KMeansPartitioner:
 
 def _bilevel_arrays(index: BiLevelLSH, arrays: Dict[str, np.ndarray]) -> dict:
     index._check_fitted()
-    cfg = index.config
     meta = {
-        "config": {
-            "n_groups": cfg.n_groups, "partitioner": cfg.partitioner,
-            "tree_rule": cfg.tree_rule, "diameter_sweeps": cfg.diameter_sweeps,
-            "multi_assign": cfg.multi_assign,
-            "n_hashes": cfg.n_hashes, "n_tables": cfg.n_tables,
-            "bucket_width": cfg.bucket_width, "lattice": cfg.lattice,
-            "n_probes": cfg.n_probes, "hierarchy": cfg.hierarchy,
-            "adaptive_probing": cfg.adaptive_probing,
-            "probe_confidence": cfg.probe_confidence,
-            "tune_params": cfg.tune_params, "scale_widths": cfg.scale_widths,
-            "target_recall": cfg.target_recall,
-            "tuner_sample_size": cfg.tuner_sample_size,
-            "tuner_k": cfg.tuner_k, "seed": cfg.seed,
-            "tree_seed": cfg.tree_seed,
-        },
+        "config": dataclasses.asdict(index.config),
         "group_widths": list(index.group_widths),
     }
     arrays["data"] = index._data
@@ -280,10 +221,9 @@ def _bilevel_restore(meta: dict, arrays) -> BiLevelLSH:
     index.group_widths = [float(w) for w in meta["group_widths"]]
     index.group_indexes = []
     for g, group_meta in enumerate(meta["groups"]):
-        ids = np.asarray(arrays[f"group{g}/ids"])
-        sub = _standard_restore(f"group{g}", group_meta, arrays,
-                                data=index._data[ids])
-        index.group_indexes.append(sub)
+        index.group_indexes.append(_standard_restore(
+            f"group{g}", group_meta, arrays,
+            data=index._data[arrays[f"group{g}/ids"]]))
     return index
 
 

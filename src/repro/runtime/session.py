@@ -510,8 +510,8 @@ class IndexRuntime:
                 # Re-checked under the lock: a writer may have flipped
                 # the stale flag between the fast check and here.
                 if self._executor is not None and not self._executor_stale:
-                    return self._executor.submit(  # type: ignore[attr-defined]
-                        _fill_from_config(request, self.config))
+                    return execute_request(self._executor, request,
+                                           self.config)
         return execute_request(self.index, request, self.config)
 
     def query_batch(self, queries: np.ndarray, k: int,

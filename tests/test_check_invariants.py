@@ -58,6 +58,22 @@ class TestRepoIsClean:
         violations = analyze_paths([str(SRC)])
         assert violations == [], "\n" + format_violations(violations)
 
+    def test_r11_escape_phase_has_something_to_check(self):
+        # The attributes a shard worker's index keeps SHM views in are
+        # learnt from src/ itself; were adoption to move where the rule
+        # cannot follow, the phase would pass with an empty set.
+        from repro.analysis.callgraph import CallGraph
+        from repro.analysis.concurrency import shm_escaped_attrs
+        from repro.analysis.core import load_module
+
+        config = AnalysisConfig()
+        modules = [load_module(path)[0]
+                   for path in discover_files([str(SRC)], config)]
+        escaped = shm_escaped_attrs(CallGraph(modules),
+                                    config.shm_view_factories,
+                                    config.shm_adopter_names)
+        assert {"_data", "_ids", "_sorted_ids", "directions"} <= escaped
+
     def test_discovery_sees_the_whole_tree(self):
         files = discover_files([str(SRC)], AnalysisConfig())
         # Sanity: the walk really covers the package, not a subset.
@@ -384,6 +400,25 @@ class TestRuleDetails:
         assert [v.rule for v in flagged] == ["R11"]
         assert _check_source(template.format(seam=", writeable=True"),
                              rules=("R11",)) == []
+
+    def test_r11_follows_views_into_an_adopter(self):
+        # from_state keeps the arrays it is handed; in a worker those are
+        # read-only SHM views, so what it stores them in is write-barred.
+        src = (
+            "class Index:\n"
+            "    @classmethod\n"
+            "    def from_state(cls, scalars, source):\n"
+            "        index = cls()\n"
+            "        index._data = source['data']\n"
+            "        index._deleted = source.get('deleted')\n"
+            "        return index\n"
+            "    def tombstone(self, row):\n"
+            "        self._deleted[row] = True\n"
+            "def _worker_main(shm):\n"
+            "    Index.from_state({}, {}).tombstone(0)\n"
+        )
+        flagged = _check_source(src, rules=("R11",), name="lsh/fixture.py")
+        assert [(v.rule, v.line) for v in flagged] == [("R11", 9)]
 
     def test_r12_allows_plain_functions_and_data(self):
         src = (

@@ -59,6 +59,8 @@ class TestFitStandardChunked:
         index = fit_standard_chunked(
             StandardLSH(bucket_width=8.0, seed=4), memmap_data)
         assert index._data is memmap_data
+        # ... and an adopter of its state keeps the memmap a memmap.
+        assert StandardLSH.from_state(*index.state())._data is memmap_data
 
     def test_hierarchy_supported(self, gaussian_queries, memmap_data):
         index = fit_standard_chunked(
@@ -109,6 +111,24 @@ class TestFitBilevelChunked:
         rec_mem = recall_ratio(exact_ids, mem_ids).mean()
         rec_ooc = recall_ratio(exact_ids, ooc_ids).mean()
         assert rec_ooc > rec_mem - 0.25  # sample-fitted tree: allow slack
+
+    def test_every_config_field_reaches_the_groups(self, gaussian_data,
+                                                   memmap_data):
+        # One group-building loop: what the in-memory fit honours, the
+        # out-of-core fit honours.
+        from repro.core.bilevel import BiLevelLSH
+
+        cfg = BiLevelConfig(n_groups=4, bucket_width=4.0, n_tables=2,
+                            n_probes=4, adaptive_probing=True,
+                            probe_confidence=0.7, scale_widths=True, seed=11)
+        ooc = fit_bilevel_chunked(cfg, memmap_data, sample_size=300)
+        mem = BiLevelLSH(cfg).fit(gaussian_data)
+        for a, b in zip(ooc.group_indexes, mem.group_indexes):
+            assert (a.adaptive_probing, a.probe_confidence) \
+                == (b.adaptive_probing, b.probe_confidence) == (True, 0.7)
+        assert ooc.group_widths != [cfg.bucket_width] * 4
+        assert [sub.bucket_width for sub in ooc.group_indexes] \
+            == ooc.group_widths
 
     def test_tuned_widths(self, memmap_data):
         cfg = BiLevelConfig(n_groups=4, tune_params=True,

@@ -98,10 +98,30 @@ class TestBilevelRoundtrip:
                                   tmp_path):
         cfg = BiLevelConfig(n_groups=4, bucket_width=4.0, n_tables=3,
                             lattice="e8", n_probes=6, hierarchy=True,
-                            scale_widths=True, seed=6)
+                            scale_widths=True, n_jobs=2, max_batch_rows=128,
+                            seed=6)
         index = BiLevelLSH(cfg).fit(gaussian_data)
         loaded = _roundtrip(index, tmp_path)
+        assert loaded.config == cfg  # every field, n_jobs and the row bound too
         assert loaded.group_widths == index.group_widths
+        _same_results(index, loaded, gaussian_queries)
+
+    def test_archive_without_newer_config_fields_loads_defaults(
+            self, gaussian_data, gaussian_queries, tmp_path):
+        # Archives written before the config was stored whole carry no
+        # n_jobs / max_batch_rows; they load with the dataclass defaults.
+        cfg = BiLevelConfig(n_groups=2, bucket_width=8.0, n_tables=2, seed=9)
+        index = BiLevelLSH(cfg).fit(gaussian_data)
+        path = str(tmp_path / "old.npz")
+        save_index(index, path)
+
+        def strip(meta, arrays):
+            del meta["body"]["config"]["n_jobs"]
+            del meta["body"]["config"]["max_batch_rows"]
+
+        _rewrite_archive(path, strip)
+        loaded = load_index(path)
+        assert loaded.config == cfg
         _same_results(index, loaded, gaussian_queries)
 
     def test_mean_rule_distance_splits_roundtrip(self, tmp_path):
@@ -123,6 +143,44 @@ class TestForestRoundtrip:
         forest = LSHForest(n_trees=4, max_depth=16, seed=9).fit(gaussian_data)
         loaded = _roundtrip(forest, tmp_path)
         _same_results(forest, loaded, gaussian_queries)
+
+
+class TestArchiveKeys:
+    """The v2 format is these keys, written out literally: a change to
+    ``StandardLSH.state()`` must not rename what is on disk."""
+
+    def _keys(self, index, tmp_path):
+        path = str(tmp_path / "keys.npz")
+        save_index(index, path)
+        with np.load(path) as archive:
+            return sorted(archive.files)
+
+    def test_standard_two_tables(self, gaussian_data, tmp_path):
+        index = StandardLSH(bucket_width=8.0, n_tables=2, hierarchy=True,
+                            seed=20).fit(gaussian_data)
+        live = ["__meta__", "index/data",
+                "index/family0/directions", "index/family0/offsets_unit",
+                "index/family1/directions", "index/family1/offsets_unit",
+                "index/ids"]
+        assert self._keys(index, tmp_path) == live
+        index.delete([1, 2])
+        assert self._keys(index, tmp_path) == sorted(live + ["index/deleted"])
+
+    def test_bilevel_two_groups(self, gaussian_data, tmp_path):
+        index = BiLevelLSH(BiLevelConfig(n_groups=2, bucket_width=8.0,
+                                         n_tables=2, seed=21)
+                           ).fit(gaussian_data)
+        index.delete(index.group_indexes[1]._ids[:3])
+        assert self._keys(index, tmp_path) == [
+            "__meta__", "data",
+            "group0/family0/directions", "group0/family0/offsets_unit",
+            "group0/family1/directions", "group0/family1/offsets_unit",
+            "group0/ids",
+            "group1/deleted",
+            "group1/family0/directions", "group1/family0/offsets_unit",
+            "group1/family1/directions", "group1/family1/offsets_unit",
+            "group1/ids",
+            "tree/leaf_concat", "tree/leaf_sizes", "tree/vectors"]
 
 
 class TestErrors:

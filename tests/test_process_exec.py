@@ -315,6 +315,33 @@ class TestSharedMemoryOwnership:
         finally:
             shm.unlink()
 
+    def test_worker_side_index_is_whole_and_read_only(self, index):
+        # What a worker adopts is a StandardLSH like any other — every
+        # attribute __init__ sets, on the index and on each table — and
+        # no array of it can be written through.
+        from repro.exec.process import _materialize, _reconstruct_index
+        from repro.lsh.table import LSHTable
+
+        shm, manifest, scalars = _materialize(index)
+        try:
+            adopted = _reconstruct_index(shm, manifest, scalars)
+            assert vars(adopted).keys() == vars(StandardLSH()).keys()
+            built = vars(LSHTable(np.zeros((1, 8), dtype=np.int64))).keys()
+            assert all(vars(t).keys() == built for t in adopted._tables)
+            _, source, derived = adopted.state()
+            arrays = {**source, **derived}
+            assert {"data", "ids", "sq_norms", "family5/directions",
+                    "table5/sorted_ids"} <= set(arrays)
+            for arr in arrays.values():
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+            # Views die before the segment closes (the ownership rule).
+            del adopted, source, derived, arrays, arr
+            shm.close()
+        finally:
+            shm.unlink()
+
     def test_close_releases_the_segment(self, index, queries):
         from multiprocessing.shared_memory import SharedMemory
 

@@ -173,3 +173,57 @@ class TestCandidateSets:
         sets = idx.candidate_sets(gaussian_data[:3])
         for s in sets:
             assert np.all(s % 2 == 0)
+
+
+class TestState:
+    """``state()`` / ``from_state()``: the one description of a fitted
+    index that persistence, the shared-memory pool and out-of-core read."""
+
+    @pytest.mark.parametrize("hierarchy", [False, True])
+    @pytest.mark.parametrize("n_probes", [0, 16])
+    @pytest.mark.parametrize("lattice", ["zm", "e8"])
+    def test_from_state_answers_byte_identically(
+            self, gaussian_data, gaussian_queries, lattice, n_probes,
+            hierarchy):
+        idx = StandardLSH(bucket_width=6.0, n_tables=3, lattice=lattice,
+                          n_probes=n_probes, hierarchy=hierarchy,
+                          seed=18).fit(gaussian_data[:600])
+        idx.delete(np.arange(0, 600, 7))
+        idx.insert(gaussian_data[600:640])
+        idx.query_batch(gaussian_queries, 5)  # caches the norms
+
+        # A live overlay is never part of the state: no table layout is
+        # exported, and an adopter without one rebuilds from the data.
+        assert all(table.n_extra for table in idx._tables)
+        scalars, source, derived = idx.state()
+        assert set(derived) == {"sq_norms"}
+        rebuilt = StandardLSH.from_state(scalars, source)
+
+        idx._rebuild_tables()  # the fold the pool does before exporting
+        scalars, source, derived = idx.state()
+        assert {f"table{t}/sorted_ids" for t in range(3)} <= set(derived)
+        adopted = StandardLSH.from_state(scalars, source, derived)
+        assert adopted._data is idx._data  # by reference, no copy
+        assert adopted._tables[2]._sorted_ids is idx._tables[2]._sorted_ids
+        assert adopted._families[0].directions is idx._families[0].directions
+
+        want = idx.query_batch(gaussian_queries, 5, hierarchy_threshold=12)
+        for copy in (rebuilt, adopted):
+            assert vars(copy).keys() == vars(idx).keys()
+            got = copy.query_batch(gaussian_queries, 5,
+                                   hierarchy_threshold=12)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1].view(np.int64),
+                                          want[1].view(np.int64))
+            np.testing.assert_array_equal(got[2].n_candidates,
+                                          want[2].n_candidates)
+            np.testing.assert_array_equal(got[2].escalated,
+                                          want[2].escalated)
+
+    def test_n_live_counts_untombstoned_rows(self, gaussian_data):
+        idx = StandardLSH(bucket_width=8.0, n_tables=2,
+                          seed=19).fit(gaussian_data)
+        assert idx.n_live == idx.n_points == 800
+        idx.delete([3, 5, 10_000])
+        idx.insert(gaussian_data[:4])
+        assert (idx.n_points, idx.n_live) == (804, 802)
