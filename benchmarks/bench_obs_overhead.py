@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Observability + resilience overhead guard for the LSH query plan.
 
-Times five configurations of the same :class:`StandardLSH` batch query,
+Times nine configurations of the same :class:`StandardLSH` batch query,
 interleaved round-robin so machine drift cancels:
 
 - ``plain``   — the plan's stages run directly with no observer
@@ -20,20 +20,17 @@ interleaved round-robin so machine drift cancels:
 - ``sanitizer-on`` — the same batch with the sanitizer installed
   (instrumented lock factories + patched ``Future.result`` /
   ``queue.get`` / ``shutdown``), reported informationally;
-- ``proc-plain`` — the same batch through a persistent
-  :class:`~repro.exec.process.ProcessShardExecutor` built with
-  ``metrics=False`` (no shared-memory metrics segment exists at all),
-  observability off;
-- ``proc-off`` — the process executor with its metrics segment
-  allocated (``metrics=True``) but observability disabled: shards ship
-  no :class:`~repro.obs.TraceContext`, so workers never touch their
-  slot.  Gated within ``--max-disabled-pct`` of ``proc-plain`` — the
-  cross-process metrics plane must be free when off;
-- ``proc-sampled`` — the process executor with observability enabled at
-  1% trace sampling (worker slots written, traces stitched), reported
-  informationally.
+- ``proc-off`` — the same batch through a persistent
+  :class:`~repro.exec.process.ProcessShardExecutor` with observability
+  disabled: shards ship no :class:`~repro.obs.TraceContext`, workers
+  build no registry and replies carry no telemetry.  The process
+  baseline;
+- ``proc-sampled`` — the same pool with observability enabled at 1%
+  trace sampling (each reply carries its shard's counters, histograms
+  and sampled traces; the parent merges and stitches them), measured
+  against ``proc-off`` and reported informationally.
 
-Both executors are built once, outside the timed region, so the
+The executor is built once, outside the timed region, so the
 configurations time steady-state dispatch, not pool spawn.
 
 Because ``query_batch`` consults the fault-injection and policy gates
@@ -176,32 +173,23 @@ def main(argv=None):
         finally:
             sanitizer.uninstall()
 
-    # Persistent pools built outside the timed region: the configs time
+    # A persistent pool built outside the timed region: the configs time
     # steady-state shard dispatch, not spawn.  Four shards per batch so
-    # the wave machinery (and, when on, per-shard slot writes) is
+    # the wave machinery (and, when on, the per-reply telemetry) is
     # actually exercised.
     from repro.exec.process import ProcessShardExecutor
     shard_rows = max(1, scale.n_queries // 4)
-    proc_plain_ex = ProcessShardExecutor(index, n_workers=2,
-                                         metrics=False)
-    proc_metrics_ex = ProcessShardExecutor(index, n_workers=2,
-                                           metrics=True)
-
-    def run_proc_plain():
-        obs.disable()
-        return proc_plain_ex.query_batch(queries, k,
-                                         max_batch_rows=shard_rows)
+    proc_ex = ProcessShardExecutor(index, n_workers=2)
 
     def run_proc_off():
         obs.disable()
-        return proc_metrics_ex.query_batch(queries, k,
-                                           max_batch_rows=shard_rows)
+        return proc_ex.query_batch(queries, k, max_batch_rows=shard_rows)
 
     def run_proc_sampled():
         obs.enable(registry=registry, trace_sample_rate=TRACE_RATE)
         try:
-            return proc_metrics_ex.query_batch(queries, k,
-                                               max_batch_rows=shard_rows)
+            return proc_ex.query_batch(queries, k,
+                                       max_batch_rows=shard_rows)
         finally:
             obs.disable()
 
@@ -213,7 +201,6 @@ def main(argv=None):
         "supervised": run_supervised,
         "sanitizer-off": run_sanitizer_off,
         "sanitizer-on": run_sanitizer_on,
-        "proc-plain": run_proc_plain,
         "proc-off": run_proc_off,
         "proc-sampled": run_proc_sampled,
     }
@@ -229,22 +216,19 @@ def main(argv=None):
                              - 1.0) * 100.0
         sanitizer_on_pct = (timings["sanitizer-on"].best / base
                             - 1.0) * 100.0
-        proc_base = timings["proc-plain"].best
-        proc_off_pct = (timings["proc-off"].best / proc_base - 1.0) * 100.0
+        proc_base = timings["proc-off"].best
         proc_sampled_pct = (timings["proc-sampled"].best / proc_base
                             - 1.0) * 100.0
         if (disabled_pct <= args.max_disabled_pct
                 and sampled_pct <= args.max_sampled_pct
                 and supervised_pct <= args.max_supervised_pct
-                and sanitizer_off_pct <= args.max_disabled_pct
-                and proc_off_pct <= args.max_disabled_pct):
+                and sanitizer_off_pct <= args.max_disabled_pct):
             break
         if attempts > args.retries:
             break
         print(f"attempt {attempts} noisy (disabled {disabled_pct:+.2f}%, "
               f"sampled {sampled_pct:+.2f}%, sanitizer-off "
-              f"{sanitizer_off_pct:+.2f}%, proc-off "
-              f"{proc_off_pct:+.2f}%); re-measuring")
+              f"{sanitizer_off_pct:+.2f}%); re-measuring")
 
     rows = []
     for name, timing in timings.items():
@@ -275,7 +259,6 @@ def main(argv=None):
         "supervised_overhead_pct": supervised_pct,
         "sanitizer_off_overhead_pct": sanitizer_off_pct,
         "sanitizer_on_overhead_pct": sanitizer_on_pct,
-        "proc_off_overhead_pct": proc_off_pct,
         "proc_sampled_overhead_pct": proc_sampled_pct,
         "max_disabled_pct": args.max_disabled_pct,
         "max_sampled_pct": args.max_sampled_pct,
@@ -290,15 +273,14 @@ def main(argv=None):
         print(f"wrote metrics snapshot to {args.metrics_out}")
 
     if args.traces_out is not None:
-        # One untimed, fully-sampled batch through the metrics-enabled
-        # pool: every stitched waterfall (parent stages + worker kernel
-        # spans) for a small slice, the CI trace artifact.
+        # One untimed, fully-sampled batch through the pool: every
+        # stitched waterfall (parent stages + worker kernel spans) for a
+        # small slice, the CI trace artifact.
         trace_registry = MetricsRegistry()
         obs.enable(registry=trace_registry, trace_sample_rate=1.0)
         try:
             n_slice = min(64, scale.n_queries)
-            proc_metrics_ex.query_batch(queries[:n_slice], k,
-                                        max_batch_rows=16)
+            proc_ex.query_batch(queries[:n_slice], k, max_batch_rows=16)
             traces = obs.recent_traces()
         finally:
             obs.disable()
@@ -306,8 +288,7 @@ def main(argv=None):
             json.dumps([t.to_dict() for t in traces], indent=2) + "\n")
         print(f"wrote {len(traces)} stitched traces to {args.traces_out}")
 
-    proc_plain_ex.close()
-    proc_metrics_ex.close()
+    proc_ex.close()
 
     print(f"\n{'config':<14}{'best batch s':>14}{'p50 batch s':>13}"
           f"{'vs base':>10}")
@@ -335,11 +316,6 @@ def main(argv=None):
             f"sanitizer-off overhead {sanitizer_off_pct:.2f}% exceeds "
             f"{args.max_disabled_pct:.2f}% (sanitizer-off vs plain); "
             "the uninstalled sanitizer must be free")
-    if proc_off_pct > args.max_disabled_pct:
-        failures.append(
-            f"process-executor metrics-plane overhead {proc_off_pct:.2f}% "
-            f"exceeds {args.max_disabled_pct:.2f}% (proc-off vs "
-            "proc-plain); the idle shared-memory segment must be free")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
@@ -348,11 +324,9 @@ def main(argv=None):
               f"{sampled_pct:+.2f}% (limit {args.max_sampled_pct}%), "
               f"supervised {supervised_pct:+.2f}% "
               f"(limit {args.max_supervised_pct}%), sanitizer-off "
-              f"{sanitizer_off_pct:+.2f}% (limit {args.max_disabled_pct}%), "
-              f"proc-off {proc_off_pct:+.2f}% (limit "
-              f"{args.max_disabled_pct}%; sanitizer-on "
-              f"{sanitizer_on_pct:+.2f}%, proc-sampled "
-              f"{proc_sampled_pct:+.2f}% informational)")
+              f"{sanitizer_off_pct:+.2f}% (limit {args.max_disabled_pct}%; "
+              f"sanitizer-on {sanitizer_on_pct:+.2f}%, proc-sampled "
+              f"{proc_sampled_pct:+.2f}% vs proc-off informational)")
     return 1 if failures else 0
 
 

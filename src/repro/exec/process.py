@@ -105,10 +105,10 @@ def _cleanup_live_executors() -> None:
 def _sigterm_cleanup(signum: int, frame: object) -> None:
     # The handler runs on the main thread at an arbitrary point — possibly
     # while it holds an executor lock mid-run_batch.  A full close()
-    # (worker joins, pipe sends, metrics drain) could deadlock there, so
-    # only unlink the SHM names: that is the actual leak being prevented
-    # (the kernel frees the memory once the dying process's mappings go),
-    # and unlink is a single re-entrant syscall per segment.
+    # (worker joins, pipe sends) could deadlock there, so only unlink
+    # the SHM name: that is the actual leak being prevented (the kernel
+    # frees the memory once the dying process's mappings go), and unlink
+    # is a single re-entrant syscall.
     for executor in list(_LIVE_EXECUTORS):
         try:
             executor._emergency_unlink()
@@ -235,20 +235,22 @@ def _reconstruct_index(shm: SharedMemory, manifest: List[_ManifestEntry],
 
 def _worker_main(conn: Connection, shm_name: str,
                  manifest: List[_ManifestEntry], scalars: dict,
-                 sink_name: Optional[str],
-                 sink_schema: Optional[object], slot: int) -> None:
+                 slot: int) -> None:
     """Worker process loop: reconstruct once, answer shards until 'stop'.
 
-    ``sink_name``/``sink_schema``/``slot`` locate this worker's slot in
-    the parent's shared-memory metrics segment (``None`` disables the
-    plane, e.g. the benchmark baseline).  Observability inside the
-    worker is driven entirely by the :class:`~repro.obs.TraceContext`
-    shipped with each shard: when present, the worker enables ``obs``
-    onto its slot registry for the duration of the shard (so every
-    counter/histogram the pipeline records lands in shared memory) and
-    returns its sampled trace dicts with the result; when absent, the
-    worker runs fully un-instrumented — the parent's gate state is
+    Observability inside the worker is driven entirely by the
+    :class:`~repro.obs.TraceContext` shipped with each shard: when
+    present, the worker enables ``obs`` onto a fresh
+    :class:`~repro.obs.MetricsRegistry` for the duration of the shard
+    and returns that registry's counters and histograms
+    (:meth:`~repro.obs.MetricsRegistry.dump` — fresh per shard, so the
+    payload is the shard's delta) beside its sampled trace dicts in the
+    reply's ``reply_meta``, on an ``ok`` and an ``err`` reply alike;
+    when absent, the worker builds no registry, runs un-instrumented
+    and replies with ``reply_meta = None`` — the parent's gate state is
     thereby mirrored per shard, preserving the ≤2%-when-off contract.
+    ``slot`` is this worker's position in the pool (reported as
+    ``worker`` in stitched traces).
     """
     # Python < 3.13 registers every *attach* with the resource tracker,
     # which would try to clean up the parent-owned segment at interpreter
@@ -257,8 +259,6 @@ def _worker_main(conn: Connection, shm_name: str,
     # the registration for the duration of the attach.
     from multiprocessing import resource_tracker
 
-    from repro.obs import shm as obs_shm
-
     original_register = resource_tracker.register
     resource_tracker.register = lambda *args, **kwargs: None
     try:
@@ -266,18 +266,8 @@ def _worker_main(conn: Connection, shm_name: str,
     finally:
         resource_tracker.register = original_register
     index: Optional[object] = None
-    worker_slot: Optional[obs_shm.WorkerSlot] = None
     try:
         index = _reconstruct_index(shm, manifest, scalars)
-        if sink_name is not None and sink_schema is not None:
-            try:
-                worker_slot = obs_shm.attach_worker_slot(
-                    sink_name, sink_schema, slot)
-            except (OSError, ValueError) as error:  # invariant: disable=R7 — surfaced to the parent as a startup event
-                # (non-fatal: the worker still answers shards, just
-                # un-instrumented).
-                conn.send(("event", "metrics_attach_failed",
-                           type(error).__name__))
         conn.send(("ready", os.getpid()))
         while True:
             msg = conn.recv()
@@ -288,51 +278,45 @@ def _worker_main(conn: Connection, shm_name: str,
             # on Linux, so it means the same instant in this process.
             _, shard_id, queries, k, threshold, deadline, tctx = msg
             wob: Optional[obs.Observer] = None
-            if worker_slot is not None and tctx is not None:
-                wob = obs.enable(registry=worker_slot.registry,
+            if tctx is not None:
+                wob = obs.enable(registry=obs.MetricsRegistry(),
                                  trace_sample_rate=tctx.sample_rate,
                                  trace_seed=tctx.trace_seed)
                 wob.record_worker_event("shard_recv")
                 # perf_counter is system-wide monotonic (same clock the
                 # shipped deadline relies on): parent send → worker recv.
                 wob.observe_queue_wait(max(0.0, wob.clock() - tctx.sent_at))
-            elif obs.enabled():
-                obs.disable()
             try:
                 ids, dists, stats = index.query_batch(
                     queries, k, hierarchy_threshold=threshold,
                     deadline=deadline)
             except Exception as error:  # invariant: disable=R7 — shipped
                 # to the parent, whose policy records it (note_failure).
-                if wob is not None:
-                    wob.record_worker_event("shard_err")
-                    obs.disable()
-                conn.send(("err", shard_id, type(error).__name__,
-                           str(error)))
-                continue
+                outcome = "err"
+                reply: tuple = (type(error).__name__, str(error))
+            else:
+                outcome = "ok"
+                reply = (ids, dists, stats.n_candidates, stats.escalated,
+                         stats.exhausted_budget)
             reply_meta: Optional[dict] = None
             if wob is not None:
-                wob.record_worker_event("shard_ok")
+                wob.record_worker_event(f"shard_{outcome}")
                 reply_meta = {
                     "worker": slot,
                     "pid": os.getpid(),
                     "traces": [t.to_dict() for t in wob.tracer.traces()],
+                    "metrics": wob.registry.dump(),
                 }
                 obs.disable()
-            conn.send(("ok", shard_id, ids, dists, stats.n_candidates,
-                       stats.escalated, stats.exhausted_budget,
-                       reply_meta))
+            conn.send((outcome, shard_id) + reply + (reply_meta,))
     except EOFError:  # invariant: disable=R5,R7 — parent vanished; no
         # surviving side to record to, exit quietly.
         pass
     finally:
-        # Ownership rule: the index holds views into shm (and the slot
-        # writer holds views into the metrics segment) — drop every
+        # Ownership rule: the index holds views into shm — drop every
         # reference before close(), or close() raises BufferError over
         # the live memoryview exports.
         del index
-        if worker_slot is not None:
-            worker_slot.close()
         conn.close()
         shm.close()
 
@@ -357,27 +341,24 @@ class ProcessShardExecutor:
         A fitted, in-memory :class:`~repro.lsh.index.StandardLSH`.  The
         executor snapshots its arrays at construction: later inserts or
         deletes on ``index`` are **not** visible to the workers (build a
-        new executor after structural updates).
+        new executor after structural updates; :attr:`generation` tells
+        whether any happened).
     n_workers:
         Pool size.  Each worker holds zero-copy views, so memory cost is
         one segment regardless of pool size.
-    metrics:
-        When True (default) the executor allocates the cross-process
-        metrics segment (one :class:`repro.obs.shm` slot per worker, a
-        few KiB total) so worker-side recordings and traces survive the
-        process boundary.  The segment costs nothing per query while
-        observability is disabled — workers only write their slot for
-        shards carrying a :class:`~repro.obs.TraceContext`.  ``False``
-        skips the allocation entirely (the overhead-benchmark baseline).
+
+    Worker telemetry has one return path: with observability on, each
+    shard's reply carries the counters, histograms and sampled traces
+    the worker recorded for it, and the parent merges them into the
+    active registry as the reply is read (see :func:`_worker_main`).
+    What a worker recorded during a shard it was killed in is lost with
+    it; the parent counts the death, respawn, retry and fallback itself.
     """
 
     #: Supervision site label (failure records, obs counters).
     SITE = "exec.process"
 
-    def __init__(self, index: "StandardLSH", n_workers: int = 2,
-                 metrics: bool = True) -> None:
-        from repro.obs import shm as obs_shm
-
+    def __init__(self, index: "StandardLSH", n_workers: int = 2) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self._index = index
@@ -389,13 +370,14 @@ class ProcessShardExecutor:
         # recorded through the obs setup histogram, never per-query.
 
         t0 = time.perf_counter()  # invariant: disable=R6 — setup-only timing
-        self._shm, self._manifest, self._scalars = _materialize(index)
-        self._sink: Optional[obs_shm.ShmMetricsSink] = None
-        self._sink_schema: Optional[obs_shm.SlotSchema] = None
-        if metrics:
-            self._sink_schema = obs_shm.build_worker_schema(index.n_tables)
-            self._sink = obs_shm.ShmMetricsSink(self._sink_schema,
-                                                self.n_workers)
+        # One writer-lock section (an RLock: the overlay fold and
+        # state() inside _materialize nest in it), so ``generation`` —
+        # the index's mutation count — names exactly the writes the
+        # segment holds; the pool may answer for the index only while
+        # the two counts are equal.
+        with index._update_lock:
+            self.generation = index._mutations
+            self._shm, self._manifest, self._scalars = _materialize(index)
         self._workers: List[Optional[_Worker]] = [None] * self.n_workers
         # Abnormal-exit coverage: from here on the segment exists, so the
         # executor must be findable by the atexit/SIGTERM sweep.
@@ -408,25 +390,20 @@ class ProcessShardExecutor:
         if ob is not None:
             ob.record_native_setup("process", self.setup_seconds)
             ob.record_shm_bytes("index", int(self._shm.size))
-            if self._sink is not None:
-                ob.record_shm_bytes("metrics", self._sink.nbytes)
 
     # ------------------------------------------------------------ lifecycle
 
     def _spawn(self, widx: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
-        sink_name = None if self._sink is None else self._sink.name
         process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self._shm.name, self._manifest, self._scalars,
-                  sink_name, self._sink_schema, widx),
+                  widx),
             daemon=True)
         process.start()
         child_conn.close()
         worker = _Worker(process, parent_conn)
         ready = self._recv(worker)
-        while ready[0] == "event":  # non-fatal startup notices
-            ready = self._recv(worker)
         if ready[0] != "ready":
             raise WorkerCrashError(
                 f"shard worker {widx} failed to initialize: {ready!r}")
@@ -499,12 +476,6 @@ class ProcessShardExecutor:
                 worker.process.join(timeout=5.0)
             worker.conn.close()
             self._workers[widx] = None
-        # Final drain after every worker has exited: whatever the
-        # workers wrote up to their last shard is folded into the active
-        # registry before the segment disappears.
-        self.drain_metrics()
-        if self._sink is not None:
-            self._sink.close()
         # Parent owns the segment: every parent-side view was local to
         # _materialize(), so no exports remain and close() cannot raise
         # BufferError; unlink() then frees the backing memory.
@@ -517,10 +488,10 @@ class ProcessShardExecutor:
             pass
 
     def _emergency_unlink(self) -> None:
-        """Unlink the SHM names without joining workers (SIGTERM handler).
+        """Unlink the SHM name without joining workers (SIGTERM handler).
 
-        Removes only the ``/dev/shm`` entries — the actual cross-reboot
-        leak — via one re-entrant syscall per segment.  Existing mappings
+        Removes only the ``/dev/shm`` entry — the actual cross-reboot
+        leak — via one re-entrant syscall.  Existing mappings
         stay valid (a worker mid-shard keeps its views), and the memory
         itself is freed by the kernel when the dying process's mappings
         go away.  A later full :meth:`close` treats the already-gone
@@ -530,8 +501,6 @@ class ProcessShardExecutor:
             self._shm.unlink()
         except (FileNotFoundError, OSError):  # invariant: disable=R5,R7 —
             pass  # best-effort on the way down; nothing left to record to
-        if self._sink is not None:
-            self._sink.emergency_unlink()
 
     def __enter__(self) -> "ProcessShardExecutor":
         return self
@@ -702,24 +671,6 @@ class ProcessShardExecutor:
                 worker_id=int(meta.get("worker", -1)),
                 worker_stages=dict(trace_dict.get("stages", {}))))
 
-    def drain_metrics(self, ob: Optional[obs.Observer] = None) -> int:
-        """Fold the workers' slot increments into the active registry.
-
-        Called automatically after every batch and on :meth:`close`;
-        public so long-lived callers (the stats endpoint, tests) can
-        force a drain between batches.  Returns the number of cells that
-        carried new increments (0 when the plane or obs is off).
-        """
-        if self._sink is None:
-            return 0
-        if ob is None:
-            ob = obs.active()
-        if ob is None:
-            return 0
-        updated = self._sink.drain_into(ob.registry)
-        ob.record_shm_bytes("metrics", self._sink.nbytes)
-        return updated
-
     def _request(self, shard_id: int, queries: np.ndarray, k: int,
                  hierarchy_threshold: object,
                  deadline: Optional[Deadline],
@@ -768,6 +719,10 @@ class ProcessShardExecutor:
                 state["in_flight"] = False
                 self._retire(widx)
                 raise
+            # Every reply ends with the worker's ``reply_meta``; each is
+            # read exactly once, so each shard attempt is counted once.
+            if ctx.ob is not None and msg[-1] is not None:
+                ctx.ob.registry.merge(msg[-1]["metrics"])
             if msg[0] == "err":
                 raise WorkerCrashError(
                     f"shard worker raised {msg[2]}: {msg[3]}")
@@ -835,4 +790,3 @@ class _PoolPlan(QueryPlan):
         ob.record_shards(self.site, ctx.scratch["n_shards"])
         executor._stitch_traces(ob, dict(ctx.timer.stages),
                                 ctx.scratch["traces"])
-        executor.drain_metrics(ob)

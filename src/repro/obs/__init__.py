@@ -357,7 +357,7 @@ class Observer:
             "Shard-worker pool lifecycle events."
             ).labels(kind=kind).inc()
 
-    # -- cross-process plane (shared-memory sink, stitched tracing) --------
+    # -- cross-process (pool self-monitoring, stitched tracing) ------------
 
     def clock(self) -> float:
         """A ``perf_counter`` read for cross-process span arithmetic.

@@ -17,7 +17,7 @@ runtime's WAL-attached index, so every acknowledged mutation is durable
 before its HTTP 200 — the same append-before-ack discipline (rule R13)
 the library API enforces.  A serving process is therefore
 crash-recoverable with ``IndexRuntime.open(snapshot, wal_path=...)``.
-With ``--shard-workers`` the first acknowledged write marks the process
+With ``--shard-workers`` the first acknowledged write makes the process
 pool's frozen snapshot stale: subsequent queries are answered
 in-process (read-your-writes, never the pool's pre-write state) until
 ``/checkpoint`` — which folds the writes into durable state — rebuilds

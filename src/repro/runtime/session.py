@@ -385,11 +385,11 @@ class IndexRuntime:
         self._executor: Optional[object] = None
         # The pool workers hold a frozen shared-memory snapshot taken at
         # pool construction; live inserts/deletes mutate only the parent
-        # index, so the first write flips this flag and submit() bypasses
-        # the pool (read-your-writes) until refresh_executor() rebuilds
-        # the snapshot.  The lock serializes pool dispatch (the worker
-        # pipes are a serial protocol) and orders flag flips against it.
-        self._executor_stale = False
+        # index, so submit() bypasses the pool (read-your-writes) once
+        # the index's mutation count has moved past the one the snapshot
+        # was taken at, until refresh_executor() rebuilds the snapshot.
+        # The lock serializes pool dispatch (the worker pipes are a
+        # serial protocol) and pool replacement.
         self._executor_lock = threading.Lock()
         #: WAL replay report from :meth:`open` (None for direct loads).
         self.recovery_report: Optional[object] = None
@@ -409,6 +409,16 @@ class IndexRuntime:
                 "(build with --index-type standard)")
         return ProcessShardExecutor(
             self.index, n_workers=self.config.shard_workers)
+
+    def _executor_is_stale(self) -> bool:
+        """A pool is attached and the index was written to since its
+        snapshot — however the write reached the index.  The index bumps
+        its count before it acknowledges a write, so a query submitted
+        after the acknowledgement never finds the pool current."""
+        executor = self._executor
+        return executor is not None and (
+            executor.generation  # type: ignore[attr-defined]
+            != self.index._mutations)  # type: ignore[attr-defined]
 
     def attach_maintenance(self, wal: "Optional[WriteAheadLog]" = None,
                            compactor: "Optional[Compactor]" = None,
@@ -497,19 +507,21 @@ class IndexRuntime:
         and its snapshot is current; everything else runs through the
         in-process executor.  Results are bit-identical between the two
         paths given an integer ``hierarchy_threshold`` — the process
-        pool's documented contract.  After a live :meth:`insert` /
-        :meth:`delete` the pool snapshot is stale, so requests run
-        in-process (correct, read-your-writes answers at reduced
-        throughput) until :meth:`refresh_executor` re-arms the pool.
+        pool's documented contract.  After a live insert or delete —
+        through the runtime or on the index itself — the pool snapshot
+        is stale, so requests run in-process (correct, read-your-writes
+        answers at reduced throughput) until :meth:`refresh_executor`
+        re-arms the pool.
         """
         if self._closed:
             raise RuntimeError("runtime is closed")
         request = request.with_deadline_started()
         if self._executor is not None:
             with self._executor_lock:
-                # Re-checked under the lock: a writer may have flipped
-                # the stale flag between the fast check and here.
-                if self._executor is not None and not self._executor_stale:
+                # Decided under the lock: close() or refresh_executor()
+                # may have replaced the pool since the fast check.
+                if self._executor is not None \
+                        and not self._executor_is_stale():
                     return execute_request(self._executor, request,
                                            self.config)
         return execute_request(self.index, request, self.config)
@@ -535,39 +547,22 @@ class IndexRuntime:
         if self._closed:
             raise RuntimeError("runtime is closed")
         if ids is None:
-            assigned = self.index.insert(points)  # type: ignore[attr-defined]
-        else:
-            from repro.core.bilevel import BiLevelLSH
+            return self.index.insert(points)  # type: ignore[attr-defined]
+        from repro.core.bilevel import BiLevelLSH
 
-            if isinstance(self.index, BiLevelLSH):
-                raise ValueError(
-                    "explicit ids are not supported on a BiLevelLSH index: "
-                    "it assigns ids by row position so WAL replay can "
-                    "regenerate them; insert without ids and use the "
-                    "returned ones")
-            assigned = self.index.insert(points, ids)  # type: ignore[attr-defined]
-        self._mark_executor_stale()
-        return assigned
+        if isinstance(self.index, BiLevelLSH):
+            raise ValueError(
+                "explicit ids are not supported on a BiLevelLSH index: "
+                "it assigns ids by row position so WAL replay can "
+                "regenerate them; insert without ids and use the "
+                "returned ones")
+        return self.index.insert(points, ids)  # type: ignore[attr-defined]
 
     def delete(self, ids: np.ndarray) -> int:
         """Durable delete via the owned index."""
         if self._closed:
             raise RuntimeError("runtime is closed")
-        removed = self.index.delete(ids)  # type: ignore[attr-defined]
-        self._mark_executor_stale()
-        return removed
-
-    def _mark_executor_stale(self) -> None:
-        """Invalidate the pool snapshot before the write is acknowledged.
-
-        Taking the dispatch lock orders the flip after any pool batch in
-        flight: a query submitted after this write returns can never be
-        answered from the pre-write snapshot.
-        """
-        if self._executor is None:
-            return
-        with self._executor_lock:
-            self._executor_stale = True
+        return self.index.delete(ids)  # type: ignore[attr-defined]
 
     def refresh_executor(self) -> bool:
         """Rebuild the shard pool snapshot from the current index state.
@@ -586,13 +581,13 @@ class IndexRuntime:
         if self.config.shard_workers <= 0:
             return False
         with self._executor_lock:
-            if self._executor is not None and not self._executor_stale:
+            if self._executor is not None \
+                    and not self._executor_is_stale():
                 return True
             old, self._executor = self._executor, None
             if old is not None:
                 old.close()  # type: ignore[attr-defined]
             self._executor = self._make_executor()
-            self._executor_stale = False
         return True
 
     def checkpoint(self, path: str) -> int:
@@ -605,7 +600,7 @@ class IndexRuntime:
         from repro.maintenance import checkpoint
 
         lsn = checkpoint(self.index, self._wal, path)
-        if self._executor is not None and self._executor_stale:
+        if self._executor_is_stale():
             self.refresh_executor()
         return lsn
 
@@ -654,11 +649,10 @@ class IndexRuntime:
         if n_points <= 0:
             ready, detail = False, "index empty or not fitted"
         worker_pids: Tuple[int, ...] = ()
-        executor_stale = False
+        executor_stale = self._executor_is_stale()
         if self._executor is not None:
             pids = self._executor.worker_pids()  # type: ignore[attr-defined]
             worker_pids = tuple(int(p) for p in pids)
-            executor_stale = self._executor_stale
             if executor_stale and not detail:
                 # Still ready: requests are answered in-process with
                 # read-your-writes results, just without the pool.

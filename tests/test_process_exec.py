@@ -20,6 +20,7 @@ The contract under test (DESIGN.md §12, "Process sharding"):
 All plans and datasets are seeded; CI's ``chaos`` job runs this file.
 """
 
+import collections
 import os
 import signal
 import time
@@ -398,7 +399,7 @@ class TestObservability:
                    for s in shards)
 
 
-# ----------------------------------------- cross-process metrics plane
+# ------------------------------------------------ cross-process metrics
 
 
 def _samples(snap, name):
@@ -406,13 +407,71 @@ def _samples(snap, name):
             for s in snap.get(name, {}).get("samples", ())}
 
 
+#: What a batch records identically wherever its shards run: counts of
+#: work done, no clock in them.
+_DETERMINISTIC_COUNTERS = (
+    "repro_queries_total", "repro_bucket_lookups_total",
+    "repro_bucket_misses_total", "repro_probes_total",
+    "repro_escalations_total")
+
+
+def _deterministic(snap):
+    """``{(series, labels or bucket): count}`` over those series."""
+    flat = {(name, labels): value for name in _DETERMINISTIC_COUNTERS
+            for labels, value in _samples(snap, name).items()}
+    (sizes,) = snap["repro_shortlist_size"]["samples"]
+    flat["repro_shortlist_size", "count"] = sizes["count"]
+    for bucket in sizes["buckets"]:
+        flat["repro_shortlist_size", bucket["le"]] = bucket["count"]
+    return flat
+
+
 class TestCrossProcessMetrics:
     """PR 8 contract: worker recordings survive the process boundary.
 
-    Regression for the silent-loss bug: before the shared-memory sink,
-    ``_worker_main``'s ``obs.active()`` recordings landed in a registry
-    that died with the worker.
+    Regression for the silent-loss bug: ``_worker_main``'s
+    ``obs.active()`` recordings used to land in a registry that died
+    with the worker.  They ride each shard's reply now and are merged
+    into the parent's registry as it is read.
     """
+
+    @pytest.mark.filterwarnings(
+        "ignore:native kernels unavailable:RuntimeWarning")
+    @pytest.mark.parametrize("backend_env", ["auto", "none"])
+    @pytest.mark.parametrize("shape", ["zm_probes", "e8_hierarchy"])
+    def test_pooled_snapshot_equals_in_process(self, dataset, index,
+                                               queries, shape, backend_env):
+        from repro.native import registry
+
+        if shape == "zm_probes":
+            index = StandardLSH(n_tables=4, bucket_width=6.0, seed=9,
+                                n_probes=4).fit(dataset)
+        snaps = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NATIVE_BACKEND", backend_env)
+            registry.reset()
+            with ProcessShardExecutor(index, n_workers=2) as ex:
+                for name, target in (("in_process", index), ("pooled", ex)):
+                    reg = MetricsRegistry()
+                    obs.enable(registry=reg)
+                    try:
+                        target.query_batch(queries, K,
+                                           hierarchy_threshold=THRESHOLD,
+                                           max_batch_rows=8)
+                    finally:
+                        obs.disable()
+                    snaps[name] = reg.snapshot()
+        registry.reset()
+        want = _deterministic(snaps["in_process"])
+        assert _deterministic(snaps["pooled"]) == want
+        # Not vacuous: every table looked up, probed, and — on the
+        # hierarchy index — something escalated.
+        label_sets = collections.Counter(series for series, _ in want)
+        assert label_sets["repro_bucket_lookups_total"] == index.n_tables
+        assert label_sets["repro_probes_total"] == index.n_tables
+        assert (label_sets["repro_escalations_total"] > 0) \
+            == (shape == "e8_hierarchy")
+        assert want["repro_shortlist_size", "count"] == N_QUERIES
 
     def test_worker_counters_visible_in_parent_snapshot(self, index,
                                                         queries,
@@ -429,7 +488,7 @@ class TestCrossProcessMetrics:
         assert_bit_identical(result, reference)
         snap = reg.snapshot()
         # Worker-side pipeline counters, recorded inside the shard
-        # processes, drained into the parent registry.
+        # processes, merged into the parent registry.
         queries_by_engine = _samples(snap, "repro_queries_total")
         assert queries_by_engine.get((("engine", "lsh"),), 0) \
             == N_QUERIES
@@ -443,10 +502,9 @@ class TestCrossProcessMetrics:
         stage = snap["repro_stage_seconds"]["samples"]
         stages = {s["labels"]["stage"] for s in stage}
         assert {"lsh.hash", "lsh.gather", "lsh.rank"} <= stages
-        # Self-monitoring: queue wait + segment gauges.
+        # Self-monitoring: queue wait + segment gauge.
         assert "repro_exec_queue_wait_seconds" in snap
         shm_gauges = _samples(snap, "repro_obs_shm_bytes")
-        assert shm_gauges.get((("segment", "metrics"),), 0) > 0
         assert shm_gauges.get((("segment", "index"),), 0) > 0
 
     def test_worker_faults_counted_in_parent(self, index, queries):
@@ -524,35 +582,45 @@ class TestCrossProcessMetrics:
         assert any(s["labels"].get("kernel") == "rank_topk"
                    for s in kernel_hist)
 
-    def test_metrics_false_runs_unplumbed(self, index, queries, reference):
+    def test_two_batches_report_exactly_twice(self, index, queries):
+        # Each reply carries its own shard's recordings and is merged
+        # once: nothing is re-read, nothing is dropped between batches.
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         try:
-            with ProcessShardExecutor(index, n_workers=1,
-                                      metrics=False) as ex:
-                result = ex.query_batch(queries, K,
-                                        hierarchy_threshold=THRESHOLD)
-                assert ex.drain_metrics() == 0
+            with ProcessShardExecutor(index, n_workers=1) as ex:
+                ex.query_batch(queries, K, hierarchy_threshold=THRESHOLD,
+                               max_batch_rows=8)
+                once = _deterministic(reg.snapshot())
+                ex.query_batch(queries, K, hierarchy_threshold=THRESHOLD,
+                               max_batch_rows=8)
+                twice = _deterministic(reg.snapshot())
         finally:
             obs.disable()
-        assert_bit_identical(result, reference)
-        # No sink: worker-side counters never reach the parent.
-        snap = reg.snapshot()
-        assert "repro_queries_total" not in snap
+        assert once["repro_queries_total", (("engine", "lsh"),)] \
+            == N_QUERIES
+        assert twice == {key: 2 * count for key, count in once.items()}
 
-    def test_drain_is_idempotent_between_batches(self, index, queries):
+    def test_error_reply_carries_its_telemetry(self, index, queries):
+        # The worker raises on the threshold (ValueError inside
+        # query_batch); what it recorded up to there — and the
+        # ``shard_err`` event itself — comes back on the ``err`` reply.
         reg = MetricsRegistry()
-        ob = obs.enable(registry=reg)
+        obs.enable(registry=reg)
         try:
             with ProcessShardExecutor(index, n_workers=1) as ex:
-                ex.query_batch(queries, K, hierarchy_threshold=THRESHOLD)
-                before = _samples(reg.snapshot(), "repro_queries_total")
-                assert ex.drain_metrics(ob) == 0  # nothing new to fold
-                after = _samples(reg.snapshot(), "repro_queries_total")
+                _, _, stats = ex.query_batch(
+                    queries, K, hierarchy_threshold="not-an-int",
+                    policy=ResiliencePolicy(max_retries=1),
+                    max_batch_rows=8)
         finally:
             obs.disable()
-        assert before == after
-        assert before.get((("engine", "lsh"),), 0) == N_QUERIES
+        assert stats.degraded_mask().all()  # brute-force fallback rows
+        events = _samples(reg.snapshot(), "repro_exec_worker_events_total")
+        assert events.get((("kind", "shard_err"),), 0) >= 1
+        assert events[(("kind", "shard_err"),)] \
+            == events[(("kind", "shard_recv"),)]
+        assert (("kind", "shard_ok"),) not in events
 
     def test_obs_disabled_ships_no_trace_context(self, index, queries,
                                                  reference):
@@ -582,11 +650,9 @@ if mode == "sigign":
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 data = np.random.default_rng(1).standard_normal((200, 8))
 index = StandardLSH(n_tables=3, bucket_width=6.0, seed=2).fit(data)
+before = set(os.listdir("/dev/shm"))
 ex = ProcessShardExecutor(index, n_workers=1)
-names = [ex._shm.name]
-if ex._sink is not None:
-    names.append(ex._sink.name)
-print(" ".join(names), flush=True)
+print(*sorted(set(os.listdir("/dev/shm")) - before), flush=True)
 if mode in ("sigterm", "sigign"):
     time.sleep(60)          # parent signals us here
 else:
@@ -608,6 +674,7 @@ class TestShmCrashCleanup:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         names = proc.stdout.readline().split()
         assert names, "child failed before creating its executor"
+        assert len(names) == 1, f"one segment per executor, got {names}"
         return proc, names
 
     def _assert_unlinked(self, names):

@@ -972,6 +972,25 @@ class TestShardPoolRuntime:
             response = runtime.submit(QueryRequest(queries=point, k=1))
             assert int(response.ids[0, 0]) == 5151
 
+    def test_write_behind_the_runtimes_back_bypasses_the_pool(
+            self, base_data):
+        # Staleness is the index's own mutation count against the one
+        # the pool was copied at, not a flag runtime.insert() flips.
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                            seed=5).fit(base_data)
+        point = np.random.default_rng(13).standard_normal((1, DIM))
+        with IndexRuntime(index, RuntimeConfig(shard_workers=1)) as runtime:
+            new_id = runtime.index.insert(point)
+            assert runtime.info().executor_stale
+            ids, dists, _ = runtime.query_batch(point, 1)
+            assert int(ids[0, 0]) == int(new_id[0])
+            assert float(dists[0, 0]) == pytest.approx(0.0, abs=1e-9)
+            # A delete that finds nothing changed nothing: a refreshed
+            # pool stays armed.
+            assert runtime.refresh_executor()
+            assert runtime.delete(np.array([10**9])) == 0
+            assert not runtime.info().executor_stale
+
     def test_refresh_without_pool_is_a_noop(self, standard_index):
         with IndexRuntime(standard_index) as runtime:
             assert runtime.refresh_executor() is False
