@@ -109,8 +109,8 @@ class AnalysisConfig:
     )
     #: ``self.<attr>`` names that constitute shared index state (R3).
     guarded_attrs: frozenset = field(default_factory=lambda: frozenset({
-        "_starts", "_ends", "_overlay", "_extra_codes", "_extra_ids",
-        "_n_extra", "_bucket_codes", "_sorted_ids",
+        "_starts", "_ends", "_overlay", "_base", "_bucket_codes",
+        "_sorted_ids",
         "_tables", "_hierarchies", "_families", "_lattice",
         "_sq_norms", "_deleted", "_data", "_ids", "n_points",
         "group_indexes", "group_widths", "partitioner",

@@ -43,6 +43,7 @@ from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import FailureRecord, ResiliencePolicy
 from repro.rptree.tree import RPTree
 from repro.utils.rng import spawn_rngs
+from repro.utils.spare import SpareRows
 from repro.utils.validation import as_float_matrix
 
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
@@ -83,6 +84,7 @@ class BiLevelLSH:
         # batch queries stay lock-free and rely on the per-group indexes'
         # snapshot discipline (see StandardLSH).
         self._update_lock = threading.RLock()
+        self._spare = SpareRows()  # capacity behind ``_data`` (see insert)
         # Durability plumbing (repro.maintenance): one WAL at this front
         # end covers all groups — group indexes never log their internal
         # sub-inserts, the routed operation is the unit of replay.
@@ -259,7 +261,7 @@ class BiLevelLSH:
             # so replay regenerates them deterministically.
             if self._wal is not None:
                 self._applied_lsn = self._wal.append_insert(points, new_ids)
-            self._data = np.vstack([self._data, points])
+            self._data = self._spare.append("data", self._data, points)
             groups = self.partitioner.assign(points)
             for g, index in enumerate(self.group_indexes):
                 rows = np.nonzero(groups == g)[0]

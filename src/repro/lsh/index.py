@@ -41,6 +41,7 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import ResiliencePolicy
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
+from repro.utils.spare import SpareRows
 from repro.utils.validation import as_float_matrix, check_positive
 
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
@@ -164,11 +165,13 @@ class StandardLSH:
         # Writer lock: serializes structural updates (insert/delete/rebuild)
         # against each other.  Batch queries stay lock-free by design — they
         # snapshot attribute references once and every published object
-        # (tables list, data/ids/norms arrays) is replaced atomically, never
-        # mutated in place.  The norms lock guards only the lazy ||x||^2
-        # cache, which worker threads fill on first use.
+        # (tables list, data/ids/norms arrays) is replaced atomically; what
+        # a published array covers is never rewritten (``insert`` appends
+        # behind it, see ``_spare``).  The norms lock guards only the lazy
+        # ||x||^2 cache, which worker threads fill on first use.
         self._update_lock = threading.RLock()
         self._norms_lock = threading.Lock()
+        self._spare = SpareRows()
         # Durability plumbing (repro.maintenance): when a WAL is attached,
         # every insert/delete appends (and flushes) a record *before* the
         # mutation is applied — rule R13 wal-before-ack.  ``_applied_lsn``
@@ -208,6 +211,7 @@ class StandardLSH:
         self._ids = ids
         self._deleted = None
         self._sq_norms = None
+        self._spare = SpareRows()
         self._lattice = make_lattice(self.lattice_kind, self.n_hashes)
         rngs = spawn_rngs(self._seed, self.n_tables)
         self._families = [
@@ -239,8 +243,10 @@ class StandardLSH:
         ``data``, which folds the overlay in.
 
         Arrays are returned by reference, captured under the writer
-        lock; writers publish fresh arrays instead of writing in place,
-        so the capture stays frozen.
+        lock; writers publish fresh arrays — or, for ``insert``, a longer
+        prefix over rows appended *behind* the captured one — and never
+        rewrite what a published array covers, so the capture stays
+        frozen and is the live prefix only, never spare capacity.
         """
         self._check_fitted()
         with self._update_lock:
@@ -424,19 +430,24 @@ class StandardLSH:
             if self._wal is not None:
                 self._applied_lsn = self._wal.append_insert(points, ids)
             self._mutations += 1
-            # Publish the grown data/ids/mask arrays *before* the table
-            # overlays learn the new local ids: a concurrent query that
-            # gathers a fresh id is then guaranteed to find its row.
+            # Rows go into spare capacity behind the published arrays and
+            # each longer prefix is published with one assignment.  Order:
+            # norms, ids and mask before the data — a reader sizes itself
+            # by ``_data`` and must find every per-row array at least as
+            # long — and all of them *before* the table overlays learn the
+            # new local ids: a concurrent query that gathers a fresh id is
+            # then guaranteed to find its row.
             start = self._data.shape[0]
-            self._data = np.vstack([self._data, points])
-            self._ids = np.concatenate([self._ids, ids])
             with self._norms_lock:
                 if self._sq_norms is not None:
-                    self._sq_norms = np.concatenate(
-                        [self._sq_norms, tree_rowdot(points, points)])
+                    self._sq_norms = self._spare.append(
+                        "sq_norms", self._sq_norms,
+                        tree_rowdot(points, points))
+            self._ids = self._spare.append("ids", self._ids, ids)
             if self._deleted is not None:
-                self._deleted = np.concatenate(
-                    [self._deleted, np.zeros(m, dtype=bool)])
+                self._deleted = self._spare.append(
+                    "deleted", self._deleted, np.zeros(m, dtype=bool))
+            self._data = self._spare.append("data", self._data, points)
             local = np.arange(start, start + m, dtype=np.int64)
             for family, table in zip(self._families, self._tables):
                 codes = self._lattice.quantize(family.project(points))
@@ -504,7 +515,8 @@ class StandardLSH:
             raise RuntimeError("index is not fitted; call fit(data) first")
 
     def _point_sq_norms(self) -> Optional[np.ndarray]:
-        """Cached ``||x||^2`` per data row (``None`` for memmapped data).
+        """Cached ``||x||^2`` per data row, possibly of more rows than
+        ``_data`` had when the caller read it (``None`` for memmapped data).
 
         Computed lazily, so an index adopted by :meth:`from_state`
         without them stays valid; memmapped datasets skip the
@@ -516,7 +528,10 @@ class StandardLSH:
             return None
         with self._norms_lock:
             norms = self._sq_norms
-            if norms is None or norms.shape[0] != data.shape[0]:
+            # Rows are append-only and ``insert`` extends the cache before
+            # it publishes them, so a cache longer than this snapshot of
+            # the data is the cache of a later one: valid row for row.
+            if norms is None or norms.shape[0] < data.shape[0]:
                 # Same halving-tree summation as the rank dot products:
                 # for an indexed query point x, tree(x,x) - 2*tree(x,q)
                 # + tree(q,q) cancels to exactly 0.0 only when all three
@@ -743,8 +758,8 @@ class _LSHPlan(QueryPlan):
     and hierarchy node lookup, candidate dedup, fused rank) is a call on
     ``kernels``, the table :func:`repro.native.load_kernels` resolved —
     compiled or numpy, bit-identical by the parity matrix in
-    ``tests/test_native.py``.  Overlay buckets and memmapped data take
-    the numpy routes their call sites name.
+    ``tests/test_native.py``.  A memmapped corpus is ranked by the numpy
+    spec, the one fork on the input (see ``_stage_rank``).
     """
 
     site = "lsh"
@@ -821,105 +836,81 @@ class _LSHPlan(QueryPlan):
         return (np.concatenate([own, probes], axis=0),
                 np.concatenate([rows, np.repeat(rows, counts)]))
 
-    def _gather_table(self, ctx: ExecutionContext, t: int, table: LSHTable,
-                      ) -> Tuple[np.ndarray, np.ndarray,
-                                 Optional[Tuple[int, int, np.ndarray]]]:
-        """One table's flattened candidate contribution (the supervised unit).
+    def _table_lookups(self, ctx: ExecutionContext, t: int, table: LSHTable,
+                       ) -> Tuple[tuple, np.ndarray, np.ndarray]:
+        """One table's entry for ``bucket_union`` (the supervised unit):
+        ``(layouts, codes_all, row_q)``.
 
         This is the body the resilience policy retries/drops per table; the
         ``lsh.gather`` fault site sits at its top.  A corruption-kind hit
         is escalated to :class:`InjectedFault` here because a gather has no
         integrity check that could catch silently corrupted candidates
         (unlike ``persistence.load``, whose checksums do).
-
-        Observability stays local: the third element is
-        ``(n_lookups, n_misses, probes_per_query)`` (``None`` with obs
-        off) and the *caller* commits it to the Observer and the shared
-        probe accumulator only after this attempt succeeds — a timed-out,
-        abandoned attempt must not race the retry on shared counters or
-        double-count its lookups.
         """
         plan = ctx.fault_plan
         if plan is not None and plan.check("lsh.gather", table=t):
             raise InjectedFault("lsh.gather", f"table={t} corruption")
-        codes_all, row_q = self._probe_rows(ctx, t)
-        if table.n_extra == 0:
-            # Lookup straight on the sorted bucket-code rows.  The fork
-            # reads the table, not the kernels: only
-            # :meth:`LSHTable.gather_batch` merges the buckets of a live
-            # insert overlay.
-            starts, counts = table.bucket_spans(
-                ctx.scratch["kernels"].lookup_codes(table._bucket_codes,
-                                                    codes_all))
-            ids_flat = LSHTable._gather_segments(table._sorted_ids, starts,
-                                                 counts)
-        else:
-            ids_flat, counts = table.gather_batch(codes_all)
-        stats = None
-        if ctx.ob is not None:
-            stats = (int(codes_all.shape[0]),
-                     int(np.count_nonzero(counts == 0)),
-                     np.bincount(row_q, minlength=ctx.nq)[:ctx.nq] - 1)
-        return ids_flat, np.repeat(row_q, counts), stats
+        return (table.layouts(),) + self._probe_rows(ctx, t)
 
     def _stage_gather(self, ctx: ExecutionContext) -> None:
-        """Candidate gathering for the whole batch, array-at-a-time.
+        """Candidate gathering for the whole batch, query-major.
 
-        For each table, every query's self code and probe codes are stacked
-        and resolved with a single sorted-code lookup; the per-table
-        results are then concatenated, and ``kernels.dedup_candidates``
-        drops tombstones and per-query duplicates, leaving
-        ``scratch["cand"]`` / ``scratch["qidx"]`` sorted by ``(query,
-        id)``: segment ``i`` is query ``i``'s candidate set with ids
+        Every table contributes its sorted layouts and the rows to look
+        up in them — each query's self code and probe codes; one
+        ``kernels.bucket_union`` call then searches all of them and unions
+        each query's bucket intervals, leaving ``scratch["cand"]`` /
+        ``scratch["qidx"]`` sorted by ``(query, id)`` with tombstones
+        dropped: segment ``i`` is query ``i``'s candidate set with ids
         ascending — the order :func:`numpy.unique` gives the scalar
         oracle.
 
-        Under a :class:`ResiliencePolicy` each table runs as a supervised
-        unit: a table that still fails after retries is dropped and
-        gathering continues with the rest.  A dropped table removes
+        Under a :class:`ResiliencePolicy` each table's entry is built as
+        a supervised unit: a table that still fails after retries is
+        dropped and the union runs over the rest.  A dropped table removes
         candidates from *every* query in the shard, so all of them are
         flagged degraded rather than silently returning possibly-weaker
         answers.  Without a policy, failures propagate.
         """
         index, ob, pol, nq = self.index, ctx.ob, ctx.policy, ctx.nq
-        id_parts: List[np.ndarray] = []
-        q_parts: List[np.ndarray] = []
-        probes = np.zeros(nq, dtype=np.int64) if ob is not None else None
-        dropped = False
+        kept: List[int] = []
+        lookups: List[tuple] = []
         # One snapshot of the published list: a concurrent rebuild swaps
         # in a new list, it never edits this one (see _rebuild_tables).
-        for t, table in enumerate(index._tables):
+        tables = index._tables
+        for t, table in enumerate(tables):
             if pol is None:
-                ids_flat, q_flat, tstats = self._gather_table(ctx, t, table)
+                entry = self._table_lookups(ctx, t, table)
             else:
-                result, action, records = pol.run(
+                entry, action, records = pol.run(
                     "lsh.gather", f"table={t}",
-                    lambda t=t, table=table: self._gather_table(ctx, t,
-                                                                table))
+                    lambda t=t, table=table: self._table_lookups(ctx, t,
+                                                                 table))
                 ctx.failures.extend(records)
-                if action == "gave_up" or result is None:
-                    dropped = True
+                if action == "gave_up" or entry is None:
                     continue
-                ids_flat, q_flat, tstats = result
-            # Commit observability only for the attempt whose result we
-            # keep — abandoned timed-out attempts threw theirs away.
-            if tstats is not None:
-                n_lookups, n_misses, probe_counts = tstats
-                ob.record_table_lookup(t, n_lookups=n_lookups,
-                                       n_misses=n_misses,
-                                       n_probes=n_lookups - nq)
-                probes += probe_counts
-            id_parts.append(ids_flat)
-            q_parts.append(q_flat)
-        if dropped:
+            kept.append(t)
+            lookups.append(entry)
+        if len(kept) < len(tables):
             ctx.ensure_degraded()[:] = True
             if ob is not None:
                 ob.record_degraded("table_dropped", nq)
-        empty = np.empty(0, dtype=np.int64)
-        cand, qidx, counts = ctx.scratch["kernels"].dedup_candidates(
-            np.concatenate(id_parts) if id_parts else empty,
-            np.concatenate(q_parts) if q_parts else empty, nq,
-            deleted=index._deleted)
+        # The row count is read after every layout above: an insert
+        # publishes its rows before any table learns their ids, so it
+        # bounds every id the kernel will meet.
+        cand, qidx, counts, misses = ctx.scratch["kernels"].bucket_union(
+            lookups, nq, index._data.shape[0], deleted=index._deleted)
+        probes = None
+        if ob is not None:
+            # Committed only for the entries the union used — a timed-out,
+            # abandoned attempt never reaches the shared counters.
+            probes = np.zeros(nq, dtype=np.int64)
+            for t, (_, codes_all, row_q), n_misses in zip(kept, lookups,
+                                                          misses):
+                n_lookups = int(codes_all.shape[0])
+                ob.record_table_lookup(t, n_lookups=n_lookups,
+                                       n_misses=int(n_misses),
+                                       n_probes=n_lookups - nq)
+                probes += np.bincount(row_q, minlength=nq)[:nq] - 1
         ctx.scratch["cand"] = cand
         ctx.scratch["qidx"] = qidx
         ctx.scratch["probes"] = probes

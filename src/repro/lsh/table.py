@@ -7,8 +7,11 @@ whose code matches share a bucket and become short-list candidates for any
 query landing in that bucket (Section IV-B.1 of the paper).
 
 Internally buckets are stored CSR-style (one sorted id array plus per-bucket
-start/end offsets) after :meth:`build`, mirroring the paper's GPU layout of
-"a linear array along with an indexing table".  The index table is an array
+start/end offsets — a :class:`SortedLayout`), mirroring the paper's GPU
+layout of "a linear array along with an indexing table"; points inserted
+after the build live in a second layout of the same shape, and the plan's
+``bucket_union`` kernel searches both.  For the numpy lookups the index
+table is an array
 of *packed keys*: each ``(M,)`` int64 code row is packed into one fixed-width
 big-endian byte string whose lexicographic byte order equals the
 lexicographic order of the code tuple, so a whole batch of codes resolves to
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +80,85 @@ def packed_keys(sorted_codes: np.ndarray) -> np.ndarray:
     return keys
 
 
+class SortedLayout(NamedTuple):
+    """One immutable sorted bucket layout: distinct codes, the run of
+    ``sorted_ids`` each owns, and where those arrays live.
+
+    A table publishes one for its base and one for its insert overlay;
+    nothing writes to the arrays afterwards.  ``pointers`` is derived
+    data for the compiled ``bucket_union`` kernel, built once here and
+    never per call: the int64 words ``(bucket_codes address, n_buckets,
+    starts address, ends address, sorted_ids address, n_ids)`` — valid
+    for as long as this tuple keeps the arrays referenced.
+    """
+
+    bucket_codes: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    sorted_ids: np.ndarray
+    pointers: np.ndarray
+
+    @classmethod
+    def adopt(cls, bucket_codes: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray, sorted_ids: np.ndarray) -> "SortedLayout":
+        """A layout over existing arrays, by reference — read-only
+        shared-memory views included.  The kernel reads them through
+        raw addresses, so anything but C-contiguous int64 is refused."""
+        for arr in (bucket_codes, starts, ends, sorted_ids):
+            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+                raise ValueError("layout arrays must be C-contiguous int64, "
+                                 f"got {arr.dtype} (contiguous: "
+                                 f"{arr.flags.c_contiguous})")
+        n_buckets = starts.shape[0]
+        if bucket_codes.ndim != 2 or bucket_codes.shape[0] != n_buckets \
+                or ends.shape != (n_buckets,) or sorted_ids.ndim != 1:
+            raise ValueError(
+                f"inconsistent layout: bucket_codes {bucket_codes.shape}, "
+                f"starts {starts.shape}, ends {ends.shape}, sorted_ids "
+                f"{sorted_ids.shape}")
+        return cls(bucket_codes, starts, ends, sorted_ids, np.array(
+            [bucket_codes.ctypes.data, n_buckets, starts.ctypes.data,
+             ends.ctypes.data, sorted_ids.ctypes.data, sorted_ids.shape[0]],
+            dtype=np.int64))
+
+    @classmethod
+    def sort(cls, codes: np.ndarray, ids: np.ndarray) -> "SortedLayout":
+        """Group ``ids`` by their ``(n, M)`` code rows — the "sorted
+        linear array" with its indexing table of Section V-A.  The sort
+        is stable: ids sharing a code keep their order."""
+        n = codes.shape[0]
+        if n == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return cls.adopt(codes, empty, empty, empty)
+        order = np.lexsort(codes.T[::-1])
+        sorted_codes = codes[order]
+        sorted_ids = ids[order]
+        # Boundaries between runs of identical codes.
+        change = np.flatnonzero(
+            (sorted_codes[1:] != sorted_codes[:-1]).any(axis=1)) + 1
+        bounds = np.empty(change.shape[0] + 2, dtype=np.int64)
+        bounds[0], bounds[1:-1], bounds[-1] = 0, change, n
+        return cls.adopt(sorted_codes[bounds[:-1]], bounds[:-1], bounds[1:],
+                         sorted_ids)
+
+    def row_codes(self) -> np.ndarray:
+        """The code of every row of ``sorted_ids`` (buckets tile it
+        contiguously, so this is the bucket codes repeated by size)."""
+        return np.repeat(self.bucket_codes, self.ends - self.starts, axis=0)
+
+    def spans(self, bucket_index: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` inside ``sorted_ids`` per bucket index
+        (as ``lookup_codes`` returns them); ``-1`` is an empty span."""
+        found = bucket_index >= 0
+        if not self.starts.shape[0]:
+            zeros = np.zeros(bucket_index.shape[0], dtype=np.int64)
+            return zeros, zeros
+        safe = np.where(found, bucket_index, 0)
+        starts = np.where(found, self.starts[safe], 0)
+        return starts, np.where(found, self.ends[safe] - starts, 0)
+
+
 class LSHTable:
     """One LSH hash table: code -> bucket of point ids.
 
@@ -100,36 +182,14 @@ class LSHTable:
                 raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
         self.code_dim = codes.shape[1]
         self.n_points = n
-        if n == 0:
-            self._sorted_ids = np.empty(0, dtype=np.int64)
-            self._starts = np.empty(0, dtype=np.int64)
-            self._ends = np.empty(0, dtype=np.int64)
-            self._bucket_codes = codes.reshape(0, self.code_dim)
-        else:
-            # Sort by code (lexicographically) to collect equal codes
-            # together — the "sorted linear array" layout of Section V-A.
-            order = np.lexsort(codes.T[::-1])
-            sorted_codes = codes[order]
-            self._sorted_ids = ids[order]
-            # Boundaries between runs of identical codes.
-            change = np.nonzero(
-                np.any(sorted_codes[1:] != sorted_codes[:-1], axis=1))[0] + 1
-            self._starts = np.concatenate(([0], change)).astype(np.int64)
-            self._ends = np.concatenate((change, [n])).astype(np.int64)
-            self._bucket_codes = sorted_codes[self._starts]
-
-        # Dynamic overlay for post-build insertions (kept as raw row/id
-        # chunks; a sorted CSR view over them is built lazily).  The lock
-        # serializes overlay mutation (``add``) against the lazy CSR merge
-        # (``_overlay_csr``), which batch queries hit from n_jobs worker
-        # threads; readers receive an immutable tuple snapshot, never the
-        # live attributes.
+        self._base = base = SortedLayout.sort(codes, ids)
+        self._bucket_codes, self._starts, self._ends, self._sorted_ids = \
+            base[:4]
+        # Post-build insertions: one more sorted layout, rebuilt by every
+        # ``add`` under the lock and published with a single assignment —
+        # readers take the reference once and never see it change.
         self._overlay_lock = threading.Lock()
-        self._extra_codes: List[np.ndarray] = []
-        self._extra_ids: List[np.ndarray] = []
-        self._overlay: Optional[Tuple[np.ndarray, np.ndarray,
-                                      np.ndarray, np.ndarray]] = None
-        self._n_extra = 0
+        self._overlay: Optional[SortedLayout] = None
 
     @classmethod
     def from_arrays(cls, bucket_codes: np.ndarray, starts: np.ndarray,
@@ -145,6 +205,8 @@ class LSHTable:
         table._starts = starts
         table._ends = ends
         table._sorted_ids = sorted_ids
+        table._base = SortedLayout.adopt(bucket_codes, starts, ends,
+                                         sorted_ids)
         table.n_points = sorted_ids.shape[0]
         return table
 
@@ -154,6 +216,13 @@ class LSHTable:
         return {"bucket_codes": self._bucket_codes, "starts": self._starts,
                 "ends": self._ends, "sorted_ids": self._sorted_ids}
 
+    def layouts(self) -> Tuple[SortedLayout, ...]:
+        """The sorted layouts holding this table's points — the base,
+        then the insert overlay while there is one: what the
+        ``bucket_union`` kernel searches.  One consistent snapshot."""
+        overlay = self._overlay
+        return (self._base,) if overlay is None else (self._base, overlay)
+
     @property
     def n_buckets(self) -> int:
         return self._starts.shape[0]
@@ -161,15 +230,18 @@ class LSHTable:
     @property
     def n_extra(self) -> int:
         """Points inserted after the initial build (overlay, not CSR)."""
-        return self._n_extra
+        overlay = self._overlay
+        return 0 if overlay is None else overlay.sorted_ids.shape[0]
 
     def add(self, codes: np.ndarray, ids: np.ndarray) -> None:
         """Insert points after the initial build.
 
-        Additions land in an overlay; :meth:`lookup` / :meth:`lookup_batch`
-        merge them with the sorted base layout.  Callers that care about
-        the CSR invariants (e.g. the bucket hierarchies) should rebuild the
-        table once :attr:`n_extra` grows past their tolerance.
+        Additions land in the overlay layout, which is re-sorted here —
+        once per ``add``, never by a reader; ids sharing a code keep
+        insertion order.  Every lookup merges it with the base layout.
+        Callers that care about the CSR invariants (e.g. the bucket
+        hierarchies) should rebuild the table once :attr:`n_extra` grows
+        past their tolerance.
         """
         codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
@@ -179,67 +251,28 @@ class LSHTable:
             raise ValueError(
                 f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
         with self._overlay_lock:
-            self._extra_codes.append(codes)
-            self._extra_ids.append(ids)
-            self._overlay = None
-            self._n_extra += ids.shape[0]
             self.n_points += ids.shape[0]
-
-    def _overlay_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted CSR view over the overlay: ``(keys, ids, starts, ends)``.
-
-        The stable sort keeps insertion order within each key, matching the
-        append semantics of the old per-code id lists.  The merge runs
-        under the overlay lock and is published as one immutable tuple, so
-        a concurrent :meth:`lookup_batch` / :meth:`gather_batch` observes
-        either the previous snapshot or the fully merged one — never
-        half-updated ``starts``/``ends`` arrays.
-        """
-        with self._overlay_lock:
             overlay = self._overlay
-            if overlay is None:
-                if not self._extra_codes:
-                    empty_keys = np.empty(0, dtype=f"S{8 * self.code_dim}")
-                    empty = np.empty(0, dtype=np.int64)
-                    overlay = (empty_keys, empty, empty, empty)
-                else:
-                    codes = np.concatenate(self._extra_codes, axis=0)
-                    ids = np.concatenate(self._extra_ids)
-                    keys = pack_codes(codes)
-                    order = np.argsort(keys, kind="stable")
-                    keys = keys[order]
-                    ids = ids[order]
-                    change = np.nonzero(keys[1:] != keys[:-1])[0] + 1
-                    starts = np.concatenate(([0], change)).astype(np.int64)
-                    ends = np.concatenate(
-                        (change, [keys.shape[0]])).astype(np.int64)
-                    overlay = (keys[starts], ids, starts, ends)
-                    ob = obs.active()
-                    if ob is not None:
-                        ob.record_overlay_merge()
-                self._overlay = overlay
-        return overlay
+            if overlay is not None:
+                codes = np.concatenate([overlay.row_codes(), codes], axis=0)
+                ids = np.concatenate([overlay.sorted_ids, ids])
+            self._overlay = SortedLayout.sort(codes, ids)
+        ob = obs.active()
+        if ob is not None:
+            ob.record_overlay_merge()
 
     def compacted(self, drop: Optional[np.ndarray] = None) -> "LSHTable":
         """A fresh table with the overlay folded in and ``drop`` ids removed.
 
-        Reconstructs every base row's code from the CSR layout (buckets
-        tile ``sorted_ids`` contiguously, so per-row codes are a
-        ``repeat`` of the bucket codes by bucket size), appends an
-        immutable snapshot of the overlay, masks out ids flagged in the
-        boolean ``drop`` array (indexed by id), and builds a brand-new
-        :class:`LSHTable` — no re-projection needed, making this safe to
-        run off the owning index's writer lock.  ``self`` is untouched.
+        Reconstructs every row's code from the sorted layouts (base rows,
+        then overlay rows), masks out ids flagged in the boolean ``drop``
+        array (indexed by id), and builds a brand-new :class:`LSHTable` —
+        no re-projection needed, making this safe to run off the owning
+        index's writer lock.  ``self`` is untouched.
         """
-        sizes = self._ends - self._starts
-        base_codes = np.repeat(self._bucket_codes, sizes, axis=0)
-        with self._overlay_lock:
-            extra_codes = list(self._extra_codes)
-            extra_ids = list(self._extra_ids)
-        codes = np.concatenate([base_codes] + extra_codes, axis=0) \
-            if extra_codes else base_codes
-        ids = np.concatenate([self._sorted_ids] + extra_ids) \
-            if extra_ids else self._sorted_ids
+        layouts = self.layouts()
+        codes = np.concatenate([lay.row_codes() for lay in layouts], axis=0)
+        ids = np.concatenate([lay.sorted_ids for lay in layouts])
         if drop is not None and drop.size and ids.size:
             dropped = (ids < drop.shape[0]) & drop[np.minimum(
                 ids, drop.shape[0] - 1)]
@@ -316,52 +349,41 @@ class LSHTable:
         out[np.repeat(out_starts, lengths) + rel] = gathered
         return out
 
-    def bucket_spans(self, bucket_index: np.ndarray,
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(starts, lengths)`` inside :attr:`sorted_ids` per bucket index
-        (as :meth:`lookup_batch` returns them); ``-1`` is an empty span."""
-        found = bucket_index >= 0
-        if not self.n_buckets:
-            zeros = np.zeros(bucket_index.shape[0], dtype=np.int64)
-            return zeros, zeros
-        safe = np.where(found, bucket_index, 0)
-        starts = np.where(found, self._starts[safe], 0)
-        return starts, np.where(found, self._ends[safe] - starts, 0)
+    @staticmethod
+    def gather_layouts(layouts: Sequence[SortedLayout], codes: np.ndarray,
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`gather_batch` over explicit ``layouts``: per code row
+        the members of its bucket in the first layout, then in the next.
+        One ``searchsorted`` per layout and pure offset arithmetic — no
+        per-row Python work."""
+        keys = pack_codes(codes)
+        spans = [lay.spans(LSHTable._searchsorted_keys(
+            packed_keys(lay.bucket_codes), keys)) for lay in layouts]
+        if len(layouts) == 1:
+            starts, counts = spans[0]
+            return (LSHTable._gather_segments(layouts[0].sorted_ids, starts,
+                                              counts), counts)
+        counts = np.sum([lens for _, lens in spans], axis=0, dtype=np.int64)
+        out = np.empty(int(counts.sum()), dtype=np.int64)
+        offsets = np.cumsum(counts) - counts
+        for lay, (starts, lens) in zip(layouts, spans):
+            LSHTable._gather_segments(lay.sorted_ids, starts, lens, out=out,
+                                      out_starts=offsets)
+            offsets = offsets + lens
+        return out, counts
 
     def gather_batch(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate ids for every code row, flattened CSR-style.
 
         Returns ``(ids, counts)`` where ``counts[i]`` is the number of ids
         gathered for row ``i`` and ``ids`` is their concatenation (base
-        bucket members first, then overlay members, per row).  The whole
-        batch is resolved with two ``searchsorted`` calls and pure offset
-        arithmetic — no per-row Python work.
+        bucket members first, then overlay members, per row).
         """
         codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
         if codes.shape[1] != self.code_dim:
             raise ValueError(
                 f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
-        keys = pack_codes(codes)
-        base_starts, base_lens = self.bucket_spans(
-            self._searchsorted_keys(packed_keys(self._bucket_codes), keys))
-        if self._n_extra == 0:
-            return (self._gather_segments(self._sorted_ids, base_starts,
-                                          base_lens), base_lens)
-        ex_keys, ex_ids, ex_starts_all, ex_ends_all = self._overlay_csr()
-        eidx = self._searchsorted_keys(ex_keys, keys)
-        efound = eidx >= 0
-        esafe = np.where(efound, eidx, 0)
-        extra_starts = np.where(efound, ex_starts_all[esafe], 0)
-        extra_lens = np.where(efound,
-                              ex_ends_all[esafe] - ex_starts_all[esafe], 0)
-        counts = base_lens + extra_lens
-        out = np.empty(int(counts.sum()), dtype=np.int64)
-        out_starts = np.cumsum(counts) - counts
-        self._gather_segments(self._sorted_ids, base_starts, base_lens,
-                              out=out, out_starts=out_starts)
-        self._gather_segments(ex_ids, extra_starts, extra_lens,
-                              out=out, out_starts=out_starts + base_lens)
-        return out, counts
+        return self.gather_layouts(self.layouts(), codes)
 
     def lookup(self, code: np.ndarray) -> np.ndarray:
         """Return the ids in the bucket matching ``code`` (empty if none)."""

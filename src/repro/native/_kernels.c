@@ -78,25 +78,28 @@ static int row_eq(const i64 *a, const i64 *b, i64 m) {
     return 1;
 }
 
-/* Bucket index per query code row (-1 when absent): lower-bound binary
+/* Index of the bucket holding `code` (-1 when absent): lower-bound binary
  * search over the lexicographically sorted distinct bucket codes —
  * exactly LSHTable._searchsorted_keys on the packed keys. */
+static i64 find_bucket(const i64 *bucket_codes, i64 n_buckets, i64 m,
+                       const i64 *code) {
+    i64 lo = 0, hi = n_buckets;
+    while (lo < hi) {
+        i64 mid = lo + ((hi - lo) >> 1);
+        if (row_less(bucket_codes + mid * m, code, m))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return (lo < n_buckets && row_eq(bucket_codes + lo * m, code, m)) ? lo
+                                                                      : -1;
+}
+
+/* Bucket index per query code row. */
 EXPORT void repro_lookup_codes(const i64 *bucket_codes, i64 n_buckets,
                                i64 m, const i64 *codes, i64 r, i64 *bidx) {
-    i64 i;
-    for (i = 0; i < r; i++) {
-        const i64 *code = codes + i * m;
-        i64 lo = 0, hi = n_buckets;
-        while (lo < hi) {
-            i64 mid = lo + ((hi - lo) >> 1);
-            if (row_less(bucket_codes + mid * m, code, m))
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        bidx[i] = (lo < n_buckets &&
-                   row_eq(bucket_codes + lo * m, code, m)) ? lo : -1;
-    }
+    for (i64 i = 0; i < r; i++)
+        bidx[i] = find_bucket(bucket_codes, n_buckets, m, codes + i * m);
 }
 
 /* ----------------------------------------------------------------- dedup */
@@ -211,6 +214,147 @@ EXPORT i64 repro_dedup_candidates(const i64 *ids, const i64 *qidx, i64 n,
 fail:
     free(bits); free(cursors); free(tmp);
     return -1;
+}
+
+/* ---------------------------------------------------------- bucket union */
+
+/* Addresses cross in int64 words (numpy rows built by the caller). */
+#define PTR(word) ((const i64 *)(intptr_t)(word))
+
+/* Words of one sorted layout (a table's published base, or its insert
+ * overlay): lsh/table.py SortedLayout.pointers. */
+enum { L_CODES, L_N_BUCKETS, L_STARTS, L_ENDS, L_IDS, L_N_IDS, L_WORDS };
+/* Words of one table's entry: how many of the lookup rows are its own
+ * (tables' rows follow each other in `codes` / `row_q`) and how many
+ * layouts (consecutive in `layouts`) they are searched in. */
+enum { T_ROWS, T_N_LAYOUTS, T_WORDS };
+/* Words of one non-empty bucket interval a lookup row hit. */
+enum { S_IDS, S_LEN, S_QUERY, S_WORDS };
+
+/* Step 1 of the query-major short-list: binary-search every lookup row of
+ * every table in each of the table's layouts and keep the non-empty
+ * intervals of sorted_ids it hit.  row_q[i] is the query lookup row i
+ * belongs to; raw[q] is the number of ids behind query q's intervals
+ * (duplicates and tombstones included), misses[t] the rows of table t
+ * that hit nothing.  Allocates nothing.  Returns the number of spans
+ * written (at most one per row and layout), -2 for a row whose query is
+ * outside [0, nq), -3 for an interval outside its sorted_ids. */
+EXPORT i64 repro_bucket_spans(const i64 *codes, const i64 *row_q,
+                              const i64 *tables, i64 n_tables,
+                              const i64 *layouts, i64 m, i64 nq, i64 *spans,
+                              i64 *raw, i64 *misses) {
+    i64 n_spans = 0;
+    memset(raw, 0, (size_t)nq * sizeof(i64));
+    for (i64 t = 0; t < n_tables; t++, tables += T_WORDS) {
+        i64 n_layouts = tables[T_N_LAYOUTS], missed = 0;
+        for (i64 i = 0; i < tables[T_ROWS]; i++, codes += m, row_q++) {
+            i64 q = *row_q, hit = 0;
+            if ((uint64_t)q >= (uint64_t)nq) return -2;
+            for (i64 s = 0; s < n_layouts; s++) {
+                const i64 *lay = layouts + s * L_WORDS;
+                i64 b = find_bucket(PTR(lay[L_CODES]), lay[L_N_BUCKETS], m,
+                                    codes);
+                if (b < 0) continue;
+                i64 start = PTR(lay[L_STARTS])[b];
+                i64 len = PTR(lay[L_ENDS])[b] - start;
+                if (start < 0 || len < 0 || start + len > lay[L_N_IDS])
+                    return -3;
+                if (!len) continue;
+                spans[S_IDS] = (i64)(intptr_t)(PTR(lay[L_IDS]) + start);
+                spans[S_LEN] = len;
+                spans[S_QUERY] = q;
+                spans += S_WORDS;
+                n_spans++;
+                raw[q] += len;
+                hit = 1;
+            }
+            missed += !hit;
+        }
+        misses[t] = missed;
+        layouts += n_layouts * L_WORDS;
+    }
+    return n_spans;
+}
+
+/* Step 2: the spans — not the ids behind them — are counting-sorted by
+ * query, then each query ORs the ids of its spans into a bitmap of n_rows
+ * bits and reads the touched words back with ctz (ascending and unique by
+ * construction, cleared on the way), dropping tombstones.  A query with
+ * few ids against the id range (the dedup rule above, on raw[q] and
+ * n_rows) collects and sorts them instead, so a huge index does not scan
+ * its whole bitmap per query.  Output is what repro_dedup_candidates
+ * leaves: out_ids/out_qidx sorted by (query, id), counts per query; the
+ * caller sizes both by sum(min(raw[q], n_rows)).  Returns the number of
+ * ids written, -1 when scratch cannot be allocated, -2 for an id outside
+ * [0, n_rows) — refused before anything is written past the bitmap. */
+EXPORT i64 repro_bucket_union(const i64 *spans, i64 n_spans, const i64 *raw,
+                              i64 nq, i64 n_rows,
+                              const unsigned char *deleted, i64 del_len,
+                              i64 *out_ids, i64 *out_qidx, i64 *counts) {
+    i64 words = (n_rows + 63) >> 6, total = 0, at = 0, rc = -1, i, q;
+    uint64_t *bits = NULL;
+    i64 *cursors = (i64 *)calloc((size_t)nq + 1, sizeof(i64));
+    const i64 **order = (const i64 **)malloc(
+        (size_t)(n_spans > 0 ? n_spans : 1) * sizeof(i64 *));
+    if (!cursors || !order) goto done;
+    for (i = 0; i < n_spans; i++) cursors[spans[i * S_WORDS + S_QUERY] + 1]++;
+    for (q = 0; q < nq; q++) cursors[q + 1] += cursors[q];
+    /* Advances cursors[q] from the start of query q's spans to their end. */
+    for (i = 0; i < n_spans; i++)
+        order[cursors[spans[i * S_WORDS + S_QUERY]]++] = spans + i * S_WORDS;
+    for (q = 0; q < nq; q++) {
+        i64 *dst = out_ids + total, kept = 0, end = cursors[q];
+        if (words > SPARSE_WORDS_PER_ID * raw[q]) {
+            i64 len = 0;
+            for (; at < end; at++) {
+                const i64 *ids = PTR(order[at][S_IDS]);
+                for (i = 0; i < order[at][S_LEN]; i++) {
+                    i64 id = ids[i];
+                    if ((uint64_t)id >= (uint64_t)n_rows) goto refused;
+                    if (!TOMBSTONED(id)) dst[len++] = id;
+                }
+            }
+            sort_i64(dst, len);
+            for (i = 0; i < len; i++)
+                if (!kept || dst[kept - 1] != dst[i]) dst[kept++] = dst[i];
+        } else {
+            i64 lo = words, hi = -1;
+            if (!bits) {        /* all-zero between queries: cleared below */
+                bits = (uint64_t *)calloc((size_t)(words > 0 ? words : 1),
+                                          sizeof(uint64_t));
+                if (!bits) goto done;
+            }
+            for (; at < end; at++) {
+                const i64 *ids = PTR(order[at][S_IDS]);
+                for (i = 0; i < order[at][S_LEN]; i++) {
+                    i64 id = ids[i], w = id >> 6;
+                    if ((uint64_t)id >= (uint64_t)n_rows) goto refused;
+                    bits[w] |= (uint64_t)1 << (id & 63);
+                    if (w < lo) lo = w;
+                    if (w > hi) hi = w;
+                }
+            }
+            for (i = lo; i <= hi; i++) {
+                uint64_t word = bits[i];
+                if (!word) continue;
+                bits[i] = 0;
+                for (; word; word &= word - 1) {
+                    i64 id = (i << 6) | __builtin_ctzll(word);
+                    if (!TOMBSTONED(id)) dst[kept++] = id;
+                }
+            }
+        }
+        for (i = 0; i < kept; i++) out_qidx[total + i] = q;
+        counts[q] = kept;
+        total += kept;
+    }
+    rc = total;
+    goto done;
+refused:
+    rc = -2;
+done:
+    free(bits); free(cursors); free(order);
+    return rc;
 }
 
 /* ------------------------------------------------------------------ rank */
@@ -470,4 +614,4 @@ EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
 
 /* Version tag checked by the loader: bumped with every exported-signature
  * change so a library built from another revision is refused. */
-EXPORT i64 repro_kernels_abi(void) { return 3; }
+EXPORT i64 repro_kernels_abi(void) { return 4; }

@@ -31,14 +31,14 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 3
+KERNELS_ABI = 4
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -125,6 +125,12 @@ class CExtKernels:
         lib.repro_dedup_candidates.restype = i64
         lib.repro_dedup_candidates.argtypes = [
             ptr, ptr, i64, i64, ptr, i64, ptr, ptr, ptr]
+        lib.repro_bucket_spans.restype = i64
+        lib.repro_bucket_spans.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64,
+                                           ptr, ptr, ptr]
+        lib.repro_bucket_union.restype = i64
+        lib.repro_bucket_union.argtypes = [
+            ptr, i64, ptr, i64, i64, ptr, i64, ptr, ptr, ptr]
         lib.repro_rank_topk.restype = ctypes.c_int
         lib.repro_rank_topk.argtypes = [
             ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
@@ -152,6 +158,17 @@ class CExtKernels:
             codes.ctypes.data, r, bidx.ctypes.data)
         return bidx
 
+    @staticmethod
+    def _tombstones(deleted: Optional[np.ndarray],
+                    ) -> Tuple[Optional[np.ndarray], Optional[int], int]:
+        """``(array kept alive, address, length)`` of a tombstone mask."""
+        if deleted is None:
+            return None, None, 0
+        if deleted.dtype == np.bool_:  # same bytes, no copy
+            deleted = deleted.view(np.uint8)
+        deleted = np.ascontiguousarray(deleted, dtype=np.uint8)
+        return deleted, deleted.ctypes.data, deleted.shape[0]
+
     def dedup_candidates(self, local_ids: np.ndarray, qidx: np.ndarray,
                          nq: int, deleted: Optional[np.ndarray] = None,
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,12 +178,7 @@ class CExtKernels:
         out_ids = np.empty(n, dtype=np.int64)
         out_qidx = np.empty(n, dtype=np.int64)
         counts = np.empty(nq, dtype=np.int64)
-        del_ptr, del_len = None, 0
-        if deleted is not None:
-            if deleted.dtype == np.bool_:  # same bytes, no copy
-                deleted = deleted.view(np.uint8)
-            deleted = np.ascontiguousarray(deleted, dtype=np.uint8)
-            del_ptr, del_len = deleted.ctypes.data, deleted.shape[0]
+        deleted, del_ptr, del_len = self._tombstones(deleted)
         total = int(self._lib.repro_dedup_candidates(
             local_ids.ctypes.data, qidx.ctypes.data, n, int(nq), del_ptr,
             del_len, out_ids.ctypes.data, out_qidx.ctypes.data,
@@ -174,6 +186,71 @@ class CExtKernels:
         if total < 0:
             raise MemoryError("dedup_candidates scratch allocation failed")
         return out_ids[:total], out_qidx[:total], counts
+
+    def bucket_union(self, lookups: Sequence[tuple], nq: int, n_rows: int,
+                     deleted: Optional[np.ndarray] = None,
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        nq, n_rows = int(nq), int(n_rows)
+        # The C side takes every table's lookup rows stacked (two
+        # addresses, not two per table) and, per table, its row count and
+        # layout count; the layouts' pointer rows — built once per layout,
+        # which ``lookups`` keeps alive — follow in table order.
+        code_rows: List[np.ndarray] = []
+        of_rows: List[np.ndarray] = []
+        layouts: List[tuple] = []
+        shape: List[int] = []
+        max_spans = 0
+        for table_layouts, rows, of_row in lookups:
+            code_rows.append(rows)
+            of_rows.append(of_row)
+            layouts.extend(table_layouts)
+            shape += (rows.shape[0], len(table_layouts))
+            max_spans += rows.shape[0] * len(table_layouts)
+        empty = np.empty(0, dtype=np.int64)
+        codes = np.ascontiguousarray(
+            np.concatenate(code_rows) if lookups else empty.reshape(0, 0),
+            dtype=np.int64)
+        row_q = np.ascontiguousarray(
+            np.concatenate(of_rows) if lookups else empty, dtype=np.int64)
+        m = codes.shape[-1]
+        if codes.ndim != 2 or row_q.shape != codes.shape[:1] \
+                or any(layout.bucket_codes.shape[1] != m
+                       for layout in layouts):
+            raise ValueError(
+                f"bucket_union: needs (r, {m}) code rows with one query "
+                f"each over layouts of {m}-wide codes")
+        tables = np.array(shape, dtype=np.int64)
+        pointers = (np.concatenate([layout.pointers for layout in layouts])
+                    if layouts else empty)
+        spans = np.empty((max_spans, 3), dtype=np.int64)
+        raw = np.empty(nq, dtype=np.int64)
+        misses = np.empty(len(lookups), dtype=np.int64)
+        n_spans = int(self._lib.repro_bucket_spans(
+            codes.ctypes.data, row_q.ctypes.data, tables.ctypes.data,
+            len(lookups), pointers.ctypes.data, m, nq, spans.ctypes.data,
+            raw.ctypes.data, misses.ctypes.data))
+        if n_spans < 0:
+            raise IndexError(
+                f"bucket_union: lookup row of a query outside [0, {nq})"
+                if n_spans == -2 else
+                "bucket_union: bucket interval outside its sorted_ids")
+        # A query cannot keep more ids than its intervals hold, nor more
+        # than there are rows: the output bound the kernel writes within.
+        bound = int(np.minimum(raw, n_rows).sum())
+        out_ids = np.empty(bound, dtype=np.int64)
+        out_qidx = np.empty(bound, dtype=np.int64)
+        counts = np.empty(nq, dtype=np.int64)
+        deleted, del_ptr, del_len = self._tombstones(deleted)
+        total = int(self._lib.repro_bucket_union(
+            spans.ctypes.data, n_spans, raw.ctypes.data, nq, n_rows, del_ptr,
+            del_len, out_ids.ctypes.data, out_qidx.ctypes.data,
+            counts.ctypes.data))
+        if total == -2:
+            raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
+        if total < 0:
+            raise MemoryError("bucket_union scratch allocation failed")
+        return out_ids[:total], out_qidx[:total], counts, misses
 
     def rank_topk(self, data: np.ndarray, sq_norms: Optional[np.ndarray],
                   queries: np.ndarray, q_sq: np.ndarray, cand: np.ndarray,

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tree_rowdot", "tree_sq_dist", "dedup_candidates_ref",
-           "lookup_codes_ref", "rank_topk_ref", "zm_probe_codes_ref"]
+__all__ = ["tree_rowdot", "tree_sq_dist", "bucket_union_ref",
+           "dedup_candidates_ref", "lookup_codes_ref", "rank_topk_ref",
+           "zm_probe_codes_ref"]
 
 
 def tree_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,6 +110,49 @@ def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,
         qidx = qidx[keep]
     counts = np.bincount(qidx, minlength=nq).astype(np.int64)
     return local_ids, qidx, counts
+
+
+def bucket_union_ref(lookups: "list[tuple]", nq: int, n_rows: int,
+                     deleted: "np.ndarray | None" = None,
+                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Reference for ``bucket_union``: the per-query short-list.
+
+    ``lookups`` holds one ``(layouts, codes, row_q)`` per table: its
+    sorted layouts (:class:`repro.lsh.table.SortedLayout` — the base,
+    then a live insert overlay), the ``(r, M)`` code rows to look up in
+    each of them, and the query every row belongs to.  The spec is the
+    composition of the table-major pieces:
+    ``LSHTable.gather_layouts`` per table (the :func:`lookup_codes_ref`
+    search, ``SortedLayout.spans``, ``_gather_segments``), then
+    :func:`dedup_candidates_ref` over everything gathered.
+
+    Returns ``(ids, qidx, counts, misses)``: the first three as
+    :func:`dedup_candidates_ref` leaves them, ``misses[t]`` the rows of
+    table ``t`` that hit no id in any of its layouts.  An id outside
+    ``[0, n_rows)`` raises :class:`IndexError` (the compiled kernel's
+    bitmap has ``n_rows`` bits).
+    """
+    from repro.lsh.table import LSHTable  # cycle
+
+    id_parts: "list[np.ndarray]" = []
+    q_parts: "list[np.ndarray]" = []
+    misses = np.zeros(len(lookups), dtype=np.int64)
+    for t, (layouts, codes, row_q) in enumerate(lookups):
+        row_q = np.asarray(row_q, dtype=np.int64)
+        if row_q.size and not 0 <= row_q.min() <= row_q.max() < nq:
+            raise IndexError(f"bucket_union: lookup row of a query outside "
+                             f"[0, {nq})")
+        ids, hits = LSHTable.gather_layouts(layouts, codes)
+        id_parts.append(ids)
+        q_parts.append(np.repeat(row_q, hits))
+        misses[t] = np.count_nonzero(hits == 0)
+    empty = np.empty(0, dtype=np.int64)
+    ids = np.concatenate(id_parts) if id_parts else empty
+    if ids.size and not 0 <= ids.min() <= ids.max() < n_rows:
+        raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
+    return dedup_candidates_ref(
+        ids, np.concatenate(q_parts) if q_parts else empty, nq,
+        deleted=deleted) + (misses,)
 
 
 #: Flattened-candidate rows ranked per chunk of :func:`rank_topk_ref`

@@ -40,7 +40,7 @@ __all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels", "load_kernels",
 #: Kernel entry points every table must provide (the table's schema).
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
                                  "rank_topk", "dm_decode", "e8_decode",
-                                 "zm_probe_codes")
+                                 "zm_probe_codes", "bucket_union")
 
 _VALID_PINS = ("auto", "cext", "none")
 
@@ -59,6 +59,7 @@ class NumpyKernels:
     dedup_candidates = staticmethod(ref.dedup_candidates_ref)
     rank_topk = staticmethod(ref.rank_topk_ref)
     zm_probe_codes = staticmethod(ref.zm_probe_codes_ref)
+    bucket_union = staticmethod(ref.bucket_union_ref)
 
     # The decoders live with their lattices, which import ``ref`` for the
     # summation tree — hence the call-time imports.

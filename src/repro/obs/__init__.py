@@ -211,7 +211,7 @@ class Observer:
     def record_overlay_merge(self) -> None:
         self.registry.counter(
             OVERLAY_MERGES_TOTAL,
-            "Lazy overlay->CSR merges materialized.").inc()
+            "Insert-overlay layouts re-sorted (one per table per add).").inc()
 
     def record_escalation_depth(self, kind: str, depths: np.ndarray) -> None:
         self.registry.histogram(

@@ -383,7 +383,8 @@ def save_index(index: Union[StandardLSH, BiLevelLSH, LSHForest],
     captures a consistent ``(snapshot, wal_lsn)`` pair: the recorded LSN
     covers exactly the mutations visible in the captured arrays, which
     is what makes WAL-tail replay after recovery idempotent.  Mutations
-    publish fresh arrays instead of writing in place, so the captured
+    publish fresh arrays (or a longer prefix, leaving the captured rows
+    untouched) instead of writing in place, so the captured
     references stay frozen while compression runs off-lock.
 
     Returns the ``wal_lsn`` recorded in ``__meta__`` (0 for indexes

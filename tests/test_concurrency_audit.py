@@ -17,7 +17,9 @@ These tests exercise that contract three ways:
    like a serial replay of the same operations.
 """
 
+import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -26,7 +28,11 @@ import pytest
 from repro.analysis.sanitizer import InterleavingDriver
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
+from repro.lsh import index as index_module
+from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable
+from repro.native import registry
+from repro.native.ref import tree_rowdot
 
 pytestmark = pytest.mark.concurrency
 
@@ -143,8 +149,160 @@ class TestSerialParity:
             self._run_trial(trial)
 
 
+class TestInsertsRacingReads:
+    """``insert`` appends behind what readers hold and publishes in an
+    order they can rely on: norms, ids and mask, then the rows, then the
+    table overlays.  A batched read takes the layouts first and the row
+    count after, so the ``bucket_union`` bitmap covers every id."""
+
+    @staticmethod
+    def _checked_union(monkeypatch):
+        """Make every ``bucket_union`` call assert what it was handed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            kernels = registry.load_kernels()
+        union, calls = kernels.bucket_union, []
+
+        def checked(lookups, nq, n_rows, deleted=None):
+            top = max((int(layout.sorted_ids.max())
+                       for layouts, _, _ in lookups for layout in layouts
+                       if layout.sorted_ids.size), default=-1)
+            calls.append((top, n_rows))
+            assert top < n_rows, f"id {top} handed to a {n_rows}-row bitmap"
+            return union(lookups, nq, n_rows, deleted=deleted)
+
+        monkeypatch.setattr(kernels, "bucket_union", checked, raising=False)
+        return calls
+
+    def test_insert_between_the_layouts_and_the_row_count(self, monkeypatch):
+        # Deterministic schedule: an insert lands after table 0's layouts
+        # were taken and before any other read of the batch.
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((220, 8))
+        index = StandardLSH(bucket_width=8.0, n_tables=3,
+                            seed=3).fit(data[:200])
+        calls = self._checked_union(monkeypatch)
+        probe_rows = index_module._LSHPlan._probe_rows
+        pending = [data[200:]]
+
+        def probe_after_insert(plan, *args, **kwargs):
+            if pending:
+                index.insert(pending.pop())
+            return probe_rows(plan, *args, **kwargs)
+
+        monkeypatch.setattr(index_module._LSHPlan, "_probe_rows",
+                            probe_after_insert)
+        ids, dists, _ = index.query_batch(data[200:], 1)
+        # Tables 1 and 2 already held the new ids; the bitmap had a bit
+        # for each, and the rows were there to rank.
+        assert calls == [(219, 220)]
+        np.testing.assert_array_equal(ids[:, 0], np.arange(200, 220))
+        assert not dists[:, 0].any()
+
+    def test_inserts_racing_batched_reads_stay_inside_the_bitmap(
+            self, monkeypatch):
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((750, 8))
+        queries = points[rng.integers(0, 750, size=24)]
+        index = StandardLSH(bucket_width=8.0, n_tables=4,
+                            seed=4).fit(points[:300])
+        index.query_batch(queries, 5)             # norms cached from here on
+        calls = self._checked_union(monkeypatch)
+        stop, errors = threading.Event(), []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    ids, dists, _ = index.query_batch(queries, 5)
+                    for row in range(queries.shape[0]):
+                        hit = ids[row] >= 0
+                        # An answer's distance is the true one: the rows
+                        # it ranked were complete when it saw them.
+                        np.testing.assert_allclose(
+                            dists[row, hit], np.linalg.norm(
+                                points[ids[row, hit]] - queries[row], axis=1),
+                            atol=1e-9)
+            except Exception as exc:  # surfaced after join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            # Three rows at a time crosses every reallocation of the spare
+            # capacity and several overlay rebuilds.
+            for start in range(300, 750, 3):
+                index.insert(points[start:start + 3])
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        assert len(calls) > 1 and calls[-1][1] <= 750
+        # Quiesced, the index answers like one fitted on everything.
+        ids, dists, _ = index.query_batch(points[740:], 1)
+        np.testing.assert_array_equal(ids[:, 0], np.arange(740, 750))
+        assert not dists[:, 0].any()
+
+    def test_read_racing_insert_keeps_one_norm_per_row(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((502, 8))
+        index = StandardLSH(bucket_width=8.0, n_tables=2,
+                            seed=5).fit(data[:500])
+        index.query_batch(data[:3], 2)            # fills the norm cache
+        full_passes, seen = [], []
+        rowdot = index_module.tree_rowdot
+
+        def counting_rowdot(a, b):
+            if a.shape[0] >= 500:
+                full_passes.append(a.shape[0])
+            return rowdot(a, b)
+
+        monkeypatch.setattr(index_module, "tree_rowdot", counting_rowdot)
+
+        class RacingReader:
+            """The norms lock, with a reader's lookup scheduled right
+            before ``insert`` takes it and right after it lets go."""
+
+            def __init__(self, lock):
+                self.lock, self.reading = lock, False
+
+            def read(self):
+                if not self.reading:
+                    self.reading = True
+                    seen.append((index._point_sq_norms().shape[0],
+                                 index._data.shape[0]))
+                    self.reading = False
+
+            def __enter__(self):
+                self.read()
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                result = self.lock.__exit__(*exc)
+                self.read()
+                return result
+
+        index._norms_lock = RacingReader(index._norms_lock)
+        index.insert(data[500:])
+        index._norms_lock = index._norms_lock.lock
+        # Before the lock: old rows, old norms.  After it: the norms are
+        # already two longer than the rows a reader can see — accepted as
+        # they are.  Nobody summed the whole matrix again.
+        assert seen == [(500, 500), (502, 500)]
+        index.query_batch(data[:3], 2)
+        assert full_passes == []
+        assert index._sq_norms.shape == (502,)
+        assert np.array_equal(index._sq_norms.view(np.int64),
+                              tree_rowdot(data, data).view(np.int64))
+
+
 class TestTableOverlayRaces:
-    """LSHTable.add racing the lazy overlay-CSR merge (gather_batch)."""
+    """LSHTable.add (re-sorting the overlay) racing gather_batch."""
 
     def test_concurrent_add_and_gather(self):
         rng = np.random.default_rng(7)
@@ -196,7 +354,7 @@ class TestTableOverlayRaces:
 
 
 class TestSeededInterleavings:
-    """The same overlay-merge/query race, but on *deterministic* schedules.
+    """The same overlay-sort/query race, but on *deterministic* schedules.
 
     The stress test above relies on the OS scheduler to find a bad
     interleaving; :class:`InterleavingDriver` instead replays a

@@ -11,12 +11,13 @@ Four contracts:
    other side is whatever the environment resolves (the CI ``native``
    job requires that to be ``cext``, and reruns everything under
    ``none``).
-2. **Kernel properties** — ``dedup_candidates`` and ``rank_topk`` equal
-   their ``repro.native.ref`` twins on drawn inputs that reach both
-   dedup paths and every ``tree_dot`` shape, on the build the toolchain
-   resolves *and* on the portable build a failed SIMD compile falls
-   back to; an FMA canary proves contraction is off; the ``.so`` cache
-   key covers the flags.
+2. **Kernel properties** — ``dedup_candidates``, ``rank_topk`` and
+   ``bucket_union`` equal their ``repro.native.ref`` twins on drawn
+   inputs that reach both dedup paths, both union paths and every
+   ``tree_dot`` shape, on the build the toolchain resolves *and* on the
+   portable build a failed SIMD compile falls back to (``bucket_union``
+   also on the numpy table, against a set-based oracle); an FMA canary
+   proves contraction is off; the ``.so`` cache key covers the flags.
 3. **Decoder properties** — the compiled E8/Dm decoders match the
    pure-numpy references in ``repro.lattice`` on random inputs *and* on
    the boundary grid (exact integers, half-integers, quarter-point
@@ -47,9 +48,10 @@ from repro.exec import run_plan
 from repro.lattice.dm import decode_dm
 from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
+from repro.lsh.table import SortedLayout
 from repro.native import kernels_cext, registry
-from repro.native.ref import (dedup_candidates_ref, rank_topk_ref,
-                              zm_probe_codes_ref)
+from repro.native.ref import (bucket_union_ref, dedup_candidates_ref,
+                              rank_topk_ref, zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
 from repro.runtime import RuntimeConfig
@@ -430,6 +432,118 @@ class TestKernelParity:
         assert "-DREPRO_UNUSED" in new_flags and new_flags != flags
 
 
+@pytest.fixture(scope="module", params=["resolved", "portable", "numpy"])
+def any_table(request):
+    """Both compiled builds and the numpy table (which always runs)."""
+    if request.param == "numpy":
+        return registry.NUMPY_KERNELS
+    return request.getfixturevalue(
+        "kernels" if request.param == "resolved" else "portable_kernels")
+
+
+def _draw_union_case(rng, n_tables, nq, id_span, code_span, m, del_len):
+    """Random ``bucket_union`` input plus what a dict of sets says it is.
+
+    Codes are drawn from ``code_span**m`` cells so lookups hit and miss;
+    ids from ``[0, id_span)`` with replacement, so they repeat inside a
+    layout, across base and overlay, and across tables.
+    """
+    deleted = None if del_len is None else rng.random(del_len) < 0.3
+    dead = set() if deleted is None else set(np.nonzero(deleted)[0].tolist())
+    lookups, want, misses = [], [set() for _ in range(nq)], []
+    for _ in range(n_tables):
+        layouts, buckets = [], []
+        for _ in range(int(rng.integers(1, 3))):        # base [+ overlay]
+            n = int(rng.integers(0, 60))
+            codes = rng.integers(0, code_span, size=(n, m))
+            ids = rng.integers(0, id_span, size=n)
+            layouts.append(SortedLayout.sort(codes, ids))
+            members = {}
+            for code, i in zip(map(tuple, codes.tolist()), ids.tolist()):
+                members.setdefault(code, set()).add(i)
+            buckets.append(members)
+        # Self rows (identity row_q) or self rows plus probe rows; a table
+        # with no lookup rows at all now and then.
+        shape = rng.integers(0, 3) if nq else 0
+        row_q = np.arange(nq if shape else 0, dtype=np.int64)
+        if shape == 2:
+            row_q = np.concatenate([row_q, np.repeat(
+                np.arange(nq), rng.integers(0, 4, size=nq))])
+        # One past the drawn range: a code no layout holds.
+        codes_all = rng.integers(0, code_span + 1, size=(row_q.size, m))
+        missed = 0
+        for code, q in zip(map(tuple, codes_all.tolist()), row_q.tolist()):
+            hit = set().union(*(b.get(code, set()) for b in buckets))
+            want[q] |= hit
+            missed += not hit
+        lookups.append((tuple(layouts), codes_all, row_q))
+        misses.append(missed)
+    return lookups, deleted, [sorted(w - dead) for w in want], misses
+
+
+class TestBucketUnion:
+    # n_rows = id_span decides the path per query (rule: more than 64
+    # bitmap words per gathered id -> collect and sort): spans up to 700
+    # are at most 11 words, always the bitmap; 10**5 (1 563 words) goes
+    # either way around 24 ids; 10**7 always sorts.  del_len puts
+    # tombstones below, at and beyond the drawn ids.
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_tables=st.integers(0, 4),
+           nq=st.integers(0, 6),
+           id_span=st.sampled_from([1, 40, 700, 10**5, 10**7]),
+           code_span=st.sampled_from([1, 2, 4]), m=st.sampled_from([1, 3, 8]),
+           del_len=st.sampled_from([None, 0, 30, 10**5]))
+    def test_matches_reference_and_set_oracle(self, any_table, seed, n_tables,
+                                              nq, id_span, code_span, m,
+                                              del_len):
+        rng = np.random.default_rng(seed)
+        lookups, deleted, want, want_misses = _draw_union_case(
+            rng, n_tables, nq, id_span, code_span, m, del_len)
+        got = any_table.bucket_union(lookups, nq, id_span, deleted=deleted)
+        ref = bucket_union_ref(lookups, nq, id_span, deleted=deleted)
+        for g, r in zip(got, ref):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, r)
+        cand, qidx, counts, misses = got
+        assert misses.tolist() == want_misses
+        assert counts.tolist() == [len(w) for w in want]
+        assert cand.tolist() == [i for w in want for i in w]
+        assert np.array_equal(qidx, np.repeat(np.arange(nq), counts))
+
+    @pytest.mark.parametrize("n_rows", [50, 10**7])   # bitmap, sort
+    def test_id_outside_the_row_count_is_refused(self, any_table, n_rows):
+        codes = np.zeros((4, 2), dtype=np.int64)
+        for bad_id in (-1, n_rows):
+            layout = SortedLayout.sort(codes, np.array([3, 7, bad_id, 9]))
+            lookups = [((layout,), codes[:1], np.zeros(1, dtype=np.int64))]
+            with pytest.raises(IndexError, match="outside"):
+                any_table.bucket_union(lookups, 1, n_rows)
+        # One more row and the same layout is an ordinary union.
+        cand = any_table.bucket_union(lookups, 1, n_rows + 1)[0]
+        assert cand.tolist() == [3, 7, 9, n_rows]
+
+    def test_lookup_row_of_an_unknown_query_is_refused(self, any_table):
+        codes = np.zeros((1, 2), dtype=np.int64)
+        layout = SortedLayout.sort(codes, np.array([0]))
+        for q in (-1, 2):
+            with pytest.raises(IndexError, match="query"):
+                any_table.bucket_union(
+                    [((layout,), codes, np.array([q]))], 2, 1)
+
+    def test_layout_refuses_arrays_the_kernel_cannot_address(self):
+        codes = np.zeros((3, 2), dtype=np.int64)
+        good = SortedLayout.sort(codes, np.arange(3))
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            SortedLayout.adopt(good.bucket_codes, good.starts.astype(np.int32),
+                               good.ends, good.sorted_ids)
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            SortedLayout.adopt(good.bucket_codes, good.starts, good.ends,
+                               np.arange(6)[::2])
+        with pytest.raises(ValueError, match="inconsistent"):
+            SortedLayout.adopt(good.bucket_codes, good.starts,
+                               np.zeros(2, dtype=np.int64), good.sorted_ids)
+
+
 class TestZmProbeKernel:
     # M = 33 puts 2M past 64 positions; n_probes reaches past the set
     # space (2 sets for M = 1, 8 for M = 2); grid draws put projections on
@@ -468,6 +582,7 @@ class TestZmProbeKernel:
                   if not name.startswith("_") and callable(getattr(table, name))}
         assert TIMED_KERNEL_NAMES == registry.KERNEL_NAMES
         assert served == set(registry.KERNEL_NAMES)
+        assert len(served) == 7 and "bucket_union" in served
 
 
 # ------------------------------------------------------- compiled decoders

@@ -7,6 +7,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable
+from repro.persistence import save_index
 
 
 class TestTableOverlay:
@@ -131,3 +132,65 @@ class TestBilevelUpdates:
     def test_insert_unfitted(self):
         with pytest.raises(RuntimeError):
             BiLevelLSH().insert(np.zeros((1, 2)))
+
+
+class TestInsertCostsItsOwnRows:
+    """``insert`` appends into spare capacity; what the index exports is
+    the live prefix only — identical to an index whose arrays are exact,
+    freshly allocated copies after every insert (what ``np.vstack`` gave)."""
+
+    @staticmethod
+    def _exact(index):
+        for part in [index] + list(getattr(index, "group_indexes", [])):
+            for name in ("_data", "_ids", "_sq_norms", "_deleted"):
+                value = getattr(part, name, None)
+                if value is not None:
+                    setattr(part, name, value.copy())
+
+    @staticmethod
+    def _members(path):
+        with np.load(path) as archive:
+            return {key: (archive[key].dtype.str, archive[key].shape,
+                          archive[key].tobytes()) for key in archive.files}
+
+    @pytest.mark.parametrize("kind", ["standard", "bilevel"])
+    def test_state_and_snapshot_equal_a_vstack_built_twin(
+            self, gaussian_data, tmp_path, kind):
+        def build():
+            if kind == "standard":
+                return StandardLSH(bucket_width=8.0, n_tables=3,
+                                   seed=4).fit(gaussian_data[:400])
+            return BiLevelLSH(BiLevelConfig(
+                n_groups=4, n_tables=3, bucket_width=8.0,
+                seed=4)).fit(gaussian_data[:400])
+
+        grown, twin = build(), build()
+        rng = np.random.default_rng(9)
+        for step in range(100):
+            rows = rng.standard_normal((2, gaussian_data.shape[1]))
+            for index in (grown, twin):
+                index.insert(rows)
+                if step % 10 == 0:       # caches norms, then tombstones
+                    index.query_batch(rows, 3)
+                    index.delete(np.array([step, 400 + step]))
+            self._exact(twin)
+        parts = list(zip([grown] + list(getattr(grown, "group_indexes", [])),
+                         [twin] + list(getattr(twin, "group_indexes", []))))
+        for a, b in parts:
+            assert a._data.shape == b._data.shape
+            np.testing.assert_array_equal(a._data, b._data)
+        for a, b in parts[1:] if kind == "bilevel" else parts:
+            # Spare capacity is really in use, and never exported.
+            assert a._data.base is not None and b._data.base is None
+            (_, source, derived), (_, want_source, want_derived) = \
+                a.state(), b.state()
+            assert (list(source), list(derived)) \
+                == (list(want_source), list(want_derived))
+            for key, want in {**want_source, **want_derived}.items():
+                got = source.get(key, derived.get(key))
+                assert got.shape == want.shape and got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        save_index(grown, str(tmp_path / "grown.npz"))
+        save_index(twin, str(tmp_path / "twin.npz"))
+        assert self._members(tmp_path / "grown.npz") \
+            == self._members(tmp_path / "twin.npz")

@@ -1,9 +1,10 @@
-"""Unit tests for repro.utils (rng plumbing and validation)."""
+"""Unit tests for repro.utils (rng plumbing, validation, spare rows)."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.spare import SpareRows
 from repro.utils.validation import (
     as_float_matrix,
     as_float_vector,
@@ -130,3 +131,42 @@ class TestScalarChecks:
             check_probability(1.5, "p")
         with pytest.raises(ValueError):
             check_probability(-0.1, "p")
+
+
+class TestSpareRows:
+    def test_appends_like_vstack_without_touching_published_rows(self):
+        rng = np.random.default_rng(0)
+        spare, live = SpareRows(), rng.standard_normal((5, 3))
+        expected, published = live.copy(), []
+        for _ in range(200):
+            rows = rng.standard_normal((2, 3))
+            live = spare.append("data", live, rows)
+            expected = np.vstack([expected, rows])
+            published.append((live, expected))
+        # Every view ever handed out still reads what it was published
+        # with: later appends wrote behind it, never into it.
+        for view, want in published:
+            assert view.flags.c_contiguous
+            np.testing.assert_array_equal(view, want)
+        # Geometric growth: a handful of buffers, not one per append.
+        buffers = {id(view.base) for view, _ in published}
+        assert len(buffers) <= 12
+
+    def test_foreign_arrays_are_copied_first(self):
+        spare = SpareRows()
+        owner = np.arange(10, dtype=np.int64)
+        adopted = owner[:4]                   # a prefix of someone's array
+        grown = spare.append("ids", adopted, np.array([7, 8]))
+        np.testing.assert_array_equal(owner, np.arange(10))
+        np.testing.assert_array_equal(grown, [0, 1, 2, 3, 7, 8])
+        frozen = np.zeros(3, dtype=bool)
+        frozen.flags.writeable = False
+        np.testing.assert_array_equal(
+            spare.append("deleted", frozen, np.ones(1, dtype=bool)),
+            [False, False, False, True])
+        # A replaced array (``delete`` publishes a fresh mask) is foreign
+        # again, whatever buffer the key had.
+        fresh = np.ones(4, dtype=bool)
+        regrown = spare.append("deleted", fresh, np.zeros(2, dtype=bool))
+        np.testing.assert_array_equal(regrown, [1, 1, 1, 1, 0, 0])
+        assert fresh.shape == (4,) and regrown.base is not fresh
