@@ -5,7 +5,7 @@ Times nine configurations of the same :class:`StandardLSH` batch query,
 interleaved round-robin so machine drift cancels:
 
 - ``plain``   — the plan's stages run directly with no observer
-  (``execute_stages``: bypasses even the once-per-batch
+  (``run_validated``: bypasses even the once-per-batch
   ``obs.active()`` gate read);
 - ``off``     — the public path with observability disabled AND no
   resilience policy installed (what every production query pays: one
@@ -68,7 +68,7 @@ from conftest import interleaved_times
 
 from repro import obs
 from repro.analysis import sanitizer
-from repro.exec.executor import execute_stages
+from repro.exec import ExecutionContext, run_validated
 from repro.experiments.workloads import Scale, make_workload
 from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
@@ -129,7 +129,8 @@ def main(argv=None):
     def run_plain():
         # The stage loop with the observer hard-wired to None: no gate
         # read, no StageTimer, nothing — the floor the public path chases.
-        return execute_stages(index.execution_plan("median"), queries, k)
+        return run_validated(index.execution_plan("median"),
+                             ExecutionContext.for_batch(queries, k))
 
     def run_off():
         obs.disable()

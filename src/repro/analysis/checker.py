@@ -79,11 +79,8 @@ RULE_SUMMARIES: Dict[str, str] = {
            "queryable index classes contain a write-ahead-log append "
            "(append_insert/append_delete), so every acknowledged write "
            "is replayable after a crash",
-    "R14": "runtime-centralized: front-end query_batch implementations "
-           "route execution options through the repro.runtime request "
-           "model (build a QueryRequest, delegate to execute_request / "
-           "execute_plan_request / submit), and attachment wiring "
-           "(attach_wal/attach_compactor/attach_drift) is never called "
+    "R14": "runtime-centralized: attachment wiring "
+           "(attach_wal/attach_compactor) is never called "
            "outside attach_* lifecycle methods — process-lifetime "
            "attachment belongs to IndexRuntime",
 }
@@ -105,7 +102,7 @@ class AnalysisConfig:
     worker_roots: Tuple[str, ...] = (
         "query_batch", "candidate_sets", "gather_batch",
         "lookup_batch", "lookup", "lookup_many",
-        "run_plan", "execute_stages",
+        "run_plan", "run_validated",
     )
     #: ``self.<attr>`` names that constitute shared index state (R3).
     guarded_attrs: frozenset = field(default_factory=lambda: frozenset({
@@ -165,13 +162,12 @@ class AnalysisConfig:
     #: Index front-end packages whose mutating public methods must append
     #: to the write-ahead log before acknowledging (R13).
     wal_scope_parts: Tuple[str, ...] = ("lsh", "core")
-    #: Front-end packages (plus the CLI module) whose ``query_batch``
-    #: definitions must build a :class:`repro.runtime.QueryRequest` and
-    #: delegate through the runtime request entries (R14).
+    #: Front-end packages (plus the CLI module) that must not call the
+    #: ``attach_*`` mutators outside ``attach_*`` lifecycle defs (R14).
     runtime_scope_parts: Tuple[str, ...] = ("lsh", "core", "gpu",
                                             "evaluation", "cli")
     #: Path parts identifying the layers R14 exempts: the execution core
-    #: (below the request model) and the runtime package itself.
+    #: and the runtime package itself, which owns the attachments.
     runtime_exempt_parts: Tuple[str, ...] = ("exec", "runtime")
     #: Directory names never descended into during file discovery.
     skip_dirs: Tuple[str, ...] = (

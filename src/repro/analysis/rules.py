@@ -500,12 +500,10 @@ EXEC_PLUMBING_CALLS = frozenset({
     "active_policy", "faults_active", "StageTimer",
 })
 
-#: Call tails a front-end ``query_batch`` may delegate execution to: the
-#: staged executor itself, or the runtime layer's request entries (which
-#: are thin fronts over ``run_plan`` — see :mod:`repro.runtime.session`).
-EXEC_DELEGATION_CALLS = frozenset({
-    "run_plan", "execute_request", "execute_plan_request", "submit",
-})
+#: Call tails a ``query_batch`` may delegate execution to: the staged
+#: executor itself, or the runtime's ``submit`` (a thin front over
+#: ``run_plan`` — see :mod:`repro.runtime.session`).
+EXEC_DELEGATION_CALLS = frozenset({"run_plan", "submit"})
 
 
 def _is_stub_def_body(body: Sequence[ast.stmt]) -> bool:
@@ -530,10 +528,8 @@ def check_exec_centralized(
     ``evaluation``), (a) every non-stub ``query_batch`` definition must
     delegate to :func:`repro.exec.run_plan` — the one executor that owns
     gate reads, deadlines, supervision, stage timing and batch sharding
-    — either directly or through the runtime layer's request entries
-    (:func:`repro.runtime.execute_request` /
-    :func:`repro.runtime.execute_plan_request` / ``submit``, which are
-    themselves thin fronts over ``run_plan``) — and (b) that
+    — either directly or through the runtime's ``submit`` (itself a thin
+    front over ``run_plan``) — and (b) that
     executor-owned plumbing must not reappear inline: no
     ``active_policy()`` / ``faults_active()`` gate reads, no
     ``StageTimer`` construction, and no ``Deadline`` construction
@@ -564,7 +560,7 @@ def check_exec_centralized(
                         "R8", module.posix_path, node.lineno,
                         "query_batch does not delegate to "
                         "repro.exec.run_plan (directly or via the "
-                        "repro.runtime request entries); front-end query "
+                        "runtime's submit); front-end query "
                         "paths must execute through the shared staged "
                         "executor",
                     ))
@@ -718,14 +714,7 @@ def check_wal_before_ack(
 #: ``open``); front-end classes may *define* ``attach_*`` methods (and
 #: delegate among them), but calling one anywhere else re-creates the
 #: ad-hoc per-call-site wiring the runtime layer exists to replace.
-RUNTIME_ATTACH_CALLS = frozenset({
-    "attach_wal", "attach_compactor", "attach_drift",
-})
-
-#: Call tails that hand a built request to the runtime layer.
-RUNTIME_REQUEST_CALLS = frozenset({
-    "execute_request", "execute_plan_request", "submit",
-})
+RUNTIME_ATTACH_CALLS = frozenset({"attach_wal", "attach_compactor"})
 
 
 def check_runtime_centralized(
@@ -733,22 +722,16 @@ def check_runtime_centralized(
     runtime_scope_parts: Tuple[str, ...],
     runtime_exempt_parts: Tuple[str, ...],
 ) -> List[Violation]:
-    """R14: execution options route through the runtime request model.
+    """R14: attachment wiring belongs to the runtime.
 
     Inside the front-end packages and the CLI (``lsh``, ``core``,
-    ``gpu``, ``evaluation``, ``cli``): (a) every non-stub
-    ``query_batch`` definition must build a
-    :class:`repro.runtime.QueryRequest` and hand it to a runtime entry
-    (``execute_request`` / ``execute_plan_request`` / ``submit``) —
-    keeping the legacy kwarg signatures thin adapters over the request
-    model instead of re-growing ad-hoc execution plumbing — and (b) the
-    stateful attachment mutators (``attach_wal`` / ``attach_compactor``
-    / ``attach_drift``) must not be *called* outside a def itself named
-    ``attach_*`` (the front-ends' delegation chains, e.g. BiLevelLSH
-    fanning an attachment out to its group indexes).  The runtime
-    package and the execution core are exempt: they are where requests
-    are resolved and attachments are owned by design.  Protocol/ABC
-    stubs are exempt from (a).
+    ``gpu``, ``evaluation``, ``cli``) the stateful attachment mutators
+    (``attach_wal`` / ``attach_compactor``) must not be *called* outside
+    a def itself named ``attach_*`` (the front-ends' delegation chains,
+    e.g. BiLevelLSH fanning an attachment out to its group indexes).
+    The runtime package and the execution core are exempt: they are
+    where attachments are owned by design.  (That the index packages
+    never import the runtime is ``tests/test_layering.py``'s line.)
     """
     violations: List[Violation] = []
     scope = set(runtime_scope_parts)
@@ -757,29 +740,12 @@ def check_runtime_centralized(
         parts = set(module.path_parts())
         if parts & exempt or not parts & scope:
             continue
-        for node in ast.walk(module.tree):
-            if isinstance(node, _FUNC_DEFS) and node.name == "query_batch":
-                if _is_stub_def_body(node.body):
-                    continue
-                tails = {
-                    (dotted_attribute(sub.func) or "").rpartition(".")[2]
-                    for sub in ast.walk(node) if isinstance(sub, ast.Call)
-                }
-                if "QueryRequest" not in tails \
-                        or not tails & RUNTIME_REQUEST_CALLS:
-                    violations.append(Violation(
-                        "R14", module.posix_path, node.lineno,
-                        "query_batch does not route execution options "
-                        "through the runtime request model; build a "
-                        "repro.runtime.QueryRequest and delegate to "
-                        "execute_request/execute_plan_request/submit",
-                    ))
         violations.extend(_attach_calls_outside_attach_defs(module))
     return violations
 
 
 def _attach_calls_outside_attach_defs(module: ModuleInfo) -> List[Violation]:
-    """R14(b): flag ``attach_*`` mutator calls outside ``attach_*`` defs."""
+    """R14: flag ``attach_*`` mutator calls outside ``attach_*`` defs."""
     violations: List[Violation] = []
 
     def scan(node: ast.AST, owner: Optional[str]) -> None:

@@ -24,23 +24,22 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.kmeans import KMeansPartitioner
 from repro.core.config import BiLevelConfig
-from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
-from repro.exec.executor import run_shards
+from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
+                        merge_topk_rows, run_plan, run_validated)
 from repro.exec.plan import validate_query_batch
-from repro.runtime.session import (QueryRequest, check_legacy_engine,
-                                   execute_request)
-from repro.exec.merge import merge_topk_rows
 from repro.lsh.index import StandardLSH
 from repro.lsh.params import CollisionModel, tune_bucket_width
+from repro.native.registry import check_legacy_engine
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault
-from repro.resilience.policy import FailureRecord, ResiliencePolicy
+from repro.resilience.policy import ResiliencePolicy
 from repro.rptree.tree import RPTree
 from repro.utils.rng import spawn_rngs
 from repro.utils.spare import SpareRows
@@ -49,6 +48,22 @@ from repro.utils.validation import as_float_matrix
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.compactor import Compactor
     from repro.maintenance.wal import WriteAheadLog
+
+
+#: One group sub-batch's answer: ``(ids, distances, stats)``.
+GroupResult = Tuple[np.ndarray, np.ndarray, QueryStats]
+
+
+def rows_by_group(groups: np.ndarray, n_groups: int) -> List[np.ndarray]:
+    """The rows assigned to each of ``n_groups`` groups, ascending within
+    a group (one stable sort of the assignment instead of a scan per
+    group); groups nothing was assigned to get an empty array."""
+    # Group counts are small: int16 keys take numpy's radix sort.
+    keys = groups.astype(np.int16) if n_groups < 2 ** 15 else groups
+    order = np.argsort(keys, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(groups,
+                                         minlength=n_groups)).tolist()
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class BiLevelLSH:
@@ -263,8 +278,8 @@ class BiLevelLSH:
                 self._applied_lsn = self._wal.append_insert(points, new_ids)
             self._data = self._spare.append("data", self._data, points)
             groups = self.partitioner.assign(points)
-            for g, index in enumerate(self.group_indexes):
-                rows = np.nonzero(groups == g)[0]
+            for index, rows in zip(self.group_indexes, rows_by_group(
+                    groups, len(self.group_indexes))):
                 if rows.size:
                     index.insert(points[rows], ids=new_ids[rows])
         return new_ids
@@ -294,30 +309,31 @@ class BiLevelLSH:
             n_jobs = os.cpu_count() or 1
         return max(1, min(n_jobs, n_work))
 
-    def _fallback_results(self, g: int, rows: np.ndarray, k: int, kind: str,
-                          queries: np.ndarray,
-                          ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-        """Build a fallback answer for group ``g``'s sub-batch.
+    def _fallback_results(self, g: int, queries: np.ndarray, k: int,
+                          kind: str) -> GroupResult:
+        """Build a fallback answer for group ``g``'s sub-batch ``queries``.
 
         ``kind='bruteforce'`` scans the group's live points exactly (the
         answers are *correct*, but flagged degraded because the primary
         path failed); ``kind='empty'`` is the last resort — padded results
-        so the batch still returns with the failure visible in the flags.
+        so the batch still returns with the failure visible in the flags;
+        ``kind='exhausted'`` is that padding flagged ``exhausted_budget``
+        instead (the deadline came before the group's turn).
         """
-        nr = rows.shape[0]
-        degraded = np.ones(nr, dtype=bool)
-        escalated = np.zeros(nr, dtype=bool)
+        nr = queries.shape[0]
         if kind == "bruteforce":
             ids_g, dists_g = self.group_indexes[g].brute_force_batch(
-                queries[rows], k)
+                queries, k)
             n_candidates = np.full(nr, self.group_indexes[g].n_live,
                                    dtype=np.int64)
         else:
             ids_g = np.full((nr, k), -1, dtype=np.int64)
             dists_g = np.full((nr, k), np.inf, dtype=np.float64)
             n_candidates = np.zeros(nr, dtype=np.int64)
-        return ids_g, dists_g, QueryStats(n_candidates, escalated,
-                                          degraded=degraded)
+        flag = "exhausted_budget" if kind == "exhausted" else "degraded"
+        return ids_g, dists_g, QueryStats(
+            n_candidates, np.zeros(nr, dtype=bool),
+            **{flag: np.ones(nr, dtype=bool)})
 
     def query_batch(self, queries: np.ndarray, k: int,
                     hierarchy_threshold: Union[str, int] = "median",
@@ -329,12 +345,9 @@ class BiLevelLSH:
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch; see :meth:`StandardLSH.query_batch`.
 
-        Thin adapter over the runtime layer (rule R14): the keyword
-        options become a :class:`repro.runtime.QueryRequest` and
-        execution delegates through :func:`repro.runtime.execute_request`
-        to :func:`repro.exec.run_plan` with the bi-level plan (route →
-        dispatch → merge); validation, deadline construction, policy
-        resolution and batch sharding live in the execution core.
+        Feeds the bi-level plan (route → dispatch → merge) to
+        :func:`repro.exec.run_plan`; validation, deadline construction,
+        policy resolution and batch sharding live in the execution core.
 
         Queries are routed to their first-level group and answered by the
         group's LSH index.  With ``hierarchy=True`` the median short-list
@@ -366,34 +379,26 @@ class BiLevelLSH:
         already below the bound run exactly once with zero overhead.
         """
         self._check_fitted()
-        check_legacy_engine(engine)
         if max_batch_rows is None:
             max_batch_rows = self.config.max_batch_rows
-        request = QueryRequest(queries=queries, k=k,
-                               hierarchy_threshold=hierarchy_threshold,
-                               deadline_ms=deadline_ms, deadline=deadline,
-                               policy=policy, max_batch_rows=max_batch_rows)
-        return execute_request(self, request).as_tuple()
+        return run_plan(self.execution_plan(hierarchy_threshold, engine),
+                        queries, k, deadline_ms=deadline_ms,
+                        deadline=deadline, policy=policy,
+                        max_batch_rows=max_batch_rows)
 
     def execution_plan(self,
                        hierarchy_threshold: Union[str, int] = "median",
                        engine: Optional[str] = None) -> QueryPlan:
         """Staged bi-level plan (route → dispatch → merge) for
-        :func:`repro.exec.run_plan`; the runtime layer builds it when a
-        :class:`~repro.runtime.QueryRequest` targets this index.
-        ``engine`` is the inert keyword of :meth:`query_batch`."""
+        :func:`repro.exec.run_plan`.  ``engine`` is the inert keyword of
+        :meth:`query_batch`."""
         check_legacy_engine(engine)
         return _BiLevelPlan(self, hierarchy_threshold)
 
-    def _dispatch_groups(self, active: List[Tuple[int, np.ndarray]],
-                         run_group: "Callable[[int, np.ndarray], Tuple[np.ndarray, np.ndarray, QueryStats]]",
-                         queries: np.ndarray, k: int,
-                         pol: Optional[ResiliencePolicy],
-                         deadline: Optional[Deadline],
-                         exhausted: Optional[np.ndarray],
-                         failures: List[FailureRecord],
-                         ) -> List[Tuple[np.ndarray, np.ndarray, QueryStats]]:
-        """Run every group sub-batch, supervised when a policy is active.
+    def _dispatch_groups(self, ctx: ExecutionContext,
+                         run_group: "Callable[[int, np.ndarray], GroupResult]",
+                         ) -> List[GroupResult]:
+        """Run ``ctx``'s routed group sub-batches, supervised under a policy.
 
         Serial path: groups run in order, with the deadline checked before
         each one — a group whose turn never comes returns an empty
@@ -403,18 +408,17 @@ class BiLevelLSH:
         hung worker is abandoned and answered by the fallback chain
         instead of hanging the batch.
         """
+        active = ctx.scratch["active"]
+        queries, k, pol = ctx.queries, ctx.k, ctx.policy
         jobs = self._resolve_jobs(len(active))
 
         def fallbacks_for(g: int, rows: np.ndarray,
-                          ) -> List[Tuple[str, "Callable[[], Tuple[np.ndarray, np.ndarray, QueryStats]]"]]:
-            return [
-                ("bruteforce", lambda: self._fallback_results(
-                    g, rows, k, "bruteforce", queries)),
-                ("empty", lambda: self._fallback_results(
-                    g, rows, k, "empty", queries)),
-            ]
+                          ) -> List[Tuple[str, "Callable[[], GroupResult]"]]:
+            return [(kind, lambda kind=kind: self._fallback_results(
+                g, queries[rows], k, kind))
+                    for kind in ("bruteforce", "empty")]
 
-        results: List[Tuple[np.ndarray, np.ndarray, QueryStats]] = []
+        results: List[GroupResult] = []
         if jobs > 1:
             # No context manager: `with` would shutdown(wait=True) on
             # exit and block on workers that await_future already
@@ -432,24 +436,20 @@ class BiLevelLSH:
                     outcome, action, records = pol.await_future(
                         "bilevel.dispatch", f"group={g}", future,
                         fallbacks=fallbacks_for(g, rows))
-                    failures.extend(records)
+                    ctx.failures.extend(records)
                     if outcome is None:
                         outcome = self._fallback_results(
-                            g, rows, k, "empty", queries)
+                            g, queries[rows], k, "empty")
                     results.append(outcome)
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
             return results
         for g, rows in active:
-            if deadline is not None and deadline.expired():
-                empty = self._fallback_results(g, rows, k, "empty", queries)
+            if ctx.deadline is not None and ctx.deadline.expired():
                 # Budget ran out before this group's turn: best-effort
                 # empty answer, flagged exhausted rather than degraded.
-                results.append((empty[0], empty[1],
-                                QueryStats(empty[2].n_candidates,
-                                           empty[2].escalated)))
-                if exhausted is not None:
-                    exhausted[rows] = True
+                results.append(self._fallback_results(
+                    g, queries[rows], k, "exhausted"))
                 continue
             if pol is None:
                 results.append(run_group(g, rows))
@@ -458,9 +458,9 @@ class BiLevelLSH:
                 "bilevel.dispatch", f"group={g}",
                 lambda g=g, rows=rows: run_group(g, rows),
                 fallbacks=fallbacks_for(g, rows))
-            failures.extend(records)
+            ctx.failures.extend(records)
             if outcome is None:
-                outcome = self._fallback_results(g, rows, k, "empty", queries)
+                outcome = self._fallback_results(g, queries[rows], k, "empty")
             results.append(outcome)
         return results
 
@@ -470,8 +470,8 @@ class BiLevelLSH:
         queries = as_float_matrix(queries, name="queries")
         groups = self.partitioner.assign(queries)
         out: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * queries.shape[0]
-        for g, index in enumerate(self.group_indexes):
-            rows = np.nonzero(groups == g)[0]
+        for index, rows in zip(self.group_indexes, rows_by_group(
+                groups, len(self.group_indexes))):
             if rows.size == 0:
                 continue
             sets_g = index.candidate_sets(queries[rows])
@@ -492,8 +492,8 @@ class BiLevelLSH:
         code_dim = first._lattice.code_dim
         out = np.zeros((data.shape[0], 1 + code_dim), dtype=np.int64)
         out[:, 0] = groups
-        for g, index in enumerate(self.group_indexes):
-            rows = np.nonzero(groups == g)[0]
+        for index, rows in zip(self.group_indexes, rows_by_group(
+                groups, len(self.group_indexes))):
             if rows.size == 0:
                 continue
             proj = index._families[0].project(data[rows])
@@ -540,34 +540,28 @@ class _BiLevelPlan(QueryPlan):
         index = self.index
         if ctx.policy is not None:
             ctx.ensure_degraded()
-        if ctx.deadline is not None:
-            ctx.ensure_exhausted()
-        spill = min(index.config.multi_assign, len(index.group_indexes))
+        n_groups = len(index.group_indexes)
+        spill = min(index.config.multi_assign, n_groups)
         if spill <= 1:
-            groups = index.partitioner.assign(ctx.queries)
-            membership = [(g, np.nonzero(groups == g)[0])
-                          for g in range(len(index.group_indexes))]
+            membership = rows_by_group(
+                index.partitioner.assign(ctx.queries), n_groups)
         else:
             multi = index.partitioner.assign_multi(ctx.queries, spill)
-            per_group: List[List[int]] = [[] for _ in index.group_indexes]
+            per_group: List[List[int]] = [[] for _ in range(n_groups)]
             for qi, leaves in enumerate(multi):
                 for g in leaves:
                     per_group[g].append(qi)
-            membership = [(g, np.asarray(rows, dtype=np.int64))
-                          for g, rows in enumerate(per_group)]
+            membership = [np.asarray(rows, dtype=np.int64)
+                          for rows in per_group]
         ctx.scratch["spill"] = spill
-        ctx.scratch["active"] = [(g, rows) for g, rows in membership
+        ctx.scratch["active"] = [(g, rows) for g, rows in enumerate(membership)
                                  if rows.size]
 
     def _stage_dispatch(self, ctx: ExecutionContext) -> None:
         index = self.index
-        active = ctx.scratch["active"]
         plan = ctx.fault_plan
-        deadline = ctx.deadline
-        pol = ctx.policy
 
-        def run_group(g: int, rows: np.ndarray,
-                      ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+        def run_group(g: int, rows: np.ndarray) -> GroupResult:
             if plan is not None and plan.check("bilevel.dispatch", group=g):
                 raise InjectedFault("bilevel.dispatch",
                                     f"group={g} corruption")
@@ -577,40 +571,33 @@ class _BiLevelPlan(QueryPlan):
             # otherwise dominates small shards).  ``ctx.max_batch_rows``
             # bounds rows per executed sub-shard here, at the group
             # level (see _BiLevelPlan.delegates_sharding).
-            return run_shards(
+            return run_validated(
                 index.group_indexes[g].execution_plan(
                     self.hierarchy_threshold),
-                ctx.queries[rows], ctx.k, ob=ctx.ob, deadline=deadline,
-                policy=pol, fault_plan=plan,
-                max_batch_rows=ctx.max_batch_rows)
+                ExecutionContext.for_batch(
+                    ctx.queries[rows], ctx.k, ob=ctx.ob,
+                    deadline=ctx.deadline, policy=ctx.policy,
+                    fault_plan=plan, max_batch_rows=ctx.max_batch_rows))
 
-        ctx.scratch["results"] = index._dispatch_groups(
-            active, run_group, ctx.queries, ctx.k, pol, deadline,
-            ctx.exhausted, ctx.failures)
+        ctx.scratch["results"] = index._dispatch_groups(ctx, run_group)
 
     def _stage_merge(self, ctx: ExecutionContext) -> None:
         active = ctx.scratch["active"]
         results = ctx.scratch["results"]
         spill = ctx.scratch["spill"]
-        for (g, rows), outcome in zip(active, results):
-            ids_g, dists_g, stats_g = outcome
-            if spill <= 1:
-                ctx.ids_out[rows] = ids_g
-                ctx.dists_out[rows] = dists_g
-                ctx.n_candidates[rows] = stats_g.n_candidates
-                ctx.escalated[rows] = stats_g.escalated
-            else:
-                merge_topk_rows(ctx.ids_out, ctx.dists_out, rows,
-                                ids_g, dists_g, ctx.k)
-                ctx.n_candidates[rows] += stats_g.n_candidates
-                ctx.escalated[rows] |= stats_g.escalated
-            if ctx.degraded is not None and stats_g.degraded is not None:
-                ctx.degraded[rows] |= stats_g.degraded
-            if ctx.exhausted is not None \
-                    and stats_g.exhausted_budget is not None:
-                ctx.exhausted[rows] |= stats_g.exhausted_budget
-            if stats_g.failures:
-                ctx.failures.extend(stats_g.failures)
+        for (g, rows), (ids_g, dists_g, stats_g) in zip(active, results):
+            if spill > 1:
+                # A spilled row is answered by several groups: what it
+                # holds so far joins this group's block (top-k merged,
+                # counts summed) before the fold puts the sum in place.
+                merge_topk_rows(ids_g, dists_g, slice(None),
+                                ctx.ids_out[rows], ctx.dists_out[rows],
+                                ctx.k)
+                stats_g = replace(
+                    stats_g,
+                    n_candidates=stats_g.n_candidates + ctx.n_candidates[rows],
+                    escalated=stats_g.escalated | ctx.escalated[rows])
+            ctx.absorb(rows, ids_g, dists_g, stats_g)
 
     def record_obs(self, ctx: ExecutionContext) -> None:
         ob = ctx.ob

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.bilevel import BiLevelLSH
+from repro.core.bilevel import BiLevelLSH, rows_by_group
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH, table_codes
 from repro.lattice.base import Lattice
@@ -118,8 +118,7 @@ def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,
     # leaf_indices()/diagnostics reflect the real partition.
     _override_leaf_indices(
         index.partitioner,
-        [np.nonzero(groups == g)[0].astype(np.int64)
-         for g in range(index.partitioner.n_leaves)])
+        rows_by_group(groups, index.partitioner.n_leaves))
     # 3. Build one LSH index per group from its row subset.
     return index._build_groups(data, *rngs)
 

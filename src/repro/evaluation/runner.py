@@ -19,9 +19,6 @@ import numpy as np
 from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.metrics import error_ratio, recall_ratio, selectivity
 from repro.evaluation.variance import VarianceSummary, decompose_variance
-from repro.exec import ExecutionContext, QueryPlan, Stage
-from repro.exec.plan import validate_query_batch
-from repro.runtime.session import QueryRequest, execute_plan_request
 
 #: An index factory: seed -> unfitted index with fit()/query_batch().
 IndexFactory = Callable[[int], object]
@@ -115,22 +112,16 @@ def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
                    max_batch_rows: Optional[int] = None) -> RunMeasurement:
     """Fit-and-query one index, returning per-query metrics.
 
-    ``deadline_ms`` / ``policy`` / ``max_batch_rows`` run the evaluation
-    batch through the shared execution core
-    (:func:`repro.exec.run_plan`) with supervision forwarded to the
-    index's ``query_batch`` — only pass them for indexes whose
-    ``query_batch`` accepts ``deadline=`` / ``policy=`` (every in-repo
-    front-end does; the bare :class:`KNNIndex` protocol does not
-    require it).
+    ``deadline_ms`` / ``policy`` / ``max_batch_rows`` reach the index's
+    ``query_batch`` as keywords, each only when given — pass them for
+    indexes whose ``query_batch`` accepts them (every in-repo front-end
+    does; the bare :class:`KNNIndex` protocol does not require it).
     """
     index.fit(data)
-    plan = _EvaluationPlan(index, dim=data.shape[1],
-                           forward_deadline=deadline_ms is not None,
-                           forward_policy=policy is not None)
-    request = QueryRequest(queries=queries, k=k, deadline_ms=deadline_ms,
-                           policy=policy,  # type: ignore[arg-type]
-                           max_batch_rows=max_batch_rows)
-    ids, dists, stats = execute_plan_request(plan, request).as_tuple()
+    given = {name: value for name, value in (
+        ("deadline_ms", deadline_ms), ("policy", policy),
+        ("max_batch_rows", max_batch_rows)) if value is not None}
+    ids, dists, stats = index.query_batch(queries, k, **given)
     exact_ids, exact_dists = ground_truth.neighbors(k)
     return RunMeasurement(
         recall=recall_ratio(exact_ids, ids),
@@ -226,55 +217,3 @@ def format_results_table(results: Sequence[ExperimentResult],
             f"{rec.mean:>7.4f} {rec.std_projections:>7.4f} {rec.std_queries:>7.4f} "
             f"{err.mean:>7.4f} {err.std_projections:>7.4f} {err.std_queries:>7.4f}")
     return "\n".join(lines)
-
-
-class _EvaluationPlan(QueryPlan):
-    """One-stage plan wrapping an evaluated index's ``query_batch``.
-
-    Running the measurement batch through :func:`repro.exec.run_plan`
-    gives the evaluation protocol the same validation, deadline,
-    degraded-row and sharding semantics as the serving front-ends.
-    Supervision handles are forwarded to the wrapped index only when the
-    caller passed them explicitly — the bare :class:`KNNIndex` protocol
-    does not promise ``deadline=`` / ``policy=`` keywords.
-    """
-
-    site = "evaluate"
-
-    def __init__(self, index: KNNIndex, dim: int, *,
-                 forward_deadline: bool, forward_policy: bool) -> None:
-        self.index = index
-        self.dim = dim
-        self.forward_deadline = forward_deadline
-        self.forward_policy = forward_policy
-
-    def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
-                 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        return validate_query_batch(queries, k, self.dim,
-                                    allow_nonfinite)
-
-    def stages(self) -> Tuple[Stage, ...]:
-        return (Stage("evaluate.query", self._stage_query,
-                      skip=self._skip_query),)
-
-    def _stage_query(self, ctx: ExecutionContext) -> None:
-        kwargs: Dict[str, object] = {}
-        if self.forward_deadline and ctx.deadline is not None:
-            kwargs["deadline"] = ctx.deadline
-        if self.forward_policy and ctx.policy is not None:
-            kwargs["policy"] = ctx.policy
-        ids, dists, stats = self.index.query_batch(ctx.queries, ctx.k,
-                                                   **kwargs)
-        ctx.ids_out[:] = ids
-        ctx.dists_out[:] = dists
-        ctx.n_candidates[:] = stats.n_candidates
-        ctx.escalated[:] = stats.escalated
-        if stats.degraded is not None:
-            ctx.ensure_degraded()[:] = stats.degraded
-        if stats.exhausted_budget is not None:
-            ctx.ensure_exhausted()[:] = stats.exhausted_budget
-        if stats.failures:
-            ctx.failures.extend(stats.failures)
-
-    def _skip_query(self, ctx: ExecutionContext) -> None:
-        ctx.ensure_exhausted()[:] = True

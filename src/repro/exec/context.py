@@ -1,13 +1,15 @@
 """Per-batch execution state shared by every query front-end.
 
-:class:`ExecutionContext` is built once per batch (or once per shard when
-batch sharding is engaged) by :func:`repro.exec.executor.run_plan` and
-threaded through every stage of a :class:`repro.exec.plan.QueryPlan`.
+:class:`ExecutionContext` is built once per batch by
+:func:`repro.exec.executor.run_plan` (and once more per shard or
+sub-batch, see :meth:`ExecutionContext.child`) and threaded through
+every stage of a :class:`repro.exec.plan.QueryPlan`.
 Stages communicate exclusively through it: inputs (validated queries,
 ``k``), supervision handles (Deadline, ResiliencePolicy, FaultPlan,
 Observer), intermediate products (:attr:`ExecutionContext.scratch`), and
 the batch outputs (id/distance matrices plus the diagnostic masks that
-become a :class:`QueryStats`).
+become a :class:`QueryStats`); a sub-result reaches its parent's
+through :meth:`ExecutionContext.absorb`.
 
 :class:`QueryStats` lives here — it is the executor's output contract —
 and is re-exported from :mod:`repro.lsh.index` for backward
@@ -17,7 +19,7 @@ compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.resilience.deadline import Deadline
     from repro.resilience.faults import FaultPlan
     from repro.resilience.policy import ResiliencePolicy
+
+#: A selection of a batch's rows: an index array or a contiguous slice.
+Rows = Union[np.ndarray, slice]
 
 
 @dataclass
@@ -87,8 +92,8 @@ class ExecutionContext:
     The degraded/exhausted masks follow the lazy-allocation convention of
     :class:`QueryStats`: they stay ``None`` (meaning "all-False, nothing
     engaged") until a stage calls :meth:`ensure_degraded` /
-    :meth:`ensure_exhausted`, which keeps the fast path allocation-free
-    and the returned stats bit-identical to the pre-refactor front-ends.
+    :meth:`ensure_exhausted` or :meth:`absorb` folds in a sub-result
+    that carries one, which keeps the fast path allocation-free.
     """
 
     queries: np.ndarray
@@ -105,9 +110,9 @@ class ExecutionContext:
     escalated: np.ndarray
     degraded: Optional[np.ndarray] = None
     exhausted: Optional[np.ndarray] = None
-    #: Row bound for plans with ``delegates_sharding``: the stage that
-    #: fans out to inner executions applies it via
-    #: :func:`repro.exec.executor.run_shards` (``None`` = unbounded).
+    #: Rows per executed shard (``None`` = unbounded).  The executor
+    #: slices by it, except under a plan with ``delegates_sharding``,
+    #: whose fan-out stage hands it on to its inner executions.
     max_batch_rows: Optional[int] = None
     failures: List[FailureRecord] = field(default_factory=list)
     scratch: Dict[str, object] = field(default_factory=dict)
@@ -119,19 +124,56 @@ class ExecutionContext:
                   policy: "Optional[ResiliencePolicy]" = None,
                   fault_plan: "Optional[FaultPlan]" = None,
                   max_batch_rows: Optional[int] = None,
+                  timer: "Optional[StageTimer]" = None,
                   ) -> "ExecutionContext":
-        """Build a context with padded outputs for ``queries`` x ``k``."""
+        """Build a context with padded outputs for ``queries`` x ``k``;
+        ``timer`` is the batch's running one when the caller already
+        lapped on it (``run_plan``: validation), else a fresh one."""
         from repro.obs.trace import StageTimer
 
         nq = int(queries.shape[0])
         return cls(
             queries=queries, k=int(k), nq=nq, ob=ob,
-            timer=StageTimer(ob), deadline=deadline, policy=policy,
+            timer=timer if timer is not None else StageTimer(ob),
+            deadline=deadline, policy=policy,
             fault_plan=fault_plan, max_batch_rows=max_batch_rows,
             ids_out=np.full((nq, int(k)), -1, dtype=np.int64),
             dists_out=np.full((nq, int(k)), np.inf, dtype=np.float64),
             n_candidates=np.zeros(nq, dtype=np.int64),
             escalated=np.zeros(nq, dtype=bool))
+
+    def child(self, rows: Rows) -> "ExecutionContext":
+        """A context over ``queries[rows]`` under the same handles: what
+        the executor runs a shard (or a batch's finite rows) in before
+        :meth:`absorb` folds it back.  Its timer starts from the spans
+        lapped so far, so its traces open with ``<site>.validate``."""
+        sub = ExecutionContext.for_batch(
+            self.queries[rows], self.k, ob=self.ob, deadline=self.deadline,
+            policy=self.policy, fault_plan=self.fault_plan,
+            max_batch_rows=self.max_batch_rows)
+        sub.timer.stages.update(self.timer.stages)
+        return sub
+
+    def absorb(self, rows: Rows, ids: np.ndarray,
+               dists: np.ndarray, stats: QueryStats) -> None:
+        """Put a sub-result in place: the one fold of the execution core.
+
+        ``ids`` / ``dists`` / ``stats`` answer this context's ``rows`` —
+        a shard, a batch's finite rows, one group's share, one worker's
+        reply.  Answers and counts are assigned; a mask the sub-result
+        carries is OR-ed in (allocated on first need, so ``None`` still
+        means "never engaged"); failure records are appended in order.
+        """
+        self.ids_out[rows] = ids
+        self.dists_out[rows] = dists
+        self.n_candidates[rows] = stats.n_candidates
+        self.escalated[rows] = stats.escalated
+        if stats.degraded is not None:
+            self.ensure_degraded()[rows] |= stats.degraded
+        if stats.exhausted_budget is not None:
+            self.ensure_exhausted()[rows] |= stats.exhausted_budget
+        if stats.failures:
+            self.failures.extend(stats.failures)
 
     def ensure_degraded(self) -> np.ndarray:
         """The degraded mask, allocating an all-False one on first use."""

@@ -1,17 +1,19 @@
-"""The one query executor behind every front-end.
+"""The one query executor behind every front-end: two functions.
 
-:func:`run_plan` owns the per-batch machinery that PRs 1–4 grew five
-slightly-different copies of: gate reads (observer, installed policy,
-installed fault plan), typed validation with policy-gated non-finite
-degradation, :class:`~repro.resilience.deadline.Deadline` construction,
-deadline checks between stages, per-stage timing, and assembly of the
-final :class:`~repro.exec.context.QueryStats`.  Front-ends contribute
-only a :class:`~repro.exec.plan.QueryPlan` with their stage bodies.
+:func:`run_plan` is the front-end entry and owns what is decided once
+per batch: the gate reads (observer, installed policy, installed fault
+plan), typed validation with policy-gated non-finite tolerance,
+:class:`~repro.resilience.deadline.Deadline` construction, and the
+:class:`~repro.exec.context.ExecutionContext` all of it lives in.
+:func:`run_validated` is the gate-free inner entry: it runs a context's
+already-validated rows through the plan's stages — in bounded-memory
+shards, non-finite rows set aside — folding every sub-result back with
+:meth:`~repro.exec.context.ExecutionContext.absorb`.  Front-ends
+contribute only a :class:`~repro.exec.plan.QueryPlan`.
 
-On top of the single-shard path, :func:`run_plan` implements
-bounded-memory **batch sharding**: ``max_batch_rows`` splits a large
-batch into contiguous row shards, each executed through the same plan
-with the same absolute deadline and supervision handles.  Results are
+**Batch sharding**: ``max_batch_rows`` splits a large batch into
+contiguous row shards, each executed through the same plan with the
+same absolute deadline and supervision handles.  Results are
 bit-identical to the unsharded run (stages are row-independent given a
 fixed ``hierarchy_threshold``), while peak intermediate memory — the
 gather/rank scratch, which scales with rows per call — is capped.
@@ -19,113 +21,17 @@ gather/rank scratch, which scales with rows per call — is capped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.exec.context import ExecutionContext, QueryStats
 from repro.exec.plan import QueryPlan
-from repro.obs import Observer
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import QueryValidationError
-from repro.resilience.faults import FaultPlan, faults_active
-from repro.resilience.policy import (FailureRecord, ResiliencePolicy,
-                                     active_policy)
-
-
-def execute_stages(plan: QueryPlan, queries: np.ndarray, k: int, *,
-                   ob: Optional[Observer] = None,
-                   deadline: Optional[Deadline] = None,
-                   policy: Optional[ResiliencePolicy] = None,
-                   fault_plan: Optional[FaultPlan] = None,
-                   max_batch_rows: Optional[int] = None,
-                   pre_stages: Optional[Dict[str, float]] = None,
-                   ) -> ExecutionContext:
-    """Run one validated, all-finite shard through ``plan``'s stages.
-
-    This is the gate-free inner engine: callers supply the observer /
-    policy / fault plan explicitly (``benchmarks/bench_obs_overhead.py``
-    uses it to time the pipeline with the gates pinned).  Normal entry is
-    :func:`run_plan`.  ``max_batch_rows`` is only carried into the
-    context for plans with ``delegates_sharding`` — this function itself
-    never slices the batch.  ``pre_stages`` seeds the batch's stage span
-    dict with spans measured before the stage loop (e.g. the
-    ``<site>.validate`` lap of :func:`run_plan`), so sampled traces show
-    the full waterfall.
-    """
-    ctx = ExecutionContext.for_batch(
-        queries, k, ob=ob, deadline=deadline, policy=policy,
-        fault_plan=fault_plan, max_batch_rows=max_batch_rows)
-    if pre_stages:
-        ctx.timer.stages.update(pre_stages)
-    for stage in plan.stages():
-        if (stage.skip is not None and deadline is not None
-                and deadline.expired()):
-            stage.skip(ctx)
-        else:
-            stage.fn(ctx)
-        ctx.timer.lap(stage.name)
-    plan.finish(ctx)
-    if deadline is not None and ctx.exhausted is None:
-        ctx.exhausted = np.zeros(ctx.nq, dtype=bool)
-    if ob is not None:
-        plan.record_obs(ctx)
-    return ctx
-
-
-def _run_shard(plan: QueryPlan, queries: np.ndarray, k: int,
-               finite_row: Optional[np.ndarray], ob: Optional[Observer],
-               deadline: Optional[Deadline],
-               pol: Optional[ResiliencePolicy],
-               fault_plan: Optional[FaultPlan],
-               max_batch_rows: Optional[int] = None,
-               pre_stages: Optional[Dict[str, float]] = None,
-               ) -> ExecutionContext:
-    """One shard: split off non-finite rows (policy mode), run the rest.
-
-    Rows flagged non-finite by validation are answered with padding and
-    ``degraded=True`` (plus one FailureRecord for the shard) while the
-    finite rows execute normally — the behavior every front-end used to
-    hand-roll, now in one place.
-    """
-    if finite_row is None or bool(finite_row.all()):
-        return execute_stages(plan, queries, k, ob=ob, deadline=deadline,
-                              policy=pol, fault_plan=fault_plan,
-                              max_batch_rows=max_batch_rows,
-                              pre_stages=pre_stages)
-    assert pol is not None  # validation only tolerates bad rows under a policy
-    ctx = ExecutionContext.for_batch(
-        queries, k, ob=ob, deadline=deadline, policy=pol,
-        fault_plan=fault_plan, max_batch_rows=max_batch_rows)
-    ctx.degraded = ~finite_row
-    if deadline is not None:
-        ctx.exhausted = np.zeros(ctx.nq, dtype=bool)
-    good = np.nonzero(finite_row)[0]
-    if good.size:
-        sub = execute_stages(plan, queries[good], k, ob=ob,
-                             deadline=deadline, policy=pol,
-                             fault_plan=fault_plan,
-                             max_batch_rows=max_batch_rows,
-                             pre_stages=pre_stages)
-        ctx.ids_out[good] = sub.ids_out
-        ctx.dists_out[good] = sub.dists_out
-        ctx.n_candidates[good] = sub.n_candidates
-        ctx.escalated[good] = sub.escalated
-        if sub.degraded is not None:
-            ctx.degraded[good] |= sub.degraded
-        if ctx.exhausted is not None and sub.exhausted is not None:
-            ctx.exhausted[good] = sub.exhausted
-        ctx.failures.extend(sub.failures)
-    n_bad = int(ctx.nq - good.size)
-    ctx.failures.append(pol.note_failure(
-        f"{plan.site}.validate", f"rows={n_bad}",
-        QueryValidationError("query rows contain NaN or infinite values",
-                             field="queries"),
-        "degraded"))
-    if ob is not None:
-        ob.record_degraded("nonfinite_query", n_bad)
-    return ctx
+from repro.resilience.faults import faults_active
+from repro.resilience.policy import ResiliencePolicy, active_policy
 
 
 def run_plan(plan: QueryPlan, queries: object, k: int, *,
@@ -145,18 +51,18 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     past an expired deadline return padded answers flagged
     ``exhausted_budget`` without running their stages.  Plans with
     ``delegates_sharding`` apply the bound themselves at their fan-out
-    level (via :func:`run_shards`) instead of the top-level slicing.
+    level instead of the top-level slicing.
     """
     pol = policy if policy is not None else active_policy()
     ob = obs.active()
-    # Validation is timed into the batch waterfall (``<site>.validate``)
-    # so a stitched trace starts at the real entry point; StageTimer is
-    # clock-free when ``ob`` is None, keeping the disabled-path contract.
-    vtimer = obs.StageTimer(ob)
+    # Validation is the first lap of the batch's one timer
+    # (``<site>.validate``), so a trace starts at the real entry point;
+    # StageTimer is clock-free when ``ob`` is None, keeping the
+    # disabled-path contract.
+    timer = obs.StageTimer(ob)
     arr, finite_row, k = plan.validate(queries, k,
                                        allow_nonfinite=pol is not None)
-    vtimer.lap(f"{plan.site}.validate")
-    pre_stages = vtimer.stages if ob is not None else None
+    timer.lap(f"{plan.site}.validate")
     if deadline is None:
         deadline = Deadline.from_ms(deadline_ms)
     if max_batch_rows is not None:
@@ -165,88 +71,74 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
             raise QueryValidationError(
                 f"max_batch_rows must be a positive int or None, "
                 f"got {max_batch_rows!r}", field="max_batch_rows")
-    fault_plan = faults_active()
-    if plan.delegates_sharding:
-        # The plan bounds rows at its own fan-out level (see
-        # QueryPlan.delegates_sharding); the top-level batch runs once.
-        ctx = _run_shard(plan, arr, k, finite_row, ob, deadline, pol,
-                         fault_plan,
-                         max_batch_rows=(int(max_batch_rows)
-                                         if max_batch_rows is not None
-                                         else None),
-                         pre_stages=pre_stages)
-        return ctx.ids_out, ctx.dists_out, ctx.build_stats()
-    return run_shards(plan, arr, k, finite_row=finite_row, ob=ob,
-                      deadline=deadline, policy=pol, fault_plan=fault_plan,
-                      max_batch_rows=max_batch_rows, pre_stages=pre_stages)
+        max_batch_rows = int(max_batch_rows)
+    ctx = ExecutionContext.for_batch(
+        arr, k, ob=ob, deadline=deadline, policy=pol,
+        fault_plan=faults_active(), max_batch_rows=max_batch_rows,
+        timer=timer)
+    return run_validated(plan, ctx, finite_row)
 
 
-def run_shards(plan: QueryPlan, queries: np.ndarray, k: int, *,
-               finite_row: Optional[np.ndarray] = None,
-               ob: Optional[Observer] = None,
-               deadline: Optional[Deadline] = None,
-               policy: Optional[ResiliencePolicy] = None,
-               fault_plan: Optional[FaultPlan] = None,
-               max_batch_rows: Optional[int] = None,
-               pre_stages: Optional[Dict[str, float]] = None,
-               ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-    """Execute pre-validated ``queries`` in shards of ``max_batch_rows``.
+def run_validated(plan: QueryPlan, ctx: ExecutionContext,
+                  finite_row: Optional[np.ndarray] = None,
+                  ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+    """Run ``ctx``'s rows through ``plan``; the gate-free inner entry.
 
-    The bounded-memory inner loop of :func:`run_plan`, also called by
-    ``delegates_sharding`` plans to bound their fan-out sub-executions
-    (each per-group sub-batch of the bi-level dispatch).  Inputs must
-    already be validated; gates are supplied by the caller.  With
-    ``max_batch_rows`` ``None`` or >= the batch, the batch runs as one
-    shard and no shard telemetry is recorded.
+    Everything :func:`run_plan` resolves arrives in ``ctx``, so fan-out
+    plans (the bi-level dispatch, once per group sub-batch) and
+    ``benchmarks/bench_obs_overhead.py`` (gates pinned) enter here.
+    One of three things happens to the rows:
+
+    - more than ``ctx.max_batch_rows`` (and the plan does not apply the
+      bound itself): shard by shard, a shard whose turn comes after the
+      deadline keeping its padded rows, flagged ``exhausted_budget``;
+    - some flagged non-finite by validation (``finite_row``; only under
+      a policy): those get padding, ``degraded=True`` and one
+      FailureRecord, the finite rows run;
+    - otherwise: the stage loop, each stage lapped under its name.
+
+    The first two recurse on a :meth:`ExecutionContext.child` and fold
+    it back with :meth:`ExecutionContext.absorb`.
     """
-    nq = int(queries.shape[0])
-    if max_batch_rows is None or int(max_batch_rows) >= nq:
-        ctx = _run_shard(plan, queries, k, finite_row, ob, deadline,
-                         policy, fault_plan, pre_stages=pre_stages)
-        return ctx.ids_out, ctx.dists_out, ctx.build_stats()
-
-    rows_per_shard = int(max_batch_rows)
-    ids_out = np.full((nq, k), -1, dtype=np.int64)
-    dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-    n_candidates = np.zeros(nq, dtype=np.int64)
-    escalated = np.zeros(nq, dtype=bool)
-    degraded: Optional[np.ndarray] = None
-    exhausted: Optional[np.ndarray] = (
-        np.zeros(nq, dtype=bool) if deadline is not None else None)
-    failures: List[FailureRecord] = []
-    n_shards = 0
-    for start in range(0, nq, rows_per_shard):
-        stop = min(start + rows_per_shard, nq)
-        n_shards += 1
-        if deadline is not None and deadline.expired():
-            # Budget spent before this shard started: padded best-effort
-            # answer, flagged exhausted; earlier shards stay untouched.
-            assert exhausted is not None
-            exhausted[start:stop] = True
-            if ob is not None:
-                ob.record_deadline_exhausted(f"{plan.site}.shard",
-                                             stop - start)
-            continue
-        sub_finite = (finite_row[start:stop]
-                      if finite_row is not None else None)
-        ctx = _run_shard(plan, queries[start:stop], k, sub_finite, ob,
-                         deadline, policy, fault_plan,
-                         pre_stages=pre_stages)
-        ids_out[start:stop] = ctx.ids_out
-        dists_out[start:stop] = ctx.dists_out
-        n_candidates[start:stop] = ctx.n_candidates
-        escalated[start:stop] = ctx.escalated
-        if ctx.degraded is not None:
-            if degraded is None:
-                degraded = np.zeros(nq, dtype=bool)
-            degraded[start:stop] = ctx.degraded
-        if exhausted is not None and ctx.exhausted is not None:
-            exhausted[start:stop] = ctx.exhausted
-        failures.extend(ctx.failures)
-    if ob is not None:
-        ob.record_shards(plan.site, n_shards)
-    stats = QueryStats(
-        n_candidates, escalated, degraded=degraded,
-        exhausted_budget=exhausted,
-        failures=tuple(failures) if failures else None)
-    return ids_out, dists_out, stats
+    nq, ob, deadline = ctx.nq, ctx.ob, ctx.deadline
+    if deadline is not None:
+        ctx.ensure_exhausted()  # a budget always materializes its mask
+    bound = None if plan.delegates_sharding else ctx.max_batch_rows
+    if bound is not None and bound < nq:
+        for start in range(0, nq, bound):
+            rows = slice(start, min(start + bound, nq))
+            if deadline is not None and deadline.expired():
+                # Budget spent before this shard started: padded best-effort
+                # answer, flagged exhausted; earlier shards stay untouched.
+                ctx.ensure_exhausted()[rows] = True
+                if ob is not None:
+                    ob.record_deadline_exhausted(f"{plan.site}.shard",
+                                                 rows.stop - rows.start)
+                continue
+            ctx.absorb(rows, *run_validated(
+                plan, ctx.child(rows),
+                finite_row[rows] if finite_row is not None else None))
+        if ob is not None:
+            ob.record_shards(plan.site, -(-nq // bound))
+    elif finite_row is not None and not finite_row.all():
+        # Validation only tolerates bad rows under a policy.
+        assert ctx.policy is not None
+        ctx.ensure_degraded()[~finite_row] = True
+        good = np.nonzero(finite_row)[0]
+        if good.size:
+            ctx.absorb(good, *run_validated(plan, ctx.child(good)))
+        n_bad = int(nq - good.size)
+        ctx.failures.append(ctx.policy.note_failure(
+            f"{plan.site}.validate", f"rows={n_bad}",
+            QueryValidationError("query rows contain NaN or infinite values",
+                                 field="queries"),
+            "degraded"))
+        if ob is not None:
+            ob.record_degraded("nonfinite_query", n_bad)
+    else:
+        for stage in plan.stages():
+            stage.fn(ctx)
+            ctx.timer.lap(stage.name)
+        if ob is not None:
+            plan.record_obs(ctx)
+    return ctx.ids_out, ctx.dists_out, ctx.build_stats()

@@ -1,18 +1,20 @@
 """Shared top-k merge: the executor's single merge choke point.
 
-Every spill/multi-assign merge in the repository funnels through
+Every merge of top-k blocks in the repository funnels through
 :func:`merge_topk_rows` — the batched (row, distance, id) lexsort merge
-that :class:`repro.core.bilevel.BiLevelLSH` introduced, relocated here so
-front-ends and future plans share one implementation.
+that :class:`repro.core.bilevel.BiLevelLSH` introduced for spilled
+queries, which the brute-force fallback scan also folds its blocks with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.exec.context import Rows
+
 
 def merge_topk_rows(ids_out: np.ndarray, dists_out: np.ndarray,
-                    rows: np.ndarray, new_ids: np.ndarray,
+                    rows: Rows, new_ids: np.ndarray,
                     new_dists: np.ndarray, k: int) -> None:
     """Merge new top-k blocks into the running top-k (in place).
 
@@ -20,10 +22,10 @@ def merge_topk_rows(ids_out: np.ndarray, dists_out: np.ndarray,
     are stacked to ``(r, 2k)`` and each row's best ``k`` selected with
     one flat ``lexsort`` by ``(row, distance, id)``.  Padding entries
     (id ``-1``) carry distance ``inf`` so they sort last; callers merge
-    disjoint id sets (groups partition the point set), so the same id
-    never arrives twice and no dedup pass is needed.  Exact distance
-    ties break by ascending id, matching the scalar merge (unique-by-id
-    then stable distance sort).
+    disjoint id sets (groups partition the point set, a scan visits a
+    row once), so the same id never arrives twice and no dedup pass is
+    needed.  Exact distance ties break by ascending id, matching the
+    scalar merge (unique-by-id then stable distance sort).
     """
     cur_ids = ids_out[rows]
     cur_dists = dists_out[rows]

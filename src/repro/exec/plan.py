@@ -1,17 +1,17 @@
 """The staged query-plan abstraction every front-end implements.
 
 A :class:`QueryPlan` decomposes one front-end's query path into an
-ordered sequence of named :class:`Stage` callables (validate → route →
-probe/gather → rank → merge → finalize).  The executor
+ordered sequence of named :class:`Stage` callables (hash → gather →
+escalate → rank; route → dispatch → merge).  The executor
 (:func:`repro.exec.executor.run_plan`) owns everything around the
-stages — gate reads, deadline construction, per-stage timing, deadline
-checks between stages, non-finite-row degradation, batch sharding, and
-the final :class:`~repro.exec.context.QueryStats` — so the plans
-themselves contain only front-end-specific work.
+stages — gate reads, deadline construction, per-stage timing,
+non-finite-row degradation, batch sharding, and the final
+:class:`~repro.exec.context.QueryStats` — so the plans themselves
+contain only front-end-specific work.
 
-Plans live next to the index classes they execute (``repro/lsh``,
-``repro/core``, ``repro/gpu``, ``repro/evaluation``) because stages need
-private access to index internals; this module only defines the contract.
+Plans live next to what they execute (``repro/lsh``, ``repro/core``,
+the process pool) because stages need private access to index
+internals; this module only defines the contract.
 """
 
 from __future__ import annotations
@@ -56,18 +56,13 @@ def validate_query_batch(queries: object, k: int, dim: int,
 class Stage:
     """One named step of a query plan.
 
-    ``fn`` does the work, mutating the context in place.  ``skip``, when
-    set, is the degraded alternative the executor runs instead of ``fn``
-    once the batch deadline has expired before this stage (typically:
-    flag every row ``exhausted_budget`` and leave the padded outputs).
-    Stages without a ``skip`` always run — their work is required for a
-    well-formed answer.  Every stage is lapped into the shared
-    ``repro_stage_seconds`` histogram under its name.
+    ``fn`` does the work, mutating the context in place; a stage that
+    can stop early reads ``ctx.deadline`` itself.  Every stage is lapped
+    into the shared ``repro_stage_seconds`` histogram under its name.
     """
 
     name: str
     fn: StageFn
-    skip: Optional[StageFn] = None
 
 
 class QueryPlan:
@@ -77,18 +72,17 @@ class QueryPlan:
     ----------------
     site:
         Short front-end name (``"lsh"``, ``"bilevel"``, ``"forest"``,
-        ``"gpu"``, ``"evaluate"``) used to prefix failure-record and
-        telemetry sites (e.g. ``"lsh.validate"``), and the ``engine``
-        label of ``record_batch``.
+        ``"exec.process"``) used to prefix failure-record and telemetry
+        sites (e.g. ``"lsh.validate"``), and the ``engine`` label of
+        ``record_batch``.
     delegates_sharding:
         Whether the plan applies ``max_batch_rows`` itself instead of
         the executor slicing the batch at the top level.  Plans that fan
-        out to inner sub-executions (the bi-level dispatch) set this and
-        bound each inner execution via
-        :func:`repro.exec.executor.run_shards` with
-        ``ctx.max_batch_rows`` — sharding at the fan-out level avoids
-        re-paying the per-sub-index fixed cost once per top-level shard
-        while bounding the same gather/rank scratch memory.
+        out to inner sub-executions (the bi-level dispatch, the process
+        pool) set this and hand ``ctx.max_batch_rows`` on to each inner
+        execution — sharding at the fan-out level avoids re-paying the
+        per-sub-index fixed cost once per top-level shard while bounding
+        the same gather/rank scratch memory.
     """
 
     site: str = "plan"
@@ -109,9 +103,6 @@ class QueryPlan:
     def stages(self) -> Sequence[Stage]:
         """The ordered stages for one validated shard."""
         raise NotImplementedError
-
-    def finish(self, ctx: ExecutionContext) -> None:
-        """Post-stage hook: fold stage byproducts into the output masks."""
 
     def record_obs(self, ctx: ExecutionContext) -> None:
         """Batch-level telemetry; called only when an Observer is active."""

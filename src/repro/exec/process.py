@@ -10,7 +10,8 @@ segment exactly once; each worker adopts zero-copy read-only views over
 that segment with ``StandardLSH.from_state`` and answers contiguous
 ``max_batch_rows`` row shards dispatched over a pipe.
 
-Contracts (mirroring :func:`repro.exec.run_shards`):
+Contracts (mirroring the executor's own shard loop,
+:func:`repro.exec.run_validated`):
 
 - results are **bit-identical** to the unsharded in-process run given an
   integer ``hierarchy_threshold`` (the stages are row-independent; the
@@ -296,8 +297,7 @@ def _worker_main(conn: Connection, shm_name: str,
                 reply: tuple = (type(error).__name__, str(error))
             else:
                 outcome = "ok"
-                reply = (ids, dists, stats.n_candidates, stats.escalated,
-                         stats.exhausted_budget)
+                reply = (ids, dists, stats)
             reply_meta: Optional[dict] = None
             if wob is not None:
                 wob.record_worker_event(f"shard_{outcome}")
@@ -514,8 +514,9 @@ class ProcessShardExecutor:
     def execution_plan(self, hierarchy_threshold: object = "median",
                        ) -> QueryPlan:
         """The pool as a one-stage plan for :func:`repro.exec.run_plan` —
-        what :func:`repro.runtime.execute_request` asks of any index, so
-        a runtime holding a pool routes requests to it unchanged."""
+        what :meth:`repro.runtime.IndexRuntime.submit` asks of any
+        index, so a runtime holding a pool routes requests to it
+        unchanged."""
         if self._closed:
             raise RuntimeError("executor is closed")
         return _PoolPlan(self, hierarchy_threshold)
@@ -609,7 +610,7 @@ class ProcessShardExecutor:
                 if not sent[slot] and deadline is not None \
                         and deadline.expired():
                     # Budget spent before dispatch: padded best-effort
-                    # rows, flagged exhausted — identical to run_shards.
+                    # rows, flagged exhausted — as the executor's shards.
                     ctx.ensure_exhausted()[start:stop] = True
                     if ob is not None:
                         ob.record_deadline_exhausted(
@@ -627,13 +628,8 @@ class ProcessShardExecutor:
                         ob.record_degraded("worker_crash", stop - start)
                 if result is None:
                     continue  # flagged padding stays in place
-                s_ids, s_dists, s_cand, s_esc, s_exh, s_meta = result
-                ctx.ids_out[start:stop] = s_ids
-                ctx.dists_out[start:stop] = s_dists
-                ctx.n_candidates[start:stop] = s_cand
-                ctx.escalated[start:stop] = s_esc
-                if s_exh is not None:
-                    ctx.ensure_exhausted()[start:stop] = s_exh
+                s_ids, s_dists, s_stats, s_meta = result
+                ctx.absorb(slice(start, stop), s_ids, s_dists, s_stats)
                 if ob is not None and s_meta is not None:
                     for trace_dict in s_meta.get("traces", ()):
                         pending_traces.append((start, shard_id, s_meta,
@@ -737,9 +733,10 @@ class ProcessShardExecutor:
         def brute_force() -> tuple:
             ids, dists = self._index.brute_force_batch(queries, ctx.k)
             nr = queries.shape[0]
-            return (ids, dists,
-                    np.full(nr, self._index.n_live, dtype=np.int64),
-                    np.zeros(nr, dtype=bool), None, None)
+            stats = QueryStats(
+                np.full(nr, self._index.n_live, dtype=np.int64),
+                np.zeros(nr, dtype=bool))
+            return ids, dists, stats, None
 
         result, action, records = pol.run(
             self.SITE, f"shard={shard_id}", attempt,

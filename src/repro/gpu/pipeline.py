@@ -19,16 +19,15 @@ groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from repro import obs
-from repro.exec import ExecutionContext, QueryPlan, Stage
-from repro.exec.executor import run_plan
 from repro.exec.plan import validate_query_batch
 from repro.gpu.cuckoo import CuckooHashTable, compress_code
-from repro.gpu.device import CPUModel, DeviceModel, ExecutionTimer
+from repro.gpu.device import CPUModel, DeviceModel
 from repro.gpu.shortlist import (
     ShortListResult,
     per_thread_shortlist,
@@ -123,28 +122,56 @@ class GPUPipeline:
             return self.device.seconds(self.device.parallel_cycles(total))
         return self.cpu.seconds(total)
 
+    def _lookup_phase(self, queries: np.ndarray, dim: int,
+                      mode: str) -> Tuple[List[np.ndarray], float]:
+        """Candidate sets through the wrapped index, and the modeled
+        hash/table-access seconds for gathering them under ``mode``."""
+        index = self.index
+        config = getattr(index, "config", None)
+        n_tables = getattr(index, "n_tables",
+                           getattr(config, "n_tables",
+                                   getattr(index, "n_trees", 1)))
+        n_probes = getattr(index, "n_probes",
+                           getattr(config, "n_probes", 0))
+        n_hashes = getattr(index, "n_hashes",
+                           getattr(config, "n_hashes",
+                                   getattr(index, "max_depth", 8)))
+        seconds = self._lookup_seconds(
+            queries.shape[0], n_tables * (1 + n_probes), n_tables, dim,
+            n_hashes, parallel=mode != "cpu_lshkit")
+        return index.candidate_sets(queries), seconds
+
+    def _shortlist_phase(self, data: np.ndarray, queries: np.ndarray,
+                         candidate_sets: List[np.ndarray], k: int,
+                         mode: str) -> ShortListResult:
+        """``mode``'s short-list kernel over the gathered candidates."""
+        if mode in ("cpu_lshkit", "cpu_shortlist"):
+            return serial_shortlist(data, queries, candidate_sets, k,
+                                    cpu=self.cpu)
+        if mode == "gpu":
+            return per_thread_shortlist(data, queries, candidate_sets, k,
+                                        device=self.device)
+        return work_queue_shortlist(data, queries, candidate_sets, k,
+                                    device=self.device)
+
     def run(self, data: np.ndarray, queries: np.ndarray, k: int,
-            mode: str = "gpu_workqueue",
-            max_batch_rows: Optional[int] = None) -> tuple:
+            mode: str = "gpu_workqueue") -> tuple:
         """Answer ``queries`` under ``mode``; returns (result, timing).
 
         ``result`` is a :class:`~repro.gpu.shortlist.ShortListResult`;
         ``timing`` a :class:`PipelineTiming` with the lookup/short-list
-        split the paper's Fig. 4 compares.  ``max_batch_rows`` bounds
-        rows per executed shard (see :func:`repro.exec.run_plan`); the
-        simulated phase seconds accumulate across shards.
+        split the paper's Fig. 4 compares.
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         data = as_float_matrix(data)
-        plan = _GPUPlan(self, data, mode)
-        ids, dists, _ = run_plan(plan, queries, k,
-                                 max_batch_rows=max_batch_rows)
-        result = ShortListResult(ids=ids, distances=dists,
-                                 timer=plan.shortlist_timer,
-                                 seconds=plan.shortlist_seconds)
-        timing = PipelineTiming(lookup_seconds=plan.lookup_seconds,
-                                shortlist_seconds=plan.shortlist_seconds)
+        queries, _, k = validate_query_batch(queries, k, data.shape[1],
+                                             allow_nonfinite=False)
+        candidate_sets, lookup_seconds = self._lookup_phase(
+            queries, data.shape[1], mode)
+        result = self._shortlist_phase(data, queries, candidate_sets, k, mode)
+        timing = PipelineTiming(lookup_seconds=lookup_seconds,
+                                shortlist_seconds=result.seconds)
         ob = obs.active()
         if ob is not None:
             # cpu_* modes are the device-unavailable fallbacks of the
@@ -178,78 +205,3 @@ class GPUPipeline:
                 raise AssertionError(
                     f"mode {mode!r} returned different neighbors")
         return timings
-
-
-class _GPUPlan(QueryPlan):
-    """Staged execution of one :meth:`GPUPipeline.run` batch.
-
-    ``gpu.lookup`` gathers candidate sets through the wrapped index and
-    charges the modeled hash/table-access time; ``gpu.shortlist`` runs
-    the mode's short-list kernel.  The plan accumulates the simulated
-    phase seconds across shards so :meth:`GPUPipeline.run` can report
-    one :class:`PipelineTiming` per batch regardless of sharding.
-    """
-
-    site = "gpu"
-
-    def __init__(self, pipeline: GPUPipeline, data: np.ndarray,
-                 mode: str) -> None:
-        self.pipeline = pipeline
-        self.data = data
-        self.mode = mode
-        self.lookup_seconds = 0.0
-        self.shortlist_seconds = 0.0
-        self.shortlist_timer = ExecutionTimer()
-
-    def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
-                 ) -> "tuple[np.ndarray, Optional[np.ndarray], int]":
-        return validate_query_batch(queries, k, self.data.shape[1],
-                                    allow_nonfinite)
-
-    def stages(self) -> "tuple[Stage, ...]":
-        return (Stage("gpu.lookup", self._stage_lookup),
-                Stage("gpu.shortlist", self._stage_shortlist,
-                      skip=self._skip_shortlist))
-
-    def _stage_lookup(self, ctx: ExecutionContext) -> None:
-        pipe = self.pipeline
-        index = pipe.index
-        candidate_sets = index.candidate_sets(ctx.queries)
-        config = getattr(index, "config", None)
-        n_tables = getattr(index, "n_tables",
-                           getattr(config, "n_tables",
-                                   getattr(index, "n_trees", 1)))
-        n_probes = getattr(index, "n_probes",
-                           getattr(config, "n_probes", 0))
-        n_hashes = getattr(index, "n_hashes",
-                           getattr(config, "n_hashes",
-                                   getattr(index, "max_depth", 8)))
-        lookups_per_query = n_tables * (1 + n_probes)
-        parallel_lookup = self.mode != "cpu_lshkit"
-        self.lookup_seconds += pipe._lookup_seconds(
-            ctx.nq, lookups_per_query, n_tables, self.data.shape[1],
-            n_hashes, parallel_lookup)
-        ctx.scratch["candidate_sets"] = candidate_sets
-        ctx.n_candidates[:] = [c.size for c in candidate_sets]
-
-    def _stage_shortlist(self, ctx: ExecutionContext) -> None:
-        pipe = self.pipeline
-        candidate_sets = ctx.scratch["candidate_sets"]
-        if self.mode in ("cpu_lshkit", "cpu_shortlist"):
-            result = serial_shortlist(self.data, ctx.queries,
-                                      candidate_sets, ctx.k, cpu=pipe.cpu)
-        elif self.mode == "gpu":
-            result = per_thread_shortlist(self.data, ctx.queries,
-                                          candidate_sets, ctx.k,
-                                          device=pipe.device)
-        else:
-            result = work_queue_shortlist(self.data, ctx.queries,
-                                          candidate_sets, ctx.k,
-                                          device=pipe.device)
-        self.shortlist_seconds += result.seconds
-        self.shortlist_timer.merge(result.timer)
-        ctx.ids_out[:] = result.ids
-        ctx.dists_out[:] = result.distances
-
-    def _skip_shortlist(self, ctx: ExecutionContext) -> None:
-        ctx.ensure_exhausted()[:] = True

@@ -28,9 +28,9 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
+from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
+                        run_plan)
 from repro.exec.plan import validate_query_batch
-from repro.runtime.session import QueryRequest, execute_request
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import ResiliencePolicy
@@ -184,12 +184,10 @@ class LSHForest:
         ``QueryStats.failures``) instead of crashing the batch.
         ``max_batch_rows`` bounds rows per executed shard.
         """
-        del hierarchy_threshold  # no hierarchical table on the forest path
         self._check_fitted()
-        request = QueryRequest(queries=queries, k=k,
-                               deadline_ms=deadline_ms, deadline=deadline,
-                               policy=policy, max_batch_rows=max_batch_rows)
-        return execute_request(self, request).as_tuple()
+        return run_plan(self.execution_plan(hierarchy_threshold), queries, k,
+                        deadline_ms=deadline_ms, deadline=deadline,
+                        policy=policy, max_batch_rows=max_batch_rows)
 
     def execution_plan(self,
                        hierarchy_threshold: Union[str, int, None] = None,
@@ -246,8 +244,7 @@ class _ForestPlan(QueryPlan):
 
     def stages(self) -> Tuple[Stage, ...]:
         return (Stage("forest.encode", self._stage_encode),
-                Stage("forest.search", self._stage_search,
-                      skip=self._skip_search))
+                Stage("forest.search", self._stage_search))
 
     def _stage_encode(self, ctx: ExecutionContext) -> None:
         forest = self.forest
@@ -291,11 +288,6 @@ class _ForestPlan(QueryPlan):
             top = top[np.argsort(dists[top], kind="stable")]
             ctx.ids_out[qi, :take] = forest._ids[cand[top]]
             ctx.dists_out[qi, :take] = dists[top]
-
-    def _skip_search(self, ctx: ExecutionContext) -> None:
-        if ctx.policy is not None:
-            ctx.ensure_degraded()
-        ctx.ensure_exhausted()[:] = True
 
     def record_obs(self, ctx: ExecutionContext) -> None:
         assert ctx.ob is not None

@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage
+from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
+                        merge_topk_rows, run_plan)
 from repro.exec.plan import validate_query_batch
-from repro.runtime.session import (QueryRequest, check_legacy_engine,
-                                   execute_request)
 from repro.lattice.base import Lattice
 from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
@@ -555,13 +554,9 @@ class StandardLSH:
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch of queries.
 
-        Thin adapter over the runtime layer (rule R14): the keyword
-        options become a :class:`repro.runtime.QueryRequest` and
-        execution delegates to :func:`repro.runtime.execute_request`,
-        which feeds :meth:`execution_plan` to
-        :func:`repro.exec.run_plan`; validation, deadline construction,
-        policy resolution, stage timing and batch sharding all live in
-        the execution core.
+        Feeds :meth:`execution_plan` to :func:`repro.exec.run_plan`;
+        validation, deadline construction, policy resolution, stage
+        timing and batch sharding all live in the execution core.
 
         The whole batch runs array-at-a-time through the kernel table
         :func:`repro.native.load_kernels` resolved (compiled when a C
@@ -584,8 +579,8 @@ class StandardLSH:
             ``max_batch_rows``.
         engine:
             Inert — name-checked and ignored
-            (:func:`repro.runtime.session.check_legacy_engine`); scheduled for
-            deletion by the next benchmark PR.
+            (:func:`repro.native.registry.check_legacy_engine`); scheduled
+            for deletion by the next benchmark PR.
         deadline_ms / deadline:
             Optional wall-clock budget.  The budget is checked between
             escalation rounds; queries whose escalation the budget cut
@@ -615,12 +610,10 @@ class StandardLSH:
             budget-exhausted masks.
         """
         self._check_fitted()
-        check_legacy_engine(engine)
-        request = QueryRequest(queries=queries, k=k,
-                               hierarchy_threshold=hierarchy_threshold,
-                               deadline_ms=deadline_ms, deadline=deadline,
-                               policy=policy, max_batch_rows=max_batch_rows)
-        return execute_request(self, request).as_tuple()
+        return run_plan(self.execution_plan(hierarchy_threshold, engine),
+                        queries, k, deadline_ms=deadline_ms,
+                        deadline=deadline, policy=policy,
+                        max_batch_rows=max_batch_rows)
 
     def execution_plan(self,
                        hierarchy_threshold: Union[str, int] = "median",
@@ -629,12 +622,12 @@ class StandardLSH:
 
         :meth:`query_batch` feeds it to :func:`repro.exec.run_plan`;
         :class:`~repro.core.bilevel.BiLevelLSH` feeds per-group plans to
-        the gate-free :func:`repro.exec.run_shards` so inner group
+        the gate-free :func:`repro.exec.run_validated` so inner group
         sub-batches skip re-validation and re-reading the obs / policy /
         fault gates the outer batch already resolved.  ``engine`` is the
         inert keyword of :meth:`query_batch`.
         """
-        check_legacy_engine(engine)
+        native_registry.check_legacy_engine(engine)
         return _LSHPlan(self, hierarchy_threshold,
                         native_registry.load_kernels())
 
@@ -682,40 +675,10 @@ class StandardLSH:
             chunk_sq = np.einsum("ij,ij->i", chunk, chunk)
             d2 = q_sq[:, None] - 2.0 * (queries @ chunk.T) + chunk_sq[None, :]
             np.maximum(d2, 0.0, out=d2)
-            self._merge_block_topk(ids_out, dists_out, ext_ids[rows],
-                                   np.sqrt(d2), k)
+            merge_topk_rows(ids_out, dists_out, slice(None),
+                            np.broadcast_to(ext_ids[rows], d2.shape),
+                            np.sqrt(d2), k)
         return ids_out, dists_out
-
-    @staticmethod
-    def _merge_block_topk(ids_out: np.ndarray, dists_out: np.ndarray,
-                          block_ids: np.ndarray, block_dists: np.ndarray,
-                          k: int) -> None:
-        """Fold one ``(nq, b)`` distance block into the running top-k.
-
-        Stacks current and new columns and reselects each row's best ``k``
-        with one flat ``lexsort`` by ``(row, distance, id)`` — padding
-        entries carry id ``-1`` / distance ``inf`` so they sort last and
-        are restored after selection.
-        """
-        nq = ids_out.shape[0]
-        all_ids = np.concatenate(
-            [ids_out, np.broadcast_to(block_ids, (nq, block_ids.shape[0]))],
-            axis=1)
-        all_dists = np.concatenate([dists_out, block_dists], axis=1)
-        r, w = all_ids.shape
-        rowidx = np.repeat(np.arange(r, dtype=np.int64), w)
-        flat_order = np.lexsort((all_ids.ravel(), all_dists.ravel(), rowidx))
-        col_order = (flat_order.reshape(r, w)
-                     - np.arange(r, dtype=np.int64)[:, None] * w)
-        top = col_order[:, :k]
-        sel_ids = np.take_along_axis(all_ids, top, axis=1)
-        sel_dists = np.take_along_axis(all_dists, top, axis=1)
-        pad = ~np.isfinite(sel_dists)
-        sel_ids[pad] = -1
-        sel_dists[pad] = np.inf
-        ids_out[:, :] = sel_ids
-        dists_out[:, :] = sel_dists
-
 
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw candidate id sets (before short-list ranking), per query.

@@ -34,8 +34,9 @@ import numpy as np
 from repro import obs
 from repro.native import ref
 
-__all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels", "load_kernels",
-           "native_backend", "native_status", "reset"]
+__all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels",
+           "check_legacy_engine", "load_kernels", "native_backend",
+           "native_status", "reset"]
 
 #: Kernel entry points every table must provide (the table's schema).
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
@@ -140,6 +141,28 @@ def load_kernels() -> object:
                 ob.record_native_fallback(
                     "unavailable" if _errors else "disabled")
     return kernels
+
+
+def check_legacy_engine(engine: Optional[str]) -> None:
+    """Name-check an inert ``engine=`` value; it selects nothing.
+
+    There is one engine: the staged plan over whichever table
+    :func:`load_kernels` resolved.  The keyword survives only where the
+    pinned benchmark spells it (``StandardLSH`` / ``BiLevelLSH``
+    ``.query_batch`` and ``.execution_plan``,
+    :class:`repro.runtime.RuntimeConfig`, the ``/query`` body,
+    ``serve --engine``) and goes with the next benchmark PR.  Until then
+    the two names that meant "the fast path" pass; ``'scalar'`` and
+    anything unknown are refused rather than silently served by
+    something else.
+    """
+    if engine is None or engine in ("native", "vectorized"):
+        return
+    raise ValueError(
+        f"unknown engine {engine!r}: engine= no longer selects anything "
+        f"('native' and 'vectorized' are accepted and ignored); the "
+        f"per-query scalar path is the test oracle "
+        f"repro.lsh.index.oracle_query_batch, not an engine")
 
 
 def native_backend() -> Optional[str]:

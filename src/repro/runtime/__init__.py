@@ -6,9 +6,10 @@ The packages below this one answer "how is one batch executed"
 for the life of a process": :class:`IndexRuntime` holds an index plus
 its attachments (WAL, compactor, shard pool, obs registry) behind one
 :meth:`~IndexRuntime.submit` door, :class:`QueryRequest` /
-:class:`QueryResponse` replace the six-kwarg ``query_batch``
-signatures, :class:`MicroBatcher` coalesces concurrent requests into
-one executor batch bit-identically, and
+:class:`QueryResponse` are what one caller asked for and got back,
+:meth:`IndexRuntime.resolve` is the one place a request meets the
+session defaults, :class:`MicroBatcher` coalesces concurrent requests
+into one executor batch bit-identically, and
 :class:`AdmissionController` sheds overload through the existing
 ``exhausted_budget`` semantics.
 
@@ -17,18 +18,18 @@ imported here — it pulls in asyncio plumbing that library users (and
 the analysis fixtures) never need; ``repro-knn serve`` imports it
 directly.
 
-Invariant rule R14 ("runtime-centralized") pins the layering: front-end
-``query_batch`` methods stay thin adapters that build a
-:class:`QueryRequest` and delegate, and ``attach_*`` wiring happens
-only here.
+The layering is one-way: nothing under ``repro.lsh`` / ``core`` /
+``evaluation`` / ``gpu`` / ``exec`` imports this package
+(``tests/test_layering.py``) — an index's ``query_batch`` calls
+:func:`repro.exec.run_plan` itself — and invariant rule R14
+("runtime-centralized") keeps ``attach_*`` wiring here.
 """
 
 from repro.runtime.admission import AdmissionController, AdmissionError
 from repro.runtime.batching import (DEADLINE_BUCKET_MS, MicroBatcher,
                                     merge_key, split_stats)
 from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
-                                   RuntimeConfig, execute_plan_request,
-                                   execute_request, shed_response)
+                                   RuntimeConfig, shed_response)
 
 __all__ = [
     "AdmissionController",
@@ -39,8 +40,6 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "RuntimeConfig",
-    "execute_plan_request",
-    "execute_request",
     "merge_key",
     "shed_response",
     "split_stats",

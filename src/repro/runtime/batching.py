@@ -19,8 +19,10 @@ Correctness of the merge rests on three facts about the executor:
    Requests resolving to ``"median"`` on a hierarchy-sensitive index
    are therefore executed solo (``solo_fn``) unless the session pins an
    integer threshold.
-3. Deadlines are absolute: each request materializes its
-   :class:`~repro.resilience.deadline.Deadline` at arrival, and a
+3. Deadlines are absolute: a request is resolved where it arrives
+   (:meth:`~repro.runtime.session.IndexRuntime.resolve`: session
+   defaults filled in, its :class:`~repro.resilience.deadline.Deadline`
+   started), so the batcher keys on what will actually run, and a
    merged batch runs under the *earliest* member expiry, so no member
    can overrun its own budget by riding a batch.  Because the earliest
    expiry also *shrinks* the other members' budgets, requests merge
@@ -33,8 +35,9 @@ Correctness of the merge rests on three facts about the executor:
 Stat splitting mirrors the executor's lazy-``None`` conventions: a
 request whose slice of ``degraded`` is all-False gets ``None`` (exactly
 what its solo run would report), while ``exhausted_budget`` is sliced
-whenever the request carried a deadline (solo runs with a deadline
-always materialize the mask).  ``failures`` records are batch-scoped
+whenever the merged batch materialized it — it ran under a deadline,
+and the key guarantees every member then had one of its own, as its
+solo run would.  ``failures`` records are batch-scoped
 with no row attribution, so a merged batch's failure tuple is reported
 to every member — the one documented widening versus solo execution.
 
@@ -101,14 +104,13 @@ def merge_key(request: QueryRequest, *,
     )
 
 
-def split_stats(stats: QueryStats, sl: slice, *,
-                had_deadline: bool) -> QueryStats:
+def split_stats(stats: QueryStats, sl: slice) -> QueryStats:
     """Slice one request's rows out of a merged batch's stats.
 
     Preserves the lazy-``None`` convention bit-for-bit against solo
     execution: ``degraded`` collapses back to ``None`` when the slice
     carries no mark, ``exhausted_budget`` survives exactly when the
-    request ran under a deadline.
+    batch — hence, by the merge key, the request — ran under a deadline.
     """
     degraded: Optional[np.ndarray] = None
     if stats.degraded is not None:
@@ -116,7 +118,7 @@ def split_stats(stats: QueryStats, sl: slice, *,
         if part.any():
             degraded = part.copy()
     exhausted: Optional[np.ndarray] = None
-    if had_deadline and stats.exhausted_budget is not None:
+    if stats.exhausted_budget is not None:
         exhausted = stats.exhausted_budget[sl].copy()
     return QueryStats(
         n_candidates=stats.n_candidates[sl].copy(),
@@ -216,12 +218,15 @@ class MicroBatcher:
         """Answer one request, riding a merged batch when possible.
 
         Blocks the calling thread until its rows come back (at most the
-        window plus the merged execution).  Past-due requests — whose
-        deadline expired before any work started — are answered
+        window plus the merged execution).  ``request`` is read as it
+        stands — resolve it at the door
+        (:meth:`~repro.runtime.session.IndexRuntime.resolve`), or an
+        unset option keys as unset and an unstarted ``deadline_ms`` only
+        starts inside ``execute``, after the window.  Past-due requests
+        — whose deadline expired before any work started — are answered
         immediately with exhausted-budget padding and never occupy the
         executor.
         """
-        request = request.with_deadline_started()
         if request.deadline is not None and request.deadline.expired():
             return shed_response(request, reason="past-due")
         if self._window_s == 0.0 or (self._solo_fn is not None
@@ -293,23 +298,19 @@ class MicroBatcher:
         template = bucket[0].request
         queries = np.concatenate(
             [np.asarray(e.request.queries) for e in bucket], axis=0)
-        deadline = None
-        if any(e.request.deadline is not None for e in bucket):
-            # Earliest member expiry governs the merged batch: absolute
-            # Deadline objects make "earliest" exact, not re-derived.
-            deadline = min(
-                (e.request.deadline for e in bucket
-                 if e.request.deadline is not None),
-                key=lambda d: d.remaining_seconds())
-        merged = replace(template, queries=queries, deadline=deadline,
-                         deadline_ms=None)
-        response = self._execute(merged)
+        # Earliest member expiry governs the merged batch: absolute
+        # Deadline objects make "earliest" exact, not re-derived.
+        deadline = min(
+            (e.request.deadline for e in bucket
+             if e.request.deadline is not None),
+            key=lambda d: d.remaining_seconds(), default=None)
+        response = self._execute(
+            replace(template, queries=queries, deadline=deadline))
         with self._cond:
             self._merged_batches += 1
             self._merged_requests += len(bucket)
         out: List[QueryResponse] = []
         start = 0
-        had_deadline = deadline is not None
         for member in bucket:
             n = member.request.n_rows()
             sl = slice(start, start + n)
@@ -317,8 +318,7 @@ class MicroBatcher:
             out.append(QueryResponse(
                 ids=response.ids[sl].copy(),
                 distances=response.distances[sl].copy(),
-                stats=split_stats(response.stats, sl,
-                                  had_deadline=had_deadline),
+                stats=split_stats(response.stats, sl),
                 shed=False,
                 batched=len(bucket)))
         return out

@@ -312,15 +312,16 @@ class RuntimeServer:
                          if deadline_ms is not None else None),
             max_batch_rows=(int(max_rows)  # type: ignore[arg-type]
                             if max_rows is not None else None))
-        # The budget clock starts at arrival: queue wait and batch window
-        # both count against it, exactly like the library contract.
-        return request.with_deadline_started()
+        # Resolved at the door: session defaults filled in and the budget
+        # clock — the request's or the session's — started at arrival, so
+        # queue wait and batch window both count against it and the
+        # batcher keys on what will run.
+        return self.runtime.resolve(request)
 
     def _needs_solo(self, request: QueryRequest) -> bool:
-        """True when the resolved threshold is batch-dependent."""
+        """True when the (resolved) request's threshold is the
+        batch-dependent ``"median"`` and the index escalates by it."""
         threshold = request.hierarchy_threshold
-        if threshold is None:
-            threshold = self.runtime.config.hierarchy_threshold
         if threshold is not None and not isinstance(threshold, str):
             return False
         return self.runtime.hierarchy_sensitive

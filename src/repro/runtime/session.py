@@ -1,33 +1,29 @@
 """Process-lifetime index sessions: one object that owns an index plus
 every cross-cutting attachment.
 
-Before this package, each concern a server needs — deadline budget,
-resilience policy, batch sharding, the WAL/compactor
-wiring from :mod:`repro.maintenance`, the obs registry, the process
-shard pool — was threaded as per-call ``query_batch`` kwargs plus
-stateful ``attach_*`` mutators duplicated across every front-end.  There
-was no long-lived object a serving layer could hold.
+A library caller passes execution options to ``index.query_batch`` as
+keywords, per call.  A serving process needs something longer-lived:
+session defaults for those options, an owner for the WAL/compactor
+wiring, the obs registry and the process shard pool, and one place
+where a request meets the defaults:
 
-This module provides that object and the request model under it:
-
-- :class:`RuntimeConfig` — the resolved execution defaults for a
-  process (deadline, policy, ``max_batch_rows``, shard workers,
-  micro-batch window), with :meth:`RuntimeConfig.from_args` as the one
-  CLI argument-resolution seam shared by ``query``/``serve``;
-- :class:`QueryRequest` / :class:`QueryResponse` — dataclasses that
-  replace the six-kwarg ``query_batch`` signatures.  The old signatures
-  survive as thin adapters that build a request (rule R14 keeps them
-  thin);
-- :func:`execute_request` / :func:`execute_plan_request` — the one
-  translation from a request to :func:`repro.exec.run_plan`;
+- :class:`RuntimeConfig` — the execution defaults of a process
+  (deadline, policy, ``max_batch_rows``, shard workers, micro-batch
+  window), with :meth:`RuntimeConfig.from_args` as the one CLI
+  argument-resolution seam shared by ``query``/``serve``;
+- :class:`QueryRequest` / :class:`QueryResponse` — what one caller
+  asked for and what it got back;
 - :class:`IndexRuntime` — owns an index and its attachments for process
-  life and answers :meth:`IndexRuntime.submit` with a response.
+  life.  :meth:`IndexRuntime.resolve` is the one resolution point
+  (request fields, then the config, then the front-end default; the
+  deadline clock started): the HTTP door, the micro-batcher and
+  :meth:`IndexRuntime.submit` all read a request through it, and
+  ``submit`` hands the resolved fields to :func:`repro.exec.run_plan`.
 
-Import discipline: this module sits *above* :mod:`repro.exec` and
-*below* every front-end (``repro.lsh``, ``repro.core``,
-``repro.evaluation`` import it), so it must never import a front-end
-package at module scope — index construction and maintenance wiring use
-duck typing and lazy imports.
+Import discipline: this module sits *above* the index packages —
+nothing under ``repro.lsh`` / ``core`` / ``evaluation`` / ``gpu`` /
+``exec`` imports it (``tests/test_layering.py``) — and reaches them by
+duck typing and call-time imports.
 """
 
 from __future__ import annotations
@@ -35,18 +31,18 @@ from __future__ import annotations
 import argparse
 import threading
 from dataclasses import InitVar, dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exec.context import QueryStats
 from repro.exec.executor import run_plan
-from repro.exec.plan import QueryPlan
+from repro.native.registry import check_legacy_engine
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.maintenance import Compactor, DriftDetector, WriteAheadLog
+    from repro.maintenance import Compactor, WriteAheadLog
     from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -56,8 +52,6 @@ __all__ = [
     "RuntimeConfig",
     "RuntimeInfo",
     "check_legacy_engine",
-    "execute_plan_request",
-    "execute_request",
     "shed_response",
 ]
 
@@ -68,10 +62,10 @@ Threshold = Union[str, int]
 class RuntimeConfig:
     """Resolved per-process execution defaults for an index session.
 
-    Front-end ``query_batch`` adapters do not consult a config — their
-    keyword defaults are the contract — but :class:`IndexRuntime`,
-    the CLI and the serving layer resolve every option they do not
-    receive explicitly from one of these, so ``repro-knn query``,
+    An index's ``query_batch`` does not consult a config — its keyword
+    defaults are the contract — but :class:`IndexRuntime`, the CLI and
+    the serving layer take every option a request leaves unset from one
+    of these (:meth:`IndexRuntime.resolve`), so ``repro-knn query``,
     ``bench`` and ``serve`` cannot drift apart
     (:meth:`RuntimeConfig.from_args` is the single parsing seam).
 
@@ -168,37 +162,16 @@ class RuntimeConfig:
         )
 
 
-def check_legacy_engine(engine: Optional[str]) -> None:
-    """Name-check an inert ``engine=`` value; it selects nothing.
-
-    There is one engine: the staged plan over whichever kernel table
-    :func:`repro.native.load_kernels` resolved.  The keyword survives
-    only where the pinned benchmark spells it (``StandardLSH`` /
-    ``BiLevelLSH`` ``.query_batch`` and ``.execution_plan``,
-    :class:`RuntimeConfig`, the ``/query`` body, ``serve --engine``) and
-    goes with the next benchmark PR.  Until then the two names that
-    meant "the fast path" pass; ``'scalar'`` and anything unknown are
-    refused rather than silently served by something else.
-    """
-    if engine is None or engine in ("native", "vectorized"):
-        return
-    raise ValueError(
-        f"unknown engine {engine!r}: engine= no longer selects anything "
-        f"('native' and 'vectorized' are accepted and ignored); the "
-        f"per-query scalar path is the test oracle "
-        f"repro.lsh.index.oracle_query_batch, not an engine")
-
-
 @dataclass(frozen=True)
 class QueryRequest:
     """One KNN request: the query rows plus every execution option.
 
-    Replaces the six-kwarg ``query_batch`` signatures as the unit the
-    runtime layer passes around; ``None`` fields mean "resolve from the
-    session's :class:`RuntimeConfig`" (and, failing that, the
-    front-end's historical default).  ``deadline`` holds an already
-    materialized absolute expiry — the serving layer stamps one from
-    ``deadline_ms`` at arrival so queue wait counts against the budget.
+    The unit the runtime layer passes around; ``None`` fields mean
+    "take the session's :class:`RuntimeConfig` value" (and, failing
+    that, the front-end's default) — :meth:`IndexRuntime.resolve` fills
+    them in.  ``deadline`` holds an already materialized absolute
+    expiry: resolving stamps one from ``deadline_ms`` at the door, so
+    queue wait and the batch window count against the budget.
     """
 
     queries: np.ndarray
@@ -271,61 +244,6 @@ def shed_response(request: QueryRequest, reason: str = "overload",
         stats=stats, shed=True)
 
 
-def execute_plan_request(plan: QueryPlan, request: QueryRequest,
-                         ) -> QueryResponse:
-    """Run ``request`` through an explicit plan via the shared executor.
-
-    The one translation from the request model to
-    :func:`repro.exec.run_plan` — every field maps one-to-one, so a
-    thin-adapter ``query_batch`` built on this returns bit-identical
-    results to the pre-runtime code path.
-    """
-    ids, dists, stats = run_plan(
-        plan, request.queries, request.k,
-        deadline_ms=request.deadline_ms, deadline=request.deadline,
-        policy=request.policy, max_batch_rows=request.max_batch_rows)
-    return QueryResponse(ids=ids, distances=dists, stats=stats)
-
-
-def execute_request(index: object, request: QueryRequest,
-                    config: Optional[RuntimeConfig] = None,
-                    ) -> QueryResponse:
-    """Resolve ``request`` against ``config`` and execute it on ``index``.
-
-    ``index`` must expose ``execution_plan(hierarchy_threshold)`` (every
-    in-repo front-end does).  Request fields win over config fields;
-    unset both fall back to the front-end default the plan builder owns
-    (threshold ``"median"``).
-    """
-    resolved = _fill_from_config(
-        request, config if config is not None else _DEFAULT_CONFIG)
-    plan_builder = getattr(index, "execution_plan")
-    threshold = resolved.hierarchy_threshold
-    plan = (plan_builder() if threshold is None
-            else plan_builder(hierarchy_threshold=threshold))
-    return execute_plan_request(plan, resolved)
-
-
-def _fill_from_config(request: QueryRequest,
-                      cfg: RuntimeConfig) -> QueryRequest:
-    """``request`` with every option it leaves unset taken from ``cfg``."""
-    fill: Dict[str, Any] = {}
-    if request.hierarchy_threshold is None \
-            and cfg.hierarchy_threshold is not None:
-        fill["hierarchy_threshold"] = cfg.hierarchy_threshold
-    if request.deadline is None and request.deadline_ms is None \
-            and cfg.deadline_ms is not None:
-        fill["deadline_ms"] = cfg.deadline_ms
-    if request.policy is None and cfg.policy is not None:
-        fill["policy"] = cfg.policy
-    if request.max_batch_rows is None and cfg.max_batch_rows is not None:
-        fill["max_batch_rows"] = cfg.max_batch_rows
-    return replace(request, **fill) if fill else request
-
-
-_DEFAULT_CONFIG = RuntimeConfig()
-
-
 @dataclass
 class RuntimeInfo:
     """Introspection snapshot served by ``/readyz`` and ``repro-knn serve``."""
@@ -361,9 +279,9 @@ class IndexRuntime:
 
     One construction site replaces the per-call-site wiring the CLI and
     tests used to repeat: WAL attachment (durable acknowledged writes
-    while serving), background compactor, drift detector, the process
-    shard pool, and the obs registry all live here, and queries enter
-    through one door — :meth:`submit`.
+    while serving), background compactor, the process shard pool, and
+    the obs registry all live here, and queries enter through one
+    door — :meth:`submit`.
 
     The runtime does not *replace* the index API: reads delegate to the
     shared executor exactly as ``index.query_batch`` does (and return
@@ -381,7 +299,6 @@ class IndexRuntime:
         self.registry = registry
         self._wal: "Optional[WriteAheadLog]" = None
         self._compactor: "Optional[Compactor]" = None
-        self._drift: "Optional[DriftDetector]" = None
         self._executor: Optional[object] = None
         # The pool workers hold a frozen shared-memory snapshot taken at
         # pool construction; live inserts/deletes mutate only the parent
@@ -421,15 +338,14 @@ class IndexRuntime:
             != self.index._mutations)  # type: ignore[attr-defined]
 
     def attach_maintenance(self, wal: "Optional[WriteAheadLog]" = None,
-                           compactor: "Optional[Compactor]" = None,
-                           drift: "Optional[DriftDetector]" = None) -> None:
+                           compactor: "Optional[Compactor]" = None) -> None:
         """Wire the durability plane into the owned index.
 
         The single sanctioned ``attach_*`` call site outside tests (rule
         R14): every front-end used to be attached ad hoc wherever a WAL
         happened to be opened.  Attachment order matters — the WAL first
         (so a compaction-triggering insert is already logged), then the
-        compactor, then the drift detector that feeds it.
+        compactor.
         """
         if wal is not None:
             self.index.attach_wal(wal)  # type: ignore[attr-defined]
@@ -437,8 +353,6 @@ class IndexRuntime:
         if compactor is not None:
             self.index.attach_compactor(compactor)  # type: ignore[attr-defined]
             self._compactor = compactor
-        if drift is not None:
-            self._drift = drift
 
     @classmethod
     def open(cls, index_path: str, config: Optional[RuntimeConfig] = None, *,
@@ -500,6 +414,37 @@ class IndexRuntime:
 
     # ------------------------------------------------------------- querying
 
+    def resolve(self, request: QueryRequest) -> QueryRequest:
+        """``request`` as this session will execute it; the one place a
+        request meets the session defaults.
+
+        An option the request leaves unset takes the
+        :class:`RuntimeConfig` value (one both leave unset stays
+        ``None``, the front-end's own default), and a ``deadline_ms``
+        budget — the request's or the session's — becomes an absolute
+        :class:`Deadline` started now.  Call it where the request
+        arrives (the HTTP door does, so admission and the batch window
+        count against the budget; :meth:`submit` does for a direct
+        caller): :func:`~repro.runtime.batching.merge_key` and the solo
+        rule then read what will run.  Idempotent: a resolved request
+        comes back as the same object.
+        """
+        cfg = self.config
+        fill: Dict[str, object] = {}
+        if request.hierarchy_threshold is None \
+                and cfg.hierarchy_threshold is not None:
+            fill["hierarchy_threshold"] = cfg.hierarchy_threshold
+        if request.deadline is None and request.deadline_ms is None \
+                and cfg.deadline_ms is not None:
+            fill["deadline_ms"] = cfg.deadline_ms
+        if request.policy is None and cfg.policy is not None:
+            fill["policy"] = cfg.policy
+        if request.max_batch_rows is None and cfg.max_batch_rows is not None:
+            fill["max_batch_rows"] = cfg.max_batch_rows
+        if fill:
+            request = replace(request, **fill)  # type: ignore[arg-type]
+        return request.with_deadline_started()
+
     def submit(self, request: QueryRequest) -> QueryResponse:
         """Answer one request; the runtime's single query entry.
 
@@ -515,16 +460,27 @@ class IndexRuntime:
         """
         if self._closed:
             raise RuntimeError("runtime is closed")
-        request = request.with_deadline_started()
+        request = self.resolve(request)
         if self._executor is not None:
             with self._executor_lock:
                 # Decided under the lock: close() or refresh_executor()
                 # may have replaced the pool since the fast check.
                 if self._executor is not None \
                         and not self._executor_is_stale():
-                    return execute_request(self._executor, request,
-                                           self.config)
-        return execute_request(self.index, request, self.config)
+                    return self._run(self._executor, request)
+        return self._run(self.index, request)
+
+    @staticmethod
+    def _run(target: object, request: QueryRequest) -> QueryResponse:
+        """A resolved request through ``target``'s plan (the index's or
+        the pool's), field for field onto :func:`repro.exec.run_plan`."""
+        builder = target.execution_plan  # type: ignore[attr-defined]
+        threshold = request.hierarchy_threshold
+        plan = builder() if threshold is None else builder(threshold)
+        ids, dists, stats = run_plan(
+            plan, request.queries, request.k, deadline=request.deadline,
+            policy=request.policy, max_batch_rows=request.max_batch_rows)
+        return QueryResponse(ids=ids, distances=dists, stats=stats)
 
     def query_batch(self, queries: np.ndarray, k: int,
                     **options: object) -> Tuple[np.ndarray, np.ndarray,

@@ -1,7 +1,7 @@
 """Seeded violation: R13 (and only R13) must fire on this file.
 
-``UnloggedIndex`` answers queries (``query_batch`` delegating through
-the runtime request model, so R8 and R14 stay quiet) and accepts live
+``UnloggedIndex`` answers queries (``query_batch`` delegating to
+``run_plan``, so R8 stays quiet) and accepts live
 mutation, but its ``insert``/``delete`` never append to a write-ahead
 log — an acknowledged write would be unrecoverable after a crash.
 Everything else is fully annotated, dtype-explicit, lock-disciplined
@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.runtime.session import QueryRequest, execute_request
+from repro.exec.executor import run_plan
 
 
 class UnloggedIndex:
@@ -45,6 +45,5 @@ class UnloggedIndex:
 
     def query_batch(self, queries: np.ndarray,
                     k: int) -> Tuple[np.ndarray, np.ndarray]:
-        request = QueryRequest(queries=queries, k=k)
-        ids, dists, _stats = execute_request(self, request).as_tuple()
+        ids, dists, _stats = run_plan(self.execution_plan(), queries, k)
         return ids, dists

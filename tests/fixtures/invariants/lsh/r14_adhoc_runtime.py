@@ -1,30 +1,12 @@
 """Seeded violation: R14 (and only R14) must fire on this file.
 
-``query_batch`` delegates straight to ``repro.exec.run_plan`` (so R8
-stays quiet) but never builds a :class:`repro.runtime.QueryRequest` —
-execution options bypass the runtime request model.
-``wire_durability`` additionally calls ``attach_wal`` outside an
-``attach_*`` lifecycle method, re-growing ad-hoc attachment wiring
-that belongs to :class:`repro.runtime.IndexRuntime`.  Everything else
-is fully annotated, dtype-explicit and exception-clean so no other
-rule trips.
+``wire_durability`` calls ``attach_wal`` outside an ``attach_*``
+lifecycle method, re-growing ad-hoc attachment wiring that belongs to
+:class:`repro.runtime.IndexRuntime`.  Everything else is fully
+annotated and exception-clean so no other rule trips.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
-
-import numpy as np
-
-from repro.exec.executor import run_plan
-
-
-def query_batch(plan: object, queries: np.ndarray, k: int,
-                deadline_ms: Optional[float] = None,
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    ids, dists, _stats = run_plan(plan, queries, k,
-                                  deadline_ms=deadline_ms)
-    return ids, dists
 
 
 def wire_durability(index: object, wal: object) -> None:

@@ -25,6 +25,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.runner import evaluate_index
+from repro.exec import ExecutionContext, ProcessShardExecutor, QueryStats
 from repro.lsh.forest import LSHForest
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
@@ -339,6 +340,114 @@ class TestShardedFaults:
         # and 17 land in different shards of 8).
         val = [r for r in stats.failures if r.site == "lsh.validate"]
         assert len(val) == 2
+
+
+# ------------------------------------------------------------------ fold
+
+
+class TestAbsorb:
+    """``ExecutionContext.absorb`` is the one place a sub-result is put
+    into a result: the shard loop, the non-finite split, the bi-level
+    merge and the process pool all fold through it."""
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("exhausted", [False, True])
+    def test_lazy_masks(self, degraded, exhausted):
+        # A mask the sub-result does not carry leaves the parent's at
+        # ``None`` ("never engaged"); one it carries is allocated on
+        # first need and OR-ed in, over exactly the absorbed rows.
+        rng = np.random.default_rng(7)
+        ctx = ExecutionContext.for_batch(rng.standard_normal((6, DIM)), 3)
+        rows = np.array([1, 4])
+        flag = np.array([True, False])
+        record = ResiliencePolicy(max_retries=0).note_failure(
+            "lsh.gather", "table=0", RuntimeError("boom"), "gave_up")
+        stats = QueryStats(
+            np.array([5, 9]), np.array([False, True]),
+            degraded=flag if degraded else None,
+            exhausted_budget=flag if exhausted else None,
+            failures=(record,))
+        ids = np.array([[10, 11, 12], [20, 21, -1]])
+        dists = np.array([[0.1, 0.2, 0.3], [0.5, 0.6, np.inf]])
+        ctx.absorb(rows, ids, dists, stats)
+        assert np.array_equal(ctx.ids_out[rows], ids)
+        assert np.array_equal(ctx.dists_out[rows], dists)
+        untouched = np.setdiff1d(np.arange(6), rows)
+        assert (ctx.ids_out[untouched] == -1).all()
+        assert np.isinf(ctx.dists_out[untouched]).all()
+        assert ctx.n_candidates.tolist() == [0, 5, 0, 0, 9, 0]
+        assert ctx.escalated.tolist() == [False] * 4 + [True, False]
+        want = [False, True] + [False] * 4
+        out = ctx.build_stats()
+        assert (out.degraded is None) == (not degraded)
+        assert (out.exhausted_budget is None) == (not exhausted)
+        if degraded:
+            assert out.degraded.tolist() == want
+        if exhausted:
+            assert out.exhausted_budget.tolist() == want
+        assert out.failures == (record,)
+        # A second sub-result ORs into masks already there: a flag set
+        # by one fold is not cleared by the next.
+        ctx.absorb(rows, ids, dists, QueryStats(
+            np.array([5, 9]), np.array([False, True]),
+            degraded=~flag if degraded else None))
+        if degraded:
+            assert ctx.degraded.tolist() == [False, True, False, False,
+                                             True, False]
+        assert (ctx.exhausted is None) == (not exhausted)
+
+    def test_every_path_folds_to_the_same_stats(self, dataset, queries):
+        # Unsharded == sharded == one NaN row set aside under a policy
+        # (on the finite rows) == pooled, on every QueryStats field —
+        # a deadline makes ``exhausted_budget`` one of them.
+        index = StandardLSH(n_tables=6, bucket_width=8.0, hierarchy=True,
+                            seed=5).fit(dataset)
+        options = dict(hierarchy_threshold=40, deadline_ms=60_000.0)
+
+        def fields(stats, rows=slice(None)):
+            return {
+                "n_candidates": stats.n_candidates[rows].tolist(),
+                "escalated": stats.escalated[rows].tolist(),
+                "degraded": (None if stats.degraded is None
+                             else stats.degraded[rows].tolist()),
+                "exhausted_budget": (
+                    None if stats.exhausted_budget is None
+                    else stats.exhausted_budget[rows].tolist()),
+                "failures": stats.failures,
+            }
+
+        base_ids, base_dists, base_stats = index.query_batch(
+            queries, K, **options)
+        assert base_stats.escalated.any() and not base_stats.escalated.all()
+        assert fields(base_stats)["degraded"] is None
+        assert fields(base_stats)["exhausted_budget"] == [False] * N_QUERIES
+
+        ids, dists, stats = index.query_batch(queries, K, max_batch_rows=7,
+                                              **options)
+        assert np.array_equal(ids, base_ids)
+        assert np.array_equal(dists, base_dists)
+        assert fields(stats) == fields(base_stats)
+
+        with ProcessShardExecutor(index, n_workers=2) as pool:
+            ids, dists, stats = pool.query_batch(
+                queries, K, max_batch_rows=7, **options)
+        assert np.array_equal(ids, base_ids)
+        assert np.array_equal(dists, base_dists)
+        assert fields(stats) == fields(base_stats)
+
+        bad = queries.copy()
+        bad[5, 1] = np.nan
+        finite = np.setdiff1d(np.arange(N_QUERIES), [5])
+        ids, dists, stats = index.query_batch(
+            bad, K, policy=ResiliencePolicy(max_retries=0), **options)
+        assert np.array_equal(ids[finite], base_ids[finite])
+        assert np.array_equal(dists[finite], base_dists[finite])
+        got, want = fields(stats, finite), fields(base_stats, finite)
+        assert got.pop("degraded") == [False] * finite.size
+        assert [r.site for r in got.pop("failures")] == ["lsh.validate"]
+        assert want.pop("degraded") is None and want.pop("failures") is None
+        assert got == want
+        assert stats.degraded[5] and (ids[5] == -1).all()
 
 
 # ------------------------------------------------------------ evaluation

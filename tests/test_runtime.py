@@ -5,8 +5,8 @@ Four areas:
 - the request model: :class:`RuntimeConfig` resolution/validation
   (including the shared ``from_args`` CLI seam), :class:`QueryRequest`
   deadline materialization, shed-response shape, and
-  :func:`execute_request` bit-identity with the thin-adapter
-  ``query_batch`` signatures it now backs;
+  :meth:`IndexRuntime.submit` / :meth:`IndexRuntime.resolve`
+  bit-identity with the index's own ``query_batch``;
 - :class:`IndexRuntime` lifecycle: attachment wiring, ``open`` with WAL
   recovery, close ordering/idempotence, readiness introspection, and
   shard-pool routing;
@@ -42,7 +42,6 @@ from repro.runtime import (
     MicroBatcher,
     QueryRequest,
     RuntimeConfig,
-    execute_request,
     merge_key,
     shed_response,
 )
@@ -167,16 +166,20 @@ class TestShedResponse:
 
 
 class TestExecuteRequest:
+    """A request through the runtime's one entry (``submit``, which
+    resolves it against the session config) against the index's own
+    ``query_batch``."""
+
     def test_matches_thin_adapter(self, standard_index, queries):
-        response = execute_request(
-            standard_index, QueryRequest(queries=queries, k=5))
+        response = IndexRuntime(standard_index).submit(
+            QueryRequest(queries=queries, k=5))
         _assert_response_equals_tuple(
             response, standard_index.query_batch(queries, 5))
 
     def test_config_fills_unset_fields(self, standard_index, queries):
         cfg = RuntimeConfig(deadline_ms=10_000.0)
-        response = execute_request(
-            standard_index, QueryRequest(queries=queries, k=5), cfg)
+        response = IndexRuntime(standard_index, cfg).submit(
+            QueryRequest(queries=queries, k=5))
         # The config deadline reached the executor: the mask is
         # materialized (all-False under a generous budget).
         assert response.stats.exhausted_budget is not None
@@ -185,16 +188,36 @@ class TestExecuteRequest:
     def test_request_fields_win_over_config(self, standard_index, queries):
         # The config's budget is spent before the second 4-row shard
         # starts; a request carrying its own generous one is not cut.
-        cfg = RuntimeConfig(deadline_ms=1e-6, max_batch_rows=4)
-        cut = execute_request(
-            standard_index, QueryRequest(queries=queries, k=5), cfg)
+        runtime = IndexRuntime(
+            standard_index, RuntimeConfig(deadline_ms=1e-6, max_batch_rows=4))
+        cut = runtime.submit(QueryRequest(queries=queries, k=5))
         assert cut.stats.exhausted_budget.any()
-        response = execute_request(
-            standard_index,
-            QueryRequest(queries=queries, k=5, deadline_ms=60_000.0), cfg)
+        response = runtime.submit(
+            QueryRequest(queries=queries, k=5, deadline_ms=60_000.0))
         assert not response.stats.exhausted_budget.any()
         np.testing.assert_array_equal(
             response.ids, standard_index.query_batch(queries, 5)[0])
+
+    def test_resolve_fills_from_config_and_is_idempotent(self, standard_index,
+                                                         queries):
+        policy = ResiliencePolicy()
+        runtime = IndexRuntime(standard_index, RuntimeConfig(
+            hierarchy_threshold=50, deadline_ms=60_000.0, policy=policy,
+            max_batch_rows=8))
+        resolved = runtime.resolve(QueryRequest(queries=queries, k=5))
+        assert resolved.hierarchy_threshold == 50
+        assert isinstance(resolved.deadline, Deadline)
+        assert resolved.deadline_ms is None
+        assert resolved.policy is policy
+        assert resolved.max_batch_rows == 8
+        assert runtime.resolve(resolved) is resolved
+        # Request fields win; nothing to fill leaves the object alone.
+        own = QueryRequest(queries=queries, k=5, hierarchy_threshold=7,
+                           deadline=Deadline(5.0), policy=ResiliencePolicy(),
+                           max_batch_rows=2)
+        assert runtime.resolve(own) is own
+        bare = QueryRequest(queries=queries, k=5)
+        assert IndexRuntime(standard_index).resolve(bare) is bare
 
 
 class TestIndexRuntime:
@@ -476,6 +499,73 @@ class TestMicroBatcher:
             solo = runtime.submit(request)
             np.testing.assert_array_equal(response.ids, solo.ids)
             assert np.array_equal(response.distances, solo.distances)
+
+    @pytest.mark.parametrize("door", ["resolve", "http"])
+    def test_session_defaults_merge_like_spelled_options(self, base_data,
+                                                         queries, door):
+        # Regression (PR 21): the batcher used to key and split on the
+        # request as it arrived and only afterwards did ``submit`` fill
+        # in the session defaults — so under a session ``deadline_ms`` a
+        # merged read lost its ``exhausted_budget`` mask (solo: a mask),
+        # and a request spelling ``hierarchy_threshold=50`` never merged
+        # with one inheriting 50.  Resolved at the door — by
+        # ``IndexRuntime.resolve``, which the HTTP door calls — merged
+        # must equal solo on every field, ``None``-ness included.
+        from repro.runtime.server import RuntimeServer
+
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                            hierarchy=True, seed=5).fit(base_data)
+        runtime = IndexRuntime(index, RuntimeConfig(
+            deadline_ms=60_000.0, hierarchy_threshold=50,
+            batch_window_ms=500.0))
+        server = RuntimeServer(runtime)  # never started: door + batcher
+        try:
+            if door == "http":
+                requests = [
+                    server._build_request(
+                        {"queries": queries[0].tolist(), "k": 5}),
+                    server._build_request(
+                        {"queries": queries[1].tolist(), "k": 5,
+                         "hierarchy_threshold": 50})]
+            else:
+                requests = [
+                    runtime.resolve(QueryRequest(queries=queries[:1], k=5)),
+                    runtime.resolve(QueryRequest(queries=queries[1:2], k=5,
+                                                 hierarchy_threshold=50))]
+            # The budget clock started at the door, not after the window.
+            assert all(isinstance(r.deadline, Deadline) for r in requests)
+            assert not server._needs_solo(requests[0])
+            responses = _submit_concurrently(server.batcher, requests)
+        finally:
+            server.close()
+        for i, response in enumerate(responses):
+            assert response.batched == 2 and not response.shed
+            solo = runtime.submit(QueryRequest(queries=queries[i:i + 1], k=5))
+            _assert_response_equals_tuple(response, solo.as_tuple())
+            assert response.stats.exhausted_budget is not None
+            assert response.stats.failures is None is solo.stats.failures
+
+    def test_spent_session_deadline_is_flagged_not_dropped(self, base_data,
+                                                           queries):
+        # The reproduction in ISSUE 21: a session budget too small to
+        # survive the trip.  Solo, the read comes back flagged
+        # ``exhausted_budget=[True]``; batched it came back ``None``.
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                            hierarchy=True, seed=5).fit(base_data)
+        runtime = IndexRuntime(index, RuntimeConfig(
+            deadline_ms=1e-6, hierarchy_threshold=50))
+        requests = [QueryRequest(queries=queries[i:i + 1], k=5)
+                    for i in range(2)]
+        for request in requests:
+            solo = runtime.submit(request)
+            assert solo.stats.exhausted_budget is not None
+            assert solo.stats.exhausted_budget.all()
+        with MicroBatcher(runtime.submit, window_ms=200.0) as batcher:
+            responses = _submit_concurrently(
+                batcher, [runtime.resolve(r) for r in requests])
+        for response in responses:
+            assert response.stats.exhausted_budget is not None
+            assert response.stats.exhausted_budget.all()
 
     def test_past_due_request_is_shed_immediately(self, standard_index,
                                                   queries):
