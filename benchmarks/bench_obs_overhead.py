@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Observability + resilience overhead guard for the LSH query plan.
 
-Times nine configurations of the same :class:`StandardLSH` batch query,
+Times seven configurations of the same :class:`StandardLSH` batch query,
 interleaved round-robin so machine drift cancels:
 
 - ``plain``   — the plan's stages run directly with no observer
@@ -19,19 +19,7 @@ interleaved round-robin so machine drift cancels:
   ``REPRO_SANITIZE_LOCKS`` gate is off, nothing is patched);
 - ``sanitizer-on`` — the same batch with the sanitizer installed
   (instrumented lock factories + patched ``Future.result`` /
-  ``queue.get`` / ``shutdown``), reported informationally;
-- ``proc-off`` — the same batch through a persistent
-  :class:`~repro.exec.process.ProcessShardExecutor` with observability
-  disabled: shards ship no :class:`~repro.obs.TraceContext`, workers
-  build no registry and replies carry no telemetry.  The process
-  baseline;
-- ``proc-sampled`` — the same pool with observability enabled at 1%
-  trace sampling (each reply carries its shard's counters, histograms
-  and sampled traces; the parent merges and stitches them), measured
-  against ``proc-off`` and reported informationally.
-
-The executor is built once, outside the timed region, so the
-configurations time steady-state dispatch, not pool spawn.
+  ``queue.get`` / ``shutdown``), reported informationally.
 
 Because ``query_batch`` consults the fault-injection and policy gates
 unconditionally, the ``off`` vs ``plain`` guard doubles as the
@@ -100,8 +88,8 @@ def main(argv=None):
     parser.add_argument("--metrics-out", type=Path, default=None,
                         help="write the sampled run's metrics snapshot here")
     parser.add_argument("--traces-out", type=Path, default=None,
-                        help="write a fully-sampled stitched-trace JSON "
-                             "artifact from one process-executor batch")
+                        help="write the traces of one fully-sampled "
+                             "sharded batch as a JSON artifact")
     parser.add_argument("--out", type=Path,
                         default=REPO_ROOT / "BENCH_obs_overhead.json")
     args = parser.parse_args(argv)
@@ -174,26 +162,6 @@ def main(argv=None):
         finally:
             sanitizer.uninstall()
 
-    # A persistent pool built outside the timed region: the configs time
-    # steady-state shard dispatch, not spawn.  Four shards per batch so
-    # the wave machinery (and, when on, the per-reply telemetry) is
-    # actually exercised.
-    from repro.exec.process import ProcessShardExecutor
-    shard_rows = max(1, scale.n_queries // 4)
-    proc_ex = ProcessShardExecutor(index, n_workers=2)
-
-    def run_proc_off():
-        obs.disable()
-        return proc_ex.query_batch(queries, k, max_batch_rows=shard_rows)
-
-    def run_proc_sampled():
-        obs.enable(registry=registry, trace_sample_rate=TRACE_RATE)
-        try:
-            return proc_ex.query_batch(queries, k,
-                                       max_batch_rows=shard_rows)
-        finally:
-            obs.disable()
-
     configs = {
         "plain": run_plain,
         "off": run_off,
@@ -202,8 +170,6 @@ def main(argv=None):
         "supervised": run_supervised,
         "sanitizer-off": run_sanitizer_off,
         "sanitizer-on": run_sanitizer_on,
-        "proc-off": run_proc_off,
-        "proc-sampled": run_proc_sampled,
     }
     attempts = 0
     while True:
@@ -216,9 +182,6 @@ def main(argv=None):
         sanitizer_off_pct = (timings["sanitizer-off"].best / base
                              - 1.0) * 100.0
         sanitizer_on_pct = (timings["sanitizer-on"].best / base
-                            - 1.0) * 100.0
-        proc_base = timings["proc-off"].best
-        proc_sampled_pct = (timings["proc-sampled"].best / proc_base
                             - 1.0) * 100.0
         if (disabled_pct <= args.max_disabled_pct
                 and sampled_pct <= args.max_sampled_pct
@@ -233,14 +196,11 @@ def main(argv=None):
 
     rows = []
     for name, timing in timings.items():
-        # Process configs compare against the process baseline; paying
-        # the process boundary is their job, not overhead.
-        ref = proc_base if name.startswith("proc-") else base
         rows.append({
             "config": name,
             "batch_seconds_best": timing.best,
             "batch_seconds_p50": timing.p50,
-            "overhead_pct_vs_plain": (timing.best / ref - 1.0) * 100.0,
+            "overhead_pct_vs_plain": (timing.best / base - 1.0) * 100.0,
             "warmup_seconds": timing.warmup_seconds,
         })
     report = {
@@ -260,7 +220,6 @@ def main(argv=None):
         "supervised_overhead_pct": supervised_pct,
         "sanitizer_off_overhead_pct": sanitizer_off_pct,
         "sanitizer_on_overhead_pct": sanitizer_on_pct,
-        "proc_sampled_overhead_pct": proc_sampled_pct,
         "max_disabled_pct": args.max_disabled_pct,
         "max_sampled_pct": args.max_sampled_pct,
         "max_supervised_pct": args.max_supervised_pct,
@@ -274,22 +233,19 @@ def main(argv=None):
         print(f"wrote metrics snapshot to {args.metrics_out}")
 
     if args.traces_out is not None:
-        # One untimed, fully-sampled batch through the pool: every
-        # stitched waterfall (parent stages + worker kernel spans) for a
-        # small slice, the CI trace artifact.
-        trace_registry = MetricsRegistry()
-        obs.enable(registry=trace_registry, trace_sample_rate=1.0)
+        # One untimed, fully-sampled sharded batch: every query's
+        # waterfall (stages + kernel spans) for a small slice, the CI
+        # trace artifact.
+        obs.enable(registry=MetricsRegistry(), trace_sample_rate=1.0)
         try:
             n_slice = min(64, scale.n_queries)
-            proc_ex.query_batch(queries[:n_slice], k, max_batch_rows=16)
+            index.query_batch(queries[:n_slice], k, max_batch_rows=16)
             traces = obs.recent_traces()
         finally:
             obs.disable()
         args.traces_out.write_text(
             json.dumps([t.to_dict() for t in traces], indent=2) + "\n")
-        print(f"wrote {len(traces)} stitched traces to {args.traces_out}")
-
-    proc_ex.close()
+        print(f"wrote {len(traces)} traces to {args.traces_out}")
 
     print(f"\n{'config':<14}{'best batch s':>14}{'p50 batch s':>13}"
           f"{'vs base':>10}")
@@ -326,8 +282,7 @@ def main(argv=None):
               f"supervised {supervised_pct:+.2f}% "
               f"(limit {args.max_supervised_pct}%), sanitizer-off "
               f"{sanitizer_off_pct:+.2f}% (limit {args.max_disabled_pct}%; "
-              f"sanitizer-on {sanitizer_on_pct:+.2f}%, proc-sampled "
-              f"{proc_sampled_pct:+.2f}% vs proc-off informational)")
+              f"sanitizer-on {sanitizer_on_pct:+.2f}% informational)")
     return 1 if failures else 0
 
 

@@ -2,11 +2,11 @@
 
 The hot path of this reproduction is vectorized and (since the batch
 engine landed) concurrent: packed ``>u8`` bucket keys, ``int64`` code
-arrays, per-group thread-pooled dispatch, and a spawn-context process
-tier over SharedMemory manifests.  Its correctness rests on invariants
+arrays, per-group thread-pooled dispatch, and a runtime's shard threads
+over the executor's shard loop.  Its correctness rests on invariants
 that ordinary tests cannot see drifting — dtype discipline, centralized
-RNG plumbing, lock discipline around shared index state, lock ordering,
-and what may cross the process boundary.  This package machine-checks
+RNG plumbing, lock discipline around shared index state, and lock
+ordering.  This package machine-checks
 them with an AST lint pass built on a module-resolved interprocedural
 call graph (:mod:`repro.analysis.callgraph`: renamed imports, callable
 aliases, ``self.method`` through base classes, callables shipped to
@@ -17,8 +17,8 @@ executors):
 - **R2** ``explicit-dtype`` — array constructions in hot-path packages
   (``lsh``, ``lattice``, ``core``) must name an explicit ``dtype``.
 - **R3** ``locked-mutation`` — no mutation of shared index state from
-  functions reachable by the ``n_jobs`` worker path without holding a
-  declared lock.
+  functions reachable by a worker-thread path (``n_jobs`` groups, shard
+  threads) without holding a declared lock.
 - **R4** ``typed-api`` — public API functions carry complete type
   annotations, and ``= None`` defaults require ``Optional``-compatible
   annotations.
@@ -38,10 +38,6 @@ executors):
 - **R10** ``lock-order`` — the static lock-acquisition graph is
   acyclic and no blocking call runs while a lock is held
   (:mod:`repro.analysis.concurrency`).
-- **R11** ``shm-read-only`` — SharedMemory-reconstructed views are
-  never written outside the ``writeable=True`` copy-in seam.
-- **R12** ``spawn-safe`` — nothing shipped to spawn workers carries
-  locks, files, RNG state, lambdas, or bound methods.
 
 The static rules have a runtime complement in
 :mod:`repro.analysis.sanitizer`: env-gated (``REPRO_SANITIZE_LOCKS``)

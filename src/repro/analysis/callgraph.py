@@ -8,7 +8,7 @@ or aliased to a local, and cannot tell which ``self.method`` a receiver
 resolves to.  This rewrite keeps the conservative by-name edges as a
 fallback and layers *resolved* edges on top:
 
-- **imports** — ``import repro.exec.process as pe; pe.f()`` and
+- **imports** — ``import repro.exec.executor as ex; ex.f()`` and
   ``from repro.lsh.table import pack_codes as pk; pk()`` resolve to the
   defining :class:`FunctionNode` when the target module is in the
   analyzed corpus;
@@ -22,10 +22,10 @@ fallback and layers *resolved* edges on top:
   ``Name`` arguments the old graph ignored.
 
 Beyond edges, every function carries the summaries the concurrency
-rules (R10–R12) consume: the locks it acquires (``with self.<..lock..>``
+rules (R3, R10) consume: the locks it acquires (``with self.<..lock..>``
 scopes, identified per defining class), the blocking calls it makes
 (``Future.result``, ``queue.get``, ``shutdown(wait=True)``, ...), the
-``self.<attr>`` writes it performs (rebinding vs. in-place), and — per
+``self.<attr>`` writes it performs, and — per
 call site — the set of locks lexically held at the call.
 
 Nested functions and lambdas are folded into their enclosing top-level
@@ -119,7 +119,6 @@ class AttrWrite:
 
     attr: str
     line: int
-    inplace: bool
     desc: str
     held_locks: Tuple[str, ...]
 
@@ -314,8 +313,7 @@ class _FunctionSummarizer:
                                 value=node.value)
             self._track_alias(node)
         elif isinstance(node, ast.AugAssign):
-            self._record_writes([node.target], node.lineno, held,
-                                inplace_override=True)
+            self._record_writes([node.target], node.lineno, held)
         elif isinstance(node, ast.AnnAssign) and node.target is not None:
             self._record_writes([node.target], node.lineno, held,
                                 value=node.value)
@@ -328,8 +326,7 @@ class _FunctionSummarizer:
 
     def _record_writes(self, targets: Sequence[ast.expr], line: int,
                        held: Tuple[str, ...],
-                       value: Optional[ast.expr] = None,
-                       inplace_override: bool = False) -> None:
+                       value: Optional[ast.expr] = None) -> None:
         for target in targets:
             if isinstance(target, ast.Tuple):
                 self._record_writes(list(target.elts), line, held)
@@ -338,9 +335,7 @@ class _FunctionSummarizer:
             if found is None:
                 continue
             attr, desc = found
-            inplace = inplace_override or desc != f"self.{attr}"
-            self.fnode.attr_writes.append(AttrWrite(
-                attr, line, inplace, desc, held))
+            self.fnode.attr_writes.append(AttrWrite(attr, line, desc, held))
 
     # -------------------------------------------------------------- calls
 
@@ -365,8 +360,7 @@ class _FunctionSummarizer:
             if found is not None:
                 attr, desc = found
                 self.fnode.attr_writes.append(AttrWrite(
-                    attr, call.lineno, True, f"{desc}.{func.attr}(...)",
-                    held))
+                    attr, call.lineno, f"{desc}.{func.attr}(...)", held))
         blocking = _blocking_desc(call, name, dotted)
         if blocking is not None:
             self.fnode.blocking_sites.append(BlockingCall(

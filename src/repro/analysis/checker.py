@@ -15,11 +15,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.concurrency import (
-    check_lock_order,
-    check_shm_read_only,
-    check_spawn_safe,
-)
+from repro.analysis.concurrency import check_lock_order
 from repro.analysis.core import ModuleInfo, Violation, load_module
 from repro.analysis.rules import (
     build_alias_table,
@@ -38,11 +34,11 @@ from repro.analysis.rules import (
 
 ALL_RULES: Tuple[str, ...] = (
     "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
-    "R10", "R11", "R12", "R13", "R14",
+    "R10", "R13", "R14",
 )
 
 #: Rules that need the interprocedural call graph.
-_GRAPH_RULES = frozenset({"R3", "R7", "R10", "R11", "R12"})
+_GRAPH_RULES = frozenset({"R3", "R7", "R10"})
 
 #: Human-readable rule index, kept in sync with ``repro.analysis.rules``.
 RULE_SUMMARIES: Dict[str, str] = {
@@ -68,13 +64,6 @@ RULE_SUMMARIES: Dict[str, str] = {
            "non-reentrant locks are never re-acquired while held, and no "
            "blocking call (Future.result, queue.get, shutdown(wait=True)) "
            "executes while holding a lock",
-    "R11": "shm-read-only: arrays reconstructed from the SharedMemory "
-           "manifest are never written — writes go only through the "
-           "writeable=True copy-in seam, and worker-reachable code never "
-           "mutates a manifest-backed attribute in place",
-    "R12": "spawn-safe: objects shipped to spawn-context workers "
-           "(Process targets/args, ProcessPoolExecutor.submit) carry no "
-           "locks, open files, bound methods, lambdas, or RNG state",
     "R13": "wal-before-ack: mutating public methods (insert/delete) on "
            "queryable index classes contain a write-ahead-log append "
            "(append_insert/append_delete), so every acknowledged write "
@@ -98,11 +87,12 @@ class AnalysisConfig:
     hot_path_parts: Tuple[str, ...] = ("lsh", "lattice", "core", "exec",
                                        "maintenance")
     #: Bare names of the batch-query entry points that execute on the
-    #: ``n_jobs`` worker pool — the roots of the R3 reachability walk.
+    #: ``n_jobs`` worker pool or a runtime's shard pool (``_run_shard``)
+    #: — the roots of the R3 reachability walk.
     worker_roots: Tuple[str, ...] = (
         "query_batch", "candidate_sets", "gather_batch",
         "lookup_batch", "lookup", "lookup_many",
-        "run_plan", "run_validated",
+        "run_plan", "run_validated", "_run_shard",
     )
     #: ``self.<attr>`` names that constitute shared index state (R3).
     guarded_attrs: frozenset = field(default_factory=lambda: frozenset({
@@ -121,7 +111,7 @@ class AnalysisConfig:
     #: Extra packages R6 covers beyond the shared telemetry scope.  The
     #: native tier is worker-reachable (its kernels run inside shard
     #: workers, where an ad-hoc ``perf_counter``/``print`` would bypass
-    #: the shared-memory metrics plane entirely), so R6 polices it — but
+    #: the metrics registry entirely), so R6 polices it — but
     #: R7 does not: backend resolution legitimately catches broad import
     #: errors in its capability ladder.
     obs_extra_scope_parts: Tuple[str, ...] = ("native",)
@@ -144,21 +134,6 @@ class AnalysisConfig:
     #: Path suffixes of the one module allowed to import the compiled
     #: kernel backends (R9): the native dispatch table.
     native_registry_suffixes: Tuple[str, ...] = ("native/registry.py",)
-    #: Bare names of the SharedMemory view factories (R11): calling one
-    #: without ``writeable=True`` yields a read-only cross-process array.
-    shm_view_factories: Tuple[str, ...] = ("_segment_view",)
-    #: Bare names of the functions that keep array arguments by reference
-    #: (R11): a worker hands them read-only views, so the attributes
-    #: they store those arguments into are manifest-backed.
-    shm_adopter_names: Tuple[str, ...] = ("from_state", "from_arrays")
-    #: Bare names of the worker-side entry points whose reachable set
-    #: must never write a manifest-backed attribute in place (R11).
-    shm_root_names: Tuple[str, ...] = ("_worker_main", "_reconstruct_index")
-    #: Packages in scope for the R11 escape phase — the code a shard
-    #: worker can actually execute against a reconstructed index.
-    shm_scope_parts: Tuple[str, ...] = (
-        "exec", "lsh", "lattice", "hierarchy", "core", "rptree", "native",
-    )
     #: Index front-end packages whose mutating public methods must append
     #: to the write-ahead log before acknowledging (R13).
     wal_scope_parts: Tuple[str, ...] = ("lsh", "core")
@@ -231,14 +206,6 @@ def analyze_modules(
         )
     if "R10" in config.rules and graph is not None:
         violations += check_lock_order(modules, graph)
-    if "R11" in config.rules and graph is not None:
-        violations += check_shm_read_only(
-            modules, graph, config.shm_view_factories,
-            config.shm_root_names, config.shm_scope_parts,
-            config.shm_adopter_names
-        )
-    if "R12" in config.rules and graph is not None:
-        violations += check_spawn_safe(modules, graph)
     if "R13" in config.rules:
         violations += check_wal_before_ack(modules, config.wal_scope_parts)
     if "R14" in config.rules:

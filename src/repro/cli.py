@@ -488,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "shards of at most this many queries (results are "
                         "bit-identical to the unsharded run)")
     p.add_argument("--shard-workers", type=int, default=0,
-                   help="standard indexes only: answer shards on this many "
-                        "worker processes over a shared-memory snapshot "
-                        "(bit-identical to in-process results)")
+                   help="run the --max-batch-rows shards on this many "
+                        "threads (same answers; a bi-level index has "
+                        "n_jobs threads over its groups instead)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("info", help="inspect a saved index")
@@ -583,10 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch-rows", type=int, default=None,
                    help="bounded-memory sharding inside each executed batch")
     p.add_argument("--shard-workers", type=int, default=0,
-                   help="standard indexes only: answer batches on this many "
-                        "worker processes (a live /insert or /delete marks "
-                        "the pool snapshot stale; queries then run "
-                        "in-process until /checkpoint re-arms the pool)")
+                   help="run each batch's --max-batch-rows shards on this "
+                        "many threads (same answers; a bi-level index has "
+                        "n_jobs threads over its groups instead)")
     p.add_argument("--hierarchy-threshold", type=int, default=None,
                    help="fixed escalation threshold; required for "
                         "micro-batch merging on hierarchical indexes (the "

@@ -17,15 +17,12 @@ from repro.exec.context import ExecutionContext, QueryStats
 from repro.exec.executor import run_plan, run_validated
 from repro.exec.merge import merge_topk_rows
 from repro.exec.plan import QueryPlan, Stage
-from repro.exec.process import ProcessShardExecutor, WorkerCrashError
 
 __all__ = [
     "ExecutionContext",
-    "ProcessShardExecutor",
     "QueryPlan",
     "QueryStats",
     "Stage",
-    "WorkerCrashError",
     "merge_topk_rows",
     "run_plan",
     "run_validated",

@@ -21,7 +21,9 @@ gather/rank scratch, which scales with rows per call — is capped.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from concurrent.futures import Executor
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
              deadline: Optional[Deadline] = None,
              policy: Optional[ResiliencePolicy] = None,
              max_batch_rows: Optional[int] = None,
+             shard_pool: Optional[Executor] = None,
              ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Execute ``plan`` over a query batch; the single front-end entry.
 
@@ -51,7 +54,10 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     past an expired deadline return padded answers flagged
     ``exhausted_budget`` without running their stages.  Plans with
     ``delegates_sharding`` apply the bound themselves at their fan-out
-    level instead of the top-level slicing.
+    level instead of the top-level slicing.  ``shard_pool`` (an
+    ``IndexRuntime``'s) runs the shards on its threads instead of in turn
+    — the kernels release the GIL — folded in shard order, so the answer
+    is the inline one byte for byte (DESIGN.md §12).
     """
     pol = policy if policy is not None else active_policy()
     ob = obs.active()
@@ -75,7 +81,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     ctx = ExecutionContext.for_batch(
         arr, k, ob=ob, deadline=deadline, policy=pol,
         fault_plan=faults_active(), max_batch_rows=max_batch_rows,
-        timer=timer)
+        timer=timer, pool=shard_pool)
     return run_validated(plan, ctx, finite_row)
 
 
@@ -90,8 +96,9 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
     One of three things happens to the rows:
 
     - more than ``ctx.max_batch_rows`` (and the plan does not apply the
-      bound itself): shard by shard, a shard whose turn comes after the
-      deadline keeping its padded rows, flagged ``exhausted_budget``;
+      bound itself): shard by shard — in turn, or on ``ctx.pool`` — a
+      shard whose turn comes after the deadline keeping its padded
+      rows, flagged ``exhausted_budget``;
     - some flagged non-finite by validation (``finite_row``; only under
       a policy): those get padding, ``degraded=True`` and one
       FailureRecord, the finite rows run;
@@ -105,9 +112,14 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
         ctx.ensure_exhausted()  # a budget always materializes its mask
     bound = None if plan.delegates_sharding else ctx.max_batch_rows
     if bound is not None and bound < nq:
-        for start in range(0, nq, bound):
-            rows = slice(start, min(start + bound, nq))
-            if deadline is not None and deadline.expired():
+        shards = [slice(start, min(start + bound, nq))
+                  for start in range(0, nq, bound)]
+        run = partial(_run_shard, plan, ctx, finite_row)
+        # ``map`` is lazy: without a pool a shard runs when its turn comes.
+        results = map(run, shards) if ctx.pool is None \
+            else _pooled(ctx.pool, run, shards)
+        for rows, result in zip(shards, results):
+            if result is None:
                 # Budget spent before this shard started: padded best-effort
                 # answer, flagged exhausted; earlier shards stay untouched.
                 ctx.ensure_exhausted()[rows] = True
@@ -115,11 +127,9 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
                     ob.record_deadline_exhausted(f"{plan.site}.shard",
                                                  rows.stop - rows.start)
                 continue
-            ctx.absorb(rows, *run_validated(
-                plan, ctx.child(rows),
-                finite_row[rows] if finite_row is not None else None))
+            ctx.absorb(rows, *result)
         if ob is not None:
-            ob.record_shards(plan.site, -(-nq // bound))
+            ob.record_shards(plan.site, len(shards))
     elif finite_row is not None and not finite_row.all():
         # Validation only tolerates bad rows under a policy.
         assert ctx.policy is not None
@@ -142,3 +152,34 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
         if ob is not None:
             plan.record_obs(ctx)
     return ctx.ids_out, ctx.dists_out, ctx.build_stats()
+
+
+_ShardResult = Optional[Tuple[np.ndarray, np.ndarray, QueryStats]]
+
+
+def _run_shard(plan: QueryPlan, ctx: ExecutionContext,
+               finite_row: Optional[np.ndarray], rows: slice) -> _ShardResult:
+    """One shard of ``ctx``'s rows, or ``None`` when its turn came after
+    the deadline: the task a shard pool thread runs.  The child context
+    carries no pool, so no pool thread ever waits on its own pool."""
+    if ctx.deadline is not None and ctx.deadline.expired():
+        return None
+    return run_validated(
+        plan, ctx.child(rows),
+        finite_row[rows] if finite_row is not None else None)
+
+
+def _pooled(pool: Executor, run: Callable[[slice], _ShardResult],
+            shards: Sequence[slice]) -> Iterator[_ShardResult]:
+    """``run`` over every shard at once on ``pool``, results in shard
+    order — an error surfaces at the first shard that raised, as inline."""
+    futures = [pool.submit(run, rows) for rows in shards]
+    try:
+        for future in futures:
+            yield future.result()
+    finally:
+        # Early only when a shard raised: shards not started never run,
+        # running ones are waited out — nothing of the batch outlives it.
+        for future in futures:
+            if not future.cancel():
+                future.exception()

@@ -9,8 +9,8 @@ non-finite-row degradation, batch sharding, and the final
 :class:`~repro.exec.context.QueryStats` — so the plans themselves
 contain only front-end-specific work.
 
-Plans live next to what they execute (``repro/lsh``, ``repro/core``,
-the process pool) because stages need private access to index
+Plans live next to what they execute (``repro/lsh``, ``repro/core``)
+because stages need private access to index
 internals; this module only defines the contract.
 """
 
@@ -71,15 +71,15 @@ class QueryPlan:
     Class attributes
     ----------------
     site:
-        Short front-end name (``"lsh"``, ``"bilevel"``, ``"forest"``,
-        ``"exec.process"``) used to prefix failure-record and telemetry
+        Short front-end name (``"lsh"``, ``"bilevel"``, ``"forest"``)
+        used to prefix failure-record and telemetry
         sites (e.g. ``"lsh.validate"``), and the ``engine`` label of
         ``record_batch``.
     delegates_sharding:
         Whether the plan applies ``max_batch_rows`` itself instead of
         the executor slicing the batch at the top level.  Plans that fan
-        out to inner sub-executions (the bi-level dispatch, the process
-        pool) set this and hand ``ctx.max_batch_rows`` on to each inner
+        out to inner sub-executions (the bi-level dispatch)
+        set this and hand ``ctx.max_batch_rows`` on to each inner
         execution — sharding at the fan-out level avoids re-paying the
         per-sub-index fixed cost once per top-level shard while bounding
         the same gather/rank scratch memory.

@@ -73,7 +73,7 @@ class PStableHashFamily(HashFamily):
         """A family over existing arrays, adopted by reference.
 
         The one way a family is made without drawing it: snapshot
-        restore, shared-memory workers (read-only views) and
+        restore (read-only views included) and
         :meth:`with_bucket_width` all come through here.
         """
         family = cls(1, 1, bucket_width, seed=0)

@@ -228,7 +228,7 @@ class StandardLSH:
                              Dict[str, np.ndarray]]:
         """What this fitted index is: ``(scalars, source, derived)``.
 
-        The one description persistence, the shared-memory pool and any
+        The one description persistence and any
         other consumer read — a field added to the index is added here
         and in :meth:`from_state`, nowhere else.  ``scalars`` are the
         JSON-able constructor keywords.  ``source`` holds the arrays
@@ -276,7 +276,7 @@ class StandardLSH:
         """The index :meth:`state` described, over the arrays given.
 
         Every array is adopted by reference — no copy, so read-only
-        shared-memory views stay read-only views and a memmap stays a
+        views stay read-only views and a memmap stays a
         memmap.  Table layouts absent from ``derived`` are rebuilt from
         ``data``; hierarchies are always rebuilt from the tables (their
         Morton keys are Python ints past 62 bits, not an array).

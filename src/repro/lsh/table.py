@@ -102,7 +102,7 @@ class SortedLayout(NamedTuple):
     def adopt(cls, bucket_codes: np.ndarray, starts: np.ndarray,
               ends: np.ndarray, sorted_ids: np.ndarray) -> "SortedLayout":
         """A layout over existing arrays, by reference — read-only
-        shared-memory views included.  The kernel reads them through
+        views included.  The kernel reads them through
         raw addresses, so anything but C-contiguous int64 is refused."""
         for arr in (bucket_codes, starts, ends, sorted_ids):
             if arr.dtype != np.int64 or not arr.flags.c_contiguous:
@@ -196,7 +196,7 @@ class LSHTable:
                     ends: np.ndarray, sorted_ids: np.ndarray) -> "LSHTable":
         """A table over an existing CSR layout, adopted by reference.
 
-        No sort and no copy: the shared-memory workers hand in read-only
+        No sort and no copy: an adopter may hand in read-only
         views of the layout :meth:`arrays` exported.  The overlay starts
         empty, as after any build.
         """

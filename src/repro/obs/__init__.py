@@ -36,7 +36,6 @@ of ``tools/check_invariants.py`` rejects raw ``time.perf_counter()`` or
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -47,14 +46,14 @@ from repro.obs.registry import (COUNT_BUCKETS, LATENCY_BUCKETS_SECONDS,
                                 HistogramFamily, MetricsRegistry, log_buckets)
 from repro.obs.registry import Counter  # noqa: F401  (re-export)
 from repro.obs.trace import (STAGE_SECONDS, QueryTrace, Span, StageTimer,
-                             TraceCollector, TraceContext)
+                             TraceCollector)
 from repro.utils.rng import SeedLike
 
 __all__ = [
     "MetricsRegistry", "CounterFamily", "GaugeFamily", "HistogramFamily",
     "Counter", "Gauge", "Histogram", "log_buckets",
     "COUNT_BUCKETS", "LATENCY_BUCKETS_SECONDS",
-    "Span", "StageTimer", "QueryTrace", "TraceCollector", "TraceContext",
+    "Span", "StageTimer", "QueryTrace", "TraceCollector",
     "TimedKernels", "NATIVE_KERNEL_SECONDS", "Observer",
     "active", "enabled", "enable", "disable", "get_registry",
     "recent_traces", "derived_summary", "full_snapshot",
@@ -91,11 +90,6 @@ EXEC_SHARDS_TOTAL = "repro_exec_shards_total"      # counter{site}
 NATIVE_FALLBACKS_TOTAL = "repro_native_fallbacks_total"    # counter{reason}
 NATIVE_BATCHES_TOTAL = "repro_native_batches_total"        # counter{backend}
 NATIVE_SETUP_SECONDS = "repro_native_setup_seconds"        # histogram{backend}
-EXEC_WORKER_EVENTS_TOTAL = "repro_exec_worker_events_total"  # counter{kind}
-OBS_SHM_BYTES = "repro_obs_shm_bytes"              # gauge{segment}
-WORKER_ALIVE = "repro_exec_worker_alive"           # gauge{worker}
-WORKER_INFLIGHT = "repro_exec_worker_inflight_shards"  # gauge{worker}
-QUEUE_WAIT_SECONDS = "repro_exec_queue_wait_seconds"   # histogram
 WAL_APPENDS_TOTAL = "repro_wal_appends_total"      # counter{kind}
 WAL_BYTES_TOTAL = "repro_wal_bytes_total"          # counter
 WAL_FSYNCS_TOTAL = "repro_wal_fsyncs_total"        # counter
@@ -326,7 +320,7 @@ class Observer:
         for phase, seconds in phase_seconds.items():
             hist.labels(mode=mode, phase=phase).observe(seconds)
 
-    # -- native tier / process execution events ----------------------------
+    # -- native tier events ------------------------------------------------
 
     def record_native_setup(self, backend: str, seconds: float) -> None:
         """One-time kernel setup cost (jit compile / cc invocation)."""
@@ -350,25 +344,6 @@ class Observer:
             "Query batches executed, per kernel table."
             ).labels(backend=backend).inc()
 
-    def record_worker_event(self, kind: str) -> None:
-        """Process-pool lifecycle event (spawn / death / retry / respawn)."""
-        self.registry.counter(
-            EXEC_WORKER_EVENTS_TOTAL,
-            "Shard-worker pool lifecycle events."
-            ).labels(kind=kind).inc()
-
-    # -- cross-process (pool self-monitoring, stitched tracing) ------------
-
-    def clock(self) -> float:
-        """A ``perf_counter`` read for cross-process span arithmetic.
-
-        The obs package owns every wall-clock read (rule R6); executors
-        that need timestamps for :class:`~repro.obs.trace.TraceContext`
-        or queue-wait spans take them through the observer so the
-        disabled path never touches the clock.
-        """
-        return time.perf_counter()
-
     def timed_kernels(self, kernels: object,
                       stages: Dict[str, float]) -> TimedKernels:
         """Wrap a kernel table with per-call timing."""
@@ -382,28 +357,6 @@ class Observer:
             buckets=LATENCY_BUCKETS_SECONDS).labels(
                 kernel=kernel, backend=backend).observe(seconds)
 
-    def record_worker_state(self, worker: int, alive: bool) -> None:
-        self.registry.gauge(
-            WORKER_ALIVE, "Shard-worker liveness (1=alive).").labels(
-                worker=worker).set(1.0 if alive else 0.0)
-
-    def record_worker_inflight(self, worker: int, n_shards: int) -> None:
-        self.registry.gauge(
-            WORKER_INFLIGHT,
-            "Shards currently dispatched to each worker.").labels(
-                worker=worker).set(n_shards)
-
-    def record_shm_bytes(self, segment: str, nbytes: int) -> None:
-        self.registry.gauge(
-            OBS_SHM_BYTES,
-            "Shared-memory segment size, per segment kind.").labels(
-                segment=segment).set(nbytes)
-
-    def observe_queue_wait(self, seconds: float) -> None:
-        self.registry.histogram(
-            QUEUE_WAIT_SECONDS,
-            "Dispatch-to-receive wait of one shard message (seconds).",
-            buckets=LATENCY_BUCKETS_SECONDS).observe(seconds)
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,7 @@ registry lock for family creation, one lock per child for updates.  Reads
 possible; scalar reads rely on the atomicity of reference assignment.
 
 Histograms use fixed log-scale bucket upper bounds (:func:`log_buckets`)
-so observation is one ``np.searchsorted`` + ``np.bincount`` per batch and
-snapshots are mergeable across processes.
+so observation is one ``np.searchsorted`` + ``np.bincount`` per batch.
 """
 
 from __future__ import annotations
@@ -153,28 +152,6 @@ class Histogram:
             self._counts += add
             self._sum += float(flat.sum())
             self._n += int(flat.size)
-
-    def merge_counts(self, counts: np.ndarray, total: float, n: int) -> None:
-        """Fold pre-bucketed observations in (cross-process aggregation).
-
-        ``counts`` must have one entry per bucket of this histogram
-        (one overflow bucket after the last bound).  Only the *number*
-        of buckets is checked here; :meth:`MetricsRegistry.merge`, the
-        caller for counts that crossed a process boundary, compares the
-        bounds themselves first.
-        """
-        add = np.asarray(counts, dtype=np.int64)
-        if add.shape != self._counts.shape:
-            raise ValueError(
-                f"histogram {self.name}: cannot merge {add.shape[0] if add.ndim else 0} "
-                f"bucket counts into {self._counts.shape[0]} buckets")
-        if n < 0 or np.any(add < 0):
-            raise ValueError(
-                f"histogram {self.name}: merged counts must be >= 0")
-        with self._lock:
-            self._counts += add
-            self._sum += float(total)
-            self._n += int(n)
 
     @property
     def count(self) -> int:
@@ -462,57 +439,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._families.clear()
-
-    # -- cross-process aggregation ----------------------------------------
-
-    def dump(self) -> List[tuple]:
-        """Every counter and histogram child as one picklable row for
-        :meth:`merge`: ``(kind, name, help, label_items, value)``, a
-        histogram's value being ``(bounds, bucket counts, sum, n)``.
-
-        Gauges are not carried: a level read in another process is not
-        an increment of this one's.
-        """
-        rows: List[tuple] = []
-        for family in self.families():
-            if isinstance(family, CounterFamily):
-                rows.extend((family.kind, family.name, family.help,
-                             counter.label_items, counter.value)
-                            for counter in family.children())
-            elif isinstance(family, HistogramFamily):
-                for hist in family.children():
-                    with hist._lock:
-                        value = (family.bounds, hist._counts.copy(),
-                                 hist._sum, hist._n)
-                    rows.append((family.kind, family.name, family.help,
-                                 hist.label_items, value))
-        return rows
-
-    def merge(self, rows: Sequence[tuple]) -> None:
-        """Add another registry's :meth:`dump` to this one.
-
-        The rows were recorded by other code in another process, so
-        nothing about them is taken on trust: a kind that clashes with a
-        registered family raises as :meth:`counter` / :meth:`histogram`
-        do, a histogram whose bounds differ from the receiving family's
-        raises naming the series (equal *lengths* must not add
-        silently), and negative amounts are refused by
-        :meth:`Counter.inc` / :meth:`Histogram.merge_counts`.
-        """
-        for kind, name, help_text, label_items, value in rows:
-            labels = dict(label_items)
-            if kind == "counter":
-                self.counter(name, help_text).labels(**labels).inc(value)
-            elif kind == "histogram":
-                bounds, counts, total, n = value
-                family = self.histogram(name, help_text, buckets=bounds)
-                if family.bounds != tuple(bounds):
-                    raise ValueError(
-                        f"histogram {name}{labels}: cannot merge bounds "
-                        f"{tuple(bounds)} into {family.bounds}")
-                family.labels(**labels).merge_counts(counts, total, n)
-            else:
-                raise ValueError(f"metric {name!r}: cannot merge a {kind}")
 
     # -- export -----------------------------------------------------------
 

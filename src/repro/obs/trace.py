@@ -89,37 +89,8 @@ class StageTimer:
 
 
 @dataclass(frozen=True)
-class TraceContext:
-    """Trace identity shipped with one shard message across the process
-    boundary.
-
-    Picklable and lock-free by construction (R12): plain ints and
-    floats.  ``trace_seed`` makes the worker-side sampler deterministic
-    per ``(batch, shard)``, and ``sent_at`` (parent ``perf_counter``)
-    lets the worker report queue wait — both processes share a clock
-    because ``perf_counter`` is system-wide monotonic on the supported
-    platforms.
-    """
-
-    batch_id: int
-    shard_id: int
-    worker_id: int
-    sample_rate: float
-    trace_seed: int
-    sent_at: float
-
-
-@dataclass(frozen=True)
 class QueryTrace:
-    """One sampled query's journey through the pipeline.
-
-    Under :class:`~repro.exec.process.ProcessShardExecutor` the parent
-    stitches one of these per sampled query: :attr:`stages` holds the
-    parent-side spans (validate/dispatch/collect) while
-    :attr:`worker_stages` holds the spans measured inside the worker
-    that ran the query's shard (pipeline stages plus ``kernel/*``
-    compiled-kernel spans), giving a single end-to-end waterfall.
-    """
+    """One sampled query's journey through the pipeline."""
 
     query_index: int
     engine: str
@@ -127,12 +98,9 @@ class QueryTrace:
     n_probes: int
     escalated: bool
     stages: Dict[str, float] = field(default_factory=dict)
-    shard_id: int = -1
-    worker_id: int = -1
-    worker_stages: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "query_index": self.query_index,
             "engine": self.engine,
             "n_candidates": self.n_candidates,
@@ -140,11 +108,6 @@ class QueryTrace:
             "escalated": self.escalated,
             "stages": dict(self.stages),
         }
-        if self.shard_id >= 0:
-            payload["shard_id"] = self.shard_id
-            payload["worker_id"] = self.worker_id
-            payload["worker_stages"] = dict(self.worker_stages)
-        return payload
 
 
 class TraceCollector:

@@ -338,10 +338,8 @@ def _inject_load_corruption(meta: dict,
         raw[0] ^= 0xFF
         # Buffer ownership: frombuffer over an immutable ``bytes`` object
         # is safe to return — the view's ``.base`` keeps those bytes
-        # alive for the view's whole lifetime.  Contrast the
-        # SharedMemory case (repro.exec.process): there the segment's
-        # lifetime is managed *externally* (close()/unlink()), so views
-        # must provably die first.
+        # alive for the view's whole lifetime (unlike a buffer closed
+        # from outside, e.g. shared memory, whose views must die first).
         arrays[key] = np.frombuffer(bytes(raw),
                                     dtype=arr.dtype).reshape(arr.shape)
         return

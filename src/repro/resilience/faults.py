@@ -44,7 +44,6 @@ from repro.utils.rng import SeedLike, spawn_rngs
 #: these — a typo'd site name is a configuration bug, not a silent no-op.
 KNOWN_SITES: Tuple[str, ...] = (
     "bilevel.dispatch",   # per-group sub-batch dispatch in BiLevelLSH
-    "exec.process",       # per-shard dispatch in ProcessShardExecutor
     "lsh.gather",         # per-table candidate gathering in StandardLSH
     "maintenance.append",  # WAL record append in WriteAheadLog
     "maintenance.compact",  # per-task execution in Compactor

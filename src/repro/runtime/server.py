@@ -17,12 +17,9 @@ runtime's WAL-attached index, so every acknowledged mutation is durable
 before its HTTP 200 — the same append-before-ack discipline (rule R13)
 the library API enforces.  A serving process is therefore
 crash-recoverable with ``IndexRuntime.open(snapshot, wal_path=...)``.
-With ``--shard-workers`` the first acknowledged write makes the process
-pool's frozen snapshot stale: subsequent queries are answered
-in-process (read-your-writes, never the pool's pre-write state) until
-``/checkpoint`` — which folds the writes into durable state — rebuilds
-the pool via :meth:`IndexRuntime.refresh_executor`; ``/readyz`` reports
-the condition as ``executor_stale``.
+With ``--shard-workers`` a read's ``max_batch_rows`` shards run on the
+runtime's threads over the same live index, so it still sees every
+write acknowledged before it.
 
 Routes
 ------
@@ -33,7 +30,7 @@ Routes
 ``POST /delete``      ``{"ids": [int]}``
 ``POST /checkpoint``  ``{"path": str}``
 ``GET  /healthz``     liveness (the process answers)
-``GET  /readyz``      readiness (index loaded, workers/compactor alive)
+``GET  /readyz``      readiness (index loaded, compactor alive)
 ``GET  /stats``       admission + micro-batch counters
 
 Prometheus ``/metrics`` is not served here: pass a registry and the
@@ -320,11 +317,11 @@ class RuntimeServer:
 
     def _needs_solo(self, request: QueryRequest) -> bool:
         """True when the (resolved) request's threshold is the
-        batch-dependent ``"median"`` and the index escalates by it."""
+        batch-dependent ``"median"`` and the index escalates by it;
+        the session default is already in the request, so not re-read."""
         threshold = request.hierarchy_threshold
-        if threshold is not None and not isinstance(threshold, str):
-            return False
-        return self.runtime.hierarchy_sensitive
+        return (threshold is None or isinstance(threshold, str)) \
+            and self.runtime.hierarchy_sensitive
 
     async def _handle_query(self, payload: _JSON) -> Tuple[int, _JSON]:
         request = self._build_request(payload)

@@ -4,7 +4,7 @@ every cross-cutting attachment.
 A library caller passes execution options to ``index.query_batch`` as
 keywords, per call.  A serving process needs something longer-lived:
 session defaults for those options, an owner for the WAL/compactor
-wiring, the obs registry and the process shard pool, and one place
+wiring, the obs registry and the shard thread pool, and one place
 where a request meets the defaults:
 
 - :class:`RuntimeConfig` — the execution defaults of a process
@@ -29,7 +29,7 @@ duck typing and call-time imports.
 from __future__ import annotations
 
 import argparse
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -89,9 +89,9 @@ class RuntimeConfig:
     max_batch_rows:
         Default bounded-memory shard size.
     shard_workers:
-        When positive, :class:`IndexRuntime` answers requests over a
-        :class:`~repro.exec.process.ProcessShardExecutor` pool of this
-        many worker processes (standard indexes).
+        When positive, :class:`IndexRuntime` keeps this many threads and
+        the executor runs the ``max_batch_rows`` shards of a request on
+        them (a batch ``max_batch_rows`` does not split runs inline).
     batch_window_ms / batch_max_rows:
         Micro-batching coalescing window for the serving layer: a
         leader request waits up to ``batch_window_ms`` for companions,
@@ -253,24 +253,20 @@ class RuntimeInfo:
     #: The kernel table answering queries: ``"cext"`` or ``"numpy"``.
     kernels: str
     shard_workers: int
-    worker_pids: Tuple[int, ...]
     wal_attached: bool
     compactor_attached: bool
     applied_lsn: int
     closed: bool
     detail: str = ""
-    executor_stale: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "ready": self.ready, "n_points": self.n_points,
             "kernels": self.kernels, "shard_workers": self.shard_workers,
-            "worker_pids": list(self.worker_pids),
             "wal_attached": self.wal_attached,
             "compactor_attached": self.compactor_attached,
             "applied_lsn": self.applied_lsn, "closed": self.closed,
             "detail": self.detail,
-            "executor_stale": self.executor_stale,
         }
 
 
@@ -279,7 +275,7 @@ class IndexRuntime:
 
     One construction site replaces the per-call-site wiring the CLI and
     tests used to repeat: WAL attachment (durable acknowledged writes
-    while serving), background compactor, the process shard pool, and
+    while serving), background compactor, the shard thread pool, and
     the obs registry all live here, and queries enter through one
     door — :meth:`submit`.
 
@@ -299,43 +295,23 @@ class IndexRuntime:
         self.registry = registry
         self._wal: "Optional[WriteAheadLog]" = None
         self._compactor: "Optional[Compactor]" = None
-        self._executor: Optional[object] = None
-        # The pool workers hold a frozen shared-memory snapshot taken at
-        # pool construction; live inserts/deletes mutate only the parent
-        # index, so submit() bypasses the pool (read-your-writes) once
-        # the index's mutation count has moved past the one the snapshot
-        # was taken at, until refresh_executor() rebuilds the snapshot.
-        # The lock serializes pool dispatch (the worker pipes are a
-        # serial protocol) and pool replacement.
-        self._executor_lock = threading.Lock()
         #: WAL replay report from :meth:`open` (None for direct loads).
         self.recovery_report: Optional[object] = None
         self._closed = False
+        # The threads ``run_plan`` runs a request's shards on, shared by
+        # concurrent submits; they read the live index: nothing to refresh.
+        self._shard_pool: Optional[ThreadPoolExecutor] = None
         if self.config.shard_workers > 0:
-            self._executor = self._make_executor()
+            plan = index.execution_plan()  # type: ignore[attr-defined]
+            if plan.delegates_sharding:
+                raise ValueError(
+                    f"shard_workers threads the executor's shard loop; a "
+                    f"{type(index).__name__} plan shards inside its group "
+                    "dispatch, on its own threads: set BiLevelConfig.n_jobs")
+            self._shard_pool = ThreadPoolExecutor(
+                self.config.shard_workers, thread_name_prefix="shard")
 
     # ------------------------------------------------------------ lifecycle
-
-    def _make_executor(self) -> object:
-        from repro.exec.process import ProcessShardExecutor
-        from repro.lsh.index import StandardLSH
-
-        if not isinstance(self.index, StandardLSH):
-            raise ValueError(
-                "shard_workers requires a standard index "
-                "(build with --index-type standard)")
-        return ProcessShardExecutor(
-            self.index, n_workers=self.config.shard_workers)
-
-    def _executor_is_stale(self) -> bool:
-        """A pool is attached and the index was written to since its
-        snapshot — however the write reached the index.  The index bumps
-        its count before it acknowledges a write, so a query submitted
-        after the acknowledgement never finds the pool current."""
-        executor = self._executor
-        return executor is not None and (
-            executor.generation  # type: ignore[attr-defined]
-            != self.index._mutations)  # type: ignore[attr-defined]
 
     def attach_maintenance(self, wal: "Optional[WriteAheadLog]" = None,
                            compactor: "Optional[Compactor]" = None) -> None:
@@ -395,10 +371,9 @@ class IndexRuntime:
         if self._closed:
             return
         self._closed = True
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.close()  # type: ignore[attr-defined]
+        pool, self._shard_pool = self._shard_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
         compactor, self._compactor = self._compactor, None
         if compactor is not None:
             compactor.close()
@@ -448,38 +423,22 @@ class IndexRuntime:
     def submit(self, request: QueryRequest) -> QueryResponse:
         """Answer one request; the runtime's single query entry.
 
-        Requests route to the process shard pool when one is attached
-        and its snapshot is current; everything else runs through the
-        in-process executor.  Results are bit-identical between the two
-        paths given an integer ``hierarchy_threshold`` — the process
-        pool's documented contract.  After a live insert or delete —
-        through the runtime or on the index itself — the pool snapshot
-        is stale, so requests run in-process (correct, read-your-writes
-        answers at reduced throughput) until :meth:`refresh_executor`
-        re-arms the pool.
+        The resolved request goes field for field onto
+        :func:`repro.exec.run_plan`, the shard pool (if any) beside it:
+        the shards are the same shards over the live index, so the
+        answer is ``index.query_batch``'s at the same ``max_batch_rows``
+        and a read sees every write acknowledged before it.
         """
         if self._closed:
             raise RuntimeError("runtime is closed")
         request = self.resolve(request)
-        if self._executor is not None:
-            with self._executor_lock:
-                # Decided under the lock: close() or refresh_executor()
-                # may have replaced the pool since the fast check.
-                if self._executor is not None \
-                        and not self._executor_is_stale():
-                    return self._run(self._executor, request)
-        return self._run(self.index, request)
-
-    @staticmethod
-    def _run(target: object, request: QueryRequest) -> QueryResponse:
-        """A resolved request through ``target``'s plan (the index's or
-        the pool's), field for field onto :func:`repro.exec.run_plan`."""
-        builder = target.execution_plan  # type: ignore[attr-defined]
+        builder = self.index.execution_plan  # type: ignore[attr-defined]
         threshold = request.hierarchy_threshold
         plan = builder() if threshold is None else builder(threshold)
         ids, dists, stats = run_plan(
             plan, request.queries, request.k, deadline=request.deadline,
-            policy=request.policy, max_batch_rows=request.max_batch_rows)
+            policy=request.policy, max_batch_rows=request.max_batch_rows,
+            shard_pool=self._shard_pool)
         return QueryResponse(ids=ids, distances=dists, stats=stats)
 
     def query_batch(self, queries: np.ndarray, k: int,
@@ -520,45 +479,11 @@ class IndexRuntime:
             raise RuntimeError("runtime is closed")
         return self.index.delete(ids)  # type: ignore[attr-defined]
 
-    def refresh_executor(self) -> bool:
-        """Rebuild the shard pool snapshot from the current index state.
-
-        Live writes freeze the pool out (see :meth:`submit`); this
-        re-materializes the shared-memory segment and respawns the
-        workers over it — the only way mutated CSR layouts can reach
-        them — and re-arms pool routing.  Returns ``True`` when a fresh
-        pool is attached after the call, ``False`` when the runtime was
-        configured without shard workers.  :meth:`checkpoint` calls this
-        automatically, so the durability cycle doubles as the natural
-        re-arm point for a serving process.
-        """
-        if self._closed:
-            raise RuntimeError("runtime is closed")
-        if self.config.shard_workers <= 0:
-            return False
-        with self._executor_lock:
-            if self._executor is not None \
-                    and not self._executor_is_stale():
-                return True
-            old, self._executor = self._executor, None
-            if old is not None:
-                old.close()  # type: ignore[attr-defined]
-            self._executor = self._make_executor()
-        return True
-
     def checkpoint(self, path: str) -> int:
-        """Snapshot + truncate the covered WAL prefix; returns the LSN.
-
-        Also re-arms a stale shard pool: the checkpoint has just folded
-        every live write into durable state, making it the cheapest
-        moment to rebuild the pool's frozen snapshot too.
-        """
+        """Snapshot + truncate the covered WAL prefix; returns the LSN."""
         from repro.maintenance import checkpoint
 
-        lsn = checkpoint(self.index, self._wal, path)
-        if self._executor_is_stale():
-            self.refresh_executor()
-        return lsn
+        return checkpoint(self.index, self._wal, path)
 
     # -------------------------------------------------------- introspection
 
@@ -572,17 +497,14 @@ class IndexRuntime:
 
     @property
     def hierarchy_sensitive(self) -> bool:
-        """True when plan output depends on the batch-median threshold.
+        """True when plan output can depend on the batch-median threshold.
 
         A hierarchical index escalates by comparing short-list sizes to
         a threshold that, under the default ``"median"``, is derived
         from the executed batch — so merging requests would change
         results.  The micro-batcher executes such requests solo unless
-        an integer threshold is configured.
+        the (resolved) request carries an integer threshold.
         """
-        threshold = self.config.hierarchy_threshold
-        if threshold is not None and not isinstance(threshold, str):
-            return False
         index = self.index
         if getattr(index, "use_hierarchy", False):
             return True
@@ -604,16 +526,6 @@ class IndexRuntime:
         ready = not self._closed
         if n_points <= 0:
             ready, detail = False, "index empty or not fitted"
-        worker_pids: Tuple[int, ...] = ()
-        executor_stale = self._executor_is_stale()
-        if self._executor is not None:
-            pids = self._executor.worker_pids()  # type: ignore[attr-defined]
-            worker_pids = tuple(int(p) for p in pids)
-            if executor_stale and not detail:
-                # Still ready: requests are answered in-process with
-                # read-your-writes results, just without the pool.
-                detail = ("shard pool snapshot stale after live writes; "
-                          "serving in-process until refresh_executor()")
         if self._compactor is not None and ready \
                 and not self._compactor.is_alive():
             ready, detail = False, "compactor thread dead"
@@ -623,12 +535,10 @@ class IndexRuntime:
             ready=ready, n_points=n_points,
             kernels=str(native_status()["backend"]),
             shard_workers=self.config.shard_workers,
-            worker_pids=worker_pids,
             wal_attached=self._wal is not None,
             compactor_attached=self._compactor is not None,
             applied_lsn=int(getattr(index, "_applied_lsn", 0)),
-            closed=self._closed, detail=detail,
-            executor_stale=executor_stale)
+            closed=self._closed, detail=detail)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"IndexRuntime({type(self.index).__name__}, "

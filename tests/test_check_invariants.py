@@ -41,8 +41,6 @@ FIXTURE_RULES = {
     "lsh/r8_inline_plumbing.py": "R8",
     "r9_direct_backend_import.py": "R9",
     "r10_lock_order.py": "R10",
-    "r11_shm_write.py": "R11",
-    "r12_spawn_unsafe.py": "R12",
     "lsh/r13_unlogged_mutation.py": "R13",
     "lsh/r14_adhoc_runtime.py": "R14",
 }
@@ -57,22 +55,6 @@ class TestRepoIsClean:
     def test_src_tree_has_no_violations(self):
         violations = analyze_paths([str(SRC)])
         assert violations == [], "\n" + format_violations(violations)
-
-    def test_r11_escape_phase_has_something_to_check(self):
-        # The attributes a shard worker's index keeps SHM views in are
-        # learnt from src/ itself; were adoption to move where the rule
-        # cannot follow, the phase would pass with an empty set.
-        from repro.analysis.callgraph import CallGraph
-        from repro.analysis.concurrency import shm_escaped_attrs
-        from repro.analysis.core import load_module
-
-        config = AnalysisConfig()
-        modules = [load_module(path)[0]
-                   for path in discover_files([str(SRC)], config)]
-        escaped = shm_escaped_attrs(CallGraph(modules),
-                                    config.shm_view_factories,
-                                    config.shm_adopter_names)
-        assert {"_data", "_ids", "_sorted_ids", "directions"} <= escaped
 
     def test_discovery_sees_the_whole_tree(self):
         files = discover_files([str(SRC)], AnalysisConfig())
@@ -390,56 +372,21 @@ class TestRuleDetails:
         )
         assert _check_source(src, rules=("R10",)) == []
 
-    def test_r11_requires_the_writeable_seam(self):
-        template = (
-            "def copy_in(shm, block):\n"
-            "    view = _segment_view(shm, 'f8', (4,), 0{seam})\n"
-            "    view[0] = block\n"
-        )
-        flagged = _check_source(template.format(seam=""), rules=("R11",))
-        assert [v.rule for v in flagged] == ["R11"]
-        assert _check_source(template.format(seam=", writeable=True"),
-                             rules=("R11",)) == []
-
-    def test_r11_follows_views_into_an_adopter(self):
-        # from_state keeps the arrays it is handed; in a worker those are
-        # read-only SHM views, so what it stores them in is write-barred.
+    def test_r3_walks_from_the_shard_task(self):
+        # What a runtime's shard pool runs is a worker root like the
+        # ``n_jobs`` entries: a stage it reaches may not publish index
+        # state outside a lock.
         src = (
-            "class Index:\n"
-            "    @classmethod\n"
-            "    def from_state(cls, scalars, source):\n"
-            "        index = cls()\n"
-            "        index._data = source['data']\n"
-            "        index._deleted = source.get('deleted')\n"
-            "        return index\n"
-            "    def tombstone(self, row):\n"
-            "        self._deleted[row] = True\n"
-            "def _worker_main(shm):\n"
-            "    Index.from_state({}, {}).tombstone(0)\n"
+            "class Plan:\n"
+            "    def stage(self):\n"
+            "        self._tables = []\n"
+            "def _run_shard(plan, ctx, finite_row, rows):\n"
+            "    plan.stage()\n"
         )
-        flagged = _check_source(src, rules=("R11",), name="lsh/fixture.py")
-        assert [(v.rule, v.line) for v in flagged] == [("R11", 9)]
-
-    def test_r12_allows_plain_functions_and_data(self):
-        src = (
-            "from multiprocessing import get_context\n"
-            "def serve(spec):\n"
-            "    return spec\n"
-            "def start(spec):\n"
-            "    ctx = get_context('spawn')\n"
-            "    return ctx.Process(target=serve, args=(spec,))\n"
-        )
-        assert _check_source(src, rules=("R12",)) == []
-
-    def test_r12_flags_lambda_targets(self):
-        src = (
-            "from multiprocessing import get_context\n"
-            "def start(spec):\n"
-            "    ctx = get_context('spawn')\n"
-            "    return ctx.Process(target=lambda: spec)\n"
-        )
-        flagged = _check_source(src, rules=("R12",))
-        assert [v.rule for v in flagged] == ["R12"]
+        flagged = _check_source(src, rules=("R3",))
+        assert [(v.rule, v.line) for v in flagged] == [("R3", 3)]
+        assert _check_source(src.replace("_run_shard", "_not_a_root"),
+                             rules=("R3",)) == []
 
 
 class TestCommandLine:

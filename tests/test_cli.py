@@ -59,6 +59,28 @@ class TestBuildQueryInfo:
         assert main(["query", index_path, query_file, "-k", "3",
                      "--show", "2"]) == 0
 
+    def test_shard_workers_thread_the_shards(self, tmp_path, feature_file,
+                                             query_file, index_file, capsys):
+        # Same answers with the shards on two threads; a bi-level index
+        # is refused with a pointer at its own knob.
+        index_path = str(tmp_path / "std.npz")
+        assert main(["build", feature_file, index_path,
+                     "--index-type", "standard", "--width", "8.0",
+                     "--tables", "2"]) == 0
+        outputs = []
+        for extra in ([], ["--shard-workers", "2"]):
+            out = str(tmp_path / f"res{len(outputs)}.npz")
+            assert main(["query", index_path, query_file, "-k", "3",
+                         "--max-batch-rows", "7", "--output", out]
+                        + extra) == 0
+            outputs.append(np.load(out))
+        for key in ("ids", "distances", "n_candidates"):
+            assert np.array_equal(outputs[0][key], outputs[1][key])
+        capsys.readouterr()
+        assert main(["query", index_file, query_file, "-k", "3",
+                     "--shard-workers", "2"]) == 2
+        assert "BiLevelConfig.n_jobs" in capsys.readouterr().err
+
     def test_info_reports_structure(self, tmp_path, feature_file, capsys):
         index_path = str(tmp_path / "index.npz")
         main(["build", feature_file, index_path, "--groups", "4",

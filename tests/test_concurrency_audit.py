@@ -33,6 +33,7 @@ from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable
 from repro.native import registry
 from repro.native.ref import tree_rowdot
+from repro.runtime import IndexRuntime, RuntimeConfig
 
 pytestmark = pytest.mark.concurrency
 
@@ -209,11 +210,16 @@ class TestInsertsRacingReads:
         index.query_batch(queries, 5)             # norms cached from here on
         calls = self._checked_union(monkeypatch)
         stop, errors = threading.Event(), []
+        # Half the readers ask the index, half a runtime that runs the
+        # same batch as 5-row shards on two pool threads: each shard
+        # takes its own layouts-then-row-count snapshot.
+        threaded = IndexRuntime(index, RuntimeConfig(shard_workers=2,
+                                                     max_batch_rows=5))
 
-        def reader():
+        def reader(ask):
             try:
                 while not stop.is_set():
-                    ids, dists, _ = index.query_batch(queries, 5)
+                    ids, dists, _ = ask(queries, 5)
                     for row in range(queries.shape[0]):
                         hit = ids[row] >= 0
                         # An answer's distance is the true one: the rows
@@ -227,7 +233,8 @@ class TestInsertsRacingReads:
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
-        readers = [threading.Thread(target=reader) for _ in range(4)]
+        readers = [threading.Thread(target=reader, args=(ask,))
+                   for ask in (index.query_batch, threaded.query_batch) * 2]
         try:
             for thread in readers:
                 thread.start()
@@ -240,6 +247,7 @@ class TestInsertsRacingReads:
             for thread in readers:
                 thread.join(timeout=60)
             sys.setswitchinterval(interval)
+            threaded.close()
         assert not any(thread.is_alive() for thread in readers)
         assert errors == []
         assert len(calls) > 1 and calls[-1][1] <= 750

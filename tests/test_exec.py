@@ -25,7 +25,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.runner import evaluate_index
-from repro.exec import ExecutionContext, ProcessShardExecutor, QueryStats
+from repro.exec import ExecutionContext, QueryStats
 from repro.lsh.forest import LSHForest
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
@@ -37,6 +37,7 @@ from repro.resilience import (
     ResiliencePolicy,
     injected_faults,
 )
+from repro.runtime import IndexRuntime, RuntimeConfig
 
 N_QUERIES = 23  # deliberately not a multiple of any shard size below
 DIM = 16
@@ -397,9 +398,9 @@ class TestAbsorb:
         assert (ctx.exhausted is None) == (not exhausted)
 
     def test_every_path_folds_to_the_same_stats(self, dataset, queries):
-        # Unsharded == sharded == one NaN row set aside under a policy
-        # (on the finite rows) == pooled, on every QueryStats field —
-        # a deadline makes ``exhausted_budget`` one of them.
+        # Unsharded == sharded == sharded on a runtime's threads == one
+        # NaN row set aside under a policy (on the finite rows), on every
+        # QueryStats field — a deadline makes ``exhausted_budget`` one.
         index = StandardLSH(n_tables=6, bucket_width=8.0, hierarchy=True,
                             seed=5).fit(dataset)
         options = dict(hierarchy_threshold=40, deadline_ms=60_000.0)
@@ -428,8 +429,8 @@ class TestAbsorb:
         assert np.array_equal(dists, base_dists)
         assert fields(stats) == fields(base_stats)
 
-        with ProcessShardExecutor(index, n_workers=2) as pool:
-            ids, dists, stats = pool.query_batch(
+        with IndexRuntime(index, RuntimeConfig(shard_workers=2)) as threaded:
+            ids, dists, stats = threaded.query_batch(
                 queries, K, max_batch_rows=7, **options)
         assert np.array_equal(ids, base_ids)
         assert np.array_equal(dists, base_dists)

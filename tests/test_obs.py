@@ -8,7 +8,6 @@ consistency when the registry is hammered from worker threads and when
 """
 
 import json
-import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,8 +17,7 @@ import pytest
 from repro import obs
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.obs.registry import (COUNT_BUCKETS, LATENCY_BUCKETS_SECONDS,
-                                MetricsRegistry, log_buckets)
+from repro.obs.registry import MetricsRegistry, log_buckets
 from repro.obs.trace import QueryTrace, TraceCollector
 
 
@@ -124,158 +122,6 @@ class TestHistogram:
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
             reg.histogram("h", buckets=(3.0, 1.0))
-
-    def test_merge_counts_validates_shape(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("h", buckets=(1.0, 2.0)).labels()
-        with pytest.raises(ValueError, match="merge"):
-            hist.merge_counts(np.zeros(99, dtype=np.int64), 0.0, 0)
-        with pytest.raises(ValueError, match=">= 0"):
-            hist.merge_counts(np.array([0, -1, 0], dtype=np.int64),
-                              0.0, 0)
-        hist.merge_counts(np.array([1, 2, 3], dtype=np.int64), 10.0, 6)
-        assert hist.count == 6
-        assert hist.sum == 10.0
-
-
-def _shipped(registry: MetricsRegistry) -> list:
-    """``registry.dump()`` as the far end of a pipe receives it."""
-    return pickle.loads(pickle.dumps(registry.dump()))
-
-
-class TestRegistryMerge:
-    """``dump()`` in a worker, ``merge()`` in the parent: the one return
-    path for cross-process counters and histograms."""
-
-    def test_counter_and_histogram_round_trip(self):
-        worker = MetricsRegistry()
-        worker.counter("t_total", "help").inc(3)
-        values = np.array([0.05, 0.5, 5.0, 50.0])
-        worker.histogram("t_seconds", "help",
-                         buckets=(0.1, 1.0, 10.0)).observe_many(values)
-        parent = MetricsRegistry()
-        parent.merge(_shipped(worker))
-        assert parent.counter("t_total").value == 3.0
-        assert parent.get("t_total").help == "help"
-        hist = parent.get("t_seconds").labels()
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(55.55)
-        # Bucket-exact, not re-bucketed from a summary.
-        np.testing.assert_array_equal(hist.bucket_counts(), [1, 1, 1, 1])
-        np.testing.assert_array_equal(hist.bucket_bounds(),
-                                      [0.1, 1.0, 10.0])
-
-    def test_two_payloads_add(self):
-        # A fresh registry per shard makes each payload a delta: the
-        # parent's value is the plain sum, whoever sent what.
-        parent = MetricsRegistry()
-        parent.counter("t_total").labels(kind="a").inc(10)
-        for amount in (1, 2, 3):
-            worker = MetricsRegistry()
-            worker.counter("t_total").labels(kind="a").inc(amount)
-            worker.histogram("t_size", buckets=(1.0, 2.0)).observe(amount)
-            parent.merge(_shipped(worker))
-        assert parent.counter("t_total").labels(kind="a").value == 16.0
-        hist = parent.get("t_size").labels()
-        assert (hist.count, hist.sum) == (3, 6.0)
-        np.testing.assert_array_equal(hist.bucket_counts(), [1, 1, 1])
-
-    def test_gauges_are_not_carried(self):
-        worker = MetricsRegistry()
-        worker.gauge("g").set(7)
-        worker.counter("c_total").inc()
-        assert [row[1] for row in worker.dump()] == ["c_total"]
-        parent = MetricsRegistry()
-        parent.merge(_shipped(worker))
-        assert "g" not in parent.snapshot()
-
-    def test_label_outside_any_vocabulary_arrives_intact(self):
-        # No schema to be missing from: whatever a site records, under
-        # whatever labels, is what the parent exports.
-        worker = MetricsRegistry()
-        worker.counter("never_declared_total", "new").labels(
-            x=1, site='a "quoted" one').inc(99)
-        worker.histogram("never_declared_seconds").labels(
-            table=4096).observe(0.5)
-        parent = MetricsRegistry()
-        parent.merge(_shipped(worker))
-        assert parent.counter("never_declared_total").labels(
-            x=1, site='a "quoted" one').value == 99.0
-        assert parent.get("never_declared_seconds").labels(
-            table=4096).count == 1
-        assert parent.snapshot() == worker.snapshot()
-
-    def test_observer_recordings_land_in_parent_registry(self):
-        ob = obs.enable(registry=MetricsRegistry())
-        ob.record_batch("lsh", np.array([5, 7]),
-                        np.array([True, False]), {})
-        ob.record_native_batch("cext")
-        ob.record_table_lookup(1, 12, 2, 3)
-        ob.observe_stage("lsh.rank", 0.25)
-        ob.observe_kernel("rank_topk", "cext", 0.002)
-        obs.disable()
-        reg = MetricsRegistry()
-        reg.merge(_shipped(ob.registry))
-        assert reg.counter("repro_queries_total").labels(
-            engine="lsh").value == 2.0
-        assert reg.counter("repro_native_batches_total").labels(
-            backend="cext").value == 1.0
-        assert reg.counter("repro_bucket_lookups_total").labels(
-            table=1).value == 12.0
-        assert reg.histogram(
-            "repro_stage_seconds",
-            buckets=LATENCY_BUCKETS_SECONDS).labels(
-                stage="lsh.rank").count == 1
-        assert reg.histogram(
-            "repro_native_kernel_seconds",
-            buckets=LATENCY_BUCKETS_SECONDS).labels(
-                kernel="rank_topk", backend="cext").count == 1
-        assert reg.histogram(
-            "repro_shortlist_size",
-            buckets=COUNT_BUCKETS).labels().count == 2
-
-    _COUNTS = np.array([1, 0, 0], dtype=np.int64)
-
-    @pytest.mark.parametrize("row, match", [
-        # Same number of buckets, different edges: must not add.
-        pytest.param(("histogram", "h_seconds", "", (),
-                      ((1.0, 3.0), _COUNTS, 1.0, 1)),
-                     "h_seconds.*bounds", id="bounds_differ_same_length"),
-        pytest.param(("histogram", "h_seconds", "", (),
-                      ((1.0, 2.0, 4.0), np.array([1, 0, 0, 0]), 1.0, 1)),
-                     "bounds", id="bounds_differ_in_length"),
-        pytest.param(("histogram", "h_seconds", "", (),
-                      ((1.0, 2.0), np.array([1, 0]), 1.0, 1)),
-                     "merge", id="too_few_bucket_counts"),
-        pytest.param(("histogram", "h_seconds", "", (),
-                      ((1.0, 2.0), np.array([2, -1, 0]), 1.0, 1)),
-                     ">= 0", id="negative_bucket_count"),
-        pytest.param(("histogram", "h_seconds", "", (),
-                      ((1.0, 2.0), _COUNTS, 1.0, -1)),
-                     ">= 0", id="negative_observation_count"),
-        pytest.param(("counter", "c_total", "", (("kind", "a"),), -1.0),
-                     "cannot decrease", id="negative_counter"),
-        pytest.param(("counter", "h_seconds", "", (), 1.0),
-                     "already registered as histogram",
-                     id="counter_for_a_histogram"),
-        pytest.param(("histogram", "c_total", "", (),
-                      ((1.0, 2.0), _COUNTS, 1.0, 1)),
-                     "already registered as counter",
-                     id="histogram_for_a_counter"),
-        pytest.param(("gauge", "g", "", (), 1.0),
-                     "cannot merge a gauge", id="gauge_row"),
-    ])
-    def test_merge_refuses(self, row, match):
-        parent = MetricsRegistry()
-        parent.counter("c_total").labels(kind="a").inc(5)
-        hist = parent.histogram("h_seconds", buckets=(1.0, 2.0)).labels()
-        hist.observe(1.5)
-        with pytest.raises(ValueError, match=match):
-            parent.merge([row])
-        # The refused row left the receiving series as they were.
-        assert parent.counter("c_total").labels(kind="a").value == 5.0
-        np.testing.assert_array_equal(hist.bucket_counts(), [0, 1, 0])
-        assert (hist.count, hist.sum) == (1, 1.5)
 
 
 class TestExports:

@@ -52,13 +52,9 @@ def server():
     registry = MetricsRegistry()
     registry.counter("repro_queries_total", "queries").labels(
         engine="vectorized").inc(7)
-    registry.gauge("repro_obs_shm_bytes", "bytes").labels(
-        segment="metrics").set(4096)
-    trace = QueryTrace(query_index=3, engine="process:vectorized",
+    trace = QueryTrace(query_index=3, engine="lsh",
                        n_candidates=20, n_probes=2, escalated=False,
-                       stages={"exec.process.dispatch": 0.001},
-                       shard_id=1, worker_id=0,
-                       worker_stages={"lsh.rank": 0.0005})
+                       stages={"lsh.validate": 0.001, "lsh.rank": 0.0005})
     srv = MetricsServer(registry, port=0,
                         traces_fn=lambda: [trace]).start()
     yield srv
@@ -95,8 +91,9 @@ class TestMetricsServer:
         assert ctype.startswith("application/json")
         traces = json.loads(body)
         assert len(traces) == 1
-        assert traces[0]["engine"] == "process:vectorized"
-        assert traces[0]["worker_stages"] == {"lsh.rank": 0.0005}
+        assert traces[0]["engine"] == "lsh"
+        assert traces[0]["stages"] == {"lsh.validate": 0.001,
+                                       "lsh.rank": 0.0005}
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -336,8 +336,8 @@ def test_loaded_arrays_own_their_data(gaussian_data, tmp_path):
 
     Every array handed out of the (closed) npz archive must own its
     data — none may be a view over a buffer whose lifetime is managed
-    elsewhere (the ``np.frombuffer``-over-``SharedMemory`` dangling-view
-    pattern documented in ``repro.exec.process``).  If ``_read_archive``
+    elsewhere (the ``np.frombuffer``-over-a-closed-buffer dangling-view
+    pattern).  If ``_read_archive``
     ever switched to an mmap-backed load, these assertions fail before
     any user sees a torn read.
     """

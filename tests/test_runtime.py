@@ -9,7 +9,7 @@ Four areas:
   bit-identity with the index's own ``query_batch``;
 - :class:`IndexRuntime` lifecycle: attachment wiring, ``open`` with WAL
   recovery, close ordering/idempotence, readiness introspection, and
-  shard-pool routing;
+  the shard thread pool;
 - :class:`MicroBatcher` correctness: merged batches must be
   **bit-identical** to solo execution across engines, policies and
   deadline modes, with hierarchy-sensitive requests executed solo;
@@ -243,8 +243,18 @@ class TestIndexRuntime:
     def test_shard_workers_requires_standard_index(self, base_data):
         bilevel = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
                                            seed=3)).fit(base_data)
-        with pytest.raises(ValueError, match="standard index"):
+        with pytest.raises(ValueError, match=r"BiLevelConfig\.n_jobs"):
             IndexRuntime(bilevel, RuntimeConfig(shard_workers=2))
+        # The rule is the plan's, not the class's: anything the executor
+        # shards at the top level is served.
+        from repro.lsh.forest import LSHForest
+
+        forest = LSHForest(n_trees=3, max_depth=10, seed=3).fit(base_data)
+        with IndexRuntime(forest, RuntimeConfig(shard_workers=2)) as runtime:
+            got = runtime.query_batch(base_data[:9], 3, max_batch_rows=2)
+        want = forest.query_batch(base_data[:9], 3, max_batch_rows=2)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     def test_close_is_idempotent_and_final(self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
@@ -279,8 +289,11 @@ class TestIndexRuntime:
         deep = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
                                         seed=3, hierarchy=True)).fit(base_data)
         assert IndexRuntime(deep).hierarchy_sensitive is True
+        # A property of the index alone: whether a request's threshold
+        # is the batch-dependent spelling is read off the (resolved)
+        # request, by ``RuntimeServer._needs_solo``.
         pinned = IndexRuntime(deep, RuntimeConfig(hierarchy_threshold=32))
-        assert pinned.hierarchy_sensitive is False
+        assert pinned.hierarchy_sensitive is True
 
     def test_attach_maintenance_and_close_detach(self, standard_index,
                                                  base_data, tmp_path):
@@ -545,6 +558,46 @@ class TestMicroBatcher:
             assert response.stats.exhausted_budget is not None
             assert response.stats.failures is None is solo.stats.failures
 
+    def test_explicit_median_runs_solo_under_integer_session_threshold(
+            self, queries):
+        # Regression (PR 22): the solo rule used to re-read the session
+        # default for a request that spelled ``"median"`` itself, so
+        # under ``--hierarchy-threshold 50`` two such reads merged and
+        # each got a median taken over the other's rows.  It reads the
+        # resolved request and the index, nothing else.
+        from repro.runtime.server import RuntimeServer
+
+        rng = np.random.default_rng(22)
+        index = StandardLSH(n_tables=4, bucket_width=8.0, lattice="e8",
+                            hierarchy=True, seed=5).fit(
+                                rng.standard_normal((4000, DIM)))
+        rows = rng.standard_normal((43, DIM))
+        runtime = IndexRuntime(index, RuntimeConfig(
+            hierarchy_threshold=50, batch_window_ms=500.0))
+        server = RuntimeServer(runtime)  # never started: door + batcher
+        try:
+            requests = [server._build_request(
+                {"queries": part.tolist(), "k": 5,
+                 "hierarchy_threshold": "median"})
+                for part in (rows[:3], rows[3:])]
+            assert all(server._needs_solo(r) for r in requests)
+            # Inheriting (or spelling) the session's integer still merges.
+            assert not server._needs_solo(server._build_request(
+                {"queries": rows[:1].tolist(), "k": 5}))
+            responses = _submit_concurrently(server.batcher, requests)
+        finally:
+            server.close()
+        for part, response in zip((rows[:3], rows[3:]), responses):
+            assert response.batched == 1 and not response.shed
+            solo = index.query_batch(part, 5, hierarchy_threshold="median")
+            _assert_response_equals_tuple(response, solo)
+            assert response.stats.failures is None
+        # Not vacuous: merged, the short request's median would have been
+        # the long one's.
+        merged = index.query_batch(rows, 5, hierarchy_threshold="median")
+        assert not np.array_equal(merged[2].escalated[:3],
+                                  responses[0].stats.escalated)
+
     def test_spent_session_deadline_is_flagged_not_dropped(self, base_data,
                                                            queries):
         # The reproduction in ISSUE 21: a session budget too small to
@@ -601,7 +654,6 @@ class TestMicroBatcher:
         deep = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
                                         seed=3, hierarchy=True)).fit(base_data)
         runtime = IndexRuntime(deep, RuntimeConfig(hierarchy_threshold=32))
-        assert not runtime.hierarchy_sensitive
         requests = [
             QueryRequest(queries=queries[i:i + 2], k=3,
                          hierarchy_threshold=32)
@@ -990,97 +1042,44 @@ class TestRuntimeServerErrors:
 
 @pytest.mark.concurrency
 class TestShardPoolRuntime:
-    def test_submit_routes_through_process_pool(self, base_data, queries,
-                                                tmp_path):
+    def test_submit_shards_on_the_thread_pool(self, base_data, queries):
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
-                            seed=5).fit(base_data)
-        cfg = RuntimeConfig(shard_workers=2, hierarchy_threshold=32)
+                            hierarchy=True, seed=5).fit(base_data)
+        cfg = RuntimeConfig(shard_workers=2, max_batch_rows=5)
         with IndexRuntime(index, cfg) as runtime:
-            info = runtime.info()
-            assert len(info.worker_pids) == 2
+            payload = runtime.info().to_dict()
+            assert payload["shard_workers"] == 2 and payload["ready"]
+            # The pool's keys left ``/readyz`` with the pool.
+            assert not {"worker_pids", "executor_stale"} & set(payload)
             response = runtime.submit(QueryRequest(queries=queries, k=5))
-            want = index.query_batch(queries, 5, hierarchy_threshold=32)
-            np.testing.assert_array_equal(response.ids, want[0])
-            assert np.array_equal(response.distances, want[1])
+            # ``"median"`` included: the shards are the index's own.
+            want = index.query_batch(queries, 5, max_batch_rows=5)
+            _assert_response_equals_tuple(response, want)
         # After close the pool is gone and submits are refused.
         with pytest.raises(RuntimeError, match="closed"):
             runtime.submit(QueryRequest(queries=queries, k=5))
 
-    def test_live_writes_mark_pool_stale_read_your_writes(self, base_data):
+    def test_writes_are_visible_to_the_next_threaded_read(self, base_data,
+                                                          tmp_path):
+        # The inverse of the stale-pool protocol: there is no snapshot,
+        # so a write through the runtime *and* one behind its back are
+        # both seen by the very next read, whose rows run on the pool.
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             seed=5).fit(base_data)
-        cfg = RuntimeConfig(shard_workers=2, hierarchy_threshold=32)
+        cfg = RuntimeConfig(shard_workers=2, max_batch_rows=1)
         rng = np.random.default_rng(11)
-        point = rng.standard_normal((1, DIM))
+        points = rng.standard_normal((2, DIM))
         with IndexRuntime(index, cfg) as runtime:
-            assert not runtime.info().executor_stale
-            runtime.insert(point, ids=np.array([4242]))
-            info = runtime.info()
-            assert info.executor_stale
-            assert info.ready  # degraded throughput, not broken
-            assert "stale" in info.detail
-            # The acknowledged write is visible to the very next query:
-            # the stale pool is bypassed, never answering from its
-            # frozen pre-write snapshot.
-            response = runtime.submit(QueryRequest(queries=point, k=1))
-            assert int(response.ids[0, 0]) == 4242
-            assert float(response.distances[0, 0]) == pytest.approx(
-                0.0, abs=1e-9)
-            # refresh_executor() re-arms the pool over the mutated index.
-            assert runtime.refresh_executor()
-            info = runtime.info()
-            assert not info.executor_stale
-            assert len(info.worker_pids) == 2
-            response = runtime.submit(QueryRequest(queries=point, k=1))
-            assert int(response.ids[0, 0]) == 4242
-
-    def test_delete_marks_pool_stale(self, base_data):
-        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
-                            seed=5).fit(base_data)
-        cfg = RuntimeConfig(shard_workers=2, hierarchy_threshold=32)
-        with IndexRuntime(index, cfg) as runtime:
-            runtime.delete(np.array([0]))
-            assert runtime.info().executor_stale
-            # The deleted point never comes back from a query.
-            response = runtime.submit(
-                QueryRequest(queries=base_data[:1], k=3))
-            assert 0 not in set(int(j) for j in response.ids[0])
-
-    def test_checkpoint_rearms_stale_pool(self, base_data, tmp_path):
-        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
-                            seed=5).fit(base_data)
-        cfg = RuntimeConfig(shard_workers=2, hierarchy_threshold=32)
-        rng = np.random.default_rng(12)
-        point = rng.standard_normal((1, DIM))
-        with IndexRuntime(index, cfg) as runtime:
-            runtime.insert(point, ids=np.array([5151]))
-            assert runtime.info().executor_stale
+            runtime.insert(points[:1], ids=np.array([4242]))
+            behind = runtime.index.insert(points[1:])
+            response = runtime.submit(QueryRequest(queries=points, k=1))
+            assert response.ids[:, 0].tolist() == [4242, int(behind[0])]
+            assert response.distances[:, 0].tolist() == [0.0, 0.0]
+            # A deleted point never comes back, checkpoint or not.
+            assert runtime.delete(np.array([0, 4242])) == 2
             runtime.checkpoint(str(tmp_path / "snap.npz"))
-            info = runtime.info()
-            assert not info.executor_stale
-            assert len(info.worker_pids) == 2
-            response = runtime.submit(QueryRequest(queries=point, k=1))
-            assert int(response.ids[0, 0]) == 5151
-
-    def test_write_behind_the_runtimes_back_bypasses_the_pool(
-            self, base_data):
-        # Staleness is the index's own mutation count against the one
-        # the pool was copied at, not a flag runtime.insert() flips.
-        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
-                            seed=5).fit(base_data)
-        point = np.random.default_rng(13).standard_normal((1, DIM))
-        with IndexRuntime(index, RuntimeConfig(shard_workers=1)) as runtime:
-            new_id = runtime.index.insert(point)
-            assert runtime.info().executor_stale
-            ids, dists, _ = runtime.query_batch(point, 1)
-            assert int(ids[0, 0]) == int(new_id[0])
-            assert float(dists[0, 0]) == pytest.approx(0.0, abs=1e-9)
-            # A delete that finds nothing changed nothing: a refreshed
-            # pool stays armed.
-            assert runtime.refresh_executor()
-            assert runtime.delete(np.array([10**9])) == 0
-            assert not runtime.info().executor_stale
-
-    def test_refresh_without_pool_is_a_noop(self, standard_index):
-        with IndexRuntime(standard_index) as runtime:
-            assert runtime.refresh_executor() is False
+            response = runtime.submit(QueryRequest(
+                queries=np.vstack([base_data[:1], points]), k=3))
+            assert not np.isin(response.ids, [0, 4242]).any()
+            assert int(response.ids[2, 0]) == int(behind[0])
+            assert runtime.info().ready

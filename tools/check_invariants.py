@@ -20,7 +20,7 @@ Exit codes:
 
 ``--changed-only`` restricts analysis to files git reports as changed
 (worktree + index + untracked) — a fast pre-commit subset.  Whole-program
-rules (R3/R7/R10/R11) then see only the changed files, so cross-file
+rules (R3/R7/R10) then see only the changed files, so cross-file
 findings can be missed; CI always runs the full tree.
 
 The rules and their rationale are documented in DESIGN.md ("Invariants")
