@@ -98,8 +98,8 @@ class AnalysisConfig:
     guarded_attrs: frozenset = field(default_factory=lambda: frozenset({
         "_starts", "_ends", "_overlay", "_base", "_bucket_codes",
         "_sorted_ids",
-        "_tables", "_hierarchies", "_families", "_lattice",
-        "_sq_norms", "_deleted", "_data", "_ids", "n_points",
+        "_tables", "_layouts", "_hierarchies", "_families", "_lattice",
+        "_sq_norms", "_deleted", "_data", "_ids", "_next_id", "n_points",
         "group_indexes", "group_widths", "partitioner",
     }))
     #: Packages whose modules count as the instrumented pipeline (R6):

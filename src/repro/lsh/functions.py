@@ -13,7 +13,7 @@ serves both the ``Z^M`` and the ``E8`` variants.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,3 +128,42 @@ class PStableHashFamily(HashFamily):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"PStableHashFamily(dim={self.dim}, n_hashes={self.n_hashes}, "
                 f"bucket_width={self.bucket_width:g})")
+
+
+class StackedProjection(NamedTuple):
+    """``L`` hash families as one ``(D, L * M)`` projection: every
+    table's :meth:`PStableHashFamily.project` from one GEMM.
+
+    Derived data — the families stay the source of truth.  Column block
+    ``t`` holds family ``t``'s directions, divided by its own ``W`` and
+    offset by its own ``b`` in the order :meth:`~PStableHashFamily.project`
+    applies them, so a table's block is that family's projection; BLAS
+    may tile an ``M``-column product differently from the same columns
+    inside a wider one, which can move the last bit but, short of a
+    value within that bit of a cell boundary, never the code.
+    """
+
+    directions: np.ndarray
+    bucket_widths: np.ndarray
+    offsets_unit: np.ndarray
+    n_tables: int
+
+    @classmethod
+    def of(cls, families: Sequence[PStableHashFamily]) -> "StackedProjection":
+        """The stack of ``families``, which share ``D`` and ``M``."""
+        return cls(
+            np.concatenate([f.directions for f in families], axis=1),
+            np.concatenate([np.full(f.n_hashes, f.bucket_width,
+                                    dtype=np.float64)
+                            for f in families]),
+            np.concatenate([f.offsets_unit for f in families]),
+            len(families))
+
+    def project(self, data: np.ndarray) -> np.ndarray:
+        """``(L, n, M)``: every table's projections of ``data``'s ``n``
+        rows, table ``t``'s at ``[t]``, C-contiguous."""
+        arr = np.atleast_2d(np.asarray(data, dtype=np.float64))
+        flat = arr @ self.directions / self.bucket_widths + self.offsets_unit
+        return np.ascontiguousarray(flat.reshape(
+            arr.shape[0], self.n_tables, -1).transpose(1, 0, 2),
+            dtype=np.float64)

@@ -31,9 +31,9 @@ from repro.lattice.base import Lattice
 from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
 from repro.lattice.zm import ZMLattice
-from repro.lsh.functions import PStableHashFamily
+from repro.lsh.functions import PStableHashFamily, StackedProjection
 from repro.lsh.multiprobe import adaptive_probes, adaptive_probes_batch
-from repro.lsh.table import LSHTable
+from repro.lsh.table import LSHTable, TableLayouts
 from repro.native import registry as native_registry
 from repro.native.ref import rank_topk_ref, tree_rowdot
 from repro.resilience.deadline import Deadline
@@ -80,6 +80,11 @@ def table_codes(family: PStableHashFamily, lattice: Lattice,
         block = np.asarray(data[start:stop], dtype=np.float64)
         codes[start:stop] = lattice.quantize(family.project(block))
     return codes
+
+
+def _next_free_id(ids: np.ndarray) -> int:
+    """One past the largest of ``ids`` (``0`` when there are none)."""
+    return int(ids.max()) + 1 if ids.size else 0
 
 
 def prefixed(prefix: str, arrays: Dict[str, np.ndarray],
@@ -154,13 +159,19 @@ class StandardLSH:
         self.probe_confidence = float(probe_confidence)
         self._seed = seed
         self._families: List[PStableHashFamily] = []
+        # Derived from ``_families`` (by the first ``_hash``) and from each
+        # published table list (see ``_publish``): what a query hashes
+        # with and searches, one call each per index.
+        self._stacked: Optional[StackedProjection] = None
         self._tables: List[LSHTable] = []
+        self._layouts: Optional[TableLayouts] = None
         self._hierarchies: list = []
         self._lattice: Optional[Lattice] = None
         self._data: Optional[np.ndarray] = None
         self._ids: Optional[np.ndarray] = None
         self._deleted: Optional[np.ndarray] = None  # bool mask over rows
         self._sq_norms: Optional[np.ndarray] = None  # cached ||x||^2 per row
+        self._next_id = 0  # max(_ids) + 1: the first id insert(ids=None) gives
         # Writer lock: serializes structural updates (insert/delete/rebuild)
         # against each other.  Batch queries stay lock-free by design — they
         # snapshot attribute references once and every published object
@@ -208,15 +219,15 @@ class StandardLSH:
                 raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
         self._data = data
         self._ids = ids
+        self._next_id = _next_free_id(ids)
         self._deleted = None
         self._sq_norms = None
         self._spare = SpareRows()
         self._lattice = make_lattice(self.lattice_kind, self.n_hashes)
         rngs = spawn_rngs(self._seed, self.n_tables)
-        self._families = [
+        self._set_families([
             PStableHashFamily(dim, self.n_hashes, self.bucket_width, seed=rng)
-            for rng in rngs
-        ]
+            for rng in rngs])
         with self._update_lock:
             self._mutations += 1
         self._rebuild_tables(chunk_size)
@@ -285,23 +296,24 @@ class StandardLSH:
         derived = derived or {}
         index._data = source["data"]
         index._ids = source["ids"]
+        index._next_id = _next_free_id(index._ids)
         index._deleted = source.get("deleted")
         index._sq_norms = derived.get("sq_norms")
         index._lattice = make_lattice(index.lattice_kind, index.n_hashes)
-        index._families = [
+        index._set_families([
             PStableHashFamily.from_arrays(
                 bucket_width=index.bucket_width,
                 **sub_arrays(source, f"family{t}/"))
-            for t in range(index.n_tables)]
+            for t in range(index.n_tables)])
         layouts = [sub_arrays(derived, f"table{t}/")
                    for t in range(index.n_tables)]
         if not all(layouts):
             index._rebuild_tables()
             return index
-        index._tables = [LSHTable.from_arrays(**layout) for layout in layouts]
-        if index.use_hierarchy:
-            index._hierarchies = [index._build_hierarchy(table)
-                                  for table in index._tables]
+        tables = [LSHTable.from_arrays(**layout) for layout in layouts]
+        index._publish(tables, [index._build_hierarchy(table)
+                                for table in tables]
+                       if index.use_hierarchy else [])
         return index
 
     # ---------------------------------------------------------- maintenance
@@ -361,23 +373,64 @@ class StandardLSH:
         with self._update_lock:
             if self._mutations != version:
                 return False
-            self._tables = new_tables
-            self._hierarchies = hierarchies
+            self._publish(new_tables, hierarchies)
             ob = obs.active()
             if ob is not None:
                 ob.record_rebuild()
         return True
+
+    def _set_families(self, families: List[PStableHashFamily]) -> None:
+        """Adopt ``families``, dropping the stacked projection of the
+        previous ones (:meth:`_hash` stacks these on first use)."""
+        with self._update_lock:
+            self._families = families
+            self._stacked = None
+
+    def _publish(self, tables: List[LSHTable], hierarchies: list) -> None:
+        """Swap in ``tables`` / ``hierarchies`` and the layout snapshot
+        a query searches (:class:`TableLayouts`), by reference — after
+        a rebuild, or after ``insert`` re-sorted the overlays.  A reader
+        holding the previous snapshot keeps every array it names."""
+        with self._update_lock:
+            self._tables = tables
+            self._hierarchies = hierarchies
+            self._layouts = TableLayouts.of(
+                [table.layouts() for table in tables],
+                self._lattice.code_dim)
+
+    def _hash(self, rows: np.ndarray,
+              kernels: object = native_registry.NUMPY_KERNELS,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every table's projections and codes of ``rows``: one GEMM over
+        the stacked families, one ``quantize_with`` over the ``(L * n,
+        M)`` block.  Returns ``(y, codes)``, ``(L, n, M)`` and ``(L, n,
+        code_dim)``, table ``t``'s at ``[t]`` — the codes of
+        ``lattice.quantize(family_t.project(rows))``."""
+        stacked = self._stacked
+        if stacked is None:
+            # Stacked on first use, not at fit: one long-lived block per
+            # group allocated among a bi-level fit's temporaries raised the
+            # peak RSS of repeated fits.  Racing first queries build equal
+            # stacks; either one stays.
+            stacked = self._stacked = StackedProjection.of(self._families)
+        y = stacked.project(rows)
+        n_tables, n, m = y.shape
+        codes = self._lattice.quantize_with(y.reshape(n_tables * n, m),
+                                            kernels)
+        return y, codes.reshape(n_tables, n, -1)
 
     def _rebuild_tables(self, chunk_size: Optional[int] = None) -> None:
         """(Re)build the sorted tables and hierarchies from current data.
 
         The one project → quantize → :class:`LSHTable` → hierarchy loop:
         ``fit``, the insert trigger, snapshot restore and the out-of-core
-        fit (with a ``chunk_size``, see :func:`table_codes`) build here.
+        fit (with a ``chunk_size``, see :func:`table_codes`) build here,
+        one table at a time: a large group is never projected for all
+        ``L`` tables in one temporary.
 
         The new tables and hierarchies are built into locals and published
-        with two reference assignments, so an in-flight batch query (which
-        snapshots ``self._tables`` / ``self._hierarchies`` once) sees
+        by reference (:meth:`_publish`), so an in-flight batch query (which
+        snapshots ``self._layouts`` / ``self._hierarchies`` once) sees
         either the complete old structures or the complete new ones —
         never an empty or partially refreshed list.
         """
@@ -392,8 +445,7 @@ class StandardLSH:
                 tables.append(table)
                 if self.use_hierarchy:
                     hierarchies.append(self._build_hierarchy(table))
-            self._tables = tables
-            self._hierarchies = hierarchies
+            self._publish(tables, hierarchies)
             ob = obs.active()
             if ob is not None:
                 ob.record_rebuild()
@@ -417,8 +469,8 @@ class StandardLSH:
         m = points.shape[0]
         with self._update_lock:
             if ids is None:
-                base = int(self._ids.max()) + 1 if self._ids.size else 0
-                ids = np.arange(base, base + m, dtype=np.int64)
+                ids = np.arange(self._next_id, self._next_id + m,
+                                dtype=np.int64)
             else:
                 ids = np.asarray(ids, dtype=np.int64)
                 if ids.shape != (m,):
@@ -433,9 +485,9 @@ class StandardLSH:
             # each longer prefix is published with one assignment.  Order:
             # norms, ids and mask before the data — a reader sizes itself
             # by ``_data`` and must find every per-row array at least as
-            # long — and all of them *before* the table overlays learn the
-            # new local ids: a concurrent query that gathers a fresh id is
-            # then guaranteed to find its row.
+            # long — and all of them *before* the published layouts learn
+            # the new local ids: a concurrent query that gathers a fresh id
+            # is then guaranteed to find its row.
             start = self._data.shape[0]
             with self._norms_lock:
                 if self._sq_norms is not None:
@@ -447,10 +499,11 @@ class StandardLSH:
                 self._deleted = self._spare.append(
                     "deleted", self._deleted, np.zeros(m, dtype=bool))
             self._data = self._spare.append("data", self._data, points)
+            self._next_id = max(self._next_id, _next_free_id(ids))
             local = np.arange(start, start + m, dtype=np.int64)
-            for family, table in zip(self._families, self._tables):
-                codes = self._lattice.quantize(family.project(points))
+            for table, codes in zip(self._tables, self._hash(points)[1]):
                 table.add(codes, local)
+            self._publish(self._tables, self._hierarchies)
             overlay = max((table.n_extra for table in self._tables), default=0)
             if overlay > self.REBUILD_FRACTION * max(start, 1):
                 # With a compactor attached the debt trigger is a hint —
@@ -756,30 +809,32 @@ class _LSHPlan(QueryPlan):
             # hold the raw table — zero indirection on the gated path.
             kernels = ctx.ob.timed_kernels(kernels, ctx.timer.stages)
         ctx.scratch["kernels"] = kernels
-        projections = [family.project(ctx.queries)
-                       for family in index._families]
-        ctx.scratch["projections"] = projections
-        ctx.scratch["codes"] = [index._lattice.quantize_with(proj, kernels)
-                                for proj in projections]
+        y, codes = index._hash(ctx.queries, kernels)
+        ctx.scratch["projections"] = y
+        ctx.scratch["codes"] = codes
 
-    def _probe_rows(self, ctx: ExecutionContext, t: int,
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All codes to look up in table ``t``: self codes plus probes.
+    def _probe_rows(self, ctx: ExecutionContext,
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every lookup row of every table, stacked table by table.
 
-        Returns ``(codes_all, query_of_row)`` with one row per lookup: the
-        self codes, then each query's probes in sequence order.  The whole
-        sub-batch's sequences come from one call —
-        the ``zm_probe_codes`` kernel for ``Z^M``,
-        :meth:`E8Lattice.probe_codes` on the block for ``E8`` — except
-        the per-query adaptive and ``D_M`` forms.
+        Returns ``(codes, row_q, table_rows)``: table ``t`` owns
+        ``table_rows[t]`` consecutive rows — each query's self code, then
+        each query's probes in sequence order — and ``row_q`` names the
+        query of every row.  The probe sequences of the whole ``(L * n)``
+        block come from one call — the ``zm_probe_codes`` kernel for
+        ``Z^M``, :meth:`E8Lattice.probe_codes` on the block for ``E8``,
+        :func:`adaptive_probes_batch` for adaptive budgets — except
+        ``D_M``'s, which is per row.
         """
         index = self.index
-        y, own = ctx.scratch["projections"][t], ctx.scratch["codes"][t]
-        q = own.shape[0]
-        rows = np.arange(q, dtype=np.int64)
-        lattice = index._lattice
+        own = ctx.scratch["codes"]
+        n_tables, nq, width = own.shape
+        own = own.reshape(n_tables * nq, width)
+        of_own = np.arange(n_tables * nq, dtype=np.int64) % nq
         if index.n_probes <= 0:
-            return own, rows
+            return own, of_own, np.full(n_tables, nq, dtype=np.int64)
+        y = ctx.scratch["projections"].reshape(n_tables * nq, -1)
+        lattice = index._lattice
         if isinstance(lattice, ZMLattice) and not index.adaptive_probing:
             probes, counts = ctx.scratch["kernels"].zm_probe_codes(
                 y, own, index.n_probes)
@@ -791,89 +846,102 @@ class _LSHPlan(QueryPlan):
             elif isinstance(lattice, E8Lattice):
                 parts = lattice.probe_codes(y, own, index.n_probes)
             else:
-                parts = [lattice.probe_codes(y[qi], own[qi], index.n_probes)
-                         for qi in range(q)]
+                parts = [lattice.probe_codes(y[row], own[row], index.n_probes)
+                         for row in range(own.shape[0])]
             counts = np.array([part.shape[0] for part in parts],
                               dtype=np.int64)
             probes = np.concatenate(parts, axis=0)
-        return (np.concatenate([own, probes], axis=0),
-                np.concatenate([rows, np.repeat(rows, counts)]))
+        # Block row t * nq + i is query i of table t; table t's probes
+        # follow its own nq self rows, so each row lands at its index
+        # plus the rows of the other kind stacked before it.
+        probe_rows = counts.reshape(n_tables, nq).sum(axis=1)
+        of_probe = np.repeat(np.arange(n_tables * nq, dtype=np.int64), counts)
+        at_own = np.arange(n_tables * nq, dtype=np.int64) + np.repeat(
+            np.cumsum(probe_rows) - probe_rows, nq)
+        at_probe = (np.arange(of_probe.size, dtype=np.int64)
+                    + nq * (of_probe // nq + 1))
+        codes = np.empty((own.shape[0] + probes.shape[0], width),
+                         dtype=np.int64)
+        row_q = np.empty(codes.shape[0], dtype=np.int64)
+        codes[at_own], codes[at_probe] = own, probes
+        row_q[at_own], row_q[at_probe] = of_own, of_probe % nq
+        return codes, row_q, probe_rows + nq
 
-    def _table_lookups(self, ctx: ExecutionContext, t: int, table: LSHTable,
-                       ) -> Tuple[tuple, np.ndarray, np.ndarray]:
-        """One table's entry for ``bucket_union`` (the supervised unit):
-        ``(layouts, codes_all, row_q)``.
+    def _check_table(self, ctx: ExecutionContext, t: int) -> None:
+        """Table ``t``'s supervised unit: the ``lsh.gather`` fault site.
 
-        This is the body the resilience policy retries/drops per table; the
-        ``lsh.gather`` fault site sits at its top.  A corruption-kind hit
-        is escalated to :class:`InjectedFault` here because a gather has no
-        integrity check that could catch silently corrupted candidates
-        (unlike ``persistence.load``, whose checksums do).
+        The resilience policy retries/drops it per table.  A
+        corruption-kind hit is escalated to :class:`InjectedFault` here
+        because a gather has no integrity check that could catch silently
+        corrupted candidates (unlike ``persistence.load``, whose
+        checksums do).
         """
         plan = ctx.fault_plan
         if plan is not None and plan.check("lsh.gather", table=t):
             raise InjectedFault("lsh.gather", f"table={t} corruption")
-        return (table.layouts(),) + self._probe_rows(ctx, t)
 
     def _stage_gather(self, ctx: ExecutionContext) -> None:
         """Candidate gathering for the whole batch, query-major.
 
-        Every table contributes its sorted layouts and the rows to look
-        up in them — each query's self code and probe codes; one
-        ``kernels.bucket_union`` call then searches all of them and unions
-        each query's bucket intervals, leaving ``scratch["cand"]`` /
-        ``scratch["qidx"]`` sorted by ``(query, id)`` with tombstones
+        Every table's lookup rows — each query's self code and probe
+        codes — go to one ``kernels.bucket_union`` call over the
+        published :class:`TableLayouts`, which searches all of them and
+        unions each query's bucket intervals, leaving ``scratch["cand"]``
+        / ``scratch["qidx"]`` sorted by ``(query, id)`` with tombstones
         dropped: segment ``i`` is query ``i``'s candidate set with ids
         ascending — the order :func:`numpy.unique` gives the scalar
         oracle.
 
-        Under a :class:`ResiliencePolicy` each table's entry is built as
-        a supervised unit: a table that still fails after retries is
-        dropped and the union runs over the rest.  A dropped table removes
-        candidates from *every* query in the shard, so all of them are
-        flagged degraded rather than silently returning possibly-weaker
-        answers.  Without a policy, failures propagate.
+        Under a :class:`ResiliencePolicy` each table is a supervised
+        unit: a table that still fails after retries is dropped — its
+        row range, self and probe rows alike, is left out of the call.
+        A dropped table removes candidates from *every* query in the
+        shard, so all of them are flagged degraded rather than silently
+        returning possibly-weaker answers.  Without a policy, failures
+        propagate.
         """
         index, ob, pol, nq = self.index, ctx.ob, ctx.policy, ctx.nq
+        # One snapshot of the published layouts: a concurrent insert or
+        # rebuild publishes a new one, it never edits this one.
+        layouts = index._layouts
+        codes, row_q, table_rows = self._probe_rows(ctx)
+        n_tables = table_rows.shape[0]
         kept: List[int] = []
-        lookups: List[tuple] = []
-        # One snapshot of the published list: a concurrent rebuild swaps
-        # in a new list, it never edits this one (see _rebuild_tables).
-        tables = index._tables
-        for t, table in enumerate(tables):
+        for t in range(n_tables):
             if pol is None:
-                entry = self._table_lookups(ctx, t, table)
+                self._check_table(ctx, t)
             else:
-                entry, action, records = pol.run(
+                _, action, records = pol.run(
                     "lsh.gather", f"table={t}",
-                    lambda t=t, table=table: self._table_lookups(ctx, t,
-                                                                 table))
+                    lambda t=t: self._check_table(ctx, t))
                 ctx.failures.extend(records)
-                if action == "gave_up" or entry is None:
+                if action == "gave_up":
                     continue
             kept.append(t)
-            lookups.append(entry)
-        if len(kept) < len(tables):
+        if len(kept) < n_tables:
+            keep = np.isin(np.arange(n_tables, dtype=np.int64), kept)
+            rows = np.repeat(keep, table_rows)
+            codes, row_q = codes[rows], row_q[rows]
+            table_rows = table_rows * keep
             ctx.ensure_degraded()[:] = True
             if ob is not None:
                 ob.record_degraded("table_dropped", nq)
-        # The row count is read after every layout above: an insert
-        # publishes its rows before any table learns their ids, so it
-        # bounds every id the kernel will meet.
+        # The row count is read after the layouts: an insert publishes its
+        # rows before the layouts that hold their ids, so it bounds every
+        # id the kernel will meet.
         cand, qidx, counts, misses = ctx.scratch["kernels"].bucket_union(
-            lookups, nq, index._data.shape[0], deleted=index._deleted)
+            layouts, codes, row_q, table_rows, nq, index._data.shape[0],
+            deleted=index._deleted)
         probes = None
         if ob is not None:
-            # Committed only for the entries the union used — a timed-out,
+            # Committed only for the tables the union used — a timed-out,
             # abandoned attempt never reaches the shared counters.
-            probes = np.zeros(nq, dtype=np.int64)
-            for t, (_, codes_all, row_q), n_misses in zip(kept, lookups,
-                                                          misses):
-                n_lookups = int(codes_all.shape[0])
+            for t in kept:
+                n_lookups = int(table_rows[t])
                 ob.record_table_lookup(t, n_lookups=n_lookups,
-                                       n_misses=int(n_misses),
+                                       n_misses=int(misses[t]),
                                        n_probes=n_lookups - nq)
-                probes += np.bincount(row_q, minlength=nq)[:nq] - 1
+            probes = np.bincount(row_q, minlength=nq)[:nq] - len(kept)
         ctx.scratch["cand"] = cand
         ctx.scratch["qidx"] = qidx
         ctx.scratch["probes"] = probes

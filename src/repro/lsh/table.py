@@ -10,7 +10,8 @@ Internally buckets are stored CSR-style (one sorted id array plus per-bucket
 start/end offsets — a :class:`SortedLayout`), mirroring the paper's GPU
 layout of "a linear array along with an indexing table"; points inserted
 after the build live in a second layout of the same shape, and the plan's
-``bucket_union`` kernel searches both.  For the numpy lookups the index
+``bucket_union`` kernel searches both — every table's at once, through
+one :class:`TableLayouts` pointer table.  For the numpy lookups the index
 table is an array
 of *packed keys*: each ``(M,)`` int64 code row is packed into one fixed-width
 big-endian byte string whose lexicographic byte order equals the
@@ -157,6 +158,43 @@ class SortedLayout(NamedTuple):
         safe = np.where(found, bucket_index, 0)
         starts = np.where(found, self.starts[safe], 0)
         return starts, np.where(found, self.ends[safe] - starts, 0)
+
+
+class TableLayouts(NamedTuple):
+    """Every table's sorted layouts as one immutable snapshot: what one
+    ``bucket_union`` call searches.
+
+    ``per_table[t]`` is table ``t``'s :meth:`LSHTable.layouts` (the
+    base, then a live insert overlay), ``n_layouts[t]`` how many there
+    are, and ``pointers`` their :attr:`SortedLayout.pointers` rows
+    stacked in table order — the pointer table the compiled kernel
+    walks.  An index builds one per published
+    table list or overlay (:meth:`of` checks every layout's code width
+    there, once) and swaps it in by reference; this tuple keeps every
+    array those words point into alive.
+    """
+
+    per_table: Tuple[Tuple[SortedLayout, ...], ...]
+    n_layouts: np.ndarray
+    pointers: np.ndarray
+    code_dim: int
+
+    @classmethod
+    def of(cls, per_table: Sequence[Sequence[SortedLayout]],
+           code_dim: int) -> "TableLayouts":
+        per_table = tuple(tuple(layouts) for layouts in per_table)
+        flat = [layout for layouts in per_table for layout in layouts]
+        for layout in flat:
+            if layout.bucket_codes.shape[1] != code_dim:
+                raise ValueError(
+                    f"layout of {layout.bucket_codes.shape[1]}-wide codes "
+                    f"in a table of {code_dim}-wide codes")
+        pointers = np.array([layout.pointers for layout in flat],
+                            dtype=np.int64).reshape(-1, 6)
+        return cls(per_table,
+                   np.array([len(layouts) for layouts in per_table],
+                            dtype=np.int64),
+                   pointers, int(code_dim))
 
 
 class LSHTable:

@@ -31,9 +31,14 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
+
+from repro.native.ref import union_tables
+
+if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
+    from repro.lsh.table import TableLayouts
 
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
@@ -104,6 +109,17 @@ def _compile(source_path: str) -> Tuple[str, List[str]]:
     raise RuntimeError("kernel compilation failed (" + "; ".join(errors) + ")")
 
 
+def _address(arr: np.ndarray) -> int:
+    """Where a C-contiguous array's data starts.  Through a writable
+    buffer this is a fifth of the cost of ``arr.ctypes.data``, which
+    builds a helper object per call; read-only and empty arrays take
+    that road."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
+
+
 class CExtKernels:
     """ctypes bindings over the compiled kernel library."""
 
@@ -167,7 +183,7 @@ class CExtKernels:
         if deleted.dtype == np.bool_:  # same bytes, no copy
             deleted = deleted.view(np.uint8)
         deleted = np.ascontiguousarray(deleted, dtype=np.uint8)
-        return deleted, deleted.ctypes.data, deleted.shape[0]
+        return deleted, _address(deleted), deleted.shape[0]
 
     def dedup_candidates(self, local_ids: np.ndarray, qidx: np.ndarray,
                          nq: int, deleted: Optional[np.ndarray] = None,
@@ -187,70 +203,53 @@ class CExtKernels:
             raise MemoryError("dedup_candidates scratch allocation failed")
         return out_ids[:total], out_qidx[:total], counts
 
-    def bucket_union(self, lookups: Sequence[tuple], nq: int, n_rows: int,
-                     deleted: Optional[np.ndarray] = None,
+    def bucket_union(self, layouts: "TableLayouts", codes: np.ndarray,
+                     row_q: np.ndarray, table_rows: np.ndarray, nq: int,
+                     n_rows: int, deleted: Optional[np.ndarray] = None,
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]:
         nq, n_rows = int(nq), int(n_rows)
-        # The C side takes every table's lookup rows stacked (two
-        # addresses, not two per table) and, per table, its row count and
-        # layout count; the layouts' pointer rows — built once per layout,
-        # which ``lookups`` keeps alive — follow in table order.
-        code_rows: List[np.ndarray] = []
-        of_rows: List[np.ndarray] = []
-        layouts: List[tuple] = []
-        shape: List[int] = []
-        max_spans = 0
-        for table_layouts, rows, of_row in lookups:
-            code_rows.append(rows)
-            of_rows.append(of_row)
-            layouts.extend(table_layouts)
-            shape += (rows.shape[0], len(table_layouts))
-            max_spans += rows.shape[0] * len(table_layouts)
-        empty = np.empty(0, dtype=np.int64)
-        codes = np.ascontiguousarray(
-            np.concatenate(code_rows) if lookups else empty.reshape(0, 0),
-            dtype=np.int64)
-        row_q = np.ascontiguousarray(
-            np.concatenate(of_rows) if lookups else empty, dtype=np.int64)
-        m = codes.shape[-1]
-        if codes.ndim != 2 or row_q.shape != codes.shape[:1] \
-                or any(layout.bucket_codes.shape[1] != m
-                       for layout in layouts):
-            raise ValueError(
-                f"bucket_union: needs (r, {m}) code rows with one query "
-                f"each over layouts of {m}-wide codes")
-        tables = np.array(shape, dtype=np.int64)
-        pointers = (np.concatenate([layout.pointers for layout in layouts])
-                    if layouts else empty)
-        spans = np.empty((max_spans, 3), dtype=np.int64)
-        raw = np.empty(nq, dtype=np.int64)
-        misses = np.empty(len(lookups), dtype=np.int64)
+        # The C side takes the lookup rows stacked table by table, the
+        # (rows, layouts) words per table and the pointer table of every
+        # layout — built and checked once per published snapshot
+        # (``TableLayouts``), which keeps the arrays it names alive.
+        codes = np.ascontiguousarray(codes, dtype=np.int64)
+        row_q = np.ascontiguousarray(row_q, dtype=np.int64)
+        tables = union_tables(layouts, codes, row_q, table_rows)
+        n_tables = tables.shape[0]
+        # Small outputs share one buffer and one address: raw ids per
+        # query, misses per table, kept ids per query.
+        small = np.empty(2 * nq + n_tables, dtype=np.int64)
+        small_at = _address(small)
+        spans = np.empty((int(tables[:, 0] @ tables[:, 1]), 3),
+                         dtype=np.int64)
+        spans_at = _address(spans)
         n_spans = int(self._lib.repro_bucket_spans(
-            codes.ctypes.data, row_q.ctypes.data, tables.ctypes.data,
-            len(lookups), pointers.ctypes.data, m, nq, spans.ctypes.data,
-            raw.ctypes.data, misses.ctypes.data))
+            _address(codes), _address(row_q), _address(tables), n_tables,
+            _address(layouts.pointers), codes.shape[1], nq, spans_at,
+            small_at, small_at + 8 * nq))
         if n_spans < 0:
             raise IndexError(
                 f"bucket_union: lookup row of a query outside [0, {nq})"
                 if n_spans == -2 else
                 "bucket_union: bucket interval outside its sorted_ids")
+        raw = small[:nq]
         # A query cannot keep more ids than its intervals hold, nor more
         # than there are rows: the output bound the kernel writes within.
         bound = int(np.minimum(raw, n_rows).sum())
-        out_ids = np.empty(bound, dtype=np.int64)
-        out_qidx = np.empty(bound, dtype=np.int64)
-        counts = np.empty(nq, dtype=np.int64)
+        out = np.empty((2, bound), dtype=np.int64)
+        out_at = _address(out)
         deleted, del_ptr, del_len = self._tombstones(deleted)
         total = int(self._lib.repro_bucket_union(
-            spans.ctypes.data, n_spans, raw.ctypes.data, nq, n_rows, del_ptr,
-            del_len, out_ids.ctypes.data, out_qidx.ctypes.data,
-            counts.ctypes.data))
+            spans_at, n_spans, small_at, nq, n_rows, del_ptr,
+            del_len, out_at, out_at + 8 * bound,
+            small_at + 8 * (nq + n_tables)))
         if total == -2:
             raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
         if total < 0:
             raise MemoryError("bucket_union scratch allocation failed")
-        return out_ids[:total], out_qidx[:total], counts, misses
+        return (out[0, :total], out[1, :total], small[nq + n_tables:],
+                small[nq:nq + n_tables])
 
     def rank_topk(self, data: np.ndarray, sq_norms: Optional[np.ndarray],
                   queries: np.ndarray, q_sq: np.ndarray, cand: np.ndarray,

@@ -23,11 +23,16 @@ numpy alone.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:  # cycles at run time: repro.lsh imports this module
+    from repro.lsh.table import TableLayouts
 
 __all__ = ["tree_rowdot", "tree_sq_dist", "bucket_union_ref",
            "dedup_candidates_ref", "lookup_codes_ref", "rank_topk_ref",
-           "zm_probe_codes_ref"]
+           "union_tables", "zm_probe_codes_ref"]
 
 
 def tree_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,16 +117,43 @@ def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,
     return local_ids, qidx, counts
 
 
-def bucket_union_ref(lookups: "list[tuple]", nq: int, n_rows: int,
+def union_tables(layouts: "TableLayouts", codes: np.ndarray,
+                 row_q: np.ndarray, table_rows: np.ndarray) -> np.ndarray:
+    """The ``(T, 2)`` int64 words ``(rows, layouts)`` per table that both
+    ``bucket_union`` tables hand their search, after checking the call's
+    shape: ``(r, code_dim)`` code rows, one query per row, and
+    ``table_rows`` — one non-negative count per table of ``layouts`` —
+    summing to ``r``.  A :class:`ValueError` otherwise: the compiled
+    search reads exactly that many rows."""
+    counts = layouts.n_layouts
+    table_rows = np.asarray(table_rows, dtype=np.int64)
+    r = codes.shape[0]
+    if codes.ndim != 2 or row_q.shape != (r,) \
+            or table_rows.shape != counts.shape \
+            or (counts.shape[0] and codes.shape[1] != layouts.code_dim) \
+            or int(table_rows.sum()) != r or table_rows.min(initial=0) < 0:
+        raise ValueError(
+            f"bucket_union: needs (r, {layouts.code_dim}) code rows with "
+            f"one query each, split {counts.shape[0]} ways by table_rows")
+    words = np.empty((counts.shape[0], 2), dtype=np.int64)
+    words[:, 0] = table_rows
+    words[:, 1] = counts
+    return words
+
+
+def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
+                     row_q: np.ndarray, table_rows: np.ndarray, nq: int,
+                     n_rows: int,
                      deleted: "np.ndarray | None" = None,
                      ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Reference for ``bucket_union``: the per-query short-list.
 
-    ``lookups`` holds one ``(layouts, codes, row_q)`` per table: its
-    sorted layouts (:class:`repro.lsh.table.SortedLayout` — the base,
-    then a live insert overlay), the ``(r, M)`` code rows to look up in
-    each of them, and the query every row belongs to.  The spec is the
-    composition of the table-major pieces:
+    ``layouts`` is a :class:`repro.lsh.table.TableLayouts` — per table
+    its sorted layouts (the base, then a live insert overlay).  The
+    ``(r, M)`` ``codes`` are every table's lookup rows stacked in table
+    order, ``table_rows[t]`` of them table ``t``'s (``0`` leaves the
+    table out), and ``row_q`` the query each row belongs to.  The spec
+    is the composition of the table-major pieces:
     ``LSHTable.gather_layouts`` per table (the :func:`lookup_codes_ref`
     search, ``SortedLayout.spans``, ``_gather_segments``), then
     :func:`dedup_candidates_ref` over everything gathered.
@@ -134,17 +166,21 @@ def bucket_union_ref(lookups: "list[tuple]", nq: int, n_rows: int,
     """
     from repro.lsh.table import LSHTable  # cycle
 
+    codes = np.asarray(codes, dtype=np.int64)
+    row_q = np.asarray(row_q, dtype=np.int64)
+    rows = union_tables(layouts, codes, row_q, table_rows)[:, 0]
+    if row_q.size and not 0 <= row_q.min() <= row_q.max() < nq:
+        raise IndexError(f"bucket_union: lookup row of a query outside "
+                         f"[0, {nq})")
     id_parts: "list[np.ndarray]" = []
     q_parts: "list[np.ndarray]" = []
-    misses = np.zeros(len(lookups), dtype=np.int64)
-    for t, (layouts, codes, row_q) in enumerate(lookups):
-        row_q = np.asarray(row_q, dtype=np.int64)
-        if row_q.size and not 0 <= row_q.min() <= row_q.max() < nq:
-            raise IndexError(f"bucket_union: lookup row of a query outside "
-                             f"[0, {nq})")
-        ids, hits = LSHTable.gather_layouts(layouts, codes)
+    misses = np.zeros(rows.shape[0], dtype=np.int64)
+    starts = np.cumsum(rows) - rows
+    for t, per_table in enumerate(layouts.per_table):
+        part = slice(starts[t], starts[t] + rows[t])
+        ids, hits = LSHTable.gather_layouts(per_table, codes[part])
         id_parts.append(ids)
-        q_parts.append(np.repeat(row_q, hits))
+        q_parts.append(np.repeat(row_q[part], hits))
         misses[t] = np.count_nonzero(hits == 0)
     empty = np.empty(0, dtype=np.int64)
     ids = np.concatenate(id_parts) if id_parts else empty

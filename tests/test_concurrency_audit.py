@@ -153,7 +153,7 @@ class TestSerialParity:
 class TestInsertsRacingReads:
     """``insert`` appends behind what readers hold and publishes in an
     order they can rely on: norms, ids and mask, then the rows, then the
-    table overlays.  A batched read takes the layouts first and the row
+    layout snapshot.  A batched read takes the snapshot first and the row
     count after, so the ``bucket_union`` bitmap covers every id."""
 
     @staticmethod
@@ -164,24 +164,30 @@ class TestInsertsRacingReads:
             kernels = registry.load_kernels()
         union, calls = kernels.bucket_union, []
 
-        def checked(lookups, nq, n_rows, deleted=None):
+        def checked(layouts, codes, row_q, table_rows, nq, n_rows,
+                    deleted=None):
             top = max((int(layout.sorted_ids.max())
-                       for layouts, _, _ in lookups for layout in layouts
+                       for per_table in layouts.per_table
+                       for layout in per_table
                        if layout.sorted_ids.size), default=-1)
             calls.append((top, n_rows))
             assert top < n_rows, f"id {top} handed to a {n_rows}-row bitmap"
-            return union(lookups, nq, n_rows, deleted=deleted)
+            return union(layouts, codes, row_q, table_rows, nq, n_rows,
+                         deleted=deleted)
 
         monkeypatch.setattr(kernels, "bucket_union", checked, raising=False)
         return calls
 
     def test_insert_between_the_layouts_and_the_row_count(self, monkeypatch):
-        # Deterministic schedule: an insert lands after table 0's layouts
-        # were taken and before any other read of the batch.
+        # Deterministic schedule: an insert lands after the batch took the
+        # layout snapshot and before it read the row count.
         rng = np.random.default_rng(3)
         data = rng.standard_normal((220, 8))
         index = StandardLSH(bucket_width=8.0, n_tables=3,
                             seed=3).fit(data[:200])
+        want_ids, want_dists, _ = StandardLSH(
+            bucket_width=8.0, n_tables=3, seed=3).fit(data[:200]).query_batch(
+                data[200:], 1)
         calls = self._checked_union(monkeypatch)
         probe_rows = index_module._LSHPlan._probe_rows
         pending = [data[200:]]
@@ -194,9 +200,15 @@ class TestInsertsRacingReads:
         monkeypatch.setattr(index_module._LSHPlan, "_probe_rows",
                             probe_after_insert)
         ids, dists, _ = index.query_batch(data[200:], 1)
-        # Tables 1 and 2 already held the new ids; the bitmap had a bit
-        # for each, and the rows were there to rank.
-        assert calls == [(219, 220)]
+        # Every table's layouts came from one publication, all before the
+        # insert; the bitmap was sized after it.  The read is the
+        # pre-insert index's, row for row.
+        assert calls == [(199, 220)]
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dists, want_dists)
+        # The next read takes the insert's publication.
+        ids, dists, _ = index.query_batch(data[200:], 1)
+        assert calls[1:] == [(219, 220)]
         np.testing.assert_array_equal(ids[:, 0], np.arange(200, 220))
         assert not dists[:, 0].any()
 

@@ -48,7 +48,7 @@ from repro.exec import run_plan
 from repro.lattice.dm import decode_dm
 from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
-from repro.lsh.table import SortedLayout
+from repro.lsh.table import SortedLayout, TableLayouts
 from repro.native import kernels_cext, registry
 from repro.native.ref import (bucket_union_ref, dedup_candidates_ref,
                               rank_topk_ref, zm_probe_codes_ref)
@@ -441,6 +441,18 @@ def any_table(request):
         "kernels" if request.param == "resolved" else "portable_kernels")
 
 
+def _stacked(m, *lookups):
+    """``bucket_union``'s leading arguments ``(layouts, codes, row_q,
+    table_rows)`` from one ``(layouts, codes, row_q)`` per table."""
+    return (TableLayouts.of([layouts for layouts, _, _ in lookups], m),
+            np.concatenate([codes for _, codes, _ in lookups]
+                           + [np.empty((0, m), dtype=np.int64)]),
+            np.concatenate([row_q for _, _, row_q in lookups]
+                           + [np.empty(0, dtype=np.int64)]),
+            np.array([row_q.size for _, _, row_q in lookups],
+                     dtype=np.int64))
+
+
 def _draw_union_case(rng, n_tables, nq, id_span, code_span, m, del_len):
     """Random ``bucket_union`` input plus what a dict of sets says it is.
 
@@ -478,7 +490,8 @@ def _draw_union_case(rng, n_tables, nq, id_span, code_span, m, del_len):
             missed += not hit
         lookups.append((tuple(layouts), codes_all, row_q))
         misses.append(missed)
-    return lookups, deleted, [sorted(w - dead) for w in want], misses
+    return (_stacked(m, *lookups), deleted, [sorted(w - dead) for w in want],
+            misses)
 
 
 class TestBucketUnion:
@@ -499,8 +512,8 @@ class TestBucketUnion:
         rng = np.random.default_rng(seed)
         lookups, deleted, want, want_misses = _draw_union_case(
             rng, n_tables, nq, id_span, code_span, m, del_len)
-        got = any_table.bucket_union(lookups, nq, id_span, deleted=deleted)
-        ref = bucket_union_ref(lookups, nq, id_span, deleted=deleted)
+        got = any_table.bucket_union(*lookups, nq, id_span, deleted=deleted)
+        ref = bucket_union_ref(*lookups, nq, id_span, deleted=deleted)
         for g, r in zip(got, ref):
             assert g.dtype == np.int64
             assert np.array_equal(g, r)
@@ -515,11 +528,12 @@ class TestBucketUnion:
         codes = np.zeros((4, 2), dtype=np.int64)
         for bad_id in (-1, n_rows):
             layout = SortedLayout.sort(codes, np.array([3, 7, bad_id, 9]))
-            lookups = [((layout,), codes[:1], np.zeros(1, dtype=np.int64))]
+            lookups = _stacked(2, ((layout,), codes[:1],
+                                   np.zeros(1, dtype=np.int64)))
             with pytest.raises(IndexError, match="outside"):
-                any_table.bucket_union(lookups, 1, n_rows)
+                any_table.bucket_union(*lookups, 1, n_rows)
         # One more row and the same layout is an ordinary union.
-        cand = any_table.bucket_union(lookups, 1, n_rows + 1)[0]
+        cand = any_table.bucket_union(*lookups, 1, n_rows + 1)[0]
         assert cand.tolist() == [3, 7, 9, n_rows]
 
     def test_lookup_row_of_an_unknown_query_is_refused(self, any_table):
@@ -528,7 +542,35 @@ class TestBucketUnion:
         for q in (-1, 2):
             with pytest.raises(IndexError, match="query"):
                 any_table.bucket_union(
-                    [((layout,), codes, np.array([q]))], 2, 1)
+                    *_stacked(2, ((layout,), codes, np.array([q]))), 2, 1)
+
+    def test_rows_the_tables_do_not_account_for_are_refused(self, any_table):
+        # The compiled search reads exactly table_rows[t] rows per table.
+        codes = np.zeros((3, 2), dtype=np.int64)
+        layout = SortedLayout.sort(codes, np.arange(3))
+        query0 = np.zeros(3, dtype=np.int64)
+        layouts, _, row_q, _ = _stacked(2, ((layout,), codes, query0),
+                                        ((layout,), codes[:0], query0[:0]))
+        for table_rows in ([3, 1], [4, -1], [3], [2, 0]):
+            with pytest.raises(ValueError, match="table_rows"):
+                any_table.bucket_union(layouts, codes, row_q,
+                                       np.array(table_rows), 1, 3)
+        with pytest.raises(ValueError, match="table_rows"):
+            any_table.bucket_union(layouts, codes[:, :1], row_q,
+                                   np.array([3, 0]), 1, 3)
+        # A dropped table is a zero row count: no rows, no misses.
+        _, _, counts, misses = any_table.bucket_union(
+            layouts, codes, row_q, np.array([3, 0]), 1, 3)
+        assert counts.tolist() == [3] and misses.tolist() == [0, 0]
+
+    def test_pointer_table_refuses_a_layout_of_another_width(self):
+        layout = SortedLayout.sort(np.zeros((2, 3), dtype=np.int64),
+                                   np.arange(2))
+        with pytest.raises(ValueError, match="3-wide"):
+            TableLayouts.of([(layout,)], 2)
+        stacked = TableLayouts.of([(layout,), (layout, layout)], 3)
+        assert stacked.n_layouts.tolist() == [1, 2]
+        assert stacked.pointers.shape == (3, 6)
 
     def test_layout_refuses_arrays_the_kernel_cannot_address(self):
         codes = np.zeros((3, 2), dtype=np.int64)

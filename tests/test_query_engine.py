@@ -269,7 +269,7 @@ class TestPublishedListSnapshots:
         probe_rows = index_module._LSHPlan._probe_rows
 
         def probe_then_publish(plan, *args, **kwargs):
-            index._tables = []
+            index._publish([], [])
             return probe_rows(plan, *args, **kwargs)
 
         monkeypatch.setattr(index_module._LSHPlan, "_probe_rows",

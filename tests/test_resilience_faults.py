@@ -14,13 +14,15 @@ All plans are seeded: a failure here reproduces with
 ``PYTHONHASHSEED=0`` and no flakes.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH
+from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import (
     FaultPlan,
@@ -142,6 +144,30 @@ class TestFaultMatrix:
         assert stats.degraded is not None and stats.degraded.all()
         assert ids.shape == base_ids.shape
         assert any(r.site == "lsh.gather" for r in stats.failures)
+
+    @pytest.mark.parametrize("lattice", ["zm", "e8"])
+    def test_dropped_table_takes_its_probe_rows_along(self, dataset, queries,
+                                                      lattice):
+        # One probe call covers every table's rows; a table dropped at
+        # lsh.gather must leave out exactly its self rows and probe rows:
+        # the answer is the oracle's over the other five tables.
+        index = StandardLSH(n_tables=6, bucket_width=8.0, lattice=lattice,
+                            n_probes=8, seed=5).fit(dataset)
+        _, _, full = index.query_batch(queries, 10)
+        pol = ResiliencePolicy(max_retries=0)
+        with injected_faults(gather_plan()):
+            ids, dists, stats = index.query_batch(queries, 10, policy=pol)
+        survivors = copy.copy(index)
+        survivors.n_tables = 5
+        survivors._families = index._families[1:]
+        survivors._tables = index._tables[1:]
+        want_ids, want_dists, want = oracle_query_batch(survivors, queries, 10)
+        assert stats.degraded is not None and stats.degraded.all()
+        assert [r.label for r in stats.failures] == ["table=0"]
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_allclose(dists, want_dists)
+        np.testing.assert_array_equal(stats.n_candidates, want.n_candidates)
+        assert (stats.n_candidates < full.n_candidates).any()
 
     def test_gather_retry_is_bit_identical(self, dataset, queries):
         index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5).fit(dataset)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.evaluation.groundtruth import brute_force_knn
 from repro.evaluation.metrics import recall_ratio
+from repro.exec import ExecutionContext
 from repro.lsh.index import StandardLSH, make_lattice
 
 
@@ -227,3 +228,59 @@ class TestState:
         idx.delete([3, 5, 10_000])
         idx.insert(gaussian_data[:4])
         assert (idx.n_points, idx.n_live) == (804, 802)
+
+
+class TestOneCallHashing:
+    """A query hashes every table with one GEMM over the stacked families
+    and one quantize over the ``(L * n, M)`` block (``insert`` too); the
+    codes are each family's own ``lattice.quantize(family.project(x))``,
+    bit for bit, on whichever kernel table resolved."""
+
+    LATTICES = {"zm": dict(lattice="zm", n_hashes=8),
+                "e8": dict(lattice="e8", n_hashes=8),
+                "e8-padded": dict(lattice="e8", n_hashes=12),
+                "dm": dict(lattice="dm", n_hashes=6)}
+
+    @staticmethod
+    def _indexes(data, config):
+        def make():
+            return StandardLSH(bucket_width=3.0, n_tables=5, seed=23,
+                               **config)
+
+        fitted = make().fit(data[:700])
+        restored = StandardLSH.from_state(*fitted.state())
+        inserted = make().fit(data[:600])
+        inserted.insert(data[600:700])
+        # Fit again after a query: new families (a generator seed draws
+        # fresh ones), so the first fit's stack must not survive.
+        refitted = StandardLSH(bucket_width=3.0, n_tables=5,
+                               seed=np.random.default_rng(23), **config)
+        refitted.fit(data[:300]).query_batch(data[:2], 1)
+        refitted.fit(data[:700])
+        return {"fitted": fitted, "restored": restored, "inserted": inserted,
+                "refitted": refitted}
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    def test_codes_are_each_familys(self, gaussian_data, name):
+        for state, index in self._indexes(gaussian_data,
+                                          self.LATTICES[name]).items():
+            # One row, a few, and the whole block the index was fit on.
+            for rows in (gaussian_data[:1], gaussian_data[5:8],
+                         gaussian_data[:700]):
+                ctx = ExecutionContext.for_batch(rows, 1)
+                index.execution_plan()._stage_hash(ctx)
+                _, inserted = index._hash(rows)
+                assert ctx.scratch["codes"].shape[:2] == (5, rows.shape[0])
+                for t, family in enumerate(index._families):
+                    projected = family.project(rows)
+                    want = index._lattice.quantize(projected)
+                    for got in (ctx.scratch["codes"][t], inserted[t]):
+                        assert got.dtype == np.int64, state
+                        np.testing.assert_array_equal(got, want,
+                                                      err_msg=state)
+                    # BLAS may tile M columns apart from the same columns
+                    # of a wider product: the last bit may move, the codes
+                    # above may not.
+                    np.testing.assert_allclose(
+                        ctx.scratch["projections"][t], projected,
+                        rtol=0, atol=1e-12)

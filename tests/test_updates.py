@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH
+from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.lsh.table import LSHTable
 from repro.persistence import save_index
 
@@ -51,6 +51,27 @@ class TestStandardInsert:
         idx = StandardLSH(bucket_width=8.0, seed=2).fit(gaussian_data)
         new_ids = idx.insert(gaussian_data[:2], ids=np.array([5000, 5001]))
         np.testing.assert_array_equal(new_ids, [5000, 5001])
+
+    def test_auto_ids_continue_past_explicit_ones(self, gaussian_data):
+        # The next free id is index state: explicit ids above it move it,
+        # ids below it do not, and from_state recomputes it once.
+        idx = StandardLSH(bucket_width=8.0, seed=2).fit(
+            gaussian_data[:100], ids=np.arange(100) * 3)
+        np.testing.assert_array_equal(idx.insert(gaussian_data[100:102]),
+                                      [298, 299])
+        idx.insert(gaussian_data[102:104], ids=np.array([1000, 640]))
+        np.testing.assert_array_equal(idx.insert(gaussian_data[104:105]),
+                                      [1001])
+        idx.insert(gaussian_data[105:107], ids=np.array([7, 500]))
+        np.testing.assert_array_equal(idx.insert(gaussian_data[107:108]),
+                                      [1002])
+        restored = StandardLSH.from_state(*idx.state())
+        np.testing.assert_array_equal(
+            restored.insert(gaussian_data[108:110]), [1003, 1004])
+        np.testing.assert_array_equal(idx.insert(gaussian_data[108:110]),
+                                      [1003, 1004])
+        ids, dists = restored.query(gaussian_data[104], 1)
+        assert ids[0] == 1001 and dists[0] == 0.0
 
     def test_rebuild_after_many_inserts(self, gaussian_data):
         idx = StandardLSH(bucket_width=8.0, n_tables=2, seed=3).fit(
@@ -102,6 +123,71 @@ class TestStandardDelete:
         idx.delete(np.arange(100))
         _, _, after = idx.query_batch(gaussian_data[:1], 3)
         assert after.n_candidates[0] == before.n_candidates[0] - 100
+
+
+class TestPublishedLayouts:
+    """A query searches the one :class:`TableLayouts` snapshot the index
+    last published — every table's layouts behind one pointer table.
+    Each write that changes a table publishes a new one; the next query
+    must answer exactly as the per-query oracle over the live tables."""
+
+    @staticmethod
+    def _published(index):
+        """Whether the snapshot holds exactly the tables' layouts now."""
+        current = [table.layouts() for table in index._tables]
+        snapshot = index._layouts
+        words = [layout.pointers for layouts in current for layout in layouts]
+        return (len(snapshot.per_table) == len(current)
+                and all(len(mine) == len(theirs)
+                        and all(a is b for a, b in zip(mine, theirs))
+                        for mine, theirs in zip(snapshot.per_table, current))
+                and snapshot.n_layouts.tolist() == [len(x) for x in current]
+                and np.array_equal(snapshot.pointers, np.array(words)))
+
+    @staticmethod
+    def _answers_like_the_oracle(index, queries, step):
+        ids, dists, stats = index.query_batch(queries, 5)
+        want_ids, want_dists, want = oracle_query_batch(index, queries, 5)
+        np.testing.assert_array_equal(ids, want_ids, err_msg=step)
+        np.testing.assert_allclose(dists, want_dists, err_msg=step)
+        np.testing.assert_array_equal(stats.n_candidates, want.n_candidates,
+                                      err_msg=step)
+
+    @pytest.mark.parametrize("n_probes", [0, 4])
+    def test_every_publication_reaches_the_next_query(
+            self, gaussian_data, gaussian_queries, n_probes):
+        idx = StandardLSH(bucket_width=6.0, n_tables=3, n_probes=n_probes,
+                          seed=31).fit(gaussian_data[:500])
+        # Half the queries are rows about to be inserted.
+        queries = np.vstack([gaussian_queries[:10], gaussian_data[500:510],
+                             gaussian_data[600:610]])
+        seen = [idx._layouts]
+
+        def check(step, republished=True, index=idx):
+            assert self._published(index), step
+            assert (index._layouts is not seen[-1]) == republished, step
+            seen.append(index._layouts)
+            self._answers_like_the_oracle(index, queries, step)
+
+        check("fit", republished=False)
+        idx.insert(gaussian_data[500:505])
+        assert idx._layouts.n_layouts.tolist() == [2, 2, 2]
+        check("first insert: the overlay appears")
+        idx.insert(gaussian_data[505:515])
+        check("second insert: the overlay is re-sorted")
+        idx.delete(np.arange(0, 515, 7))
+        check("delete: tombstones, no table changed", republished=False)
+        assert idx.compact()
+        assert idx._layouts.n_layouts.tolist() == [1, 1, 1]
+        check("compact")
+        idx.insert(gaussian_data[515:520])
+        check("insert after compact")
+        idx.insert(gaussian_data[520:700])
+        assert idx._layouts.n_layouts.tolist() == [1, 1, 1]
+        check("the rebuild trigger")
+        idx.insert(gaussian_data[700:705])
+        check("insert into the rebuilt tables")
+        check("from_state", index=StandardLSH.from_state(*idx.state()))
 
 
 class TestBilevelUpdates:
