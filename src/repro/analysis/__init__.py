@@ -17,8 +17,8 @@ executors):
 - **R2** ``explicit-dtype`` — array constructions in hot-path packages
   (``lsh``, ``lattice``, ``core``) must name an explicit ``dtype``.
 - **R3** ``locked-mutation`` — no mutation of shared index state from
-  functions reachable by a worker-thread path (``n_jobs`` groups, shard
-  threads) without holding a declared lock.
+  functions reachable by a worker-thread path (a runtime's shard
+  threads, the lazy caches they fill) without holding a declared lock.
 - **R4** ``typed-api`` — public API functions carry complete type
   annotations, and ``= None`` defaults require ``Optional``-compatible
   annotations.

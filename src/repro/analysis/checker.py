@@ -86,9 +86,9 @@ class AnalysisConfig:
     #: Packages whose modules form the dtype-sensitive hot path (R2).
     hot_path_parts: Tuple[str, ...] = ("lsh", "lattice", "core", "exec",
                                        "maintenance")
-    #: Bare names of the batch-query entry points that execute on the
-    #: ``n_jobs`` worker pool or a runtime's shard pool (``_run_shard``)
-    #: — the roots of the R3 reachability walk.
+    #: Bare names of the batch-query entry points a query thread or a
+    #: runtime's shard pool (``_run_shard``) executes — the roots of the
+    #: R3 reachability walk.
     worker_roots: Tuple[str, ...] = (
         "query_batch", "candidate_sets", "gather_batch",
         "lookup_batch", "lookup", "lookup_many",
@@ -99,8 +99,8 @@ class AnalysisConfig:
         "_starts", "_ends", "_overlay", "_base", "_bucket_codes",
         "_sorted_ids",
         "_tables", "_layouts", "_hierarchies", "_families", "_lattice",
-        "_sq_norms", "_deleted", "_data", "_ids", "_next_id", "n_points",
-        "group_indexes", "group_widths", "partitioner",
+        "_store", "_rows", "_joined", "sq_norms", "deleted", "data", "ids",
+        "_next_id", "group_indexes", "group_widths", "partitioner",
     }))
     #: Packages whose modules count as the instrumented pipeline (R6):
     #: telemetry there must flow through ``repro.obs``.

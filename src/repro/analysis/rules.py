@@ -156,7 +156,7 @@ def check_locked_mutation(
             if write.attr in guarded_attrs and not write.held_locks:
                 violations.append(Violation(
                     "R3", fnode.module_path, write.line,
-                    f"{fnode.qualname} is reachable from the n_jobs worker "
+                    f"{fnode.qualname} is reachable from the shard worker "
                     f"path (roots: {', '.join(worker_roots)}) but mutates "
                     f"{write.desc} without holding a declared lock",
                 ))

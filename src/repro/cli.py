@@ -489,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "bit-identical to the unsharded run)")
     p.add_argument("--shard-workers", type=int, default=0,
                    help="run the --max-batch-rows shards on this many "
-                        "threads (same answers; a bi-level index has "
-                        "n_jobs threads over its groups instead)")
+                        "threads (same answers)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("info", help="inspect a saved index")
@@ -584,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded-memory sharding inside each executed batch")
     p.add_argument("--shard-workers", type=int, default=0,
                    help="run each batch's --max-batch-rows shards on this "
-                        "many threads (same answers; a bi-level index has "
-                        "n_jobs threads over its groups instead)")
+                        "many threads (same answers)")
     p.add_argument("--hierarchy-threshold", type=int, default=None,
                    help="fixed escalation threshold; required for "
                         "micro-batch merging on hierarchical indexes (the "

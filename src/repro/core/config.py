@@ -66,13 +66,6 @@ class BiLevelConfig:
     tuner_sample_size / tuner_k:
         Sample size and neighborhood size for the collision model.
 
-    n_jobs:
-        Worker threads for per-group query dispatch.  Groups are
-        independent and the heavy numpy kernels release the GIL, so
-        ``n_jobs > 1`` overlaps the per-group sub-batches of
-        :meth:`~repro.core.bilevel.BiLevelLSH.query_batch` on a thread
-        pool.  ``1`` (default) keeps the serial path; ``-1`` uses all
-        available cores.  Results are identical regardless of ``n_jobs``.
     max_batch_rows:
         Bounded-memory batch sharding: query batches larger than this are
         split into contiguous shards executed through the same plan by
@@ -108,7 +101,6 @@ class BiLevelConfig:
     target_recall: float = 0.9
     tuner_sample_size: int = 200
     tuner_k: int = 10
-    n_jobs: int = 1
     max_batch_rows: Optional[int] = None
     seed: Optional[int] = None
     tree_seed: Optional[int] = None
@@ -127,10 +119,6 @@ class BiLevelConfig:
         check_probability(self.target_recall, "target_recall")
         if self.n_probes < 0:
             raise ValueError(f"n_probes must be non-negative, got {self.n_probes}")
-        if self.n_jobs == 0 or self.n_jobs < -1:
-            raise ValueError(
-                f"n_jobs must be a positive int or -1 (all cores), "
-                f"got {self.n_jobs}")
         if self.adaptive_probing and self.lattice != "zm":
             raise ValueError("adaptive_probing requires the 'zm' lattice")
         if not 0.0 < self.probe_confidence <= 1.0:

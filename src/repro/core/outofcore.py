@@ -12,8 +12,8 @@ building blocks that make the Bi-level pipeline memmap-friendly:
   the candidate rows;
 - :func:`fit_bilevel_chunked` fits the RP-tree on an in-memory sample
   (trees only need ``O(sample)`` memory), streams the group assignment
-  over chunks, and builds each group's tables from its (much smaller)
-  row subset.
+  over chunks, and builds each group's tables over its rows of the
+  on-disk matrix, which the index keeps by reference.
 
 The result indexes answer queries identically to their in-memory
 counterparts — property-tested — while peak memory stays bounded by
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.bilevel import BiLevelLSH, rows_by_group
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH, table_codes
+from repro.lsh.index import RowStore, StandardLSH, table_codes
 from repro.lattice.base import Lattice
 from repro.lsh.functions import PStableHashFamily
 from repro.resilience.errors import QueryValidationError
@@ -66,7 +66,8 @@ def fit_standard_chunked(index: StandardLSH, data: np.ndarray,
     queries fault in only the candidate rows they rank.
     """
     check_positive(chunk_size, "chunk_size")
-    return index._fit(_validate_2d(data), ids, chunk_size)
+    return index._fit(RowStore(_validate_2d(data), ids),
+                      chunk_size=chunk_size)
 
 
 def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,
@@ -94,9 +95,9 @@ def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,
 
     Notes
     -----
-    Each group's training rows are gathered into memory to build the
-    group's tables — with ``g`` groups that is ``~n/g`` rows at a time,
-    the knob that bounds peak memory for a given corpus.
+    Each group's rows are gathered into memory while its tables are
+    built — ``~n/g`` rows at a time, the knob that bounds peak memory —
+    and dropped after: the index keeps ``data`` by reference.
     """
     _validate_2d(data)
     check_positive(sample_size, "sample_size")
@@ -119,7 +120,7 @@ def fit_bilevel_chunked(config: BiLevelConfig, data: np.ndarray,
     _override_leaf_indices(
         index.partitioner,
         rows_by_group(groups, index.partitioner.n_leaves))
-    # 3. Build one LSH index per group from its row subset.
+    # 3. Build one LSH index per group over its rows.
     return index._build_groups(data, *rngs)
 
 

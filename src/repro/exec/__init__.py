@@ -6,8 +6,8 @@ shared :class:`ExecutionContext`) and its ``query_batch`` calls
 :func:`run_plan` on it — validation, gate reads, deadlines, supervision,
 stage timing and bounded-memory batch sharding happen there, once per
 batch.  :func:`run_validated` is the same executor below the gates
-(fan-out plans call it per sub-batch); :meth:`ExecutionContext.absorb`
-is the one fold that puts a sub-result in its parent's rows.
+(it runs each shard); :meth:`ExecutionContext.absorb` is the one fold
+that puts a sub-result in its parent's rows.
 
 See DESIGN.md §11 ("Execution core") for the architecture and the
 recipe for adding a new front-end.

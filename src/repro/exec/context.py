@@ -2,7 +2,7 @@
 
 :class:`ExecutionContext` is built once per batch by
 :func:`repro.exec.executor.run_plan` (and once more per shard or
-sub-batch, see :meth:`ExecutionContext.child`) and threaded through
+finite-row subset, see :meth:`ExecutionContext.child`) and threaded through
 every stage of a :class:`repro.exec.plan.QueryPlan`.
 Stages communicate exclusively through it: inputs (validated queries,
 ``k``), supervision handles (Deadline, ResiliencePolicy, FaultPlan,
@@ -111,9 +111,8 @@ class ExecutionContext:
     escalated: np.ndarray
     degraded: Optional[np.ndarray] = None
     exhausted: Optional[np.ndarray] = None
-    #: Rows per executed shard (``None`` = unbounded).  The executor
-    #: slices by it, except under a plan with ``delegates_sharding``,
-    #: whose fan-out stage hands it on to its inner executions.
+    #: Rows per executed shard (``None`` = unbounded); the executor
+    #: slices by it.
     max_batch_rows: Optional[int] = None
     #: Runs the executor's shards (``None``: in turn); no :meth:`child`
     #: inherits it, so fan-out happens at one level.
@@ -164,10 +163,10 @@ class ExecutionContext:
         """Put a sub-result in place: the one fold of the execution core.
 
         ``ids`` / ``dists`` / ``stats`` answer this context's ``rows`` —
-        a shard, a batch's finite rows, one group's share, one worker's
-        reply.  Answers and counts are assigned; a mask the sub-result
-        carries is OR-ed in (allocated on first need, so ``None`` still
-        means "never engaged"); failure records are appended in order.
+        a shard or a batch's finite rows.  Answers and counts are
+        assigned; a mask the sub-result carries is OR-ed in (allocated on
+        first need, so ``None`` still means "never engaged"); failure
+        records are appended in order.
         """
         self.ids_out[rows] = ids
         self.dists_out[rows] = dists

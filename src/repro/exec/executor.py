@@ -52,9 +52,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     shard — results are bit-identical to unsharded execution, the
     deadline is one absolute expiry shared by all shards, and shards
     past an expired deadline return padded answers flagged
-    ``exhausted_budget`` without running their stages.  Plans with
-    ``delegates_sharding`` apply the bound themselves at their fan-out
-    level instead of the top-level slicing.  ``shard_pool`` (an
+    ``exhausted_budget`` without running their stages.  ``shard_pool`` (an
     ``IndexRuntime``'s) runs the shards on its threads instead of in turn
     — the kernels release the GIL — folded in shard order, so the answer
     is the inline one byte for byte (DESIGN.md §12).
@@ -90,15 +88,14 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
                   ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Run ``ctx``'s rows through ``plan``; the gate-free inner entry.
 
-    Everything :func:`run_plan` resolves arrives in ``ctx``, so fan-out
-    plans (the bi-level dispatch, once per group sub-batch) and
-    ``benchmarks/bench_obs_overhead.py`` (gates pinned) enter here.
+    Everything :func:`run_plan` resolves arrives in ``ctx``, so the
+    executor's own shards and ``benchmarks/bench_obs_overhead.py`` (gates
+    pinned) enter here.
     One of three things happens to the rows:
 
-    - more than ``ctx.max_batch_rows`` (and the plan does not apply the
-      bound itself): shard by shard — in turn, or on ``ctx.pool`` — a
-      shard whose turn comes after the deadline keeping its padded
-      rows, flagged ``exhausted_budget``;
+    - more than ``ctx.max_batch_rows``: shard by shard — in turn, or on
+      ``ctx.pool`` — a shard whose turn comes after the deadline keeping
+      its padded rows, flagged ``exhausted_budget``;
     - some flagged non-finite by validation (``finite_row``; only under
       a policy): those get padding, ``degraded=True`` and one
       FailureRecord, the finite rows run;
@@ -110,7 +107,7 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
     nq, ob, deadline = ctx.nq, ctx.ob, ctx.deadline
     if deadline is not None:
         ctx.ensure_exhausted()  # a budget always materializes its mask
-    bound = None if plan.delegates_sharding else ctx.max_batch_rows
+    bound = ctx.max_batch_rows
     if bound is not None and bound < nq:
         shards = [slice(start, min(start + bound, nq))
                   for start in range(0, nq, bound)]

@@ -1,8 +1,8 @@
 """The staged query-plan abstraction every front-end implements.
 
 A :class:`QueryPlan` decomposes one front-end's query path into an
-ordered sequence of named :class:`Stage` callables (hash → gather →
-escalate → rank; route → dispatch → merge).  The executor
+ordered sequence of named :class:`Stage` callables (route → hash →
+gather → escalate → rank).  The executor
 (:func:`repro.exec.executor.run_plan`) owns everything around the
 stages — gate reads, deadline construction, per-stage timing,
 non-finite-row degradation, batch sharding, and the final
@@ -73,20 +73,10 @@ class QueryPlan:
     site:
         Short front-end name (``"lsh"``, ``"bilevel"``, ``"forest"``)
         used to prefix failure-record and telemetry
-        sites (e.g. ``"lsh.validate"``), and the ``engine`` label of
-        ``record_batch``.
-    delegates_sharding:
-        Whether the plan applies ``max_batch_rows`` itself instead of
-        the executor slicing the batch at the top level.  Plans that fan
-        out to inner sub-executions (the bi-level dispatch)
-        set this and hand ``ctx.max_batch_rows`` on to each inner
-        execution — sharding at the fan-out level avoids re-paying the
-        per-sub-index fixed cost once per top-level shard while bounding
-        the same gather/rank scratch memory.
+        sites (e.g. ``"lsh.validate"``, ``"bilevel.shard"``).
     """
 
     site: str = "plan"
-    delegates_sharding: bool = False
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
                  ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:

@@ -10,15 +10,18 @@ query-adaptive enhancements the paper evaluates:
   short-list is smaller than the batch median to coarser bucket levels
   (Morton prefix levels for ``Z^M``, scaled-lattice levels for ``E8``).
 
-The same class indexes one RP-tree leaf group inside
-:class:`repro.core.bilevel.BiLevelLSH` (with external ids), so baseline and
-contribution share every line of hashing/probing/short-list code — exactly
-the apples-to-apples setup of the paper's experiments.
+The same class indexes one RP-tree leaf group of
+:class:`repro.core.bilevel.BiLevelLSH` (its rows of the shared row store),
+and one plan runs both, so baseline and contribution share every line of
+hashing/probing/short-list code — exactly the apples-to-apples setup of
+the paper's experiments.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -47,7 +50,8 @@ if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.compactor import Compactor
     from repro.maintenance.wal import WriteAheadLog
 
-__all__ = ["QueryStats", "StandardLSH", "make_lattice", "oracle_query_batch"]
+__all__ = ["QueryStats", "RowStore", "StandardLSH", "make_lattice",
+           "oracle_query_batch"]
 
 
 def make_lattice(kind: str, dim: int) -> Lattice:
@@ -99,6 +103,92 @@ def sub_arrays(arrays: Dict[str, np.ndarray], prefix: str,
     (the inverse of :func:`prefixed`)."""
     return {key[len(prefix):]: arr for key, arr in arrays.items()
             if key.startswith(prefix)}
+
+
+class RowStore:
+    """Points, ids (``arange`` by default), tombstones and cached norms.
+
+    Rows are append-only: :meth:`add_rows` writes into spare capacity
+    behind the published arrays (:class:`~repro.utils.spare.SpareRows`)
+    and publishes each longer prefix with one assignment, and
+    :meth:`tombstone` swaps in a fresh mask, so a reader that took an
+    array keeps a frozen snapshot.  Writers run under their owner's
+    writer lock and take the store's lock, which also guards the lazy
+    ``||x||^2`` cache query threads fill; readers are lock-free.
+    """
+
+    def __init__(self, data: np.ndarray, ids: Optional[np.ndarray] = None,
+                 deleted: Optional[np.ndarray] = None,
+                 sq_norms: Optional[np.ndarray] = None) -> None:
+        n = data.shape[0]
+        if ids is None:
+            ids = np.arange(n, dtype=np.int64)
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.shape != (n,):
+                raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
+        self.data = data
+        self.ids = ids
+        self.deleted = deleted  # bool mask over rows, None until a delete
+        self.sq_norms = sq_norms
+        self._spare = SpareRows()
+        self._lock = threading.Lock()
+
+    @property
+    def n_rows(self) -> int:
+        return self.data.shape[0]
+
+    def add_rows(self, points: np.ndarray, ids: np.ndarray) -> None:
+        """Add rows behind the published ones: norms, ids and mask before
+        the data — a reader sizes itself by ``data`` and must find every
+        per-row array at least as long."""
+        with self._lock:
+            if self.sq_norms is not None:
+                self.sq_norms = self._spare.append(
+                    "sq_norms", self.sq_norms, tree_rowdot(points, points))
+            self.ids = self._spare.append("ids", self.ids, ids)
+            if self.deleted is not None:
+                self.deleted = self._spare.append(
+                    "deleted", self.deleted,
+                    np.zeros(points.shape[0], dtype=bool))
+            self.data = self._spare.append("data", self.data, points)
+
+    def tombstone(self, mask: np.ndarray) -> None:
+        """Mark the rows ``mask`` flags deleted, in a fresh mask grown to
+        the current row count (a prior one may cover an older, shorter
+        snapshot): in-flight queries keep filtering against the old one."""
+        with self._lock:
+            deleted = np.zeros(self.ids.shape[0], dtype=bool)
+            if self.deleted is not None:
+                deleted[:self.deleted.shape[0]] = self.deleted
+            deleted[:mask.shape[0]] |= mask
+            self.deleted = deleted
+
+    def point_sq_norms(self) -> Optional[np.ndarray]:
+        """Cached ``||x||^2`` per row, possibly of more rows than ``data``
+        had when the caller read it (``None`` for memmapped data).
+
+        Computed lazily, so a store adopted without them stays valid;
+        memmapped data skips the cache because a full-norm pass would
+        fault in every row, defeating the out-of-core promise of
+        touching only candidate rows.
+        """
+        data = self.data
+        if isinstance(data, np.memmap):
+            return None
+        with self._lock:
+            norms = self.sq_norms
+            # Rows are append-only and ``add_rows`` extends the cache before
+            # it publishes them, so a cache longer than this snapshot of
+            # the data is the cache of a later one: valid row for row.
+            if norms is None or norms.shape[0] < data.shape[0]:
+                # Same halving-tree summation as the rank dot products:
+                # for an indexed query point x, tree(x,x) - 2*tree(x,q)
+                # + tree(q,q) cancels to exactly 0.0 only when all three
+                # terms share one summation order.
+                norms = tree_rowdot(data, data)
+                self.sq_norms = norms
+        return norms
 
 
 # QueryStats moved to repro.exec.context with the execution-core refactor;
@@ -167,21 +257,18 @@ class StandardLSH:
         self._layouts: Optional[TableLayouts] = None
         self._hierarchies: list = []
         self._lattice: Optional[Lattice] = None
-        self._data: Optional[np.ndarray] = None
-        self._ids: Optional[np.ndarray] = None
-        self._deleted: Optional[np.ndarray] = None  # bool mask over rows
-        self._sq_norms: Optional[np.ndarray] = None  # cached ||x||^2 per row
+        # The rows this index ranks and, for a group of a Bi-level index,
+        # which of its owner's rows it indexes (``None``: all of them).
+        self._store: Optional[RowStore] = None
+        self._rows: Optional[np.ndarray] = None
         self._next_id = 0  # max(_ids) + 1: the first id insert(ids=None) gives
         # Writer lock: serializes structural updates (insert/delete/rebuild)
         # against each other.  Batch queries stay lock-free by design — they
         # snapshot attribute references once and every published object
-        # (tables list, data/ids/norms arrays) is replaced atomically; what
-        # a published array covers is never rewritten (``insert`` appends
-        # behind it, see ``_spare``).  The norms lock guards only the lazy
-        # ||x||^2 cache, which worker threads fill on first use.
+        # (tables list, the store's arrays) is replaced atomically; what a
+        # published array covers is never rewritten (``RowStore.add_rows``
+        # writes behind it).
         self._update_lock = threading.RLock()
-        self._norms_lock = threading.Lock()
-        self._spare = SpareRows()
         # Durability plumbing (repro.maintenance): when a WAL is attached,
         # every insert/delete appends (and flushes) a record *before* the
         # mutation is applied — rule R13 wal-before-ack.  ``_applied_lsn``
@@ -203,35 +290,41 @@ class StandardLSH:
         Distances during short-list search are computed against ``data``
         rows, but the ids returned by queries are the supplied ``ids``.
         """
-        return self._fit(as_float_matrix(data), ids)
+        return self._fit(RowStore(as_float_matrix(data), ids))
 
-    def _fit(self, data: np.ndarray, ids: Optional[np.ndarray],
+    def _fit(self, store: RowStore, rows: Optional[np.ndarray] = None,
              chunk_size: Optional[int] = None) -> "StandardLSH":
-        """:meth:`fit` over a checked matrix, kept by reference — the
+        """:meth:`fit` over ``store``, kept by reference — or, for a group
+        of a Bi-level index, over its ``rows`` of the owner's store.  The
         out-of-core fit hands in a memmap and the ``chunk_size`` that
         :meth:`_rebuild_tables` projects it by."""
-        n, dim = data.shape
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (n,):
-                raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
-        self._data = data
-        self._ids = ids
-        self._next_id = _next_free_id(ids)
-        self._deleted = None
-        self._sq_norms = None
-        self._spare = SpareRows()
+        self._store = store
+        self._rows = rows
+        self._next_id = _next_free_id(store.ids)
         self._lattice = make_lattice(self.lattice_kind, self.n_hashes)
         rngs = spawn_rngs(self._seed, self.n_tables)
         self._set_families([
-            PStableHashFamily(dim, self.n_hashes, self.bucket_width, seed=rng)
+            PStableHashFamily(store.data.shape[1], self.n_hashes,
+                              self.bucket_width, seed=rng)
             for rng in rngs])
         with self._update_lock:
             self._mutations += 1
         self._rebuild_tables(chunk_size)
         return self
+
+    # The store's arrays, read through: a group of a Bi-level index reads
+    # its owner's, whole (``_ids[row]`` is a global row's id).
+    @property
+    def _data(self) -> Optional[np.ndarray]:
+        return None if self._store is None else self._store.data
+
+    @property
+    def _ids(self) -> np.ndarray:
+        return self._store.ids
+
+    @property
+    def _deleted(self) -> Optional[np.ndarray]:
+        return self._store.deleted
 
     # ---------------------------------------------------------------- state
 
@@ -252,6 +345,9 @@ class StandardLSH:
         layouts are left out, and an adopter rebuilds them from
         ``data``, which folds the overlay in.
 
+        A group of a Bi-level index gives its rows' ids as ``ids``, their
+        tombstones as ``deleted``, and no ``data`` or ``sq_norms``.
+
         Arrays are returned by reference, captured under the writer
         lock; writers publish fresh arrays — or, for ``insert``, a longer
         prefix over rows appended *behind* the captured one — and never
@@ -267,14 +363,20 @@ class StandardLSH:
                        "hierarchy": self.use_hierarchy,
                        "adaptive_probing": self.adaptive_probing,
                        "probe_confidence": self.probe_confidence}
-            source = {"data": self._data, "ids": self._ids}
-            if self._deleted is not None:
-                source["deleted"] = self._deleted
+            store, rows = self._store, self._rows
+            derived: Dict[str, np.ndarray] = {}
+            if rows is None:
+                source = {"data": store.data, "ids": store.ids}
+                if store.deleted is not None:
+                    source["deleted"] = store.deleted
+                if store.sq_norms is not None:
+                    derived["sq_norms"] = store.sq_norms
+            else:
+                source = {"ids": store.ids[rows]}
+                if store.deleted is not None and store.deleted[rows].any():
+                    source["deleted"] = store.deleted[rows]
             for t, family in enumerate(self._families):
                 source.update(prefixed(f"family{t}/", family.arrays()))
-            derived: Dict[str, np.ndarray] = {}
-            if self._sq_norms is not None:
-                derived["sq_norms"] = self._sq_norms
             if not any(table.n_extra for table in self._tables):
                 for t, table in enumerate(self._tables):
                     derived.update(prefixed(f"table{t}/", table.arrays()))
@@ -283,22 +385,32 @@ class StandardLSH:
     @classmethod
     def from_state(cls, scalars: dict, source: Dict[str, np.ndarray],
                    derived: Optional[Dict[str, np.ndarray]] = None,
-                   ) -> "StandardLSH":
+                   store: Optional[RowStore] = None,
+                   rows: Optional[np.ndarray] = None) -> "StandardLSH":
         """The index :meth:`state` described, over the arrays given.
 
         Every array is adopted by reference — no copy, so read-only
         views stay read-only views and a memmap stays a
         memmap.  Table layouts absent from ``derived`` are rebuilt from
         ``data``; hierarchies are always rebuilt from the tables (their
-        Morton keys are Python ints past 62 bits, not an array).
+        Morton keys are Python ints past 62 bits, not an array).  With a
+        ``store`` the index is a group of a Bi-level index over its
+        ``rows`` of it (``source["ids"]`` are their ids), whose tombstones
+        go into the store's one mask.
         """
         index = cls(**scalars)
         derived = derived or {}
-        index._data = source["data"]
-        index._ids = source["ids"]
-        index._next_id = _next_free_id(index._ids)
-        index._deleted = source.get("deleted")
-        index._sq_norms = derived.get("sq_norms")
+        if store is None:
+            store = RowStore(source["data"], source["ids"],
+                             source.get("deleted"), derived.get("sq_norms"))
+        else:
+            index._rows = rows
+            if "deleted" in source:
+                mask = np.zeros(store.n_rows, dtype=bool)
+                mask[rows] = source["deleted"]
+                store.tombstone(mask)
+        index._store = store
+        index._next_id = _next_free_id(store.ids)
         index._lattice = make_lattice(index.lattice_kind, index.n_hashes)
         index._set_families([
             PStableHashFamily.from_arrays(
@@ -435,13 +547,18 @@ class StandardLSH:
         never an empty or partially refreshed list.
         """
         with self._update_lock:
-            data = self._data
-            local_ids = np.arange(data.shape[0], dtype=np.int64)
+            data, ids = self._data, self._rows
+            if ids is None:
+                ids = np.arange(data.shape[0], dtype=np.int64)
+            else:
+                # A group's rows, gathered once for all L tables (a
+                # transient of the group's size, never kept).
+                data = np.asarray(data[ids], dtype=np.float64)
             tables: List[LSHTable] = []
             hierarchies: list = []
             for family in self._families:
                 table = LSHTable(table_codes(family, self._lattice, data,
-                                             chunk_size), ids=local_ids)
+                                             chunk_size), ids=ids)
                 tables.append(table)
                 if self.use_hierarchy:
                     hierarchies.append(self._build_hierarchy(table))
@@ -480,39 +597,36 @@ class StandardLSH:
             # the OS) before any in-memory structure changes (R13).
             if self._wal is not None:
                 self._applied_lsn = self._wal.append_insert(points, ids)
-            self._mutations += 1
-            # Rows go into spare capacity behind the published arrays and
-            # each longer prefix is published with one assignment.  Order:
-            # norms, ids and mask before the data — a reader sizes itself
-            # by ``_data`` and must find every per-row array at least as
-            # long — and all of them *before* the published layouts learn
-            # the new local ids: a concurrent query that gathers a fresh id
-            # is then guaranteed to find its row.
-            start = self._data.shape[0]
-            with self._norms_lock:
-                if self._sq_norms is not None:
-                    self._sq_norms = self._spare.append(
-                        "sq_norms", self._sq_norms,
-                        tree_rowdot(points, points))
-            self._ids = self._spare.append("ids", self._ids, ids)
-            if self._deleted is not None:
-                self._deleted = self._spare.append(
-                    "deleted", self._deleted, np.zeros(m, dtype=bool))
-            self._data = self._spare.append("data", self._data, points)
+            # Every per-row array learns the rows *before* the published
+            # layouts learn their ids: a concurrent query that gathers a
+            # fresh id is then guaranteed to find its row.
+            start = self._store.n_rows
+            self._store.add_rows(points, ids)
             self._next_id = max(self._next_id, _next_free_id(ids))
-            local = np.arange(start, start + m, dtype=np.int64)
+            self._index_rows(np.arange(start, start + m, dtype=np.int64),
+                             points)
+        return ids
+
+    def _index_rows(self, rows: np.ndarray, points: np.ndarray) -> None:
+        """Enter store ``rows`` — already added, holding ``points`` — into
+        every table's overlay, rebuilding past ``REBUILD_FRACTION``: the
+        second half of :meth:`insert`, and a Bi-level insert per group."""
+        with self._update_lock:
+            before = self.n_points
+            if self._rows is not None:
+                self._rows = np.concatenate([self._rows, rows])
+            self._mutations += 1
             for table, codes in zip(self._tables, self._hash(points)[1]):
-                table.add(codes, local)
+                table.add(codes, rows)
             self._publish(self._tables, self._hierarchies)
             overlay = max((table.n_extra for table in self._tables), default=0)
-            if overlay > self.REBUILD_FRACTION * max(start, 1):
+            if overlay > self.REBUILD_FRACTION * max(before, 1):
                 # With a compactor attached the debt trigger is a hint —
                 # the merge happens off this writer lock, in background.
                 if self._compactor is not None:
                     self._compactor.request_compaction(self)
                 else:
                     self._rebuild_tables()
-        return ids
 
     def delete(self, ids: np.ndarray) -> int:
         """Remove points by external id; returns how many were found.
@@ -529,15 +643,7 @@ class StandardLSH:
                 if self._wal is not None:
                     self._applied_lsn = self._wal.append_delete(ids)
                 self._mutations += 1
-                # Grow the mask to the current row count first: a prior
-                # delete may have sized it to an older, shorter snapshot.
-                deleted = np.zeros(self._ids.shape[0], dtype=bool)
-                if self._deleted is not None:
-                    deleted[:self._deleted.shape[0]] = self._deleted
-                deleted |= mask
-                # Atomic swap: in-flight queries keep filtering against the
-                # previous mask instead of observing a half-written one.
-                self._deleted = deleted
+                self._store.tombstone(mask)
         return found
 
     def _build_hierarchy(self, table: LSHTable):
@@ -553,44 +659,29 @@ class StandardLSH:
 
     @property
     def n_points(self) -> int:
+        """Rows this index indexes (a group: its rows of the owner's)."""
         self._check_fitted()
-        return self._data.shape[0]
+        rows = self._rows
+        return self._store.n_rows if rows is None else rows.shape[0]
 
     @property
     def n_live(self) -> int:
-        """Rows not tombstoned by :meth:`delete`."""
-        n, deleted = self.n_points, self._deleted
-        return n if deleted is None else n - int(np.count_nonzero(deleted))
+        """Indexed rows not tombstoned by :meth:`delete`."""
+        self._check_fitted()
+        return self._live_rows().shape[0]
+
+    def _live_rows(self) -> np.ndarray:
+        """The store rows this index indexes that are not tombstoned."""
+        rows = self._rows
+        if rows is None:
+            rows = np.arange(self._store.n_rows, dtype=np.int64)
+        # Read after the rows: the mask is appended to before the data.
+        deleted = self._deleted
+        return rows if deleted is None else rows[~deleted[rows]]
 
     def _check_fitted(self) -> None:
-        if self._data is None:
+        if self._store is None:
             raise RuntimeError("index is not fitted; call fit(data) first")
-
-    def _point_sq_norms(self) -> Optional[np.ndarray]:
-        """Cached ``||x||^2`` per data row, possibly of more rows than
-        ``_data`` had when the caller read it (``None`` for memmapped data).
-
-        Computed lazily, so an index adopted by :meth:`from_state`
-        without them stays valid; memmapped datasets skip the
-        cache because a full-norm pass would fault in every row, defeating
-        the out-of-core promise of touching only candidate rows.
-        """
-        data = self._data
-        if isinstance(data, np.memmap):
-            return None
-        with self._norms_lock:
-            norms = self._sq_norms
-            # Rows are append-only and ``insert`` extends the cache before
-            # it publishes them, so a cache longer than this snapshot of
-            # the data is the cache of a later one: valid row for row.
-            if norms is None or norms.shape[0] < data.shape[0]:
-                # Same halving-tree summation as the rank dot products:
-                # for an indexed query point x, tree(x,x) - 2*tree(x,q)
-                # + tree(q,q) cancels to exactly 0.0 only when all three
-                # terms share one summation order.
-                norms = tree_rowdot(data, data)
-                self._sq_norms = norms
-        return norms
 
     def query(self, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """KNN for a single query vector; returns ``(ids, distances)``."""
@@ -673,12 +764,8 @@ class StandardLSH:
                        engine: Optional[str] = None) -> QueryPlan:
         """Staged :class:`~repro.exec.plan.QueryPlan` for this index.
 
-        :meth:`query_batch` feeds it to :func:`repro.exec.run_plan`;
-        :class:`~repro.core.bilevel.BiLevelLSH` feeds per-group plans to
-        the gate-free :func:`repro.exec.run_validated` so inner group
-        sub-batches skip re-validation and re-reading the obs / policy /
-        fault gates the outer batch already resolved.  ``engine`` is the
-        inert keyword of :meth:`query_batch`.
+        :meth:`query_batch` feeds it to :func:`repro.exec.run_plan`.
+        ``engine`` is the inert keyword of :meth:`query_batch`.
         """
         native_registry.check_legacy_engine(engine)
         return _LSHPlan(self, hierarchy_threshold,
@@ -698,9 +785,10 @@ class StandardLSH:
 
     def brute_force_batch(self, queries: np.ndarray, k: int,
                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact KNN over this index's live points (the resilience fallback).
+        """Exact KNN over this index's live points.
 
-        Scans every non-deleted row in blocks, so it needs no tables, no
+        Scans every non-deleted indexed row in blocks (a group: its rows
+        of the shared matrix), so it needs no tables, no
         hierarchies and no hash families — only ``_data``/``_ids`` — which
         is what makes it a usable fallback when the probabilistic
         structures are the thing that failed.  Returns ``(ids, dists)`` of
@@ -716,9 +804,7 @@ class StandardLSH:
         dists_out = np.full((nq, k), np.inf, dtype=np.float64)
         data = self._data
         ext_ids = self._ids
-        deleted = self._deleted
-        keep = (np.nonzero(~deleted)[0] if deleted is not None
-                else np.arange(data.shape[0], dtype=np.int64))
+        keep = self._live_rows()
         if keep.size == 0:
             return ids_out, dists_out
         q_sq = np.einsum("ij,ij->i", queries, queries)
@@ -740,13 +826,7 @@ class StandardLSH:
         sets directly.
         """
         self._check_fitted()
-        plan = self.execution_plan()
-        ctx = ExecutionContext.for_batch(
-            as_float_matrix(queries, name="queries"), 1)
-        plan._stage_hash(ctx)
-        plan._stage_gather(ctx)
-        bounds = np.cumsum(ctx.n_candidates)[:-1]
-        return [self._ids[c] for c in np.split(ctx.scratch["cand"], bounds)]
+        return self.execution_plan().candidate_sets(queries)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"StandardLSH(M={self.n_hashes}, L={self.n_tables}, "
@@ -767,8 +847,36 @@ class StandardLSH:
 ESCALATE_CHUNK = 256
 
 
+@dataclass(eq=False)
+class Member:
+    """One index a batch runs through (a :class:`StandardLSH`, or a
+    Bi-level group) and the batch ``rows`` routed to it.
+
+    ``slots[i]`` is ``rows[i]``'s candidate segment in the one
+    ``bucket_union`` (``q * spill + j`` for row ``q``'s ``j``-th route:
+    a row's segments are adjacent); ``first_table`` is where its tables
+    start in the layouts searched.  The hash stage fills ``y`` /
+    ``codes``; ``failed`` marks a group answered by its fallback.
+    """
+
+    index: StandardLSH
+    group: Optional[int]
+    first_table: int
+    rows: np.ndarray
+    slots: np.ndarray
+    y: Optional[np.ndarray] = None
+    codes: Optional[np.ndarray] = None
+    failed: bool = False
+    n_escalated: int = 0
+
+
 class _LSHPlan(QueryPlan):
     """The staged LSH engine: hash → gather → [escalate] → rank.
+
+    The stages run over the batch's members (:class:`Member`): one hash per
+    member, one ``bucket_union``, escalation per member, one
+    ``rank_topk`` against the one row store.  A :class:`StandardLSH` is
+    the one-member case; the Bi-level plan adds a route stage in front.
 
     Every hot inner loop (lattice decode, ``Z^M`` probe sequences, bucket
     and hierarchy node lookup, candidate dedup, fused rank) is a call on
@@ -780,7 +888,7 @@ class _LSHPlan(QueryPlan):
 
     site = "lsh"
 
-    def __init__(self, index: StandardLSH,
+    def __init__(self, index: object,
                  hierarchy_threshold: Union[str, int],
                  kernels: object) -> None:
         self.index = index
@@ -800,8 +908,22 @@ class _LSHPlan(QueryPlan):
         stages.append(Stage("lsh.rank", self._stage_rank))
         return tuple(stages)
 
+    def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
+        """Raw per-query candidate ids: the plan's stages up to and
+        including the gather, over ``queries``."""
+        ctx = ExecutionContext.for_batch(
+            as_float_matrix(queries, name="queries"), 1)
+        for stage in self.stages():
+            stage.fn(ctx)
+            if stage.name == "lsh.gather":
+                break
+        runs = np.split(self.index._store.ids[ctx.scratch["cand"]],
+                        np.cumsum(ctx.scratch["run_counts"])[:-1])
+        order = np.arange(ctx.nq, dtype=np.int64)[ctx.scratch["order"]]
+        return [runs[i] for i in np.argsort(order)]
+
     def _stage_hash(self, ctx: ExecutionContext) -> None:
-        index, kernels = self.index, self.kernels
+        kernels = self.kernels
         if ctx.ob is not None:
             # Each kernel call of this batch lands in the
             # ``repro_native_kernel_seconds`` histogram and the batch's
@@ -809,35 +931,44 @@ class _LSHPlan(QueryPlan):
             # hold the raw table — zero indirection on the gated path.
             kernels = ctx.ob.timed_kernels(kernels, ctx.timer.stages)
         ctx.scratch["kernels"] = kernels
-        y, codes = index._hash(ctx.queries, kernels)
-        ctx.scratch["projections"] = y
-        ctx.scratch["codes"] = codes
+        members = ctx.scratch.get("members")
+        if members is None:  # no route stage: the index answers every row
+            rows = np.arange(ctx.nq, dtype=np.int64)
+            members = ctx.scratch["members"] = [
+                Member(self.index, None, 0, rows, rows)]
+            ctx.scratch["spill"] = 1
+            ctx.scratch["order"] = slice(None)
+        for m in members:
+            # Rows are ascending: all of them is the batch itself.
+            queries = (ctx.queries if m.rows.shape[0] == ctx.nq
+                       else ctx.queries[m.rows])
+            m.y, m.codes = m.index._hash(queries, kernels)
 
-    def _probe_rows(self, ctx: ExecutionContext,
+    def _probe_rows(self, m: Member, kernels: object,
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every lookup row of every table, stacked table by table.
+        """Every lookup row of member ``m``'s tables, table by table.
 
         Returns ``(codes, row_q, table_rows)``: table ``t`` owns
-        ``table_rows[t]`` consecutive rows — each query's self code, then
-        each query's probes in sequence order — and ``row_q`` names the
-        query of every row.  The probe sequences of the whole ``(L * n)``
-        block come from one call — the ``zm_probe_codes`` kernel for
-        ``Z^M``, :meth:`E8Lattice.probe_codes` on the block for ``E8``,
+        ``table_rows[t]`` consecutive rows — each routed row's self code,
+        then each one's probes in sequence order — and ``row_q`` names
+        the member row (a position in ``m.rows``) of every lookup row.
+        The probe sequences of the whole ``(L * n)`` block come from one
+        call — the ``zm_probe_codes`` kernel for ``Z^M``,
+        :meth:`E8Lattice.probe_codes` on the block for ``E8``,
         :func:`adaptive_probes_batch` for adaptive budgets — except
         ``D_M``'s, which is per row.
         """
-        index = self.index
-        own = ctx.scratch["codes"]
+        index = m.index
+        own = m.codes
         n_tables, nq, width = own.shape
         own = own.reshape(n_tables * nq, width)
         of_own = np.arange(n_tables * nq, dtype=np.int64) % nq
         if index.n_probes <= 0:
             return own, of_own, np.full(n_tables, nq, dtype=np.int64)
-        y = ctx.scratch["projections"].reshape(n_tables * nq, -1)
+        y = m.y.reshape(n_tables * nq, -1)
         lattice = index._lattice
         if isinstance(lattice, ZMLattice) and not index.adaptive_probing:
-            probes, counts = ctx.scratch["kernels"].zm_probe_codes(
-                y, own, index.n_probes)
+            probes, counts = kernels.zm_probe_codes(y, own, index.n_probes)
         else:
             if index.adaptive_probing:
                 parts = adaptive_probes_batch(
@@ -851,7 +982,7 @@ class _LSHPlan(QueryPlan):
             counts = np.array([part.shape[0] for part in parts],
                               dtype=np.int64)
             probes = np.concatenate(parts, axis=0)
-        # Block row t * nq + i is query i of table t; table t's probes
+        # Block row t * nq + i is row i of table t; table t's probes
         # follow its own nq self rows, so each row lands at its index
         # plus the rows of the other kind stacked before it.
         probe_rows = counts.reshape(n_tables, nq).sum(axis=1)
@@ -867,129 +998,219 @@ class _LSHPlan(QueryPlan):
         row_q[at_own], row_q[at_probe] = of_own, of_probe % nq
         return codes, row_q, probe_rows + nq
 
-    def _check_table(self, ctx: ExecutionContext, t: int) -> None:
-        """Table ``t``'s supervised unit: the ``lsh.gather`` fault site.
-
-        The resilience policy retries/drops it per table.  A
-        corruption-kind hit is escalated to :class:`InjectedFault` here
-        because a gather has no integrity check that could catch silently
-        corrupted candidates (unlike ``persistence.load``, whose
-        checksums do).
-        """
+    @staticmethod
+    def _check(ctx: ExecutionContext, site: str, label: str,
+               **match: object) -> None:
+        """A supervised unit's fault site (``lsh.gather`` per table,
+        ``bilevel.dispatch`` per group).  A corruption-kind hit is raised
+        as :class:`InjectedFault`: a gather has no integrity check that
+        could catch corrupted candidates (``persistence.load``'s
+        checksums do)."""
         plan = ctx.fault_plan
-        if plan is not None and plan.check("lsh.gather", table=t):
-            raise InjectedFault("lsh.gather", f"table={t} corruption")
+        if plan is not None and plan.check(site, **match):
+            raise InjectedFault(site, f"{label} corruption")
+
+    def _kept_tables(self, ctx: ExecutionContext, m: Member,
+                     n_tables: int) -> Optional[np.ndarray]:
+        """Which of member ``m``'s tables pass their supervised check
+        (``None``: all of them, nothing supervises or injects).
+
+        Without a policy a failure propagates; with one, a table that
+        still fails after retries is dropped, and every row routed to
+        ``m`` is flagged degraded — a dropped table removes candidates
+        from any of them, so none may silently return a weaker answer.
+        """
+        pol = ctx.policy
+        if pol is None and ctx.fault_plan is None:
+            return None
+        keep = np.ones(n_tables, dtype=bool)
+        for t in range(n_tables):
+            label = (f"table={t}" if m.group is None
+                     else f"group={m.group} table={t}")
+            check = partial(self._check, ctx, "lsh.gather", label, table=t,
+                            group=m.group)
+            if pol is None:
+                check()
+                continue
+            _, action, records = pol.run("lsh.gather", label, check)
+            ctx.failures.extend(records)
+            keep[t] = action != "gave_up"
+        if not keep.all():
+            ctx.ensure_degraded()[m.rows] = True
+            if ctx.ob is not None:
+                ctx.ob.record_degraded("table_dropped", m.rows.shape[0])
+        return keep
 
     def _stage_gather(self, ctx: ExecutionContext) -> None:
         """Candidate gathering for the whole batch, query-major.
 
-        Every table's lookup rows — each query's self code and probe
-        codes — go to one ``kernels.bucket_union`` call over the
-        published :class:`TableLayouts`, which searches all of them and
-        unions each query's bucket intervals, leaving ``scratch["cand"]``
-        / ``scratch["qidx"]`` sorted by ``(query, id)`` with tombstones
-        dropped: segment ``i`` is query ``i``'s candidate set with ids
-        ascending — the order :func:`numpy.unique` gives the scalar
-        oracle.
-
-        Under a :class:`ResiliencePolicy` each table is a supervised
-        unit: a table that still fails after retries is dropped — its
-        row range, self and probe rows alike, is left out of the call.
-        A dropped table removes candidates from *every* query in the
-        shard, so all of them are flagged degraded rather than silently
-        returning possibly-weaker answers.  Without a policy, failures
-        propagate.
+        Every member's lookup rows — self and probe codes, table by
+        table — go to one ``kernels.bucket_union`` over the published
+        :class:`TableLayouts`, leaving ``scratch["cand"]`` /
+        ``scratch["qidx"]`` sorted by ``(segment, id)``, tombstones
+        dropped.  A query's segments (one per group it routes to) are
+        adjacent and groups hold disjoint rows: nothing needs merging.
+        Tables (:meth:`_kept_tables`: a dropped one's rows are left out)
+        and, after the union, groups (:meth:`_supervise_groups`) are the
+        supervised units.
         """
-        index, ob, pol, nq = self.index, ctx.ob, ctx.policy, ctx.nq
+        ob, nq = ctx.ob, ctx.nq
+        kernels = ctx.scratch["kernels"]
+        members = ctx.scratch["members"]
+        spill = ctx.scratch["spill"]
         # One snapshot of the published layouts: a concurrent insert or
         # rebuild publishes a new one, it never edits this one.
-        layouts = index._layouts
-        codes, row_q, table_rows = self._probe_rows(ctx)
-        n_tables = table_rows.shape[0]
-        kept: List[int] = []
-        for t in range(n_tables):
-            if pol is None:
-                self._check_table(ctx, t)
-            else:
-                _, action, records = pol.run(
-                    "lsh.gather", f"table={t}",
-                    lambda t=t: self._check_table(ctx, t))
-                ctx.failures.extend(records)
-                if action == "gave_up":
-                    continue
-            kept.append(t)
-        if len(kept) < n_tables:
-            keep = np.isin(np.arange(n_tables, dtype=np.int64), kept)
-            rows = np.repeat(keep, table_rows)
-            codes, row_q = codes[rows], row_q[rows]
-            table_rows = table_rows * keep
-            ctx.ensure_degraded()[:] = True
-            if ob is not None:
-                ob.record_degraded("table_dropped", nq)
+        layouts = self.index._layouts
+        table_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
+        code_parts: List[np.ndarray] = []
+        slot_parts: List[np.ndarray] = []
+        lookups = []
+        for m in members:
+            codes, row_m, rows_t = self._probe_rows(m, kernels)
+            keep = self._kept_tables(ctx, m, rows_t.shape[0])
+            if keep is not None and not keep.all():
+                rows = np.repeat(keep, rows_t)
+                codes, row_m = codes[rows], row_m[rows]
+                rows_t = rows_t * keep
+            table_rows[m.first_table:m.first_table + rows_t.shape[0]] = rows_t
+            code_parts.append(codes)
+            slot_parts.append(m.slots[row_m])
+            lookups.append((m, keep))
+        row_slot = np.concatenate(slot_parts)
+        store = self.index._store
         # The row count is read after the layouts: an insert publishes its
         # rows before the layouts that hold their ids, so it bounds every
         # id the kernel will meet.
-        cand, qidx, counts, misses = ctx.scratch["kernels"].bucket_union(
-            layouts, codes, row_q, table_rows, nq, index._data.shape[0],
-            deleted=index._deleted)
+        cand, qidx, counts, misses = kernels.bucket_union(
+            layouts, np.concatenate(code_parts), row_slot, table_rows,
+            nq * spill, store.n_rows, deleted=store.deleted)
+        if members[0].group is not None:
+            cand, qidx, counts = self._supervise_groups(
+                ctx, members, cand, qidx, counts)
         probes = None
         if ob is not None:
             # Committed only for the tables the union used — a timed-out,
             # abandoned attempt never reaches the shared counters.
-            for t in kept:
-                n_lookups = int(table_rows[t])
-                ob.record_table_lookup(t, n_lookups=n_lookups,
-                                       n_misses=int(misses[t]),
-                                       n_probes=n_lookups - nq)
-            probes = np.bincount(row_q, minlength=nq)[:nq] - len(kept)
+            probes = np.bincount(row_slot // spill, minlength=nq)
+            for m, keep in lookups:
+                n_rows = m.rows.shape[0]
+                kept = (range(m.index.n_tables) if keep is None
+                        else np.flatnonzero(keep))
+                for t in kept:
+                    n_lookups = int(table_rows[m.first_table + t])
+                    ob.record_table_lookup(
+                        t, n_lookups=n_lookups,
+                        n_misses=int(misses[m.first_table + t]),
+                        n_probes=n_lookups - n_rows)
+                probes[m.slots // spill] -= len(kept)
+            probes[ctx.scratch["order"]] = probes.copy()
         ctx.scratch["cand"] = cand
         ctx.scratch["qidx"] = qidx
         ctx.scratch["probes"] = probes
-        ctx.n_candidates[:] = counts
+        self._set_counts(ctx, counts)
+
+    def _supervise_groups(self, ctx: ExecutionContext, members: List[Member],
+                          cand: np.ndarray, qidx: np.ndarray,
+                          counts: np.ndarray,
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each group's supervised check, after the union: the union's
+        ``(cand, qidx, counts)``, where a group that still fails after
+        retries has its segments hold an exact scan's candidates — every
+        live row of the group, ranked like any other — or, failing that,
+        none; either way its rows are flagged degraded.  Without a policy
+        a failure propagates."""
+        pol, empty = ctx.policy, np.empty(0, dtype=np.int64)
+        if pol is None and ctx.fault_plan is None:
+            return cand, qidx, counts
+        stand_ins = []
+        for m in members:
+            label = f"group={m.group}"
+            check = partial(self._check, ctx, "bilevel.dispatch", label,
+                            group=m.group)
+            if pol is None:
+                check()
+                continue
+            rows, action, records = pol.run(
+                "bilevel.dispatch", label, check,
+                fallbacks=[("bruteforce", m.index._live_rows),
+                           ("empty", lambda: empty)])
+            ctx.failures.extend(records)
+            if action in (None, "retried"):
+                continue
+            m.failed = True
+            ctx.ensure_degraded()[m.rows] = True
+            if ctx.ob is not None:
+                ctx.ob.record_degraded("dispatch", m.rows.shape[0])
+            stand_ins.append((m, empty if rows is None else rows))
+        if not stand_ins:
+            return cand, qidx, counts
+        keep = ~np.isin(qidx, np.concatenate([m.slots for m, _ in stand_ins]))
+        ids = [cand[keep]] + [np.tile(rows, m.slots.shape[0])
+                              for m, rows in stand_ins]
+        slots = [qidx[keep]] + [np.repeat(m.slots, rows.shape[0])
+                                for m, rows in stand_ins]
+        return ctx.scratch["kernels"].dedup_candidates(
+            np.concatenate(ids), np.concatenate(slots), counts.shape[0],
+            deleted=self.index._store.deleted)
+
+    def _set_counts(self, ctx: ExecutionContext, counts: np.ndarray) -> None:
+        """Segment sizes in; each row's short-list size out — a row's
+        segments are adjacent and disjoint, so their sizes add to its run
+        of ``cand`` (``run_counts``, in the batch's worked order)."""
+        ctx.scratch["slot_counts"] = counts
+        spill = ctx.scratch["spill"]
+        runs = counts if spill == 1 \
+            else counts.reshape(ctx.nq, spill).sum(axis=1)
+        ctx.scratch["run_counts"] = runs
+        ctx.n_candidates[ctx.scratch["order"]] = runs
 
     def _stage_escalate(self, ctx: ExecutionContext) -> None:
-        # Every table's hierarchy walks a chunk of escalated rows in one
-        # batched call (each row still takes its own path up the bucket
-        # tree); the extra ids are appended to the flattened layout and
-        # folded in with one more global sort + dedup.  With a deadline,
-        # the budget is re-checked before each chunk: rows of chunks not
-        # started keep their base short-list and are flagged
-        # `exhausted_budget` (they were *not* escalated).
-        index = self.index
-        hierarchies = index._hierarchies  # one snapshot, as for _tables
-        threshold = index._resolve_threshold(ctx.n_candidates, ctx.k,
-                                             self.hierarchy_threshold)
-        ctx.escalated[:] = ctx.n_candidates < threshold
-        esc_rows = np.nonzero(ctx.escalated)[0]
-        if not esc_rows.size:
-            return
-        codes = ctx.scratch["codes"]
+        # Per member, rows whose segment is below its threshold (``"median"``
+        # of its segment sizes) walk its hierarchies, a chunk of rows per
+        # batched call; one more sort + dedup folds the extra ids in.  The
+        # budget is re-checked before each chunk: rows of chunks not
+        # started keep their base short-list, flagged `exhausted_budget`.
+        counts = ctx.scratch["slot_counts"]
         kernels = ctx.scratch["kernels"]
         extra_ids = [ctx.scratch["cand"]]
-        extra_q = [ctx.scratch["qidx"]]
-        done = esc_rows.size
-        for s in range(0, esc_rows.size, ESCALATE_CHUNK):
-            if ctx.deadline is not None and ctx.deadline.expired():
-                done = s
-                break
-            chunk = esc_rows[s:s + ESCALATE_CHUNK]
-            for t, hierarchy in enumerate(hierarchies):
-                ids_t, counts_t = hierarchy.candidates_batch(
-                    codes[t][chunk], threshold, kernels)
-                extra_ids.append(ids_t)
-                extra_q.append(np.repeat(chunk, counts_t))
-        if done < esc_rows.size:
-            skipped = esc_rows[done:]
-            ctx.escalated[skipped] = False
-            ctx.ensure_exhausted()[skipped] = True
-            if ctx.ob is not None:
-                ctx.ob.record_deadline_exhausted("lsh.escalate",
-                                                 int(skipped.size))
-        cand, _, counts = kernels.dedup_candidates(
-            np.concatenate(extra_ids), np.concatenate(extra_q), ctx.nq,
-            deleted=index._deleted)
+        extra_slots = [ctx.scratch["qidx"]]
+        expired = False
+        for m in ctx.scratch["members"]:
+            if m.failed:
+                continue
+            hierarchies = m.index._hierarchies  # one snapshot, as for tables
+            mine = counts[m.slots]
+            threshold = m.index._resolve_threshold(
+                mine, ctx.k, self.hierarchy_threshold)
+            esc = np.nonzero(mine < threshold)[0]
+            done = 0
+            while done < esc.size and not expired:
+                if ctx.deadline is not None and ctx.deadline.expired():
+                    expired = True
+                    break
+                chunk = esc[done:done + ESCALATE_CHUNK]
+                for t, hierarchy in enumerate(hierarchies):
+                    ids_t, counts_t = hierarchy.candidates_batch(
+                        m.codes[t][chunk], threshold, kernels)
+                    extra_ids.append(ids_t)
+                    extra_slots.append(np.repeat(m.slots[chunk], counts_t))
+                done += chunk.size
+            ctx.escalated[m.rows[esc[:done]]] = True
+            m.n_escalated = done
+            if done < esc.size:
+                skipped = m.rows[esc[done:]]
+                ctx.ensure_exhausted()[skipped] = True
+                if ctx.ob is not None:
+                    ctx.ob.record_deadline_exhausted("lsh.escalate",
+                                                     int(skipped.size))
+        if len(extra_ids) == 1:
+            return
+        cand, qidx, counts = kernels.dedup_candidates(
+            np.concatenate(extra_ids), np.concatenate(extra_slots),
+            counts.shape[0], deleted=self.index._store.deleted)
         ctx.scratch["cand"] = cand
-        ctx.n_candidates[:] = counts
+        ctx.scratch["qidx"] = qidx
+        self._set_counts(ctx, counts)
 
     def _stage_rank(self, ctx: ExecutionContext) -> None:
         # One fused gather+distance+top-k call over all short-lists.
@@ -997,23 +1218,26 @@ class _LSHPlan(QueryPlan):
         # the halving-tree order of :func:`repro.native.ref.tree_rowdot`,
         # which is what makes the kernel tables bit-identical and an
         # indexed query's self-distance exactly ``0.0``.
-        index, cand = self.index, ctx.scratch["cand"]
+        store, cand = self.index._store, ctx.scratch["cand"]
         if cand.size == 0:
             return
+        order = ctx.scratch["order"]  # the rows in the order cand runs
+        queries = ctx.queries[order]
         # The fork reads the data, not the kernels: a memmapped corpus is
         # always ranked by the numpy spec, which gathers candidate rows
         # before touching them — the only pages read off disk.
-        rank = (rank_topk_ref if isinstance(index._data, np.memmap)
+        rank = (rank_topk_ref if isinstance(store.data, np.memmap)
                 else ctx.scratch["kernels"].rank_topk)
-        sel, dists = rank(index._data, index._point_sq_norms(), ctx.queries,
-                          tree_rowdot(ctx.queries, ctx.queries), cand,
-                          ctx.n_candidates, ctx.k)
+        sel, dists = rank(store.data, store.point_sq_norms(), queries,
+                          tree_rowdot(queries, queries), cand,
+                          ctx.scratch["run_counts"], ctx.k)
         hit = sel >= 0
-        ctx.ids_out[hit] = index._ids[sel[hit]]
-        ctx.dists_out[hit] = dists[hit]
+        sel[hit] = store.ids[sel[hit]]
+        ctx.ids_out[order] = sel
+        ctx.dists_out[order] = dists
 
     def record_obs(self, ctx: ExecutionContext) -> None:
-        ctx.ob.record_batch(self.site, ctx.n_candidates, ctx.escalated,
+        ctx.ob.record_batch("lsh", ctx.n_candidates, ctx.escalated,
                             ctx.timer.stages, probes=ctx.scratch["probes"])
         ctx.ob.record_native_batch(self.kernels.backend)
 

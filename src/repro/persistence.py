@@ -28,11 +28,11 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.bilevel import BiLevelLSH
+from repro.core.bilevel import BiLevelLSH, grouped_store
 from repro.core.config import BiLevelConfig
 from repro.cluster.kmeans import KMeansPartitioner
 from repro.lsh.forest import LSHForest
-from repro.lsh.index import StandardLSH, prefixed, sub_arrays
+from repro.lsh.index import RowStore, StandardLSH, prefixed, sub_arrays
 from repro.resilience.errors import CorruptIndexError, InjectedFault
 from repro.resilience.faults import faults_active
 from repro.rptree.rules import SplitResult
@@ -47,13 +47,11 @@ SUPPORTED_VERSIONS = (1, 2)
 # ------------------------------------------------------------- standard LSH
 
 def _standard_arrays(prefix: str, index: StandardLSH,
-                     arrays: Dict[str, np.ndarray],
-                     include_data: bool = True) -> dict:
+                     arrays: Dict[str, np.ndarray]) -> dict:
     """Store ``index.state()``'s source arrays under ``prefix/``; the
-    derived ones are rebuilt on load, so they are not stored."""
+    derived ones are rebuilt on load, so they are not stored (nor is a
+    Bi-level group's data, which is its owner's)."""
     scalars, source, _ = index.state()
-    if not include_data:
-        del source["data"]
     arrays.update(prefixed(f"{prefix}/", source))
     # Readers before the state description take each family's width
     # from here; it has only ever been the index's.
@@ -62,13 +60,12 @@ def _standard_arrays(prefix: str, index: StandardLSH,
 
 
 def _standard_restore(prefix: str, meta: dict, arrays,
-                      data: Optional[np.ndarray] = None) -> StandardLSH:
+                      store: Optional[RowStore] = None,
+                      rows: Optional[np.ndarray] = None) -> StandardLSH:
     scalars = {key: value for key, value in meta.items()
                if key != "families"}
-    source = sub_arrays(arrays, f"{prefix}/")
-    if data is not None:
-        source["data"] = data
-    return StandardLSH.from_state(scalars, source)
+    return StandardLSH.from_state(scalars, sub_arrays(arrays, f"{prefix}/"),
+                                  store=store, rows=rows)
 
 
 # ------------------------------------------------------------------ RP-tree
@@ -198,32 +195,34 @@ def _bilevel_arrays(index: BiLevelLSH, arrays: Dict[str, np.ndarray]) -> dict:
         "config": dataclasses.asdict(index.config),
         "group_widths": list(index.group_widths),
     }
-    arrays["data"] = index._data
+    store = index._store  # rows group by group; the archive's in id order
+    arrays["data"] = store.data[np.argsort(store.ids, kind="stable")]
     if isinstance(index.partitioner, RPTree):
         meta["tree"] = _tree_arrays("tree", index.partitioner, arrays)
     else:
         meta["tree"] = _kmeans_arrays("tree", index.partitioner, arrays)
     meta["groups"] = [
-        _standard_arrays(f"group{g}", sub, arrays, include_data=False)
+        _standard_arrays(f"group{g}", sub, arrays)
         for g, sub in enumerate(index.group_indexes)
     ]
     return meta
 
 
 def _bilevel_restore(meta: dict, arrays) -> BiLevelLSH:
-    cfg = BiLevelConfig(**meta["config"])
-    index = BiLevelLSH(cfg)
-    index._data = np.asarray(arrays["data"])
+    known = {field.name for field in dataclasses.fields(BiLevelConfig)}
+    index = BiLevelLSH(BiLevelConfig(**{  # a retired key is ignored
+        key: value for key, value in meta["config"].items() if key in known}))
     if meta["tree"]["partitioner"] == "rptree":
         index.partitioner = _tree_restore("tree", meta["tree"], arrays)
     else:
         index.partitioner = _kmeans_restore("tree", meta["tree"], arrays)
     index.group_widths = [float(w) for w in meta["group_widths"]]
-    index.group_indexes = []
-    for g, group_meta in enumerate(meta["groups"]):
-        index.group_indexes.append(_standard_restore(
-            f"group{g}", group_meta, arrays,
-            data=index._data[arrays[f"group{g}/ids"]]))
+    index._store, rows = grouped_store(np.asarray(arrays["data"]), [
+        arrays[f"group{g}/ids"] for g in range(len(meta["groups"]))])
+    index.group_indexes = [
+        _standard_restore(f"group{g}", group_meta, arrays,
+                          store=index._store, rows=rows[g])
+        for g, group_meta in enumerate(meta["groups"])]
     return index
 
 

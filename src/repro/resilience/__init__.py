@@ -2,7 +2,7 @@
 
 The serving path built in earlier PRs escalates queries whose short-list
 is too small — an *accuracy* fallback.  This package adds the *failure*
-fallbacks: supervised per-group dispatch with retry/timeout/brute-force
+fallbacks: supervised tables and groups with retry/timeout/exact-scan
 recovery (:mod:`.policy`), wall-clock query budgets (:mod:`.deadline`),
 deterministic fault injection for chaos testing (:mod:`.faults`), and
 the typed errors the rest of the pipeline raises (:mod:`.errors`).

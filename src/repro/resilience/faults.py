@@ -22,8 +22,8 @@ Determinism: each spec draws from its own spawned RNG stream under a
 lock, so a plan with ``rate=1.0`` (optionally bounded by ``max_hits``,
 optionally pinned to one group/table via ``match``) fires identically
 across runs regardless of thread interleaving.  Sub-unit rates are
-deterministic per spec *draw sequence*; with multi-threaded dispatch the
-assignment of draws to workers follows arrival order.
+deterministic per spec *draw sequence*; with shards on several threads
+the assignment of draws to shards follows arrival order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.utils.rng import SeedLike, spawn_rngs
 #: The named checkpoints the pipeline exposes.  Specs must target one of
 #: these — a typo'd site name is a configuration bug, not a silent no-op.
 KNOWN_SITES: Tuple[str, ...] = (
-    "bilevel.dispatch",   # per-group sub-batch dispatch in BiLevelLSH
+    "bilevel.dispatch",   # per-group supervised check in BiLevelLSH
     "lsh.gather",         # per-table candidate gathering in StandardLSH
     "maintenance.append",  # WAL record append in WriteAheadLog
     "maintenance.compact",  # per-task execution in Compactor
@@ -104,7 +104,7 @@ class FaultPlan:
 
     Thread-safe: concurrent workers hitting the same site serialize on
     one lock around the RNG draw and hit counters, so ``max_hits``
-    bounds hold exactly even under ``n_jobs > 1``.
+    bounds hold exactly under a runtime's shard threads.
     """
 
     def __init__(self, specs: Sequence[FaultSpec],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -110,12 +110,7 @@ class ResiliencePolicy:
 
     # -- supervised execution ----------------------------------------------
     def _call_bounded(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn``, enforcing ``group_timeout_ms`` if configured.
-
-        Used on the serial path (and inside fallbacks); the parallel
-        dispatch path bounds the already-running future instead via
-        :meth:`await_future`.
-        """
+        """Run ``fn``, enforcing ``group_timeout_ms`` if configured."""
         if self.group_timeout_ms is None:
             return fn()
         # No context manager: `with` would call shutdown(wait=True) on
@@ -190,44 +185,6 @@ class ResiliencePolicy:
                     self._records[i] = updated
                     break
         return updated
-
-    def await_future(self, site: str, label: str, future: "Future[Any]",
-                     fallbacks: Sequence[Tuple[str, Callable[[], Any]]] = (),
-                     ) -> Tuple[Any, Optional[str], List[FailureRecord]]:
-        """Supervise an already-submitted future (parallel dispatch path).
-
-        The future's *first* attempt is the submitted work; retries rerun
-        nothing (the input may be large and a pool slot is gone), so a
-        failed future goes straight to the fallback chain.  Timeouts
-        abandon the worker — its thread finishes in the background and
-        its result is discarded.
-        """
-        timeout = (None if self.group_timeout_ms is None
-                   else self.group_timeout_ms / 1000.0)
-        try:
-            result = future.result(timeout=timeout)
-        except FutureTimeoutError:
-            error: BaseException = TimeoutError(
-                f"group worker exceeded {self.group_timeout_ms}ms")
-        except Exception as exc:  # noqa: BLE001 - supervision boundary
-            error = exc
-        else:
-            return result, None, []
-        records = [self.note_failure(site, label, error, "gave_up")]
-        for name, fallback in fallbacks:
-            try:
-                result = fallback()
-            except Exception as exc:  # noqa: BLE001 - supervision boundary
-                records.append(self.note_failure(
-                    site, f"{label}:{name}", exc, "gave_up"))
-            else:
-                action = f"fallback:{name}"
-                records[0] = self._retag(records[0], action)
-                ob = obs.active()
-                if ob is not None:
-                    ob.record_fallback(site, name)
-                return result, action, records
-        return None, "gave_up", records
 
 
 # ---------------------------------------------------------------------------

@@ -302,12 +302,6 @@ class IndexRuntime:
         # concurrent submits; they read the live index: nothing to refresh.
         self._shard_pool: Optional[ThreadPoolExecutor] = None
         if self.config.shard_workers > 0:
-            plan = index.execution_plan()  # type: ignore[attr-defined]
-            if plan.delegates_sharding:
-                raise ValueError(
-                    f"shard_workers threads the executor's shard loop; a "
-                    f"{type(index).__name__} plan shards inside its group "
-                    "dispatch, on its own threads: set BiLevelConfig.n_jobs")
             self._shard_pool = ThreadPoolExecutor(
                 self.config.shard_workers, thread_name_prefix="shard")
 

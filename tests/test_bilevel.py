@@ -207,3 +207,16 @@ class TestBilevelCodes:
                                        seed=13)).fit(gaussian_data)
         sets = idx.candidate_sets(gaussian_queries)
         assert len(sets) == gaussian_queries.shape[0]
+
+    @pytest.mark.parametrize("spill", [1, 2])
+    def test_candidate_sets_are_the_short_lists(self, gaussian_data,
+                                                gaussian_queries, spill):
+        # The sets query_batch ranks: a spilled query's set spans every
+        # group it routes to, without repeats.
+        idx = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=8.0,
+                                       multi_assign=spill,
+                                       seed=13)).fit(gaussian_data)
+        sets = idx.candidate_sets(gaussian_queries)
+        _, _, stats = idx.query_batch(gaussian_queries, 5)
+        assert [len(c) for c in sets] == stats.n_candidates.tolist()
+        assert all(np.unique(c).size == c.size for c in sets)

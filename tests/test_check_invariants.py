@@ -373,9 +373,9 @@ class TestRuleDetails:
         assert _check_source(src, rules=("R10",)) == []
 
     def test_r3_walks_from_the_shard_task(self):
-        # What a runtime's shard pool runs is a worker root like the
-        # ``n_jobs`` entries: a stage it reaches may not publish index
-        # state outside a lock.
+        # What a runtime's shard pool runs is a worker root like
+        # ``query_batch``: a stage it reaches may not publish index state
+        # outside a lock.
         src = (
             "class Plan:\n"
             "    def stage(self):\n"

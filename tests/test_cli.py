@@ -60,26 +60,28 @@ class TestBuildQueryInfo:
                      "--show", "2"]) == 0
 
     def test_shard_workers_thread_the_shards(self, tmp_path, feature_file,
-                                             query_file, index_file, capsys):
-        # Same answers with the shards on two threads; a bi-level index
-        # is refused with a pointer at its own knob.
-        index_path = str(tmp_path / "std.npz")
-        assert main(["build", feature_file, index_path,
+                                             query_file):
+        # Same answers with the shards on two threads, for a standard
+        # index and for a bi-level one with an E8 hierarchy.
+        std_path = str(tmp_path / "std.npz")
+        assert main(["build", feature_file, std_path,
                      "--index-type", "standard", "--width", "8.0",
                      "--tables", "2"]) == 0
-        outputs = []
-        for extra in ([], ["--shard-workers", "2"]):
-            out = str(tmp_path / f"res{len(outputs)}.npz")
-            assert main(["query", index_path, query_file, "-k", "3",
-                         "--max-batch-rows", "7", "--output", out]
-                        + extra) == 0
-            outputs.append(np.load(out))
-        for key in ("ids", "distances", "n_candidates"):
-            assert np.array_equal(outputs[0][key], outputs[1][key])
-        capsys.readouterr()
-        assert main(["query", index_file, query_file, "-k", "3",
-                     "--shard-workers", "2"]) == 2
-        assert "BiLevelConfig.n_jobs" in capsys.readouterr().err
+        bilevel_path = str(tmp_path / "e8.npz")
+        assert main(["build", feature_file, bilevel_path, "--groups", "4",
+                     "--tables", "3", "--width", "8.0", "--lattice", "e8",
+                     "--hierarchy", "--seed", "2"]) == 0
+        for index_path in (std_path, bilevel_path):
+            outputs = []
+            for extra in ([], ["--shard-workers", "2"]):
+                out = str(tmp_path / f"res{len(outputs)}.npz")
+                assert main(["query", index_path, query_file, "-k", "3",
+                             "--max-batch-rows", "7", "--output", out]
+                            + extra) == 0
+                outputs.append(np.load(out))
+            for key in ("ids", "distances", "n_candidates"):
+                assert (outputs[0][key].tobytes()
+                        == outputs[1][key].tobytes())
 
     def test_info_reports_structure(self, tmp_path, feature_file, capsys):
         index_path = str(tmp_path / "index.npz")
@@ -212,8 +214,10 @@ class TestResilienceCLI:
 
     def test_query_expired_deadline_flags_everything(self, index_file,
                                                      query_file, capsys):
+        # The budget is checked between shards: every shard starts late.
         rc = main(["query", index_file, query_file, "-k", "5",
-                   "--deadline-ms", "0.000001", "--show", "0"])
+                   "--deadline-ms", "0.000001", "--max-batch-rows", "2",
+                   "--show", "0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "budget-exhausted" in out

@@ -40,10 +40,9 @@ pytestmark = pytest.mark.concurrency
 N_TRIALS = 100  # randomized interleavings in the parity sweep
 
 
-def _bilevel(seed: int, n_jobs: int = 4) -> BiLevelLSH:
+def _bilevel(seed: int) -> BiLevelLSH:
     return BiLevelLSH(BiLevelConfig(
-        n_groups=4, n_tables=2, n_hashes=4, bucket_width=8.0,
-        n_jobs=n_jobs, seed=seed))
+        n_groups=4, n_tables=2, n_hashes=4, bucket_width=8.0, seed=seed))
 
 
 class TestConcurrentQueries:
@@ -53,9 +52,13 @@ class TestConcurrentQueries:
         queries = rng.standard_normal((20, 16))
         index = _bilevel(seed=0).fit(data)
         ids0, dists0, _ = index.query_batch(queries, 5)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(index.query_batch, queries, 5)
-                       for _ in range(16)]
+        # Half the batches ask the index, half a runtime that runs them
+        # as 3-row shards on its own two threads.
+        with ThreadPoolExecutor(max_workers=8) as pool, IndexRuntime(
+                index, RuntimeConfig(shard_workers=2,
+                                     max_batch_rows=3)) as rt:
+            futures = [pool.submit(ask, queries, 5)
+                       for ask in [index.query_batch, rt.query_batch] * 8]
             for future in futures:
                 ids, dists, _ = future.result()
                 np.testing.assert_array_equal(ids, ids0)
@@ -116,7 +119,9 @@ class TestSerialParity:
         deletions = [np.arange(10 * i, 10 * i + 5, dtype=np.int64)
                      for i in range(2)]
 
-        hammered = _bilevel(seed=trial, n_jobs=2).fit(base)
+        hammered = _bilevel(seed=trial).fit(base)
+        threaded = IndexRuntime(hammered, RuntimeConfig(shard_workers=2,
+                                                        max_batch_rows=3))
         recorded = []
 
         def do_insert(block):
@@ -124,14 +129,14 @@ class TestSerialParity:
 
         ops = ([lambda b=b: do_insert(b) for b in blocks] +
                [lambda d=d: hammered.delete(d) for d in deletions] +
-               [lambda: hammered.query_batch(queries, 5)] * 2)
+               [lambda: threaded.query_batch(queries, 5)] * 2)
         order = rng.permutation(len(ops))
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        with ThreadPoolExecutor(max_workers=4) as pool, threaded:
             done, _ = wait([pool.submit(ops[i]) for i in order])
         for future in done:
             future.result()  # re-raise anything a thread swallowed
 
-        replay = _bilevel(seed=trial, n_jobs=1).fit(base)
+        replay = _bilevel(seed=trial).fit(base)
         for ids, block in sorted(recorded, key=lambda r: int(r[0][0])):
             got = replay.insert(block)
             np.testing.assert_array_equal(got, ids)
@@ -274,7 +279,7 @@ class TestInsertsRacingReads:
         index = StandardLSH(bucket_width=8.0, n_tables=2,
                             seed=5).fit(data[:500])
         index.query_batch(data[:3], 2)            # fills the norm cache
-        full_passes, seen = [], []
+        full_passes = []
         rowdot = index_module.tree_rowdot
 
         def counting_rowdot(a, b):
@@ -283,41 +288,31 @@ class TestInsertsRacingReads:
             return rowdot(a, b)
 
         monkeypatch.setattr(index_module, "tree_rowdot", counting_rowdot)
+        store = index._store
+        lock = store._lock
 
-        class RacingReader:
-            """The norms lock, with a reader's lookup scheduled right
-            before ``insert`` takes it and right after it lets go."""
-
-            def __init__(self, lock):
-                self.lock, self.reading = lock, False
-
-            def read(self):
-                if not self.reading:
-                    self.reading = True
-                    seen.append((index._point_sq_norms().shape[0],
-                                 index._data.shape[0]))
-                    self.reading = False
+        class InsertFirst:
+            """The store lock, with an ``insert`` scheduled after a
+            reader took its snapshot of the rows and before it gets the
+            lock."""
 
             def __enter__(self):
-                self.read()
-                return self.lock.__enter__()
+                store._lock = lock
+                index.insert(data[500:])
+                return lock.__enter__()
 
             def __exit__(self, *exc):
-                result = self.lock.__exit__(*exc)
-                self.read()
-                return result
+                return lock.__exit__(*exc)
 
-        index._norms_lock = RacingReader(index._norms_lock)
-        index.insert(data[500:])
-        index._norms_lock = index._norms_lock.lock
-        # Before the lock: old rows, old norms.  After it: the norms are
-        # already two longer than the rows a reader can see — accepted as
-        # they are.  Nobody summed the whole matrix again.
-        assert seen == [(500, 500), (502, 500)]
+        store._lock = InsertFirst()
+        norms = store.point_sq_norms()
+        # The reader saw 500 rows and found the norms already two longer
+        # — accepted as they are.  Nobody summed the whole matrix again.
+        assert store.data.shape[0] == 502 and norms.shape == (502,)
         index.query_batch(data[:3], 2)
         assert full_passes == []
-        assert index._sq_norms.shape == (502,)
-        assert np.array_equal(index._sq_norms.view(np.int64),
+        assert store.sq_norms.shape == (502,)
+        assert np.array_equal(store.sq_norms.view(np.int64),
                               tree_rowdot(data, data).view(np.int64))
 
 

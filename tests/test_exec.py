@@ -65,17 +65,9 @@ def forest(dataset):
 
 
 @pytest.fixture(scope="module")
-def bilevel_cache(dataset):
-    cache = {}
-
-    def get(n_jobs):
-        if n_jobs not in cache:
-            cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=8.0,
-                                n_jobs=n_jobs, seed=5)
-            cache[n_jobs] = BiLevelLSH(cfg).fit(dataset)
-        return cache[n_jobs]
-
-    return get
+def bilevel(dataset):
+    cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=8.0, seed=5)
+    return BiLevelLSH(cfg).fit(dataset)
 
 
 def assert_same_results(a, b):
@@ -127,17 +119,20 @@ class TestShardParity:
         assert_same_results(base, sharded)
 
     @pytest.mark.parametrize("rows", SHARD_SIZES)
-    @pytest.mark.parametrize("n_jobs", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("supervised", [False, True])
-    def test_bilevel(self, bilevel_cache, queries, rows, n_jobs, supervised):
-        index = bilevel_cache(n_jobs)
+    def test_bilevel(self, bilevel, queries, rows, workers, supervised):
+        # Inline shards, and the same shards on a runtime's threads.
         kwargs = {}
         if supervised:
             kwargs["policy"] = ResiliencePolicy(max_retries=0)
-        base = index.query_batch(queries, K, **kwargs)
-        sharded = index.query_batch(queries, K, max_batch_rows=rows,
-                                    **kwargs)
+        base = bilevel.query_batch(queries, K, **kwargs)
+        sharded = bilevel.query_batch(queries, K, max_batch_rows=rows,
+                                      **kwargs)
         assert_same_results(base, sharded)
+        with IndexRuntime(bilevel, RuntimeConfig(
+                shard_workers=workers, max_batch_rows=rows)) as rt:
+            assert_same_results(base, rt.query_batch(queries, K, **kwargs))
 
     @pytest.mark.parametrize("rows", SHARD_SIZES)
     @pytest.mark.parametrize("supervised", [False, True])
@@ -152,10 +147,8 @@ class TestShardParity:
 
     def test_config_default_is_used(self, dataset, queries):
         # config.max_batch_rows shards every batch without the kwarg;
-        # the obs shard counter proves the split actually happened.  The
-        # bi-level plan delegates the bound to its per-group dispatch,
-        # so the executed (and counted) shards are the split group
-        # sub-batches, recorded under the inner "lsh" plans' site.
+        # the obs shard counter proves the split actually happened: the
+        # executor slices the batch, as for every other front-end.
         rows = 3
         cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=8.0,
                             seed=5, max_batch_rows=rows)
@@ -169,13 +162,9 @@ class TestShardParity:
         finally:
             obs.disable()
         assert_same_results(plain.query_batch(queries, K), sharded)
-        group_sizes = np.bincount(index.partitioner.assign(queries),
-                                  minlength=4)
-        expected = sum(-(-int(s) // rows) for s in group_sizes if s > rows)
-        assert expected > 0, "workload should make some group split"
         shard_counts = {dict(c.label_items)["site"]: c.value
                        for c in reg.get(obs.EXEC_SHARDS_TOTAL).children()}
-        assert shard_counts == {"lsh": expected}
+        assert shard_counts == {"bilevel": -(-N_QUERIES // rows)}
 
     def test_record_shards_counter(self, standard, queries):
         reg = MetricsRegistry()
@@ -264,9 +253,8 @@ class TestDeadlineAcrossShards:
 
 
 class TestShardedFaults:
-    def test_bilevel_dispatch_fault_in_one_shard(self, bilevel_cache,
-                                                 queries):
-        index = bilevel_cache(1)
+    def test_bilevel_dispatch_fault_in_one_shard(self, bilevel, queries):
+        index = bilevel
         base_ids, base_dists, _ = index.query_batch(queries, K)
         plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
                                     match={"group": 1}, max_hits=1)],

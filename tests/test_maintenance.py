@@ -394,7 +394,7 @@ class TestDeleteMaskRegression:
         idx.delete(np.array([3], dtype=np.int64))
         # Simulate a mask restored from an older snapshot (shorter than
         # the current row count after an insert).
-        idx._deleted = idx._deleted[:100].copy()
+        idx._store.deleted = idx._deleted[:100].copy()
         idx.insert(points[:5] + 50.0)
         assert idx.delete(np.array([4], dtype=np.int64)) == 1
         assert idx._deleted.shape[0] == idx._ids.shape[0]

@@ -6,7 +6,7 @@ Four contracts:
    indices and distances on the compiled kernel table and on the numpy
    one, and the scalar oracle's neighbours, across lattices × multiprobe
    (fixed, adaptive) × hierarchy × tombstones × live overlay × memmap ×
-   ``max_batch_rows`` × ``n_jobs`` × spill.  The numpy side is pinned
+   ``max_batch_rows`` × shard threads × spill.  The numpy side is pinned
    through the ``REPRO_NATIVE_BACKEND`` + ``registry.reset()`` seam; the
    other side is whatever the environment resolves (the CI ``native``
    job requires that to be ``cext``, and reruns everything under
@@ -54,7 +54,7 @@ from repro.native.ref import (bucket_union_ref, dedup_candidates_ref,
                               rank_topk_ref, zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
-from repro.runtime import RuntimeConfig
+from repro.runtime import IndexRuntime, RuntimeConfig
 from tests.oracle import oracle_query
 
 N_QUERIES = 19
@@ -205,14 +205,16 @@ class TestParityMatrix:
             assert_same_results(oracle_query(index, queries, K, **kwargs),
                                 resolved, exact=False)
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("rows", [None, 7])
-    def test_bilevel_native_parity(self, dataset, queries, n_jobs, rows):
+    def test_bilevel_native_parity(self, dataset, queries, workers, rows):
         for spill in (1, 2):
             cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=6.0,
-                                n_jobs=n_jobs, multi_assign=spill, seed=5)
+                                multi_assign=spill, seed=5)
             index = BiLevelLSH(cfg).fit(dataset)
-            resolved = index.query_batch(queries, K, max_batch_rows=rows)
+            with IndexRuntime(index, RuntimeConfig(
+                    shard_workers=workers, max_batch_rows=rows)) as rt:
+                resolved = rt.query_batch(queries, K)
             with numpy_table():
                 assert_same_results(index.query_batch(queries, K), resolved)
             assert_same_results(oracle_query(index, queries, K), resolved,

@@ -4,7 +4,7 @@ Covers the metrics registry (kinds, labels, histograms, exports), the
 module-level gate, trace-sampling determinism under the repo's seeded
 RNG, and — reusing the concurrency-audit harness pattern — counter-total
 consistency when the registry is hammered from worker threads and when
-``n_jobs`` parallel per-group dispatch records into it.
+a runtime's shard threads record per-group counters into it.
 """
 
 import json
@@ -19,6 +19,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.obs.registry import MetricsRegistry, log_buckets
 from repro.obs.trace import QueryTrace, TraceCollector
+from repro.runtime import IndexRuntime, RuntimeConfig
 
 
 @pytest.fixture(autouse=True)
@@ -29,11 +30,10 @@ def _obs_off():
     obs.disable()
 
 
-def _bilevel(seed: int, n_jobs: int = 4) -> BiLevelLSH:
+def _bilevel(seed: int) -> BiLevelLSH:
     # Same shape as the concurrency-audit harness.
     return BiLevelLSH(BiLevelConfig(
-        n_groups=4, n_tables=2, n_hashes=4, bucket_width=8.0,
-        n_jobs=n_jobs, seed=seed))
+        n_groups=4, n_tables=2, n_hashes=4, bucket_width=8.0, seed=seed))
 
 
 class TestRegistryBasics:
@@ -273,7 +273,7 @@ class TestInstrumentedPipeline:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((400, 16))
         queries = rng.standard_normal((30, 16))
-        index = _bilevel(seed=0, n_jobs=1).fit(data)
+        index = _bilevel(seed=0).fit(data)
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         index.query_batch(queries, 5)
@@ -285,8 +285,8 @@ class TestInstrumentedPipeline:
         assert per_group.total() == queries.shape[0]
         stages = {dict(h.label_items)["stage"]
                   for h in reg.get(obs.STAGE_SECONDS).children()}
-        assert {"bilevel.route", "bilevel.dispatch", "bilevel.merge",
-                "lsh.hash", "lsh.gather", "lsh.rank"} <= stages
+        assert {"bilevel.route", "lsh.hash", "lsh.gather",
+                "lsh.rank"} <= stages
 
     def test_results_identical_with_and_without_obs(self):
         rng = np.random.default_rng(1)
@@ -333,18 +333,20 @@ class TestRegistryConcurrency:
         assert hist.sum == 6 * 50 * values.sum()
 
     def test_parallel_group_dispatch_counts_are_consistent(self):
-        """n_jobs worker threads record per-group counters concurrently;
-        totals must equal the serial run's exactly."""
+        """A runtime's shard threads record per-group counters
+        concurrently; totals must equal the serial run's exactly."""
         rng = np.random.default_rng(7)
         data = rng.standard_normal((500, 16))
         queries = rng.standard_normal((40, 16))
+        index = _bilevel(seed=7).fit(data)
 
-        def totals(n_jobs: int, n_batches: int = 4):
-            index = _bilevel(seed=7, n_jobs=n_jobs).fit(data)
+        def totals(workers: int, n_batches: int = 4):
             reg = MetricsRegistry()
             obs.enable(registry=reg)
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(index.query_batch, queries, 5)
+            with ThreadPoolExecutor(max_workers=4) as pool, IndexRuntime(
+                    index, RuntimeConfig(shard_workers=workers,
+                                         max_batch_rows=7)) as rt:
+                futures = [pool.submit(rt.query_batch, queries, 5)
                            for _ in range(n_batches)]
                 for future in futures:
                     future.result()
@@ -354,8 +356,8 @@ class TestRegistryConcurrency:
                     {dict(c.label_items)["group"]: c.value
                      for c in group.children()})
 
-        serial_total, serial_groups = totals(n_jobs=1)
-        parallel_total, parallel_groups = totals(n_jobs=4)
+        serial_total, serial_groups = totals(workers=0)
+        parallel_total, parallel_groups = totals(workers=4)
         assert serial_total == parallel_total == 4 * queries.shape[0]
         assert serial_groups == parallel_groups
         assert sum(parallel_groups.values()) == parallel_total
@@ -390,7 +392,7 @@ class TestTraceSampling:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((400, 16))
         queries = rng.standard_normal((60, 16))
-        index = _bilevel(seed=3, n_jobs=1).fit(data)
+        index = _bilevel(seed=3).fit(data)
 
         def traced_indices(seed: int):
             obs.enable(registry=MetricsRegistry(), trace_sample_rate=0.25,
@@ -408,7 +410,7 @@ class TestTraceSampling:
         rng = np.random.default_rng(4)
         data = rng.standard_normal((300, 8))
         queries = rng.standard_normal((20, 8))
-        index = _bilevel(seed=4, n_jobs=1).fit(data)
+        index = _bilevel(seed=4).fit(data)
         obs.enable(registry=MetricsRegistry(), trace_sample_rate=1.0)
         index.query_batch(queries, 5)
         traces = obs.recent_traces()
@@ -435,7 +437,7 @@ class TestDerivedSummary:
         rng = np.random.default_rng(5)
         data = rng.standard_normal((400, 16))
         queries = rng.standard_normal((30, 16))
-        index = _bilevel(seed=5, n_jobs=1).fit(data)
+        index = _bilevel(seed=5).fit(data)
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         index.query_batch(queries, 5)

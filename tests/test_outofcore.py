@@ -136,3 +136,26 @@ class TestFitBilevelChunked:
         index = fit_bilevel_chunked(cfg, memmap_data, sample_size=300)
         assert len(index.group_widths) == index.n_groups_built
         assert all(w > 0 for w in index.group_widths)
+
+    def test_empty_leaf_builds_an_empty_group(self):
+        # 300 identical rows: the sample-fitted tree splits them in two
+        # leaves, but routing sends every one of them left, so the right
+        # leaf gets no row of the full dataset.  Its group indexes none —
+        # id 0 lives in one group, is deleted once and answered once,
+        # even by a query spilled across both leaves.
+        rng = np.random.default_rng(0)
+        data = np.vstack([np.ones((300, 8)), rng.standard_normal((100, 8))])
+        cfg = BiLevelConfig(n_groups=4, bucket_width=4.0, n_tables=3,
+                            multi_assign=2, seed=1)
+        index = fit_bilevel_chunked(cfg, data, sample_size=400,
+                                    chunk_size=100)
+        sizes = [rows.size for rows in index.partitioner.leaf_indices()]
+        assert 0 in sizes
+        assert [group.n_points for group in index.group_indexes] == sizes
+        queries = 1.0 + 1e-3 * rng.standard_normal((40, 8))
+        ids, _, stats = index.query_batch(queries, 5)
+        assert (stats.n_candidates == 300).any()
+        for row in ids:
+            hit = row[row >= 0]
+            assert np.unique(hit).size == hit.size
+        assert index.delete([0]) == 1

@@ -98,31 +98,77 @@ class TestBilevelRoundtrip:
                                   tmp_path):
         cfg = BiLevelConfig(n_groups=4, bucket_width=4.0, n_tables=3,
                             lattice="e8", n_probes=6, hierarchy=True,
-                            scale_widths=True, n_jobs=2, max_batch_rows=128,
-                            seed=6)
+                            scale_widths=True, max_batch_rows=128, seed=6)
         index = BiLevelLSH(cfg).fit(gaussian_data)
         loaded = _roundtrip(index, tmp_path)
-        assert loaded.config == cfg  # every field, n_jobs and the row bound too
+        assert loaded.config == cfg  # every field, the row bound too
         assert loaded.group_widths == index.group_widths
         _same_results(index, loaded, gaussian_queries)
 
     def test_archive_without_newer_config_fields_loads_defaults(
             self, gaussian_data, gaussian_queries, tmp_path):
         # Archives written before the config was stored whole carry no
-        # n_jobs / max_batch_rows; they load with the dataclass defaults.
+        # max_batch_rows; they load with the dataclass defaults.
         cfg = BiLevelConfig(n_groups=2, bucket_width=8.0, n_tables=2, seed=9)
         index = BiLevelLSH(cfg).fit(gaussian_data)
         path = str(tmp_path / "old.npz")
         save_index(index, path)
 
         def strip(meta, arrays):
-            del meta["body"]["config"]["n_jobs"]
             del meta["body"]["config"]["max_batch_rows"]
 
         _rewrite_archive(path, strip)
         loaded = load_index(path)
         assert loaded.config == cfg
         _same_results(index, loaded, gaussian_queries)
+
+    def test_archive_with_retired_config_field_loads(
+            self, gaussian_data, gaussian_queries, tmp_path):
+        # Archives written while the config had a group thread count
+        # (``n_jobs``) still load: the retired key is ignored.
+        cfg = BiLevelConfig(n_groups=2, bucket_width=8.0, n_tables=2, seed=9)
+        index = BiLevelLSH(cfg).fit(gaussian_data)
+        path = str(tmp_path / "old.npz")
+        save_index(index, path)
+
+        def add(meta, arrays):
+            meta["body"]["config"]["n_jobs"] = 4
+
+        _rewrite_archive(path, add)
+        loaded = load_index(path)
+        assert loaded.config == cfg
+        _same_results(index, loaded, gaussian_queries)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_groups_share_the_loaded_matrix(self, gaussian_data,
+                                            gaussian_queries, tmp_path,
+                                            mmap):
+        # One corpus: every group of the fitted index (in memory, or over
+        # a memmapped matrix fitted out of core) and of the loaded one
+        # reads its owner's matrix, and the answers are byte-equal.
+        from repro.core.outofcore import fit_bilevel_chunked
+        from repro.datasets.loaders import load_matrix
+
+        cfg = BiLevelConfig(n_groups=4, bucket_width=4.0, n_tables=3,
+                            hierarchy=True, multi_assign=2, seed=12)
+        if mmap:
+            np.save(tmp_path / "data.npy", gaussian_data)
+            data = load_matrix(str(tmp_path / "data.npy"), mmap=True)
+            index = fit_bilevel_chunked(cfg, data, sample_size=300,
+                                        chunk_size=100)
+        else:
+            index = BiLevelLSH(cfg).fit(gaussian_data)
+        index.delete(np.arange(0, 50, 3))
+        loaded = _roundtrip(index, tmp_path)
+        for owner in (index, loaded):
+            assert all(np.shares_memory(group._data, owner._data)
+                       for group in owner.group_indexes)
+        want = index.query_batch(gaussian_queries, 5, hierarchy_threshold=9)
+        got = loaded.query_batch(gaussian_queries, 5, hierarchy_threshold=9)
+        for a, b in zip(got[:2] + (got[2].n_candidates, got[2].escalated),
+                        want[:2] + (want[2].n_candidates,
+                                    want[2].escalated)):
+            assert a.tobytes() == b.tobytes()
 
     def test_mean_rule_distance_splits_roundtrip(self, tmp_path):
         # Force a distance split (core + far shell) and verify routing.
@@ -170,7 +216,7 @@ class TestArchiveKeys:
         index = BiLevelLSH(BiLevelConfig(n_groups=2, bucket_width=8.0,
                                          n_tables=2, seed=21)
                            ).fit(gaussian_data)
-        index.delete(index.group_indexes[1]._ids[:3])
+        index.delete(index.partitioner.leaf_indices()[1][:3])
         assert self._keys(index, tmp_path) == [
             "__meta__", "data",
             "group0/family0/directions", "group0/family0/offsets_unit",

@@ -17,6 +17,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH, _gather_candidates
 from repro.lsh.table import LSHTable, pack_codes
+from repro.runtime import IndexRuntime, RuntimeConfig
 from tests.oracle import oracle_query
 
 
@@ -122,32 +123,19 @@ class TestBiLevelEquivalence:
         index.delete(np.arange(40))
         assert_engines_match(index, queries, 8)
 
-    def test_n_jobs_results_identical(self, dataset):
+    @pytest.mark.parametrize("spill", [1, 2])
+    def test_shard_threads_results_identical(self, dataset, spill):
+        # A runtime's two shard threads answer as the index does inline.
         data, queries = dataset
-        serial = BiLevelLSH(
-            BiLevelConfig(n_groups=6, bucket_width=5.0, seed=21)).fit(data)
-        threaded = BiLevelLSH(
-            BiLevelConfig(n_groups=6, bucket_width=5.0, n_jobs=4,
-                          seed=21)).fit(data)
-        ids_s, dists_s, _ = serial.query_batch(queries, 10)
-        ids_t, dists_t, _ = threaded.query_batch(queries, 10)
+        index = BiLevelLSH(BiLevelConfig(n_groups=6, bucket_width=5.0,
+                                         multi_assign=spill,
+                                         seed=21)).fit(data)
+        ids_s, dists_s, _ = index.query_batch(queries, 10)
+        with IndexRuntime(index, RuntimeConfig(shard_workers=2,
+                                               max_batch_rows=9)) as rt:
+            ids_t, dists_t, _ = rt.query_batch(queries, 10)
         np.testing.assert_array_equal(ids_s, ids_t)
         np.testing.assert_array_equal(dists_s, dists_t)
-
-    def test_n_jobs_all_cores_with_spill(self, dataset):
-        data, queries = dataset
-        cfg = BiLevelConfig(n_groups=6, bucket_width=5.0, multi_assign=2,
-                            n_jobs=-1, seed=22)
-        ref_cfg = cfg.with_(n_jobs=1)
-        ids_t, dists_t, _ = BiLevelLSH(cfg).fit(data).query_batch(queries, 10)
-        ids_s, dists_s, _ = BiLevelLSH(ref_cfg).fit(data).query_batch(
-            queries, 10)
-        np.testing.assert_array_equal(ids_s, ids_t)
-        np.testing.assert_array_equal(dists_s, dists_t)
-
-    def test_n_jobs_zero_rejected(self):
-        with pytest.raises(ValueError):
-            BiLevelConfig(n_jobs=0)
 
 
 class TestPackedKeys:

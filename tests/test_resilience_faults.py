@@ -1,4 +1,4 @@
-"""The chaos matrix: seeded faults x dispatch mode x spill, end to end.
+"""The chaos matrix: seeded faults x shard threads x spill, end to end.
 
 Acceptance properties (the CI ``chaos`` job runs this file):
 
@@ -24,6 +24,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
+from repro.runtime import IndexRuntime, RuntimeConfig
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -49,20 +50,29 @@ def queries(dataset):
 
 @pytest.fixture(scope="module")
 def bilevel_cache(dataset, queries):
-    """(n_jobs, spill) -> (index, baseline ids, baseline dists)."""
+    """spill -> (index, baseline ids, baseline dists)."""
     cache = {}
 
-    def get(n_jobs, spill):
-        key = (n_jobs, spill)
-        if key not in cache:
+    def get(spill):
+        if spill not in cache:
             cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=8.0,
-                                multi_assign=spill, n_jobs=n_jobs, seed=5)
+                                multi_assign=spill, seed=5)
             index = BiLevelLSH(cfg).fit(dataset)
             ids, dists, _ = index.query_batch(queries, 10)
-            cache[key] = (index, ids, dists)
-        return cache[key]
+            cache[spill] = (index, ids, dists)
+        return cache[spill]
 
     return get
+
+
+def run(index, workers, queries, **options):
+    """``index.query_batch`` inline (``workers == 1``), or in shards of
+    ten rows on a runtime's ``workers`` threads."""
+    if workers == 1:
+        return index.query_batch(queries, 10, **options)
+    with IndexRuntime(index, RuntimeConfig(shard_workers=workers,
+                                           max_batch_rows=10)) as rt:
+        return rt.query_batch(queries, 10, **options)
 
 
 def dispatch_plan(**kwargs):
@@ -81,17 +91,17 @@ PLAN_MAKERS = {"bilevel.dispatch": dispatch_plan, "lsh.gather": gather_plan}
 
 class TestFaultMatrix:
     @pytest.mark.parametrize("site", sorted(PLAN_MAKERS))
-    @pytest.mark.parametrize("n_jobs", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("spill", [1, 2])
     def test_supervised_batch_survives(self, bilevel_cache, queries,
-                                       site, n_jobs, spill):
-        index, base_ids, base_dists = bilevel_cache(n_jobs, spill)
+                                       site, workers, spill):
+        index, base_ids, base_dists = bilevel_cache(spill)
         # max_hits=1: exactly one victim (one group's dispatch, or one
         # group's table-0 gather); every other query must be untouched.
         plan = PLAN_MAKERS[site](max_hits=1)
         pol = ResiliencePolicy(max_retries=0)
         with injected_faults(plan):
-            ids, dists, stats = index.query_batch(queries, 10, policy=pol)
+            ids, dists, stats = run(index, workers, queries, policy=pol)
         assert plan.hits()[site] == 1
         assert ids.shape == base_ids.shape
         assert stats.degraded is not None and stats.degraded.any()
@@ -107,31 +117,23 @@ class TestFaultMatrix:
     def test_unsupervised_batch_crashes(self, bilevel_cache, queries, site):
         # Same plans, no policy: the fault must escape, proving the
         # supervised run above recovered from a real failure.
-        index, _, _ = bilevel_cache(1, 1)
+        index, _, _ = bilevel_cache(1)
         with injected_faults(PLAN_MAKERS[site](max_hits=1)):
             with pytest.raises(InjectedFault):
                 index.query_batch(queries, 10)
 
-    @pytest.mark.parametrize("n_jobs", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 4])
     def test_retry_heals_transient_dispatch_fault(self, bilevel_cache,
-                                                  queries, n_jobs):
-        # Serial dispatch re-runs the group; parallel dispatch cannot
-        # re-run a consumed future, so it heals via the exact bruteforce
-        # fallback instead — either way nothing is silently wrong.
-        index, base_ids, base_dists = bilevel_cache(n_jobs, 1)
+                                                  queries, workers):
+        # The group's check re-runs, inline or on a shard thread alike.
+        index, base_ids, base_dists = bilevel_cache(1)
         pol = ResiliencePolicy(max_retries=1)
         with injected_faults(dispatch_plan(max_hits=1)):
-            ids, dists, stats = index.query_batch(queries, 10, policy=pol)
-        if n_jobs == 1:
-            assert stats.degraded is None or not stats.degraded.any()
-            assert np.array_equal(ids, base_ids)
-            assert np.array_equal(dists, base_dists)
-            assert any(r.action == "retried" for r in stats.failures)
-        else:
-            ok = ~stats.degraded_mask()
-            assert np.array_equal(ids[ok], base_ids[ok])
-            assert any(r.action.startswith("fallback:")
-                       for r in stats.failures)
+            ids, dists, stats = run(index, workers, queries, policy=pol)
+        assert stats.degraded is None or not stats.degraded.any()
+        assert np.array_equal(ids, base_ids)
+        assert np.array_equal(dists, base_dists)
+        assert any(r.action == "retried" for r in stats.failures)
 
     def test_gather_fault_in_standard_lsh(self, dataset, queries):
         index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5).fit(dataset)
@@ -181,12 +183,12 @@ class TestFaultMatrix:
 
 
 class TestChaosSweep:
-    @pytest.mark.parametrize("n_jobs,spill", [(1, 1), (4, 2)])
+    @pytest.mark.parametrize("workers,spill", [(1, 1), (4, 2)])
     def test_random_faults_never_crash_or_lie(self, bilevel_cache, queries,
-                                              n_jobs, spill):
+                                              workers, spill):
         # Sub-unit rates at both compute sites, several batches: every
         # batch returns, and every row is bit-identical or flagged.
-        index, base_ids, base_dists = bilevel_cache(n_jobs, spill)
+        index, base_ids, base_dists = bilevel_cache(spill)
         plan = FaultPlan([
             FaultSpec(site="bilevel.dispatch", rate=0.3),
             FaultSpec(site="lsh.gather", rate=0.05),
@@ -194,8 +196,8 @@ class TestChaosSweep:
         pol = ResiliencePolicy(max_retries=1)
         with injected_faults(plan):
             for _ in range(4):
-                ids, dists, stats = index.query_batch(queries, 10,
-                                                      policy=pol)
+                ids, dists, stats = run(index, workers, queries,
+                                        policy=pol)
                 ok = ~stats.degraded_mask()
                 assert np.array_equal(ids[ok], base_ids[ok])
                 assert np.array_equal(dists[ok], base_dists[ok])
@@ -206,7 +208,7 @@ class TestChaosSweep:
 class TestTimeoutsAndDeadlines:
     def test_stalled_group_times_out_to_fallback(self, bilevel_cache,
                                                  queries):
-        index, base_ids, base_dists = bilevel_cache(1, 1)
+        index, base_ids, base_dists = bilevel_cache(1)
         plan = FaultPlan([FaultSpec(site="bilevel.dispatch", kind="delay",
                                     delay_ms=300.0,
                                     match={"group": VICTIM_GROUP},
@@ -222,8 +224,11 @@ class TestTimeoutsAndDeadlines:
 
     def test_expired_deadline_returns_best_effort(self, bilevel_cache,
                                                   queries):
-        index, _, _ = bilevel_cache(1, 1)
-        ids, dists, stats = index.query_batch(queries, 10, deadline_ms=1e-6)
+        # The budget is checked between shards (and escalation chunks),
+        # as for a StandardLSH: shards starting past it are padded.
+        index, _, _ = bilevel_cache(1)
+        ids, dists, stats = index.query_batch(queries, 10, deadline_ms=1e-6,
+                                              max_batch_rows=10)
         assert stats.exhausted_budget is not None
         assert stats.exhausted_budget.all()
         assert ids.shape == (N_QUERIES, 10)
@@ -231,7 +236,7 @@ class TestTimeoutsAndDeadlines:
         assert not stats.degraded_mask().any()
 
     def test_generous_deadline_changes_nothing(self, bilevel_cache, queries):
-        index, base_ids, base_dists = bilevel_cache(1, 1)
+        index, base_ids, base_dists = bilevel_cache(1)
         ids, dists, stats = index.query_batch(queries, 10,
                                               deadline_ms=60_000.0)
         assert not stats.exhausted_mask().any()
@@ -249,7 +254,7 @@ class TestTimeoutsAndDeadlines:
 class TestObsIntegration:
     def test_fallbacks_and_degradation_are_metered(self, bilevel_cache,
                                                    queries):
-        index, _, _ = bilevel_cache(1, 1)
+        index, _, _ = bilevel_cache(1)
         registry = MetricsRegistry()
         obs.enable(registry=registry)
         try:

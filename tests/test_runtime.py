@@ -240,13 +240,23 @@ class TestIndexRuntime:
             want = standard_index.query_batch(queries, 5)
             np.testing.assert_array_equal(got[0], want[0])
 
-    def test_shard_workers_requires_standard_index(self, base_data):
-        bilevel = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
-                                           seed=3)).fit(base_data)
-        with pytest.raises(ValueError, match=r"BiLevelConfig\.n_jobs"):
-            IndexRuntime(bilevel, RuntimeConfig(shard_workers=2))
-        # The rule is the plan's, not the class's: anything the executor
-        # shards at the top level is served.
+    def test_shard_workers_serve_every_front_end(self, base_data):
+        # A bi-level batch reaches a second core the way any other does:
+        # the runtime's threads run the executor's shards, byte-equal to
+        # the same shards inline — spill 2, an E8 hierarchy and an integer
+        # threshold included.
+        bilevel = BiLevelLSH(BiLevelConfig(
+            n_groups=4, bucket_width=4.0, lattice="e8", hierarchy=True,
+            multi_assign=2, seed=3)).fit(base_data)
+        options = dict(hierarchy_threshold=12, max_batch_rows=4)
+        want = bilevel.query_batch(base_data[:23], 5, **options)
+        assert want[2].escalated.any()
+        with IndexRuntime(bilevel, RuntimeConfig(shard_workers=2)) as rt:
+            got = rt.query_batch(base_data[:23], 5, **options)
+        for a, b in zip(got[:2] + (got[2].n_candidates, got[2].escalated),
+                        want[:2] + (want[2].n_candidates,
+                                    want[2].escalated)):
+            assert a.tobytes() == b.tobytes()
         from repro.lsh.forest import LSHForest
 
         forest = LSHForest(n_trees=3, max_depth=10, seed=3).fit(base_data)

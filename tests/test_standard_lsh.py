@@ -269,12 +269,13 @@ class TestOneCallHashing:
                          gaussian_data[:700]):
                 ctx = ExecutionContext.for_batch(rows, 1)
                 index.execution_plan()._stage_hash(ctx)
+                member, = ctx.scratch["members"]
                 _, inserted = index._hash(rows)
-                assert ctx.scratch["codes"].shape[:2] == (5, rows.shape[0])
+                assert member.codes.shape[:2] == (5, rows.shape[0])
                 for t, family in enumerate(index._families):
                     projected = family.project(rows)
                     want = index._lattice.quantize(projected)
-                    for got in (ctx.scratch["codes"][t], inserted[t]):
+                    for got in (member.codes[t], inserted[t]):
                         assert got.dtype == np.int64, state
                         np.testing.assert_array_equal(got, want,
                                                       err_msg=state)
@@ -282,5 +283,5 @@ class TestOneCallHashing:
                     # of a wider product: the last bit may move, the codes
                     # above may not.
                     np.testing.assert_allclose(
-                        ctx.scratch["projections"][t], projected,
+                        member.y[t], projected,
                         rtol=0, atol=1e-12)

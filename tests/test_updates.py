@@ -227,11 +227,12 @@ class TestInsertCostsItsOwnRows:
 
     @staticmethod
     def _exact(index):
-        for part in [index] + list(getattr(index, "group_indexes", [])):
-            for name in ("_data", "_ids", "_sq_norms", "_deleted"):
-                value = getattr(part, name, None)
-                if value is not None:
-                    setattr(part, name, value.copy())
+        # One row store per index; a bi-level index's groups read its.
+        store = index._store
+        for name in ("data", "ids", "sq_norms", "deleted"):
+            value = getattr(store, name)
+            if value is not None:
+                setattr(store, name, value.copy())
 
     @staticmethod
     def _members(path):
