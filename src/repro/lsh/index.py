@@ -1046,10 +1046,10 @@ class _LSHPlan(QueryPlan):
 
         Every member's lookup rows — self and probe codes, table by
         table — go to one ``kernels.bucket_union`` over the published
-        :class:`TableLayouts`, leaving ``scratch["cand"]`` /
-        ``scratch["qidx"]`` sorted by ``(segment, id)``, tombstones
-        dropped.  A query's segments (one per group it routes to) are
-        adjacent and groups hold disjoint rows: nothing needs merging.
+        :class:`TableLayouts`, leaving ``scratch["cand"]`` sorted by
+        ``(segment, id)``, tombstones dropped, and the segment sizes.  A
+        query's segments (one per group it routes to) are adjacent and
+        groups hold disjoint rows: nothing needs merging.
         Tables (:meth:`_kept_tables`: a dropped one's rows are left out)
         and, after the union, groups (:meth:`_supervise_groups`) are the
         supervised units.
@@ -1081,12 +1081,11 @@ class _LSHPlan(QueryPlan):
         # The row count is read after the layouts: an insert publishes its
         # rows before the layouts that hold their ids, so it bounds every
         # id the kernel will meet.
-        cand, qidx, counts, misses = kernels.bucket_union(
+        cand, counts, misses = kernels.bucket_union(
             layouts, np.concatenate(code_parts), row_slot, table_rows,
             nq * spill, store.n_rows, deleted=store.deleted)
         if members[0].group is not None:
-            cand, qidx, counts = self._supervise_groups(
-                ctx, members, cand, qidx, counts)
+            cand, counts = self._supervise_groups(ctx, members, cand, counts)
         probes = None
         if ob is not None:
             # Committed only for the tables the union used — a timed-out,
@@ -1105,23 +1104,21 @@ class _LSHPlan(QueryPlan):
                 probes[m.slots // spill] -= len(kept)
             probes[ctx.scratch["order"]] = probes.copy()
         ctx.scratch["cand"] = cand
-        ctx.scratch["qidx"] = qidx
         ctx.scratch["probes"] = probes
         self._set_counts(ctx, counts)
 
     def _supervise_groups(self, ctx: ExecutionContext, members: List[Member],
-                          cand: np.ndarray, qidx: np.ndarray,
-                          counts: np.ndarray,
-                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                          cand: np.ndarray, counts: np.ndarray,
+                          ) -> Tuple[np.ndarray, np.ndarray]:
         """Each group's supervised check, after the union: the union's
-        ``(cand, qidx, counts)``, where a group that still fails after
+        ``(cand, counts)``, where a group that still fails after
         retries has its segments hold an exact scan's candidates — every
         live row of the group, ranked like any other — or, failing that,
         none; either way its rows are flagged degraded.  Without a policy
         a failure propagates."""
         pol, empty = ctx.policy, np.empty(0, dtype=np.int64)
         if pol is None and ctx.fault_plan is None:
-            return cand, qidx, counts
+            return cand, counts
         stand_ins = []
         for m in members:
             label = f"group={m.group}"
@@ -1143,15 +1140,19 @@ class _LSHPlan(QueryPlan):
                 ctx.ob.record_degraded("dispatch", m.rows.shape[0])
             stand_ins.append((m, empty if rows is None else rows))
         if not stand_ins:
-            return cand, qidx, counts
+            return cand, counts
+        # The union writes no per-id segment; the stand-ins' path rebuilds it.
+        qidx = np.repeat(np.arange(counts.shape[0], dtype=np.int64),
+                         counts)
         keep = ~np.isin(qidx, np.concatenate([m.slots for m, _ in stand_ins]))
         ids = [cand[keep]] + [np.tile(rows, m.slots.shape[0])
                               for m, rows in stand_ins]
         slots = [qidx[keep]] + [np.repeat(m.slots, rows.shape[0])
                                 for m, rows in stand_ins]
-        return ctx.scratch["kernels"].dedup_candidates(
+        cand, _, counts = ctx.scratch["kernels"].dedup_candidates(
             np.concatenate(ids), np.concatenate(slots), counts.shape[0],
             deleted=self.index._store.deleted)
+        return cand, counts
 
     def _set_counts(self, ctx: ExecutionContext, counts: np.ndarray) -> None:
         """Segment sizes in; each row's short-list size out — a row's
@@ -1173,7 +1174,7 @@ class _LSHPlan(QueryPlan):
         counts = ctx.scratch["slot_counts"]
         kernels = ctx.scratch["kernels"]
         extra_ids = [ctx.scratch["cand"]]
-        extra_slots = [ctx.scratch["qidx"]]
+        extra_slots: List[np.ndarray] = []
         expired = False
         for m in ctx.scratch["members"]:
             if m.failed:
@@ -1205,11 +1206,14 @@ class _LSHPlan(QueryPlan):
                                                      int(skipped.size))
         if len(extra_ids) == 1:
             return
-        cand, qidx, counts = kernels.dedup_candidates(
+        # The base short-list's segment of every id, which the union
+        # does not write.
+        extra_slots.insert(0, np.repeat(
+            np.arange(counts.shape[0], dtype=np.int64), counts))
+        cand, _, counts = kernels.dedup_candidates(
             np.concatenate(extra_ids), np.concatenate(extra_slots),
             counts.shape[0], deleted=self.index._store.deleted)
         ctx.scratch["cand"] = cand
-        ctx.scratch["qidx"] = qidx
         self._set_counts(ctx, counts)
 
     def _stage_rank(self, ctx: ExecutionContext) -> None:

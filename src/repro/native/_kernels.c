@@ -13,6 +13,7 @@
  * dispatch table in repro/native/registry.py (invariant R9).
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -21,7 +22,13 @@
 #define EXPORT __attribute__((visibility("default")))
 
 /* kernels_cext.py defines REPRO_SIMD_CLONES on its first compile attempt
- * and drops it when that attempt fails (no ifunc in the toolchain). */
+ * and drops it when that attempt fails (no ifunc in the toolchain).
+ * Every helper a SIMD_CLONES function calls must be always_inline: an
+ * out-of-line callee is compiled once, for the default target, and the
+ * avx2 clone then calls SSE code from its inner loop.  An out-of-line
+ * rank_dot made the avx2 rank of one query 7x slower (0.275 against
+ * 0.037 ms) and of a 2 000-row batch 1.2x slower; the portable build,
+ * with nothing to switch between, did not slow down. */
 #if defined(REPRO_SIMD_CLONES) && defined(__x86_64__)
 #define SIMD_CLONES __attribute__((target_clones("avx2", "default")))
 #else
@@ -53,7 +60,44 @@ tree_dot(const double *restrict a, const double *restrict b, i64 d,
     return w == 2 ? buf[0] + buf[1] : buf[0];
 }
 
-static i64 next_pow2(i64 d) {
+/* Four consecutive doubles as one value: lane-wise arithmetic, each lane
+ * rounded as the scalar operation would be (an avx2 register, or two SSE2
+ * ones in the portable build); loads need only double alignment. */
+typedef double v4d __attribute__((vector_size(32), aligned(8), may_alias));
+
+/* The same tree when d == pw is a compile-time power of two in [8, 128]:
+ * lane l of v[i] is element 4i + l, so halving whole vectors is halving
+ * the elements, down to one vector whose four lanes finish as in
+ * tree_dot.  Every level is a loop of constant length the compiler
+ * unrolls, so the partial sums never leave registers. */
+static inline __attribute__((always_inline)) double
+tree_dot_pow2(const double *restrict a, const double *restrict b,
+              const i64 pw) {
+    const v4d *va = (const v4d *)a, *vb = (const v4d *)b;
+    v4d v[16];
+    i64 i, w, n = pw / 8;
+    for (i = 0; i < n; i++) v[i] = va[i] * vb[i] + va[i + n] * vb[i + n];
+    for (w = 8; w > 0; w >>= 1)
+        if (n > w)
+            for (i = 0; i < w; i++) v[i] = v[i] + v[i + w];
+    return (v[0][0] + v[0][2]) + (v[0][1] + v[0][3]);
+}
+
+/* tree_dot, through the register tree at the common widths. */
+static inline __attribute__((always_inline)) double
+rank_dot(const double *restrict a, const double *restrict b, i64 d,
+         double *restrict buf, i64 pw) {
+    switch (d) {
+    case 8: return tree_dot_pow2(a, b, 8);
+    case 16: return tree_dot_pow2(a, b, 16);
+    case 32: return tree_dot_pow2(a, b, 32);
+    case 64: return tree_dot_pow2(a, b, 64);
+    case 128: return tree_dot_pow2(a, b, 128);
+    default: return tree_dot(a, b, d, buf, pw);
+    }
+}
+
+static inline __attribute__((always_inline)) i64 next_pow2(i64 d) {
     i64 pw = 1;
     while (pw < d) pw <<= 1;
     return pw;
@@ -142,6 +186,26 @@ static void sort_i64(i64 *v, i64 n) {
  * this file's two paths): about 32 words per id at 32 ids, 100 at 128 and
  * 110 from 1024 up; well below it the bitmap wins by up to 4x. */
 #define SPARSE_WORDS_PER_ID 64
+
+/* rank_topk scores consecutive queries of the short-list as one tile of
+ * at most RANK_TILE candidates and 64 queries (one bit each in a row's
+ * query mask).  64 k candidates is 27-55 batch_plain rows, about a third
+ * of one RP-tree group's rows in a 2 000-row batch; 32 k tiles ranked
+ * that batch 9 % slower, 128 k ones (64 queries) no faster. */
+#define RANK_TILE 65536
+#define RANK_TILE_QUERIES 64
+
+/* A tile of two or more queries is inverted — each candidate row read
+ * once and scored against every query of the tile holding it — when it
+ * holds at least this many candidates per row of its id range.  Measured
+ * on the batch_plain corpus, 1 183 ascending candidates per query, the
+ * inverted path against the query-major one: at 2 per row 1.8-1.9x
+ * faster with 55 queries, 1.0-1.5x with 8-16, 0.83-1.04x with 3; at 1
+ * per row 1.1-1.4x with 8-55 queries but 0.7-0.8x with 3; at 0.25-0.5
+ * per row (where 8- and 50-row calls spread over the groups land)
+ * 0.5-0.96x.  A batch_plain tile holds 5 (two groups' runs) or 10 (one)
+ * per row. */
+#define RANK_REUSE 2
 
 #define TOMBSTONED(id) \
     (deleted && (uint64_t)(id) < (uint64_t)del_len && deleted[id])
@@ -282,15 +346,16 @@ EXPORT i64 repro_bucket_spans(const i64 *codes, const i64 *row_q,
  * construction, cleared on the way), dropping tombstones.  A query with
  * few ids against the id range (the dedup rule above, on raw[q] and
  * n_rows) collects and sorts them instead, so a huge index does not scan
- * its whole bitmap per query.  Output is what repro_dedup_candidates
- * leaves: out_ids/out_qidx sorted by (query, id), counts per query; the
- * caller sizes both by sum(min(raw[q], n_rows)).  Returns the number of
+ * its whole bitmap per query.  Output is the ids repro_dedup_candidates
+ * leaves — sorted by (query, id) — and counts per query, which say where
+ * each query's ids are (rank_topk reads no per-id query index); the
+ * caller sizes out_ids by sum(min(raw[q], n_rows)).  Returns the number of
  * ids written, -1 when scratch cannot be allocated, -2 for an id outside
  * [0, n_rows) — refused before anything is written past the bitmap. */
 EXPORT i64 repro_bucket_union(const i64 *spans, i64 n_spans, const i64 *raw,
                               i64 nq, i64 n_rows,
                               const unsigned char *deleted, i64 del_len,
-                              i64 *out_ids, i64 *out_qidx, i64 *counts) {
+                              i64 *out_ids, i64 *counts) {
     i64 words = (n_rows + 63) >> 6, total = 0, at = 0, rc = -1, i, q;
     uint64_t *bits = NULL;
     i64 *cursors = (i64 *)calloc((size_t)nq + 1, sizeof(i64));
@@ -344,7 +409,6 @@ EXPORT i64 repro_bucket_union(const i64 *spans, i64 n_spans, const i64 *raw,
                 }
             }
         }
-        for (i = 0; i < kept; i++) out_qidx[total + i] = q;
         counts[q] = kept;
         total += kept;
     }
@@ -363,60 +427,185 @@ done:
  * scored: the ids are known, the rows are scattered over the matrix. */
 #define PREFETCH_AHEAD 4
 
+/* One query's running top-k: its row, its norm, its output row — ordered
+ * by (distance, id) ascending — how much of that row is filled, and the
+ * pre-check's bound (infinity until the row is full). */
+typedef struct {
+    const double *q;
+    double qs, bound;
+    i64 *sel;
+    double *dst;
+    i64 filled;
+} topk;
+
+/* The squared distance above which a candidate cannot enter a full top-k
+ * whose worst distance is t: fl(sqrt(d2)) > t for every d2 > bound.
+ * Margin: with u = 2^-53, fl(t*t) >= t^2 (1 - u) while that product is a
+ * normal number, so bound >= t^2 (1 - u)^2 (1 + 2^-40) > t^2 (1 + 2^-41);
+ * d2 > bound then gives sqrt(d2) > t (1 + 2^-43), more than 500 ulps of t
+ * above it, and a correctly rounded sqrt cannot come back down to t.  A
+ * subnormal (or zero) t*t carries no such relative bound, and NaN none at
+ * all: those return infinity, which skips nothing. */
+static inline __attribute__((always_inline)) double skip_bound(double t) {
+    double t2 = t * t;
+    return t2 >= DBL_MIN ? t2 * (1.0 + 0x1p-40) : INFINITY;
+}
+
+/* Offer candidate `id` at squared distance d2 to t.  A d2 past the bound
+ * is exactly the candidate the exact test below would turn away, so the
+ * pre-check only saves its sqrt. */
+static inline __attribute__((always_inline)) void
+offer(topk *t, i64 k, double d2, i64 id) {
+    i64 *sel = t->sel;
+    double *dst = t->dst;
+    if (d2 > t->bound) return;
+    if (d2 < 0.0) d2 = 0.0;
+    double d = sqrt(d2);
+    if (t->filled == k &&
+        (d > dst[k - 1] || (d == dst[k - 1] && id > sel[k - 1])))
+        return;
+    /* Insertion position by (distance, id) ascending. */
+    i64 pos = (t->filled < k) ? t->filled : k - 1;
+    while (pos > 0 &&
+           (d < dst[pos - 1] || (d == dst[pos - 1] && id < sel[pos - 1]))) {
+        dst[pos] = dst[pos - 1];
+        sel[pos] = sel[pos - 1];
+        pos--;
+    }
+    dst[pos] = d;
+    sel[pos] = id;
+    if (t->filled < k) t->filled++;
+    if (t->filled == k) t->bound = skip_bound(dst[k - 1]);
+}
+
+/* Tile [q0, q1) query by query: each candidate row is read once per query
+ * that holds it, fetched PREFETCH_AHEAD candidates early. */
+static inline __attribute__((always_inline)) void
+rank_query_major(const double *data, i64 dim, const double *sq_norms,
+                 const i64 *cand, const i64 *counts, i64 k, topk *st,
+                 i64 q0, i64 q1, i64 at, double *buf, i64 pw) {
+    for (i64 q = q0; q < q1; q++) {
+        topk *t = st + (q - q0);
+        i64 end = at + counts[q];
+        for (i64 c = at; c < end; c++) {
+            i64 id = cand[c];
+            const double *row = data + id * dim;
+            if (c + PREFETCH_AHEAD < end)
+                __builtin_prefetch(data + cand[c + PREFETCH_AHEAD] * dim);
+            double dot = rank_dot(row, t->q, dim, buf, pw);
+            double row_sq = sq_norms ? sq_norms[id]
+                                     : rank_dot(row, row, dim, buf, pw);
+            offer(t, k, row_sq - 2.0 * dot + t->qs, id);
+        }
+        at = end;
+    }
+}
+
+/* Tile [q0, q1) row by row: one pass over the tile's candidates sets bit
+ * q - q0 of mask[id - lo] for every query q holding row id, then each row
+ * of [lo, lo + range) is read once, in ascending id, and scored against
+ * the queries of its mask.  Every run of the tile is strictly ascending
+ * (checked by the caller), so each query still meets each of its
+ * candidates once, in their order in cand: same insertions, same output. */
+static inline __attribute__((always_inline)) void
+rank_inverted(const double *data, i64 dim, const double *sq_norms,
+              const i64 *cand, const i64 *counts, i64 k, topk *st, i64 q0,
+              i64 q1, i64 at, i64 lo, i64 range, uint64_t *mask,
+              double *buf, i64 pw) {
+    i64 q, c, r, end;
+    memset(mask, 0, (size_t)range * sizeof(uint64_t));
+    for (q = q0, c = at; q < q1; q++)
+        for (end = c + counts[q]; c < end; c++)
+            mask[cand[c] - lo] |= (uint64_t)1 << (q - q0);
+    for (r = 0; r < range; r++) {
+        uint64_t holders = mask[r];
+        if (!holders) continue;
+        i64 id = lo + r;
+        const double *row = data + id * dim;
+        double row_sq = sq_norms ? sq_norms[id]
+                                 : rank_dot(row, row, dim, buf, pw);
+        for (; holders; holders &= holders - 1) {
+            topk *t = st + __builtin_ctzll(holders);
+            offer(t, k, row_sq - 2.0 * rank_dot(row, t->q, dim, buf, pw)
+                            + t->qs, id);
+        }
+    }
+}
+
 /* Fused gather + cached-norm distance + per-query top-k selection.
  * Query q's candidates are the next counts[q] entries of cand.  sel/dist
  * rows are ordered by (distance, id) ascending — the vectorized
  * lexsort((cand, dists, qidx)) convention — padded with -1 / inf.
  * sq_norms may be NULL (out-of-core data): row norms are then computed
- * with the same tree_dot the reference uses. */
+ * with the same tree_dot the reference uses.  Queries are ranked in tiles
+ * (RANK_TILE); a tile whose queries share their candidate rows
+ * (RANK_REUSE) is inverted, any other is scored query by query.  Returns
+ * -1 when scratch memory cannot be allocated. */
 EXPORT SIMD_CLONES int repro_rank_topk(const double *data, i64 dim,
                                        const double *sq_norms,
                                        const double *queries, i64 nq,
                                        const double *q_sq, const i64 *cand,
                                        const i64 *counts, i64 k,
                                        i64 *sel_out, double *dist_out) {
-    i64 pw = next_pow2(dim), end = 0;
+    i64 pw = next_pow2(dim), q0 = 0, at = 0;
+    topk st[RANK_TILE_QUERIES];
+    uint64_t *mask = NULL;
     double *buf = (double *)malloc((size_t)(pw > 1 ? pw >> 1 : 1) *
                                    sizeof(double));
     if (!buf) return -1;
-    for (i64 q = 0; q < nq; q++) {
-        i64 start = end;
-        const double *qrow = queries + q * dim;
-        double qs = q_sq[q];
-        i64 *sel = sel_out + q * k;
-        double *dst = dist_out + q * k;
-        i64 filled = 0;
-        end = start + counts[q];
-        for (i64 j = 0; j < k; j++) { sel[j] = -1; dst[j] = INFINITY; }
-        for (i64 c = start; c < end; c++) {
-            i64 id = cand[c];
-            const double *row = data + id * dim;
-            if (c + PREFETCH_AHEAD < end)
-                __builtin_prefetch(data + cand[c + PREFETCH_AHEAD] * dim);
-            double dot = tree_dot(row, qrow, dim, buf, pw);
-            double row_sq = sq_norms ? sq_norms[id]
-                                     : tree_dot(row, row, dim, buf, pw);
-            double d2 = row_sq - 2.0 * dot + qs;
-            if (d2 < 0.0) d2 = 0.0;
-            double d = sqrt(d2);
-            if (filled == k &&
-                (d > dst[k - 1] || (d == dst[k - 1] && id > sel[k - 1])))
-                continue;
-            /* Insertion position by (distance, id) ascending. */
-            i64 pos = (filled < k) ? filled : k - 1;
-            while (pos > 0 &&
-                   (d < dst[pos - 1] ||
-                    (d == dst[pos - 1] && id < sel[pos - 1]))) {
-                dst[pos] = dst[pos - 1];
-                sel[pos] = sel[pos - 1];
-                pos--;
+    while (q0 < nq) {
+        i64 q1 = q0, total = 0, lo = INT64_MAX, hi = -1, q, c;
+        int inverted;
+        /* The tile: one query, then more while they fit — so a tile of
+         * two or more holds at most RANK_TILE candidates. */
+        do {
+            total += counts[q1];
+            q1++;
+        } while (q1 < nq && q1 - q0 < RANK_TILE_QUERIES &&
+                 total + counts[q1] <= RANK_TILE);
+        for (q = q0; q < q1; q++) {
+            topk *t = st + (q - q0);
+            t->q = queries + q * dim;
+            t->qs = q_sq[q];
+            t->sel = sel_out + q * k;
+            t->dst = dist_out + q * k;
+            t->filled = 0;
+            t->bound = INFINITY;
+            for (i64 j = 0; j < k; j++) {
+                t->sel[j] = -1;
+                t->dst[j] = INFINITY;
             }
-            dst[pos] = d;
-            sel[pos] = id;
-            if (filled < k) filled++;
         }
+        /* Reuse from the runs' ends — their id range when every run is
+         * ascending, which is checked id by id before a tile inverts. */
+        for (q = q0, c = at; q < q1; c += counts[q], q++) {
+            if (!counts[q]) continue;
+            if (cand[c] < lo) lo = cand[c];
+            if (cand[c + counts[q] - 1] > hi) hi = cand[c + counts[q] - 1];
+        }
+        inverted = q1 - q0 > 1 && hi >= lo && hi - lo < total / RANK_REUSE;
+        for (q = q0, c = at; q < q1 && inverted; c += counts[q], q++)
+            for (i64 j = 1; j < counts[q] && inverted; j++)
+                inverted = cand[c + j] > cand[c + j - 1];
+        if (inverted && !mask) {
+            mask = (uint64_t *)malloc((size_t)(RANK_TILE / RANK_REUSE) *
+                                      sizeof(uint64_t));
+            if (!mask) {
+                free(buf);
+                return -1;
+            }
+        }
+        if (inverted)
+            rank_inverted(data, dim, sq_norms, cand, counts, k, st, q0, q1,
+                          at, lo, hi - lo + 1, mask, buf, pw);
+        else
+            rank_query_major(data, dim, sq_norms, cand, counts, k, st, q0,
+                             q1, at, buf, pw);
+        at += total;
+        q0 = q1;
     }
     free(buf);
+    free(mask);
     return 0;
 }
 
@@ -614,4 +803,4 @@ EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
 
 /* Version tag checked by the loader: bumped with every exported-signature
  * change so a library built from another revision is refused. */
-EXPORT i64 repro_kernels_abi(void) { return 4; }
+EXPORT i64 repro_kernels_abi(void) { return 5; }

@@ -18,7 +18,8 @@ Arguments cross as raw addresses (``c_void_p``): every wrapper first
 brings its arrays to the C-contiguous dtype the kernel reads — a no-op
 for the arrays the engine passes — so the per-argument ``ndpointer``
 check would only re-verify what the line above it established, at
-several microseconds per array per call.
+several microseconds per array per call.  Every address is read through
+:func:`_address`.
 
 Nothing outside :mod:`repro.native` may import this module (invariant
 R9): kernels are reachable only through ``registry.load_kernels()``.
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 4
+KERNELS_ABI = 5
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -146,7 +147,7 @@ class CExtKernels:
                                            ptr, ptr, ptr]
         lib.repro_bucket_union.restype = i64
         lib.repro_bucket_union.argtypes = [
-            ptr, i64, ptr, i64, i64, ptr, i64, ptr, ptr, ptr]
+            ptr, i64, ptr, i64, i64, ptr, i64, ptr, ptr]
         lib.repro_rank_topk.restype = ctypes.c_int
         lib.repro_rank_topk.argtypes = [
             ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
@@ -170,8 +171,8 @@ class CExtKernels:
         r = codes.shape[0]
         bidx = np.empty(r, dtype=np.int64)
         self._lib.repro_lookup_codes(
-            bucket_codes.ctypes.data, bucket_codes.shape[0], codes.shape[1],
-            codes.ctypes.data, r, bidx.ctypes.data)
+            _address(bucket_codes), bucket_codes.shape[0], codes.shape[1],
+            _address(codes), r, _address(bidx))
         return bidx
 
     @staticmethod
@@ -196,9 +197,9 @@ class CExtKernels:
         counts = np.empty(nq, dtype=np.int64)
         deleted, del_ptr, del_len = self._tombstones(deleted)
         total = int(self._lib.repro_dedup_candidates(
-            local_ids.ctypes.data, qidx.ctypes.data, n, int(nq), del_ptr,
-            del_len, out_ids.ctypes.data, out_qidx.ctypes.data,
-            counts.ctypes.data))
+            _address(local_ids), _address(qidx), n, int(nq), del_ptr,
+            del_len, _address(out_ids), _address(out_qidx),
+            _address(counts)))
         if total < 0:
             raise MemoryError("dedup_candidates scratch allocation failed")
         return out_ids[:total], out_qidx[:total], counts
@@ -206,8 +207,7 @@ class CExtKernels:
     def bucket_union(self, layouts: "TableLayouts", codes: np.ndarray,
                      row_q: np.ndarray, table_rows: np.ndarray, nq: int,
                      n_rows: int, deleted: Optional[np.ndarray] = None,
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         nq, n_rows = int(nq), int(n_rows)
         # The C side takes the lookup rows stacked table by table, the
         # (rows, layouts) words per table and the pointer table of every
@@ -236,20 +236,16 @@ class CExtKernels:
         raw = small[:nq]
         # A query cannot keep more ids than its intervals hold, nor more
         # than there are rows: the output bound the kernel writes within.
-        bound = int(np.minimum(raw, n_rows).sum())
-        out = np.empty((2, bound), dtype=np.int64)
-        out_at = _address(out)
+        out = np.empty(int(np.minimum(raw, n_rows).sum()), dtype=np.int64)
         deleted, del_ptr, del_len = self._tombstones(deleted)
         total = int(self._lib.repro_bucket_union(
             spans_at, n_spans, small_at, nq, n_rows, del_ptr,
-            del_len, out_at, out_at + 8 * bound,
-            small_at + 8 * (nq + n_tables)))
+            del_len, _address(out), small_at + 8 * (nq + n_tables)))
         if total == -2:
             raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
         if total < 0:
             raise MemoryError("bucket_union scratch allocation failed")
-        return (out[0, :total], out[1, :total], small[nq + n_tables:],
-                small[nq:nq + n_tables])
+        return out[:total], small[nq + n_tables:], small[nq:nq + n_tables]
 
     def rank_topk(self, data: np.ndarray, sq_norms: Optional[np.ndarray],
                   queries: np.ndarray, q_sq: np.ndarray, cand: np.ndarray,
@@ -266,11 +262,11 @@ class CExtKernels:
         norms_ptr = None
         if sq_norms is not None:
             sq_norms = np.ascontiguousarray(sq_norms, dtype=np.float64)
-            norms_ptr = sq_norms.ctypes.data
+            norms_ptr = _address(sq_norms)
         rc = self._lib.repro_rank_topk(
-            data.ctypes.data, data.shape[1], norms_ptr, queries.ctypes.data,
-            nq, q_sq.ctypes.data, cand.ctypes.data, counts.ctypes.data,
-            int(k), sel.ctypes.data, dists.ctypes.data)
+            _address(data), data.shape[1], norms_ptr, _address(queries),
+            nq, _address(q_sq), _address(cand), _address(counts),
+            int(k), _address(sel), _address(dists))
         if rc != 0:
             raise MemoryError("rank_topk scratch allocation failed")
         return sel, dists
@@ -287,8 +283,8 @@ class CExtKernels:
         out = np.empty((q * n_probes, m), dtype=np.int64)
         counts = np.empty(q, dtype=np.int64)
         total = int(self._lib.repro_zm_probe_codes(
-            y.ctypes.data, codes.ctypes.data, q, m, n_probes,
-            out.ctypes.data, counts.ctypes.data))
+            _address(y), _address(codes), q, m, n_probes,
+            _address(out), _address(counts)))
         if total < 0:
             raise MemoryError("zm_probe_codes scratch allocation failed")
         return out[:total], counts
@@ -296,8 +292,8 @@ class CExtKernels:
     def dm_decode(self, y: np.ndarray) -> np.ndarray:
         y = np.ascontiguousarray(y, dtype=np.float64)
         codes = np.empty(y.shape, dtype=np.int64)
-        self._lib.repro_dm_decode(y.ctypes.data, y.shape[0], y.shape[1],
-                                  codes.ctypes.data)
+        self._lib.repro_dm_decode(_address(y), y.shape[0], y.shape[1],
+                                  _address(codes))
         return codes
 
     def e8_decode(self, y: np.ndarray) -> np.ndarray:
@@ -307,8 +303,8 @@ class CExtKernels:
             raise ValueError(f"e8_decode needs a multiple-of-8 width, "
                              f"got {padded}")
         codes = np.empty((n, padded), dtype=np.int64)
-        self._lib.repro_e8_decode(y.ctypes.data, n, padded // 8,
-                                  codes.ctypes.data)
+        self._lib.repro_e8_decode(_address(y), n, padded // 8,
+                                  _address(codes))
         return codes
 
 

@@ -145,7 +145,7 @@ def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
                      row_q: np.ndarray, table_rows: np.ndarray, nq: int,
                      n_rows: int,
                      deleted: "np.ndarray | None" = None,
-                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Reference for ``bucket_union``: the per-query short-list.
 
     ``layouts`` is a :class:`repro.lsh.table.TableLayouts` — per table
@@ -158,8 +158,9 @@ def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
     search, ``SortedLayout.spans``, ``_gather_segments``), then
     :func:`dedup_candidates_ref` over everything gathered.
 
-    Returns ``(ids, qidx, counts, misses)``: the first three as
-    :func:`dedup_candidates_ref` leaves them, ``misses[t]`` the rows of
+    Returns ``(ids, counts, misses)``: the ids and per-query counts
+    :func:`dedup_candidates_ref` leaves (query ``q``'s ids are the
+    ``counts[q]`` after the earlier queries'), ``misses[t]`` the rows of
     table ``t`` that hit no id in any of its layouts.  An id outside
     ``[0, n_rows)`` raises :class:`IndexError` (the compiled kernel's
     bitmap has ``n_rows`` bits).
@@ -186,9 +187,10 @@ def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
     ids = np.concatenate(id_parts) if id_parts else empty
     if ids.size and not 0 <= ids.min() <= ids.max() < n_rows:
         raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
-    return dedup_candidates_ref(
+    ids, _, counts = dedup_candidates_ref(
         ids, np.concatenate(q_parts) if q_parts else empty, nq,
-        deleted=deleted) + (misses,)
+        deleted=deleted)
+    return ids, counts, misses
 
 
 #: Flattened-candidate rows ranked per chunk of :func:`rank_topk_ref`

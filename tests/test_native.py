@@ -31,6 +31,7 @@ Four contracts:
 
 import contextlib
 import os
+import re
 import stat
 import warnings
 from fractions import Fraction
@@ -331,6 +332,31 @@ def _bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
+def _inverted_tiles(cand, counts):
+    """Per tile of a ``rank_topk`` call, whether the compiled kernel
+    inverts it: the tiling and reuse rule of ``repro_rank_topk``,
+    restated over the constants read from ``_kernels.c``."""
+    with open(kernels_cext._SOURCE_PATH, encoding="utf-8") as fh:
+        source = fh.read()
+    tile, tile_queries, reuse = (
+        int(re.search(rf"#define {name} (\d+)", source).group(1))
+        for name in ("RANK_TILE", "RANK_TILE_QUERIES", "RANK_REUSE"))
+    flags, q0, at = [], 0, 0
+    while q0 < counts.size:
+        q1, total = q0 + 1, int(counts[q0])
+        while (q1 < counts.size and q1 - q0 < tile_queries
+               and total + counts[q1] <= tile):
+            total += int(counts[q1])
+            q1 += 1
+        ids = cand[at:at + total]
+        runs = np.split(ids, np.cumsum(counts[q0:q1])[:-1])
+        flags.append(bool(q1 - q0 > 1 and total
+                          and ids.max() - ids.min() < total // reuse
+                          and all((np.diff(run) > 0).all() for run in runs)))
+        q0, at = q1, at + total
+    return flags
+
+
 class TestKernelParity:
     # id_span reaches both dedup paths (rule: more than 64 bitmap words
     # per id -> sort): spans up to 10**4 are at most 157 words, bitmap for
@@ -420,6 +446,107 @@ class TestKernelParity:
         want_sel, want_dists = rank_topk_ref(row, zero, query, zero,
                                              zero.astype(np.int64), one, 1)
         assert np.array_equal(sel, want_sel) and dists[0, 0] == 0.0
+        assert np.array_equal(_bits(dists), _bits(want_dists))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dim=st.sampled_from([3, 16, 32, 64, 100]),
+           with_norms=st.booleans(), k=st.sampled_from([1, 6, 40]),
+           n_groups=st.integers(3, 5))
+    def test_rank_inverted_tiles_match_reference(self, build, seed, dim,
+                                                 with_norms, k, n_groups):
+        # batch_plain in small: queries in group order, each holding an
+        # ascending subset of its group's run of 24 rows (empty ones too),
+        # so their tiles name every row many times and are inverted; then
+        # 64 queries holding a few ids each from anywhere in the matrix, a
+        # wide low-reuse tile scored query by query.  k = 40 exceeds
+        # every count.
+        rng = np.random.default_rng(seed)
+        run = 24
+        data = rng.standard_normal((3000, dim))
+        # Exact ties on the rows a tile shares: quarter-grid rows (many
+        # equal sums) in equal pairs, and queries equal to one another
+        # and to rows.
+        grid = rng.integers(-2, 3, size=(run * n_groups, dim)) / 4.0
+        grid[1::2] = grid[::2]
+        data[:grid.shape[0]] = grid
+        per_group = rng.integers(43, 61, size=n_groups)
+        queries, parts = [], []
+        for g, n_q in enumerate(per_group):
+            for _ in range(n_q):
+                pick = rng.integers(0, 3)
+                queries.append(grid[rng.integers(0, grid.shape[0])]
+                               if pick == 0 else
+                               queries[-1] if pick == 1 and queries else
+                               rng.standard_normal(dim))
+                size = rng.integers(0, run + 1)
+                parts.append(g * run + np.sort(
+                    rng.choice(run, size=size, replace=False)))
+        for _ in range(64):
+            parts.append(np.sort(rng.choice(data.shape[0],
+                                            size=rng.integers(0, 4),
+                                            replace=False)))
+            queries.append(rng.standard_normal(dim))
+        queries = np.array(queries)
+        cand = np.concatenate(parts).astype(np.int64)
+        counts = np.array([part.size for part in parts], dtype=np.int64)
+        inverted = _inverted_tiles(cand, counts)
+        assert sum(inverted) >= 2 and not all(inverted)
+        sq_norms = (data * data).sum(axis=1) if with_norms else None
+        q_sq = (queries * queries).sum(axis=1)
+        sel, dists = build.rank_topk(data, sq_norms, queries, q_sq, cand,
+                                     counts, k)
+        want_sel, want_dists = rank_topk_ref(data, sq_norms, queries, q_sq,
+                                             cand, counts, k)
+        assert np.array_equal(sel, want_sel)
+        assert np.array_equal(_bits(dists), _bits(want_dists))
+
+    @pytest.mark.parametrize("copies", [1, 3])   # query-major, inverted
+    def test_precheck_turns_away_only_what_the_exact_test_would(self, build,
+                                                                copies):
+        # Zero rows and zero queries: a candidate's squared distance is the
+        # norm it is given.  With k = 2 the top-k fills at distance 1.0;
+        # 1 + 2**-52 lies past 1.0 squared yet its sqrt is 1.0 exactly, so
+        # row 4 ties row 7 with a smaller id and must enter, row 9 ties
+        # with a larger id and must not, and 1 + 2**-51 is a distance past
+        # 1.0.  One query meets them out of id order, three in id order —
+        # a tile the kernel inverts.
+        just_past = 1.0 + 2.0**-52
+        assert np.sqrt(just_past) == 1.0 < np.sqrt(1.0 + 2.0**-51)
+        norms = np.zeros(10)
+        norms[[6, 7, 4, 9, 5]] = [0.25, 1.0, just_past, just_past,
+                                  1.0 + 2.0**-51]
+        order = np.array([6, 7, 4, 9, 5])
+        cand = np.tile(order if copies == 1 else np.sort(order), copies)
+        counts = np.full(copies, order.size)
+        assert _inverted_tiles(cand, counts) == [copies > 1]
+        args = (np.zeros((10, 4)), norms, np.zeros((copies, 4)),
+                np.zeros(copies), cand, counts, 2)
+        sel, dists = build.rank_topk(*args)
+        assert sel.tolist() == [[6, 4]] * copies
+        assert dists.tolist() == [[0.5, 1.0]] * copies
+        want_sel, want_dists = rank_topk_ref(*args)
+        assert np.array_equal(sel, want_sel)
+        assert np.array_equal(_bits(dists), _bits(want_dists))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_subnormal_distances(self, build, k, copies):
+        # Squared distances below the smallest normal, where t * t has no
+        # relative error bound and the pre-check must skip nothing.
+        tiny = np.finfo(np.float64).tiny
+        norms = np.array([tiny, tiny / 2, np.nextafter(tiny / 2, 1.0),
+                          tiny / 2, 5e-324, 0.0, tiny * (1 - 2.0**-50),
+                          2e-323])
+        order = np.array([7, 0, 3, 1, 6, 2, 5, 4])
+        cand = np.tile(order if copies == 1 else np.sort(order), copies)
+        counts = np.full(copies, order.size)
+        assert _inverted_tiles(cand, counts) == [copies > 1]
+        args = (np.zeros((8, 2)), norms, np.zeros((copies, 2)),
+                np.zeros(copies), cand, counts, k)
+        sel, dists = build.rank_topk(*args)
+        want_sel, want_dists = rank_topk_ref(*args)
+        assert np.array_equal(sel, want_sel)
         assert np.array_equal(_bits(dists), _bits(want_dists))
 
     def test_cache_key_covers_flags(self, kernels, tmp_path, monkeypatch):
@@ -516,14 +643,14 @@ class TestBucketUnion:
             rng, n_tables, nq, id_span, code_span, m, del_len)
         got = any_table.bucket_union(*lookups, nq, id_span, deleted=deleted)
         ref = bucket_union_ref(*lookups, nq, id_span, deleted=deleted)
+        assert len(got) == len(ref) == 3
         for g, r in zip(got, ref):
             assert g.dtype == np.int64
             assert np.array_equal(g, r)
-        cand, qidx, counts, misses = got
+        cand, counts, misses = got
         assert misses.tolist() == want_misses
         assert counts.tolist() == [len(w) for w in want]
         assert cand.tolist() == [i for w in want for i in w]
-        assert np.array_equal(qidx, np.repeat(np.arange(nq), counts))
 
     @pytest.mark.parametrize("n_rows", [50, 10**7])   # bitmap, sort
     def test_id_outside_the_row_count_is_refused(self, any_table, n_rows):
@@ -561,7 +688,7 @@ class TestBucketUnion:
             any_table.bucket_union(layouts, codes[:, :1], row_q,
                                    np.array([3, 0]), 1, 3)
         # A dropped table is a zero row count: no rows, no misses.
-        _, _, counts, misses = any_table.bucket_union(
+        _, counts, misses = any_table.bucket_union(
             layouts, codes, row_q, np.array([3, 0]), 1, 3)
         assert counts.tolist() == [3] and misses.tolist() == [0, 0]
 
