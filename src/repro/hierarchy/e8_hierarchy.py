@@ -16,19 +16,24 @@ applications of ``c -> 2 * DECODE(c / 2)`` (Eq. (10)).  The structure is
    its sorted distinct ancestor codes plus ``(start, end)`` bounds into it.
 
 A query walks up from level 0 through the nodes matching its ancestor code,
-comparing node sizes (``end - start``), and gathers ids once, as a slice.
+comparing node sizes (``end - start``) — the ``hierarchy_walk`` kernel —
+and settles on one node: one span of the id array.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.lattice.base import Lattice
+from repro.lattice.dm import DMLattice
+from repro.lattice.e8 import E8Lattice
 from repro.lsh.table import LSHTable
 from repro.native.registry import NUMPY_KERNELS
+
+#: The lattice word of :attr:`E8Hierarchy.words`: the walk's decoder.
+_KINDS = {E8Lattice: 0, DMLattice: 1}
 
 
 class E8Hierarchy:
@@ -43,11 +48,20 @@ class E8Hierarchy:
     ``ids`` holds the table's point ids in tree order; per level,
     ``level_codes`` are the sorted distinct ancestor codes and
     ``level_starts`` / ``level_ends`` each node's run inside ``ids``.
+    ``words`` is what the compiled walk reads, built once here: the int64
+    words ``(lattice, code width, n_levels, settled, ids address,
+    len(ids))``, then per level ``(codes address, n_nodes, starts address,
+    ends address)``.
     """
+
+    #: ``repro_escalation_depth`` label of the levels its walk climbs.
+    depth_label = "e8"
 
     def __init__(self, table: LSHTable, lattice: Lattice, max_levels: int = 24):
         if max_levels <= 0:
             raise ValueError(f"max_levels must be positive, got {max_levels}")
+        if type(lattice) not in _KINDS:
+            raise ValueError(f"needs an E8 or D_M lattice, got {lattice!r}")
         self.table = table
         self.lattice = lattice
         codes = table.bucket_codes
@@ -58,22 +72,25 @@ class E8Hierarchy:
         next(chain)
         # First level whose nodes all sit at fixed points of Eq. (10): from
         # there on codes only double (no decode needed), nodes never merge.
-        self._settled = max_levels
+        self.settled = max_levels
         while len(groups) < max_levels and self.level_codes[-1].shape[0] > 1:
             uniq, group = 2 * self.level_codes[-1], groups[-1]
-            if self._settled == max_levels:
+            if self.settled == max_levels:
                 # Nesting: a node's ancestor is its first bucket's ancestor.
                 first = np.unique(group, return_index=True)[1]
                 uniq, inverse = np.unique(next(chain)[1][first], axis=0,
                                           return_inverse=True)
                 group = inverse.ravel()[group]
                 if np.array_equal(uniq, 2 * self.level_codes[-1]):
-                    self._settled = len(groups) - 1
-            self.level_codes.append(uniq)
+                    self.settled = len(groups) - 1
+            self.level_codes.append(np.ascontiguousarray(uniq))
             groups.append(group)
         self.n_levels = len(groups)
         # Tree order: coarsest node first, bucket index last — every node
-        # of every level is then one run of consecutive buckets.
+        # of every level is then one run of consecutive buckets.  Levels
+        # from the settled one on group buckets alike: one sort key and one
+        # pair of run arrays serve them all.
+        groups = groups[:self.settled + 1]
         order = np.lexsort(groups)
         sizes = table.bucket_sizes()[order]
         self.ids = LSHTable._gather_segments(table.sorted_ids,
@@ -83,6 +100,15 @@ class E8Hierarchy:
                 for group in groups]
         self.level_starts = [offsets[head] for _, head, _ in runs]
         self.level_ends = [offsets[head + length] for _, head, length in runs]
+        for bounds in (self.level_starts, self.level_ends):
+            bounds += bounds[-1:] * (self.n_levels - len(runs))
+        levels = [[codes.ctypes.data, codes.shape[0], starts.ctypes.data,
+                   ends.ctypes.data] for codes, starts, ends in zip(
+                       self.level_codes, self.level_starts, self.level_ends)]
+        self.words = np.array(
+            [_KINDS[type(lattice)], lattice.code_dim, self.n_levels,
+             self.settled, self.ids.ctypes.data, self.ids.shape[0]]
+            + [word for level in levels for word in level], dtype=np.int64)
 
     def ids_at_level(self, code: np.ndarray, level: int) -> Optional[np.ndarray]:
         """Point ids under the node matching ``code``'s ancestor at ``level``.
@@ -98,54 +124,21 @@ class E8Hierarchy:
         return self.ids[self.level_starts[level][node]:
                         self.level_ends[level][node]]
 
-    def candidates_batch(self, codes: np.ndarray, min_count: int,
-                         kernels: object = NUMPY_KERNELS,
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate ids for every code row, flattened: ``(ids, counts)``.
-
-        All rows climb one level per decode pass and batched node lookup.
-        A row settles on the first matching ancestor node holding at least
-        ``min_count`` points, else on the first largest matching node
-        (none, ``counts == 0``, when its ancestors never meet a populated
-        branch).  Decode and node lookup go through ``kernels`` — the
-        query plan passes the table that loaded, the one-row methods and
-        the build keep the numpy one — with identical results.
-        """
-        codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
-        size = np.zeros(codes.shape[0], dtype=np.int64)
-        start = np.zeros_like(size)
-        depth = np.zeros_like(size)
-        todo = np.arange(codes.shape[0], dtype=np.int64)
-        for level, anc in self.lattice.ancestor_chain(codes, self.n_levels,
-                                                      kernels):
-            # Node index per ancestor-code row, -1 where absent.
-            node = kernels.lookup_codes(self.level_codes[level], anc[todo])
-            hit = node >= 0
-            rows, node = todo[hit], node[hit]
-            found = self.level_ends[level][node] - self.level_starts[level][node]
-            grew = found > size[rows]
-            rows, node = rows[grew], node[grew]
-            size[rows] = found[grew]
-            start[rows] = self.level_starts[level][node]
-            depth[rows] = level
-            climbing = size[todo] < min_count
-            if level >= self._settled:
-                # Nodes only double from here: a row that has matched keeps
-                # its node, one whose own code only doubles never will.
-                climbing &= ~hit
-                if level:
-                    climbing &= (anc[todo] != 2 * below[todo]).any(axis=1)
-            todo, below = todo[climbing], anc
-            if not todo.size:
-                break
-        ob = obs.active()
-        if ob is not None:
-            ob.record_escalation_depth("e8", depth)
-        return LSHTable._gather_segments(self.ids, start, size), size
+    @staticmethod
+    def walk(hierarchies: Sequence["E8Hierarchy"], codes: np.ndarray,
+             min_count: int, kernels: object = NUMPY_KERNELS,
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(start, size, depth)``, each ``(L, n)``: the node of ``ids``
+        each row of the ``(L, n, code_dim)`` ``codes`` escalates to in its
+        table's hierarchy — one ``kernels.hierarchy_walk`` for all ``L``
+        (spec: :func:`repro.native.ref.hierarchy_walk_ref`)."""
+        return kernels.hierarchy_walk(hierarchies, codes, min_count)
 
     def candidates(self, code: np.ndarray, min_count: int) -> np.ndarray:
-        """One row of :meth:`candidates_batch`, ids ascending."""
-        return np.sort(self.candidates_batch(code, min_count)[0])
+        """The ids :meth:`walk` escalates ``code`` to, ascending."""
+        start, size, _ = self.walk([self], np.atleast_2d(code)[None],
+                                   min_count)
+        return np.sort(LSHTable._gather_segments(self.ids, start[0], size[0]))
 
     def deepest_match(self, code: np.ndarray) -> Optional[int]:
         """The smallest level at which ``code``'s ancestor is populated.

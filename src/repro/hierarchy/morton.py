@@ -22,11 +22,10 @@ curve.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.lsh.table import LSHTable
 
 
@@ -66,8 +65,11 @@ class MortonHierarchy:
     """Hierarchy over the buckets of one ``Z^M`` :class:`LSHTable`.
 
     Bucket membership is copied out of ``table`` into one id array in
-    curve order, so any window of the curve is a slice.
+    curve order, ``ids``, so any window of the curve is a slice.
     """
+
+    #: ``repro_escalation_depth`` label of the Morton bits its walk drops.
+    depth_label = "morton"
 
     def __init__(self, table: LSHTable):
         self.table = table
@@ -87,8 +89,8 @@ class MortonHierarchy:
         self._sorted_mortons = [mortons[i] for i in order]
         sizes = table.bucket_sizes()[order]
         self._cum_sizes = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        self._ids = LSHTable._gather_segments(table.sorted_ids,
-                                              table._starts[order], sizes)
+        self.ids = LSHTable._gather_segments(table.sorted_ids,
+                                             table._starts[order], sizes)
 
     @property
     def n_buckets(self) -> int:
@@ -134,27 +136,29 @@ class MortonHierarchy:
             hi = max(hi, hi2)
         return lo, hi, dropped
 
-    def candidates_batch(self, codes: np.ndarray, min_count: int,
-                         kernels: Optional[object] = None,
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate ids near every code row, flattened: ``(ids, counts)``.
-
-        Same call shape as :meth:`E8Hierarchy.candidates_batch`;
-        ``kernels`` is unused (the walk is exact big-int arithmetic).
-        """
-        windows = np.array([self._window(morton, min_count)
-                            for morton in self._encode_query(codes)],
-                           dtype=np.int64).reshape(-1, 3)
-        ob = obs.active()
-        if ob is not None:
-            ob.record_escalation_depth("morton", windows[:, 2])
-        starts = self._cum_sizes[windows[:, 0]]
-        counts = self._cum_sizes[windows[:, 1]] - starts
-        return LSHTable._gather_segments(self._ids, starts, counts), counts
+    @staticmethod
+    def walk(hierarchies: Sequence["MortonHierarchy"], codes: np.ndarray,
+             min_count: int, kernels: Optional[object] = None,
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(start, size, dropped_bits)``, each ``(L, n)``: the window of
+        ``ids`` (:meth:`_window`) each row of the ``(L, n, M)`` ``codes``
+        escalates to, as :meth:`E8Hierarchy.walk` — row by row in Python
+        (exact big-int arithmetic), ``kernels`` unused."""
+        out = np.empty((3,) + codes.shape[:2], dtype=np.int64)
+        for t, hier in enumerate(hierarchies):
+            windows = np.array([hier._window(morton, min_count)
+                                for morton in hier._encode_query(codes[t])],
+                               dtype=np.int64).reshape(-1, 3)
+            out[0, t] = hier._cum_sizes[windows[:, 0]]
+            out[1, t] = hier._cum_sizes[windows[:, 1]] - out[0, t]
+            out[2, t] = windows[:, 2]
+        return out[0], out[1], out[2]
 
     def candidates(self, code: np.ndarray, min_count: int) -> np.ndarray:
-        """One row of :meth:`candidates_batch`, ids ascending."""
-        return np.sort(self.candidates_batch(code, min_count)[0])
+        """The ids :meth:`walk` escalates ``code`` to, ascending."""
+        start, size, _ = self.walk([self], np.atleast_2d(code)[None],
+                                   min_count)
+        return np.sort(LSHTable._gather_segments(self.ids, start[0], size[0]))
 
     def shared_msb(self, code: np.ndarray) -> int:
         """Most-significant bits shared with the nearest curve neighbors.

@@ -19,8 +19,6 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.native.registry import NUMPY_KERNELS
-
 
 class Lattice(ABC):
     """A quantizer from ``R^M`` to integer code vectors.
@@ -93,15 +91,12 @@ class Lattice(ABC):
         """
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
-                       kernels: object = NUMPY_KERNELS,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(k, ancestor(codes, k))`` for ``k = 0 .. max_k - 1``.
 
         Subclasses override this when ancestors can be computed
         incrementally (one level from the previous) instead of from
         scratch at every level; the default delegates to :meth:`ancestor`.
-        ``kernels`` is the kernel table (see :meth:`quantize_with`): a
-        lattice with a decoder in it steps through that decoder.
         """
         for k in range(max_k):
             yield k, self.ancestor(codes, k)

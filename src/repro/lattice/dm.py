@@ -26,7 +26,6 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.lattice.base import Lattice
-from repro.native.registry import NUMPY_KERNELS
 
 
 def decode_dm(x: np.ndarray) -> np.ndarray:
@@ -129,7 +128,6 @@ class DMLattice(Lattice):
         return level
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
-                       kernels: object = NUMPY_KERNELS,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         if codes.shape[1] != self.dim:
@@ -137,5 +135,5 @@ class DMLattice(Lattice):
         current = codes.astype(np.float64)
         for k in range(max_k):
             if k > 0:
-                current = kernels.dm_decode(current / 2.0).astype(np.float64)
+                current = decode_dm(current / 2.0)
             yield k, np.round(current * float(2 ** k)).astype(np.int64)

@@ -30,7 +30,6 @@ import numpy as np
 from repro.lattice.base import Lattice
 from repro.lattice.dm import decode_dm
 from repro.native.ref import tree_sq_dist
-from repro.native.registry import NUMPY_KERNELS
 
 BLOCK = 8
 
@@ -223,14 +222,13 @@ class E8Lattice(Lattice):
         return level
 
     def ancestor_chain(self, codes: np.ndarray, max_k: int,
-                       kernels: object = NUMPY_KERNELS,
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         """Incremental Eq. (10) iteration: one decode pass per level.
 
         Yields ``(k, ancestor(codes, k))`` while reusing the previous
         level's half-point, turning the naive ``O(max_k^2)`` decode count
-        of repeated :meth:`ancestor` calls into ``O(max_k)``.  Each pass
-        is one ``kernels.e8_decode`` call.
+        of repeated :meth:`ancestor` calls into ``O(max_k)`` — the spec
+        the compiled ``hierarchy_walk`` climbs by.
         """
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         if codes.shape[1] != self.padded_dim:
@@ -239,8 +237,8 @@ class E8Lattice(Lattice):
             )
         current = codes.astype(np.float64) / 2.0  # real units: d_0 = c
         for k in range(max_k):
-            if k > 0:  # the kernel hands back half-integer codes
-                current = kernels.e8_decode(current / 2.0) / 2.0
+            if k > 0:  # the decoder hands back half-integer codes
+                current = e8_decode(current / 2.0) / 2.0
             real = current * float(2 ** k)
             yield k, np.round(real * 2.0).astype(np.int64)
 

@@ -38,7 +38,7 @@ from repro.lsh.functions import PStableHashFamily, StackedProjection
 from repro.lsh.multiprobe import adaptive_probes, adaptive_probes_batch
 from repro.lsh.table import LSHTable, TableLayouts
 from repro.native import registry as native_registry
-from repro.native.ref import rank_topk_ref, tree_rowdot
+from repro.native.ref import SpanSet, rank_topk_ref, tree_rowdot
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import ResiliencePolicy
@@ -842,7 +842,7 @@ class StandardLSH:
 # --------------------------------------------------------------------------
 
 
-#: Escalated rows walked per ``candidates_batch`` call — the granularity
+#: Escalated rows of a member walked per ``walk`` call — the granularity
 #: of the deadline check in ``_stage_escalate``.
 ESCALATE_CHUNK = 256
 
@@ -878,8 +878,8 @@ class _LSHPlan(QueryPlan):
     ``rank_topk`` against the one row store.  A :class:`StandardLSH` is
     the one-member case; the Bi-level plan adds a route stage in front.
 
-    Every hot inner loop (lattice decode, ``Z^M`` probe sequences, bucket
-    and hierarchy node lookup, candidate dedup, fused rank) is a call on
+    Every hot inner loop (lattice decode, ``Z^M`` probe sequences, the
+    short-list union, the hierarchy walk, fused rank) is a call on
     ``kernels``, the table :func:`repro.native.load_kernels` resolved —
     compiled or numpy, bit-identical by the parity matrix in
     ``tests/test_native.py``.  A memmapped corpus is ranked by the numpy
@@ -1051,8 +1051,8 @@ class _LSHPlan(QueryPlan):
         query's segments (one per group it routes to) are adjacent and
         groups hold disjoint rows: nothing needs merging.
         Tables (:meth:`_kept_tables`: a dropped one's rows are left out)
-        and, after the union, groups (:meth:`_supervise_groups`) are the
-        supervised units.
+        and groups (:meth:`_supervise_groups`: a failed one's rows are
+        left out, its stand-in spans go in) are the supervised units.
         """
         ob, nq = ctx.ob, ctx.nq
         kernels = ctx.scratch["kernels"]
@@ -1060,14 +1060,19 @@ class _LSHPlan(QueryPlan):
         spill = ctx.scratch["spill"]
         # One snapshot of the published layouts: a concurrent insert or
         # rebuild publishes a new one, it never edits this one.
-        layouts = self.index._layouts
+        layouts = ctx.scratch["layouts"] = self.index._layouts
         table_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
-        code_parts: List[np.ndarray] = []
-        slot_parts: List[np.ndarray] = []
+        keeps = [self._kept_tables(ctx, m, m.index.n_tables)
+                 for m in members]
+        stand_ins = (self._supervise_groups(ctx, members)
+                     if members[0].group is not None else [])
+        code_parts = [np.empty((0, layouts.code_dim), dtype=np.int64)]
+        slot_parts = [np.empty(0, dtype=np.int64)]
         lookups = []
-        for m in members:
+        for m, keep in zip(members, keeps):
+            if m.failed:
+                continue
             codes, row_m, rows_t = self._probe_rows(m, kernels)
-            keep = self._kept_tables(ctx, m, rows_t.shape[0])
             if keep is not None and not keep.all():
                 rows = np.repeat(keep, rows_t)
                 codes, row_m = codes[rows], row_m[rows]
@@ -1083,9 +1088,7 @@ class _LSHPlan(QueryPlan):
         # id the kernel will meet.
         cand, counts, misses = kernels.bucket_union(
             layouts, np.concatenate(code_parts), row_slot, table_rows,
-            nq * spill, store.n_rows, deleted=store.deleted)
-        if members[0].group is not None:
-            cand, counts = self._supervise_groups(ctx, members, cand, counts)
+            nq * spill, store.n_rows, deleted=store.deleted, extra=stand_ins)
         probes = None
         if ob is not None:
             # Committed only for the tables the union used — a timed-out,
@@ -1108,18 +1111,17 @@ class _LSHPlan(QueryPlan):
         self._set_counts(ctx, counts)
 
     def _supervise_groups(self, ctx: ExecutionContext, members: List[Member],
-                          cand: np.ndarray, counts: np.ndarray,
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each group's supervised check, after the union: the union's
-        ``(cand, counts)``, where a group that still fails after
-        retries has its segments hold an exact scan's candidates — every
-        live row of the group, ranked like any other — or, failing that,
-        none; either way its rows are flagged degraded.  Without a policy
-        a failure propagates."""
+                          ) -> List[SpanSet]:
+        """Each group's supervised check, before the union.  A group that
+        still fails after retries is marked ``failed`` (its lookup rows
+        stay out) and its rows degraded; its segments get an exact scan's
+        candidates instead — returned as one span each over the group's
+        live rows — or, failing that, none.  Without a policy a failure
+        propagates."""
         pol, empty = ctx.policy, np.empty(0, dtype=np.int64)
         if pol is None and ctx.fault_plan is None:
-            return cand, counts
-        stand_ins = []
+            return []
+        stand_ins: List[SpanSet] = []
         for m in members:
             label = f"group={m.group}"
             check = partial(self._check, ctx, "bilevel.dispatch", label,
@@ -1138,21 +1140,9 @@ class _LSHPlan(QueryPlan):
             ctx.ensure_degraded()[m.rows] = True
             if ctx.ob is not None:
                 ctx.ob.record_degraded("dispatch", m.rows.shape[0])
-            stand_ins.append((m, empty if rows is None else rows))
-        if not stand_ins:
-            return cand, counts
-        # The union writes no per-id segment; the stand-ins' path rebuilds it.
-        qidx = np.repeat(np.arange(counts.shape[0], dtype=np.int64),
-                         counts)
-        keep = ~np.isin(qidx, np.concatenate([m.slots for m, _ in stand_ins]))
-        ids = [cand[keep]] + [np.tile(rows, m.slots.shape[0])
-                              for m, rows in stand_ins]
-        slots = [qidx[keep]] + [np.repeat(m.slots, rows.shape[0])
-                                for m, rows in stand_ins]
-        cand, _, counts = ctx.scratch["kernels"].dedup_candidates(
-            np.concatenate(ids), np.concatenate(slots), counts.shape[0],
-            deleted=self.index._store.deleted)
-        return cand, counts
+            if rows is not None and rows.size:
+                stand_ins.append(([rows], 0, rows.shape[0], m.slots))
+        return stand_ins
 
     def _set_counts(self, ctx: ExecutionContext, counts: np.ndarray) -> None:
         """Segment sizes in; each row's short-list size out — a row's
@@ -1168,13 +1158,20 @@ class _LSHPlan(QueryPlan):
     def _stage_escalate(self, ctx: ExecutionContext) -> None:
         # Per member, rows whose segment is below its threshold (``"median"``
         # of its segment sizes) walk its hierarchies, a chunk of rows per
-        # batched call; one more sort + dedup folds the extra ids in.  The
-        # budget is re-checked before each chunk: rows of chunks not
-        # started keep their base short-list, flagged `exhausted_budget`.
+        # call for all L tables; each node they settle on is one span of
+        # its hierarchy's ids.  The budget is re-checked before each chunk:
+        # rows of chunks not started keep their base short-list, flagged
+        # `exhausted_budget`.
         counts = ctx.scratch["slot_counts"]
         kernels = ctx.scratch["kernels"]
-        extra_ids = [ctx.scratch["cand"]]
-        extra_slots: List[np.ndarray] = []
+        n_slots = counts.shape[0]
+        # The short-list so far, one span per segment.  Its union with the
+        # nodes equals the lookup spans' union with them: tombstones only
+        # ever grow.
+        spans: List[SpanSet] = [([ctx.scratch["cand"]],
+                                 np.cumsum(counts) - counts, counts,
+                                 np.arange(n_slots, dtype=np.int64))]
+        depths: List[np.ndarray] = []
         expired = False
         for m in ctx.scratch["members"]:
             if m.failed:
@@ -1190,11 +1187,13 @@ class _LSHPlan(QueryPlan):
                     expired = True
                     break
                 chunk = esc[done:done + ESCALATE_CHUNK]
-                for t, hierarchy in enumerate(hierarchies):
-                    ids_t, counts_t = hierarchy.candidates_batch(
-                        m.codes[t][chunk], threshold, kernels)
-                    extra_ids.append(ids_t)
-                    extra_slots.append(np.repeat(m.slots[chunk], counts_t))
+                if hierarchies:
+                    kind = type(hierarchies[0])
+                    starts, sizes, depth = kind.walk(
+                        hierarchies, m.codes[:, chunk], threshold, kernels)
+                    spans.append(([h.ids for h in hierarchies], starts,
+                                  sizes, m.slots[chunk]))
+                    depths.append(depth.ravel())
                 done += chunk.size
             ctx.escalated[m.rows[esc[:done]]] = True
             m.n_escalated = done
@@ -1204,15 +1203,19 @@ class _LSHPlan(QueryPlan):
                 if ctx.ob is not None:
                     ctx.ob.record_deadline_exhausted("lsh.escalate",
                                                      int(skipped.size))
-        if len(extra_ids) == 1:
+        if not depths:
             return
-        # The base short-list's segment of every id, which the union
-        # does not write.
-        extra_slots.insert(0, np.repeat(
-            np.arange(counts.shape[0], dtype=np.int64), counts))
-        cand, _, counts = kernels.dedup_candidates(
-            np.concatenate(extra_ids), np.concatenate(extra_slots),
-            counts.shape[0], deleted=self.index._store.deleted)
+        if ctx.ob is not None:
+            ctx.ob.record_escalation_depth(kind.depth_label,
+                                           np.concatenate(depths))
+        # One more union, of spans only.  The row count is read after every
+        # hierarchy snapshot, so it bounds their ids as in the gather.
+        store, layouts = self.index._store, ctx.scratch["layouts"]
+        no_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
+        cand, counts, _ = kernels.bucket_union(
+            layouts, np.empty((0, layouts.code_dim), dtype=np.int64),
+            no_rows[:0], no_rows, n_slots, store.n_rows,
+            deleted=store.deleted, extra=spans)
         ctx.scratch["cand"] = cand
         self._set_counts(ctx, counts)
 

@@ -139,7 +139,9 @@ static i64 find_bucket(const i64 *bucket_codes, i64 n_buckets, i64 m,
                                                                       : -1;
 }
 
-/* Bucket index per query code row. */
+/* Bucket index per query code row.  No query path calls it (bucket_union
+ * and hierarchy_walk search with find_bucket); it stays on the table
+ * only because benchmarks/e2e wraps it by name. */
 EXPORT void repro_lookup_codes(const i64 *bucket_codes, i64 n_buckets,
                                i64 m, const i64 *codes, i64 r, i64 *bidx) {
     for (i64 i = 0; i < r; i++)
@@ -219,7 +221,9 @@ static void sort_i64(i64 *v, i64 n) {
  * is much wider than the segment is long, is sorted in place and scanned.
  * Which path runs depends on the segment alone.  Returns the number of
  * surviving ids (out_ids/out_qidx hold n entries, counts nq), or -1 when
- * scratch memory cannot be allocated. */
+ * scratch memory cannot be allocated.  No query path calls it (every
+ * short-list is one bucket_union); it stays on the table only because
+ * benchmarks/e2e wraps it by name. */
 EXPORT i64 repro_dedup_candidates(const i64 *ids, const i64 *qidx, i64 n,
                                   i64 nq, const unsigned char *deleted,
                                   i64 del_len, i64 *out_ids, i64 *out_qidx,
@@ -778,29 +782,108 @@ EXPORT void repro_dm_decode(const double *y, i64 n, i64 m, i64 *codes) {
  * (D8 at exact ties), squared distances via the 8-wide halving tree —
  * the spec lattice/e8.py decode_e8 follows via ref.tree_sq_dist.  Codes
  * are emitted in half-integer units (real coordinates * 2). */
+static void e8_decode_block(const double *x, i64 *out) {
+    double d8[8], half[8], shifted[8], err[8], buf[4];
+    i64 j;
+    decode_dm_row(x, 8, d8);
+    for (j = 0; j < 8; j++) shifted[j] = x[j] - 0.5;
+    decode_dm_row(shifted, 8, half);
+    for (j = 0; j < 8; j++) half[j] += 0.5;
+    for (j = 0; j < 8; j++) err[j] = x[j] - d8[j];
+    double dist_d8 = tree_dot(err, err, 8, buf, 8);
+    for (j = 0; j < 8; j++) err[j] = x[j] - half[j];
+    double dist_half = tree_dot(err, err, 8, buf, 8);
+    const double *pick = (dist_half < dist_d8) ? half : d8;
+    for (j = 0; j < 8; j++) out[j] = (i64)llround(pick[j] * 2.0);
+}
+
 EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
                             i64 *codes) {
-    double d8[8], half[8], shifted[8], err[8], buf[4];
-    i64 stride = n_blocks * 8;
-    for (i64 i = 0; i < n; i++) {
-        for (i64 b = 0; b < n_blocks; b++) {
-            const double *x = y + i * stride + b * 8;
-            i64 *out = codes + i * stride + b * 8;
-            i64 j;
-            decode_dm_row(x, 8, d8);
-            for (j = 0; j < 8; j++) shifted[j] = x[j] - 0.5;
-            decode_dm_row(shifted, 8, half);
-            for (j = 0; j < 8; j++) half[j] += 0.5;
-            for (j = 0; j < 8; j++) err[j] = x[j] - d8[j];
-            double dist_d8 = tree_dot(err, err, 8, buf, 8);
-            for (j = 0; j < 8; j++) err[j] = x[j] - half[j];
-            double dist_half = tree_dot(err, err, 8, buf, 8);
-            const double *pick = (dist_half < dist_d8) ? half : d8;
-            for (j = 0; j < 8; j++) out[j] = (i64)llround(pick[j] * 2.0);
+    for (i64 i = 0; i < n * n_blocks; i++)
+        e8_decode_block(y + i * 8, codes + i * 8);
+}
+
+/* ------------------------------------------------------- hierarchy walk */
+
+/* Words of one hierarchy's level table (E8Hierarchy.words), then of each
+ * of its levels: sorted node codes, node count, node runs of the ids. */
+enum { H_KIND, H_DIM, H_N_LEVELS, H_SETTLED, H_IDS, H_N_IDS, H_WORDS };
+enum { V_CODES, V_N_NODES, V_STARTS, V_ENDS, V_WORDS };
+enum { KIND_E8, KIND_DM };
+
+/* ref.hierarchy_walk_ref one (table, row) at a time, over n_tables level
+ * tables (hiers: their addresses) and (n_tables, n, dim) codes.  Level k's
+ * ancestor is code_k * 2^k, code_k = DECODE(code_{k-1} / 2) in the
+ * lattice's units (E8's are halves): Lattice.ancestor_chain's exact float
+ * steps.  Writes (start, size, depth) per (table, row).  Returns 0, -1 when
+ * scratch cannot be allocated, -2 for a table of another width or lattice,
+ * -3 for a node outside its id array. */
+EXPORT i64 repro_hierarchy_walk(const i64 *hiers, i64 n_tables,
+                                const i64 *codes, i64 n, i64 dim,
+                                i64 min_count, i64 *start, i64 *size,
+                                i64 *depth) {
+    i64 rc = -1, t, r, j, level;
+    double *x = (double *)malloc((size_t)(2 * dim + 1) * sizeof(double));
+    i64 *cd = (i64 *)malloc((size_t)(3 * dim + 1) * sizeof(i64));
+    if (!x || !cd) goto done;
+    i64 *anc = cd + dim, *below = anc + dim;
+    for (t = 0, rc = 0; t < n_tables; t++) {
+        const i64 *h = PTR(hiers[t]);
+        int e8 = h[H_KIND] == KIND_E8;
+        if (h[H_DIM] != dim || (e8 ? dim % 8 : h[H_KIND] != KIND_DM)) {
+            rc = -2;
+            goto done;
+        }
+        for (r = 0; r < n; r++) {
+            i64 best = 0, at = 0, deep = 0;
+            memcpy(cd, codes + (t * n + r) * dim, (size_t)dim * sizeof(i64));
+            for (level = 0; level < h[H_N_LEVELS]; level++) {
+                const i64 *v = h + H_WORDS + level * V_WORDS;
+                if (level) {
+                    for (j = 0; j < dim; j++)
+                        x[j] = (double)cd[j] / (e8 ? 4.0 : 2.0);
+                    if (e8)
+                        for (j = 0; j < dim; j += 8)
+                            e8_decode_block(x + j, cd + j);
+                    else
+                        for (decode_dm_row(x, dim, x + dim), j = 0; j < dim;
+                             j++)
+                            cd[j] = (i64)x[dim + j];
+                }
+                for (j = 0; j < dim; j++)
+                    anc[j] = (i64)ldexp((double)cd[j], (int)level);
+                i64 node = find_bucket(PTR(v[V_CODES]), v[V_N_NODES], dim,
+                                       anc);
+                if (node >= 0) {
+                    i64 s = PTR(v[V_STARTS])[node], e = PTR(v[V_ENDS])[node];
+                    if (s < 0 || e < s || e > h[H_N_IDS]) {
+                        rc = -3;
+                        goto done;
+                    }
+                    if (e - s > best) { best = e - s; at = s; deep = level; }
+                }
+                if (best >= min_count) break;
+                if (level >= h[H_SETTLED]) {
+                    /* Nodes only double from here: a matched row keeps its
+                     * node, one whose own code only doubles never will. */
+                    int doubled = level > 0;
+                    for (j = 0; j < dim && doubled; j++)
+                        doubled = anc[j] == 2 * below[j];
+                    if (node >= 0 || doubled) break;
+                }
+                memcpy(below, anc, (size_t)dim * sizeof(i64));
+            }
+            start[t * n + r] = at;
+            size[t * n + r] = best;
+            depth[t * n + r] = deep;
         }
     }
+done:
+    free(x);
+    free(cd);
+    return rc;
 }
 
 /* Version tag checked by the loader: bumped with every exported-signature
  * change so a library built from another revision is refused. */
-EXPORT i64 repro_kernels_abi(void) { return 5; }
+EXPORT i64 repro_kernels_abi(void) { return 6; }

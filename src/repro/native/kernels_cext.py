@@ -32,19 +32,21 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.native.ref import union_tables
+from repro.native.ref import span_table, union_tables
 
 if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
+    from repro.hierarchy.e8_hierarchy import E8Hierarchy
     from repro.lsh.table import TableLayouts
+    from repro.native.ref import SpanSet
 
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 5
+KERNELS_ABI = 6
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -157,6 +159,9 @@ class CExtKernels:
         lib.repro_dm_decode.argtypes = [ptr, i64, i64, ptr]
         lib.repro_e8_decode.restype = None
         lib.repro_e8_decode.argtypes = [ptr, i64, i64, ptr]
+        lib.repro_hierarchy_walk.restype = i64
+        lib.repro_hierarchy_walk.argtypes = [ptr, i64, ptr, i64, i64, i64,
+                                             ptr, ptr, ptr]
 
     # -- kernel wrappers ---------------------------------------------------
     # Each wrapper owns the pointer contract the C side relies on: inputs
@@ -207,6 +212,7 @@ class CExtKernels:
     def bucket_union(self, layouts: "TableLayouts", codes: np.ndarray,
                      row_q: np.ndarray, table_rows: np.ndarray, nq: int,
                      n_rows: int, deleted: Optional[np.ndarray] = None,
+                     extra: "Sequence[SpanSet]" = (),
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         nq, n_rows = int(nq), int(n_rows)
         # The C side takes the lookup rows stacked table by table, the
@@ -217,11 +223,15 @@ class CExtKernels:
         row_q = np.ascontiguousarray(row_q, dtype=np.int64)
         tables = union_tables(layouts, codes, row_q, table_rows)
         n_tables = tables.shape[0]
+        # ``extra``'s spans become the words repro_bucket_spans writes,
+        # after the ones it found; ``arrays`` keeps what they name alive.
+        arrays, added = span_table(extra, nq)
+        n_extra = added.shape[0]
         # Small outputs share one buffer and one address: raw ids per
         # query, misses per table, kept ids per query.
         small = np.empty(2 * nq + n_tables, dtype=np.int64)
         small_at = _address(small)
-        spans = np.empty((int(tables[:, 0] @ tables[:, 1]), 3),
+        spans = np.empty((int(tables[:, 0] @ tables[:, 1]) + n_extra, 3),
                          dtype=np.int64)
         spans_at = _address(spans)
         n_spans = int(self._lib.repro_bucket_spans(
@@ -234,6 +244,14 @@ class CExtKernels:
                 if n_spans == -2 else
                 "bucket_union: bucket interval outside its sorted_ids")
         raw = small[:nq]
+        if n_extra:
+            words = spans[n_spans:n_spans + n_extra]
+            words[:, 0] = np.array([_address(a) for a in arrays],
+                                   dtype=np.int64)[added[:, 0]]
+            words[:, 0] += 8 * added[:, 1]
+            words[:, 1:] = added[:, 2:]
+            raw += np.bincount(added[:, 3], added[:, 2], nq).astype(np.int64)
+            n_spans += n_extra
         # A query cannot keep more ids than its intervals hold, nor more
         # than there are rows: the output bound the kernel writes within.
         out = np.empty(int(np.minimum(raw, n_rows).sum()), dtype=np.int64)
@@ -295,6 +313,31 @@ class CExtKernels:
         self._lib.repro_dm_decode(_address(y), y.shape[0], y.shape[1],
                                   _address(codes))
         return codes
+
+    def hierarchy_walk(self, hierarchies: Sequence["E8Hierarchy"],
+                       codes: np.ndarray, min_count: int,
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        codes = np.ascontiguousarray(codes, dtype=np.int64)
+        n_tables, n, dim = codes.shape
+        if len(hierarchies) != n_tables:
+            raise ValueError(f"hierarchy_walk: {len(hierarchies)} "
+                             f"hierarchies for {n_tables} tables of codes")
+        # The level tables are built with their hierarchies, never here.
+        tables = np.array([_address(h.words) for h in hierarchies],
+                          dtype=np.int64)
+        out = np.empty((3, n_tables, n), dtype=np.int64)
+        out_at, step = _address(out), 8 * n_tables * n
+        rc = int(self._lib.repro_hierarchy_walk(
+            _address(tables), n_tables, _address(codes), n, dim,
+            int(min_count), out_at, out_at + step, out_at + 2 * step))
+        if rc == -1:
+            raise MemoryError("hierarchy_walk scratch allocation failed")
+        if rc == -2:
+            raise ValueError(f"hierarchy_walk: a level table is not over "
+                             f"{dim}-wide E8 or D_M codes")
+        if rc < 0:
+            raise IndexError("hierarchy_walk: node outside its id array")
+        return out[0], out[1], out[2]
 
     def e8_decode(self, y: np.ndarray) -> np.ndarray:
         y = np.ascontiguousarray(y, dtype=np.float64)

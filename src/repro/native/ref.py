@@ -23,16 +23,22 @@ numpy alone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # cycles at run time: repro.lsh imports this module
+    from repro.hierarchy.e8_hierarchy import E8Hierarchy
     from repro.lsh.table import TableLayouts
 
 __all__ = ["tree_rowdot", "tree_sq_dist", "bucket_union_ref",
-           "dedup_candidates_ref", "lookup_codes_ref", "rank_topk_ref",
-           "union_tables", "zm_probe_codes_ref"]
+           "dedup_candidates_ref", "hierarchy_walk_ref", "lookup_codes_ref",
+           "rank_topk_ref", "span_table", "union_tables",
+           "zm_probe_codes_ref"]
+
+#: ``(arrays, starts, sizes, slots)``: span ``(r, j)`` is ``arrays[r]
+#: [starts[r, j]:][:sizes[r, j]]``, ids of segment ``slots[j]``.
+SpanSet = Tuple[Sequence[np.ndarray], np.ndarray, np.ndarray, np.ndarray]
 
 
 def tree_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,7 +85,8 @@ def lookup_codes_ref(bucket_codes: np.ndarray,
     ``bucket_codes`` is the ``(B, M)`` lexicographically sorted array of
     distinct bucket codes (not written to after its first lookup — its
     packed keys are remembered); returns the bucket index per query row,
-    ``-1`` for rows with no bucket.
+    ``-1`` for rows with no bucket.  No query path calls the kernel; it
+    stays on the tables because ``benchmarks/e2e`` wraps it by name.
     """
     from repro.lsh.table import LSHTable, pack_codes, packed_keys  # cycle
 
@@ -95,7 +102,8 @@ def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,
     Drop tombstoned ids (ids at or past the mask's length were inserted
     after it was taken and cannot be tombstoned), sort by ``(query,
     id)``, drop per-query duplicates, return ``(ids, qidx, counts)``
-    with ``counts`` per query.
+    with ``counts`` per query.  No query path calls the kernel; it stays
+    on the tables because ``benchmarks/e2e`` wraps it by name.
     """
     local_ids = np.asarray(local_ids, dtype=np.int64)
     qidx = np.asarray(qidx, dtype=np.int64)
@@ -141,10 +149,38 @@ def union_tables(layouts: "TableLayouts", codes: np.ndarray,
     return words
 
 
+def span_table(extra: Sequence[SpanSet], nq: int,
+               ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """``extra``'s arrays (int64, contiguous) and its spans as ``(s, 4)``
+    rows ``(array, start, size, slot)`` — starts and sizes broadcast to
+    ``(R, c)`` — checked to lie inside their arrays and ``[0, nq)``."""
+    arrays: List[np.ndarray] = []
+    blocks = [np.empty((0, 4), dtype=np.int64)]
+    if not extra:
+        return arrays, blocks[0]
+    for values, starts, sizes, slots in extra:
+        block = np.empty((len(values), np.shape(slots)[0], 4), dtype=np.int64)
+        block[..., 0] = np.arange(len(arrays), len(arrays) + len(values),
+                                  dtype=np.int64)[:, None]
+        block[..., 1], block[..., 2], block[..., 3] = starts, sizes, slots
+        arrays += [np.ascontiguousarray(a, dtype=np.int64) for a in values]
+        blocks.append(block.reshape(-1, 4))
+    spans = np.concatenate(blocks)
+    ends = spans[:, 1] + spans[:, 2]
+    if spans.size and (
+            spans[:, 1:].min() < 0 or spans[:, 3].max() >= nq
+            or (ends > np.array([a.shape[0] for a in arrays])[spans[:, 0]])
+            .any()):
+        raise IndexError("bucket_union: extra span outside its array or "
+                         f"of a segment outside [0, {nq})")
+    return arrays, spans
+
+
 def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
                      row_q: np.ndarray, table_rows: np.ndarray, nq: int,
                      n_rows: int,
                      deleted: "np.ndarray | None" = None,
+                     extra: Sequence[SpanSet] = (),
                      ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Reference for ``bucket_union``: the per-query short-list.
 
@@ -156,7 +192,9 @@ def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
     is the composition of the table-major pieces:
     ``LSHTable.gather_layouts`` per table (the :func:`lookup_codes_ref`
     search, ``SortedLayout.spans``, ``_gather_segments``), then
-    :func:`dedup_candidates_ref` over everything gathered.
+    :func:`dedup_candidates_ref` over everything gathered.  ``extra``
+    adds more ids to the union: each :data:`SpanSet`'s spans
+    (:func:`span_table` checks them), gathered the same way.
 
     Returns ``(ids, counts, misses)``: the ids and per-query counts
     :func:`dedup_candidates_ref` leaves (query ``q``'s ids are the
@@ -183,6 +221,11 @@ def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
         id_parts.append(ids)
         q_parts.append(np.repeat(row_q[part], hits))
         misses[t] = np.count_nonzero(hits == 0)
+    arrays, spans = span_table(extra, nq)
+    for owner, values in enumerate(arrays):
+        _, at, size, slot = spans[spans[:, 0] == owner].T
+        id_parts.append(LSHTable._gather_segments(values, at, size))
+        q_parts.append(np.repeat(slot, size))
     empty = np.empty(0, dtype=np.int64)
     ids = np.concatenate(id_parts) if id_parts else empty
     if ids.size and not 0 <= ids.min() <= ids.max() < n_rows:
@@ -191,6 +234,46 @@ def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
         ids, np.concatenate(q_parts) if q_parts else empty, nq,
         deleted=deleted)
     return ids, counts, misses
+
+
+def hierarchy_walk_ref(hierarchies: Sequence["E8Hierarchy"], codes: np.ndarray,
+                       min_count: int,
+                       ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Reference for ``hierarchy_walk``: the Eq. (10) ancestor walk of
+    the ``(L, n, code_dim)`` ``codes`` up ``L`` :class:`repro.hierarchy.
+    e8_hierarchy.E8Hierarchy`, one decode pass and node search per level.
+    A row keeps the first largest node it matches and stops once that
+    holds ``min_count`` ids — or, from the first settled level on (codes
+    only double there), once it matched or its code only doubled.
+    Returns ``(start, size, depth)``, each ``(L, n)``: the node's run of
+    ``ids`` and level, ``(0, 0, 0)`` when nothing matched."""
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.zeros((3,) + codes.shape[:2], dtype=np.int64)
+    for t, hier in enumerate(hierarchies):
+        start, size, depth = out[:, t]
+        todo = np.arange(codes.shape[1], dtype=np.int64)
+        for level, anc in hier.lattice.ancestor_chain(codes[t],
+                                                      hier.n_levels):
+            # Node index per ancestor-code row, -1 where absent.
+            node = lookup_codes_ref(hier.level_codes[level], anc[todo])
+            hit = node >= 0
+            rows, node = todo[hit], node[hit]
+            starts, ends = hier.level_starts[level], hier.level_ends[level]
+            found = ends[node] - starts[node]
+            grew = found > size[rows]
+            rows, node = rows[grew], node[grew]
+            size[rows] = found[grew]
+            start[rows] = starts[node]
+            depth[rows] = level
+            climbing = size[todo] < min_count
+            if level >= hier.settled:
+                climbing &= ~hit
+                if level:
+                    climbing &= (anc[todo] != 2 * below[todo]).any(axis=1)
+            todo, below = todo[climbing], anc
+            if not todo.size:
+                break
+    return out[0], out[1], out[2]
 
 
 #: Flattened-candidate rows ranked per chunk of :func:`rank_topk_ref`

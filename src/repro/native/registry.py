@@ -39,9 +39,12 @@ __all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels",
            "native_status", "reset"]
 
 #: Kernel entry points every table must provide (the table's schema).
+#: No query path calls ``lookup_codes`` or ``dedup_candidates`` any more;
+#: they stay because ``benchmarks/e2e`` wraps them by name.
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
                                  "rank_topk", "dm_decode", "e8_decode",
-                                 "zm_probe_codes", "bucket_union")
+                                 "zm_probe_codes", "bucket_union",
+                                 "hierarchy_walk")
 
 _VALID_PINS = ("auto", "cext", "none")
 
@@ -61,6 +64,7 @@ class NumpyKernels:
     rank_topk = staticmethod(ref.rank_topk_ref)
     zm_probe_codes = staticmethod(ref.zm_probe_codes_ref)
     bucket_union = staticmethod(ref.bucket_union_ref)
+    hierarchy_walk = staticmethod(ref.hierarchy_walk_ref)
 
     # The decoders live with their lattices, which import ``ref`` for the
     # summation tree — hence the call-time imports.

@@ -170,7 +170,7 @@ class TestInsertsRacingReads:
         union, calls = kernels.bucket_union, []
 
         def checked(layouts, codes, row_q, table_rows, nq, n_rows,
-                    deleted=None):
+                    **options):
             top = max((int(layout.sorted_ids.max())
                        for per_table in layouts.per_table
                        for layout in per_table
@@ -178,7 +178,7 @@ class TestInsertsRacingReads:
             calls.append((top, n_rows))
             assert top < n_rows, f"id {top} handed to a {n_rows}-row bitmap"
             return union(layouts, codes, row_q, table_rows, nq, n_rows,
-                         deleted=deleted)
+                         **options)
 
         monkeypatch.setattr(kernels, "bucket_union", checked, raising=False)
         return calls

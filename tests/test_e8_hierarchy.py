@@ -12,7 +12,20 @@ from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
 from repro.lsh.table import LSHTable
 from repro.native import load_kernels
+from repro.native.ref import hierarchy_walk_ref
 from repro.native.registry import NUMPY_KERNELS
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    """The compiled kernel table — as resolved, the portable build or a
+    sanitized one, whichever the environment builds — or a skip."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        kernels = load_kernels()
+    if kernels.backend != "cext":
+        pytest.skip("no compiled kernel table")
+    return kernels
 
 
 def _make(points_scale=4.0, n=150, seed=0, max_levels=24):
@@ -46,6 +59,20 @@ class TestConstruction:
         _, codes, lat, table, _ = _make()
         with pytest.raises(ValueError):
             E8Hierarchy(table, lat, max_levels=0)
+
+    def test_level_words_name_the_level_arrays(self):
+        # What the compiled walk reads: lattice, width, levels, settled,
+        # the id array, then per level its codes, count, starts and ends.
+        _, _, lat, _, hier = _make()
+        words = hier.words.tolist()
+        assert words[:6] == [0, 8, hier.n_levels, hier.settled,
+                             hier.ids.ctypes.data, hier.ids.size]
+        for level in range(hier.n_levels):
+            codes = hier.level_codes[level]
+            assert words[6 + 4 * level:10 + 4 * level] == [
+                codes.ctypes.data, codes.shape[0],
+                hier.level_starts[level].ctypes.data,
+                hier.level_ends[level].ctypes.data]
 
     def test_every_level_partitions_buckets(self):
         # Each level's node runs tile the tree-ordered id array, which
@@ -130,20 +157,83 @@ class TestCandidatesBatch:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 kernels = load_kernels()
-        ids, counts = hier.candidates_batch(rows, min_count, kernels)
-        assert counts.sum() == ids.size
-        bounds = np.cumsum(counts)[:-1]
-        for row, got in zip(rows, np.split(ids, bounds)):
+        start, size, _ = hier.walk([hier], rows[None], min_count, kernels)
+        for row, at, n in zip(rows, start[0], size[0]):
             want = _reference_candidates(table, lattice, hier.n_levels, row,
                                          min_count)
-            np.testing.assert_array_equal(np.sort(got), want)
+            np.testing.assert_array_equal(np.sort(hier.ids[at:at + n]), want)
             np.testing.assert_array_equal(hier.candidates(row, min_count),
                                           want)
 
     def test_min_count_above_table_size_returns_largest_node(self):
         _, codes, _, table, hier = _make(n=60)
-        ids, counts = hier.candidates_batch(codes[:5], 10_000)
-        assert np.all(counts <= 60) and np.all(counts >= 1)
+        _, size, _ = hier.walk([hier], codes[None, :5], 10_000)
+        assert np.all(size <= 60) and np.all(size >= 1)
+
+
+def _walk_case(rng, lattice, scale, n_tables):
+    """``n_tables`` hierarchies over fresh codes and the ``(L, 26, width)``
+    rows walked in them: indexed codes, unseen codes nearby, and rogue
+    codes far outside the data that match no level at all."""
+    hiers, rows = [], []
+    for _ in range(n_tables):
+        n = int(rng.integers(1, 250))
+        codes = lattice.quantize(rng.normal(0, scale, (n, lattice.dim)))
+        hiers.append(E8Hierarchy(LSHTable(codes), lattice))
+        rows.append(np.concatenate([
+            codes[rng.integers(0, n, size=12)],
+            lattice.quantize(rng.normal(0, 2 * scale, (12, lattice.dim))),
+            lattice.quantize(np.full((2, lattice.dim), 1e4))]))
+    return hiers, np.stack(rows)
+
+
+def _assert_walks_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+class TestWalkKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lattice=st.sampled_from([E8Lattice(8), E8Lattice(11),
+                                    DMLattice(6)]),
+           scale=st.sampled_from([0.5, 3.0, 40.0]),
+           min_count=st.sampled_from([1, 7, 60, 10**6]),
+           n_tables=st.integers(1, 3))
+    def test_compiled_walk_equals_reference(self, compiled, seed, lattice,
+                                            scale, min_count, n_tables):
+        hiers, rows = _walk_case(np.random.default_rng(seed), lattice,
+                                 scale, n_tables)
+        _assert_walks_equal(compiled.hierarchy_walk(hiers, rows, min_count),
+                            hierarchy_walk_ref(hiers, rows, min_count))
+
+    @pytest.mark.parametrize("lattice", [E8Lattice(8), E8Lattice(11),
+                                         DMLattice(6)])
+    def test_rows_climb_into_the_settled_levels(self, compiled, lattice):
+        # A budget no node meets sends every row up until the settled
+        # cut-off stops it: the doubling test and the matched-row stop.
+        hiers, rows = _walk_case(np.random.default_rng(5), lattice, 40.0, 3)
+        got = compiled.hierarchy_walk(hiers, rows, 10**6)
+        _assert_walks_equal(got, hierarchy_walk_ref(hiers, rows, 10**6))
+        settled = np.array([h.settled for h in hiers])
+        assert (settled < np.array([h.n_levels for h in hiers])).all()
+        assert (got[2] >= settled[:, None]).any()
+
+    def test_refuses_what_it_cannot_walk(self, compiled):
+        hiers, rows = _walk_case(np.random.default_rng(1), E8Lattice(8),
+                                 3.0, 2)
+        with pytest.raises(ValueError, match="hierarchies"):
+            compiled.hierarchy_walk(hiers[:1], rows, 5)
+        with pytest.raises(ValueError, match="level table"):
+            compiled.hierarchy_walk(hiers, rows[:, :, :4], 5)
+
+    def test_other_lattices_are_refused(self):
+        from repro.lattice.zm import ZMLattice
+
+        table = LSHTable(np.zeros((3, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="E8 or D_M"):
+            E8Hierarchy(table, ZMLattice(4))
 
 
 class TestQueries:

@@ -135,11 +135,11 @@ class TestCandidatesBatch:
         # Indexed codes plus rogue ones outside the bounding box.
         rows = np.vstack([codes[:10],
                           rng.integers(-3 * span, 3 * span, size=(10, m))])
-        ids, counts = hier.candidates_batch(rows, min_count)
-        assert counts.sum() == ids.size
-        for row, got in zip(rows, np.split(ids, np.cumsum(counts)[:-1])):
+        start, counts, _ = hier.walk([hier], rows[None], min_count)
+        counts = counts[0]
+        for row, at, n in zip(rows, start[0], counts):
             want = hier.candidates(row, min_count)
-            np.testing.assert_array_equal(np.sort(got), want)
+            np.testing.assert_array_equal(np.sort(hier.ids[at:at + n]), want)
             np.testing.assert_array_equal(
                 want, self._ids_bucket_by_bucket(table, hier, row, min_count))
         if min_count == 10_000:

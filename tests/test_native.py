@@ -55,6 +55,8 @@ from repro.native.ref import (bucket_union_ref, dedup_candidates_ref,
                               rank_topk_ref, zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
+from repro.resilience import (FaultPlan, FaultSpec, ResiliencePolicy,
+                              injected_faults)
 from repro.runtime import IndexRuntime, RuntimeConfig
 from tests.oracle import oracle_query
 
@@ -179,6 +181,9 @@ def assert_same_results(a, b, exact=True):
         np.testing.assert_allclose(dists_a, dists_b, equal_nan=True)
     assert np.array_equal(stats_a.n_candidates, stats_b.n_candidates)
     assert np.array_equal(stats_a.escalated, stats_b.escalated)
+    cut_a, cut_b = stats_a.exhausted_budget, stats_b.exhausted_budget
+    assert (cut_a is None) == (cut_b is None)
+    assert cut_a is None or np.array_equal(cut_a, cut_b)
 
 
 # ----------------------------------------------------------- parity matrix
@@ -245,16 +250,56 @@ class TestParityMatrix:
         assert_same_results(base, oracle_query(
             index, queries, K, hierarchy_threshold=14), exact=False)
 
-    @pytest.mark.parametrize("config", ["e8-hier", "dm-probes-hier"])
+    @pytest.mark.parametrize("config", ["e8-hier", "dm-probes-hier",
+                                        "zm-probes16-hier-tombstones"])
     def test_expired_deadline_flags_every_escalated_row(self, index_cache,
                                                         queries, config):
         index = index_cache(config)
         base = index.query_batch(queries, K, hierarchy_threshold=12)[2]
-        cut = index.query_batch(queries, K, hierarchy_threshold=12,
-                                deadline_ms=1e-6)[2]
+        answer = index.query_batch(queries, K, hierarchy_threshold=12,
+                                   deadline_ms=1e-6)
+        cut = answer[2]
         assert base.escalated.any()
         assert np.array_equal(cut.exhausted_budget, base.escalated)
         assert not cut.escalated.any()
+        with numpy_table():
+            assert_same_results(answer, index.query_batch(
+                queries, K, hierarchy_threshold=12, deadline_ms=1e-6))
+
+    @pytest.mark.parametrize("lattice", ["zm", "e8"])
+    def test_stand_in_group_on_a_hierarchy_index(self, dataset, queries,
+                                                 lattice):
+        # A group that fails its dispatch check is answered by every live
+        # row of the group — one span per segment, in the union the other
+        # groups' lookups share — and escalates nothing; every other row
+        # keeps its answer, on both tables alike.
+        cfg = BiLevelConfig(n_groups=4, n_tables=4, bucket_width=6.0,
+                            lattice=lattice, hierarchy=True, seed=5)
+        index = BiLevelLSH(cfg).fit(dataset)
+        assert index.delete(np.arange(0, dataset.shape[0], 7)) > 0
+        base = index.query_batch(queries, K, hierarchy_threshold=14)
+        victim = int(index.partitioner.assign(queries[:1])[0])
+        plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
+                                    match={"group": victim})], seed=11)
+        pol = ResiliencePolicy(max_retries=0)
+        with injected_faults(plan):
+            answer = index.query_batch(queries, K, hierarchy_threshold=14,
+                                       policy=pol)
+            with numpy_table():
+                assert_same_results(answer, index.query_batch(
+                    queries, K, hierarchy_threshold=14, policy=pol))
+        stats = answer[2]
+        hit = index.partitioner.assign(queries) == victim
+        assert np.array_equal(stats.degraded, hit)
+        assert not stats.escalated[hit].any() and base[2].escalated.any()
+        assert (stats.n_candidates[hit]
+                == index.group_indexes[victim].n_live).all()
+        assert np.array_equal(answer[0][~hit], base[0][~hit])
+        assert np.array_equal(answer[1][~hit].view(np.int64),
+                              base[1][~hit].view(np.int64))
+        assert np.array_equal(stats.n_candidates[~hit],
+                              base[2].n_candidates[~hit])
+        assert np.array_equal(stats.escalated[~hit], base[2].escalated[~hit])
 
     def test_self_distance_is_exactly_zero(self, index_cache, queries):
         # Query row 0 is dataset row 17 verbatim; both tables and the
@@ -623,6 +668,26 @@ def _draw_union_case(rng, n_tables, nq, id_span, code_span, m, del_len):
             misses)
 
 
+def _draw_extra(rng, nq, id_span):
+    """Random ``extra`` span sets over fresh id arrays, and the ids each
+    segment gains from them."""
+    extra, gain = [], [set() for _ in range(nq)]
+    for _ in range(int(rng.integers(0, 3)) if nq else 0):
+        arrays = [rng.integers(0, id_span, size=int(rng.integers(0, 30)))
+                  for _ in range(int(rng.integers(1, 4)))]
+        slots = rng.integers(0, nq, size=int(rng.integers(0, 5)))
+        starts = np.array([rng.integers(0, a.size + 1, size=slots.size)
+                           for a in arrays]).reshape(len(arrays), -1)
+        sizes = np.array([[rng.integers(0, a.size - s + 1) for s in row]
+                          for a, row in zip(arrays, starts)],
+                         dtype=np.int64).reshape(starts.shape)
+        for a, at_row, size_row in zip(arrays, starts, sizes):
+            for at, size, q in zip(at_row, size_row, slots):
+                gain[q] |= set(a[at:at + size].tolist())
+        extra.append((arrays, starts, sizes, slots))
+    return extra, gain
+
+
 class TestBucketUnion:
     # n_rows = id_span decides the path per query (rule: more than 64
     # bitmap words per gathered id -> collect and sort): spans up to 700
@@ -651,6 +716,43 @@ class TestBucketUnion:
         assert misses.tolist() == want_misses
         assert counts.tolist() == [len(w) for w in want]
         assert cand.tolist() == [i for w in want for i in w]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_tables=st.integers(0, 3),
+           nq=st.integers(0, 5), id_span=st.sampled_from([1, 40, 10**5]),
+           del_len=st.sampled_from([None, 30]))
+    def test_extra_spans_join_the_union(self, any_table, seed, n_tables, nq,
+                                        id_span, del_len):
+        rng = np.random.default_rng(seed)
+        lookups, deleted, want, _ = _draw_union_case(
+            rng, n_tables, nq, id_span, 2, 3, del_len)
+        extra, gain = _draw_extra(rng, nq, id_span)
+        dead = set() if deleted is None else set(
+            np.nonzero(deleted)[0].tolist())
+        got = any_table.bucket_union(*lookups, nq, id_span, deleted=deleted,
+                                     extra=extra)
+        ref = bucket_union_ref(*lookups, nq, id_span, deleted=deleted,
+                               extra=extra)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        union = [sorted(set(w) | (g - dead)) for w, g in zip(want, gain)]
+        assert got[1].tolist() == [len(u) for u in union]
+        assert got[0].tolist() == [i for u in union for i in u]
+
+    def test_extra_spans_outside_their_array_are_refused(self, any_table):
+        lookups, ids = _stacked(2), np.arange(5)
+        for at, size, slot in ((3, 3, 0), (-1, 1, 0), (0, -1, 0), (0, 1, 2),
+                               (0, 1, -1)):
+            with pytest.raises(IndexError, match="extra span"):
+                any_table.bucket_union(*lookups, 2, 10, extra=[(
+                    [ids], np.array([[at]]), np.array([[size]]),
+                    np.array([slot]))])
+        with pytest.raises(ValueError, match="broadcast"):
+            any_table.bucket_union(*lookups, 2, 10, extra=[(
+                [ids], np.zeros((2, 1)), np.ones((1, 1)), np.zeros(1))])
+        cand, counts, _ = any_table.bucket_union(*lookups, 2, 10, extra=[(
+            [ids], np.array([[1, 0]]), np.array([[3, 2]]), np.array([1, 1]))])
+        assert cand.tolist() == [0, 1, 2, 3] and counts.tolist() == [0, 4]
 
     @pytest.mark.parametrize("n_rows", [50, 10**7])   # bitmap, sort
     def test_id_outside_the_row_count_is_refused(self, any_table, n_rows):
@@ -753,7 +855,7 @@ class TestZmProbeKernel:
                   if not name.startswith("_") and callable(getattr(table, name))}
         assert TIMED_KERNEL_NAMES == registry.KERNEL_NAMES
         assert served == set(registry.KERNEL_NAMES)
-        assert len(served) == 7 and "bucket_union" in served
+        assert len(served) == 8 and "hierarchy_walk" in served
 
 
 # ------------------------------------------------------- compiled decoders
