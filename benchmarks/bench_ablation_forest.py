@@ -4,6 +4,8 @@ LSH Forest is the paper's cited alternative for avoiding the choice of
 the code length M (reference [9]).  This bench pits its self-tuning
 prefix trees against the fixed-code indexes under the same workload and
 candidate budgets, reporting the selectivity→recall trade-off of each.
+The forest is not part of the library: :class:`LSHForest` below is all
+of it, the two methods :func:`~repro.evaluation.runner.run_method` calls.
 """
 
 import numpy as np
@@ -13,9 +15,87 @@ from repro.evaluation.runner import (
     format_results_table,
     run_method,
 )
+from repro.exec import QueryStats
 from repro.experiments.figures import _sweep
 from repro.experiments.workloads import make_workload
-from repro.lsh.forest import LSHForest
+from repro.utils.rng import spawn_rngs
+from repro.utils.validation import as_float_matrix
+
+
+class LSHForest:
+    """Prefix-tree LSH over sign random projections.
+
+    Each of ``n_trees`` trees keys every point by ``max_depth`` (≤ 62)
+    sign bits of centred random projections (SimHash), packed into one
+    sorted ``uint64`` array, so the points sharing a ``d``-bit prefix
+    are one contiguous range.  A query ascends from depth ``max_depth``
+    towards 0, unioning the ranges of every tree, until it holds
+    ``candidate_target * k`` points (the original "synchronous
+    ascending"), then ranks them exactly.
+    """
+
+    def __init__(self, n_trees: int, max_depth: int, candidate_target: int,
+                 seed: int):
+        self.n_trees = n_trees
+        self.max_depth = max_depth
+        self.candidate_target = candidate_target
+        self.seed = seed
+
+    def _encode(self, data, directions):
+        """Pack ``max_depth`` sign bits into one uint64 per row."""
+        bits = (data - self._center) @ directions > 0
+        codes = np.zeros(data.shape[0], dtype=np.uint64)
+        for b in range(self.max_depth):
+            codes = (codes << np.uint64(1)) | bits[:, b].astype(np.uint64)
+        return codes
+
+    def fit(self, data):
+        self._data = data = as_float_matrix(data)
+        self._center = data.mean(axis=0)
+        self._trees = []  # (directions, sorted codes, rows in that order)
+        for rng in spawn_rngs(self.seed, self.n_trees):
+            directions = rng.standard_normal((data.shape[1], self.max_depth))
+            codes = self._encode(data, directions)
+            order = np.argsort(codes, kind="stable")
+            self._trees.append((directions, codes[order],
+                                order.astype(np.int64)))
+        return self
+
+    def _gather(self, codes, want):
+        """Rows of the deepest prefixes, across trees, holding ``want``;
+        depth 0 holds every row."""
+        for depth in range(self.max_depth, -1, -1):
+            shift = np.uint64(self.max_depth - depth)
+            parts = []
+            for code, (_, sorted_codes, rows) in zip(codes, self._trees):
+                low = (code >> shift) << shift
+                lo, hi = np.searchsorted(
+                    sorted_codes, [low, low + (np.uint64(1) << shift)])
+                parts.append(rows[lo:hi])
+            cand = np.unique(np.concatenate(parts))
+            if cand.size >= want:
+                break
+        return cand
+
+    def query_batch(self, queries, k):
+        queries = as_float_matrix(queries)
+        nq = queries.shape[0]
+        ids = np.full((nq, k), -1, dtype=np.int64)
+        dists = np.full((nq, k), np.inf)
+        n_candidates = np.zeros(nq, dtype=np.int64)
+        codes = np.stack([self._encode(queries, directions)
+                          for directions, _, _ in self._trees], axis=1)
+        for qi in range(nq):
+            cand = self._gather(codes[qi], self.candidate_target * k)
+            n_candidates[qi] = cand.size
+            diffs = self._data[cand] - queries[qi]
+            d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+            take = min(k, cand.size)
+            top = np.argpartition(d, take - 1)[:take]
+            top = top[np.argsort(d[top], kind="stable")]
+            ids[qi, :take] = cand[top]
+            dists[qi, :take] = d[top]
+        return ids, dists, QueryStats(n_candidates, np.zeros(nq, dtype=bool))
 
 
 def test_ablation_forest(benchmark, scale):

@@ -4,7 +4,6 @@ Puts the paper's contribution next to every baseline the library ships:
 
 - brute force (exact, the recall=1 reference),
 - Kd-tree and cover tree (exact tree methods the paper's intro cites),
-- LSH Forest (self-tuning prefix trees, reference [9]),
 - standard LSH and multiprobe standard LSH,
 - Bi-level LSH with per-group tuned widths (the contribution).
 
@@ -26,7 +25,6 @@ from repro.evaluation.groundtruth import brute_force_knn
 from repro.evaluation.metrics import recall_ratio
 from repro.exact.covertree import CoverTree
 from repro.exact.kdtree import KDTree
-from repro.lsh.forest import LSHForest
 from repro.lsh.index import StandardLSH
 
 N_POINTS, N_QUERIES, DIM, K = 4000, 200, 64, 10
@@ -59,13 +57,6 @@ def main():
     ids, _ = ct.query(queries, K)
     report("cover tree (exact)", recall_ratio(exact_ids, ids).mean(),
            ct.last_distance_evals / (N_QUERIES * n), time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    forest = LSHForest(n_trees=10, max_depth=24, candidate_target=15,
-                       seed=19).fit(train)
-    ids, _, stats = forest.query_batch(queries, K)
-    report("LSH forest", recall_ratio(exact_ids, ids).mean(),
-           stats.n_candidates.mean() / n, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     std = StandardLSH(n_hashes=8, n_tables=10, bucket_width=width,

@@ -111,14 +111,27 @@ def _resolve_config(args: argparse.Namespace) -> "Optional[object]":
         return None
 
 
-def cmd_query(args: argparse.Namespace) -> int:
+def _load_index(path: str) -> "Optional[object]":
+    """``load_index(path)``, or ``None`` after printing why the archive
+    was refused — an unsupported version or index type (callers exit 2)."""
     from repro.persistence import load_index
+
+    try:
+        return load_index(path)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
+def cmd_query(args: argparse.Namespace) -> int:
     from repro.runtime import IndexRuntime, QueryRequest
 
     config = _resolve_config(args)
     if config is None:
         return 2
-    index = load_index(args.index)
+    index = _load_index(args.index)
+    if index is None:
+        return 2
     queries = np.asarray(
         _load_features(args.queries, args.dim, args.dtype, False),
         dtype=np.float64)
@@ -181,9 +194,10 @@ def cmd_verify_index(args: argparse.Namespace) -> int:
 def cmd_info(args: argparse.Namespace) -> int:
     from repro.core.bilevel import BiLevelLSH
     from repro.evaluation.diagnostics import bucket_statistics
-    from repro.persistence import load_index
 
-    index = load_index(args.index)
+    index = _load_index(args.index)
+    if index is None:
+        return 2
     info = {"type": type(index).__name__, "n_points": index.n_points}
     if isinstance(index, BiLevelLSH):
         info["n_groups"] = index.n_groups_built
@@ -191,7 +205,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         info["group_widths"] = [round(w, 4) for w in index.group_widths]
         tables = index.group_indexes[0]._tables
     else:
-        tables = getattr(index, "_tables", [])
+        tables = index._tables
     if tables:
         stats = bucket_statistics(tables[0])
         info["table0_buckets"] = stats.n_buckets
@@ -203,7 +217,6 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_compact(args: argparse.Namespace) -> int:
     """Fold overlays/tombstones of a saved index into fresh tables."""
-    from repro.lsh.forest import LSHForest
     from repro.maintenance import RecoveryError
     from repro.persistence import save_index
     from repro.runtime import IndexRuntime
@@ -212,9 +225,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
         # With --wal the runtime recovers (snapshot + WAL-tail replay)
         # and re-attaches the same WAL; without it, a plain load.
         runtime = IndexRuntime.open(args.index, wal_path=args.wal)
-    except RecoveryError as error:
-        # e.g. --wal pointed at an LSHForest archive: no live-update
-        # path, same clean rejection as the forest check below.
+    except (RecoveryError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     with runtime:
@@ -224,19 +235,14 @@ def cmd_compact(args: argparse.Namespace) -> int:
                   f"(skipped {report.skipped}, torn {report.torn_bytes} "
                   "bytes)")
         index = runtime.index
-        if isinstance(index, LSHForest):
-            print("error: LSHForest has no live-update path to compact",
-                  file=sys.stderr)
-            return 2
         installed = index.compact()
         out = args.out if args.out is not None else args.index
-        save_index(index, out)
+        lsn = save_index(index, out)
         if runtime.wal is not None and not args.keep_wal:
-            runtime.wal.reset(int(getattr(index, "_applied_lsn", 0)))
+            runtime.wal.reset(lsn)
         print(json.dumps({
             "out": str(out), "installed": bool(installed),
-            "n_points": int(index.n_points),
-            "wal_lsn": int(getattr(index, "_applied_lsn", 0)),
+            "n_points": int(index.n_points), "wal_lsn": lsn,
         }, indent=2))
     return 0
 
@@ -251,6 +257,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
     except RecoveryError as error:
         print(f"RECOVERY FAILED: {error}", file=sys.stderr)
         return 3
+    except ValueError as error:  # the snapshot archive was refused
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     save_index(index, args.out)
     print(json.dumps({
         "out": str(args.out),
@@ -286,9 +295,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.evaluation.diagnostics import escalation_report
     from repro.obs.registry import MetricsRegistry
-    from repro.persistence import load_index
 
-    index = load_index(args.index)
+    index = _load_index(args.index)
+    if index is None:
+        return 2
     queries = np.asarray(
         _load_features(args.queries, args.dim, args.dtype, False),
         dtype=np.float64)

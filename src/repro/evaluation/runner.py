@@ -114,8 +114,8 @@ def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
 
     ``deadline_ms`` / ``policy`` / ``max_batch_rows`` reach the index's
     ``query_batch`` as keywords, each only when given — pass them for
-    indexes whose ``query_batch`` accepts them (every in-repo front-end
-    does; the bare :class:`KNNIndex` protocol does not require it).
+    indexes whose ``query_batch`` accepts them (``StandardLSH`` and
+    ``BiLevelLSH`` do; the bare :class:`KNNIndex` protocol does not).
     """
     index.fit(data)
     given = {name: value for name, value in (

@@ -15,7 +15,6 @@ recipe for adding a new front-end.
 
 from repro.exec.context import ExecutionContext, QueryStats
 from repro.exec.executor import run_plan, run_validated
-from repro.exec.merge import merge_topk_rows
 from repro.exec.plan import QueryPlan, Stage
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "QueryPlan",
     "QueryStats",
     "Stage",
-    "merge_topk_rows",
     "run_plan",
     "run_validated",
 ]

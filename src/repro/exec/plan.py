@@ -71,9 +71,9 @@ class QueryPlan:
     Class attributes
     ----------------
     site:
-        Short front-end name (``"lsh"``, ``"bilevel"``, ``"forest"``)
-        used to prefix failure-record and telemetry
-        sites (e.g. ``"lsh.validate"``, ``"bilevel.shard"``).
+        Short front-end name (``"lsh"``, ``"bilevel"``) used to prefix
+        failure-record and telemetry sites (e.g. ``"lsh.validate"``,
+        ``"bilevel.shard"``).
     """
 
     site: str = "plan"

@@ -39,10 +39,9 @@ from repro.utils.validation import as_float_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import-time types only
     from repro.core.bilevel import BiLevelLSH
-    from repro.lsh.forest import LSHForest
     from repro.lsh.index import StandardLSH
 
-    IndexLike = Union[StandardLSH, BiLevelLSH, LSHForest]
+    IndexLike = Union[StandardLSH, BiLevelLSH]
 
 MODES = ("cpu_lshkit", "cpu_shortlist", "gpu", "gpu_workqueue")
 
@@ -127,15 +126,11 @@ class GPUPipeline:
         """Candidate sets through the wrapped index, and the modeled
         hash/table-access seconds for gathering them under ``mode``."""
         index = self.index
-        config = getattr(index, "config", None)
-        n_tables = getattr(index, "n_tables",
-                           getattr(config, "n_tables",
-                                   getattr(index, "n_trees", 1)))
-        n_probes = getattr(index, "n_probes",
-                           getattr(config, "n_probes", 0))
-        n_hashes = getattr(index, "n_hashes",
-                           getattr(config, "n_hashes",
-                                   getattr(index, "max_depth", 8)))
+        # A BiLevelLSH keeps them on its config, a StandardLSH on itself.
+        params = getattr(index, "config", index)
+        n_tables = params.n_tables
+        n_probes = params.n_probes
+        n_hashes = params.n_hashes
         seconds = self._lookup_seconds(
             queries.shape[0], n_tables * (1 + n_probes), n_tables, dim,
             n_hashes, parallel=mode != "cpu_lshkit")

@@ -12,7 +12,6 @@ from repro.lsh.table import LSHTable
 from repro.lsh.multiprobe import query_directed_probes, perturbation_sets
 from repro.lsh.params import CollisionModel, LSHParams, tune_bucket_width
 from repro.lsh.index import StandardLSH
-from repro.lsh.forest import LSHForest
 
 __all__ = [
     "HashFamily",
@@ -24,5 +23,4 @@ __all__ = [
     "LSHParams",
     "tune_bucket_width",
     "StandardLSH",
-    "LSHForest",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
-                        merge_topk_rows, run_plan)
+                        run_plan)
 from repro.exec.plan import validate_query_batch
 from repro.lattice.base import Lattice
 from repro.lattice.dm import DMLattice
@@ -42,7 +42,7 @@ from repro.native.ref import SpanSet, rank_topk_ref, tree_rowdot
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault
 from repro.resilience.policy import ResiliencePolicy
-from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
+from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.spare import SpareRows
 from repro.utils.validation import as_float_matrix, check_positive
 
@@ -192,8 +192,8 @@ class RowStore:
 
 
 # QueryStats moved to repro.exec.context with the execution-core refactor;
-# re-exported here (see __all__) because the forest, the bi-level index and
-# a long tail of tests import it from this module.
+# re-exported here (see __all__) because the bi-level index and a long
+# tail of tests import it from this module.
 
 
 class StandardLSH:
@@ -778,46 +778,6 @@ class StandardLSH:
         else:
             threshold = int(hierarchy_threshold)
         return max(threshold, k)
-
-    #: Data rows scanned per brute-force block (bounds the distance
-    #: temporary to ~block * nq floats).
-    BRUTE_FORCE_BLOCK = 4096
-
-    def brute_force_batch(self, queries: np.ndarray, k: int,
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact KNN over this index's live points.
-
-        Scans every non-deleted indexed row in blocks (a group: its rows
-        of the shared matrix), so it needs no tables, no
-        hierarchies and no hash families — only ``_data``/``_ids`` — which
-        is what makes it a usable fallback when the probabilistic
-        structures are the thing that failed.  Returns ``(ids, dists)`` of
-        shape ``(nq, k)``, padded with ``-1`` / ``inf`` when fewer than
-        ``k`` live points exist, with exact ties broken by ascending id
-        (the query plan's convention).
-        """
-        self._check_fitted()
-        queries, _, k = validate_query_batch(
-            queries, k, self._data.shape[1], allow_nonfinite=False)
-        nq = queries.shape[0]
-        ids_out = np.full((nq, k), -1, dtype=np.int64)
-        dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-        data = self._data
-        ext_ids = self._ids
-        keep = self._live_rows()
-        if keep.size == 0:
-            return ids_out, dists_out
-        q_sq = np.einsum("ij,ij->i", queries, queries)
-        for s in range(0, keep.size, self.BRUTE_FORCE_BLOCK):
-            rows = keep[s:s + self.BRUTE_FORCE_BLOCK]
-            chunk = data[rows]
-            chunk_sq = np.einsum("ij,ij->i", chunk, chunk)
-            d2 = q_sq[:, None] - 2.0 * (queries @ chunk.T) + chunk_sq[None, :]
-            np.maximum(d2, 0.0, out=d2)
-            merge_topk_rows(ids_out, dists_out, slice(None),
-                            np.broadcast_to(ext_ids[rows], d2.shape),
-                            np.sqrt(d2), k)
-        return ids_out, dists_out
 
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw candidate id sets (before short-list ranking), per query.

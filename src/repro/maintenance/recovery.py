@@ -71,13 +71,6 @@ def replay_records(index: RecoverableIndex, records: List[WalRecord],
     logged ids exactly, and a mismatch raises :class:`RecoveryError`
     instead of silently renumbering acknowledged points.
     """
-    if not isinstance(index, (StandardLSH, BiLevelLSH)):
-        # e.g. LSHForest: no insert/delete and no _applied_lsn.  Raise
-        # the domain error up front instead of an AttributeError from
-        # the first record (or silently "recovering" nothing).
-        raise RecoveryError(
-            f"{type(index).__name__} has no live-update path; WAL replay "
-            f"is only defined for StandardLSH and BiLevelLSH")
     applied = skipped = 0
     for record in records:
         if record.lsn <= start_lsn:
@@ -113,7 +106,7 @@ def recover_index(snapshot_path: str, wal_path: str,
     :func:`checkpoint` immediately.
     """
     index = load_index(snapshot_path)
-    snapshot_lsn = int(getattr(index, "_applied_lsn", 0))
+    snapshot_lsn = index._applied_lsn
     records, info = read_wal(wal_path)
     applied, skipped = replay_records(index, records, snapshot_lsn)
     last_lsn = max(snapshot_lsn, info.last_lsn)

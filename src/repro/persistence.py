@@ -2,9 +2,8 @@
 
 Building an index costs RP-tree construction, ``L`` hash passes and table
 sorts; persisting it makes query-only deployments cheap.  Supported:
-:class:`~repro.lsh.index.StandardLSH`,
-:class:`~repro.core.bilevel.BiLevelLSH` and
-:class:`~repro.lsh.forest.LSHForest`.
+:class:`~repro.lsh.index.StandardLSH` and
+:class:`~repro.core.bilevel.BiLevelLSH`.
 
 Format: one compressed ``.npz`` archive holding every array under a
 path-like key (``group3/family2/directions``) plus a ``__meta__`` JSON
@@ -19,7 +18,6 @@ derived structures.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -31,7 +29,6 @@ import numpy as np
 from repro.core.bilevel import BiLevelLSH, grouped_store
 from repro.core.config import BiLevelConfig
 from repro.cluster.kmeans import KMeansPartitioner
-from repro.lsh.forest import LSHForest
 from repro.lsh.index import RowStore, StandardLSH, prefixed, sub_arrays
 from repro.resilience.errors import CorruptIndexError, InjectedFault
 from repro.resilience.faults import faults_active
@@ -226,42 +223,6 @@ def _bilevel_restore(meta: dict, arrays) -> BiLevelLSH:
     return index
 
 
-# ------------------------------------------------------------------- forest
-
-def _forest_arrays(index: LSHForest, arrays: Dict[str, np.ndarray]) -> dict:
-    index._check_fitted()
-    arrays["data"] = index._data
-    arrays["ids"] = index._ids
-    arrays["center"] = index._center
-    for t, directions in enumerate(index._directions):
-        arrays[f"tree{t}/directions"] = directions
-    return {
-        "n_trees": index.n_trees,
-        "max_depth": index.max_depth,
-        "candidate_target": index.candidate_target,
-    }
-
-
-def _forest_restore(meta: dict, arrays) -> LSHForest:
-    forest = LSHForest(n_trees=int(meta["n_trees"]),
-                       max_depth=int(meta["max_depth"]),
-                       candidate_target=int(meta["candidate_target"]))
-    forest._data = np.asarray(arrays["data"])
-    forest._ids = np.asarray(arrays["ids"])
-    forest._center = np.asarray(arrays["center"])
-    forest._directions = []
-    forest._sorted_codes = []
-    forest._sorted_rows = []
-    for t in range(forest.n_trees):
-        directions = np.asarray(arrays[f"tree{t}/directions"])
-        codes = forest._encode(forest._data, directions)
-        order = np.argsort(codes, kind="stable")
-        forest._directions.append(directions)
-        forest._sorted_codes.append(codes[order])
-        forest._sorted_rows.append(order.astype(np.int64))
-    return forest
-
-
 # ----------------------------------------------------------- integrity layer
 
 def _crc32(arr: np.ndarray) -> int:
@@ -365,8 +326,7 @@ def _read_archive(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
 
 # --------------------------------------------------------------- public API
 
-def save_index(index: Union[StandardLSH, BiLevelLSH, LSHForest],
-               path: str) -> int:
+def save_index(index: Union[StandardLSH, BiLevelLSH], path: str) -> int:
     """Persist a fitted index to ``path`` (a ``.npz`` archive).
 
     The write is crash-safe: the archive is assembled in a ``.tmp``
@@ -375,7 +335,7 @@ def save_index(index: Union[StandardLSH, BiLevelLSH, LSHForest],
     index untouched instead of a truncated file.  Every array's CRC-32
     checksum is recorded in ``__meta__`` for load-time verification.
 
-    Assembly runs under the index's writer lock (when it has one), so a
+    Assembly runs under the index's writer lock, so a
     save racing live inserts/deletes — or a background compaction —
     captures a consistent ``(snapshot, wal_lsn)`` pair: the recorded LSN
     covers exactly the mutations visible in the captured arrays, which
@@ -384,26 +344,23 @@ def save_index(index: Union[StandardLSH, BiLevelLSH, LSHForest],
     untouched) instead of writing in place, so the captured
     references stay frozen while compression runs off-lock.
 
-    Returns the ``wal_lsn`` recorded in ``__meta__`` (0 for indexes
-    without a WAL position).  Checkpoints must truncate the WAL against
+    Returns the ``wal_lsn`` recorded in ``__meta__`` (0 for an index
+    that never logged a mutation).  Checkpoints must truncate the WAL against
     *this* value — re-reading ``index._applied_lsn`` after the save
     returns races concurrent mutations that landed while compression
     ran off-lock, and truncating against the newer LSN would drop their
     WAL records from a snapshot that does not contain them.
     """
+    if not isinstance(index, (StandardLSH, BiLevelLSH)):
+        raise TypeError(f"cannot persist index of type {type(index)!r}")
     arrays: Dict[str, np.ndarray] = {}
-    lock = getattr(index, "_update_lock", None)
-    with lock if lock is not None else contextlib.nullcontext():
+    with index._update_lock:
         if isinstance(index, BiLevelLSH):
             meta = {"type": "bilevel", "body": _bilevel_arrays(index, arrays)}
-        elif isinstance(index, StandardLSH):
+        else:
             meta = {"type": "standard",
                     "body": _standard_arrays("index", index, arrays)}
-        elif isinstance(index, LSHForest):
-            meta = {"type": "forest", "body": _forest_arrays(index, arrays)}
-        else:
-            raise TypeError(f"cannot persist index of type {type(index)!r}")
-        meta["wal_lsn"] = int(getattr(index, "_applied_lsn", 0))
+        meta["wal_lsn"] = int(index._applied_lsn)
     meta["version"] = FORMAT_VERSION
     meta["checksums"] = _array_checksums(arrays)
     # ``np.savez_compressed`` appends ``.npz`` to string paths but not to
@@ -438,7 +395,7 @@ def save_index(index: Union[StandardLSH, BiLevelLSH, LSHForest],
     return int(meta["wal_lsn"])
 
 
-def load_index(path: str) -> Union[StandardLSH, BiLevelLSH, LSHForest]:
+def load_index(path: str) -> Union[StandardLSH, BiLevelLSH]:
     """Load an index previously written by :func:`save_index`.
 
     Version-2 archives are verified entry-by-entry against the stored
@@ -453,14 +410,11 @@ def load_index(path: str) -> Union[StandardLSH, BiLevelLSH, LSHForest]:
         index = _bilevel_restore(meta["body"], arrays)
     elif kind == "standard":
         index = _standard_restore("index", meta["body"], arrays)
-    elif kind == "forest":
-        index = _forest_restore(meta["body"], arrays)
     else:
         raise ValueError(f"unknown index type {kind!r} in {path}")
     # The snapshot's WAL position (0 for pre-maintenance archives): the
     # recovery path replays only records beyond it.
-    if hasattr(index, "_applied_lsn"):
-        index._applied_lsn = int(meta.get("wal_lsn", 0))
+    index._applied_lsn = int(meta.get("wal_lsn", 0))
     return index
 
 

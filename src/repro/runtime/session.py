@@ -499,11 +499,7 @@ class IndexRuntime:
         results.  The micro-batcher executes such requests solo unless
         the (resolved) request carries an integer threshold.
         """
-        index = self.index
-        if getattr(index, "use_hierarchy", False):
-            return True
-        config = getattr(index, "config", None)
-        return bool(getattr(config, "hierarchy", False))
+        return self.index.use_hierarchy  # type: ignore[attr-defined]
 
     def ready(self) -> bool:
         """Liveness of every owned moving part (the ``/readyz`` answer)."""
@@ -513,8 +509,8 @@ class IndexRuntime:
         """One structured snapshot of runtime health."""
         index = self.index
         try:
-            n_points = int(getattr(index, "n_points", 0))
-        except RuntimeError:
+            n_points = int(index.n_points)  # type: ignore[attr-defined]
+        except RuntimeError:  # not fitted
             n_points = 0
         detail = ""
         ready = not self._closed
@@ -531,7 +527,7 @@ class IndexRuntime:
             shard_workers=self.config.shard_workers,
             wal_attached=self._wal is not None,
             compactor_attached=self._compactor is not None,
-            applied_lsn=int(getattr(index, "_applied_lsn", 0)),
+            applied_lsn=int(index._applied_lsn),  # type: ignore[attr-defined]
             closed=self._closed, detail=detail)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

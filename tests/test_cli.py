@@ -244,20 +244,32 @@ class TestResilienceCLI:
         assert main(["verify-index", str(tmp_path / "nope.npz")]) == 2
 
 
-class TestCompactCommand:
-    def test_wal_on_forest_archive_is_clean_error(self, tmp_path,
-                                                  gaussian_data, capsys):
-        # Regression: --wal pointed at an LSHForest archive used to hit
-        # replay_records' AttributeError (no insert/delete) instead of
-        # the intended "no live-update path" rejection with exit 2.
-        from repro.lsh.forest import LSHForest
-        from repro.maintenance import WriteAheadLog
-        from repro.persistence import save_index
+class TestRefusedArchive:
+    """An archive ``load_index`` refuses is a clean exit 2 naming why, on
+    every subcommand that loads one (``serve`` and ``verify-index``
+    already were)."""
 
-        archive = str(tmp_path / "forest.npz")
-        save_index(LSHForest(n_trees=3, seed=0).fit(gaussian_data), archive)
-        wal_path = str(tmp_path / "wal.bin")
-        with WriteAheadLog(wal_path) as wal:
-            wal.append_delete(np.array([1], dtype=np.int64))
-        assert main(["compact", archive, "--wal", wal_path]) == 2
-        assert "no live-update path" in capsys.readouterr().err
+    @pytest.mark.parametrize("meta, reason", [
+        ({"version": 2, "type": "forest", "body": {}}, "'forest'"),
+        ({"version": 3, "type": "standard", "body": {}}, "version 3"),
+    ], ids=["forest-type", "version-3"])
+    @pytest.mark.parametrize("command", ["query", "info", "stats",
+                                         "compact", "recover"])
+    def test_exits_2_naming_the_refusal(self, tmp_path, query_file, capsys,
+                                        command, meta, reason):
+        archive = str(tmp_path / "refused.npz")
+        np.savez(archive, __meta__=np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+        argv = {
+            "query": ["query", archive, query_file],
+            "info": ["info", archive],
+            "stats": ["stats", archive, "--queries", query_file],
+            "compact": ["compact", archive],
+            "recover": ["recover", archive, "--wal",
+                        str(tmp_path / "wal.bin"),
+                        "--out", str(tmp_path / "out.npz")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert reason in err

@@ -26,13 +26,11 @@ from repro.core.config import BiLevelConfig
 from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.runner import evaluate_index
 from repro.exec import ExecutionContext, QueryStats
-from repro.lsh.forest import LSHForest
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
-    InjectedFault,
     QueryValidationError,
     ResiliencePolicy,
     injected_faults,
@@ -57,11 +55,6 @@ def queries(dataset):
 @pytest.fixture(scope="module")
 def standard(dataset):
     return StandardLSH(n_tables=6, bucket_width=8.0, seed=5).fit(dataset)
-
-
-@pytest.fixture(scope="module")
-def forest(dataset):
-    return LSHForest(n_trees=8, seed=5).fit(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -133,17 +126,6 @@ class TestShardParity:
         with IndexRuntime(bilevel, RuntimeConfig(
                 shard_workers=workers, max_batch_rows=rows)) as rt:
             assert_same_results(base, rt.query_batch(queries, K, **kwargs))
-
-    @pytest.mark.parametrize("rows", SHARD_SIZES)
-    @pytest.mark.parametrize("supervised", [False, True])
-    def test_forest(self, forest, queries, rows, supervised):
-        kwargs = {}
-        if supervised:
-            kwargs["policy"] = ResiliencePolicy(max_retries=0)
-        base = forest.query_batch(queries, K, **kwargs)
-        sharded = forest.query_batch(queries, K, max_batch_rows=rows,
-                                     **kwargs)
-        assert_same_results(base, sharded)
 
     def test_config_default_is_used(self, dataset, queries):
         # config.max_batch_rows shards every batch without the kwarg;
@@ -222,23 +204,6 @@ class TestDeadlineAcrossShards:
         assert np.isinf(dists[8:]).all()
         assert stats.degraded is None
 
-    def test_forest_deadline_mid_shard(self, forest, queries):
-        # The forest checks the budget per query: the delayed query 0
-        # still answers, everything after it is flagged — across the
-        # remainder of its shard and every later shard.
-        base_ids, _, _ = forest.query_batch(queries, K)
-        plan = FaultPlan([FaultSpec(site="lsh.gather", kind="delay",
-                                    delay_ms=80.0, match={"query": 0},
-                                    max_hits=1)], seed=3)
-        with injected_faults(plan):
-            ids, _, stats = forest.query_batch(
-                queries, K, deadline_ms=25.0, max_batch_rows=8)
-        assert stats.exhausted_budget is not None
-        assert not stats.exhausted_budget[0]
-        assert stats.exhausted_budget[1:].all()
-        assert np.array_equal(ids[0], base_ids[0])
-        assert (ids[1:] == -1).all()
-
     def test_generous_deadline_changes_nothing(self, standard, queries):
         base = standard.query_batch(queries, K)
         ids, dists, stats = standard.query_batch(
@@ -270,45 +235,6 @@ class TestShardedFaults:
         assert np.array_equal(ids[ok], base_ids[ok])
         assert np.array_equal(dists[ok], base_dists[ok])
         assert any(r.site == "bilevel.dispatch" for r in stats.failures)
-
-    def test_forest_gather_fault_degrades_one_row(self, forest, queries):
-        # The acceptance scenario: a fault at lsh.gather under a policy
-        # yields a FailureRecord and a degraded row — never a crash.
-        base_ids, base_dists, _ = forest.query_batch(queries, K)
-        plan = FaultPlan([FaultSpec(site="lsh.gather", match={"query": 1},
-                                    max_hits=1)], seed=11)
-        pol = ResiliencePolicy(max_retries=0)
-        with injected_faults(plan):
-            ids, dists, stats = forest.query_batch(queries, K, policy=pol)
-        assert plan.hits()["lsh.gather"] == 1
-        assert stats.degraded is not None
-        assert stats.degraded[1] and stats.degraded.sum() == 1
-        assert (ids[1] == -1).all()
-        ok = ~stats.degraded
-        assert np.array_equal(ids[ok], base_ids[ok])
-        assert np.array_equal(dists[ok], base_dists[ok])
-        assert stats.failures is not None
-        record = next(r for r in stats.failures if r.site == "lsh.gather")
-        assert record.error_type == "InjectedFault"
-
-    def test_forest_gather_retry_is_bit_identical(self, forest, queries):
-        base_ids, base_dists, _ = forest.query_batch(queries, K)
-        plan = FaultPlan([FaultSpec(site="lsh.gather", match={"query": 1},
-                                    max_hits=1)], seed=11)
-        pol = ResiliencePolicy(max_retries=1)
-        with injected_faults(plan):
-            ids, dists, stats = forest.query_batch(queries, K, policy=pol)
-        assert stats.degraded is None or not stats.degraded.any()
-        assert np.array_equal(ids, base_ids)
-        assert np.array_equal(dists, base_dists)
-        assert any(r.action == "retried" for r in stats.failures)
-
-    def test_forest_unsupervised_fault_crashes(self, forest, queries):
-        plan = FaultPlan([FaultSpec(site="lsh.gather", match={"query": 1},
-                                    max_hits=1)], seed=11)
-        with injected_faults(plan):
-            with pytest.raises(InjectedFault):
-                forest.query_batch(queries, K)
 
     def test_nonfinite_rows_sharded_parity(self, standard, queries):
         # Policy-gated NaN handling is per shard; the flagged rows and

@@ -360,16 +360,6 @@ class TestReviewRegressions:
         assert recovered.n_points == restored.n_points
         _same_answers(restored, recovered, rng.standard_normal((16, 12)))
 
-    def test_replay_rejects_index_without_live_update_path(self, points):
-        from repro.lsh.forest import LSHForest
-        forest = LSHForest(n_trees=3, seed=0).fit(points)
-        record_stream = [
-            # Any record at all: the guard must fire before replay
-            # touches insert/delete.
-        ]
-        with pytest.raises(RecoveryError, match="no live-update path"):
-            replay_records(forest, record_stream, 0)
-
 
 class TestDeleteMaskRegression:
     def test_delete_after_insert_after_delete(self, points):

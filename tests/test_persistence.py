@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.forest import LSHForest
 from repro.lsh.index import StandardLSH
 from repro.persistence import load_index, save_index, verify_index
 from repro.resilience import (
@@ -182,13 +181,6 @@ class TestBilevelRoundtrip:
         loaded = _roundtrip(index, tmp_path)
         np.testing.assert_array_equal(index.partitioner.assign(data),
                                       loaded.partitioner.assign(data))
-
-
-class TestForestRoundtrip:
-    def test_roundtrip(self, gaussian_data, gaussian_queries, tmp_path):
-        forest = LSHForest(n_trees=4, max_depth=16, seed=9).fit(gaussian_data)
-        loaded = _roundtrip(forest, tmp_path)
-        _same_results(forest, loaded, gaussian_queries)
 
 
 class TestArchiveKeys:

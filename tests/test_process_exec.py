@@ -12,7 +12,7 @@ over the live index, so
    recorded telemetry equal the inline sharded run at the same
    ``max_batch_rows``, for integer *and* ``"median"`` thresholds (the
    shards are the same shards), on in-memory, memmapped, overlaid and
-   tombstoned indexes and the forest plan.
+   tombstoned indexes.
 2. **Faults as inline** — a fault inside a threaded shard is retried /
    degraded by the same policy code; unsupervised, it propagates, in
    shard order, and the pool keeps serving.
@@ -34,7 +34,6 @@ import pytest
 
 from repro import obs
 from repro.exec import ExecutionContext, QueryPlan, Stage, run_validated
-from repro.lsh.forest import LSHForest
 from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import (
@@ -173,7 +172,6 @@ def front_ends(dataset, queries):
                                  n_probes=4),
         "e8_hierarchy": StandardLSH(n_tables=6, bucket_width=6.0, seed=9,
                                     lattice="e8", hierarchy=True),
-        "forest": LSHForest(n_trees=4, max_depth=12, seed=9),
     }
     for front in fronts.values():
         # One unobserved query each: kernel set-up and the norm cache
@@ -198,8 +196,7 @@ class TestShardWorkersMatrix:
 
     @pytest.mark.parametrize("threshold", ["median", 32])
     @pytest.mark.parametrize("rows", [None, 1, 7, N_QUERIES])
-    @pytest.mark.parametrize("front", ["zm", "zm_probes", "e8_hierarchy",
-                                       "forest"])
+    @pytest.mark.parametrize("front", ["zm", "zm_probes", "e8_hierarchy"])
     def test_equals_inline_at_the_same_max_batch_rows(
             self, front_ends, queries, front, rows, threshold):
         index = front_ends[front]

@@ -302,36 +302,6 @@ class TestPolicy:
 
 
 # --------------------------------------------------------------------------
-# Brute-force fallback exactness
-# --------------------------------------------------------------------------
-
-class TestBruteForce:
-    def test_matches_naive_topk(self, gaussian_data, gaussian_queries):
-        index = StandardLSH(n_tables=4, bucket_width=8.0,
-                            seed=0).fit(gaussian_data)
-        ids, dists = index.brute_force_batch(gaussian_queries, 5)
-        full = np.linalg.norm(
-            gaussian_queries[:, None, :] - gaussian_data[None, :, :], axis=2)
-        expect = np.argsort(full, axis=1, kind="stable")[:, :5]
-        assert np.array_equal(ids, expect)
-        assert np.allclose(dists, np.take_along_axis(full, expect, axis=1))
-
-    def test_respects_deletions(self, gaussian_data):
-        index = StandardLSH(n_tables=4, bucket_width=8.0,
-                            seed=0).fit(gaussian_data)
-        index.delete(np.array([0, 1, 2], dtype=np.int64))
-        ids, _ = index.brute_force_batch(gaussian_data[:3], 4)
-        assert not np.isin(ids, [0, 1, 2]).any()
-
-    def test_pads_when_k_exceeds_points(self):
-        data = np.random.default_rng(0).standard_normal((3, 8))
-        index = StandardLSH(n_tables=2, bucket_width=8.0, seed=0).fit(data)
-        ids, dists = index.brute_force_batch(data[:2], 5)
-        assert (ids >= 0).sum(axis=1).tolist() == [3, 3]
-        assert np.isinf(dists[ids < 0]).all()
-
-
-# --------------------------------------------------------------------------
 # Validation at the top of query_batch
 # --------------------------------------------------------------------------
 

@@ -13,7 +13,6 @@ from repro.core.config import BiLevelConfig
 from repro.datasets.synthetic import clustered_manifold
 from repro.evaluation.groundtruth import brute_force_knn
 from repro.exact.kdtree import KDTree
-from repro.lsh.forest import LSHForest
 from repro.lsh.index import StandardLSH
 from repro.rptree.tree import RPTree
 
@@ -30,10 +29,6 @@ class TestNonFiniteRejection:
     def test_bilevel_fit(self, bad):
         with pytest.raises(ValueError):
             BiLevelLSH(BiLevelConfig(seed=0)).fit(bad)
-
-    def test_forest_fit(self, bad):
-        with pytest.raises(ValueError):
-            LSHForest(seed=0).fit(bad)
 
     def test_kdtree_fit(self, bad):
         with pytest.raises(ValueError):

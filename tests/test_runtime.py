@@ -257,14 +257,6 @@ class TestIndexRuntime:
                         want[:2] + (want[2].n_candidates,
                                     want[2].escalated)):
             assert a.tobytes() == b.tobytes()
-        from repro.lsh.forest import LSHForest
-
-        forest = LSHForest(n_trees=3, max_depth=10, seed=3).fit(base_data)
-        with IndexRuntime(forest, RuntimeConfig(shard_workers=2)) as runtime:
-            got = runtime.query_batch(base_data[:9], 3, max_batch_rows=2)
-        want = forest.query_batch(base_data[:9], 3, max_batch_rows=2)
-        np.testing.assert_array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
 
     def test_close_is_idempotent_and_final(self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
