@@ -10,11 +10,13 @@ not wait for completions), through the same
 Three measured phases, all at the same offered rate (a multiple of the
 calibrated one-query-per-call capacity):
 
-1. **solo** — ``window_ms=0``: every request is its own ``run_plan``
-   call.  This is the one-query-per-call baseline.
-2. **batched** — concurrent requests coalesce under a small window and
-   execute as merged batches (answers are bit-identical per request;
-   see ``tests/test_runtime.py``).
+1. **solo** — every request calls ``IndexRuntime.submit`` itself: its
+   own ``run_plan`` call, concurrent with the others.  This is the
+   one-query-per-call baseline.
+2. **batched** — through the batcher: requests that arrive while a
+   batch executes queue up and execute as the next merged batch
+   (answers are bit-identical per request; see
+   ``tests/test_runtime.py``).
 3. **overload** — the batched path with a deliberately small admission
    depth under a much higher offered rate: the gate must shed (flagged,
    never crashed) instead of queueing without bound.
@@ -44,7 +46,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from repro.runtime import (
     IndexRuntime,
     MicroBatcher,
     QueryRequest,
+    QueryResponse,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -69,10 +72,14 @@ def _percentile_ms(latencies: List[float], q: float) -> float:
 
 
 def run_phase(runtime: IndexRuntime, queries: np.ndarray, *, label: str,
-              rate_qps: float, n_requests: int, window_ms: float,
-              max_rows: int, depth: int, n_workers: int,
+              rate_qps: float, n_requests: int, max_rows: Optional[int],
+              depth: int, n_workers: int,
               seed: int) -> Dict[str, object]:
     """Drive one open-loop phase; returns the report row.
+
+    ``max_rows=None`` is the solo phase: every request calls
+    ``runtime.submit`` itself.  Otherwise requests go through a
+    :class:`MicroBatcher` capping merged batches at ``max_rows`` rows.
 
     Latency is measured from each request's *scheduled* arrival to its
     completion, so queueing delay under saturation shows up in the tail
@@ -81,8 +88,11 @@ def run_phase(runtime: IndexRuntime, queries: np.ndarray, *, label: str,
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / rate_qps, size=n_requests))
     gate = AdmissionController(depth)
-    batcher = MicroBatcher(runtime.submit, window_ms=window_ms,
-                           max_rows=max_rows)
+    batcher: Optional[MicroBatcher] = None
+    submit: Callable[[QueryRequest], QueryResponse] = runtime.submit
+    if max_rows is not None:
+        batcher = MicroBatcher(runtime.submit, max_rows=max_rows)
+        submit = batcher.submit
     latencies: List[float] = []
     row_ids: Dict[int, np.ndarray] = {}
     counters = {"answered": 0, "shed_flagged": 0, "errors": 0}
@@ -99,7 +109,7 @@ def run_phase(runtime: IndexRuntime, queries: np.ndarray, *, label: str,
         if not gate.try_acquire():
             return  # counted by the admission gate itself
         try:
-            response = batcher.submit(
+            response = submit(
                 QueryRequest(queries=queries[row:row + 1], k=K))
         except Exception:  # noqa: BLE001 - a crash fails the zero-crash gate
             with mutex:
@@ -121,8 +131,10 @@ def run_phase(runtime: IndexRuntime, queries: np.ndarray, *, label: str,
         for future in futures:
             future.result()
     wall = time.perf_counter() - start
-    batcher.close()
-    merged_batches, merged_requests = batcher.merge_counts
+    merged_batches, merged_requests = 0, 0
+    if batcher is not None:
+        batcher.close()
+        merged_batches, merged_requests = batcher.merge_counts
     admission = gate.snapshot()
     return {
         "phase": label,
@@ -139,7 +151,6 @@ def run_phase(runtime: IndexRuntime, queries: np.ndarray, *, label: str,
         "latency_ms_p99": _percentile_ms(latencies, 99),
         "merged_batches": merged_batches,
         "merged_requests": merged_requests,
-        "window_ms": float(window_ms),
         "max_queue_depth": int(depth),
         "_row_ids": row_ids,  # stripped before the JSON is written
     }
@@ -172,7 +183,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--stress-factor", type=float, default=5.0,
                         help="offered rate as a multiple of calibrated "
                              "solo capacity")
-    parser.add_argument("--window-ms", type=float, default=2.0)
     parser.add_argument("--max-rows", type=int, default=128)
     parser.add_argument("--workers", type=int, default=48)
     args = parser.parse_args(argv)
@@ -205,16 +215,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     phases = [
         run_phase(runtime, queries, label="solo", rate_qps=offered,
-                  n_requests=n_requests, window_ms=0.0,
-                  max_rows=args.max_rows, depth=64,
+                  n_requests=n_requests, max_rows=None, depth=64,
                   n_workers=args.workers, seed=5),
         run_phase(runtime, queries, label="batched", rate_qps=offered,
-                  n_requests=n_requests, window_ms=args.window_ms,
-                  max_rows=args.max_rows, depth=64,
+                  n_requests=n_requests, max_rows=args.max_rows, depth=64,
                   n_workers=args.workers, seed=5),
         run_phase(runtime, queries, label="overload",
                   rate_qps=4.0 * offered, n_requests=n_requests,
-                  window_ms=args.window_ms, max_rows=args.max_rows,
+                  max_rows=args.max_rows,
                   depth=8, n_workers=args.workers, seed=6),
     ]
     runtime.close()

@@ -599,11 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "micro-batch merging on hierarchical indexes (the "
                         "'median' default is batch-dependent, so such "
                         "requests run solo)")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="micro-batch coalescing window (0 disables "
-                        "merging)")
     p.add_argument("--batch-max-rows", type=int, default=256,
-                   help="dispatch a merged batch early at this many rows")
+                   help="cap on the rows of one merged batch; requests "
+                        "queued beyond it run in the next batch")
     p.add_argument("--max-queue-depth", type=int, default=64,
                    help="admission bound: requests beyond this many in "
                         "flight are shed (flagged exhausted_budget, "

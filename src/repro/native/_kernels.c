@@ -428,8 +428,10 @@ done:
 /* ------------------------------------------------------------------ rank */
 
 /* Candidate rows are fetched this many candidates ahead of the one being
- * scored: the ids are known, the rows are scattered over the matrix. */
-#define PREFETCH_AHEAD 4
+ * scored, every cache line of the row: the ids are known, the rows are
+ * scattered over the matrix. */
+#define PREFETCH_AHEAD 8
+#define LINE_DOUBLES 8   /* doubles per 64-byte cache line */
 
 /* One query's running top-k: its row, its norm, its output row — ordered
  * by (distance, id) ascending — how much of that row is filled, and the
@@ -483,7 +485,7 @@ offer(topk *t, i64 k, double d2, i64 id) {
 }
 
 /* Tile [q0, q1) query by query: each candidate row is read once per query
- * that holds it, fetched PREFETCH_AHEAD candidates early. */
+ * that holds it, all of it fetched PREFETCH_AHEAD candidates early. */
 static inline __attribute__((always_inline)) void
 rank_query_major(const double *data, i64 dim, const double *sq_norms,
                  const i64 *cand, const i64 *counts, i64 k, topk *st,
@@ -494,8 +496,12 @@ rank_query_major(const double *data, i64 dim, const double *sq_norms,
         for (i64 c = at; c < end; c++) {
             i64 id = cand[c];
             const double *row = data + id * dim;
-            if (c + PREFETCH_AHEAD < end)
-                __builtin_prefetch(data + cand[c + PREFETCH_AHEAD] * dim);
+            if (c + PREFETCH_AHEAD < end) {
+                const double *next = data + cand[c + PREFETCH_AHEAD] * dim;
+                for (i64 off = 0; off < dim; off += LINE_DOUBLES)
+                    __builtin_prefetch(next + off);
+                __builtin_prefetch(next + dim - 1);  /* a row off a line start */
+            }
             double dot = rank_dot(row, t->q, dim, buf, pw);
             double row_sq = sq_norms ? sq_norms[id]
                                      : rank_dot(row, row, dim, buf, pw);

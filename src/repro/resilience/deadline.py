@@ -44,6 +44,11 @@ class Deadline:
             return None
         return cls(budget_ms)
 
+    @property
+    def expires_at(self) -> float:
+        """The absolute expiry instant, on the ``time.monotonic`` clock."""
+        return self._expires_at
+
     def remaining_seconds(self) -> float:
         """Seconds left on the budget (never negative)."""
         return max(0.0, self._expires_at - time.monotonic())

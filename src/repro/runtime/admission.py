@@ -15,8 +15,8 @@ clients and the load generator can count it.
 The controller is a counting gate, not a queue: callers wrap the
 blocking submit path in :meth:`admit`, which either yields a slot or
 raises :class:`AdmissionError` without blocking.  Depth covers the
-whole residence time (batcher window + execution), which is what bounds
-worst-case latency.
+whole residence time (the batcher queue + execution), which is what
+bounds worst-case latency.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class AdmissionController:
     """Bounded in-flight counter guarding a blocking submit path.
 
     ``max_depth`` counts requests between admission and completion —
-    both those waiting in a micro-batch window and those executing.
+    both those queued for a micro-batch and those executing.
     The gate never blocks: over-limit arrivals fail fast with
     :class:`AdmissionError` so the caller can shed them in O(1).
     """

@@ -3,11 +3,15 @@
 The batch engine amortizes hashing and candidate scoring across
 query rows, so ten concurrent 1-row requests cost far more as
 ten ``run_plan`` calls than as one 10-row call.  :class:`MicroBatcher`
-exploits that without changing answers: concurrent requests whose
-execution options agree (same ``k``, threshold, policy, sharding,
-deadline-ness) are merged under a small time/size window,
-executed as one batch, and the results split back per request
-**bit-identically** to solo execution.
+exploits that without changing answers and without a clock: at most
+one batch executes at a time, and requests that arrive while it runs
+queue up; when it finishes, the queued requests whose execution
+options agree (same ``k``, threshold, policy, sharding, deadline-ness)
+execute as the next batch, and the results split back per request
+**bit-identically** to solo execution.  Under light load a request
+finds nothing running and executes at once; under load the batches
+grow by themselves, because everything that arrived during one batch
+rides the next.
 
 Correctness of the merge rests on three facts about the executor:
 
@@ -17,8 +21,9 @@ Correctness of the merge rests on three facts about the executor:
 2. The one batch-*dependent* knob is the hierarchical ``"median"``
    escalation threshold, which is computed from the executed batch.
    Requests resolving to ``"median"`` on a hierarchy-sensitive index
-   are therefore executed solo (``solo_fn``) unless the session pins an
-   integer threshold.
+   are therefore never merged (``solo_fn``) unless the session pins an
+   integer threshold; they take their turn in the queue as a batch of
+   one.
 3. Deadlines are absolute: a request is resolved where it arrives
    (:meth:`~repro.runtime.session.IndexRuntime.resolve`: session
    defaults filled in, its :class:`~repro.resilience.deadline.Deadline`
@@ -26,11 +31,15 @@ Correctness of the merge rests on three facts about the executor:
    merged batch runs under the *earliest* member expiry, so no member
    can overrun its own budget by riding a batch.  Because the earliest
    expiry also *shrinks* the other members' budgets, requests merge
-   only within one deadline-proximity bucket (remaining budget
-   quantized to ``deadline_bucket_ms``): a nearly-expired request can
-   never drag a generous one into ``exhausted_budget`` padding it
+   only within one deadline-proximity bucket (remaining budget at
+   arrival quantized to ``deadline_bucket_ms``), and the batch cut from
+   a key's queue spans less than one bucket width of expiry instants —
+   a key's queue fills over whole batches, so members that arrived far
+   apart with equal budgets expire far apart.  A nearly-expired request
+   can never drag a generous one into ``exhausted_budget`` padding it
    would not produce solo, and the budget a member can lose to the
-   batch minimum is bounded by one bucket width.
+   batch minimum is bounded by one bucket width, however long it
+   queued.
 
 Stat splitting mirrors the executor's lazy-``None`` conventions: a
 request whose slice of ``degraded`` is all-False gets ``None`` (exactly
@@ -42,18 +51,24 @@ with no row attribution, so a merged batch's failure tuple is reported
 to every member — the one documented widening versus solo execution.
 
 Thread-safety: the batcher is driven by N server threads calling
-:meth:`MicroBatcher.submit` concurrently.  The first arrival for a
-merge key becomes the *leader*: it waits out the window (or until the
-size cap fills), pops the bucket, executes the merged batch outside the
-monitor, and distributes slices to the followers' events.
+:meth:`MicroBatcher.submit` concurrently.  A request that finds no
+batch running *leads* one at once.  Otherwise it joins its merge key's
+queue and waits on the batcher's condition until its answer is set or
+its turn to lead comes.  A leader executes outside the monitor, then,
+back inside it, hands the answers to its batch's members and the turn
+to the queue: the key whose oldest request has waited longest forms
+the next batch (its oldest requests, up to ``max_rows`` rows, skipping
+any that expire a bucket width or more apart from the rest; what
+remains waits for its oldest request's turn), and that batch's oldest
+member leads it.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import replace
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Tuple, TypeVar,
+                    cast)
 
 import numpy as np
 
@@ -61,6 +76,8 @@ from repro.exec.context import QueryStats
 from repro.runtime.session import QueryRequest, QueryResponse, shed_response
 
 __all__ = ["DEADLINE_BUCKET_MS", "MicroBatcher", "merge_key", "split_stats"]
+
+T = TypeVar("T")
 
 #: Default width of the deadline-proximity buckets in :func:`merge_key`.
 #: A merged batch runs under its earliest member expiry, so a member can
@@ -80,10 +97,12 @@ def merge_key(request: QueryRequest, *,
     a nearly-expired request with a generous one would silently spend
     the generous member's budget — quantizing the remaining budget to
     ``deadline_bucket_ms`` keeps materially different budgets apart
-    (executing them as separate batches) while bounding the loss within
-    a bucket to one bucket width.  Any bucket number means "has a
-    deadline", so a batch still either wholly materializes
-    ``exhausted_budget`` or wholly omits it.
+    (executing them as separate batches).  Any bucket number means "has
+    a deadline", so a batch still either wholly materializes
+    ``exhausted_budget`` or wholly omits it.  The key compares budgets
+    as they stood at arrival; members of one key that arrived far apart
+    expire far apart, so :class:`MicroBatcher` also bounds the expiry
+    span of each batch it cuts from a key's queue.
     """
     if request.deadline is not None:
         remaining_ms: Optional[float] = max(
@@ -130,64 +149,79 @@ def split_stats(stats: QueryStats, sl: slice) -> QueryStats:
 
 
 class _Entry:
-    """One waiting request: its slot in the bucket and its result latch."""
+    """One waiting request — a read, or a ``call`` that takes a turn of
+    its own — with its turn and its result latch.
 
-    __slots__ = ("request", "event", "response", "error")
+    ``seq`` is its arrival number, which orders the turns.  ``batch`` is
+    set when the entry's turn to lead comes (it is then the batch's first
+    member); ``done`` when a leader has answered it.  Both are written
+    and read under the batcher's monitor only.
+    """
 
-    def __init__(self, request: QueryRequest) -> None:
+    __slots__ = ("request", "call", "rows", "seq", "batch", "done",
+                 "result", "error")
+
+    def __init__(self, request: Optional[QueryRequest],
+                 call: Optional[Callable[[], object]] = None) -> None:
         self.request = request
-        self.event = threading.Event()
-        self.response: Optional[QueryResponse] = None
+        self.call = call
+        self.rows = request.n_rows() if request is not None else 0
+        self.seq = 0
+        self.batch: Optional[List["_Entry"]] = None
+        self.done = False
+        self.result: object = None
         self.error: Optional[BaseException] = None
 
 
 class MicroBatcher:
-    """Leader/follower request coalescer in front of an executor.
+    """Single-flight request coalescer in front of an executor.
 
     Parameters
     ----------
     execute:
         ``QueryRequest -> QueryResponse`` — typically
-        :meth:`repro.runtime.session.IndexRuntime.submit`.
-    window_ms:
-        How long a leader waits for companions before dispatching.
-        ``0`` disables coalescing (every request runs solo), which is
-        also the honest baseline for benchmarks.
+        :meth:`repro.runtime.session.IndexRuntime.submit`.  Never called
+        twice at once by one batcher.
     max_rows:
-        Dispatch early once the bucket holds this many query rows.
+        Cap on the query rows of one executed batch: queued requests
+        beyond it run in the following batch, and a single request
+        larger than the cap runs alone.
     solo_fn:
-        Optional predicate; requests for which it returns True bypass
-        merging (used for batch-dependent ``"median"`` thresholds on
-        hierarchy-sensitive indexes).
+        Optional predicate; requests for which it returns True are
+        never merged (used for batch-dependent ``"median"`` thresholds
+        on hierarchy-sensitive indexes) — they queue like any other and
+        run as a batch of one.
     deadline_bucket_ms:
         Width of the deadline-proximity buckets in :func:`merge_key`:
-        requests whose remaining budgets land in different buckets
-        execute as separate batches, bounding how much budget a member
-        can lose to the batch's earliest-expiry rule.
+        requests whose remaining budgets land in different buckets, or
+        whose expiry instants lie a width or more apart, execute as
+        separate batches, bounding how much budget a member can lose to
+        the batch's earliest-expiry rule.
     """
 
     def __init__(self, execute: Callable[[QueryRequest], QueryResponse], *,
-                 window_ms: float = 2.0, max_rows: int = 256,
+                 max_rows: int = 256,
                  solo_fn: Optional[Callable[[QueryRequest], bool]] = None,
                  deadline_bucket_ms: float = DEADLINE_BUCKET_MS,
                  ) -> None:
-        if window_ms < 0:
-            raise ValueError(f"window_ms must be >= 0, got {window_ms}")
         if max_rows <= 0:
             raise ValueError(f"max_rows must be positive, got {max_rows}")
         if not deadline_bucket_ms > 0:
             raise ValueError(f"deadline_bucket_ms must be positive, "
                              f"got {deadline_bucket_ms}")
         self._execute = execute
-        self._window_s = window_ms / 1000.0
         self._max_rows = max_rows
         self._solo_fn = solo_fn
         self._deadline_bucket_ms = deadline_bucket_ms
-        # Leader/follower monitor.  Deliberately not named "*lock*": the
-        # only waiting under it is Condition.wait with a bounded timeout,
-        # and the merged execution happens outside the monitor.
+        # The monitor over the queue and the turn.  Deliberately not
+        # named "*lock*": execution happens outside it, and the only
+        # waiting under it is Condition.wait, which releases it.
         self._cond = threading.Condition()
-        self._buckets: Dict[Hashable, List[_Entry]] = {}
+        # Merge key -> its waiting requests, oldest first.  The next turn
+        # goes to the key whose oldest waiting request arrived first.
+        self._queues: Dict[Hashable, List[_Entry]] = {}
+        self._arrivals = 0
+        self._running = False
         self._closed = False
         self._merged_batches = 0
         self._merged_requests = 0
@@ -195,10 +229,9 @@ class MicroBatcher:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Refuse new work; in-flight leaders drain on their own threads."""
+        """Refuse new work; queued requests still run, turn by turn."""
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -217,104 +250,152 @@ class MicroBatcher:
     def submit(self, request: QueryRequest) -> QueryResponse:
         """Answer one request, riding a merged batch when possible.
 
-        Blocks the calling thread until its rows come back (at most the
-        window plus the merged execution).  ``request`` is read as it
-        stands — resolve it at the door
+        Blocks the calling thread until its rows come back: at once if
+        nothing is running, else after the running batch and the batches
+        queued ahead of its own.  ``request`` is read as it stands —
+        resolve it at the door
         (:meth:`~repro.runtime.session.IndexRuntime.resolve`), or an
         unset option keys as unset and an unstarted ``deadline_ms`` only
-        starts inside ``execute``, after the window.  Past-due requests
-        — whose deadline expired before any work started — are answered
-        immediately with exhausted-budget padding and never occupy the
-        executor.
+        starts inside ``execute``, after the queue wait.  Past-due
+        requests — whose deadline expired before any work started — are
+        answered immediately with exhausted-budget padding and never
+        occupy the executor.
         """
         if request.deadline is not None and request.deadline.expired():
             return shed_response(request, reason="past-due")
-        if self._window_s == 0.0 or (self._solo_fn is not None
-                                     and self._solo_fn(request)):
-            return self._execute(request)
-        key = merge_key(request,
-                        deadline_bucket_ms=self._deadline_bucket_ms)
         entry = _Entry(request)
+        key: Hashable = entry  # a key of its own: never merged
+        if self._solo_fn is None or not self._solo_fn(request):
+            key = merge_key(request,
+                            deadline_bucket_ms=self._deadline_bucket_ms)
+        return cast(QueryResponse, self._take_turn(entry, key))
+
+    def run_in_turn(self, call: Callable[[], T]) -> T:
+        """Run ``call()`` — a write — in the read batches' turn order: after
+        the batch running now and every batch whose oldest request arrived
+        before it, alone, and before every batch whose oldest request
+        arrived after it.  So a write never runs beside a read batch, and
+        reads that arrive during it wait for it.  (A read that arrives
+        after the write may still ride a batch of its key that was already
+        waiting — merging takes a key's waiting requests together.)"""
+        entry = _Entry(None, call)
+        return cast(T, self._take_turn(entry, entry))
+
+    def _take_turn(self, entry: _Entry, key: Hashable) -> object:
+        """Lead ``entry`` now if nothing runs, else queue it under ``key``
+        and wait for its answer or its turn to lead."""
         with self._cond:
             if self._closed:
                 raise RuntimeError("batcher is closed")
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [entry]
-                is_leader = True
+            if not self._running:
+                # Nothing runs, so nothing is queued either: lead now.
+                self._running = True
+                entry.batch = [entry]
             else:
-                bucket.append(entry)
-                is_leader = False
-                if self._bucket_rows(bucket) >= self._max_rows:
-                    self._cond.notify_all()
-        if is_leader:
-            return self._lead(key, entry)
-        entry.event.wait()
-        if entry.error is not None:
-            raise entry.error
-        assert entry.response is not None
-        return entry.response
+                self._arrivals += 1
+                entry.seq = self._arrivals
+                self._queues.setdefault(key, []).append(entry)
+                while entry.batch is None and not entry.done:
+                    self._cond.wait()
+        if entry.batch is None:
+            if entry.error is not None:
+                raise entry.error
+            return entry.result
+        return self._lead(entry.batch)
 
-    @staticmethod
-    def _bucket_rows(bucket: Sequence[_Entry]) -> int:
-        return sum(e.request.n_rows() for e in bucket)
-
-    def _lead(self, key: Hashable, entry: _Entry) -> QueryResponse:
-        """Wait out the window, pop the bucket, execute, distribute."""
-        expires_at = time.monotonic() + self._window_s
-        with self._cond:
-            while True:
-                bucket = self._buckets[key]
-                if self._bucket_rows(bucket) >= self._max_rows or self._closed:
-                    break
-                remaining = expires_at - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            bucket = self._buckets.pop(key)
+    def _lead(self, batch: List[_Entry]) -> object:
+        """Execute ``batch`` (whose first member is the caller), answer its
+        members, then pass the turn to the next queued batch."""
+        results: List[object] = []
+        error: Optional[BaseException] = None
         try:
-            responses = self._run_merged(bucket)
-        except BaseException as exc:
-            for follower in bucket:
-                if follower is not entry:
-                    follower.error = exc
-                    follower.event.set()
-            raise
-        result: Optional[QueryResponse] = None
-        for follower, response in zip(bucket, responses):
-            if follower is entry:
-                result = response
+            results = self._run_merged(batch)
+        except BaseException as exc:  # handed to every member, then raised
+            error = exc
+        with self._cond:
+            for i, member in enumerate(batch):
+                member.done = True
+                if error is not None:
+                    member.error = error
+                else:
+                    member.result = results[i]
+            if len(batch) > 1 and error is None:
+                self._merged_batches += 1
+                self._merged_requests += len(batch)
+            following = self._next_batch()
+            if following is None:
+                self._running = False
             else:
-                follower.response = response
-                follower.event.set()
-        assert result is not None
-        return result
+                following[0].batch = following
+            self._cond.notify_all()
+        if error is not None:
+            raise error
+        return results[0]
+
+    def _next_batch(self) -> Optional[List[_Entry]]:
+        """Pop the next batch (under the monitor) from the key whose oldest
+        waiting request arrived first: its requests oldest first, up to
+        ``max_rows`` rows and at least one, skipping any whose deadline
+        expires a bucket width or more apart from a member's."""
+        if not self._queues:
+            return None
+        key, queue = min(self._queues.items(),
+                         key=lambda item: item[1][0].seq)
+        width = self._deadline_bucket_ms / 1000.0
+        batch: List[_Entry] = []
+        rest: List[_Entry] = []
+        rows = 0
+        span: Optional[Tuple[float, float]] = None  # members' expiries
+        for i, entry in enumerate(queue):
+            deadline = (entry.request.deadline
+                        if entry.request is not None else None)
+            grown = span
+            if deadline is not None:
+                t = deadline.expires_at
+                grown = (t, t) if span is None else (min(span[0], t),
+                                                     max(span[1], t))
+                if grown[1] - grown[0] >= width:
+                    rest.append(entry)  # too far from a member: later
+                    continue
+            if batch and rows + entry.rows > self._max_rows:
+                rest.extend(queue[i:])
+                break
+            span = grown
+            batch.append(entry)
+            rows += entry.rows
+        if rest:
+            self._queues[key] = rest  # waits for its oldest's turn
+        else:
+            del self._queues[key]
+        return batch
 
     # ------------------------------------------------------------- merging
 
-    def _run_merged(self, bucket: List[_Entry]) -> List[QueryResponse]:
+    def _run_merged(self, bucket: List[_Entry]) -> List[object]:
         if len(bucket) == 1:
-            return [self._execute(bucket[0].request)]
-        template = bucket[0].request
+            head = bucket[0]
+            if head.call is not None:
+                return [head.call()]
+            assert head.request is not None
+            return [self._execute(head.request)]
+        # Only reads share a key (a call has one of its own), so a merged
+        # bucket holds requests only.
+        members = [cast(QueryRequest, e.request) for e in bucket]
+        template = members[0]
         queries = np.concatenate(
-            [np.asarray(e.request.queries) for e in bucket], axis=0)
+            [np.asarray(r.queries) for r in members], axis=0)
         # Earliest member expiry governs the merged batch: absolute
         # Deadline objects make "earliest" exact, not re-derived.
         deadline = min(
-            (e.request.deadline for e in bucket
-             if e.request.deadline is not None),
-            key=lambda d: d.remaining_seconds(), default=None)
+            (r.deadline for r in members if r.deadline is not None),
+            key=lambda d: d.expires_at, default=None)
         response = self._execute(
             replace(template, queries=queries, deadline=deadline))
-        with self._cond:
-            self._merged_batches += 1
-            self._merged_requests += len(bucket)
-        out: List[QueryResponse] = []
+        out: List[object] = []
         start = 0
         for member in bucket:
-            n = member.request.n_rows()
-            sl = slice(start, start + n)
-            start += n
+            sl = slice(start, start + member.rows)
+            start += member.rows
             out.append(QueryResponse(
                 ids=response.ids[sl].copy(),
                 distances=response.distances[sl].copy(),

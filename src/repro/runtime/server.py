@@ -3,9 +3,13 @@
 
 The event loop owns connections; each admitted query is handed to a
 small thread pool where it blocks inside
-:meth:`~repro.runtime.batching.MicroBatcher.submit` — so concurrent
-HTTP requests land in the same coalescing window and ride one merged
-executor batch.  Admission control
+:meth:`~repro.runtime.batching.MicroBatcher.submit` — so HTTP requests
+that arrive while a batch executes queue up and ride the next merged
+executor batch together.  Connections are HTTP/1.1 persistent: one
+socket carries request after request, and the server closes it only
+when the client asks (``Connection: close``), speaks HTTP/1.0, hangs
+up, or sends a request it cannot frame (answered 400 first).  An idle
+connection is never dropped.  Admission control
 (:class:`~repro.runtime.admission.AdmissionController`) fronts the
 pool: when ``max_queue_depth`` requests are already resident the server
 answers immediately with the same ``exhausted_budget``-flagged padding
@@ -17,6 +21,9 @@ runtime's WAL-attached index, so every acknowledged mutation is durable
 before its HTTP 200 — the same append-before-ack discipline (rule R13)
 the library API enforces.  A serving process is therefore
 crash-recoverable with ``IndexRuntime.open(snapshot, wal_path=...)``.
+An insert or delete takes its turn in the batcher's order
+(:meth:`~repro.runtime.batching.MicroBatcher.run_in_turn`), so it never
+runs beside a read batch and the two do not share the interpreter lock.
 With ``--shard-workers`` a read's ``max_batch_rows`` shards run on the
 runtime's threads over the same live index, so it still sees every
 write acknowledged before it.
@@ -41,10 +48,11 @@ next to this one, sharing the same health/readiness callbacks.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -101,7 +109,7 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
 class RuntimeServer:
     """Asyncio HTTP/JSON server over one :class:`IndexRuntime`.
 
-    Batch window, size cap and admission depth come from the runtime's
+    Batch size cap and admission depth come from the runtime's
     :class:`~repro.runtime.session.RuntimeConfig`; ``port=0`` binds an
     ephemeral port (reported via :attr:`port` after :meth:`start`).
     """
@@ -114,12 +122,16 @@ class RuntimeServer:
         cfg = runtime.config
         self.admission = AdmissionController(cfg.max_queue_depth)
         self.batcher = MicroBatcher(
-            runtime.submit, window_ms=cfg.batch_window_ms,
-            max_rows=cfg.batch_max_rows, solo_fn=self._needs_solo)
+            runtime.submit, max_rows=cfg.batch_max_rows,
+            solo_fn=self._needs_solo)
         self._pool = ThreadPoolExecutor(
             max_workers=min(cfg.max_queue_depth, 32),
             thread_name_prefix="serve")
         self._server: Optional[asyncio.AbstractServer] = None
+        # Every open connection and the task answering it; the idle ones
+        # (reading their next request) are the ones stop() closes.
+        self._conns: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._write_gate = asyncio.Lock()
         self._requests_total: Dict[str, int] = {}
 
@@ -134,18 +146,31 @@ class RuntimeServer:
         self._record_metrics_gauges()
 
     async def serve_forever(self, duration: Optional[float] = None) -> None:
+        """Serve until cancelled, or for ``duration`` seconds.
+
+        The socket has listened since :meth:`start`; this only waits.  It
+        leaves closing to :meth:`stop`, which closes the idle connections
+        first (``Server.serve_forever`` would close the listener and then
+        wait for every idle keep-alive client to hang up).
+        """
         assert self._server is not None, "call start() first"
         if duration is None:
-            await self._server.serve_forever()
-            return
-        try:
-            await asyncio.wait_for(self._server.serve_forever(), duration)
-        except asyncio.TimeoutError:  # invariant: disable=R5 — the timeout
-            pass  # IS the planned stop for a bounded --serve-seconds run
+            await asyncio.get_running_loop().create_future()
+        else:
+            await asyncio.sleep(duration)
 
     async def stop(self) -> None:
+        """Stop listening and close every idle connection; a connection
+        in the middle of a request answers it with ``Connection: close``
+        and then closes.  Once every handler has returned, wait for the
+        server to close (which, from Python 3.12.1, waits for the
+        connections too)."""
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
+            await asyncio.gather(*self._conns.values(),
+                                 return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self.close()
@@ -196,46 +221,98 @@ class RuntimeServer:
 
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
+        """Answer request after request on one connection until the
+        client closes it or asks to, or a request cannot be framed."""
+        task = asyncio.current_task()
+        assert task is not None
+        self._conns[writer] = task
         try:
-            try:
-                method, path, body = await self._read_request(reader)
-                status, payload = await self._dispatch(method, path, body)
-            except _HTTPError as error:
-                status, payload = error.status, {"error": str(error)}
-            except (ValueError, KeyError, TypeError) as error:
-                status, payload = 400, {"error": str(error)}
-            except RuntimeError as error:
-                status, payload = 500, {"error": str(error)}
-            except Exception as error:  # noqa: BLE001 — last-resort
-                # mapping so every parseable request gets an HTTP answer
-                # (numpy errors, oversized-header LimitOverrunError, ...)
-                # instead of a closed connection with no status line.
-                status, payload = 500, {
-                    "error": f"{type(error).__name__}: {error}"}
-            data = json.dumps(payload).encode("utf-8")
-            head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: close\r\n\r\n").encode("ascii")
-            writer.write(head + data)
-            await writer.drain()
+            keep_alive = True
+            while keep_alive and self._serving():
+                try:
+                    request = await self._next_request(reader, writer)
+                except (_HTTPError, ValueError) as error:
+                    # Framing lost (bad request line or Content-Length,
+                    # an over-long line): answer, then close.
+                    await self._respond(writer, 400, {"error": str(error)},
+                                        keep_alive=False)
+                    break
+                if request is None or writer.is_closing():
+                    break  # EOF between requests, or stop() closed it
+                method, path, body, keep_alive = request
+                status, payload = await self._answer(method, path, body)
+                # A request answered after stop() began is the last one.
+                keep_alive = keep_alive and self._serving()
+                await self._respond(writer, status, payload,
+                                    keep_alive=keep_alive)
         except (ConnectionError, asyncio.IncompleteReadError):  # invariant: disable=R5 — client hung up mid-request; nothing to answer
             pass
         finally:
+            self._conns.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # invariant: disable=R5 — peer already gone during teardown
                 pass
 
+    async def _answer(self, method: str, path: str,
+                      body: bytes) -> Tuple[int, _JSON]:
+        """Dispatch one framed request; every failure becomes a status."""
+        try:
+            return await self._dispatch(method, path, body)
+        except _HTTPError as error:
+            return error.status, {"error": str(error)}
+        except (ValueError, KeyError, TypeError) as error:
+            return 400, {"error": str(error)}
+        except RuntimeError as error:
+            return 500, {"error": str(error)}
+        except Exception as error:  # noqa: BLE001 — last-resort
+            # mapping so every parseable request gets an HTTP answer
+            # (numpy errors, arbitrary executor failures, ...) instead
+            # of a closed connection with no status line.
+            return 500, {"error": f"{type(error).__name__}: {error}"}
+
+    @staticmethod
+    async def _respond(writer: asyncio.StreamWriter, status: int,
+                       payload: _JSON, *, keep_alive: bool) -> None:
+        data = json.dumps(payload).encode("utf-8")
+        head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                f"\r\n\r\n").encode("ascii")
+        writer.write(head + data)
+        await writer.drain()
+
+    def _serving(self) -> bool:
+        return self._server is not None and self._server.is_serving()
+
+    async def _next_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter,
+                            ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """Read the connection's next request (``None`` at EOF) as an idle
+        connection: until it is read whole nothing has acted on it, so
+        :meth:`stop` may close the connection meanwhile."""
+        self._idle.add(writer)
+        try:
+            return await self._read_request(reader)
+        finally:
+            self._idle.discard(writer)
+
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader,
-                            ) -> Tuple[str, str, bytes]:
+                            ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """``(method, path, body, keep_alive)`` of the next request, or
+        ``None`` at EOF.  Raises :class:`_HTTPError` (or ``ValueError``
+        for an over-long line) when the request cannot be framed."""
         request_line = await reader.readline()
+        if not request_line:
+            return None
         parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
+        if len(parts) < 2 or len(parts) > 3:
             raise _HTTPError(400, "malformed request line")
         method, path = parts[0].upper(), parts[1]
+        version = parts[2].upper() if len(parts) == 3 else "HTTP/1.0"
         headers: Dict[str, str] = {}
         while True:
             line = await reader.readline()
@@ -243,9 +320,18 @@ class RuntimeServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        if "transfer-encoding" in headers:
+            raise _HTTPError(400, "Transfer-Encoding is not supported; "
+                                  "send a Content-Length")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not raw_length.isdigit():
+            raise _HTTPError(400, f"bad Content-Length: {raw_length!r}")
+        length = int(raw_length)
         body = await reader.readexactly(length) if length else b""
-        return method, path, body
+        tokens = {t.strip().lower()
+                  for t in headers.get("connection", "").split(",")}
+        keep_alive = version == "HTTP/1.1" and "close" not in tokens
+        return method, path, body, keep_alive
 
     async def _dispatch(self, method: str, path: str,
                         body: bytes) -> Tuple[int, _JSON]:
@@ -311,8 +397,8 @@ class RuntimeServer:
                             if max_rows is not None else None))
         # Resolved at the door: session defaults filled in and the budget
         # clock — the request's or the session's — started at arrival, so
-        # queue wait and batch window both count against it and the
-        # batcher keys on what will run.
+        # the admission and batch queue waits both count against it and
+        # the batcher keys on what will run.
         return self.runtime.resolve(request)
 
     def _needs_solo(self, request: QueryRequest) -> bool:
@@ -351,7 +437,8 @@ class RuntimeServer:
         loop = asyncio.get_running_loop()
         async with self._write_gate:
             assigned = await loop.run_in_executor(
-                self._pool, self.runtime.insert, points, ids)
+                self._pool, self.batcher.run_in_turn,
+                functools.partial(self.runtime.insert, points, ids))
         return 200, {"ids": np.asarray(assigned).tolist(),
                      "count": int(np.asarray(assigned).shape[0])}
 
@@ -363,7 +450,8 @@ class RuntimeServer:
         loop = asyncio.get_running_loop()
         async with self._write_gate:
             removed = await loop.run_in_executor(
-                self._pool, self.runtime.delete, ids)
+                self._pool, self.batcher.run_in_turn,
+                functools.partial(self.runtime.delete, ids))
         return 200, {"deleted": int(removed)}
 
     async def _handle_checkpoint(self, payload: _JSON) -> Tuple[int, _JSON]:
@@ -372,6 +460,8 @@ class RuntimeServer:
         if not isinstance(path, str) or not path:
             raise _HTTPError(400, "missing field: path")
         loop = asyncio.get_running_loop()
+        # Beside the reads, not in their turn order: a snapshot takes
+        # seconds, and the runtime's checkpoint is safe beside queries.
         async with self._write_gate:
             lsn = await loop.run_in_executor(
                 self._pool, self.runtime.checkpoint, path)

@@ -9,7 +9,7 @@ where a request meets the defaults:
 
 - :class:`RuntimeConfig` — the execution defaults of a process
   (deadline, policy, ``max_batch_rows``, shard workers, micro-batch
-  window), with :meth:`RuntimeConfig.from_args` as the one CLI
+  size cap, admission depth), with :meth:`RuntimeConfig.from_args` as the one CLI
   argument-resolution seam shared by ``query``/``serve``;
 - :class:`QueryRequest` / :class:`QueryResponse` — what one caller
   asked for and what it got back;
@@ -92,11 +92,10 @@ class RuntimeConfig:
         When positive, :class:`IndexRuntime` keeps this many threads and
         the executor runs the ``max_batch_rows`` shards of a request on
         them (a batch ``max_batch_rows`` does not split runs inline).
-    batch_window_ms / batch_max_rows:
-        Micro-batching coalescing window for the serving layer: a
-        leader request waits up to ``batch_window_ms`` for companions,
-        and a merged batch is dispatched early once it holds
-        ``batch_max_rows`` query rows.
+    batch_max_rows:
+        Cap on the query rows of one merged batch in the serving layer
+        (:class:`repro.runtime.batching.MicroBatcher`): requests queued
+        beyond it run in the following batch.
     max_queue_depth:
         Admission bound for the serving layer: requests arriving while
         this many are already queued or executing are shed (flagged,
@@ -109,7 +108,6 @@ class RuntimeConfig:
     policy: Optional[ResiliencePolicy] = None
     max_batch_rows: Optional[int] = None
     shard_workers: int = 0
-    batch_window_ms: float = 2.0
     batch_max_rows: int = 256
     max_queue_depth: int = 64
 
@@ -124,9 +122,6 @@ class RuntimeConfig:
         if self.shard_workers < 0:
             raise ValueError(
                 f"shard_workers must be >= 0, got {self.shard_workers}")
-        if not self.batch_window_ms >= 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}")
         if self.batch_max_rows <= 0:
             raise ValueError(
                 f"batch_max_rows must be positive, got {self.batch_max_rows}")
@@ -156,7 +151,6 @@ class RuntimeConfig:
             policy=policy,
             max_batch_rows=getattr(args, "max_batch_rows", None),
             shard_workers=int(getattr(args, "shard_workers", 0) or 0),
-            batch_window_ms=float(getattr(args, "batch_window_ms", 2.0)),
             batch_max_rows=int(getattr(args, "batch_max_rows", 256)),
             max_queue_depth=int(getattr(args, "max_queue_depth", 64)),
         )
@@ -171,7 +165,7 @@ class QueryRequest:
     that, the front-end's default) — :meth:`IndexRuntime.resolve` fills
     them in.  ``deadline`` holds an already materialized absolute
     expiry: resolving stamps one from ``deadline_ms`` at the door, so
-    queue wait and the batch window count against the budget.
+    the admission and batch queue waits count against the budget.
     """
 
     queries: np.ndarray
@@ -392,7 +386,7 @@ class IndexRuntime:
         ``None``, the front-end's own default), and a ``deadline_ms``
         budget — the request's or the session's — becomes an absolute
         :class:`Deadline` started now.  Call it where the request
-        arrives (the HTTP door does, so admission and the batch window
+        arrives (the HTTP door does, so admission and the batch queue
         count against the budget; :meth:`submit` does for a direct
         caller): :func:`~repro.runtime.batching.merge_key` and the solo
         rule then read what will run.  Idempotent: a resolved request

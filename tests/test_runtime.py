@@ -12,17 +12,23 @@ Four areas:
   the shard thread pool;
 - :class:`MicroBatcher` correctness: merged batches must be
   **bit-identical** to solo execution across engines, policies and
-  deadline modes, with hierarchy-sensitive requests executed solo;
+  deadline modes, with hierarchy-sensitive requests executed solo; and
+  its single-flight turn order: never two executes at once, queued
+  requests merging into the next batch, FIFO turns across keys, the
+  row cap, and writes taking turns of their own;
 - serving concurrency (``concurrency`` marker): queries riding merged
   batches while a WAL-attached writer inserts/deletes, with zero wrong
   answers, and ``checkpoint()`` during serving never dropping an
-  acknowledged record.
+  acknowledged record; the HTTP server's error mapping and its
+  persistent connections.
 """
 
 import argparse
 import asyncio
 import json
+import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -89,7 +95,7 @@ class TestRuntimeConfig:
     def test_defaults(self):
         cfg = RuntimeConfig()
         assert cfg.shard_workers == 0
-        assert cfg.batch_window_ms == 2.0
+        assert cfg.batch_max_rows == 256
         assert cfg.max_queue_depth == 64
 
     def test_unknown_engine_rejected(self):
@@ -103,7 +109,6 @@ class TestRuntimeConfig:
         {"deadline_ms": -5.0},
         {"max_batch_rows": 0},
         {"shard_workers": -1},
-        {"batch_window_ms": -0.1},
         {"batch_max_rows": 0},
         {"max_queue_depth": 0},
     ])
@@ -115,14 +120,13 @@ class TestRuntimeConfig:
         args = argparse.Namespace(
             engine="vectorized", deadline_ms=25.0, resilient=True,
             max_batch_rows=128, shard_workers=2, hierarchy_threshold=40,
-            batch_window_ms=1.5, batch_max_rows=64, max_queue_depth=8)
+            batch_max_rows=64, max_queue_depth=8)
         cfg = RuntimeConfig.from_args(args)
         assert cfg.deadline_ms == 25.0
         assert isinstance(cfg.policy, ResiliencePolicy)
         assert cfg.max_batch_rows == 128
         assert cfg.shard_workers == 2
         assert cfg.hierarchy_threshold == 40
-        assert cfg.batch_window_ms == 1.5
         assert cfg.batch_max_rows == 64
         assert cfg.max_queue_depth == 8
 
@@ -459,6 +463,89 @@ def _submit_concurrently(batcher, requests):
     return responses
 
 
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def _queued(batcher):
+    with batcher._cond:
+        return sum(len(queue) for queue in batcher._queues.values())
+
+
+class _Held:
+    """Keeps ``batcher`` busy executing ``holder`` until :meth:`release`:
+    what is sent meanwhile queues, and then runs as the batches the
+    batcher forms from the queue — how load merges requests, without
+    timing.  The holder's answer is dropped."""
+
+    def __init__(self, batcher, holder):
+        inner = batcher._execute
+        self._gate = threading.Event()
+
+        def held(request):
+            batcher._execute = inner  # only the holder's batch waits
+            assert self._gate.wait(60)
+            return inner(request)
+
+        batcher._execute = held
+        self._batcher = batcher
+        self._threads = [threading.Thread(target=batcher.submit,
+                                          args=(holder,))]
+        self._threads[0].start()
+        _wait_until(lambda: batcher._execute is inner)
+        self.answers = []
+        self.errors = []
+
+    def send(self, item):
+        """Queue ``item``: a request, or a callable for ``run_in_turn``."""
+        i = len(self.answers)
+        self.answers.append(None)
+
+        def run():
+            try:
+                self.answers[i] = (self._batcher.run_in_turn(item)
+                                   if callable(item)
+                                   else self._batcher.submit(item))
+            except BaseException as exc:  # noqa: BLE001 - surfaced by caller
+                self.errors.append(exc)
+
+        self._threads.append(threading.Thread(target=run))
+        self._threads[-1].start()
+        _wait_until(lambda: _queued(self._batcher) == i + 1)
+
+    def release(self):
+        """Let the holder finish; the answers, in the order sent."""
+        self._gate.set()
+        for t in self._threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        return self.answers
+
+
+def _submit_queued(batcher, requests, holder=None):
+    """Queue ``requests`` in order behind a held ``holder`` request
+    (default: ``requests[0]``), then release it (see :class:`_Held`).
+    Returns the answers in request order."""
+    held = _Held(batcher, requests[0] if holder is None else holder)
+    for item in requests:
+        held.send(item)
+    answers = held.release()
+    assert not held.errors, held.errors
+    assert all(a is not None for a in answers)
+    return answers
+
+
+def _recording(execute, log):
+    """``execute`` that appends each executed batch's request to ``log``."""
+    def run(request):
+        log.append(request)
+        return execute(request)
+    return run
+
+
 @pytest.mark.concurrency
 class TestMicroBatcher:
     # The split-back answers against the same request run solo, bit for
@@ -477,9 +564,8 @@ class TestMicroBatcher:
             QueryRequest(queries=queries[i:i + 3], k=5, policy=policy)
             for i in range(0, 12, 3)
         ]
-        with MicroBatcher(runtime.submit, window_ms=200.0,
-                          max_rows=256) as batcher:
-            responses = _submit_concurrently(batcher, requests)
+        with MicroBatcher(runtime.submit, max_rows=256) as batcher:
+            responses = _submit_queued(batcher, requests)
         merged_batches, merged_requests = batcher.merge_counts
         assert merged_requests >= 2  # coalescing actually happened
         for request, response in zip(requests, responses):
@@ -503,9 +589,8 @@ class TestMicroBatcher:
             QueryRequest(queries=queries[i:i + 2], k=5, deadline_ms=30_000.0)
             for i in range(0, 8, 2)
         ]
-        with MicroBatcher(runtime.submit, window_ms=200.0,
-                          max_rows=256) as batcher:
-            responses = _submit_concurrently(batcher, requests)
+        with MicroBatcher(runtime.submit, max_rows=256) as batcher:
+            responses = _submit_queued(batcher, requests)
         for request, response in zip(requests, responses):
             # A solo run with a deadline materializes exhausted_budget;
             # the split must too (all-False under a generous budget).
@@ -531,8 +616,7 @@ class TestMicroBatcher:
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
         runtime = IndexRuntime(index, RuntimeConfig(
-            deadline_ms=60_000.0, hierarchy_threshold=50,
-            batch_window_ms=500.0))
+            deadline_ms=60_000.0, hierarchy_threshold=50))
         server = RuntimeServer(runtime)  # never started: door + batcher
         try:
             if door == "http":
@@ -550,7 +634,7 @@ class TestMicroBatcher:
             # The budget clock started at the door, not after the window.
             assert all(isinstance(r.deadline, Deadline) for r in requests)
             assert not server._needs_solo(requests[0])
-            responses = _submit_concurrently(server.batcher, requests)
+            responses = _submit_queued(server.batcher, requests)
         finally:
             server.close()
         for i, response in enumerate(responses):
@@ -575,7 +659,7 @@ class TestMicroBatcher:
                                 rng.standard_normal((4000, DIM)))
         rows = rng.standard_normal((43, DIM))
         runtime = IndexRuntime(index, RuntimeConfig(
-            hierarchy_threshold=50, batch_window_ms=500.0))
+            hierarchy_threshold=50))
         server = RuntimeServer(runtime)  # never started: door + batcher
         try:
             requests = [server._build_request(
@@ -586,7 +670,7 @@ class TestMicroBatcher:
             # Inheriting (or spelling) the session's integer still merges.
             assert not server._needs_solo(server._build_request(
                 {"queries": rows[:1].tolist(), "k": 5}))
-            responses = _submit_concurrently(server.batcher, requests)
+            responses = _submit_queued(server.batcher, requests)
         finally:
             server.close()
         for part, response in zip((rows[:3], rows[3:]), responses):
@@ -615,7 +699,7 @@ class TestMicroBatcher:
             solo = runtime.submit(request)
             assert solo.stats.exhausted_budget is not None
             assert solo.stats.exhausted_budget.all()
-        with MicroBatcher(runtime.submit, window_ms=200.0) as batcher:
+        with MicroBatcher(runtime.submit) as batcher:
             responses = _submit_concurrently(
                 batcher, [runtime.resolve(r) for r in requests])
         for response in responses:
@@ -629,7 +713,7 @@ class TestMicroBatcher:
         while not expired.expired():
             pass
         request = QueryRequest(queries=queries[:2], k=5, deadline=expired)
-        with MicroBatcher(runtime.submit, window_ms=50.0) as batcher:
+        with MicroBatcher(runtime.submit) as batcher:
             response = batcher.submit(request)
         assert response.shed is True
         assert (response.ids == -1).all()
@@ -642,10 +726,9 @@ class TestMicroBatcher:
         assert runtime.hierarchy_sensitive
         requests = [QueryRequest(queries=queries[i:i + 2], k=3)
                     for i in range(0, 8, 2)]
-        with MicroBatcher(runtime.submit, window_ms=100.0,
-                          solo_fn=lambda r: runtime.hierarchy_sensitive,
+        with MicroBatcher(runtime.submit, solo_fn=lambda r: runtime.hierarchy_sensitive,
                           ) as batcher:
-            responses = _submit_concurrently(batcher, requests)
+            responses = _submit_queued(batcher, requests)
         assert batcher.merge_counts == (0, 0)  # nothing merged
         for request, response in zip(requests, responses):
             _assert_response_equals_tuple(
@@ -661,8 +744,8 @@ class TestMicroBatcher:
                          hierarchy_threshold=32)
             for i in range(0, 8, 2)
         ]
-        with MicroBatcher(runtime.submit, window_ms=200.0) as batcher:
-            responses = _submit_concurrently(batcher, requests)
+        with MicroBatcher(runtime.submit) as batcher:
+            responses = _submit_queued(batcher, requests)
         assert batcher.merge_counts[1] >= 2
         for request, response in zip(requests, responses):
             _assert_response_equals_tuple(
@@ -678,8 +761,8 @@ class TestMicroBatcher:
         near = QueryRequest(queries=queries[:2], k=5, deadline_ms=40.0)
         generous = QueryRequest(queries=queries[2:4], k=5,
                                 deadline_ms=30_000.0)
-        with MicroBatcher(runtime.submit, window_ms=100.0) as batcher:
-            responses = _submit_concurrently(batcher, [near, generous])
+        with MicroBatcher(runtime.submit) as batcher:
+            responses = _submit_queued(batcher, [near, generous])
         assert batcher.merge_counts == (0, 0)  # two solo leaders
         gen_response = responses[1]
         assert gen_response.stats.exhausted_budget is not None
@@ -693,60 +776,261 @@ class TestMicroBatcher:
         runtime = IndexRuntime(standard_index)
         requests = [QueryRequest(queries=queries[i:i + 2], k=3 + i)
                     for i in range(4)]
-        with MicroBatcher(runtime.submit, window_ms=100.0) as batcher:
-            responses = _submit_concurrently(batcher, requests)
+        with MicroBatcher(runtime.submit) as batcher:
+            responses = _submit_queued(batcher, requests)
         for request, response in zip(requests, responses):
             assert response.ids.shape == (2, request.k)
             _assert_response_equals_tuple(
                 response, runtime.submit(request).as_tuple())
 
-    def test_zero_window_runs_everything_solo(self, standard_index, queries):
+    def test_never_two_executes_at_once(self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
-        with MicroBatcher(runtime.submit, window_ms=0.0) as batcher:
-            response = batcher.submit(QueryRequest(queries=queries, k=5))
-        assert response.batched == 1
-        assert batcher.merge_counts == (0, 0)
+        running, peak, mutex = [0], [0], threading.Lock()
 
-    def test_max_rows_dispatches_early(self, standard_index, queries):
+        def counting(request):
+            with mutex:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                return runtime.submit(request)
+            finally:
+                with mutex:
+                    running[0] -= 1
+
+        responses = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MicroBatcher(counting, max_rows=8) as batcher:
+                def client(t):
+                    for i in range(t, 200, 16):
+                        row = i % len(queries)
+                        responses[i] = batcher.submit(QueryRequest(
+                            queries=queries[row:row + 1], k=5))
+
+                threads = [threading.Thread(target=client, args=(t,))
+                           for t in range(16)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert peak[0] == 1
+        assert sorted(responses) == list(range(200))
+        for i, response in responses.items():
+            row = i % len(queries)
+            _assert_response_equals_tuple(response, runtime.submit(
+                QueryRequest(queries=queries[row:row + 1], k=5)).as_tuple())
+
+    def test_queued_requests_run_as_one_next_batch(self, standard_index,
+                                                   queries):
         runtime = IndexRuntime(standard_index)
-        # Window long enough that only the row cap can release the batch
-        # quickly; 4 requests x 3 rows reach max_rows=12 at once.
-        requests = [QueryRequest(queries=queries[i:i + 3], k=5)
-                    for i in range(0, 12, 3)]
-        with MicroBatcher(runtime.submit, window_ms=10_000.0,
-                          max_rows=12) as batcher:
-            responses = _submit_concurrently(batcher, requests)
-        assert batcher.merge_counts[1] == 4
+        log = []
+        requests = [QueryRequest(queries=queries[i:i + 1], k=5)
+                    for i in range(6)]
+        with MicroBatcher(_recording(runtime.submit, log)) as batcher:
+            responses = _submit_queued(batcher, requests)
+        # The held holder, then all six queued requests as one batch.
+        assert [r.n_rows() for r in log] == [1, 6]
+        assert batcher.merge_counts == (1, 6)
+        for request, response in zip(requests, responses):
+            assert response.batched == 6
+            _assert_response_equals_tuple(
+                response, runtime.submit(request).as_tuple())
+
+    def test_turns_follow_the_oldest_request_of_each_key(self,
+                                                         standard_index,
+                                                         queries):
+        runtime = IndexRuntime(standard_index)
+        log = []
+        ks = [3, 4, 3, 5, 4, 3]
+        requests = [QueryRequest(queries=queries[i:i + 1], k=k)
+                    for i, k in enumerate(ks)]
+        with MicroBatcher(_recording(runtime.submit, log)) as batcher:
+            responses = _submit_queued(
+                batcher, requests,
+                holder=QueryRequest(queries=queries[:1], k=9))
+        # k=3 queued first, then k=4, then k=5: each key's requests merge
+        # and the keys take their turns in that order.
+        assert [(r.k, r.n_rows()) for r in log] == [
+            (9, 1), (3, 3), (4, 2), (5, 1)]
         for request, response in zip(requests, responses):
             _assert_response_equals_tuple(
                 response, runtime.submit(request).as_tuple())
 
-    def test_executor_error_propagates_to_all_members(self, queries):
-        def explode(request):
-            raise RuntimeError("executor down")
+    def test_max_rows_caps_a_batch_and_the_remainder_runs_next(
+            self, standard_index, queries):
+        runtime = IndexRuntime(standard_index)
+        log = []
+        requests = ([QueryRequest(queries=queries[i:i + 3], k=5)
+                     for i in range(0, 15, 3)]
+                    + [QueryRequest(queries=queries[:2], k=6),
+                       QueryRequest(queries=queries[:10], k=5)])
+        with MicroBatcher(_recording(runtime.submit, log),
+                          max_rows=7) as batcher:
+            responses = _submit_queued(
+                batcher, requests,
+                holder=QueryRequest(queries=queries[:1], k=9))
+        # k=5 holds 5 x 3 rows, then 10 rows: 6 + 6 under the cap, the
+        # remainder (3 rows, older than k=6) goes next, k=6 then comes
+        # before the 10-row request, which, larger than the cap, runs
+        # alone.
+        assert [(r.k, r.n_rows()) for r in log] == [
+            (9, 1), (5, 6), (5, 6), (5, 3), (6, 2), (5, 10)]
+        for request, response in zip(requests, responses):
+            _assert_response_equals_tuple(
+                response, runtime.submit(request).as_tuple())
 
-        with MicroBatcher(explode, window_ms=100.0) as batcher:
-            barrier = threading.Barrier(3)
-            errors = []
+    def test_a_key_over_the_cap_does_not_keep_the_turn(self, standard_index,
+                                                       queries):
+        runtime = IndexRuntime(standard_index)
+        log = []
 
-            def run(i):
-                barrier.wait()
-                try:
-                    batcher.submit(QueryRequest(queries=queries[i:i + 1], k=3))
-                except RuntimeError as exc:
-                    errors.append(str(exc))
+        def write():
+            log.append("write")
+            return "written"
 
-            threads = [threading.Thread(target=run, args=(i,))
-                       for i in range(3)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        assert errors == ["executor down"] * 3
+        requests = [QueryRequest(queries=queries[0:2], k=5),
+                    QueryRequest(queries=queries[2:4], k=5),
+                    QueryRequest(queries=queries[4:5], k=6), write,
+                    QueryRequest(queries=queries[5:7], k=5),
+                    QueryRequest(queries=queries[7:9], k=5)]
+        with MicroBatcher(_recording(runtime.submit, log),
+                          max_rows=2) as batcher:
+            answers = _submit_queued(
+                batcher, requests,
+                holder=QueryRequest(queries=queries[:1], k=9))
+        # k=5 always has more rows waiting than the cap; once its requests
+        # older than the k=6 read and the write have run, those two go
+        # before the k=5 requests that arrived after them.
+        assert [e if e == "write" else (e.k, e.n_rows()) for e in log] == [
+            (9, 1), (5, 2), (5, 2), (6, 1), "write", (5, 2), (5, 2)]
+        assert answers[3] == "written"
+        for request, response in zip(requests, answers):
+            if not callable(request):
+                _assert_response_equals_tuple(
+                    response, runtime.submit(request).as_tuple())
+
+    def test_equal_budgets_arriving_apart_do_not_share_a_batch(
+            self, base_data, queries):
+        # The same session budget, arriving 300 ms apart: one proximity
+        # bucket at arrival, expiries far apart.  By the time the queue
+        # runs the older read's budget is spent; merged, the newer read
+        # would run under that expiry and come back exhausted.  Solo it
+        # has budget left.  (A hierarchy checks its deadline between
+        # escalation rounds, so a spent budget shows.)
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                            hierarchy=True, seed=5).fit(base_data)
+        runtime = IndexRuntime(index, RuntimeConfig(
+            deadline_ms=600.0, hierarchy_threshold=50))
+        log = []
+        with MicroBatcher(_recording(runtime.submit, log)) as batcher:
+            held = _Held(batcher, QueryRequest(queries=queries[:1], k=9))
+            requests = [runtime.resolve(QueryRequest(queries=queries[:2],
+                                                     k=5))]
+            held.send(requests[0])
+            time.sleep(0.3)
+            requests.append(runtime.resolve(
+                QueryRequest(queries=queries[2:4], k=5)))
+            held.send(requests[1])
+            assert len(batcher._queues) == 1  # both keyed alike
+            while not requests[0].deadline.expired():
+                time.sleep(0.005)
+            older, newer = held.release()
+        assert not held.errors, held.errors
+        assert [r.n_rows() for r in log] == [1, 2, 2]
+        assert older.stats.exhausted_budget.all()
+        solo = runtime.submit(QueryRequest(queries=queries[2:4], k=5))
+        assert not solo.stats.exhausted_budget.any()
+        _assert_response_equals_tuple(newer, solo.as_tuple())
+
+    def test_write_takes_a_turn_of_its_own(self, standard_index, queries):
+        runtime = IndexRuntime(standard_index)
+        log = []
+
+        def write():
+            log.append("write")
+            return "written"
+
+        requests = [QueryRequest(queries=queries[:1], k=5), write,
+                    QueryRequest(queries=queries[1:2], k=6),
+                    QueryRequest(queries=queries[2:3], k=5)]
+        with MicroBatcher(_recording(runtime.submit, log)) as batcher:
+            answers = _submit_queued(
+                batcher, requests,
+                holder=QueryRequest(queries=queries[:1], k=9))
+        # The write waits for the running batch, runs alone in its
+        # arrival turn, and the reads queued after it wait for it.
+        assert [e if e == "write" else (e.k, e.n_rows()) for e in log] == [
+            (9, 1), (5, 2), "write", (6, 1)]
+        assert answers[1] == "written"
+        assert batcher.merge_counts == (1, 2)
+
+    def test_median_request_takes_its_turn_and_never_merges(self, queries):
+        from repro.runtime.server import RuntimeServer
+
+        rng = np.random.default_rng(30)
+        index = StandardLSH(n_tables=4, bucket_width=8.0, lattice="e8",
+                            hierarchy=True, seed=5).fit(
+                                rng.standard_normal((3000, DIM)))
+        rows = rng.standard_normal((12, DIM))
+        runtime = IndexRuntime(index, RuntimeConfig(hierarchy_threshold=40))
+        server = RuntimeServer(runtime)  # never started: door + batcher
+        log = []
+        server.batcher._execute = _recording(runtime.submit, log)
+        try:
+            spelled = [{"queries": rows[i:i + 3].tolist(), "k": 5}
+                       for i in range(0, 12, 3)]
+            spelled[1]["hierarchy_threshold"] = "median"
+            spelled[3]["hierarchy_threshold"] = "median"
+            requests = [server._build_request(p) for p in spelled]
+            responses = _submit_queued(
+                server.batcher, requests,
+                holder=server._build_request(
+                    {"queries": rows[:1].tolist(), "k": 2}))
+        finally:
+            server.close()
+        # Integer-threshold reads merge under the first one's turn; each
+        # "median" read runs alone, in its own arrival order.
+        assert [(r.hierarchy_threshold, r.n_rows()) for r in log] == [
+            (40, 1), (40, 6), ("median", 3), ("median", 3)]
+        for i in (1, 3):
+            assert responses[i].batched == 1
+            _assert_response_equals_tuple(responses[i], index.query_batch(
+                rows[3 * i:3 * i + 3], 5, hierarchy_threshold="median"))
+        for i in (0, 2):
+            assert responses[i].batched == 2
+            _assert_response_equals_tuple(responses[i], index.query_batch(
+                rows[3 * i:3 * i + 3], 5, hierarchy_threshold=40))
+
+    def test_executor_error_propagates_to_all_members(self, standard_index,
+                                                      queries):
+        runtime = IndexRuntime(standard_index)
+        rows = []
+
+        def execute(request):
+            rows.append(request.n_rows())
+            if request.n_rows() > 1:
+                raise RuntimeError("executor down")
+            return runtime.submit(request)
+
+        with MicroBatcher(execute) as batcher:
+            held = _Held(batcher, QueryRequest(queries=queries[:1], k=3))
+            for i in range(3):
+                held.send(QueryRequest(queries=queries[i:i + 1], k=3))
+            answers = held.release()
+        # The three queued requests ran as one batch; its error reached
+        # every member.
+        assert rows == [1, 3]
+        assert [str(e) for e in held.errors] == ["executor down"] * 3
+        assert answers == [None] * 3
+        assert batcher.merge_counts == (0, 0)
 
     def test_closed_batcher_refuses_work(self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
-        batcher = MicroBatcher(runtime.submit, window_ms=50.0)
+        batcher = MicroBatcher(runtime.submit)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit(QueryRequest(queries=queries, k=3))
@@ -805,8 +1089,7 @@ class TestServingWithLiveWrites:
                 with collect_mutex:
                     collected.append((rows, response))
 
-        with MicroBatcher(runtime.submit, window_ms=2.0,
-                          max_rows=64) as batcher:
+        with MicroBatcher(runtime.submit, max_rows=64) as batcher:
             threads = [threading.Thread(target=reader, args=(i,))
                        for i in range(self.N_READERS)]
             wthread = threading.Thread(target=writer)
@@ -918,7 +1201,7 @@ class TestRuntimeServerErrors:
                 body = json.dumps(
                     {"queries": [[0.0] * DIM], "k": 3}).encode("utf-8")
                 writer.write(
-                    b"POST /query HTTP/1.1\r\n"
+                    b"POST /query HTTP/1.1\r\nConnection: close\r\n"
                     b"Content-Length: " + str(len(body)).encode() +
                     b"\r\n\r\n" + body)
                 await writer.drain()
@@ -957,8 +1240,9 @@ class TestRuntimeServerErrors:
                 server.host, server.port)
             body = json.dumps(payload).encode("utf-8")
             writer.write(
-                b"POST " + path + b" HTTP/1.1\r\nContent-Length: " +
-                str(len(body)).encode() + b"\r\n\r\n" + body)
+                b"POST " + path + b" HTTP/1.1\r\nConnection: close\r\n"
+                b"Content-Length: " + str(len(body)).encode() +
+                b"\r\n\r\n" + body)
             await writer.drain()
             raw = await asyncio.wait_for(reader.read(), timeout=30)
             writer.close()
@@ -1005,8 +1289,9 @@ class TestRuntimeServerErrors:
                 server.host, server.port)
             body = b"" if payload is None else json.dumps(payload).encode()
             writer.write(
-                method + b" " + path + b" HTTP/1.1\r\nContent-Length: " +
-                str(len(body)).encode() + b"\r\n\r\n" + body)
+                method + b" " + path + b" HTTP/1.1\r\nConnection: close\r\n"
+                b"Content-Length: " + str(len(body)).encode() +
+                b"\r\n\r\n" + body)
             await writer.drain()
             raw = await asyncio.wait_for(reader.read(), timeout=30)
             writer.close()
@@ -1040,6 +1325,182 @@ class TestRuntimeServerErrors:
         assert answered[0] == 200 and len(answered[1]["ids"][0]) == 3
         assert refused[0] == 400
         assert "oracle_query_batch" in refused[1]["error"]
+
+
+async def _exchange(reader, writer, head, payload=None, length=None):
+    """Send one request (``head`` is its request line plus any headers;
+    ``length`` overrides the Content-Length value) and read exactly one
+    response, framed by its Content-Length."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    if length is None:
+        length = str(len(body)).encode()
+    writer.write(head + b"\r\nContent-Length: " + length
+                 + b"\r\n\r\n" + body)
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 30)
+    lines = raw.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        if name:
+            headers[name.strip().lower()] = value.strip()
+    data = await asyncio.wait_for(
+        reader.readexactly(int(headers["content-length"])), 30)
+    return int(lines[0].split()[1]), headers, json.loads(data)
+
+
+@pytest.mark.concurrency
+class TestServerConnections:
+    """HTTP/1.1 persistent connections on ``RuntimeServer``."""
+
+    def _serve(self, runtime, client):
+        """Run ``client(server)`` against a started server; its result."""
+        from repro.runtime.server import RuntimeServer
+
+        server = RuntimeServer(runtime)
+
+        async def drive():
+            await server.start()
+            try:
+                return await client(server)
+            finally:
+                await server.stop()
+
+        return asyncio.run(drive())
+
+    def test_one_socket_carries_three_queries(self, standard_index,
+                                              queries):
+        async def client(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            answers = [await _exchange(
+                reader, writer, b"POST /query HTTP/1.1",
+                {"queries": [queries[i].tolist()], "k": 5})
+                for i in range(3)]
+            writer.close()
+            return answers
+
+        from repro.runtime.server import serialize_response
+
+        with IndexRuntime(standard_index) as runtime:
+            answers = self._serve(runtime, client)
+            for i, (status, headers, body) in enumerate(answers):
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+                assert body == serialize_response(runtime.submit(
+                    QueryRequest(queries=queries[i:i + 1], k=5)))
+
+    @pytest.mark.parametrize("head", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close",
+        b"GET /healthz HTTP/1.0",
+    ], ids=["connection-close", "http-1.0"])
+    def test_close_is_answered_then_eof(self, standard_index, head):
+        async def client(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            answer = await _exchange(reader, writer, head)
+            rest = await asyncio.wait_for(reader.read(), 30)
+            writer.close()
+            return answer, rest
+
+        with IndexRuntime(standard_index) as runtime:
+            (status, headers, body), rest = self._serve(runtime, client)
+        assert (status, body) == (200, {"ok": True})
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+    @pytest.mark.parametrize("head,length,why", [
+        (b"NONSENSE", None, "malformed request line"),
+        (b"GET /healthz HTTP/1.1", b"-3", "bad Content-Length"),
+    ], ids=["request-line", "content-length"])
+    def test_unframeable_request_gets_400_and_close(self, standard_index,
+                                                    head, length, why):
+        async def client(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            answer = await _exchange(reader, writer, head, length=length)
+            rest = await asyncio.wait_for(reader.read(), 30)
+            writer.close()
+            return answer, rest
+
+        with IndexRuntime(standard_index) as runtime:
+            (status, headers, body), rest = self._serve(runtime, client)
+        assert status == 400 and why in body["error"]
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+    def test_stop_returns_with_an_idle_connection_open(self,
+                                                       standard_index):
+        from repro.runtime.server import RuntimeServer
+
+        runtime = IndexRuntime(standard_index)
+        server = RuntimeServer(runtime)
+
+        async def drive():
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            status, headers, _ = await _exchange(
+                reader, writer, b"GET /healthz HTTP/1.1")
+            assert headers["connection"] == "keep-alive"
+            await asyncio.sleep(0.05)  # idle: the server awaits a request
+            began = time.monotonic()
+            await asyncio.wait_for(server.stop(), 5)
+            took = time.monotonic() - began
+            rest = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            return status, took, rest
+
+        try:
+            status, took, rest = asyncio.run(drive())
+        finally:
+            runtime.close()
+        assert status == 200 and took < 5
+        assert rest == b""  # the server closed the idle connection
+
+    def test_stop_lets_a_busy_connection_answer(self, standard_index,
+                                                queries):
+        from repro.runtime.server import RuntimeServer, serialize_response
+
+        runtime = IndexRuntime(standard_index)
+        server = RuntimeServer(runtime)
+        executing, release = threading.Event(), threading.Event()
+
+        def held(request):
+            executing.set()
+            assert release.wait(30)
+            return runtime.submit(request)
+
+        server.batcher._execute = held
+
+        async def drive():
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            exchange = asyncio.ensure_future(_exchange(
+                reader, writer, b"POST /query HTTP/1.1",
+                {"queries": [queries[0].tolist()], "k": 5}))
+            while not executing.is_set():
+                await asyncio.sleep(0.001)
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0.05)  # stop() has closed the idle ones
+            release.set()
+            answer = await exchange
+            rest = await asyncio.wait_for(reader.read(), 5)
+            await asyncio.wait_for(stopping, 5)
+            writer.close()
+            return answer, rest
+
+        try:
+            (status, headers, body), rest = asyncio.run(drive())
+            solo = runtime.submit(QueryRequest(queries=queries[:1], k=5))
+        finally:
+            runtime.close()
+        # The read running when stop() began still gets its answer, as
+        # the connection's last.
+        assert status == 200 and headers["connection"] == "close"
+        assert body == serialize_response(solo)
+        assert rest == b""
 
 
 @pytest.mark.concurrency
