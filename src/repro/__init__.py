@@ -8,8 +8,8 @@ A complete, self-contained reproduction of Pan & Manocha (ICDE 2012):
 - :class:`StandardLSH` — the single-level baseline family;
 - :mod:`repro.evaluation` — the recall / error-ratio / selectivity metrics
   and the variance-decomposition experiment harness;
-- :mod:`repro.gpu` — the simulated-GPU pipelines behind the paper's
-  acceleration study;
+- :mod:`repro.gpu` — the paper's GPU acceleration study (Fig. 4) as a cost
+  model over the candidate counts of one real ``query_batch``;
 - :mod:`repro.datasets` — synthetic GIST-like datasets standing in for
   LabelMe and Tiny Images.
 

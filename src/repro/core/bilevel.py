@@ -10,8 +10,7 @@ RowStore`, never a copy.  A batch is routed (to each row's group, or its
 ``multi_assign`` most plausible ones), hashed per group, gathered by one
 ``bucket_union`` over all G·L group tables, escalated per group and
 ranked by one ``rank_topk`` against the one matrix: the stages of
-:class:`~repro.lsh.index._LSHPlan` with a route stage in front.  The
-:mod:`repro.gpu` module models the same single-table form on a device.
+:class:`~repro.lsh.index._LSHPlan` with a route stage in front.
 """
 
 from __future__ import annotations
@@ -384,8 +383,8 @@ class BiLevelLSH:
     def bilevel_codes(self, data: np.ndarray) -> np.ndarray:
         """The explicit Bi-level codes ``(group, H(v))`` for table 0.
 
-        Exposed mainly for the GPU single-table layout and for tests; shape
-        is ``(n, 1 + code_dim)`` with the group index in column 0.
+        The single-table key of Section V-A, exposed for tests; shape is
+        ``(n, 1 + code_dim)`` with the group index in column 0.
         """
         self._check_fitted()
         data = as_float_matrix(data)

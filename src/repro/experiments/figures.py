@@ -90,7 +90,7 @@ def fig04(scale: Optional[Scale] = None,
     mirroring the paper's "training 100,000 / testing 100,000 / K=500 /
     L=10 / M=8 / change W" protocol at reduced scale.
     """
-    from repro.gpu.pipeline import MODES, GPUPipeline
+    from repro.gpu.pipeline import MODES, price_query_batch
     from repro.lsh.index import StandardLSH
 
     scale = scale if scale is not None else Scale()
@@ -103,12 +103,9 @@ def fig04(scale: Optional[Scale] = None,
     for width in workload.absolute_widths():
         index = StandardLSH(n_hashes=scale.n_hashes, n_tables=scale.n_tables,
                             bucket_width=width, seed=scale.seed).fit(workload.train)
-        pipe = GPUPipeline(index)
-        codes = index._lattice.quantize(index._families[0].project(workload.train))
-        pipe.build_table(codes, seed=scale.seed)
-        sets = index.candidate_sets(workload.queries)
-        mean_cands = float(np.mean([s.size for s in sets]))
-        timings = pipe.compare_modes(workload.train, workload.queries, scale.k)
+        (_, _, stats), timings = price_query_batch(index, workload.queries,
+                                                   scale.k)
+        mean_cands = float(np.mean(stats.n_candidates))
         line = f"{width:>8.3g} {mean_cands:>12.1f} "
         for mode in MODES:
             t = timings[mode].total_seconds

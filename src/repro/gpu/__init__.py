@@ -1,49 +1,14 @@
-"""Simulated-GPU substrate for the parallel Bi-level LSH of Section V.
+"""Simulated-GPU clock for the parallel Bi-level LSH of Section V.
 
-The paper's GPU results (Fig. 4) compare three pipelines on an NVIDIA GTX
-480: a serial CPU implementation (LSHKIT), a hybrid with a GPU cuckoo-hash
-table but CPU short-list search, and a full GPU pipeline with parallel
-short-list search.  No GPU is available in this environment, so this
-package implements the *algorithms* for real — cuckoo hashing, parallel
-scan/compact/clustered-sort, the per-thread and work-queue short-list
-searches — while the *clock* is a calibrated cost model
-(:class:`~repro.gpu.device.DeviceModel`) charging cycles for memory
-traffic, arithmetic and warp divergence.  All three short-list variants
-return identical neighbor results; only their simulated timings differ,
-which is exactly the comparison Fig. 4 makes.
+No GPU is available, so Fig. 4 is a model over real work counts: one real
+``query_batch`` answers, and :func:`~repro.gpu.pipeline.price_counts`
+charges its per-query candidate counts to the cost models of
+:mod:`repro.gpu.device` under the paper's four pipelines.
 """
 
-from repro.gpu.device import CPUModel, DeviceModel, ExecutionTimer
-from repro.gpu.cuckoo import CuckooHashTable
-from repro.gpu.primitives import (
-    clustered_sort,
-    compact,
-    exclusive_scan,
-    radix_sort_pairs,
-    segmented_take_first_k,
-)
-from repro.gpu.shortlist import (
-    ShortListResult,
-    per_thread_shortlist,
-    serial_shortlist,
-    work_queue_shortlist,
-)
-from repro.gpu.pipeline import GPUPipeline, PipelineTiming
+from repro.gpu.device import CPUModel, DeviceModel
+from repro.gpu.pipeline import (MODES, PipelineTiming, price_counts,
+                                price_query_batch)
 
-__all__ = [
-    "CPUModel",
-    "DeviceModel",
-    "ExecutionTimer",
-    "CuckooHashTable",
-    "clustered_sort",
-    "compact",
-    "exclusive_scan",
-    "radix_sort_pairs",
-    "segmented_take_first_k",
-    "ShortListResult",
-    "per_thread_shortlist",
-    "serial_shortlist",
-    "work_queue_shortlist",
-    "GPUPipeline",
-    "PipelineTiming",
-]
+__all__ = ["CPUModel", "DeviceModel", "MODES", "PipelineTiming",
+           "price_counts", "price_query_batch"]

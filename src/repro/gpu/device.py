@@ -17,8 +17,7 @@ memory latency vs ~4-cycle shared memory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.utils.validation import check_positive
 
@@ -85,30 +84,3 @@ class CPUModel:
 
     def seconds(self, cycles: float) -> float:
         return cycles / self.clock_hz
-
-
-@dataclass
-class ExecutionTimer:
-    """Accumulates simulated cycles per named phase.
-
-    Every simulated kernel charges its cycles here; benchmarks read the
-    totals.  ``seconds(device)`` converts using the device's clock.
-    """
-
-    phase_cycles: Dict[str, float] = field(default_factory=dict)
-
-    def charge(self, phase: str, cycles: float) -> None:
-        if cycles < 0:
-            raise ValueError(f"cannot charge negative cycles ({cycles})")
-        self.phase_cycles[phase] = self.phase_cycles.get(phase, 0.0) + cycles
-
-    def total_cycles(self) -> float:
-        return float(sum(self.phase_cycles.values()))
-
-    def seconds(self, device: "DeviceModel") -> float:
-        """Total simulated wall-clock time under ``device``'s clock."""
-        return device.seconds(self.total_cycles())
-
-    def merge(self, other: "ExecutionTimer") -> None:
-        for phase, cycles in other.phase_cycles.items():
-            self.charge(phase, cycles)

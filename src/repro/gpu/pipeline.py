@@ -1,49 +1,38 @@
-"""End-to-end query pipelines for the Fig. 4 comparison.
+"""Fig. 4's four pipelines, priced from the work counts of one real batch.
 
-Three configurations of (hash-table lookup, short-list search):
+- ``cpu_lshkit``: serial lookups + serial short-list (LSHKIT, one core);
+- ``cpu_shortlist``: GPU table lookups, short-list still on the CPU;
+- ``gpu``: GPU lookups + per-thread short-list, each 32-query warp
+  retiring at the pace of its heaviest query;
+- ``gpu_workqueue``: GPU lookups + Fig. 3's work-queue short-list (bounded
+  queue, clustered sort + compact per fill round, ``T_P(n) = 40 n / p``).
 
-- ``cpu_lshkit``   — serial lookups + serial short-list (the LSHKIT
-  single-core baseline);
-- ``cpu_shortlist``— parallel cuckoo-table lookups on the GPU, short-list
-  still on the CPU (the paper's intermediate configuration);
-- ``gpu``          — parallel lookups + per-thread parallel short-list;
-- ``gpu_workqueue``— parallel lookups + the work-queue short-list (the
-  further 2-5x the paper reports over the per-thread method).
-
-The pipeline stores the single-table Bi-level layout of Section V-A: one
-sorted linear array of all (group-prefixed) codes plus one cuckoo hash
-table over the compressed unique codes, regardless of the number of
-groups.
+Every mode answers with the same neighbours (one real ``query_batch``);
+they differ only in the price :func:`price_counts` puts on its counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import obs
-from repro.exec.plan import validate_query_batch
-from repro.gpu.cuckoo import CuckooHashTable, compress_code
 from repro.gpu.device import CPUModel, DeviceModel
-from repro.gpu.shortlist import (
-    ShortListResult,
-    per_thread_shortlist,
-    serial_shortlist,
-    work_queue_shortlist,
-)
-from repro.lsh.table import LSHTable
 from repro.utils.validation import as_float_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import-time types only
     from repro.core.bilevel import BiLevelLSH
     from repro.lsh.index import StandardLSH
 
-    IndexLike = Union[StandardLSH, BiLevelLSH]
-
 MODES = ("cpu_lshkit", "cpu_shortlist", "gpu", "gpu_workqueue")
+
+#: Elements the work queue holds per fill round (Fig. 3's global queue).
+QUEUE_CAPACITY = 1 << 18
+#: Work-queue constant from the paper's analysis: T_P(n) = 40 n / p.
+WORK_QUEUE_CYCLES_PER_ELEMENT = 40.0
+#: Table slots one lookup loads (the H = 3 hash functions of Section V-A).
+LOOKUP_LOADS = 3
 
 
 @dataclass
@@ -58,145 +47,102 @@ class PipelineTiming:
         return self.lookup_seconds + self.shortlist_seconds
 
 
-class GPUPipeline:
-    """Single-table GPU layout of a (Bi-level) LSH index.
+def _work_queue_cycles(counts: np.ndarray, k: int, dim: int,
+                       device: DeviceModel) -> float:
+    """Replay the work queue's fill rounds over per-query counts.
 
-    Parameters
-    ----------
-    index:
-        A fitted :class:`~repro.core.bilevel.BiLevelLSH` or
-        :class:`~repro.lsh.index.StandardLSH`; the pipeline reuses its
-        hash functions via :meth:`candidate_sets` and re-stores the layout
-        GPU-style (the algorithms, not the index structures, are what the
-        timing model charges).
-    device / cpu:
-        Cost models for the two processors.
+    A round takes each query's running best (``<= k``) plus as many fresh
+    candidates as fit, in query order; it pays their distances, one
+    clustered radix sort over (query, distance) keys and the take-first-k
+    compact (rank + two scatters), all coalesced (1/8 of a global load).
     """
+    if k + 1 >= QUEUE_CAPACITY:
+        raise ValueError(f"k={k} does not fit the work queue")
+    coalesced, alu = device.global_mem_cycles / 8.0, device.alu_cycles
+    left = np.array(counts, dtype=np.int64)
+    best = np.zeros_like(left)
+    cycles = device.parallel_cycles(WORK_QUEUE_CYCLES_PER_ELEMENT * left.sum())
+    while left.any():
+        budget = QUEUE_CAPACITY
+        fresh = n = 0
+        for qi in np.flatnonzero(left):
+            room = budget - (k + 1)
+            if room <= 0:
+                break
+            take = min(int(left[qi]), room)
+            entries = take + int(best[qi])
+            left[qi] -= take
+            best[qi] = min(entries, k)
+            fresh, n, last = fresh + take, n + entries, qi
+            budget -= entries
+        bits = 32 + max(int(np.ceil(np.log2(last + 2))), 1)
+        passes = max(int(np.ceil(bits / 8)), 1)
+        depth = np.log2(n + 1) * alu
+        cycles += (
+            device.parallel_cycles(fresh * (3.0 * dim + dim * coalesced))
+            + device.parallel_cycles(passes * n * (4.0 * alu + 3.0 * coalesced))
+            + passes * depth
+            + device.parallel_cycles(n * (3.0 * alu + 2.0 * coalesced)) + depth
+            + 2 * (device.parallel_cycles(n * (2.0 * alu + 2.0 * coalesced))
+                   + depth))
+    return cycles
 
-    def __init__(self, index: "IndexLike",
+
+def price_counts(counts: np.ndarray, k: int, dim: int, n_tables: int,
+                 n_lookups_per_query: int, n_hashes: int,
                  device: Optional[DeviceModel] = None,
-                 cpu: Optional[CPUModel] = None):
-        self.index = index
-        self.device = device if device is not None else DeviceModel()
-        self.cpu = cpu if cpu is not None else CPUModel()
-        self._cuckoo: CuckooHashTable | None = None
-        self._n_codes = 0
+                 cpu: Optional[CPUModel] = None) -> Dict[str, PipelineTiming]:
+    """Simulated seconds of every mode in :data:`MODES` for a batch whose
+    query ``i`` short-lists ``counts[i]`` candidates.
 
-    def build_table(self, codes: np.ndarray, seed: int = 0) -> CuckooHashTable:
-        """Build the cuckoo index over unique (compressed) codes.
+    The hash phase computes ``L * M * D`` multiply-adds per query and pays
+    :data:`LOOKUP_LOADS` memory loads per table lookup.  A short-listed
+    candidate costs one distance (``3 D`` ops and ``D`` loads) plus a
+    ``log2(k + 1)`` heap update; the per-thread heap lives in global memory.
+    """
+    device = device if device is not None else DeviceModel()
+    cpu = cpu if cpu is not None else CPUModel()
+    counts = np.asarray(counts, dtype=np.int64)
+    q, warp = counts.size, device.warp_size
+    hash_ops = 2.0 * n_tables * n_hashes * dim
 
-        Mirrors Section V-A: sort all Bi-level codes, compress each unique
-        code to a scalar key, and store bucket intervals in a cuckoo table.
-        """
-        table = LSHTable(codes)
-        keys = compress_code(table.bucket_codes)
-        # Key collisions after compression merge distinct buckets; keep the
-        # first (paper's GPU layout tolerates this as a hash-table detail).
-        uniq_keys, first = np.unique(keys, return_index=True)
-        self._cuckoo = CuckooHashTable(seed=seed).build(
-            uniq_keys, np.arange(uniq_keys.size, dtype=np.int64))
-        self._n_codes = codes.shape[0]
-        return self._cuckoo
+    def lookup_cycles(load_cycles: float) -> float:
+        return q * (hash_ops + n_lookups_per_query * LOOKUP_LOADS * load_cycles)
 
-    def _lookup_seconds(self, n_queries: int, n_lookups_per_query: int,
-                        n_tables: int, dim: int, n_hashes: int,
-                        parallel: bool) -> float:
-        """Modeled time for the hash phase: code computation + table access.
+    serial_lookup = cpu.seconds(lookup_cycles(cpu.mem_cycles))
+    parallel_lookup = device.seconds(device.parallel_cycles(
+        lookup_cycles(device.global_mem_cycles)))
+    heap = np.log2(k + 1)
+    serial = cpu.seconds(int(counts.sum()) * (
+        3.0 * dim * cpu.alu_cycles + dim * cpu.cached_mem_cycles
+        + heap * cpu.alu_cycles + cpu.mem_cycles))
+    heaviest = np.pad(counts, (0, -q % warp)).reshape(-1, warp).max(axis=1)
+    per_thread = device.seconds(int(heaviest.sum()) * (
+        3.0 * dim * device.alu_cycles + dim * device.global_mem_cycles / 8.0
+        + heap * device.global_mem_cycles) / max(device.n_cores // warp, 1))
+    work_queue = device.seconds(_work_queue_cycles(counts, k, dim, device))
+    return {
+        "cpu_lshkit": PipelineTiming(serial_lookup, serial),
+        "cpu_shortlist": PipelineTiming(parallel_lookup, serial),
+        "gpu": PipelineTiming(parallel_lookup, per_thread),
+        "gpu_workqueue": PipelineTiming(parallel_lookup, work_queue),
+    }
 
-        Computing the codes costs ``L * M * D`` multiply-adds per query
-        (the dominant hash cost at GIST dimensions); each probe then pays a
-        table access (``H`` slots for the cuckoo table).
-        """
-        if self._cuckoo is None:
-            probe_cycles = 3 * (self.cpu.mem_cycles if not parallel
-                                else self.device.global_mem_cycles)
-        else:
-            probe_cycles = (self._cuckoo.lookup_cost_cycles(self.device)
-                            if parallel
-                            else self._cuckoo.n_functions * self.cpu.mem_cycles)
-        hash_ops = 2.0 * n_tables * n_hashes * dim  # multiply + add
-        per_query = hash_ops + n_lookups_per_query * probe_cycles
-        total = n_queries * per_query
-        if parallel:
-            return self.device.seconds(self.device.parallel_cycles(total))
-        return self.cpu.seconds(total)
 
-    def _lookup_phase(self, queries: np.ndarray, dim: int,
-                      mode: str) -> Tuple[List[np.ndarray], float]:
-        """Candidate sets through the wrapped index, and the modeled
-        hash/table-access seconds for gathering them under ``mode``."""
-        index = self.index
-        # A BiLevelLSH keeps them on its config, a StandardLSH on itself.
-        params = getattr(index, "config", index)
-        n_tables = params.n_tables
-        n_probes = params.n_probes
-        n_hashes = params.n_hashes
-        seconds = self._lookup_seconds(
-            queries.shape[0], n_tables * (1 + n_probes), n_tables, dim,
-            n_hashes, parallel=mode != "cpu_lshkit")
-        return index.candidate_sets(queries), seconds
-
-    def _shortlist_phase(self, data: np.ndarray, queries: np.ndarray,
-                         candidate_sets: List[np.ndarray], k: int,
-                         mode: str) -> ShortListResult:
-        """``mode``'s short-list kernel over the gathered candidates."""
-        if mode in ("cpu_lshkit", "cpu_shortlist"):
-            return serial_shortlist(data, queries, candidate_sets, k,
-                                    cpu=self.cpu)
-        if mode == "gpu":
-            return per_thread_shortlist(data, queries, candidate_sets, k,
-                                        device=self.device)
-        return work_queue_shortlist(data, queries, candidate_sets, k,
-                                    device=self.device)
-
-    def run(self, data: np.ndarray, queries: np.ndarray, k: int,
-            mode: str = "gpu_workqueue") -> tuple:
-        """Answer ``queries`` under ``mode``; returns (result, timing).
-
-        ``result`` is a :class:`~repro.gpu.shortlist.ShortListResult`;
-        ``timing`` a :class:`PipelineTiming` with the lookup/short-list
-        split the paper's Fig. 4 compares.
-        """
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        data = as_float_matrix(data)
-        queries, _, k = validate_query_batch(queries, k, data.shape[1],
-                                             allow_nonfinite=False)
-        candidate_sets, lookup_seconds = self._lookup_phase(
-            queries, data.shape[1], mode)
-        result = self._shortlist_phase(data, queries, candidate_sets, k, mode)
-        timing = PipelineTiming(lookup_seconds=lookup_seconds,
-                                shortlist_seconds=result.seconds)
-        ob = obs.active()
-        if ob is not None:
-            # cpu_* modes are the device-unavailable fallbacks of the
-            # paper's pipeline comparison; phase times are the simulated
-            # device seconds, not wall clock.
-            ob.record_gpu_run(mode,
-                              fallback=mode in ("cpu_lshkit", "cpu_shortlist"),
-                              phase_seconds={
-                                  "lookup": timing.lookup_seconds,
-                                  "shortlist": timing.shortlist_seconds,
-                              })
-        return result, timing
-
-    def compare_modes(self, data: np.ndarray, queries: np.ndarray, k: int,
-                      modes: Sequence[str] = MODES) -> Dict[str, PipelineTiming]:
-        """Run every mode on the same batch; verify results agree.
-
-        Raises ``AssertionError`` if any mode returns different neighbor
-        sets — the three short-list algorithms are exact over the same
-        candidates, so their outputs must match.
-        """
-        timings: Dict[str, PipelineTiming] = {}
-        reference_ids = None
-        for mode in modes:
-            result, timing = self.run(data, queries, k, mode=mode)
-            timings[mode] = timing
-            ids_sorted = np.sort(result.ids, axis=1)
-            if reference_ids is None:
-                reference_ids = ids_sorted
-            elif not np.array_equal(reference_ids, ids_sorted):
-                raise AssertionError(
-                    f"mode {mode!r} returned different neighbors")
-        return timings
+def price_query_batch(index: Union[StandardLSH, BiLevelLSH],
+                      queries: np.ndarray, k: int,
+                      device: Optional[DeviceModel] = None,
+                      cpu: Optional[CPUModel] = None,
+                      ) -> Tuple[tuple, Dict[str, PipelineTiming]]:
+    """Answer ``queries`` with one real ``index.query_batch`` and price its
+    per-query candidate counts under every mode: returns ``((ids,
+    distances, stats), {mode: PipelineTiming})``.
+    """
+    queries = as_float_matrix(queries, name="queries")
+    result = index.query_batch(queries, k)
+    # A BiLevelLSH keeps its parameters on its config, a StandardLSH on itself.
+    params = getattr(index, "config", index)
+    timings = price_counts(
+        result[2].n_candidates, k, queries.shape[1], params.n_tables,
+        params.n_tables * (1 + params.n_probes), params.n_hashes, device, cpu)
+    return result, timings

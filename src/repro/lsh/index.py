@@ -782,8 +782,7 @@ class StandardLSH:
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw candidate id sets (before short-list ranking), per query.
 
-        Exposed for the GPU short-list benchmarks, which consume candidate
-        sets directly.
+        Exposed for tests that inspect the gathered candidates directly.
         """
         self._check_fitted()
         return self.execution_plan().candidate_sets(queries)

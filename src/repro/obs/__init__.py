@@ -78,9 +78,6 @@ ESCALATION_DEPTH = "repro_escalation_depth"        # histogram{kind}
 GROUP_QUERIES_TOTAL = "repro_group_queries_total"          # counter{group}
 GROUP_ESCALATIONS_TOTAL = "repro_group_escalations_total"  # counter{group}
 INDEX_POINTS = "repro_index_points"                # gauge
-GPU_RUNS_TOTAL = "repro_gpu_runs_total"            # counter{mode}
-GPU_FALLBACKS_TOTAL = "repro_gpu_fallbacks_total"  # counter{mode}
-GPU_PHASE_SECONDS = "repro_gpu_phase_seconds"      # histogram{phase,mode}
 FAULTS_INJECTED_TOTAL = "repro_faults_injected_total"      # counter{site}
 FALLBACKS_TOTAL = "repro_fallbacks_total"          # counter{site,kind}
 RETRIES_TOTAL = "repro_retries_total"              # counter{site}
@@ -302,23 +299,6 @@ class Observer:
             DRIFT_REBUILDS_TOTAL,
             "Per-group rebuilds scheduled by drift detection.").labels(
                 group=group).inc()
-
-    # -- GPU pipeline events -----------------------------------------------
-
-    def record_gpu_run(self, mode: str, fallback: bool,
-                       phase_seconds: Dict[str, float]) -> None:
-        reg = self.registry
-        reg.counter(GPU_RUNS_TOTAL, "Pipeline runs per mode.").labels(
-            mode=mode).inc()
-        if fallback:
-            reg.counter(GPU_FALLBACKS_TOTAL,
-                        "Runs that fell back to a CPU mode.").labels(
-                            mode=mode).inc()
-        hist = reg.histogram(GPU_PHASE_SECONDS,
-                             "Simulated device seconds per pipeline phase.",
-                             buckets=LATENCY_BUCKETS_SECONDS)
-        for phase, seconds in phase_seconds.items():
-            hist.labels(mode=mode, phase=phase).observe(seconds)
 
     # -- native tier events ------------------------------------------------
 

@@ -14,7 +14,7 @@ import pytest
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
 FAST_EXAMPLES = ["quickstart.py", "parameter_tuning.py",
-                 "baseline_comparison.py"]
+                 "baseline_comparison.py", "gpu_simulation.py"]
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
@@ -27,8 +27,8 @@ def test_example_runs(script, capsys):
 
 
 @pytest.mark.parametrize("script", [
-    "image_retrieval.py", "variance_study.py", "gpu_simulation.py",
-    "out_of_core.py", "incremental_updates.py",
+    "image_retrieval.py", "variance_study.py", "out_of_core.py",
+    "incremental_updates.py",
 ])
 def test_example_imports(script):
     # The slower examples are at least import-clean: their module-level

@@ -1,8 +1,8 @@
-"""Unit tests for the device cost models and the execution timer."""
+"""Unit tests for the device cost models."""
 
 import pytest
 
-from repro.gpu.device import CPUModel, DeviceModel, ExecutionTimer
+from repro.gpu.device import CPUModel, DeviceModel
 
 
 class TestDeviceModel:
@@ -35,31 +35,3 @@ class TestDeviceModel:
             DeviceModel(n_cores=0)
         with pytest.raises(ValueError):
             CPUModel(clock_hz=0)
-
-
-class TestExecutionTimer:
-    def test_accumulates_by_phase(self):
-        t = ExecutionTimer()
-        t.charge("sort", 100.0)
-        t.charge("sort", 50.0)
-        t.charge("scan", 25.0)
-        assert t.phase_cycles["sort"] == 150.0
-        assert t.total_cycles() == 175.0
-
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionTimer().charge("x", -1.0)
-
-    def test_seconds_uses_device_clock(self):
-        t = ExecutionTimer()
-        t.charge("x", 2e9)
-        assert t.seconds(DeviceModel(clock_hz=1e9)) == pytest.approx(2.0)
-        assert t.seconds(CPUModel(clock_hz=2e9)) == pytest.approx(1.0)
-
-    def test_merge(self):
-        a, b = ExecutionTimer(), ExecutionTimer()
-        a.charge("x", 1.0)
-        b.charge("x", 2.0)
-        b.charge("y", 3.0)
-        a.merge(b)
-        assert a.phase_cycles == {"x": 3.0, "y": 3.0}

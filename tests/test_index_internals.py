@@ -1,11 +1,10 @@
-"""Gap-filling tests: index internals, overlay semantics, pipeline edges."""
+"""Gap-filling tests: index internals, overlay semantics, determinism."""
 
 import numpy as np
 import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.gpu.pipeline import GPUPipeline
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable
 
@@ -48,30 +47,6 @@ class TestQueryStatsSelectivity:
         _, _, stats = idx.query_batch(gaussian_queries, 5)
         with pytest.raises(ValueError):
             stats.selectivity(0)
-
-
-class TestPipelineWithProbes:
-    def test_multiprobe_index_lookups_accounted(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((500, 16))
-        queries = rng.standard_normal((10, 16))
-        plain = StandardLSH(bucket_width=10.0, n_tables=3, seed=4).fit(data)
-        probed = StandardLSH(bucket_width=10.0, n_tables=3, n_probes=10,
-                             seed=4).fit(data)
-        t_plain = GPUPipeline(plain).run(data, queries, 5,
-                                         mode="cpu_lshkit")[1]
-        t_probed = GPUPipeline(probed).run(data, queries, 5,
-                                           mode="cpu_lshkit")[1]
-        # More probes -> more lookups -> strictly more hash-phase time.
-        assert t_probed.lookup_seconds > t_plain.lookup_seconds
-
-    def test_pipeline_total_is_sum(self):
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((300, 8))
-        idx = StandardLSH(bucket_width=10.0, n_tables=2, seed=6).fit(data)
-        _, timing = GPUPipeline(idx).run(data, data[:5], 3, mode="gpu")
-        assert timing.total_seconds == pytest.approx(
-            timing.lookup_seconds + timing.shortlist_seconds)
 
 
 class TestDeterminism:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from pytest import approx as pytest_approx
 
-from repro.gpu.cuckoo import CuckooHashTable
 from repro.hierarchy.morton import morton_encode
 from repro.lattice.e8 import decode_d8, decode_e8, e8_minimal_vectors
 from repro.lattice.zm import ZMLattice
@@ -151,16 +150,3 @@ class TestMetricProperties:
         returned = exact.copy()
         perm = rng.permutation(k)
         assert recall_ratio(exact, returned[:, perm])[0] == 1.0
-
-
-class TestCuckooProperties:
-    @given(st.sets(st.integers(min_value=1, max_value=(1 << 62)),
-                   min_size=1, max_size=300),
-           st.integers(0, 20))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip(self, keys, seed):
-        keys = np.array(sorted(keys), dtype=np.uint64)
-        values = np.arange(keys.size, dtype=np.int64)
-        table = CuckooHashTable(seed=seed).build(keys, values)
-        for i in range(0, keys.size, max(keys.size // 20, 1)):
-            assert table.lookup(int(keys[i])) == i
