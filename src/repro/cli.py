@@ -7,8 +7,7 @@ Usage (installed as ``repro-knn``, or ``python -m repro.cli``)::
     repro-knn info   index.npz
     repro-knn verify-index index.npz
     repro-knn stats  index.npz --queries queries.npy -k 10 --format prom
-    repro-knn stats  index.npz --queries queries.npy --serve 9100
-    repro-knn serve  index.npz --port 8080 --wal index.wal --metrics-port 9100
+    repro-knn serve  index.npz --port 8080 --wal index.wal
     repro-knn bench  --figure fig05 --scale smoke
     repro-knn synth  out.npy --preset labelme --n 10000
 
@@ -328,29 +327,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + ("" if text.endswith("\n") else "\n"))
         print(f"wrote {args.format} snapshot to {args.out}")
-    elif args.serve is None:
+    else:
         print(text)
-    if args.serve is not None:
-        import time
-
-        from repro.obs.server import MetricsServer
-
-        server = MetricsServer(registry, port=args.serve,
-                               traces_fn=lambda: traces)
-        server.start()
-        # The smoke test (and any scraper wrapper) parses this line for
-        # the bound port, so --serve 0 can pick an ephemeral one.
-        print(f"serving metrics on http://{server.host}:{server.port} "
-              f"(/metrics, /metrics.json, /traces)", flush=True)
-        try:
-            if args.serve_seconds is not None:
-                time.sleep(args.serve_seconds)
-            else:
-                while True:
-                    time.sleep(3600)
-        except KeyboardInterrupt:  # invariant: disable=R5 — interactive stop
-            pass
-        server.stop()
     return 0
 
 
@@ -359,10 +337,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Boots an :class:`~repro.runtime.IndexRuntime` (WAL-attached when
     ``--wal`` is given, so live ``/insert`` / ``/delete`` are durable)
-    and an asyncio front-end with admission control.  With
-    ``--metrics-port`` the existing observability
-    :class:`~repro.obs.server.MetricsServer` runs alongside, sharing the
-    runtime's health/readiness callbacks.
+    and an asyncio front-end with admission control.  The one port
+    answers the query and write routes, the health and readiness
+    probes, and the runtime's metrics (``/metrics``, ``/metrics.json``).
     """
     import asyncio
 
@@ -387,26 +364,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         with runtime:
             server = RuntimeServer(runtime, host=args.host, port=args.port)
-            metrics_server = None
-            if args.metrics_port is not None:
-                from repro.obs.server import MetricsServer
-
-                metrics_server = MetricsServer(
-                    registry, port=args.metrics_port, host=args.host,
-                    health_fn=server.health, ready_fn=server.readiness)
-                metrics_server.start()
 
             async def _run() -> None:
                 await server.start()
-                # The smoke tests (and scraper wrappers) parse these two
-                # lines for the bound ports, so --port 0 works.
+                # The smoke tests (and scraper wrappers) parse this line
+                # for the bound port, so --port 0 works.
                 print(f"serving knn on http://{server.host}:{server.port} "
                       f"(/query, /insert, /delete, /checkpoint, /healthz, "
-                      f"/readyz, /stats)", flush=True)
-                if metrics_server is not None:
-                    print(f"serving metrics on http://{metrics_server.host}:"
-                          f"{metrics_server.port} (/metrics, /metrics.json, "
-                          f"/traces, /healthz, /readyz)", flush=True)
+                      f"/readyz, /stats, /metrics, /metrics.json)",
+                      flush=True)
                 try:
                     await server.serve_forever(args.serve_seconds)
                 finally:
@@ -416,9 +382,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 asyncio.run(_run())
             except KeyboardInterrupt:  # invariant: disable=R5 — interactive stop
                 pass
-            finally:
-                if metrics_server is not None:
-                    metrics_server.stop()
     finally:
         obs.disable()
     return 0
@@ -527,13 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="snapshot format: JSON or Prometheus text")
     p.add_argument("--out", default=None,
                    help="write the snapshot to a file instead of stdout")
-    p.add_argument("--serve", type=int, default=None, metavar="PORT",
-                   help="after the instrumented run, serve /metrics "
-                        "(Prometheus), /metrics.json and /traces on this "
-                        "port (0 = ephemeral; bound port is printed)")
-    p.add_argument("--serve-seconds", type=float, default=None,
-                   help="stop the --serve endpoint after this many "
-                        "seconds (default: serve until interrupted)")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("compact",
@@ -574,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compact-async", action="store_true",
                    help="run a background compactor so overlay debt from "
                         "live inserts never stalls the writer")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
-                   help="also serve Prometheus /metrics (+ /healthz, "
-                        "/readyz) on this port")
     p.add_argument("--serve-seconds", type=float, default=None,
                    help="stop after this many seconds (default: serve "
                         "until interrupted)")

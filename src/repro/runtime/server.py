@@ -39,10 +39,11 @@ Routes
 ``GET  /healthz``     liveness (the process answers)
 ``GET  /readyz``      readiness (index loaded, compactor alive)
 ``GET  /stats``       admission + micro-batch counters
+``GET  /metrics``     the runtime registry as Prometheus text
+``GET  /metrics.json`` the registry's full snapshot plus derived roll-ups
 
-Prometheus ``/metrics`` is not served here: pass a registry and the
-serve CLI stands up the existing :class:`repro.obs.server.MetricsServer`
-next to this one, sharing the same health/readiness callbacks.
+Routing ignores a query string.  The two metrics routes answer 404 when
+the runtime has no registry.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro import obs
 from repro.runtime.admission import AdmissionController
 from repro.runtime.batching import MicroBatcher
 from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
@@ -64,6 +66,11 @@ from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
 __all__ = ["RuntimeServer", "serialize_response"]
 
 _JSON = Dict[str, object]
+# A route answers a JSON object, or Prometheus text as a ``str``.
+_Body = Union[_JSON, str]
+_PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+# More header lines than this answer 431 (``http.client``'s limit too).
+_MAX_HEADERS = 100
 
 
 def _finite_or_none(value: float) -> Optional[float]:
@@ -102,8 +109,9 @@ class _HTTPError(Exception):
 
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                405: "Method Not Allowed", 500: "Internal Server Error",
-                503: "Service Unavailable"}
+                405: "Method Not Allowed",
+                431: "Request Header Fields Too Large",
+                500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 class RuntimeServer:
@@ -133,7 +141,6 @@ class RuntimeServer:
         self._conns: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
         self._idle: Set[asyncio.StreamWriter] = set()
         self._write_gate = asyncio.Lock()
-        self._requests_total: Dict[str, int] = {}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -182,12 +189,9 @@ class RuntimeServer:
 
     # ----------------------------------------------------------- readiness
 
-    def health(self) -> bool:
-        """Liveness: the process answers; readiness carries the detail."""
-        return True
-
     def readiness(self) -> Dict[str, object]:
-        """Readiness payload shared with the obs MetricsServer's /readyz."""
+        """The ``/readyz`` and ``/stats`` payload: runtime info plus the
+        admission and micro-batch counters."""
         info = self.runtime.info().to_dict()
         info["admission"] = self.admission.snapshot()
         batches, riders = self.batcher.merge_counts
@@ -206,7 +210,6 @@ class RuntimeServer:
         ).set(float(self.admission.max_depth))
 
     def _count(self, route: str, *, shed: bool = False) -> None:
-        self._requests_total[route] = self._requests_total.get(route, 0) + 1
         registry = self.runtime.registry
         if registry is None:
             return
@@ -233,8 +236,11 @@ class RuntimeServer:
                     request = await self._next_request(reader, writer)
                 except (_HTTPError, ValueError) as error:
                     # Framing lost (bad request line or Content-Length,
-                    # an over-long line): answer, then close.
-                    await self._respond(writer, 400, {"error": str(error)},
+                    # an over-long line, too many headers): answer, then
+                    # close.
+                    status = getattr(error, "status", 400)
+                    await self._respond(writer, status,
+                                        {"error": str(error)},
                                         keep_alive=False)
                     break
                 if request is None or writer.is_closing():
@@ -256,7 +262,7 @@ class RuntimeServer:
                 pass
 
     async def _answer(self, method: str, path: str,
-                      body: bytes) -> Tuple[int, _JSON]:
+                      body: bytes) -> Tuple[int, _Body]:
         """Dispatch one framed request; every failure becomes a status."""
         try:
             return await self._dispatch(method, path, body)
@@ -274,10 +280,15 @@ class RuntimeServer:
 
     @staticmethod
     async def _respond(writer: asyncio.StreamWriter, status: int,
-                       payload: _JSON, *, keep_alive: bool) -> None:
-        data = json.dumps(payload).encode("utf-8")
+                       payload: _Body, *, keep_alive: bool) -> None:
+        """Write one response: a ``str`` payload is Prometheus text,
+        anything else JSON."""
+        if isinstance(payload, str):
+            data, ctype = payload.encode("utf-8"), _PROMETHEUS_TYPE
+        else:
+            data, ctype = json.dumps(payload).encode(), "application/json"
         head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-                f"Content-Type: application/json\r\n"
+                f"Content-Type: {ctype}\r\n"
                 f"Content-Length: {len(data)}\r\n"
                 f"Connection: {'keep-alive' if keep_alive else 'close'}"
                 f"\r\n\r\n").encode("ascii")
@@ -314,10 +325,12 @@ class RuntimeServer:
         method, path = parts[0].upper(), parts[1]
         version = parts[2].upper() if len(parts) == 3 else "HTTP/1.0"
         headers: Dict[str, str] = {}
-        while True:
+        for n_lines in range(_MAX_HEADERS + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            if n_lines == _MAX_HEADERS:
+                raise _HTTPError(431, f"more than {_MAX_HEADERS} headers")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         if "transfer-encoding" in headers:
@@ -334,12 +347,12 @@ class RuntimeServer:
         return method, path, body, keep_alive
 
     async def _dispatch(self, method: str, path: str,
-                        body: bytes) -> Tuple[int, _JSON]:
+                        body: bytes) -> Tuple[int, _Body]:
+        path = path.split("?", 1)[0]
         if method == "GET":
             if path == "/healthz":
                 self._count("healthz")
-                ok = self.health()
-                return (200 if ok else 503), {"ok": ok}
+                return 200, {"ok": True}
             if path == "/readyz":
                 self._count("readyz")
                 info = self.readiness()
@@ -347,6 +360,13 @@ class RuntimeServer:
             if path == "/stats":
                 self._count("stats")
                 return 200, self.readiness()
+            registry = self.runtime.registry
+            if path == "/metrics" and registry is not None:
+                self._count("metrics")
+                return 200, registry.to_prometheus()
+            if path == "/metrics.json" and registry is not None:
+                self._count("metrics.json")
+                return 200, obs.full_snapshot(registry)
             raise _HTTPError(404, f"no such route: {path}")
         if method != "POST":
             raise _HTTPError(405, f"unsupported method: {method}")

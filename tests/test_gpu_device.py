@@ -13,15 +13,6 @@ class TestDeviceModel:
         assert small.parallel_cycles(work) == pytest.approx(
             10 * big.parallel_cycles(work))
 
-    def test_divergence_penalty(self):
-        dev = DeviceModel()
-        assert dev.parallel_cycles(100.0, divergence=2.0) == pytest.approx(
-            2 * dev.parallel_cycles(100.0))
-
-    def test_invalid_divergence(self):
-        with pytest.raises(ValueError):
-            DeviceModel().parallel_cycles(1.0, divergence=0.5)
-
     def test_negative_work(self):
         with pytest.raises(ValueError):
             DeviceModel().parallel_cycles(-1.0)

@@ -19,16 +19,22 @@ Four areas:
 - serving concurrency (``concurrency`` marker): queries riding merged
   batches while a WAL-attached writer inserts/deletes, with zero wrong
   answers, and ``checkpoint()`` during serving never dropping an
-  acknowledged record; the HTTP server's error mapping and its
-  persistent connections.
+  acknowledged record; the HTTP server's error mapping, its GET routes
+  (probes and the metrics scrape) and its persistent connections, and
+  ``repro-knn serve`` end to end in a subprocess.
 """
 
 import argparse
 import asyncio
 import json
+import os
+import re
+import socket
+import subprocess
 import sys
 import threading
 import time
+import urllib.request
 import warnings
 
 import numpy as np
@@ -38,6 +44,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.maintenance import WriteAheadLog, recover_index
+from repro.obs.registry import MetricsRegistry
 from repro.persistence import save_index
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
@@ -1173,164 +1180,27 @@ class TestServingWithLiveWrites:
             assert float(dists[0, 0]) == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.concurrency
-class TestRuntimeServerErrors:
-    def test_unexpected_exception_maps_to_500(self, standard_index):
-        """Any exception escaping a handler still yields an HTTP answer.
+def _serve(runtime, client):
+    """Run ``client(server)`` against a started server; its result."""
+    from repro.runtime.server import RuntimeServer
 
-        The typed handlers cover _HTTPError/ValueError/RuntimeError;
-        everything else (numpy errors, arbitrary executor failures)
-        must fall through to the catch-all 500 instead of a closed
-        connection with no status line.
-        """
-        from repro.runtime.server import RuntimeServer
+    server = RuntimeServer(runtime)
 
-        runtime = IndexRuntime(standard_index)
-        server = RuntimeServer(runtime)
-
-        def boom(request):
-            raise ZeroDivisionError("boom")
-
-        server.batcher._execute = boom
-
-        async def drive():
-            await server.start()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port)
-                body = json.dumps(
-                    {"queries": [[0.0] * DIM], "k": 3}).encode("utf-8")
-                writer.write(
-                    b"POST /query HTTP/1.1\r\nConnection: close\r\n"
-                    b"Content-Length: " + str(len(body)).encode() +
-                    b"\r\n\r\n" + body)
-                await writer.drain()
-                raw = await asyncio.wait_for(reader.read(), timeout=30)
-                writer.close()
-                return raw
-            finally:
-                await server.stop()
-
-        raw = asyncio.run(drive())
-        status_line, _, rest = raw.partition(b"\r\n")
-        assert b"500" in status_line
-        payload = json.loads(rest.partition(b"\r\n\r\n")[2])
-        assert "ZeroDivisionError" in payload["error"]
-        runtime.close()
-
-
-    def test_insert_on_served_bilevel_index(self, base_data):
-        """``/insert`` on a Bi-level index: 200 without ids, 400 with.
-
-        ``IndexRuntime.insert`` used to pass ``ids`` positionally to
-        ``BiLevelLSH.insert(points)``, so every served insert answered
-        400 with an arity ``TypeError``.
-        """
-        from repro.runtime.server import RuntimeServer
-
-        index = BiLevelLSH(BiLevelConfig(n_groups=4, n_tables=4,
-                                         bucket_width=4.0,
-                                         seed=5)).fit(base_data)
-        runtime = IndexRuntime(index)
-        server = RuntimeServer(runtime)
-        point = np.random.default_rng(12).standard_normal(DIM).tolist()
-
-        async def post(path, payload):
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port)
-            body = json.dumps(payload).encode("utf-8")
-            writer.write(
-                b"POST " + path + b" HTTP/1.1\r\nConnection: close\r\n"
-                b"Content-Length: " + str(len(body)).encode() +
-                b"\r\n\r\n" + body)
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.read(), timeout=30)
-            writer.close()
-            head, _, rest = raw.partition(b"\r\n\r\n")
-            return int(head.split()[1]), json.loads(rest)
-
-        async def drive():
-            await server.start()
-            try:
-                return (await post(b"/insert", {"points": [point]}),
-                        await post(b"/query", {"queries": [point], "k": 1}),
-                        await post(b"/insert", {"points": [point],
-                                                "ids": [4242]}))
-            finally:
-                await server.stop()
-
+    async def drive():
+        await server.start()
         try:
-            inserted, queried, refused = asyncio.run(drive())
+            return await client(server)
         finally:
-            runtime.close()
-        assert inserted == (200, {"ids": [base_data.shape[0]], "count": 1})
-        assert queried[0] == 200
-        assert queried[1]["ids"][0][0] == base_data.shape[0]
-        assert queried[1]["distances"][0][0] == 0.0
-        assert refused[0] == 400
-        assert "assigns ids by row position" in refused[1]["error"]
+            await server.stop()
 
-
-    def test_readyz_reports_the_table_that_runs(self, standard_index):
-        """``/readyz`` names the kernel table answering queries, not the
-        engine someone asked for: a server started with ``engine="native"``
-        where nothing compiled used to answer ``"engine": "native"``
-        while serving numpy (and ``null`` when started without the flag).
-        """
-        from repro.native import registry
-        from repro.runtime.server import RuntimeServer
-
-        runtime = IndexRuntime(standard_index, RuntimeConfig(engine="native"))
-        server = RuntimeServer(runtime)
-        query = {"queries": [[0.0] * DIM], "k": 3}
-
-        async def call(method, path, payload=None):
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port)
-            body = b"" if payload is None else json.dumps(payload).encode()
-            writer.write(
-                method + b" " + path + b" HTTP/1.1\r\nConnection: close\r\n"
-                b"Content-Length: " + str(len(body)).encode() +
-                b"\r\n\r\n" + body)
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.read(), timeout=30)
-            writer.close()
-            head, _, rest = raw.partition(b"\r\n\r\n")
-            return int(head.split()[1]), json.loads(rest)
-
-        async def drive():
-            await server.start()
-            try:
-                return (await call(b"GET", b"/readyz"),
-                        await call(b"POST", b"/query",
-                                   dict(query, engine="native")),
-                        await call(b"POST", b"/query",
-                                   dict(query, engine="scalar")))
-            finally:
-                await server.stop()
-
-        with pytest.MonkeyPatch.context() as patch, \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            patch.setenv("REPRO_NATIVE_BACKEND", "none")
-            registry.reset()
-            try:
-                ready, answered, refused = asyncio.run(drive())
-            finally:
-                runtime.close()
-        registry.reset()
-        assert ready[0] == 200 and ready[1]["ready"] is True
-        assert ready[1]["kernels"] == "numpy"
-        assert "engine" not in ready[1]
-        assert answered[0] == 200 and len(answered[1]["ids"][0]) == 3
-        assert refused[0] == 400
-        assert "oracle_query_batch" in refused[1]["error"]
+    return asyncio.run(drive())
 
 
 async def _exchange(reader, writer, head, payload=None, length=None):
     """Send one request (``head`` is its request line plus any headers;
     ``length`` overrides the Content-Length value) and read exactly one
-    response, framed by its Content-Length."""
+    response, framed by its Content-Length: ``(status, headers, body)``,
+    the body decoded from JSON when it is JSON, else text."""
     body = b"" if payload is None else json.dumps(payload).encode()
     if length is None:
         length = str(len(body)).encode()
@@ -1346,27 +1216,264 @@ async def _exchange(reader, writer, head, payload=None, length=None):
             headers[name.strip().lower()] = value.strip()
     data = await asyncio.wait_for(
         reader.readexactly(int(headers["content-length"])), 30)
-    return int(lines[0].split()[1]), headers, json.loads(data)
+    text = data.decode("utf-8")
+    if headers["content-type"].startswith("application/json"):
+        return int(lines[0].split()[1]), headers, json.loads(text)
+    return int(lines[0].split()[1]), headers, text
+
+
+async def _call(server, method, path, payload=None):
+    """One request on a fresh connection that asks to be closed after
+    it; :func:`_exchange`'s ``(status, headers, body)``."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        return await _exchange(
+            reader, writer,
+            method + b" " + path + b" HTTP/1.1\r\nConnection: close",
+            payload)
+    finally:
+        writer.close()
+
+
+@pytest.mark.concurrency
+class TestRuntimeServerErrors:
+    def test_unexpected_exception_maps_to_500(self, standard_index):
+        """Any exception escaping a handler still yields an HTTP answer.
+
+        The typed handlers cover _HTTPError/ValueError/RuntimeError;
+        everything else (numpy errors, arbitrary executor failures)
+        must fall through to the catch-all 500 instead of a closed
+        connection with no status line.
+        """
+        def boom(request):
+            raise ZeroDivisionError("boom")
+
+        async def client(server):
+            server.batcher._execute = boom
+            return await _call(server, b"POST", b"/query",
+                               {"queries": [[0.0] * DIM], "k": 3})
+
+        with IndexRuntime(standard_index) as runtime:
+            status, _, payload = _serve(runtime, client)
+        assert status == 500
+        assert "ZeroDivisionError" in payload["error"]
+
+
+    def test_insert_on_served_bilevel_index(self, base_data):
+        """``/insert`` on a Bi-level index: 200 without ids, 400 with.
+
+        ``IndexRuntime.insert`` used to pass ``ids`` positionally to
+        ``BiLevelLSH.insert(points)``, so every served insert answered
+        400 with an arity ``TypeError``.
+        """
+        index = BiLevelLSH(BiLevelConfig(n_groups=4, n_tables=4,
+                                         bucket_width=4.0,
+                                         seed=5)).fit(base_data)
+        point = np.random.default_rng(12).standard_normal(DIM).tolist()
+
+        async def client(server):
+            return [(status, body) for status, _, body in [
+                await _call(server, b"POST", b"/insert", {"points": [point]}),
+                await _call(server, b"POST", b"/query",
+                            {"queries": [point], "k": 1}),
+                await _call(server, b"POST", b"/insert",
+                            {"points": [point], "ids": [4242]})]]
+
+        with IndexRuntime(index) as runtime:
+            inserted, queried, refused = _serve(runtime, client)
+        assert inserted == (200, {"ids": [base_data.shape[0]], "count": 1})
+        assert queried[0] == 200
+        assert queried[1]["ids"][0][0] == base_data.shape[0]
+        assert queried[1]["distances"][0][0] == 0.0
+        assert refused[0] == 400
+        assert "assigns ids by row position" in refused[1]["error"]
+
+
+    def test_readyz_reports_the_table_that_runs(self, standard_index):
+        """``/readyz`` names the kernel table answering queries, not the
+        engine someone asked for: a server started with ``engine="native"``
+        where nothing compiled used to answer ``"engine": "native"``
+        while serving numpy (and ``null`` when started without the flag).
+        """
+        from repro.native import registry
+
+        query = {"queries": [[0.0] * DIM], "k": 3}
+
+        async def client(server):
+            return [(status, body) for status, _, body in [
+                await _call(server, b"GET", b"/readyz"),
+                await _call(server, b"POST", b"/query",
+                            dict(query, engine="native")),
+                await _call(server, b"POST", b"/query",
+                            dict(query, engine="scalar"))]]
+
+        with pytest.MonkeyPatch.context() as patch, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            patch.setenv("REPRO_NATIVE_BACKEND", "none")
+            registry.reset()
+            with IndexRuntime(standard_index,
+                              RuntimeConfig(engine="native")) as runtime:
+                ready, answered, refused = _serve(runtime, client)
+        registry.reset()
+        assert ready[0] == 200 and ready[1]["ready"] is True
+        assert ready[1]["kernels"] == "numpy"
+        assert "engine" not in ready[1]
+        assert answered[0] == 200 and len(answered[1]["ids"][0]) == 3
+        assert refused[0] == 400
+        assert "oracle_query_batch" in refused[1]["error"]
+
+
+# Prometheus text exposition: every non-comment line is
+# ``name{labels} value`` with a float-parseable value.
+_SAMPLE_RE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \S+$")
+
+
+def _assert_prometheus_text(text):
+    """Every sample line is well formed; at least one is present."""
+    samples = [line for line in text.splitlines()
+               if line and not line.startswith("#")]
+    assert samples
+    for line in samples:
+        assert _SAMPLE_RE.match(line), line
+        float(line.rsplit(" ", 1)[1])  # value parses
+
+
+@pytest.mark.concurrency
+class TestServerRoutes:
+    """The GET routes on ``RuntimeServer``: probes and the metrics scrape."""
+
+    @pytest.fixture()
+    def runtime(self, standard_index):
+        with IndexRuntime(standard_index,
+                          registry=MetricsRegistry()) as runtime:
+            yield runtime
+
+    def test_ephemeral_port_bound(self, runtime):
+        async def client(server):
+            return server.host, server.port
+
+        host, port = _serve(runtime, client)
+        assert host == "127.0.0.1" and port > 0
+
+    def test_stop_releases_port(self, runtime):
+        async def client(server):
+            return server.port
+
+        port = _serve(runtime, client)
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=5)
+
+    def test_healthz_is_ok(self, runtime):
+        async def client(server):
+            return await _call(server, b"GET", b"/healthz")
+
+        status, headers, body = _serve(runtime, client)
+        assert (status, body) == (200, {"ok": True})
+        assert headers["content-type"] == "application/json"
+
+    def test_readyz_payload_drives_status(self, runtime):
+        async def client(server):
+            return await _call(server, b"GET", b"/readyz")
+
+        status, _, body = _serve(runtime, client)
+        assert status == 200 and body["ready"] is True
+        with IndexRuntime(StandardLSH(n_hashes=4, n_tables=3,
+                                      bucket_width=4.0, seed=5)) as empty:
+            status, _, body = _serve(empty, client)
+        assert status == 503 and body["ready"] is False
+        assert "empty" in body["detail"]
+
+    def test_metrics_endpoint_is_prometheus_text(self, runtime, queries):
+        async def client(server):
+            await _call(server, b"POST", b"/query",
+                        {"queries": [queries[0].tolist()], "k": 5})
+            return await _call(server, b"GET", b"/metrics")
+
+        status, headers, text = _serve(runtime, client)
+        assert status == 200
+        assert headers["content-type"] == \
+            "text/plain; version=0.0.4; charset=utf-8"
+        _assert_prometheus_text(text)
+        assert "# TYPE serve_requests_total counter" in text
+        assert 'serve_requests_total{route="query"} 1' in text
+
+    def test_metrics_json_endpoint(self, runtime):
+        async def client(server):
+            return await _call(server, b"GET", b"/metrics.json")
+
+        status, headers, body = _serve(runtime, client)
+        assert status == 200
+        assert headers["content-type"] == "application/json"
+        assert set(body) == {"metrics", "derived"}
+        assert "serve_max_queue_depth" in body["metrics"]
+
+    def test_scrapes_see_registry_updates(self, runtime):
+        counter = runtime.registry.counter("repro_probe_total", "probes")
+
+        async def client(server):
+            counter.labels(engine="lsh").inc(7)
+            _, _, before = await _call(server, b"GET", b"/metrics")
+            counter.labels(engine="lsh").inc(3)
+            _, _, after = await _call(server, b"GET", b"/metrics")
+            return before, after
+
+        before, after = _serve(runtime, client)
+        assert 'repro_probe_total{engine="lsh"} 7' in before
+        assert 'repro_probe_total{engine="lsh"} 10' in after
+
+    def test_unknown_path_is_404(self, runtime):
+        async def client(server):
+            return [await _call(server, method, b"/nope")
+                    for method in (b"GET", b"POST")]
+
+        for status, _, body in _serve(runtime, client):
+            assert status == 404 and "/nope" in body["error"]
+
+    def test_metrics_404_without_registry(self, standard_index):
+        async def client(server):
+            return [await _call(server, b"GET", path)
+                    for path in (b"/metrics", b"/metrics.json")]
+
+        with IndexRuntime(standard_index) as runtime:
+            answers = _serve(runtime, client)
+        assert [status for status, _, _ in answers] == [404, 404]
+
+    def test_query_string_is_not_part_of_the_route(self, runtime):
+        async def client(server):
+            return [await _call(server, b"GET", path)
+                    for path in (b"/healthz?x=1", b"/metrics?x=1")]
+
+        (health, _, ok), (metrics, _, text) = _serve(runtime, client)
+        assert (health, ok) == (200, {"ok": True})
+        assert metrics == 200
+        _assert_prometheus_text(text)
+
+    def test_over_100_headers_get_431_and_close(self, runtime):
+        def head(n_headers):  # _exchange adds Content-Length as the last
+            return b"GET /healthz HTTP/1.1" + b"".join(
+                b"\r\nX-Pad-%d: 1" % i for i in range(n_headers - 1))
+
+        async def client(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            try:
+                at_cap = await _exchange(reader, writer, head(100))
+                over = await _exchange(reader, writer, head(101))
+                return at_cap, over, await asyncio.wait_for(reader.read(), 30)
+            finally:
+                writer.close()
+
+        at_cap, (status, headers, body), rest = _serve(runtime, client)
+        assert at_cap[0] == 200 and at_cap[1]["connection"] == "keep-alive"
+        assert status == 431 and "more than 100 headers" in body["error"]
+        assert headers["connection"] == "close" and rest == b""
 
 
 @pytest.mark.concurrency
 class TestServerConnections:
     """HTTP/1.1 persistent connections on ``RuntimeServer``."""
-
-    def _serve(self, runtime, client):
-        """Run ``client(server)`` against a started server; its result."""
-        from repro.runtime.server import RuntimeServer
-
-        server = RuntimeServer(runtime)
-
-        async def drive():
-            await server.start()
-            try:
-                return await client(server)
-            finally:
-                await server.stop()
-
-        return asyncio.run(drive())
 
     def test_one_socket_carries_three_queries(self, standard_index,
                                               queries):
@@ -1383,7 +1490,7 @@ class TestServerConnections:
         from repro.runtime.server import serialize_response
 
         with IndexRuntime(standard_index) as runtime:
-            answers = self._serve(runtime, client)
+            answers = _serve(runtime, client)
             for i, (status, headers, body) in enumerate(answers):
                 assert status == 200
                 assert headers["connection"] == "keep-alive"
@@ -1404,7 +1511,7 @@ class TestServerConnections:
             return answer, rest
 
         with IndexRuntime(standard_index) as runtime:
-            (status, headers, body), rest = self._serve(runtime, client)
+            (status, headers, body), rest = _serve(runtime, client)
         assert (status, body) == (200, {"ok": True})
         assert headers["connection"] == "close"
         assert rest == b""
@@ -1424,7 +1531,7 @@ class TestServerConnections:
             return answer, rest
 
         with IndexRuntime(standard_index) as runtime:
-            (status, headers, body), rest = self._serve(runtime, client)
+            (status, headers, body), rest = _serve(runtime, client)
         assert status == 400 and why in body["error"]
         assert headers["connection"] == "close"
         assert rest == b""
@@ -1546,3 +1653,86 @@ class TestShardPoolRuntime:
             assert not np.isin(response.ids, [0, 4242]).any()
             assert int(response.ids[2, 0]) == int(behind[0])
             assert runtime.info().ready
+
+
+def _get(url):
+    """``(status, content type, body text)`` of one GET."""
+    with urllib.request.urlopen(url, timeout=10.0) as resp:
+        return (resp.status, resp.headers.get("Content-Type", ""),
+                resp.read().decode("utf-8"))
+
+
+def _post(url, payload):
+    req = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=10.0) as resp:
+        return resp.status, json.loads(resp.read().decode("utf-8"))
+
+
+class TestKnnServeSmoke:
+    """``repro-knn serve`` in a subprocess: every route on the one port
+    its banner prints."""
+
+    def test_serve_query_and_readiness_end_to_end(self, tmp_path):
+        rng = np.random.default_rng(19)
+        features = str(tmp_path / "features.npy")
+        np.save(features, rng.normal(size=(250, 12)))
+        index_path = str(tmp_path / "index.npz")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            ["src"] + env.get("PYTHONPATH", "").split(os.pathsep))
+        build = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "build", features,
+             index_path, "--index-type", "standard", "--tables", "3",
+             "--width", "8.0", "--seed", "11"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert build.returncode == 0, build.stderr
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", index_path,
+             "--port", "0", "--serve-seconds", "30"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            banner = proc.stdout.readline()
+            match = re.match(r"serving knn on http://([\d.]+):(\d+) \(",
+                             banner)
+            assert match is not None, (banner, proc.stderr.read())
+            url = f"http://{match.group(1)}:{match.group(2)}"
+
+            status, _, body = _get(f"{url}/healthz")
+            assert status == 200 and json.loads(body) == {"ok": True}
+            status, _, body = _get(f"{url}/readyz")
+            ready = json.loads(body)
+            assert status == 200 and ready["ready"] is True
+            assert ready["n_points"] == 250
+
+            status, payload = _post(f"{url}/query", {
+                "queries": [rng.normal(size=12).tolist()], "k": 5})
+            assert status == 200 and payload["shed"] is False
+            assert len(payload["ids"][0]) == len(payload["distances"][0]) \
+                == 5
+            assert "n_candidates" in payload["stats"]
+            assert _post(f"{url}/insert", {
+                "points": [rng.normal(size=12).tolist()]})[1]["count"] == 1
+            assert _post(f"{url}/delete", {"ids": [0]}) == (
+                200, {"deleted": 1})
+            status, payload = _post(f"{url}/checkpoint", {
+                "path": str(tmp_path / "snap.npz")})
+            assert status == 200 and "lsn" in payload
+
+            status, _, body = _get(f"{url}/stats")
+            assert status == 200
+            assert json.loads(body)["admission"]["admitted"] == 1
+
+            status, ctype, text = _get(f"{url}/metrics")
+            assert status == 200 and ctype.startswith("text/plain")
+            _assert_prometheus_text(text)
+            assert 'serve_requests_total{route="query"} 1' in text
+            status, _, body = _get(f"{url}/metrics.json")
+            assert status == 200
+            assert "serve_requests_total" in json.loads(body)["metrics"]
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
