@@ -8,12 +8,13 @@ interleaved round-robin so machine drift cancels:
   (``run_validated``: bypasses even the once-per-batch
   ``obs.active()`` gate read);
 - ``off``     — the public path with observability disabled AND no
-  resilience policy installed (what every production query pays: one
-  module-global read per batch for each gate — obs, faults, policy);
+  resilience policy passed (what every production query pays: one
+  module-global read per batch for each gate — obs, faults);
 - ``metrics`` — observability enabled, metrics only (0% trace sampling);
 - ``sampled`` — observability enabled with 1% per-query trace sampling;
 - ``supervised`` — obs off but a :class:`ResiliencePolicy` threaded
-  through the batch (per-table dispatch runs under ``policy.run``);
+  through the batch (no fault plan is installed, so no per-table check
+  runs);
 - ``sanitizer-off`` — the disabled path with the lock sanitizer module
   imported but not installed (the production state: the
   ``REPRO_SANITIZE_LOCKS`` gate is off, nothing is patched);
@@ -21,12 +22,12 @@ interleaved round-robin so machine drift cancels:
   (instrumented lock factories + patched ``Future.result`` /
   ``queue.get`` / ``shutdown``), reported informationally.
 
-Because ``query_batch`` consults the fault-injection and policy gates
+Because ``query_batch`` consults the fault-injection gate
 unconditionally, the ``off`` vs ``plain`` guard doubles as the
-resilience-disabled overhead proof: both gates are read and found empty
+resilience-disabled overhead proof: the gate is read and found empty
 on every timed ``off`` batch.  ``supervised`` is reported (and bounded
-loosely by ``--max-supervised-pct``) to keep the cost of the supervision
-wrappers visible.
+loosely by ``--max-supervised-pct``) to keep the cost of running under
+a policy visible.
 
 The guard compares *minimum* batch times (the low-noise statistic):
 ``off`` and ``sanitizer-off`` must each be within ``--max-disabled-pct``
@@ -138,7 +139,7 @@ def main(argv=None):
         finally:
             obs.disable()
 
-    policy = ResiliencePolicy(max_retries=1)
+    policy = ResiliencePolicy()
 
     def run_supervised():
         obs.disable()

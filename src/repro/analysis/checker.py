@@ -52,7 +52,7 @@ RULE_SUMMARIES: Dict[str, str] = {
           "repro.obs (no raw time.perf_counter()/print instrumentation)",
     "R7": "recorded-failures: pipeline except handlers re-raise or record "
           "the failure (policy.note_failure / obs record_*) — no silently "
-          "swallowed errors outside the supervision boundary",
+          "swallowed errors in pipeline code",
     "R8": "exec-centralized: front-end query_batch implementations "
           "delegate to repro.exec.run_plan, and gate reads / Deadline / "
           "StageTimer plumbing never reappears inline outside repro/exec",
@@ -117,16 +117,15 @@ class AnalysisConfig:
     obs_extra_scope_parts: Tuple[str, ...] = ("native",)
     #: Path parts identifying the observability package itself, which is
     #: the one place allowed to read the wall clock (R6 exemption).  The
-    #: resilience package shares the exemption: deadlines and backoff are
-    #: clock reads by design, behind the same module-gate pattern.
+    #: resilience package shares the exemption: deadlines and injected
+    #: delays are clock reads by design, behind the same module-gate pattern.
     obs_module_parts: Tuple[str, ...] = ("obs", "resilience")
-    #: Path parts exempt from R7: the supervision boundary itself (where
-    #: ``except Exception`` is the mechanism), the obs layer, and the
-    #: analysis package (handlers there report through Violations).
+    #: Path parts exempt from R7: the resilience package, the obs layer,
+    #: and the analysis package (handlers there report through Violations).
     resilience_exempt_parts: Tuple[str, ...] = ("obs", "resilience",
                                                 "analysis")
     #: Front-end packages whose ``query_batch`` definitions must delegate
-    #: to the shared executor, with no inline supervision plumbing (R8).
+    #: to the shared executor, with no inline gate plumbing (R8).
     exec_scope_parts: Tuple[str, ...] = ("lsh", "core", "gpu", "evaluation")
     #: Path parts identifying the execution core itself — the one place
     #: the R8-banned plumbing is supposed to live.

@@ -416,8 +416,8 @@ def check_obs_centralized(
 #: or the observability layer — catching an exception is legal only if the
 #: handler re-raises or makes one of these calls.
 FAILURE_RECORDING_CALLS = frozenset({
-    "note_failure", "record_failure", "record_fault", "record_retry",
-    "record_fallback", "record_degraded", "record_deadline_exhausted",
+    "note_failure", "record_failure", "record_fault", "record_fallback",
+    "record_degraded", "record_deadline_exhausted",
 })
 
 
@@ -467,9 +467,8 @@ def check_recorded_failures(
     (:meth:`ResiliencePolicy.note_failure`, ``Observer.record_*``) —
     since the v2 graph, calling a helper that the resolved call graph
     proves makes such a call (even under a renamed import) also counts.
-    The supervision boundary itself — :mod:`repro.resilience`, where
-    ``except Exception`` is the whole point — plus :mod:`repro.obs` and
-    the analysis package are exempt.
+    :mod:`repro.resilience`, :mod:`repro.obs` and the analysis package
+    are exempt.
     """
     violations: List[Violation] = []
     scope = set(telemetry_scope_parts)
@@ -494,11 +493,9 @@ def check_recorded_failures(
 
 # --------------------------------------------------------------------- R8
 
-#: Supervision-gate reads and stage-timing constructors owned by the
+#: Fault-gate reads and stage-timing constructors owned by the
 #: execution core: front-end modules must not call these inline.
-EXEC_PLUMBING_CALLS = frozenset({
-    "active_policy", "faults_active", "StageTimer",
-})
+EXEC_PLUMBING_CALLS = frozenset({"faults_active", "StageTimer"})
 
 #: Call tails a ``query_batch`` may delegate execution to: the staged
 #: executor itself, or the runtime's ``submit`` (a thin front over
@@ -527,11 +524,11 @@ def check_exec_centralized(
     Inside the front-end packages (``lsh``, ``core``, ``gpu``,
     ``evaluation``), (a) every non-stub ``query_batch`` definition must
     delegate to :func:`repro.exec.run_plan` — the one executor that owns
-    gate reads, deadlines, supervision, stage timing and batch sharding
+    gate reads, deadlines, degradation, stage timing and batch sharding
     — either directly or through the runtime's ``submit`` (itself a thin
     front over ``run_plan``) — and (b) that
     executor-owned plumbing must not reappear inline: no
-    ``active_policy()`` / ``faults_active()`` gate reads, no
+    ``faults_active()`` gate reads, no
     ``StageTimer`` construction, and no ``Deadline`` construction
     (``Deadline(...)`` or ``Deadline.from_ms(...)``).  Protocol/ABC
     stubs (bodies that are only ``...``/``pass``/a docstring) are

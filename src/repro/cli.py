@@ -453,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "return best-effort results flagged "
                         "exhausted_budget")
     p.add_argument("--resilient", action="store_true",
-                   help="run under a default ResiliencePolicy: worker "
-                        "failures retry, then fall back, and are reported "
-                        "instead of crashing the batch")
+                   help="run under a default ResiliencePolicy: a failing "
+                        "table or group degrades its rows, flagged and "
+                        "reported, instead of crashing the batch")
     p.add_argument("--max-batch-rows", type=int, default=None,
                    help="bounded-memory sharding: split the batch into "
                         "shards of at most this many queries (results are "

@@ -270,12 +270,12 @@ class BiLevelLSH:
         for index in self.group_indexes:
             index.attach_compactor(compactor)
 
-    def compact(self, max_retries: int = 4) -> bool:
+    def compact(self) -> bool:
         """Compact every leaf group's tables; True if any installed."""
         self._check_fitted()
         installed = False
         for index in self.group_indexes:
-            installed = index.compact(max_retries=max_retries) or installed
+            installed = index.compact() or installed
         return installed
 
     # -------------------------------------------------------------- updates
@@ -353,8 +353,8 @@ class BiLevelLSH:
         one pass from the tables of its group (with ``multi_assign > 1``,
         its most plausible groups); the ``"median"`` escalation threshold
         is taken *within each group's* rows of the executed shard.  Under
-        a policy a group that still fails is answered by an exact scan of
-        its rows, then by nothing, its queries flagged degraded.
+        a policy a group whose fault site fires is answered by an exact
+        scan of its live rows, its queries flagged degraded.
         ``max_batch_rows`` defaults to ``config.max_batch_rows``.
         """
         self._check_fitted()

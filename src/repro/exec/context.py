@@ -5,7 +5,7 @@
 finite-row subset, see :meth:`ExecutionContext.child`) and threaded through
 every stage of a :class:`repro.exec.plan.QueryPlan`.
 Stages communicate exclusively through it: inputs (validated queries,
-``k``), supervision handles (Deadline, ResiliencePolicy, FaultPlan,
+``k``), resilience handles (Deadline, ResiliencePolicy, FaultPlan,
 Observer), intermediate products (:attr:`ExecutionContext.scratch`), and
 the batch outputs (id/distance matrices plus the diagnostic masks that
 become a :class:`QueryStats`); a sub-result reaches its parent's

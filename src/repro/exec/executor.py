@@ -1,8 +1,8 @@
 """The one query executor behind every front-end: two functions.
 
 :func:`run_plan` is the front-end entry and owns what is decided once
-per batch: the gate reads (observer, installed policy, installed fault
-plan), typed validation with policy-gated non-finite tolerance,
+per batch: the gate reads (observer, installed fault plan), typed
+validation with policy-gated non-finite tolerance,
 :class:`~repro.resilience.deadline.Deadline` construction, and the
 :class:`~repro.exec.context.ExecutionContext` all of it lives in.
 :func:`run_validated` is the gate-free inner entry: it runs a context's
@@ -13,7 +13,7 @@ contribute only a :class:`~repro.exec.plan.QueryPlan`.
 
 **Batch sharding**: ``max_batch_rows`` splits a large batch into
 contiguous row shards, each executed through the same plan with the
-same absolute deadline and supervision handles.  Results are
+same absolute deadline and resilience handles.  Results are
 bit-identical to the unsharded run (stages are row-independent given a
 fixed ``hierarchy_threshold``), while peak intermediate memory — the
 gather/rank scratch, which scales with rows per call — is capped.
@@ -33,7 +33,7 @@ from repro.exec.plan import QueryPlan
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import QueryValidationError
 from repro.resilience.faults import faults_active
-from repro.resilience.policy import ResiliencePolicy, active_policy
+from repro.resilience.policy import ResiliencePolicy
 
 
 def run_plan(plan: QueryPlan, queries: object, k: int, *,
@@ -45,19 +45,18 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
              ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Execute ``plan`` over a query batch; the single front-end entry.
 
-    Resolution order (identical for every front-end): explicit ``policy``
-    else the installed gate; plan validation (non-finite rows tolerated
-    only under a policy); explicit ``deadline`` else one built from
-    ``deadline_ms``.  ``max_batch_rows`` bounds rows per executed
-    shard — results are bit-identical to unsharded execution, the
-    deadline is one absolute expiry shared by all shards, and shards
-    past an expired deadline return padded answers flagged
-    ``exhausted_budget`` without running their stages.  ``shard_pool`` (an
-    ``IndexRuntime``'s) runs the shards on its threads instead of in turn
-    — the kernels release the GIL — folded in shard order, so the answer
-    is the inline one byte for byte (DESIGN.md §12).
+    Resolution order (identical for every front-end): plan validation
+    (non-finite rows tolerated only under ``policy``); explicit
+    ``deadline`` else one built from ``deadline_ms``.  ``max_batch_rows``
+    bounds rows per executed shard — results are bit-identical to
+    unsharded execution, the deadline is one absolute expiry shared by
+    all shards, and shards past an expired deadline return padded
+    answers flagged ``exhausted_budget`` without running their stages.
+    ``shard_pool`` (an ``IndexRuntime``'s) runs the shards on its
+    threads instead of in turn — the kernels release the GIL — folded in
+    shard order, so the answer is the inline one byte for byte
+    (DESIGN.md §12).
     """
-    pol = policy if policy is not None else active_policy()
     ob = obs.active()
     # Validation is the first lap of the batch's one timer
     # (``<site>.validate``), so a trace starts at the real entry point;
@@ -65,7 +64,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     # disabled-path contract.
     timer = obs.StageTimer(ob)
     arr, finite_row, k = plan.validate(queries, k,
-                                       allow_nonfinite=pol is not None)
+                                       allow_nonfinite=policy is not None)
     timer.lap(f"{plan.site}.validate")
     if deadline is None:
         deadline = Deadline.from_ms(deadline_ms)
@@ -77,7 +76,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
                 f"got {max_batch_rows!r}", field="max_batch_rows")
         max_batch_rows = int(max_batch_rows)
     ctx = ExecutionContext.for_batch(
-        arr, k, ob=ob, deadline=deadline, policy=pol,
+        arr, k, ob=ob, deadline=deadline, policy=policy,
         fault_plan=faults_active(), max_batch_rows=max_batch_rows,
         timer=timer, pool=shard_pool)
     return run_validated(plan, ctx, finite_row)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -194,6 +193,11 @@ class RowStore:
 # QueryStats moved to repro.exec.context with the execution-core refactor;
 # re-exported here (see __all__) because the bi-level index and a long
 # tail of tests import it from this module.
+
+
+#: Optimistic attempts :meth:`StandardLSH.compact` makes (each one lost to
+#: a concurrent writer) before its last build runs under the writer lock.
+COMPACT_ATTEMPTS = 4
 
 
 class StandardLSH:
@@ -455,18 +459,18 @@ class StandardLSH:
         """
         self._compactor = compactor
 
-    def compact(self, max_retries: int = 4) -> bool:
+    def compact(self) -> bool:
         """Merge overlays and tombstones into fresh sorted tables.
 
         The expensive build runs *off* the writer lock against an
         immutable snapshot and is installed only if no mutation landed in
         between (optimistic concurrency on the ``_mutations`` version).
-        After ``max_retries`` conflicting attempts the final build runs
-        under the writer lock, which cannot conflict.  Returns ``True``
-        when new tables were installed.
+        After ``COMPACT_ATTEMPTS`` conflicting attempts the final build
+        runs under the writer lock, which cannot conflict.  Returns
+        ``True`` when new tables were installed.
         """
         self._check_fitted()
-        for _ in range(max(0, int(max_retries))):
+        for _ in range(COMPACT_ATTEMPTS):
             if self._compact_once():
                 return True
         with self._update_lock:
@@ -731,14 +735,12 @@ class StandardLSH:
             short return their best-effort base results with
             ``stats.exhausted_budget`` set.
         policy:
-            Optional :class:`~repro.resilience.policy.ResiliencePolicy`
-            supervising the per-table gather loop: a failing table is
-            retried, then dropped, with every affected query flagged in
-            ``stats.degraded`` instead of crashing the batch.  When a
-            policy is active, query rows containing NaN/Inf also get
-            flagged-degraded empty results instead of raising.  Falls
-            back to the process-wide policy installed with
-            :func:`repro.resilience.set_policy`.
+            Optional :class:`~repro.resilience.policy.ResiliencePolicy`:
+            a table whose fault site fires is dropped from the gather,
+            with every affected query flagged in ``stats.degraded`` and
+            a :class:`~repro.resilience.policy.FailureRecord` kept,
+            instead of crashing the batch.  Query rows containing NaN/Inf
+            also get flagged-degraded empty results instead of raising.
         max_batch_rows:
             Optional bound on rows executed per shard: large batches are
             split into contiguous shards run through the same plan, with
@@ -960,7 +962,7 @@ class _LSHPlan(QueryPlan):
     @staticmethod
     def _check(ctx: ExecutionContext, site: str, label: str,
                **match: object) -> None:
-        """A supervised unit's fault site (``lsh.gather`` per table,
+        """A degradable unit's fault site (``lsh.gather`` per table,
         ``bilevel.dispatch`` per group).  A corruption-kind hit is raised
         as :class:`InjectedFault`: a gather has no integrity check that
         could catch corrupted candidates (``persistence.load``'s
@@ -971,29 +973,29 @@ class _LSHPlan(QueryPlan):
 
     def _kept_tables(self, ctx: ExecutionContext, m: Member,
                      n_tables: int) -> Optional[np.ndarray]:
-        """Which of member ``m``'s tables pass their supervised check
-        (``None``: all of them, nothing supervises or injects).
+        """Which of member ``m``'s tables pass their fault check
+        (``None``: all of them, no fault plan is installed).
 
-        Without a policy a failure propagates; with one, a table that
-        still fails after retries is dropped, and every row routed to
-        ``m`` is flagged degraded — a dropped table removes candidates
-        from any of them, so none may silently return a weaker answer.
+        Without a policy a fault propagates; with one, the table is
+        dropped, and every row routed to ``m`` is flagged degraded — a
+        dropped table removes candidates from any of them, so none may
+        silently return a weaker answer.
         """
-        pol = ctx.policy
-        if pol is None and ctx.fault_plan is None:
+        if ctx.fault_plan is None:
             return None
+        pol = ctx.policy
         keep = np.ones(n_tables, dtype=bool)
         for t in range(n_tables):
             label = (f"table={t}" if m.group is None
                      else f"group={m.group} table={t}")
-            check = partial(self._check, ctx, "lsh.gather", label, table=t,
-                            group=m.group)
-            if pol is None:
-                check()
-                continue
-            _, action, records = pol.run("lsh.gather", label, check)
-            ctx.failures.extend(records)
-            keep[t] = action != "gave_up"
+            try:
+                self._check(ctx, "lsh.gather", label, table=t, group=m.group)
+            except InjectedFault as error:
+                if pol is None:
+                    raise
+                ctx.failures.append(pol.note_failure(
+                    "lsh.gather", label, error, "gave_up"))
+                keep[t] = False
         if not keep.all():
             ctx.ensure_degraded()[m.rows] = True
             if ctx.ob is not None:
@@ -1010,8 +1012,8 @@ class _LSHPlan(QueryPlan):
         query's segments (one per group it routes to) are adjacent and
         groups hold disjoint rows: nothing needs merging.
         Tables (:meth:`_kept_tables`: a dropped one's rows are left out)
-        and groups (:meth:`_supervise_groups`: a failed one's rows are
-        left out, its stand-in spans go in) are the supervised units.
+        and groups (:meth:`_group_stand_ins`: a failed one's rows are
+        left out, its stand-in spans go in) are the degradable units.
         """
         ob, nq = ctx.ob, ctx.nq
         kernels = ctx.scratch["kernels"]
@@ -1023,7 +1025,7 @@ class _LSHPlan(QueryPlan):
         table_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
         keeps = [self._kept_tables(ctx, m, m.index.n_tables)
                  for m in members]
-        stand_ins = (self._supervise_groups(ctx, members)
+        stand_ins = (self._group_stand_ins(ctx, members)
                      if members[0].group is not None else [])
         code_parts = [np.empty((0, layouts.code_dim), dtype=np.int64)]
         slot_parts = [np.empty(0, dtype=np.int64)]
@@ -1050,8 +1052,8 @@ class _LSHPlan(QueryPlan):
             nq * spill, store.n_rows, deleted=store.deleted, extra=stand_ins)
         probes = None
         if ob is not None:
-            # Committed only for the tables the union used — a timed-out,
-            # abandoned attempt never reaches the shared counters.
+            # Committed only for the tables the union used — a dropped
+            # table never reaches the shared counters.
             probes = np.bincount(row_slot // spill, minlength=nq)
             for m, keep in lookups:
                 n_rows = m.rows.shape[0]
@@ -1069,38 +1071,34 @@ class _LSHPlan(QueryPlan):
         ctx.scratch["probes"] = probes
         self._set_counts(ctx, counts)
 
-    def _supervise_groups(self, ctx: ExecutionContext, members: List[Member],
-                          ) -> List[SpanSet]:
-        """Each group's supervised check, before the union.  A group that
-        still fails after retries is marked ``failed`` (its lookup rows
-        stay out) and its rows degraded; its segments get an exact scan's
-        candidates instead — returned as one span each over the group's
-        live rows — or, failing that, none.  Without a policy a failure
-        propagates."""
-        pol, empty = ctx.policy, np.empty(0, dtype=np.int64)
-        if pol is None and ctx.fault_plan is None:
+    def _group_stand_ins(self, ctx: ExecutionContext, members: List[Member],
+                         ) -> List[SpanSet]:
+        """Each group's fault check, before the union.  Without a policy a
+        fault propagates; with one, the group is marked ``failed`` (its
+        lookup rows stay out) and its rows degraded, and its segments get
+        an exact scan's candidates instead — one span each over the
+        group's live rows."""
+        if ctx.fault_plan is None:
             return []
+        pol = ctx.policy
         stand_ins: List[SpanSet] = []
         for m in members:
             label = f"group={m.group}"
-            check = partial(self._check, ctx, "bilevel.dispatch", label,
-                            group=m.group)
-            if pol is None:
-                check()
-                continue
-            rows, action, records = pol.run(
-                "bilevel.dispatch", label, check,
-                fallbacks=[("bruteforce", m.index._live_rows),
-                           ("empty", lambda: empty)])
-            ctx.failures.extend(records)
-            if action in (None, "retried"):
-                continue
-            m.failed = True
-            ctx.ensure_degraded()[m.rows] = True
-            if ctx.ob is not None:
-                ctx.ob.record_degraded("dispatch", m.rows.shape[0])
-            if rows is not None and rows.size:
-                stand_ins.append(([rows], 0, rows.shape[0], m.slots))
+            try:
+                self._check(ctx, "bilevel.dispatch", label, group=m.group)
+            except InjectedFault as error:
+                if pol is None:
+                    raise
+                ctx.failures.append(pol.note_failure(
+                    "bilevel.dispatch", label, error, "fallback:bruteforce"))
+                m.failed = True
+                ctx.ensure_degraded()[m.rows] = True
+                if ctx.ob is not None:
+                    ctx.ob.record_fallback("bilevel.dispatch", "bruteforce")
+                    ctx.ob.record_degraded("dispatch", m.rows.shape[0])
+                rows = m.index._live_rows()
+                if rows.size:
+                    stand_ins.append(([rows], 0, rows.shape[0], m.slots))
         return stand_ins
 
     def _set_counts(self, ctx: ExecutionContext, counts: np.ndarray) -> None:

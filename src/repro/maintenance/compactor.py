@@ -17,10 +17,10 @@ group is compacted alone, never the world.
 
 Failure handling: a task that raises is counted, recorded through
 :mod:`repro.obs` and kept in :attr:`Compactor.errors` for the owner to
-surface — the thread itself never dies, matching the supervision
-posture of :mod:`repro.resilience`.  The ``maintenance.compact`` fault
-site is consulted per task, so chaos tests can crash, delay or abort
-compactions deterministically.
+surface — the thread itself never dies, matching the degrade, don't
+crash posture of :mod:`repro.resilience`.  The ``maintenance.compact``
+fault site is consulted per task, so chaos tests can crash, delay or
+abort compactions deterministically.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = ["Compactable", "Compactor"]
 class Compactable(Protocol):
     """What the compactor needs from an index: one synchronous compaction."""
 
-    def compact(self, max_retries: int = 4) -> bool:
+    def compact(self) -> bool:
         """Merge overlays/tombstones into fresh tables; True when installed."""
         ...
 
@@ -60,11 +60,7 @@ class Compactor:
     running build may miss the mutation that prompted the hint.
     """
 
-    def __init__(self, max_retries: int = 4) -> None:
-        if max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {max_retries}")
-        self.max_retries = int(max_retries)
+    def __init__(self) -> None:
         self._queue: "queue.Queue[Optional[_Task]]" = queue.Queue()
         self._lock = threading.Lock()
         self._pending: set = set()
@@ -142,7 +138,7 @@ class Compactor:
             # useless (e.g. superseded) — drop the task without a swap.
             self._note(task.kind, "aborted")
             return
-        installed = task.target.compact(max_retries=self.max_retries)
+        installed = task.target.compact()
         self._note(task.kind, "installed" if installed else "stale")
 
     def _note(self, kind: str, outcome: str) -> None:

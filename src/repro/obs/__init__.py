@@ -80,7 +80,6 @@ GROUP_ESCALATIONS_TOTAL = "repro_group_escalations_total"  # counter{group}
 INDEX_POINTS = "repro_index_points"                # gauge
 FAULTS_INJECTED_TOTAL = "repro_faults_injected_total"      # counter{site}
 FALLBACKS_TOTAL = "repro_fallbacks_total"          # counter{site,kind}
-RETRIES_TOTAL = "repro_retries_total"              # counter{site}
 DEGRADED_QUERIES_TOTAL = "repro_degraded_queries_total"    # counter{reason}
 DEADLINE_EXHAUSTED_TOTAL = "repro_deadline_exhausted_total"  # counter{stage}
 EXEC_SHARDS_TOTAL = "repro_exec_shards_total"      # counter{site}
@@ -217,16 +216,10 @@ class Observer:
             FAULTS_INJECTED_TOTAL,
             "Injected faults fired, per site.").labels(site=site).inc()
 
-    def record_retry(self, site: str) -> None:
-        self.registry.counter(
-            RETRIES_TOTAL,
-            "Supervised calls that needed a retry, per site.").labels(
-                site=site).inc()
-
     def record_fallback(self, site: str, kind: str) -> None:
         self.registry.counter(
             FALLBACKS_TOTAL,
-            "Supervised calls answered by a fallback, per site.").labels(
+            "Fault-site units answered by a fallback, per site.").labels(
                 site=site, kind=kind).inc()
 
     def record_degraded(self, reason: str, n_queries: int) -> None:
@@ -251,7 +244,7 @@ class Observer:
                 ).labels(stage=stage).inc(n_queries)
 
     def record_failure(self, site: str, error: str) -> None:
-        """A supervised background task failed (thread survived it)."""
+        """A background task failed (thread survived it)."""
         self.registry.counter(
             FAILURES_TOTAL,
             "Background-task failures, per site and error type.").labels(

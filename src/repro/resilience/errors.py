@@ -1,6 +1,6 @@
 """Typed errors for the resilience layer.
 
-Every failure mode the supervision layer can surface has its own type so
+Every failure mode the resilience layer can surface has its own type so
 callers (and tests) can distinguish "the input was bad" from "the index
 file is corrupt" from "a fault-injection site fired" without string
 matching.  :class:`QueryValidationError` subclasses :class:`ValueError`
@@ -21,8 +21,8 @@ class InjectedFault(ResilienceError):
 
     Raised at a named fault site (``bilevel.dispatch``, ``lsh.gather``,
     ...) when the installed plan decides the site should fail.  Production
-    code never raises this; it exists so the chaos suite can prove the
-    fallback chain recovers from *arbitrary* worker exceptions.
+    code never raises this; it exists so the chaos suite can prove that a
+    policy turns a failing table or group into flagged-degraded rows.
     """
 
     def __init__(self, site: str, detail: str = "") -> None:

@@ -13,7 +13,7 @@ Fault kinds:
 - ``exception`` — raise :class:`~repro.resilience.errors.InjectedFault`
   at the site (models a crashing worker);
 - ``delay`` — sleep ``delay_ms`` at the site (models a stalled worker,
-  used to exercise timeouts and deadlines);
+  used to exercise deadlines);
 - ``corruption`` — the check returns ``True`` and the *site* applies a
   domain-appropriate corruption (e.g. ``persistence.load`` flips bytes
   in a loaded array so checksum verification must catch it).
@@ -40,16 +40,18 @@ from repro import obs
 from repro.resilience.errors import InjectedFault
 from repro.utils.rng import SeedLike, spawn_rngs
 
-#: The named checkpoints the pipeline exposes.  Specs must target one of
-#: these — a typo'd site name is a configuration bug, not a silent no-op.
-KNOWN_SITES: Tuple[str, ...] = (
-    "bilevel.dispatch",   # per-group supervised check in BiLevelLSH
-    "lsh.gather",         # per-table candidate gathering in StandardLSH
-    "maintenance.append",  # WAL record append in WriteAheadLog
-    "maintenance.compact",  # per-task execution in Compactor
-    "persistence.load",   # archive read in load_index / verify_index
-    "persistence.save",   # commit step (pre-rename) in save_index
-)
+#: The named checkpoints the pipeline exposes, each with the label keys
+#: it passes to :meth:`FaultPlan.check`.  Specs must target one of these
+#: sites and match only on its keys — a typo'd site name or label key is
+#: a configuration bug, not a silent no-op.
+KNOWN_SITES: Dict[str, Tuple[str, ...]] = {
+    "bilevel.dispatch": ("group",),            # per group in BiLevelLSH
+    "lsh.gather": ("table", "group"),          # per table in StandardLSH
+    "maintenance.append": ("path", "kind"),    # WAL record append
+    "maintenance.compact": ("kind", "group"),  # per task in Compactor
+    "persistence.load": ("path",),   # archive read in load_index
+    "persistence.save": ("path",),   # commit step (pre-rename) in save_index
+}
 
 FAULT_KINDS: Tuple[str, ...] = ("exception", "delay", "corruption")
 
@@ -75,6 +77,11 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault site {self.site!r}; known sites: "
                 f"{', '.join(KNOWN_SITES)}")
+        unknown = sorted(set(self.match or ()) - set(KNOWN_SITES[self.site]))
+        if unknown:
+            raise ValueError(
+                f"site {self.site!r} passes no label {', '.join(unknown)}; "
+                f"its labels: {', '.join(KNOWN_SITES[self.site])}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of "

@@ -85,7 +85,7 @@ class RuntimeConfig:
         Default wall-clock budget per request (``None`` = unbounded).
     policy:
         Default :class:`~repro.resilience.policy.ResiliencePolicy`
-        (``None`` = the process-wide installed gate, as before).
+        (``None``: faults propagate and non-finite rows are rejected).
     max_batch_rows:
         Default bounded-memory shard size.
     shard_workers:

@@ -104,7 +104,7 @@ class TestShardParity:
                             hierarchy=True).fit(dataset)
         kwargs = {"hierarchy_threshold": 12}
         if supervised:
-            kwargs["policy"] = ResiliencePolicy(max_retries=0)
+            kwargs["policy"] = ResiliencePolicy()
         base = index.query_batch(queries, K, **kwargs)
         sharded = index.query_batch(queries, K, max_batch_rows=rows,
                                     **kwargs)
@@ -118,7 +118,7 @@ class TestShardParity:
         # Inline shards, and the same shards on a runtime's threads.
         kwargs = {}
         if supervised:
-            kwargs["policy"] = ResiliencePolicy(max_retries=0)
+            kwargs["policy"] = ResiliencePolicy()
         base = bilevel.query_batch(queries, K, **kwargs)
         sharded = bilevel.query_batch(queries, K, max_batch_rows=rows,
                                       **kwargs)
@@ -224,7 +224,7 @@ class TestShardedFaults:
         plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
                                     match={"group": 1}, max_hits=1)],
                          seed=11)
-        pol = ResiliencePolicy(max_retries=0)
+        pol = ResiliencePolicy()
         with injected_faults(plan):
             ids, dists, stats = index.query_batch(
                 queries, K, policy=pol, max_batch_rows=7)
@@ -242,7 +242,7 @@ class TestShardedFaults:
         bad = queries.copy()
         bad[3, 0] = np.nan
         bad[17, 2] = np.inf
-        pol = ResiliencePolicy(max_retries=0)
+        pol = ResiliencePolicy()
         base_ids, base_dists, base_stats = standard.query_batch(
             bad, K, policy=pol)
         ids, dists, stats = standard.query_batch(
@@ -275,7 +275,7 @@ class TestAbsorb:
         ctx = ExecutionContext.for_batch(rng.standard_normal((6, DIM)), 3)
         rows = np.array([1, 4])
         flag = np.array([True, False])
-        record = ResiliencePolicy(max_retries=0).note_failure(
+        record = ResiliencePolicy().note_failure(
             "lsh.gather", "table=0", RuntimeError("boom"), "gave_up")
         stats = QueryStats(
             np.array([5, 9]), np.array([False, True]),
@@ -354,7 +354,7 @@ class TestAbsorb:
         bad[5, 1] = np.nan
         finite = np.setdiff1d(np.arange(N_QUERIES), [5])
         ids, dists, stats = index.query_batch(
-            bad, K, policy=ResiliencePolicy(max_retries=0), **options)
+            bad, K, policy=ResiliencePolicy(), **options)
         assert np.array_equal(ids[finite], base_ids[finite])
         assert np.array_equal(dists[finite], base_dists[finite])
         got, want = fields(stats, finite), fields(base_stats, finite)
@@ -391,7 +391,7 @@ class TestEvaluationThreading:
         with injected_faults(plan):
             measurement = evaluate_index(
                 index, dataset, queries, K, gt,
-                policy=ResiliencePolicy(max_retries=0))
+                policy=ResiliencePolicy())
         assert plan.hits()["lsh.gather"] == 1
         assert ((measurement.recall >= 0.0)
                 & (measurement.recall <= 1.0)).all()

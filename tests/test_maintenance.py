@@ -449,7 +449,7 @@ class TestCompactor:
 
     def test_compactor_records_failures_without_dying(self, points):
         class Exploding:
-            def compact(self, max_retries: int = 4) -> bool:
+            def compact(self) -> bool:
                 raise RuntimeError("boom")
 
         with Compactor() as compactor:
@@ -486,7 +486,7 @@ class TestCompactor:
             def __init__(self):
                 self.gate = threading.Event()
 
-            def compact(self, max_retries: int = 4) -> bool:
+            def compact(self) -> bool:
                 self.gate.wait(timeout=10.0)
                 return True
 

@@ -281,7 +281,7 @@ class TestParityMatrix:
         victim = int(index.partitioner.assign(queries[:1])[0])
         plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
                                     match={"group": victim})], seed=11)
-        pol = ResiliencePolicy(max_retries=0)
+        pol = ResiliencePolicy()
         with injected_faults(plan):
             answer = index.query_batch(queries, K, hierarchy_threshold=14,
                                        policy=pol)

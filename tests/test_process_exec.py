@@ -13,9 +13,9 @@ over the live index, so
    ``max_batch_rows``, for integer *and* ``"median"`` thresholds (the
    shards are the same shards), on in-memory, memmapped, overlaid and
    tombstoned indexes.
-2. **Faults as inline** — a fault inside a threaded shard is retried /
-   degraded by the same policy code; unsupervised, it propagates, in
-   shard order, and the pool keeps serving.
+2. **Faults as inline** — a fault inside a threaded shard is degraded
+   by the same policy code; unsupervised, it propagates, in shard
+   order, and the pool keeps serving.
 3. **One absolute deadline** — a shard checks it when it *starts*; one
    whose turn comes too late keeps its padded rows, flagged
    ``exhausted_budget``.
@@ -33,7 +33,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.exec import ExecutionContext, QueryPlan, Stage, run_validated
+from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
+                        run_validated)
 from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import (
@@ -270,7 +271,7 @@ class TestValidation:
                                                  reference):
         bad = queries.copy()
         bad[1, 0] = np.nan
-        pol = ResiliencePolicy(max_retries=1)
+        pol = ResiliencePolicy()
         ids, dists, stats = runtime.query_batch(
             bad, K, hierarchy_threshold=THRESHOLD, policy=pol,
             max_batch_rows=5)
@@ -287,19 +288,38 @@ class TestValidation:
 
 
 class TestChaos:
-    def test_injected_fault_with_retry_budget_is_bit_identical(
-            self, runtime, queries, reference):
-        plan = FaultPlan([FaultSpec(site="lsh.gather", match={"table": 0},
-                                    max_hits=1)], seed=13)
-        pol = ResiliencePolicy(max_retries=2)
-        with injected_faults(plan):
-            result = runtime.query_batch(
-                queries, K, hierarchy_threshold=THRESHOLD, policy=pol,
-                max_batch_rows=5)
-        assert plan.hits() == {"lsh.gather": 1}
-        assert_bit_identical(result, reference)
-        assert result[2].degraded_mask().sum() == 0
-        assert result[2].failures is not None  # the retry was recorded
+    def test_injected_fault_degrades_one_shard_as_inline(
+            self, index, runtime, queries, reference):
+        # One hit drops table 0 for whichever shard met it first, on
+        # whichever thread: that shard's rows are flagged and answered as
+        # the same fault answers them inline; every other row is healthy.
+        def plan():
+            return FaultPlan([FaultSpec(site="lsh.gather",
+                                        match={"table": 0}, max_hits=1)],
+                             seed=13)
+
+        with injected_faults(plan()) as threaded_plan:
+            ids, dists, stats = runtime.query_batch(
+                queries, K, hierarchy_threshold=THRESHOLD,
+                policy=ResiliencePolicy(), max_batch_rows=5)
+        assert threaded_plan.hits() == {"lsh.gather": 1}
+        [rows] = np.nonzero(stats.degraded_mask())
+        first = rows[0]
+        assert first % 5 == 0
+        assert np.array_equal(rows, np.arange(first, min(first + 5,
+                                                         N_QUERIES)))
+        assert [r.label for r in stats.failures] == ["table=0"]
+        ok = ~stats.degraded_mask()
+        assert np.array_equal(ids[ok], reference[0][ok])
+        assert np.array_equal(dists[ok].view(np.int64),
+                              reference[1][ok].view(np.int64))
+        with injected_faults(plan()):
+            inline = index.query_batch(
+                queries[rows], K, hierarchy_threshold=THRESHOLD,
+                policy=ResiliencePolicy())
+        assert inline[2].degraded_mask().all()
+        assert_bit_identical((ids[rows], dists[rows], QueryStats(
+            stats.n_candidates[rows], stats.escalated[rows])), inline)
 
     def test_unsupervised_fault_propagates(self, runtime, queries,
                                            reference):
@@ -499,7 +519,7 @@ class TestObservability:
         with IndexRuntime(index, RuntimeConfig(shard_workers=1)) as rt:
             result, snap = _observed(lambda: rt.query_batch(
                 queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy(max_retries=2), max_batch_rows=8))
+                policy=ResiliencePolicy(), max_batch_rows=8))
         assert_bit_identical(result, reference)
         assert _samples(snap, "repro_exec_shards_total") == \
             {(("site", "lsh"),): -(-N_QUERIES // 8)}
@@ -613,13 +633,17 @@ class TestCrossProcessMetrics:
     def test_worker_faults_counted_in_parent(self, runtime, queries):
         plan = FaultPlan((FaultSpec("lsh.gather", max_hits=1),), seed=5)
         with injected_faults(plan):
-            _, snap = _observed(lambda: runtime.query_batch(
+            result, snap = _observed(lambda: runtime.query_batch(
                 queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy(max_retries=2), max_batch_rows=8))
+                policy=ResiliencePolicy(), max_batch_rows=8))
         faults = _samples(snap, "repro_faults_injected_total")
         assert faults == {(("site", "lsh.gather"),): 1}
-        retries = _samples(snap, "repro_retries_total")
-        assert retries == {(("site", "lsh.gather"),): 1}
+        # The one dropped table degraded the one shard that met it.
+        n_degraded = int(result[2].degraded_mask().sum())
+        assert n_degraded in (7, 8)
+        degraded = _samples(snap, "repro_degraded_queries_total")
+        assert degraded == {(("reason", "table_dropped"),): n_degraded}
+        assert not _samples(snap, "repro_fallbacks_total")
 
     def test_threaded_shard_traces_carry_their_own_spans(self, index,
                                                          runtime, queries):

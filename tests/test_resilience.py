@@ -2,8 +2,8 @@
 
 The end-to-end fault matrix (every site x dispatch mode x spill) lives in
 ``test_resilience_faults.py``; this module pins the building blocks —
-:class:`FaultPlan` determinism, :class:`ResiliencePolicy` retry/fallback
-semantics, :class:`Deadline` arithmetic, brute-force exactness, and the
+:class:`FaultPlan` determinism, :class:`ResiliencePolicy` failure
+records, :class:`Deadline` arithmetic, brute-force exactness, and the
 typed query validation at the top of ``query_batch``.
 """
 
@@ -24,11 +24,9 @@ from repro.resilience import (
     InjectedFault,
     QueryValidationError,
     ResiliencePolicy,
-    active_policy,
     clear_faults,
     faults_active,
     injected_faults,
-    supervised,
 )
 
 
@@ -40,6 +38,13 @@ class TestFaultSpec:
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultSpec(site="lsh.gathr")
+
+    def test_match_key_the_site_never_passes_rejected(self):
+        # Such a spec could never fire: the site does not pass that label.
+        with pytest.raises(ValueError, match="grup"):
+            FaultSpec(site="lsh.gather", match={"grup": 1})
+        with pytest.raises(ValueError, match="table"):
+            FaultSpec(site="bilevel.dispatch", match={"table": 0})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -187,106 +192,19 @@ class TestDeadline:
 # --------------------------------------------------------------------------
 
 class TestPolicy:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(backoff_ms=-1.0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(group_timeout_ms=0.0)
-
     def test_success_records_nothing(self):
-        pol = ResiliencePolicy()
-        result, action, records = pol.run("lsh.gather", "t=0", lambda: 41)
-        assert (result, action, records) == (41, None, [])
-        assert pol.failures() == ()
-
-    def test_retry_recovers_and_is_recorded(self):
-        pol = ResiliencePolicy(max_retries=2)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        result, action, records = pol.run("lsh.gather", "t=1", flaky)
-        assert result == "ok" and action == "retried"
-        assert [r.action for r in records] == ["retried", "retried"]
-        assert all(r.error_type == "RuntimeError" for r in pol.failures())
-
-    def test_fallback_chain_answers_and_retags(self):
-        pol = ResiliencePolicy(max_retries=0)
-
-        def broken():
-            raise RuntimeError("dead worker")
-
-        result, action, records = pol.run(
-            "bilevel.dispatch", "group=1", broken,
-            fallbacks=[("bruteforce", lambda: "exact")])
-        assert result == "exact" and action == "fallback:bruteforce"
-        assert pol.failures()[-1].action == "fallback:bruteforce"
-
-    def test_failing_fallback_walks_to_next(self):
-        pol = ResiliencePolicy(max_retries=0)
-
-        def broken():
-            raise RuntimeError("primary")
-
-        def broken_fallback():
-            raise RuntimeError("secondary")
-
-        result, action, records = pol.run(
-            "bilevel.dispatch", "group=0", broken,
-            fallbacks=[("bruteforce", broken_fallback),
-                       ("empty", lambda: "flagged")])
-        assert result == "flagged" and action == "fallback:empty"
-        types = [r.error_type for r in pol.failures()]
-        assert types == ["RuntimeError", "RuntimeError"]
-
-    def test_gave_up_returns_none(self):
-        pol = ResiliencePolicy(max_retries=1)
-
-        def broken():
-            raise RuntimeError("always")
-
-        result, action, records = pol.run("lsh.gather", "t=2", broken)
-        assert result is None and action == "gave_up"
-        assert [r.action for r in records] == ["retried", "gave_up"]
-
-    def test_timeout_abandons_and_falls_back(self):
-        pol = ResiliencePolicy(max_retries=0, group_timeout_ms=30.0)
-
-        def hung():
-            time.sleep(0.5)
-            return "too late"
-
-        result, action, _ = pol.run(
-            "bilevel.dispatch", "group=3", hung,
-            fallbacks=[("empty", lambda: "flagged")])
-        assert result == "flagged" and action == "fallback:empty"
-        assert pol.failures()[0].error_type == "TimeoutError"
-
-    def test_backoff_sleeps_between_retries(self):
-        pol = ResiliencePolicy(max_retries=1, backoff_ms=25.0)
-        start = time.monotonic()
-        pol.run("lsh.gather", "t=0",
-                lambda: (_ for _ in ()).throw(RuntimeError("x")))
-        assert time.monotonic() - start >= 0.02
+        assert ResiliencePolicy().failures() == ()
 
     def test_clear_failures(self):
-        pol = ResiliencePolicy(max_retries=0)
-        pol.run("lsh.gather", "t=0",
-                lambda: (_ for _ in ()).throw(RuntimeError("x")))
+        pol = ResiliencePolicy()
+        pol.note_failure("lsh.gather", "t=0", RuntimeError("x"), "gave_up")
         assert pol.failures()
         pol.clear_failures()
         assert pol.failures() == ()
 
     def test_record_to_dict_round_trip(self):
-        pol = ResiliencePolicy(max_retries=0)
-        pol.run("lsh.gather", "t=9",
-                lambda: (_ for _ in ()).throw(ValueError("boom")))
+        pol = ResiliencePolicy()
+        pol.note_failure("lsh.gather", "t=9", ValueError("boom"), "gave_up")
         record = pol.failures()[0].to_dict()
         assert record == {
             "site": "lsh.gather", "label": "t=9",
@@ -294,11 +212,28 @@ class TestPolicy:
             "action": "gave_up",
         }
 
-    def test_supervised_gate(self):
-        assert active_policy() is None
-        with supervised() as pol:
-            assert active_policy() is pol
-        assert active_policy() is None
+    def test_policy_without_plan_runs_no_check(self, gaussian_data,
+                                               gaussian_queries,
+                                               monkeypatch):
+        # No fault plan: no table or group check runs, so a policy can
+        # neither change an answer nor record a failure.
+        from repro.lsh.index import _LSHPlan
+
+        idx = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=8.0,
+                                       seed=0)).fit(gaussian_data)
+        base_ids, base_dists, base = idx.query_batch(gaussian_queries, 5)
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("fault check ran without a plan")
+
+        monkeypatch.setattr(_LSHPlan, "_check", staticmethod(no_check))
+        pol = ResiliencePolicy()
+        ids, dists, stats = idx.query_batch(gaussian_queries, 5, policy=pol)
+        assert ids.tobytes() == base_ids.tobytes()
+        assert dists.tobytes() == base_dists.tobytes()
+        assert np.array_equal(stats.n_candidates, base.n_candidates)
+        assert stats.failures is None and pol.failures() == ()
+        assert not stats.degraded_mask().any()
 
 
 # --------------------------------------------------------------------------

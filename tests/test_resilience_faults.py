@@ -2,7 +2,7 @@
 
 Acceptance properties (the CI ``chaos`` job runs this file):
 
-1. **No crashed batches** — under a supervising policy, every faulted
+1. **No crashed batches** — under a policy, every faulted
    ``query_batch`` returns a full result set.
 2. **No silently wrong answers** — every query is either bit-identical
    to the fault-free run or flagged in ``stats.degraded`` /
@@ -89,6 +89,25 @@ def gather_plan(**kwargs):
 PLAN_MAKERS = {"bilevel.dispatch": dispatch_plan, "lsh.gather": gather_plan}
 
 
+def without_first_table(index):
+    """``index`` as if table 0 were gone: the oracle of a dropped table."""
+    survivors = copy.copy(index)
+    survivors.n_tables = index.n_tables - 1
+    survivors._families = index._families[1:]
+    survivors._tables = index._tables[1:]
+    return survivors
+
+
+def exact_in_group(index, group, queries, k):
+    """Each query's exact ``k`` nearest among ``group``'s live rows: what
+    a failed group's stand-in ranks."""
+    rows = index.group_indexes[group]._live_rows()
+    diffs = index._data[rows][None, :, :] - queries[:, None, :]
+    dists = np.sqrt(np.einsum("qnd,qnd->qn", diffs, diffs))
+    top = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return index._store.ids[rows][top], np.take_along_axis(dists, top, 1)
+
+
 class TestFaultMatrix:
     @pytest.mark.parametrize("site", sorted(PLAN_MAKERS))
     @pytest.mark.parametrize("workers", [1, 4])
@@ -99,7 +118,7 @@ class TestFaultMatrix:
         # max_hits=1: exactly one victim (one group's dispatch, or one
         # group's table-0 gather); every other query must be untouched.
         plan = PLAN_MAKERS[site](max_hits=1)
-        pol = ResiliencePolicy(max_retries=0)
+        pol = ResiliencePolicy()
         with injected_faults(plan):
             ids, dists, stats = run(index, workers, queries, policy=pol)
         assert plan.hits()[site] == 1
@@ -123,22 +142,33 @@ class TestFaultMatrix:
                 index.query_batch(queries, 10)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_retry_heals_transient_dispatch_fault(self, bilevel_cache,
-                                                  queries, workers):
-        # The group's check re-runs, inline or on a shard thread alike.
+    def test_dispatch_hit_answers_by_exact_scan(self, bilevel_cache,
+                                                queries, workers):
+        # One hit at the victim group's check, inline or on a shard
+        # thread alike: the rows it covers (all of the group's inline,
+        # one shard's on threads) get the exact scan of the group's live
+        # rows, flagged; every other row is untouched.
         index, base_ids, base_dists = bilevel_cache(1)
-        pol = ResiliencePolicy(max_retries=1)
+        pol = ResiliencePolicy()
         with injected_faults(dispatch_plan(max_hits=1)):
             ids, dists, stats = run(index, workers, queries, policy=pol)
-        assert stats.degraded is None or not stats.degraded.any()
-        assert np.array_equal(ids, base_ids)
-        assert np.array_equal(dists, base_dists)
-        assert any(r.action == "retried" for r in stats.failures)
+        in_group = index.partitioner.assign(queries) == VICTIM_GROUP
+        hit = stats.degraded_mask()
+        assert hit.any() and not (hit & ~in_group).any()
+        if workers == 1:
+            assert np.array_equal(hit, in_group)
+        assert np.array_equal(ids[~hit], base_ids[~hit])
+        assert np.array_equal(dists[~hit], base_dists[~hit])
+        want_ids, want_dists = exact_in_group(index, VICTIM_GROUP,
+                                              queries[hit], 10)
+        np.testing.assert_array_equal(ids[hit], want_ids)
+        np.testing.assert_allclose(dists[hit], want_dists)
+        assert [r.action for r in stats.failures] == ["fallback:bruteforce"]
 
     def test_gather_fault_in_standard_lsh(self, dataset, queries):
         index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5).fit(dataset)
         base_ids, _, _ = index.query_batch(queries, 10)
-        pol = ResiliencePolicy(max_retries=0)
+        pol = ResiliencePolicy()
         with injected_faults(gather_plan()):
             ids, _, stats = index.query_batch(queries, 10, policy=pol)
         # One dropped table degrades the whole batch (any query may have
@@ -156,14 +186,11 @@ class TestFaultMatrix:
         index = StandardLSH(n_tables=6, bucket_width=8.0, lattice=lattice,
                             n_probes=8, seed=5).fit(dataset)
         _, _, full = index.query_batch(queries, 10)
-        pol = ResiliencePolicy(max_retries=0)
+        pol = ResiliencePolicy()
         with injected_faults(gather_plan()):
             ids, dists, stats = index.query_batch(queries, 10, policy=pol)
-        survivors = copy.copy(index)
-        survivors.n_tables = 5
-        survivors._families = index._families[1:]
-        survivors._tables = index._tables[1:]
-        want_ids, want_dists, want = oracle_query_batch(survivors, queries, 10)
+        want_ids, want_dists, want = oracle_query_batch(
+            without_first_table(index), queries, 10)
         assert stats.degraded is not None and stats.degraded.all()
         assert [r.label for r in stats.failures] == ["table=0"]
         np.testing.assert_array_equal(ids, want_ids)
@@ -171,15 +198,24 @@ class TestFaultMatrix:
         np.testing.assert_array_equal(stats.n_candidates, want.n_candidates)
         assert (stats.n_candidates < full.n_candidates).any()
 
-    def test_gather_retry_is_bit_identical(self, dataset, queries):
+    def test_one_gather_hit_degrades_one_batch(self, dataset, queries):
+        # max_hits=1: the first batch answers from the five surviving
+        # tables, all of it flagged; the next one runs healthy again.
         index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5).fit(dataset)
         base_ids, base_dists, _ = index.query_batch(queries, 10)
-        pol = ResiliencePolicy(max_retries=1)
+        pol = ResiliencePolicy()
         with injected_faults(gather_plan(max_hits=1)):
             ids, dists, stats = index.query_batch(queries, 10, policy=pol)
-        assert stats.degraded is None or not stats.degraded.any()
-        assert np.array_equal(ids, base_ids)
-        assert np.array_equal(dists, base_dists)
+            again = index.query_batch(queries, 10, policy=pol)
+        want_ids, want_dists, _ = oracle_query_batch(
+            without_first_table(index), queries, 10)
+        assert stats.degraded is not None and stats.degraded.all()
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_allclose(dists, want_dists)
+        assert [r.action for r in pol.failures()] == ["gave_up"]
+        assert not again[2].degraded_mask().any()
+        assert np.array_equal(again[0], base_ids)
+        assert np.array_equal(again[1], base_dists)
 
 
 class TestChaosSweep:
@@ -193,7 +229,7 @@ class TestChaosSweep:
             FaultSpec(site="bilevel.dispatch", rate=0.3),
             FaultSpec(site="lsh.gather", rate=0.05),
         ], seed=99)
-        pol = ResiliencePolicy(max_retries=1)
+        pol = ResiliencePolicy()
         with injected_faults(plan):
             for _ in range(4):
                 ids, dists, stats = run(index, workers, queries,
@@ -206,22 +242,6 @@ class TestChaosSweep:
 
 
 class TestTimeoutsAndDeadlines:
-    def test_stalled_group_times_out_to_fallback(self, bilevel_cache,
-                                                 queries):
-        index, base_ids, base_dists = bilevel_cache(1)
-        plan = FaultPlan([FaultSpec(site="bilevel.dispatch", kind="delay",
-                                    delay_ms=300.0,
-                                    match={"group": VICTIM_GROUP},
-                                    max_hits=1)], seed=3)
-        pol = ResiliencePolicy(max_retries=0, group_timeout_ms=60.0)
-        with injected_faults(plan):
-            ids, dists, stats = index.query_batch(queries, 10, policy=pol)
-        assert any(r.error_type == "TimeoutError" for r in stats.failures)
-        assert stats.degraded is not None and stats.degraded.any()
-        ok = ~stats.degraded
-        assert np.array_equal(ids[ok], base_ids[ok])
-        assert np.array_equal(dists[ok], base_dists[ok])
-
     def test_expired_deadline_returns_best_effort(self, bilevel_cache,
                                                   queries):
         # The budget is checked between shards (and escalation chunks),
@@ -258,12 +278,17 @@ class TestObsIntegration:
         registry = MetricsRegistry()
         obs.enable(registry=registry)
         try:
-            pol = ResiliencePolicy(max_retries=1)
             with injected_faults(dispatch_plan()):
-                index.query_batch(queries, 10, policy=pol)
+                index.query_batch(queries, 10, policy=ResiliencePolicy())
         finally:
             obs.disable()
-        keys = " ".join(registry.snapshot())
-        assert obs.RETRIES_TOTAL in keys or obs.FALLBACKS_TOTAL in keys
-        assert obs.DEGRADED_QUERIES_TOTAL in keys or any(
-            r.action == "retried" for r in pol.failures())
+        snap = registry.snapshot()
+        n_victims = int(np.sum(
+            index.partitioner.assign(queries) == VICTIM_GROUP))
+        [fallback] = snap[obs.FALLBACKS_TOTAL]["samples"]
+        assert fallback["labels"] == {"site": "bilevel.dispatch",
+                                      "kind": "bruteforce"}
+        assert fallback["value"] == 1
+        [degraded] = snap[obs.DEGRADED_QUERIES_TOTAL]["samples"]
+        assert degraded["labels"] == {"reason": "dispatch"}
+        assert degraded["value"] == n_victims
