@@ -3,7 +3,7 @@
 Puts the paper's contribution next to every baseline the library ships:
 
 - brute force (exact, the recall=1 reference),
-- Kd-tree and cover tree (exact tree methods the paper's intro cites),
+- Kd-tree (the exact tree method the paper's intro cites),
 - standard LSH and multiprobe standard LSH,
 - Bi-level LSH with per-group tuned widths (the contribution).
 
@@ -23,7 +23,6 @@ from repro.core.config import BiLevelConfig
 from repro.datasets.synthetic import labelme_like, train_query_split
 from repro.evaluation.groundtruth import brute_force_knn
 from repro.evaluation.metrics import recall_ratio
-from repro.exact.covertree import CoverTree
 from repro.exact.kdtree import KDTree
 from repro.lsh.index import StandardLSH
 
@@ -51,12 +50,6 @@ def main():
     ids, _ = kd.query(queries, K)
     report("kd-tree (exact)", recall_ratio(exact_ids, ids).mean(),
            kd.last_distance_evals / (N_QUERIES * n), time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    ct = CoverTree().fit(train)
-    ids, _ = ct.query(queries, K)
-    report("cover tree (exact)", recall_ratio(exact_ids, ids).mean(),
-           ct.last_distance_evals / (N_QUERIES * n), time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     std = StandardLSH(n_hashes=8, n_tables=10, bucket_width=width,

@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hashes", type=int, default=8)
     p.add_argument("--tables", type=int, default=10)
     p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--lattice", choices=["zm", "e8", "dm"], default="zm")
+    p.add_argument("--lattice", choices=["zm", "e8"], default="zm")
     p.add_argument("--probes", type=int, default=0)
     p.add_argument("--hierarchy", action="store_true")
     p.add_argument("--tune", action="store_true",

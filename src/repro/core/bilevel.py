@@ -174,8 +174,6 @@ class BiLevelLSH:
             index = StandardLSH(n_hashes=cfg.n_hashes, n_tables=cfg.n_tables,
                                 bucket_width=width, lattice=cfg.lattice,
                                 n_probes=cfg.n_probes, hierarchy=cfg.hierarchy,
-                                adaptive_probing=cfg.adaptive_probing,
-                                probe_confidence=cfg.probe_confidence,
                                 seed=group_rngs[g % len(group_rngs)])
             index._fit(self._store, rows)
             self.group_indexes.append(index)

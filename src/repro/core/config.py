@@ -44,14 +44,11 @@ class BiLevelConfig:
         Quantization width ``W``; ignored when ``tune_params`` is set, in
         which case each group gets its own tuned ``W``.
     lattice:
-        ``'zm'``, ``'e8'`` or ``'dm'`` (checkerboard ``D_M``, any ``M``).
+        ``'zm'`` or ``'e8'``.
     n_probes:
         Multi-probe count per table (paper uses 240 when enabled).
     hierarchy:
         Enable the hierarchical LSH table.
-    adaptive_probing / probe_confidence:
-        Query-adaptive probe budgets (``Z^M`` only; see
-        :class:`~repro.lsh.index.StandardLSH`).
     tune_params:
         Tune ``W`` per group with the collision model (Dong et al.),
         replacing ``bucket_width`` entirely.
@@ -94,8 +91,6 @@ class BiLevelConfig:
     lattice: str = "zm"
     n_probes: int = 0
     hierarchy: bool = False
-    adaptive_probing: bool = False
-    probe_confidence: float = 0.9
     tune_params: bool = False
     scale_widths: bool = False
     target_recall: float = 0.9
@@ -119,20 +114,15 @@ class BiLevelConfig:
         check_probability(self.target_recall, "target_recall")
         if self.n_probes < 0:
             raise ValueError(f"n_probes must be non-negative, got {self.n_probes}")
-        if self.adaptive_probing and self.lattice != "zm":
-            raise ValueError("adaptive_probing requires the 'zm' lattice")
-        if not 0.0 < self.probe_confidence <= 1.0:
-            raise ValueError(
-                f"probe_confidence must be in (0, 1], got {self.probe_confidence}")
         if self.partitioner not in ("rptree", "kmeans"):
             raise ValueError(
                 f"partitioner must be 'rptree' or 'kmeans', got {self.partitioner!r}")
         if self.tree_rule not in ("mean", "max"):
             raise ValueError(
                 f"tree_rule must be 'mean' or 'max', got {self.tree_rule!r}")
-        if self.lattice not in ("zm", "e8", "dm"):
+        if self.lattice not in ("zm", "e8"):
             raise ValueError(
-                f"lattice must be 'zm', 'e8' or 'dm', got {self.lattice!r}")
+                f"lattice must be 'zm' or 'e8', got {self.lattice!r}")
 
     def with_(self, **changes: Any) -> "BiLevelConfig":
         """Return a copy with ``changes`` applied (sweep helper)."""

@@ -1,21 +1,14 @@
-"""Exact KNN baselines: the tree methods the paper's introduction cites.
+"""Exact KNN baseline: the tree method the paper's introduction cites.
 
 Section I argues that space-partitioning exact methods (SR-tree, cover
 tree, Kd-tree) "can be slower than the brute-force approach" once the
 dimensionality exceeds ~10 (Weber et al., VLDB 1998) — the motivation for
-approximate LSH.  This package supplies working implementations of two of
-them so that claim can be measured, not just cited:
-
-- :class:`~repro.exact.kdtree.KDTree` — median-split Kd-tree with
-  best-first (bounded priority) search;
-- :class:`~repro.exact.covertree.CoverTree` — the Beygelzimer-Kakade-
-  Langford structure with covering/separation invariants.
-
-Both count their distance evaluations, which is what the motivation
-benchmark plots against dimension.
+approximate LSH.  :class:`~repro.exact.kdtree.KDTree` — a median-split
+Kd-tree with best-first (bounded priority) search — makes that claim
+measurable: it counts its distance evaluations, which is what the
+motivation benchmark plots against dimension.
 """
 
 from repro.exact.kdtree import KDTree
-from repro.exact.covertree import CoverTree
 
-__all__ = ["KDTree", "CoverTree"]
+__all__ = ["KDTree"]

@@ -26,14 +26,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lattice.base import Lattice
-from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
 from repro.lsh.table import LSHTable
 from repro.native.registry import NUMPY_KERNELS
-
-#: The lattice word of :attr:`E8Hierarchy.words`: the walk's decoder.
-_KINDS = {E8Lattice: 0, DMLattice: 1}
 
 
 class E8Hierarchy:
@@ -49,19 +44,19 @@ class E8Hierarchy:
     ``level_codes`` are the sorted distinct ancestor codes and
     ``level_starts`` / ``level_ends`` each node's run inside ``ids``.
     ``words`` is what the compiled walk reads, built once here: the int64
-    words ``(lattice, code width, n_levels, settled, ids address,
-    len(ids))``, then per level ``(codes address, n_nodes, starts address,
-    ends address)``.
+    words ``(code width, n_levels, settled, ids address, len(ids))``, then
+    per level ``(codes address, n_nodes, starts address, ends address)``.
     """
 
     #: ``repro_escalation_depth`` label of the levels its walk climbs.
     depth_label = "e8"
 
-    def __init__(self, table: LSHTable, lattice: Lattice, max_levels: int = 24):
+    def __init__(self, table: LSHTable, lattice: E8Lattice,
+                 max_levels: int = 24):
         if max_levels <= 0:
             raise ValueError(f"max_levels must be positive, got {max_levels}")
-        if type(lattice) not in _KINDS:
-            raise ValueError(f"needs an E8 or D_M lattice, got {lattice!r}")
+        if not isinstance(lattice, E8Lattice):
+            raise ValueError(f"needs an E8 lattice, got {lattice!r}")
         self.table = table
         self.lattice = lattice
         codes = table.bucket_codes
@@ -106,8 +101,8 @@ class E8Hierarchy:
                    ends.ctypes.data] for codes, starts, ends in zip(
                        self.level_codes, self.level_starts, self.level_ends)]
         self.words = np.array(
-            [_KINDS[type(lattice)], lattice.code_dim, self.n_levels,
-             self.settled, self.ids.ctypes.data, self.ids.shape[0]]
+            [lattice.code_dim, self.n_levels, self.settled,
+             self.ids.ctypes.data, self.ids.shape[0]]
             + [word for level in levels for word in level], dtype=np.int64)
 
     def ids_at_level(self, code: np.ndarray, level: int) -> Optional[np.ndarray]:

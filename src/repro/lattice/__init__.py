@@ -12,16 +12,12 @@ The paper evaluates every algorithm under two quantizers:
 from repro.lattice.base import Lattice
 from repro.lattice.zm import ZMLattice
 from repro.lattice.e8 import E8Lattice, decode_d8, decode_e8, e8_minimal_vectors
-from repro.lattice.dm import DMLattice, decode_dm, dm_minimal_vectors
 
 __all__ = [
     "Lattice",
     "ZMLattice",
     "E8Lattice",
-    "DMLattice",
     "decode_d8",
     "decode_e8",
-    "decode_dm",
     "e8_minimal_vectors",
-    "dm_minimal_vectors",
 ]

@@ -28,7 +28,6 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.lattice.base import Lattice
-from repro.lattice.dm import decode_dm
 from repro.native.ref import tree_sq_dist
 
 BLOCK = 8
@@ -51,7 +50,22 @@ def decode_d8(x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != BLOCK:
         raise ValueError(f"decode_d8 expects dim-8 input, got dim {x.shape[1]}")
-    return decode_dm(x)
+    # Conway--Sloane: round every coordinate, and if the sum is odd
+    # re-round the coordinate with the largest rounding error the other
+    # way.  Round half up, not ``np.rint``'s banker's rounding: any
+    # nearest point is acceptable at ties, but a fixed convention keeps
+    # the decoder deterministic and equal to the compiled one.
+    f = np.floor(x + 0.5)
+    odd = np.mod(f.sum(axis=1), 2.0) != 0
+    if np.any(odd):
+        rows = np.nonzero(odd)[0]
+        err = x[rows] - f[rows]
+        worst = np.argmax(np.abs(err), axis=1)  # the first largest
+        # For an exact integer (err == 0) both directions are
+        # equidistant: step up by convention.
+        up = err[np.arange(rows.size, dtype=np.int64), worst] >= 0.0
+        f[rows, worst] += np.where(up, 1.0, -1.0)
+    return f
 
 
 def decode_e8(x: np.ndarray) -> np.ndarray:

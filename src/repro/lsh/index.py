@@ -30,11 +30,9 @@ from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
                         run_plan)
 from repro.exec.plan import validate_query_batch
 from repro.lattice.base import Lattice
-from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
 from repro.lattice.zm import ZMLattice
 from repro.lsh.functions import PStableHashFamily, StackedProjection
-from repro.lsh.multiprobe import adaptive_probes, adaptive_probes_batch
 from repro.lsh.table import LSHTable, TableLayouts
 from repro.native import registry as native_registry
 from repro.native.ref import SpanSet, rank_topk_ref, tree_rowdot
@@ -49,21 +47,36 @@ if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.compactor import Compactor
     from repro.maintenance.wal import WriteAheadLog
 
-__all__ = ["QueryStats", "RowStore", "StandardLSH", "make_lattice",
-           "oracle_query_batch"]
+__all__ = ["QueryStats", "RowStore", "StandardLSH", "drop_retired_options",
+           "make_lattice", "oracle_query_batch"]
 
 
 def make_lattice(kind: str, dim: int) -> Lattice:
-    """Instantiate a lattice quantizer by name: ``'zm'``, ``'e8'`` or ``'dm'``."""
+    """Instantiate a lattice quantizer by name: ``'zm'`` or ``'e8'``."""
     kind = kind.lower()
     if kind == "zm":
         return ZMLattice(dim)
     if kind == "e8":
         return E8Lattice(dim)
-    if kind == "dm":
-        return DMLattice(dim)
-    raise ValueError(
-        f"unknown lattice kind {kind!r}; expected 'zm', 'e8' or 'dm'")
+    raise ValueError(f"unknown lattice kind {kind!r}; expected 'zm' or 'e8'")
+
+
+def drop_retired_options(options: dict) -> dict:
+    """An archive's index keywords (a :meth:`StandardLSH.state`'s scalars,
+    a Bi-level config) without the options the index no longer has:
+    ``D_M`` quantization and adaptive probe budgets, which the paper
+    does not run.  A key that left answers as they are
+    (``adaptive_probing: false``, any ``probe_confidence``) is dropped;
+    one that shaped them is refused — serving it another way would
+    change answers silently."""
+    if str(options.get("lattice", "")).lower() == "dm":
+        raise ValueError("lattice 'dm' is retired: an index quantizes with "
+                         "'zm' or 'e8'; rebuild it from its data")
+    if options.get("adaptive_probing"):
+        raise ValueError("adaptive_probing is retired: an index probes a "
+                         "fixed n_probes per table; rebuild it from its data")
+    return {key: value for key, value in options.items()
+            if key not in ("adaptive_probing", "probe_confidence")}
 
 
 def table_codes(family: PStableHashFamily, lattice: Lattice,
@@ -217,12 +230,6 @@ class StandardLSH:
         Extra buckets probed per table per query (0 disables multi-probe).
     hierarchy:
         Build the hierarchical bucket structure and escalate thin queries.
-    adaptive_probing:
-        Query-adaptive probe budgets (Joly & Buisson style, ``Z^M`` only):
-        ``n_probes`` becomes the per-query *maximum* and each query stops
-        once ``probe_confidence`` of the probe-likelihood mass is covered.
-    probe_confidence:
-        Likelihood-mass threshold for adaptive probing, in ``(0, 1]``.
     seed:
         Seed / generator driving projection sampling.
     """
@@ -230,27 +237,18 @@ class StandardLSH:
     def __init__(self, n_hashes: int = 8, n_tables: int = 10,
                  bucket_width: float = 1.0, lattice: str = "zm",
                  n_probes: int = 0, hierarchy: bool = False,
-                 adaptive_probing: bool = False,
-                 probe_confidence: float = 0.9,
                  seed: SeedLike = None):
         check_positive(n_hashes, "n_hashes")
         check_positive(n_tables, "n_tables")
         check_positive(bucket_width, "bucket_width")
         if n_probes < 0:
             raise ValueError(f"n_probes must be non-negative, got {n_probes}")
-        if adaptive_probing and lattice.lower() != "zm":
-            raise ValueError("adaptive_probing requires the 'zm' lattice")
-        if not 0.0 < probe_confidence <= 1.0:
-            raise ValueError(
-                f"probe_confidence must be in (0, 1], got {probe_confidence}")
         self.n_hashes = int(n_hashes)
         self.n_tables = int(n_tables)
         self.bucket_width = float(bucket_width)
         self.lattice_kind = lattice
         self.n_probes = int(n_probes)
         self.use_hierarchy = bool(hierarchy)
-        self.adaptive_probing = bool(adaptive_probing)
-        self.probe_confidence = float(probe_confidence)
         self._seed = seed
         self._families: List[PStableHashFamily] = []
         # Derived from ``_families`` (by the first ``_hash``) and from each
@@ -364,9 +362,7 @@ class StandardLSH:
                        "bucket_width": self.bucket_width,
                        "lattice": self.lattice_kind,
                        "n_probes": self.n_probes,
-                       "hierarchy": self.use_hierarchy,
-                       "adaptive_probing": self.adaptive_probing,
-                       "probe_confidence": self.probe_confidence}
+                       "hierarchy": self.use_hierarchy}
             store, rows = self._store, self._rows
             derived: Dict[str, np.ndarray] = {}
             if rows is None:
@@ -400,9 +396,10 @@ class StandardLSH:
         Morton keys are Python ints past 62 bits, not an array).  With a
         ``store`` the index is a group of a Bi-level index over its
         ``rows`` of it (``source["ids"]`` are their ids), whose tombstones
-        go into the store's one mask.
+        go into the store's one mask.  An older archive's scalars may name
+        a retired option (:func:`drop_retired_options`).
         """
-        index = cls(**scalars)
+        index = cls(**drop_retired_options(scalars))
         derived = derived or {}
         if store is None:
             store = RowStore(source["data"], source["ids"],
@@ -817,7 +814,9 @@ class Member:
     ``bucket_union`` (``q * spill + j`` for row ``q``'s ``j``-th route:
     a row's segments are adjacent); ``first_table`` is where its tables
     start in the layouts searched.  The hash stage fills ``y`` /
-    ``codes``; ``failed`` marks a group answered by its fallback.
+    ``codes``; the gather stage ``keep``, the tables that passed their
+    fault check (``None``: all of them); ``failed`` marks a group
+    answered by its fallback.
     """
 
     index: StandardLSH
@@ -827,6 +826,7 @@ class Member:
     slots: np.ndarray
     y: Optional[np.ndarray] = None
     codes: Optional[np.ndarray] = None
+    keep: Optional[np.ndarray] = None
     failed: bool = False
     n_escalated: int = 0
 
@@ -914,10 +914,8 @@ class _LSHPlan(QueryPlan):
         then each one's probes in sequence order — and ``row_q`` names
         the member row (a position in ``m.rows``) of every lookup row.
         The probe sequences of the whole ``(L * n)`` block come from one
-        call — the ``zm_probe_codes`` kernel for ``Z^M``,
-        :meth:`E8Lattice.probe_codes` on the block for ``E8``,
-        :func:`adaptive_probes_batch` for adaptive budgets — except
-        ``D_M``'s, which is per row.
+        call: the ``zm_probe_codes`` kernel for ``Z^M``,
+        :meth:`E8Lattice.probe_codes` on the block for ``E8``.
         """
         index = m.index
         own = m.codes
@@ -927,22 +925,12 @@ class _LSHPlan(QueryPlan):
         if index.n_probes <= 0:
             return own, of_own, np.full(n_tables, nq, dtype=np.int64)
         y = m.y.reshape(n_tables * nq, -1)
-        lattice = index._lattice
-        if isinstance(lattice, ZMLattice) and not index.adaptive_probing:
+        if isinstance(index._lattice, ZMLattice):
             probes, counts = kernels.zm_probe_codes(y, own, index.n_probes)
-        else:
-            if index.adaptive_probing:
-                parts = adaptive_probes_batch(
-                    y, own, index.n_probes,
-                    confidence=index.probe_confidence)
-            elif isinstance(lattice, E8Lattice):
-                parts = lattice.probe_codes(y, own, index.n_probes)
-            else:
-                parts = [lattice.probe_codes(y[row], own[row], index.n_probes)
-                         for row in range(own.shape[0])]
-            counts = np.array([part.shape[0] for part in parts],
-                              dtype=np.int64)
-            probes = np.concatenate(parts, axis=0)
+        else:  # E8: every row gets the same number of probes
+            probes = index._lattice.probe_codes(y, own, index.n_probes)
+            counts = np.full(own.shape[0], probes.shape[1], dtype=np.int64)
+            probes = probes.reshape(-1, width)
         # Block row t * nq + i is row i of table t; table t's probes
         # follow its own nq self rows, so each row lands at its index
         # plus the rows of the other kind stacked before it.
@@ -1023,16 +1011,17 @@ class _LSHPlan(QueryPlan):
         # rebuild publishes a new one, it never edits this one.
         layouts = ctx.scratch["layouts"] = self.index._layouts
         table_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
-        keeps = [self._kept_tables(ctx, m, m.index.n_tables)
-                 for m in members]
+        for m in members:
+            m.keep = self._kept_tables(ctx, m, m.index.n_tables)
         stand_ins = (self._group_stand_ins(ctx, members)
                      if members[0].group is not None else [])
         code_parts = [np.empty((0, layouts.code_dim), dtype=np.int64)]
         slot_parts = [np.empty(0, dtype=np.int64)]
         lookups = []
-        for m, keep in zip(members, keeps):
+        for m in members:
             if m.failed:
                 continue
+            keep = m.keep
             codes, row_m, rows_t = self._probe_rows(m, kernels)
             if keep is not None and not keep.all():
                 rows = np.repeat(keep, rows_t)
@@ -1041,7 +1030,7 @@ class _LSHPlan(QueryPlan):
             table_rows[m.first_table:m.first_table + rows_t.shape[0]] = rows_t
             code_parts.append(codes)
             slot_parts.append(m.slots[row_m])
-            lookups.append((m, keep))
+            lookups.append(m)
         row_slot = np.concatenate(slot_parts)
         store = self.index._store
         # The row count is read after the layouts: an insert publishes its
@@ -1055,10 +1044,10 @@ class _LSHPlan(QueryPlan):
             # Committed only for the tables the union used — a dropped
             # table never reaches the shared counters.
             probes = np.bincount(row_slot // spill, minlength=nq)
-            for m, keep in lookups:
+            for m in lookups:
                 n_rows = m.rows.shape[0]
-                kept = (range(m.index.n_tables) if keep is None
-                        else np.flatnonzero(keep))
+                kept = (range(m.index.n_tables) if m.keep is None
+                        else np.flatnonzero(m.keep))
                 for t in kept:
                     n_lookups = int(table_rows[m.first_table + t])
                     ob.record_table_lookup(
@@ -1118,7 +1107,9 @@ class _LSHPlan(QueryPlan):
         # call for all L tables; each node they settle on is one span of
         # its hierarchy's ids.  The budget is re-checked before each chunk:
         # rows of chunks not started keep their base short-list, flagged
-        # `exhausted_budget`.
+        # `exhausted_budget`.  A table dropped at the gather is left out
+        # here too, hierarchy and codes alike: an escalated degraded row
+        # is the answer of the surviving tables.
         counts = ctx.scratch["slot_counts"]
         kernels = ctx.scratch["kernels"]
         n_slots = counts.shape[0]
@@ -1134,6 +1125,11 @@ class _LSHPlan(QueryPlan):
             if m.failed:
                 continue
             hierarchies = m.index._hierarchies  # one snapshot, as for tables
+            codes = m.codes
+            if m.keep is not None:
+                hierarchies = [h for h, kept in zip(hierarchies, m.keep)
+                               if kept]
+                codes = codes[m.keep]
             mine = counts[m.slots]
             threshold = m.index._resolve_threshold(
                 mine, ctx.k, self.hierarchy_threshold)
@@ -1147,7 +1143,7 @@ class _LSHPlan(QueryPlan):
                 if hierarchies:
                     kind = type(hierarchies[0])
                     starts, sizes, depth = kind.walk(
-                        hierarchies, m.codes[:, chunk], threshold, kernels)
+                        hierarchies, codes[:, chunk], threshold, kernels)
                     spans.append(([h.ids for h in hierarchies], starts,
                                   sizes, m.slots[chunk]))
                     depths.append(depth.ravel())
@@ -1234,13 +1230,8 @@ def _gather_candidates(index: StandardLSH, projections: List[np.ndarray],
         code = codes[t][qi]
         parts.append(index._tables[t].lookup(code))
         if index.n_probes > 0:
-            if index.adaptive_probing:
-                probes = adaptive_probes(projections[t][qi], code,
-                                         index.n_probes,
-                                         confidence=index.probe_confidence)
-            else:
-                probes = index._lattice.probe_codes(projections[t][qi],
-                                                    code, index.n_probes)
+            probes = index._lattice.probe_codes(projections[t][qi], code,
+                                                index.n_probes)
             for probe in probes:
                 parts.append(index._tables[t].lookup(probe))
     merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

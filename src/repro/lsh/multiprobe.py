@@ -23,8 +23,6 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
-
 Perturbation = Tuple[int, int]  # (dimension, delta)
 
 
@@ -99,124 +97,6 @@ def perturbation_sets(scores: Sequence[float],
         if len(set(dims)) == len(dims):  # no dimension probed twice
             emitted += 1
             yield [labels[p] for p in positions]
-
-
-def boundary_distances_batch(y: np.ndarray, codes: np.ndarray,
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`boundary_distances` over a ``(q, M)`` sub-batch.
-
-    Returns ``(scores, order)`` where ``scores[qi]`` are query ``qi``'s
-    squared boundary distances ascending and ``order[qi]`` the matching
-    column indices into the ``[(0,-1) .. (M-1,-1), (0,+1) .. (M-1,+1)]``
-    label layout (see :func:`column_label`).  The sort is stable, so each
-    row reproduces :func:`boundary_distances` exactly.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-    if y.shape != codes.shape:
-        raise ValueError("y and codes must have matching shapes")
-    resid = y - codes  # in [0, 1) when code == floor(y)
-    dists = np.concatenate([resid, 1.0 - resid], axis=1)  # (q, 2M)
-    order = np.argsort(dists, axis=1, kind="stable")
-    scores = np.take_along_axis(dists, order, axis=1) ** 2
-    return scores, order
-
-
-def column_label(column: int, m: int) -> Perturbation:
-    """The ``(dimension, delta)`` label of one boundary-distance column."""
-    return (column, -1) if column < m else (column - m, +1)
-
-
-def _emit_adaptive(code: np.ndarray, scores: Sequence[float],
-                   labels: Sequence[Perturbation], max_probes: int,
-                   confidence: float) -> np.ndarray:
-    """Core of :func:`adaptive_probes` given precomputed boundary scores."""
-    label_score = dict(zip(labels, scores))
-    sigma_sq = 0.25  # (W/2)^2 in bucket-width units
-    candidates = []
-    weights = []
-    for pset in perturbation_sets(scores, labels, max_probes):
-        s = sum(label_score[p] for p in pset)
-        candidates.append(pset)
-        weights.append(np.exp(-s / (2.0 * sigma_sq)))
-    if not candidates:
-        return np.empty((0, code.size), dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    cumulative = (np.cumsum(weights) / total if total > 0
-                  else np.ones(len(weights), dtype=np.float64))
-    # Rounding can leave cumulative[-1] a hair under 1.0, so confidence=1.0
-    # may find no position: every candidate is wanted, not one more.
-    cutoff = min(int(np.searchsorted(cumulative, confidence, side="left")) + 1,
-                 len(candidates))
-    out = np.empty((cutoff, code.size), dtype=np.int64)
-    for row, pset in enumerate(candidates[:cutoff]):
-        probe = code.copy()
-        for dim, delta in pset:
-            probe[dim] += delta
-        out[row] = probe
-    return out
-
-
-def adaptive_probes_batch(y: np.ndarray, codes: np.ndarray, max_probes: int,
-                          confidence: float = 0.9) -> List[np.ndarray]:
-    """Batched :func:`adaptive_probes` over a ``(q, M)`` query sub-batch.
-
-    The boundary-distance scoring — the vectorizable part — is computed for
-    the whole sub-batch in one shot; the heap-based set enumeration, which
-    is inherently sequential per query, then runs on the precomputed rows.
-    Returns one probe-code array per query, identical to calling
-    :func:`adaptive_probes` row by row.
-    """
-    if not 0.0 < confidence <= 1.0:
-        raise ValueError(f"confidence must be in (0, 1], got {confidence}")
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-    q, m = codes.shape
-    if max_probes <= 0:
-        return [np.empty((0, m), dtype=np.int64)] * q
-    scores, order = boundary_distances_batch(y, codes)
-    out = []
-    for qi in range(q):
-        labels = [column_label(int(c), m) for c in order[qi]]
-        out.append(_emit_adaptive(codes[qi], scores[qi], labels,
-                                  max_probes, confidence))
-    ob = obs.active()
-    if ob is not None and out:
-        ob.record_adaptive_budget(
-            np.array([probes.shape[0] for probes in out], dtype=np.int64))
-    return out
-
-
-def adaptive_probes(y: np.ndarray, code: np.ndarray, max_probes: int,
-                    confidence: float = 0.9) -> np.ndarray:
-    """Query-adaptive probe budget (a-posteriori multi-probe).
-
-    Joly & Buisson (MM 2008) — the paper's reference [18] — improve
-    multi-probe by choosing how many buckets to probe *per query* from the
-    query's position inside its cell, instead of a fixed budget.  This
-    implementation scores each perturbation set by a Gaussian surrogate of
-    its success likelihood, ``exp(-score / (2 sigma^2))`` with ``sigma``
-    half the bucket width (in normalized units, 0.5), and emits probes in
-    the usual best-first order until the emitted sets account for
-    ``confidence`` of the total likelihood mass of the ``max_probes`` best
-    sets.
-
-    Queries near a cell's center (all boundaries far) concentrate their
-    mass in the first few probes and stop early; queries near a corner
-    (many near boundaries) spread it and receive a larger budget.
-
-    Returns the chosen probe codes, most promising first.
-    """
-    if not 0.0 < confidence <= 1.0:
-        raise ValueError(f"confidence must be in (0, 1], got {confidence}")
-    if max_probes <= 0:
-        return np.empty((0, np.asarray(code, dtype=np.int64).size),
-                        dtype=np.int64)
-    y = np.asarray(y, dtype=np.float64)
-    code = np.asarray(code, dtype=np.int64)
-    scores, labels = boundary_distances(y, code)
-    return _emit_adaptive(code, scores, labels, max_probes, confidence)
 
 
 def query_directed_probes(y: np.ndarray, code: np.ndarray, n_probes: int) -> np.ndarray:

@@ -753,35 +753,24 @@ fail:
 
 /* --------------------------------------------------------- lattice codes */
 
-/* Conway–Sloane D_M decoder core: round every coordinate, and if the
- * integer sum is odd re-round the largest-error coordinate the other way
- * (first-max, step up at exact ties) — mirrors lattice/dm.py decode_dm
- * and lattice/e8.py decode_d8. */
-static void decode_dm_row(const double *x, i64 m, double *f) {
+/* Conway–Sloane D8 decoder: round every coordinate, and if the integer
+ * sum is odd re-round the largest-error coordinate the other way
+ * (first-max, step up at exact ties) — mirrors lattice/e8.py decode_d8. */
+static void decode_d8(const double *x, double *f) {
     i64 j, parity_ll = 0;
-    for (j = 0; j < m; j++) {
+    for (j = 0; j < 8; j++) {
         f[j] = floor(x[j] + 0.5);
         parity_ll += (i64)f[j];
     }
     if (((parity_ll % 2) + 2) % 2 != 0) {
         i64 worst = 0;
         double best = -1.0;
-        for (j = 0; j < m; j++) {
+        for (j = 0; j < 8; j++) {
             double e = fabs(x[j] - f[j]);
             if (e > best) { best = e; worst = j; }
         }
         f[worst] += (x[worst] - f[worst] >= 0.0) ? 1.0 : -1.0;
     }
-}
-
-EXPORT void repro_dm_decode(const double *y, i64 n, i64 m, i64 *codes) {
-    double *f = (double *)malloc((size_t)m * sizeof(double));
-    if (!f) { memset(codes, 0, (size_t)(n * m) * sizeof(i64)); return; }
-    for (i64 i = 0; i < n; i++) {
-        decode_dm_row(y + i * m, m, f);
-        for (i64 j = 0; j < m; j++) codes[i * m + j] = (i64)f[j];
-    }
-    free(f);
 }
 
 /* E8 = D8 ∪ (D8 + (1/2)^8): decode to both cosets, keep the closer one
@@ -791,9 +780,9 @@ EXPORT void repro_dm_decode(const double *y, i64 n, i64 m, i64 *codes) {
 static void e8_decode_block(const double *x, i64 *out) {
     double d8[8], half[8], shifted[8], err[8], buf[4];
     i64 j;
-    decode_dm_row(x, 8, d8);
+    decode_d8(x, d8);
     for (j = 0; j < 8; j++) shifted[j] = x[j] - 0.5;
-    decode_dm_row(shifted, 8, half);
+    decode_d8(shifted, half);
     for (j = 0; j < 8; j++) half[j] += 0.5;
     for (j = 0; j < 8; j++) err[j] = x[j] - d8[j];
     double dist_d8 = tree_dot(err, err, 8, buf, 8);
@@ -813,30 +802,28 @@ EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
 
 /* Words of one hierarchy's level table (E8Hierarchy.words), then of each
  * of its levels: sorted node codes, node count, node runs of the ids. */
-enum { H_KIND, H_DIM, H_N_LEVELS, H_SETTLED, H_IDS, H_N_IDS, H_WORDS };
+enum { H_DIM, H_N_LEVELS, H_SETTLED, H_IDS, H_N_IDS, H_WORDS };
 enum { V_CODES, V_N_NODES, V_STARTS, V_ENDS, V_WORDS };
-enum { KIND_E8, KIND_DM };
 
 /* ref.hierarchy_walk_ref one (table, row) at a time, over n_tables level
  * tables (hiers: their addresses) and (n_tables, n, dim) codes.  Level k's
- * ancestor is code_k * 2^k, code_k = DECODE(code_{k-1} / 2) in the
- * lattice's units (E8's are halves): Lattice.ancestor_chain's exact float
- * steps.  Writes (start, size, depth) per (table, row).  Returns 0, -1 when
- * scratch cannot be allocated, -2 for a table of another width or lattice,
+ * ancestor is code_k * 2^k, code_k = DECODE(code_{k-1} / 2) in half units:
+ * E8Lattice.ancestor_chain's exact float steps.  Writes (start, size,
+ * depth) per (table, row).  Returns 0, -1 when scratch cannot be
+ * allocated, -2 for a table of another width (or one not a multiple of 8),
  * -3 for a node outside its id array. */
 EXPORT i64 repro_hierarchy_walk(const i64 *hiers, i64 n_tables,
                                 const i64 *codes, i64 n, i64 dim,
                                 i64 min_count, i64 *start, i64 *size,
                                 i64 *depth) {
     i64 rc = -1, t, r, j, level;
-    double *x = (double *)malloc((size_t)(2 * dim + 1) * sizeof(double));
+    double *x = (double *)malloc((size_t)(dim + 1) * sizeof(double));
     i64 *cd = (i64 *)malloc((size_t)(3 * dim + 1) * sizeof(i64));
     if (!x || !cd) goto done;
     i64 *anc = cd + dim, *below = anc + dim;
     for (t = 0, rc = 0; t < n_tables; t++) {
         const i64 *h = PTR(hiers[t]);
-        int e8 = h[H_KIND] == KIND_E8;
-        if (h[H_DIM] != dim || (e8 ? dim % 8 : h[H_KIND] != KIND_DM)) {
+        if (h[H_DIM] != dim || dim % 8) {
             rc = -2;
             goto done;
         }
@@ -846,15 +833,9 @@ EXPORT i64 repro_hierarchy_walk(const i64 *hiers, i64 n_tables,
             for (level = 0; level < h[H_N_LEVELS]; level++) {
                 const i64 *v = h + H_WORDS + level * V_WORDS;
                 if (level) {
-                    for (j = 0; j < dim; j++)
-                        x[j] = (double)cd[j] / (e8 ? 4.0 : 2.0);
-                    if (e8)
-                        for (j = 0; j < dim; j += 8)
-                            e8_decode_block(x + j, cd + j);
-                    else
-                        for (decode_dm_row(x, dim, x + dim), j = 0; j < dim;
-                             j++)
-                            cd[j] = (i64)x[dim + j];
+                    for (j = 0; j < dim; j++) x[j] = (double)cd[j] / 4.0;
+                    for (j = 0; j < dim; j += 8)
+                        e8_decode_block(x + j, cd + j);
                 }
                 for (j = 0; j < dim; j++)
                     anc[j] = (i64)ldexp((double)cd[j], (int)level);
@@ -892,4 +873,4 @@ done:
 
 /* Version tag checked by the loader: bumped with every exported-signature
  * change so a library built from another revision is refused. */
-EXPORT i64 repro_kernels_abi(void) { return 6; }
+EXPORT i64 repro_kernels_abi(void) { return 7; }

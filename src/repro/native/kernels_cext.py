@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 6
+KERNELS_ABI = 7
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -155,8 +155,6 @@ class CExtKernels:
             ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
         lib.repro_zm_probe_codes.restype = i64
         lib.repro_zm_probe_codes.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr]
-        lib.repro_dm_decode.restype = None
-        lib.repro_dm_decode.argtypes = [ptr, i64, i64, ptr]
         lib.repro_e8_decode.restype = None
         lib.repro_e8_decode.argtypes = [ptr, i64, i64, ptr]
         lib.repro_hierarchy_walk.restype = i64
@@ -307,13 +305,6 @@ class CExtKernels:
             raise MemoryError("zm_probe_codes scratch allocation failed")
         return out[:total], counts
 
-    def dm_decode(self, y: np.ndarray) -> np.ndarray:
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        codes = np.empty(y.shape, dtype=np.int64)
-        self._lib.repro_dm_decode(_address(y), y.shape[0], y.shape[1],
-                                  _address(codes))
-        return codes
-
     def hierarchy_walk(self, hierarchies: Sequence["E8Hierarchy"],
                        codes: np.ndarray, min_count: int,
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,7 +325,7 @@ class CExtKernels:
             raise MemoryError("hierarchy_walk scratch allocation failed")
         if rc == -2:
             raise ValueError(f"hierarchy_walk: a level table is not over "
-                             f"{dim}-wide E8 or D_M codes")
+                             f"{dim}-wide E8 codes")
         if rc < 0:
             raise IndexError("hierarchy_walk: node outside its id array")
         return out[0], out[1], out[2]

@@ -42,9 +42,8 @@ __all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels",
 #: No query path calls ``lookup_codes`` or ``dedup_candidates`` any more;
 #: they stay because ``benchmarks/e2e`` wraps them by name.
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
-                                 "rank_topk", "dm_decode", "e8_decode",
-                                 "zm_probe_codes", "bucket_union",
-                                 "hierarchy_walk")
+                                 "rank_topk", "e8_decode", "zm_probe_codes",
+                                 "bucket_union", "hierarchy_walk")
 
 _VALID_PINS = ("auto", "cext", "none")
 
@@ -66,14 +65,8 @@ class NumpyKernels:
     bucket_union = staticmethod(ref.bucket_union_ref)
     hierarchy_walk = staticmethod(ref.hierarchy_walk_ref)
 
-    # The decoders live with their lattices, which import ``ref`` for the
-    # summation tree — hence the call-time imports.
-
-    @staticmethod
-    def dm_decode(y: np.ndarray) -> np.ndarray:
-        from repro.lattice.dm import decode_dm
-
-        return decode_dm(y).astype(np.int64)
+    # The decoder lives with its lattice, which imports ``ref`` for the
+    # summation tree — hence the call-time import.
 
     @staticmethod
     def e8_decode(y: np.ndarray) -> np.ndarray:

@@ -69,7 +69,6 @@ ESCALATIONS_TOTAL = "repro_escalations_total"      # counter
 SHORTLIST_SIZE = "repro_shortlist_size"            # histogram
 PROBE_COUNT = "repro_probe_count"                  # histogram (per query)
 PROBES_TOTAL = "repro_probes_total"                # counter{table}
-ADAPTIVE_PROBE_BUDGET = "repro_adaptive_probe_budget"  # histogram
 BUCKET_LOOKUPS_TOTAL = "repro_bucket_lookups_total"    # counter{table}
 BUCKET_MISSES_TOTAL = "repro_bucket_misses_total"      # counter{table}
 TABLE_REBUILDS_TOTAL = "repro_table_rebuilds_total"    # counter
@@ -186,12 +185,6 @@ class Observer:
             reg.counter(PROBES_TOTAL,
                         "Multi-probe lookups beyond the home bucket.").labels(
                             table=table).inc(n_probes)
-
-    def record_adaptive_budget(self, budgets: np.ndarray) -> None:
-        self.registry.histogram(
-            ADAPTIVE_PROBE_BUDGET,
-            "Probe budget chosen by adaptive multi-probe.",
-            buckets=COUNT_BUCKETS).observe_many(budgets)
 
     def record_rebuild(self) -> None:
         self.registry.counter(

@@ -33,8 +33,8 @@ NATIVE_KERNEL_SECONDS = "repro_native_kernel_seconds"
 #: never imports :mod:`repro.native` — R9 keeps backend resolution in
 #: ``native/registry.py`` and this module must stay import-light).
 TIMED_KERNEL_NAMES = ("lookup_codes", "dedup_candidates", "rank_topk",
-                      "dm_decode", "e8_decode", "zm_probe_codes",
-                      "bucket_union", "hierarchy_walk")
+                      "e8_decode", "zm_probe_codes", "bucket_union",
+                      "hierarchy_walk")
 
 
 class TimedKernels:

@@ -29,7 +29,8 @@ import numpy as np
 from repro.core.bilevel import BiLevelLSH, grouped_store
 from repro.core.config import BiLevelConfig
 from repro.cluster.kmeans import KMeansPartitioner
-from repro.lsh.index import RowStore, StandardLSH, prefixed, sub_arrays
+from repro.lsh.index import (RowStore, StandardLSH, drop_retired_options,
+                             prefixed, sub_arrays)
 from repro.resilience.errors import CorruptIndexError, InjectedFault
 from repro.resilience.faults import faults_active
 from repro.rptree.rules import SplitResult
@@ -207,8 +208,9 @@ def _bilevel_arrays(index: BiLevelLSH, arrays: Dict[str, np.ndarray]) -> dict:
 
 def _bilevel_restore(meta: dict, arrays) -> BiLevelLSH:
     known = {field.name for field in dataclasses.fields(BiLevelConfig)}
-    index = BiLevelLSH(BiLevelConfig(**{  # a retired key is ignored
-        key: value for key, value in meta["config"].items() if key in known}))
+    config = drop_retired_options(meta["config"])
+    index = BiLevelLSH(BiLevelConfig(**{  # an inert retired key is ignored
+        key: value for key, value in config.items() if key in known}))
     if meta["tree"]["partitioner"] == "rptree":
         index.partitioner = _tree_restore("tree", meta["tree"], arrays)
     else:

@@ -111,31 +111,11 @@ class TestFitQuery:
     def test_multiprobe_and_hierarchy_variants(self, gaussian_data,
                                                gaussian_queries):
         for kwargs in ({"n_probes": 10}, {"hierarchy": True},
-                       {"n_probes": 10, "hierarchy": True},
-                       {"n_probes": 10, "adaptive_probing": True}):
+                       {"n_probes": 10, "hierarchy": True}):
             idx = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
                                            seed=8, **kwargs)).fit(gaussian_data)
             ids, _, stats = idx.query_batch(gaussian_queries, 3)
             assert ids.shape == (30, 3)
-
-    def test_adaptive_probing_config_validation(self):
-        with pytest.raises(ValueError, match="zm"):
-            BiLevelConfig(lattice="e8", adaptive_probing=True)
-        with pytest.raises(ValueError, match="probe_confidence"):
-            BiLevelConfig(probe_confidence=0.0)
-
-    def test_adaptive_probing_cheaper_than_fixed(self, gaussian_data,
-                                                 gaussian_queries):
-        fixed = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
-                                         n_probes=20, seed=19)).fit(gaussian_data)
-        adaptive = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
-                                            n_probes=20, adaptive_probing=True,
-                                            probe_confidence=0.6,
-                                            seed=19)).fit(gaussian_data)
-        _, _, s_fixed = fixed.query_batch(gaussian_queries, 3)
-        _, _, s_adaptive = adaptive.query_batch(gaussian_queries, 3)
-        assert (s_adaptive.n_candidates.mean()
-                <= s_fixed.n_candidates.mean())
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):

@@ -273,3 +273,26 @@ class TestRefusedArchive:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert reason in err
+
+    @pytest.mark.parametrize("option, reason", [
+        ({"lattice": "dm"}, "lattice 'dm'"),
+        ({"adaptive_probing": True}, "adaptive_probing"),
+    ], ids=["dm", "adaptive"])
+    @pytest.mark.parametrize("command", ["query", "info"])
+    def test_a_retired_option_exits_2(self, index_file, query_file, capsys,
+                                      command, option, reason):
+        # A real archive whose groups used D_M or adaptive probe budgets.
+        with np.load(index_file) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
+        for group in meta["body"]["groups"]:
+            group.update(option)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        np.savez_compressed(index_file, **arrays)
+        argv = {"query": ["query", index_file, query_file],
+                "info": ["info", index_file]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert reason in err

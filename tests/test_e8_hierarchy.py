@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hierarchy.e8_hierarchy import E8Hierarchy
-from repro.lattice.dm import DMLattice
 from repro.lattice.e8 import E8Lattice
 from repro.lsh.table import LSHTable
 from repro.native import load_kernels
@@ -61,15 +60,15 @@ class TestConstruction:
             E8Hierarchy(table, lat, max_levels=0)
 
     def test_level_words_name_the_level_arrays(self):
-        # What the compiled walk reads: lattice, width, levels, settled,
-        # the id array, then per level its codes, count, starts and ends.
+        # What the compiled walk reads: width, levels, settled, the id
+        # array, then per level its codes, count, starts and ends.
         _, _, lat, _, hier = _make()
         words = hier.words.tolist()
-        assert words[:6] == [0, 8, hier.n_levels, hier.settled,
+        assert words[:5] == [8, hier.n_levels, hier.settled,
                              hier.ids.ctypes.data, hier.ids.size]
         for level in range(hier.n_levels):
             codes = hier.level_codes[level]
-            assert words[6 + 4 * level:10 + 4 * level] == [
+            assert words[5 + 4 * level:9 + 4 * level] == [
                 codes.ctypes.data, codes.shape[0],
                 hier.level_starts[level].ctypes.data,
                 hier.level_ends[level].ctypes.data]
@@ -87,7 +86,7 @@ class TestConstruction:
             assert np.all(ends > starts)
 
     @pytest.mark.parametrize("lattice", [E8Lattice(8), E8Lattice(12),
-                                         DMLattice(5)])
+                                         E8Lattice(16)])
     def test_levels_nest_and_carry_their_ancestor_code(self, lattice):
         # The layout relies on nesting: every node is a union of nodes of
         # the level below, and holds exactly the points whose level-k
@@ -135,7 +134,7 @@ class TestCandidatesBatch:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            lattice=st.sampled_from([E8Lattice(8), E8Lattice(11),
-                                    DMLattice(6)]),
+                                    E8Lattice(16)]),
            scale=st.sampled_from([0.5, 3.0, 40.0]),
            min_count=st.sampled_from([1, 7, 60, 10**6]),
            compiled=st.booleans())
@@ -197,7 +196,7 @@ class TestWalkKernel:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            lattice=st.sampled_from([E8Lattice(8), E8Lattice(11),
-                                    DMLattice(6)]),
+                                    E8Lattice(16)]),
            scale=st.sampled_from([0.5, 3.0, 40.0]),
            min_count=st.sampled_from([1, 7, 60, 10**6]),
            n_tables=st.integers(1, 3))
@@ -209,7 +208,7 @@ class TestWalkKernel:
                             hierarchy_walk_ref(hiers, rows, min_count))
 
     @pytest.mark.parametrize("lattice", [E8Lattice(8), E8Lattice(11),
-                                         DMLattice(6)])
+                                         E8Lattice(16)])
     def test_rows_climb_into_the_settled_levels(self, compiled, lattice):
         # A budget no node meets sends every row up until the settled
         # cut-off stops it: the doubling test and the matched-row stop.
@@ -232,7 +231,7 @@ class TestWalkKernel:
         from repro.lattice.zm import ZMLattice
 
         table = LSHTable(np.zeros((3, 4), dtype=np.int64))
-        with pytest.raises(ValueError, match="E8 or D_M"):
+        with pytest.raises(ValueError, match="E8 lattice"):
             E8Hierarchy(table, ZMLattice(4))
 
 

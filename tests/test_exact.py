@@ -1,10 +1,9 @@
-"""Unit tests for the exact tree baselines (Kd-tree, cover tree)."""
+"""Unit tests for the exact tree baseline (Kd-tree)."""
 
 import numpy as np
 import pytest
 
 from repro.evaluation.groundtruth import brute_force_knn
-from repro.exact.covertree import CoverTree
 from repro.exact.kdtree import KDTree
 
 
@@ -95,56 +94,3 @@ class TestKDTree:
         with pytest.raises(ValueError):
             tree.query(np.zeros((1, 3)), 5)
 
-
-class TestCoverTree:
-    def test_exactness_small(self):
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((200, 5))
-        queries = rng.standard_normal((15, 5))
-        tree = CoverTree().fit(data)
-        _distances_match(tree, data, queries, 4)
-
-    def test_exactness_clustered(self):
-        from repro.datasets.synthetic import clustered_manifold
-
-        data = clustered_manifold(n_points=300, dim=8, n_clusters=4,
-                                  intrinsic_dim=3, seed=6)
-        tree = CoverTree().fit(data)
-        _distances_match(tree, data, data[:20], 6)
-
-    def test_exactness_various_k(self):
-        rng = np.random.default_rng(7)
-        data = rng.uniform(-2, 2, (150, 4))
-        queries = rng.uniform(-2, 2, (10, 4))
-        tree = CoverTree().fit(data)
-        for k in (1, 3, 10):
-            _distances_match(tree, data, queries, k)
-
-    def test_covering_invariant(self):
-        rng = np.random.default_rng(8)
-        data = rng.standard_normal((250, 6))
-        tree = CoverTree().fit(data)
-        assert tree.invariants_ok()
-
-    def test_duplicate_points(self):
-        data = np.vstack([np.zeros((5, 3)), np.ones((5, 3)),
-                          np.full((3, 3), 2.0)])
-        tree = CoverTree().fit(data)
-        ids, dists = tree.query(np.zeros((1, 3)), 5)
-        assert np.allclose(dists[0], 0.0)
-
-    def test_single_point(self):
-        tree = CoverTree().fit(np.array([[1.0, 2.0]]))
-        ids, dists = tree.query(np.array([[1.0, 2.0]]), 1)
-        assert ids[0, 0] == 0 and dists[0, 0] == 0.0
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            CoverTree().query(np.zeros((1, 2)), 1)
-
-    def test_counts_distance_evals(self):
-        rng = np.random.default_rng(9)
-        data = rng.standard_normal((100, 4))
-        tree = CoverTree().fit(data)
-        tree.query(data[:5], 3)
-        assert tree.last_distance_evals > 0

@@ -62,6 +62,22 @@ class TestDecodeD8:
                     if int(round(cand.sum())) % 2 == 0:
                         assert d_out <= np.sum((x[i] - cand) ** 2) + 1e-9
 
+    def test_half_integer_tie_rule(self):
+        # Ties round half up; an odd sum re-rounds the first coordinate of
+        # largest error the other way, up at an exact integer.  The
+        # compiled E8 decoder follows the same rule (tests/test_native.py).
+        x = np.array([[0.5, 0, 0, 0, 0, 0, 0, 0],
+                      [2.5, 0.5, 0, 0, 0, 0, 0, 0],
+                      [0.5, 0.5, 0.5, 0, 0, 0, 0, 0],
+                      [1.0, 0, 0, 0, 0, 0, 0, 0],
+                      [-1.5, 2.5, 0, 0, 0, 0, 0, 0]])
+        want = np.array([[0., 0, 0, 0, 0, 0, 0, 0],
+                         [3., 1, 0, 0, 0, 0, 0, 0],
+                         [0., 1, 1, 0, 0, 0, 0, 0],
+                         [2., 0, 0, 0, 0, 0, 0, 0],
+                         [-1., 3, 0, 0, 0, 0, 0, 0]])
+        np.testing.assert_array_equal(decode_d8(x), want)
+
     def test_wrong_dim_raises(self):
         with pytest.raises(ValueError, match="dim-8"):
             decode_d8(np.zeros((1, 7)))

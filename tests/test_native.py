@@ -5,7 +5,7 @@ Four contracts:
 1. **Bit-parity matrix** — the one staged plan returns *identical*
    indices and distances on the compiled kernel table and on the numpy
    one, and the scalar oracle's neighbours, across lattices × multiprobe
-   (fixed, adaptive) × hierarchy × tombstones × live overlay × memmap ×
+   × hierarchy × tombstones × live overlay × memmap ×
    ``max_batch_rows`` × shard threads × spill.  The numpy side is pinned
    through the ``REPRO_NATIVE_BACKEND`` + ``registry.reset()`` seam; the
    other side is whatever the environment resolves (the CI ``native``
@@ -18,10 +18,11 @@ Four contracts:
    portable build a failed SIMD compile falls back to (``bucket_union``
    also on the numpy table, against a set-based oracle); an FMA canary
    proves contraction is off; the ``.so`` cache key covers the flags.
-3. **Decoder properties** — the compiled E8/Dm decoders match the
-   pure-numpy references in ``repro.lattice`` on random inputs *and* on
-   the boundary grid (exact integers, half-integers, quarter-point
-   D8-vs-coset ties) where any summation or rounding divergence shows.
+3. **Decoder properties** — the compiled E8 decoder matches the
+   pure-numpy reference in ``repro.lattice`` on random inputs *and* on
+   the boundary grid (exact integers, half-integers — the D8 rounding
+   ties — and quarter-point D8-vs-coset ties) where any summation or
+   rounding divergence shows.
 4. **One path, loud fallback** — a bare ``query_batch`` runs the
    compiled table when there is one; without one it answers
    bit-identically from the numpy table with exactly one
@@ -30,6 +31,7 @@ Four contracts:
 """
 
 import contextlib
+import itertools
 import os
 import re
 import stat
@@ -46,7 +48,6 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.core.outofcore import fit_standard_chunked
 from repro.exec import run_plan
-from repro.lattice.dm import decode_dm
 from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import SortedLayout, TableLayouts
@@ -108,7 +109,7 @@ def numpy_table():
 
 
 #: Index configurations spanning what the kernels touch: lattice decoder,
-#: multiprobe expansion (fixed and adaptive budgets), hierarchy
+#: multiprobe expansion, hierarchy
 #: escalation (integer threshold — shard-invariant by construction), and
 #: the index states that fork on their input — tombstones, a live insert
 #: overlay, a memmapped corpus.
@@ -116,18 +117,13 @@ INDEX_CONFIGS = {
     "zm": dict(lattice="zm"),
     "zm-probes": dict(lattice="zm", n_probes=4),
     "e8-hier": dict(lattice="e8", hierarchy=True),
-    "dm-probes-hier": dict(lattice="dm", n_probes=2, hierarchy=True),
     "zm-probes16-hier-tombstones": dict(lattice="zm", n_probes=16,
                                         hierarchy=True, tombstones=True),
-    "zm-adaptive-overlay": dict(lattice="zm", n_probes=16,
-                                adaptive_probing=True, overlay=True),
+    "zm-probes16-overlay": dict(lattice="zm", n_probes=16, overlay=True),
     "zm-memmap-tombstones": dict(lattice="zm", memmap=True, tombstones=True),
     "e8-probes16-overlay-tombstones": dict(lattice="e8", n_probes=16,
                                            overlay=True, tombstones=True),
     "e8-hier-memmap": dict(lattice="e8", hierarchy=True, memmap=True),
-    "dm": dict(lattice="dm"),
-    "dm-probes16-overlay": dict(lattice="dm", n_probes=16, overlay=True),
-    "dm-hier-memmap": dict(lattice="dm", hierarchy=True, memmap=True),
 }
 
 
@@ -250,7 +246,7 @@ class TestParityMatrix:
         assert_same_results(base, oracle_query(
             index, queries, K, hierarchy_threshold=14), exact=False)
 
-    @pytest.mark.parametrize("config", ["e8-hier", "dm-probes-hier",
+    @pytest.mark.parametrize("config", ["e8-hier",
                                         "zm-probes16-hier-tombstones"])
     def test_expired_deadline_flags_every_escalated_row(self, index_cache,
                                                         queries, config):
@@ -855,7 +851,7 @@ class TestZmProbeKernel:
                   if not name.startswith("_") and callable(getattr(table, name))}
         assert TIMED_KERNEL_NAMES == registry.KERNEL_NAMES
         assert served == set(registry.KERNEL_NAMES)
-        assert len(served) == 8 and "hierarchy_walk" in served
+        assert len(served) == 7 and "hierarchy_walk" in served
 
 
 # ------------------------------------------------------- compiled decoders
@@ -920,21 +916,18 @@ class TestCompiledE8Decoder:
         with pytest.raises(ValueError):
             kernels.e8_decode(np.zeros((3, 7), dtype=np.float64))
 
-    @settings(max_examples=100, deadline=None)
-    @given(row=st.lists(
-        st.floats(min_value=-50.0, max_value=50.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=6, max_size=6))
-    def test_dm_decode_matches_reference(self, kernels, row):
-        x = np.array([row], dtype=np.float64)
-        expected = decode_dm(x).astype(np.int64)
-        assert np.array_equal(kernels.dm_decode(x), expected)
-
-    def test_dm_decode_half_integer_ties(self, kernels):
-        grid = np.array(np.meshgrid([-0.5, 0.0, 0.5], [-0.5, 0.5],
-                                    [-1.5, 1.5])).T.reshape(-1, 3)
-        expected = decode_dm(grid).astype(np.int64)
-        assert np.array_equal(kernels.dm_decode(grid), expected)
+    def test_d8_half_integer_ties(self, kernels):
+        # Rows of integers and half-integers: every half-integer is a
+        # rounding tie of the D8 decoder, and an odd sum re-rounds the
+        # first of equal errors — where E8 keeps the D8 point, the codes
+        # show both tie rules.
+        head = np.array(list(itertools.product([-0.5, 0.0, 0.5, 1.5],
+                                               repeat=4)))
+        grid = np.vstack([np.hstack([head, np.zeros_like(head)]),
+                          np.hstack([np.zeros_like(head), head])])
+        got = kernels.e8_decode(grid)
+        assert np.array_equal(got, _e8_reference(grid))
+        assert (got % 2 == 0).all(axis=1).sum() > grid.shape[0] // 2
 
 
 # ------------------------------------------------------------ observability

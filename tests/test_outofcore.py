@@ -119,13 +119,13 @@ class TestFitBilevelChunked:
         from repro.core.bilevel import BiLevelLSH
 
         cfg = BiLevelConfig(n_groups=4, bucket_width=4.0, n_tables=2,
-                            n_probes=4, adaptive_probing=True,
-                            probe_confidence=0.7, scale_widths=True, seed=11)
+                            n_probes=4, hierarchy=True, scale_widths=True,
+                            seed=11)
         ooc = fit_bilevel_chunked(cfg, memmap_data, sample_size=300)
         mem = BiLevelLSH(cfg).fit(gaussian_data)
         for a, b in zip(ooc.group_indexes, mem.group_indexes):
-            assert (a.adaptive_probing, a.probe_confidence) \
-                == (b.adaptive_probing, b.probe_confidence) == (True, 0.7)
+            assert (a.n_probes, a.use_hierarchy) \
+                == (b.n_probes, b.use_hierarchy) == (4, True)
         assert ooc.group_widths != [cfg.bucket_width] * 4
         assert [sub.bucket_width for sub in ooc.group_indexes] \
             == ooc.group_widths

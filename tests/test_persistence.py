@@ -54,16 +54,6 @@ class TestStandardRoundtrip:
         assert loaded.lattice_kind == "e8"
         _same_results(index, loaded, gaussian_queries)
 
-    def test_adaptive_probing_preserved(self, gaussian_data,
-                                        gaussian_queries, tmp_path):
-        index = StandardLSH(bucket_width=4.0, n_tables=2, n_probes=10,
-                            adaptive_probing=True, probe_confidence=0.7,
-                            seed=11).fit(gaussian_data)
-        loaded = _roundtrip(index, tmp_path)
-        assert loaded.adaptive_probing
-        assert loaded.probe_confidence == 0.7
-        _same_results(index, loaded, gaussian_queries)
-
     def test_external_ids_preserved(self, gaussian_data, tmp_path):
         ids_ext = np.arange(gaussian_data.shape[0]) + 777
         index = StandardLSH(bucket_width=8.0, seed=3).fit(gaussian_data,
@@ -257,6 +247,72 @@ def _rewrite_archive(path, mutate):
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode(), dtype=np.uint8)
     np.savez_compressed(path, **arrays)
+
+
+#: Where an archive names an index option: a standalone index's scalars,
+#: a Bi-level group's, and the Bi-level config.
+OPTION_SITES = {
+    "standard": lambda meta: [meta["body"]],
+    "group": lambda meta: meta["body"]["groups"],
+    "config": lambda meta: [meta["body"]["config"]],
+}
+
+
+class TestRetiredOptions:
+    """``D_M`` quantization and adaptive probe budgets left the index: an
+    archive that used one is refused by name (serving it otherwise would
+    change its answers), and one that carries only their inert keys
+    loads and answers byte for byte as before."""
+
+    @pytest.fixture()
+    def saved(self, gaussian_data, tmp_path):
+        def save(site):
+            path = str(tmp_path / f"{site}.npz")
+            if site == "standard":
+                index = StandardLSH(bucket_width=4.0, n_tables=3, n_probes=6,
+                                    seed=11).fit(gaussian_data)
+            else:
+                index = BiLevelLSH(BiLevelConfig(
+                    n_groups=4, bucket_width=4.0, n_tables=3, n_probes=6,
+                    seed=11)).fit(gaussian_data)
+            save_index(index, path)
+            return path, index
+
+        return save
+
+    @pytest.mark.parametrize("site", sorted(OPTION_SITES))
+    @pytest.mark.parametrize("option, named", [
+        ({"lattice": "dm"}, "lattice 'dm'"),
+        ({"adaptive_probing": True, "probe_confidence": 0.7},
+         "adaptive_probing"),
+    ], ids=["dm", "adaptive"])
+    def test_an_archive_that_used_one_is_refused(self, saved, site, option,
+                                                 named):
+        path, _ = saved(site)
+
+        def use(meta, arrays):
+            for options in OPTION_SITES[site](meta):
+                options.update(option)
+
+        _rewrite_archive(path, use)
+        with pytest.raises(ValueError, match=named):
+            load_index(path)
+
+    @pytest.mark.parametrize("site", sorted(OPTION_SITES))
+    def test_inert_keys_are_dropped(self, saved, site, gaussian_queries):
+        path, index = saved(site)
+
+        def carry(meta, arrays):
+            for options in OPTION_SITES[site](meta):
+                options.update(adaptive_probing=False, probe_confidence=0.9)
+
+        _rewrite_archive(path, carry)
+        loaded = load_index(path)
+        ids, dists, stats = loaded.query_batch(gaussian_queries, 5)
+        want_ids, want_dists, want = index.query_batch(gaussian_queries, 5)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert np.array_equal(dists.view(np.int64), want_dists.view(np.int64))
+        np.testing.assert_array_equal(stats.n_candidates, want.n_candidates)
 
 
 class TestVerifiedPersistence:

@@ -1,14 +1,13 @@
 """Property-based tests (hypothesis) for the extended substrates."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.evaluation.variance import decompose_variance
 from repro.exact.kdtree import KDTree
-from repro.lattice.dm import DMLattice, decode_dm
-from repro.lsh.multiprobe import adaptive_probes, query_directed_probes
+from repro.lattice.e8 import E8Lattice, decode_d8
 
 coords = st.floats(min_value=-20.0, max_value=20.0,
                    allow_nan=False, allow_infinity=False)
@@ -39,63 +38,36 @@ class TestKDTreeProperties:
         assert np.allclose(dists[:, 0], 0.0, atol=1e-9)
 
 
-class TestDMProperties:
-    @given(arrays(np.float64, (6,), elements=coords))
+class TestD8Properties:
+    @given(arrays(np.float64, (8,), elements=coords))
     @settings(max_examples=150, deadline=None)
-    def test_decode_is_dm_point(self, x):
-        out = decode_dm(x.reshape(1, -1))[0]
+    def test_decode_is_d8_point(self, x):
+        out = decode_d8(x.reshape(1, -1))[0]
         assert np.allclose(out, np.round(out))
         assert int(round(out.sum())) % 2 == 0
 
-    @given(arrays(np.float64, (6,), elements=coords))
+    @given(arrays(np.float64, (8,), elements=coords))
     @settings(max_examples=100, deadline=None)
     def test_decode_within_unit_ball(self, x):
-        # The worst-case decode distance of D_M is bounded: rounding moves
+        # The worst-case decode distance of D8 is bounded: rounding moves
         # each coordinate at most 0.5 and the parity fix adds at most 1.
-        out = decode_dm(x.reshape(1, -1))[0]
-        assert np.sum((x - out) ** 2) <= 6 * 0.25 + 1.0 + 1e-9
+        out = decode_d8(x.reshape(1, -1))[0]
+        assert np.sum((x - out) ** 2) <= 8 * 0.25 + 1.0 + 1e-9
 
-    @given(arrays(np.float64, (4,), elements=coords),
+    @given(arrays(np.float64, (8,), elements=coords),
            st.integers(min_value=0, max_value=4))
     @settings(max_examples=80, deadline=None)
-    def test_ancestor_is_scaled_point(self, y, k):
-        lat = DMLattice(4)
+    def test_e8_ancestor_is_scaled_point(self, y, k):
+        # Eq. (10) climbs by the D8 decoder inside E8: a level-k ancestor
+        # is a point of the 2^k-scaled lattice (codes are half units).
+        lat = E8Lattice(8)
         code = lat.quantize(y.reshape(1, -1))
-        anc = lat.ancestor(code, k)[0]
-        scaled = anc / (2 ** k)
-        assert np.allclose(scaled, np.round(scaled))
-        assert int(round(scaled.sum())) % 2 == 0
-
-
-class TestAdaptiveProbeProperties:
-    @given(arrays(np.float64, (5,),
-                  elements=st.floats(min_value=-5, max_value=5,
-                                     allow_nan=False)),
-           st.integers(1, 30),
-           st.floats(min_value=0.05, max_value=1.0))
-    # Full confidence over weights whose cumulative sum rounds below 1.0
-    # once returned budget + 1 rows, the last uninitialised.
-    @example(np.array([1.5, 0.0, 0.0, 0.0, 0.0]), 24, 1.0)
-    @settings(max_examples=80, deadline=None)
-    def test_prefix_of_fixed_sequence(self, y, budget, confidence):
-        code = np.floor(y).astype(np.int64)
-        adaptive = adaptive_probes(y, code, budget, confidence=confidence)
-        fixed = query_directed_probes(y, code, budget)
-        assert adaptive.shape[0] <= fixed.shape[0]
-        if adaptive.shape[0]:
-            np.testing.assert_array_equal(adaptive,
-                                          fixed[: adaptive.shape[0]])
-
-    @given(arrays(np.float64, (4,),
-                  elements=st.floats(min_value=-5, max_value=5,
-                                     allow_nan=False)),
-           st.integers(1, 20))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_confidence(self, y, budget):
-        code = np.floor(y).astype(np.int64)
-        low = adaptive_probes(y, code, budget, confidence=0.3).shape[0]
-        high = adaptive_probes(y, code, budget, confidence=0.95).shape[0]
-        assert high >= low
+        scaled = lat.ancestor(code, k)[0] / 2.0 / (2 ** k)
+        doubled = 2.0 * scaled
+        assert np.allclose(doubled, np.round(doubled))
+        coset = scaled - 0.5 if doubled[0] % 2 else scaled
+        assert np.allclose(coset, np.round(coset))
+        assert int(round(coset.sum())) % 2 == 0
 
 
 class TestVarianceProperties:

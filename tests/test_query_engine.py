@@ -49,12 +49,6 @@ class TestStandardEquivalence:
                             seed=11).fit(data)
         assert_engines_match(index, queries, 10)
 
-    def test_adaptive_probing(self, dataset):
-        data, queries = dataset
-        index = StandardLSH(bucket_width=4.0, n_tables=3, n_probes=6,
-                            adaptive_probing=True, seed=12).fit(data)
-        assert_engines_match(index, queries, 5)
-
     def test_fixed_hierarchy_threshold(self, dataset):
         data, queries = dataset
         index = StandardLSH(bucket_width=5.0, n_tables=3, hierarchy=True,

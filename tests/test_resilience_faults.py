@@ -90,11 +90,13 @@ PLAN_MAKERS = {"bilevel.dispatch": dispatch_plan, "lsh.gather": gather_plan}
 
 
 def without_first_table(index):
-    """``index`` as if table 0 were gone: the oracle of a dropped table."""
+    """``index`` as if table 0 were gone — its hierarchy too: the oracle
+    of a dropped table."""
     survivors = copy.copy(index)
     survivors.n_tables = index.n_tables - 1
     survivors._families = index._families[1:]
     survivors._tables = index._tables[1:]
+    survivors._hierarchies = index._hierarchies[1:]
     return survivors
 
 
@@ -198,20 +200,30 @@ class TestFaultMatrix:
         np.testing.assert_array_equal(stats.n_candidates, want.n_candidates)
         assert (stats.n_candidates < full.n_candidates).any()
 
-    def test_one_gather_hit_degrades_one_batch(self, dataset, queries):
+    @pytest.mark.parametrize("lattice, hierarchy", [
+        ("zm", False), ("zm", True), ("e8", True)],
+        ids=["plain", "morton", "e8-hier"])
+    def test_one_gather_hit_degrades_one_batch(self, dataset, queries,
+                                               lattice, hierarchy):
         # max_hits=1: the first batch answers from the five surviving
-        # tables, all of it flagged; the next one runs healthy again.
-        index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5).fit(dataset)
+        # tables, all of it flagged — escalation included: a dropped
+        # table's hierarchy is dropped with it; the next one runs healthy
+        # again.
+        index = StandardLSH(n_tables=6, bucket_width=8.0, lattice=lattice,
+                            hierarchy=hierarchy, seed=5).fit(dataset)
         base_ids, base_dists, _ = index.query_batch(queries, 10)
         pol = ResiliencePolicy()
         with injected_faults(gather_plan(max_hits=1)):
             ids, dists, stats = index.query_batch(queries, 10, policy=pol)
             again = index.query_batch(queries, 10, policy=pol)
-        want_ids, want_dists, _ = oracle_query_batch(
+        want_ids, want_dists, want = oracle_query_batch(
             without_first_table(index), queries, 10)
         assert stats.degraded is not None and stats.degraded.all()
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_allclose(dists, want_dists)
+        np.testing.assert_array_equal(stats.n_candidates, want.n_candidates)
+        np.testing.assert_array_equal(stats.escalated, want.escalated)
+        assert stats.escalated.any() == hierarchy
         assert [r.action for r in pol.failures()] == ["gave_up"]
         assert not again[2].degraded_mask().any()
         assert np.array_equal(again[0], base_ids)

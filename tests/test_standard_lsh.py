@@ -238,8 +238,7 @@ class TestOneCallHashing:
 
     LATTICES = {"zm": dict(lattice="zm", n_hashes=8),
                 "e8": dict(lattice="e8", n_hashes=8),
-                "e8-padded": dict(lattice="e8", n_hashes=12),
-                "dm": dict(lattice="dm", n_hashes=6)}
+                "e8-padded": dict(lattice="e8", n_hashes=12)}
 
     @staticmethod
     def _indexes(data, config):
