@@ -4,15 +4,15 @@
 Measures ``query_batch`` p95 latency twice on the same fitted
 ``StandardLSH`` index:
 
-1. **baseline** — read-only, no writer, no compactor;
+1. **baseline** — read-only, no writer;
 2. **live** — a paced writer thread streams WAL-logged inserts/deletes
-   while a background :class:`~repro.maintenance.Compactor` folds the
-   resulting overlays and tombstones into fresh tables.
+   and, every so often, folds the resulting overlays and tombstones
+   into fresh tables with ``index.compact()`` on the same thread.
 
-The PR's durability claim is that maintenance moved *off* the query
-path: WAL appends are writer-side, compaction builds off-lock and
-installs with an atomic swap, so readers only ever pay the brief
-critical sections.  The gate enforces it::
+The claim is that maintenance stays *off* the query path: WAL appends
+and the fold run on the writer, under its lock, and publish with an
+atomic swap; readers never take that lock, so they only ever pay for
+sharing the interpreter.  The gate enforces it::
 
     p95(live) <= --max-ratio * p95(baseline)      (default 1.15)
 
@@ -45,12 +45,7 @@ from conftest import latency_row, time_calls
 
 from repro.experiments.workloads import Scale, make_workload
 from repro.lsh.index import StandardLSH
-from repro.maintenance import (
-    Compactor,
-    WriteAheadLog,
-    read_wal,
-    recover_index,
-)
+from repro.maintenance import WriteAheadLog, read_wal, recover_index
 from repro.persistence import save_index
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +53,8 @@ K = 10
 
 
 class PacedWriter:
-    """A background thread streaming small insert/delete batches.
+    """A background thread streaming small insert/delete batches and
+    folding them (``index.compact()``) at a fixed cadence.
 
     Paced (sleep between ops) rather than flat-out: the benchmark models
     a live index taking updates at a steady rate, not a bulk load — a
@@ -69,11 +65,10 @@ class PacedWriter:
     baseline one and the ratio measures maintenance cost, not growth.
     """
 
-    def __init__(self, index, dim, compactor, batch=16, pause_s=0.08,
+    def __init__(self, index, dim, batch=16, pause_s=0.08,
                  first_compact_s=0.5, compact_period_s=1.6, seed=42):
         self._index = index
         self._dim = dim
-        self._compactor = compactor
         self._batch = batch
         self._pause_s = pause_s
         self._first_compact_s = first_compact_s
@@ -83,6 +78,7 @@ class PacedWriter:
         self._thread = threading.Thread(target=self._run,
                                         name="bench-writer", daemon=True)
         self.ops = 0
+        self.compactions = 0
         self.errors: list = []
 
     def _run(self):
@@ -107,7 +103,7 @@ class PacedWriter:
                     # fraction of query batches can overlap a table
                     # build (the p95 then reflects steady state, not
                     # the deliberately-concentrated build spikes).
-                    self._compactor.request_compaction(self._index)
+                    self.compactions += int(self._index.compact())
                     next_compact += self._compact_period_s
             except Exception as error:  # pragma: no cover - failure path
                 self.errors.append(error)
@@ -169,21 +165,16 @@ def main(argv=None):
         save_index(index, snap)
         wal = WriteAheadLog(os.path.join(tmp, "wal.bin"), fsync=args.fsync)
         index.attach_wal(wal)
-        with Compactor() as compactor:
-            index.attach_compactor(compactor)
-            # Compaction cadence scales with batch latency: one build
-            # costs a few batches of contention, so it must stay rare
-            # relative to the sampled window for the p95 to be honest.
-            if args.quick:
-                cadence = {"first_compact_s": 0.5, "compact_period_s": 1.6}
-            else:
-                cadence = {"first_compact_s": 4.0, "compact_period_s": 20.0}
-            with PacedWriter(index, scale.dim, compactor,
-                             **cadence) as writer:
-                live = time_calls(lambda: index.query_batch(queries, K),
-                                  rounds, warmup=2)
-            compactor.drain()
-            compactor_stats = compactor.stats()
+        # Compaction cadence scales with batch latency: one build costs a
+        # few batches of contention, so it must stay rare relative to the
+        # sampled window for the p95 to be honest.
+        if args.quick:
+            cadence = {"first_compact_s": 0.5, "compact_period_s": 1.6}
+        else:
+            cadence = {"first_compact_s": 4.0, "compact_period_s": 20.0}
+        with PacedWriter(index, scale.dim, **cadence) as writer:
+            live = time_calls(lambda: index.query_batch(queries, K),
+                              rounds, warmup=2)
         writer_errors = [repr(e) for e in writer.errors]
         wal.close()
 
@@ -221,7 +212,7 @@ def main(argv=None):
         "p95_ratio_live_vs_baseline": ratio,
         "writer_ops": writer.ops,
         "writer_errors": writer_errors,
-        "compactor": compactor_stats,
+        "compactions_installed": writer.compactions,
         "wal": {"records": wal_info.n_records,
                 "last_lsn": wal_info.last_lsn,
                 "valid_bytes": wal_info.valid_bytes},
@@ -236,7 +227,7 @@ def main(argv=None):
         print(f"{row['phase']:<10}{row['batch_seconds_p50']:>13.5f}"
               f"{row['batch_seconds_p95']:>13.5f}{row['qps']:>10.0f}")
     print(f"\nwriter ops: {writer.ops}; WAL records: {wal_info.n_records}; "
-          f"compactions installed: {compactor_stats['installed']}")
+          f"compactions installed: {writer.compactions}")
     print(f"live/baseline p95 ratio: {ratio:.3f} "
           f"(max allowed {args.max_ratio})")
     print(f"report: {args.out}")

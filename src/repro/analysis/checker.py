@@ -69,7 +69,7 @@ RULE_SUMMARIES: Dict[str, str] = {
            "(append_insert/append_delete), so every acknowledged write "
            "is replayable after a crash",
     "R14": "runtime-centralized: attachment wiring "
-           "(attach_wal/attach_compactor) is never called "
+           "(attach_wal) is never called "
            "outside attach_* lifecycle methods — process-lifetime "
            "attachment belongs to IndexRuntime",
 }

@@ -416,7 +416,7 @@ def check_obs_centralized(
 #: or the observability layer — catching an exception is legal only if the
 #: handler re-raises or makes one of these calls.
 FAILURE_RECORDING_CALLS = frozenset({
-    "note_failure", "record_failure", "record_fault", "record_fallback",
+    "note_failure", "record_fault", "record_fallback",
     "record_degraded", "record_deadline_exhausted",
 })
 
@@ -706,12 +706,12 @@ def check_wal_before_ack(
 
 # -------------------------------------------------------------------- R14
 
-#: The stateful attachment mutators.  Process-lifetime wiring belongs to
+#: The stateful attachment mutator.  Process-lifetime wiring belongs to
 #: :class:`repro.runtime.IndexRuntime` (``attach_maintenance`` /
 #: ``open``); front-end classes may *define* ``attach_*`` methods (and
 #: delegate among them), but calling one anywhere else re-creates the
 #: ad-hoc per-call-site wiring the runtime layer exists to replace.
-RUNTIME_ATTACH_CALLS = frozenset({"attach_wal", "attach_compactor"})
+RUNTIME_ATTACH_CALLS = frozenset({"attach_wal"})
 
 
 def check_runtime_centralized(
@@ -722,10 +722,9 @@ def check_runtime_centralized(
     """R14: attachment wiring belongs to the runtime.
 
     Inside the front-end packages and the CLI (``lsh``, ``core``,
-    ``gpu``, ``evaluation``, ``cli``) the stateful attachment mutators
-    (``attach_wal`` / ``attach_compactor``) must not be *called* outside
-    a def itself named ``attach_*`` (the front-ends' delegation chains,
-    e.g. BiLevelLSH fanning an attachment out to its group indexes).
+    ``gpu``, ``evaluation``, ``cli``) the stateful attachment mutator
+    ``attach_wal`` must not be *called* outside a def itself named
+    ``attach_*`` (a front-end's delegation chain).
     The runtime package and the execution core are exempt: they are
     where attachments are owned by design.  (That the index packages
     never import the runtime is ``tests/test_layering.py``'s line.)

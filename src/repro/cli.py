@@ -357,8 +357,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         try:
             runtime = IndexRuntime.open(
-                args.index, config, wal_path=args.wal,
-                compact_async=args.compact_async, registry=registry)
+                args.index, config, wal_path=args.wal, registry=registry)
         except (RecoveryError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -527,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wal", default=None,
                    help="recover from (and re-attach) this write-ahead log "
                         "so live /insert and /delete are durable")
-    p.add_argument("--compact-async", action="store_true",
-                   help="run a background compactor so overlay debt from "
-                        "live inserts never stalls the writer")
     p.add_argument("--serve-seconds", type=float, default=None,
                    help="stop after this many seconds (default: serve "
                         "until interrupted)")

@@ -34,7 +34,6 @@ from repro.utils.rng import spawn_rngs
 from repro.utils.validation import as_float_matrix
 
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
-    from repro.maintenance.compactor import Compactor
     from repro.maintenance.wal import WriteAheadLog
 
 
@@ -110,7 +109,6 @@ class BiLevelLSH:
         # sub-inserts, the routed operation is the unit of replay.
         self._wal = None
         self._applied_lsn = 0
-        self._compactor = None
 
     # ------------------------------------------------------------------ fit
 
@@ -262,18 +260,14 @@ class BiLevelLSH:
         wal.advance_to(self._applied_lsn)
         self._wal = wal
 
-    def attach_compactor(self, compactor: "Compactor") -> None:
-        """Use ``compactor`` for every group's overlay merges (async)."""
-        self._compactor = compactor
-        for index in self.group_indexes:
-            index.attach_compactor(compactor)
-
     def compact(self) -> bool:
-        """Compact every leaf group's tables; True if any installed."""
+        """Fold every leaf group's overlay and tombstones
+        (:meth:`StandardLSH.compact`); True if any group published."""
         self._check_fitted()
         installed = False
-        for index in self.group_indexes:
-            installed = index.compact() or installed
+        with self._update_lock:
+            for g, index in enumerate(self.group_indexes):
+                installed = index.compact(g) or installed
         return installed
 
     # -------------------------------------------------------------- updates
@@ -284,8 +278,8 @@ class BiLevelLSH:
         New points are routed down the existing first-level partition —
         the tree is *not* re-split, matching the static-preprocessing role
         it plays in the paper — appended to the one row store once, and
-        entered into their group's LSH tables by global row; a group's
-        tables rebuild automatically when their overlay grows.
+        entered into their group's LSH tables by global row; a group
+        folds its overlay (:meth:`StandardLSH.compact`) once it grows.
         """
         self._check_fitted()
         points = as_float_matrix(points, name="points")
@@ -303,10 +297,11 @@ class BiLevelLSH:
                 self._applied_lsn = self._wal.append_insert(points, new_ids)
             self._store.add_rows(points, new_ids)
             groups = self.partitioner.assign(points)
-            for index, rows in zip(self.group_indexes, rows_by_group(
+            for g, rows in enumerate(rows_by_group(
                     groups, len(self.group_indexes))):
                 if rows.size:
-                    index._index_rows(new_ids[rows], points[rows])
+                    self.group_indexes[g]._index_rows(new_ids[rows],
+                                                      points[rows], g)
         return new_ids
 
     def delete(self, ids: np.ndarray) -> int:

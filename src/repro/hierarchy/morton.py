@@ -75,7 +75,10 @@ class MortonHierarchy:
         self.table = table
         codes = table.bucket_codes  # (B, M), lexicographically sorted
         self.m = codes.shape[1]
-        self.offset = codes.min(axis=0)
+        # An empty table (every row deleted, then compacted) has no
+        # minimum: offset 0, and every walk ends in an empty window.
+        self.offset = (codes.min(axis=0) if codes.shape[0]
+                       else np.zeros(self.m, dtype=np.int64))
         shifted = codes - self.offset
         span = int(shifted.max()) if shifted.size else 0
         self.bits = max(int(span).bit_length(), 1)

@@ -38,13 +38,13 @@ from repro.native import registry as native_registry
 from repro.native.ref import SpanSet, rank_topk_ref, tree_rowdot
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault
+from repro.resilience.faults import faults_active
 from repro.resilience.policy import ResiliencePolicy
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.spare import SpareRows
 from repro.utils.validation import as_float_matrix, check_positive
 
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
-    from repro.maintenance.compactor import Compactor
     from repro.maintenance.wal import WriteAheadLog
 
 __all__ = ["QueryStats", "RowStore", "StandardLSH", "drop_retired_options",
@@ -208,11 +208,6 @@ class RowStore:
 # tail of tests import it from this module.
 
 
-#: Optimistic attempts :meth:`StandardLSH.compact` makes (each one lost to
-#: a concurrent writer) before its last build runs under the writer lock.
-COMPACT_ATTEMPTS = 4
-
-
 class StandardLSH:
     """Single-level p-stable LSH index over ``Z^M`` or ``E8``.
 
@@ -274,14 +269,11 @@ class StandardLSH:
         # Durability plumbing (repro.maintenance): when a WAL is attached,
         # every insert/delete appends (and flushes) a record *before* the
         # mutation is applied — rule R13 wal-before-ack.  ``_applied_lsn``
-        # is the LSN of the last applied record; ``_mutations`` is a
-        # monotonically increasing version used by optimistic compaction.
+        # is the LSN of the last applied record.
         self._wal = None
         self._applied_lsn = 0
-        self._compactor = None
-        self._mutations = 0
 
-    #: Overlay fraction beyond which insert() rebuilds the sorted tables.
+    #: Overlay fraction beyond which insert() folds it (:meth:`compact`).
     REBUILD_FRACTION = 0.2
 
     # ------------------------------------------------------------------ fit
@@ -309,8 +301,6 @@ class StandardLSH:
             PStableHashFamily(store.data.shape[1], self.n_hashes,
                               self.bucket_width, seed=rng)
             for rng in rngs])
-        with self._update_lock:
-            self._mutations += 1
         self._rebuild_tables(chunk_size)
         return self
 
@@ -446,47 +436,33 @@ class StandardLSH:
         wal.advance_to(self._applied_lsn)
         self._wal = wal
 
-    def attach_compactor(self, compactor: "Compactor") -> None:
-        """Fold overlays in the background instead of stalling ``insert``.
+    def compact(self, group: Optional[int] = None) -> bool:
+        """Fold the insert overlays and the tombstones into fresh sorted
+        tables: the one fold, which the insert trigger also runs.
 
-        With a :class:`repro.maintenance.compactor.Compactor` attached,
-        the overlay-debt trigger in :meth:`insert` becomes an async hint
-        (``request_compaction``) instead of a synchronous
-        :meth:`_rebuild_tables` stall on the writer.
-        """
-        self._compactor = compactor
+        Under the writer lock every table is merged from its own sorted
+        layouts (:meth:`LSHTable.compacted`, no row re-hashed),
+        tombstoned rows dropped; the hierarchies are rebuilt and all of
+        it published at once (:meth:`_publish`).  Readers never take the
+        lock: a batch keeps the snapshot it started with.
 
-    def compact(self) -> bool:
-        """Merge overlays and tombstones into fresh sorted tables.
-
-        The expensive build runs *off* the writer lock against an
-        immutable snapshot and is installed only if no mutation landed in
-        between (optimistic concurrency on the ``_mutations`` version).
-        After ``COMPACT_ATTEMPTS`` conflicting attempts the final build
-        runs under the writer lock, which cannot conflict.  Returns
-        ``True`` when new tables were installed.
+        The ``maintenance.compact`` fault site is consulted first,
+        labelled ``group`` (a Bi-level index passes the group's number):
+        ``delay`` sleeps before the build, ``corruption`` returns
+        ``False`` without a swap, ``exception`` raises.  Returns ``True``
+        when new tables were published.
         """
         self._check_fitted()
-        for _ in range(COMPACT_ATTEMPTS):
-            if self._compact_once():
-                return True
         with self._update_lock:
-            return self._compact_once()
-
-    def _compact_once(self) -> bool:
-        """One optimistic compaction attempt; False when a writer won."""
-        with self._update_lock:
-            version = self._mutations
-            tables = list(self._tables)
-            deleted = self._deleted
-        new_tables = [table.compacted(drop=deleted) for table in tables]
-        hierarchies: list = []
-        if self.use_hierarchy:
-            hierarchies = [self._build_hierarchy(t) for t in new_tables]
-        with self._update_lock:
-            if self._mutations != version:
+            plan = faults_active()  # invariant: disable=R8 — the fold's own fault site; no query runs here
+            if plan is not None and plan.check("maintenance.compact",
+                                               group=group):
                 return False
-            self._publish(new_tables, hierarchies)
+            deleted = self._deleted
+            tables = [table.compacted(drop=deleted) for table in self._tables]
+            self._publish(tables, [self._build_hierarchy(table)
+                                   for table in tables]
+                          if self.use_hierarchy else [])
             ob = obs.active()
             if ob is not None:
                 ob.record_rebuild()
@@ -536,8 +512,8 @@ class StandardLSH:
         """(Re)build the sorted tables and hierarchies from current data.
 
         The one project → quantize → :class:`LSHTable` → hierarchy loop:
-        ``fit``, the insert trigger, snapshot restore and the out-of-core
-        fit (with a ``chunk_size``, see :func:`table_codes`) build here,
+        ``fit``, snapshot restore and the out-of-core fit (with a
+        ``chunk_size``, see :func:`table_codes`) build here,
         one table at a time: a large group is never projected for all
         ``L`` tables in one temporary.
 
@@ -575,8 +551,9 @@ class StandardLSH:
         """Add points to a fitted index; returns their external ids.
 
         New points go into a per-table overlay; once the overlay exceeds
-        ``REBUILD_FRACTION`` of the base layout, the sorted tables (and
-        bucket hierarchies) are rebuilt so escalation sees the inserts.
+        ``REBUILD_FRACTION`` of the base layout, :meth:`compact` folds it
+        into the sorted tables (and hierarchies) so escalation sees the
+        inserts.
         """
         self._check_fitted()
         points = as_float_matrix(points, name="points")
@@ -608,26 +585,22 @@ class StandardLSH:
                              points)
         return ids
 
-    def _index_rows(self, rows: np.ndarray, points: np.ndarray) -> None:
+    def _index_rows(self, rows: np.ndarray, points: np.ndarray,
+                    group: Optional[int] = None) -> None:
         """Enter store ``rows`` — already added, holding ``points`` — into
-        every table's overlay, rebuilding past ``REBUILD_FRACTION``: the
-        second half of :meth:`insert`, and a Bi-level insert per group."""
+        every table's overlay, folding it past ``REBUILD_FRACTION``: the
+        second half of :meth:`insert`, and a Bi-level insert per
+        ``group``."""
         with self._update_lock:
             before = self.n_points
             if self._rows is not None:
                 self._rows = np.concatenate([self._rows, rows])
-            self._mutations += 1
             for table, codes in zip(self._tables, self._hash(points)[1]):
                 table.add(codes, rows)
             self._publish(self._tables, self._hierarchies)
             overlay = max((table.n_extra for table in self._tables), default=0)
             if overlay > self.REBUILD_FRACTION * max(before, 1):
-                # With a compactor attached the debt trigger is a hint —
-                # the merge happens off this writer lock, in background.
-                if self._compactor is not None:
-                    self._compactor.request_compaction(self)
-                else:
-                    self._rebuild_tables()
+                self.compact(group)
 
     def delete(self, ids: np.ndarray) -> int:
         """Remove points by external id; returns how many were found.
@@ -643,7 +616,6 @@ class StandardLSH:
             if found:
                 if self._wal is not None:
                     self._applied_lsn = self._wal.append_delete(ids)
-                self._mutations += 1
                 self._store.tombstone(mask)
         return found
 

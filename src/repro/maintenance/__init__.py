@@ -1,21 +1,17 @@
-"""Durable streaming maintenance: WAL, background compaction, recovery.
+"""Durable streaming maintenance: WAL and recovery.
 
-The package splits live-index durability into four orthogonal pieces:
+Live-index durability is two pieces:
 
 - :mod:`repro.maintenance.wal` — a checksummed append-only write-ahead
   log; every acknowledged ``insert``/``delete`` is framed, CRC32-checked
   and flushed before the mutating call returns.
-- :mod:`repro.maintenance.compactor` — a background thread folding CSR
-  overlays and delete tombstones into fresh immutable tables off the
-  writer lock, installed by atomic swap.
-- :mod:`repro.maintenance.drift` — per-leaf-group drift detection over
-  the bi-level top level, feeding targeted rebuilds into the compactor.
 - :mod:`repro.maintenance.recovery` — snapshot + WAL-tail replay after
   a crash, idempotent via monotonic LSNs.
+
+Folding insert overlays and tombstones back into the sorted tables is
+the index's own :meth:`~repro.lsh.index.StandardLSH.compact`.
 """
 
-from repro.maintenance.compactor import Compactable, Compactor
-from repro.maintenance.drift import DriftDetector, GroupDrift
 from repro.maintenance.recovery import (RecoverableIndex, RecoveryError,
                                         RecoveryReport, checkpoint,
                                         recover_index, replay_records)
@@ -28,10 +24,6 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "read_wal",
-    "Compactable",
-    "Compactor",
-    "DriftDetector",
-    "GroupDrift",
     "RecoverableIndex",
     "RecoveryError",
     "RecoveryReport",

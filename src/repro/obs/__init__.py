@@ -89,9 +89,6 @@ WAL_APPENDS_TOTAL = "repro_wal_appends_total"      # counter{kind}
 WAL_BYTES_TOTAL = "repro_wal_bytes_total"          # counter
 WAL_FSYNCS_TOTAL = "repro_wal_fsyncs_total"        # counter
 WAL_REPLAYED_TOTAL = "repro_wal_replayed_total"    # counter{outcome}
-COMPACTIONS_TOTAL = "repro_compactions_total"      # counter{kind,outcome}
-DRIFT_REBUILDS_TOTAL = "repro_drift_rebuilds_total"  # counter{group}
-FAILURES_TOTAL = "repro_failures_total"            # counter{site,error}
 
 
 class Observer:
@@ -189,7 +186,7 @@ class Observer:
     def record_rebuild(self) -> None:
         self.registry.counter(
             TABLE_REBUILDS_TOTAL,
-            "Full table rebuilds (fit or overlay compaction).").inc()
+            "Full table rebuilds (fit, restore or compact()).").inc()
 
     def record_overlay_merge(self) -> None:
         self.registry.counter(
@@ -236,13 +233,6 @@ class Observer:
                 "Queries whose wall-clock budget expired mid-pipeline."
                 ).labels(stage=stage).inc(n_queries)
 
-    def record_failure(self, site: str, error: str) -> None:
-        """A background task failed (thread survived it)."""
-        self.registry.counter(
-            FAILURES_TOTAL,
-            "Background-task failures, per site and error type.").labels(
-                site=site, error=error).inc()
-
     # -- durability / maintenance events -----------------------------------
 
     def record_wal_append(self, kind: str, nbytes: int,
@@ -271,20 +261,6 @@ class Observer:
             counter.labels(outcome="skipped").inc(skipped)
         if torn_bytes:
             counter.labels(outcome="torn").inc()
-
-    def record_compaction(self, kind: str, outcome: str) -> None:
-        """One background compaction task finished (or aborted/failed)."""
-        self.registry.counter(
-            COMPACTIONS_TOTAL,
-            "Background compaction tasks, per kind and outcome.").labels(
-                kind=kind, outcome=outcome).inc()
-
-    def record_drift_rebuild(self, group: int) -> None:
-        """Drift detection scheduled a per-leaf-group rebuild."""
-        self.registry.counter(
-            DRIFT_REBUILDS_TOTAL,
-            "Per-group rebuilds scheduled by drift detection.").labels(
-                group=group).inc()
 
     # -- native tier events ------------------------------------------------
 

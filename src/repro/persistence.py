@@ -338,8 +338,7 @@ def save_index(index: Union[StandardLSH, BiLevelLSH], path: str) -> int:
     checksum is recorded in ``__meta__`` for load-time verification.
 
     Assembly runs under the index's writer lock, so a
-    save racing live inserts/deletes — or a background compaction —
-    captures a consistent ``(snapshot, wal_lsn)`` pair: the recorded LSN
+    save racing live inserts/deletes — or a compaction — captures a consistent ``(snapshot, wal_lsn)`` pair: the recorded LSN
     covers exactly the mutations visible in the captured arrays, which
     is what makes WAL-tail replay after recovery idempotent.  Mutations
     publish fresh arrays (or a longer prefix, leaving the captured rows

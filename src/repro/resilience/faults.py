@@ -48,7 +48,7 @@ KNOWN_SITES: Dict[str, Tuple[str, ...]] = {
     "bilevel.dispatch": ("group",),            # per group in BiLevelLSH
     "lsh.gather": ("table", "group"),          # per table in StandardLSH
     "maintenance.append": ("path", "kind"),    # WAL record append
-    "maintenance.compact": ("kind", "group"),  # per task in Compactor
+    "maintenance.compact": ("group",),  # per StandardLSH.compact() fold
     "persistence.load": ("path",),   # archive read in load_index
     "persistence.save": ("path",),   # commit step (pre-rename) in save_index
 }

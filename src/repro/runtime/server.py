@@ -37,7 +37,7 @@ Routes
 ``POST /delete``      ``{"ids": [int]}``
 ``POST /checkpoint``  ``{"path": str}``
 ``GET  /healthz``     liveness (the process answers)
-``GET  /readyz``      readiness (index loaded, compactor alive)
+``GET  /readyz``      readiness (index fitted and non-empty, runtime open)
 ``GET  /stats``       admission + micro-batch counters
 ``GET  /metrics``     the runtime registry as Prometheus text
 ``GET  /metrics.json`` the registry's full snapshot plus derived roll-ups

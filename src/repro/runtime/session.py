@@ -3,8 +3,8 @@ every cross-cutting attachment.
 
 A library caller passes execution options to ``index.query_batch`` as
 keywords, per call.  A serving process needs something longer-lived:
-session defaults for those options, an owner for the WAL/compactor
-wiring, the obs registry and the shard thread pool, and one place
+session defaults for those options, an owner for the WAL wiring, the
+obs registry and the shard thread pool, and one place
 where a request meets the defaults:
 
 - :class:`RuntimeConfig` — the execution defaults of a process
@@ -42,7 +42,7 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.maintenance import Compactor, WriteAheadLog
+    from repro.maintenance import WriteAheadLog
     from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -248,7 +248,6 @@ class RuntimeInfo:
     kernels: str
     shard_workers: int
     wal_attached: bool
-    compactor_attached: bool
     applied_lsn: int
     closed: bool
     detail: str = ""
@@ -258,7 +257,6 @@ class RuntimeInfo:
             "ready": self.ready, "n_points": self.n_points,
             "kernels": self.kernels, "shard_workers": self.shard_workers,
             "wal_attached": self.wal_attached,
-            "compactor_attached": self.compactor_attached,
             "applied_lsn": self.applied_lsn, "closed": self.closed,
             "detail": self.detail,
         }
@@ -269,8 +267,8 @@ class IndexRuntime:
 
     One construction site replaces the per-call-site wiring the CLI and
     tests used to repeat: WAL attachment (durable acknowledged writes
-    while serving), background compactor, the shard thread pool, and
-    the obs registry all live here, and queries enter through one
+    while serving), the shard thread pool and the obs registry all
+    live here, and queries enter through one
     door — :meth:`submit`.
 
     The runtime does not *replace* the index API: reads delegate to the
@@ -288,7 +286,6 @@ class IndexRuntime:
         self.config = config if config is not None else RuntimeConfig()
         self.registry = registry
         self._wal: "Optional[WriteAheadLog]" = None
-        self._compactor: "Optional[Compactor]" = None
         #: WAL replay report from :meth:`open` (None for direct loads).
         self.recovery_report: Optional[object] = None
         self._closed = False
@@ -301,26 +298,19 @@ class IndexRuntime:
 
     # ------------------------------------------------------------ lifecycle
 
-    def attach_maintenance(self, wal: "Optional[WriteAheadLog]" = None,
-                           compactor: "Optional[Compactor]" = None) -> None:
-        """Wire the durability plane into the owned index.
+    def attach_maintenance(self, wal: "WriteAheadLog") -> None:
+        """Wire the write-ahead log into the owned index.
 
         The single sanctioned ``attach_*`` call site outside tests (rule
         R14): every front-end used to be attached ad hoc wherever a WAL
-        happened to be opened.  Attachment order matters — the WAL first
-        (so a compaction-triggering insert is already logged), then the
-        compactor.
+        happened to be opened.
         """
-        if wal is not None:
-            self.index.attach_wal(wal)  # type: ignore[attr-defined]
-            self._wal = wal
-        if compactor is not None:
-            self.index.attach_compactor(compactor)  # type: ignore[attr-defined]
-            self._compactor = compactor
+        self.index.attach_wal(wal)  # type: ignore[attr-defined]
+        self._wal = wal
 
     @classmethod
     def open(cls, index_path: str, config: Optional[RuntimeConfig] = None, *,
-             wal_path: Optional[str] = None, compact_async: bool = False,
+             wal_path: Optional[str] = None,
              registry: "Optional[MetricsRegistry]" = None,
              ) -> "IndexRuntime":
         """Load a saved index and stand up a serving-ready runtime.
@@ -328,30 +318,18 @@ class IndexRuntime:
         With ``wal_path`` the index is *recovered* (snapshot + WAL-tail
         replay, LSN-idempotent) before the same WAL is re-attached for
         live writes — the crash-consistent boot sequence ``repro-knn
-        serve`` uses.  ``compact_async=True`` additionally starts a
-        background :class:`~repro.maintenance.compactor.Compactor` so
-        overlay debt from live inserts never stalls the writer.
+        serve`` uses.
         """
-        report: Optional[object] = None
-        if wal_path is not None:
-            from repro.maintenance import WriteAheadLog, recover_index
-
-            index, report = recover_index(index_path, wal_path)
-            wal: "Optional[WriteAheadLog]" = WriteAheadLog(wal_path)
-        else:
+        if wal_path is None:
             from repro.persistence import load_index
 
-            index = load_index(index_path)
-            wal = None
+            return cls(load_index(index_path), config, registry=registry)
+        from repro.maintenance import WriteAheadLog, recover_index
+
+        index, report = recover_index(index_path, wal_path)
         runtime = cls(index, config, registry=registry)
         runtime.recovery_report = report
-        compactor: "Optional[Compactor]" = None
-        if compact_async:
-            from repro.maintenance import Compactor
-
-            compactor = Compactor()
-        if wal is not None or compactor is not None:
-            runtime.attach_maintenance(wal=wal, compactor=compactor)
+        runtime.attach_maintenance(WriteAheadLog(wal_path))
         return runtime
 
     def close(self) -> None:
@@ -362,9 +340,6 @@ class IndexRuntime:
         pool, self._shard_pool = self._shard_pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        compactor, self._compactor = self._compactor, None
-        if compactor is not None:
-            compactor.close()
         wal, self._wal = self._wal, None
         if wal is not None:
             wal.close()
@@ -480,10 +455,6 @@ class IndexRuntime:
         return self._wal
 
     @property
-    def compactor(self) -> "Optional[Compactor]":
-        return self._compactor
-
-    @property
     def hierarchy_sensitive(self) -> bool:
         """True when plan output can depend on the batch-median threshold.
 
@@ -510,9 +481,6 @@ class IndexRuntime:
         ready = not self._closed
         if n_points <= 0:
             ready, detail = False, "index empty or not fitted"
-        if self._compactor is not None and ready \
-                and not self._compactor.is_alive():
-            ready, detail = False, "compactor thread dead"
         from repro.native.registry import native_status
 
         return RuntimeInfo(
@@ -520,7 +488,6 @@ class IndexRuntime:
             kernels=str(native_status()["backend"]),
             shard_workers=self.config.shard_workers,
             wal_attached=self._wal is not None,
-            compactor_attached=self._compactor is not None,
             applied_lsn=int(index._applied_lsn),  # type: ignore[attr-defined]
             closed=self._closed, detail=detail)
 

@@ -1,4 +1,5 @@
-"""Unit tests for repro.maintenance: WAL, compactor, drift, recovery."""
+"""Unit tests for repro.maintenance (WAL, recovery) and the one fold of
+overlays and tombstones, ``compact()``."""
 
 import os
 import threading
@@ -6,14 +7,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH
 from repro.maintenance import (
     FSYNC_POLICIES,
-    Compactor,
-    DriftDetector,
     RecoveryError,
     WriteAheadLog,
     checkpoint,
@@ -22,7 +20,8 @@ from repro.maintenance import (
     replay_records,
 )
 from repro.persistence import load_index, save_index
-from repro.resilience import FaultPlan, FaultSpec, injected_faults
+from repro.resilience import (FaultPlan, FaultSpec, InjectedFault,
+                              injected_faults)
 
 
 @pytest.fixture
@@ -391,12 +390,21 @@ class TestDeleteMaskRegression:
         assert bool(idx._deleted[4])
 
 
+def _table_arrays(index):
+    """Every table's sorted layout of a StandardLSH or a Bi-level index."""
+    members = getattr(index, "group_indexes", [index])
+    return [table.arrays() for member in members for table in member._tables]
+
+
+def _assert_same_tables(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for key in ("bucket_codes", "starts", "ends", "sorted_ids"):
+            np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
+
 class TestCompactor:
-    def test_is_alive_tracks_drain_thread(self):
-        compactor = Compactor()
-        assert compactor.is_alive()
-        compactor.close()
-        assert not compactor.is_alive()
+    """``compact()``: the one fold, inline under the writer lock."""
 
     def test_compact_folds_overlay_and_tombstones(self, points):
         idx = _fitted(points)
@@ -412,139 +420,115 @@ class TestCompactor:
         after = idx.query_batch(points[:16], k=5)
         np.testing.assert_array_equal(before[0], after[0])
 
-    def test_background_hint_replaces_synchronous_rebuild(self, points):
+    def test_trigger_folds_inline(self, points):
         idx = _fitted(points[:100])
-        with Compactor() as compactor:
-            idx.attach_compactor(compactor)
-            idx.insert(points[100:220])  # overlay debt over the trigger
-            # The writer did not stall on a rebuild: overlay still live
-            # until the background task lands.
-            compactor.drain()
-            assert compactor.stats()["installed"] >= 1
-            assert all(t.n_extra == 0 for t in idx._tables)
-            ids, dists = idx.query(points[150], 1)
-            assert dists[0] == 0.0
-
-    def test_stale_build_not_installed(self, points, monkeypatch):
-        idx = _fitted(points)
-        idx.insert(points[:5] + 2.0)
-        before_tables = list(idx._tables)
-        original = idx._tables[0].compacted
-        raced = {"done": False}
-
-        def racing_compacted(drop=None):
-            # A writer lands between the snapshot and the install.
-            if not raced["done"]:
-                raced["done"] = True
-                idx.insert(points[5:6] + 3.0)
-            return original(drop=drop)
-
-        monkeypatch.setattr(idx._tables[0], "compacted", racing_compacted)
-        assert idx._compact_once() is False
-        assert idx._tables[0] is before_tables[0]  # stale build discarded
-        # The retry loop absorbs the race: the final attempt holds the
-        # writer lock, so compact() always lands.
-        assert idx.compact() is True
+        idx.insert(points[100:220])  # overlay debt over the trigger
         assert all(t.n_extra == 0 for t in idx._tables)
-
-    def test_compactor_records_failures_without_dying(self, points):
-        class Exploding:
-            def compact(self) -> bool:
-                raise RuntimeError("boom")
-
-        with Compactor() as compactor:
-            assert compactor.request_compaction(Exploding())
-            compactor.drain()
-            assert compactor.stats()["failed"] == 1
-            assert len(compactor.errors) == 1
-            # The thread survived: a follow-up task still executes.
-            idx = _fitted(points)
-            rng = np.random.default_rng(9)
-            idx.insert(rng.standard_normal((5, 12)))
-            assert compactor.request_compaction(idx)
-            compactor.drain()
-            assert compactor.stats()["installed"] == 1
+        ids, dists = idx.query(points[150], 1)
+        assert dists[0] == 0.0
 
     def test_compact_fault_aborts_task(self, points):
         idx = _fitted(points)
         idx.insert(points[:5] + 1.0)
+        tables = list(idx._tables)
         plan = FaultPlan([FaultSpec(site="maintenance.compact",
                                     kind="corruption", max_hits=1)], seed=0)
         with injected_faults(plan):
-            with Compactor() as compactor:
-                assert compactor.request_compaction(idx)
-                compactor.drain()
-                stats = compactor.stats()
-        assert stats["aborted"] == 1
-        assert stats["installed"] == 0
-        assert any(t.n_extra for t in idx._tables)  # nothing was swapped
+            assert idx.compact() is False
+        assert idx._tables == tables  # nothing was swapped
+        assert any(t.n_extra for t in idx._tables)
+        assert idx.compact() is True
 
-    def test_pending_dedupe(self, points):
+    def test_compact_fault_exception_and_delay(self, points):
         idx = _fitted(points)
+        idx.insert(points[:5] + 1.0)
+        tables = list(idx._tables)
+        plan = FaultPlan([FaultSpec(site="maintenance.compact",
+                                    kind="exception", max_hits=1)], seed=0)
+        with injected_faults(plan):
+            with pytest.raises(InjectedFault):
+                idx.compact()
+        assert idx._tables == tables
+        plan = FaultPlan([FaultSpec(site="maintenance.compact", kind="delay",
+                                    delay_ms=1.0)], seed=0)
+        with injected_faults(plan):
+            assert idx.compact() is True
+        assert plan.hits() == {"maintenance.compact": 1}
+        assert all(t.n_extra == 0 for t in idx._tables)
 
-        class Blocking:
-            def __init__(self):
-                self.gate = threading.Event()
-
-            def compact(self) -> bool:
-                self.gate.wait(timeout=10.0)
-                return True
-
-        blocker = Blocking()
-        with Compactor() as compactor:
-            assert compactor.request_compaction(blocker)
-            # Second hint for an index whose task is queued is a no-op...
-            assert compactor.request_compaction(idx)
-            assert not compactor.request_compaction(idx)
-            blocker.gate.set()
-            compactor.drain()
-        assert not compactor.request_compaction(idx)  # closed
+    def test_bilevel_fault_is_labelled_by_group(self, points):
+        idx = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
+                                       seed=0)).fit(points)
+        idx.insert(points[:40] + 0.01)
+        before = [list(g._tables) for g in idx.group_indexes]
+        plan = FaultPlan([FaultSpec(site="maintenance.compact",
+                                    kind="corruption",
+                                    match={"group": 1})], seed=0)
+        with injected_faults(plan):
+            assert idx.compact() is True
+        assert plan.hits() == {"maintenance.compact": 1}
+        for g, group in enumerate(idx.group_indexes):
+            assert (group._tables == before[g]) == (g == 1)
 
 
-class TestDriftDetector:
-    def _bilevel(self, points):
-        return BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
-                                        seed=0)).fit(points)
+class TestTriggerFold:
+    """The insert trigger folds with ``compact()`` where it used to
+    re-hash every row with ``_rebuild_tables()``: without a delete the
+    two build the same tables, so answers do not move."""
 
-    def test_occupancy_drift_schedules_group_rebuild(self, points):
-        idx = self._bilevel(points)
-        # Overload one group with inserts routed to its region.
-        g0 = idx.group_indexes[0]
-        heavy = np.repeat(g0._data[:1], 600, axis=0)
-        idx.insert(heavy + np.linspace(0, 0.01, 600)[:, None])
-        with Compactor() as compactor:
-            detector = DriftDetector(idx, compactor, occupancy_threshold=2.0)
-            signals = detector.survey()
-            assert any(s.drifted for s in signals)
-            drifted = detector.check()
-            assert drifted
-            compactor.drain()
-            assert compactor.stats()["installed"] >= 1
+    @pytest.mark.parametrize("make", [
+        lambda p: _fitted(p, hierarchy=True),
+        lambda p: _fitted(p, lattice="e8", n_hashes=8, hierarchy=True),
+        lambda p: BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
+                                           hierarchy=True, seed=0)).fit(p),
+    ], ids=["zm", "e8", "bilevel"])
+    def test_trigger_equals_a_fresh_rebuild(self, points, make):
+        idx = make(points[:150])
+        queries = points[::7] + 0.05
+        idx.insert(points[150:160])
+        idx.insert(points[160:250])  # crosses REBUILD_FRACTION
+        members = getattr(idx, "group_indexes", [idx])
+        assert all(t.n_extra == 0 for m in members for t in m._tables)
+        folded = _table_arrays(idx)
+        got = idx.query_batch(queries, 5)
+        for member in members:
+            member._rebuild_tables()
+        _assert_same_tables(folded, _table_arrays(idx))
+        want = idx.query_batch(queries, 5)
+        for a, b in ((got[0], want[0]), (got[1], want[1]),
+                     (got[2].n_candidates, want[2].n_candidates),
+                     (got[2].escalated, want[2].escalated)):
+            assert a.tobytes() == b.tobytes()
 
-    def test_escalation_drift_uses_obs_counters(self, points):
-        idx = self._bilevel(points)
-        registry = obs.MetricsRegistry()
-        registry.counter(obs.GROUP_QUERIES_TOTAL, "q").labels(group=1).inc(80)
-        registry.counter(obs.GROUP_ESCALATIONS_TOTAL, "e").labels(
-            group=1).inc(60)
-        with Compactor() as compactor:
-            detector = DriftDetector(idx, compactor, min_queries=50,
-                                     escalation_threshold=0.5)
-            signals = detector.survey(registry)
-            assert signals[1].drifted
-            assert not signals[0].drifted
-            assert detector.check(registry) == [1]
+    def test_trigger_after_delete_equals_explicit_compact(self, points):
+        def run(explicit):
+            idx = _fitted(points[:150], hierarchy=True)
+            if explicit:
+                idx.REBUILD_FRACTION = np.inf
+            idx.insert(points[150:160])
+            idx.delete(np.arange(0, 160, 9))
+            idx.insert(points[160:250])
+            if explicit:
+                assert any(t.n_extra for t in idx._tables)
+                assert idx.compact()
+            return idx
 
-    def test_threshold_validation(self, points):
-        idx = self._bilevel(points)
-        with Compactor() as compactor:
-            with pytest.raises(ValueError):
-                DriftDetector(idx, compactor, escalation_threshold=0.0)
-            with pytest.raises(ValueError):
-                DriftDetector(idx, compactor, occupancy_threshold=1.0)
+        folded, compacted = run(False), run(True)
+        _assert_same_tables(_table_arrays(folded), _table_arrays(compacted))
+        dropped = np.arange(0, 160, 9)
+        for table in folded._tables:
+            assert not np.isin(dropped, table.sorted_ids).any()
+        _same_answers(folded, compacted, points[::5] + 0.05)
 
 
 class TestSaveRacingCompaction:
+    def _compacting(self, idx, stop):
+        def fold():
+            while not stop.is_set():
+                idx.compact()
+
+        return threading.Thread(target=fold)
+
     def test_save_during_background_compaction_is_consistent(
             self, tmp_path, points):
         idx = _fitted(points[:120])
@@ -558,22 +542,23 @@ class TestSaveRacingCompaction:
                 ids = idx.insert(rng.standard_normal((4, 12)))
                 idx.delete(ids[:1])
 
-        with Compactor() as compactor:
-            idx.attach_compactor(compactor)
-            writer = threading.Thread(target=hammer)
-            writer.start()
-            try:
-                for i in range(5):
-                    path = str(tmp_path / f"racy{i}.npz")
-                    save_index(idx, path)
-                    # Every racing snapshot verifies clean and replays to
-                    # a queryable index.
-                    loaded = load_index(path)
-                    assert loaded.n_points <= idx.n_points
-                    loaded.query_batch(points[:4], k=3)
-            finally:
-                stop.set()
-                writer.join(timeout=10.0)
+        threads = [threading.Thread(target=hammer),
+                   self._compacting(idx, stop)]
+        for t in threads:
+            t.start()
+        try:
+            for i in range(5):
+                path = str(tmp_path / f"racy{i}.npz")
+                save_index(idx, path)
+                # Every racing snapshot verifies clean and replays to
+                # a queryable index.
+                loaded = load_index(path)
+                assert loaded.n_points <= idx.n_points
+                loaded.query_batch(points[:4], k=3)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10.0)
         wal.close()
 
     @pytest.mark.concurrency
@@ -599,18 +584,16 @@ class TestSaveRacingCompaction:
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
-        with Compactor() as compactor:
-            idx.attach_compactor(compactor)
-            threads = [threading.Thread(target=writer),
-                       threading.Thread(target=reader),
-                       threading.Thread(target=reader)]
-            for t in threads:
-                t.start()
-            for _ in range(10):
-                idx.compact()
-            stop.set()
-            for t in threads:
-                t.join(timeout=10.0)
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=reader),
+                   threading.Thread(target=reader)]
+        for t in threads:
+            t.start()
+        for _ in range(10):
+            idx.compact()
+        stop.set()
+        for t in threads:
+            t.join(timeout=10.0)
         assert errors == []
 
 

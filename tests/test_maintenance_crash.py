@@ -4,8 +4,8 @@ A child process builds an index, saves a snapshot, then streams
 WAL-logged inserts/deletes, acknowledging each op (one LSN per line in
 an append-only ack file) only AFTER the WAL append returns.  The parent
 SIGKILLs the child mid-stream — in ``append`` mode during the tight
-append loop, in ``compact`` mode while a fault-delayed background
-compaction is in flight — and then asserts the durability contract:
+append loop, in ``compact`` mode most likely inside a fault-delayed
+inline ``compact()`` — and then asserts the durability contract:
 
 1. zero acknowledged-write loss: every acked LSN is present in the
    surviving WAL (page-cache flush before ack makes this SIGKILL-proof
@@ -43,7 +43,7 @@ CHILD_SCRIPT = r"""
 import os, sys
 import numpy as np
 from repro.lsh.index import StandardLSH
-from repro.maintenance import Compactor, WriteAheadLog
+from repro.maintenance import WriteAheadLog
 from repro.persistence import save_index
 from repro.resilience import FaultPlan, FaultSpec, install_faults
 
@@ -54,14 +54,11 @@ idx = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0, seed=1).fit(base)
 wal = WriteAheadLog(os.path.join(workdir, "wal.bin"), fsync=fsync)
 idx.attach_wal(wal)
 
-compactor = None
 if mode == "compact":
-    # Slow every compaction down so SIGKILL reliably lands mid-task.
+    # Slow every compaction down so SIGKILL likely lands mid-fold.
     install_faults(FaultPlan(
         [FaultSpec(site="maintenance.compact", kind="delay",
                    delay_ms=40.0)], seed=0))
-    compactor = Compactor()
-    idx.attach_compactor(compactor)
 
 ack_fd = os.open(os.path.join(workdir, "acks.log"),
                  os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -80,8 +77,8 @@ while True:
         save_index(idx, os.path.join(workdir, "snap.npz"))
         with open(os.path.join(workdir, "snap.done"), "w") as fh:
             fh.write("ok")
-    if compactor is not None and i % 8 == 7:
-        compactor.request_compaction(idx)
+    if mode == "compact" and i % 8 == 7:
+        idx.compact()
     i += 1
 """
 

@@ -144,3 +144,50 @@ class TestCandidatesBatch:
                 want, self._ids_bucket_by_bucket(table, hier, row, min_count))
         if min_count == 10_000:
             assert np.all(counts == 150)
+
+
+class TestEmptyHierarchy:
+    """Deleting every row and compacting leaves a ``Z^M`` table with no
+    bucket; its hierarchy walks every query to an empty window."""
+
+    def test_empty_table_walks_to_empty_windows(self):
+        _, hier = _build_hierarchy(np.empty((0, 3), dtype=np.int64))
+        assert hier.n_buckets == 0
+        start, size, _ = MortonHierarchy.walk(
+            [hier], np.array([[[1, -2, 3], [0, 0, 0]]]), 5)
+        assert size.tolist() == [[0, 0]]
+        assert hier.candidates(np.array([4, 4, 4]), 5).size == 0
+
+    def _check_empty_answers(self, index, queries):
+        ids, dists, _ = index.query_batch(queries, 3,
+                                          hierarchy_threshold=5)
+        assert (ids == -1).all() and np.isinf(dists).all()
+
+    def test_standard_index_with_every_row_deleted(self):
+        from repro.lsh.index import StandardLSH
+
+        data = np.random.default_rng(3).standard_normal((120, 8))
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                            lattice="zm", hierarchy=True, seed=0).fit(data)
+        index.delete(np.arange(120))
+        assert index.compact()
+        self._check_empty_answers(index, data[:6])
+        fresh = index.insert(data[:2])
+        ids, dists = index.query(data[1], 1)
+        assert ids[0] == fresh[1] and dists[0] == 0.0
+
+    def test_bilevel_group_with_every_row_deleted(self):
+        from repro.core.bilevel import BiLevelLSH
+        from repro.core.config import BiLevelConfig
+
+        data = np.random.default_rng(4).standard_normal((300, 8))
+        index = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
+                                         hierarchy=True, seed=0)).fit(data)
+        group = index.group_indexes[0]
+        victims = index._store.ids[group._rows]
+        index.delete(victims)
+        assert index.compact()
+        assert all(t.n_points == 0 for t in group._tables)
+        ids, _, _ = index.query_batch(data, 3, hierarchy_threshold=5)
+        assert not np.isin(ids, victims).any()
+        self._check_empty_answers(index, index._data[group._rows[:4]])

@@ -213,7 +213,7 @@ class TestInsertRebuild:
 class TestPublishedListSnapshots:
     """A batch reads ``_tables`` / ``_hierarchies`` once per stage: a
     writer publishing a new list mid-batch (``_rebuild_tables``,
-    ``_compact_once``) must not be indexed into by the running loops."""
+    ``compact``) must not be indexed into by the running loops."""
 
     def _index(self, gaussian_data, hierarchy):
         return StandardLSH(bucket_width=8.0, n_tables=3, hierarchy=hierarchy,

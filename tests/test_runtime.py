@@ -322,25 +322,6 @@ class TestIndexRuntime:
         runtime.close()
         assert runtime.wal is None
 
-    def test_dead_compactor_reported_not_ready(self, base_data):
-        from repro.maintenance import Compactor
-
-        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
-                            seed=5).fit(base_data)
-        runtime = IndexRuntime(index)
-        compactor = Compactor()
-        runtime.attach_maintenance(compactor=compactor)
-        assert compactor.is_alive()
-        assert runtime.info().ready
-        # Kill the drain thread out from under the runtime: readiness
-        # must notice through the public liveness probe.
-        compactor.close()
-        assert not compactor.is_alive()
-        info = runtime.info()
-        assert not info.ready
-        assert info.detail == "compactor thread dead"
-        runtime.close()
-
     def test_open_recovers_from_wal(self, base_data, tmp_path):
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             seed=5).fit(base_data)
