@@ -2,8 +2,9 @@
 
 The hot path of this reproduction is vectorized and (since the batch
 engine landed) concurrent: packed ``>u8`` bucket keys, ``int64`` code
-arrays, per-group thread-pooled dispatch, and a runtime's shard threads
-over the executor's shard loop.  Its correctness rests on invariants
+arrays, and concurrent query threads over one live index (the compiled
+kernels' own threads share nothing Python sees).  Its correctness rests
+on invariants
 that ordinary tests cannot see drifting — dtype discipline, centralized
 RNG plumbing, lock discipline around shared index state, and lock
 ordering.  This package machine-checks
@@ -17,8 +18,8 @@ executors):
 - **R2** ``explicit-dtype`` — array constructions in hot-path packages
   (``lsh``, ``lattice``, ``core``) must name an explicit ``dtype``.
 - **R3** ``locked-mutation`` — no mutation of shared index state from
-  functions reachable by a worker-thread path (a runtime's shard
-  threads, the lazy caches they fill) without holding a declared lock.
+  functions reachable by a query-thread path (the lazy caches it
+  fills) without holding a declared lock.
 - **R4** ``typed-api`` — public API functions carry complete type
   annotations, and ``= None`` defaults require ``Optional``-compatible
   annotations.

@@ -86,13 +86,12 @@ class AnalysisConfig:
     #: Packages whose modules form the dtype-sensitive hot path (R2).
     hot_path_parts: Tuple[str, ...] = ("lsh", "lattice", "core", "exec",
                                        "maintenance")
-    #: Bare names of the batch-query entry points a query thread or a
-    #: runtime's shard pool (``_run_shard``) executes — the roots of the
-    #: R3 reachability walk.
+    #: Bare names of the batch-query entry points a query thread
+    #: executes — the roots of the R3 reachability walk.
     worker_roots: Tuple[str, ...] = (
         "query_batch", "candidate_sets", "gather_batch",
         "lookup_batch", "lookup", "lookup_many",
-        "run_plan", "run_validated", "_run_shard",
+        "run_plan", "run_validated",
     )
     #: ``self.<attr>`` names that constitute shared index state (R3).
     guarded_attrs: frozenset = field(default_factory=lambda: frozenset({

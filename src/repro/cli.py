@@ -96,8 +96,8 @@ def _resolve_config(args: argparse.Namespace) -> "Optional[object]":
     """Shared CLI option resolution (``query``/``serve``).
 
     One seam — :meth:`repro.runtime.RuntimeConfig.from_args` — interprets
-    ``--deadline-ms`` / ``--resilient`` / ``--max-batch-rows`` /
-    ``--shard-workers`` (and the serving knobs) for both subcommands, so
+    ``--deadline-ms`` / ``--resilient`` / ``--max-batch-rows`` (and the
+    serving knobs) for both subcommands, so
     their defaults cannot drift apart.  Returns ``None`` after printing
     to stderr on an invalid option (callers exit 2).
     """
@@ -134,8 +134,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     queries = np.asarray(
         _load_features(args.queries, args.dim, args.dtype, False),
         dtype=np.float64)
-    # The runtime owns the attachments (shard pool when --shard-workers
-    # is set) and resolves every unset option from the shared config.
+    # The runtime resolves every unset option from the shared config.
     try:
         runtime = IndexRuntime(index, config)
     except ValueError as error:
@@ -459,9 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded-memory sharding: split the batch into "
                         "shards of at most this many queries (results are "
                         "bit-identical to the unsharded run)")
-    p.add_argument("--shard-workers", type=int, default=0,
-                   help="run the --max-batch-rows shards on this many "
-                        "threads (same answers)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("info", help="inspect a saved index")
@@ -540,9 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve under a default ResiliencePolicy")
     p.add_argument("--max-batch-rows", type=int, default=None,
                    help="bounded-memory sharding inside each executed batch")
-    p.add_argument("--shard-workers", type=int, default=0,
-                   help="run each batch's --max-batch-rows shards on this "
-                        "many threads (same answers)")
     p.add_argument("--hierarchy-threshold", type=int, default=None,
                    help="fixed escalation threshold; required for "
                         "micro-batch merging on hierarchical indexes (the "

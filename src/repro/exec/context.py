@@ -27,7 +27,6 @@ from repro.resilience.policy import FailureRecord
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from concurrent.futures import Executor
     from repro.obs import Observer
     from repro.obs.trace import StageTimer
     from repro.resilience.deadline import Deadline
@@ -114,9 +113,6 @@ class ExecutionContext:
     #: Rows per executed shard (``None`` = unbounded); the executor
     #: slices by it.
     max_batch_rows: Optional[int] = None
-    #: Runs the executor's shards (``None``: in turn); no :meth:`child`
-    #: inherits it, so fan-out happens at one level.
-    pool: "Optional[Executor]" = None
     failures: List[FailureRecord] = field(default_factory=list)
     scratch: Dict[str, object] = field(default_factory=dict)
 
@@ -128,7 +124,6 @@ class ExecutionContext:
                   fault_plan: "Optional[FaultPlan]" = None,
                   max_batch_rows: Optional[int] = None,
                   timer: "Optional[StageTimer]" = None,
-                  pool: "Optional[Executor]" = None,
                   ) -> "ExecutionContext":
         """Build a context with padded outputs for ``queries`` x ``k``;
         ``timer`` is the batch's running one when the caller already
@@ -140,7 +135,7 @@ class ExecutionContext:
             queries=queries, k=int(k), nq=nq, ob=ob,
             timer=timer if timer is not None else StageTimer(ob),
             deadline=deadline, policy=policy,
-            fault_plan=fault_plan, max_batch_rows=max_batch_rows, pool=pool,
+            fault_plan=fault_plan, max_batch_rows=max_batch_rows,
             ids_out=np.full((nq, int(k)), -1, dtype=np.int64),
             dists_out=np.full((nq, int(k)), np.inf, dtype=np.float64),
             n_candidates=np.zeros(nq, dtype=np.int64),

@@ -21,9 +21,7 @@ gather/rank scratch, which scales with rows per call — is capped.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
-from functools import partial
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +39,6 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
              deadline: Optional[Deadline] = None,
              policy: Optional[ResiliencePolicy] = None,
              max_batch_rows: Optional[int] = None,
-             shard_pool: Optional[Executor] = None,
              ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Execute ``plan`` over a query batch; the single front-end entry.
 
@@ -52,10 +49,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     unsharded execution, the deadline is one absolute expiry shared by
     all shards, and shards past an expired deadline return padded
     answers flagged ``exhausted_budget`` without running their stages.
-    ``shard_pool`` (an ``IndexRuntime``'s) runs the shards on its
-    threads instead of in turn — the kernels release the GIL — folded in
-    shard order, so the answer is the inline one byte for byte
-    (DESIGN.md §12).
+    Shards run in turn; the kernels use P threads (DESIGN.md §12).
     """
     ob = obs.active()
     # Validation is the first lap of the batch's one timer
@@ -78,7 +72,7 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     ctx = ExecutionContext.for_batch(
         arr, k, ob=ob, deadline=deadline, policy=policy,
         fault_plan=faults_active(), max_batch_rows=max_batch_rows,
-        timer=timer, pool=shard_pool)
+        timer=timer)
     return run_validated(plan, ctx, finite_row)
 
 
@@ -92,9 +86,9 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
     pinned) enter here.
     One of three things happens to the rows:
 
-    - more than ``ctx.max_batch_rows``: shard by shard — in turn, or on
-      ``ctx.pool`` — a shard whose turn comes after the deadline keeping
-      its padded rows, flagged ``exhausted_budget``;
+    - more than ``ctx.max_batch_rows``: shard by shard, in turn, a
+      shard whose turn comes after the deadline keeping its padded rows,
+      flagged ``exhausted_budget``;
     - some flagged non-finite by validation (``finite_row``; only under
       a policy): those get padding, ``degraded=True`` and one
       FailureRecord, the finite rows run;
@@ -108,14 +102,9 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
         ctx.ensure_exhausted()  # a budget always materializes its mask
     bound = ctx.max_batch_rows
     if bound is not None and bound < nq:
-        shards = [slice(start, min(start + bound, nq))
-                  for start in range(0, nq, bound)]
-        run = partial(_run_shard, plan, ctx, finite_row)
-        # ``map`` is lazy: without a pool a shard runs when its turn comes.
-        results = map(run, shards) if ctx.pool is None \
-            else _pooled(ctx.pool, run, shards)
-        for rows, result in zip(shards, results):
-            if result is None:
+        for start in range(0, nq, bound):
+            rows = slice(start, min(start + bound, nq))
+            if deadline is not None and deadline.expired():
                 # Budget spent before this shard started: padded best-effort
                 # answer, flagged exhausted; earlier shards stay untouched.
                 ctx.ensure_exhausted()[rows] = True
@@ -123,9 +112,11 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
                     ob.record_deadline_exhausted(f"{plan.site}.shard",
                                                  rows.stop - rows.start)
                 continue
-            ctx.absorb(rows, *result)
+            ctx.absorb(rows, *run_validated(
+                plan, ctx.child(rows),
+                finite_row[rows] if finite_row is not None else None))
         if ob is not None:
-            ob.record_shards(plan.site, len(shards))
+            ob.record_shards(plan.site, -(-nq // bound))
     elif finite_row is not None and not finite_row.all():
         # Validation only tolerates bad rows under a policy.
         assert ctx.policy is not None
@@ -149,33 +140,3 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
             plan.record_obs(ctx)
     return ctx.ids_out, ctx.dists_out, ctx.build_stats()
 
-
-_ShardResult = Optional[Tuple[np.ndarray, np.ndarray, QueryStats]]
-
-
-def _run_shard(plan: QueryPlan, ctx: ExecutionContext,
-               finite_row: Optional[np.ndarray], rows: slice) -> _ShardResult:
-    """One shard of ``ctx``'s rows, or ``None`` when its turn came after
-    the deadline: the task a shard pool thread runs.  The child context
-    carries no pool, so no pool thread ever waits on its own pool."""
-    if ctx.deadline is not None and ctx.deadline.expired():
-        return None
-    return run_validated(
-        plan, ctx.child(rows),
-        finite_row[rows] if finite_row is not None else None)
-
-
-def _pooled(pool: Executor, run: Callable[[slice], _ShardResult],
-            shards: Sequence[slice]) -> Iterator[_ShardResult]:
-    """``run`` over every shard at once on ``pool``, results in shard
-    order — an error surfaces at the first shard that raised, as inline."""
-    futures = [pool.submit(run, rows) for rows in shards]
-    try:
-        for future in futures:
-            yield future.result()
-    finally:
-        # Early only when a shard raised: shards not started never run,
-        # running ones are waited out — nothing of the batch outlives it.
-        for future in futures:
-            if not future.cancel():
-                future.exception()

@@ -15,6 +15,7 @@
 
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -103,6 +104,68 @@ static inline __attribute__((always_inline)) i64 next_pow2(i64 d) {
     return pw;
 }
 
+/* ------------------------------------------------------------ work queue */
+
+/* Section V's work queue: the caller and up to n_threads - 1 pthreads it
+ * creates and joins (QUEUE_MAX_THREADS in all, one per unit at most) claim
+ * units 0 .. n_units - 1 from one atomic counter.  run(job, unit, scratch)
+ * does one unit, writing only its outputs, with per-thread scratch freed
+ * when the thread runs dry, and returns 0 or a negative code.  The call
+ * returns the lowest failing unit's code, where a serial run stops; no unit
+ * past a known failure starts.  A refused pthread_create costs a thread. */
+#define QUEUE_MAX_THREADS 64
+
+typedef i64 (*unit_fn)(const void *job, i64 unit, void **scratch);
+
+typedef struct {
+    unit_fn run;
+    const void *job;
+    i64 n_units, next, failed;  /* failed: lowest unit << 2 | -code */
+} queue;
+
+static void *drain(void *arg) {
+    queue *w = (queue *)arg;
+    void *scratch[2] = {NULL, NULL};
+    for (;;) {
+        i64 u = __atomic_fetch_add(&w->next, 1, __ATOMIC_RELAXED), rc;
+        if (u >= w->n_units ||
+            (u << 2) > __atomic_load_n(&w->failed, __ATOMIC_RELAXED))
+            break;
+        if ((rc = w->run(w->job, u, scratch)) < 0) {
+            i64 key = (u << 2) | -rc;
+            i64 seen = __atomic_load_n(&w->failed, __ATOMIC_RELAXED);
+            while (key < seen &&
+                   !__atomic_compare_exchange_n(&w->failed, &seen, key, 0,
+                                                __ATOMIC_RELAXED,
+                                                __ATOMIC_RELAXED))
+                ;
+            break;
+        }
+    }
+    free(scratch[0]);
+    free(scratch[1]);
+    return NULL;
+}
+
+static i64 run_queue(unit_fn run, const void *job, i64 n_units,
+                     i64 n_threads) {
+    queue w = {run, job, n_units, 0, INT64_MAX};
+    pthread_t tid[QUEUE_MAX_THREADS];
+    i64 started = 0;
+    if (n_threads > n_units) n_threads = n_units;
+    if (n_threads > QUEUE_MAX_THREADS) n_threads = QUEUE_MAX_THREADS;
+    while (started + 1 < n_threads &&
+           !pthread_create(&tid[started], NULL, drain, &w))
+        started++;
+    drain(&w);
+    while (started > 0) pthread_join(tid[--started], NULL);
+    return w.failed == INT64_MAX ? 0 : -(w.failed & 3);
+}
+
+/* A call runs inline, on the caller alone, when it answers at most this many
+ * queries: a solo request or a small served read never pays for a thread. */
+#define INLINE_QUERIES 8
+
 /* ---------------------------------------------------------------- lookup */
 
 /* Lexicographic comparison of two M-long int64 code rows. */
@@ -139,18 +202,9 @@ static i64 find_bucket(const i64 *bucket_codes, i64 n_buckets, i64 m,
                                                                       : -1;
 }
 
-/* Bucket index per query code row.  No query path calls it (bucket_union
- * and hierarchy_walk search with find_bucket); it stays on the table
- * only because benchmarks/e2e wraps it by name. */
-EXPORT void repro_lookup_codes(const i64 *bucket_codes, i64 n_buckets,
-                               i64 m, const i64 *codes, i64 r, i64 *bidx) {
-    for (i64 i = 0; i < r; i++)
-        bidx[i] = find_bucket(bucket_codes, n_buckets, m, codes + i * m);
-}
+/* ------------------------------------------------------------------ sort */
 
-/* ----------------------------------------------------------------- dedup */
-
-/* In-place ascending sort for the sparse dedup path: insertion sort for
+/* In-place ascending sort for the union's sparse path: insertion sort for
  * short segments, heapsort (no recursion, O(n log n) worst case) above. */
 static void sift_down(i64 *v, i64 root, i64 n) {
     i64 x = v[root], child;
@@ -212,78 +266,6 @@ static void sort_i64(i64 *v, i64 n) {
 #define TOMBSTONED(id) \
     (deleted && (uint64_t)(id) < (uint64_t)del_len && deleted[id])
 
-/* Tombstone filter + per-query sort + dedup of flattened candidates.
- * Output segments are sorted by (query, id) ascending — identical in
- * content and order to StandardLSH._dedup_per_query.  Survivors are
- * counting-sorted by query; each segment then marks its ids, relative to
- * its smallest, in a bitmap and reads the words back with ctz (ascending
- * and unique by construction, cleared on the way) — or, when its id range
- * is much wider than the segment is long, is sorted in place and scanned.
- * Which path runs depends on the segment alone.  Returns the number of
- * surviving ids (out_ids/out_qidx hold n entries, counts nq), or -1 when
- * scratch memory cannot be allocated.  No query path calls it (every
- * short-list is one bucket_union); it stays on the table only because
- * benchmarks/e2e wraps it by name. */
-EXPORT i64 repro_dedup_candidates(const i64 *ids, const i64 *qidx, i64 n,
-                                  i64 nq, const unsigned char *deleted,
-                                  i64 del_len, i64 *out_ids, i64 *out_qidx,
-                                  i64 *counts) {
-    i64 i, q, total = 0, seg_start = 0, bits_cap = 0;
-    uint64_t *bits = NULL;
-    i64 *cursors = (i64 *)calloc((size_t)nq + 1, sizeof(i64));
-    i64 *tmp = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    if (!cursors || !tmp) goto fail;
-    /* Pass 1: survivors per query. */
-    for (i = 0; i < n; i++)
-        if (!TOMBSTONED(ids[i])) cursors[qidx[i] + 1]++;
-    for (q = 0; q < nq; q++) cursors[q + 1] += cursors[q];
-    /* Pass 2: bucket survivors by query (counting sort, stable); this
-     * advances cursors[q] from segment q's start to its end. */
-    for (i = 0; i < n; i++)
-        if (!TOMBSTONED(ids[i])) tmp[cursors[qidx[i]]++] = ids[i];
-    /* Pass 3: ascending unique ids of each segment into the output. */
-    for (q = 0; q < nq; q++) {
-        i64 *seg = tmp + seg_start, *dst = out_ids + total;
-        i64 len = cursors[q] - seg_start, kept = 0, words;
-        i64 lo = len ? seg[0] : 0, hi = lo;
-        seg_start = cursors[q];
-        for (i = 1; i < len; i++) {
-            if (seg[i] < lo) lo = seg[i];
-            if (seg[i] > hi) hi = seg[i];
-        }
-        words = ((hi - lo) >> 6) + 1;
-        if (words > SPARSE_WORDS_PER_ID * len) {
-            sort_i64(seg, len);
-            for (i = 0; i < len; i++)
-                if (!kept || dst[kept - 1] != seg[i]) dst[kept++] = seg[i];
-        } else {
-            if (words > bits_cap) {  /* all-zero between segments: no copy */
-                free(bits);
-                bits_cap = words > 2 * bits_cap ? words : 2 * bits_cap;
-                bits = (uint64_t *)calloc((size_t)bits_cap, sizeof(uint64_t));
-                if (!bits) goto fail;
-            }
-            for (i = 0; i < len; i++)
-                bits[(seg[i] - lo) >> 6] |= (uint64_t)1 << ((seg[i] - lo) & 63);
-            for (i = 0; i < words; i++) {
-                uint64_t word = bits[i];
-                if (!word) continue;
-                bits[i] = 0;
-                for (; word; word &= word - 1)
-                    dst[kept++] = lo + ((i << 6) | __builtin_ctzll(word));
-            }
-        }
-        for (i = 0; i < kept; i++) out_qidx[total + i] = q;
-        counts[q] = kept;
-        total += kept;
-    }
-    free(bits); free(cursors); free(tmp);
-    return total;
-fail:
-    free(bits); free(cursors); free(tmp);
-    return -1;
-}
-
 /* ---------------------------------------------------------- bucket union */
 
 /* Addresses cross in int64 words (numpy rows built by the caller). */
@@ -296,73 +278,184 @@ enum { L_CODES, L_N_BUCKETS, L_STARTS, L_ENDS, L_IDS, L_N_IDS, L_WORDS };
  * (tables' rows follow each other in `codes` / `row_q`) and how many
  * layouts (consecutive in `layouts`) they are searched in. */
 enum { T_ROWS, T_N_LAYOUTS, T_WORDS };
-/* Words of one non-empty bucket interval a lookup row hit. */
+/* Words of one bucket interval a lookup row hit. */
 enum { S_IDS, S_LEN, S_QUERY, S_WORDS };
 
+/* Step 1 runs its tables on the work queue from this many lookup rows on,
+ * inline below.  Measured on a 2-vCPU Xeon, P = 2 over P = 1 on the first
+ * n rows of a batch_plain call (10 lookup rows each): 1.12-2.82x slower
+ * at 80-500 rows, 0.90x at 1 000, 0.78x at 2 000, 0.55x at 20 000; the
+ * 32-probe batch_adaptive call (16 500) read 0.61x. */
+#define SPANS_INLINE_ROWS 2048
+
+typedef struct {
+    const i64 *codes, *row_q, *layouts;
+    i64 m, nq, *spans, *misses;
+    /* at[3t .. 3t + 2]: table t's first lookup row, layout and span slot;
+     * table t + 1's follow. */
+    const i64 *at;
+} spans_job;
+
+static i64 spans_table(const void *job, i64 t, void **scratch) {
+    const spans_job *j = (const spans_job *)job;
+    const i64 *at = j->at + 3 * t, *end = j->layouts + at[4] * L_WORDS;
+    i64 *spans = j->spans + at[2] * S_WORDS, missed = 0;
+    (void)scratch;
+    for (i64 i = at[0]; i < at[3]; i++) {
+        i64 q = j->row_q[i], hit = 0;
+        if ((uint64_t)q >= (uint64_t)j->nq) return -2;
+        for (const i64 *lay = j->layouts + at[1] * L_WORDS; lay < end;
+             lay += L_WORDS, spans += S_WORDS) {
+            i64 b = find_bucket(PTR(lay[L_CODES]), lay[L_N_BUCKETS], j->m,
+                                j->codes + i * j->m), start = 0, len = 0;
+            if (b >= 0) {
+                start = PTR(lay[L_STARTS])[b];
+                len = PTR(lay[L_ENDS])[b] - start;
+                if (start < 0 || len < 0 || start + len > lay[L_N_IDS])
+                    return -3;
+            }
+            spans[S_IDS] = (i64)(intptr_t)(PTR(lay[L_IDS]) + start);
+            spans[S_LEN] = len;
+            spans[S_QUERY] = q;
+            hit |= len > 0;
+        }
+        missed += !hit;
+    }
+    j->misses[t] = missed;
+    return 0;
+}
+
 /* Step 1 of the query-major short-list: binary-search every lookup row of
- * every table in each of the table's layouts and keep the non-empty
- * intervals of sorted_ids it hit.  row_q[i] is the query lookup row i
- * belongs to; raw[q] is the number of ids behind query q's intervals
- * (duplicates and tombstones included), misses[t] the rows of table t
- * that hit nothing.  Allocates nothing.  Returns the number of spans
- * written (at most one per row and layout), -2 for a row whose query is
- * outside [0, nq), -3 for an interval outside its sorted_ids. */
+ * every table in each of the table's layouts and write the interval of
+ * sorted_ids it hit (of length 0 on a miss) — one span per row and layout,
+ * in that order.  row_q[i] is the query lookup row i belongs to; raw[q] is
+ * the number of ids behind query q's intervals (duplicates and tombstones
+ * included), misses[t] the rows of table t that hit nothing.  Tables run
+ * on the work queue.  Returns the number of spans, -1 when scratch cannot
+ * be allocated, -2 for a row whose query is outside [0, nq), -3 for an
+ * interval outside its sorted_ids. */
 EXPORT i64 repro_bucket_spans(const i64 *codes, const i64 *row_q,
                               const i64 *tables, i64 n_tables,
                               const i64 *layouts, i64 m, i64 nq, i64 *spans,
-                              i64 *raw, i64 *misses) {
-    i64 n_spans = 0;
-    memset(raw, 0, (size_t)nq * sizeof(i64));
-    for (i64 t = 0; t < n_tables; t++, tables += T_WORDS) {
-        i64 n_layouts = tables[T_N_LAYOUTS], missed = 0;
-        for (i64 i = 0; i < tables[T_ROWS]; i++, codes += m, row_q++) {
-            i64 q = *row_q, hit = 0;
-            if ((uint64_t)q >= (uint64_t)nq) return -2;
-            for (i64 s = 0; s < n_layouts; s++) {
-                const i64 *lay = layouts + s * L_WORDS;
-                i64 b = find_bucket(PTR(lay[L_CODES]), lay[L_N_BUCKETS], m,
-                                    codes);
-                if (b < 0) continue;
-                i64 start = PTR(lay[L_STARTS])[b];
-                i64 len = PTR(lay[L_ENDS])[b] - start;
-                if (start < 0 || len < 0 || start + len > lay[L_N_IDS])
-                    return -3;
-                if (!len) continue;
-                spans[S_IDS] = (i64)(intptr_t)(PTR(lay[L_IDS]) + start);
-                spans[S_LEN] = len;
-                spans[S_QUERY] = q;
-                spans += S_WORDS;
-                n_spans++;
-                raw[q] += len;
-                hit = 1;
-            }
-            missed += !hit;
-        }
-        misses[t] = missed;
-        layouts += n_layouts * L_WORDS;
+                              i64 *raw, i64 *misses, i64 n_threads) {
+    i64 t, rc, n_spans, *at = (i64 *)calloc((size_t)(3 * n_tables + 3), 8);
+    if (!at) return -1;
+    for (t = 0; t < n_tables; t++) {
+        const i64 *tab = tables + t * T_WORDS;
+        at[3 * t + 3] = at[3 * t] + tab[T_ROWS];
+        at[3 * t + 4] = at[3 * t + 1] + tab[T_N_LAYOUTS];
+        at[3 * t + 5] = at[3 * t + 2] + tab[T_ROWS] * tab[T_N_LAYOUTS];
     }
-    return n_spans;
+    if (nq <= INLINE_QUERIES || at[3 * n_tables] < SPANS_INLINE_ROWS)
+        n_threads = 1;
+    spans_job job = {codes, row_q, layouts, m, nq, spans, misses, at};
+    rc = run_queue(spans_table, &job, n_tables, n_threads);
+    n_spans = at[3 * n_tables + 2];
+    memset(raw, 0, (size_t)nq * sizeof(i64));
+    for (t = 0; rc == 0 && t < n_spans; t++)
+        raw[spans[t * S_WORDS + S_QUERY]] += spans[t * S_WORDS + S_LEN];
+    free(at);
+    return rc < 0 ? rc : n_spans;
+}
+
+/* Step 2 runs on the work queue in UNION_RANGES_PER_THREAD query ranges
+ * per thread when its spans hold at least UNION_INLINE_IDS ids (duplicates
+ * and tombstones included), inline below.  Measured on a 2-vCPU Xeon, step
+ * 2 at P = 2 over P = 1 on the first n rows of a batch_plain call: 1.23-
+ * 1.26x slower at 51-111 k ids, 0.96-0.98x at 245-455 k, 0.77x at 952 k,
+ * 0.68x at 2.3 M; batch_adaptive's calls (12-196 k) read 0.95-1.27x. */
+#define UNION_INLINE_IDS (1 << 19)
+#define UNION_RANGES_PER_THREAD 4
+
+/* Range r: queries [first[r], first[r + 1]), output from at[r] on, kept[r]
+ * ids (-1 until it is done).  Ranges [0, shifted) sit in query order in
+ * out_ids[0, placed). */
+typedef struct {
+    const i64 *const *order, *cursors, *raw, *first, *at;
+    const unsigned char *deleted;
+    i64 n_rows, words, del_len, *out_ids, *counts;
+    i64 *kept, n_ranges, shifted, placed;
+    pthread_mutex_t lock;
+} union_job;
+
+static i64 union_range(const void *job, i64 r, void **scratch) {
+    union_job *j = (union_job *)job;
+    const unsigned char *deleted = j->deleted;
+    i64 del_len = j->del_len, n_rows = j->n_rows, words = j->words, i;
+    i64 total = 0, at = j->first[r] ? j->cursors[j->first[r] - 1] : 0;
+    for (i64 q = j->first[r]; q < j->first[r + 1]; q++) {
+        i64 *dst = j->out_ids + j->at[r] + total, kept = 0, len = 0;
+        i64 lo = words, hi = -1, end = j->cursors[q];
+        int sparse = words > SPARSE_WORDS_PER_ID * j->raw[q];
+        uint64_t *bits = (uint64_t *)scratch[0];
+        if (!sparse && !bits && !(scratch[0] = bits = (uint64_t *)calloc(
+                                      (size_t)(words > 0 ? words : 1), 8)))
+            return -1;          /* all-zero between queries: cleared below */
+        for (; at < end; at++) {
+            const i64 *ids = PTR(j->order[at][S_IDS]);
+            for (i = 0; i < j->order[at][S_LEN]; i++) {
+                i64 id = ids[i], w = id >> 6;
+                if ((uint64_t)id >= (uint64_t)n_rows) return -2;
+                if (sparse) {
+                    if (!TOMBSTONED(id)) dst[len++] = id;
+                    continue;
+                }
+                bits[w] |= (uint64_t)1 << (id & 63);
+                if (w < lo) lo = w;
+                if (w > hi) hi = w;
+            }
+        }
+        sort_i64(dst, len);
+        for (i = 0; i < len; i++)
+            if (!kept || dst[kept - 1] != dst[i]) dst[kept++] = dst[i];
+        for (i = lo; i <= hi; i++) {
+            uint64_t word = bits[i];
+            if (!word) continue;
+            bits[i] = 0;
+            for (; word; word &= word - 1) {
+                i64 id = (i << 6) | __builtin_ctzll(word);
+                if (!TOMBSTONED(id)) dst[kept++] = id;
+            }
+        }
+        j->counts[q] = kept;
+        total += kept;
+    }
+    /* The left shift, range by range in query order as they finish: the
+     * first range not in place moves as soon as it is done. */
+    pthread_mutex_lock(&j->lock);
+    j->kept[r] = total;
+    while (j->shifted < j->n_ranges && j->kept[j->shifted] >= 0) {
+        i64 s = j->shifted++, n = j->kept[s];
+        if (j->at[s] != j->placed)
+            memmove(j->out_ids + j->placed, j->out_ids + j->at[s],
+                    (size_t)n * sizeof(i64));
+        j->placed += n;
+    }
+    pthread_mutex_unlock(&j->lock);
+    return 0;
 }
 
 /* Step 2: the spans — not the ids behind them — are counting-sorted by
  * query, then each query ORs the ids of its spans into a bitmap of n_rows
  * bits and reads the touched words back with ctz (ascending and unique by
  * construction, cleared on the way), dropping tombstones.  A query with
- * few ids against the id range (the dedup rule above, on raw[q] and
- * n_rows) collects and sorts them instead, so a huge index does not scan
- * its whole bitmap per query.  Output is the ids repro_dedup_candidates
- * leaves — sorted by (query, id) — and counts per query, which say where
- * each query's ids are (rank_topk reads no per-id query index); the
- * caller sizes out_ids by sum(min(raw[q], n_rows)).  Returns the number of
- * ids written, -1 when scratch cannot be allocated, -2 for an id outside
- * [0, n_rows) — refused before anything is written past the bitmap. */
+ * few ids against the id range (SPARSE_WORDS_PER_ID, on raw[q] and n_rows)
+ * collects and sorts them instead, so a huge index does not scan its whole
+ * bitmap per query.  Output is the ids sorted by (query, id) and counts
+ * per query, which say where each query's ids are (rank_topk reads no
+ * per-id query index); the caller sizes out_ids by sum(min(raw[q],
+ * n_rows)).  Query ranges of about equal raw ids run on the work queue,
+ * each writing from the prefix sum of that bound before its first query;
+ * one left shift, a range at a time in query order as they finish,
+ * closes the gaps.  Returns the number of ids written, -1 when scratch
+ * cannot be allocated, -2 for an id outside [0, n_rows) — refused before
+ * anything is written past the bitmap. */
 EXPORT i64 repro_bucket_union(const i64 *spans, i64 n_spans, const i64 *raw,
                               i64 nq, i64 n_rows,
                               const unsigned char *deleted, i64 del_len,
-                              i64 *out_ids, i64 *counts) {
-    i64 words = (n_rows + 63) >> 6, total = 0, at = 0, rc = -1, i, q;
-    uint64_t *bits = NULL;
-    i64 *cursors = (i64 *)calloc((size_t)nq + 1, sizeof(i64));
+                              i64 *out_ids, i64 *counts, i64 n_threads) {
+    i64 total = 0, seen = 0, bound = 0, rc = -1, n_ranges = 1, i, q, r;
+    i64 *cursors = (i64 *)calloc((size_t)nq + 1, sizeof(i64)), *ranges = NULL;
     const i64 **order = (const i64 **)malloc(
         (size_t)(n_spans > 0 ? n_spans : 1) * sizeof(i64 *));
     if (!cursors || !order) goto done;
@@ -371,57 +464,29 @@ EXPORT i64 repro_bucket_union(const i64 *spans, i64 n_spans, const i64 *raw,
     /* Advances cursors[q] from the start of query q's spans to their end. */
     for (i = 0; i < n_spans; i++)
         order[cursors[spans[i * S_WORDS + S_QUERY]]++] = spans + i * S_WORDS;
-    for (q = 0; q < nq; q++) {
-        i64 *dst = out_ids + total, kept = 0, end = cursors[q];
-        if (words > SPARSE_WORDS_PER_ID * raw[q]) {
-            i64 len = 0;
-            for (; at < end; at++) {
-                const i64 *ids = PTR(order[at][S_IDS]);
-                for (i = 0; i < order[at][S_LEN]; i++) {
-                    i64 id = ids[i];
-                    if ((uint64_t)id >= (uint64_t)n_rows) goto refused;
-                    if (!TOMBSTONED(id)) dst[len++] = id;
-                }
-            }
-            sort_i64(dst, len);
-            for (i = 0; i < len; i++)
-                if (!kept || dst[kept - 1] != dst[i]) dst[kept++] = dst[i];
-        } else {
-            i64 lo = words, hi = -1;
-            if (!bits) {        /* all-zero between queries: cleared below */
-                bits = (uint64_t *)calloc((size_t)(words > 0 ? words : 1),
-                                          sizeof(uint64_t));
-                if (!bits) goto done;
-            }
-            for (; at < end; at++) {
-                const i64 *ids = PTR(order[at][S_IDS]);
-                for (i = 0; i < order[at][S_LEN]; i++) {
-                    i64 id = ids[i], w = id >> 6;
-                    if ((uint64_t)id >= (uint64_t)n_rows) goto refused;
-                    bits[w] |= (uint64_t)1 << (id & 63);
-                    if (w < lo) lo = w;
-                    if (w > hi) hi = w;
-                }
-            }
-            for (i = lo; i <= hi; i++) {
-                uint64_t word = bits[i];
-                if (!word) continue;
-                bits[i] = 0;
-                for (; word; word &= word - 1) {
-                    i64 id = (i << 6) | __builtin_ctzll(word);
-                    if (!TOMBSTONED(id)) dst[kept++] = id;
-                }
-            }
-        }
-        counts[q] = kept;
-        total += kept;
+    for (q = 0; q < nq; q++) total += raw[q];
+    if (n_threads > 1 && nq > INLINE_QUERIES && total >= UNION_INLINE_IDS)
+        n_ranges = UNION_RANGES_PER_THREAD * n_threads;
+    if (n_ranges > nq) n_ranges = nq > 0 ? nq : 1;
+    if (!(ranges = (i64 *)malloc((size_t)(3 * n_ranges + 1) * sizeof(i64))))
+        goto done;
+    i64 *first = ranges, *at = first + n_ranges + 1, *kept = at + n_ranges;
+    /* Range r starts at the first query before which r / n_ranges of the
+     * raw ids lie. */
+    for (q = 0, r = 0; r < n_ranges; q++) {
+        for (; r < n_ranges && (q == nq || seen * n_ranges >= r * total); r++)
+            first[r] = q, at[r] = bound;
+        if (q < nq) seen += raw[q], bound += raw[q] < n_rows ? raw[q] : n_rows;
     }
-    rc = total;
-    goto done;
-refused:
-    rc = -2;
+    first[n_ranges] = nq;
+    memset(kept, 0xff, (size_t)n_ranges * sizeof(i64));
+    union_job job = {order, cursors, raw, first, at, deleted, n_rows,
+                     (n_rows + 63) >> 6, del_len, out_ids, counts, kept,
+                     n_ranges, 0, 0, PTHREAD_MUTEX_INITIALIZER};
+    if ((rc = run_queue(union_range, &job, n_ranges, n_threads)) >= 0)
+        rc = job.placed;
 done:
-    free(bits); free(cursors); free(order);
+    free(cursors); free(order); free(ranges);
     return rc;
 }
 
@@ -542,81 +607,103 @@ rank_inverted(const double *data, i64 dim, const double *sq_norms,
     }
 }
 
+/* rank_topk runs its tiles on the work queue from this many candidates
+ * on, inline below.  Measured on a 2-vCPU Xeon, P = 2 over P = 1 on 128
+ * batch_plain queries (two tiles) with short-lists cut short: 1.50x slower
+ * at 1.3 k candidates, 0.92-1.08x at 3.8-12.5 k, 0.78x at 25 k, 0.59x at
+ * 49 k; whole calls of 65-1 000 queries read 0.51-0.67x. */
+#define RANK_INLINE_CANDIDATES 16384
+
+/* Tile t: queries [first[t], first[t + 1]), candidates from at[t]. */
+typedef struct {
+    const double *data, *sq_norms, *queries, *q_sq;
+    const i64 *cand, *counts, *first, *at;
+    i64 dim, k, pw, *sel_out;
+    double *dist_out;
+} rank_job;
+
+/* One tile: a tile whose queries share their candidate rows (RANK_REUSE)
+ * is inverted, any other is scored query by query.  The choice reads the
+ * tile alone, so it is the same on every thread. */
+static SIMD_CLONES i64 rank_tile(const void *job, i64 u, void **scratch) {
+    const rank_job *j = (const rank_job *)job;
+    const i64 *cand = j->cand, *counts = j->counts;
+    i64 q0 = j->first[u], q1 = j->first[u + 1], at = j->at[u], k = j->k;
+    i64 total = j->at[u + 1] - at, lo = INT64_MAX, hi = -1, q, c;
+    topk st[RANK_TILE_QUERIES];
+    double *buf = (double *)scratch[0];
+    uint64_t *mask = (uint64_t *)scratch[1];
+    int inverted;
+    if (!buf && !(scratch[0] = buf = (double *)malloc(
+                      (size_t)(j->pw > 1 ? j->pw >> 1 : 1) * sizeof(double))))
+        return -1;
+    for (q = q0; q < q1; q++) {
+        topk *t = st + (q - q0);
+        *t = (topk){j->queries + q * j->dim, j->q_sq[q], INFINITY,
+                    j->sel_out + q * k, j->dist_out + q * k, 0};
+        for (i64 i = 0; i < k; i++) {
+            t->sel[i] = -1;
+            t->dst[i] = INFINITY;
+        }
+    }
+    /* Reuse from the runs' ends — their id range when every run is
+     * ascending, which is checked id by id before a tile inverts. */
+    for (q = q0, c = at; q < q1; c += counts[q], q++) {
+        if (!counts[q]) continue;
+        if (cand[c] < lo) lo = cand[c];
+        if (cand[c + counts[q] - 1] > hi) hi = cand[c + counts[q] - 1];
+    }
+    inverted = q1 - q0 > 1 && hi >= lo && hi - lo < total / RANK_REUSE;
+    for (q = q0, c = at; q < q1 && inverted; c += counts[q], q++)
+        for (i64 i = 1; i < counts[q] && inverted; i++)
+            inverted = cand[c + i] > cand[c + i - 1];
+    if (inverted && !mask && !(scratch[1] = mask = (uint64_t *)malloc(
+                                  (size_t)(RANK_TILE / RANK_REUSE) *
+                                  sizeof(uint64_t))))
+        return -1;
+    if (inverted)
+        rank_inverted(j->data, j->dim, j->sq_norms, cand, counts, k, st, q0,
+                      q1, at, lo, hi - lo + 1, mask, buf, j->pw);
+    else
+        rank_query_major(j->data, j->dim, j->sq_norms, cand, counts, k, st,
+                         q0, q1, at, buf, j->pw);
+    return 0;
+}
+
 /* Fused gather + cached-norm distance + per-query top-k selection.
  * Query q's candidates are the next counts[q] entries of cand.  sel/dist
  * rows are ordered by (distance, id) ascending — the vectorized
  * lexsort((cand, dists, qidx)) convention — padded with -1 / inf.
  * sq_norms may be NULL (out-of-core data): row norms are then computed
  * with the same tree_dot the reference uses.  Queries are ranked in tiles
- * (RANK_TILE); a tile whose queries share their candidate rows
- * (RANK_REUSE) is inverted, any other is scored query by query.  Returns
- * -1 when scratch memory cannot be allocated. */
-EXPORT SIMD_CLONES int repro_rank_topk(const double *data, i64 dim,
-                                       const double *sq_norms,
-                                       const double *queries, i64 nq,
-                                       const double *q_sq, const i64 *cand,
-                                       const i64 *counts, i64 k,
-                                       i64 *sel_out, double *dist_out) {
-    i64 pw = next_pow2(dim), q0 = 0, at = 0;
-    topk st[RANK_TILE_QUERIES];
-    uint64_t *mask = NULL;
-    double *buf = (double *)malloc((size_t)(pw > 1 ? pw >> 1 : 1) *
-                                   sizeof(double));
-    if (!buf) return -1;
-    while (q0 < nq) {
-        i64 q1 = q0, total = 0, lo = INT64_MAX, hi = -1, q, c;
-        int inverted;
-        /* The tile: one query, then more while they fit — so a tile of
-         * two or more holds at most RANK_TILE candidates. */
-        do {
-            total += counts[q1];
-            q1++;
-        } while (q1 < nq && q1 - q0 < RANK_TILE_QUERIES &&
-                 total + counts[q1] <= RANK_TILE);
-        for (q = q0; q < q1; q++) {
-            topk *t = st + (q - q0);
-            t->q = queries + q * dim;
-            t->qs = q_sq[q];
-            t->sel = sel_out + q * k;
-            t->dst = dist_out + q * k;
-            t->filled = 0;
-            t->bound = INFINITY;
-            for (i64 j = 0; j < k; j++) {
-                t->sel[j] = -1;
-                t->dst[j] = INFINITY;
-            }
-        }
-        /* Reuse from the runs' ends — their id range when every run is
-         * ascending, which is checked id by id before a tile inverts. */
-        for (q = q0, c = at; q < q1; c += counts[q], q++) {
-            if (!counts[q]) continue;
-            if (cand[c] < lo) lo = cand[c];
-            if (cand[c + counts[q] - 1] > hi) hi = cand[c + counts[q] - 1];
-        }
-        inverted = q1 - q0 > 1 && hi >= lo && hi - lo < total / RANK_REUSE;
-        for (q = q0, c = at; q < q1 && inverted; c += counts[q], q++)
-            for (i64 j = 1; j < counts[q] && inverted; j++)
-                inverted = cand[c + j] > cand[c + j - 1];
-        if (inverted && !mask) {
-            mask = (uint64_t *)malloc((size_t)(RANK_TILE / RANK_REUSE) *
-                                      sizeof(uint64_t));
-            if (!mask) {
-                free(buf);
-                return -1;
-            }
-        }
-        if (inverted)
-            rank_inverted(data, dim, sq_norms, cand, counts, k, st, q0, q1,
-                          at, lo, hi - lo + 1, mask, buf, pw);
-        else
-            rank_query_major(data, dim, sq_norms, cand, counts, k, st, q0,
-                             q1, at, buf, pw);
-        at += total;
-        q0 = q1;
+ * (RANK_TILE), planned here in one pass and ranked on the work queue.
+ * Returns -1 when scratch memory cannot be allocated. */
+EXPORT int repro_rank_topk(const double *data, i64 dim,
+                           const double *sq_norms, const double *queries,
+                           i64 nq, const double *q_sq, const i64 *cand,
+                           const i64 *counts, i64 k, i64 *sel_out,
+                           double *dist_out, i64 n_threads) {
+    i64 n_tiles = 0, total = 0, rc;
+    i64 *tiles = (i64 *)malloc((size_t)(2 * nq + 2) * sizeof(i64));
+    if (!tiles) return -1;
+    i64 *first = tiles, *at = tiles + nq + 1;
+    /* The tile: one query, then more while they fit — so a tile of two or
+     * more holds at most RANK_TILE candidates. */
+    for (i64 q0 = 0, q1 = 0, size = 0; q0 < nq; q0 = q1, total += size) {
+        first[n_tiles] = q0;
+        at[n_tiles++] = total;
+        for (size = counts[q1++]; q1 < nq && q1 - q0 < RANK_TILE_QUERIES &&
+                                  size + counts[q1] <= RANK_TILE;)
+            size += counts[q1++];
     }
-    free(buf);
-    free(mask);
-    return 0;
+    first[n_tiles] = nq;
+    at[n_tiles] = total;
+    if (nq <= INLINE_QUERIES || total < RANK_INLINE_CANDIDATES) n_threads = 1;
+    rank_job job = {data, sq_norms, queries, q_sq, cand, counts, first, at,
+                    dim, k, next_pow2(dim), sel_out, dist_out};
+    rc = run_queue(rank_tile, &job, n_tiles, n_threads);
+    free(tiles);
+    return (int)rc;
 }
 
 /* ----------------------------------------------------------- multi-probe */
@@ -873,4 +960,4 @@ done:
 
 /* Version tag checked by the loader: bumped with every exported-signature
  * change so a library built from another revision is refused. */
-EXPORT i64 repro_kernels_abi(void) { return 7; }
+EXPORT i64 repro_kernels_abi(void) { return 8; }

@@ -10,9 +10,10 @@ The flag contract is ``-O3 -ffp-contract=off`` and never
 make the kernels bit-identical to :mod:`repro.native.ref`, but it may
 neither re-associate them nor contract a product and the tree's first
 add into one FMA (which rounds once where the reference rounds twice).
-``repro_rank_topk`` is built as an ``avx2``/``default`` ``target_clones``
-pair where the toolchain can; when that compile fails the same source is
-built without the clones, so a missing ifunc costs speed, not the tier.
+``rank_topk``'s tile kernel is built as an ``avx2``/``default``
+``target_clones`` pair where the toolchain can; when that compile fails
+the same source is built without the clones, so a missing ifunc costs
+speed, not the tier.
 
 Arguments cross as raw addresses (``c_void_p``): every wrapper first
 brings its arrays to the C-contiguous dtype the kernel reads — a no-op
@@ -36,7 +37,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.native.ref import span_table, union_tables
+from repro.native.ref import (dedup_candidates_ref, lookup_codes_ref,
+                              span_table, union_tables)
 
 if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
     from repro.hierarchy.e8_hierarchy import E8Hierarchy
@@ -46,13 +48,13 @@ if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 7
+KERNELS_ABI = 8
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
 #: Strict-FP build flags (see the module docstring); part of the cache key.
 _CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",
-           "-fvisibility=hidden"]
+           "-fvisibility=hidden", "-pthread"]
 #: Tried first; turns on the target_clones pair in _kernels.c.
 _SIMD_FLAG = "-DREPRO_SIMD_CLONES"
 
@@ -128,10 +130,18 @@ class CExtKernels:
 
     backend = "cext"
 
-    def __init__(self, lib: ctypes.CDLL, flags: List[str]) -> None:
+    # No query path calls these two: no compiled twin, the numpy spec
+    # under the names benchmarks/e2e wraps.
+    lookup_codes = staticmethod(lookup_codes_ref)
+    dedup_candidates = staticmethod(dedup_candidates_ref)
+
+    def __init__(self, lib: ctypes.CDLL, flags: List[str],
+                 threads: int = 1) -> None:
         self._lib = lib
         #: Compiler flags the loaded library was built with.
         self.flags = tuple(flags)
+        #: P: how many threads ``rank_topk`` and ``bucket_union`` run on.
+        self.threads = threads
         lib.repro_kernels_abi.restype = ctypes.c_int64
         abi = int(lib.repro_kernels_abi())
         if abi != KERNELS_ABI:
@@ -139,20 +149,15 @@ class CExtKernels:
                 f"kernel ABI mismatch: library reports {abi}, "
                 f"loader expects {KERNELS_ABI}")
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        lib.repro_lookup_codes.restype = None
-        lib.repro_lookup_codes.argtypes = [ptr, i64, i64, ptr, i64, ptr]
-        lib.repro_dedup_candidates.restype = i64
-        lib.repro_dedup_candidates.argtypes = [
-            ptr, ptr, i64, i64, ptr, i64, ptr, ptr, ptr]
         lib.repro_bucket_spans.restype = i64
         lib.repro_bucket_spans.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64,
-                                           ptr, ptr, ptr]
+                                           ptr, ptr, ptr, i64]
         lib.repro_bucket_union.restype = i64
         lib.repro_bucket_union.argtypes = [
-            ptr, i64, ptr, i64, i64, ptr, i64, ptr, ptr]
+            ptr, i64, ptr, i64, i64, ptr, i64, ptr, ptr, i64]
         lib.repro_rank_topk.restype = ctypes.c_int
         lib.repro_rank_topk.argtypes = [
-            ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
+            ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64]
         lib.repro_zm_probe_codes.restype = i64
         lib.repro_zm_probe_codes.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr]
         lib.repro_e8_decode.restype = None
@@ -166,46 +171,6 @@ class CExtKernels:
     # pass through np.ascontiguousarray (which returns the array itself
     # when it already conforms), outputs are allocated here, and every
     # array stays referenced by a local until the call returns.
-
-    def lookup_codes(self, bucket_codes: np.ndarray,
-                     codes: np.ndarray) -> np.ndarray:
-        bucket_codes = np.ascontiguousarray(bucket_codes, dtype=np.int64)
-        codes = np.ascontiguousarray(codes, dtype=np.int64)
-        r = codes.shape[0]
-        bidx = np.empty(r, dtype=np.int64)
-        self._lib.repro_lookup_codes(
-            _address(bucket_codes), bucket_codes.shape[0], codes.shape[1],
-            _address(codes), r, _address(bidx))
-        return bidx
-
-    @staticmethod
-    def _tombstones(deleted: Optional[np.ndarray],
-                    ) -> Tuple[Optional[np.ndarray], Optional[int], int]:
-        """``(array kept alive, address, length)`` of a tombstone mask."""
-        if deleted is None:
-            return None, None, 0
-        if deleted.dtype == np.bool_:  # same bytes, no copy
-            deleted = deleted.view(np.uint8)
-        deleted = np.ascontiguousarray(deleted, dtype=np.uint8)
-        return deleted, _address(deleted), deleted.shape[0]
-
-    def dedup_candidates(self, local_ids: np.ndarray, qidx: np.ndarray,
-                         nq: int, deleted: Optional[np.ndarray] = None,
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        local_ids = np.ascontiguousarray(local_ids, dtype=np.int64)
-        qidx = np.ascontiguousarray(qidx, dtype=np.int64)
-        n = local_ids.shape[0]
-        out_ids = np.empty(n, dtype=np.int64)
-        out_qidx = np.empty(n, dtype=np.int64)
-        counts = np.empty(nq, dtype=np.int64)
-        deleted, del_ptr, del_len = self._tombstones(deleted)
-        total = int(self._lib.repro_dedup_candidates(
-            _address(local_ids), _address(qidx), n, int(nq), del_ptr,
-            del_len, _address(out_ids), _address(out_qidx),
-            _address(counts)))
-        if total < 0:
-            raise MemoryError("dedup_candidates scratch allocation failed")
-        return out_ids[:total], out_qidx[:total], counts
 
     def bucket_union(self, layouts: "TableLayouts", codes: np.ndarray,
                      row_q: np.ndarray, table_rows: np.ndarray, nq: int,
@@ -235,7 +200,9 @@ class CExtKernels:
         n_spans = int(self._lib.repro_bucket_spans(
             _address(codes), _address(row_q), _address(tables), n_tables,
             _address(layouts.pointers), codes.shape[1], nq, spans_at,
-            small_at, small_at + 8 * nq))
+            small_at, small_at + 8 * nq, self.threads))
+        if n_spans == -1:
+            raise MemoryError("bucket_union scratch allocation failed")
         if n_spans < 0:
             raise IndexError(
                 f"bucket_union: lookup row of a query outside [0, {nq})"
@@ -253,10 +220,16 @@ class CExtKernels:
         # A query cannot keep more ids than its intervals hold, nor more
         # than there are rows: the output bound the kernel writes within.
         out = np.empty(int(np.minimum(raw, n_rows).sum()), dtype=np.int64)
-        deleted, del_ptr, del_len = self._tombstones(deleted)
+        if deleted is not None:  # a bool mask is the same bytes
+            deleted = np.ascontiguousarray(deleted.view(np.uint8)
+                                           if deleted.dtype == np.bool_
+                                           else deleted, dtype=np.uint8)
         total = int(self._lib.repro_bucket_union(
-            spans_at, n_spans, small_at, nq, n_rows, del_ptr,
-            del_len, _address(out), small_at + 8 * (nq + n_tables)))
+            spans_at, n_spans, small_at, nq, n_rows,
+            None if deleted is None else _address(deleted),
+            0 if deleted is None else deleted.shape[0], _address(out),
+            small_at + 8 * (nq + n_tables),
+            self.threads))
         if total == -2:
             raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
         if total < 0:
@@ -282,7 +255,7 @@ class CExtKernels:
         rc = self._lib.repro_rank_topk(
             _address(data), data.shape[1], norms_ptr, _address(queries),
             nq, _address(q_sq), _address(cand), _address(counts),
-            int(k), _address(sel), _address(dists))
+            int(k), _address(sel), _address(dists), self.threads)
         if rc != 0:
             raise MemoryError("rank_topk scratch allocation failed")
         return sel, dists
@@ -342,7 +315,8 @@ class CExtKernels:
         return codes
 
 
-def load() -> CExtKernels:
-    """Compile (if needed) and bind the C kernel backend."""
+def load(threads: int = 1) -> CExtKernels:
+    """Compile (if needed) and bind the C kernel backend, run on
+    ``threads`` threads."""
     so_path, flags = _compile(_SOURCE_PATH)
-    return CExtKernels(ctypes.CDLL(so_path), flags)
+    return CExtKernels(ctypes.CDLL(so_path), flags, threads)

@@ -20,6 +20,10 @@ can be pinned or disabled.
 ``cext``, or ``none`` (force the numpy table; used by the
 no-compiled-tier CI job and the parity tests, which re-pin through
 :func:`reset`).
+
+P, the threads the compiled ``rank_topk`` and ``bucket_union`` hand their
+work to (Section V's work queue, DESIGN.md §12), resolves with the table:
+the CPUs this process may run on, or ``REPRO_NATIVE_THREADS``.
 """
 
 from __future__ import annotations
@@ -81,12 +85,13 @@ _lock = threading.Lock()
 _resolved = False
 _kernels: object = NUMPY_KERNELS
 _setup_seconds: float = 0.0
+_threads = 1
 _errors: Dict[str, str] = {}
 _warned = False
 
 
 def _resolve_locked() -> None:
-    global _resolved, _kernels, _setup_seconds
+    global _resolved, _kernels, _setup_seconds, _threads
     if _resolved:
         return
     pin = os.environ.get("REPRO_NATIVE_BACKEND", "auto").lower()
@@ -94,6 +99,14 @@ def _resolve_locked() -> None:
         _errors["config"] = (f"invalid REPRO_NATIVE_BACKEND={pin!r}; "
                              f"expected one of {_VALID_PINS}")
         pin = "none"
+    threads = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
+    _threads = int(threads) if threads.isdigit() else 0
+    if not threads:  # unset or empty: every CPU this process may use
+        _threads = len(os.sched_getaffinity(0))
+    elif _threads < 1:
+        _errors["threads"] = (f"invalid REPRO_NATIVE_THREADS={threads!r}; "
+                              f"expected a positive integer")
+        _threads = 1
     if pin != "none":
         # One-time setup (the cc invocation) is timed here and recorded
         # via obs below, never on the per-query path.
@@ -103,7 +116,7 @@ def _resolve_locked() -> None:
 
         t0 = time.perf_counter()  # invariant: disable=R6 — setup-only timing
         try:
-            _kernels = kernels_cext.load()
+            _kernels = kernels_cext.load(_threads)
         except Exception as error:  # any build/load failure -> numpy table
             _errors["cext"] = f"{type(error).__name__}: {error}"
         else:
@@ -170,20 +183,23 @@ def native_backend() -> Optional[str]:
 
 def native_status() -> Dict[str, object]:
     """Diagnostic snapshot: the table serving queries (``backend`` is
-    ``'cext'`` or ``'numpy'``), setup time, resolution errors."""
+    ``'cext'`` or ``'numpy'``), P (``threads``), setup time, resolution
+    errors."""
     with _lock:
         _resolve_locked()
         return {"backend": getattr(_kernels, "backend"),
+                "threads": _threads,
                 "setup_seconds": _setup_seconds,
                 "errors": dict(_errors)}
 
 
 def reset() -> None:
     """Forget the cached resolution (tests re-pin via the env var)."""
-    global _resolved, _kernels, _setup_seconds, _warned
+    global _resolved, _kernels, _setup_seconds, _threads, _warned
     with _lock:
         _resolved = False
         _kernels = NUMPY_KERNELS
         _setup_seconds = 0.0
+        _threads = 1
         _errors.clear()
         _warned = False

@@ -22,8 +22,8 @@ Determinism: each spec draws from its own spawned RNG stream under a
 lock, so a plan with ``rate=1.0`` (optionally bounded by ``max_hits``,
 optionally pinned to one group/table via ``match``) fires identically
 across runs regardless of thread interleaving.  Sub-unit rates are
-deterministic per spec *draw sequence*; with shards on several threads
-the assignment of draws to shards follows arrival order.
+deterministic per spec *draw sequence*; with batches on several
+threads the assignment of draws to batches follows arrival order.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class FaultPlan:
 
     Thread-safe: concurrent workers hitting the same site serialize on
     one lock around the RNG draw and hit counters, so ``max_hits``
-    bounds hold exactly under a runtime's shard threads.
+    bounds hold exactly under concurrent query threads.
     """
 
     def __init__(self, specs: Sequence[FaultSpec],

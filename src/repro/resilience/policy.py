@@ -45,7 +45,7 @@ class FailureRecord:
 class ResiliencePolicy:
     """Degrade failing units instead of raising; record every failure.
 
-    One policy may serve many batches (and shard threads at once): its
+    One policy may serve many batches (on several threads at once): its
     failure list is shared and thread-safe.
     """
 

@@ -4,7 +4,7 @@ The packages below this one answer "how is one batch executed"
 (:mod:`repro.exec`) and "how does an index stay durable"
 (:mod:`repro.maintenance`).  This package answers "who owns all of that
 for the life of a process": :class:`IndexRuntime` holds an index plus
-its attachments (WAL, shard pool, obs registry) behind one
+its attachments (WAL, obs registry) behind one
 :meth:`~IndexRuntime.submit` door, :class:`QueryRequest` /
 :class:`QueryResponse` are what one caller asked for and got back,
 :meth:`IndexRuntime.resolve` is the one place a request meets the

@@ -24,9 +24,6 @@ crash-recoverable with ``IndexRuntime.open(snapshot, wal_path=...)``.
 An insert or delete takes its turn in the batcher's order
 (:meth:`~repro.runtime.batching.MicroBatcher.run_in_turn`), so it never
 runs beside a read batch and the two do not share the interpreter lock.
-With ``--shard-workers`` a read's ``max_batch_rows`` shards run on the
-runtime's threads over the same live index, so it still sees every
-write acknowledged before it.
 
 Routes
 ------

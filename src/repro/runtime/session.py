@@ -3,13 +3,12 @@ every cross-cutting attachment.
 
 A library caller passes execution options to ``index.query_batch`` as
 keywords, per call.  A serving process needs something longer-lived:
-session defaults for those options, an owner for the WAL wiring, the
-obs registry and the shard thread pool, and one place
-where a request meets the defaults:
+session defaults for those options, an owner for the WAL wiring and
+the obs registry, and one place where a request meets the defaults:
 
 - :class:`RuntimeConfig` — the execution defaults of a process
-  (deadline, policy, ``max_batch_rows``, shard workers, micro-batch
-  size cap, admission depth), with :meth:`RuntimeConfig.from_args` as the one CLI
+  (deadline, policy, ``max_batch_rows``, micro-batch size cap,
+  admission depth), with :meth:`RuntimeConfig.from_args` as the one CLI
   argument-resolution seam shared by ``query``/``serve``;
 - :class:`QueryRequest` / :class:`QueryResponse` — what one caller
   asked for and what it got back;
@@ -29,7 +28,6 @@ duck typing and call-time imports.
 from __future__ import annotations
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -87,11 +85,7 @@ class RuntimeConfig:
         Default :class:`~repro.resilience.policy.ResiliencePolicy`
         (``None``: faults propagate and non-finite rows are rejected).
     max_batch_rows:
-        Default bounded-memory shard size.
-    shard_workers:
-        When positive, :class:`IndexRuntime` keeps this many threads and
-        the executor runs the ``max_batch_rows`` shards of a request on
-        them (a batch ``max_batch_rows`` does not split runs inline).
+        Default bounded-memory shard size; shards run in turn.
     batch_max_rows:
         Cap on the query rows of one merged batch in the serving layer
         (:class:`repro.runtime.batching.MicroBatcher`): requests queued
@@ -107,7 +101,6 @@ class RuntimeConfig:
     deadline_ms: Optional[float] = None
     policy: Optional[ResiliencePolicy] = None
     max_batch_rows: Optional[int] = None
-    shard_workers: int = 0
     batch_max_rows: int = 256
     max_queue_depth: int = 64
 
@@ -119,9 +112,6 @@ class RuntimeConfig:
         if self.max_batch_rows is not None and self.max_batch_rows <= 0:
             raise ValueError(
                 f"max_batch_rows must be positive, got {self.max_batch_rows}")
-        if self.shard_workers < 0:
-            raise ValueError(
-                f"shard_workers must be >= 0, got {self.shard_workers}")
         if self.batch_max_rows <= 0:
             raise ValueError(
                 f"batch_max_rows must be positive, got {self.batch_max_rows}")
@@ -134,9 +124,9 @@ class RuntimeConfig:
         """Resolve a config from parsed CLI arguments.
 
         The one place ``--deadline-ms`` / ``--resilient`` /
-        ``--max-batch-rows`` / ``--shard-workers`` (and the serving
-        knobs) are interpreted, shared by ``cmd_query`` and ``cmd_serve``
-        so their defaults cannot diverge.  Missing attributes fall back
+        ``--max-batch-rows`` (and the serving knobs) are interpreted,
+        shared by ``cmd_query`` and ``cmd_serve`` so their defaults
+        cannot diverge.  Missing attributes fall back
         to the dataclass defaults, so one parser does not need every
         flag.  Raises :class:`ValueError` for an invalid value (callers
         map it to exit code 2).
@@ -150,7 +140,6 @@ class RuntimeConfig:
             deadline_ms=getattr(args, "deadline_ms", None),
             policy=policy,
             max_batch_rows=getattr(args, "max_batch_rows", None),
-            shard_workers=int(getattr(args, "shard_workers", 0) or 0),
             batch_max_rows=int(getattr(args, "batch_max_rows", 256)),
             max_queue_depth=int(getattr(args, "max_queue_depth", 64)),
         )
@@ -246,7 +235,8 @@ class RuntimeInfo:
     n_points: int
     #: The kernel table answering queries: ``"cext"`` or ``"numpy"``.
     kernels: str
-    shard_workers: int
+    #: P, the threads the compiled kernels hand their work to.
+    threads: int
     wal_attached: bool
     applied_lsn: int
     closed: bool
@@ -255,7 +245,7 @@ class RuntimeInfo:
     def to_dict(self) -> Dict[str, object]:
         return {
             "ready": self.ready, "n_points": self.n_points,
-            "kernels": self.kernels, "shard_workers": self.shard_workers,
+            "kernels": self.kernels, "threads": self.threads,
             "wal_attached": self.wal_attached,
             "applied_lsn": self.applied_lsn, "closed": self.closed,
             "detail": self.detail,
@@ -267,9 +257,8 @@ class IndexRuntime:
 
     One construction site replaces the per-call-site wiring the CLI and
     tests used to repeat: WAL attachment (durable acknowledged writes
-    while serving), the shard thread pool and the obs registry all
-    live here, and queries enter through one
-    door — :meth:`submit`.
+    while serving) and the obs registry live here, and queries enter
+    through one door — :meth:`submit`.
 
     The runtime does not *replace* the index API: reads delegate to the
     shared executor exactly as ``index.query_batch`` does (and return
@@ -289,12 +278,6 @@ class IndexRuntime:
         #: WAL replay report from :meth:`open` (None for direct loads).
         self.recovery_report: Optional[object] = None
         self._closed = False
-        # The threads ``run_plan`` runs a request's shards on, shared by
-        # concurrent submits; they read the live index: nothing to refresh.
-        self._shard_pool: Optional[ThreadPoolExecutor] = None
-        if self.config.shard_workers > 0:
-            self._shard_pool = ThreadPoolExecutor(
-                self.config.shard_workers, thread_name_prefix="shard")
 
     # ------------------------------------------------------------ lifecycle
 
@@ -337,9 +320,6 @@ class IndexRuntime:
         if self._closed:
             return
         self._closed = True
-        pool, self._shard_pool = self._shard_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         wal, self._wal = self._wal, None
         if wal is not None:
             wal.close()
@@ -387,10 +367,9 @@ class IndexRuntime:
         """Answer one request; the runtime's single query entry.
 
         The resolved request goes field for field onto
-        :func:`repro.exec.run_plan`, the shard pool (if any) beside it:
-        the shards are the same shards over the live index, so the
-        answer is ``index.query_batch``'s at the same ``max_batch_rows``
-        and a read sees every write acknowledged before it.
+        :func:`repro.exec.run_plan` over the live index, so the answer is
+        ``index.query_batch``'s at the same ``max_batch_rows`` and a read
+        sees every write acknowledged before it.
         """
         if self._closed:
             raise RuntimeError("runtime is closed")
@@ -400,8 +379,7 @@ class IndexRuntime:
         plan = builder() if threshold is None else builder(threshold)
         ids, dists, stats = run_plan(
             plan, request.queries, request.k, deadline=request.deadline,
-            policy=request.policy, max_batch_rows=request.max_batch_rows,
-            shard_pool=self._shard_pool)
+            policy=request.policy, max_batch_rows=request.max_batch_rows)
         return QueryResponse(ids=ids, distances=dists, stats=stats)
 
     def query_batch(self, queries: np.ndarray, k: int,
@@ -483,16 +461,15 @@ class IndexRuntime:
             ready, detail = False, "index empty or not fitted"
         from repro.native.registry import native_status
 
+        status = native_status()
         return RuntimeInfo(
-            ready=ready, n_points=n_points,
-            kernels=str(native_status()["backend"]),
-            shard_workers=self.config.shard_workers,
+            ready=ready, n_points=n_points, kernels=str(status["backend"]),
+            threads=int(status["threads"]),  # type: ignore[call-overload]
             wal_attached=self._wal is not None,
             applied_lsn=int(index._applied_lsn),  # type: ignore[attr-defined]
             closed=self._closed, detail=detail)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"IndexRuntime({type(self.index).__name__}, "
-                f"shard_workers={self.config.shard_workers}, "
                 f"wal={'on' if self._wal is not None else 'off'})")
 

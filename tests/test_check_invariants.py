@@ -372,22 +372,6 @@ class TestRuleDetails:
         )
         assert _check_source(src, rules=("R10",)) == []
 
-    def test_r3_walks_from_the_shard_task(self):
-        # What a runtime's shard pool runs is a worker root like
-        # ``query_batch``: a stage it reaches may not publish index state
-        # outside a lock.
-        src = (
-            "class Plan:\n"
-            "    def stage(self):\n"
-            "        self._tables = []\n"
-            "def _run_shard(plan, ctx, finite_row, rows):\n"
-            "    plan.stage()\n"
-        )
-        flagged = _check_source(src, rules=("R3",))
-        assert [(v.rule, v.line) for v in flagged] == [("R3", 3)]
-        assert _check_source(src.replace("_run_shard", "_not_a_root"),
-                             rules=("R3",)) == []
-
 
 class TestCommandLine:
     def _run(self, *args):

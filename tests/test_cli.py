@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from tests.threads import THREADS, native_threads
 
 
 @pytest.fixture()
@@ -59,10 +60,11 @@ class TestBuildQueryInfo:
         assert main(["query", index_path, query_file, "-k", "3",
                      "--show", "2"]) == 0
 
-    def test_shard_workers_thread_the_shards(self, tmp_path, feature_file,
+    def test_native_threads_change_no_answer(self, tmp_path, feature_file,
                                              query_file):
-        # Same answers with the shards on two threads, for a standard
-        # index and for a bi-level one with an E8 hierarchy.
+        # Same answers at every P, for a standard index and for a
+        # bi-level one with an E8 hierarchy, sharded or not; the shard
+        # pool's --shard-workers flag is gone.
         std_path = str(tmp_path / "std.npz")
         assert main(["build", feature_file, std_path,
                      "--index-type", "standard", "--width", "8.0",
@@ -73,15 +75,19 @@ class TestBuildQueryInfo:
                      "--hierarchy", "--seed", "2"]) == 0
         for index_path in (std_path, bilevel_path):
             outputs = []
-            for extra in ([], ["--shard-workers", "2"]):
+            for p, rows in zip(THREADS, ([], ["--max-batch-rows", "7"],
+                                         ["--max-batch-rows", "7"])):
                 out = str(tmp_path / f"res{len(outputs)}.npz")
-                assert main(["query", index_path, query_file, "-k", "3",
-                             "--max-batch-rows", "7", "--output", out]
-                            + extra) == 0
+                with native_threads(p):
+                    assert main(["query", index_path, query_file, "-k",
+                                 "3", "--output", out] + rows) == 0
                 outputs.append(np.load(out))
             for key in ("ids", "distances", "n_candidates"):
-                assert (outputs[0][key].tobytes()
-                        == outputs[1][key].tobytes())
+                assert outputs[0][key].tobytes() \
+                    == outputs[1][key].tobytes() \
+                    == outputs[2][key].tobytes()
+        with pytest.raises(SystemExit):
+            main(["query", std_path, query_file, "--shard-workers", "2"])
 
     def test_info_reports_structure(self, tmp_path, feature_file, capsys):
         index_path = str(tmp_path / "index.npz")

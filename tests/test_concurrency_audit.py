@@ -34,6 +34,7 @@ from repro.lsh.table import LSHTable
 from repro.native import registry
 from repro.native.ref import tree_rowdot
 from repro.runtime import IndexRuntime, RuntimeConfig
+from tests.threads import native_threads
 
 pytestmark = pytest.mark.concurrency
 
@@ -53,10 +54,9 @@ class TestConcurrentQueries:
         index = _bilevel(seed=0).fit(data)
         ids0, dists0, _ = index.query_batch(queries, 5)
         # Half the batches ask the index, half a runtime that runs them
-        # as 3-row shards on its own two threads.
-        with ThreadPoolExecutor(max_workers=8) as pool, IndexRuntime(
-                index, RuntimeConfig(shard_workers=2,
-                                     max_batch_rows=3)) as rt:
+        # as 3-row shards; the kernels run on two threads.
+        with native_threads(2), ThreadPoolExecutor(max_workers=8) as pool, \
+                IndexRuntime(index, RuntimeConfig(max_batch_rows=3)) as rt:
             futures = [pool.submit(ask, queries, 5)
                        for ask in [index.query_batch, rt.query_batch] * 8]
             for future in futures:
@@ -120,8 +120,7 @@ class TestSerialParity:
                      for i in range(2)]
 
         hammered = _bilevel(seed=trial).fit(base)
-        threaded = IndexRuntime(hammered, RuntimeConfig(shard_workers=2,
-                                                        max_batch_rows=3))
+        threaded = IndexRuntime(hammered, RuntimeConfig(max_batch_rows=3))
         recorded = []
 
         def do_insert(block):
@@ -228,10 +227,9 @@ class TestInsertsRacingReads:
         calls = self._checked_union(monkeypatch)
         stop, errors = threading.Event(), []
         # Half the readers ask the index, half a runtime that runs the
-        # same batch as 5-row shards on two pool threads: each shard
-        # takes its own layouts-then-row-count snapshot.
-        threaded = IndexRuntime(index, RuntimeConfig(shard_workers=2,
-                                                     max_batch_rows=5))
+        # same batch as 5-row shards: each shard takes its own
+        # layouts-then-row-count snapshot.
+        threaded = IndexRuntime(index, RuntimeConfig(max_batch_rows=5))
 
         def reader(ask):
             try:

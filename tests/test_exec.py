@@ -36,6 +36,7 @@ from repro.resilience import (
     injected_faults,
 )
 from repro.runtime import IndexRuntime, RuntimeConfig
+from tests.threads import THREADS, native_threads
 
 N_QUERIES = 23  # deliberately not a multiple of any shard size below
 DIM = 16
@@ -112,10 +113,10 @@ class TestShardParity:
         assert_same_results(base, sharded)
 
     @pytest.mark.parametrize("rows", SHARD_SIZES)
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("supervised", [False, True])
-    def test_bilevel(self, bilevel, queries, rows, workers, supervised):
-        # Inline shards, and the same shards on a runtime's threads.
+    def test_bilevel(self, bilevel, queries, rows, threads, supervised):
+        # Library shards, and the same shards through a runtime at P.
         kwargs = {}
         if supervised:
             kwargs["policy"] = ResiliencePolicy()
@@ -123,8 +124,8 @@ class TestShardParity:
         sharded = bilevel.query_batch(queries, K, max_batch_rows=rows,
                                       **kwargs)
         assert_same_results(base, sharded)
-        with IndexRuntime(bilevel, RuntimeConfig(
-                shard_workers=workers, max_batch_rows=rows)) as rt:
+        with native_threads(threads), IndexRuntime(
+                bilevel, RuntimeConfig(max_batch_rows=rows)) as rt:
             assert_same_results(base, rt.query_batch(queries, K, **kwargs))
 
     def test_config_default_is_used(self, dataset, queries):
@@ -343,12 +344,13 @@ class TestAbsorb:
         assert np.array_equal(dists, base_dists)
         assert fields(stats) == fields(base_stats)
 
-        with IndexRuntime(index, RuntimeConfig(shard_workers=2)) as threaded:
-            ids, dists, stats = threaded.query_batch(
-                queries, K, max_batch_rows=7, **options)
-        assert np.array_equal(ids, base_ids)
-        assert np.array_equal(dists, base_dists)
-        assert fields(stats) == fields(base_stats)
+        for p in THREADS:
+            with native_threads(p), IndexRuntime(index) as runtime:
+                ids, dists, stats = runtime.query_batch(
+                    queries, K, max_batch_rows=7, **options)
+            assert np.array_equal(ids, base_ids)
+            assert np.array_equal(dists, base_dists)
+            assert fields(stats) == fields(base_stats)
 
         bad = queries.copy()
         bad[5, 1] = np.nan

@@ -6,18 +6,18 @@ Four contracts:
    indices and distances on the compiled kernel table and on the numpy
    one, and the scalar oracle's neighbours, across lattices × multiprobe
    × hierarchy × tombstones × live overlay × memmap ×
-   ``max_batch_rows`` × shard threads × spill.  The numpy side is pinned
-   through the ``REPRO_NATIVE_BACKEND`` + ``registry.reset()`` seam; the
-   other side is whatever the environment resolves (the CI ``native``
-   job requires that to be ``cext``, and reruns everything under
-   ``none``).
-2. **Kernel properties** — ``dedup_candidates``, ``rank_topk`` and
-   ``bucket_union`` equal their ``repro.native.ref`` twins on drawn
-   inputs that reach both dedup paths, both union paths and every
-   ``tree_dot`` shape, on the build the toolchain resolves *and* on the
-   portable build a failed SIMD compile falls back to (``bucket_union``
-   also on the numpy table, against a set-based oracle); an FMA canary
-   proves contraction is off; the ``.so`` cache key covers the flags.
+   ``max_batch_rows`` × P (the kernel threads) × spill.  The numpy side
+   is pinned through the ``REPRO_NATIVE_BACKEND`` + ``registry.reset()``
+   seam; the other side is whatever the environment resolves (the CI
+   ``native`` job requires that to be ``cext``, and reruns everything
+   under ``none``).
+2. **Kernel properties** — ``rank_topk`` and ``bucket_union`` equal
+   their ``repro.native.ref`` twins on drawn inputs that reach both union
+   paths and every ``tree_dot`` shape, at any P, on the build the
+   toolchain resolves *and* on the portable build a failed SIMD compile
+   falls back to (``bucket_union`` also on the numpy table, against a
+   set-based oracle); an FMA canary proves contraction is off; the
+   ``.so`` cache key covers the flags.
 3. **Decoder properties** — the compiled E8 decoder matches the
    pure-numpy reference in ``repro.lattice`` on random inputs *and* on
    the boundary grid (exact integers, half-integers — the D8 rounding
@@ -52,14 +52,15 @@ from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import SortedLayout, TableLayouts
 from repro.native import kernels_cext, registry
-from repro.native.ref import (bucket_union_ref, dedup_candidates_ref,
-                              rank_topk_ref, zm_probe_codes_ref)
+from repro.native.ref import (bucket_union_ref, rank_topk_ref,
+                              zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import (FaultPlan, FaultSpec, ResiliencePolicy,
                               injected_faults)
 from repro.runtime import IndexRuntime, RuntimeConfig
 from tests.oracle import oracle_query
+from tests.threads import THREADS, inline_limits, native_threads
 
 N_QUERIES = 19
 DIM = 16
@@ -207,15 +208,15 @@ class TestParityMatrix:
             assert_same_results(oracle_query(index, queries, K, **kwargs),
                                 resolved, exact=False)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows", [None, 7])
-    def test_bilevel_native_parity(self, dataset, queries, workers, rows):
+    def test_bilevel_native_parity(self, dataset, queries, threads, rows):
         for spill in (1, 2):
             cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=6.0,
                                 multi_assign=spill, seed=5)
             index = BiLevelLSH(cfg).fit(dataset)
-            with IndexRuntime(index, RuntimeConfig(
-                    shard_workers=workers, max_batch_rows=rows)) as rt:
+            with native_threads(threads), IndexRuntime(
+                    index, RuntimeConfig(max_batch_rows=rows)) as rt:
                 resolved = rt.query_batch(queries, K)
             with numpy_table():
                 assert_same_results(index.query_batch(queries, K), resolved)
@@ -398,12 +399,23 @@ def _inverted_tiles(cand, counts):
     return flags
 
 
+def _dedup_oracle(ids, qidx, nq, deleted):
+    """What ``dedup_candidates`` must return, from a dict of sets."""
+    dead = set() if deleted is None else set(np.flatnonzero(deleted).tolist())
+    per = [set() for _ in range(nq)]
+    for i, q in zip(ids.tolist(), qidx.tolist()):
+        if i not in dead:
+            per[q].add(i)
+    out = [(i, q) for q in range(nq) for i in sorted(per[q])]
+    return ([i for i, _ in out], [q for _, q in out],
+            [len(p) for p in per])
+
+
 class TestKernelParity:
-    # id_span reaches both dedup paths (rule: more than 64 bitmap words
-    # per id -> sort): spans up to 10**4 are at most 157 words, bitmap for
-    # any segment of 3+ ids; 2**40 always sorts; 10**6 (15 625 words)
-    # goes either way around 244 ids.  del_len puts tombstones below, at
-    # and beyond the drawn ids.
+    # No query path calls ``dedup_candidates``: every table serves the
+    # numpy spec under that name (benchmarks/e2e wraps it), held here to
+    # a set oracle.  id_span reaches far-apart and dense segments; del_len
+    # puts tombstones below, at and beyond the drawn ids.
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            n_ids=st.integers(0, 600),
@@ -421,20 +433,19 @@ class TestKernelParity:
                           max(nq - 1, 0)) // 2
         deleted = None if del_len is None else rng.random(del_len) < 0.3
         got = build.dedup_candidates(ids, qidx, nq, deleted=deleted)
-        want = dedup_candidates_ref(ids, qidx, nq, deleted=deleted)
+        want = _dedup_oracle(ids, qidx, nq, deleted)
         for g, w in zip(got, want):
             assert g.dtype == np.int64
-            assert np.array_equal(g, w)
+            assert g.tolist() == w
 
     def test_dedup_far_apart_dense_segments(self, build):
-        # Two bitmap-path segments 2**40 apart: the bitmap is relative to
-        # each segment, so neither its size nor a stale bit carries over.
+        # Two dense segments 2**40 apart, and one of ids below zero.
         near = np.arange(300)[::-1] % 200
         ids = np.concatenate([near, near + 2**40, [-3, -3, -1]])
         qidx = np.repeat([0, 2, 1], [300, 300, 3])
         got = build.dedup_candidates(ids, qidx, 4)
-        want = dedup_candidates_ref(ids, qidx, 4)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        want = _dedup_oracle(ids, qidx, 4, None)
+        assert all(g.tolist() == w for g, w in zip(got, want))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -949,7 +960,8 @@ class TestNativeObservability:
 
     def test_native_status_shape(self):
         status = registry.native_status()
-        assert set(status) == {"backend", "setup_seconds", "errors"}
+        assert set(status) == {"backend", "threads", "setup_seconds",
+                               "errors"}
         assert status["backend"] in ("cext", "numpy")
         assert registry.native_backend() in ("cext", None)
 
@@ -1011,3 +1023,325 @@ class TestFallback:
             assert status["backend"] == "numpy"
         finally:
             registry.reset()
+
+
+# ------------------------------------------------------------ P, the threads
+
+
+class TestNativeThreads:
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", "+3", "00"])
+    def test_invalid_count_is_reported_and_resolves_to_one(self, monkeypatch,
+                                                           value):
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", value)
+        registry.reset()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                loaded = registry.load_kernels()
+            status = registry.native_status()
+            assert status["threads"] == 1
+            assert "REPRO_NATIVE_THREADS" in status["errors"]["threads"]
+            assert getattr(loaded, "threads", 1) == 1
+        finally:
+            registry.reset()
+
+    def test_count_defaults_to_the_cpus_this_process_may_use(self,
+                                                            monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
+        registry.reset()
+        try:
+            status = registry.native_status()
+            assert status["threads"] == len(os.sched_getaffinity(0))
+            assert "threads" not in status["errors"]
+        finally:
+            registry.reset()
+
+    def test_pinned_count_reaches_the_compiled_table(self, kernels):
+        with native_threads(3) as table:
+            assert registry.native_status()["threads"] == 3
+            assert table.threads == 3
+            assert "threads" not in registry.native_status()["errors"]
+
+
+#: Every row of the dense corpus shares a bucket of every table, so every
+#: call the matrix makes is past both inline thresholds.
+DENSE_ROWS, DENSE_QUERIES, DENSE_WIDTH = 4000, 300, 1000.0
+
+
+@pytest.fixture(scope="module")
+def dense():
+    rng = np.random.default_rng(33)
+    data = rng.standard_normal((DENSE_ROWS, DIM))
+    queries = rng.standard_normal((DENSE_QUERIES, DIM))
+    queries[0] = data[17]
+    return data, queries
+
+
+def _dense_index(data, config):
+    config = dict(config)
+    front = config.pop("front")
+    tombstones = config.pop("tombstones", False)
+    if front == "bilevel":
+        index = BiLevelLSH(BiLevelConfig(n_groups=2, n_tables=4,
+                                         bucket_width=DENSE_WIDTH, seed=5,
+                                         **config)).fit(data)
+    else:
+        index = StandardLSH(n_tables=4, bucket_width=DENSE_WIDTH, seed=5,
+                            **config).fit(data)
+    if tombstones:
+        assert index.delete(np.arange(3, data.shape[0], 5)) > 0
+    return index
+
+
+#: The parity matrix's shapes, dense: Z^M and E8 with and without the
+#: hierarchy (an integer threshold every row falls below, so every row
+#: escalates and the escalate union runs), multi-probe, tombstones, both
+#: spills of the bi-level front-end.
+DENSE_CONFIGS = {
+    "zm": dict(front="standard"),
+    "zm-hier": dict(front="standard", hierarchy=True),
+    "e8": dict(front="standard", lattice="e8"),
+    "e8-hier-tombstones": dict(front="standard", lattice="e8",
+                               hierarchy=True, tombstones=True),
+    "zm-probes4-tombstones": dict(front="standard", n_probes=4,
+                                  tombstones=True),
+    "bilevel-spill1": dict(front="bilevel"),
+    "bilevel-spill2-tombstones": dict(front="bilevel", multi_assign=2,
+                                      tombstones=True),
+    "bilevel-e8-hier-spill2": dict(front="bilevel", lattice="e8",
+                                   hierarchy=True, multi_assign=2),
+}
+
+
+def _answer_bytes(answer):
+    """Everything a batch answers, as bytes: ids, distance bits and every
+    QueryStats mask."""
+    ids, dists, stats = answer
+
+    def mask(values):
+        return None if values is None else np.asarray(values).tobytes()
+
+    return (ids.tobytes(), _bits(dists).tobytes(),
+            stats.n_candidates.tobytes(), stats.escalated.tobytes(),
+            mask(stats.degraded), mask(stats.exhausted_budget))
+
+
+def _raw_ids(layouts, codes, row_q, table_rows, nq, n_rows, deleted=None,
+             extra=()):
+    """The ids behind a ``bucket_union`` call's spans, duplicates and
+    tombstones included: what its inline rule reads."""
+    from repro.lsh.table import LSHTable
+    from repro.native.ref import span_table
+
+    firsts = np.cumsum(table_rows) - table_rows
+    raw = sum(int(LSHTable.gather_layouts(per, codes[at:at + n])[1].sum())
+              for per, at, n in zip(layouts.per_table, firsts, table_rows))
+    return raw + int(span_table(extra, nq)[1][:, 2].sum())
+
+
+class _Work:
+    """Shadows a table's two threaded kernels to record how much work
+    each call handed them: candidates per rank call, raw ids per union
+    call."""
+
+    def __init__(self, table):
+        self.table, self.rank, self.union = table, [], []
+
+    def __enter__(self):
+        rank, union = self.table.rank_topk, self.table.bucket_union
+
+        def ranked(*args, **kwargs):
+            self.rank.append((int(np.sum(args[5])), len(args[5])))
+            return rank(*args, **kwargs)
+
+        def unioned(*args, **kwargs):
+            self.union.append((_raw_ids(*args, **kwargs), int(args[4])))
+            return union(*args, **kwargs)
+
+        self.table.rank_topk, self.table.bucket_union = ranked, unioned
+        return self
+
+    def __exit__(self, *exc):
+        del self.table.rank_topk, self.table.bucket_union
+
+
+class TestThreadsMatrix:
+    """Answers are byte-identical at every P on the dense parity matrix,
+    whose calls all run on the work queue."""
+
+    @pytest.mark.parametrize("rows", [None, DENSE_QUERIES // 2])
+    @pytest.mark.parametrize("config", sorted(DENSE_CONFIGS))
+    def test_every_p_answers_alike(self, kernels, dense, config, rows):
+        data, queries = dense
+        index = _dense_index(data, DENSE_CONFIGS[config])
+        options = dict(max_batch_rows=rows, deadline_ms=60_000.0)
+        if index.use_hierarchy:
+            options["hierarchy_threshold"] = DENSE_ROWS + 1
+        limits = inline_limits()
+        answers = {}
+        for p in THREADS:
+            with native_threads(p) as table, _Work(table) as work:
+                answers[p] = _answer_bytes(index.query_batch(queries, K,
+                                                             **options))
+            assert max(w for w, _ in work.rank) >= \
+                limits["RANK_INLINE_CANDIDATES"]
+            assert max(w for w, _ in work.union) >= \
+                limits["UNION_INLINE_IDS"]
+        assert answers[2] == answers[1] and answers[7] == answers[1]
+        stats = index.query_batch(queries, K, **options)[2]
+        assert stats.escalated.all() == bool(index.use_hierarchy)
+
+    @pytest.mark.parametrize("lattice", ["zm", "e8"])
+    def test_fault_stand_ins_answer_alike(self, kernels, dense, lattice):
+        # A failed group's rows are answered by stand-in spans over its
+        # live rows, which reach the union through ``extra``.
+        data, queries = dense
+        index = _dense_index(data, dict(front="bilevel", lattice=lattice,
+                                        multi_assign=2))
+        answers = {}
+        for p in THREADS:
+            plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
+                                        match={"group": 0})], seed=3)
+            with native_threads(p), injected_faults(plan):
+                answer = index.query_batch(queries, K,
+                                           policy=ResiliencePolicy())
+            assert plan.hits()["bilevel.dispatch"] >= 1
+            assert answer[2].degraded_mask().any()
+            answers[p] = _answer_bytes(answer)
+        assert answers[2] == answers[1] and answers[7] == answers[1]
+
+
+@contextlib.contextmanager
+def _threads_on(table, p):
+    """``table``'s threaded kernels run on ``p`` threads inside."""
+    saved = table.threads
+    table.threads = p
+    try:
+        yield table
+    finally:
+        table.threads = saved
+
+
+def _span_case(rng, nq, total, n_rows, empty_share):
+    """A ``bucket_union`` call of extra spans only, ``total`` raw ids in
+    all: one id array (ids repeat), spans drawn over it, and queries that
+    get no span at all now and then."""
+    ids = rng.integers(0, n_rows, size=max(total, 1))
+    live = np.flatnonzero(rng.random(nq) >= empty_share) if nq else \
+        np.empty(0, dtype=np.int64)
+    if total and not live.size:
+        live = np.array([0])
+    n_spans = int(min(total, 3 * max(live.size, 1))) if total else 0
+    cuts = np.sort(rng.choice(np.arange(1, total), size=n_spans - 1,
+                              replace=False)) if n_spans > 1 else []
+    sizes = np.diff(np.concatenate([[0], cuts, [total]])).astype(np.int64) \
+        if n_spans else np.empty(0, dtype=np.int64)
+    starts = np.array([rng.integers(0, ids.size - s + 1) for s in sizes],
+                      dtype=np.int64)
+    slots = rng.choice(live, size=sizes.size) if sizes.size else sizes
+    extra = [([ids], starts.reshape(1, -1), sizes.reshape(1, -1),
+              np.asarray(slots, dtype=np.int64))]
+    return _stacked(2), extra
+
+
+class TestThreadedKernels:
+    """``rank_topk`` and ``bucket_union`` at a drawn P equal the numpy
+    table, at the edges of the work queue: no query, one query, queries
+    with nothing to rank, and calls just below and just above the inline
+    thresholds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9),
+           shape=st.sampled_from(["empty", "one", "below", "above",
+                                  "sparse"]),
+           dim=st.sampled_from([3, 8, 16]), k=st.sampled_from([1, 5]))
+    def test_rank_matches_reference(self, build, seed, p, shape, dim, k):
+        rng = np.random.default_rng(seed)
+        limits = inline_limits()
+        line = limits["RANK_INLINE_CANDIDATES"]
+        nq = {"empty": 70, "one": 1}.get(shape, 130)
+        n_rows = 3000 if shape != "sparse" else 200_000
+        total = {"empty": 0, "one": 500, "below": line - 1,
+                 "above": line}.get(shape, 3 * line)
+        # ``total`` candidates over the queries, some queries with none.
+        weights = rng.random(nq) * (rng.random(nq) > 0.2)
+        weights[0] += 1e-9
+        counts = np.floor(weights / weights.sum() * total).astype(np.int64)
+        counts[0] += total - counts.sum()
+        counts = np.minimum(counts, n_rows)
+        data = rng.standard_normal((n_rows, dim))
+        cand = np.concatenate(
+            [np.sort(rng.choice(n_rows, size=c, replace=False))
+             for c in counts] + [np.empty(0, dtype=np.int64)])
+        queries = rng.standard_normal((nq, dim))
+        q_sq = (queries * queries).sum(axis=1)
+        norms = (data * data).sum(axis=1)
+        want = rank_topk_ref(data, norms, queries, q_sq, cand, counts, k)
+        with _threads_on(build, p):
+            got = build.rank_topk(data, norms, queries, q_sq, cand, counts,
+                                  k)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9),
+           shape=st.sampled_from(["empty", "one", "below", "above",
+                                  "wide"]),
+           n_rows=st.sampled_from([5000, 10**7]),
+           del_len=st.sampled_from([None, 4000]))
+    def test_union_matches_reference(self, build, seed, p, shape, n_rows,
+                                     del_len):
+        rng = np.random.default_rng(seed)
+        line = inline_limits()["UNION_INLINE_IDS"]
+        nq = {"one": 1, "wide": 700}.get(shape, 40)
+        total = {"empty": 0, "one": 3000, "below": line - 1,
+                 "above": line}.get(shape, line + 12345)
+        lookups, extra = _span_case(rng, nq, total, n_rows, 0.25)
+        deleted = None if del_len is None else rng.random(del_len) < 0.3
+        want = bucket_union_ref(*lookups, nq, n_rows, deleted=deleted,
+                                extra=extra)
+        with _threads_on(build, p):
+            got = build.bucket_union(*lookups, nq, n_rows, deleted=deleted,
+                                     extra=extra)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("p", [2, 7])
+    @pytest.mark.parametrize("where", [0, 20, 39])   # first, middle, last
+    def test_bad_id_in_any_range_is_refused(self, build, p, where):
+        # The same refusal as at P = 1, wherever the bad id's range is.
+        rng = np.random.default_rng(where)
+        lookups, extra = _span_case(rng, 40, inline_limits()[
+            "UNION_INLINE_IDS"] + 1000, 5000, 0.0)
+        [(arrays, starts, sizes, slots)] = extra
+        span = int(np.flatnonzero((slots == where) & (sizes[0] > 0))[0])
+        arrays[0][starts[0, span] + sizes[0, span] - 1] = 5000
+        for threads in (1, p):
+            with _threads_on(build, threads), \
+                    pytest.raises(IndexError, match="outside"):
+                build.bucket_union(*lookups, 40, 5000, extra=extra)
+
+    @pytest.mark.parametrize("p", [2, 7])
+    def test_existing_refusals_hold_at_p(self, kernels, p):
+        suite = TestBucketUnion()
+        with _threads_on(kernels, p):
+            suite.test_extra_spans_outside_their_array_are_refused(kernels)
+            for n_rows in (50, 10**7):
+                suite.test_id_outside_the_row_count_is_refused(kernels,
+                                                               n_rows)
+            suite.test_lookup_row_of_an_unknown_query_is_refused(kernels)
+            suite.test_rows_the_tables_do_not_account_for_are_refused(
+                kernels)
+
+    def test_interval_outside_its_ids_is_refused_at_p(self, kernels):
+        # -3 comes from the spans step, which stays serial: any P.
+        codes = np.zeros((1, 2), dtype=np.int64)
+        good = SortedLayout.sort(codes, np.array([0]))
+        bad = SortedLayout.adopt(good.bucket_codes, good.starts,
+                                 good.ends, good.sorted_ids)
+        bad.ends[0] = 2
+        for p in (1, 2, 7):
+            with _threads_on(kernels, p), \
+                    pytest.raises(IndexError, match="interval"):
+                kernels.bucket_union(*_stacked(2, ((bad,), codes,
+                                                   np.array([0]))), 1, 1)

@@ -20,6 +20,7 @@ from repro.core.config import BiLevelConfig
 from repro.obs.registry import MetricsRegistry, log_buckets
 from repro.obs.trace import QueryTrace, TraceCollector
 from repro.runtime import IndexRuntime, RuntimeConfig
+from tests.threads import native_threads
 
 
 @pytest.fixture(autouse=True)
@@ -333,19 +334,20 @@ class TestRegistryConcurrency:
         assert hist.sum == 6 * 50 * values.sum()
 
     def test_parallel_group_dispatch_counts_are_consistent(self):
-        """A runtime's shard threads record per-group counters
-        concurrently; totals must equal the serial run's exactly."""
+        """Concurrent runtime batches record per-group counters at once,
+        at P = 1 and at P = 4; totals must equal the serial run's
+        exactly."""
         rng = np.random.default_rng(7)
         data = rng.standard_normal((500, 16))
         queries = rng.standard_normal((40, 16))
         index = _bilevel(seed=7).fit(data)
 
-        def totals(workers: int, n_batches: int = 4):
+        def totals(threads: int, n_batches: int = 4):
             reg = MetricsRegistry()
             obs.enable(registry=reg)
-            with ThreadPoolExecutor(max_workers=4) as pool, IndexRuntime(
-                    index, RuntimeConfig(shard_workers=workers,
-                                         max_batch_rows=7)) as rt:
+            with native_threads(threads), \
+                    ThreadPoolExecutor(max_workers=4) as pool, \
+                    IndexRuntime(index, RuntimeConfig(max_batch_rows=7)) as rt:
                 futures = [pool.submit(rt.query_batch, queries, 5)
                            for _ in range(n_batches)]
                 for future in futures:
@@ -356,8 +358,8 @@ class TestRegistryConcurrency:
                     {dict(c.label_items)["group"]: c.value
                      for c in group.children()})
 
-        serial_total, serial_groups = totals(workers=0)
-        parallel_total, parallel_groups = totals(workers=4)
+        serial_total, serial_groups = totals(threads=1)
+        parallel_total, parallel_groups = totals(threads=4)
         assert serial_total == parallel_total == 4 * queries.shape[0]
         assert serial_groups == parallel_groups
         assert sum(parallel_groups.values()) == parallel_total

@@ -1,30 +1,32 @@
-"""Threaded shard execution: parity, faults, deadlines, telemetry.
+"""Sharded execution through the runtime at every P: parity, faults,
+deadlines, telemetry.
 
 (The file keeps the name it had when these shards ran in worker
-processes; the classes and most test names are the ones that survived.)
+processes, and later on a runtime-owned thread pool; the classes and
+most test names are the ones that survived.)
 
-The contract under test (DESIGN.md §12, "Threaded shards"): an
-:class:`~repro.runtime.IndexRuntime` configured with ``shard_workers``
-runs the executor's own ``max_batch_rows`` shard loop on its threads,
-over the live index, so
+The contract under test (DESIGN.md §11): an
+:class:`~repro.runtime.IndexRuntime` runs the executor's own
+``max_batch_rows`` shard loop, in turn, over the live index, and the
+compiled kernels hand their work to P threads inside each call, so
 
 1. **Byte-equal** — answers, every :class:`QueryStats` field and the
    recorded telemetry equal the inline sharded run at the same
-   ``max_batch_rows``, for integer *and* ``"median"`` thresholds (the
-   shards are the same shards), on in-memory, memmapped, overlaid and
-   tombstoned indexes.
-2. **Faults as inline** — a fault inside a threaded shard is degraded
-   by the same policy code; unsupervised, it propagates, in shard
-   order, and the pool keeps serving.
+   ``max_batch_rows``, at every P, for integer *and* ``"median"``
+   thresholds, on in-memory, memmapped, overlaid and tombstoned indexes.
+2. **Faults as inline** — a fault inside a shard is degraded by the same
+   policy code; unsupervised, it propagates from the first shard that
+   met it, and the runtime keeps serving.
 3. **One absolute deadline** — a shard checks it when it *starts*; one
    whose turn comes too late keeps its padded rows, flagged
    ``exhausted_budget``.
 4. **Nothing to go stale, leak or die** — a write is visible to the next
-   read, ``close()`` joins every thread the runtime started.
+   read, and every kernel thread is joined before its call returns.
 
 All plans and datasets are seeded; CI's ``chaos`` job runs this file.
 """
 
+import os
 import sys
 import threading
 import time
@@ -46,6 +48,7 @@ from repro.resilience import (
     injected_faults,
 )
 from repro.runtime import IndexRuntime, QueryRequest, RuntimeConfig
+from tests.threads import THREADS, native_threads
 
 N_QUERIES = 23
 DIM = 16
@@ -78,7 +81,7 @@ def reference(index, queries):
 
 @pytest.fixture(scope="module")
 def runtime(index):
-    with IndexRuntime(index, RuntimeConfig(shard_workers=2)) as rt:
+    with IndexRuntime(index) as rt:
         yield rt
 
 
@@ -193,7 +196,8 @@ def _observed(run):
 
 
 class TestShardWorkersMatrix:
-    """``shard_workers`` never changes an answer, a stat or a count."""
+    """P, the kernel threads, never changes an answer, a stat or a count
+    of the runtime's sharded run."""
 
     @pytest.mark.parametrize("threshold", ["median", 32])
     @pytest.mark.parametrize("rows", [None, 1, 7, N_QUERIES])
@@ -205,9 +209,8 @@ class TestShardWorkersMatrix:
                        deadline_ms=60_000.0)
         want, want_snap = _observed(
             lambda: index.query_batch(queries, K, **options))
-        for workers in (0, 1, 2, 3):
-            with IndexRuntime(index,
-                              RuntimeConfig(shard_workers=workers)) as rt:
+        for p in THREADS:
+            with native_threads(p), IndexRuntime(index) as rt:
                 got, snap = _observed(
                     lambda: rt.query_batch(queries, K, **options))
             assert_bit_identical(got, want)
@@ -216,7 +219,7 @@ class TestShardWorkersMatrix:
 
 
 class TestInputsThePoolRefused:
-    """What the process pool could not take, the shard loop always could."""
+    """What the old process pool could not take, the shard loop can."""
 
     def test_memmap_index_is_byte_equal(self, tmp_path, dataset, queries):
         from repro.core.outofcore import fit_standard_chunked
@@ -228,8 +231,8 @@ class TestInputsThePoolRefused:
             np.load(path, mmap_mode="r"), chunk_size=128)
         assert isinstance(index._data, np.memmap)
         base = index.query_batch(queries, K, max_batch_rows=5)
-        with IndexRuntime(index, RuntimeConfig(
-                shard_workers=2, max_batch_rows=5)) as rt:
+        with native_threads(2), IndexRuntime(
+                index, RuntimeConfig(max_batch_rows=5)) as rt:
             result = rt.query_batch(queries, K)
         assert_bit_identical(result, base)
         assert stats_fields(result[2]) == stats_fields(base[2])
@@ -241,9 +244,8 @@ class TestInputsThePoolRefused:
                             lattice="e8", n_probes=2,
                             hierarchy=True).fit(dataset)
         extra = np.random.default_rng(7).standard_normal((20, DIM))
-        with IndexRuntime(index, RuntimeConfig(
-                shard_workers=2, max_batch_rows=5,
-                hierarchy_threshold=threshold)) as rt:
+        with native_threads(2), IndexRuntime(index, RuntimeConfig(
+                max_batch_rows=5, hierarchy_threshold=threshold)) as rt:
             new_ids = rt.insert(extra)
             assert rt.delete(np.array([41, int(new_ids[0])])) == 2
             tables = index._tables
@@ -290,9 +292,9 @@ class TestValidation:
 class TestChaos:
     def test_injected_fault_degrades_one_shard_as_inline(
             self, index, runtime, queries, reference):
-        # One hit drops table 0 for whichever shard met it first, on
-        # whichever thread: that shard's rows are flagged and answered as
-        # the same fault answers them inline; every other row is healthy.
+        # One hit drops table 0 for the shard that met it first: that
+        # shard's rows are flagged and answered as the same fault answers
+        # them inline; every other row is healthy.
         def plan():
             return FaultPlan([FaultSpec(site="lsh.gather",
                                         match={"table": 0}, max_hits=1)],
@@ -329,35 +331,31 @@ class TestChaos:
                 runtime.query_batch(queries, K,
                                     hierarchy_threshold=THRESHOLD,
                                     max_batch_rows=5)
-        # Nothing of the failed batch is left on the pool, and the pool
-        # is not wedged by it.
+        # Nothing of the failed batch is left behind, and the runtime is
+        # not wedged by it.
         result = runtime.query_batch(queries, K,
                                      hierarchy_threshold=THRESHOLD,
                                      max_batch_rows=5)
         assert_bit_identical(result, reference)
 
-    def test_exception_surfaces_in_shard_order(self, runtime):
-        # Shards 1 and 3 both raise, 3 long before 1; the caller sees
-        # shard 1's — the one the inline loop would have stopped at —
-        # and by then no shard of the batch is still running.
+    def test_exception_surfaces_in_shard_order(self):
+        # Shards 1 and 3 would both raise; the caller sees shard 1's, and
+        # no shard after it starts.
         started, ended = [], []
 
         def stage(ctx):
             shard = int(ctx.queries[0, 0]) // 5
             started.append(shard)
             try:
-                if shard == 1:
-                    time.sleep(0.1)
                 if shard in (1, 3):
                     raise _Boom(shard)
             finally:
                 ended.append(shard)
 
         with pytest.raises(_Boom) as caught:
-            _run_probe(stage, runtime._shard_pool)
+            _run_probe(stage)
         assert caught.value.args == (1,)
-        assert {1, 3} <= set(started)
-        assert sorted(started) == sorted(ended)
+        assert started == ended == [0, 1]
 
 
 class _Boom(Exception):
@@ -376,10 +374,9 @@ class _ProbePlan(QueryPlan):
         return (Stage("probe.run", self.fn),)
 
 
-def _run_probe(fn, pool, n_rows=20, max_batch_rows=5):
+def _run_probe(fn, n_rows=20, max_batch_rows=5):
     rows = np.arange(float(n_rows)).reshape(n_rows, 1)
-    ctx = ExecutionContext.for_batch(rows, K, max_batch_rows=max_batch_rows,
-                                     pool=pool)
+    ctx = ExecutionContext.for_batch(rows, K, max_batch_rows=max_batch_rows)
     return run_validated(_ProbePlan(fn), ctx)
 
 
@@ -408,8 +405,8 @@ class TestDeadline:
 
     def test_expiry_after_the_first_wave_flags_the_shards_not_started(
             self, dataset, queries):
-        # Two threads, five shards; the first two stall 500 ms in their
-        # gather, the budget is 250 ms: by the time a thread is free the
+        # Five shards; the first two stall 150 ms in their gather, the
+        # budget is 250 ms: the second starts in budget, after it the
         # deadline has passed, so shards 2-4 never start.  A started
         # shard is not cut short here (no hierarchy: no stage of this
         # plan reads the deadline).
@@ -417,12 +414,12 @@ class TestDeadline:
                             seed=9).fit(dataset)
         base = index.query_batch(queries, K)
         plan = FaultPlan([FaultSpec(site="lsh.gather", kind="delay",
-                                    delay_ms=500.0, match={"table": 0},
+                                    delay_ms=150.0, match={"table": 0},
                                     max_hits=2)], seed=1)
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         try:
-            with IndexRuntime(index, RuntimeConfig(shard_workers=2)) as rt, \
+            with native_threads(2), IndexRuntime(index) as rt, \
                     injected_faults(plan):
                 ids, dists, stats = rt.query_batch(
                     queries, K, deadline_ms=250.0, max_batch_rows=5)
@@ -441,32 +438,37 @@ class TestDeadline:
 # -------------------------------------------------------------- lifecycle
 
 
+def _n_os_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
 @pytest.mark.concurrency
 class TestPoolLifecycle:
-    def test_close_joins_every_thread_it_started(self, index, queries):
-        before = set(threading.enumerate())
-        runtime = IndexRuntime(index, RuntimeConfig(shard_workers=3))
-        runtime.query_batch(queries, K, max_batch_rows=2)
-        started = set(threading.enumerate()) - before
-        assert 1 <= len(started) <= 3
-        assert all(t.name.startswith("shard") for t in started)
-        runtime.close()
-        runtime.close()  # idempotent
-        assert not any(t.is_alive() for t in started)
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc to count the process's threads")
+    def test_close_joins_every_thread_it_started(self, dataset, queries):
+        # The kernel threads live inside one call: none is left once it
+        # returns, at any P, and the runtime starts none of its own.
+        # Wide buckets: every call is past both inline thresholds.
+        dense = StandardLSH(n_tables=16, bucket_width=40.0,
+                            seed=9).fit(dataset)
+        batch = np.vstack([queries] * 3)
+        for p in THREADS:
+            with native_threads(p):
+                before = _n_os_threads()
+                runtime = IndexRuntime(dense)
+                runtime.query_batch(batch, K)
+                assert _n_os_threads() == before
+                runtime.close()
+                runtime.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             runtime.query_batch(queries, K)
 
-    def test_no_pool_without_shard_workers(self, index, queries):
-        before = set(threading.enumerate())
-        with IndexRuntime(index) as runtime:
-            runtime.query_batch(queries, K, max_batch_rows=2)
-            assert set(threading.enumerate()) == before
-
-    def test_concurrent_submits_share_the_pool(self, runtime, queries,
+    def test_concurrent_submits_share_the_pool(self, index, queries,
                                                reference):
-        # More callers than pool threads, each fanning its own shards
-        # out over the one pool under a shortened switch interval: every
-        # caller returns, with its own rows.
+        # More callers than cores, each with its own kernel threads under
+        # a shortened switch interval: every caller returns, with its own
+        # rows.
         n_callers = 4
         barrier = threading.Barrier(n_callers)
         results, errors = [None] * n_callers, []
@@ -484,12 +486,13 @@ class TestPoolLifecycle:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=call, args=(i,))
-                       for i in range(n_callers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+            with native_threads(2), IndexRuntime(index) as runtime:
+                threads = [threading.Thread(target=call, args=(i,))
+                           for i in range(n_callers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors
@@ -498,17 +501,6 @@ class TestPoolLifecycle:
             assert np.array_equal(response.ids, reference[0][i:])
             assert np.array_equal(response.distances, reference[1][i:])
 
-    def test_a_pool_thread_is_handed_no_pool(self, runtime):
-        # Fan-out happens at one level: the context a shard runs in has
-        # no pool, so a shard can never wait on the pool it occupies.
-        seen = []
-        _run_probe(lambda ctx: seen.append(
-            (threading.current_thread().name, ctx.pool)),
-            runtime._shard_pool)
-        assert len(seen) == 4
-        assert all(name.startswith("shard") and pool is None
-                   for name, pool in seen)
-
 
 # ---------------------------------------------------------- observability
 
@@ -516,14 +508,14 @@ class TestPoolLifecycle:
 class TestObservability:
     def test_worker_events_and_shards_are_counted(self, index, queries,
                                                   reference):
-        with IndexRuntime(index, RuntimeConfig(shard_workers=1)) as rt:
+        with IndexRuntime(index) as rt:
             result, snap = _observed(lambda: rt.query_batch(
                 queries, K, hierarchy_threshold=THRESHOLD,
                 policy=ResiliencePolicy(), max_batch_rows=8))
         assert_bit_identical(result, reference)
         assert _samples(snap, "repro_exec_shards_total") == \
             {(("site", "lsh"),): -(-N_QUERIES // 8)}
-        # The pool's lifecycle series went with the pool.
+        # No pool, no pool lifecycle series.
         assert not [name for name in snap
                     if name.startswith(("repro_exec_worker",
                                         "repro_exec_queue_wait",
@@ -558,11 +550,9 @@ def _deterministic(snap):
 
 
 class TestCrossProcessMetrics:
-    """What a shard records on a pool thread lands in the active
-    registry directly — no reply to ride, nothing to merge — so a
-    threaded batch must leave exactly the inline batch's counts.  With
-    two threads recording at once this is the thread-safety test of the
-    recorders."""
+    """What a shard records lands in the active registry directly — no
+    reply to ride, nothing to merge — so a runtime batch at P = 2 must
+    leave exactly the library batch's counts at P = 1."""
 
     @pytest.mark.filterwarnings(
         "ignore:native kernels unavailable:RuntimeWarning")
@@ -576,24 +566,16 @@ class TestCrossProcessMetrics:
             index = StandardLSH(n_tables=4, bucket_width=6.0, seed=9,
                                 n_probes=4).fit(dataset)
         snaps = {}
-        interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_NATIVE_BACKEND", backend_env)
-            registry.reset()
-            index.query_batch(queries, K)  # table resolved, unobserved
-            sys.setswitchinterval(1e-5)
-            try:
-                with IndexRuntime(index,
-                                  RuntimeConfig(shard_workers=2)) as rt:
-                    for name, target in (("in_process", index),
-                                         ("pooled", rt)):
-                        _, snaps[name] = _observed(
-                            lambda: target.query_batch(
-                                queries, K, hierarchy_threshold=THRESHOLD,
-                                max_batch_rows=2))
-            finally:
-                sys.setswitchinterval(interval)
-        registry.reset()
+            for name, p in (("in_process", 1), ("pooled", 2)):
+                with native_threads(p), IndexRuntime(index) as rt:
+                    index.query_batch(queries, K)  # resolved, unobserved
+                    target = index if name == "in_process" else rt
+                    _, snaps[name] = _observed(
+                        lambda: target.query_batch(
+                            queries, K, hierarchy_threshold=THRESHOLD,
+                            max_batch_rows=2))
         want = _deterministic(snaps["in_process"])
         assert _deterministic(snaps["pooled"]) == want
         # Not vacuous: every table looked up, probed, and — on the

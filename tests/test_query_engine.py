@@ -19,6 +19,7 @@ from repro.lsh.index import StandardLSH, _gather_candidates
 from repro.lsh.table import LSHTable, pack_codes
 from repro.runtime import IndexRuntime, RuntimeConfig
 from tests.oracle import oracle_query
+from tests.threads import native_threads
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +120,15 @@ class TestBiLevelEquivalence:
 
     @pytest.mark.parametrize("spill", [1, 2])
     def test_shard_threads_results_identical(self, dataset, spill):
-        # A runtime's two shard threads answer as the index does inline.
+        # A runtime's shards at P = 2 answer as the index does at P = 1.
         data, queries = dataset
         index = BiLevelLSH(BiLevelConfig(n_groups=6, bucket_width=5.0,
                                          multi_assign=spill,
                                          seed=21)).fit(data)
-        ids_s, dists_s, _ = index.query_batch(queries, 10)
-        with IndexRuntime(index, RuntimeConfig(shard_workers=2,
-                                               max_batch_rows=9)) as rt:
+        with native_threads(1):
+            ids_s, dists_s, _ = index.query_batch(queries, 10)
+        with native_threads(2), IndexRuntime(
+                index, RuntimeConfig(max_batch_rows=9)) as rt:
             ids_t, dists_t, _ = rt.query_batch(queries, 10)
         np.testing.assert_array_equal(ids_s, ids_t)
         np.testing.assert_array_equal(dists_s, dists_t)

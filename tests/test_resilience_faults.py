@@ -32,6 +32,7 @@ from repro.resilience import (
     ResiliencePolicy,
     injected_faults,
 )
+from tests.threads import native_threads
 
 N_QUERIES = 40
 VICTIM_GROUP = 1
@@ -66,12 +67,12 @@ def bilevel_cache(dataset, queries):
 
 
 def run(index, workers, queries, **options):
-    """``index.query_batch`` inline (``workers == 1``), or in shards of
-    ten rows on a runtime's ``workers`` threads."""
+    """``index.query_batch`` (``workers == 1``), or shards of ten rows
+    through a runtime with ``workers`` kernel threads."""
     if workers == 1:
         return index.query_batch(queries, 10, **options)
-    with IndexRuntime(index, RuntimeConfig(shard_workers=workers,
-                                           max_batch_rows=10)) as rt:
+    with native_threads(workers), IndexRuntime(
+            index, RuntimeConfig(max_batch_rows=10)) as rt:
         return rt.query_batch(queries, 10, **options)
 
 

@@ -58,6 +58,7 @@ from repro.runtime import (
     merge_key,
     shed_response,
 )
+from tests.threads import THREADS, native_threads
 
 DIM = 16
 
@@ -101,7 +102,7 @@ def _assert_response_equals_tuple(response, triple):
 class TestRuntimeConfig:
     def test_defaults(self):
         cfg = RuntimeConfig()
-        assert cfg.shard_workers == 0
+        assert cfg.max_batch_rows is None
         assert cfg.batch_max_rows == 256
         assert cfg.max_queue_depth == 64
 
@@ -115,7 +116,7 @@ class TestRuntimeConfig:
         {"deadline_ms": 0.0},
         {"deadline_ms": -5.0},
         {"max_batch_rows": 0},
-        {"shard_workers": -1},
+        {"max_batch_rows": -1},
         {"batch_max_rows": 0},
         {"max_queue_depth": 0},
     ])
@@ -126,13 +127,12 @@ class TestRuntimeConfig:
     def test_from_args_full(self):
         args = argparse.Namespace(
             engine="vectorized", deadline_ms=25.0, resilient=True,
-            max_batch_rows=128, shard_workers=2, hierarchy_threshold=40,
+            max_batch_rows=128, hierarchy_threshold=40,
             batch_max_rows=64, max_queue_depth=8)
         cfg = RuntimeConfig.from_args(args)
         assert cfg.deadline_ms == 25.0
         assert isinstance(cfg.policy, ResiliencePolicy)
         assert cfg.max_batch_rows == 128
-        assert cfg.shard_workers == 2
         assert cfg.hierarchy_threshold == 40
         assert cfg.batch_max_rows == 64
         assert cfg.max_queue_depth == 8
@@ -252,22 +252,24 @@ class TestIndexRuntime:
             np.testing.assert_array_equal(got[0], want[0])
 
     def test_shard_workers_serve_every_front_end(self, base_data):
-        # A bi-level batch reaches a second core the way any other does:
-        # the runtime's threads run the executor's shards, byte-equal to
-        # the same shards inline — spill 2, an E8 hierarchy and an integer
-        # threshold included.
+        # A bi-level batch reaches a second core the way any other does,
+        # inside the kernels: the runtime's shards at every P are
+        # byte-equal to the library's at P = 1 — spill 2, an E8 hierarchy
+        # and an integer threshold included.
         bilevel = BiLevelLSH(BiLevelConfig(
             n_groups=4, bucket_width=4.0, lattice="e8", hierarchy=True,
             multi_assign=2, seed=3)).fit(base_data)
         options = dict(hierarchy_threshold=12, max_batch_rows=4)
-        want = bilevel.query_batch(base_data[:23], 5, **options)
+        with native_threads(1):
+            want = bilevel.query_batch(base_data[:23], 5, **options)
         assert want[2].escalated.any()
-        with IndexRuntime(bilevel, RuntimeConfig(shard_workers=2)) as rt:
-            got = rt.query_batch(base_data[:23], 5, **options)
-        for a, b in zip(got[:2] + (got[2].n_candidates, got[2].escalated),
-                        want[:2] + (want[2].n_candidates,
-                                    want[2].escalated)):
-            assert a.tobytes() == b.tobytes()
+        for p in THREADS:
+            with native_threads(p), IndexRuntime(bilevel) as rt:
+                got = rt.query_batch(base_data[:23], 5, **options)
+            for a, b in zip(
+                    got[:2] + (got[2].n_candidates, got[2].escalated),
+                    want[:2] + (want[2].n_candidates, want[2].escalated)):
+                assert a.tobytes() == b.tobytes()
 
     def test_close_is_idempotent_and_final(self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
@@ -1596,28 +1598,28 @@ class TestShardPoolRuntime:
     def test_submit_shards_on_the_thread_pool(self, base_data, queries):
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
-        cfg = RuntimeConfig(shard_workers=2, max_batch_rows=5)
-        with IndexRuntime(index, cfg) as runtime:
+        cfg = RuntimeConfig(max_batch_rows=5)
+        with native_threads(2), IndexRuntime(index, cfg) as runtime:
             payload = runtime.info().to_dict()
-            assert payload["shard_workers"] == 2 and payload["ready"]
-            # The pool's keys left ``/readyz`` with the pool.
-            assert not {"worker_pids", "executor_stale"} & set(payload)
+            assert payload["threads"] == 2 and payload["ready"]
+            # No pool, no pool keys on ``/readyz``.
+            assert not {"worker_pids", "executor_stale",
+                        "shard_workers"} & set(payload)
             response = runtime.submit(QueryRequest(queries=queries, k=5))
             # ``"median"`` included: the shards are the index's own.
             want = index.query_batch(queries, 5, max_batch_rows=5)
             _assert_response_equals_tuple(response, want)
-        # After close the pool is gone and submits are refused.
+        # After close submits are refused.
         with pytest.raises(RuntimeError, match="closed"):
             runtime.submit(QueryRequest(queries=queries, k=5))
 
     def test_writes_are_visible_to_the_next_threaded_read(self, base_data,
                                                           tmp_path):
-        # The inverse of the stale-pool protocol: there is no snapshot,
-        # so a write through the runtime *and* one behind its back are
-        # both seen by the very next read, whose rows run on the pool.
+        # There is no snapshot, so a write through the runtime *and* one
+        # behind its back are both seen by the very next read.
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             seed=5).fit(base_data)
-        cfg = RuntimeConfig(shard_workers=2, max_batch_rows=1)
+        cfg = RuntimeConfig(max_batch_rows=1)
         rng = np.random.default_rng(11)
         points = rng.standard_normal((2, DIM))
         with IndexRuntime(index, cfg) as runtime:
