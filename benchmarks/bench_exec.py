@@ -28,7 +28,7 @@ than its quarter-size shards do, and the ratio falls below the gate
 
 With ``--threads N`` (default 2, 0 skips it) the benchmark additionally
 times the unsharded batch with the compiled kernels' P (the threads
-``rank_topk`` and ``bucket_union`` hand their work to) at N against P = 1
+``bucket_spans`` and ``rank_topk`` hand their work to) at N against P = 1
 on both front-ends, and records the numbers in the same report.  What
 threads buy depends on the cores the box has (``cpu_count`` is in the
 report) and on the kernel table (``kernels``: the numpy one runs on the

@@ -7,10 +7,10 @@ H(v))`` names a group's tables — each group's own (optionally tuned)
 width, families and hierarchies, in a :class:`~repro.lsh.index.
 StandardLSH` holding *global* rows of the one :class:`~repro.lsh.index.
 RowStore`, never a copy.  A batch is routed (to each row's group, or its
-``multi_assign`` most plausible ones), hashed per group, gathered by one
-``bucket_union`` over all G·L group tables, escalated per group and
-ranked by one ``rank_topk`` against the one matrix: the stages of
-:class:`~repro.lsh.index._LSHPlan` with a route stage in front.
+``multi_assign`` most plausible ones), hashed per group, searched by one
+``bucket_spans`` over all G·L group tables, escalated per group and
+ranked from the spans by one ``rank_topk`` against the one matrix: the
+stages of :class:`~repro.lsh.index._LSHPlan` with a route stage in front.
 """
 
 from __future__ import annotations

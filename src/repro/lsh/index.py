@@ -35,7 +35,8 @@ from repro.lattice.zm import ZMLattice
 from repro.lsh.functions import PStableHashFamily, StackedProjection
 from repro.lsh.table import LSHTable, TableLayouts
 from repro.native import registry as native_registry
-from repro.native.ref import SpanSet, rank_topk_ref, tree_rowdot
+from repro.native.ref import (SpanSet, rank_topk_ref, spans_union_ref,
+                              tree_rowdot)
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import InjectedFault
 from repro.resilience.faults import faults_active
@@ -783,7 +784,7 @@ class Member:
     Bi-level group) and the batch ``rows`` routed to it.
 
     ``slots[i]`` is ``rows[i]``'s candidate segment in the one
-    ``bucket_union`` (``q * spill + j`` for row ``q``'s ``j``-th route:
+    ``bucket_spans`` (``q * spill + j`` for row ``q``'s ``j``-th route:
     a row's segments are adjacent); ``first_table`` is where its tables
     start in the layouts searched.  The hash stage fills ``y`` /
     ``codes``; the gather stage ``keep``, the tables that passed their
@@ -807,12 +808,13 @@ class _LSHPlan(QueryPlan):
     """The staged LSH engine: hash → gather → [escalate] → rank.
 
     The stages run over the batch's members (:class:`Member`): one hash per
-    member, one ``bucket_union``, escalation per member, one
-    ``rank_topk`` against the one row store.  A :class:`StandardLSH` is
-    the one-member case; the Bi-level plan adds a route stage in front.
+    member, one ``bucket_spans``, escalation per member, one
+    ``rank_topk`` from those spans against the one row store.  A
+    :class:`StandardLSH` is the one-member case; the Bi-level plan adds a
+    route stage in front.
 
     Every hot inner loop (lattice decode, ``Z^M`` probe sequences, the
-    short-list union, the hierarchy walk, fused rank) is a call on
+    bucket spans, the hierarchy walk, fused short-list and rank) is a call on
     ``kernels``, the table :func:`repro.native.load_kernels` resolved —
     compiled or numpy, bit-identical by the parity matrix in
     ``tests/test_native.py``.  A memmapped corpus is ranked by the numpy
@@ -850,8 +852,10 @@ class _LSHPlan(QueryPlan):
             stage.fn(ctx)
             if stage.name == "lsh.gather":
                 break
-        runs = np.split(self.index._store.ids[ctx.scratch["cand"]],
-                        np.cumsum(ctx.scratch["run_counts"])[:-1])
+        store = self.index._store
+        cand, counts = spans_union_ref(ctx.scratch["spans"], ctx.nq,
+                                       store.n_rows, store.deleted)
+        runs = np.split(store.ids[cand], np.cumsum(counts)[:-1])
         order = np.arange(ctx.nq, dtype=np.int64)[ctx.scratch["order"]]
         return [runs[i] for i in np.argsort(order)]
 
@@ -966,11 +970,11 @@ class _LSHPlan(QueryPlan):
         """Candidate gathering for the whole batch, query-major.
 
         Every member's lookup rows — self and probe codes, table by
-        table — go to one ``kernels.bucket_union`` over the published
-        :class:`TableLayouts`, leaving ``scratch["cand"]`` sorted by
-        ``(segment, id)``, tombstones dropped, and the segment sizes.  A
-        query's segments (one per group it routes to) are adjacent and
-        groups hold disjoint rows: nothing needs merging.
+        table — go to one ``kernels.bucket_spans`` over the published
+        :class:`TableLayouts`, leaving ``scratch["spans"]``: the bucket
+        interval each row hit, per segment, with nothing read behind it —
+        ``rank_topk`` reads the ids.  A query's segments (one per group it
+        routes to) are adjacent and groups hold disjoint rows.
         Tables (:meth:`_kept_tables`: a dropped one's rows are left out)
         and groups (:meth:`_group_stand_ins`: a failed one's rows are
         left out, its stand-in spans go in) are the degradable units.
@@ -981,7 +985,7 @@ class _LSHPlan(QueryPlan):
         spill = ctx.scratch["spill"]
         # One snapshot of the published layouts: a concurrent insert or
         # rebuild publishes a new one, it never edits this one.
-        layouts = ctx.scratch["layouts"] = self.index._layouts
+        layouts = self.index._layouts
         table_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
         for m in members:
             m.keep = self._kept_tables(ctx, m, m.index.n_tables)
@@ -1004,13 +1008,10 @@ class _LSHPlan(QueryPlan):
             slot_parts.append(m.slots[row_m])
             lookups.append(m)
         row_slot = np.concatenate(slot_parts)
-        store = self.index._store
-        # The row count is read after the layouts: an insert publishes its
-        # rows before the layouts that hold their ids, so it bounds every
-        # id the kernel will meet.
-        cand, counts, misses = kernels.bucket_union(
+        spans = kernels.bucket_spans(
             layouts, np.concatenate(code_parts), row_slot, table_rows,
-            nq * spill, store.n_rows, deleted=store.deleted, extra=stand_ins)
+            nq * spill).with_extra(stand_ins)
+        misses = spans.misses
         probes = None
         if ob is not None:
             # Committed only for the tables the union used — a dropped
@@ -1028,9 +1029,8 @@ class _LSHPlan(QueryPlan):
                         n_probes=n_lookups - n_rows)
                 probes[m.slots // spill] -= len(kept)
             probes[ctx.scratch["order"]] = probes.copy()
-        ctx.scratch["cand"] = cand
+        ctx.scratch["spans"] = spans
         ctx.scratch["probes"] = probes
-        self._set_counts(ctx, counts)
 
     def _group_stand_ins(self, ctx: ExecutionContext, members: List[Member],
                          ) -> List[SpanSet]:
@@ -1062,17 +1062,6 @@ class _LSHPlan(QueryPlan):
                     stand_ins.append(([rows], 0, rows.shape[0], m.slots))
         return stand_ins
 
-    def _set_counts(self, ctx: ExecutionContext, counts: np.ndarray) -> None:
-        """Segment sizes in; each row's short-list size out — a row's
-        segments are adjacent and disjoint, so their sizes add to its run
-        of ``cand`` (``run_counts``, in the batch's worked order)."""
-        ctx.scratch["slot_counts"] = counts
-        spill = ctx.scratch["spill"]
-        runs = counts if spill == 1 \
-            else counts.reshape(ctx.nq, spill).sum(axis=1)
-        ctx.scratch["run_counts"] = runs
-        ctx.n_candidates[ctx.scratch["order"]] = runs
-
     def _stage_escalate(self, ctx: ExecutionContext) -> None:
         # Per member, rows whose segment is below its threshold (``"median"``
         # of its segment sizes) walk its hierarchies, a chunk of rows per
@@ -1081,16 +1070,15 @@ class _LSHPlan(QueryPlan):
         # rows of chunks not started keep their base short-list, flagged
         # `exhausted_budget`.  A table dropped at the gather is left out
         # here too, hierarchy and codes alike: an escalated degraded row
-        # is the answer of the surviving tables.
-        counts = ctx.scratch["slot_counts"]
-        kernels = ctx.scratch["kernels"]
-        n_slots = counts.shape[0]
-        # The short-list so far, one span per segment.  Its union with the
-        # nodes equals the lookup spans' union with them: tombstones only
-        # ever grow.
-        spans: List[SpanSet] = [([ctx.scratch["cand"]],
-                                 np.cumsum(counts) - counts, counts,
-                                 np.arange(n_slots, dtype=np.int64))]
+        # is the answer of the surviving tables.  Segment sizes come from
+        # ``rank_topk``'s counting mode; the row count is read after the
+        # layouts, and an insert publishes its rows before the layouts
+        # that hold their ids, so it bounds every id the kernel meets.
+        kernels, store = ctx.scratch["kernels"], self.index._store
+        _, _, counts = kernels.rank_topk(None, None, None,
+                                         ctx.scratch["spans"], store.n_rows,
+                                         store.deleted, 0)
+        spans: List[SpanSet] = []
         depths: List[np.ndarray] = []
         expired = False
         for m in ctx.scratch["members"]:
@@ -1133,40 +1121,32 @@ class _LSHPlan(QueryPlan):
         if ctx.ob is not None:
             ctx.ob.record_escalation_depth(kind.depth_label,
                                            np.concatenate(depths))
-        # One more union, of spans only.  The row count is read after every
-        # hierarchy snapshot, so it bounds their ids as in the gather.
-        store, layouts = self.index._store, ctx.scratch["layouts"]
-        no_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
-        cand, counts, _ = kernels.bucket_union(
-            layouts, np.empty((0, layouts.code_dim), dtype=np.int64),
-            no_rows[:0], no_rows, n_slots, store.n_rows,
-            deleted=store.deleted, extra=spans)
-        ctx.scratch["cand"] = cand
-        self._set_counts(ctx, counts)
+        ctx.scratch["spans"] = ctx.scratch["spans"].with_extra(spans)
 
     def _stage_rank(self, ctx: ExecutionContext) -> None:
-        # One fused gather+distance+top-k call over all short-lists.
-        # ``rank_topk`` — and every cached norm — sums each dot product in
-        # the halving-tree order of :func:`repro.native.ref.tree_rowdot`,
-        # which is what makes the kernel tables bit-identical and an
-        # indexed query's self-distance exactly ``0.0``.
-        store, cand = self.index._store, ctx.scratch["cand"]
-        if cand.size == 0:
-            return
-        order = ctx.scratch["order"]  # the rows in the order cand runs
-        queries = ctx.queries[order]
+        # One call builds every short-list from the spans and ranks it:
+        # distance and top-k fused.  ``rank_topk`` — and every cached norm,
+        # and the queries' own — sums each dot product in the halving-tree
+        # order of :func:`repro.native.ref.tree_rowdot`, which is what
+        # makes the kernel tables bit-identical and an indexed query's
+        # self-distance exactly ``0.0``.  The rows are read after every
+        # layout and hierarchy snapshot: their count bounds every id.
+        store, spans = self.index._store, ctx.scratch["spans"]
+        order = ctx.scratch["order"]  # the rows in the order spans run
+        data = store.data
         # The fork reads the data, not the kernels: a memmapped corpus is
         # always ranked by the numpy spec, which gathers candidate rows
         # before touching them — the only pages read off disk.
-        rank = (rank_topk_ref if isinstance(store.data, np.memmap)
+        rank = (rank_topk_ref if isinstance(data, np.memmap)
                 else ctx.scratch["kernels"].rank_topk)
-        sel, dists = rank(store.data, store.point_sq_norms(), queries,
-                          tree_rowdot(queries, queries), cand,
-                          ctx.scratch["run_counts"], ctx.k)
+        sel, dists, counts = rank(data, store.point_sq_norms(),
+                                  ctx.queries[order], spans, data.shape[0],
+                                  store.deleted, ctx.k)
         hit = sel >= 0
         sel[hit] = store.ids[sel[hit]]
         ctx.ids_out[order] = sel
         ctx.dists_out[order] = dists
+        ctx.n_candidates[order] = counts
 
     def record_obs(self, ctx: ExecutionContext) -> None:
         ctx.ob.record_batch("lsh", ctx.n_candidates, ctx.escalated,

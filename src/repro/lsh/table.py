@@ -10,7 +10,7 @@ Internally buckets are stored CSR-style (one sorted id array plus per-bucket
 start/end offsets — a :class:`SortedLayout`), mirroring the paper's GPU
 layout of "a linear array along with an indexing table"; points inserted
 after the build live in a second layout of the same shape, and the plan's
-``bucket_union`` kernel searches both — every table's at once, through
+``bucket_spans`` kernel searches both — every table's at once, through
 one :class:`TableLayouts` pointer table.  For the numpy lookups the index
 table is an array
 of *packed keys*: each ``(M,)`` int64 code row is packed into one fixed-width
@@ -87,7 +87,7 @@ class SortedLayout(NamedTuple):
 
     A table publishes one for its base and one for its insert overlay;
     nothing writes to the arrays afterwards.  ``pointers`` is derived
-    data for the compiled ``bucket_union`` kernel, built once here and
+    data for the compiled ``bucket_spans`` kernel, built once here and
     never per call: the int64 words ``(bucket_codes address, n_buckets,
     starts address, ends address, sorted_ids address, n_ids)`` — valid
     for as long as this tuple keeps the arrays referenced.
@@ -162,13 +162,15 @@ class SortedLayout(NamedTuple):
 
 class TableLayouts(NamedTuple):
     """Every table's sorted layouts as one immutable snapshot: what one
-    ``bucket_union`` call searches.
+    ``bucket_spans`` call searches.
 
     ``per_table[t]`` is table ``t``'s :meth:`LSHTable.layouts` (the
     base, then a live insert overlay), ``n_layouts[t]`` how many there
     are, and ``pointers`` their :attr:`SortedLayout.pointers` rows
     stacked in table order — the pointer table the compiled kernel
-    walks.  An index builds one per published
+    walks; ``ids`` and ``bases`` are the layouts' ``sorted_ids`` and
+    their addresses in that order, what a span's array index names.  An
+    index builds one per published
     table list or overlay (:meth:`of` checks every layout's code width
     there, once) and swaps it in by reference; this tuple keeps every
     array those words point into alive.
@@ -178,6 +180,8 @@ class TableLayouts(NamedTuple):
     n_layouts: np.ndarray
     pointers: np.ndarray
     code_dim: int
+    ids: Tuple[np.ndarray, ...]
+    bases: np.ndarray
 
     @classmethod
     def of(cls, per_table: Sequence[Sequence[SortedLayout]],
@@ -194,7 +198,9 @@ class TableLayouts(NamedTuple):
         return cls(per_table,
                    np.array([len(layouts) for layouts in per_table],
                             dtype=np.int64),
-                   pointers, int(code_dim))
+                   pointers, int(code_dim),
+                   tuple(layout.sorted_ids for layout in flat),
+                   np.ascontiguousarray(pointers[:, 4], dtype=np.int64))
 
 
 class LSHTable:
@@ -257,7 +263,7 @@ class LSHTable:
     def layouts(self) -> Tuple[SortedLayout, ...]:
         """The sorted layouts holding this table's points — the base,
         then the insert overlay while there is one: what the
-        ``bucket_union`` kernel searches.  One consistent snapshot."""
+        ``bucket_spans`` kernel searches.  One consistent snapshot."""
         overlay = self._overlay
         return (self._base,) if overlay is None else (self._base, overlay)
 
@@ -387,31 +393,9 @@ class LSHTable:
         out[np.repeat(out_starts, lengths) + rel] = gathered
         return out
 
-    @staticmethod
-    def gather_layouts(layouts: Sequence[SortedLayout], codes: np.ndarray,
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`gather_batch` over explicit ``layouts``: per code row
-        the members of its bucket in the first layout, then in the next.
-        One ``searchsorted`` per layout and pure offset arithmetic — no
-        per-row Python work."""
-        keys = pack_codes(codes)
-        spans = [lay.spans(LSHTable._searchsorted_keys(
-            packed_keys(lay.bucket_codes), keys)) for lay in layouts]
-        if len(layouts) == 1:
-            starts, counts = spans[0]
-            return (LSHTable._gather_segments(layouts[0].sorted_ids, starts,
-                                              counts), counts)
-        counts = np.sum([lens for _, lens in spans], axis=0, dtype=np.int64)
-        out = np.empty(int(counts.sum()), dtype=np.int64)
-        offsets = np.cumsum(counts) - counts
-        for lay, (starts, lens) in zip(layouts, spans):
-            LSHTable._gather_segments(lay.sorted_ids, starts, lens, out=out,
-                                      out_starts=offsets)
-            offsets = offsets + lens
-        return out, counts
-
     def gather_batch(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate ids for every code row, flattened CSR-style.
+        """Candidate ids for every code row, flattened CSR-style: one
+        ``searchsorted`` per layout and pure offset arithmetic.
 
         Returns ``(ids, counts)`` where ``counts[i]`` is the number of ids
         gathered for row ``i`` and ``ids`` is their concatenation (base
@@ -421,7 +405,17 @@ class LSHTable:
         if codes.shape[1] != self.code_dim:
             raise ValueError(
                 f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
-        return self.gather_layouts(self.layouts(), codes)
+        keys, layouts = pack_codes(codes), self.layouts()
+        spans = [lay.spans(LSHTable._searchsorted_keys(
+            packed_keys(lay.bucket_codes), keys)) for lay in layouts]
+        counts = np.sum([lens for _, lens in spans], axis=0, dtype=np.int64)
+        out = np.empty(int(counts.sum()), dtype=np.int64)
+        offsets = np.cumsum(counts) - counts
+        for lay, (starts, lens) in zip(layouts, spans):
+            LSHTable._gather_segments(lay.sorted_ids, starts, lens, out=out,
+                                      out_starts=offsets)
+            offsets = offsets + lens
+        return out, counts
 
     def lookup(self, code: np.ndarray) -> np.ndarray:
         """Return the ids in the bucket matching ``code`` (empty if none)."""

@@ -37,18 +37,17 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.native.ref import (dedup_candidates_ref, lookup_codes_ref,
-                              span_table, union_tables)
+from repro.native.ref import (Spans, dedup_candidates_ref, lookup_codes_ref,
+                              query_split, union_tables)
 
 if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
     from repro.hierarchy.e8_hierarchy import E8Hierarchy
     from repro.lsh.table import TableLayouts
-    from repro.native.ref import SpanSet
 
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 8
+KERNELS_ABI = 9
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -140,7 +139,7 @@ class CExtKernels:
         self._lib = lib
         #: Compiler flags the loaded library was built with.
         self.flags = tuple(flags)
-        #: P: how many threads ``rank_topk`` and ``bucket_union`` run on.
+        #: P: how many threads ``rank_topk`` and ``bucket_spans`` run on.
         self.threads = threads
         lib.repro_kernels_abi.restype = ctypes.c_int64
         abi = int(lib.repro_kernels_abi())
@@ -151,13 +150,11 @@ class CExtKernels:
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
         lib.repro_bucket_spans.restype = i64
         lib.repro_bucket_spans.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64,
-                                           ptr, ptr, ptr, i64]
-        lib.repro_bucket_union.restype = i64
-        lib.repro_bucket_union.argtypes = [
-            ptr, i64, ptr, i64, i64, ptr, i64, ptr, ptr, i64]
-        lib.repro_rank_topk.restype = ctypes.c_int
+                                           ptr, ptr, i64]
+        lib.repro_rank_topk.restype = i64
         lib.repro_rank_topk.argtypes = [
-            ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64]
+            ptr, i64, ptr, ptr, i64, ptr, ptr, i64, i64, i64, ptr, i64, i64,
+            ptr, ptr, ptr, i64]
         lib.repro_zm_probe_codes.restype = i64
         lib.repro_zm_probe_codes.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr]
         lib.repro_e8_decode.restype = None
@@ -172,12 +169,9 @@ class CExtKernels:
     # when it already conforms), outputs are allocated here, and every
     # array stays referenced by a local until the call returns.
 
-    def bucket_union(self, layouts: "TableLayouts", codes: np.ndarray,
-                     row_q: np.ndarray, table_rows: np.ndarray, nq: int,
-                     n_rows: int, deleted: Optional[np.ndarray] = None,
-                     extra: "Sequence[SpanSet]" = (),
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        nq, n_rows = int(nq), int(n_rows)
+    def bucket_spans(self, layouts: "TableLayouts", codes: np.ndarray,
+                     row_q: np.ndarray, table_rows: np.ndarray,
+                     n_segments: int) -> Spans:
         # The C side takes the lookup rows stacked table by table, the
         # (rows, layouts) words per table and the pointer table of every
         # layout — built and checked once per published snapshot
@@ -186,79 +180,58 @@ class CExtKernels:
         row_q = np.ascontiguousarray(row_q, dtype=np.int64)
         tables = union_tables(layouts, codes, row_q, table_rows)
         n_tables = tables.shape[0]
-        # ``extra``'s spans become the words repro_bucket_spans writes,
-        # after the ones it found; ``arrays`` keeps what they name alive.
-        arrays, added = span_table(extra, nq)
-        n_extra = added.shape[0]
-        # Small outputs share one buffer and one address: raw ids per
-        # query, misses per table, kept ids per query.
-        small = np.empty(2 * nq + n_tables, dtype=np.int64)
-        small_at = _address(small)
-        spans = np.empty((int(tables[:, 0] @ tables[:, 1]) + n_extra, 3),
+        words = np.empty((int(tables[:, 0] @ tables[:, 1]), 4),
                          dtype=np.int64)
-        spans_at = _address(spans)
+        misses = np.empty(n_tables, dtype=np.int64)
         n_spans = int(self._lib.repro_bucket_spans(
             _address(codes), _address(row_q), _address(tables), n_tables,
-            _address(layouts.pointers), codes.shape[1], nq, spans_at,
-            small_at, small_at + 8 * nq, self.threads))
+            _address(layouts.pointers), codes.shape[1], int(n_segments),
+            _address(words), _address(misses), self.threads))
         if n_spans == -1:
-            raise MemoryError("bucket_union scratch allocation failed")
+            raise MemoryError("bucket_spans scratch allocation failed")
         if n_spans < 0:
             raise IndexError(
-                f"bucket_union: lookup row of a query outside [0, {nq})"
-                if n_spans == -2 else
-                "bucket_union: bucket interval outside its sorted_ids")
-        raw = small[:nq]
-        if n_extra:
-            words = spans[n_spans:n_spans + n_extra]
-            words[:, 0] = np.array([_address(a) for a in arrays],
-                                   dtype=np.int64)[added[:, 0]]
-            words[:, 0] += 8 * added[:, 1]
-            words[:, 1:] = added[:, 2:]
-            raw += np.bincount(added[:, 3], added[:, 2], nq).astype(np.int64)
-            n_spans += n_extra
-        # A query cannot keep more ids than its intervals hold, nor more
-        # than there are rows: the output bound the kernel writes within.
-        out = np.empty(int(np.minimum(raw, n_rows).sum()), dtype=np.int64)
+                f"bucket_spans: lookup row of a segment outside "
+                f"[0, {n_segments})" if n_spans == -2 else
+                "bucket_spans: bucket interval outside its sorted_ids")
+        return Spans(layouts.ids, layouts.bases, words, int(n_segments),
+                     misses)
+
+    def rank_topk(self, data: Optional[np.ndarray],
+                  sq_norms: Optional[np.ndarray],
+                  queries: Optional[np.ndarray], spans: Spans, n_rows: int,
+                  deleted: Optional[np.ndarray], k: int,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nq, k, n_rows = query_split(spans, queries), int(k), int(n_rows)
+        # Counting (k = 0) reads neither rows nor queries.
+        data, sq_norms, queries = (
+            None if a is None or not k else
+            np.ascontiguousarray(a, dtype=np.float64)
+            for a in (data, sq_norms, queries))
+        if k and n_rows > min(a.shape[0] for a in (data, sq_norms)
+                              if a is not None):
+            raise ValueError(f"rank_topk: {n_rows} rows asked of fewer")
         if deleted is not None:  # a bool mask is the same bytes
             deleted = np.ascontiguousarray(deleted.view(np.uint8)
                                            if deleted.dtype == np.bool_
                                            else deleted, dtype=np.uint8)
-        total = int(self._lib.repro_bucket_union(
-            spans_at, n_spans, small_at, nq, n_rows,
-            None if deleted is None else _address(deleted),
-            0 if deleted is None else deleted.shape[0], _address(out),
-            small_at + 8 * (nq + n_tables),
-            self.threads))
-        if total == -2:
-            raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
-        if total < 0:
-            raise MemoryError("bucket_union scratch allocation failed")
-        return out[:total], small[nq + n_tables:], small[nq:nq + n_tables]
-
-    def rank_topk(self, data: np.ndarray, sq_norms: Optional[np.ndarray],
-                  queries: np.ndarray, q_sq: np.ndarray, cand: np.ndarray,
-                  counts: np.ndarray, k: int,
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-        q_sq = np.ascontiguousarray(q_sq, dtype=np.float64)
-        cand = np.ascontiguousarray(cand, dtype=np.int64)
-        counts = np.ascontiguousarray(counts, dtype=np.int64)
-        nq = counts.shape[0]
-        sel = np.empty((nq, int(k)), dtype=np.int64)
-        dists = np.empty((nq, int(k)), dtype=np.float64)
-        norms_ptr = None
-        if sq_norms is not None:
-            sq_norms = np.ascontiguousarray(sq_norms, dtype=np.float64)
-            norms_ptr = _address(sq_norms)
+        words = np.ascontiguousarray(spans.words, dtype=np.int64)
+        counts = np.empty(nq, dtype=np.int64)
+        sel = np.empty((nq, k), dtype=np.int64)
+        dists = np.empty((nq, k), dtype=np.float64)
+        at = [None if a is None else _address(a)
+              for a in (data, sq_norms, queries, deleted)]
         rc = self._lib.repro_rank_topk(
-            _address(data), data.shape[1], norms_ptr, _address(queries),
-            nq, _address(q_sq), _address(cand), _address(counts),
-            int(k), _address(sel), _address(dists), self.threads)
-        if rc != 0:
+            at[0], 0 if data is None else data.shape[1], at[1], at[2], nq,
+            _address(spans.bases), _address(words), words.shape[0],
+            spans.n_segments // nq if nq else 1, n_rows, at[3],
+            0 if deleted is None else deleted.shape[0], k, _address(sel),
+            _address(dists), _address(counts), self.threads)
+        if rc == -1:
             raise MemoryError("rank_topk scratch allocation failed")
-        return sel, dists
+        if rc < 0:
+            raise IndexError(f"rank_topk: id outside [0, {n_rows})")
+        return sel, dists, counts
 
     def zm_probe_codes(self, y: np.ndarray, codes: np.ndarray,
                        n_probes: int) -> Tuple[np.ndarray, np.ndarray]:

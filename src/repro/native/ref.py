@@ -23,7 +23,7 @@ numpy alone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +31,10 @@ if TYPE_CHECKING:  # cycles at run time: repro.lsh imports this module
     from repro.hierarchy.e8_hierarchy import E8Hierarchy
     from repro.lsh.table import TableLayouts
 
-__all__ = ["tree_rowdot", "tree_sq_dist", "bucket_union_ref",
+__all__ = ["Spans", "tree_rowdot", "tree_sq_dist", "bucket_spans_ref",
            "dedup_candidates_ref", "hierarchy_walk_ref", "lookup_codes_ref",
-           "rank_topk_ref", "span_table", "union_tables",
-           "zm_probe_codes_ref"]
+           "query_split", "rank_ids_ref", "rank_topk_ref", "spans_union_ref",
+           "union_tables", "zm_probe_codes_ref"]
 
 #: ``(arrays, starts, sizes, slots)``: span ``(r, j)`` is ``arrays[r]
 #: [starts[r, j]:][:sizes[r, j]]``, ids of segment ``slots[j]``.
@@ -128,8 +128,8 @@ def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,
 def union_tables(layouts: "TableLayouts", codes: np.ndarray,
                  row_q: np.ndarray, table_rows: np.ndarray) -> np.ndarray:
     """The ``(T, 2)`` int64 words ``(rows, layouts)`` per table that both
-    ``bucket_union`` tables hand their search, after checking the call's
-    shape: ``(r, code_dim)`` code rows, one query per row, and
+    ``bucket_spans`` tables hand their search, after checking the call's
+    shape: ``(r, code_dim)`` code rows, one segment per row, and
     ``table_rows`` — one non-negative count per table of ``layouts`` —
     summing to ``r``.  A :class:`ValueError` otherwise: the compiled
     search reads exactly that many rows."""
@@ -141,99 +141,138 @@ def union_tables(layouts: "TableLayouts", codes: np.ndarray,
             or (counts.shape[0] and codes.shape[1] != layouts.code_dim) \
             or int(table_rows.sum()) != r or table_rows.min(initial=0) < 0:
         raise ValueError(
-            f"bucket_union: needs (r, {layouts.code_dim}) code rows with "
-            f"one query each, split {counts.shape[0]} ways by table_rows")
+            f"bucket_spans: needs (r, {layouts.code_dim}) code rows with "
+            f"one segment each, split {counts.shape[0]} ways by table_rows")
     words = np.empty((counts.shape[0], 2), dtype=np.int64)
     words[:, 0] = table_rows
     words[:, 1] = counts
     return words
 
 
-def span_table(extra: Sequence[SpanSet], nq: int,
-               ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """``extra``'s arrays (int64, contiguous) and its spans as ``(s, 4)``
-    rows ``(array, start, size, slot)`` — starts and sizes broadcast to
-    ``(R, c)`` — checked to lie inside their arrays and ``[0, nq)``."""
-    arrays: List[np.ndarray] = []
-    blocks = [np.empty((0, 4), dtype=np.int64)]
-    if not extra:
-        return arrays, blocks[0]
-    for values, starts, sizes, slots in extra:
-        block = np.empty((len(values), np.shape(slots)[0], 4), dtype=np.int64)
-        block[..., 0] = np.arange(len(arrays), len(arrays) + len(values),
-                                  dtype=np.int64)[:, None]
-        block[..., 1], block[..., 2], block[..., 3] = starts, sizes, slots
-        arrays += [np.ascontiguousarray(a, dtype=np.int64) for a in values]
-        blocks.append(block.reshape(-1, 4))
-    spans = np.concatenate(blocks)
-    ends = spans[:, 1] + spans[:, 2]
-    if spans.size and (
-            spans[:, 1:].min() < 0 or spans[:, 3].max() >= nq
-            or (ends > np.array([a.shape[0] for a in arrays])[spans[:, 0]])
-            .any()):
-        raise IndexError("bucket_union: extra span outside its array or "
-                         f"of a segment outside [0, {nq})")
-    return arrays, spans
+class Spans(NamedTuple):
+    """A batch's short-list before it is one: its spans, not its ids.
+
+    Row ``s`` of ``words`` is ``(array, start, size, segment)``: the ids
+    ``arrays[array][start:start + size]`` belong to segment ``segment``
+    of ``n_segments``; ``bases[a]`` is the address of ``arrays[a]`` for
+    the compiled rank (the tuple keeps every array alive).  ``bucket_spans``
+    writes one span per lookup row and layout, over the layouts'
+    ``sorted_ids``; ``misses[t]`` counts the rows of table ``t`` that hit
+    nothing.  Ids may repeat, be tombstoned or be out of range: only
+    ``rank_topk`` reads them.
+    """
+
+    arrays: Tuple[np.ndarray, ...]
+    bases: np.ndarray
+    words: np.ndarray
+    n_segments: int
+    misses: np.ndarray
+
+    def with_extra(self, extra: Sequence[SpanSet]) -> "Spans":
+        """These spans and ``extra``'s — a failed group's stand-ins, the
+        hierarchy nodes a row escalates to — whose starts and sizes
+        broadcast to ``(len(arrays), len(slots))``, checked to lie inside
+        their arrays and segments."""
+        arrays, blocks = list(self.arrays), [self.words]
+        for values, starts, sizes, slots in extra:
+            block = np.empty((len(values), np.shape(slots)[0], 4),
+                             dtype=np.int64)
+            block[..., 0] = np.arange(len(arrays), len(arrays) + len(values),
+                                      dtype=np.int64)[:, None]
+            block[..., 1], block[..., 2], block[..., 3] = starts, sizes, slots
+            arrays += [np.ascontiguousarray(a, dtype=np.int64) for a in values]
+            blocks.append(block.reshape(-1, 4))
+        if len(blocks) == 1:
+            return self
+        words = np.concatenate(blocks)
+        new = words[self.words.shape[0]:]
+        if new.size and (
+                new[:, 1:].min() < 0 or new[:, 3].max() >= self.n_segments
+                or (new[:, 1] + new[:, 2] > np.array(
+                    [a.shape[0] for a in arrays])[new[:, 0]]).any()):
+            raise IndexError("extra span outside its array or of a segment "
+                             f"outside [0, {self.n_segments})")
+        added = [a.ctypes.data for a in arrays[len(self.arrays):]]
+        return self._replace(arrays=tuple(arrays), words=words,
+                             bases=np.append(self.bases, np.array(
+                                 added, dtype=np.int64)))
 
 
-def bucket_union_ref(layouts: "TableLayouts", codes: np.ndarray,
-                     row_q: np.ndarray, table_rows: np.ndarray, nq: int,
-                     n_rows: int,
-                     deleted: "np.ndarray | None" = None,
-                     extra: Sequence[SpanSet] = (),
-                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Reference for ``bucket_union``: the per-query short-list.
+def bucket_spans_ref(layouts: "TableLayouts", codes: np.ndarray,
+                     row_q: np.ndarray, table_rows: np.ndarray,
+                     n_segments: int) -> Spans:
+    """Reference for ``bucket_spans``: the per-segment lookups' spans.
 
     ``layouts`` is a :class:`repro.lsh.table.TableLayouts` — per table
     its sorted layouts (the base, then a live insert overlay).  The
     ``(r, M)`` ``codes`` are every table's lookup rows stacked in table
     order, ``table_rows[t]`` of them table ``t``'s (``0`` leaves the
-    table out), and ``row_q`` the query each row belongs to.  The spec
-    is the composition of the table-major pieces:
-    ``LSHTable.gather_layouts`` per table (the :func:`lookup_codes_ref`
-    search, ``SortedLayout.spans``, ``_gather_segments``), then
-    :func:`dedup_candidates_ref` over everything gathered.  ``extra``
-    adds more ids to the union: each :data:`SpanSet`'s spans
-    (:func:`span_table` checks them), gathered the same way.
-
-    Returns ``(ids, counts, misses)``: the ids and per-query counts
-    :func:`dedup_candidates_ref` leaves (query ``q``'s ids are the
-    ``counts[q]`` after the earlier queries'), ``misses[t]`` the rows of
-    table ``t`` that hit no id in any of its layouts.  An id outside
-    ``[0, n_rows)`` raises :class:`IndexError` (the compiled kernel's
-    bitmap has ``n_rows`` bits).
-    """
-    from repro.lsh.table import LSHTable  # cycle
-
+    table out), and ``row_q`` the segment each row belongs to.  Every row
+    is searched (:func:`lookup_codes_ref`) in each of its table's
+    layouts, and each search is one span, row by row and layout by
+    layout (``SortedLayout.spans``; a miss is of size 0)."""
     codes = np.asarray(codes, dtype=np.int64)
     row_q = np.asarray(row_q, dtype=np.int64)
     rows = union_tables(layouts, codes, row_q, table_rows)[:, 0]
-    if row_q.size and not 0 <= row_q.min() <= row_q.max() < nq:
-        raise IndexError(f"bucket_union: lookup row of a query outside "
-                         f"[0, {nq})")
-    id_parts: "list[np.ndarray]" = []
-    q_parts: "list[np.ndarray]" = []
+    if row_q.size and not 0 <= row_q.min() <= row_q.max() < n_segments:
+        raise IndexError(f"bucket_spans: lookup row of a segment outside "
+                         f"[0, {n_segments})")
+    parts = [np.empty((0, 4), dtype=np.int64)]
     misses = np.zeros(rows.shape[0], dtype=np.int64)
-    starts = np.cumsum(rows) - rows
+    first, at = 0, np.cumsum(rows) - rows
     for t, per_table in enumerate(layouts.per_table):
-        part = slice(starts[t], starts[t] + rows[t])
-        ids, hits = LSHTable.gather_layouts(per_table, codes[part])
-        id_parts.append(ids)
-        q_parts.append(np.repeat(row_q[part], hits))
-        misses[t] = np.count_nonzero(hits == 0)
-    arrays, spans = span_table(extra, nq)
-    for owner, values in enumerate(arrays):
-        _, at, size, slot = spans[spans[:, 0] == owner].T
-        id_parts.append(LSHTable._gather_segments(values, at, size))
-        q_parts.append(np.repeat(slot, size))
-    empty = np.empty(0, dtype=np.int64)
-    ids = np.concatenate(id_parts) if id_parts else empty
-    if ids.size and not 0 <= ids.min() <= ids.max() < n_rows:
-        raise IndexError(f"bucket_union: bucket id outside [0, {n_rows})")
-    ids, _, counts = dedup_candidates_ref(
-        ids, np.concatenate(q_parts) if q_parts else empty, nq,
-        deleted=deleted)
-    return ids, counts, misses
+        own = slice(at[t], at[t] + rows[t])
+        block = np.empty((rows[t], len(per_table), 4), dtype=np.int64)
+        for j, lay in enumerate(per_table):
+            block[:, j, 0] = first + j
+            block[:, j, 1], block[:, j, 2] = lay.spans(
+                lookup_codes_ref(lay.bucket_codes, codes[own]))
+        block[..., 3] = row_q[own, None]
+        misses[t] = np.count_nonzero(~block[..., 2].any(axis=1))
+        parts.append(block.reshape(-1, 4))
+        first += len(per_table)
+    return Spans(layouts.ids, layouts.bases, np.concatenate(parts),
+                 int(n_segments), misses)
+
+
+def spans_union_ref(spans: Spans, nq: int, n_rows: int,
+                    deleted: "np.ndarray | None" = None,
+                    ) -> "tuple[np.ndarray, np.ndarray]":
+    """The short-list behind ``spans``, query by query: the ids of query
+    ``q``'s segments ``[q * spill, (q + 1) * spill)`` (``spill =
+    n_segments / nq``), gathered (``LSHTable._gather_segments``) and
+    handed to :func:`dedup_candidates_ref`.  Returns ``(ids, counts)``:
+    query ``q``'s distinct live ids ascending, after the earlier queries'.
+    An id outside ``[0, n_rows)`` raises :class:`IndexError`."""
+    from repro.lsh.table import LSHTable  # cycle
+
+    spill = spans.n_segments // nq if nq else 1
+    array, start, size, segment = spans.words.T
+    ids = [np.empty(0, dtype=np.int64)]
+    owner = [np.empty(0, dtype=np.int64)]
+    for a in np.unique(array):
+        mine = array == a
+        ids.append(LSHTable._gather_segments(spans.arrays[a], start[mine],
+                                             size[mine]))
+        owner.append(np.repeat(segment[mine] // spill, size[mine]))
+    cand = np.concatenate(ids)
+    if cand.size and not 0 <= cand.min() <= cand.max() < n_rows:
+        raise IndexError(f"rank_topk: id outside [0, {n_rows})")
+    cand, _, counts = dedup_candidates_ref(cand, np.concatenate(owner), nq,
+                                           deleted=deleted)
+    return cand, counts
+
+
+def query_split(spans: Spans, queries: "np.ndarray | None") -> int:
+    """How many queries a ``rank_topk`` call answers: one per row of
+    ``queries``, each owning ``spans.n_segments / nq`` consecutive
+    segments, or one per segment without queries.  A
+    :class:`ValueError` when the segments do not split evenly."""
+    nq = spans.n_segments if queries is None else int(queries.shape[0])
+    if (nq == 0) != (spans.n_segments == 0) or (nq and spans.n_segments % nq):
+        raise ValueError(f"rank_topk: {spans.n_segments} segments do not "
+                         f"split over {nq} queries")
+    return nq
 
 
 def hierarchy_walk_ref(hierarchies: Sequence["E8Hierarchy"], codes: np.ndarray,
@@ -276,16 +315,17 @@ def hierarchy_walk_ref(hierarchies: Sequence["E8Hierarchy"], codes: np.ndarray,
     return out[0], out[1], out[2]
 
 
-#: Flattened-candidate rows ranked per chunk of :func:`rank_topk_ref`
+#: Flattened-candidate rows ranked per chunk of :func:`rank_ids_ref`
 #: (bounds the gathered ``(rows, D)`` temporary to ~chunk * D floats).
 RANK_CHUNK = 1 << 20
 
 
-def rank_topk_ref(data: np.ndarray, sq_norms: "np.ndarray | None",
-                  queries: np.ndarray, q_sq: np.ndarray,
-                  cand: np.ndarray, counts: np.ndarray, k: int,
-                  ) -> "tuple[np.ndarray, np.ndarray]":
-    """Reference for ``rank_topk``: fused cached-norm top-k ranking.
+def rank_ids_ref(data: np.ndarray, sq_norms: "np.ndarray | None",
+                 queries: np.ndarray, cand: np.ndarray, counts: np.ndarray,
+                 k: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Fused cached-norm top-k ranking of a short-list: query ``q``'s
+    candidates are the ``counts[q]`` ids of ``cand`` after the earlier
+    queries'.
 
     Distances come from ``||x||^2 - 2 x.q + ||q||^2`` (no ``data[cand] -
     query`` temporaries; ``sq_norms=None`` takes the norms of the
@@ -300,8 +340,9 @@ def rank_topk_ref(data: np.ndarray, sq_norms: "np.ndarray | None",
     nq = int(counts.shape[0])
     sel = np.full((nq, k), -1, dtype=np.int64)
     dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-    if cand.size == 0:
+    if cand.size == 0 or k == 0:
         return sel, dists_out
+    q_sq = tree_rowdot(queries, queries)
     qidx = np.repeat(np.arange(nq, dtype=np.int64), counts)
     d2 = np.empty(cand.size, dtype=np.float64)
     for s in range(0, cand.size, RANK_CHUNK):
@@ -325,6 +366,22 @@ def rank_topk_ref(data: np.ndarray, sq_norms: "np.ndarray | None",
     sel[rows_out, rel] = cand[pick]
     dists_out[rows_out, rel] = dists[pick]
     return sel, dists_out
+
+
+def rank_topk_ref(data: "np.ndarray | None", sq_norms: "np.ndarray | None",
+                  queries: "np.ndarray | None", spans: Spans, n_rows: int,
+                  deleted: "np.ndarray | None", k: int,
+                  ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Reference for ``rank_topk``: Section V's short-list
+    (:func:`spans_union_ref`), then its top ``k`` (:func:`rank_ids_ref`).
+    Returns ``(sel, dists, counts)``: the ``(nq, k)`` ranking and each
+    query's short-list size (:func:`query_split` says which query owns
+    which segment).  ``k = 0`` only counts and reads neither ``data`` nor
+    ``queries``."""
+    nq = query_split(spans, queries)
+    cand, counts = spans_union_ref(spans, nq, n_rows, deleted)
+    sel, dists = rank_ids_ref(data, sq_norms, queries, cand, counts, int(k))
+    return sel, dists, counts
 
 
 def zm_probe_codes_ref(y: np.ndarray, codes: np.ndarray, n_probes: int,

@@ -21,7 +21,7 @@ can be pinned or disabled.
 no-compiled-tier CI job and the parity tests, which re-pin through
 :func:`reset`).
 
-P, the threads the compiled ``rank_topk`` and ``bucket_union`` hand their
+P, the threads the compiled ``bucket_spans`` and ``rank_topk`` hand their
 work to (Section V's work queue, DESIGN.md §12), resolves with the table:
 the CPUs this process may run on, or ``REPRO_NATIVE_THREADS``.
 """
@@ -47,7 +47,7 @@ __all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels",
 #: they stay because ``benchmarks/e2e`` wraps them by name.
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
                                  "rank_topk", "e8_decode", "zm_probe_codes",
-                                 "bucket_union", "hierarchy_walk")
+                                 "bucket_spans", "hierarchy_walk")
 
 _VALID_PINS = ("auto", "cext", "none")
 
@@ -66,7 +66,7 @@ class NumpyKernels:
     dedup_candidates = staticmethod(ref.dedup_candidates_ref)
     rank_topk = staticmethod(ref.rank_topk_ref)
     zm_probe_codes = staticmethod(ref.zm_probe_codes_ref)
-    bucket_union = staticmethod(ref.bucket_union_ref)
+    bucket_spans = staticmethod(ref.bucket_spans_ref)
     hierarchy_walk = staticmethod(ref.hierarchy_walk_ref)
 
     # The decoder lives with its lattice, which imports ``ref`` for the

@@ -158,28 +158,24 @@ class TestInsertsRacingReads:
     """``insert`` appends behind what readers hold and publishes in an
     order they can rely on: norms, ids and mask, then the rows, then the
     layout snapshot.  A batched read takes the snapshot first and the row
-    count after, so the ``bucket_union`` bitmap covers every id."""
+    count after, so every id ``rank_topk`` meets is a row it may read."""
 
     @staticmethod
     def _checked_union(monkeypatch):
-        """Make every ``bucket_union`` call assert what it was handed."""
+        """Make every ``rank_topk`` call assert what it was handed."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             kernels = registry.load_kernels()
-        union, calls = kernels.bucket_union, []
+        rank, calls = kernels.rank_topk, []
 
-        def checked(layouts, codes, row_q, table_rows, nq, n_rows,
-                    **options):
-            top = max((int(layout.sorted_ids.max())
-                       for per_table in layouts.per_table
-                       for layout in per_table
-                       if layout.sorted_ids.size), default=-1)
+        def checked(data, sq_norms, queries, spans, n_rows, deleted, k):
+            top = max((int(ids.max()) for ids in spans.arrays if ids.size),
+                      default=-1)
             calls.append((top, n_rows))
-            assert top < n_rows, f"id {top} handed to a {n_rows}-row bitmap"
-            return union(layouts, codes, row_q, table_rows, nq, n_rows,
-                         **options)
+            assert top < n_rows, f"id {top} handed to a {n_rows}-row rank"
+            return rank(data, sq_norms, queries, spans, n_rows, deleted, k)
 
-        monkeypatch.setattr(kernels, "bucket_union", checked, raising=False)
+        monkeypatch.setattr(kernels, "rank_topk", checked, raising=False)
         return calls
 
     def test_insert_between_the_layouts_and_the_row_count(self, monkeypatch):
@@ -205,7 +201,7 @@ class TestInsertsRacingReads:
                             probe_after_insert)
         ids, dists, _ = index.query_batch(data[200:], 1)
         # Every table's layouts came from one publication, all before the
-        # insert; the bitmap was sized after it.  The read is the
+        # insert; the row count was read after it.  The read is the
         # pre-insert index's, row for row.
         assert calls == [(199, 220)]
         np.testing.assert_array_equal(ids, want_ids)

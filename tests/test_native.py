@@ -11,12 +11,13 @@ Four contracts:
    seam; the other side is whatever the environment resolves (the CI
    ``native`` job requires that to be ``cext``, and reruns everything
    under ``none``).
-2. **Kernel properties** — ``rank_topk`` and ``bucket_union`` equal
-   their ``repro.native.ref`` twins on drawn inputs that reach both union
-   paths and every ``tree_dot`` shape, at any P, on the build the
-   toolchain resolves *and* on the portable build a failed SIMD compile
-   falls back to (``bucket_union`` also on the numpy table, against a
-   set-based oracle); an FMA canary proves contraction is off; the
+2. **Kernel properties** — ``bucket_spans`` and ``rank_topk`` (which
+   builds the short-list from the spans and ranks it) equal their
+   ``repro.native.ref`` twins on drawn inputs that reach both tile paths,
+   both short-list paths and every ``tree_dot`` shape, at any P, on the
+   build the toolchain resolves *and* on the portable build a failed SIMD
+   compile falls back to (the short-list also on the numpy table, against
+   a set-based oracle); an FMA canary proves contraction is off; the
    ``.so`` cache key covers the flags.
 3. **Decoder properties** — the compiled E8 decoder matches the
    pure-numpy reference in ``repro.lattice`` on random inputs *and* on
@@ -52,7 +53,8 @@ from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import SortedLayout, TableLayouts
 from repro.native import kernels_cext, registry
-from repro.native.ref import (bucket_union_ref, rank_topk_ref,
+from repro.native.ref import (Spans, bucket_spans_ref, rank_topk_ref,
+                              spans_union_ref, tree_rowdot,
                               zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
@@ -374,28 +376,60 @@ def _bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
-def _inverted_tiles(cand, counts):
-    """Per tile of a ``rank_topk`` call, whether the compiled kernel
-    inverts it: the tiling and reuse rule of ``repro_rank_topk``,
-    restated over the constants read from ``_kernels.c``."""
+def _no_spans(n_segments):
+    """A ``Spans`` of ``n_segments`` segments and no span yet."""
+    return Spans((), np.empty(0, dtype=np.int64),
+                 np.empty((0, 4), dtype=np.int64), n_segments,
+                 np.empty(0, dtype=np.int64))
+
+
+def _runs(cand, counts, copies=1):
+    """Spans handing query ``q`` the ``counts[q]`` ids of ``cand`` after
+    the earlier queries', ``copies`` times (as tables that agree would)."""
+    nq = counts.size
+    starts = np.tile(np.cumsum(counts) - counts, (copies, 1))
+    return _no_spans(nq).with_extra([([cand] * copies, starts,
+                                      np.tile(counts, (copies, 1)),
+                                      np.arange(nq, dtype=np.int64))])
+
+
+def _rank(table, data, sq_norms, queries, spans, k, deleted=None):
+    """``table.rank_topk`` over the whole of ``data``."""
+    return table.rank_topk(data, sq_norms, queries, spans, data.shape[0],
+                           deleted, k)
+
+
+def _assert_ranked_alike(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+    assert np.array_equal(got[2], want[2])
+
+
+def _inverted_tiles(raw_ids, threads=1):
+    """Per tile of a ``rank_topk`` call at P = ``threads`` whose queries
+    hold ``raw_ids`` (one array per query, duplicates included), whether
+    the compiled kernel inverts it: the tiling and reuse rule of
+    ``repro_rank_topk``, restated over the constants read from
+    ``_kernels.c``."""
+    limits = inline_limits()
     with open(kernels_cext._SOURCE_PATH, encoding="utf-8") as fh:
-        source = fh.read()
-    tile, tile_queries, reuse = (
-        int(re.search(rf"#define {name} (\d+)", source).group(1))
-        for name in ("RANK_TILE", "RANK_TILE_QUERIES", "RANK_REUSE"))
-    flags, q0, at = [], 0, 0
-    while q0 < counts.size:
-        q1, total = q0 + 1, int(counts[q0])
-        while (q1 < counts.size and q1 - q0 < tile_queries
-               and total + counts[q1] <= tile):
-            total += int(counts[q1])
+        reuse = int(re.search(r"#define RANK_REUSE (\d+)", fh.read())[1])
+    total = sum(ids.size for ids in raw_ids)
+    if len(raw_ids) <= limits["INLINE_QUERIES"] \
+            or total < limits["RANK_INLINE_IDS"]:
+        threads = 1
+    fit = min(limits["RANK_TILE"], total // threads)
+    flags, q0 = [], 0
+    while q0 < len(raw_ids):
+        q1, size = q0 + 1, raw_ids[q0].size
+        while (q1 < len(raw_ids) and q1 - q0 < limits["RANK_TILE_QUERIES"]
+               and size + raw_ids[q1].size <= fit):
+            size += raw_ids[q1].size
             q1 += 1
-        ids = cand[at:at + total]
-        runs = np.split(ids, np.cumsum(counts[q0:q1])[:-1])
-        flags.append(bool(q1 - q0 > 1 and total
-                          and ids.max() - ids.min() < total // reuse
-                          and all((np.diff(run) > 0).all() for run in runs)))
-        q0, at = q1, at + total
+        ids = np.concatenate(raw_ids[q0:q1])
+        flags.append(bool(q1 - q0 > 1 and size
+                          and ids.max() - ids.min() < size // reuse))
+        q0 = q1
     return flags
 
 
@@ -464,41 +498,40 @@ class TestKernelParity:
         counts = rng.integers(0, 40, size=queries.shape[0])
         counts[rng.integers(0, counts.size)] = 0
         cand = np.concatenate(
-            [np.sort(rng.choice(40, size=c, replace=False)) for c in counts]
+            [rng.choice(40, size=c, replace=False) for c in counts]
             + [np.empty(0, dtype=np.int64)]).astype(np.int64)
-        sq_norms = ((data * data).sum(axis=1) if with_norms else None)
-        q_sq = (queries * queries).sum(axis=1)
-        sel, dists = build.rank_topk(data, sq_norms, queries, q_sq, cand,
-                                     counts, k)
-        want_sel, want_dists = rank_topk_ref(data, sq_norms, queries, q_sq,
-                                             cand, counts, k)
-        assert np.array_equal(sel, want_sel)
-        assert np.array_equal(_bits(dists), _bits(want_dists))
+        sq_norms = tree_rowdot(data, data) if with_norms else None
+        spans = _runs(cand, counts, copies=int(rng.integers(1, 3)))
+        got = _rank(build, data, sq_norms, queries, spans, k)
+        _assert_ranked_alike(got, _rank(registry.NUMPY_KERNELS, data,
+                                        sq_norms, queries, spans, k))
+        assert got[2].tolist() == counts.tolist()
 
     @pytest.mark.parametrize("dim", [2, 8, 64, 100])
     def test_fma_canary(self, build, dim):
         """``a*b + c`` must round twice, as the reference does.
 
-        Every first-level pair ``(i, i + w)`` is ``(1+e)(1-e) + 1*(-1)``
-        with ``e = 2**-30`` (unpaired columns are 0): the product
-        ``1 - 2**-60`` rounds to 1.0, so the unfused sum is exactly 0; an
-        FMA keeps the ``-2**-60``.  With norms passed as 0 the distance
-        is ``sqrt(-2 * dot)``: 0.0 unfused, above ``2**-30`` contracted.
+        Every first-level pair ``(i, i + w)`` is ``(1+e)(1-e)s + 1*(-s)``
+        with ``e = 2**-30``, ``s = 2**-20`` (unpaired columns are 0): the
+        product ``(1 - 2**-60)s`` rounds to ``s``, so the unfused sum is
+        exactly 0; an FMA keeps the ``-2**-80``.  The row's norm is passed
+        as minus the query's own (which the kernel forms), so the squared
+        distance is ``-2 * dot`` to well below its last bit: a distance of
+        0.0 unfused, above ``2**-40`` contracted.
         """
         w = (1 << (dim - 1).bit_length()) // 2
-        e = 2.0 ** -30
+        e, scale = 2.0 ** -30, 2.0 ** -20
         row, query = np.zeros((1, dim)), np.zeros((1, dim))
-        row[0, : dim - w], query[0, : dim - w] = 1.0 + e, 1.0 - e
-        row[0, w:], query[0, w:] = 1.0, -1.0
+        row[0, : dim - w], query[0, : dim - w] = 1.0 + e, (1.0 - e) * scale
+        row[0, w:], query[0, w:] = 1.0, -scale
         fused = Fraction(1.0 + e) * Fraction(1.0 - e) - 1
         assert fused == -Fraction(1, 2**60) and (1.0 + e) * (1.0 - e) == 1.0
-        zero, one = np.zeros(1), np.ones(1, dtype=np.int64)
-        sel, dists = build.rank_topk(row, zero, query, zero, zero.astype(
-            np.int64), one, 1)
-        want_sel, want_dists = rank_topk_ref(row, zero, query, zero,
-                                             zero.astype(np.int64), one, 1)
-        assert np.array_equal(sel, want_sel) and dists[0, 0] == 0.0
-        assert np.array_equal(_bits(dists), _bits(want_dists))
+        norms = -tree_rowdot(query, query)
+        spans = _runs(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+        got = _rank(build, row, norms, query, spans, 1)
+        want = rank_topk_ref(row, norms, query, spans, 1, None, 1)
+        assert got[0].tolist() == [[0]] and got[1][0, 0] == 0.0
+        _assert_ranked_alike(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -507,12 +540,12 @@ class TestKernelParity:
            n_groups=st.integers(3, 5))
     def test_rank_inverted_tiles_match_reference(self, build, seed, dim,
                                                  with_norms, k, n_groups):
-        # batch_plain in small: queries in group order, each holding an
-        # ascending subset of its group's run of 24 rows (empty ones too),
-        # so their tiles name every row many times and are inverted; then
-        # 64 queries holding a few ids each from anywhere in the matrix, a
-        # wide low-reuse tile scored query by query.  k = 40 exceeds
-        # every count.
+        # batch_plain in small: queries in group order, each holding two
+        # overlapping subsets of its group's run of 24 rows (empty ones
+        # too), in no order, so their tiles name every row many times and
+        # are inverted; then 64 queries holding a few ids each from
+        # anywhere in the matrix, a wide low-reuse tile scored query by
+        # query.  k = 40 exceeds every count.
         rng = np.random.default_rng(seed)
         run = 24
         data = rng.standard_normal((3000, dim))
@@ -531,27 +564,27 @@ class TestKernelParity:
                                if pick == 0 else
                                queries[-1] if pick == 1 and queries else
                                rng.standard_normal(dim))
-                size = rng.integers(0, run + 1)
-                parts.append(g * run + np.sort(
-                    rng.choice(run, size=size, replace=False)))
+                parts.append([g * run + rng.choice(
+                    run, size=rng.integers(0, run + 1), replace=False)
+                    for _ in range(2)])
         for _ in range(64):
-            parts.append(np.sort(rng.choice(data.shape[0],
-                                            size=rng.integers(0, 4),
-                                            replace=False)))
+            parts.append([rng.choice(data.shape[0], size=rng.integers(0, 4),
+                                     replace=False), np.empty(0, int)])
             queries.append(rng.standard_normal(dim))
         queries = np.array(queries)
-        cand = np.concatenate(parts).astype(np.int64)
-        counts = np.array([part.size for part in parts], dtype=np.int64)
-        inverted = _inverted_tiles(cand, counts)
+        inverted = _inverted_tiles([np.concatenate(p) for p in parts],
+                                   build.threads)
         assert sum(inverted) >= 2 and not all(inverted)
-        sq_norms = (data * data).sum(axis=1) if with_norms else None
-        q_sq = (queries * queries).sum(axis=1)
-        sel, dists = build.rank_topk(data, sq_norms, queries, q_sq, cand,
-                                     counts, k)
-        want_sel, want_dists = rank_topk_ref(data, sq_norms, queries, q_sq,
-                                             cand, counts, k)
-        assert np.array_equal(sel, want_sel)
-        assert np.array_equal(_bits(dists), _bits(want_dists))
+        sq_norms = tree_rowdot(data, data) if with_norms else None
+        spans = _no_spans(len(parts)).with_extra([(
+            [np.concatenate(a).astype(np.int64) for a in zip(*parts)],
+            np.array([np.cumsum([p[j].size for p in parts])
+                      - [p[j].size for p in parts] for j in range(2)]),
+            np.array([[p[j].size for p in parts] for j in range(2)]),
+            np.arange(len(parts), dtype=np.int64))])
+        got = _rank(build, data, sq_norms, queries, spans, k)
+        _assert_ranked_alike(got, _rank(registry.NUMPY_KERNELS, data,
+                                        sq_norms, queries, spans, k))
 
     @pytest.mark.parametrize("copies", [1, 3])   # query-major, inverted
     def test_precheck_turns_away_only_what_the_exact_test_would(self, build,
@@ -561,25 +594,26 @@ class TestKernelParity:
         # 1 + 2**-52 lies past 1.0 squared yet its sqrt is 1.0 exactly, so
         # row 4 ties row 7 with a smaller id and must enter, row 9 ties
         # with a larger id and must not, and 1 + 2**-51 is a distance past
-        # 1.0.  One query meets them out of id order, three in id order —
-        # a tile the kernel inverts.
+        # 1.0.  One query meets them out of id order, three meet each twice
+        # (two tables) — a tile the kernel inverts.
         just_past = 1.0 + 2.0**-52
         assert np.sqrt(just_past) == 1.0 < np.sqrt(1.0 + 2.0**-51)
         norms = np.zeros(10)
         norms[[6, 7, 4, 9, 5]] = [0.25, 1.0, just_past, just_past,
                                   1.0 + 2.0**-51]
         order = np.array([6, 7, 4, 9, 5])
-        cand = np.tile(order if copies == 1 else np.sort(order), copies)
+        cand = np.tile(order, copies)
         counts = np.full(copies, order.size)
-        assert _inverted_tiles(cand, counts) == [copies > 1]
+        tables = 1 if copies == 1 else 2
+        assert _inverted_tiles([np.tile(order, tables)] * copies,
+                               build.threads) == [copies > 1]
         args = (np.zeros((10, 4)), norms, np.zeros((copies, 4)),
-                np.zeros(copies), cand, counts, 2)
-        sel, dists = build.rank_topk(*args)
+                _runs(cand, counts, tables), 2)
+        sel, dists, _ = _rank(build, *args)
         assert sel.tolist() == [[6, 4]] * copies
         assert dists.tolist() == [[0.5, 1.0]] * copies
-        want_sel, want_dists = rank_topk_ref(*args)
-        assert np.array_equal(sel, want_sel)
-        assert np.array_equal(_bits(dists), _bits(want_dists))
+        _assert_ranked_alike((sel, dists, _),
+                             _rank(registry.NUMPY_KERNELS, *args))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("copies", [1, 3])
@@ -591,15 +625,28 @@ class TestKernelParity:
                           tiny / 2, 5e-324, 0.0, tiny * (1 - 2.0**-50),
                           2e-323])
         order = np.array([7, 0, 3, 1, 6, 2, 5, 4])
-        cand = np.tile(order if copies == 1 else np.sort(order), copies)
+        cand = np.tile(order, copies)
         counts = np.full(copies, order.size)
-        assert _inverted_tiles(cand, counts) == [copies > 1]
+        tables = 1 if copies == 1 else 2
+        assert _inverted_tiles([np.tile(order, tables)] * copies,
+                               build.threads) == [copies > 1]
         args = (np.zeros((8, 2)), norms, np.zeros((copies, 2)),
-                np.zeros(copies), cand, counts, k)
-        sel, dists = build.rank_topk(*args)
-        want_sel, want_dists = rank_topk_ref(*args)
-        assert np.array_equal(sel, want_sel)
-        assert np.array_equal(_bits(dists), _bits(want_dists))
+                _runs(cand, counts, tables), k)
+        _assert_ranked_alike(_rank(build, *args),
+                             _rank(registry.NUMPY_KERNELS, *args))
+
+    def test_rows_past_the_data_are_refused(self, build):
+        # n_rows bounds every id rank reads a row or a cached norm at, so
+        # it may not exceed either array.
+        spans = _runs(np.array([3]), np.ones(1, dtype=np.int64))
+        for data, norms in ((np.zeros((3, 2)), None),
+                            (np.zeros((4, 2)), np.zeros(3))):
+            with pytest.raises(ValueError, match="rows asked"):
+                build.rank_topk(data, norms, np.zeros((1, 2)), spans, 4,
+                                None, 1)
+        assert build.rank_topk(np.zeros((4, 2)), np.zeros(4),
+                               np.zeros((1, 2)), spans, 4, None,
+                               1)[0].tolist() == [[3]]
 
     def test_cache_key_covers_flags(self, kernels, tmp_path, monkeypatch):
         # A flag change must never reuse the object built without it.
@@ -623,7 +670,7 @@ def any_table(request):
 
 
 def _stacked(m, *lookups):
-    """``bucket_union``'s leading arguments ``(layouts, codes, row_q,
+    """``bucket_spans``'s leading arguments ``(layouts, codes, row_q,
     table_rows)`` from one ``(layouts, codes, row_q)`` per table."""
     return (TableLayouts.of([layouts for layouts, _, _ in lookups], m),
             np.concatenate([codes for _, codes, _ in lookups]
@@ -634,8 +681,37 @@ def _stacked(m, *lookups):
                      dtype=np.int64))
 
 
+def _union(table, layouts, codes, row_q, table_rows, nq, n_rows,
+           deleted=None, extra=()):
+    """The short-list ``table`` builds from its own spans, as ``(ids,
+    counts, misses)``: counts from ``rank_topk``'s counting mode, ids from
+    ranking against zero rows, where every distance ties and the top-k is
+    the short-list in ascending id."""
+    spans = table.bucket_spans(layouts, codes, row_q, table_rows,
+                               nq).with_extra(extra)
+    _, _, counts = table.rank_topk(None, None, None, spans, n_rows, deleted,
+                                   0)
+    # Zero pages, never written: rows are read only at candidate ids.
+    zeros = np.zeros((n_rows, 1))
+    sel, dists, again = table.rank_topk(
+        zeros, zeros[:, 0], np.zeros((nq, 1)), spans, n_rows, deleted,
+        int(counts.max(initial=0)))
+    assert np.array_equal(again, counts) and not dists[sel >= 0].any()
+    ids = np.concatenate([row[:c] for row, c in zip(sel, counts)]
+                         + [np.empty(0, dtype=np.int64)])
+    return ids, counts, spans.misses
+
+
+def _union_ref(layouts, codes, row_q, table_rows, nq, n_rows, deleted=None,
+               extra=()):
+    """The numpy spec of :func:`_union`."""
+    spans = bucket_spans_ref(layouts, codes, row_q, table_rows,
+                             nq).with_extra(extra)
+    return spans_union_ref(spans, nq, n_rows, deleted) + (spans.misses,)
+
+
 def _draw_union_case(rng, n_tables, nq, id_span, code_span, m, del_len):
-    """Random ``bucket_union`` input plus what a dict of sets says it is.
+    """Random lookups plus what a dict of sets says their short-list is.
 
     Codes are drawn from ``code_span**m`` cells so lookups hit and miss;
     ids from ``[0, id_span)`` with replacement, so they repeat inside a
@@ -696,11 +772,13 @@ def _draw_extra(rng, nq, id_span):
 
 
 class TestBucketUnion:
-    # n_rows = id_span decides the path per query (rule: more than 64
-    # bitmap words per gathered id -> collect and sort): spans up to 700
-    # are at most 11 words, always the bitmap; 10**5 (1 563 words) goes
-    # either way around 24 ids; 10**7 always sorts.  del_len puts
-    # tombstones below, at and beyond the drawn ids.
+    # The short-list a table builds from its own spans (``bucket_spans``,
+    # then ``rank_topk``).  n_rows = id_span decides the path per query
+    # (rule: more than 64 bitmap words of its id range per raw id ->
+    # collect and sort): spans up to 700 are at most 11 words, always the
+    # bitmap; 10**5 (1 563 words) and 10**7 go either way with the range a
+    # query's few ids happen to cover.  del_len puts tombstones below, at
+    # and beyond the drawn ids.
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_tables=st.integers(0, 4),
            nq=st.integers(0, 6),
@@ -713,9 +791,11 @@ class TestBucketUnion:
         rng = np.random.default_rng(seed)
         lookups, deleted, want, want_misses = _draw_union_case(
             rng, n_tables, nq, id_span, code_span, m, del_len)
-        got = any_table.bucket_union(*lookups, nq, id_span, deleted=deleted)
-        ref = bucket_union_ref(*lookups, nq, id_span, deleted=deleted)
-        assert len(got) == len(ref) == 3
+        spans = any_table.bucket_spans(*lookups, nq)
+        assert np.array_equal(spans.words,
+                              bucket_spans_ref(*lookups, nq).words)
+        got = _union(any_table, *lookups, nq, id_span, deleted=deleted)
+        ref = _union_ref(*lookups, nq, id_span, deleted=deleted)
         for g, r in zip(got, ref):
             assert g.dtype == np.int64
             assert np.array_equal(g, r)
@@ -736,10 +816,9 @@ class TestBucketUnion:
         extra, gain = _draw_extra(rng, nq, id_span)
         dead = set() if deleted is None else set(
             np.nonzero(deleted)[0].tolist())
-        got = any_table.bucket_union(*lookups, nq, id_span, deleted=deleted,
-                                     extra=extra)
-        ref = bucket_union_ref(*lookups, nq, id_span, deleted=deleted,
-                               extra=extra)
+        got = _union(any_table, *lookups, nq, id_span, deleted=deleted,
+                     extra=extra)
+        ref = _union_ref(*lookups, nq, id_span, deleted=deleted, extra=extra)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
         union = [sorted(set(w) | (g - dead)) for w, g in zip(want, gain)]
@@ -751,13 +830,13 @@ class TestBucketUnion:
         for at, size, slot in ((3, 3, 0), (-1, 1, 0), (0, -1, 0), (0, 1, 2),
                                (0, 1, -1)):
             with pytest.raises(IndexError, match="extra span"):
-                any_table.bucket_union(*lookups, 2, 10, extra=[(
+                _union(any_table, *lookups, 2, 10, extra=[(
                     [ids], np.array([[at]]), np.array([[size]]),
                     np.array([slot]))])
         with pytest.raises(ValueError, match="broadcast"):
-            any_table.bucket_union(*lookups, 2, 10, extra=[(
+            _union(any_table, *lookups, 2, 10, extra=[(
                 [ids], np.zeros((2, 1)), np.ones((1, 1)), np.zeros(1))])
-        cand, counts, _ = any_table.bucket_union(*lookups, 2, 10, extra=[(
+        cand, counts, _ = _union(any_table, *lookups, 2, 10, extra=[(
             [ids], np.array([[1, 0]]), np.array([[3, 2]]), np.array([1, 1]))])
         assert cand.tolist() == [0, 1, 2, 3] and counts.tolist() == [0, 4]
 
@@ -769,18 +848,18 @@ class TestBucketUnion:
             lookups = _stacked(2, ((layout,), codes[:1],
                                    np.zeros(1, dtype=np.int64)))
             with pytest.raises(IndexError, match="outside"):
-                any_table.bucket_union(*lookups, 1, n_rows)
+                _union(any_table, *lookups, 1, n_rows)
         # One more row and the same layout is an ordinary union.
-        cand = any_table.bucket_union(*lookups, 1, n_rows + 1)[0]
+        cand = _union(any_table, *lookups, 1, n_rows + 1)[0]
         assert cand.tolist() == [3, 7, 9, n_rows]
 
     def test_lookup_row_of_an_unknown_query_is_refused(self, any_table):
         codes = np.zeros((1, 2), dtype=np.int64)
         layout = SortedLayout.sort(codes, np.array([0]))
         for q in (-1, 2):
-            with pytest.raises(IndexError, match="query"):
-                any_table.bucket_union(
-                    *_stacked(2, ((layout,), codes, np.array([q]))), 2, 1)
+            with pytest.raises(IndexError, match="segment"):
+                any_table.bucket_spans(
+                    *_stacked(2, ((layout,), codes, np.array([q]))), 2)
 
     def test_rows_the_tables_do_not_account_for_are_refused(self, any_table):
         # The compiled search reads exactly table_rows[t] rows per table.
@@ -791,14 +870,14 @@ class TestBucketUnion:
                                         ((layout,), codes[:0], query0[:0]))
         for table_rows in ([3, 1], [4, -1], [3], [2, 0]):
             with pytest.raises(ValueError, match="table_rows"):
-                any_table.bucket_union(layouts, codes, row_q,
-                                       np.array(table_rows), 1, 3)
+                any_table.bucket_spans(layouts, codes, row_q,
+                                       np.array(table_rows), 1)
         with pytest.raises(ValueError, match="table_rows"):
-            any_table.bucket_union(layouts, codes[:, :1], row_q,
-                                   np.array([3, 0]), 1, 3)
+            any_table.bucket_spans(layouts, codes[:, :1], row_q,
+                                   np.array([3, 0]), 1)
         # A dropped table is a zero row count: no rows, no misses.
-        _, counts, misses = any_table.bucket_union(
-            layouts, codes, row_q, np.array([3, 0]), 1, 3)
+        _, counts, misses = _union(any_table, layouts, codes, row_q,
+                                   np.array([3, 0]), 1, 3)
         assert counts.tolist() == [3] and misses.tolist() == [0, 0]
 
     def test_pointer_table_refuses_a_layout_of_another_width(self):
@@ -1126,43 +1205,28 @@ def _answer_bytes(answer):
             mask(stats.degraded), mask(stats.exhausted_budget))
 
 
-def _raw_ids(layouts, codes, row_q, table_rows, nq, n_rows, deleted=None,
-             extra=()):
-    """The ids behind a ``bucket_union`` call's spans, duplicates and
-    tombstones included: what its inline rule reads."""
-    from repro.lsh.table import LSHTable
-    from repro.native.ref import span_table
-
-    firsts = np.cumsum(table_rows) - table_rows
-    raw = sum(int(LSHTable.gather_layouts(per, codes[at:at + n])[1].sum())
-              for per, at, n in zip(layouts.per_table, firsts, table_rows))
-    return raw + int(span_table(extra, nq)[1][:, 2].sum())
-
-
 class _Work:
-    """Shadows a table's two threaded kernels to record how much work
-    each call handed them: candidates per rank call, raw ids per union
-    call."""
+    """Shadows a table's ``rank_topk`` to record how much work each call
+    handed it: raw ids (duplicates and tombstones included) and queries."""
 
     def __init__(self, table):
-        self.table, self.rank, self.union = table, [], []
+        self.table, self.rank = table, []
 
     def __enter__(self):
-        rank, union = self.table.rank_topk, self.table.bucket_union
+        rank = self.table.rank_topk
 
         def ranked(*args, **kwargs):
-            self.rank.append((int(np.sum(args[5])), len(args[5])))
+            spans = args[3]
+            self.rank.append((int(spans.words[:, 2].sum()),
+                              spans.n_segments if args[2] is None
+                              else len(args[2])))
             return rank(*args, **kwargs)
 
-        def unioned(*args, **kwargs):
-            self.union.append((_raw_ids(*args, **kwargs), int(args[4])))
-            return union(*args, **kwargs)
-
-        self.table.rank_topk, self.table.bucket_union = ranked, unioned
+        self.table.rank_topk = ranked
         return self
 
     def __exit__(self, *exc):
-        del self.table.rank_topk, self.table.bucket_union
+        del self.table.rank_topk
 
 
 class TestThreadsMatrix:
@@ -1183,10 +1247,8 @@ class TestThreadsMatrix:
             with native_threads(p) as table, _Work(table) as work:
                 answers[p] = _answer_bytes(index.query_batch(queries, K,
                                                              **options))
-            assert max(w for w, _ in work.rank) >= \
-                limits["RANK_INLINE_CANDIDATES"]
-            assert max(w for w, _ in work.union) >= \
-                limits["UNION_INLINE_IDS"]
+            assert min(w for w, _ in work.rank) >= limits["RANK_INLINE_IDS"]
+            assert min(n for _, n in work.rank) > limits["INLINE_QUERIES"]
         assert answers[2] == answers[1] and answers[7] == answers[1]
         stats = index.query_batch(queries, K, **options)[2]
         assert stats.escalated.all() == bool(index.use_hierarchy)
@@ -1194,7 +1256,7 @@ class TestThreadsMatrix:
     @pytest.mark.parametrize("lattice", ["zm", "e8"])
     def test_fault_stand_ins_answer_alike(self, kernels, dense, lattice):
         # A failed group's rows are answered by stand-in spans over its
-        # live rows, which reach the union through ``extra``.
+        # live rows, which join the lookups' spans.
         data, queries = dense
         index = _dense_index(data, dict(front="bilevel", lattice=lattice,
                                         multi_assign=2))
@@ -1223,9 +1285,9 @@ def _threads_on(table, p):
 
 
 def _span_case(rng, nq, total, n_rows, empty_share):
-    """A ``bucket_union`` call of extra spans only, ``total`` raw ids in
-    all: one id array (ids repeat), spans drawn over it, and queries that
-    get no span at all now and then."""
+    """Lookups of no table plus ``extra`` spans, ``total`` raw ids in all:
+    one id array (ids repeat), spans drawn over it, and queries that get
+    no span at all now and then."""
     ids = rng.integers(0, n_rows, size=max(total, 1))
     live = np.flatnonzero(rng.random(nq) >= empty_share) if nq else \
         np.empty(0, dtype=np.int64)
@@ -1245,10 +1307,9 @@ def _span_case(rng, nq, total, n_rows, empty_share):
 
 
 class TestThreadedKernels:
-    """``rank_topk`` and ``bucket_union`` at a drawn P equal the numpy
-    table, at the edges of the work queue: no query, one query, queries
-    with nothing to rank, and calls just below and just above the inline
-    thresholds."""
+    """``rank_topk`` at a drawn P equals the numpy table, at the edges of
+    the work queue: no query, one query, queries with nothing to rank, and
+    calls just below and just above the inline threshold."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9),
@@ -1257,31 +1318,87 @@ class TestThreadedKernels:
            dim=st.sampled_from([3, 8, 16]), k=st.sampled_from([1, 5]))
     def test_rank_matches_reference(self, build, seed, p, shape, dim, k):
         rng = np.random.default_rng(seed)
-        limits = inline_limits()
-        line = limits["RANK_INLINE_CANDIDATES"]
+        line = inline_limits()["RANK_INLINE_IDS"]
         nq = {"empty": 70, "one": 1}.get(shape, 130)
         n_rows = 3000 if shape != "sparse" else 200_000
         total = {"empty": 0, "one": 500, "below": line - 1,
                  "above": line}.get(shape, 3 * line)
-        # ``total`` candidates over the queries, some queries with none.
+        # ``total`` raw ids over the queries, some queries with none; two
+        # tables' spans per query, the second a prefix of the first's.
         weights = rng.random(nq) * (rng.random(nq) > 0.2)
         weights[0] += 1e-9
-        counts = np.floor(weights / weights.sum() * total).astype(np.int64)
-        counts[0] += total - counts.sum()
-        counts = np.minimum(counts, n_rows)
-        data = rng.standard_normal((n_rows, dim))
+        first = np.floor(weights / weights.sum() * total).astype(np.int64)
+        first[0] += total - first.sum()
+        first = np.minimum(first, n_rows)
+        second = rng.integers(0, first + 1)
+        over = first.sum() + second.sum() - total
+        while over > 0:     # trim the prefixes back to ``total`` raw ids
+            q = int(rng.integers(0, nq))
+            cut = min(int(second[q]), over)
+            second[q] -= cut
+            over -= cut
         cand = np.concatenate(
-            [np.sort(rng.choice(n_rows, size=c, replace=False))
-             for c in counts] + [np.empty(0, dtype=np.int64)])
+            [rng.choice(n_rows, size=c, replace=False) for c in first]
+            + [np.empty(0, dtype=np.int64)]).astype(np.int64)
+        starts = np.cumsum(first) - first
+        spans = _no_spans(nq).with_extra([(
+            [cand, cand], np.stack([starts, starts]),
+            np.stack([first, second]), np.arange(nq, dtype=np.int64))])
+        assert int(spans.words[:, 2].sum()) == total or shape == "sparse"
+        data = rng.standard_normal((n_rows, dim))
         queries = rng.standard_normal((nq, dim))
-        q_sq = (queries * queries).sum(axis=1)
-        norms = (data * data).sum(axis=1)
-        want = rank_topk_ref(data, norms, queries, q_sq, cand, counts, k)
+        norms = tree_rowdot(data, data)
+        deleted = rng.random(n_rows // 2) < 0.2
+        want = _rank(registry.NUMPY_KERNELS, data, norms, queries, spans, k,
+                     deleted)
         with _threads_on(build, p):
-            got = build.rank_topk(data, norms, queries, q_sq, cand, counts,
-                                  k)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(_bits(got[1]), _bits(want[1]))
+            got = _rank(build, data, norms, queries, spans, k, deleted)
+        _assert_ranked_alike(got, want)
+
+    @pytest.mark.parametrize("p", THREADS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spill=st.sampled_from([1, 2]),
+           nq=st.sampled_from([1, 9, 70, 150]),
+           n_rows=st.sampled_from([300, 4000, 10**6]),
+           k=st.sampled_from([0, 1, 5, 60]), with_norms=st.booleans())
+    def test_spans_match_the_spec(self, build, p, seed, spill, nq, n_rows, k,
+                                  with_norms):
+        # The gather's spans as rank meets them: each segment's lookups hit
+        # buckets of two tables (sorted runs, shared by nearby segments, so
+        # the same id comes in several spans), plus stand-in and
+        # hierarchy-like spans over unsorted arrays; segments with no span
+        # at all, tombstones below and past the ids, k past most counts,
+        # and the counting mode against the spec's union.
+        rng = np.random.default_rng(seed)
+        n_seg = nq * spill
+        tables = [np.sort(rng.integers(0, n_rows, size=(3000,)))
+                  for _ in range(2)]
+        live = rng.random(n_seg) > 0.2
+        extra = []
+        for ids in tables:
+            starts = rng.integers(0, 2900, size=n_seg) // 50 * 50
+            sizes = rng.integers(0, 100, size=n_seg) * live
+            extra.append(([ids], starts[None], sizes[None],
+                          np.arange(n_seg, dtype=np.int64)))
+        loose = rng.integers(0, n_rows, size=500)
+        slots = np.flatnonzero(live)[:int(rng.integers(0, 5))]
+        extra.append(([loose, loose[::-1]], rng.integers(0, 400, size=(
+            2, slots.size)), rng.integers(0, 100, size=(2, slots.size)),
+            slots))
+        spans = _no_spans(n_seg).with_extra(extra)
+        data = rng.standard_normal((n_rows, 6)) if k else None
+        norms = tree_rowdot(data, data) if k and with_norms else None
+        queries = rng.standard_normal((nq, 6))
+        deleted = rng.random(int(rng.integers(0, 2 * n_rows))) < 0.2
+        args = (data, norms, queries, spans, n_rows, deleted, k)
+        want = rank_topk_ref(*args)
+        with _threads_on(build, p):
+            got = build.rank_topk(*args)
+            counted = build.rank_topk(None, None, None, spans, n_rows,
+                                      deleted, 0)[2]
+        _assert_ranked_alike(got, want)
+        assert np.array_equal(counted, spans_union_ref(
+            spans, n_seg, n_rows, deleted)[1])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9),
@@ -1292,34 +1409,41 @@ class TestThreadedKernels:
     def test_union_matches_reference(self, build, seed, p, shape, n_rows,
                                      del_len):
         rng = np.random.default_rng(seed)
-        line = inline_limits()["UNION_INLINE_IDS"]
+        line = inline_limits()["RANK_INLINE_IDS"]
         nq = {"one": 1, "wide": 700}.get(shape, 40)
         total = {"empty": 0, "one": 3000, "below": line - 1,
-                 "above": line}.get(shape, line + 12345)
+                 "above": line}.get(shape, 4 * line + 12345)
         lookups, extra = _span_case(rng, nq, total, n_rows, 0.25)
         deleted = None if del_len is None else rng.random(del_len) < 0.3
-        want = bucket_union_ref(*lookups, nq, n_rows, deleted=deleted,
-                                extra=extra)
+        want = _union_ref(*lookups, nq, n_rows, deleted=deleted, extra=extra)
         with _threads_on(build, p):
-            got = build.bucket_union(*lookups, nq, n_rows, deleted=deleted,
-                                     extra=extra)
+            got = _union(build, *lookups, nq, n_rows, deleted=deleted,
+                         extra=extra)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("p", [2, 7])
     @pytest.mark.parametrize("where", [0, 20, 39])   # first, middle, last
     def test_bad_id_in_any_range_is_refused(self, build, p, where):
-        # The same refusal as at P = 1, wherever the bad id's range is.
+        # The same refusal as at P = 1, in the first, a middle or the last
+        # of three tiles, from data of exactly n_rows rows: the id is
+        # refused before its row is read (the sanitized CI build would
+        # abort on the read).
         rng = np.random.default_rng(where)
-        lookups, extra = _span_case(rng, 40, inline_limits()[
-            "UNION_INLINE_IDS"] + 1000, 5000, 0.0)
+        lookups, extra = _span_case(rng, 40, 2 * inline_limits()[
+            "RANK_TILE"] + 1000, 5000, 0.0)
         [(arrays, starts, sizes, slots)] = extra
         span = int(np.flatnonzero((slots == where) & (sizes[0] > 0))[0])
         arrays[0][starts[0, span] + sizes[0, span] - 1] = 5000
+        spans = build.bucket_spans(*lookups, 40).with_extra(extra)
+        assert len(_inverted_tiles([np.zeros(n) for n in np.bincount(
+            slots, sizes[0], 40).astype(int)])) >= 3
+        data = rng.standard_normal((5000, 4))
         for threads in (1, p):
-            with _threads_on(build, threads), \
-                    pytest.raises(IndexError, match="outside"):
-                build.bucket_union(*lookups, 40, 5000, extra=extra)
+            for k in (0, 3):
+                with _threads_on(build, threads), \
+                        pytest.raises(IndexError, match="outside"):
+                    _rank(build, data, None, np.zeros((40, 4)), spans, k)
 
     @pytest.mark.parametrize("p", [2, 7])
     def test_existing_refusals_hold_at_p(self, kernels, p):
@@ -1334,7 +1458,7 @@ class TestThreadedKernels:
                 kernels)
 
     def test_interval_outside_its_ids_is_refused_at_p(self, kernels):
-        # -3 comes from the spans step, which stays serial: any P.
+        # -3 comes from the spans step: any P.
         codes = np.zeros((1, 2), dtype=np.int64)
         good = SortedLayout.sort(codes, np.array([0]))
         bad = SortedLayout.adopt(good.bucket_codes, good.starts,
@@ -1343,5 +1467,5 @@ class TestThreadedKernels:
         for p in (1, 2, 7):
             with _threads_on(kernels, p), \
                     pytest.raises(IndexError, match="interval"):
-                kernels.bucket_union(*_stacked(2, ((bad,), codes,
-                                                   np.array([0]))), 1, 1)
+                kernels.bucket_spans(*_stacked(2, ((bad,), codes,
+                                                   np.array([0]))), 1)

@@ -46,8 +46,8 @@ def inline_limits():
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     limits = {}
-    for name in ("INLINE_QUERIES", "UNION_INLINE_IDS",
-                 "RANK_INLINE_CANDIDATES", "RANK_TILE", "RANK_TILE_QUERIES"):
+    for name in ("INLINE_QUERIES", "RANK_INLINE_IDS", "RANK_TILE",
+                 "RANK_TILE_QUERIES"):
         value = re.search(rf"^#define {name} \(?(.+?)\)?$", source,
                           re.MULTILINE).group(1)
         limits[name] = eval(value, {})  # an integer constant expression
