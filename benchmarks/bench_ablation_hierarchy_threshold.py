@@ -1,9 +1,11 @@
-"""Ablation: hierarchy escalation threshold (median vs fixed quantiles).
+"""Ablation: hierarchy escalation threshold (fitted median vs fixed).
 
 The paper escalates queries whose short-list is below the *median*
-short-list size.  This bench compares the median rule against fixed
-thresholds to show the trade-off: higher thresholds escalate more queries
-(more candidates, higher recall floor), lower ones escalate fewer.
+short-list size; each group fits that median over its own rows
+(``escalation_threshold``, printed).  This bench compares the fitted
+rule against fixed thresholds to show the trade-off: higher thresholds
+escalate more queries (more candidates, higher recall floor), lower
+ones escalate fewer.
 """
 
 import numpy as np
@@ -24,15 +26,18 @@ def test_ablation_hierarchy_threshold(benchmark, scale):
                             n_tables=scale.n_tables, bucket_width=width,
                             hierarchy=True, seed=scale.seed)
         idx = BiLevelLSH(cfg).fit(workload.train)
+        print("\nfitted per-group thresholds:",
+              [g.escalation_threshold for g in idx.group_indexes])
         rows = []
-        for threshold in ("median", scale.k, 4 * scale.k):
+        for threshold in (None, scale.k, 4 * scale.k):
             ids, _, stats = idx.query_batch(workload.queries, scale.k,
                                             hierarchy_threshold=threshold)
             rec = float(recall_ratio(exact_ids, ids).mean())
             sel = float(stats.n_candidates.mean() / workload.train.shape[0])
             esc = float(stats.escalated.mean())
-            rows.append((str(threshold), rec, sel, esc))
-        print(f"\n{'threshold':>10} {'recall':>8} {'select.':>8} {'escalated':>10}")
+            name = "fitted" if threshold is None else str(threshold)
+            rows.append((name, rec, sel, esc))
+        print(f"{'threshold':>10} {'recall':>8} {'select.':>8} {'escalated':>10}")
         for name, rec, sel, esc in rows:
             print(f"{name:>10} {rec:>8.4f} {sel:>8.4f} {esc:>10.2f}")
         return rows

@@ -1,7 +1,8 @@
 """Fig. 9: hierarchical standard vs hierarchical Bi-level LSH (Z^M).
 
 Paper protocol: build the Morton-curve bucket hierarchy; queries whose
-short-list is below the batch median escalate to coarser levels.
+short-list is below the median short-list size (fitted per group when
+the hierarchy is built) escalate to coarser levels.
 
 Expected shape: Bi-level wins; unlike multi-probe, the hierarchy improves
 thin queries without degrading quality, and it shrinks the deviations.

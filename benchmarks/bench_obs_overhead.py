@@ -118,7 +118,7 @@ def main(argv=None):
     def run_plain():
         # The stage loop with the observer hard-wired to None: no gate
         # read, no StageTimer, nothing — the floor the public path chases.
-        return run_validated(index.execution_plan("median"),
+        return run_validated(index.execution_plan(),
                              ExecutionContext.for_batch(queries, k))
 
     def run_off():

@@ -536,11 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve under a default ResiliencePolicy")
     p.add_argument("--max-batch-rows", type=int, default=None,
                    help="bounded-memory sharding inside each executed batch")
-    p.add_argument("--hierarchy-threshold", type=int, default=None,
-                   help="fixed escalation threshold; required for "
-                        "micro-batch merging on hierarchical indexes (the "
-                        "'median' default is batch-dependent, so such "
-                        "requests run solo)")
     p.add_argument("--batch-max-rows", type=int, default=256,
                    help="cap on the rows of one merged batch; requests "
                         "queued beyond it run in the next batch")

@@ -16,7 +16,7 @@ stages of :class:`~repro.lsh.index._LSHPlan` with a route stage in front.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -332,7 +332,7 @@ class BiLevelLSH:
         return ids[0], dists[0]
 
     def query_batch(self, queries: np.ndarray, k: int,
-                    hierarchy_threshold: Union[str, int] = "median",
+                    hierarchy_threshold: Optional[int] = None,
                     engine: Optional[str] = None,
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
@@ -344,8 +344,8 @@ class BiLevelLSH:
         Feeds the bi-level plan (route → hash → gather → [escalate] →
         rank) to :func:`repro.exec.run_plan`.  Each query is answered in
         one pass from the tables of its group (with ``multi_assign > 1``,
-        its most plausible groups); the ``"median"`` escalation threshold
-        is taken *within each group's* rows of the executed shard.  Under
+        its most plausible groups); by default a row escalates by its
+        group's fitted ``escalation_threshold``.  Under
         a policy a group whose fault site fires is answered by an exact
         scan of its live rows, its queries flagged degraded.
         ``max_batch_rows`` defaults to ``config.max_batch_rows``.
@@ -358,8 +358,7 @@ class BiLevelLSH:
                         deadline=deadline, policy=policy,
                         max_batch_rows=max_batch_rows)
 
-    def execution_plan(self,
-                       hierarchy_threshold: Union[str, int] = "median",
+    def execution_plan(self, hierarchy_threshold: Optional[int] = None,
                        engine: Optional[str] = None) -> QueryPlan:
         """Staged bi-level plan for :func:`repro.exec.run_plan`.
         ``engine`` is the inert keyword of :meth:`query_batch`."""

@@ -67,9 +67,9 @@ class BiLevelConfig:
         Bounded-memory batch sharding: query batches larger than this are
         split into contiguous shards executed through the same plan by
         :func:`repro.exec.run_plan`, capping peak scratch memory.
-        Results are bit-identical to the unsharded run (with an integer
-        ``hierarchy_threshold``).  ``None`` (default) disables sharding;
-        an explicit ``query_batch(max_batch_rows=...)`` overrides it.
+        Results are bit-identical to the unsharded run.  ``None``
+        (default) disables sharding; an explicit
+        ``query_batch(max_batch_rows=...)`` overrides it.
     seed:
         Master seed; all internal randomness derives from it.
     tree_seed:

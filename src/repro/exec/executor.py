@@ -14,9 +14,10 @@ contribute only a :class:`~repro.exec.plan.QueryPlan`.
 **Batch sharding**: ``max_batch_rows`` splits a large batch into
 contiguous row shards, each executed through the same plan with the
 same absolute deadline and resilience handles.  Results are
-bit-identical to the unsharded run (stages are row-independent given a
-fixed ``hierarchy_threshold``), while peak intermediate memory — the
-gather/rank scratch, which scales with rows per call — is capped.
+bit-identical to the unsharded run (stages are row-independent: even
+the escalation threshold is the index's, not the batch's), while peak
+intermediate memory — the gather/rank scratch, which scales with rows
+per call — is capped.
 """
 
 from __future__ import annotations

@@ -52,6 +52,20 @@ def validate_query_batch(queries: object, k: int, dim: int,
     return queries, finite_row, k
 
 
+def check_hierarchy_threshold(value: object) -> Optional[int]:
+    """``value`` as an escalation threshold: ``None`` (the index's fitted
+    one) or an integer ``>= 0``, not a ``bool``; anything else raises
+    :class:`QueryValidationError` naming the field, on every index."""
+    if value is None:
+        return None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and value >= 0:
+        return int(value)
+    raise QueryValidationError(
+        "hierarchy_threshold must be None or an integer >= 0, "
+        f"got {value!r}", field="hierarchy_threshold")
+
+
 @dataclass(frozen=True)
 class Stage:
     """One named step of a query plan.

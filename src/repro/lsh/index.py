@@ -7,7 +7,7 @@ query-adaptive enhancements the paper evaluates:
   using the Lv et al. sequence for ``Z^M`` or the 240 minimal-vector
   neighbors for ``E8``;
 - *hierarchical table* (``hierarchy=True``): escalate queries whose
-  short-list is smaller than the batch median to coarser bucket levels
+  short-list is smaller than the fitted median to coarser bucket levels
   (Morton prefix levels for ``Z^M``, scaled-lattice levels for ``E8``).
 
 The same class indexes one RP-tree leaf group of
@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
                         run_plan)
-from repro.exec.plan import validate_query_batch
+from repro.exec.plan import check_hierarchy_threshold, validate_query_batch
 from repro.lattice.base import Lattice
 from repro.lattice.e8 import E8Lattice
 from repro.lattice.zm import ZMLattice
@@ -254,6 +254,7 @@ class StandardLSH:
         self._tables: List[LSHTable] = []
         self._layouts: Optional[TableLayouts] = None
         self._hierarchies: list = []
+        self._escalation_threshold: Optional[int] = None
         self._lattice: Optional[Lattice] = None
         # The rows this index ranks and, for a group of a Bi-level index,
         # which of its owner's rows it indexes (``None``: all of them).
@@ -276,6 +277,9 @@ class StandardLSH:
 
     #: Overlay fraction beyond which insert() folds it (:meth:`compact`).
     REBUILD_FRACTION = 0.2
+
+    #: Most indexed rows :attr:`escalation_threshold` is fitted over.
+    THRESHOLD_SAMPLE = 256
 
     # ------------------------------------------------------------------ fit
 
@@ -384,7 +388,8 @@ class StandardLSH:
         views stay read-only views and a memmap stays a
         memmap.  Table layouts absent from ``derived`` are rebuilt from
         ``data``; hierarchies are always rebuilt from the tables (their
-        Morton keys are Python ints past 62 bits, not an array).  With a
+        Morton keys are Python ints past 62 bits, not an array), and the
+        escalation threshold is fitted again from them.  With a
         ``store`` the index is a group of a Bi-level index over its
         ``rows`` of it (``source["ids"]`` are their ids), whose tombstones
         go into the store's one mask.  An older archive's scalars may name
@@ -414,10 +419,8 @@ class StandardLSH:
         if not all(layouts):
             index._rebuild_tables()
             return index
-        tables = [LSHTable.from_arrays(**layout) for layout in layouts]
-        index._publish(tables, [index._build_hierarchy(table)
-                                for table in tables]
-                       if index.use_hierarchy else [])
+        index._publish_built([LSHTable.from_arrays(**layout)
+                              for layout in layouts])
         return index
 
     # ---------------------------------------------------------- maintenance
@@ -444,8 +447,8 @@ class StandardLSH:
         Under the writer lock every table is merged from its own sorted
         layouts (:meth:`LSHTable.compacted`, no row re-hashed),
         tombstoned rows dropped; the hierarchies are rebuilt and all of
-        it published at once (:meth:`_publish`).  Readers never take the
-        lock: a batch keeps the snapshot it started with.
+        it published at once (:meth:`_publish_built`).  Readers never take
+        the lock: a batch keeps the snapshot it started with.
 
         The ``maintenance.compact`` fault site is consulted first,
         labelled ``group`` (a Bi-level index passes the group's number):
@@ -460,10 +463,8 @@ class StandardLSH:
                                                group=group):
                 return False
             deleted = self._deleted
-            tables = [table.compacted(drop=deleted) for table in self._tables]
-            self._publish(tables, [self._build_hierarchy(table)
-                                   for table in tables]
-                          if self.use_hierarchy else [])
+            self._publish_built([table.compacted(drop=deleted)
+                                 for table in self._tables])
             ob = obs.active()
             if ob is not None:
                 ob.record_rebuild()
@@ -487,6 +488,37 @@ class StandardLSH:
             self._layouts = TableLayouts.of(
                 [table.layouts() for table in tables],
                 self._lattice.code_dim)
+
+    def _publish_built(self, tables: List[LSHTable]) -> None:
+        """Publish fresh ``tables`` with their hierarchies and fitted
+        :attr:`escalation_threshold`: how a fit, fold or restore ends."""
+        with self._update_lock:
+            if not self.use_hierarchy:
+                self._publish(tables, [])
+                return
+            self._publish(tables, [self._build_hierarchy(table)
+                                   for table in tables])
+            self._escalation_threshold = self._fit_threshold()
+
+    def _fit_threshold(self) -> int:
+        """The median base short-list size, less the row's own hit, of a
+        stride of at most ``THRESHOLD_SAMPLE`` live indexed rows run as
+        queries.  No seed, and tombstones masked: a restore, whose tables
+        still hold the rows a fold dropped, fits what the fold did."""
+        rows = self._live_rows()
+        if rows.size == 0:
+            return 0
+        rows = rows[::-(-rows.size // self.THRESHOLD_SAMPLE)]
+        store = self._store
+        plan = _LSHPlan(self, None, native_registry.load_kernels())
+        ctx = ExecutionContext.for_batch(  # no observer, no fault plan
+            np.asarray(store.data[rows], dtype=np.float64), 1)
+        plan._stage_hash(ctx)
+        plan._stage_gather(ctx)
+        _, _, counts = ctx.scratch["kernels"].rank_topk(
+            None, None, None, ctx.scratch["spans"], store.n_rows,
+            store.deleted, 0)
+        return int(np.median(counts - 1))
 
     def _hash(self, rows: np.ndarray,
               kernels: object = native_registry.NUMPY_KERNELS,
@@ -519,8 +551,8 @@ class StandardLSH:
         ``L`` tables in one temporary.
 
         The new tables and hierarchies are built into locals and published
-        by reference (:meth:`_publish`), so an in-flight batch query (which
-        snapshots ``self._layouts`` / ``self._hierarchies`` once) sees
+        by reference (:meth:`_publish_built`), so an in-flight batch query
+        (which snapshots ``self._layouts`` / ``self._hierarchies`` once) sees
         either the complete old structures or the complete new ones —
         never an empty or partially refreshed list.
         """
@@ -532,15 +564,10 @@ class StandardLSH:
                 # A group's rows, gathered once for all L tables (a
                 # transient of the group's size, never kept).
                 data = np.asarray(data[ids], dtype=np.float64)
-            tables: List[LSHTable] = []
-            hierarchies: list = []
-            for family in self._families:
-                table = LSHTable(table_codes(family, self._lattice, data,
-                                             chunk_size), ids=ids)
-                tables.append(table)
-                if self.use_hierarchy:
-                    hierarchies.append(self._build_hierarchy(table))
-            self._publish(tables, hierarchies)
+            self._publish_built([
+                LSHTable(table_codes(family, self._lattice, data,
+                                     chunk_size), ids=ids)
+                for family in self._families])
             ob = obs.active()
             if ob is not None:
                 ob.record_rebuild()
@@ -663,7 +690,7 @@ class StandardLSH:
         return ids[0], dists[0]
 
     def query_batch(self, queries: np.ndarray, k: int,
-                    hierarchy_threshold: Union[str, int] = "median",
+                    hierarchy_threshold: Optional[int] = None,
                     engine: Optional[str] = None,
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
@@ -689,12 +716,11 @@ class StandardLSH:
             Neighborhood size.  Queries with fewer than ``k`` candidates
             pad the result with id ``-1`` / distance ``inf``.
         hierarchy_threshold:
-            Only with ``hierarchy=True``.  ``'median'`` reproduces the
-            paper: compute the median short-list size over the batch, then
-            escalate the queries below it.  An integer sets a fixed
-            threshold.  Note the median is computed per executed shard —
-            pass an integer threshold for shard-invariant results under
-            ``max_batch_rows``.
+            Only with ``hierarchy=True``: a query whose short-list is
+            smaller escalates.  ``None`` (default) is the paper's median
+            rule, the index's fitted :attr:`escalation_threshold`; an
+            integer ``>= 0`` pins one; either is raised to ``k``.
+            Anything else raises ``QueryValidationError``.
         engine:
             Inert — name-checked and ignored
             (:func:`repro.native.registry.check_legacy_engine`); scheduled
@@ -714,8 +740,7 @@ class StandardLSH:
         max_batch_rows:
             Optional bound on rows executed per shard: large batches are
             split into contiguous shards run through the same plan, with
-            bit-identical results (given an integer
-            ``hierarchy_threshold``) and bounded peak scratch memory.
+            bit-identical results and bounded peak scratch memory.
 
         Returns
         -------
@@ -731,8 +756,7 @@ class StandardLSH:
                         deadline=deadline, policy=policy,
                         max_batch_rows=max_batch_rows)
 
-    def execution_plan(self,
-                       hierarchy_threshold: Union[str, int] = "median",
+    def execution_plan(self, hierarchy_threshold: Optional[int] = None,
                        engine: Optional[str] = None) -> QueryPlan:
         """Staged :class:`~repro.exec.plan.QueryPlan` for this index.
 
@@ -743,13 +767,19 @@ class StandardLSH:
         return _LSHPlan(self, hierarchy_threshold,
                         native_registry.load_kernels())
 
-    def _resolve_threshold(self, counts: np.ndarray, k: int,
-                           hierarchy_threshold: Union[str, int]) -> int:
-        if hierarchy_threshold == "median":
-            threshold = int(np.median(counts))
-        else:
-            threshold = int(hierarchy_threshold)
-        return max(threshold, k)
+    @property
+    def escalation_threshold(self) -> Optional[int]:
+        """The short-list size below which a query escalates by default
+        (``None`` without a hierarchy): the paper's median, fitted where
+        the hierarchies are built (fit, :meth:`compact`, restore)."""
+        self._check_fitted()
+        return self._escalation_threshold
+
+    def _resolve_threshold(self, k: int,
+                           hierarchy_threshold: Optional[int]) -> int:
+        if hierarchy_threshold is None:
+            hierarchy_threshold = self._escalation_threshold
+        return max(hierarchy_threshold, k)
 
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw candidate id sets (before short-list ranking), per query.
@@ -823,11 +853,11 @@ class _LSHPlan(QueryPlan):
 
     site = "lsh"
 
-    def __init__(self, index: object,
-                 hierarchy_threshold: Union[str, int],
+    def __init__(self, index: object, hierarchy_threshold: object,
                  kernels: object) -> None:
         self.index = index
-        self.hierarchy_threshold = hierarchy_threshold
+        self.hierarchy_threshold = check_hierarchy_threshold(
+            hierarchy_threshold)
         self.kernels = kernels
 
     def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
@@ -1063,10 +1093,10 @@ class _LSHPlan(QueryPlan):
         return stand_ins
 
     def _stage_escalate(self, ctx: ExecutionContext) -> None:
-        # Per member, rows whose segment is below its threshold (``"median"``
-        # of its segment sizes) walk its hierarchies, a chunk of rows per
-        # call for all L tables; each node they settle on is one span of
-        # its hierarchy's ids.  The budget is re-checked before each chunk:
+        # Per member, rows whose segment is below its threshold (its
+        # fitted one unless pinned) walk its hierarchies, a chunk of rows
+        # per call for all L tables; each node they settle on is one span
+        # of its hierarchy's ids.  The budget is re-checked before each chunk:
         # rows of chunks not started keep their base short-list, flagged
         # `exhausted_budget`.  A table dropped at the gather is left out
         # here too, hierarchy and codes alike: an escalated degraded row
@@ -1090,10 +1120,9 @@ class _LSHPlan(QueryPlan):
                 hierarchies = [h for h, kept in zip(hierarchies, m.keep)
                                if kept]
                 codes = codes[m.keep]
-            mine = counts[m.slots]
-            threshold = m.index._resolve_threshold(
-                mine, ctx.k, self.hierarchy_threshold)
-            esc = np.nonzero(mine < threshold)[0]
+            threshold = m.index._resolve_threshold(ctx.k,
+                                                   self.hierarchy_threshold)
+            esc = np.nonzero(counts[m.slots] < threshold)[0]
             done = 0
             while done < esc.size and not expired:
                 if ctx.deadline is not None and ctx.deadline.expired():
@@ -1205,7 +1234,7 @@ def _escalate(index: StandardLSH, codes: List[np.ndarray], qi: int,
 
 
 def oracle_query_batch(index: StandardLSH, queries: np.ndarray, k: int,
-                       hierarchy_threshold: Union[str, int] = "median",
+                       hierarchy_threshold: Optional[int] = None,
                        ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """:meth:`StandardLSH.query_batch` by the per-query reference path.
 
@@ -1217,6 +1246,7 @@ def oracle_query_batch(index: StandardLSH, queries: np.ndarray, k: int,
     index._check_fitted()
     queries, _, k = validate_query_batch(
         queries, k, index._data.shape[1], allow_nonfinite=False)
+    hierarchy_threshold = check_hierarchy_threshold(hierarchy_threshold)
     nq = queries.shape[0]
     ids_out = np.full((nq, k), -1, dtype=np.int64)
     dists_out = np.full((nq, k), np.inf, dtype=np.float64)
@@ -1226,8 +1256,7 @@ def oracle_query_batch(index: StandardLSH, queries: np.ndarray, k: int,
     candidate_sets = [_gather_candidates(index, projections, codes, qi)
                       for qi in range(nq)]
     if index.use_hierarchy:
-        sizes = np.array([c.size for c in candidate_sets], dtype=np.int64)
-        threshold = index._resolve_threshold(sizes, k, hierarchy_threshold)
+        threshold = index._resolve_threshold(k, hierarchy_threshold)
         for qi in range(nq):
             if candidate_sets[qi].size < threshold:
                 candidate_sets[qi] = _escalate(index, codes, qi, threshold,

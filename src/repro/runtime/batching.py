@@ -13,18 +13,14 @@ finds nothing running and executes at once; under load the batches
 grow by themselves, because everything that arrived during one batch
 rides the next.
 
-Correctness of the merge rests on three facts about the executor:
+Correctness of the merge rests on two facts about the executor:
 
 1. Row independence — every plan stage maps query rows independently
    (rule R8 centralizes execution on that contract), so stacking two
    requests' rows changes neither request's candidates nor distances.
-2. The one batch-*dependent* knob is the hierarchical ``"median"``
-   escalation threshold, which is computed from the executed batch.
-   Requests resolving to ``"median"`` on a hierarchy-sensitive index
-   are therefore never merged (``solo_fn``) unless the session pins an
-   integer threshold; they take their turn in the queue as a batch of
-   one.
-3. Deadlines are absolute: a request is resolved where it arrives
+   That includes escalation: a hierarchy index escalates by its fitted
+   threshold (or the request's own), never by a statistic of the batch.
+2. Deadlines are absolute: a request is resolved where it arrives
    (:meth:`~repro.runtime.session.IndexRuntime.resolve`: session
    defaults filled in, its :class:`~repro.resilience.deadline.Deadline`
    started), so the batcher keys on what will actually run, and a
@@ -186,11 +182,6 @@ class MicroBatcher:
         Cap on the query rows of one executed batch: queued requests
         beyond it run in the following batch, and a single request
         larger than the cap runs alone.
-    solo_fn:
-        Optional predicate; requests for which it returns True are
-        never merged (used for batch-dependent ``"median"`` thresholds
-        on hierarchy-sensitive indexes) — they queue like any other and
-        run as a batch of one.
     deadline_bucket_ms:
         Width of the deadline-proximity buckets in :func:`merge_key`:
         requests whose remaining budgets land in different buckets, or
@@ -201,7 +192,6 @@ class MicroBatcher:
 
     def __init__(self, execute: Callable[[QueryRequest], QueryResponse], *,
                  max_rows: int = 256,
-                 solo_fn: Optional[Callable[[QueryRequest], bool]] = None,
                  deadline_bucket_ms: float = DEADLINE_BUCKET_MS,
                  ) -> None:
         if max_rows <= 0:
@@ -211,7 +201,6 @@ class MicroBatcher:
                              f"got {deadline_bucket_ms}")
         self._execute = execute
         self._max_rows = max_rows
-        self._solo_fn = solo_fn
         self._deadline_bucket_ms = deadline_bucket_ms
         # The monitor over the queue and the turn.  Deliberately not
         # named "*lock*": execution happens outside it, and the only
@@ -263,12 +252,8 @@ class MicroBatcher:
         """
         if request.deadline is not None and request.deadline.expired():
             return shed_response(request, reason="past-due")
-        entry = _Entry(request)
-        key: Hashable = entry  # a key of its own: never merged
-        if self._solo_fn is None or not self._solo_fn(request):
-            key = merge_key(request,
-                            deadline_bucket_ms=self._deadline_bucket_ms)
-        return cast(QueryResponse, self._take_turn(entry, key))
+        key = merge_key(request, deadline_bucket_ms=self._deadline_bucket_ms)
+        return cast(QueryResponse, self._take_turn(_Entry(request), key))
 
     def run_in_turn(self, call: Callable[[], T]) -> T:
         """Run ``call()`` — a write — in the read batches' turn order: after

@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro import obs
+from repro.exec.plan import check_hierarchy_threshold
 from repro.runtime.admission import AdmissionController
 from repro.runtime.batching import MicroBatcher
 from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
@@ -126,9 +127,8 @@ class RuntimeServer:
         self.port = port
         cfg = runtime.config
         self.admission = AdmissionController(cfg.max_queue_depth)
-        self.batcher = MicroBatcher(
-            runtime.submit, max_rows=cfg.batch_max_rows,
-            solo_fn=self._needs_solo)
+        self.batcher = MicroBatcher(runtime.submit,
+                                    max_rows=cfg.batch_max_rows)
         self._pool = ThreadPoolExecutor(
             max_workers=min(cfg.max_queue_depth, 32),
             thread_name_prefix="serve")
@@ -400,14 +400,14 @@ class RuntimeServer:
         k = int(payload.get("k", 10))  # type: ignore[arg-type]
         deadline_ms = payload.get("deadline_ms")
         threshold = payload.get("hierarchy_threshold")
-        if isinstance(threshold, float):
+        if isinstance(threshold, float) and threshold.is_integer():
             threshold = int(threshold)
         max_rows = payload.get("max_batch_rows")
         # Inert body key (see check_legacy_engine): name-checked, dropped.
         check_legacy_engine(payload.get("engine"))  # type: ignore[arg-type]
         request = QueryRequest(
             queries=queries, k=k,
-            hierarchy_threshold=threshold,  # type: ignore[arg-type]
+            hierarchy_threshold=check_hierarchy_threshold(threshold),
             deadline_ms=(float(deadline_ms)  # type: ignore[arg-type]
                          if deadline_ms is not None else None),
             max_batch_rows=(int(max_rows)  # type: ignore[arg-type]
@@ -417,14 +417,6 @@ class RuntimeServer:
         # the admission and batch queue waits both count against it and
         # the batcher keys on what will run.
         return self.runtime.resolve(request)
-
-    def _needs_solo(self, request: QueryRequest) -> bool:
-        """True when the (resolved) request's threshold is the
-        batch-dependent ``"median"`` and the index escalates by it;
-        the session default is already in the request, so not re-read."""
-        threshold = request.hierarchy_threshold
-        return (threshold is None or isinstance(threshold, str)) \
-            and self.runtime.hierarchy_sensitive
 
     async def _handle_query(self, payload: _JSON) -> Tuple[int, _JSON]:
         request = self._build_request(payload)

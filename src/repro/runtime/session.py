@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import InitVar, dataclass, replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,8 +53,6 @@ __all__ = [
     "shed_response",
 ]
 
-Threshold = Union[str, int]
-
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -73,12 +71,6 @@ class RuntimeConfig:
         Inert, init-only and not stored: there is one engine.  Name-checked
         by :func:`check_legacy_engine`; scheduled for deletion by the
         next benchmark PR.
-    hierarchy_threshold:
-        Escalation threshold forwarded to hierarchical plans; ``None``
-        keeps the front-end default (``"median"``).  Micro-batching
-        requires an integer threshold on hierarchical indexes (the
-        batch median is not batch-invariant); see
-        :class:`repro.runtime.batching.MicroBatcher`.
     deadline_ms:
         Default wall-clock budget per request (``None`` = unbounded).
     policy:
@@ -97,7 +89,6 @@ class RuntimeConfig:
     """
 
     engine: InitVar[Optional[str]] = None
-    hierarchy_threshold: Optional[Threshold] = None
     deadline_ms: Optional[float] = None
     policy: Optional[ResiliencePolicy] = None
     max_batch_rows: Optional[int] = None
@@ -136,7 +127,6 @@ class RuntimeConfig:
             policy = ResiliencePolicy()
         return cls(
             engine=getattr(args, "engine", None),
-            hierarchy_threshold=getattr(args, "hierarchy_threshold", None),
             deadline_ms=getattr(args, "deadline_ms", None),
             policy=policy,
             max_batch_rows=getattr(args, "max_batch_rows", None),
@@ -152,14 +142,15 @@ class QueryRequest:
     The unit the runtime layer passes around; ``None`` fields mean
     "take the session's :class:`RuntimeConfig` value" (and, failing
     that, the front-end's default) — :meth:`IndexRuntime.resolve` fills
-    them in.  ``deadline`` holds an already materialized absolute
-    expiry: resolving stamps one from ``deadline_ms`` at the door, so
-    the admission and batch queue waits count against the budget.
+    them in; ``hierarchy_threshold`` has no session value (``None``: the
+    index's fitted one).  ``deadline`` holds an already materialized
+    absolute expiry: resolving stamps one from ``deadline_ms`` at the
+    door, so the admission and batch queue waits count against it.
     """
 
     queries: np.ndarray
     k: int
-    hierarchy_threshold: Optional[Threshold] = None
+    hierarchy_threshold: Optional[int] = None
     deadline_ms: Optional[float] = None
     deadline: Optional[Deadline] = None
     policy: Optional[ResiliencePolicy] = None
@@ -343,15 +334,12 @@ class IndexRuntime:
         :class:`Deadline` started now.  Call it where the request
         arrives (the HTTP door does, so admission and the batch queue
         count against the budget; :meth:`submit` does for a direct
-        caller): :func:`~repro.runtime.batching.merge_key` and the solo
-        rule then read what will run.  Idempotent: a resolved request
-        comes back as the same object.
+        caller): :func:`~repro.runtime.batching.merge_key` then reads
+        what will run.  Idempotent: a resolved request comes back as the
+        same object.
         """
         cfg = self.config
         fill: Dict[str, object] = {}
-        if request.hierarchy_threshold is None \
-                and cfg.hierarchy_threshold is not None:
-            fill["hierarchy_threshold"] = cfg.hierarchy_threshold
         if request.deadline is None and request.deadline_ms is None \
                 and cfg.deadline_ms is not None:
             fill["deadline_ms"] = cfg.deadline_ms
@@ -374,9 +362,8 @@ class IndexRuntime:
         if self._closed:
             raise RuntimeError("runtime is closed")
         request = self.resolve(request)
-        builder = self.index.execution_plan  # type: ignore[attr-defined]
-        threshold = request.hierarchy_threshold
-        plan = builder() if threshold is None else builder(threshold)
+        plan = self.index.execution_plan(  # type: ignore[attr-defined]
+            request.hierarchy_threshold)
         ids, dists, stats = run_plan(
             plan, request.queries, request.k, deadline=request.deadline,
             policy=request.policy, max_batch_rows=request.max_batch_rows)
@@ -431,18 +418,6 @@ class IndexRuntime:
     @property
     def wal(self) -> "Optional[WriteAheadLog]":
         return self._wal
-
-    @property
-    def hierarchy_sensitive(self) -> bool:
-        """True when plan output can depend on the batch-median threshold.
-
-        A hierarchical index escalates by comparing short-list sizes to
-        a threshold that, under the default ``"median"``, is derived
-        from the executed batch — so merging requests would change
-        results.  The micro-batcher executes such requests solo unless
-        the (resolved) request carries an integer threshold.
-        """
-        return self.index.use_hierarchy  # type: ignore[attr-defined]
 
     def ready(self) -> bool:
         """Liveness of every owned moving part (the ``/readyz`` answer)."""

@@ -13,7 +13,7 @@ from repro.exec import QueryStats
 from repro.lsh.index import StandardLSH, oracle_query_batch
 
 
-def oracle_query(index, queries, k, hierarchy_threshold="median"):
+def oracle_query(index, queries, k, hierarchy_threshold=None):
     if isinstance(index, StandardLSH):
         return oracle_query_batch(index, queries, k, hierarchy_threshold)
     queries = np.asarray(queries, dtype=np.float64)

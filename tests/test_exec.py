@@ -99,8 +99,7 @@ class TestShardParity:
     @pytest.mark.parametrize("supervised", [False, True])
     def test_standard_lsh_hierarchy(self, dataset, queries, rows,
                                     supervised):
-        # An *integer* threshold is shard-invariant (the median rule is
-        # per-shard by construction; its parity is not promised).
+        # A pinned threshold, as the fitted one, is shard-invariant.
         index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5,
                             hierarchy=True).fit(dataset)
         kwargs = {"hierarchy_threshold": 12}
@@ -175,6 +174,41 @@ class TestMaxBatchRowsValidation:
         sharded = standard.query_batch(queries, K,
                                        max_batch_rows=np.int64(7))
         assert_same_results(base, sharded)
+
+
+class TestHierarchyThresholdValidation:
+    """``hierarchy_threshold`` is ``None`` or an integer ``>= 0`` on every
+    index, checked before anything runs — not a bare ``int()`` deep in
+    the escalate stage, and not coerced."""
+
+    @pytest.fixture(scope="class")
+    def hierarchy(self, dataset):
+        return BiLevelLSH(BiLevelConfig(n_groups=4, n_tables=6,
+                                        bucket_width=8.0, lattice="e8",
+                                        hierarchy=True, seed=5)).fit(dataset)
+
+    @pytest.mark.parametrize("bad", ["foo", "median", True, -5, 2.5, 12.0])
+    @pytest.mark.parametrize("kind", ["standard", "bilevel", "hierarchy"])
+    def test_rejected_on_every_index(self, request, queries, kind, bad):
+        index = request.getfixturevalue(kind)
+        with pytest.raises(QueryValidationError) as excinfo:
+            index.query_batch(queries, K, hierarchy_threshold=bad)
+        assert excinfo.value.field == "hierarchy_threshold"
+        with pytest.raises(QueryValidationError):
+            index.execution_plan(bad)
+
+    def test_none_zero_and_numpy_integers_pass(self, hierarchy, queries):
+        fitted = hierarchy.query_batch(queries, K)
+        assert_same_results(fitted, hierarchy.query_batch(
+            queries, K, hierarchy_threshold=None))
+        assert_same_results(
+            hierarchy.query_batch(queries, K, hierarchy_threshold=12),
+            hierarchy.query_batch(queries, K,
+                                  hierarchy_threshold=np.int64(12)))
+        # Below k, a threshold is k: 0 is as good as any value up to it.
+        assert_same_results(
+            hierarchy.query_batch(queries, K, hierarchy_threshold=0),
+            hierarchy.query_batch(queries, K, hierarchy_threshold=K))
 
 
 # ------------------------------------------------------------- deadlines

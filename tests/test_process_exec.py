@@ -12,7 +12,7 @@ compiled kernels hand their work to P threads inside each call, so
 
 1. **Byte-equal** — answers, every :class:`QueryStats` field and the
    recorded telemetry equal the inline sharded run at the same
-   ``max_batch_rows``, at every P, for integer *and* ``"median"``
+   ``max_batch_rows``, at every P, for pinned *and* fitted (``None``)
    thresholds, on in-memory, memmapped, overlaid and tombstoned indexes.
 2. **Faults as inline** — a fault inside a shard is degraded by the same
    policy code; unsupervised, it propagates from the first shard that
@@ -153,19 +153,17 @@ class TestParity:
             == {(("backend", "numpy"),)}
 
     def test_median_threshold_single_shard(self, index, runtime, queries):
-        # One shard == whole batch; and — what a pool of snapshots could
-        # not promise — several shards too: each derives its median from
-        # its own rows, threaded or not, and they are the same rows.
-        assert_bit_identical(runtime.query_batch(queries, K),
-                             index.query_batch(queries, K))
+        # The default threshold is the index's fitted median, not one
+        # taken over a shard's rows: one shard, several shards, threaded
+        # or not, all answer as the whole batch does.
+        whole = index.query_batch(queries, K)
+        assert whole[2].escalated.any()
+        assert_bit_identical(runtime.query_batch(queries, K), whole)
         base = index.query_batch(queries, K, max_batch_rows=5)
         result = runtime.query_batch(queries, K, max_batch_rows=5)
         assert_bit_identical(result, base)
         assert stats_fields(result[2]) == stats_fields(base[2])
-        # Not vacuous: per-shard medians differ from the batch's.
-        whole = index.query_batch(queries, K)
-        assert not np.array_equal(base[2].n_candidates,
-                                  whole[2].n_candidates)
+        assert_bit_identical(base, whole)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +197,9 @@ class TestShardWorkersMatrix:
     """P, the kernel threads, never changes an answer, a stat or a count
     of the runtime's sharded run."""
 
-    @pytest.mark.parametrize("threshold", ["median", 32])
+    # ``median``: no pinned threshold, the index's fitted median.
+    @pytest.mark.parametrize("threshold", [pytest.param(None, id="median"),
+                                           32])
     @pytest.mark.parametrize("rows", [None, 1, 7, N_QUERIES])
     @pytest.mark.parametrize("front", ["zm", "zm_probes", "e8_hierarchy"])
     def test_equals_inline_at_the_same_max_batch_rows(
@@ -237,7 +237,8 @@ class TestInputsThePoolRefused:
         assert_bit_identical(result, base)
         assert stats_fields(result[2]) == stats_fields(base[2])
 
-    @pytest.mark.parametrize("threshold", ["median", THRESHOLD])
+    @pytest.mark.parametrize("threshold", [pytest.param(None, id="median"),
+                                           THRESHOLD])
     def test_overlay_and_tombstones_need_no_fold(self, dataset, queries,
                                                  threshold):
         index = StandardLSH(n_tables=6, bucket_width=6.0, seed=9,
@@ -245,14 +246,14 @@ class TestInputsThePoolRefused:
                             hierarchy=True).fit(dataset)
         extra = np.random.default_rng(7).standard_normal((20, DIM))
         with native_threads(2), IndexRuntime(index, RuntimeConfig(
-                max_batch_rows=5, hierarchy_threshold=threshold)) as rt:
+                max_batch_rows=5)) as rt:
             new_ids = rt.insert(extra)
             assert rt.delete(np.array([41, int(new_ids[0])])) == 2
             tables = index._tables
             assert all(table.n_extra for table in tables)
             assert index._deleted is not None and index._deleted.sum() == 2
             probe = np.vstack([queries, extra[1:4]])
-            result = rt.query_batch(probe, K)
+            result = rt.query_batch(probe, K, hierarchy_threshold=threshold)
             # Still the overlaid tables: nothing was rebuilt to serve it.
             assert index._tables is tables
             assert all(table.n_extra for table in tables)

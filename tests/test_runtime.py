@@ -26,6 +26,7 @@ Four areas:
 
 import argparse
 import asyncio
+import functools
 import json
 import os
 import re
@@ -127,13 +128,11 @@ class TestRuntimeConfig:
     def test_from_args_full(self):
         args = argparse.Namespace(
             engine="vectorized", deadline_ms=25.0, resilient=True,
-            max_batch_rows=128, hierarchy_threshold=40,
-            batch_max_rows=64, max_queue_depth=8)
+            max_batch_rows=128, batch_max_rows=64, max_queue_depth=8)
         cfg = RuntimeConfig.from_args(args)
         assert cfg.deadline_ms == 25.0
         assert isinstance(cfg.policy, ResiliencePolicy)
         assert cfg.max_batch_rows == 128
-        assert cfg.hierarchy_threshold == 40
         assert cfg.batch_max_rows == 64
         assert cfg.max_queue_depth == 8
 
@@ -213,10 +212,10 @@ class TestExecuteRequest:
                                                          queries):
         policy = ResiliencePolicy()
         runtime = IndexRuntime(standard_index, RuntimeConfig(
-            hierarchy_threshold=50, deadline_ms=60_000.0, policy=policy,
-            max_batch_rows=8))
+            deadline_ms=60_000.0, policy=policy, max_batch_rows=8))
         resolved = runtime.resolve(QueryRequest(queries=queries, k=5))
-        assert resolved.hierarchy_threshold == 50
+        # No session threshold: unset means the index's fitted one.
+        assert resolved.hierarchy_threshold is None
         assert isinstance(resolved.deadline, Deadline)
         assert resolved.deadline_ms is None
         assert resolved.policy is policy
@@ -296,19 +295,6 @@ class TestIndexRuntime:
         info = runtime.info()
         assert not info.ready
         assert "empty" in info.detail
-
-    def test_hierarchy_sensitive_detection(self, base_data):
-        flat = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
-                                        seed=3)).fit(base_data)
-        assert IndexRuntime(flat).hierarchy_sensitive is False
-        deep = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
-                                        seed=3, hierarchy=True)).fit(base_data)
-        assert IndexRuntime(deep).hierarchy_sensitive is True
-        # A property of the index alone: whether a request's threshold
-        # is the batch-dependent spelling is read off the (resolved)
-        # request, by ``RuntimeServer._needs_solo``.
-        pinned = IndexRuntime(deep, RuntimeConfig(hierarchy_threshold=32))
-        assert pinned.hierarchy_sensitive is True
 
     def test_attach_maintenance_and_close_detach(self, standard_index,
                                                  base_data, tmp_path):
@@ -597,8 +583,8 @@ class TestMicroBatcher:
         # request as it arrived and only afterwards did ``submit`` fill
         # in the session defaults — so under a session ``deadline_ms`` a
         # merged read lost its ``exhausted_budget`` mask (solo: a mask),
-        # and a request spelling ``hierarchy_threshold=50`` never merged
-        # with one inheriting 50.  Resolved at the door — by
+        # and a request spelling ``max_batch_rows=4`` never merged with
+        # one inheriting 4.  Resolved at the door — by
         # ``IndexRuntime.resolve``, which the HTTP door calls — merged
         # must equal solo on every field, ``None``-ness included.
         from repro.runtime.server import RuntimeServer
@@ -606,7 +592,7 @@ class TestMicroBatcher:
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
         runtime = IndexRuntime(index, RuntimeConfig(
-            deadline_ms=60_000.0, hierarchy_threshold=50))
+            deadline_ms=60_000.0, max_batch_rows=4))
         server = RuntimeServer(runtime)  # never started: door + batcher
         try:
             if door == "http":
@@ -615,15 +601,14 @@ class TestMicroBatcher:
                         {"queries": queries[0].tolist(), "k": 5}),
                     server._build_request(
                         {"queries": queries[1].tolist(), "k": 5,
-                         "hierarchy_threshold": 50})]
+                         "max_batch_rows": 4})]
             else:
                 requests = [
                     runtime.resolve(QueryRequest(queries=queries[:1], k=5)),
                     runtime.resolve(QueryRequest(queries=queries[1:2], k=5,
-                                                 hierarchy_threshold=50))]
+                                                 max_batch_rows=4))]
             # The budget clock started at the door, not after the window.
             assert all(isinstance(r.deadline, Deadline) for r in requests)
-            assert not server._needs_solo(requests[0])
             responses = _submit_queued(server.batcher, requests)
         finally:
             server.close()
@@ -634,46 +619,6 @@ class TestMicroBatcher:
             assert response.stats.exhausted_budget is not None
             assert response.stats.failures is None is solo.stats.failures
 
-    def test_explicit_median_runs_solo_under_integer_session_threshold(
-            self, queries):
-        # Regression (PR 22): the solo rule used to re-read the session
-        # default for a request that spelled ``"median"`` itself, so
-        # under ``--hierarchy-threshold 50`` two such reads merged and
-        # each got a median taken over the other's rows.  It reads the
-        # resolved request and the index, nothing else.
-        from repro.runtime.server import RuntimeServer
-
-        rng = np.random.default_rng(22)
-        index = StandardLSH(n_tables=4, bucket_width=8.0, lattice="e8",
-                            hierarchy=True, seed=5).fit(
-                                rng.standard_normal((4000, DIM)))
-        rows = rng.standard_normal((43, DIM))
-        runtime = IndexRuntime(index, RuntimeConfig(
-            hierarchy_threshold=50))
-        server = RuntimeServer(runtime)  # never started: door + batcher
-        try:
-            requests = [server._build_request(
-                {"queries": part.tolist(), "k": 5,
-                 "hierarchy_threshold": "median"})
-                for part in (rows[:3], rows[3:])]
-            assert all(server._needs_solo(r) for r in requests)
-            # Inheriting (or spelling) the session's integer still merges.
-            assert not server._needs_solo(server._build_request(
-                {"queries": rows[:1].tolist(), "k": 5}))
-            responses = _submit_queued(server.batcher, requests)
-        finally:
-            server.close()
-        for part, response in zip((rows[:3], rows[3:]), responses):
-            assert response.batched == 1 and not response.shed
-            solo = index.query_batch(part, 5, hierarchy_threshold="median")
-            _assert_response_equals_tuple(response, solo)
-            assert response.stats.failures is None
-        # Not vacuous: merged, the short request's median would have been
-        # the long one's.
-        merged = index.query_batch(rows, 5, hierarchy_threshold="median")
-        assert not np.array_equal(merged[2].escalated[:3],
-                                  responses[0].stats.escalated)
-
     def test_spent_session_deadline_is_flagged_not_dropped(self, base_data,
                                                            queries):
         # The reproduction in ISSUE 21: a session budget too small to
@@ -681,9 +626,11 @@ class TestMicroBatcher:
         # ``exhausted_budget=[True]``; batched it came back ``None``.
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
-        runtime = IndexRuntime(index, RuntimeConfig(
-            deadline_ms=1e-6, hierarchy_threshold=50))
-        requests = [QueryRequest(queries=queries[i:i + 1], k=5)
+        runtime = IndexRuntime(index, RuntimeConfig(deadline_ms=1e-6))
+        # A threshold every row escalates by: the budget is checked
+        # between escalation rounds, so a spent one shows.
+        requests = [QueryRequest(queries=queries[i:i + 1], k=5,
+                                 hierarchy_threshold=50)
                     for i in range(2)]
         for request in requests:
             solo = runtime.submit(request)
@@ -709,26 +656,32 @@ class TestMicroBatcher:
         assert (response.ids == -1).all()
         assert response.stats.exhausted_budget.all()
 
-    def test_hierarchy_sensitive_requests_run_solo(self, base_data, queries):
+    def test_hierarchy_reads_merge_and_equal_solo(self, base_data, queries):
+        # An E8 hierarchy escalates by each group's fitted threshold, not
+        # by the batch's median: concurrent reads merge like any others,
+        # and every merged answer is its solo run's, escalation included.
         deep = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
-                                        seed=3, hierarchy=True)).fit(base_data)
+                                        lattice="e8", seed=3,
+                                        hierarchy=True)).fit(base_data)
         runtime = IndexRuntime(deep)
-        assert runtime.hierarchy_sensitive
-        requests = [QueryRequest(queries=queries[i:i + 2], k=3)
-                    for i in range(0, 8, 2)]
-        with MicroBatcher(runtime.submit, solo_fn=lambda r: runtime.hierarchy_sensitive,
-                          ) as batcher:
+        requests = [QueryRequest(queries=queries[i:i + 3], k=3)
+                    for i in range(0, 24, 3)]
+        with MicroBatcher(runtime.submit) as batcher:
             responses = _submit_queued(batcher, requests)
-        assert batcher.merge_counts == (0, 0)  # nothing merged
+        assert batcher.merge_counts[0] > 0
+        assert any(r.batched > 1 for r in responses)
+        escalated = 0
         for request, response in zip(requests, responses):
-            _assert_response_equals_tuple(
-                response, runtime.submit(request).as_tuple())
+            solo = runtime.submit(request)
+            _assert_response_equals_tuple(response, solo.as_tuple())
+            escalated += int(solo.stats.escalated.sum())
+        assert escalated > 0  # not vacuous: the hierarchy answered some
 
     def test_pinned_threshold_allows_hierarchy_merge(self, base_data,
                                                      queries):
         deep = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=4.0,
                                         seed=3, hierarchy=True)).fit(base_data)
-        runtime = IndexRuntime(deep, RuntimeConfig(hierarchy_threshold=32))
+        runtime = IndexRuntime(deep)
         requests = [
             QueryRequest(queries=queries[i:i + 2], k=3,
                          hierarchy_threshold=32)
@@ -910,20 +863,19 @@ class TestMicroBatcher:
         # runs the older read's budget is spent; merged, the newer read
         # would run under that expiry and come back exhausted.  Solo it
         # has budget left.  (A hierarchy checks its deadline between
-        # escalation rounds, so a spent budget shows.)
+        # escalation rounds, so a spent budget shows — under a threshold
+        # every row escalates by.)
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
-        runtime = IndexRuntime(index, RuntimeConfig(
-            deadline_ms=600.0, hierarchy_threshold=50))
+        runtime = IndexRuntime(index, RuntimeConfig(deadline_ms=600.0))
+        read = functools.partial(QueryRequest, k=5, hierarchy_threshold=50)
         log = []
         with MicroBatcher(_recording(runtime.submit, log)) as batcher:
             held = _Held(batcher, QueryRequest(queries=queries[:1], k=9))
-            requests = [runtime.resolve(QueryRequest(queries=queries[:2],
-                                                     k=5))]
+            requests = [runtime.resolve(read(queries[:2]))]
             held.send(requests[0])
             time.sleep(0.3)
-            requests.append(runtime.resolve(
-                QueryRequest(queries=queries[2:4], k=5)))
+            requests.append(runtime.resolve(read(queries[2:4])))
             held.send(requests[1])
             assert len(batcher._queues) == 1  # both keyed alike
             while not requests[0].deadline.expired():
@@ -932,7 +884,7 @@ class TestMicroBatcher:
         assert not held.errors, held.errors
         assert [r.n_rows() for r in log] == [1, 2, 2]
         assert older.stats.exhausted_budget.all()
-        solo = runtime.submit(QueryRequest(queries=queries[2:4], k=5))
+        solo = runtime.submit(read(queries[2:4]))
         assert not solo.stats.exhausted_budget.any()
         _assert_response_equals_tuple(newer, solo.as_tuple())
 
@@ -958,7 +910,10 @@ class TestMicroBatcher:
         assert answers[1] == "written"
         assert batcher.merge_counts == (1, 2)
 
-    def test_median_request_takes_its_turn_and_never_merges(self, queries):
+    def test_pinned_and_fitted_reads_key_apart(self, queries):
+        # A threshold is part of the merge key: reads pinning one merge
+        # with each other, reads taking the fitted one with each other,
+        # and each answers as it would alone.
         from repro.runtime.server import RuntimeServer
 
         rng = np.random.default_rng(30)
@@ -966,15 +921,15 @@ class TestMicroBatcher:
                             hierarchy=True, seed=5).fit(
                                 rng.standard_normal((3000, DIM)))
         rows = rng.standard_normal((12, DIM))
-        runtime = IndexRuntime(index, RuntimeConfig(hierarchy_threshold=40))
+        runtime = IndexRuntime(index)
         server = RuntimeServer(runtime)  # never started: door + batcher
         log = []
         server.batcher._execute = _recording(runtime.submit, log)
         try:
             spelled = [{"queries": rows[i:i + 3].tolist(), "k": 5}
                        for i in range(0, 12, 3)]
-            spelled[1]["hierarchy_threshold"] = "median"
-            spelled[3]["hierarchy_threshold"] = "median"
+            spelled[1]["hierarchy_threshold"] = 40
+            spelled[3]["hierarchy_threshold"] = 40.0  # an integral float
             requests = [server._build_request(p) for p in spelled]
             responses = _submit_queued(
                 server.batcher, requests,
@@ -982,18 +937,14 @@ class TestMicroBatcher:
                     {"queries": rows[:1].tolist(), "k": 2}))
         finally:
             server.close()
-        # Integer-threshold reads merge under the first one's turn; each
-        # "median" read runs alone, in its own arrival order.
+        # Fitted reads merge under the first one's turn, pinned ones under
+        # the second's.
         assert [(r.hierarchy_threshold, r.n_rows()) for r in log] == [
-            (40, 1), (40, 6), ("median", 3), ("median", 3)]
-        for i in (1, 3):
-            assert responses[i].batched == 1
-            _assert_response_equals_tuple(responses[i], index.query_batch(
-                rows[3 * i:3 * i + 3], 5, hierarchy_threshold="median"))
-        for i in (0, 2):
+            (None, 1), (None, 6), (40, 6)]
+        for i, threshold in enumerate((None, 40, None, 40)):
             assert responses[i].batched == 2
             _assert_response_equals_tuple(responses[i], index.query_batch(
-                rows[3 * i:3 * i + 3], 5, hierarchy_threshold=40))
+                rows[3 * i:3 * i + 3], 5, hierarchy_threshold=threshold))
 
     def test_executor_error_propagates_to_all_members(self, standard_index,
                                                       queries):
@@ -1241,6 +1192,28 @@ class TestRuntimeServerErrors:
         assert status == 500
         assert "ZeroDivisionError" in payload["error"]
 
+
+    def test_bad_hierarchy_threshold_is_a_400_naming_it(self, base_data):
+        # Validated at the door, on a hierarchy index and a flat one
+        # alike; an integral JSON float is still an integer.
+        query = {"queries": [[0.0] * DIM], "k": 3}
+        bad = ["foo", "median", True, -5, 2.5]
+
+        async def client(server):
+            return [await _call(server, b"POST", b"/query",
+                                dict(query, hierarchy_threshold=value))
+                    for value in bad + [40.0, None]]
+
+        for hierarchy in (False, True):
+            index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                                hierarchy=hierarchy, seed=5).fit(base_data)
+            with IndexRuntime(index) as runtime:
+                answers = _serve(runtime, client)
+            for status, _, body in answers[:len(bad)]:
+                assert status == 400
+                assert "hierarchy_threshold" in body["error"]
+            assert [status for status, _, _ in answers[len(bad):]] == [
+                200, 200]
 
     def test_insert_on_served_bilevel_index(self, base_data):
         """``/insert`` on a Bi-level index: 200 without ids, 400 with.
@@ -1606,7 +1579,7 @@ class TestShardPoolRuntime:
             assert not {"worker_pids", "executor_stale",
                         "shard_workers"} & set(payload)
             response = runtime.submit(QueryRequest(queries=queries, k=5))
-            # ``"median"`` included: the shards are the index's own.
+            # The fitted threshold included: the shards are the index's own.
             want = index.query_batch(queries, 5, max_batch_rows=5)
             _assert_response_equals_tuple(response, want)
         # After close submits are refused.

@@ -134,7 +134,7 @@ class TestHierarchy:
         idx = StandardLSH(bucket_width=2.0, n_tables=3, hierarchy=True,
                           seed=12).fit(gaussian_data)
         _, _, stats = idx.query_batch(gaussian_queries, 5)
-        # Some queries fall below the median and escalate.
+        # Some queries fall below the fitted median and escalate.
         assert stats.escalated.any()
 
     def test_hierarchy_raises_thin_queries(self, gaussian_data, gaussian_queries):

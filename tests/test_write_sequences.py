@@ -3,20 +3,30 @@ oracle (a bounded hypothesis state machine).
 
 Operations: small inserts, a batch insert that crosses the overlay
 trigger (``REBUILD_FRACTION``, which folds inline with ``compact()``),
-deletes, explicit ``compact()`` and queries.  After every query:
+deletes, explicit ``compact()``, a save → load and a crash → recover
+of the index, and queries.  After every query:
 
 - no tombstoned id is returned;
 - every returned distance is the true distance to that id's point;
 - every live inserted point returns itself at distance 0;
+- the batch split in two answers as it did whole;
 - for an index without a hierarchy, ``compact()`` leaves every answer
   as it was (a hierarchical index escalates over windows the fold
-  reshapes, so only the first three hold there).
+  reshapes, so only the first four hold there).
+
+After a ``compact()``, the escalation thresholds a hierarchical index
+fitted are the ones a save → ``load_index`` and a crash →
+``IndexRuntime.open`` (snapshot + WAL replay, then the same fold) fit
+again.
 
 Three configurations: ``StandardLSH`` over ``Z^M`` with 8 probes,
 ``Z^M`` with the Morton hierarchy, and ``BiLevelLSH`` over ``E8`` with
-the hierarchy; the hierarchical ones query with an integer threshold,
-so an answer does not depend on its batch.
+the hierarchy; none pins a threshold.
 """
+
+import os
+import shutil
+import tempfile
 
 import numpy as np
 from hypothesis import settings
@@ -27,8 +37,11 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH
+from repro.maintenance import WriteAheadLog, checkpoint
+from repro.persistence import load_index, save_index
+from repro.runtime import IndexRuntime
 
-N_FIT, DIM, K, THRESHOLD = 120, 8, 5, 12
+N_FIT, DIM, K = 120, 8, 5
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
@@ -46,15 +59,26 @@ class WriteSequence(RuleBasedStateMachine):
         rng = np.random.default_rng([seed, 0])
         data = rng.standard_normal((N_FIT, DIM))
         self.index = self.make().fit(data)
+        # Every write is logged from a snapshot of the fit on: what a
+        # crash leaves to recover from.
+        self.workdir = tempfile.mkdtemp(prefix="write-sequence-")
+        self.snapshot = os.path.join(self.workdir, "snap.npz")
+        self.wal = WriteAheadLog(os.path.join(self.workdir, "wal.bin"),
+                                 fsync="none")
+        self.index.attach_wal(self.wal)
+        checkpoint(self.index, self.wal, self.snapshot)
         self.points = dict(enumerate(data))
         self.live = set(self.points)
         self.inserted = set()
         self.probe = rng.standard_normal((16, DIM))
 
+    def teardown(self):
+        wal = getattr(self, "wal", None)
+        if wal is not None:
+            wal.close()
+            shutil.rmtree(self.workdir, ignore_errors=True)
+
     def _query(self, queries):
-        if self.hierarchical:
-            return self.index.query_batch(queries, K,
-                                          hierarchy_threshold=THRESHOLD)
         return self.index.query_batch(queries, K)
 
     def _insert(self, seed, m):
@@ -97,6 +121,19 @@ class WriteSequence(RuleBasedStateMachine):
             np.testing.assert_array_equal(after[0], before[0])
             np.testing.assert_array_equal(after[1], before[1])
 
+    @rule()
+    def restore(self):
+        self.index.compact()
+        want = thresholds(self.index)
+        path = os.path.join(self.workdir, "saved.npz")
+        save_index(self.index, path)
+        loaded = load_index(path)
+        assert thresholds(loaded) == want
+        with IndexRuntime.open(self.snapshot,
+                               wal_path=self.wal.path) as runtime:
+            runtime.index.compact()
+            assert thresholds(runtime.index) == want
+
     @rule(seed=seeds)
     def query(self, seed):
         rng = np.random.default_rng([seed, 2])
@@ -106,7 +143,14 @@ class WriteSequence(RuleBasedStateMachine):
             picks = rng.choice(len(live), min(4, len(live)), replace=False)
             queries = np.vstack([queries] + [
                 self.points[live[i]][None] + 0.01 for i in picks])
-        self._check(queries, *self._query(queries)[:2])
+        whole = fields(self._query(queries))
+        self._check(queries, *whole[:2])
+        # No threshold is pinned, yet the halves answer as the whole.
+        half = queries.shape[0] // 2
+        halves = [fields(self._query(part))
+                  for part in (queries[:half], queries[half:])]
+        for got, *parts in zip(whole, *halves):
+            assert np.concatenate(parts).tobytes() == got.tobytes()
 
     def _check(self, queries, ids, dists):
         for q, row_ids, row_dists in zip(queries, ids, dists):
@@ -127,6 +171,19 @@ class WriteSequence(RuleBasedStateMachine):
         ids, dists = self._query(queries)[:2]
         np.testing.assert_array_equal(ids[:, 0], live)
         assert (dists[:, 0] == 0.0).all()
+
+
+def fields(result):
+    """A ``query_batch`` result as arrays: ids, distances, escalation,
+    candidate counts — what a split of the batch must keep."""
+    ids, dists, stats = result
+    return ids, dists, stats.escalated, stats.n_candidates
+
+
+def thresholds(index):
+    """The fitted escalation threshold of each of ``index``'s members."""
+    groups = getattr(index, "group_indexes", [index])
+    return [group.escalation_threshold for group in groups]
 
 
 class ZMProbes(WriteSequence):
