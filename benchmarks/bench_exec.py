@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """Sharded vs unsharded execution-core benchmark.
 
-``max_batch_rows`` (see ``repro.exec.run_plan``) is a bounded-memory
-knob: a large batch is split into contiguous row shards, each run
-through the same staged plan.  The knob is only honest if it is close
+The executor (``repro.exec.executor``) splits a batch of more than
+``SHARD_LOOKUP_ROWS`` lookup rows (query rows x tables x (1 + probes) x
+spill) into contiguous row shards, each run through the same staged
+plan, to bound its scratch memory.  No batch here comes near that
+bound, so the sharded leg lowers the constant until the batch runs in
+``--max-batch-rows``-row shards.  Sharding is only honest if it is close
 to free — this benchmark times the sharded and unsharded paths
 interleaved (round-robin, so machine-state drift hits both equally) for
 the StandardLSH and BiLevelLSH front-ends and fails loudly when
@@ -58,7 +61,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from conftest import interleaved_times, latency_row
+from conftest import interleaved_times, latency_row, shard_rows
 
 from repro import obs
 from repro.core.bilevel import BiLevelLSH
@@ -105,13 +108,18 @@ def bench_pair(method, workload, runs, extras, rounds):
     return rows, ratio, ids_match and dists_match
 
 
+def sharded_batch(index, queries, k, max_batch_rows):
+    """One batch with the executor's shards set to ``max_batch_rows``."""
+    with shard_rows(index, max_batch_rows):
+        return index.query_batch(queries, k)
+
+
 def bench_front_end(name, index, workload, k, max_batch_rows, rounds):
     """Unsharded vs inline-sharded timing of one fitted index."""
     queries = workload.queries
     return bench_pair(name, workload, {
         "unsharded": lambda: index.query_batch(queries, k),
-        "sharded": lambda: index.query_batch(
-            queries, k, max_batch_rows=max_batch_rows),
+        "sharded": lambda: sharded_batch(index, queries, k, max_batch_rows),
     }, {"unsharded": {"max_batch_rows": None},
         "sharded": {"max_batch_rows": max_batch_rows}}, rounds)
 
@@ -143,7 +151,7 @@ def instrumented_snapshot(index, queries, k, max_batch_rows):
     registry = MetricsRegistry()
     obs.enable(registry=registry)
     try:
-        index.query_batch(queries, k, max_batch_rows=max_batch_rows)
+        sharded_batch(index, queries, k, max_batch_rows)
     finally:
         obs.disable()
     return obs.full_snapshot(registry)
@@ -158,8 +166,9 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=None,
                         help="interleaved timing rounds per front-end")
     parser.add_argument("--max-batch-rows", type=int, default=None,
-                        help="shard size (default: n_queries // 4, "
-                             "// 2 under --quick)")
+                        help="rows per shard of the sharded leg, set "
+                             "through the executor's SHARD_LOOKUP_ROWS "
+                             "(default: n_queries // 4, // 2 under --quick)")
     parser.add_argument("--min-ratio", type=float, default=0.95,
                         help="minimum sharded/unsharded throughput ratio")
     parser.add_argument("--threads", type=int, default=2,

@@ -53,7 +53,7 @@ import platform
 import sys
 from pathlib import Path
 
-from conftest import interleaved_times
+from conftest import interleaved_times, shard_rows
 
 from repro import obs
 from repro.analysis import sanitizer
@@ -240,7 +240,8 @@ def main(argv=None):
         obs.enable(registry=MetricsRegistry(), trace_sample_rate=1.0)
         try:
             n_slice = min(64, scale.n_queries)
-            index.query_batch(queries[:n_slice], k, max_batch_rows=16)
+            with shard_rows(index, 16):
+                index.query_batch(queries[:n_slice], k)
             traces = obs.recent_traces()
         finally:
             obs.disable()

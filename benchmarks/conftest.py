@@ -18,14 +18,16 @@ under ``src/repro`` is barred from raw ``time.perf_counter()`` reads by
 invariant R6; benchmarks time from the outside, here.
 """
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 import pytest
 
+from repro.exec import executor
 from repro.experiments.workloads import Scale
 
 
@@ -130,6 +132,20 @@ def latency_row(timing: TimingResult, n_queries: int,
     if extra:
         row.update(extra)
     return row
+
+
+@contextlib.contextmanager
+def shard_rows(index: Any, rows: int) -> Iterator[None]:
+    """Inside, ``index``'s batches run in shards of ``rows`` query rows:
+    the executor's ``SHARD_LOOKUP_ROWS`` set to ``rows`` of the plan's
+    lookup rows, and restored on exit."""
+    saved = executor.SHARD_LOOKUP_ROWS
+    executor.SHARD_LOOKUP_ROWS = (
+        rows * index.execution_plan().lookups_per_row())
+    try:
+        yield
+    finally:
+        executor.SHARD_LOOKUP_ROWS = saved
 
 
 def _selected_scale() -> Scale:

@@ -96,8 +96,8 @@ def _resolve_config(args: argparse.Namespace) -> "Optional[object]":
     """Shared CLI option resolution (``query``/``serve``).
 
     One seam — :meth:`repro.runtime.RuntimeConfig.from_args` — interprets
-    ``--deadline-ms`` / ``--resilient`` / ``--max-batch-rows`` (and the
-    serving knobs) for both subcommands, so
+    ``--deadline-ms`` / ``--resilient`` (and the serving knobs) for both
+    subcommands, so
     their defaults cannot drift apart.  Returns ``None`` after printing
     to stderr on an invalid option (callers exit 2).
     """
@@ -454,10 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run under a default ResiliencePolicy: a failing "
                         "table or group degrades its rows, flagged and "
                         "reported, instead of crashing the batch")
-    p.add_argument("--max-batch-rows", type=int, default=None,
-                   help="bounded-memory sharding: split the batch into "
-                        "shards of at most this many queries (results are "
-                        "bit-identical to the unsharded run)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("info", help="inspect a saved index")
@@ -534,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "deadline_ms overrides it")
     p.add_argument("--resilient", action="store_true",
                    help="serve under a default ResiliencePolicy")
-    p.add_argument("--max-batch-rows", type=int, default=None,
-                   help="bounded-memory sharding inside each executed batch")
     p.add_argument("--batch-max-rows", type=int, default=256,
                    help="cap on the rows of one merged batch; requests "
                         "queued beyond it run in the next batch")

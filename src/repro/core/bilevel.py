@@ -337,7 +337,6 @@ class BiLevelLSH:
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
                     policy: Optional[ResiliencePolicy] = None,
-                    max_batch_rows: Optional[int] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch; see :meth:`StandardLSH.query_batch`.
 
@@ -348,15 +347,11 @@ class BiLevelLSH:
         group's fitted ``escalation_threshold``.  Under
         a policy a group whose fault site fires is answered by an exact
         scan of its live rows, its queries flagged degraded.
-        ``max_batch_rows`` defaults to ``config.max_batch_rows``.
         """
         self._check_fitted()
-        if max_batch_rows is None:
-            max_batch_rows = self.config.max_batch_rows
         return run_plan(self.execution_plan(hierarchy_threshold, engine),
                         queries, k, deadline_ms=deadline_ms,
-                        deadline=deadline, policy=policy,
-                        max_batch_rows=max_batch_rows)
+                        deadline=deadline, policy=policy)
 
     def execution_plan(self, hierarchy_threshold: Optional[int] = None,
                        engine: Optional[str] = None) -> QueryPlan:
@@ -406,6 +401,12 @@ class _BiLevelPlan(_LSHPlan):
 
     def stages(self) -> Tuple[Stage, ...]:
         return (Stage("bilevel.route", self._stage_route),) + super().stages()
+
+    def lookups_per_row(self) -> int:
+        # Every group is built from the one config: same tables, probes.
+        groups = self.index.group_indexes
+        spill = min(self.index.config.multi_assign, len(groups))
+        return spill * self._route_lookups(groups[0])
 
     def _stage_route(self, ctx: ExecutionContext) -> None:
         index = self.index

@@ -63,13 +63,6 @@ class BiLevelConfig:
     tuner_sample_size / tuner_k:
         Sample size and neighborhood size for the collision model.
 
-    max_batch_rows:
-        Bounded-memory batch sharding: query batches larger than this are
-        split into contiguous shards executed through the same plan by
-        :func:`repro.exec.run_plan`, capping peak scratch memory.
-        Results are bit-identical to the unsharded run.  ``None``
-        (default) disables sharding; an explicit
-        ``query_batch(max_batch_rows=...)`` overrides it.
     seed:
         Master seed; all internal randomness derives from it.
     tree_seed:
@@ -96,13 +89,10 @@ class BiLevelConfig:
     target_recall: float = 0.9
     tuner_sample_size: int = 200
     tuner_k: int = 10
-    max_batch_rows: Optional[int] = None
     seed: Optional[int] = None
     tree_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_batch_rows is not None:
-            check_positive(self.max_batch_rows, "max_batch_rows")
         check_positive(self.n_groups, "n_groups")
         check_positive(self.multi_assign, "multi_assign")
         check_positive(self.n_hashes, "n_hashes")

@@ -110,9 +110,6 @@ class ExecutionContext:
     escalated: np.ndarray
     degraded: Optional[np.ndarray] = None
     exhausted: Optional[np.ndarray] = None
-    #: Rows per executed shard (``None`` = unbounded); the executor
-    #: slices by it.
-    max_batch_rows: Optional[int] = None
     failures: List[FailureRecord] = field(default_factory=list)
     scratch: Dict[str, object] = field(default_factory=dict)
 
@@ -122,7 +119,6 @@ class ExecutionContext:
                   deadline: "Optional[Deadline]" = None,
                   policy: "Optional[ResiliencePolicy]" = None,
                   fault_plan: "Optional[FaultPlan]" = None,
-                  max_batch_rows: Optional[int] = None,
                   timer: "Optional[StageTimer]" = None,
                   ) -> "ExecutionContext":
         """Build a context with padded outputs for ``queries`` x ``k``;
@@ -135,7 +131,7 @@ class ExecutionContext:
             queries=queries, k=int(k), nq=nq, ob=ob,
             timer=timer if timer is not None else StageTimer(ob),
             deadline=deadline, policy=policy,
-            fault_plan=fault_plan, max_batch_rows=max_batch_rows,
+            fault_plan=fault_plan,
             ids_out=np.full((nq, int(k)), -1, dtype=np.int64),
             dists_out=np.full((nq, int(k)), np.inf, dtype=np.float64),
             n_candidates=np.zeros(nq, dtype=np.int64),
@@ -148,8 +144,7 @@ class ExecutionContext:
         lapped so far, so its traces open with ``<site>.validate``."""
         sub = ExecutionContext.for_batch(
             self.queries[rows], self.k, ob=self.ob, deadline=self.deadline,
-            policy=self.policy, fault_plan=self.fault_plan,
-            max_batch_rows=self.max_batch_rows)
+            policy=self.policy, fault_plan=self.fault_plan)
         sub.timer.stages.update(self.timer.stages)
         return sub
 

@@ -11,13 +11,14 @@ shards, non-finite rows set aside — folding every sub-result back with
 :meth:`~repro.exec.context.ExecutionContext.absorb`.  Front-ends
 contribute only a :class:`~repro.exec.plan.QueryPlan`.
 
-**Batch sharding**: ``max_batch_rows`` splits a large batch into
-contiguous row shards, each executed through the same plan with the
-same absolute deadline and resilience handles.  Results are
-bit-identical to the unsharded run (stages are row-independent: even
-the escalation threshold is the index's, not the batch's), while peak
-intermediate memory — the gather/rank scratch, which scales with rows
-per call — is capped.
+**Batch sharding**: the gather/rank scratch grows with *lookup* rows
+(query rows × tables × (1 + probes) × spill, what
+:meth:`~repro.exec.plan.QueryPlan.lookups_per_row` counts), so a batch
+of more than :data:`SHARD_LOOKUP_ROWS` lookup rows runs as contiguous
+row shards, each through the same plan with the same absolute deadline
+and resilience handles.  Results are bit-identical to the unsharded run
+(stages are row-independent: even the escalation threshold is the
+index's, not the batch's), while peak scratch memory is capped.
 """
 
 from __future__ import annotations
@@ -34,22 +35,23 @@ from repro.resilience.errors import QueryValidationError
 from repro.resilience.faults import faults_active
 from repro.resilience.policy import ResiliencePolicy
 
+#: Lookup rows one shard may gather.  Scratch runs ≈ 125–180 B per lookup
+#: row (more the larger the call), so a shard holds ≈ 130 MiB of it; no
+#: batch under this many lookup rows shards.
+SHARD_LOOKUP_ROWS = 1 << 20
+
 
 def run_plan(plan: QueryPlan, queries: object, k: int, *,
              deadline_ms: Optional[float] = None,
              deadline: Optional[Deadline] = None,
              policy: Optional[ResiliencePolicy] = None,
-             max_batch_rows: Optional[int] = None,
              ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Execute ``plan`` over a query batch; the single front-end entry.
 
     Resolution order (identical for every front-end): plan validation
     (non-finite rows tolerated only under ``policy``); explicit
-    ``deadline`` else one built from ``deadline_ms``.  ``max_batch_rows``
-    bounds rows per executed shard — results are bit-identical to
-    unsharded execution, the deadline is one absolute expiry shared by
-    all shards, and shards past an expired deadline return padded
-    answers flagged ``exhausted_budget`` without running their stages.
+    ``deadline`` else one built from ``deadline_ms``.  The deadline is
+    one absolute expiry shared by all of :func:`run_validated`'s shards.
     Shards run in turn; the kernels use P threads (DESIGN.md §12).
     """
     ob = obs.active()
@@ -63,17 +65,9 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     timer.lap(f"{plan.site}.validate")
     if deadline is None:
         deadline = Deadline.from_ms(deadline_ms)
-    if max_batch_rows is not None:
-        if not isinstance(max_batch_rows, (int, np.integer)) \
-                or isinstance(max_batch_rows, bool) or max_batch_rows <= 0:
-            raise QueryValidationError(
-                f"max_batch_rows must be a positive int or None, "
-                f"got {max_batch_rows!r}", field="max_batch_rows")
-        max_batch_rows = int(max_batch_rows)
     ctx = ExecutionContext.for_batch(
         arr, k, ob=ob, deadline=deadline, policy=policy,
-        fault_plan=faults_active(), max_batch_rows=max_batch_rows,
-        timer=timer)
+        fault_plan=faults_active(), timer=timer)
     return run_validated(plan, ctx, finite_row)
 
 
@@ -87,9 +81,10 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
     pinned) enter here.
     One of three things happens to the rows:
 
-    - more than ``ctx.max_batch_rows``: shard by shard, in turn, a
-      shard whose turn comes after the deadline keeping its padded rows,
-      flagged ``exhausted_budget``;
+    - more than :data:`SHARD_LOOKUP_ROWS` lookup rows: shard by shard,
+      in turn, each shard as many rows as fit, a shard whose turn comes
+      after the deadline keeping its padded rows, flagged
+      ``exhausted_budget``;
     - some flagged non-finite by validation (``finite_row``; only under
       a policy): those get padding, ``degraded=True`` and one
       FailureRecord, the finite rows run;
@@ -101,8 +96,8 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
     nq, ob, deadline = ctx.nq, ctx.ob, ctx.deadline
     if deadline is not None:
         ctx.ensure_exhausted()  # a budget always materializes its mask
-    bound = ctx.max_batch_rows
-    if bound is not None and bound < nq:
+    bound = max(1, SHARD_LOOKUP_ROWS // plan.lookups_per_row())
+    if bound < nq:
         for start in range(0, nq, bound):
             rows = slice(start, min(start + bound, nq))
             if deadline is not None and deadline.expired():

@@ -108,5 +108,10 @@ class QueryPlan:
         """The ordered stages for one validated shard."""
         raise NotImplementedError
 
+    def lookups_per_row(self) -> int:
+        """Bucket lookups one query row costs, the unit the executor
+        sizes its shards in; a plan that looks nothing up counts 1."""
+        return 1
+
     def record_obs(self, ctx: ExecutionContext) -> None:
         """Batch-level telemetry; called only when an Observer is active."""

@@ -695,13 +695,13 @@ class StandardLSH:
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
                     policy: Optional[ResiliencePolicy] = None,
-                    max_batch_rows: Optional[int] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch of queries.
 
         Feeds :meth:`execution_plan` to :func:`repro.exec.run_plan`;
         validation, deadline construction, policy resolution, stage
-        timing and batch sharding all live in the execution core.
+        timing and batch sharding (sized by the executor from the
+        plan's lookups per row) all live in the execution core.
 
         The whole batch runs array-at-a-time through the kernel table
         :func:`repro.native.load_kernels` resolved (compiled when a C
@@ -737,10 +737,6 @@ class StandardLSH:
             a :class:`~repro.resilience.policy.FailureRecord` kept,
             instead of crashing the batch.  Query rows containing NaN/Inf
             also get flagged-degraded empty results instead of raising.
-        max_batch_rows:
-            Optional bound on rows executed per shard: large batches are
-            split into contiguous shards run through the same plan, with
-            bit-identical results and bounded peak scratch memory.
 
         Returns
         -------
@@ -753,8 +749,7 @@ class StandardLSH:
         self._check_fitted()
         return run_plan(self.execution_plan(hierarchy_threshold, engine),
                         queries, k, deadline_ms=deadline_ms,
-                        deadline=deadline, policy=policy,
-                        max_batch_rows=max_batch_rows)
+                        deadline=deadline, policy=policy)
 
     def execution_plan(self, hierarchy_threshold: Optional[int] = None,
                        engine: Optional[str] = None) -> QueryPlan:
@@ -872,6 +867,18 @@ class _LSHPlan(QueryPlan):
             stages.append(Stage("lsh.escalate", self._stage_escalate))
         stages.append(Stage("lsh.rank", self._stage_rank))
         return tuple(stages)
+
+    def lookups_per_row(self) -> int:
+        return self._route_lookups(self.index)
+
+    @staticmethod
+    def _route_lookups(index: StandardLSH) -> int:
+        """Lookup rows one routed query row costs ``index``: per table,
+        its own bucket and its probes (``E8`` has 240 per block)."""
+        probes = index.n_probes
+        if isinstance(index._lattice, E8Lattice):
+            probes = min(probes, 240 * index._lattice.n_blocks)
+        return index.n_tables * (1 + probes)
 
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw per-query candidate ids: the plan's stages up to and

@@ -220,7 +220,7 @@ class Observer:
                     reason=reason).inc(n_queries)
 
     def record_shards(self, site: str, n_shards: int) -> None:
-        """Shard count of one sharded (``max_batch_rows``) batch."""
+        """Shard count of one batch the executor split."""
         self.registry.counter(
             EXEC_SHARDS_TOTAL,
             "Shards executed by bounded-memory query batches, "

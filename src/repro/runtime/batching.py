@@ -114,7 +114,6 @@ def merge_key(request: QueryRequest, *,
         int(request.k),
         request.hierarchy_threshold,
         id(request.policy) if request.policy is not None else None,
-        request.max_batch_rows,
         deadline_bucket,
     )
 

@@ -106,6 +106,23 @@ class _HTTPError(Exception):
         self.status = status
 
 
+def _json_int(value: object, field: str) -> int:
+    """A JSON integer: an int or an integral float (``10.0``); a bool, a
+    fraction or anything else answers 400 naming ``field``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _HTTPError(400, f"{field} must be an integer, got {value!r}")
+
+
+def _json_ids(value: object) -> np.ndarray:
+    """A JSON list of ids (or one id), each checked by :func:`_json_int`."""
+    items = value if isinstance(value, list) else [value]
+    return np.array([_json_int(item, "ids") for item in items],
+                    dtype=np.int64)
+
+
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed",
                 431: "Request Header Fields Too Large",
@@ -397,21 +414,23 @@ class RuntimeServer:
         queries = np.asarray(payload["queries"], dtype=np.float64)
         if queries.ndim == 1:
             queries = queries[np.newaxis, :]
-        k = int(payload.get("k", 10))  # type: ignore[arg-type]
+        k = _json_int(payload.get("k", 10), "k")
         deadline_ms = payload.get("deadline_ms")
+        if deadline_ms is not None and (
+                isinstance(deadline_ms, bool)
+                or not isinstance(deadline_ms, (int, float))):
+            raise _HTTPError(
+                400, f"deadline_ms must be a number, got {deadline_ms!r}")
         threshold = payload.get("hierarchy_threshold")
-        if isinstance(threshold, float) and threshold.is_integer():
-            threshold = int(threshold)
-        max_rows = payload.get("max_batch_rows")
+        if threshold is not None:
+            threshold = _json_int(threshold, "hierarchy_threshold")
         # Inert body key (see check_legacy_engine): name-checked, dropped.
         check_legacy_engine(payload.get("engine"))  # type: ignore[arg-type]
         request = QueryRequest(
             queries=queries, k=k,
             hierarchy_threshold=check_hierarchy_threshold(threshold),
-            deadline_ms=(float(deadline_ms)  # type: ignore[arg-type]
-                         if deadline_ms is not None else None),
-            max_batch_rows=(int(max_rows)  # type: ignore[arg-type]
-                            if max_rows is not None else None))
+            deadline_ms=(float(deadline_ms)
+                         if deadline_ms is not None else None))
         # Resolved at the door: session defaults filled in and the budget
         # clock — the request's or the session's — started at arrival, so
         # the admission and batch queue waits both count against it and
@@ -441,8 +460,7 @@ class RuntimeServer:
         if points.ndim == 1:
             points = points[np.newaxis, :]
         ids_field = payload.get("ids")
-        ids = (np.asarray(ids_field, dtype=np.int64)
-               if ids_field is not None else None)
+        ids = _json_ids(ids_field) if ids_field is not None else None
         loop = asyncio.get_running_loop()
         async with self._write_gate:
             assigned = await loop.run_in_executor(
@@ -455,7 +473,7 @@ class RuntimeServer:
         self._count("delete")
         if "ids" not in payload:
             raise _HTTPError(400, "missing field: ids")
-        ids = np.asarray(payload["ids"], dtype=np.int64)
+        ids = _json_ids(payload["ids"])
         loop = asyncio.get_running_loop()
         async with self._write_gate:
             removed = await loop.run_in_executor(

@@ -7,7 +7,7 @@ session defaults for those options, an owner for the WAL wiring and
 the obs registry, and one place where a request meets the defaults:
 
 - :class:`RuntimeConfig` — the execution defaults of a process
-  (deadline, policy, ``max_batch_rows``, micro-batch size cap,
+  (deadline, policy, micro-batch size cap,
   admission depth), with :meth:`RuntimeConfig.from_args` as the one CLI
   argument-resolution seam shared by ``query``/``serve``;
 - :class:`QueryRequest` / :class:`QueryResponse` — what one caller
@@ -76,8 +76,6 @@ class RuntimeConfig:
     policy:
         Default :class:`~repro.resilience.policy.ResiliencePolicy`
         (``None``: faults propagate and non-finite rows are rejected).
-    max_batch_rows:
-        Default bounded-memory shard size; shards run in turn.
     batch_max_rows:
         Cap on the query rows of one merged batch in the serving layer
         (:class:`repro.runtime.batching.MicroBatcher`): requests queued
@@ -91,7 +89,6 @@ class RuntimeConfig:
     engine: InitVar[Optional[str]] = None
     deadline_ms: Optional[float] = None
     policy: Optional[ResiliencePolicy] = None
-    max_batch_rows: Optional[int] = None
     batch_max_rows: int = 256
     max_queue_depth: int = 64
 
@@ -100,9 +97,6 @@ class RuntimeConfig:
         if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise ValueError(
                 f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.max_batch_rows is not None and self.max_batch_rows <= 0:
-            raise ValueError(
-                f"max_batch_rows must be positive, got {self.max_batch_rows}")
         if self.batch_max_rows <= 0:
             raise ValueError(
                 f"batch_max_rows must be positive, got {self.batch_max_rows}")
@@ -114,8 +108,8 @@ class RuntimeConfig:
     def from_args(cls, args: argparse.Namespace) -> "RuntimeConfig":
         """Resolve a config from parsed CLI arguments.
 
-        The one place ``--deadline-ms`` / ``--resilient`` /
-        ``--max-batch-rows`` (and the serving knobs) are interpreted,
+        The one place ``--deadline-ms`` / ``--resilient`` (and the
+        serving knobs) are interpreted,
         shared by ``cmd_query`` and ``cmd_serve`` so their defaults
         cannot diverge.  Missing attributes fall back
         to the dataclass defaults, so one parser does not need every
@@ -129,7 +123,6 @@ class RuntimeConfig:
             engine=getattr(args, "engine", None),
             deadline_ms=getattr(args, "deadline_ms", None),
             policy=policy,
-            max_batch_rows=getattr(args, "max_batch_rows", None),
             batch_max_rows=int(getattr(args, "batch_max_rows", 256)),
             max_queue_depth=int(getattr(args, "max_queue_depth", 64)),
         )
@@ -154,7 +147,6 @@ class QueryRequest:
     deadline_ms: Optional[float] = None
     deadline: Optional[Deadline] = None
     policy: Optional[ResiliencePolicy] = None
-    max_batch_rows: Optional[int] = None
 
     def with_deadline_started(self) -> "QueryRequest":
         """Materialize ``deadline_ms`` into an absolute expiry now.
@@ -345,8 +337,6 @@ class IndexRuntime:
             fill["deadline_ms"] = cfg.deadline_ms
         if request.policy is None and cfg.policy is not None:
             fill["policy"] = cfg.policy
-        if request.max_batch_rows is None and cfg.max_batch_rows is not None:
-            fill["max_batch_rows"] = cfg.max_batch_rows
         if fill:
             request = replace(request, **fill)  # type: ignore[arg-type]
         return request.with_deadline_started()
@@ -356,7 +346,7 @@ class IndexRuntime:
 
         The resolved request goes field for field onto
         :func:`repro.exec.run_plan` over the live index, so the answer is
-        ``index.query_batch``'s at the same ``max_batch_rows`` and a read
+        ``index.query_batch``'s and a read
         sees every write acknowledged before it.
         """
         if self._closed:
@@ -366,7 +356,7 @@ class IndexRuntime:
             request.hierarchy_threshold)
         ids, dists, stats = run_plan(
             plan, request.queries, request.k, deadline=request.deadline,
-            policy=request.policy, max_batch_rows=request.max_batch_rows)
+            policy=request.policy)
         return QueryResponse(ids=ids, distances=dists, stats=stats)
 
     def query_batch(self, queries: np.ndarray, k: int,

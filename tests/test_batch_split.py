@@ -4,7 +4,8 @@ byte for byte as the whole batch does.
 A hierarchy index escalates a query whose base short-list is smaller
 than the index's fitted ``escalation_threshold`` (one per Bi-level
 group), not a median of whatever rows ran beside it.  So running a
-batch as sub-batches, or sharded by ``max_batch_rows``, leaves every
+batch as sub-batches, or in the executor's shards (their size patched
+down by ``tests.shards.shard_rows``), leaves every
 id, distance, ``escalated`` flag and candidate count as it was — on
 ``Z^M`` and ``E8``, a ``StandardLSH`` and a ``BiLevelLSH`` routing each
 row to one group or two, with no threshold pinned.
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH
+from tests.shards import shard_rows
 
 N, DIM, K, MAX_QUERIES = 600, 16, 5, 40
 
@@ -81,7 +83,8 @@ def test_any_split_answers_as_the_whole_batch(config, seed, n, cuts, rows):
     index = build(config)
     queries = batch(seed, n)
     want = [a.tobytes() for a in fields(index.query_batch(queries, K))]
-    sharded = index.query_batch(queries, K, max_batch_rows=rows)
+    with shard_rows(index, rows):
+        sharded = index.query_batch(queries, K)
     assert [a.tobytes() for a in fields(sharded)] == want
     bounds = [0] + sorted({c for c in cuts if c < n}) + [n]
     pieces = [fields(index.query_batch(queries[a:b], K))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.exec import executor
 from tests.threads import THREADS, native_threads
 
 
@@ -63,8 +64,8 @@ class TestBuildQueryInfo:
     def test_native_threads_change_no_answer(self, tmp_path, feature_file,
                                              query_file):
         # Same answers at every P, for a standard index and for a
-        # bi-level one with an E8 hierarchy, sharded or not; the shard
-        # pool's --shard-workers flag is gone.
+        # bi-level one with an E8 hierarchy, in one-row shards or not;
+        # the --shard-workers and --max-batch-rows flags are gone.
         std_path = str(tmp_path / "std.npz")
         assert main(["build", feature_file, std_path,
                      "--index-type", "standard", "--width", "8.0",
@@ -75,19 +76,26 @@ class TestBuildQueryInfo:
                      "--hierarchy", "--seed", "2"]) == 0
         for index_path in (std_path, bilevel_path):
             outputs = []
-            for p, rows in zip(THREADS, ([], ["--max-batch-rows", "7"],
-                                         ["--max-batch-rows", "7"])):
+            for p, sharded in zip(THREADS, (False, True, True)):
                 out = str(tmp_path / f"res{len(outputs)}.npz")
-                with native_threads(p):
+                with native_threads(p), pytest.MonkeyPatch.context() as mp:
+                    if sharded:
+                        mp.setattr(executor, "SHARD_LOOKUP_ROWS", 1)
                     assert main(["query", index_path, query_file, "-k",
-                                 "3", "--output", out] + rows) == 0
+                                 "3", "--output", out]) == 0
                 outputs.append(np.load(out))
             for key in ("ids", "distances", "n_candidates"):
                 assert outputs[0][key].tobytes() \
                     == outputs[1][key].tobytes() \
                     == outputs[2][key].tobytes()
-        with pytest.raises(SystemExit):
-            main(["query", std_path, query_file, "--shard-workers", "2"])
+        for retired in (["query", std_path, query_file, "--shard-workers",
+                         "2"],
+                        ["query", std_path, query_file, "--max-batch-rows",
+                         "7"],
+                        ["serve", std_path, "--max-batch-rows", "7"]):
+            with pytest.raises(SystemExit) as refused:
+                main(retired)
+            assert refused.value.code == 2
 
     def test_info_reports_structure(self, tmp_path, feature_file, capsys):
         index_path = str(tmp_path / "index.npz")
@@ -219,11 +227,13 @@ class TestResilienceCLI:
         assert not results["exhausted_budget"].any()
 
     def test_query_expired_deadline_flags_everything(self, index_file,
-                                                     query_file, capsys):
-        # The budget is checked between shards: every shard starts late.
+                                                     query_file, capsys,
+                                                     monkeypatch):
+        # The budget is checked between shards: every one-row shard
+        # starts late.
+        monkeypatch.setattr(executor, "SHARD_LOOKUP_ROWS", 1)
         rc = main(["query", index_file, query_file, "-k", "5",
-                   "--deadline-ms", "0.000001", "--max-batch-rows", "2",
-                   "--show", "0"])
+                   "--deadline-ms", "0.000001", "--show", "0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "budget-exhausted" in out

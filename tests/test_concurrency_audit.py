@@ -33,7 +33,9 @@ from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable
 from repro.native import registry
 from repro.native.ref import tree_rowdot
-from repro.runtime import IndexRuntime, RuntimeConfig
+from repro.exec import executor
+from repro.runtime import IndexRuntime
+from tests.shards import shard_rows
 from tests.threads import native_threads
 
 pytestmark = pytest.mark.concurrency
@@ -53,10 +55,10 @@ class TestConcurrentQueries:
         queries = rng.standard_normal((20, 16))
         index = _bilevel(seed=0).fit(data)
         ids0, dists0, _ = index.query_batch(queries, 5)
-        # Half the batches ask the index, half a runtime that runs them
-        # as 3-row shards; the kernels run on two threads.
+        # Half the batches ask the index, half a runtime; every batch runs
+        # as 3-row shards and the kernels run on two threads.
         with native_threads(2), ThreadPoolExecutor(max_workers=8) as pool, \
-                IndexRuntime(index, RuntimeConfig(max_batch_rows=3)) as rt:
+                shard_rows(index, 3), IndexRuntime(index) as rt:
             futures = [pool.submit(ask, queries, 5)
                        for ask in [index.query_batch, rt.query_batch] * 8]
             for future in futures:
@@ -120,7 +122,7 @@ class TestSerialParity:
                      for i in range(2)]
 
         hammered = _bilevel(seed=trial).fit(base)
-        threaded = IndexRuntime(hammered, RuntimeConfig(max_batch_rows=3))
+        threaded = IndexRuntime(hammered)
         recorded = []
 
         def do_insert(block):
@@ -130,7 +132,8 @@ class TestSerialParity:
                [lambda d=d: hammered.delete(d) for d in deletions] +
                [lambda: threaded.query_batch(queries, 5)] * 2)
         order = rng.permutation(len(ops))
-        with ThreadPoolExecutor(max_workers=4) as pool, threaded:
+        with ThreadPoolExecutor(max_workers=4) as pool, threaded, \
+                shard_rows(hammered, 3):
             done, _ = wait([pool.submit(ops[i]) for i in order])
         for future in done:
             future.result()  # re-raise anything a thread swallowed
@@ -222,10 +225,12 @@ class TestInsertsRacingReads:
         index.query_batch(queries, 5)             # norms cached from here on
         calls = self._checked_union(monkeypatch)
         stop, errors = threading.Event(), []
-        # Half the readers ask the index, half a runtime that runs the
-        # same batch as 5-row shards: each shard takes its own
-        # layouts-then-row-count snapshot.
-        threaded = IndexRuntime(index, RuntimeConfig(max_batch_rows=5))
+        # Half the readers ask the index, half a runtime, every batch as
+        # 5-row shards: each shard takes its own layouts-then-row-count
+        # snapshot.
+        monkeypatch.setattr(executor, "SHARD_LOOKUP_ROWS",
+                            5 * index.execution_plan().lookups_per_row())
+        threaded = IndexRuntime(index)
 
         def reader(ask):
             try:

@@ -2,10 +2,12 @@
 
 The contract under test (see DESIGN.md "Execution core"):
 
-1. **Shard parity** — ``max_batch_rows`` is a memory knob, not a
-   semantics knob: for every front-end and supervision mode the sharded
-   batch is bit-identical to the unsharded one (and still the scalar
-   oracle's neighbours).
+1. **Shard parity** — the executor's shard size (``SHARD_LOOKUP_ROWS``
+   over the plan's lookups per row) bounds memory, not semantics: for
+   every front-end and supervision mode the sharded batch is
+   bit-identical to the unsharded one (and still the scalar oracle's
+   neighbours).  ``tests.shards.shard_rows`` patches the size down to
+   these small batches.
 2. **One deadline across shards** — the budget is a single absolute
    expiry; shards that start after it return padded answers flagged
    ``exhausted_budget`` while earlier shards stay untouched.
@@ -25,7 +27,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.runner import evaluate_index
-from repro.exec import ExecutionContext, QueryStats
+from repro.exec import ExecutionContext, QueryStats, executor
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import (
@@ -35,7 +37,8 @@ from repro.resilience import (
     ResiliencePolicy,
     injected_faults,
 )
-from repro.runtime import IndexRuntime, RuntimeConfig
+from repro.runtime import IndexRuntime
+from tests.shards import shard_rows
 from tests.threads import THREADS, native_threads
 
 N_QUERIES = 23  # deliberately not a multiple of any shard size below
@@ -85,7 +88,8 @@ class TestShardParity:
     def test_standard_lsh(self, standard, queries, rows, reference):
         # Against the unsharded plan bit for bit; against the scalar
         # oracle to its tolerance.
-        sharded = standard.query_batch(queries, K, max_batch_rows=rows)
+        with shard_rows(standard, rows):
+            sharded = standard.query_batch(queries, K)
         if reference == "vectorized":
             assert_same_results(standard.query_batch(queries, K), sharded)
         else:
@@ -106,8 +110,8 @@ class TestShardParity:
         if supervised:
             kwargs["policy"] = ResiliencePolicy()
         base = index.query_batch(queries, K, **kwargs)
-        sharded = index.query_batch(queries, K, max_batch_rows=rows,
-                                    **kwargs)
+        with shard_rows(index, rows):
+            sharded = index.query_batch(queries, K, **kwargs)
         assert base[2].escalated.any(), "threshold should escalate someone"
         assert_same_results(base, sharded)
 
@@ -120,39 +124,41 @@ class TestShardParity:
         if supervised:
             kwargs["policy"] = ResiliencePolicy()
         base = bilevel.query_batch(queries, K, **kwargs)
-        sharded = bilevel.query_batch(queries, K, max_batch_rows=rows,
-                                      **kwargs)
-        assert_same_results(base, sharded)
-        with native_threads(threads), IndexRuntime(
-                bilevel, RuntimeConfig(max_batch_rows=rows)) as rt:
-            assert_same_results(base, rt.query_batch(queries, K, **kwargs))
+        with shard_rows(bilevel, rows):
+            sharded = bilevel.query_batch(queries, K, **kwargs)
+            assert_same_results(base, sharded)
+            with native_threads(threads), IndexRuntime(bilevel) as rt:
+                assert_same_results(base,
+                                    rt.query_batch(queries, K, **kwargs))
 
     def test_config_default_is_used(self, dataset, queries):
-        # config.max_batch_rows shards every batch without the kwarg;
-        # the obs shard counter proves the split actually happened: the
-        # executor slices the batch, as for every other front-end.
-        rows = 3
-        cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=8.0,
-                            seed=5, max_batch_rows=rows)
-        index = BiLevelLSH(cfg).fit(dataset)
-        plain = BiLevelLSH(BiLevelConfig(
-            n_groups=4, n_tables=6, bucket_width=8.0, seed=5)).fit(dataset)
+        # The executor's default shards every batch with no option set:
+        # ``SHARD_LOOKUP_ROWS`` over the plan's lookups per row, here
+        # spill 2 x 6 tables x 5 own-and-probe buckets = 60 per row.  The
+        # obs shard counter proves the split actually happened.
+        index = BiLevelLSH(BiLevelConfig(
+            n_groups=4, n_tables=6, bucket_width=8.0, n_probes=4,
+            multi_assign=2, seed=5)).fit(dataset)
+        assert index.execution_plan().lookups_per_row() == 60
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         try:
-            sharded = index.query_batch(queries, K)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(executor, "SHARD_LOOKUP_ROWS", 200)
+                sharded = index.query_batch(queries, K)
         finally:
             obs.disable()
-        assert_same_results(plain.query_batch(queries, K), sharded)
+        assert_same_results(index.query_batch(queries, K), sharded)
         shard_counts = {dict(c.label_items)["site"]: c.value
                        for c in reg.get(obs.EXEC_SHARDS_TOTAL).children()}
-        assert shard_counts == {"bilevel": -(-N_QUERIES // rows)}
+        assert shard_counts == {"bilevel": -(-N_QUERIES // (200 // 60))}
 
     def test_record_shards_counter(self, standard, queries):
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         try:
-            standard.query_batch(queries, K, max_batch_rows=7)
+            with shard_rows(standard, 7):
+                standard.query_batch(queries, K)
             standard.query_batch(queries, K)  # unsharded: not counted
         finally:
             obs.disable()
@@ -162,18 +168,70 @@ class TestShardParity:
                 for c in counter.children()} == {"lsh"}
 
 
-class TestMaxBatchRowsValidation:
-    @pytest.mark.parametrize("bad", [0, -1, True, 2.5, "7"])
-    def test_rejects_non_positive_ints(self, standard, queries, bad):
-        with pytest.raises(QueryValidationError) as excinfo:
-            standard.query_batch(queries, K, max_batch_rows=bad)
-        assert excinfo.value.field == "max_batch_rows"
+def _count_shards(run):
+    """``run()`` under a fresh registry: ``(result, shards recorded)``."""
+    reg = MetricsRegistry()
+    obs.enable(registry=reg)
+    try:
+        result = run()
+    finally:
+        obs.disable()
+    counter = reg.get(obs.EXEC_SHARDS_TOTAL)
+    return result, 0 if counter is None else int(counter.total())
 
-    def test_numpy_integer_is_accepted(self, standard, queries):
-        base = standard.query_batch(queries, K)
-        sharded = standard.query_batch(queries, K,
-                                       max_batch_rows=np.int64(7))
-        assert_same_results(base, sharded)
+
+def _answer_bytes(result):
+    ids, dists, stats = result
+    return [ids.tobytes(), dists.tobytes(), stats.n_candidates.tobytes(),
+            stats.escalated.tobytes(), stats.exhausted_mask().tobytes()]
+
+
+class TestDerivedShardSize:
+    """With no option set, the executor shards a batch at
+    ``SHARD_LOOKUP_ROWS // plan.lookups_per_row()`` rows, where a row
+    costs tables x (1 + probes) x spill lookups: a lookup-heavy batch
+    splits, and no call shaped like an e2e workload does."""
+
+    def test_a_lookup_heavy_batch_shards_and_answers_alike(self, dataset):
+        # E8 probes at most 240 cells per block: 2 routes x 4 tables x
+        # (1 + 240) lookups per row.
+        index = BiLevelLSH(BiLevelConfig(
+            n_groups=4, n_tables=4, bucket_width=8.0, lattice="e8",
+            n_probes=300, hierarchy=True, multi_assign=2,
+            seed=5)).fit(dataset)
+        per_row = index.execution_plan().lookups_per_row()
+        assert per_row == 2 * 4 * 241
+        rows = executor.SHARD_LOOKUP_ROWS // per_row
+        queries = np.random.default_rng(9).standard_normal((rows + 17, DIM))
+        options = dict(deadline_ms=600_000.0)
+        sharded, n_shards = _count_shards(
+            lambda: index.query_batch(queries, K, **options))
+        assert n_shards == -(-queries.shape[0] // rows) == 2
+        assert sharded[2].escalated.any()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(executor, "SHARD_LOOKUP_ROWS",
+                          per_row * queries.shape[0])
+            whole, n_whole = _count_shards(
+                lambda: index.query_batch(queries, K, **options))
+        assert n_whole == 0
+        assert _answer_bytes(sharded) == _answer_bytes(whole)
+
+    @pytest.mark.parametrize("shape, n_rows, per_row", [
+        ("batch_plain", 2000, 10),          # Z^M, L = 10, spill 1
+        ("zm_32_probes", 50, 10 * 33),      # batch_adaptive's probe index
+        ("e8_hierarchy", 50, 10),           # batch_adaptive's hierarchy
+    ])
+    def test_e2e_shaped_calls_run_as_one_shard(self, dataset, shape, n_rows,
+                                               per_row):
+        options = {"zm_32_probes": dict(n_probes=32),
+                   "e8_hierarchy": dict(lattice="e8", hierarchy=True)}
+        index = BiLevelLSH(BiLevelConfig(
+            n_groups=4, n_tables=10, bucket_width=8.0, seed=5,
+            **options.get(shape, {}))).fit(dataset)
+        assert index.execution_plan().lookups_per_row() == per_row
+        queries = np.random.default_rng(10).standard_normal((n_rows, DIM))
+        _, n_shards = _count_shards(lambda: index.query_batch(queries, K))
+        assert n_shards == 0
 
 
 class TestHierarchyThresholdValidation:
@@ -226,9 +284,9 @@ class TestDeadlineAcrossShards:
         plan = FaultPlan([FaultSpec(site="lsh.gather", kind="delay",
                                     delay_ms=80.0, match={"table": 0},
                                     max_hits=1)], seed=3)
-        with injected_faults(plan):
+        with injected_faults(plan), shard_rows(standard, 8):
             ids, dists, stats = standard.query_batch(
-                queries, K, deadline_ms=25.0, max_batch_rows=8)
+                queries, K, deadline_ms=25.0)
         assert plan.hits()["lsh.gather"] == 1
         assert stats.exhausted_budget is not None
         assert not stats.exhausted_budget[:8].any()
@@ -241,8 +299,9 @@ class TestDeadlineAcrossShards:
 
     def test_generous_deadline_changes_nothing(self, standard, queries):
         base = standard.query_batch(queries, K)
-        ids, dists, stats = standard.query_batch(
-            queries, K, deadline_ms=60_000.0, max_batch_rows=7)
+        with shard_rows(standard, 7):
+            ids, dists, stats = standard.query_batch(
+                queries, K, deadline_ms=60_000.0)
         assert np.array_equal(ids, base[0])
         assert np.array_equal(dists, base[1])
         assert stats.exhausted_budget is not None
@@ -260,9 +319,8 @@ class TestShardedFaults:
                                     match={"group": 1}, max_hits=1)],
                          seed=11)
         pol = ResiliencePolicy()
-        with injected_faults(plan):
-            ids, dists, stats = index.query_batch(
-                queries, K, policy=pol, max_batch_rows=7)
+        with injected_faults(plan), shard_rows(index, 7):
+            ids, dists, stats = index.query_batch(queries, K, policy=pol)
         assert plan.hits()["bilevel.dispatch"] == 1
         assert stats.degraded is not None and stats.degraded.any()
         ok = ~stats.degraded
@@ -280,8 +338,8 @@ class TestShardedFaults:
         pol = ResiliencePolicy()
         base_ids, base_dists, base_stats = standard.query_batch(
             bad, K, policy=pol)
-        ids, dists, stats = standard.query_batch(
-            bad, K, policy=pol, max_batch_rows=8)
+        with shard_rows(standard, 8):
+            ids, dists, stats = standard.query_batch(bad, K, policy=pol)
         assert np.array_equal(ids, base_ids)
         assert np.array_equal(dists, base_dists)
         assert np.array_equal(stats.degraded, base_stats.degraded)
@@ -372,16 +430,17 @@ class TestAbsorb:
         assert fields(base_stats)["degraded"] is None
         assert fields(base_stats)["exhausted_budget"] == [False] * N_QUERIES
 
-        ids, dists, stats = index.query_batch(queries, K, max_batch_rows=7,
-                                              **options)
+        with shard_rows(index, 7):
+            ids, dists, stats = index.query_batch(queries, K, **options)
         assert np.array_equal(ids, base_ids)
         assert np.array_equal(dists, base_dists)
         assert fields(stats) == fields(base_stats)
 
         for p in THREADS:
-            with native_threads(p), IndexRuntime(index) as runtime:
+            with native_threads(p), shard_rows(index, 7), \
+                    IndexRuntime(index) as runtime:
                 ids, dists, stats = runtime.query_batch(
-                    queries, K, max_batch_rows=7, **options)
+                    queries, K, **options)
             assert np.array_equal(ids, base_ids)
             assert np.array_equal(dists, base_dists)
             assert fields(stats) == fields(base_stats)
@@ -405,14 +464,16 @@ class TestAbsorb:
 
 
 class TestEvaluationThreading:
-    def test_sharded_evaluation_matches(self, dataset, queries):
+    def test_sharded_evaluation_matches(self, standard, dataset, queries):
+        # ``standard`` has the evaluated index's lookups per row.
         gt = GroundTruth(dataset, queries, K)
         base = evaluate_index(
             StandardLSH(n_tables=6, bucket_width=8.0, seed=5),
             dataset, queries, K, gt)
-        sharded = evaluate_index(
-            StandardLSH(n_tables=6, bucket_width=8.0, seed=5),
-            dataset, queries, K, gt, max_batch_rows=7)
+        with shard_rows(standard, 7):
+            sharded = evaluate_index(
+                StandardLSH(n_tables=6, bucket_width=8.0, seed=5),
+                dataset, queries, K, gt)
         assert np.array_equal(sharded.recall, base.recall)
         assert np.array_equal(sharded.error, base.error)
         assert np.array_equal(sharded.selectivity, base.selectivity)
@@ -432,9 +493,11 @@ class TestEvaluationThreading:
         assert ((measurement.recall >= 0.0)
                 & (measurement.recall <= 1.0)).all()
 
-    def test_expired_deadline_degrades_gracefully(self, dataset, queries):
+    def test_expired_deadline_degrades_gracefully(self, standard, dataset,
+                                                  queries):
         gt = GroundTruth(dataset, queries, K)
         index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5)
-        measurement = evaluate_index(index, dataset, queries, K, gt,
-                                     deadline_ms=1e-6, max_batch_rows=7)
+        with shard_rows(standard, 7):
+            measurement = evaluate_index(index, dataset, queries, K, gt,
+                                         deadline_ms=1e-6)
         assert (measurement.recall == 0.0).all()

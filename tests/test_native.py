@@ -6,7 +6,7 @@ Four contracts:
    indices and distances on the compiled kernel table and on the numpy
    one, and the scalar oracle's neighbours, across lattices × multiprobe
    × hierarchy × tombstones × live overlay × memmap ×
-   ``max_batch_rows`` × P (the kernel threads) × spill.  The numpy side
+   shard size × P (the kernel threads) × spill.  The numpy side
    is pinned through the ``REPRO_NATIVE_BACKEND`` + ``registry.reset()``
    seam; the other side is whatever the environment resolves (the CI
    ``native`` job requires that to be ``cext``, and reruns everything
@@ -62,6 +62,7 @@ from repro.resilience import (FaultPlan, FaultSpec, ResiliencePolicy,
                               injected_faults)
 from repro.runtime import IndexRuntime, RuntimeConfig
 from tests.oracle import oracle_query
+from tests.shards import shard_rows
 from tests.threads import THREADS, inline_limits, native_threads
 
 N_QUERIES = 19
@@ -200,8 +201,8 @@ class TestParityMatrix:
         kwargs = {}
         if INDEX_CONFIGS[config].get("hierarchy"):
             kwargs["hierarchy_threshold"] = 12
-        resolved = index.query_batch(queries, K, max_batch_rows=rows,
-                                     **kwargs)
+        with shard_rows(index, rows):
+            resolved = index.query_batch(queries, K, **kwargs)
         if engine == "native":
             with numpy_table():
                 assert_same_results(
@@ -217,8 +218,8 @@ class TestParityMatrix:
             cfg = BiLevelConfig(n_groups=4, n_tables=6, bucket_width=6.0,
                                 multi_assign=spill, seed=5)
             index = BiLevelLSH(cfg).fit(dataset)
-            with native_threads(threads), IndexRuntime(
-                    index, RuntimeConfig(max_batch_rows=rows)) as rt:
+            with native_threads(threads), shard_rows(index, rows), \
+                    IndexRuntime(index) as rt:
                 resolved = rt.query_batch(queries, K)
             with numpy_table():
                 assert_same_results(index.query_batch(queries, K), resolved)
@@ -1238,13 +1239,14 @@ class TestThreadsMatrix:
     def test_every_p_answers_alike(self, kernels, dense, config, rows):
         data, queries = dense
         index = _dense_index(data, DENSE_CONFIGS[config])
-        options = dict(max_batch_rows=rows, deadline_ms=60_000.0)
+        options = dict(deadline_ms=60_000.0)
         if index.use_hierarchy:
             options["hierarchy_threshold"] = DENSE_ROWS + 1
         limits = inline_limits()
         answers = {}
         for p in THREADS:
-            with native_threads(p) as table, _Work(table) as work:
+            with native_threads(p) as table, _Work(table) as work, \
+                    shard_rows(index, rows):
                 answers[p] = _answer_bytes(index.query_batch(queries, K,
                                                              **options))
             assert min(w for w, _ in work.rank) >= limits["RANK_INLINE_IDS"]

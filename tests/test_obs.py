@@ -19,7 +19,8 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.obs.registry import MetricsRegistry, log_buckets
 from repro.obs.trace import QueryTrace, TraceCollector
-from repro.runtime import IndexRuntime, RuntimeConfig
+from repro.runtime import IndexRuntime
+from tests.shards import shard_rows
 from tests.threads import native_threads
 
 
@@ -345,9 +346,9 @@ class TestRegistryConcurrency:
         def totals(threads: int, n_batches: int = 4):
             reg = MetricsRegistry()
             obs.enable(registry=reg)
-            with native_threads(threads), \
+            with native_threads(threads), shard_rows(index, 7), \
                     ThreadPoolExecutor(max_workers=4) as pool, \
-                    IndexRuntime(index, RuntimeConfig(max_batch_rows=7)) as rt:
+                    IndexRuntime(index) as rt:
                 futures = [pool.submit(rt.query_batch, queries, 5)
                            for _ in range(n_batches)]
                 for future in futures:

@@ -87,24 +87,24 @@ class TestBilevelRoundtrip:
                                   tmp_path):
         cfg = BiLevelConfig(n_groups=4, bucket_width=4.0, n_tables=3,
                             lattice="e8", n_probes=6, hierarchy=True,
-                            scale_widths=True, max_batch_rows=128, seed=6)
+                            scale_widths=True, seed=6)
         index = BiLevelLSH(cfg).fit(gaussian_data)
         loaded = _roundtrip(index, tmp_path)
-        assert loaded.config == cfg  # every field, the row bound too
+        assert loaded.config == cfg  # every field
         assert loaded.group_widths == index.group_widths
         _same_results(index, loaded, gaussian_queries)
 
     def test_archive_without_newer_config_fields_loads_defaults(
             self, gaussian_data, gaussian_queries, tmp_path):
-        # Archives written before the config was stored whole carry no
-        # max_batch_rows; they load with the dataclass defaults.
+        # An archive written before a config field existed (here
+        # ``tree_seed``) loads with the dataclass default.
         cfg = BiLevelConfig(n_groups=2, bucket_width=8.0, n_tables=2, seed=9)
         index = BiLevelLSH(cfg).fit(gaussian_data)
         path = str(tmp_path / "old.npz")
         save_index(index, path)
 
         def strip(meta, arrays):
-            del meta["body"]["config"]["max_batch_rows"]
+            del meta["body"]["config"]["tree_seed"]
 
         _rewrite_archive(path, strip)
         loaded = load_index(path)
@@ -122,6 +122,25 @@ class TestBilevelRoundtrip:
 
         def add(meta, arrays):
             meta["body"]["config"]["n_jobs"] = 4
+
+        _rewrite_archive(path, add)
+        loaded = load_index(path)
+        assert loaded.config == cfg
+        _same_results(index, loaded, gaussian_queries)
+
+    def test_archive_with_a_row_bound_loads_and_answers_alike(
+            self, gaussian_data, gaussian_queries, tmp_path):
+        # Archives written while the config had a shard row bound
+        # (``max_batch_rows``) load as one without it and answer alike;
+        # the executor sizes its shards itself now.
+        cfg = BiLevelConfig(n_groups=2, bucket_width=8.0, n_tables=2,
+                            lattice="e8", hierarchy=True, seed=9)
+        index = BiLevelLSH(cfg).fit(gaussian_data)
+        path = str(tmp_path / "old.npz")
+        save_index(index, path)
+
+        def add(meta, arrays):
+            meta["body"]["config"]["max_batch_rows"] = 3
 
         _rewrite_archive(path, add)
         loaded = load_index(path)

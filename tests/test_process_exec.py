@@ -6,13 +6,13 @@ processes, and later on a runtime-owned thread pool; the classes and
 most test names are the ones that survived.)
 
 The contract under test (DESIGN.md §11): an
-:class:`~repro.runtime.IndexRuntime` runs the executor's own
-``max_batch_rows`` shard loop, in turn, over the live index, and the
-compiled kernels hand their work to P threads inside each call, so
+:class:`~repro.runtime.IndexRuntime` runs the executor's own shard loop,
+in turn, over the live index, and the compiled kernels hand their work
+to P threads inside each call, so
 
 1. **Byte-equal** — answers, every :class:`QueryStats` field and the
-   recorded telemetry equal the inline sharded run at the same
-   ``max_batch_rows``, at every P, for pinned *and* fitted (``None``)
+   recorded telemetry equal the inline sharded run at the same shard
+   size, at every P, for pinned *and* fitted (``None``)
    thresholds, on in-memory, memmapped, overlaid and tombstoned indexes.
 2. **Faults as inline** — a fault inside a shard is degraded by the same
    policy code; unsupervised, it propagates from the first shard that
@@ -23,7 +23,9 @@ compiled kernels hand their work to P threads inside each call, so
 4. **Nothing to go stale, leak or die** — a write is visible to the next
    read, and every kernel thread is joined before its call returns.
 
-All plans and datasets are seeded; CI's ``chaos`` job runs this file.
+The executor sizes its shards from the plan, far above these batches;
+``tests.shards.shard_rows`` patches that size down.  All plans and
+datasets are seeded; CI's ``chaos`` job runs this file.
 """
 
 import os
@@ -47,7 +49,8 @@ from repro.resilience import (
     ResiliencePolicy,
     injected_faults,
 )
-from repro.runtime import IndexRuntime, QueryRequest, RuntimeConfig
+from repro.runtime import IndexRuntime, QueryRequest
+from tests.shards import shard_rows
 from tests.threads import THREADS, native_threads
 
 N_QUERIES = 23
@@ -112,7 +115,7 @@ def assert_bit_identical(result, reference):
 class TestParity:
     def test_single_shard_is_bit_identical(self, runtime, queries,
                                            reference):
-        # A batch ``max_batch_rows`` does not split runs inline.
+        # A batch the executor does not split runs inline.
         result = runtime.query_batch(queries, K,
                                      hierarchy_threshold=THRESHOLD)
         assert_bit_identical(result, reference)
@@ -121,15 +124,15 @@ class TestParity:
     @pytest.mark.parametrize("rows", [1, 5, N_QUERIES])
     def test_sharded_is_bit_identical(self, runtime, queries, reference,
                                       rows):
-        result = runtime.query_batch(queries, K,
-                                     hierarchy_threshold=THRESHOLD,
-                                     max_batch_rows=rows)
+        with shard_rows(runtime.index, rows):
+            result = runtime.query_batch(queries, K,
+                                         hierarchy_threshold=THRESHOLD)
         assert_bit_identical(result, reference)
 
     def test_self_match_distance_is_zero(self, runtime, queries):
-        ids, dists, _ = runtime.query_batch(queries, K,
-                                            hierarchy_threshold=THRESHOLD,
-                                            max_batch_rows=5)
+        with shard_rows(runtime.index, 5):
+            ids, dists, _ = runtime.query_batch(
+                queries, K, hierarchy_threshold=THRESHOLD)
         assert ids[3, 0] == 41
         assert dists[3, 0] == 0.0
 
@@ -141,12 +144,12 @@ class TestParity:
         # ``reference`` is inline on the one this module started with.
         from repro.native import registry
 
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, \
+                shard_rows(runtime.index, 8):
             patch.setenv("REPRO_NATIVE_BACKEND", "none")
             registry.reset()
             result, snap = _observed(lambda: runtime.query_batch(
-                queries, K, hierarchy_threshold=THRESHOLD,
-                max_batch_rows=8))
+                queries, K, hierarchy_threshold=THRESHOLD))
         registry.reset()
         assert_bit_identical(result, reference)
         assert set(_samples(snap, "repro_native_batches_total")) \
@@ -159,8 +162,9 @@ class TestParity:
         whole = index.query_batch(queries, K)
         assert whole[2].escalated.any()
         assert_bit_identical(runtime.query_batch(queries, K), whole)
-        base = index.query_batch(queries, K, max_batch_rows=5)
-        result = runtime.query_batch(queries, K, max_batch_rows=5)
+        with shard_rows(index, 5):
+            base = index.query_batch(queries, K)
+            result = runtime.query_batch(queries, K)
         assert_bit_identical(result, base)
         assert stats_fields(result[2]) == stats_fields(base[2])
         assert_bit_identical(base, whole)
@@ -205,12 +209,13 @@ class TestShardWorkersMatrix:
     def test_equals_inline_at_the_same_max_batch_rows(
             self, front_ends, queries, front, rows, threshold):
         index = front_ends[front]
-        options = dict(hierarchy_threshold=threshold, max_batch_rows=rows,
-                       deadline_ms=60_000.0)
-        want, want_snap = _observed(
-            lambda: index.query_batch(queries, K, **options))
+        options = dict(hierarchy_threshold=threshold, deadline_ms=60_000.0)
+        with shard_rows(index, rows):
+            want, want_snap = _observed(
+                lambda: index.query_batch(queries, K, **options))
         for p in THREADS:
-            with native_threads(p), IndexRuntime(index) as rt:
+            with native_threads(p), shard_rows(index, rows), \
+                    IndexRuntime(index) as rt:
                 got, snap = _observed(
                     lambda: rt.query_batch(queries, K, **options))
             assert_bit_identical(got, want)
@@ -230,10 +235,10 @@ class TestInputsThePoolRefused:
             StandardLSH(n_tables=3, bucket_width=6.0, seed=9),
             np.load(path, mmap_mode="r"), chunk_size=128)
         assert isinstance(index._data, np.memmap)
-        base = index.query_batch(queries, K, max_batch_rows=5)
-        with native_threads(2), IndexRuntime(
-                index, RuntimeConfig(max_batch_rows=5)) as rt:
-            result = rt.query_batch(queries, K)
+        with shard_rows(index, 5):
+            base = index.query_batch(queries, K)
+            with native_threads(2), IndexRuntime(index) as rt:
+                result = rt.query_batch(queries, K)
         assert_bit_identical(result, base)
         assert stats_fields(result[2]) == stats_fields(base[2])
 
@@ -245,8 +250,8 @@ class TestInputsThePoolRefused:
                             lattice="e8", n_probes=2,
                             hierarchy=True).fit(dataset)
         extra = np.random.default_rng(7).standard_normal((20, DIM))
-        with native_threads(2), IndexRuntime(index, RuntimeConfig(
-                max_batch_rows=5)) as rt:
+        with native_threads(2), shard_rows(index, 5), \
+                IndexRuntime(index) as rt:
             new_ids = rt.insert(extra)
             assert rt.delete(np.array([41, int(new_ids[0])])) == 2
             tables = index._tables
@@ -257,8 +262,9 @@ class TestInputsThePoolRefused:
             # Still the overlaid tables: nothing was rebuilt to serve it.
             assert index._tables is tables
             assert all(table.n_extra for table in tables)
-        base = index.query_batch(probe, K, hierarchy_threshold=threshold,
-                                 max_batch_rows=5)
+        with shard_rows(index, 5):
+            base = index.query_batch(probe, K,
+                                     hierarchy_threshold=threshold)
         assert_bit_identical(result, base)
         assert stats_fields(result[2]) == stats_fields(base[2])
         # The overlay rows answer, the tombstoned ones never do.
@@ -275,9 +281,9 @@ class TestValidation:
         bad = queries.copy()
         bad[1, 0] = np.nan
         pol = ResiliencePolicy()
-        ids, dists, stats = runtime.query_batch(
-            bad, K, hierarchy_threshold=THRESHOLD, policy=pol,
-            max_batch_rows=5)
+        with shard_rows(runtime.index, 5):
+            ids, dists, stats = runtime.query_batch(
+                bad, K, hierarchy_threshold=THRESHOLD, policy=pol)
         degraded = stats.degraded_mask()
         assert degraded[1] and degraded.sum() == 1
         assert np.all(ids[1] == -1)
@@ -301,10 +307,11 @@ class TestChaos:
                                         match={"table": 0}, max_hits=1)],
                              seed=13)
 
-        with injected_faults(plan()) as threaded_plan:
+        with injected_faults(plan()) as threaded_plan, \
+                shard_rows(index, 5):
             ids, dists, stats = runtime.query_batch(
                 queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy(), max_batch_rows=5)
+                policy=ResiliencePolicy())
         assert threaded_plan.hits() == {"lsh.gather": 1}
         [rows] = np.nonzero(stats.degraded_mask())
         first = rows[0]
@@ -327,16 +334,15 @@ class TestChaos:
     def test_unsupervised_fault_propagates(self, runtime, queries,
                                            reference):
         plan = FaultPlan([FaultSpec(site="lsh.gather")], seed=13)
-        with injected_faults(plan):
-            with pytest.raises(InjectedFault):
-                runtime.query_batch(queries, K,
-                                    hierarchy_threshold=THRESHOLD,
-                                    max_batch_rows=5)
-        # Nothing of the failed batch is left behind, and the runtime is
-        # not wedged by it.
-        result = runtime.query_batch(queries, K,
-                                     hierarchy_threshold=THRESHOLD,
-                                     max_batch_rows=5)
+        with shard_rows(runtime.index, 5):
+            with injected_faults(plan):
+                with pytest.raises(InjectedFault):
+                    runtime.query_batch(queries, K,
+                                        hierarchy_threshold=THRESHOLD)
+            # Nothing of the failed batch is left behind, and the runtime
+            # is not wedged by it.
+            result = runtime.query_batch(queries, K,
+                                         hierarchy_threshold=THRESHOLD)
         assert_bit_identical(result, reference)
 
     def test_exception_surfaces_in_shard_order(self):
@@ -375,10 +381,11 @@ class _ProbePlan(QueryPlan):
         return (Stage("probe.run", self.fn),)
 
 
-def _run_probe(fn, n_rows=20, max_batch_rows=5):
+def _run_probe(fn, n_rows=20, shard=5):
     rows = np.arange(float(n_rows)).reshape(n_rows, 1)
-    ctx = ExecutionContext.for_batch(rows, K, max_batch_rows=max_batch_rows)
-    return run_validated(_ProbePlan(fn), ctx)
+    plan = _ProbePlan(fn)
+    with shard_rows(plan, shard):
+        return run_validated(plan, ExecutionContext.for_batch(rows, K))
 
 
 # -------------------------------------------------------------- deadlines
@@ -388,9 +395,10 @@ class TestDeadline:
     def test_expired_deadline_pads_and_flags(self, runtime, queries):
         deadline = Deadline.from_ms(0.001)
         time.sleep(0.01)
-        ids, dists, stats = runtime.query_batch(
-            queries, K, hierarchy_threshold=THRESHOLD, deadline=deadline,
-            max_batch_rows=5)
+        with shard_rows(runtime.index, 5):
+            ids, dists, stats = runtime.query_batch(
+                queries, K, hierarchy_threshold=THRESHOLD,
+                deadline=deadline)
         assert stats.exhausted_budget is not None
         assert stats.exhausted_budget.all()
         assert np.all(ids == -1)
@@ -398,9 +406,10 @@ class TestDeadline:
 
     def test_generous_deadline_changes_nothing(self, runtime, queries,
                                                reference):
-        result = runtime.query_batch(
-            queries, K, hierarchy_threshold=THRESHOLD, deadline_ms=60_000,
-            max_batch_rows=5)
+        with shard_rows(runtime.index, 5):
+            result = runtime.query_batch(
+                queries, K, hierarchy_threshold=THRESHOLD,
+                deadline_ms=60_000)
         assert_bit_identical(result, reference)
         assert not result[2].exhausted_budget.any()
 
@@ -421,9 +430,9 @@ class TestDeadline:
         obs.enable(registry=reg)
         try:
             with native_threads(2), IndexRuntime(index) as rt, \
-                    injected_faults(plan):
+                    injected_faults(plan), shard_rows(index, 5):
                 ids, dists, stats = rt.query_batch(
-                    queries, K, deadline_ms=250.0, max_batch_rows=5)
+                    queries, K, deadline_ms=250.0)
         finally:
             obs.disable()
         assert plan.hits() == {"lsh.gather": 2}
@@ -479,7 +488,7 @@ class TestPoolLifecycle:
                 barrier.wait(timeout=30)
                 for _ in range(5):
                     results[i] = runtime.submit(QueryRequest(
-                        queries=queries[i:], k=K, max_batch_rows=3,
+                        queries=queries[i:], k=K,
                         hierarchy_threshold=THRESHOLD))
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
@@ -487,7 +496,8 @@ class TestPoolLifecycle:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with native_threads(2), IndexRuntime(index) as runtime:
+            with native_threads(2), shard_rows(index, 3), \
+                    IndexRuntime(index) as runtime:
                 threads = [threading.Thread(target=call, args=(i,))
                            for i in range(n_callers)]
                 for t in threads:
@@ -509,10 +519,10 @@ class TestPoolLifecycle:
 class TestObservability:
     def test_worker_events_and_shards_are_counted(self, index, queries,
                                                   reference):
-        with IndexRuntime(index) as rt:
+        with IndexRuntime(index) as rt, shard_rows(index, 8):
             result, snap = _observed(lambda: rt.query_batch(
                 queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy(), max_batch_rows=8))
+                policy=ResiliencePolicy()))
         assert_bit_identical(result, reference)
         assert _samples(snap, "repro_exec_shards_total") == \
             {(("site", "lsh"),): -(-N_QUERIES // 8)}
@@ -573,10 +583,10 @@ class TestCrossProcessMetrics:
                 with native_threads(p), IndexRuntime(index) as rt:
                     index.query_batch(queries, K)  # resolved, unobserved
                     target = index if name == "in_process" else rt
-                    _, snaps[name] = _observed(
-                        lambda: target.query_batch(
-                            queries, K, hierarchy_threshold=THRESHOLD,
-                            max_batch_rows=2))
+                    with shard_rows(index, 2):
+                        _, snaps[name] = _observed(
+                            lambda: target.query_batch(
+                                queries, K, hierarchy_threshold=THRESHOLD))
         want = _deterministic(snaps["in_process"])
         assert _deterministic(snaps["pooled"]) == want
         # Not vacuous: every table looked up, probed, and — on the
@@ -593,8 +603,9 @@ class TestCrossProcessMetrics:
     def test_worker_counters_visible_in_parent_snapshot(self, runtime,
                                                         queries,
                                                         reference):
-        result, snap = _observed(lambda: runtime.query_batch(
-            queries, K, hierarchy_threshold=THRESHOLD, max_batch_rows=8))
+        with shard_rows(runtime.index, 8):
+            result, snap = _observed(lambda: runtime.query_batch(
+                queries, K, hierarchy_threshold=THRESHOLD))
         assert_bit_identical(result, reference)
         # Pipeline counters recorded on the shard threads, read from the
         # one registry.
@@ -615,10 +626,10 @@ class TestCrossProcessMetrics:
 
     def test_worker_faults_counted_in_parent(self, runtime, queries):
         plan = FaultPlan((FaultSpec("lsh.gather", max_hits=1),), seed=5)
-        with injected_faults(plan):
+        with injected_faults(plan), shard_rows(runtime.index, 8):
             result, snap = _observed(lambda: runtime.query_batch(
                 queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy(), max_batch_rows=8))
+                policy=ResiliencePolicy()))
         faults = _samples(snap, "repro_faults_injected_total")
         assert faults == {(("site", "lsh.gather"),): 1}
         # The one dropped table degraded the one shard that met it.
@@ -638,9 +649,9 @@ class TestCrossProcessMetrics:
             obs.enable(registry=MetricsRegistry(), trace_sample_rate=1.0,
                        trace_seed=11)
             try:
-                target.query_batch(queries, K,
-                                   hierarchy_threshold=THRESHOLD,
-                                   max_batch_rows=8)
+                with shard_rows(index, 8):
+                    target.query_batch(queries, K,
+                                       hierarchy_threshold=THRESHOLD)
                 return obs.recent_traces()
             finally:
                 obs.disable()
@@ -662,12 +673,13 @@ class TestCrossProcessMetrics:
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         try:
-            runtime.query_batch(queries, K, hierarchy_threshold=THRESHOLD,
-                                max_batch_rows=8)
-            once = _deterministic(reg.snapshot())
-            runtime.query_batch(queries, K, hierarchy_threshold=THRESHOLD,
-                                max_batch_rows=8)
-            twice = _deterministic(reg.snapshot())
+            with shard_rows(runtime.index, 8):
+                runtime.query_batch(queries, K,
+                                    hierarchy_threshold=THRESHOLD)
+                once = _deterministic(reg.snapshot())
+                runtime.query_batch(queries, K,
+                                    hierarchy_threshold=THRESHOLD)
+                twice = _deterministic(reg.snapshot())
         finally:
             obs.disable()
         assert once["repro_queries_total", (("engine", "lsh"),)] \

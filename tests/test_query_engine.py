@@ -17,8 +17,9 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH, _gather_candidates
 from repro.lsh.table import LSHTable, pack_codes
-from repro.runtime import IndexRuntime, RuntimeConfig
+from repro.runtime import IndexRuntime
 from tests.oracle import oracle_query
+from tests.shards import shard_rows
 from tests.threads import native_threads
 
 
@@ -127,8 +128,8 @@ class TestBiLevelEquivalence:
                                          seed=21)).fit(data)
         with native_threads(1):
             ids_s, dists_s, _ = index.query_batch(queries, 10)
-        with native_threads(2), IndexRuntime(
-                index, RuntimeConfig(max_batch_rows=9)) as rt:
+        with native_threads(2), shard_rows(index, 9), \
+                IndexRuntime(index) as rt:
             ids_t, dists_t, _ = rt.query_batch(queries, 10)
         np.testing.assert_array_equal(ids_s, ids_t)
         np.testing.assert_array_equal(dists_s, dists_t)

@@ -24,7 +24,7 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
-from repro.runtime import IndexRuntime, RuntimeConfig
+from repro.runtime import IndexRuntime
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -32,6 +32,7 @@ from repro.resilience import (
     ResiliencePolicy,
     injected_faults,
 )
+from tests.shards import shard_rows
 from tests.threads import native_threads
 
 N_QUERIES = 40
@@ -71,8 +72,8 @@ def run(index, workers, queries, **options):
     through a runtime with ``workers`` kernel threads."""
     if workers == 1:
         return index.query_batch(queries, 10, **options)
-    with native_threads(workers), IndexRuntime(
-            index, RuntimeConfig(max_batch_rows=10)) as rt:
+    with native_threads(workers), shard_rows(index, 10), \
+            IndexRuntime(index) as rt:
         return rt.query_batch(queries, 10, **options)
 
 
@@ -260,8 +261,9 @@ class TestTimeoutsAndDeadlines:
         # The budget is checked between shards (and escalation chunks),
         # as for a StandardLSH: shards starting past it are padded.
         index, _, _ = bilevel_cache(1)
-        ids, dists, stats = index.query_batch(queries, 10, deadline_ms=1e-6,
-                                              max_batch_rows=10)
+        with shard_rows(index, 10):
+            ids, dists, stats = index.query_batch(queries, 10,
+                                                  deadline_ms=1e-6)
         assert stats.exhausted_budget is not None
         assert stats.exhausted_budget.all()
         assert ids.shape == (N_QUERIES, 10)

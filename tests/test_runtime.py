@@ -59,6 +59,7 @@ from repro.runtime import (
     merge_key,
     shed_response,
 )
+from tests.shards import shard_rows
 from tests.threads import THREADS, native_threads
 
 DIM = 16
@@ -103,7 +104,7 @@ def _assert_response_equals_tuple(response, triple):
 class TestRuntimeConfig:
     def test_defaults(self):
         cfg = RuntimeConfig()
-        assert cfg.max_batch_rows is None
+        assert not hasattr(cfg, "max_batch_rows")  # the executor's own
         assert cfg.batch_max_rows == 256
         assert cfg.max_queue_depth == 64
 
@@ -116,8 +117,8 @@ class TestRuntimeConfig:
     @pytest.mark.parametrize("kwargs", [
         {"deadline_ms": 0.0},
         {"deadline_ms": -5.0},
-        {"max_batch_rows": 0},
-        {"max_batch_rows": -1},
+        {"batch_max_rows": -1},
+        {"max_queue_depth": -3},
         {"batch_max_rows": 0},
         {"max_queue_depth": 0},
     ])
@@ -128,11 +129,10 @@ class TestRuntimeConfig:
     def test_from_args_full(self):
         args = argparse.Namespace(
             engine="vectorized", deadline_ms=25.0, resilient=True,
-            max_batch_rows=128, batch_max_rows=64, max_queue_depth=8)
+            batch_max_rows=64, max_queue_depth=8)
         cfg = RuntimeConfig.from_args(args)
         assert cfg.deadline_ms == 25.0
         assert isinstance(cfg.policy, ResiliencePolicy)
-        assert cfg.max_batch_rows == 128
         assert cfg.batch_max_rows == 64
         assert cfg.max_queue_depth == 8
 
@@ -198,9 +198,9 @@ class TestExecuteRequest:
     def test_request_fields_win_over_config(self, standard_index, queries):
         # The config's budget is spent before the second 4-row shard
         # starts; a request carrying its own generous one is not cut.
-        runtime = IndexRuntime(
-            standard_index, RuntimeConfig(deadline_ms=1e-6, max_batch_rows=4))
-        cut = runtime.submit(QueryRequest(queries=queries, k=5))
+        runtime = IndexRuntime(standard_index, RuntimeConfig(deadline_ms=1e-6))
+        with shard_rows(standard_index, 4):
+            cut = runtime.submit(QueryRequest(queries=queries, k=5))
         assert cut.stats.exhausted_budget.any()
         response = runtime.submit(
             QueryRequest(queries=queries, k=5, deadline_ms=60_000.0))
@@ -212,19 +212,17 @@ class TestExecuteRequest:
                                                          queries):
         policy = ResiliencePolicy()
         runtime = IndexRuntime(standard_index, RuntimeConfig(
-            deadline_ms=60_000.0, policy=policy, max_batch_rows=8))
+            deadline_ms=60_000.0, policy=policy))
         resolved = runtime.resolve(QueryRequest(queries=queries, k=5))
         # No session threshold: unset means the index's fitted one.
         assert resolved.hierarchy_threshold is None
         assert isinstance(resolved.deadline, Deadline)
         assert resolved.deadline_ms is None
         assert resolved.policy is policy
-        assert resolved.max_batch_rows == 8
         assert runtime.resolve(resolved) is resolved
         # Request fields win; nothing to fill leaves the object alone.
         own = QueryRequest(queries=queries, k=5, hierarchy_threshold=7,
-                           deadline=Deadline(5.0), policy=ResiliencePolicy(),
-                           max_batch_rows=2)
+                           deadline=Deadline(5.0), policy=ResiliencePolicy())
         assert runtime.resolve(own) is own
         bare = QueryRequest(queries=queries, k=5)
         assert IndexRuntime(standard_index).resolve(bare) is bare
@@ -258,12 +256,13 @@ class TestIndexRuntime:
         bilevel = BiLevelLSH(BiLevelConfig(
             n_groups=4, bucket_width=4.0, lattice="e8", hierarchy=True,
             multi_assign=2, seed=3)).fit(base_data)
-        options = dict(hierarchy_threshold=12, max_batch_rows=4)
-        with native_threads(1):
+        options = dict(hierarchy_threshold=12)
+        with native_threads(1), shard_rows(bilevel, 4):
             want = bilevel.query_batch(base_data[:23], 5, **options)
         assert want[2].escalated.any()
         for p in THREADS:
-            with native_threads(p), IndexRuntime(bilevel) as rt:
+            with native_threads(p), shard_rows(bilevel, 4), \
+                    IndexRuntime(bilevel) as rt:
                 got = rt.query_batch(base_data[:23], 5, **options)
             for a, b in zip(
                     got[:2] + (got[2].n_candidates, got[2].escalated),
@@ -583,16 +582,18 @@ class TestMicroBatcher:
         # request as it arrived and only afterwards did ``submit`` fill
         # in the session defaults — so under a session ``deadline_ms`` a
         # merged read lost its ``exhausted_budget`` mask (solo: a mask),
-        # and a request spelling ``max_batch_rows=4`` never merged with
-        # one inheriting 4.  Resolved at the door — by
+        # and a request spelling a session option never merged with one
+        # inheriting it.  Resolved at the door — by
         # ``IndexRuntime.resolve``, which the HTTP door calls — merged
-        # must equal solo on every field, ``None``-ness included.
+        # must equal solo on every field, ``None``-ness included.  The
+        # HTTP body's ``max_batch_rows`` is a retired key: ignored.
         from repro.runtime.server import RuntimeServer
 
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
+        policy = ResiliencePolicy()
         runtime = IndexRuntime(index, RuntimeConfig(
-            deadline_ms=60_000.0, max_batch_rows=4))
+            deadline_ms=60_000.0, policy=policy))
         server = RuntimeServer(runtime)  # never started: door + batcher
         try:
             if door == "http":
@@ -606,7 +607,7 @@ class TestMicroBatcher:
                 requests = [
                     runtime.resolve(QueryRequest(queries=queries[:1], k=5)),
                     runtime.resolve(QueryRequest(queries=queries[1:2], k=5,
-                                                 max_batch_rows=4))]
+                                                 policy=policy))]
             # The budget clock started at the door, not after the window.
             assert all(isinstance(r.deadline, Deadline) for r in requests)
             responses = _submit_queued(server.batcher, requests)
@@ -1215,6 +1216,50 @@ class TestRuntimeServerErrors:
             assert [status for status, _, _ in answers[len(bad):]] == [
                 200, 200]
 
+    def test_bad_integers_are_a_400_naming_the_field(self, base_data):
+        # The door used to truncate without complaint: ``/delete`` of id
+        # 1.7 deleted id 1, ``k`` 2.5 answered 2 columns and ``true`` 1,
+        # and a ``deadline_ms`` of ``true`` ran under a 1 ms budget.  An
+        # integral float is still an integer; the retired
+        # ``max_batch_rows`` key is ignored, whatever it holds.
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                            seed=5).fit(base_data)
+        query = {"queries": [base_data[1].tolist()]}
+        point = [0.5] * DIM
+        bad = [(b"/query", dict(query, k=2.5), "k"),
+               (b"/query", dict(query, k=True), "k"),
+               (b"/query", dict(query, k="3"), "k"),
+               (b"/query", dict(query, k=3, deadline_ms=True), "deadline_ms"),
+               (b"/query", dict(query, k=3, deadline_ms="5"), "deadline_ms"),
+               (b"/delete", {"ids": [1.7]}, "ids"),
+               (b"/delete", {"ids": [True]}, "ids"),
+               (b"/insert", {"points": [point], "ids": [4242.5]}, "ids")]
+        good = [(b"/query", dict(query, k=3.0, deadline_ms=60_000)),
+                (b"/query", dict(query, k=3, max_batch_rows="junk")),
+                (b"/delete", {"ids": [1.0]}),
+                (b"/insert", {"points": [point], "ids": [4242.0]})]
+
+        async def client(server):
+            return [await _call(server, b"POST", path, body)
+                    for path, body, _ in bad] + [
+                await _call(server, b"POST", path, body)
+                for path, body in good]
+
+        with IndexRuntime(index) as runtime:
+            answers = _serve(runtime, client)
+        for (status, _, body), (_, _, field) in zip(answers, bad):
+            assert status == 400
+            assert field in body["error"]
+        query_a, query_b, deleted, inserted = [
+            (status, body) for status, _, body in answers[len(bad):]]
+        assert query_a[0] == query_b[0] == 200
+        assert len(query_a[1]["ids"][0]) == 3
+        assert query_a[1]["ids"] == query_b[1]["ids"]
+        assert query_a[1]["ids"][0][0] == 1
+        # Id 1 was still there to delete, and 4242 still free to take.
+        assert deleted == (200, {"deleted": 1})
+        assert inserted == (200, {"ids": [4242], "count": 1})
+
     def test_insert_on_served_bilevel_index(self, base_data):
         """``/insert`` on a Bi-level index: 200 without ids, 400 with.
 
@@ -1571,8 +1616,8 @@ class TestShardPoolRuntime:
     def test_submit_shards_on_the_thread_pool(self, base_data, queries):
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
-        cfg = RuntimeConfig(max_batch_rows=5)
-        with native_threads(2), IndexRuntime(index, cfg) as runtime:
+        with native_threads(2), shard_rows(index, 5), \
+                IndexRuntime(index) as runtime:
             payload = runtime.info().to_dict()
             assert payload["threads"] == 2 and payload["ready"]
             # No pool, no pool keys on ``/readyz``.
@@ -1580,7 +1625,7 @@ class TestShardPoolRuntime:
                         "shard_workers"} & set(payload)
             response = runtime.submit(QueryRequest(queries=queries, k=5))
             # The fitted threshold included: the shards are the index's own.
-            want = index.query_batch(queries, 5, max_batch_rows=5)
+            want = index.query_batch(queries, 5)
             _assert_response_equals_tuple(response, want)
         # After close submits are refused.
         with pytest.raises(RuntimeError, match="closed"):
@@ -1592,10 +1637,9 @@ class TestShardPoolRuntime:
         # behind its back are both seen by the very next read.
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             seed=5).fit(base_data)
-        cfg = RuntimeConfig(max_batch_rows=1)
         rng = np.random.default_rng(11)
         points = rng.standard_normal((2, DIM))
-        with IndexRuntime(index, cfg) as runtime:
+        with shard_rows(index, 1), IndexRuntime(index) as runtime:
             runtime.insert(points[:1], ids=np.array([4242]))
             behind = runtime.index.insert(points[1:])
             response = runtime.submit(QueryRequest(queries=points, k=1))
