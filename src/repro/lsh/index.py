@@ -329,27 +329,18 @@ class StandardLSH:
                              Dict[str, np.ndarray]]:
         """What this fitted index is: ``(scalars, source, derived)``.
 
-        The one description persistence and any
-        other consumer read — a field added to the index is added here
-        and in :meth:`from_state`, nowhere else.  ``scalars`` are the
-        JSON-able constructor keywords.  ``source`` holds the arrays
-        that cannot be recomputed: ``data``, ``ids``, ``deleted`` (only
-        once something was deleted) and each ``family{t}/...``.
-        ``derived`` holds what :meth:`_rebuild_tables` and the first
-        query would recompute from those: ``sq_norms`` (only once
-        cached) and each ``table{t}/...`` sorted layout.  A live insert
-        overlay is never part of the state: while one exists the table
-        layouts are left out, and an adopter rebuilds them from
-        ``data``, which folds the overlay in.
-
-        A group of a Bi-level index gives its rows' ids as ``ids``, their
-        tombstones as ``deleted``, and no ``data`` or ``sq_norms``.
+        ``scalars`` are the JSON-able constructor keywords; ``source``
+        the arrays nothing recomputes: ``data``, ``ids``, ``deleted``
+        (once something was deleted) and each ``family{t}/...``.
+        ``derived`` holds what a rebuild or the first query would
+        recompute: each ``table{t}/...`` sorted layout, left out while an
+        insert overlay is live, and ``sq_norms`` once cached.  A group
+        of a Bi-level index gives its ``rows`` of its owner's store and
+        their ``deleted`` instead of ``data`` and ``ids``.
 
         Arrays are returned by reference, captured under the writer
-        lock; writers publish fresh arrays — or, for ``insert``, a longer
-        prefix over rows appended *behind* the captured one — and never
-        rewrite what a published array covers, so the capture stays
-        frozen and is the live prefix only, never spare capacity.
+        lock; writers publish fresh arrays or a longer prefix and never
+        rewrite what a published array covers.
         """
         self._check_fitted()
         with self._update_lock:
@@ -367,7 +358,7 @@ class StandardLSH:
                 if store.sq_norms is not None:
                     derived["sq_norms"] = store.sq_norms
             else:
-                source = {"ids": store.ids[rows]}
+                source = {"rows": rows}
                 if store.deleted is not None and store.deleted[rows].any():
                     source["deleted"] = store.deleted[rows]
             for t, family in enumerate(self._families):
@@ -380,20 +371,16 @@ class StandardLSH:
     @classmethod
     def from_state(cls, scalars: dict, source: Dict[str, np.ndarray],
                    derived: Optional[Dict[str, np.ndarray]] = None,
-                   store: Optional[RowStore] = None,
-                   rows: Optional[np.ndarray] = None) -> "StandardLSH":
-        """The index :meth:`state` described, over the arrays given.
-
-        Every array is adopted by reference — no copy, so read-only
-        views stay read-only views and a memmap stays a
-        memmap.  Table layouts absent from ``derived`` are rebuilt from
-        ``data``; hierarchies are always rebuilt from the tables (their
-        Morton keys are Python ints past 62 bits, not an array), and the
-        escalation threshold is fitted again from them.  With a
-        ``store`` the index is a group of a Bi-level index over its
-        ``rows`` of it (``source["ids"]`` are their ids), whose tombstones
-        go into the store's one mask.  An older archive's scalars may name
-        a retired option (:func:`drop_retired_options`).
+                   store: Optional[RowStore] = None) -> "StandardLSH":
+        """The index :meth:`state` described, over the arrays given, by
+        reference: no copy, and a memmap stays a memmap.  Table layouts
+        absent from ``derived`` are rebuilt from ``data``; hierarchies
+        are always rebuilt from the tables (their Morton keys are Python
+        ints past 62 bits) and the escalation threshold refitted.  With
+        a ``store`` the index is a group of a Bi-level index over its
+        ``source["rows"]`` of it, whose tombstones go into the store's
+        one mask.  Retired options are dropped or refused
+        (:func:`drop_retired_options`).
         """
         index = cls(**drop_retired_options(scalars))
         derived = derived or {}
@@ -401,7 +388,7 @@ class StandardLSH:
             store = RowStore(source["data"], source["ids"],
                              source.get("deleted"), derived.get("sq_norms"))
         else:
-            index._rows = rows
+            index._rows = rows = source["rows"]
             if "deleted" in source:
                 mask = np.zeros(store.n_rows, dtype=bool)
                 mask[rows] = source["deleted"]

@@ -35,12 +35,6 @@ from repro import obs
 _SIGN_FLIP = np.uint64(1 << 63)
 
 
-def codes_to_keys(codes: np.ndarray) -> List[bytes]:
-    """Convert an ``(n, M)`` int code array to hashable byte keys."""
-    codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
-    return [row.tobytes() for row in codes]
-
-
 def pack_codes(codes: np.ndarray) -> np.ndarray:
     """Pack ``(n, M)`` int64 codes into ``(n,)`` sortable fixed-width keys.
 
@@ -121,6 +115,24 @@ class SortedLayout(NamedTuple):
             [bucket_codes.ctypes.data, n_buckets, starts.ctypes.data,
              ends.ctypes.data, sorted_ids.ctypes.data, sorted_ids.shape[0]],
             dtype=np.int64))
+
+    def flaw(self, n_rows: int) -> Optional[Tuple[str, str]]:
+        """What :meth:`sort` guarantees and an adopted layout breaks, as
+        ``(array, reason)``, or ``None``: non-empty buckets tiling
+        ``sorted_ids`` in order, strictly ascending codes, and ids that
+        are rows below ``n_rows``.  O(buckets + ids); nothing sorts."""
+        starts, ends, ids = self.starts, self.ends, self.sorted_ids
+        last = int(ends[-1]) if ends.shape[0] else 0
+        if (starts[:1].any() or last != ids.shape[0]
+                or not np.array_equal(starts[1:], ends[:-1])
+                or (ends <= starts).any()):
+            return "ends", f"does not tile the {ids.shape[0]} sorted ids"
+        keys = pack_codes(self.bucket_codes)
+        if (keys[1:] <= keys[:-1]).any():
+            return "bucket_codes", "is not strictly ascending"
+        if ids.shape[0] and (ids.min() < 0 or ids.max() >= n_rows):
+            return "sorted_ids", f"holds ids outside [0, {n_rows})"
+        return None
 
     @classmethod
     def sort(cls, codes: np.ndarray, ids: np.ndarray) -> "SortedLayout":
@@ -238,19 +250,13 @@ class LSHTable:
     @classmethod
     def from_arrays(cls, bucket_codes: np.ndarray, starts: np.ndarray,
                     ends: np.ndarray, sorted_ids: np.ndarray) -> "LSHTable":
-        """A table over an existing CSR layout, adopted by reference.
-
-        No sort and no copy: an adopter may hand in read-only
-        views of the layout :meth:`arrays` exported.  The overlay starts
-        empty, as after any build.
-        """
+        """A table over an existing CSR layout (:meth:`arrays`), adopted
+        by reference: no sort, no copy.  The overlay starts empty."""
         table = cls(bucket_codes[:0])
-        table._bucket_codes = bucket_codes
-        table._starts = starts
-        table._ends = ends
-        table._sorted_ids = sorted_ids
-        table._base = SortedLayout.adopt(bucket_codes, starts, ends,
-                                         sorted_ids)
+        table._base = base = SortedLayout.adopt(bucket_codes, starts, ends,
+                                                sorted_ids)
+        table._bucket_codes, table._starts, table._ends, table._sorted_ids = \
+            base[:4]
         table.n_points = sorted_ids.shape[0]
         return table
 

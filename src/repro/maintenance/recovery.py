@@ -6,7 +6,7 @@ can be killed at any instant — ``kill -9`` mid-append, mid-compaction,
 mid-checkpoint — and :func:`recover_index` reconstructs exactly the
 acknowledged state:
 
-1. load the most recent v2 snapshot (:func:`repro.persistence.load_index`
+1. load the most recent snapshot (:func:`repro.persistence.load_index`
    verifies every array checksum and restores the snapshot's applied
    LSN from ``__meta__``);
 2. scan the WAL (:func:`repro.maintenance.wal.read_wal` — tolerant of a
@@ -127,8 +127,8 @@ def checkpoint(index: object, wal: Optional[WriteAheadLog],
     The save itself captures a consistent ``(snapshot, LSN)`` pair (the
     assembly runs under the index's writer lock) and *returns* the LSN
     it recorded, so the WAL reset truncates exactly the prefix the
-    snapshot contains — a mutation acknowledged while compression ran
-    off-lock advances ``index._applied_lsn`` past the captured value,
+    snapshot contains — a mutation acknowledged while the archive was
+    written off-lock advances ``index._applied_lsn`` past the captured value,
     and truncating against that newer LSN would drop its WAL record
     from a snapshot that does not hold it.  Crash-safe in both halves:
     the snapshot commits via atomic rename, and a crash between the

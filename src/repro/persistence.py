@@ -1,19 +1,15 @@
-"""Index persistence: save fitted indexes to a single ``.npz`` file.
+"""Index persistence: one ``.npz`` archive per fitted index.
 
-Building an index costs RP-tree construction, ``L`` hash passes and table
-sorts; persisting it makes query-only deployments cheap.  Supported:
-:class:`~repro.lsh.index.StandardLSH` and
-:class:`~repro.core.bilevel.BiLevelLSH`.
-
-Format: one compressed ``.npz`` archive holding every array under a
-path-like key (``group3/family2/directions``) plus a ``__meta__`` JSON
-blob with the scalars, so no pickle is involved and files are portable
-across Python versions.  Which arrays and scalars a
-:class:`StandardLSH` is made of is not decided here: the archive holds
-the *source* half of :meth:`StandardLSH.state`, and hash tables and
-bucket hierarchies are *rebuilt* on load by :meth:`StandardLSH.from_state`
-— reconstruction is deterministic and cheaper than serializing the
-derived structures.
+Supported: :class:`~repro.lsh.index.StandardLSH` and
+:class:`~repro.core.bilevel.BiLevelLSH`.  The archive holds every array
+under a path-like key (``group3/family2/directions``), written
+uncompressed, plus a ``__meta__`` JSON blob with the scalars and a
+CRC-32 / dtype / shape entry per array, so no pickle is involved.  It
+holds :meth:`StandardLSH.state` whole: the source arrays and, under
+``.../derived/``, every table's sorted layout — the paper's "linear
+array along with an indexing table" (Section V-A) — which load adopts
+after O(buckets) checks instead of sorting again; hierarchies are
+rebuilt.  Versions 1 and 2 hold no layouts: their tables are rebuilt.
 """
 
 from __future__ import annotations
@@ -31,39 +27,59 @@ from repro.core.config import BiLevelConfig
 from repro.cluster.kmeans import KMeansPartitioner
 from repro.lsh.index import (RowStore, StandardLSH, drop_retired_options,
                              prefixed, sub_arrays)
+from repro.lsh.table import SortedLayout
 from repro.resilience.errors import CorruptIndexError, InjectedFault
 from repro.resilience.faults import faults_active
 from repro.rptree.rules import SplitResult
 from repro.rptree.tree import RPTree, RPTreeNode
 
-#: Version 2 adds per-array CRC-32 checksums to ``__meta__``; version-1
-#: files (no checksums) still load, they just skip verification.
-FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+#: Version 2 adds per-array CRC-32 checksums to ``__meta__`` (version-1
+#: files skip verification); version 3 stores the table layouts and
+#: Bi-level's row store as it stands, uncompressed.
+FORMAT_VERSION = 3
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 # ------------------------------------------------------------- standard LSH
 
 def _standard_arrays(prefix: str, index: StandardLSH,
                      arrays: Dict[str, np.ndarray]) -> dict:
-    """Store ``index.state()``'s source arrays under ``prefix/``; the
-    derived ones are rebuilt on load, so they are not stored (nor is a
-    Bi-level group's data, which is its owner's)."""
-    scalars, source, _ = index.state()
+    """Store ``index.state()`` under ``prefix/``, its derived half under
+    ``prefix/derived/``."""
+    scalars, source, derived = index.state()
     arrays.update(prefixed(f"{prefix}/", source))
+    arrays.update(prefixed(f"{prefix}/derived/", derived))
     # Readers before the state description take each family's width
     # from here; it has only ever been the index's.
     return dict(scalars, families=[{"bucket_width": index.bucket_width}]
                 * index.n_tables)
 
 
-def _standard_restore(prefix: str, meta: dict, arrays,
+def _standard_restore(path: str, prefix: str, meta: dict, arrays,
                       store: Optional[RowStore] = None,
                       rows: Optional[np.ndarray] = None) -> StandardLSH:
+    """The index under ``prefix/`` (a Bi-level group's ``rows`` given
+    when a version-1/2 archive was regrouped).  A stored table layout is
+    adopted only if :meth:`SortedLayout.flaw` finds nothing a rebuild
+    would have guaranteed broken: checksums catch damage, not a layout
+    written wrong."""
     scalars = {key: value for key, value in meta.items()
                if key != "families"}
-    return StandardLSH.from_state(scalars, sub_arrays(arrays, f"{prefix}/"),
-                                  store=store, rows=rows)
+    source = sub_arrays(arrays, f"{prefix}/")
+    derived = sub_arrays(source, "derived/")
+    if rows is not None:
+        source["rows"] = rows
+    n_rows = source["data"].shape[0] if store is None else store.n_rows
+    for t in range(int(scalars["n_tables"])):
+        layout = sub_arrays(derived, f"table{t}/")
+        try:
+            flaw = layout and SortedLayout.adopt(**layout).flaw(n_rows)
+        except (TypeError, ValueError) as error:
+            flaw = ("", str(error))
+        if flaw:
+            raise CorruptIndexError(path, f"{prefix}/derived/table{t}/"
+                                    + flaw[0], flaw[1])
+    return StandardLSH.from_state(scalars, source, derived, store=store)
 
 
 # ------------------------------------------------------------------ RP-tree
@@ -193,8 +209,8 @@ def _bilevel_arrays(index: BiLevelLSH, arrays: Dict[str, np.ndarray]) -> dict:
         "config": dataclasses.asdict(index.config),
         "group_widths": list(index.group_widths),
     }
-    store = index._store  # rows group by group; the archive's in id order
-    arrays["data"] = store.data[np.argsort(store.ids, kind="stable")]
+    # The store as it stands: a group's layouts name its rows.
+    arrays["data"], arrays["ids"] = index._store.data, index._store.ids
     if isinstance(index.partitioner, RPTree):
         meta["tree"] = _tree_arrays("tree", index.partitioner, arrays)
     else:
@@ -206,7 +222,7 @@ def _bilevel_arrays(index: BiLevelLSH, arrays: Dict[str, np.ndarray]) -> dict:
     return meta
 
 
-def _bilevel_restore(meta: dict, arrays) -> BiLevelLSH:
+def _bilevel_restore(path: str, meta: dict, arrays) -> BiLevelLSH:
     known = {field.name for field in dataclasses.fields(BiLevelConfig)}
     config = drop_retired_options(meta["config"])
     index = BiLevelLSH(BiLevelConfig(**{  # an inert retired key is ignored
@@ -216,10 +232,14 @@ def _bilevel_restore(meta: dict, arrays) -> BiLevelLSH:
     else:
         index.partitioner = _kmeans_restore("tree", meta["tree"], arrays)
     index.group_widths = [float(w) for w in meta["group_widths"]]
-    index._store, rows = grouped_store(np.asarray(arrays["data"]), [
-        arrays[f"group{g}/ids"] for g in range(len(meta["groups"]))])
+    rows = [None] * len(meta["groups"])
+    if "ids" in arrays:  # the store as it stood: adopted, not regrouped
+        index._store = RowStore(arrays["data"], arrays["ids"])
+    else:  # versions 1-2: rows in id order, each group's ids
+        index._store, rows = grouped_store(np.asarray(arrays["data"]), [
+            arrays[f"group{g}/ids"] for g in range(len(rows))])
     index.group_indexes = [
-        _standard_restore(f"group{g}", group_meta, arrays,
+        _standard_restore(path, f"group{g}", group_meta, arrays,
                           store=index._store, rows=rows[g])
         for g, group_meta in enumerate(meta["groups"])]
     return index
@@ -228,10 +248,8 @@ def _bilevel_restore(meta: dict, arrays) -> BiLevelLSH:
 # ----------------------------------------------------------- integrity layer
 
 def _crc32(arr: np.ndarray) -> int:
-    """CRC-32 of a C-contiguous array's bytes, read in place.
-
-    ``tobytes()`` would copy the array first — for the point matrix that
-    is a transient the size of the corpus on every save and load."""
+    """CRC-32 of a C-contiguous array's bytes, read in place
+    (``tobytes()`` would copy the corpus on every save and load)."""
     return int(zlib.crc32(arr.reshape(-1).view(np.uint8)))
 
 
@@ -286,11 +304,8 @@ def _verify_arrays(path: str, meta: dict,
 
 def _inject_load_corruption(meta: dict,
                             arrays: Dict[str, np.ndarray]) -> None:
-    """Flip one byte of the first checksummed array (fault injection).
-
-    Models a bad sector / torn read discovered *after* the OS handed us
-    bytes; :func:`_verify_arrays` must catch it and name the entry.
-    """
+    """Flip one byte of the first checksummed array (fault injection): a
+    bad sector :func:`_verify_arrays` must catch and name."""
     checks = meta.get("checksums") or {}
     for key in sorted(checks):
         arr = arrays.get(key)
@@ -298,10 +313,8 @@ def _inject_load_corruption(meta: dict,
             continue
         raw = bytearray(np.ascontiguousarray(arr).tobytes())
         raw[0] ^= 0xFF
-        # Buffer ownership: frombuffer over an immutable ``bytes`` object
-        # is safe to return — the view's ``.base`` keeps those bytes
-        # alive for the view's whole lifetime (unlike a buffer closed
-        # from outside, e.g. shared memory, whose views must die first).
+        # Buffer ownership: the view's ``.base`` keeps the immutable
+        # ``bytes`` alive for as long as the view lives.
         arrays[key] = np.frombuffer(bytes(raw),
                                     dtype=arr.dtype).reshape(arr.shape)
         return
@@ -314,7 +327,7 @@ def _read_archive(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
         if meta.get("version") not in SUPPORTED_VERSIONS:
             raise ValueError(
                 f"unsupported index file version {meta.get('version')!r}")
-        # Buffer ownership: npz entries decompress into fresh arrays
+        # Buffer ownership: npz entries are read into fresh arrays
         # that own their data, so they may outlive the closed archive.
         # (A mmap-backed load would NOT survive this block — regression
         # test: test_persistence.py::test_loaded_arrays_own_their_data.)
@@ -337,20 +350,12 @@ def save_index(index: Union[StandardLSH, BiLevelLSH], path: str) -> int:
     index untouched instead of a truncated file.  Every array's CRC-32
     checksum is recorded in ``__meta__`` for load-time verification.
 
-    Assembly runs under the index's writer lock, so a
-    save racing live inserts/deletes — or a compaction — captures a consistent ``(snapshot, wal_lsn)`` pair: the recorded LSN
-    covers exactly the mutations visible in the captured arrays, which
-    is what makes WAL-tail replay after recovery idempotent.  Mutations
-    publish fresh arrays (or a longer prefix, leaving the captured rows
-    untouched) instead of writing in place, so the captured
-    references stay frozen while compression runs off-lock.
-
-    Returns the ``wal_lsn`` recorded in ``__meta__`` (0 for an index
-    that never logged a mutation).  Checkpoints must truncate the WAL against
-    *this* value — re-reading ``index._applied_lsn`` after the save
-    returns races concurrent mutations that landed while compression
-    ran off-lock, and truncating against the newer LSN would drop their
-    WAL records from a snapshot that does not contain them.
+    Assembly runs under the index's writer lock, so the archive holds
+    a consistent ``(snapshot, wal_lsn)`` pair; writers never rewrite
+    what a captured array covers, so the write itself runs off-lock.
+    Returns that ``wal_lsn`` (0 for an index that never logged a
+    mutation): a checkpoint truncates the WAL against it, not against
+    ``index._applied_lsn``, which a mutation may have moved meanwhile.
     """
     if not isinstance(index, (StandardLSH, BiLevelLSH)):
         raise TypeError(f"cannot persist index of type {type(index)!r}")
@@ -364,9 +369,8 @@ def save_index(index: Union[StandardLSH, BiLevelLSH], path: str) -> int:
         meta["wal_lsn"] = int(index._applied_lsn)
     meta["version"] = FORMAT_VERSION
     meta["checksums"] = _array_checksums(arrays)
-    # ``np.savez_compressed`` appends ``.npz`` to string paths but not to
-    # file objects; normalize first so the atomic rename targets the same
-    # name the old direct-write path produced.
+    # ``np.savez`` appends ``.npz`` to string paths but not to file
+    # objects; normalize first so the rename targets that name.
     final = str(path)
     if not final.endswith(".npz"):
         final += ".npz"
@@ -378,7 +382,7 @@ def save_index(index: Union[StandardLSH, BiLevelLSH], path: str) -> int:
             # ``bytes`` holds its buffer via ``.base`` and is consumed
             # (copied into the archive) before this statement returns —
             # no view escapes the owning object's lifetime.
-            np.savez_compressed(fh, __meta__=np.frombuffer(
+            np.savez(fh, __meta__=np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
             fh.flush()
             os.fsync(fh.fileno())
@@ -399,18 +403,18 @@ def save_index(index: Union[StandardLSH, BiLevelLSH], path: str) -> int:
 def load_index(path: str) -> Union[StandardLSH, BiLevelLSH]:
     """Load an index previously written by :func:`save_index`.
 
-    Version-2 archives are verified entry-by-entry against the stored
-    checksums before any structure is rebuilt; a mismatch raises
-    :class:`~repro.resilience.errors.CorruptIndexError` naming the bad
-    key instead of silently rebuilding from garbage.
+    Entries are verified against their stored checksums (version 2 on)
+    and stored table layouts checked before they are adopted; either
+    failure raises :class:`~repro.resilience.errors.CorruptIndexError`
+    naming the bad key instead of answering from garbage.
     """
     meta, arrays = _read_archive(str(path))
     _verify_arrays(str(path), meta, arrays)
     kind = meta["type"]
     if kind == "bilevel":
-        index = _bilevel_restore(meta["body"], arrays)
+        index = _bilevel_restore(str(path), meta["body"], arrays)
     elif kind == "standard":
-        index = _standard_restore("index", meta["body"], arrays)
+        index = _standard_restore(str(path), "index", meta["body"], arrays)
     else:
         raise ValueError(f"unknown index type {kind!r} in {path}")
     # The snapshot's WAL position (0 for pre-maintenance archives): the

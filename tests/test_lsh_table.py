@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lsh.table import LSHTable, codes_to_keys
+from repro.lsh.table import LSHTable
 
 
 class TestBuild:
@@ -89,7 +89,3 @@ class TestInvariants:
         for i in range(bc.shape[0] - 1):
             assert tuple(bc[i]) < tuple(bc[i + 1])
 
-    def test_codes_to_keys_roundtrip_distinct(self):
-        codes = np.array([[1, 2], [2, 1], [1, 2]])
-        keys = codes_to_keys(codes)
-        assert keys[0] == keys[2] and keys[0] != keys[1]

@@ -193,7 +193,7 @@ class TestBilevelRoundtrip:
 
 
 class TestArchiveKeys:
-    """The v2 format is these keys, written out literally: a change to
+    """The v3 format is these keys, written out literally: a change to
     ``StandardLSH.state()`` must not rename what is on disk."""
 
     def _keys(self, index, tmp_path):
@@ -205,29 +205,40 @@ class TestArchiveKeys:
     def test_standard_two_tables(self, gaussian_data, tmp_path):
         index = StandardLSH(bucket_width=8.0, n_tables=2, hierarchy=True,
                             seed=20).fit(gaussian_data)
-        live = ["__meta__", "index/data",
-                "index/family0/directions", "index/family0/offsets_unit",
-                "index/family1/directions", "index/family1/offsets_unit",
-                "index/ids"]
+        layout = ["bucket_codes", "ends", "sorted_ids", "starts"]
+        live = ["__meta__", "index/data"] + [
+            f"index/derived/table{t}/{name}" for t in (0, 1)
+            for name in layout] + [
+            "index/family0/directions", "index/family0/offsets_unit",
+            "index/family1/directions", "index/family1/offsets_unit",
+            "index/ids"]
         assert self._keys(index, tmp_path) == live
         index.delete([1, 2])
-        assert self._keys(index, tmp_path) == sorted(live + ["index/deleted"])
+        index.query_batch(gaussian_data[:2], 1)  # caches the norms
+        assert self._keys(index, tmp_path) == sorted(
+            live + ["index/deleted", "index/derived/sq_norms"])
 
     def test_bilevel_two_groups(self, gaussian_data, tmp_path):
         index = BiLevelLSH(BiLevelConfig(n_groups=2, bucket_width=8.0,
                                          n_tables=2, seed=21)
                            ).fit(gaussian_data)
         index.delete(index.partitioner.leaf_indices()[1][:3])
-        assert self._keys(index, tmp_path) == [
-            "__meta__", "data",
-            "group0/family0/directions", "group0/family0/offsets_unit",
-            "group0/family1/directions", "group0/family1/offsets_unit",
-            "group0/ids",
-            "group1/deleted",
-            "group1/family0/directions", "group1/family0/offsets_unit",
-            "group1/family1/directions", "group1/family1/offsets_unit",
-            "group1/ids",
-            "tree/leaf_concat", "tree/leaf_sizes", "tree/vectors"]
+
+        def group(g, deleted):
+            return ([f"group{g}/deleted"] if deleted else []) + [
+                f"group{g}/derived/table{t}/{name}" for t in (0, 1)
+                for name in ("bucket_codes", "ends", "sorted_ids",
+                             "starts")] + [
+                f"group{g}/family0/directions",
+                f"group{g}/family0/offsets_unit",
+                f"group{g}/family1/directions",
+                f"group{g}/family1/offsets_unit",
+                f"group{g}/rows"]
+
+        assert self._keys(index, tmp_path) == (
+            ["__meta__", "data"] + group(0, False) + group(1, True)
+            + ["ids", "tree/leaf_concat", "tree/leaf_sizes",
+               "tree/vectors"])
 
 
 class TestErrors:
@@ -346,7 +357,7 @@ class TestVerifiedPersistence:
     def test_verify_index_report(self, saved):
         path, _ = saved
         report = verify_index(path)
-        assert report["path"] == path and report["version"] == 2
+        assert report["path"] == path and report["version"] == 3
         assert report["checksummed"] is True
         assert report["n_verified"] == report["n_arrays"] > 0
 
@@ -489,3 +500,273 @@ def test_in_place_checksum_matches_the_stored_one(arr):
 
     arr = np.ascontiguousarray(arr)
     assert _crc32(arr) == zlib.crc32(arr.tobytes())
+
+
+# ------------------------------------------------------- format 3: adoption
+
+def _answers(index, queries, k=5, threshold=None):
+    """Every byte of a batch's answer: ids, distance bits, candidate
+    counts and escalation flags."""
+    ids, dists, stats = index.query_batch(queries, k,
+                                          hierarchy_threshold=threshold)
+    return [ids.tobytes(), dists.tobytes(), stats.n_candidates.tobytes(),
+            stats.escalated.tobytes()]
+
+
+def _members(index):
+    return getattr(index, "group_indexes", [index])
+
+
+def _assert_byte_equal(index, loaded, queries):
+    for k, threshold in ((1, 0), (5, None), (5, 10 ** 6)):
+        assert _answers(loaded, queries, k, threshold) \
+            == _answers(index, queries, k, threshold)
+    assert [m.escalation_threshold for m in _members(loaded)] \
+        == [m.escalation_threshold for m in _members(index)]
+
+
+def _no_rebuild(monkeypatch):
+    """Make a table rebuild fail: a load that adopts never calls it."""
+    def refuse(self, chunk_size=None):
+        raise AssertionError("the tables were rebuilt, not adopted")
+
+    monkeypatch.setattr(StandardLSH, "_rebuild_tables", refuse)
+
+
+def _fit(kind, data, lattice="zm", hierarchy=False, seed=30):
+    if kind == "standard":
+        return StandardLSH(bucket_width=4.0, n_tables=3, lattice=lattice,
+                           hierarchy=hierarchy, seed=seed).fit(data)
+    return BiLevelLSH(BiLevelConfig(
+        n_groups=4, bucket_width=4.0, n_tables=3, lattice=lattice,
+        hierarchy=hierarchy, seed=seed)).fit(data)
+
+
+def _write_v2(index, path):
+    """What ``save_index`` wrote in format 2: the source arrays only, a
+    Bi-level matrix in id order with each group's ids, compressed."""
+    from repro.persistence import _array_checksums
+
+    arrays = {}
+
+    def standard(prefix, member):
+        scalars, source, _ = member.state()
+        if "rows" in source:
+            source["ids"] = member._store.ids[source.pop("rows")]
+        arrays.update({f"{prefix}/{key}": value
+                       for key, value in source.items()})
+        return dict(scalars, families=[{"bucket_width": member.bucket_width}]
+                    * member.n_tables)
+
+    if isinstance(index, BiLevelLSH):
+        # The partitioner and config go through the current writer.
+        save_index(index, path)
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["__meta__"].tobytes()).decode())
+            arrays.update({key: archive[key] for key in archive.files
+                           if key.startswith("tree/")})
+        store = index._store
+        arrays["data"] = store.data[np.argsort(store.ids, kind="stable")]
+        meta["body"]["groups"] = [
+            standard(f"group{g}", member)
+            for g, member in enumerate(index.group_indexes)]
+    else:
+        meta = {"type": "standard",
+                "body": standard("index", index), "wal_lsn": 0}
+    meta["version"] = 2
+    meta["checksums"] = _array_checksums(arrays)
+    np.savez_compressed(path, __meta__=np.frombuffer(
+        json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+KINDS = [(kind, lattice, hierarchy) for kind in ("standard", "bilevel")
+         for lattice in ("zm", "e8") for hierarchy in (False, True)]
+KIND_IDS = [f"{kind}-{lattice}-{'hier' if hierarchy else 'flat'}"
+            for kind, lattice, hierarchy in KINDS]
+
+
+class TestAdoptedRoundtrip:
+    """Format 3 stores every table's sorted layout and load adopts it:
+    the loaded index answers byte for byte as the saved one, and no
+    table is sorted again."""
+
+    @pytest.mark.parametrize("kind, lattice, hierarchy", KINDS,
+                             ids=KIND_IDS)
+    def test_fresh_fit(self, gaussian_data, gaussian_queries, tmp_path,
+                       monkeypatch, kind, lattice, hierarchy):
+        index = _fit(kind, gaussian_data, lattice, hierarchy)
+        path = str(tmp_path / "fresh.npz")
+        save_index(index, path)
+        _no_rebuild(monkeypatch)
+        loaded = load_index(path)
+        _assert_byte_equal(index, loaded, gaussian_queries)
+        for a, b in zip(_members(index), _members(loaded)):
+            for want, got in zip(a._tables, b._tables):
+                np.testing.assert_array_equal(got.sorted_ids,
+                                              want.sorted_ids)
+
+    @pytest.mark.parametrize("kind, lattice, hierarchy", KINDS,
+                             ids=KIND_IDS)
+    def test_after_folds_deletes_and_compact(
+            self, gaussian_data, gaussian_queries, tmp_path, monkeypatch,
+            kind, lattice, hierarchy):
+        # Inserts past the fold trigger append rows behind the fitted
+        # ones, so a group's rows are no longer what regrouping the
+        # matrix in id order gives: its layouts name the store's rows.
+        index = _fit(kind, gaussian_data[:500], lattice, hierarchy)
+        for step in range(10):
+            index.insert(gaussian_data[500 + 30 * step:530 + 30 * step])
+        index.delete(np.arange(0, 800, 16))
+        index.compact()
+        assert not any(table.n_extra for m in _members(index)
+                       for table in m._tables)
+        path = str(tmp_path / "folded.npz")
+        save_index(index, path)
+        _no_rebuild(monkeypatch)
+        loaded = load_index(path)
+        _assert_byte_equal(index, loaded, gaussian_queries)
+        _assert_byte_equal(index, loaded, gaussian_data[::40])
+        np.testing.assert_array_equal(loaded._data, index._data)
+        # The loaded index keeps mutating alike.
+        for copy in (index, loaded):
+            copy.insert(gaussian_queries[:5])
+            copy.delete([3, 4])
+        _assert_byte_equal(index, loaded, gaussian_queries)
+
+    @pytest.mark.parametrize("kind", ["standard", "bilevel"])
+    def test_a_live_overlay_is_rebuilt(self, gaussian_data,
+                                       gaussian_queries, tmp_path, kind):
+        index = _fit(kind, gaussian_data[:700])
+        index.insert(gaussian_data[700:720])  # below the fold trigger
+        index.delete([5, 710])
+        assert any(table.n_extra for m in _members(index)
+                   for table in m._tables)
+        path = str(tmp_path / "overlay.npz")
+        save_index(index, path)
+        with np.load(path) as archive:
+            stored = [key for key in archive.files if "/table" in key]
+        live = [m for m in _members(index)
+                if any(table.n_extra for table in m._tables)]
+        assert len(stored) == 4 * 3 * (len(_members(index)) - len(live))
+        loaded = load_index(path)
+        assert not any(table.n_extra for m in _members(loaded)
+                       for table in m._tables)
+        _assert_byte_equal(index, loaded, gaussian_queries)
+
+    @pytest.mark.parametrize("kind", ["standard", "bilevel"])
+    def test_a_version_2_archive_loads_by_rebuilding(
+            self, gaussian_data, gaussian_queries, tmp_path, kind):
+        index = _fit(kind, gaussian_data, hierarchy=True)
+        index.delete(np.arange(0, 800, 9))
+        path = str(tmp_path / "v2.npz")
+        _write_v2(index, path)
+        assert verify_index(path)["version"] == 2
+        _assert_byte_equal(index, load_index(path), gaussian_queries)
+
+    def test_recover_rewrites_a_version_2_archive_as_version_3(
+            self, gaussian_data, gaussian_queries, tmp_path, capsys):
+        from repro.cli import main
+        from repro.maintenance import WriteAheadLog
+
+        index = _fit("bilevel", gaussian_data[:700])
+        old, wal_path = str(tmp_path / "v2.npz"), str(tmp_path / "tail.wal")
+        _write_v2(index, old)
+        with WriteAheadLog(wal_path) as wal:
+            wal.append_insert(gaussian_data[700:710],
+                              np.arange(700, 710, dtype=np.int64))
+            wal.append_delete(np.array([1, 702], dtype=np.int64))
+        new = str(tmp_path / "new.npz")
+        assert main(["recover", old, "--wal", wal_path, "--out", new]) == 0
+        assert json.loads(capsys.readouterr().out)["applied"] == 2
+        assert main(["verify-index", new]) == 0
+        assert json.loads(capsys.readouterr().out)["version"] == 3
+        index.insert(gaussian_data[700:710])
+        index.delete([1, 702])
+        _assert_byte_equal(index, load_index(new), gaussian_queries)
+
+
+def test_a_folded_hierarchy_index_answers_alike_once_loaded(tmp_path):
+    """A hierarchy index folded after a delete answers as before once
+    saved and loaded: the archive carries the folded layouts, so the
+    loaded hierarchies do not count the tombstoned rows that a rebuild
+    from ``data`` puts back into the tables (what formats 1-2 did)."""
+    differ = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=3.0,
+                            hierarchy=True, seed=seed).fit(
+            rng.standard_normal((120, 8)))
+        index.delete([int(rng.integers(120))])
+        index.insert(rng.standard_normal((30, 8)))  # past the trigger
+        index.compact()
+        loaded = _roundtrip(index, tmp_path)
+        queries = rng.standard_normal((16, 8))
+        for k, threshold in ((1, 0), (3, 0), (5, None)):
+            if _answers(loaded, queries, k, threshold) \
+                    != _answers(index, queries, k, threshold):
+                differ.append((seed, k, threshold))
+    assert differ == []
+
+
+def _rechecksum(path, mutate):
+    """:func:`_rewrite_archive` with the checksums recomputed: damage the
+    CRCs cannot see, as a writer with a bug would leave it."""
+    from repro.persistence import _array_checksums
+
+    def apply(meta, arrays):
+        mutate(arrays)
+        meta["checksums"] = _array_checksums(
+            {key: arr for key, arr in arrays.items() if key != "__meta__"})
+
+    _rewrite_archive(path, apply)
+
+
+class TestAdoptionRefusesBadLayouts:
+    """A stored layout is adopted only after the checks a rebuild made
+    unnecessary: a bad one is refused naming its key, never answered
+    from."""
+
+    PREFIX = "index/derived/table1/"
+
+    @pytest.fixture()
+    def saved(self, gaussian_data, tmp_path):
+        path = str(tmp_path / "adopt.npz")
+        save_index(StandardLSH(bucket_width=4.0, n_tables=2,
+                               seed=31).fit(gaussian_data), path)
+        return path
+
+    def test_a_flipped_byte_is_caught_by_its_checksum(self, saved):
+        key = self.PREFIX + "sorted_ids"
+
+        def flip(meta, arrays):
+            damaged = arrays[key].copy()
+            damaged.view(np.uint8)[3] ^= 0x10
+            arrays[key] = damaged
+
+        _rewrite_archive(saved, flip)
+        with pytest.raises(CorruptIndexError, match="checksum") as err:
+            load_index(saved)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("name, damage", [
+        ("bucket_codes", lambda a: a["bucket_codes"][[1, 0]]),
+        ("ends", lambda a: a["ends"][-1] - 1),
+        ("sorted_ids", lambda a: 800),
+    ], ids=["codes-out-of-order", "ends-short", "id-past-the-rows"])
+    def test_a_rechecksummed_bad_layout_is_refused(self, saved, name,
+                                                   damage):
+        def spoil(arrays):
+            layout = {key[len(self.PREFIX):]: arrays[key].copy()
+                      for key in arrays if key.startswith(self.PREFIX)}
+            target = layout[name]
+            if name == "bucket_codes":
+                target[:2] = damage(layout)
+            else:
+                target[-1] = damage(layout)
+            arrays[self.PREFIX + name] = target
+
+        _rechecksum(saved, spoil)
+        verify_index(saved)  # every checksum holds
+        with pytest.raises(CorruptIndexError) as err:
+            load_index(saved)
+        assert err.value.key == self.PREFIX + name

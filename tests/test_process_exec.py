@@ -2,8 +2,8 @@
 deadlines, telemetry.
 
 (The file keeps the name it had when these shards ran in worker
-processes, and later on a runtime-owned thread pool; the classes and
-most test names are the ones that survived.)
+processes, and later on a runtime-owned thread pool; some class and
+test names are the ones that survived.)
 
 The contract under test (DESIGN.md §11): an
 :class:`~repro.runtime.IndexRuntime` runs the executor's own shard loop,
@@ -453,7 +453,7 @@ def _n_os_threads():
 
 
 @pytest.mark.concurrency
-class TestPoolLifecycle:
+class TestKernelThreadLifecycle:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc to count the process's threads")
     def test_close_joins_every_thread_it_started(self, dataset, queries):
