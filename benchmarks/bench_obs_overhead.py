@@ -1,33 +1,23 @@
 #!/usr/bin/env python
-"""Observability + resilience overhead guard for the LSH query plan.
+"""Observability overhead guard for the LSH query plan.
 
-Times seven configurations of the same :class:`StandardLSH` batch query,
+Times six configurations of the same :class:`StandardLSH` batch query,
 interleaved round-robin so machine drift cancels:
 
 - ``plain``   — the plan's stages run directly with no observer
   (``run_validated``: bypasses even the once-per-batch
   ``obs.active()`` gate read);
-- ``off``     — the public path with observability disabled AND no
-  resilience policy passed (what every production query pays: one
-  module-global read per batch for each gate — obs, faults);
+- ``off``     — the public path with observability disabled (what every
+  production query pays: validation plus one module-global read per
+  batch for the obs gate);
 - ``metrics`` — observability enabled, metrics only (0% trace sampling);
 - ``sampled`` — observability enabled with 1% per-query trace sampling;
-- ``supervised`` — obs off but a :class:`ResiliencePolicy` threaded
-  through the batch (no fault plan is installed, so no per-table check
-  runs);
 - ``sanitizer-off`` — the disabled path with the lock sanitizer module
   imported but not installed (the production state: the
   ``REPRO_SANITIZE_LOCKS`` gate is off, nothing is patched);
 - ``sanitizer-on`` — the same batch with the sanitizer installed
   (instrumented lock factories + patched ``Future.result`` /
   ``queue.get`` / ``shutdown``), reported informationally.
-
-Because ``query_batch`` consults the fault-injection gate
-unconditionally, the ``off`` vs ``plain`` guard doubles as the
-resilience-disabled overhead proof: the gate is read and found empty
-on every timed ``off`` batch.  ``supervised`` is reported (and bounded
-loosely by ``--max-supervised-pct``) to keep the cost of running under
-a policy visible.
 
 The guard compares *minimum* batch times (the low-noise statistic):
 ``off`` and ``sanitizer-off`` must each be within ``--max-disabled-pct``
@@ -61,7 +51,6 @@ from repro.exec import ExecutionContext, run_validated
 from repro.experiments.workloads import Scale, make_workload
 from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
-from repro.resilience import ResiliencePolicy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRACE_RATE = 0.01
@@ -79,10 +68,6 @@ def main(argv=None):
     parser.add_argument("--max-sampled-pct", type=float, default=10.0,
                         help="allowed %% overhead at 1%% trace sampling "
                              "(sampled vs plain)")
-    parser.add_argument("--max-supervised-pct", type=float, default=25.0,
-                        help="allowed %% overhead with a ResiliencePolicy "
-                             "threaded through the batch (supervised vs "
-                             "plain)")
     parser.add_argument("--retries", type=int, default=2,
                         help="re-measure attempts when an attempt exceeds "
                              "a limit (noise robustness)")
@@ -139,13 +124,6 @@ def main(argv=None):
         finally:
             obs.disable()
 
-    policy = ResiliencePolicy()
-
-    def run_supervised():
-        obs.disable()
-        policy.clear_failures()
-        return index.query_batch(queries, k, policy=policy)
-
     def run_sanitizer_off():
         # Production state: the module is importable but nothing is
         # patched, so the disabled path must be byte-for-byte the same
@@ -168,7 +146,6 @@ def main(argv=None):
         "off": run_off,
         "metrics": run_metrics,
         "sampled": run_sampled,
-        "supervised": run_supervised,
         "sanitizer-off": run_sanitizer_off,
         "sanitizer-on": run_sanitizer_on,
     }
@@ -179,14 +156,12 @@ def main(argv=None):
         base = timings["plain"].best
         disabled_pct = (timings["off"].best / base - 1.0) * 100.0
         sampled_pct = (timings["sampled"].best / base - 1.0) * 100.0
-        supervised_pct = (timings["supervised"].best / base - 1.0) * 100.0
         sanitizer_off_pct = (timings["sanitizer-off"].best / base
                              - 1.0) * 100.0
         sanitizer_on_pct = (timings["sanitizer-on"].best / base
                             - 1.0) * 100.0
         if (disabled_pct <= args.max_disabled_pct
                 and sampled_pct <= args.max_sampled_pct
-                and supervised_pct <= args.max_supervised_pct
                 and sanitizer_off_pct <= args.max_disabled_pct):
             break
         if attempts > args.retries:
@@ -218,12 +193,10 @@ def main(argv=None):
         "results": rows,
         "disabled_overhead_pct": disabled_pct,
         "sampled_overhead_pct": sampled_pct,
-        "supervised_overhead_pct": supervised_pct,
         "sanitizer_off_overhead_pct": sanitizer_off_pct,
         "sanitizer_on_overhead_pct": sanitizer_on_pct,
         "max_disabled_pct": args.max_disabled_pct,
         "max_sampled_pct": args.max_sampled_pct,
-        "max_supervised_pct": args.max_supervised_pct,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -266,10 +239,6 @@ def main(argv=None):
         failures.append(
             f"1% trace-sampling overhead {sampled_pct:.2f}% exceeds "
             f"{args.max_sampled_pct:.2f}% (sampled vs plain)")
-    if supervised_pct > args.max_supervised_pct:
-        failures.append(
-            f"supervised-dispatch overhead {supervised_pct:.2f}% exceeds "
-            f"{args.max_supervised_pct:.2f}% (supervised vs plain)")
     if sanitizer_off_pct > args.max_disabled_pct:
         failures.append(
             f"sanitizer-off overhead {sanitizer_off_pct:.2f}% exceeds "
@@ -281,8 +250,7 @@ def main(argv=None):
         print(f"overhead guard OK: disabled {disabled_pct:+.2f}% "
               f"(limit {args.max_disabled_pct}%), sampled "
               f"{sampled_pct:+.2f}% (limit {args.max_sampled_pct}%), "
-              f"supervised {supervised_pct:+.2f}% "
-              f"(limit {args.max_supervised_pct}%), sanitizer-off "
+              f"sanitizer-off "
               f"{sanitizer_off_pct:+.2f}% (limit {args.max_disabled_pct}%; "
               f"sanitizer-on {sanitizer_on_pct:+.2f}% informational)")
     return 1 if failures else 0

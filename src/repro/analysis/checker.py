@@ -51,8 +51,8 @@ RULE_SUMMARIES: Dict[str, str] = {
     "R6": "obs-centralized: pipeline modules emit telemetry only through "
           "repro.obs (no raw time.perf_counter()/print instrumentation)",
     "R7": "recorded-failures: pipeline except handlers re-raise or record "
-          "the failure (policy.note_failure / obs record_*) — no silently "
-          "swallowed errors in pipeline code",
+          "the failure (obs record_fault / record_deadline_exhausted) — no "
+          "silently swallowed errors in pipeline code",
     "R8": "exec-centralized: front-end query_batch implementations "
           "delegate to repro.exec.run_plan, and gate reads / Deadline / "
           "StageTimer plumbing never reappears inline outside repro/exec",

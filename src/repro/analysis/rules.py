@@ -412,12 +412,11 @@ def check_obs_centralized(
 
 # --------------------------------------------------------------------- R7
 
-#: Method names that record a handled failure into the resilience policy
-#: or the observability layer — catching an exception is legal only if the
-#: handler re-raises or makes one of these calls.
+#: Method names that record a handled failure into the observability
+#: layer — catching an exception is legal only if the handler re-raises or
+#: makes one of these calls.
 FAILURE_RECORDING_CALLS = frozenset({
-    "note_failure", "record_fault", "record_fallback",
-    "record_degraded", "record_deadline_exhausted",
+    "record_fault", "record_deadline_exhausted",
 })
 
 
@@ -463,8 +462,8 @@ def check_recorded_failures(
     a typed handler that *does* something (returns a default, logs to a
     local) but lets the error vanish from the batch's failure accounting.
     Inside the pipeline packages every handler must either contain a
-    ``raise`` or call a failure-recording API
-    (:meth:`ResiliencePolicy.note_failure`, ``Observer.record_*``) —
+    ``raise`` or call a failure-recording API (``Observer.record_fault``
+    / ``record_deadline_exhausted``) —
     since the v2 graph, calling a helper that the resolved call graph
     proves makes such a call (even under a renamed import) also counts.
     :mod:`repro.resilience`, :mod:`repro.obs` and the analysis package
@@ -485,8 +484,8 @@ def check_recorded_failures(
             violations.append(Violation(
                 "R7", module.posix_path, node.lineno,
                 "except handler swallows the failure: re-raise, or record "
-                "it via ResiliencePolicy.note_failure / an obs record_* "
-                "call so the batch's failure accounting stays honest",
+                "it via an obs record_* call so the failure accounting "
+                "stays honest",
             ))
     return violations
 
@@ -524,7 +523,7 @@ def check_exec_centralized(
     Inside the front-end packages (``lsh``, ``core``, ``gpu``,
     ``evaluation``), (a) every non-stub ``query_batch`` definition must
     delegate to :func:`repro.exec.run_plan` — the one executor that owns
-    gate reads, deadlines, degradation, stage timing and batch sharding
+    gate reads, deadlines, stage timing and batch sharding
     — either directly or through the runtime's ``submit`` (itself a thin
     front over ``run_plan``) — and (b) that
     executor-owned plumbing must not reappear inline: no

@@ -96,8 +96,7 @@ def _resolve_config(args: argparse.Namespace) -> "Optional[object]":
     """Shared CLI option resolution (``query``/``serve``).
 
     One seam — :meth:`repro.runtime.RuntimeConfig.from_args` — interprets
-    ``--deadline-ms`` / ``--resilient`` (and the serving knobs) for both
-    subcommands, so
+    ``--deadline-ms`` (and the serving knobs) for both subcommands, so
     their defaults cannot drift apart.  Returns ``None`` after printing
     to stderr on an invalid option (callers exit 2).
     """
@@ -146,8 +145,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     ids, dists, stats = response.as_tuple()
     if args.output:
         extra = {}
-        if stats.degraded is not None:
-            extra["degraded"] = stats.degraded
         if stats.exhausted_budget is not None:
             extra["exhausted_budget"] = stats.exhausted_budget
         np.savez(args.output, ids=ids, distances=dists,
@@ -161,12 +158,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     sel = stats.n_candidates.mean() / max(index.n_points, 1)
     print(f"mean short-list: {stats.n_candidates.mean():.1f} "
           f"(selectivity {sel:.4f})")
-    n_degraded = int(stats.degraded_mask().sum())
     n_exhausted = int(stats.exhausted_mask().sum())
-    if n_degraded or n_exhausted:
-        print(f"resilience: {n_degraded} degraded, "
-              f"{n_exhausted} budget-exhausted "
-              f"({len(stats.failures or ())} recorded failures)")
+    if n_exhausted:
+        print(f"deadline: {n_exhausted} budget-exhausted")
     return 0
 
 
@@ -450,10 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget for the batch; past it, queries "
                         "return best-effort results flagged "
                         "exhausted_budget")
-    p.add_argument("--resilient", action="store_true",
-                   help="run under a default ResiliencePolicy: a failing "
-                        "table or group degrades its rows, flagged and "
-                        "reported, instead of crashing the batch")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("info", help="inspect a saved index")
@@ -528,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="default per-request budget; a request's own "
                         "deadline_ms overrides it")
-    p.add_argument("--resilient", action="store_true",
-                   help="serve under a default ResiliencePolicy")
     p.add_argument("--batch-max-rows", type=int, default=256,
                    help="cap on the rows of one merged batch; requests "
                         "queued beyond it run in the next batch")

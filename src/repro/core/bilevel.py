@@ -28,7 +28,6 @@ from repro.lsh.params import CollisionModel, tune_bucket_width
 from repro.lsh.table import TableLayouts
 from repro.native import registry as native_registry
 from repro.resilience.deadline import Deadline
-from repro.resilience.policy import ResiliencePolicy
 from repro.rptree.tree import RPTree
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import as_float_matrix
@@ -336,7 +335,6 @@ class BiLevelLSH:
                     engine: Optional[str] = None,
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
-                    policy: Optional[ResiliencePolicy] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch; see :meth:`StandardLSH.query_batch`.
 
@@ -344,14 +342,12 @@ class BiLevelLSH:
         rank) to :func:`repro.exec.run_plan`.  Each query is answered in
         one pass from the tables of its group (with ``multi_assign > 1``,
         its most plausible groups); by default a row escalates by its
-        group's fitted ``escalation_threshold``.  Under
-        a policy a group whose fault site fires is answered by an exact
-        scan of its live rows, its queries flagged degraded.
+        group's fitted ``escalation_threshold``.
         """
         self._check_fitted()
         return run_plan(self.execution_plan(hierarchy_threshold, engine),
                         queries, k, deadline_ms=deadline_ms,
-                        deadline=deadline, policy=policy)
+                        deadline=deadline)
 
     def execution_plan(self, hierarchy_threshold: Optional[int] = None,
                        engine: Optional[str] = None) -> QueryPlan:
@@ -410,8 +406,6 @@ class _BiLevelPlan(_LSHPlan):
 
     def _stage_route(self, ctx: ExecutionContext) -> None:
         index = self.index
-        if ctx.policy is not None:
-            ctx.ensure_degraded()
         groups = index.group_indexes
         spill = min(index.config.multi_assign, len(groups))
         # The batch is worked in the order of each row's first group, so

@@ -107,18 +107,16 @@ class KNNIndex(Protocol):
 
 def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
                    k: int, ground_truth: GroundTruth, *,
-                   deadline_ms: Optional[float] = None,
-                   policy: Optional[object] = None) -> RunMeasurement:
+                   deadline_ms: Optional[float] = None) -> RunMeasurement:
     """Fit-and-query one index, returning per-query metrics.
 
-    ``deadline_ms`` / ``policy`` reach the index's
-    ``query_batch`` as keywords, each only when given — pass them for
-    indexes whose ``query_batch`` accepts them (``StandardLSH`` and
-    ``BiLevelLSH`` do; the bare :class:`KNNIndex` protocol does not).
+    ``deadline_ms`` reaches the index's ``query_batch`` as a keyword
+    only when given — pass it for indexes whose ``query_batch`` accepts
+    it (``StandardLSH`` and ``BiLevelLSH`` do; the bare
+    :class:`KNNIndex` protocol does not).
     """
     index.fit(data)
-    given = {name: value for name, value in (
-        ("deadline_ms", deadline_ms), ("policy", policy)) if value is not None}
+    given = {} if deadline_ms is None else {"deadline_ms": deadline_ms}
     ids, dists, stats = index.query_batch(queries, k, **given)
     exact_ids, exact_dists = ground_truth.neighbors(k)
     return RunMeasurement(
@@ -132,11 +130,10 @@ def run_method(spec: MethodSpec, data: np.ndarray, queries: np.ndarray,
                k: int, n_runs: int = 3, base_seed: int = 0,
                ground_truth: Optional[GroundTruth] = None,
                params: Optional[Dict[str, object]] = None, *,
-               deadline_ms: Optional[float] = None,
-               policy: Optional[object] = None) -> ExperimentResult:
+               deadline_ms: Optional[float] = None) -> ExperimentResult:
     """Run ``spec`` ``n_runs`` times with independent projection seeds.
 
-    ``deadline_ms`` / ``policy`` are forwarded to
+    ``deadline_ms`` is forwarded to
     :func:`evaluate_index` for every run (each run gets its own fresh
     ``deadline_ms`` budget).
     """
@@ -148,7 +145,7 @@ def run_method(spec: MethodSpec, data: np.ndarray, queries: np.ndarray,
     for run in range(n_runs):
         index = spec.factory(base_seed + 7919 * run)
         m = evaluate_index(index, data, queries, k, ground_truth,
-                           deadline_ms=deadline_ms, policy=policy)
+                           deadline_ms=deadline_ms)
         recalls.append(m.recall)
         errors.append(m.error)
         selectivities.append(m.selectivity)
@@ -167,7 +164,6 @@ def sweep_bucket_width(make_spec: Callable[[float], MethodSpec],
                        base_seed: int = 0,
                        ground_truth: Optional[GroundTruth] = None, *,
                        deadline_ms: Optional[float] = None,
-                       policy: Optional[object] = None,
                        ) -> List[ExperimentResult]:
     """Evaluate a method along a grid of bucket widths ``W``.
 
@@ -175,8 +171,7 @@ def sweep_bucket_width(make_spec: Callable[[float], MethodSpec],
     bucket width ``W``; the returned results are ordered like ``widths``
     and each carries ``params={'W': W}`` for table printing.  The exact
     ground truth is computed once and shared across the sweep.
-    ``deadline_ms`` / ``policy`` are forwarded to every
-    :func:`run_method` call.
+    ``deadline_ms`` is forwarded to every :func:`run_method` call.
     """
     if ground_truth is None:
         ground_truth = GroundTruth(data, queries, k)
@@ -187,7 +182,7 @@ def sweep_bucket_width(make_spec: Callable[[float], MethodSpec],
                                   base_seed=base_seed,
                                   ground_truth=ground_truth,
                                   params={"W": float(w)},
-                                  deadline_ms=deadline_ms, policy=policy))
+                                  deadline_ms=deadline_ms))
     return results
 
 

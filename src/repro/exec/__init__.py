@@ -3,7 +3,7 @@
 One staged pipeline behind every front-end: a front-end describes its
 work as a :class:`QueryPlan` (ordered :class:`Stage` callables over a
 shared :class:`ExecutionContext`) and its ``query_batch`` calls
-:func:`run_plan` on it — validation, gate reads, deadlines, degradation,
+:func:`run_plan` on it — validation, the observer gate, deadlines,
 stage timing and bounded-memory batch sharding happen there, once per
 batch.  :func:`run_validated` is the same executor below the gates
 (it runs each shard); :meth:`ExecutionContext.absorb` is the one fold

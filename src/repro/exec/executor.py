@@ -1,13 +1,13 @@
 """The one query executor behind every front-end: two functions.
 
 :func:`run_plan` is the front-end entry and owns what is decided once
-per batch: the gate reads (observer, installed fault plan), typed
-validation with policy-gated non-finite tolerance,
+per batch: the observer gate read, typed validation (a non-finite or
+mis-shaped row is refused, never answered),
 :class:`~repro.resilience.deadline.Deadline` construction, and the
 :class:`~repro.exec.context.ExecutionContext` all of it lives in.
 :func:`run_validated` is the gate-free inner entry: it runs a context's
 already-validated rows through the plan's stages — in bounded-memory
-shards, non-finite rows set aside — folding every sub-result back with
+shards — folding every sub-result back with
 :meth:`~repro.exec.context.ExecutionContext.absorb`.  Front-ends
 contribute only a :class:`~repro.exec.plan.QueryPlan`.
 
@@ -16,7 +16,7 @@ contribute only a :class:`~repro.exec.plan.QueryPlan`.
 :meth:`~repro.exec.plan.QueryPlan.lookups_per_row` counts), so a batch
 of more than :data:`SHARD_LOOKUP_ROWS` lookup rows runs as contiguous
 row shards, each through the same plan with the same absolute deadline
-and resilience handles.  Results are bit-identical to the unsharded run
+and observer.  Results are bit-identical to the unsharded run
 (stages are row-independent: even the escalation threshold is the
 index's, not the batch's), while peak scratch memory is capped.
 """
@@ -31,9 +31,6 @@ from repro import obs
 from repro.exec.context import ExecutionContext, QueryStats
 from repro.exec.plan import QueryPlan
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import QueryValidationError
-from repro.resilience.faults import faults_active
-from repro.resilience.policy import ResiliencePolicy
 
 #: Lookup rows one shard may gather.  Scratch runs ≈ 125–180 B per lookup
 #: row (more the larger the call), so a shard holds ≈ 130 MiB of it; no
@@ -44,13 +41,13 @@ SHARD_LOOKUP_ROWS = 1 << 20
 def run_plan(plan: QueryPlan, queries: object, k: int, *,
              deadline_ms: Optional[float] = None,
              deadline: Optional[Deadline] = None,
-             policy: Optional[ResiliencePolicy] = None,
              ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Execute ``plan`` over a query batch; the single front-end entry.
 
     Resolution order (identical for every front-end): plan validation
-    (non-finite rows tolerated only under ``policy``); explicit
-    ``deadline`` else one built from ``deadline_ms``.  The deadline is
+    (:class:`~repro.resilience.errors.QueryValidationError` for a bad
+    row or ``k``); explicit ``deadline`` else one built from
+    ``deadline_ms``.  The deadline is
     one absolute expiry shared by all of :func:`run_validated`'s shards.
     Shards run in turn; the kernels use P threads (DESIGN.md §12).
     """
@@ -60,38 +57,28 @@ def run_plan(plan: QueryPlan, queries: object, k: int, *,
     # StageTimer is clock-free when ``ob`` is None, keeping the
     # disabled-path contract.
     timer = obs.StageTimer(ob)
-    arr, finite_row, k = plan.validate(queries, k,
-                                       allow_nonfinite=policy is not None)
+    arr, k = plan.validate(queries, k)
     timer.lap(f"{plan.site}.validate")
     if deadline is None:
         deadline = Deadline.from_ms(deadline_ms)
-    ctx = ExecutionContext.for_batch(
-        arr, k, ob=ob, deadline=deadline, policy=policy,
-        fault_plan=faults_active(), timer=timer)
-    return run_validated(plan, ctx, finite_row)
+    ctx = ExecutionContext.for_batch(arr, k, ob=ob, deadline=deadline,
+                                     timer=timer)
+    return run_validated(plan, ctx)
 
 
 def run_validated(plan: QueryPlan, ctx: ExecutionContext,
-                  finite_row: Optional[np.ndarray] = None,
                   ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Run ``ctx``'s rows through ``plan``; the gate-free inner entry.
 
     Everything :func:`run_plan` resolves arrives in ``ctx``, so the
     executor's own shards and ``benchmarks/bench_obs_overhead.py`` (gates
     pinned) enter here.
-    One of three things happens to the rows:
-
-    - more than :data:`SHARD_LOOKUP_ROWS` lookup rows: shard by shard,
-      in turn, each shard as many rows as fit, a shard whose turn comes
-      after the deadline keeping its padded rows, flagged
-      ``exhausted_budget``;
-    - some flagged non-finite by validation (``finite_row``; only under
-      a policy): those get padding, ``degraded=True`` and one
-      FailureRecord, the finite rows run;
-    - otherwise: the stage loop, each stage lapped under its name.
-
-    The first two recurse on a :meth:`ExecutionContext.child` and fold
-    it back with :meth:`ExecutionContext.absorb`.
+    A batch of more than :data:`SHARD_LOOKUP_ROWS` lookup rows runs
+    shard by shard, in turn, each shard as many rows as fit, each a
+    :meth:`ExecutionContext.child` folded back with
+    :meth:`ExecutionContext.absorb`; a shard whose turn comes after the
+    deadline keeps its padded rows, flagged ``exhausted_budget``.  Any
+    other batch runs the stage loop, each stage lapped under its name.
     """
     nq, ob, deadline = ctx.nq, ctx.ob, ctx.deadline
     if deadline is not None:
@@ -108,26 +95,9 @@ def run_validated(plan: QueryPlan, ctx: ExecutionContext,
                     ob.record_deadline_exhausted(f"{plan.site}.shard",
                                                  rows.stop - rows.start)
                 continue
-            ctx.absorb(rows, *run_validated(
-                plan, ctx.child(rows),
-                finite_row[rows] if finite_row is not None else None))
+            ctx.absorb(rows, *run_validated(plan, ctx.child(rows)))
         if ob is not None:
             ob.record_shards(plan.site, -(-nq // bound))
-    elif finite_row is not None and not finite_row.all():
-        # Validation only tolerates bad rows under a policy.
-        assert ctx.policy is not None
-        ctx.ensure_degraded()[~finite_row] = True
-        good = np.nonzero(finite_row)[0]
-        if good.size:
-            ctx.absorb(good, *run_validated(plan, ctx.child(good)))
-        n_bad = int(nq - good.size)
-        ctx.failures.append(ctx.policy.note_failure(
-            f"{plan.site}.validate", f"rows={n_bad}",
-            QueryValidationError("query rows contain NaN or infinite values",
-                                 field="queries"),
-            "degraded"))
-        if ob is not None:
-            ob.record_degraded("nonfinite_query", n_bad)
     else:
         for stage in plan.stages():
             stage.fn(ctx)

@@ -4,10 +4,9 @@ A :class:`QueryPlan` decomposes one front-end's query path into an
 ordered sequence of named :class:`Stage` callables (route → hash →
 gather → escalate → rank).  The executor
 (:func:`repro.exec.executor.run_plan`) owns everything around the
-stages — gate reads, deadline construction, per-stage timing,
-non-finite-row degradation, batch sharding, and the final
-:class:`~repro.exec.context.QueryStats` — so the plans themselves
-contain only front-end-specific work.
+stages — the observer gate, deadline construction, per-stage timing,
+batch sharding, and the final :class:`~repro.exec.context.QueryStats`
+— so the plans themselves contain only front-end-specific work.
 
 Plans live next to what they execute (``repro/lsh``, ``repro/core``)
 because stages need private access to index
@@ -29,27 +28,25 @@ StageFn = Callable[[ExecutionContext], None]
 
 
 def validate_query_batch(queries: object, k: int, dim: int,
-                         allow_nonfinite: bool,
-                         ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+                         ) -> Tuple[np.ndarray, int]:
     """Typed top-of-query validation, the body of every plan's
-    :meth:`QueryPlan.validate` over a ``dim``-column index.
+    :meth:`QueryPlan.validate` over a ``dim``-column index, and the
+    HTTP door's check before a request may join a merge queue.
 
-    Returns ``(queries, finite_row_mask_or_None, k)``; shape, dim and
-    ``k`` problems raise :class:`QueryValidationError` (a ``ValueError``
-    subclass, so pre-existing callers keep working) instead of a
+    Returns ``(queries, k)``; shape, dim, non-finite and ``k`` problems
+    raise :class:`QueryValidationError` (a ``ValueError`` subclass, so
+    pre-existing callers keep working) naming the field, instead of a
     downstream broadcasting or index error.
     """
     try:
-        queries, finite_row = as_query_matrix(
-            queries, dim=dim, name="queries",
-            allow_nonfinite=allow_nonfinite)
+        queries = as_query_matrix(queries, dim=dim, name="queries")
     except ValueError as error:
         raise QueryValidationError(str(error), field="queries") from error
     try:
         k = check_k(k)
     except ValueError as error:
         raise QueryValidationError(str(error), field="k") from error
-    return queries, finite_row, k
+    return queries, k
 
 
 def check_hierarchy_threshold(value: object) -> Optional[int]:
@@ -86,22 +83,14 @@ class QueryPlan:
     ----------------
     site:
         Short front-end name (``"lsh"``, ``"bilevel"``) used to prefix
-        failure-record and telemetry sites (e.g. ``"lsh.validate"``,
-        ``"bilevel.shard"``).
+        telemetry sites (e.g. ``"lsh.validate"``, ``"bilevel.shard"``).
     """
 
     site: str = "plan"
 
-    def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
-                 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Coerce and validate the batch inputs.
-
-        Returns ``(queries, finite_row, k)`` where ``finite_row`` is a
-        per-row finiteness mask (``None`` when every row is usable).
-        Non-finite rows are only tolerated when ``allow_nonfinite`` — the
-        executor passes ``True`` exactly when a policy is active, and
-        degrades the flagged rows instead of running them.
-        """
+    def validate(self, queries: object, k: int) -> Tuple[np.ndarray, int]:
+        """Coerce and validate the batch inputs: ``(queries, k)``, or a
+        :class:`QueryValidationError` naming the bad field."""
         raise NotImplementedError
 
     def stages(self) -> Sequence[Stage]:

@@ -38,9 +38,7 @@ from repro.native import registry as native_registry
 from repro.native.ref import (SpanSet, rank_topk_ref, spans_union_ref,
                               tree_rowdot)
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import InjectedFault
 from repro.resilience.faults import faults_active
-from repro.resilience.policy import ResiliencePolicy
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.spare import SpareRows
 from repro.utils.validation import as_float_matrix, check_positive
@@ -498,7 +496,7 @@ class StandardLSH:
         rows = rows[::-(-rows.size // self.THRESHOLD_SAMPLE)]
         store = self._store
         plan = _LSHPlan(self, None, native_registry.load_kernels())
-        ctx = ExecutionContext.for_batch(  # no observer, no fault plan
+        ctx = ExecutionContext.for_batch(  # no observer
             np.asarray(store.data[rows], dtype=np.float64), 1)
         plan._stage_hash(ctx)
         plan._stage_gather(ctx)
@@ -681,14 +679,13 @@ class StandardLSH:
                     engine: Optional[str] = None,
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
-                    policy: Optional[ResiliencePolicy] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch of queries.
 
         Feeds :meth:`execution_plan` to :func:`repro.exec.run_plan`;
-        validation, deadline construction, policy resolution, stage
-        timing and batch sharding (sized by the executor from the
-        plan's lookups per row) all live in the execution core.
+        validation, deadline construction, stage timing and batch
+        sharding (sized by the executor from the plan's lookups per row)
+        all live in the execution core.
 
         The whole batch runs array-at-a-time through the kernel table
         :func:`repro.native.load_kernels` resolved (compiled when a C
@@ -698,7 +695,9 @@ class StandardLSH:
         Parameters
         ----------
         queries:
-            Array ``(q, D)``.
+            Array ``(q, D)``, every entry finite: a NaN/Inf or a row of
+            the wrong width raises ``QueryValidationError`` naming
+            ``queries``.
         k:
             Neighborhood size.  Queries with fewer than ``k`` candidates
             pad the result with id ``-1`` / distance ``inf``.
@@ -717,26 +716,18 @@ class StandardLSH:
             escalation rounds; queries whose escalation the budget cut
             short return their best-effort base results with
             ``stats.exhausted_budget`` set.
-        policy:
-            Optional :class:`~repro.resilience.policy.ResiliencePolicy`:
-            a table whose fault site fires is dropped from the gather,
-            with every affected query flagged in ``stats.degraded`` and
-            a :class:`~repro.resilience.policy.FailureRecord` kept,
-            instead of crashing the batch.  Query rows containing NaN/Inf
-            also get flagged-degraded empty results instead of raising.
 
         Returns
         -------
         ids, distances, stats:
             ``ids``/``distances`` of shape ``(q, k)``; :class:`QueryStats`
             with per-query candidate counts (for selectivity), escalation
-            flags, and — when resilience features engaged — degraded /
-            budget-exhausted masks.
+            flags, and — under a deadline — the budget-exhausted mask.
         """
         self._check_fitted()
         return run_plan(self.execution_plan(hierarchy_threshold, engine),
                         queries, k, deadline_ms=deadline_ms,
-                        deadline=deadline, policy=policy)
+                        deadline=deadline)
 
     def execution_plan(self, hierarchy_threshold: Optional[int] = None,
                        engine: Optional[str] = None) -> QueryPlan:
@@ -799,9 +790,7 @@ class Member:
     ``bucket_spans`` (``q * spill + j`` for row ``q``'s ``j``-th route:
     a row's segments are adjacent); ``first_table`` is where its tables
     start in the layouts searched.  The hash stage fills ``y`` /
-    ``codes``; the gather stage ``keep``, the tables that passed their
-    fault check (``None``: all of them); ``failed`` marks a group
-    answered by its fallback.
+    ``codes``.
     """
 
     index: StandardLSH
@@ -811,8 +800,6 @@ class Member:
     slots: np.ndarray
     y: Optional[np.ndarray] = None
     codes: Optional[np.ndarray] = None
-    keep: Optional[np.ndarray] = None
-    failed: bool = False
     n_escalated: int = 0
 
 
@@ -842,10 +829,8 @@ class _LSHPlan(QueryPlan):
             hierarchy_threshold)
         self.kernels = kernels
 
-    def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
-                 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-        return validate_query_batch(queries, k, self.index._data.shape[1],
-                                    allow_nonfinite)
+    def validate(self, queries: object, k: int) -> Tuple[np.ndarray, int]:
+        return validate_query_batch(queries, k, self.index._data.shape[1])
 
     def stages(self) -> Tuple[Stage, ...]:
         stages = [Stage("lsh.hash", self._stage_hash),
@@ -947,49 +932,6 @@ class _LSHPlan(QueryPlan):
         row_q[at_own], row_q[at_probe] = of_own, of_probe % nq
         return codes, row_q, probe_rows + nq
 
-    @staticmethod
-    def _check(ctx: ExecutionContext, site: str, label: str,
-               **match: object) -> None:
-        """A degradable unit's fault site (``lsh.gather`` per table,
-        ``bilevel.dispatch`` per group).  A corruption-kind hit is raised
-        as :class:`InjectedFault`: a gather has no integrity check that
-        could catch corrupted candidates (``persistence.load``'s
-        checksums do)."""
-        plan = ctx.fault_plan
-        if plan is not None and plan.check(site, **match):
-            raise InjectedFault(site, f"{label} corruption")
-
-    def _kept_tables(self, ctx: ExecutionContext, m: Member,
-                     n_tables: int) -> Optional[np.ndarray]:
-        """Which of member ``m``'s tables pass their fault check
-        (``None``: all of them, no fault plan is installed).
-
-        Without a policy a fault propagates; with one, the table is
-        dropped, and every row routed to ``m`` is flagged degraded — a
-        dropped table removes candidates from any of them, so none may
-        silently return a weaker answer.
-        """
-        if ctx.fault_plan is None:
-            return None
-        pol = ctx.policy
-        keep = np.ones(n_tables, dtype=bool)
-        for t in range(n_tables):
-            label = (f"table={t}" if m.group is None
-                     else f"group={m.group} table={t}")
-            try:
-                self._check(ctx, "lsh.gather", label, table=t, group=m.group)
-            except InjectedFault as error:
-                if pol is None:
-                    raise
-                ctx.failures.append(pol.note_failure(
-                    "lsh.gather", label, error, "gave_up"))
-                keep[t] = False
-        if not keep.all():
-            ctx.ensure_degraded()[m.rows] = True
-            if ctx.ob is not None:
-                ctx.ob.record_degraded("table_dropped", m.rows.shape[0])
-        return keep
-
     def _stage_gather(self, ctx: ExecutionContext) -> None:
         """Candidate gathering for the whole batch, query-major.
 
@@ -999,9 +941,6 @@ class _LSHPlan(QueryPlan):
         interval each row hit, per segment, with nothing read behind it —
         ``rank_topk`` reads the ids.  A query's segments (one per group it
         routes to) are adjacent and groups hold disjoint rows.
-        Tables (:meth:`_kept_tables`: a dropped one's rows are left out)
-        and groups (:meth:`_group_stand_ins`: a failed one's rows are
-        left out, its stand-in spans go in) are the degradable units.
         """
         ob, nq = ctx.ob, ctx.nq
         kernels = ctx.scratch["kernels"]
@@ -1011,80 +950,33 @@ class _LSHPlan(QueryPlan):
         # rebuild publishes a new one, it never edits this one.
         layouts = self.index._layouts
         table_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
+        code_parts = []
+        slot_parts = []
         for m in members:
-            m.keep = self._kept_tables(ctx, m, m.index.n_tables)
-        stand_ins = (self._group_stand_ins(ctx, members)
-                     if members[0].group is not None else [])
-        code_parts = [np.empty((0, layouts.code_dim), dtype=np.int64)]
-        slot_parts = [np.empty(0, dtype=np.int64)]
-        lookups = []
-        for m in members:
-            if m.failed:
-                continue
-            keep = m.keep
             codes, row_m, rows_t = self._probe_rows(m, kernels)
-            if keep is not None and not keep.all():
-                rows = np.repeat(keep, rows_t)
-                codes, row_m = codes[rows], row_m[rows]
-                rows_t = rows_t * keep
             table_rows[m.first_table:m.first_table + rows_t.shape[0]] = rows_t
             code_parts.append(codes)
             slot_parts.append(m.slots[row_m])
-            lookups.append(m)
         row_slot = np.concatenate(slot_parts)
         spans = kernels.bucket_spans(
             layouts, np.concatenate(code_parts), row_slot, table_rows,
-            nq * spill).with_extra(stand_ins)
+            nq * spill)
         misses = spans.misses
         probes = None
         if ob is not None:
-            # Committed only for the tables the union used — a dropped
-            # table never reaches the shared counters.
             probes = np.bincount(row_slot // spill, minlength=nq)
-            for m in lookups:
+            for m in members:
                 n_rows = m.rows.shape[0]
-                kept = (range(m.index.n_tables) if m.keep is None
-                        else np.flatnonzero(m.keep))
-                for t in kept:
+                for t in range(m.index.n_tables):
                     n_lookups = int(table_rows[m.first_table + t])
                     ob.record_table_lookup(
                         t, n_lookups=n_lookups,
                         n_misses=int(misses[m.first_table + t]),
                         n_probes=n_lookups - n_rows)
-                probes[m.slots // spill] -= len(kept)
+                probes[m.slots // spill] -= m.index.n_tables
             probes[ctx.scratch["order"]] = probes.copy()
         ctx.scratch["spans"] = spans
         ctx.scratch["probes"] = probes
-
-    def _group_stand_ins(self, ctx: ExecutionContext, members: List[Member],
-                         ) -> List[SpanSet]:
-        """Each group's fault check, before the union.  Without a policy a
-        fault propagates; with one, the group is marked ``failed`` (its
-        lookup rows stay out) and its rows degraded, and its segments get
-        an exact scan's candidates instead — one span each over the
-        group's live rows."""
-        if ctx.fault_plan is None:
-            return []
-        pol = ctx.policy
-        stand_ins: List[SpanSet] = []
-        for m in members:
-            label = f"group={m.group}"
-            try:
-                self._check(ctx, "bilevel.dispatch", label, group=m.group)
-            except InjectedFault as error:
-                if pol is None:
-                    raise
-                ctx.failures.append(pol.note_failure(
-                    "bilevel.dispatch", label, error, "fallback:bruteforce"))
-                m.failed = True
-                ctx.ensure_degraded()[m.rows] = True
-                if ctx.ob is not None:
-                    ctx.ob.record_fallback("bilevel.dispatch", "bruteforce")
-                    ctx.ob.record_degraded("dispatch", m.rows.shape[0])
-                rows = m.index._live_rows()
-                if rows.size:
-                    stand_ins.append(([rows], 0, rows.shape[0], m.slots))
-        return stand_ins
 
     def _stage_escalate(self, ctx: ExecutionContext) -> None:
         # Per member, rows whose segment is below its threshold (its
@@ -1092,12 +984,10 @@ class _LSHPlan(QueryPlan):
         # per call for all L tables; each node they settle on is one span
         # of its hierarchy's ids.  The budget is re-checked before each chunk:
         # rows of chunks not started keep their base short-list, flagged
-        # `exhausted_budget`.  A table dropped at the gather is left out
-        # here too, hierarchy and codes alike: an escalated degraded row
-        # is the answer of the surviving tables.  Segment sizes come from
-        # ``rank_topk``'s counting mode; the row count is read after the
-        # layouts, and an insert publishes its rows before the layouts
-        # that hold their ids, so it bounds every id the kernel meets.
+        # `exhausted_budget`.  Segment sizes come from ``rank_topk``'s
+        # counting mode; the row count is read after the layouts, and an
+        # insert publishes its rows before the layouts that hold their
+        # ids, so it bounds every id the kernel meets.
         kernels, store = ctx.scratch["kernels"], self.index._store
         _, _, counts = kernels.rank_topk(None, None, None,
                                          ctx.scratch["spans"], store.n_rows,
@@ -1106,14 +996,8 @@ class _LSHPlan(QueryPlan):
         depths: List[np.ndarray] = []
         expired = False
         for m in ctx.scratch["members"]:
-            if m.failed:
-                continue
             hierarchies = m.index._hierarchies  # one snapshot, as for tables
             codes = m.codes
-            if m.keep is not None:
-                hierarchies = [h for h, kept in zip(hierarchies, m.keep)
-                               if kept]
-                codes = codes[m.keep]
             threshold = m.index._resolve_threshold(ctx.k,
                                                    self.hierarchy_threshold)
             esc = np.nonzero(counts[m.slots] < threshold)[0]
@@ -1238,8 +1122,7 @@ def oracle_query_batch(index: StandardLSH, queries: np.ndarray, k: int,
     differently.
     """
     index._check_fitted()
-    queries, _, k = validate_query_batch(
-        queries, k, index._data.shape[1], allow_nonfinite=False)
+    queries, k = validate_query_batch(queries, k, index._data.shape[1])
     hierarchy_threshold = check_hierarchy_threshold(hierarchy_threshold)
     nq = queries.shape[0]
     ids_out = np.full((nq, k), -1, dtype=np.int64)

@@ -169,8 +169,8 @@ class Spans(NamedTuple):
     misses: np.ndarray
 
     def with_extra(self, extra: Sequence[SpanSet]) -> "Spans":
-        """These spans and ``extra``'s — a failed group's stand-ins, the
-        hierarchy nodes a row escalates to — whose starts and sizes
+        """These spans and ``extra``'s — the hierarchy nodes a row
+        escalates to — whose starts and sizes
         broadcast to ``(len(arrays), len(slots))``, checked to lie inside
         their arrays and segments."""
         arrays, blocks = list(self.arrays), [self.words]

@@ -78,8 +78,6 @@ GROUP_QUERIES_TOTAL = "repro_group_queries_total"          # counter{group}
 GROUP_ESCALATIONS_TOTAL = "repro_group_escalations_total"  # counter{group}
 INDEX_POINTS = "repro_index_points"                # gauge
 FAULTS_INJECTED_TOTAL = "repro_faults_injected_total"      # counter{site}
-FALLBACKS_TOTAL = "repro_fallbacks_total"          # counter{site,kind}
-DEGRADED_QUERIES_TOTAL = "repro_degraded_queries_total"    # counter{reason}
 DEADLINE_EXHAUSTED_TOTAL = "repro_deadline_exhausted_total"  # counter{stage}
 EXEC_SHARDS_TOTAL = "repro_exec_shards_total"      # counter{site}
 NATIVE_FALLBACKS_TOTAL = "repro_native_fallbacks_total"    # counter{reason}
@@ -205,19 +203,6 @@ class Observer:
         self.registry.counter(
             FAULTS_INJECTED_TOTAL,
             "Injected faults fired, per site.").labels(site=site).inc()
-
-    def record_fallback(self, site: str, kind: str) -> None:
-        self.registry.counter(
-            FALLBACKS_TOTAL,
-            "Fault-site units answered by a fallback, per site.").labels(
-                site=site, kind=kind).inc()
-
-    def record_degraded(self, reason: str, n_queries: int) -> None:
-        if n_queries:
-            self.registry.counter(
-                DEGRADED_QUERIES_TOTAL,
-                "Queries answered with a degraded result.").labels(
-                    reason=reason).inc(n_queries)
 
     def record_shards(self, site: str, n_shards: int) -> None:
         """Shard count of one batch the executor split."""

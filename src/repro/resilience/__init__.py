@@ -1,16 +1,17 @@
-"""Resilience layer: degraded answers, deadlines, fault injection.
+"""Resilience layer: deadlines, disk fault injection, typed errors.
 
-The serving path built in earlier PRs escalates queries whose short-list
-is too small — an *accuracy* fallback.  This package adds the *failure*
-side: a policy under which a failing table is dropped and a failing
-group is answered by an exact scan, its rows flagged degraded
-(:mod:`.policy`), wall-clock query budgets (:mod:`.deadline`),
-deterministic fault injection for chaos testing (:mod:`.faults`), and
-the typed errors the rest of the pipeline raises (:mod:`.errors`).
+A query has nothing to degrade: a bad input row is refused with
+:class:`~repro.resilience.errors.QueryValidationError`, and any other
+error in the query path propagates.  What this package keeps is what
+survives a failure outside one: wall-clock query budgets
+(:mod:`.deadline`), deterministic fault injection at the four disk
+sites — snapshot load and save, WAL append, table fold — that drive the
+kill-9 matrix (:mod:`.faults`), and the typed errors the rest of the
+pipeline raises (:mod:`.errors`).
 
-The fault plan is gated the same way as :mod:`repro.obs`: one
-module-global read per batch when nothing is installed, and no per-table
-or per-group check at all.
+The fault plan is gated the same way as :mod:`repro.obs`: each disk
+site reads one module global and does nothing more when no plan is
+installed.
 """
 
 from repro.resilience.deadline import Deadline
@@ -19,7 +20,6 @@ from repro.resilience.errors import (CorruptIndexError, InjectedFault,
 from repro.resilience.faults import (FAULT_KINDS, KNOWN_SITES, FaultPlan,
                                      FaultSpec, clear_faults, faults_active,
                                      injected_faults, install_faults)
-from repro.resilience.policy import FailureRecord, ResiliencePolicy
 
 __all__ = [
     "Deadline",
@@ -27,5 +27,4 @@ __all__ = [
     "QueryValidationError",
     "KNOWN_SITES", "FAULT_KINDS", "FaultSpec", "FaultPlan",
     "faults_active", "install_faults", "clear_faults", "injected_faults",
-    "FailureRecord", "ResiliencePolicy",
 ]

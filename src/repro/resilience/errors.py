@@ -19,10 +19,10 @@ class ResilienceError(RuntimeError):
 class InjectedFault(ResilienceError):
     """A deterministic fault planted by :class:`~repro.resilience.faults.FaultPlan`.
 
-    Raised at a named fault site (``bilevel.dispatch``, ``lsh.gather``,
-    ...) when the installed plan decides the site should fail.  Production
-    code never raises this; it exists so the chaos suite can prove that a
-    policy turns a failing table or group into flagged-degraded rows.
+    Raised at a named fault site (``persistence.save``,
+    ``maintenance.append``, ...) when the installed plan decides the site
+    should fail.  Production code never raises this; it exists so the
+    crash matrix can prove that a failed write leaves a recoverable index.
     """
 
     def __init__(self, site: str, detail: str = "") -> None:

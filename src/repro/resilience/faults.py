@@ -1,29 +1,29 @@
 """Deterministic fault injection at named pipeline sites.
 
 A :class:`FaultPlan` is a seeded list of :class:`FaultSpec` entries, each
-targeting one *fault site* — a named checkpoint the pipeline consults
-before doing risky work.  Installed plans are read through the same
-module-gate pattern as :mod:`repro.obs`: hot paths call
-:func:`faults_active` **once per batch** and skip every per-site check
-when it returns ``None``, so production queries pay one module-global
-read and nothing else (bounded by ``benchmarks/bench_obs_overhead.py``).
+targeting one *fault site* — a named checkpoint where the index meets
+the disk: an archive read or commit, a WAL append, a table fold.
+Installed plans are read through the same module-gate pattern as
+:mod:`repro.obs`: a site calls :func:`faults_active` and skips its
+check when it returns ``None``.  No query path has a site: a query has
+nothing a fault could degrade.
 
 Fault kinds:
 
 - ``exception`` — raise :class:`~repro.resilience.errors.InjectedFault`
-  at the site (models a crashing worker);
-- ``delay`` — sleep ``delay_ms`` at the site (models a stalled worker,
-  used to exercise deadlines);
+  at the site (models a failing write or read);
+- ``delay`` — sleep ``delay_ms`` at the site (models a stalled disk,
+  used to hold a crash inside a fold);
 - ``corruption`` — the check returns ``True`` and the *site* applies a
   domain-appropriate corruption (e.g. ``persistence.load`` flips bytes
   in a loaded array so checksum verification must catch it).
 
 Determinism: each spec draws from its own spawned RNG stream under a
 lock, so a plan with ``rate=1.0`` (optionally bounded by ``max_hits``,
-optionally pinned to one group/table via ``match``) fires identically
+optionally pinned to one group or path via ``match``) fires identically
 across runs regardless of thread interleaving.  Sub-unit rates are
-deterministic per spec *draw sequence*; with batches on several
-threads the assignment of draws to batches follows arrival order.
+deterministic per spec *draw sequence*; with writers on several
+threads the assignment of draws to calls follows arrival order.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from repro.utils.rng import SeedLike, spawn_rngs
 #: sites and match only on its keys — a typo'd site name or label key is
 #: a configuration bug, not a silent no-op.
 KNOWN_SITES: Dict[str, Tuple[str, ...]] = {
-    "bilevel.dispatch": ("group",),            # per group in BiLevelLSH
-    "lsh.gather": ("table", "group"),          # per table in StandardLSH
     "maintenance.append": ("path", "kind"),    # WAL record append
     "maintenance.compact": ("group",),  # per StandardLSH.compact() fold
     "persistence.load": ("path",),   # archive read in load_index
@@ -61,7 +59,7 @@ class FaultSpec:
     """One planned fault: where, what kind, how often, how many times.
 
     ``match`` restricts the spec to sites whose labels contain the given
-    items (e.g. ``{"group": 0}`` hits only group 0's dispatch), which is
+    items (e.g. ``{"group": 0}`` hits only group 0's fold), which is
     how the chaos tests pin a fault to a known victim deterministically.
     """
 
@@ -109,9 +107,9 @@ class _SpecState:
 class FaultPlan:
     """A seeded set of fault specs plus hit accounting.
 
-    Thread-safe: concurrent workers hitting the same site serialize on
+    Thread-safe: concurrent threads hitting the same site serialize on
     one lock around the RNG draw and hit counters, so ``max_hits``
-    bounds hold exactly under concurrent query threads.
+    bounds hold exactly under concurrent callers.
     """
 
     def __init__(self, specs: Sequence[FaultSpec],

@@ -4,9 +4,9 @@ A serving process under sustained overload has two bad options — grow
 the queue without bound (latency and memory both explode, then the
 process dies taking every in-flight request with it) or crash-fail new
 connections.  The repo already has a third vocabulary for "could not do
-the work in budget": the executor's ``exhausted_budget`` / degraded
-semantics.  :class:`AdmissionController` reuses it — a request arriving
-while ``max_depth`` requests are already queued or executing is
+the work in budget": the executor's ``exhausted_budget`` semantics.
+:class:`AdmissionController` reuses it — a request arriving while
+``max_depth`` requests are already queued or executing is
 answered immediately with the same padded, ``exhausted_budget``-flagged
 response an expired deadline produces (see
 :func:`repro.runtime.session.shed_response`), marked ``shed=True`` so

@@ -6,7 +6,7 @@ ten ``run_plan`` calls than as one 10-row call.  :class:`MicroBatcher`
 exploits that without changing answers and without a clock: at most
 one batch executes at a time, and requests that arrive while it runs
 queue up; when it finishes, the queued requests whose execution
-options agree (same ``k``, threshold, policy, sharding, deadline-ness)
+options agree (same ``k``, threshold, deadline-ness)
 execute as the next batch, and the results split back per request
 **bit-identically** to solo execution.  Under light load a request
 finds nothing running and executes at once; under load the batches
@@ -37,14 +37,13 @@ Correctness of the merge rests on two facts about the executor:
    batch minimum is bounded by one bucket width, however long it
    queued.
 
-Stat splitting mirrors the executor's lazy-``None`` conventions: a
-request whose slice of ``degraded`` is all-False gets ``None`` (exactly
-what its solo run would report), while ``exhausted_budget`` is sliced
-whenever the merged batch materialized it — it ran under a deadline,
-and the key guarantees every member then had one of its own, as its
-solo run would.  ``failures`` records are batch-scoped
-with no row attribution, so a merged batch's failure tuple is reported
-to every member — the one documented widening versus solo execution.
+Stat splitting mirrors the executor's lazy-``None`` convention:
+``exhausted_budget`` is sliced whenever the merged batch materialized
+it — it ran under a deadline, and the key guarantees every member then
+had one of its own, as its solo run would.  A merged batch's error
+reaches every member, so a request is validated before it may queue:
+the HTTP door refuses a bad row with a 400, and a caller driving
+:meth:`MicroBatcher.submit` directly validates as the door does.
 
 Thread-safety: the batcher is driven by N server threads calling
 :meth:`MicroBatcher.submit` concurrently.  A request that finds no
@@ -86,8 +85,6 @@ def merge_key(request: QueryRequest, *,
     """The homogeneity key: requests merge only when every execution
     option that can change results (or stat shape) agrees.
 
-    Policies compare by identity — two distinct policy objects are kept
-    apart even if equal, because the executor consults object state.
     Deadlines contribute a *proximity bucket*, not mere presence: the
     merged batch executes under the earliest member expiry, so merging
     a nearly-expired request with a generous one would silently spend
@@ -113,7 +110,6 @@ def merge_key(request: QueryRequest, *,
     return (
         int(request.k),
         request.hierarchy_threshold,
-        id(request.policy) if request.policy is not None else None,
         deadline_bucket,
     )
 
@@ -122,24 +118,16 @@ def split_stats(stats: QueryStats, sl: slice) -> QueryStats:
     """Slice one request's rows out of a merged batch's stats.
 
     Preserves the lazy-``None`` convention bit-for-bit against solo
-    execution: ``degraded`` collapses back to ``None`` when the slice
-    carries no mark, ``exhausted_budget`` survives exactly when the
-    batch — hence, by the merge key, the request — ran under a deadline.
+    execution: ``exhausted_budget`` survives exactly when the batch —
+    hence, by the merge key, the request — ran under a deadline.
     """
-    degraded: Optional[np.ndarray] = None
-    if stats.degraded is not None:
-        part = stats.degraded[sl]
-        if part.any():
-            degraded = part.copy()
     exhausted: Optional[np.ndarray] = None
     if stats.exhausted_budget is not None:
         exhausted = stats.exhausted_budget[sl].copy()
     return QueryStats(
         n_candidates=stats.n_candidates[sl].copy(),
         escalated=stats.escalated[sl].copy(),
-        degraded=degraded,
         exhausted_budget=exhausted,
-        failures=stats.failures,
     )
 
 

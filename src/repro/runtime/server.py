@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.exec.plan import check_hierarchy_threshold
+from repro.exec.plan import check_hierarchy_threshold, validate_query_batch
 from repro.runtime.admission import AdmissionController
 from repro.runtime.batching import MicroBatcher
 from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
@@ -89,13 +89,9 @@ def serialize_response(response: QueryResponse) -> _JSON:
         "stats": {
             "n_candidates": stats.n_candidates.tolist(),
             "escalated": stats.escalated.tolist(),
-            "degraded": (stats.degraded.tolist()
-                         if stats.degraded is not None else None),
             "exhausted_budget": (stats.exhausted_budget.tolist()
                                  if stats.exhausted_budget is not None
                                  else None),
-            "n_failures": (len(stats.failures)
-                           if stats.failures is not None else 0),
         },
     }
 
@@ -411,10 +407,13 @@ class RuntimeServer:
     def _build_request(self, payload: _JSON) -> QueryRequest:
         if "queries" not in payload:
             raise _HTTPError(400, "missing field: queries")
-        queries = np.asarray(payload["queries"], dtype=np.float64)
-        if queries.ndim == 1:
-            queries = queries[np.newaxis, :]
-        k = _json_int(payload.get("k", 10), "k")
+        # Checked here, by the executor's own validation, so a NaN or
+        # infinite entry (which ``json.loads`` accepts) or a row of the
+        # wrong width answers 400 naming ``queries`` and never joins a
+        # merge queue, where it would fail every read merged with it.
+        queries, k = validate_query_batch(
+            payload["queries"], _json_int(payload.get("k", 10), "k"),
+            self.runtime.index._data.shape[1])  # type: ignore[attr-defined]
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None and (
                 isinstance(deadline_ms, bool)

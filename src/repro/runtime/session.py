@@ -7,9 +7,9 @@ session defaults for those options, an owner for the WAL wiring and
 the obs registry, and one place where a request meets the defaults:
 
 - :class:`RuntimeConfig` — the execution defaults of a process
-  (deadline, policy, micro-batch size cap,
-  admission depth), with :meth:`RuntimeConfig.from_args` as the one CLI
-  argument-resolution seam shared by ``query``/``serve``;
+  (deadline, micro-batch size cap, admission depth), with
+  :meth:`RuntimeConfig.from_args` as the one CLI argument-resolution
+  seam shared by ``query``/``serve``;
 - :class:`QueryRequest` / :class:`QueryResponse` — what one caller
   asked for and what it got back;
 - :class:`IndexRuntime` — owns an index and its attachments for process
@@ -37,7 +37,6 @@ from repro.exec.context import QueryStats
 from repro.exec.executor import run_plan
 from repro.native.registry import check_legacy_engine
 from repro.resilience.deadline import Deadline
-from repro.resilience.policy import ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.maintenance import WriteAheadLog
@@ -73,9 +72,6 @@ class RuntimeConfig:
         next benchmark PR.
     deadline_ms:
         Default wall-clock budget per request (``None`` = unbounded).
-    policy:
-        Default :class:`~repro.resilience.policy.ResiliencePolicy`
-        (``None``: faults propagate and non-finite rows are rejected).
     batch_max_rows:
         Cap on the query rows of one merged batch in the serving layer
         (:class:`repro.runtime.batching.MicroBatcher`): requests queued
@@ -88,7 +84,6 @@ class RuntimeConfig:
 
     engine: InitVar[Optional[str]] = None
     deadline_ms: Optional[float] = None
-    policy: Optional[ResiliencePolicy] = None
     batch_max_rows: int = 256
     max_queue_depth: int = 64
 
@@ -108,21 +103,17 @@ class RuntimeConfig:
     def from_args(cls, args: argparse.Namespace) -> "RuntimeConfig":
         """Resolve a config from parsed CLI arguments.
 
-        The one place ``--deadline-ms`` / ``--resilient`` (and the
-        serving knobs) are interpreted,
+        The one place ``--deadline-ms`` (and the serving knobs) are
+        interpreted,
         shared by ``cmd_query`` and ``cmd_serve`` so their defaults
         cannot diverge.  Missing attributes fall back
         to the dataclass defaults, so one parser does not need every
         flag.  Raises :class:`ValueError` for an invalid value (callers
         map it to exit code 2).
         """
-        policy: Optional[ResiliencePolicy] = None
-        if getattr(args, "resilient", False):
-            policy = ResiliencePolicy()
         return cls(
             engine=getattr(args, "engine", None),
             deadline_ms=getattr(args, "deadline_ms", None),
-            policy=policy,
             batch_max_rows=int(getattr(args, "batch_max_rows", 256)),
             max_queue_depth=int(getattr(args, "max_queue_depth", 64)),
         )
@@ -132,11 +123,11 @@ class RuntimeConfig:
 class QueryRequest:
     """One KNN request: the query rows plus every execution option.
 
-    The unit the runtime layer passes around; ``None`` fields mean
-    "take the session's :class:`RuntimeConfig` value" (and, failing
-    that, the front-end's default) — :meth:`IndexRuntime.resolve` fills
-    them in; ``hierarchy_threshold`` has no session value (``None``: the
-    index's fitted one).  ``deadline`` holds an already materialized
+    The unit the runtime layer passes around.  An unset budget takes
+    the session's :class:`RuntimeConfig` value, which
+    :meth:`IndexRuntime.resolve` fills in; ``hierarchy_threshold`` has
+    no session value (``None``: the index's fitted one).  ``deadline``
+    holds an already materialized
     absolute expiry: resolving stamps one from ``deadline_ms`` at the
     door, so the admission and batch queue waits count against it.
     """
@@ -146,7 +137,6 @@ class QueryRequest:
     hierarchy_threshold: Optional[int] = None
     deadline_ms: Optional[float] = None
     deadline: Optional[Deadline] = None
-    policy: Optional[ResiliencePolicy] = None
 
     def with_deadline_started(self) -> "QueryRequest":
         """Materialize ``deadline_ms`` into an absolute expiry now.
@@ -173,7 +163,7 @@ class QueryResponse:
     marks a request the admission controller refused under overload (or
     one whose deadline had already expired on arrival): the response is
     well-formed padding with ``stats.exhausted_budget`` all-True, the
-    existing degraded-semantics answer to "could not do the work in
+    existing best-effort answer to "could not do the work in
     budget".  ``batched`` records how many requests shared the executed
     micro-batch (1 = solo), for telemetry only.
     """
@@ -193,7 +183,7 @@ def shed_response(request: QueryRequest, reason: str = "overload",
                   ) -> QueryResponse:
     """A padded, flagged response for a request that was not executed.
 
-    Reuses the executor's degraded-output conventions: ``-1`` ids,
+    Reuses the executor's padding conventions: ``-1`` ids,
     ``inf`` distances, zero candidates, ``exhausted_budget`` all-True —
     the same shape a fully deadline-expired batch returns, so clients
     and metrics need no new vocabulary for shed load.
@@ -319,9 +309,8 @@ class IndexRuntime:
         """``request`` as this session will execute it; the one place a
         request meets the session defaults.
 
-        An option the request leaves unset takes the
-        :class:`RuntimeConfig` value (one both leave unset stays
-        ``None``, the front-end's own default), and a ``deadline_ms``
+        A request without a budget takes the :class:`RuntimeConfig`'s
+        ``deadline_ms`` (both unset: no budget), and a ``deadline_ms``
         budget — the request's or the session's — becomes an absolute
         :class:`Deadline` started now.  Call it where the request
         arrives (the HTTP door does, so admission and the batch queue
@@ -330,15 +319,10 @@ class IndexRuntime:
         what will run.  Idempotent: a resolved request comes back as the
         same object.
         """
-        cfg = self.config
-        fill: Dict[str, object] = {}
+        budget = self.config.deadline_ms
         if request.deadline is None and request.deadline_ms is None \
-                and cfg.deadline_ms is not None:
-            fill["deadline_ms"] = cfg.deadline_ms
-        if request.policy is None and cfg.policy is not None:
-            fill["policy"] = cfg.policy
-        if fill:
-            request = replace(request, **fill)  # type: ignore[arg-type]
+                and budget is not None:
+            request = replace(request, deadline_ms=budget)
         return request.with_deadline_started()
 
     def submit(self, request: QueryRequest) -> QueryResponse:
@@ -355,8 +339,7 @@ class IndexRuntime:
         plan = self.index.execution_plan(  # type: ignore[attr-defined]
             request.hierarchy_threshold)
         ids, dists, stats = run_plan(
-            plan, request.queries, request.k, deadline=request.deadline,
-            policy=request.policy)
+            plan, request.queries, request.k, deadline=request.deadline)
         return QueryResponse(ids=ids, distances=dists, stats=stats)
 
     def query_batch(self, queries: np.ndarray, k: int,

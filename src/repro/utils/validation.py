@@ -51,16 +51,12 @@ def as_float_vector(vec: ArrayLike, dim: Optional[int] = None,
 
 
 def as_query_matrix(data: ArrayLike, dim: Optional[int] = None,
-                    name: str = "queries",
-                    allow_nonfinite: bool = False,
-                    ) -> "tuple[np.ndarray, Optional[np.ndarray]]":
-    """Coerce a query batch to 2-D float64 and report non-finite rows.
+                    name: str = "queries") -> np.ndarray:
+    """Coerce a query batch to a 2-D C-contiguous float64 array.
 
-    Like :func:`as_float_matrix` plus an optional expected dimension, but
-    under ``allow_nonfinite=True`` rows containing NaN/Inf do not raise:
-    the second return value is then a boolean ``finite_row`` mask (or
-    ``None`` when every row is finite) so the caller can answer the good
-    rows and flag the bad ones degraded instead of rejecting the batch.
+    Like :func:`as_float_matrix` plus an optional expected dimension,
+    checked before finiteness: a row of the wrong width or one holding
+    NaN/Inf raises ``ValueError`` naming ``name``.
     """
     if np.ndim(data) == 0:
         raise ValueError(f"{name} must be array-like, got a scalar")
@@ -75,12 +71,9 @@ def as_query_matrix(data: ArrayLike, dim: Optional[int] = None,
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(
             f"{name} has dimension {arr.shape[1]}, expected {dim}")
-    finite_row = np.isfinite(arr).all(axis=1)
-    if bool(finite_row.all()):
-        return arr, None
-    if not allow_nonfinite:
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite values")
-    return arr, finite_row
+    return arr
 
 
 def check_matrix_2d(data: "np.ndarray", name: str = "data") -> "np.ndarray":

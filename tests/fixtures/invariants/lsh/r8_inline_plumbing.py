@@ -15,16 +15,13 @@ import numpy as np
 from repro.exec.executor import run_plan
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import faults_active
-from repro.resilience.policy import ResiliencePolicy
 
 
 def query_batch(plan: object, queries: np.ndarray, k: int,
                 deadline_ms: Optional[float] = None,
-                policy: Optional[ResiliencePolicy] = None,
                 ) -> Tuple[np.ndarray, np.ndarray]:
-    if policy is None and faults_active() is not None:
-        policy = ResiliencePolicy()
+    if faults_active() is not None:
+        deadline_ms = None
     deadline = Deadline.from_ms(deadline_ms)
-    ids, dists, _stats = run_plan(plan, queries, k, deadline=deadline,
-                                  policy=policy)
+    ids, dists, _stats = run_plan(plan, queries, k, deadline=deadline)
     return ids, dists

@@ -273,7 +273,7 @@ class TestRuleDetails:
     def test_r7_accepts_recording_via_resolved_helper(self):
         helpers = parse_source(
             "def soften(obs):\n"
-            "    obs.record_fallback('stage')\n",
+            "    obs.record_fault('stage')\n",
             "core/helpers.py",
         )
         main_src = (

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.exec import executor
+from repro.resilience import QueryValidationError
 from tests.threads import THREADS, native_threads
 
 
@@ -218,13 +219,31 @@ class TestResilienceCLI:
                                                query_file, capsys):
         out = str(tmp_path / "res.npz")
         rc = main(["query", index_file, query_file, "-k", "5",
-                   "--deadline-ms", "60000", "--resilient",
-                   "--output", out])
+                   "--deadline-ms", "60000", "--output", out])
         assert rc == 0
         results = np.load(out)
-        # A deadline run always materializes the exhausted mask.
-        assert "exhausted_budget" in results.files
+        # A deadline run always materializes the exhausted mask; there
+        # is no degraded mask any more.
+        assert sorted(results.files) == [
+            "distances", "exhausted_budget", "ids", "n_candidates"]
         assert not results["exhausted_budget"].any()
+        # A query has nothing to degrade: ``--resilient`` is gone from
+        # both subcommands, refused as an unknown flag.
+        for retired in (["query", index_file, query_file, "--resilient"],
+                        ["serve", index_file, "--resilient"]):
+            with pytest.raises(SystemExit) as refused:
+                main(retired)
+            assert refused.value.code == 2
+
+    def test_query_nonfinite_rows_are_refused(self, tmp_path, index_file,
+                                              gaussian_queries):
+        bad = gaussian_queries.copy()
+        bad[2, 5] = np.nan
+        path = str(tmp_path / "bad.npy")
+        np.save(path, bad)
+        with pytest.raises(QueryValidationError) as refused:
+            main(["query", index_file, path, "-k", "5"])
+        assert refused.value.field == "queries"
 
     def test_query_expired_deadline_flags_everything(self, index_file,
                                                      query_file, capsys,

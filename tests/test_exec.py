@@ -1,22 +1,21 @@
-"""Execution-core tests: sharding parity, cross-shard deadlines, chaos.
+"""Execution-core tests: sharding parity, cross-shard deadlines.
 
 The contract under test (see DESIGN.md "Execution core"):
 
 1. **Shard parity** — the executor's shard size (``SHARD_LOOKUP_ROWS``
    over the plan's lookups per row) bounds memory, not semantics: for
-   every front-end and supervision mode the sharded batch is
-   bit-identical to the unsharded one (and still the scalar oracle's
+   every front-end, supervised (under a generous deadline, whose
+   ``exhausted_budget`` mask must fold alike) or not, the sharded batch
+   is bit-identical to the unsharded one (and still the scalar oracle's
    neighbours).  ``tests.shards.shard_rows`` patches the size down to
    these small batches.
 2. **One deadline across shards** — the budget is a single absolute
    expiry; shards that start after it return padded answers flagged
    ``exhausted_budget`` while earlier shards stay untouched.
-3. **Faults compose with sharding** — a supervised fault inside one
-   shard degrades exactly its rows; every other row (in every shard)
-   stays bit-identical to the fault-free run.
+   ``tests.stall.stalled_stage`` burns the budget inside a shard.
 
-All fault plans and datasets are seeded; the CI ``chaos`` job runs this
-file with ``PYTHONHASHSEED=0``.
+All datasets are seeded; the CI ``chaos`` job runs this file with
+``PYTHONHASHSEED=0``.
 """
 
 import numpy as np
@@ -30,15 +29,10 @@ from repro.evaluation.runner import evaluate_index
 from repro.exec import ExecutionContext, QueryStats, executor
 from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.obs.registry import MetricsRegistry
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    QueryValidationError,
-    ResiliencePolicy,
-    injected_faults,
-)
+from repro.resilience import QueryValidationError
 from repro.runtime import IndexRuntime
 from tests.shards import shard_rows
+from tests.stall import stalled_stage
 from tests.threads import THREADS, native_threads
 
 N_QUERIES = 23  # deliberately not a multiple of any shard size below
@@ -74,7 +68,13 @@ def assert_same_results(a, b):
     assert np.array_equal(dists_a, dists_b)
     assert np.array_equal(stats_a.n_candidates, stats_b.n_candidates)
     assert np.array_equal(stats_a.escalated, stats_b.escalated)
-    assert np.array_equal(stats_a.degraded_mask(), stats_b.degraded_mask())
+    assert (stats_a.exhausted_budget is None) \
+        == (stats_b.exhausted_budget is None)
+    assert np.array_equal(stats_a.exhausted_mask(), stats_b.exhausted_mask())
+
+
+#: What a supervised batch runs under: a budget it never spends.
+SUPERVISED = {"deadline_ms": 600_000.0}
 
 
 # ---------------------------------------------------------------- parity
@@ -108,7 +108,7 @@ class TestShardParity:
                             hierarchy=True).fit(dataset)
         kwargs = {"hierarchy_threshold": 12}
         if supervised:
-            kwargs["policy"] = ResiliencePolicy()
+            kwargs.update(SUPERVISED)
         base = index.query_batch(queries, K, **kwargs)
         with shard_rows(index, rows):
             sharded = index.query_batch(queries, K, **kwargs)
@@ -120,9 +120,7 @@ class TestShardParity:
     @pytest.mark.parametrize("supervised", [False, True])
     def test_bilevel(self, bilevel, queries, rows, threads, supervised):
         # Library shards, and the same shards through a runtime at P.
-        kwargs = {}
-        if supervised:
-            kwargs["policy"] = ResiliencePolicy()
+        kwargs = dict(SUPERVISED) if supervised else {}
         base = bilevel.query_batch(queries, K, **kwargs)
         with shard_rows(bilevel, rows):
             sharded = bilevel.query_batch(queries, K, **kwargs)
@@ -275,19 +273,17 @@ class TestHierarchyThresholdValidation:
 class TestDeadlineAcrossShards:
     def test_later_shards_exhaust_earlier_untouched(self, standard,
                                                     queries):
-        # One absolute expiry for the whole batch: a delay burns the
-        # budget inside shard 1, which still completes (StandardLSH
+        # One absolute expiry for the whole batch: a stalled gather burns
+        # the budget inside shard 1, which still completes (StandardLSH
         # checks the budget between escalation rounds, not mid-stage);
         # shards 2 and 3 then start past the deadline and must return
         # padded rows flagged exhausted without running their stages.
         base_ids, base_dists, _ = standard.query_batch(queries, K)
-        plan = FaultPlan([FaultSpec(site="lsh.gather", kind="delay",
-                                    delay_ms=80.0, match={"table": 0},
-                                    max_hits=1)], seed=3)
-        with injected_faults(plan), shard_rows(standard, 8):
+        with stalled_stage("gather", 80.0, max_hits=1) as stall, \
+                shard_rows(standard, 8):
             ids, dists, stats = standard.query_batch(
                 queries, K, deadline_ms=25.0)
-        assert plan.hits()["lsh.gather"] == 1
+        assert stall.hits == 1
         assert stats.exhausted_budget is not None
         assert not stats.exhausted_budget[:8].any()
         assert stats.exhausted_budget[8:].all()
@@ -295,7 +291,6 @@ class TestDeadlineAcrossShards:
         assert np.array_equal(dists[:8], base_dists[:8])
         assert (ids[8:] == -1).all()
         assert np.isinf(dists[8:]).all()
-        assert stats.degraded is None
 
     def test_generous_deadline_changes_nothing(self, standard, queries):
         base = standard.query_batch(queries, K)
@@ -308,106 +303,51 @@ class TestDeadlineAcrossShards:
         assert not stats.exhausted_budget.any()
 
 
-# ----------------------------------------------------------------- chaos
-
-
-class TestShardedFaults:
-    def test_bilevel_dispatch_fault_in_one_shard(self, bilevel, queries):
-        index = bilevel
-        base_ids, base_dists, _ = index.query_batch(queries, K)
-        plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
-                                    match={"group": 1}, max_hits=1)],
-                         seed=11)
-        pol = ResiliencePolicy()
-        with injected_faults(plan), shard_rows(index, 7):
-            ids, dists, stats = index.query_batch(queries, K, policy=pol)
-        assert plan.hits()["bilevel.dispatch"] == 1
-        assert stats.degraded is not None and stats.degraded.any()
-        ok = ~stats.degraded
-        assert ok.any()
-        assert np.array_equal(ids[ok], base_ids[ok])
-        assert np.array_equal(dists[ok], base_dists[ok])
-        assert any(r.site == "bilevel.dispatch" for r in stats.failures)
-
-    def test_nonfinite_rows_sharded_parity(self, standard, queries):
-        # Policy-gated NaN handling is per shard; the flagged rows and
-        # the failure records must match the unsharded run.
-        bad = queries.copy()
-        bad[3, 0] = np.nan
-        bad[17, 2] = np.inf
-        pol = ResiliencePolicy()
-        base_ids, base_dists, base_stats = standard.query_batch(
-            bad, K, policy=pol)
-        with shard_rows(standard, 8):
-            ids, dists, stats = standard.query_batch(bad, K, policy=pol)
-        assert np.array_equal(ids, base_ids)
-        assert np.array_equal(dists, base_dists)
-        assert np.array_equal(stats.degraded, base_stats.degraded)
-        assert stats.degraded[3] and stats.degraded[17]
-        # One validation record per shard containing a bad row (rows 3
-        # and 17 land in different shards of 8).
-        val = [r for r in stats.failures if r.site == "lsh.validate"]
-        assert len(val) == 2
-
-
 # ------------------------------------------------------------------ fold
 
 
 class TestAbsorb:
     """``ExecutionContext.absorb`` is the one place a sub-result is put
-    into a result: the shard loop, the non-finite split, the bi-level
-    merge and the process pool all fold through it."""
+    into a result: the shard loop folds every shard through it."""
 
-    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("again", [False, True])
     @pytest.mark.parametrize("exhausted", [False, True])
-    def test_lazy_masks(self, degraded, exhausted):
+    def test_lazy_masks(self, again, exhausted):
         # A mask the sub-result does not carry leaves the parent's at
-        # ``None`` ("never engaged"); one it carries is allocated on
-        # first need and OR-ed in, over exactly the absorbed rows.
+        # ``None`` ("no deadline"); one it carries is allocated on first
+        # need and OR-ed in, over exactly the absorbed rows — and a flag
+        # one fold set is not cleared by the next (``again``).
         rng = np.random.default_rng(7)
         ctx = ExecutionContext.for_batch(rng.standard_normal((6, DIM)), 3)
-        rows = np.array([1, 4])
+        rows = slice(1, 3)
         flag = np.array([True, False])
-        record = ResiliencePolicy().note_failure(
-            "lsh.gather", "table=0", RuntimeError("boom"), "gave_up")
         stats = QueryStats(
             np.array([5, 9]), np.array([False, True]),
-            degraded=flag if degraded else None,
-            exhausted_budget=flag if exhausted else None,
-            failures=(record,))
+            exhausted_budget=flag if exhausted else None)
         ids = np.array([[10, 11, 12], [20, 21, -1]])
         dists = np.array([[0.1, 0.2, 0.3], [0.5, 0.6, np.inf]])
         ctx.absorb(rows, ids, dists, stats)
+        if again:
+            ctx.absorb(rows, ids, dists, QueryStats(
+                np.array([5, 9]), np.array([False, True]),
+                exhausted_budget=~flag if exhausted else None))
         assert np.array_equal(ctx.ids_out[rows], ids)
         assert np.array_equal(ctx.dists_out[rows], dists)
-        untouched = np.setdiff1d(np.arange(6), rows)
+        untouched = [0, 3, 4, 5]
         assert (ctx.ids_out[untouched] == -1).all()
         assert np.isinf(ctx.dists_out[untouched]).all()
-        assert ctx.n_candidates.tolist() == [0, 5, 0, 0, 9, 0]
-        assert ctx.escalated.tolist() == [False] * 4 + [True, False]
-        want = [False, True] + [False] * 4
+        assert ctx.n_candidates.tolist() == [0, 5, 9, 0, 0, 0]
+        assert ctx.escalated.tolist() == [False, False, True] + [False] * 3
         out = ctx.build_stats()
-        assert (out.degraded is None) == (not degraded)
         assert (out.exhausted_budget is None) == (not exhausted)
-        if degraded:
-            assert out.degraded.tolist() == want
         if exhausted:
-            assert out.exhausted_budget.tolist() == want
-        assert out.failures == (record,)
-        # A second sub-result ORs into masks already there: a flag set
-        # by one fold is not cleared by the next.
-        ctx.absorb(rows, ids, dists, QueryStats(
-            np.array([5, 9]), np.array([False, True]),
-            degraded=~flag if degraded else None))
-        if degraded:
-            assert ctx.degraded.tolist() == [False, True, False, False,
-                                             True, False]
-        assert (ctx.exhausted is None) == (not exhausted)
+            assert out.exhausted_budget.tolist() == [
+                False, True, again, False, False, False]
 
     def test_every_path_folds_to_the_same_stats(self, dataset, queries):
-        # Unsharded == sharded == sharded on a runtime's threads == one
-        # NaN row set aside under a policy (on the finite rows), on every
-        # QueryStats field — a deadline makes ``exhausted_budget`` one.
+        # Unsharded == sharded == sharded on a runtime's threads, on
+        # every QueryStats field — a deadline makes ``exhausted_budget``
+        # one; and a NaN row anywhere refuses the batch on every path.
         index = StandardLSH(n_tables=6, bucket_width=8.0, hierarchy=True,
                             seed=5).fit(dataset)
         options = dict(hierarchy_threshold=40, deadline_ms=60_000.0)
@@ -416,18 +356,14 @@ class TestAbsorb:
             return {
                 "n_candidates": stats.n_candidates[rows].tolist(),
                 "escalated": stats.escalated[rows].tolist(),
-                "degraded": (None if stats.degraded is None
-                             else stats.degraded[rows].tolist()),
                 "exhausted_budget": (
                     None if stats.exhausted_budget is None
                     else stats.exhausted_budget[rows].tolist()),
-                "failures": stats.failures,
             }
 
         base_ids, base_dists, base_stats = index.query_batch(
             queries, K, **options)
         assert base_stats.escalated.any() and not base_stats.escalated.all()
-        assert fields(base_stats)["degraded"] is None
         assert fields(base_stats)["exhausted_budget"] == [False] * N_QUERIES
 
         with shard_rows(index, 7):
@@ -447,17 +383,11 @@ class TestAbsorb:
 
         bad = queries.copy()
         bad[5, 1] = np.nan
-        finite = np.setdiff1d(np.arange(N_QUERIES), [5])
-        ids, dists, stats = index.query_batch(
-            bad, K, policy=ResiliencePolicy(), **options)
-        assert np.array_equal(ids[finite], base_ids[finite])
-        assert np.array_equal(dists[finite], base_dists[finite])
-        got, want = fields(stats, finite), fields(base_stats, finite)
-        assert got.pop("degraded") == [False] * finite.size
-        assert [r.site for r in got.pop("failures")] == ["lsh.validate"]
-        assert want.pop("degraded") is None and want.pop("failures") is None
-        assert got == want
-        assert stats.degraded[5] and (ids[5] == -1).all()
+        with pytest.raises(QueryValidationError):
+            index.query_batch(bad, K, **options)
+        with shard_rows(index, 7), IndexRuntime(index) as runtime, \
+                pytest.raises(QueryValidationError):
+            runtime.query_batch(bad, K, **options)
 
 
 # ------------------------------------------------------------ evaluation
@@ -477,21 +407,6 @@ class TestEvaluationThreading:
         assert np.array_equal(sharded.recall, base.recall)
         assert np.array_equal(sharded.error, base.error)
         assert np.array_equal(sharded.selectivity, base.selectivity)
-
-    def test_policy_reaches_the_index(self, dataset, queries):
-        # A fault that would crash an unsupervised run is absorbed when
-        # the policy enters through evaluate_index.
-        gt = GroundTruth(dataset, queries, K)
-        plan = FaultPlan([FaultSpec(site="lsh.gather", match={"table": 0},
-                                    max_hits=1)], seed=11)
-        index = StandardLSH(n_tables=6, bucket_width=8.0, seed=5)
-        with injected_faults(plan):
-            measurement = evaluate_index(
-                index, dataset, queries, K, gt,
-                policy=ResiliencePolicy())
-        assert plan.hits()["lsh.gather"] == 1
-        assert ((measurement.recall >= 0.0)
-                & (measurement.recall <= 1.0)).all()
 
     def test_expired_deadline_degrades_gracefully(self, standard, dataset,
                                                   queries):

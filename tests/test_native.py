@@ -58,8 +58,6 @@ from repro.native.ref import (Spans, bucket_spans_ref, rank_topk_ref,
                               zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
 from repro.obs.registry import MetricsRegistry
-from repro.resilience import (FaultPlan, FaultSpec, ResiliencePolicy,
-                              injected_faults)
 from repro.runtime import IndexRuntime, RuntimeConfig
 from tests.oracle import oracle_query
 from tests.shards import shard_rows
@@ -265,41 +263,6 @@ class TestParityMatrix:
         with numpy_table():
             assert_same_results(answer, index.query_batch(
                 queries, K, hierarchy_threshold=12, deadline_ms=1e-6))
-
-    @pytest.mark.parametrize("lattice", ["zm", "e8"])
-    def test_stand_in_group_on_a_hierarchy_index(self, dataset, queries,
-                                                 lattice):
-        # A group that fails its dispatch check is answered by every live
-        # row of the group — one span per segment, in the union the other
-        # groups' lookups share — and escalates nothing; every other row
-        # keeps its answer, on both tables alike.
-        cfg = BiLevelConfig(n_groups=4, n_tables=4, bucket_width=6.0,
-                            lattice=lattice, hierarchy=True, seed=5)
-        index = BiLevelLSH(cfg).fit(dataset)
-        assert index.delete(np.arange(0, dataset.shape[0], 7)) > 0
-        base = index.query_batch(queries, K, hierarchy_threshold=14)
-        victim = int(index.partitioner.assign(queries[:1])[0])
-        plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
-                                    match={"group": victim})], seed=11)
-        pol = ResiliencePolicy()
-        with injected_faults(plan):
-            answer = index.query_batch(queries, K, hierarchy_threshold=14,
-                                       policy=pol)
-            with numpy_table():
-                assert_same_results(answer, index.query_batch(
-                    queries, K, hierarchy_threshold=14, policy=pol))
-        stats = answer[2]
-        hit = index.partitioner.assign(queries) == victim
-        assert np.array_equal(stats.degraded, hit)
-        assert not stats.escalated[hit].any() and base[2].escalated.any()
-        assert (stats.n_candidates[hit]
-                == index.group_indexes[victim].n_live).all()
-        assert np.array_equal(answer[0][~hit], base[0][~hit])
-        assert np.array_equal(answer[1][~hit].view(np.int64),
-                              base[1][~hit].view(np.int64))
-        assert np.array_equal(stats.n_candidates[~hit],
-                              base[2].n_candidates[~hit])
-        assert np.array_equal(stats.escalated[~hit], base[2].escalated[~hit])
 
     def test_self_distance_is_exactly_zero(self, index_cache, queries):
         # Query row 0 is dataset row 17 verbatim; both tables and the
@@ -1203,7 +1166,7 @@ def _answer_bytes(answer):
 
     return (ids.tobytes(), _bits(dists).tobytes(),
             stats.n_candidates.tobytes(), stats.escalated.tobytes(),
-            mask(stats.degraded), mask(stats.exhausted_budget))
+            mask(stats.exhausted_budget))
 
 
 class _Work:
@@ -1254,25 +1217,6 @@ class TestThreadsMatrix:
         assert answers[2] == answers[1] and answers[7] == answers[1]
         stats = index.query_batch(queries, K, **options)[2]
         assert stats.escalated.all() == bool(index.use_hierarchy)
-
-    @pytest.mark.parametrize("lattice", ["zm", "e8"])
-    def test_fault_stand_ins_answer_alike(self, kernels, dense, lattice):
-        # A failed group's rows are answered by stand-in spans over its
-        # live rows, which join the lookups' spans.
-        data, queries = dense
-        index = _dense_index(data, dict(front="bilevel", lattice=lattice,
-                                        multi_assign=2))
-        answers = {}
-        for p in THREADS:
-            plan = FaultPlan([FaultSpec(site="bilevel.dispatch",
-                                        match={"group": 0})], seed=3)
-            with native_threads(p), injected_faults(plan):
-                answer = index.query_batch(queries, K,
-                                           policy=ResiliencePolicy())
-            assert plan.hits()["bilevel.dispatch"] >= 1
-            assert answer[2].degraded_mask().any()
-            answers[p] = _answer_bytes(answer)
-        assert answers[2] == answers[1] and answers[7] == answers[1]
 
 
 @contextlib.contextmanager
@@ -1367,8 +1311,8 @@ class TestThreadedKernels:
                                   with_norms):
         # The gather's spans as rank meets them: each segment's lookups hit
         # buckets of two tables (sorted runs, shared by nearby segments, so
-        # the same id comes in several spans), plus stand-in and
-        # hierarchy-like spans over unsorted arrays; segments with no span
+        # the same id comes in several spans), plus hierarchy-like spans
+        # over unsorted arrays; segments with no span
         # at all, tombstones below and past the ids, k past most counts,
         # and the counting mode against the spec's union.
         rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Sharded execution through the runtime at every P: parity, faults,
+"""Sharded execution through the runtime at every P: parity, errors,
 deadlines, telemetry.
 
 (The file keeps the name it had when these shards ran in worker
@@ -14,8 +14,8 @@ to P threads inside each call, so
    recorded telemetry equal the inline sharded run at the same shard
    size, at every P, for pinned *and* fitted (``None``)
    thresholds, on in-memory, memmapped, overlaid and tombstoned indexes.
-2. **Faults as inline** — a fault inside a shard is degraded by the same
-   policy code; unsupervised, it propagates from the first shard that
+2. **Errors as inline** — a bad row is refused before any shard runs;
+   an exception inside a shard propagates from the first shard that
    met it, and the runtime keeps serving.
 3. **One absolute deadline** — a shard checks it when it *starts*; one
    whose turn comes too late keeps its padded rows, flagged
@@ -24,7 +24,8 @@ to P threads inside each call, so
    read, and every kernel thread is joined before its call returns.
 
 The executor sizes its shards from the plan, far above these batches;
-``tests.shards.shard_rows`` patches that size down.  All plans and
+``tests.shards.shard_rows`` patches that size down, and
+``tests.stall.stalled_stage`` slows a stage to spend a budget.  All
 datasets are seeded; CI's ``chaos`` job runs this file.
 """
 
@@ -41,16 +42,11 @@ from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
                         run_validated)
 from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
-from repro.resilience import (
-    Deadline,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    ResiliencePolicy,
-    injected_faults,
-)
+from repro.lsh.index import _LSHPlan
+from repro.resilience import Deadline, QueryValidationError
 from repro.runtime import IndexRuntime, QueryRequest
 from tests.shards import shard_rows
+from tests.stall import stalled_stage
 from tests.threads import THREADS, native_threads
 
 N_QUERIES = 23
@@ -95,9 +91,7 @@ def stats_fields(stats):
 
     return {"n_candidates": stats.n_candidates.tolist(),
             "escalated": stats.escalated.tolist(),
-            "degraded": listed(stats.degraded),
-            "exhausted_budget": listed(stats.exhausted_budget),
-            "failures": stats.failures}
+            "exhausted_budget": listed(stats.exhausted_budget)}
 
 
 def assert_bit_identical(result, reference):
@@ -119,7 +113,7 @@ class TestParity:
         result = runtime.query_batch(queries, K,
                                      hierarchy_threshold=THRESHOLD)
         assert_bit_identical(result, reference)
-        assert result[2].degraded_mask().sum() == 0
+        assert result[2].exhausted_budget is None
 
     @pytest.mark.parametrize("rows", [1, 5, N_QUERIES])
     def test_sharded_is_bit_identical(self, runtime, queries, reference,
@@ -276,69 +270,43 @@ class TestInputsThePoolRefused:
 
 
 class TestValidation:
-    def test_nonfinite_rows_degrade_under_policy(self, runtime, queries,
-                                                 reference):
+    def test_nonfinite_rows_are_refused_before_any_shard(
+            self, runtime, queries, reference):
+        # Row 21 sits in the last of five shards; a zero stall only
+        # counts the hash stages that ran: none may.
         bad = queries.copy()
-        bad[1, 0] = np.nan
-        pol = ResiliencePolicy()
-        with shard_rows(runtime.index, 5):
-            ids, dists, stats = runtime.query_batch(
-                bad, K, hierarchy_threshold=THRESHOLD, policy=pol)
-        degraded = stats.degraded_mask()
-        assert degraded[1] and degraded.sum() == 1
-        assert np.all(ids[1] == -1)
-        good = ~degraded
-        assert np.array_equal(ids[good], reference[0][good])
-        assert np.array_equal(dists[good].view(np.int64),
-                              reference[1][good].view(np.int64))
+        bad[21, 0] = np.nan
+        with shard_rows(runtime.index, 5), \
+                stalled_stage("hash", 0.0, max_hits=N_QUERIES) as stall:
+            with pytest.raises(QueryValidationError) as err:
+                runtime.query_batch(bad, K, hierarchy_threshold=THRESHOLD)
+            assert err.value.field == "queries"
+            assert stall.hits == 0
+            result = runtime.query_batch(queries, K,
+                                         hierarchy_threshold=THRESHOLD)
+        assert_bit_identical(result, reference)
 
 
 # ----------------------------------------------------------------- chaos
 
 
 class TestChaos:
-    def test_injected_fault_degrades_one_shard_as_inline(
-            self, index, runtime, queries, reference):
-        # One hit drops table 0 for the shard that met it first: that
-        # shard's rows are flagged and answered as the same fault answers
-        # them inline; every other row is healthy.
-        def plan():
-            return FaultPlan([FaultSpec(site="lsh.gather",
-                                        match={"table": 0}, max_hits=1)],
-                             seed=13)
-
-        with injected_faults(plan()) as threaded_plan, \
-                shard_rows(index, 5):
-            ids, dists, stats = runtime.query_batch(
-                queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy())
-        assert threaded_plan.hits() == {"lsh.gather": 1}
-        [rows] = np.nonzero(stats.degraded_mask())
-        first = rows[0]
-        assert first % 5 == 0
-        assert np.array_equal(rows, np.arange(first, min(first + 5,
-                                                         N_QUERIES)))
-        assert [r.label for r in stats.failures] == ["table=0"]
-        ok = ~stats.degraded_mask()
-        assert np.array_equal(ids[ok], reference[0][ok])
-        assert np.array_equal(dists[ok].view(np.int64),
-                              reference[1][ok].view(np.int64))
-        with injected_faults(plan()):
-            inline = index.query_batch(
-                queries[rows], K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy())
-        assert inline[2].degraded_mask().all()
-        assert_bit_identical((ids[rows], dists[rows], QueryStats(
-            stats.n_candidates[rows], stats.escalated[rows])), inline)
-
     def test_unsupervised_fault_propagates(self, runtime, queries,
                                            reference):
-        plan = FaultPlan([FaultSpec(site="lsh.gather")], seed=13)
+        # Nothing softens an error in a stage: the first shard's gather
+        # raises out of the batch.
+        gather = _LSHPlan._stage_gather
+
+        def failing(plan, ctx):
+            raise _Boom(0)
+
         with shard_rows(runtime.index, 5):
-            with injected_faults(plan):
-                with pytest.raises(InjectedFault):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_LSHPlan, "_stage_gather", failing)
+                with pytest.raises(_Boom):
                     runtime.query_batch(queries, K,
                                         hierarchy_threshold=THRESHOLD)
+            assert _LSHPlan._stage_gather is gather
             # Nothing of the failed batch is left behind, and the runtime
             # is not wedged by it.
             result = runtime.query_batch(queries, K,
@@ -423,19 +391,17 @@ class TestDeadline:
         index = StandardLSH(n_tables=4, bucket_width=6.0,
                             seed=9).fit(dataset)
         base = index.query_batch(queries, K)
-        plan = FaultPlan([FaultSpec(site="lsh.gather", kind="delay",
-                                    delay_ms=150.0, match={"table": 0},
-                                    max_hits=2)], seed=1)
         reg = MetricsRegistry()
         obs.enable(registry=reg)
         try:
             with native_threads(2), IndexRuntime(index) as rt, \
-                    injected_faults(plan), shard_rows(index, 5):
+                    stalled_stage("gather", 150.0, max_hits=2) as stall, \
+                    shard_rows(index, 5):
                 ids, dists, stats = rt.query_batch(
                     queries, K, deadline_ms=250.0)
         finally:
             obs.disable()
-        assert plan.hits() == {"lsh.gather": 2}
+        assert stall.hits == 2
         assert stats.exhausted_budget.tolist() == \
             [False] * 10 + [True] * (N_QUERIES - 10)
         assert np.array_equal(ids[:10], base[0][:10])
@@ -521,8 +487,7 @@ class TestObservability:
                                                   reference):
         with IndexRuntime(index) as rt, shard_rows(index, 8):
             result, snap = _observed(lambda: rt.query_batch(
-                queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy()))
+                queries, K, hierarchy_threshold=THRESHOLD))
         assert_bit_identical(result, reference)
         assert _samples(snap, "repro_exec_shards_total") == \
             {(("site", "lsh"),): -(-N_QUERIES // 8)}
@@ -560,7 +525,7 @@ def _deterministic(snap):
     return flat
 
 
-class TestCrossProcessMetrics:
+class TestShardTelemetry:
     """What a shard records lands in the active registry directly — no
     reply to ride, nothing to merge — so a runtime batch at P = 2 must
     leave exactly the library batch's counts at P = 1."""
@@ -569,8 +534,8 @@ class TestCrossProcessMetrics:
         "ignore:native kernels unavailable:RuntimeWarning")
     @pytest.mark.parametrize("backend_env", ["auto", "none"])
     @pytest.mark.parametrize("shape", ["zm_probes", "e8_hierarchy"])
-    def test_pooled_snapshot_equals_in_process(self, dataset, index,
-                                               queries, shape, backend_env):
+    def test_threaded_snapshot_equals_inline(self, dataset, index,
+                                             queries, shape, backend_env):
         from repro.native import registry
 
         if shape == "zm_probes":
@@ -579,16 +544,16 @@ class TestCrossProcessMetrics:
         snaps = {}
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_NATIVE_BACKEND", backend_env)
-            for name, p in (("in_process", 1), ("pooled", 2)):
+            for name, p in (("inline", 1), ("threaded", 2)):
                 with native_threads(p), IndexRuntime(index) as rt:
                     index.query_batch(queries, K)  # resolved, unobserved
-                    target = index if name == "in_process" else rt
+                    target = index if name == "inline" else rt
                     with shard_rows(index, 2):
                         _, snaps[name] = _observed(
                             lambda: target.query_batch(
                                 queries, K, hierarchy_threshold=THRESHOLD))
-        want = _deterministic(snaps["in_process"])
-        assert _deterministic(snaps["pooled"]) == want
+        want = _deterministic(snaps["inline"])
+        assert _deterministic(snaps["threaded"]) == want
         # Not vacuous: every table looked up, probed, and — on the
         # hierarchy index — something escalated.
         series = [key[0] for key in want if len(key) == 2]
@@ -600,9 +565,8 @@ class TestCrossProcessMetrics:
         assert want["repro_stage_seconds", (("stage", "lsh.rank"),),
                     "count"] == -(-N_QUERIES // 2)
 
-    def test_worker_counters_visible_in_parent_snapshot(self, runtime,
-                                                        queries,
-                                                        reference):
+    def test_shard_counters_land_in_the_one_registry(self, runtime,
+                                                     queries, reference):
         with shard_rows(runtime.index, 8):
             result, snap = _observed(lambda: runtime.query_batch(
                 queries, K, hierarchy_threshold=THRESHOLD))
@@ -623,21 +587,6 @@ class TestCrossProcessMetrics:
             <= set(stage)
         assert all(stage[name] == n_shards
                    for name in ("lsh.hash", "lsh.gather", "lsh.rank"))
-
-    def test_worker_faults_counted_in_parent(self, runtime, queries):
-        plan = FaultPlan((FaultSpec("lsh.gather", max_hits=1),), seed=5)
-        with injected_faults(plan), shard_rows(runtime.index, 8):
-            result, snap = _observed(lambda: runtime.query_batch(
-                queries, K, hierarchy_threshold=THRESHOLD,
-                policy=ResiliencePolicy()))
-        faults = _samples(snap, "repro_faults_injected_total")
-        assert faults == {(("site", "lsh.gather"),): 1}
-        # The one dropped table degraded the one shard that met it.
-        n_degraded = int(result[2].degraded_mask().sum())
-        assert n_degraded in (7, 8)
-        degraded = _samples(snap, "repro_degraded_queries_total")
-        assert degraded == {(("reason", "table_dropped"),): n_degraded}
-        assert not _samples(snap, "repro_fallbacks_total")
 
     def test_threaded_shard_traces_carry_their_own_spans(self, index,
                                                          runtime, queries):

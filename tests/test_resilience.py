@@ -1,10 +1,11 @@
-"""Unit tests for the resilience layer: faults, policy, deadlines, validation.
+"""Unit tests for the resilience layer: faults, deadlines, validation.
 
-The end-to-end fault matrix (every site x dispatch mode x spill) lives in
-``test_resilience_faults.py``; this module pins the building blocks —
-:class:`FaultPlan` determinism, :class:`ResiliencePolicy` failure
-records, :class:`Deadline` arithmetic, brute-force exactness, and the
-typed query validation at the top of ``query_batch``.
+The end-to-end deadline tests live in ``test_resilience_faults.py``, the
+disk fault sites' in ``test_persistence.py`` / ``test_maintenance*.py``;
+this module pins the building blocks — :class:`FaultPlan` determinism
+(on the disk sites, the only ones there are), :class:`Deadline`
+arithmetic, and the typed query validation at the top of
+``query_batch``, which refuses a non-finite row on every index.
 """
 
 import threading
@@ -22,8 +23,8 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
+    KNOWN_SITES,
     QueryValidationError,
-    ResiliencePolicy,
     clear_faults,
     faults_active,
     injected_faults,
@@ -36,62 +37,73 @@ from repro.resilience import (
 
 class TestFaultSpec:
     def test_unknown_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultSpec(site="lsh.gathr")
+        # The query-path sites went with the policy that softened them: a
+        # spec naming one is a typo like any other.
+        for site in ("maintenance.compactt", "lsh.gather",
+                     "bilevel.dispatch"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultSpec(site=site)
+
+    def test_known_sites_are_the_disk_sites(self):
+        assert sorted(KNOWN_SITES) == [
+            "maintenance.append", "maintenance.compact",
+            "persistence.load", "persistence.save"]
 
     def test_match_key_the_site_never_passes_rejected(self):
         # Such a spec could never fire: the site does not pass that label.
         with pytest.raises(ValueError, match="grup"):
-            FaultSpec(site="lsh.gather", match={"grup": 1})
-        with pytest.raises(ValueError, match="table"):
-            FaultSpec(site="bilevel.dispatch", match={"table": 0})
+            FaultSpec(site="maintenance.compact", match={"grup": 1})
+        with pytest.raises(ValueError, match="group"):
+            FaultSpec(site="persistence.load", match={"group": 0})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(site="lsh.gather", kind="segfault")
+            FaultSpec(site="maintenance.compact", kind="segfault")
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="rate"):
-            FaultSpec(site="lsh.gather", rate=1.5)
+            FaultSpec(site="maintenance.compact", rate=1.5)
 
     def test_bad_max_hits_rejected(self):
         with pytest.raises(ValueError, match="max_hits"):
-            FaultSpec(site="lsh.gather", max_hits=0)
+            FaultSpec(site="maintenance.compact", max_hits=0)
 
     def test_bad_delay_rejected(self):
         with pytest.raises(ValueError, match="delay_ms"):
-            FaultSpec(site="lsh.gather", kind="delay", delay_ms=-1.0)
+            FaultSpec(site="maintenance.compact", kind="delay",
+                      delay_ms=-1.0)
 
 
 class TestFaultPlan:
     def test_exception_kind_raises_injected_fault(self):
-        plan = FaultPlan([FaultSpec(site="lsh.gather")], seed=0)
+        plan = FaultPlan([FaultSpec(site="maintenance.compact")], seed=0)
         with pytest.raises(InjectedFault) as err:
-            plan.check("lsh.gather", table=3)
-        assert err.value.site == "lsh.gather"
-        assert "table=3" in str(err.value)
+            plan.check("maintenance.compact", group=3)
+        assert err.value.site == "maintenance.compact"
+        assert "group=3" in str(err.value)
 
     def test_unmatched_site_is_free(self):
-        plan = FaultPlan([FaultSpec(site="lsh.gather")], seed=0)
-        assert plan.check("bilevel.dispatch", group=0) is False
-        assert plan.hits() == {"lsh.gather": 0}
+        plan = FaultPlan([FaultSpec(site="maintenance.compact")], seed=0)
+        assert plan.check("persistence.save", path="x.npz") is False
+        assert plan.hits() == {"maintenance.compact": 0}
 
     def test_match_pins_the_victim(self):
         plan = FaultPlan(
-            [FaultSpec(site="bilevel.dispatch", match={"group": 2})], seed=0)
-        assert plan.check("bilevel.dispatch", group=0) is False
-        assert plan.check("bilevel.dispatch", group=1) is False
+            [FaultSpec(site="maintenance.compact", match={"group": 2})],
+            seed=0)
+        assert plan.check("maintenance.compact", group=0) is False
+        assert plan.check("maintenance.compact", group=1) is False
         with pytest.raises(InjectedFault):
-            plan.check("bilevel.dispatch", group=2)
+            plan.check("maintenance.compact", group=2)
 
     def test_max_hits_bounds_activations(self):
         plan = FaultPlan(
-            [FaultSpec(site="lsh.gather", max_hits=2)], seed=0)
+            [FaultSpec(site="maintenance.compact", max_hits=2)], seed=0)
         for _ in range(2):
             with pytest.raises(InjectedFault):
-                plan.check("lsh.gather", table=0)
-        assert plan.check("lsh.gather", table=0) is False
-        assert plan.hits() == {"lsh.gather": 2}
+                plan.check("maintenance.compact", group=0)
+        assert plan.check("maintenance.compact", group=0) is False
+        assert plan.hits() == {"maintenance.compact": 2}
 
     def test_corruption_kind_returns_true(self):
         plan = FaultPlan(
@@ -102,20 +114,20 @@ class TestFaultPlan:
 
     def test_delay_kind_sleeps(self):
         plan = FaultPlan(
-            [FaultSpec(site="lsh.gather", kind="delay", delay_ms=30.0,
-                       max_hits=1)], seed=0)
+            [FaultSpec(site="maintenance.compact", kind="delay",
+                       delay_ms=30.0, max_hits=1)], seed=0)
         start = time.monotonic()
-        assert plan.check("lsh.gather", table=0) is False
+        assert plan.check("maintenance.compact", group=0) is False
         assert time.monotonic() - start >= 0.025
 
     def test_sub_unit_rate_is_seed_deterministic(self):
         def draw_pattern(seed):
             plan = FaultPlan(
-                [FaultSpec(site="lsh.gather", rate=0.5)], seed=seed)
+                [FaultSpec(site="maintenance.compact", rate=0.5)], seed=seed)
             pattern = []
             for _ in range(32):
                 try:
-                    plan.check("lsh.gather")
+                    plan.check("maintenance.compact")
                     pattern.append(0)
                 except InjectedFault:
                     pattern.append(1)
@@ -126,13 +138,13 @@ class TestFaultPlan:
 
     def test_max_hits_exact_under_threads(self):
         plan = FaultPlan(
-            [FaultSpec(site="lsh.gather", max_hits=5)], seed=0)
+            [FaultSpec(site="maintenance.compact", max_hits=5)], seed=0)
         hits = []
 
         def worker():
             for _ in range(20):
                 try:
-                    plan.check("lsh.gather")
+                    plan.check("maintenance.compact")
                 except InjectedFault:
                     hits.append(1)
 
@@ -142,11 +154,11 @@ class TestFaultPlan:
         for t in threads:
             t.join()
         assert len(hits) == 5
-        assert plan.hits() == {"lsh.gather": 5}
+        assert plan.hits() == {"maintenance.compact": 5}
 
     def test_gate_installs_and_clears(self):
         assert faults_active() is None
-        plan = FaultPlan([FaultSpec(site="lsh.gather")], seed=0)
+        plan = FaultPlan([FaultSpec(site="maintenance.compact")], seed=0)
         with injected_faults(plan) as installed:
             assert installed is plan
             assert faults_active() is plan
@@ -188,55 +200,6 @@ class TestDeadline:
 
 
 # --------------------------------------------------------------------------
-# ResiliencePolicy
-# --------------------------------------------------------------------------
-
-class TestPolicy:
-    def test_success_records_nothing(self):
-        assert ResiliencePolicy().failures() == ()
-
-    def test_clear_failures(self):
-        pol = ResiliencePolicy()
-        pol.note_failure("lsh.gather", "t=0", RuntimeError("x"), "gave_up")
-        assert pol.failures()
-        pol.clear_failures()
-        assert pol.failures() == ()
-
-    def test_record_to_dict_round_trip(self):
-        pol = ResiliencePolicy()
-        pol.note_failure("lsh.gather", "t=9", ValueError("boom"), "gave_up")
-        record = pol.failures()[0].to_dict()
-        assert record == {
-            "site": "lsh.gather", "label": "t=9",
-            "error_type": "ValueError", "message": "boom",
-            "action": "gave_up",
-        }
-
-    def test_policy_without_plan_runs_no_check(self, gaussian_data,
-                                               gaussian_queries,
-                                               monkeypatch):
-        # No fault plan: no table or group check runs, so a policy can
-        # neither change an answer nor record a failure.
-        from repro.lsh.index import _LSHPlan
-
-        idx = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=8.0,
-                                       seed=0)).fit(gaussian_data)
-        base_ids, base_dists, base = idx.query_batch(gaussian_queries, 5)
-
-        def no_check(*args, **kwargs):
-            raise AssertionError("fault check ran without a plan")
-
-        monkeypatch.setattr(_LSHPlan, "_check", staticmethod(no_check))
-        pol = ResiliencePolicy()
-        ids, dists, stats = idx.query_batch(gaussian_queries, 5, policy=pol)
-        assert ids.tobytes() == base_ids.tobytes()
-        assert dists.tobytes() == base_dists.tobytes()
-        assert np.array_equal(stats.n_candidates, base.n_candidates)
-        assert stats.failures is None and pol.failures() == ()
-        assert not stats.degraded_mask().any()
-
-
-# --------------------------------------------------------------------------
 # Validation at the top of query_batch
 # --------------------------------------------------------------------------
 
@@ -273,32 +236,20 @@ class TestQueryValidation:
         with pytest.raises(QueryValidationError):
             index.query_batch(bad, 5)
 
-    def test_nan_degrades_under_policy(self, index, gaussian_queries):
-        base_ids, base_dists, _ = index.query_batch(gaussian_queries, 5)
-        bad = gaussian_queries.copy()
-        bad[3, 0] = np.nan
-        bad[17, 2] = np.inf
-        pol = ResiliencePolicy()
-        ids, dists, stats = index.query_batch(bad, 5, policy=pol)
-        assert stats.degraded is not None
-        assert stats.degraded_mask().tolist() == [
-            i in (3, 17) for i in range(30)]
-        assert (ids[[3, 17]] == -1).all()
-        good = [i for i in range(30) if i not in (3, 17)]
-        assert np.array_equal(ids[good], base_ids[good])
-        assert np.array_equal(dists[good], base_dists[good])
-        assert any(r.site == "lsh.validate" for r in stats.failures)
-
-    def test_nan_degrades_bilevel(self, gaussian_data, gaussian_queries):
-        idx = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=8.0,
-                                       seed=0)).fit(gaussian_data)
-        base_ids, _, _ = idx.query_batch(gaussian_queries, 5)
-        bad = gaussian_queries.copy()
-        bad[0, 0] = np.nan
-        ids, _, stats = idx.query_batch(bad, 5, policy=ResiliencePolicy())
-        assert stats.degraded_mask()[0]
-        assert int(stats.degraded_mask().sum()) == 1
-        assert np.array_equal(ids[1:], base_ids[1:])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_refused_on_every_index(self, index, gaussian_data,
+                                              gaussian_queries, bad):
+        # A bad row fails its batch, whichever row and index: there is
+        # no degraded answer to give it instead.
+        bilevel = BiLevelLSH(BiLevelConfig(n_groups=4, bucket_width=8.0,
+                                           seed=0)).fit(gaussian_data)
+        rows = gaussian_queries.copy()
+        rows[17, 2] = bad
+        for idx in (index, bilevel):
+            with pytest.raises(QueryValidationError) as err:
+                idx.query_batch(rows, 5)
+            assert err.value.field == "queries"
+            assert "NaN or infinite" in str(err.value)
 
 
 # --------------------------------------------------------------------------
@@ -307,8 +258,8 @@ class TestQueryValidation:
 
 class TestErrorTypes:
     def test_injected_fault_attributes(self):
-        err = InjectedFault("lsh.gather", "table=1")
-        assert err.site == "lsh.gather" and err.detail == "table=1"
+        err = InjectedFault("persistence.save", "path=x.npz")
+        assert err.site == "persistence.save" and err.detail == "path=x.npz"
 
     def test_corrupt_index_attributes(self):
         err = CorruptIndexError("x.npz", "index/data", "crc32 mismatch")

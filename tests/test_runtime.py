@@ -11,8 +11,9 @@ Four areas:
   recovery, close ordering/idempotence, readiness introspection, and
   the shard thread pool;
 - :class:`MicroBatcher` correctness: merged batches must be
-  **bit-identical** to solo execution across engines, policies and
-  deadline modes, with hierarchy-sensitive requests executed solo; and
+  **bit-identical** to solo execution across engines and deadline
+  modes, and a request the door refused never fails the reads queued
+  beside it; and
   its single-flight turn order: never two executes at once, queued
   requests merging into the next batch, FIFO turns across keys, the
   row cap, and writes taking turns of their own;
@@ -47,8 +48,8 @@ from repro.lsh.index import StandardLSH, oracle_query_batch
 from repro.maintenance import WriteAheadLog, recover_index
 from repro.obs.registry import MetricsRegistry
 from repro.persistence import save_index
+from repro.resilience import QueryValidationError
 from repro.resilience.deadline import Deadline
-from repro.resilience.policy import ResiliencePolicy
 from repro.runtime import (
     AdmissionController,
     AdmissionError,
@@ -84,9 +85,6 @@ def standard_index(base_data):
 def _assert_stats_equal(got, want):
     np.testing.assert_array_equal(got.n_candidates, want.n_candidates)
     np.testing.assert_array_equal(got.escalated, want.escalated)
-    assert (got.degraded is None) == (want.degraded is None)
-    if got.degraded is not None:
-        np.testing.assert_array_equal(got.degraded, want.degraded)
     assert (got.exhausted_budget is None) == (want.exhausted_budget is None)
     if got.exhausted_budget is not None:
         np.testing.assert_array_equal(got.exhausted_budget,
@@ -128,11 +126,11 @@ class TestRuntimeConfig:
 
     def test_from_args_full(self):
         args = argparse.Namespace(
-            engine="vectorized", deadline_ms=25.0, resilient=True,
+            engine="vectorized", deadline_ms=25.0,
             batch_max_rows=64, max_queue_depth=8)
         cfg = RuntimeConfig.from_args(args)
         assert cfg.deadline_ms == 25.0
-        assert isinstance(cfg.policy, ResiliencePolicy)
+        assert not hasattr(cfg, "policy")  # a query has nothing to degrade
         assert cfg.batch_max_rows == 64
         assert cfg.max_queue_depth == 8
 
@@ -210,19 +208,17 @@ class TestExecuteRequest:
 
     def test_resolve_fills_from_config_and_is_idempotent(self, standard_index,
                                                          queries):
-        policy = ResiliencePolicy()
         runtime = IndexRuntime(standard_index, RuntimeConfig(
-            deadline_ms=60_000.0, policy=policy))
+            deadline_ms=60_000.0))
         resolved = runtime.resolve(QueryRequest(queries=queries, k=5))
         # No session threshold: unset means the index's fitted one.
         assert resolved.hierarchy_threshold is None
         assert isinstance(resolved.deadline, Deadline)
         assert resolved.deadline_ms is None
-        assert resolved.policy is policy
         assert runtime.resolve(resolved) is resolved
         # Request fields win; nothing to fill leaves the object alone.
         own = QueryRequest(queries=queries, k=5, hierarchy_threshold=7,
-                           deadline=Deadline(5.0), policy=ResiliencePolicy())
+                           deadline=Deadline(5.0))
         assert runtime.resolve(own) is own
         bare = QueryRequest(queries=queries, k=5)
         assert IndexRuntime(standard_index).resolve(bare) is bare
@@ -341,14 +337,6 @@ class TestMergeKey:
     def test_different_k_split(self, queries):
         assert merge_key(QueryRequest(queries=queries, k=5)) != \
             merge_key(QueryRequest(queries=queries, k=6))
-
-    def test_policy_identity_splits(self, queries):
-        pol_a, pol_b = ResiliencePolicy(), ResiliencePolicy()
-        a = QueryRequest(queries=queries, k=5, policy=pol_a)
-        b = QueryRequest(queries=queries, k=5, policy=pol_b)
-        assert merge_key(a) != merge_key(b)
-        assert merge_key(a) == merge_key(
-            QueryRequest(queries=queries, k=5, policy=pol_a))
 
     def test_deadline_presence_splits(self, queries):
         with_budget = QueryRequest(queries=queries, k=5, deadline_ms=100.0)
@@ -525,18 +513,20 @@ def _recording(execute, log):
 class TestMicroBatcher:
     # The split-back answers against the same request run solo, bit for
     # bit (``vectorized``), and against the scalar oracle (``scalar``).
-    @pytest.mark.parametrize("reference,resilient", [
+    @pytest.mark.parametrize("reference,budgeted", [
         ("vectorized", False),
         ("vectorized", True),
         ("scalar", False),
     ])
     def test_merged_results_bit_identical_to_solo(self, standard_index,
                                                   queries, reference,
-                                                  resilient):
-        policy = ResiliencePolicy() if resilient else None
+                                                  budgeted):
+        # ``budgeted``: every request carries a generous deadline, so the
+        # split must hand each its own ``exhausted_budget`` mask.
         runtime = IndexRuntime(standard_index)
+        budget = 60_000.0 if budgeted else None
         requests = [
-            QueryRequest(queries=queries[i:i + 3], k=5, policy=policy)
+            QueryRequest(queries=queries[i:i + 3], k=5, deadline_ms=budget)
             for i in range(0, 12, 3)
         ]
         with MicroBatcher(runtime.submit, max_rows=256) as batcher:
@@ -556,6 +546,41 @@ class TestMicroBatcher:
                                               stats.n_candidates)
             assert response.shed is False
         assert merged_batches >= 1
+
+    @pytest.mark.parametrize("row", [[float("nan")] * DIM, [0.5] * 8],
+                             ids=["nan", "width"])
+    def test_a_refused_request_never_fails_its_neighbours(
+            self, standard_index, queries, row):
+        # Before the door validated, a NaN row (``json.loads`` takes
+        # ``NaN``) or a row of the wrong width joined the merge queue,
+        # and the merged batch's error reached every member: the good
+        # read beside it failed too.  Refused at the door, it never
+        # queues, and the good read answers as it does solo.
+        from repro.runtime.server import RuntimeServer
+
+        def through_the_door(payload):
+            try:
+                return server._build_request(payload)
+            except QueryValidationError as error:
+                assert error.field == "queries"
+                return None
+
+        runtime = IndexRuntime(standard_index)
+        server = RuntimeServer(runtime)  # never started: door + batcher
+        try:
+            good = through_the_door({"queries": queries[:3].tolist(),
+                                     "k": 5})
+            bad = through_the_door({"queries": [row], "k": 5})
+            holder = through_the_door({"queries": queries[5:6].tolist(),
+                                       "k": 5})
+            [answer] = _submit_queued(
+                server.batcher, [r for r in (good, bad) if r is not None],
+                holder=holder)
+        finally:
+            server.close()
+        assert bad is None
+        solo = runtime.submit(QueryRequest(queries=queries[:3], k=5))
+        _assert_response_equals_tuple(answer, solo.as_tuple())
 
     def test_merged_with_deadline_bit_identical(self, standard_index,
                                                 queries):
@@ -591,9 +616,7 @@ class TestMicroBatcher:
 
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             hierarchy=True, seed=5).fit(base_data)
-        policy = ResiliencePolicy()
-        runtime = IndexRuntime(index, RuntimeConfig(
-            deadline_ms=60_000.0, policy=policy))
+        runtime = IndexRuntime(index, RuntimeConfig(deadline_ms=60_000.0))
         server = RuntimeServer(runtime)  # never started: door + batcher
         try:
             if door == "http":
@@ -607,7 +630,7 @@ class TestMicroBatcher:
                 requests = [
                     runtime.resolve(QueryRequest(queries=queries[:1], k=5)),
                     runtime.resolve(QueryRequest(queries=queries[1:2], k=5,
-                                                 policy=policy))]
+                                                 deadline_ms=60_000.0))]
             # The budget clock started at the door, not after the window.
             assert all(isinstance(r.deadline, Deadline) for r in requests)
             responses = _submit_queued(server.batcher, requests)
@@ -618,7 +641,6 @@ class TestMicroBatcher:
             solo = runtime.submit(QueryRequest(queries=queries[i:i + 1], k=5))
             _assert_response_equals_tuple(response, solo.as_tuple())
             assert response.stats.exhausted_budget is not None
-            assert response.stats.failures is None is solo.stats.failures
 
     def test_spent_session_deadline_is_flagged_not_dropped(self, base_data,
                                                            queries):
@@ -1193,6 +1215,24 @@ class TestRuntimeServerErrors:
         assert status == 500
         assert "ZeroDivisionError" in payload["error"]
 
+
+    @pytest.mark.parametrize("row", [[float("nan")] * DIM, [0.5] * 8],
+                             ids=["nan", "width"])
+    def test_a_bad_row_is_a_400_before_any_queue(self, standard_index, row):
+        # Refused at the door: the batcher never sees the request.
+        executed = []
+
+        async def client(server):
+            server.batcher._execute = _recording(server.batcher._execute,
+                                                 executed)
+            return await _call(server, b"POST", b"/query",
+                               {"queries": [row], "k": 3})
+
+        with IndexRuntime(standard_index) as runtime:
+            status, _, body = _serve(runtime, client)
+        assert status == 400
+        assert "queries" in body["error"]
+        assert executed == []
 
     def test_bad_hierarchy_threshold_is_a_400_naming_it(self, base_data):
         # Validated at the door, on a hierarchy index and a flat one
