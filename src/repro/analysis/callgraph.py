@@ -149,11 +149,6 @@ class FunctionNode:
         """Corpus-unique identifier (module + qualified name)."""
         return f"{self.module}::{self.qualname}"
 
-    @property
-    def called_names(self) -> FrozenSet[str]:
-        """Bare names of call targets (the PR 2 by-name edge surface)."""
-        return frozenset(site.name for site in self.call_sites if site.name)
-
     def end_lineno(self) -> int:
         return int(getattr(self.node, "end_lineno", None)
                    or getattr(self.node, "lineno", 0))

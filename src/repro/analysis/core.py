@@ -112,15 +112,3 @@ def dotted_attribute(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def is_self_attribute(node: ast.AST, attrs: Optional[frozenset] = None) -> Optional[str]:
-    """The attribute name if ``node`` is ``self.<attr>`` (optionally in ``attrs``)."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        if attrs is None or node.attr in attrs:
-            return node.attr
-    return None

@@ -14,13 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, FunctionNode
-from repro.analysis.core import (
-    ModuleInfo,
-    Violation,
-    dotted_attribute,
-    is_self_attribute,
-)
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.core import ModuleInfo, Violation, dotted_attribute
 
 #: ``numpy`` array constructors whose default dtype depends on the input
 #: (or is an implicit float64) — the hot path must name the dtype.

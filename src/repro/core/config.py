@@ -7,7 +7,7 @@ sweeps one field, and logs the rest verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.utils.validation import check_positive, check_probability

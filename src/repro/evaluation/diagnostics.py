@@ -18,7 +18,7 @@ Tools for inspecting *why* the Bi-level scheme behaves as it does:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Sequence, Union
 
 import numpy as np
 
@@ -76,11 +76,6 @@ class BucketStatistics:
     mean_size: float
     max_size: int
     gini: float
-
-    @property
-    def occupancy(self) -> float:
-        """Average points per bucket relative to a uniform spread."""
-        return self.mean_size
 
 
 def _gini(sizes: np.ndarray) -> float:

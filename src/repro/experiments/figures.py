@@ -29,12 +29,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.evaluation.runner import (
-    ExperimentResult,
-    format_results_table,
-    run_method,
-    sweep_bucket_width,
-)
+from repro.evaluation.runner import (ExperimentResult, format_results_table,
+                                     sweep_bucket_width)
 from repro.experiments.methods import method_spec
 from repro.experiments.workloads import Scale, Workload, make_workload
 

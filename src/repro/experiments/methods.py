@@ -21,7 +21,7 @@ index for each run seed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig

@@ -9,8 +9,8 @@ scale by default and at paper scale on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Optional, Tuple
 
 import numpy as np
 

@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.lattice.e8 import E8Lattice
-from repro.lsh.table import LSHTable
-from repro.native.registry import NUMPY_KERNELS
+from repro.lsh.table import LSHTable, SortedLayout
+from repro.native.registry import NUMPY_KERNELS, load_kernels
 
 
 class E8Hierarchy:
@@ -59,26 +59,32 @@ class E8Hierarchy:
             raise ValueError(f"needs an E8 lattice, got {lattice!r}")
         self.table = table
         self.lattice = lattice
+        kernels = load_kernels()
         codes = table.bucket_codes
         # Level 0 is the table's own (sorted, distinct) bucket codes.
         self.level_codes: List[np.ndarray] = [codes]
         groups = [np.arange(codes.shape[0], dtype=np.int64)]  # bucket -> node
-        chain = lattice.ancestor_chain(codes, max_levels)
-        next(chain)
         # First level whose nodes all sit at fixed points of Eq. (10): from
         # there on codes only double (no decode needed), nodes never merge.
         self.settled = max_levels
         while len(groups) < max_levels and self.level_codes[-1].shape[0] > 1:
-            uniq, group = 2 * self.level_codes[-1], groups[-1]
+            nodes, group = self.level_codes[-1], groups[-1]
+            uniq = 2 * nodes
             if self.settled == max_levels:
-                # Nesting: a node's ancestor is its first bucket's ancestor.
-                first = np.unique(group, return_index=True)[1]
-                uniq, inverse = np.unique(next(chain)[1][first], axis=0,
-                                          return_inverse=True)
-                group = inverse.ravel()[group]
-                if np.array_equal(uniq, 2 * self.level_codes[-1]):
+                # Nesting: level k + 1 is a function of level k's node
+                # codes alone — E8Lattice.ancestor_chain's step, per node.
+                k = len(groups) - 1
+                parents = kernels.e8_decode(nodes / float(2 ** (k + 2))) * 2 ** (k + 1)
+                # The distinct parents, sorted as a table sorts its codes.
+                by_parent = SortedLayout.sort(parents, np.arange(len(nodes)))
+                uniq = by_parent.bucket_codes
+                inverse = np.empty_like(by_parent.sorted_ids)
+                inverse[by_parent.sorted_ids] = np.repeat(np.arange(
+                    len(uniq)), by_parent.ends - by_parent.starts)
+                group = inverse[group]
+                if np.array_equal(uniq, 2 * nodes):
                     self.settled = len(groups) - 1
-            self.level_codes.append(np.ascontiguousarray(uniq))
+            self.level_codes.append(uniq)
             groups.append(group)
         self.n_levels = len(groups)
         # Tree order: coarsest node first, bucket index last — every node

@@ -239,22 +239,21 @@ class E8Lattice(Lattice):
                        ) -> Iterator[Tuple[int, np.ndarray]]:
         """Incremental Eq. (10) iteration: one decode pass per level.
 
-        Yields ``(k, ancestor(codes, k))`` while reusing the previous
-        level's half-point, turning the naive ``O(max_k^2)`` decode count
-        of repeated :meth:`ancestor` calls into ``O(max_k)`` — the spec
-        the compiled ``hierarchy_walk`` climbs by.
+        Yields ``(k, ancestor(codes, k))``, each level decoded from the
+        one before (exact in float64: codes over powers of two), turning
+        the naive ``O(max_k^2)`` decode count of repeated :meth:`ancestor`
+        calls into ``O(max_k)`` — the spec the compiled ``hierarchy_walk``
+        climbs by and the step :class:`E8Hierarchy` builds its levels with.
         """
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-        if codes.shape[1] != self.padded_dim:
+        level = np.array(codes, dtype=np.int64, ndmin=2)
+        if level.shape[1] != self.padded_dim:
             raise ValueError(
-                f"codes must have {self.padded_dim} columns, got {codes.shape[1]}"
+                f"codes must have {self.padded_dim} columns, got {level.shape[1]}"
             )
-        current = codes.astype(np.float64) / 2.0  # real units: d_0 = c
         for k in range(max_k):
-            if k > 0:  # the decoder hands back half-integer codes
-                current = e8_decode(current / 2.0) / 2.0
-            real = current * float(2 ** k)
-            yield k, np.round(real * 2.0).astype(np.int64)
+            if k > 0:  # in half-integer units: 2^k DECODE(level / 2^(k+1))
+                level = e8_decode(level / float(2 ** (k + 1))) * 2 ** k
+            yield k, level
 
     def cell_center(self, codes: np.ndarray) -> np.ndarray:
         return np.asarray(codes, dtype=np.float64) / 2.0

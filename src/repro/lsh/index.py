@@ -81,19 +81,23 @@ def drop_retired_options(options: dict) -> dict:
 def table_codes(family: PStableHashFamily, lattice: Lattice,
                 data: np.ndarray,
                 chunk_size: Optional[int] = None) -> np.ndarray:
-    """Lattice codes of every row of ``data`` under one hash family.
+    """Lattice codes of every row of ``data`` under one hash family.  E8
+    decodes through the loaded kernel table, as a query does; a Z^M fit
+    resolves none, so a missing compiler still warns at the first query.
 
     With ``chunk_size`` the rows are projected that many at a time, so a
     memmapped corpus is never materialized whole.
     """
+    kernels = (native_registry.load_kernels() if isinstance(lattice, E8Lattice)
+               else native_registry.NUMPY_KERNELS)
     if chunk_size is None:
-        return lattice.quantize(family.project(data))
+        return lattice.quantize_with(family.project(data), kernels)
     n = data.shape[0]
     codes = np.empty((n, lattice.code_dim), dtype=np.int64)
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
         block = np.asarray(data[start:stop], dtype=np.float64)
-        codes[start:stop] = lattice.quantize(family.project(block))
+        codes[start:stop] = lattice.quantize_with(family.project(block), kernels)
     return codes
 
 

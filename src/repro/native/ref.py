@@ -23,7 +23,7 @@ numpy alone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 import numpy as np
 

@@ -55,9 +55,9 @@ _VALID_PINS = ("auto", "cext", "none")
 class NumpyKernels:
     """The kernel table with no compiler behind it: the spec, by name.
 
-    Index builds and the scalar test oracle always decode and look up
-    through this table (:data:`NUMPY_KERNELS`), so neither depends on
-    what the toolchain resolved.
+    The scalar test oracle always decodes and looks up through this
+    table (:data:`NUMPY_KERNELS`); a fit decodes through whichever
+    table loaded, which the parity tests hold to the same codes.
     """
 
     backend = "numpy"

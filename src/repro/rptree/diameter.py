@@ -26,12 +26,51 @@ from repro.utils.validation import as_float_matrix
 EK_UPPER_FACTOR = math.sqrt(5.0 - 2.0 * math.sqrt(3.0))
 
 
-def _farthest_from(points: np.ndarray, anchor: np.ndarray) -> Tuple[int, float]:
-    """Index of and distance to the point farthest from ``anchor``."""
-    diffs = points - anchor
-    d2 = np.einsum("ij,ij->i", diffs, diffs)
-    idx = int(np.argmax(d2))
-    return idx, float(math.sqrt(d2[idx]))
+#: Rows per block of a sweep (its differences' reused buffer, never n x D).
+SWEEP_ROWS = 2048
+
+
+class Sweeper:
+    """Squared distances from the rows of checked ``points`` to an anchor,
+    ``SWEEP_ROWS`` rows at a time into buffers allocated once — bit for
+    bit what one ``(n, D)`` difference matrix gives each row."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self._diffs = np.empty((min(len(points), SWEEP_ROWS), points.shape[1]))
+        self._d2 = np.empty(len(points))
+
+    def sq_dists(self, anchor: np.ndarray) -> np.ndarray:
+        """``||points[i] - anchor||^2`` per row (the next call overwrites it)."""
+        for at in range(0, len(self.points), SWEEP_ROWS):
+            diffs = np.subtract(self.points[at:at + SWEEP_ROWS], anchor,
+                                out=self._diffs[:len(self.points) - at])
+            np.einsum("ij,ij->i", diffs, diffs, out=self._d2[at:at + len(diffs)])
+        return self._d2
+
+    def diameter(self, m: int, rng: np.random.Generator) -> Tuple[float, List[float]]:
+        """``(r_m, [r_1, ..., r_m])`` of :func:`approximate_diameter`'s sweeps."""
+        if m <= 0:
+            raise ValueError(f"m must be positive, got {m}")
+        n = len(self.points)
+        if n == 1:
+            return 0.0, [0.0]
+        anchor_idx = int(rng.integers(n))
+        best, sequence = 0.0, []
+        # Double-sweep iteration: hop to the farthest point from the current
+        # anchor; the chord lengths r_i are non-decreasing and converge to a
+        # value within the Egecioglu-Kalantari bounds.
+        for _ in range(min(int(m), n)):
+            d2 = self.sq_dists(self.points[anchor_idx])
+            far_idx = int(np.argmax(d2))
+            r = float(math.sqrt(d2[far_idx]))
+            sequence.append(max(r, best))
+            if r <= best * (1.0 + 1e-12):
+                best = max(best, r)
+                break
+            best = r
+            anchor_idx = far_idx
+        return best, sequence
 
 
 def approximate_diameter(points: np.ndarray, m: int = 40,
@@ -60,31 +99,8 @@ def approximate_diameter(points: np.ndarray, m: int = 40,
         factor ``1 / sqrt(3)``), optionally with the whole sequence.
     """
     points = as_float_matrix(points, name="points")
-    n = points.shape[0]
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
-    if n == 1:
-        return (0.0, np.zeros(1)) if return_sequence else 0.0
-    rng = ensure_rng(seed)
-    m = min(int(m), n)
-    anchor_idx = int(rng.integers(n))
-    best = 0.0
-    sequence = []
-    # Double-sweep iteration: hop to the farthest point from the current
-    # anchor; the chord lengths r_i are non-decreasing and converge to a
-    # value within the Egecioglu-Kalantari bounds.
-    for _ in range(m):
-        far_idx, r = _farthest_from(points, points[anchor_idx])
-        sequence.append(max(r, best))
-        if r <= best * (1.0 + 1e-12):
-            best = max(best, r)
-            break
-        best = r
-        anchor_idx = far_idx
-    seq = np.array(sequence)
-    if return_sequence:
-        return best, seq
-    return best
+    best, sequence = Sweeper(points).diameter(m, ensure_rng(seed))
+    return (best, np.array(sequence)) if return_sequence else best
 
 
 def diameter_bounds(points: np.ndarray, m: int = 40, seed: SeedLike = None) -> Tuple[float, float]:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.rptree.diameter import approximate_diameter
+from repro.rptree.diameter import Sweeper
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: Constant ``c`` in the mean-rule test ``Delta^2 <= c * Delta_A^2``.
@@ -110,7 +110,7 @@ def split_max(points: np.ndarray, seed: SeedLike = None,
         raise ValueError("cannot split fewer than 2 points")
     rng = ensure_rng(seed)
     direction = _random_unit_direction(dim, rng)
-    delta = approximate_diameter(points, m=diameter_sweeps, seed=rng)
+    delta, _ = Sweeper(points).diameter(diameter_sweeps, rng)
     jitter_scale = MAX_RULE_JITTER * delta / np.sqrt(dim)
     jitter = float(rng.uniform(-1.0, 1.0) * jitter_scale)
     return _median_projection_split(points, direction, jitter)
@@ -131,10 +131,10 @@ def split_mean(points: np.ndarray, seed: SeedLike = None,
         raise ValueError("cannot split fewer than 2 points")
     rng = ensure_rng(seed)
     center = points.mean(axis=0)
-    diffs = points - center
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    sweeper = Sweeper(points)
+    dists = np.sqrt(sweeper.sq_dists(center))
     avg_sq_interpoint = 2.0 * float(np.mean(dists ** 2))
-    delta = approximate_diameter(points, m=diameter_sweeps, seed=rng)
+    delta, _ = sweeper.diameter(diameter_sweeps, rng)
     if delta ** 2 <= c * avg_sq_interpoint or avg_sq_interpoint == 0.0:
         direction = _random_unit_direction(dim, rng)
         return _median_projection_split(points, direction, jitter=0.0)

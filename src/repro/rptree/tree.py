@@ -8,14 +8,15 @@ pending leaf is split first.
 
 Construction is ``O(log(g) * n)`` in the number of split levels (each level
 touches every point once, plus the linear-time approximate diameter), which
-matches the complexity claim in Section IV-A.2 of the paper.
+matches the complexity claim in Section IV-A.2 of the paper; a split's
+sweeps run over its node's rows in blocks (:class:`~repro.rptree.diameter.Sweeper`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -103,7 +104,7 @@ class RPTree:
             size = -neg_size
             if size < max(MIN_LEAF_SIZE, 2):
                 continue  # unsplittable; smaller leaves are, too, but keep trying others
-            points = data[node.indices]
+            points = data if node is self.root else data[node.indices]
             split = self._split_fn(points, rng)
             left_idx = node.indices[split.left_mask]
             right_idx = node.indices[~split.left_mask]

@@ -40,10 +40,9 @@ Correctness of the merge rests on two facts about the executor:
 Stat splitting mirrors the executor's lazy-``None`` convention:
 ``exhausted_budget`` is sliced whenever the merged batch materialized
 it — it ran under a deadline, and the key guarantees every member then
-had one of its own, as its solo run would.  A merged batch's error
-reaches every member, so a request is validated before it may queue:
-the HTTP door refuses a bad row with a 400, and a caller driving
-:meth:`MicroBatcher.submit` directly validates as the door does.
+had one of its own, as its solo run would.  A merged batch that raises
+is re-run member by member, so a bad request (the HTTP door refuses
+one with a 400 before it queues) fails alone and its neighbours answer.
 
 Thread-safety: the batcher is driven by N server threads calling
 :meth:`MicroBatcher.submit` concurrently.  A request that finds no
@@ -62,8 +61,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import (Callable, Dict, Hashable, List, Optional, Tuple, TypeVar,
-                    cast)
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+                    TypeVar, cast)
 
 import numpy as np
 
@@ -278,20 +277,17 @@ class MicroBatcher:
     def _lead(self, batch: List[_Entry]) -> object:
         """Execute ``batch`` (whose first member is the caller), answer its
         members, then pass the turn to the next queued batch."""
-        results: List[object] = []
-        error: Optional[BaseException] = None
-        try:
-            results = self._run_merged(batch)
-        except BaseException as exc:  # handed to every member, then raised
-            error = exc
+        outcomes = self._attempt(batch)
+        failure = outcomes[0][1]
+        if len(batch) > 1 and isinstance(failure, Exception):
+            # A merged batch that failed is re-run member by member: each
+            # gets its own answer or its own error, never a neighbour's.
+            outcomes = [self._attempt([member])[0] for member in batch]
         with self._cond:
-            for i, member in enumerate(batch):
+            for member, (result, error) in zip(batch, outcomes):
                 member.done = True
-                if error is not None:
-                    member.error = error
-                else:
-                    member.result = results[i]
-            if len(batch) > 1 and error is None:
+                member.result, member.error = result, error
+            if len(batch) > 1 and failure is None:
                 self._merged_batches += 1
                 self._merged_requests += len(batch)
             following = self._next_batch()
@@ -300,9 +296,18 @@ class MicroBatcher:
             else:
                 following[0].batch = following
             self._cond.notify_all()
+        result, error = outcomes[0]
         if error is not None:
             raise error
-        return results[0]
+        return result
+
+    def _attempt(self, part: List[_Entry],
+                 ) -> Sequence[Tuple[object, Optional[BaseException]]]:
+        """``part`` run as one batch: ``(answer, None)`` or ``(None, error)``."""
+        try:
+            return [(result, None) for result in self._run_merged(part)]
+        except BaseException as exc:  # handed on; each receiver re-raises it
+            return [(None, exc)] * len(part)
 
     def _next_batch(self) -> Optional[List[_Entry]]:
         """Pop the next batch (under the monitor) from the key whose oldest

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hierarchy.e8_hierarchy import E8Hierarchy
-from repro.lattice.e8 import E8Lattice
+from repro.lattice.e8 import E8Lattice, e8_decode
 from repro.lsh.table import LSHTable
 from repro.native import load_kernels
 from repro.native.ref import hierarchy_walk_ref
@@ -104,6 +104,114 @@ class TestConstruction:
             if k:
                 assert set(hier.level_starts[k]) <= set(hier.level_starts[k - 1])
                 assert set(hier.level_ends[k]) <= set(hier.level_ends[k - 1])
+
+
+def _float_chain(codes, max_k):
+    """Eq. (10) as the hierarchy first climbed it: real-unit points
+    halved and re-decoded, scaled back to half-integer codes per level."""
+    current = codes.astype(np.float64) / 2.0
+    for k in range(max_k):
+        if k > 0:
+            current = e8_decode(current / 2.0) / 2.0
+        yield k, np.round(current * float(2 ** k) * 2.0).astype(np.int64)
+
+
+def _chain_built(table, max_levels=24):
+    """The build loop the node-code decode replaced, kept as the oracle:
+    every bucket climbs the float chain, a node's parent is its first
+    bucket's, and ``np.unique(axis=0)`` dedups each level.  Returns the
+    arrays an :class:`E8Hierarchy` keeps."""
+    codes = table.bucket_codes
+    level_codes, groups = [codes], [np.arange(codes.shape[0])]
+    chain = _float_chain(codes, max_levels)
+    next(chain)
+    settled = max_levels
+    while len(groups) < max_levels and level_codes[-1].shape[0] > 1:
+        uniq, group = 2 * level_codes[-1], groups[-1]
+        if settled == max_levels:
+            first = np.unique(group, return_index=True)[1]
+            uniq, inverse = np.unique(next(chain)[1][first], axis=0,
+                                      return_inverse=True)
+            group = inverse.ravel()[group]
+            if np.array_equal(uniq, 2 * level_codes[-1]):
+                settled = len(groups) - 1
+        level_codes.append(uniq)
+        groups.append(group)
+    n_levels = len(groups)
+    groups = groups[:settled + 1]
+    order = np.lexsort(groups)
+    sizes = table.bucket_sizes()[order]
+    ids = np.concatenate([table.sorted_ids[s:s + n] for s, n in
+                          zip(table._starts[order], sizes)])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    runs = [np.unique(group[order], return_index=True, return_counts=True)
+            for group in groups]
+    starts = [offsets[head] for _, head, _ in runs]
+    ends = [offsets[head + length] for _, head, length in runs]
+    starts += starts[-1:] * (n_levels - len(runs))
+    ends += ends[-1:] * (n_levels - len(runs))
+    return dict(level_codes=level_codes, level_starts=starts,
+                level_ends=ends, ids=ids, settled=settled)
+
+
+def _built_with(kernels, table, lattice):
+    """``E8Hierarchy(table, lattice)`` climbing through ``kernels``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.hierarchy.e8_hierarchy.load_kernels",
+                      lambda: kernels)
+        return E8Hierarchy(table, lattice)
+
+
+def assert_same_hierarchy(hier, want):
+    """Every array ``hier`` keeps equals ``want``'s (an E8Hierarchy or
+    the :func:`_chain_built` dict), byte for byte."""
+    get = want.get if isinstance(want, dict) else want.__dict__.get
+    assert hier.settled == get("settled")
+    assert hier.n_levels == len(get("level_codes"))
+    assert hier.ids.tobytes() == np.asarray(get("ids"), np.int64).tobytes()
+    for name in ("level_codes", "level_starts", "level_ends"):
+        for got, exp in zip(getattr(hier, name), get(name)):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, exp)
+
+
+class TestBuildOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lattice=st.sampled_from([E8Lattice(8), E8Lattice(11),
+                                    E8Lattice(16)]),
+           scale=st.sampled_from([0.3, 3.0, 40.0, 5000.0]),
+           n=st.sampled_from([1, 2, 40, 400]))
+    def test_node_decode_builds_what_the_bucket_chain_built(
+            self, seed, lattice, scale, n):
+        rng = np.random.default_rng(seed)
+        codes = lattice.quantize(rng.normal(0, scale, (n, lattice.dim)))
+        table = LSHTable(codes)
+        assert_same_hierarchy(_built_with(NUMPY_KERNELS, table, lattice),
+                              _chain_built(table))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lattice=st.sampled_from([E8Lattice(8), E8Lattice(11),
+                                    E8Lattice(16)]),
+           scale=st.sampled_from([0.3, 3.0, 40.0, 5000.0]))
+    def test_compiled_and_numpy_tables_build_alike(self, compiled, seed,
+                                                   lattice, scale):
+        rng = np.random.default_rng(seed)
+        codes = lattice.quantize(rng.normal(0, scale, (300, lattice.dim)))
+        table = LSHTable(codes)
+        assert_same_hierarchy(_built_with(compiled, table, lattice),
+                              _built_with(NUMPY_KERNELS, table, lattice))
+
+    @pytest.mark.parametrize("scale", [0.3, 3.0, 40.0, 5000.0])
+    def test_ancestor_chain_is_the_float_chain(self, scale):
+        lattice = E8Lattice(16)
+        codes = lattice.quantize(
+            np.random.default_rng(5).normal(0, scale, (200, 16)))
+        for (_, got), (_, want) in zip(lattice.ancestor_chain(codes, 24),
+                                       _float_chain(codes, 24)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
 
 def _reference_candidates(table, lattice, n_levels, code, min_count):

@@ -248,6 +248,27 @@ class TestParityMatrix:
         assert_same_results(base, oracle_query(
             index, queries, K, hierarchy_threshold=14), exact=False)
 
+    def test_an_e8_fit_builds_alike_on_both_tables(self, kernels, dataset):
+        # A fit decodes its E8 codes and climbs its hierarchies through
+        # the loaded table: on the numpy one every table layout, every
+        # hierarchy array and each fitted threshold come out the same.
+        from tests.test_e8_hierarchy import assert_same_hierarchy
+
+        cfg = BiLevelConfig(n_groups=4, n_tables=4, bucket_width=3.0,
+                            lattice="e8", hierarchy=True, seed=5)
+        compiled = BiLevelLSH(cfg).fit(dataset)
+        with numpy_table():
+            spec = BiLevelLSH(cfg).fit(dataset)
+        for got, want in zip(compiled.group_indexes, spec.group_indexes):
+            assert got.escalation_threshold == want.escalation_threshold
+            for table, other in zip(got._tables, want._tables):
+                for layout, expected in zip(table.layouts(), other.layouts()):
+                    for a, b in zip(layout[:4], expected[:4]):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert len(got._hierarchies) == cfg.n_tables
+            for hier, expected in zip(got._hierarchies, want._hierarchies):
+                assert_same_hierarchy(hier, expected)
+
     @pytest.mark.parametrize("config", ["e8-hier",
                                         "zm-probes16-hier-tombstones"])
     def test_expired_deadline_flags_every_escalated_row(self, index_cache,

@@ -3,7 +3,73 @@
 import numpy as np
 import pytest
 
+from repro.rptree import rules
 from repro.rptree.tree import RPTree
+from repro.utils.rng import ensure_rng
+from tests.test_rptree_diameter import full_matrix_diameter, sweep_cases
+
+
+def full_matrix_split_mean(points, seed=None, diameter_sweeps=20,
+                           c=rules.MEAN_RULE_C):
+    """``split_mean`` as it was, an ``(n, D)`` difference matrix for the
+    distances to the mean and for every sweep (the oracle)."""
+    rng = ensure_rng(seed)
+    center = points.mean(axis=0)
+    diffs = points - center
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    avg_sq_interpoint = 2.0 * float(np.mean(dists ** 2))
+    delta, _ = full_matrix_diameter(points, diameter_sweeps, rng)
+    if delta ** 2 <= c * avg_sq_interpoint or avg_sq_interpoint == 0.0:
+        direction = rules._random_unit_direction(points.shape[1], rng)
+        return rules._median_projection_split(points, direction, jitter=0.0)
+    threshold = float(np.median(dists))
+    left = dists <= threshold
+    if left.all() or not left.any():
+        left = np.zeros(points.shape[0], dtype=bool)
+        left[: points.shape[0] // 2] = True
+    return rules.SplitResult("distance", left, threshold, center=center)
+
+
+def full_matrix_split_max(points, seed=None, diameter_sweeps=20):
+    """``split_max`` as it was, with the full-matrix sweeps (the oracle)."""
+    rng = ensure_rng(seed)
+    dim = points.shape[1]
+    direction = rules._random_unit_direction(dim, rng)
+    delta, _ = full_matrix_diameter(points, diameter_sweeps, rng)
+    jitter = float(rng.uniform(-1.0, 1.0)
+                   * rules.MAX_RULE_JITTER * delta / np.sqrt(dim))
+    return rules._median_projection_split(points, direction, jitter)
+
+
+class TestBlockedSweepOracle:
+    @pytest.mark.parametrize("name,points", sweep_cases(),
+                             ids=[name for name, _ in sweep_cases()])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_splits_equal_the_full_matrix_splits(self, name, points, seed):
+        for split, oracle in ((rules.split_mean, full_matrix_split_mean),
+                              (rules.split_max, full_matrix_split_max)):
+            got, want = split(points, seed=seed), oracle(points, seed=seed)
+            assert (got.kind, got.threshold) == (want.kind, want.threshold)
+            np.testing.assert_array_equal(got.left_mask, want.left_mask)
+            for attr in ("direction", "center"):
+                np.testing.assert_array_equal(getattr(got, attr),
+                                              getattr(want, attr))
+
+    @pytest.mark.parametrize("name,points", sweep_cases(),
+                             ids=[name for name, _ in sweep_cases()])
+    @pytest.mark.parametrize("rule", ["mean", "max"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_leaves_equal_the_full_matrix_tree(self, monkeypatch, name,
+                                               points, rule, seed):
+        got = RPTree(n_groups=8, rule=rule, seed=seed).fit(points)
+        monkeypatch.setattr("repro.rptree.tree.split_mean",
+                            full_matrix_split_mean)
+        monkeypatch.setattr("repro.rptree.tree.split_max",
+                            full_matrix_split_max)
+        want = RPTree(n_groups=8, rule=rule, seed=seed).fit(points)
+        assert len(got.leaf_indices()) == len(want.leaf_indices())
+        for a, b in zip(got.leaf_indices(), want.leaf_indices()):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestFit:

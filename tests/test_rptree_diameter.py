@@ -1,19 +1,73 @@
 """Unit tests for the approximate diameter (Egecioglu--Kalantari sweep)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.rptree.diameter import (
     EK_UPPER_FACTOR,
+    SWEEP_ROWS,
     approximate_diameter,
     diameter_bounds,
 )
+from repro.utils.rng import ensure_rng
 
 
 def exact_diameter(points: np.ndarray) -> float:
     sq = np.sum(points ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
     return float(np.sqrt(max(d2.max(), 0.0)))
+
+
+def full_matrix_diameter(points, m=40, seed=None):
+    """The sweeps as they were, one ``(n, D)`` difference matrix each —
+    the oracle the blocked sweeps match bit for bit: ``(r_m, [r_i])``."""
+    n = points.shape[0]
+    if n == 1:
+        return 0.0, [0.0]
+    rng = ensure_rng(seed)
+    anchor_idx = int(rng.integers(n))
+    best, sequence = 0.0, []
+    for _ in range(min(int(m), n)):
+        diffs = points - points[anchor_idx]
+        d2 = np.einsum("ij,ij->i", diffs, diffs)
+        far_idx = int(np.argmax(d2))
+        r = float(math.sqrt(d2[far_idx]))
+        sequence.append(max(r, best))
+        if r <= best * (1.0 + 1e-12):
+            best = max(best, r)
+            break
+        best, anchor_idx = r, far_idx
+    return best, sequence
+
+
+def sweep_cases():
+    """``(name, points)`` around the block size: fewer rows than a block,
+    one past it, several blocks, duplicate rows, two points."""
+    rng = np.random.default_rng(11)
+    cases = [("two", rng.standard_normal((2, 5)))]
+    for n, dim in ((300, 7), (SWEEP_ROWS, 3), (SWEEP_ROWS + 1, 16),
+                   (2 * SWEEP_ROWS + 37, 64)):
+        spread = rng.uniform(0.1, 50.0, dim)
+        cases.append((f"{n}x{dim}", rng.standard_normal((n, dim)) * spread
+                      + rng.uniform(-100, 100, dim)))
+    pool = rng.standard_normal((6, 9))
+    cases.append(("duplicates", pool[rng.integers(0, 6, SWEEP_ROWS + 500)]))
+    return cases
+
+
+class TestBlockedSweeps:
+    @pytest.mark.parametrize("name,points", sweep_cases(),
+                             ids=[name for name, _ in sweep_cases()])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    def test_equal_to_the_full_matrix_sweeps(self, name, points, seed, m):
+        best, seq = approximate_diameter(points, m=m, seed=seed,
+                                         return_sequence=True)
+        want, want_seq = full_matrix_diameter(points, m=m, seed=seed)
+        assert best == want
+        assert seq.tolist() == want_seq
 
 
 class TestApproximateDiameter:

@@ -969,8 +969,8 @@ class TestMicroBatcher:
             _assert_response_equals_tuple(responses[i], index.query_batch(
                 rows[3 * i:3 * i + 3], 5, hierarchy_threshold=threshold))
 
-    def test_executor_error_propagates_to_all_members(self, standard_index,
-                                                      queries):
+    def test_a_failed_merged_batch_is_rerun_member_by_member(
+            self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
         rows = []
 
@@ -985,12 +985,33 @@ class TestMicroBatcher:
             for i in range(3):
                 held.send(QueryRequest(queries=queries[i:i + 1], k=3))
             answers = held.release()
-        # The three queued requests ran as one batch; its error reached
-        # every member.
-        assert rows == [1, 3]
-        assert [str(e) for e in held.errors] == ["executor down"] * 3
-        assert answers == [None] * 3
+        # The three queued requests ran as one batch, which raised; each
+        # then ran alone and got its own answer.
+        assert rows == [1, 3, 1, 1, 1]
+        assert held.errors == []
+        for i, answer in enumerate(answers):
+            solo = runtime.submit(QueryRequest(queries=queries[i:i + 1], k=3))
+            _assert_response_equals_tuple(answer, solo.as_tuple())
         assert batcher.merge_counts == (0, 0)
+
+    def test_a_bad_request_fails_alone_beside_a_good_one(
+            self, standard_index, queries):
+        # Driven through submit directly, not the HTTP door: an all-NaN
+        # row merges with a good read, the merged batch is refused, and
+        # only the bad request sees the error.
+        runtime = IndexRuntime(standard_index)
+        good = QueryRequest(queries=queries[:3], k=5)
+        bad = QueryRequest(queries=np.full((1, DIM), np.nan), k=5)
+        with MicroBatcher(runtime.submit) as batcher:
+            held = _Held(batcher, QueryRequest(queries=queries[5:6], k=5))
+            held.send(good)
+            held.send(bad)
+            answer, refused = held.release()
+        assert refused is None
+        [error] = held.errors
+        assert isinstance(error, QueryValidationError)
+        solo = runtime.submit(good)
+        _assert_response_equals_tuple(answer, solo.as_tuple())
 
     def test_closed_batcher_refuses_work(self, standard_index, queries):
         runtime = IndexRuntime(standard_index)
