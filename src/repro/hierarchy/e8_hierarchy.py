@@ -15,20 +15,20 @@ applications of ``c -> 2 * DECODE(c / 2)`` (Eq. (10)).  The structure is
    every level one contiguous run of a single point-id array; a level is
    its sorted distinct ancestor codes plus ``(start, end)`` bounds into it.
 
-A query walks up from level 0 through the nodes matching its ancestor code,
-comparing node sizes (``end - start``) — the ``hierarchy_walk`` kernel —
-and settles on one node: one span of the id array.
+A query walks up from level 0 through the nodes matching its ancestor
+code, comparing node sizes — the ``hierarchy_walk`` kernel — and settles
+on one node: one span of the id array.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.lattice.e8 import E8Lattice
-from repro.lsh.table import LSHTable, SortedLayout
-from repro.native.registry import NUMPY_KERNELS, load_kernels
+from repro.lsh.table import LSHTable, sort_runs
+from repro.native.registry import NUMPY_KERNELS, resolved_kernels
 
 
 class E8Hierarchy:
@@ -43,9 +43,11 @@ class E8Hierarchy:
     ``ids`` holds the table's point ids in tree order; per level,
     ``level_codes`` are the sorted distinct ancestor codes and
     ``level_starts`` / ``level_ends`` each node's run inside ``ids``.
-    ``words`` is what the compiled walk reads, built once here: the int64
+    ``level_cells`` index each level's codes (the table's own cells at
+    level 0), and ``words`` is what the compiled walk reads: the int64
     words ``(code width, n_levels, settled, ids address, len(ids))``, then
-    per level ``(codes address, n_nodes, starts address, ends address)``.
+    per level ``(codes address, n_nodes, starts address, ends address,
+    cells address)``.
     """
 
     #: ``repro_escalation_depth`` label of the levels its walk climbs.
@@ -59,7 +61,7 @@ class E8Hierarchy:
             raise ValueError(f"needs an E8 lattice, got {lattice!r}")
         self.table = table
         self.lattice = lattice
-        kernels = load_kernels()
+        kernels = resolved_kernels()
         codes = table.bucket_codes
         # Level 0 is the table's own (sorted, distinct) bucket codes.
         self.level_codes: List[np.ndarray] = [codes]
@@ -76,11 +78,11 @@ class E8Hierarchy:
                 k = len(groups) - 1
                 parents = kernels.e8_decode(nodes / float(2 ** (k + 2))) * 2 ** (k + 1)
                 # The distinct parents, sorted as a table sorts its codes.
-                by_parent = SortedLayout.sort(parents, np.arange(len(nodes)))
-                uniq = by_parent.bucket_codes
-                inverse = np.empty_like(by_parent.sorted_ids)
-                inverse[by_parent.sorted_ids] = np.repeat(np.arange(
-                    len(uniq)), by_parent.ends - by_parent.starts)
+                uniq, starts, ends, by_parent = sort_runs(
+                    parents, np.arange(len(nodes)))
+                inverse = np.empty_like(by_parent)
+                inverse[by_parent] = np.repeat(np.arange(len(uniq)),
+                                               ends - starts)
                 group = inverse[group]
                 if np.array_equal(uniq, 2 * nodes):
                     self.settled = len(groups) - 1
@@ -103,36 +105,24 @@ class E8Hierarchy:
         self.level_ends = [offsets[head + length] for _, head, length in runs]
         for bounds in (self.level_starts, self.level_ends):
             bounds += bounds[-1:] * (self.n_levels - len(runs))
+        self.level_cells = [table.layouts()[0].cells] + kernels.bucket_index(
+            self.level_codes[1:])
         levels = [[codes.ctypes.data, codes.shape[0], starts.ctypes.data,
-                   ends.ctypes.data] for codes, starts, ends in zip(
-                       self.level_codes, self.level_starts, self.level_ends)]
+                   ends.ctypes.data, cells.ctypes.data]
+                  for codes, starts, ends, cells in zip(
+                      self.level_codes, self.level_starts, self.level_ends,
+                      self.level_cells)]
         self.words = np.array(
             [lattice.code_dim, self.n_levels, self.settled,
              self.ids.ctypes.data, self.ids.shape[0]]
             + [word for level in levels for word in level], dtype=np.int64)
 
-    def ids_at_level(self, code: np.ndarray, level: int) -> Optional[np.ndarray]:
-        """Point ids under the node matching ``code``'s ancestor at ``level``.
-
-        Returns ``None`` when no bucket shares that ancestor.
-        """
-        if not 0 <= level < self.n_levels:
-            raise ValueError(f"level must be in [0, {self.n_levels}), got {level}")
-        node = int(NUMPY_KERNELS.lookup_codes(
-            self.level_codes[level], self.lattice.ancestor(code, level))[0])
-        if node < 0:
-            return None
-        return self.ids[self.level_starts[level][node]:
-                        self.level_ends[level][node]]
-
     @staticmethod
     def walk(hierarchies: Sequence["E8Hierarchy"], codes: np.ndarray,
              min_count: int, kernels: object = NUMPY_KERNELS,
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(start, size, depth)``, each ``(L, n)``: the node of ``ids``
-        each row of the ``(L, n, code_dim)`` ``codes`` escalates to in its
-        table's hierarchy — one ``kernels.hierarchy_walk`` for all ``L``
-        (spec: :func:`repro.native.ref.hierarchy_walk_ref`)."""
+        """``kernels.hierarchy_walk``: the ``(start, size, depth)`` of the
+        node each row of the ``(L, n, code_dim)`` ``codes`` escalates to."""
         return kernels.hierarchy_walk(hierarchies, codes, min_count)
 
     def candidates(self, code: np.ndarray, min_count: int) -> np.ndarray:
@@ -140,20 +130,3 @@ class E8Hierarchy:
         start, size, _ = self.walk([self], np.atleast_2d(code)[None],
                                    min_count)
         return np.sort(LSHTable._gather_segments(self.ids, start[0], size[0]))
-
-    def deepest_match(self, code: np.ndarray) -> Optional[int]:
-        """The smallest level at which ``code``'s ancestor is populated.
-
-        This mirrors the paper's recursive traversal: descend while a child
-        with the query's code exists; the returned level is where the
-        descent stops (``None`` if even the coarsest built level misses).
-        """
-        matches = [NUMPY_KERNELS.lookup_codes(self.level_codes[level],
-                                              anc)[0] >= 0 for level, anc
-                   in self.lattice.ancestor_chain(code, self.n_levels)]
-        found = None
-        for level in reversed(range(self.n_levels)):
-            if not matches[level]:
-                break
-            found = level
-        return found

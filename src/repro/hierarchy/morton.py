@@ -162,19 +162,3 @@ class MortonHierarchy:
         start, size, _ = self.walk([self], np.atleast_2d(code)[None],
                                    min_count)
         return np.sort(LSHTable._gather_segments(self.ids, start[0], size[0]))
-
-    def shared_msb(self, code: np.ndarray) -> int:
-        """Most-significant bits shared with the nearest curve neighbors.
-
-        The paper uses this count to decide how far up the hierarchy a
-        query must travel: few shared bits means the query sits in a sparse
-        region and should use a coarse (large) bucket.
-        """
-        morton = self._encode_query(code)[0]
-        pos = bisect_left(self._sorted_mortons, morton)
-        best = 0
-        for neighbor_pos in (pos - 1, pos):
-            if 0 <= neighbor_pos < self.n_buckets:
-                diff = morton ^ self._sorted_mortons[neighbor_pos]
-                best = max(best, self.total_bits - diff.bit_length())
-        return best

@@ -33,7 +33,7 @@ from repro.lattice.base import Lattice
 from repro.lattice.e8 import E8Lattice
 from repro.lattice.zm import ZMLattice
 from repro.lsh.functions import PStableHashFamily, StackedProjection
-from repro.lsh.table import LSHTable, TableLayouts
+from repro.lsh.table import LSHTable, SortedLayout, TableLayouts, sort_runs
 from repro.native import registry as native_registry
 from repro.native.ref import (SpanSet, rank_topk_ref, spans_union_ref,
                               tree_rowdot)
@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.wal import WriteAheadLog
 
 __all__ = ["QueryStats", "RowStore", "StandardLSH", "drop_retired_options",
-           "make_lattice", "oracle_query_batch"]
+           "make_lattice"]
 
 
 def make_lattice(kind: str, dim: int) -> Lattice:
@@ -82,14 +82,12 @@ def table_codes(family: PStableHashFamily, lattice: Lattice,
                 data: np.ndarray,
                 chunk_size: Optional[int] = None) -> np.ndarray:
     """Lattice codes of every row of ``data`` under one hash family.  E8
-    decodes through the loaded kernel table, as a query does; a Z^M fit
-    resolves none, so a missing compiler still warns at the first query.
+    decodes through the loaded kernel table, as a query does.
 
     With ``chunk_size`` the rows are projected that many at a time, so a
     memmapped corpus is never materialized whole.
     """
-    kernels = (native_registry.load_kernels() if isinstance(lattice, E8Lattice)
-               else native_registry.NUMPY_KERNELS)
+    kernels = native_registry.resolved_kernels()
     if chunk_size is None:
         return lattice.quantize_with(family.project(data), kernels)
     n = data.shape[0]
@@ -408,7 +406,9 @@ class StandardLSH:
         if not all(layouts):
             index._rebuild_tables()
             return index
-        index._publish_built([LSHTable.from_arrays(**layout)
+        # Every table's bucket index in one pass: it is derived, not stored.
+        names = ("bucket_codes", "starts", "ends", "sorted_ids")
+        index._publish_built([[layout[name] for name in names]
                               for layout in layouts])
         return index
 
@@ -434,7 +434,7 @@ class StandardLSH:
         tables: the one fold, which the insert trigger also runs.
 
         Under the writer lock every table is merged from its own sorted
-        layouts (:meth:`LSHTable.compacted`, no row re-hashed),
+        layouts (:meth:`LSHTable.compacted_runs`, no row re-hashed),
         tombstoned rows dropped; the hierarchies are rebuilt and all of
         it published at once (:meth:`_publish_built`).  Readers never take
         the lock: a batch keeps the snapshot it started with.
@@ -452,7 +452,7 @@ class StandardLSH:
                                                group=group):
                 return False
             deleted = self._deleted
-            self._publish_built([table.compacted(drop=deleted)
+            self._publish_built([table.compacted_runs(drop=deleted)
                                  for table in self._tables])
             ob = obs.active()
             if ob is not None:
@@ -478,9 +478,12 @@ class StandardLSH:
                 [table.layouts() for table in tables],
                 self._lattice.code_dim)
 
-    def _publish_built(self, tables: List[LSHTable]) -> None:
-        """Publish fresh ``tables`` with their hierarchies and fitted
-        :attr:`escalation_threshold`: how a fit, fold or restore ends."""
+    def _publish_built(self, runs: list) -> None:
+        """Publish tables over ``runs`` (:meth:`SortedLayout.adopt_all`),
+        their hierarchies and the fitted :attr:`escalation_threshold`:
+        how a fit, fold or restore ends."""
+        tables = [LSHTable(None, base=base)
+                  for base in SortedLayout.adopt_all(runs)]
         with self._update_lock:
             if not self.use_hierarchy:
                 self._publish(tables, [])
@@ -499,7 +502,7 @@ class StandardLSH:
             return 0
         rows = rows[::-(-rows.size // self.THRESHOLD_SAMPLE)]
         store = self._store
-        plan = _LSHPlan(self, None, native_registry.load_kernels())
+        plan = _LSHPlan(self, None, native_registry.resolved_kernels())
         ctx = ExecutionContext.for_batch(  # no observer
             np.asarray(store.data[rows], dtype=np.float64), 1)
         plan._stage_hash(ctx)
@@ -553,9 +556,8 @@ class StandardLSH:
                 # A group's rows, gathered once for all L tables (a
                 # transient of the group's size, never kept).
                 data = np.asarray(data[ids], dtype=np.float64)
-            self._publish_built([
-                LSHTable(table_codes(family, self._lattice, data,
-                                     chunk_size), ids=ids)
+            self._publish_built([sort_runs(table_codes(
+                family, self._lattice, data, chunk_size), ids)
                 for family in self._families])
             ob = obs.active()
             if ob is not None:
@@ -612,8 +614,8 @@ class StandardLSH:
             before = self.n_points
             if self._rows is not None:
                 self._rows = np.concatenate([self._rows, rows])
-            for table, codes in zip(self._tables, self._hash(points)[1]):
-                table.add(codes, rows)
+            LSHTable.add_all(self._tables, self._hash(
+                points, native_registry.resolved_kernels())[1], rows)
             self._publish(self._tables, self._hierarchies)
             overlay = max((table.n_extra for table in self._tables), default=0)
             if overlay > self.REBUILD_FRACTION * max(before, 1):
@@ -894,47 +896,50 @@ class _LSHPlan(QueryPlan):
                        else ctx.queries[m.rows])
             m.y, m.codes = m.index._hash(queries, kernels)
 
-    def _probe_rows(self, m: Member, kernels: object,
+    def _probe_rows(self, members: List[Member], kernels: object,
+                    n_tables: int,
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every lookup row of member ``m``'s tables, table by table.
-
-        Returns ``(codes, row_q, table_rows)``: table ``t`` owns
-        ``table_rows[t]`` consecutive rows — each routed row's self code,
-        then each one's probes in sequence order — and ``row_q`` names
-        the member row (a position in ``m.rows``) of every lookup row.
-        The probe sequences of the whole ``(L * n)`` block come from one
-        call: the ``zm_probe_codes`` kernel for ``Z^M``,
-        :meth:`E8Lattice.probe_codes` on the block for ``E8``.
+        """``(codes, row_slot, table_rows)``: every lookup row of the
+        members' tables (member ``m``'s at ``m.first_table`` on) and its
+        segment, table ``t`` owning ``table_rows[t]`` consecutive rows —
+        each routed row's self code, then each one's probes in sequence
+        order.  Every member's probes come from one ``zm_probe_codes``
+        (or :meth:`E8Lattice.probe_codes`) call: groups share one config.
         """
-        index = m.index
-        own = m.codes
-        n_tables, nq, width = own.shape
-        own = own.reshape(n_tables * nq, width)
-        of_own = np.arange(n_tables * nq, dtype=np.int64) % nq
+        index = members[0].index
+        # The members' blocks, stacked, are in table order.
+        own = np.concatenate([m.codes.reshape(-1, m.codes.shape[2])
+                              for m in members])
+        of_table = np.concatenate([np.repeat(np.arange(
+            m.first_table, m.first_table + m.codes.shape[0], dtype=np.int64),
+            m.codes.shape[1]) for m in members])
+        slot = np.concatenate([np.tile(m.slots, m.codes.shape[0])
+                               for m in members])
+        own_rows = np.bincount(of_table, minlength=n_tables)
         if index.n_probes <= 0:
-            return own, of_own, np.full(n_tables, nq, dtype=np.int64)
-        y = m.y.reshape(n_tables * nq, -1)
+            return own, slot, own_rows
+        y = np.concatenate([m.y.reshape(-1, m.y.shape[2]) for m in members])
         if isinstance(index._lattice, ZMLattice):
             probes, counts = kernels.zm_probe_codes(y, own, index.n_probes)
         else:  # E8: every row gets the same number of probes
             probes = index._lattice.probe_codes(y, own, index.n_probes)
             counts = np.full(own.shape[0], probes.shape[1], dtype=np.int64)
-            probes = probes.reshape(-1, width)
-        # Block row t * nq + i is row i of table t; table t's probes
-        # follow its own nq self rows, so each row lands at its index
-        # plus the rows of the other kind stacked before it.
-        probe_rows = counts.reshape(n_tables, nq).sum(axis=1)
-        of_probe = np.repeat(np.arange(n_tables * nq, dtype=np.int64), counts)
-        at_own = np.arange(n_tables * nq, dtype=np.int64) + np.repeat(
-            np.cumsum(probe_rows) - probe_rows, nq)
-        at_probe = (np.arange(of_probe.size, dtype=np.int64)
-                    + nq * (of_probe // nq + 1))
-        codes = np.empty((own.shape[0] + probes.shape[0], width),
+            probes = probes.reshape(-1, own.shape[1])
+        probe_rows = np.bincount(of_table, weights=counts,
+                                 minlength=n_tables).astype(np.int64)
+        # Table t's self rows follow the earlier tables' probes, its probes
+        # its own and the earlier self rows: scattered into place, as a
+        # gather from the two stacked would hold the rows three times.
+        at_own = np.repeat(np.cumsum(probe_rows) - probe_rows, own_rows)
+        at_own += np.arange(own.shape[0], dtype=np.int64)
+        at_probe = np.repeat(np.cumsum(own_rows), probe_rows)
+        at_probe += np.arange(at_probe.shape[0], dtype=np.int64)
+        codes = np.empty((own.shape[0] + probes.shape[0], own.shape[1]),
                          dtype=np.int64)
-        row_q = np.empty(codes.shape[0], dtype=np.int64)
+        row_slot = np.empty(codes.shape[0], dtype=np.int64)
         codes[at_own], codes[at_probe] = own, probes
-        row_q[at_own], row_q[at_probe] = of_own, of_probe % nq
-        return codes, row_q, probe_rows + nq
+        row_slot[at_own], row_slot[at_probe] = slot, np.repeat(slot, counts)
+        return codes, row_slot, own_rows + probe_rows
 
     def _stage_gather(self, ctx: ExecutionContext) -> None:
         """Candidate gathering for the whole batch, query-major.
@@ -953,18 +958,10 @@ class _LSHPlan(QueryPlan):
         # One snapshot of the published layouts: a concurrent insert or
         # rebuild publishes a new one, it never edits this one.
         layouts = self.index._layouts
-        table_rows = np.zeros(layouts.n_layouts.shape[0], dtype=np.int64)
-        code_parts = []
-        slot_parts = []
-        for m in members:
-            codes, row_m, rows_t = self._probe_rows(m, kernels)
-            table_rows[m.first_table:m.first_table + rows_t.shape[0]] = rows_t
-            code_parts.append(codes)
-            slot_parts.append(m.slots[row_m])
-        row_slot = np.concatenate(slot_parts)
-        spans = kernels.bucket_spans(
-            layouts, np.concatenate(code_parts), row_slot, table_rows,
-            nq * spill)
+        codes, row_slot, table_rows = self._probe_rows(
+            members, kernels, layouts.n_layouts.shape[0])
+        spans = kernels.bucket_spans(layouts, codes, row_slot, table_rows,
+                                     nq * spill)
         misses = spans.misses
         probes = None
         if ob is not None:
@@ -1063,95 +1060,3 @@ class _LSHPlan(QueryPlan):
         ctx.ob.record_batch("lsh", ctx.n_candidates, ctx.escalated,
                             ctx.timer.stages, probes=ctx.scratch["probes"])
         ctx.ob.record_native_batch(self.kernels.backend)
-
-
-# --------------------------------------------------------------------------
-# The scalar oracle: the seed's per-query path, the reference the parity
-# tests hold the plan to.  It shares no gather, dedup or distance code with
-# the plan (one bucket lookup per code, ``numpy.unique``, direct
-# ``||x - q||``) and is not reachable from any query front-end.
-# --------------------------------------------------------------------------
-
-
-def _filter_deleted(index: StandardLSH, local_ids: np.ndarray) -> np.ndarray:
-    deleted = index._deleted
-    if deleted is None or local_ids.size == 0:
-        return local_ids
-    # Ids at/above the mask length were inserted after the snapshot was
-    # taken and therefore cannot be tombstoned.
-    drop = np.zeros(local_ids.size, dtype=bool)
-    in_mask = local_ids < deleted.shape[0]
-    drop[in_mask] = deleted[local_ids[in_mask]]
-    return local_ids[~drop]
-
-
-def _gather_candidates(index: StandardLSH, projections: List[np.ndarray],
-                       codes: List[np.ndarray], qi: int) -> np.ndarray:
-    """Union of bucket hits for query ``qi`` across all tables (local ids)."""
-    parts = []
-    for t in range(index.n_tables):
-        code = codes[t][qi]
-        parts.append(index._tables[t].lookup(code))
-        if index.n_probes > 0:
-            probes = index._lattice.probe_codes(projections[t][qi], code,
-                                                index.n_probes)
-            for probe in probes:
-                parts.append(index._tables[t].lookup(probe))
-    merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    merged = np.unique(merged) if merged.size else merged
-    return _filter_deleted(index, merged)
-
-
-def _escalate(index: StandardLSH, codes: List[np.ndarray], qi: int,
-              min_count: int, base: np.ndarray) -> np.ndarray:
-    """Grow query ``qi``'s candidate set via the bucket hierarchies."""
-    parts = [base]
-    for t in range(index.n_tables):
-        extra = index._hierarchies[t].candidates(codes[t][qi], min_count)
-        if extra.size:
-            parts.append(extra)
-    merged = np.concatenate(parts)
-    merged = np.unique(merged) if merged.size else merged
-    return _filter_deleted(index, merged)
-
-
-def oracle_query_batch(index: StandardLSH, queries: np.ndarray, k: int,
-                       hierarchy_threshold: Optional[int] = None,
-                       ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-    """:meth:`StandardLSH.query_batch` by the per-query reference path.
-
-    Same ids, candidate counts and escalation flags as the plan; the
-    distances agree to the last ulp or so (direct ``||x - q||`` here,
-    ``||x||^2 - 2 x.q + ||q||^2`` there) and exact ties may order
-    differently.
-    """
-    index._check_fitted()
-    queries, k = validate_query_batch(queries, k, index._data.shape[1])
-    hierarchy_threshold = check_hierarchy_threshold(hierarchy_threshold)
-    nq = queries.shape[0]
-    ids_out = np.full((nq, k), -1, dtype=np.int64)
-    dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-    escalated = np.zeros(nq, dtype=bool)
-    projections = [family.project(queries) for family in index._families]
-    codes = [index._lattice.quantize(proj) for proj in projections]
-    candidate_sets = [_gather_candidates(index, projections, codes, qi)
-                      for qi in range(nq)]
-    if index.use_hierarchy:
-        threshold = index._resolve_threshold(k, hierarchy_threshold)
-        for qi in range(nq):
-            if candidate_sets[qi].size < threshold:
-                candidate_sets[qi] = _escalate(index, codes, qi, threshold,
-                                               candidate_sets[qi])
-                escalated[qi] = True
-    for qi, cand in enumerate(candidate_sets):
-        if cand.size == 0:
-            continue
-        diffs = index._data[cand] - queries[qi]
-        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        take = min(k, cand.size)
-        top = np.argpartition(dists, take - 1)[:take]
-        top = top[np.argsort(dists[top], kind="stable")]
-        ids_out[qi, :take] = index._ids[cand[top]]
-        dists_out[qi, :take] = dists[top]
-    n_candidates = np.array([c.size for c in candidate_sets], dtype=np.int64)
-    return ids_out, dists_out, QueryStats(n_candidates, escalated)

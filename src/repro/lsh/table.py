@@ -9,26 +9,26 @@ query landing in that bucket (Section IV-B.1 of the paper).
 Internally buckets are stored CSR-style (one sorted id array plus per-bucket
 start/end offsets — a :class:`SortedLayout`), mirroring the paper's GPU
 layout of "a linear array along with an indexing table"; points inserted
-after the build live in a second layout of the same shape, and the plan's
-``bucket_spans`` kernel searches both — every table's at once, through
-one :class:`TableLayouts` pointer table.  For the numpy lookups the index
-table is an array
-of *packed keys*: each ``(M,)`` int64 code row is packed into one fixed-width
-big-endian byte string whose lexicographic byte order equals the
-lexicographic order of the code tuple, so a whole batch of codes resolves to
-bucket indices with a single :func:`numpy.searchsorted` call
-(:meth:`lookup_batch`) instead of one dict probe per code.
+after the build live in a second layout of the same shape.  The plan's
+``bucket_spans`` kernel searches both, every table's at once (one
+:class:`TableLayouts`), each through its hashed bucket index: one hash
+probe a lookup.  The numpy lookups search *packed keys* instead — each
+code row one big-endian byte string ordered as the code tuple — with one
+:func:`numpy.searchsorted` a batch (:meth:`gather_batch`).
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from contextlib import ExitStack
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.native.ref import NO_CELLS, lookup_codes_ref
+from repro.native.registry import resolved_kernels
 
 #: Sign-bit flip making the unsigned byte order of an int64 match its
 #: signed numeric order.
@@ -75,30 +75,61 @@ def packed_keys(sorted_codes: np.ndarray) -> np.ndarray:
     return keys
 
 
+def sort_runs(codes: np.ndarray, ids: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``ids`` grouped by their ``(n, M)`` int64 code rows: ``(distinct
+    codes ascending, starts, ends, sorted ids)``, each code's ids the run
+    ``[start, end)`` of the sorted ids.  The sort is stable: ids sharing a
+    code keep their order."""
+    n = codes.shape[0]
+    order = np.lexsort(codes.T[::-1])
+    sorted_codes = codes[order]
+    # Where each run of identical codes starts (none when there are none).
+    head = (sorted_codes[1:] != sorted_codes[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], head))[:n])
+    ends = np.append(starts[1:], n)[:starts.size]
+    return sorted_codes[starts], starts, ends, ids[order]
+
+
 class SortedLayout(NamedTuple):
     """One immutable sorted bucket layout: distinct codes, the run of
     ``sorted_ids`` each owns, and where those arrays live.
 
     A table publishes one for its base and one for its insert overlay;
-    nothing writes to the arrays afterwards.  ``pointers`` is derived
-    data for the compiled ``bucket_spans`` kernel, built once here and
-    never per call: the int64 words ``(bucket_codes address, n_buckets,
-    starts address, ends address, sorted_ids address, n_ids)`` — valid
-    for as long as this tuple keeps the arrays referenced.
+    nothing writes to the arrays afterwards.  ``cells`` (the
+    ``bucket_index`` of the codes) and ``pointers`` are derived data for
+    the compiled ``bucket_spans``, built once here and never per call: the
+    int64 words ``(bucket_codes address, n_buckets, starts address, ends
+    address, sorted_ids address, n_ids, cells address)``, valid for as
+    long as this tuple keeps the arrays referenced.
     """
 
     bucket_codes: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     sorted_ids: np.ndarray
+    cells: np.ndarray
     pointers: np.ndarray
 
     @classmethod
-    def adopt(cls, bucket_codes: np.ndarray, starts: np.ndarray,
-              ends: np.ndarray, sorted_ids: np.ndarray) -> "SortedLayout":
-        """A layout over existing arrays, by reference — read-only
-        views included.  The kernel reads them through
-        raw addresses, so anything but C-contiguous int64 is refused."""
+    def adopt_all(cls, runs: Sequence[Sequence[np.ndarray]],
+                  ) -> List["SortedLayout"]:
+        """A layout over each ``(bucket_codes, starts, ends, sorted_ids)``
+        of ``runs``, by reference, their cells built in one call."""
+        for run in runs:
+            cls.check(*run)
+        cells = resolved_kernels().bucket_index([run[0] for run in runs])
+        return [cls(codes, starts, ends, ids, c, np.array(
+            [codes.ctypes.data, starts.shape[0], starts.ctypes.data,
+             ends.ctypes.data, ids.ctypes.data, ids.shape[0], c.ctypes.data],
+            dtype=np.int64))
+            for (codes, starts, ends, ids), c in zip(runs, cells)]
+
+    @staticmethod
+    def check(bucket_codes: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray, sorted_ids: np.ndarray) -> None:
+        """:class:`ValueError` unless C-contiguous int64 of one layout's
+        shapes: the kernel reads the arrays through raw addresses."""
         for arr in (bucket_codes, starts, ends, sorted_ids):
             if arr.dtype != np.int64 or not arr.flags.c_contiguous:
                 raise ValueError("layout arrays must be C-contiguous int64, "
@@ -111,48 +142,36 @@ class SortedLayout(NamedTuple):
                 f"inconsistent layout: bucket_codes {bucket_codes.shape}, "
                 f"starts {starts.shape}, ends {ends.shape}, sorted_ids "
                 f"{sorted_ids.shape}")
-        return cls(bucket_codes, starts, ends, sorted_ids, np.array(
-            [bucket_codes.ctypes.data, n_buckets, starts.ctypes.data,
-             ends.ctypes.data, sorted_ids.ctypes.data, sorted_ids.shape[0]],
-            dtype=np.int64))
 
-    def flaw(self, n_rows: int) -> Optional[Tuple[str, str]]:
-        """What :meth:`sort` guarantees and an adopted layout breaks, as
+    @classmethod
+    def flaw(cls, n_rows: int, bucket_codes: np.ndarray, starts: np.ndarray,
+             ends: np.ndarray, sorted_ids: np.ndarray,
+             ) -> Optional[Tuple[str, str]]:
+        """What :meth:`sort` guarantees and stored layout arrays (as
+        :meth:`adopt` takes them, once :meth:`check` passes) break, as
         ``(array, reason)``, or ``None``: non-empty buckets tiling
         ``sorted_ids`` in order, strictly ascending codes, and ids that
         are rows below ``n_rows``.  O(buckets + ids); nothing sorts."""
-        starts, ends, ids = self.starts, self.ends, self.sorted_ids
+        cls.check(bucket_codes, starts, ends, sorted_ids)
         last = int(ends[-1]) if ends.shape[0] else 0
-        if (starts[:1].any() or last != ids.shape[0]
+        if (starts[:1].any() or last != sorted_ids.shape[0]
                 or not np.array_equal(starts[1:], ends[:-1])
                 or (ends <= starts).any()):
-            return "ends", f"does not tile the {ids.shape[0]} sorted ids"
-        keys = pack_codes(self.bucket_codes)
+            return "ends", f"does not tile the {sorted_ids.shape[0]} sorted ids"
+        keys = pack_codes(bucket_codes)
         if (keys[1:] <= keys[:-1]).any():
             return "bucket_codes", "is not strictly ascending"
-        if ids.shape[0] and (ids.min() < 0 or ids.max() >= n_rows):
+        if sorted_ids.shape[0] and (sorted_ids.min() < 0
+                                    or sorted_ids.max() >= n_rows):
             return "sorted_ids", f"holds ids outside [0, {n_rows})"
         return None
 
     @classmethod
     def sort(cls, codes: np.ndarray, ids: np.ndarray) -> "SortedLayout":
-        """Group ``ids`` by their ``(n, M)`` code rows — the "sorted
-        linear array" with its indexing table of Section V-A.  The sort
-        is stable: ids sharing a code keep their order."""
-        n = codes.shape[0]
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls.adopt(codes, empty, empty, empty)
-        order = np.lexsort(codes.T[::-1])
-        sorted_codes = codes[order]
-        sorted_ids = ids[order]
-        # Boundaries between runs of identical codes.
-        change = np.flatnonzero(
-            (sorted_codes[1:] != sorted_codes[:-1]).any(axis=1)) + 1
-        bounds = np.empty(change.shape[0] + 2, dtype=np.int64)
-        bounds[0], bounds[1:-1], bounds[-1] = 0, change, n
-        return cls.adopt(sorted_codes[bounds[:-1]], bounds[:-1], bounds[1:],
-                         sorted_ids)
+        """Group ``ids`` by their ``(n, M)`` code rows (:func:`sort_runs`)
+        — the "sorted linear array" with its indexing table of Section
+        V-A."""
+        return cls.adopt_all([sort_runs(codes, ids)])[0]
 
     def row_codes(self) -> np.ndarray:
         """The code of every row of ``sorted_ids`` (buckets tile it
@@ -181,11 +200,11 @@ class TableLayouts(NamedTuple):
     are, and ``pointers`` their :attr:`SortedLayout.pointers` rows
     stacked in table order — the pointer table the compiled kernel
     walks; ``ids`` and ``bases`` are the layouts' ``sorted_ids`` and
-    their addresses in that order, what a span's array index names.  An
-    index builds one per published
-    table list or overlay (:meth:`of` checks every layout's code width
-    there, once) and swaps it in by reference; this tuple keeps every
-    array those words point into alive.
+    their addresses in that order, what a span's array index names;
+    ``indexed`` whether every layout has cells (the numpy table builds
+    none).  An index builds one per published table list or overlay
+    (:meth:`of` checks the code widths) and swaps it in by reference; the
+    tuple keeps every array its words point into alive.
     """
 
     per_table: Tuple[Tuple[SortedLayout, ...], ...]
@@ -194,6 +213,7 @@ class TableLayouts(NamedTuple):
     code_dim: int
     ids: Tuple[np.ndarray, ...]
     bases: np.ndarray
+    indexed: bool
 
     @classmethod
     def of(cls, per_table: Sequence[Sequence[SortedLayout]],
@@ -206,13 +226,14 @@ class TableLayouts(NamedTuple):
                     f"layout of {layout.bucket_codes.shape[1]}-wide codes "
                     f"in a table of {code_dim}-wide codes")
         pointers = np.array([layout.pointers for layout in flat],
-                            dtype=np.int64).reshape(-1, 6)
+                            dtype=np.int64).reshape(-1, 7)
         return cls(per_table,
                    np.array([len(layouts) for layouts in per_table],
                             dtype=np.int64),
                    pointers, int(code_dim),
                    tuple(layout.sorted_ids for layout in flat),
-                   np.ascontiguousarray(pointers[:, 4], dtype=np.int64))
+                   np.ascontiguousarray(pointers[:, 4], dtype=np.int64),
+                   all(layout.cells is not NO_CELLS for layout in flat))
 
 
 class LSHTable:
@@ -225,44 +246,38 @@ class LSHTable:
         every indexed point.  Row ``i`` is the code of point id ``ids[i]``.
     ids:
         Optional ``(n,)`` integer ids; defaults to ``arange(n)``.
+    base:
+        Instead, a :class:`SortedLayout` taken as it stands: no sort.
     """
 
-    def __init__(self, codes: np.ndarray, ids: Optional[np.ndarray] = None):
-        codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
-        n = codes.shape[0]
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (n,):
-                raise ValueError(f"ids must have shape ({n},), got {ids.shape}")
-        self.code_dim = codes.shape[1]
-        self.n_points = n
-        self._base = base = SortedLayout.sort(codes, ids)
+    def __init__(self, codes: Optional[np.ndarray],
+                 ids: Optional[np.ndarray] = None,
+                 base: Optional[SortedLayout] = None):
+        if base is None:
+            codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
+            n = codes.shape[0]
+            if ids is None:
+                ids = np.arange(n, dtype=np.int64)
+            else:
+                ids = np.asarray(ids, dtype=np.int64)
+                if ids.shape != (n,):
+                    raise ValueError(
+                        f"ids must have shape ({n},), got {ids.shape}")
+            base = SortedLayout.sort(codes, ids)
+        self.code_dim = base.bucket_codes.shape[1]
+        self.n_points = base.sorted_ids.shape[0]
+        self._base = base
         self._bucket_codes, self._starts, self._ends, self._sorted_ids = \
             base[:4]
         # Post-build insertions: one more sorted layout, rebuilt by every
-        # ``add`` under the lock and published with a single assignment —
+        # ``add_all`` under the lock and published with a single assignment —
         # readers take the reference once and never see it change.
         self._overlay_lock = threading.Lock()
         self._overlay: Optional[SortedLayout] = None
 
-    @classmethod
-    def from_arrays(cls, bucket_codes: np.ndarray, starts: np.ndarray,
-                    ends: np.ndarray, sorted_ids: np.ndarray) -> "LSHTable":
-        """A table over an existing CSR layout (:meth:`arrays`), adopted
-        by reference: no sort, no copy.  The overlay starts empty."""
-        table = cls(bucket_codes[:0])
-        table._base = base = SortedLayout.adopt(bucket_codes, starts, ends,
-                                                sorted_ids)
-        table._bucket_codes, table._starts, table._ends, table._sorted_ids = \
-            base[:4]
-        table.n_points = sorted_ids.shape[0]
-        return table
-
     def arrays(self) -> Dict[str, np.ndarray]:
-        """The sorted layout :meth:`from_arrays` takes, by its keyword
-        names (the overlay is not part of it — fold it first)."""
+        """The sorted layout :meth:`SortedLayout.adopt_all` takes, by name
+        (the overlay is not part of it — fold it first)."""
         return {"bucket_codes": self._bucket_codes, "starts": self._starts,
                 "ends": self._ends, "sorted_ids": self._sorted_ids}
 
@@ -283,42 +298,47 @@ class LSHTable:
         overlay = self._overlay
         return 0 if overlay is None else overlay.sorted_ids.shape[0]
 
-    def add(self, codes: np.ndarray, ids: np.ndarray) -> None:
-        """Insert points after the initial build.
-
-        Additions land in the overlay layout, which is re-sorted here —
-        once per ``add``, never by a reader; ids sharing a code keep
-        insertion order.  Every lookup merges it with the base layout.
-        Callers that care about the CSR invariants (e.g. the bucket
-        hierarchies) should rebuild the table once :attr:`n_extra` grows
-        past their tolerance.
-        """
-        codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
+    @staticmethod
+    def add_all(tables: Sequence["LSHTable"], codes: Sequence[np.ndarray],
+                ids: np.ndarray) -> None:
+        """Insert ``ids`` after the initial build, under table ``t``'s
+        ``codes[t]``: each table's overlay is re-sorted here (never by a
+        reader; ids sharing a code keep insertion order), every overlay's
+        cells built by one ``bucket_index`` call.  Lookups merge it with
+        the base layout; callers that care about the CSR invariants (e.g.
+        the hierarchies) rebuild once :attr:`n_extra` grows too large."""
         ids = np.asarray(ids, dtype=np.int64)
-        if codes.shape[0] != ids.shape[0]:
-            raise ValueError("codes and ids must have matching lengths")
-        if codes.shape[1] != self.code_dim:
-            raise ValueError(
-                f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
-        with self._overlay_lock:
-            self.n_points += ids.shape[0]
-            overlay = self._overlay
-            if overlay is not None:
-                codes = np.concatenate([overlay.row_codes(), codes], axis=0)
-                ids = np.concatenate([overlay.sorted_ids, ids])
-            self._overlay = SortedLayout.sort(codes, ids)
+        runs = []
+        with ExitStack() as held:
+            for table, block in zip(tables, codes):
+                block = np.ascontiguousarray(np.atleast_2d(block),
+                                             dtype=np.int64)
+                if block.shape != (ids.shape[0], table.code_dim):
+                    raise ValueError(f"codes must be {ids.shape[0]} rows of "
+                                     f"{table.code_dim}, got {block.shape}")
+                held.enter_context(table._overlay_lock)
+                overlay, own = table._overlay, ids
+                if overlay is not None:
+                    block = np.concatenate([overlay.row_codes(), block])
+                    own = np.concatenate([overlay.sorted_ids, ids])
+                runs.append(sort_runs(block, own))
+            for table, layout in zip(tables, SortedLayout.adopt_all(runs)):
+                table.n_points += ids.shape[0]
+                table._overlay = layout
         ob = obs.active()
-        if ob is not None:
+        for _ in tables if ob is not None else ():
             ob.record_overlay_merge()
 
-    def compacted(self, drop: Optional[np.ndarray] = None) -> "LSHTable":
-        """A fresh table with the overlay folded in and ``drop`` ids removed.
+    def compacted_runs(self, drop: Optional[np.ndarray] = None,
+                       ) -> Tuple[np.ndarray, ...]:
+        """:func:`sort_runs` of a fresh table with the overlay folded in
+        and ``drop`` ids removed.
 
         Reconstructs every row's code from the sorted layouts (base rows,
-        then overlay rows), masks out ids flagged in the boolean ``drop``
-        array (indexed by id), and builds a brand-new :class:`LSHTable` —
-        no re-projection needed, making this safe to run off the owning
-        index's writer lock.  ``self`` is untouched.
+        then overlay rows) and masks out ids flagged in the boolean
+        ``drop`` array (indexed by id) — no re-projection needed, making
+        this safe to run off the owning index's writer lock.  ``self`` is
+        untouched.
         """
         layouts = self.layouts()
         codes = np.concatenate([lay.row_codes() for lay in layouts], axis=0)
@@ -330,7 +350,7 @@ class LSHTable:
                 keep = ~dropped
                 codes = codes[keep]
                 ids = ids[keep]
-        return LSHTable(codes, ids=ids)
+        return sort_runs(codes, ids)
 
     @property
     def bucket_codes(self) -> np.ndarray:
@@ -342,41 +362,11 @@ class LSHTable:
         """Point ids in bucket-grouped order (the linear array)."""
         return self._sorted_ids
 
-    def bucket_bounds(self, bucket_index: int) -> Tuple[int, int]:
-        """Start/end offsets of one bucket inside :attr:`sorted_ids`."""
-        return int(self._starts[bucket_index]), int(self._ends[bucket_index])
-
     def bucket_sizes(self) -> np.ndarray:
         """Sizes of all buckets."""
         return (self._ends - self._starts).astype(np.int64)
 
     # ---------------------------------------------------------------- lookup
-
-    @staticmethod
-    def _searchsorted_keys(sorted_keys: np.ndarray,
-                           query_keys: np.ndarray) -> np.ndarray:
-        """Indices of ``query_keys`` inside ``sorted_keys`` (-1 if absent)."""
-        if sorted_keys.size == 0:
-            return np.full(query_keys.shape[0], -1, dtype=np.int64)
-        pos = np.searchsorted(sorted_keys, query_keys).astype(np.int64)
-        clipped = np.minimum(pos, sorted_keys.size - 1)
-        found = (pos < sorted_keys.size) & (sorted_keys[clipped] == query_keys)
-        return np.where(found, clipped, np.int64(-1))
-
-    def lookup_batch(self, codes: np.ndarray) -> np.ndarray:
-        """Bucket index per code row (``-1`` for codes with no bucket).
-
-        One :func:`numpy.searchsorted` over the packed sorted bucket keys
-        resolves the whole batch — this is the array-at-a-time replacement
-        for per-code dict probing (overlay points are *not* consulted; use
-        :meth:`gather_batch` for candidate gathering that includes them).
-        """
-        codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
-        if codes.shape[1] != self.code_dim:
-            raise ValueError(
-                f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
-        return self._searchsorted_keys(packed_keys(self._bucket_codes),
-                                       pack_codes(codes))
 
     @staticmethod
     def _gather_segments(values: np.ndarray, starts: np.ndarray,
@@ -411,9 +401,9 @@ class LSHTable:
         if codes.shape[1] != self.code_dim:
             raise ValueError(
                 f"codes must have {self.code_dim} columns, got {codes.shape[1]}")
-        keys, layouts = pack_codes(codes), self.layouts()
-        spans = [lay.spans(LSHTable._searchsorted_keys(
-            packed_keys(lay.bucket_codes), keys)) for lay in layouts]
+        layouts = self.layouts()
+        spans = [lay.spans(lookup_codes_ref(lay.bucket_codes, codes))
+                 for lay in layouts]
         counts = np.sum([lens for _, lens in spans], axis=0, dtype=np.int64)
         out = np.empty(int(counts.sum()), dtype=np.int64)
         offsets = np.cumsum(counts) - counts
@@ -422,28 +412,6 @@ class LSHTable:
                                       out_starts=offsets)
             offsets = offsets + lens
         return out, counts
-
-    def lookup(self, code: np.ndarray) -> np.ndarray:
-        """Return the ids in the bucket matching ``code`` (empty if none)."""
-        code = np.ascontiguousarray(code, dtype=np.int64).reshape(1, -1)
-        ids, _ = self.gather_batch(code)
-        return ids
-
-    def lookup_many(self, codes: Iterable[np.ndarray]) -> np.ndarray:
-        """Union of the buckets matching each code (deduplicated ids)."""
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-        if codes.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        merged, _ = self.gather_batch(codes)
-        if merged.size == 0:
-            return merged
-        return np.unique(merged)
-
-    def bucket_index(self, code: np.ndarray) -> Optional[int]:
-        """Index of the bucket holding ``code``, or ``None``."""
-        code = np.ascontiguousarray(code, dtype=np.int64).reshape(1, -1)
-        idx = int(self.lookup_batch(code)[0])
-        return idx if idx >= 0 else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LSHTable(n_points={self.n_points}, n_buckets={self.n_buckets}, "

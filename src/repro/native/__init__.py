@@ -15,7 +15,7 @@ Layout:
   directly).
 
 This package imports nothing heavyweight at module load: the backend
-resolves lazily on the first query.
+resolves lazily, at the first fit, load or query.
 """
 
 from __future__ import annotations

@@ -167,40 +167,63 @@ static i64 run_queue(unit_fn run, const void *job, i64 n_units,
  * queries: a solo request or a small served read never pays for a thread. */
 #define INLINE_QUERIES 8
 
-/* ---------------------------------------------------------------- lookup */
+/* ---------------------------------------------------------- bucket index */
 
-/* Lexicographic comparison of two M-long int64 code rows. */
-static int row_less(const i64 *a, const i64 *b, i64 m) {
-    i64 j;
-    for (j = 0; j < m; j++) {
-        if (a[j] < b[j]) return 1;
-        if (a[j] > b[j]) return 0;
-    }
-    return 0;
+/* Addresses cross in int64 words (numpy rows built by the caller). */
+#define PTR(word) ((const i64 *)(intptr_t)(word))
+#define CELLS(word) ((const int32_t *)(intptr_t)(word))
+
+/* Every sorted array of distinct code rows the kernels search (a layout's
+ * bucket codes, a hierarchy level's node codes) carries a hashed index,
+ * Section V's cuckoo table in a simpler form (ref.bucket_index_ref is the
+ * spec): 2^b >= 2 n cells, row i homed at the top b bits of its
+ * multiply-shift row_hash and put, in row order, in the first free cell at
+ * or past its home, the last cell followed by the first.  A lookup reads
+ * cells from its home to its row or a -1. */
+#define HASH_MUL 0x9E3779B97F4A7C15ull
+
+static inline uint64_t row_hash(const i64 *code, i64 m) {
+    uint64_t h = 0;
+    for (i64 j = 0; j < m; j++) h = (h ^ (uint64_t)code[j]) * HASH_MUL;
+    return (h ^ (h >> 32)) * HASH_MUL;
 }
 
-static int row_eq(const i64 *a, const i64 *b, i64 m) {
-    i64 j;
-    for (j = 0; j < m; j++)
-        if (a[j] != b[j]) return 0;
-    return 1;
+static inline int cell_shift(i64 n) {  /* 64 - b, b >= 1 */
+    return n > 1 ? __builtin_clzll((uint64_t)(2 * n - 1)) : 63;
 }
 
-/* Index of the bucket holding `code` (-1 when absent): lower-bound binary
- * search over the lexicographically sorted distinct bucket codes —
- * exactly LSHTable._searchsorted_keys on the packed keys. */
-static i64 find_bucket(const i64 *bucket_codes, i64 n_buckets, i64 m,
-                       const i64 *code) {
-    i64 lo = 0, hi = n_buckets;
-    while (lo < hi) {
-        i64 mid = lo + ((hi - lo) >> 1);
-        if (row_less(bucket_codes + mid * m, code, m))
-            lo = mid + 1;
-        else
-            hi = mid;
+/* The row of `codes` (n rows) equal to `code` of row_hash h, or -1. */
+static inline i64 find_row(const int32_t *cells, const i64 *codes, i64 n,
+                           i64 m, const i64 *code, uint64_t h) {
+    int shift = cell_shift(n);
+    for (uint64_t c = h >> shift;; c = (c + 1) & (~0ull >> shift)) {
+        i64 b = cells[c], j = 0;
+        while (b >= 0 && j < m && codes[b * m + j] == code[j]) j++;
+        if (b < 0 || j == m) return b;
     }
-    return (lo < n_buckets && row_eq(bucket_codes + lo * m, code, m)) ? lo
-                                                                      : -1;
+}
+
+/* Index arrays of code rows — words (codes address, n rows, row width)
+ * each — into `cells`, array a's 2^b at cells[at[a] .. at[a + 1]).
+ * Returns at[n_arrays]. */
+EXPORT i64 repro_bucket_index(const i64 *arrays, i64 n_arrays,
+                              int32_t *cells, i64 *at) {
+    at[0] = 0;
+    for (i64 a = 0; a < n_arrays; a++) {
+        const i64 *codes = PTR(arrays[3 * a]);
+        i64 n = arrays[3 * a + 1], m = arrays[3 * a + 2];
+        int shift = cell_shift(n);
+        uint64_t last = ~0ull >> shift;
+        int32_t *out = cells + at[a];
+        memset(out, 0xff, (size_t)(last + 1) * sizeof(int32_t));
+        for (i64 i = 0; i < n; i++) {
+            uint64_t c = row_hash(codes + i * m, m) >> shift;
+            while (out[c] >= 0) c = (c + 1) & last;
+            out[c] = (int32_t)i;
+        }
+        at[a + 1] = at[a] + (i64)last + 1;
+    }
+    return at[n_arrays];
 }
 
 /* ------------------------------------------------------------------ sort */
@@ -239,12 +262,10 @@ static void sort_i64(i64 *v, i64 n) {
 
 /* ----------------------------------------------------------- bucket spans */
 
-/* Addresses cross in int64 words (numpy rows built by the caller). */
-#define PTR(word) ((const i64 *)(intptr_t)(word))
-
 /* Words of one sorted layout (a table's published base, or its insert
  * overlay): lsh/table.py SortedLayout.pointers. */
-enum { L_CODES, L_N_BUCKETS, L_STARTS, L_ENDS, L_IDS, L_N_IDS, L_WORDS };
+enum { L_CODES, L_N_BUCKETS, L_STARTS, L_ENDS, L_IDS, L_N_IDS, L_CELLS,
+       L_WORDS };
 /* Words of one table's entry: how many of the lookup rows are its own
  * (tables' rows follow each other in `codes` / `row_q`) and how many
  * layouts (consecutive in `layouts`) they are searched in. */
@@ -255,10 +276,10 @@ enum { T_ROWS, T_N_LAYOUTS, T_WORDS };
 enum { S_ARRAY, S_START, S_SIZE, S_SEGMENT, S_WORDS };
 
 /* Spans run their tables on the work queue from this many lookup rows on,
- * inline below.  Measured on a 2-vCPU Xeon, P = 2 over P = 1 on the first
- * n rows of a batch_plain call (10 lookup rows each): 1.12-2.82x slower
- * at 80-500 rows, 0.90x at 1 000, 0.78x at 2 000, 0.55x at 20 000; the
- * 32-probe batch_adaptive call (16 500) read 0.61x. */
+ * inline below.  Measured on a 2-vCPU Xeon, caches swept between calls,
+ * P = 2 over P = 1: batch_plain calls 0.96-1.03x at 50-2 000 lookup rows,
+ * 0.77x at 5 000, 0.68x at 20 000; batch_adaptive's 32-probe index 0.91x
+ * at 1 650, 0.83x at 3 300, 0.59x at 16 500 (50 rows), 0.54-0.60x above. */
 #define SPANS_INLINE_ROWS 2048
 
 typedef struct {
@@ -269,18 +290,45 @@ typedef struct {
     const i64 *at;
 } spans_job;
 
+/* Lookups are pipelined, so the cache misses of several rows overlap: a
+ * row's home cells are fetched LOOKUP_AHEAD rows before its search, the
+ * code row, start and end of the buckets they name half as many before. */
+#define LOOKUP_AHEAD 16
+
+static inline void fetch(const i64 *lay, const i64 *end, const i64 *code,
+                         i64 m, int bucket) {
+    uint64_t h = row_hash(code, m);
+    for (; lay < end; lay += L_WORDS) {
+        const int32_t *cell =
+            CELLS(lay[L_CELLS]) + (h >> cell_shift(lay[L_N_BUCKETS]));
+        if (!bucket) __builtin_prefetch(cell);
+        if (!bucket || *cell < 0) continue;
+        __builtin_prefetch(PTR(lay[L_CODES]) + *cell * m);
+        __builtin_prefetch(PTR(lay[L_STARTS]) + *cell);
+        __builtin_prefetch(PTR(lay[L_ENDS]) + *cell);
+    }
+}
+
 static i64 spans_table(const void *job, i64 t, void **scratch) {
     const spans_job *j = (const spans_job *)job;
     const i64 *at = j->at + 3 * t, *end = j->layouts + at[4] * L_WORDS;
-    i64 *spans = j->spans + at[2] * S_WORDS, missed = 0;
+    const i64 *first = j->layouts + at[1] * L_WORDS;
+    i64 *spans = j->spans + at[2] * S_WORDS, missed = 0, m = j->m;
     (void)scratch;
     for (i64 i = at[0]; i < at[3]; i++) {
         i64 q = j->row_q[i], hit = 0;
+        const i64 *code = j->codes + i * m;
+        uint64_t h = row_hash(code, m);
         if ((uint64_t)q >= (uint64_t)j->nq) return -2;
-        for (const i64 *lay = j->layouts + at[1] * L_WORDS; lay < end;
+        if (i + LOOKUP_AHEAD < at[3])
+            fetch(first, end, code + LOOKUP_AHEAD * m, m, 0);
+        if (i + LOOKUP_AHEAD / 2 < at[3])
+            fetch(first, end, code + LOOKUP_AHEAD / 2 * m, m, 1);
+        for (const i64 *lay = first; lay < end;
              lay += L_WORDS, spans += S_WORDS) {
-            i64 b = find_bucket(PTR(lay[L_CODES]), lay[L_N_BUCKETS], j->m,
-                                j->codes + i * j->m), start = 0, len = 0;
+            i64 b = find_row(CELLS(lay[L_CELLS]), PTR(lay[L_CODES]),
+                             lay[L_N_BUCKETS], m, code, h);
+            i64 start = 0, len = 0;
             if (b >= 0) {
                 start = PTR(lay[L_STARTS])[b];
                 len = PTR(lay[L_ENDS])[b] - start;
@@ -299,14 +347,15 @@ static i64 spans_table(const void *job, i64 t, void **scratch) {
     return 0;
 }
 
-/* Binary-search every lookup row of every table in each of the table's
- * layouts and write the interval of sorted_ids it hit (of length 0 on a
- * miss) — one span per row and layout, in that order, of the segment
- * row_q[i] names; misses[t] counts the rows of table t that hit nothing.
- * Nothing is read behind the intervals: rank_topk reads the ids.  Tables
- * run on the work queue.  Returns the number of spans, -1 when scratch
- * cannot be allocated, -2 for a row of a segment outside [0, nq), -3 for
- * an interval outside its sorted_ids. */
+/* Find every lookup row of every table in each of the table's layouts,
+ * one hash probe through the layout's bucket index, and write the interval
+ * of sorted_ids it hit (of length 0 on a miss) — one span per row and
+ * layout, in that order, of the segment row_q[i] names; misses[t] counts
+ * the rows of table t that hit nothing.  Nothing is read behind the
+ * intervals: rank_topk reads the ids.  Tables run on the work queue.
+ * Returns the number of spans, -1 when scratch cannot be allocated, -2 for
+ * a row of a segment outside [0, nq), -3 for an interval outside its
+ * sorted_ids. */
 EXPORT i64 repro_bucket_spans(const i64 *codes, const i64 *row_q,
                               const i64 *tables, i64 n_tables,
                               const i64 *layouts, i64 m, i64 nq, i64 *spans,
@@ -750,31 +799,44 @@ static i64 pset_pop(const pset *pool, i64 *heap, i64 *n_heap, int32_t *pa,
     return top;
 }
 
-/* Query-directed Z^M probe sequences for a (q, m) block — the C twin of
- * ref.zm_probe_codes_ref (lsh/multiprobe.py row by row): squared boundary
- * distances stably sorted, then shift/expand successors popped in the
- * order of pset_less; a set touching one dimension twice is popped and
- * expanded but not emitted.  Row r's counts[r] <= n_probes codes follow
- * the earlier rows' in out (the set space runs out for small m).  Returns
- * the number of codes written, or -1 when scratch cannot be allocated. */
-EXPORT i64 repro_zm_probe_codes(const double *y, const i64 *codes, i64 q,
-                                i64 m, i64 n_probes, i64 *out, i64 *counts) {
-    i64 n = 2 * m, cap = 2 * n_probes + 64, total = 0, serial = 0, r, i, j;
+/* zm_probe_codes runs PROBE_UNIT_ROWS rows a unit on the work queue from
+ * PROBE_INLINE_ROWS rows on.  Measured on a 2-vCPU Xeon, P = 2 over P = 1
+ * on the (L * n, 8) blocks of 32 probes (4.7 us a row) of n-row
+ * batch_adaptive batches: 1.09x at 50 rows, 0.86x at 100, 0.65x at 200,
+ * 0.53x at 500 (a 50-row batch) and 0.51-0.58x above. */
+#define PROBE_UNIT_ROWS 16
+#define PROBE_INLINE_ROWS 64
+
+typedef struct {
+    const double *y;
+    const i64 *codes;
+    i64 q, m, n_probes, *out, *counts;
+} probe_job;
+
+/* One unit: row r's counts[r] codes at out + r * n_probes * m. */
+static i64 probe_unit(const void *job, i64 u, void **scratch) {
+    const probe_job *jb = (const probe_job *)job;
+    i64 m = jb->m, n_probes = jb->n_probes, n = 2 * m;
+    i64 cap = 2 * n_probes + 64, serial = 0, r, i, j, rc = -1;
+    i64 r1 = (u + 1) * PROBE_UNIT_ROWS < jb->q ? (u + 1) * PROBE_UNIT_ROWS
+                                               : jb->q;
     double *dist = (double *)malloc((size_t)n * 2 * sizeof(double)), *score;
     int32_t *order = (int32_t *)malloc((size_t)n * 3 * sizeof(int32_t));
     int32_t *pa, *pb;
     i64 *stamp = (i64 *)calloc((size_t)m, sizeof(i64));
     pset *pool = (pset *)malloc((size_t)cap * sizeof(pset));
     i64 *heap = (i64 *)malloc((size_t)cap * sizeof(i64));
-    if (!dist || !order || !stamp || !pool || !heap) goto fail;
+    (void)scratch;
+    if (!dist || !order || !stamp || !pool || !heap) goto done;
     score = dist + n;
     pa = order + n;
     pb = pa + n;
-    for (r = 0; r < q; r++) {
-        const i64 *code = codes + r * m;
+    for (r = u * PROBE_UNIT_ROWS; r < r1; r++) {
+        const i64 *code = jb->codes + r * m;
+        const double *y = jb->y + r * m;
         i64 n_pool = 1, n_heap = 0, emitted = 0;
         for (j = 0; j < m; j++) {
-            double resid = y[r * m + j] - (double)code[j];
+            double resid = y[j] - (double)code[j];
             dist[j] = resid;            /* to the lower boundary: delta -1 */
             dist[m + j] = 1.0 - resid;  /* to the upper boundary: delta +1 */
         }
@@ -794,10 +856,10 @@ EXPORT i64 repro_zm_probe_codes(const double *y, const i64 *codes, i64 q,
                 i64 up = pool[cur].parent;
                 if (n_pool + 2 > cap) {
                     void *grown = realloc(pool, (size_t)(cap *= 2) * sizeof(pset));
-                    if (!grown) goto fail;
+                    if (!grown) goto done;
                     pool = (pset *)grown;
                     grown = realloc(heap, (size_t)cap * sizeof(i64));
-                    if (!grown) goto fail;
+                    if (!grown) goto done;
                     heap = (i64 *)grown;
                 }
                 pool[n_pool] = (pset){
@@ -815,22 +877,43 @@ EXPORT i64 repro_zm_probe_codes(const double *y, const i64 *codes, i64 q,
                 stamp[dim] = serial;
             }
             if (!valid) continue;
-            i64 *probe = out + total * m;
+            i64 *probe = jb->out + (r * n_probes + emitted) * m;
             memcpy(probe, code, (size_t)m * sizeof(i64));
             for (node = cur; node >= 0; node = pool[node].parent) {
                 i64 column = order[pool[node].last];
                 probe[column % m] += column < m ? -1 : 1;
             }
-            total++;
             emitted++;
         }
-        counts[r] = emitted;
+        jb->counts[r] = emitted;
     }
+    rc = 0;
+done:
     free(dist); free(order); free(stamp); free(pool); free(heap);
+    return rc;
+}
+
+/* Query-directed Z^M probe sequences for a (q, m) block — the C twin of
+ * ref.zm_probe_codes_ref (lsh/multiprobe.py row by row): squared boundary
+ * distances stably sorted, then shift/expand successors popped in the
+ * order of pset_less; a set touching one dimension twice is popped and
+ * expanded but not emitted.  Row r's counts[r] <= n_probes codes (the set
+ * space runs out for small m), written on the work queue, are moved up
+ * behind the earlier rows'.  Returns their number, or -1 when scratch
+ * cannot be allocated. */
+EXPORT i64 repro_zm_probe_codes(const double *y, const i64 *codes, i64 q,
+                                i64 m, i64 n_probes, i64 *out, i64 *counts,
+                                i64 n_threads) {
+    probe_job job = {y, codes, q, m, n_probes, out, counts};
+    i64 total = 0;
+    if (q < PROBE_INLINE_ROWS) n_threads = 1;
+    if (run_queue(probe_unit, &job,
+                  (q + PROBE_UNIT_ROWS - 1) / PROBE_UNIT_ROWS, n_threads) < 0)
+        return -1;
+    for (i64 r = 0; r < q; total += counts[r++])
+        memmove(out + total * m, out + r * n_probes * m,
+                (size_t)(counts[r] * m) * sizeof(i64));
     return total;
-fail:
-    free(dist); free(order); free(stamp); free(pool); free(heap);
-    return -1;
 }
 
 /* --------------------------------------------------------- lattice codes */
@@ -883,9 +966,10 @@ EXPORT void repro_e8_decode(const double *y, i64 n, i64 n_blocks,
 /* ------------------------------------------------------- hierarchy walk */
 
 /* Words of one hierarchy's level table (E8Hierarchy.words), then of each
- * of its levels: sorted node codes, node count, node runs of the ids. */
+ * of its levels: sorted node codes, node count, node runs of the ids, the
+ * codes' bucket index. */
 enum { H_DIM, H_N_LEVELS, H_SETTLED, H_IDS, H_N_IDS, H_WORDS };
-enum { V_CODES, V_N_NODES, V_STARTS, V_ENDS, V_WORDS };
+enum { V_CODES, V_N_NODES, V_STARTS, V_ENDS, V_CELLS, V_WORDS };
 
 /* ref.hierarchy_walk_ref one (table, row) at a time, over n_tables level
  * tables (hiers: their addresses) and (n_tables, n, dim) codes.  Level k's
@@ -921,8 +1005,9 @@ EXPORT i64 repro_hierarchy_walk(const i64 *hiers, i64 n_tables,
                 }
                 for (j = 0; j < dim; j++)
                     anc[j] = (i64)ldexp((double)cd[j], (int)level);
-                i64 node = find_bucket(PTR(v[V_CODES]), v[V_N_NODES], dim,
-                                       anc);
+                i64 node = find_row(CELLS(v[V_CELLS]), PTR(v[V_CODES]),
+                                    v[V_N_NODES], dim, anc,
+                                    row_hash(anc, dim));
                 if (node >= 0) {
                     i64 s = PTR(v[V_STARTS])[node], e = PTR(v[V_ENDS])[node];
                     if (s < 0 || e < s || e > h[H_N_IDS]) {
@@ -955,4 +1040,4 @@ done:
 
 /* Version tag checked by the loader: bumped with every exported-signature
  * change so a library built from another revision is refused. */
-EXPORT i64 repro_kernels_abi(void) { return 9; }
+EXPORT i64 repro_kernels_abi(void) { return 10; }

@@ -37,8 +37,12 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.native.ref import (Spans, dedup_candidates_ref, lookup_codes_ref,
+from repro.native.ref import (NO_CELLS, Spans, cell_bits,
+                              dedup_candidates_ref, lookup_codes_ref,
                               query_split, union_tables)
+
+_NO_CELLS = ("a layout or hierarchy level without cells: built on the numpy "
+             "kernel table, whose search reads none")
 
 if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
     from repro.hierarchy.e8_hierarchy import E8Hierarchy
@@ -47,7 +51,7 @@ if TYPE_CHECKING:  # annotation only: repro.lsh imports repro.native
 #: ABI tag — must match repro_kernels_abi() in _kernels.c; bump both when
 #: an exported signature changes so a library from another revision is
 #: refused.
-KERNELS_ABI = 9
+KERNELS_ABI = 10
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -139,7 +143,7 @@ class CExtKernels:
         self._lib = lib
         #: Compiler flags the loaded library was built with.
         self.flags = tuple(flags)
-        #: P: how many threads ``rank_topk`` and ``bucket_spans`` run on.
+        #: P: the threads of the kernels that run on the work queue.
         self.threads = threads
         lib.repro_kernels_abi.restype = ctypes.c_int64
         abi = int(lib.repro_kernels_abi())
@@ -156,7 +160,10 @@ class CExtKernels:
             ptr, i64, ptr, ptr, i64, ptr, ptr, i64, i64, i64, ptr, i64, i64,
             ptr, ptr, ptr, i64]
         lib.repro_zm_probe_codes.restype = i64
-        lib.repro_zm_probe_codes.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr]
+        lib.repro_zm_probe_codes.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr,
+                                             i64]
+        lib.repro_bucket_index.restype = i64
+        lib.repro_bucket_index.argtypes = [ptr, i64, ptr, ptr]
         lib.repro_e8_decode.restype = None
         lib.repro_e8_decode.argtypes = [ptr, i64, i64, ptr]
         lib.repro_hierarchy_walk.restype = i64
@@ -176,6 +183,8 @@ class CExtKernels:
         # (rows, layouts) words per table and the pointer table of every
         # layout — built and checked once per published snapshot
         # (``TableLayouts``), which keeps the arrays it names alive.
+        if not layouts.indexed:
+            raise ValueError(_NO_CELLS)
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         row_q = np.ascontiguousarray(row_q, dtype=np.int64)
         tables = union_tables(layouts, codes, row_q, table_rows)
@@ -246,10 +255,23 @@ class CExtKernels:
         counts = np.empty(q, dtype=np.int64)
         total = int(self._lib.repro_zm_probe_codes(
             _address(y), _address(codes), q, m, n_probes,
-            _address(out), _address(counts)))
+            _address(out), _address(counts), self.threads))
         if total < 0:
             raise MemoryError("zm_probe_codes scratch allocation failed")
         return out[:total], counts
+
+    def bucket_index(self, arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+        # One pass over every (n, M) array, its cells packed in one buffer.
+        arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in arrays]
+        words = np.array([(_address(a), a.shape[0], a.shape[1])
+                          for a in arrays], dtype=np.int64).reshape(-1, 3)
+        cells = np.empty(sum(1 << cell_bits(a.shape[0]) for a in arrays),
+                         dtype=np.int32)
+        at = np.empty(len(arrays) + 1, dtype=np.int64)
+        self._lib.repro_bucket_index(_address(words), len(arrays),
+                                     _address(cells), _address(at))
+        bounds = at.tolist()
+        return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def hierarchy_walk(self, hierarchies: Sequence["E8Hierarchy"],
                        codes: np.ndarray, min_count: int,
@@ -259,6 +281,8 @@ class CExtKernels:
         if len(hierarchies) != n_tables:
             raise ValueError(f"hierarchy_walk: {len(hierarchies)} "
                              f"hierarchies for {n_tables} tables of codes")
+        if any(h.level_cells[0] is NO_CELLS for h in hierarchies):
+            raise ValueError(_NO_CELLS)
         # The level tables are built with their hierarchies, never here.
         tables = np.array([_address(h.words) for h in hierarchies],
                           dtype=np.int64)

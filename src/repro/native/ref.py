@@ -13,7 +13,7 @@ tree, written once in numpy:
   halving order, element by element.
 
 The ``*_ref`` functions are the only numpy implementation of bucket
-lookup, candidate dedup, short-list ranking and ``Z^M`` probe
+indexing and lookup, candidate dedup, short-list ranking and ``Z^M`` probe
 enumeration: :class:`repro.native.registry.NumpyKernels` serves them
 under the kernel names when nothing compiled, memmapped corpora are
 always ranked by :func:`rank_topk_ref`, and the parity tests diff every
@@ -31,9 +31,10 @@ if TYPE_CHECKING:  # cycles at run time: repro.lsh imports this module
     from repro.hierarchy.e8_hierarchy import E8Hierarchy
     from repro.lsh.table import TableLayouts
 
-__all__ = ["Spans", "tree_rowdot", "tree_sq_dist", "bucket_spans_ref",
-           "dedup_candidates_ref", "hierarchy_walk_ref", "lookup_codes_ref",
-           "query_split", "rank_ids_ref", "rank_topk_ref", "spans_union_ref",
+__all__ = ["Spans", "tree_rowdot", "tree_sq_dist", "bucket_index_ref",
+           "bucket_spans_ref", "cell_bits", "dedup_candidates_ref",
+           "hierarchy_walk_ref", "lookup_codes_ref", "query_split",
+           "rank_ids_ref", "rank_topk_ref", "row_hash_ref", "spans_union_ref",
            "union_tables", "zm_probe_codes_ref"]
 
 #: ``(arrays, starts, sizes, slots)``: span ``(r, j)`` is ``arrays[r]
@@ -78,20 +79,63 @@ def tree_sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return tree_rowdot(err, err)
 
 
+HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # 2^64 over the golden ratio
+
+
+def row_hash_ref(codes: np.ndarray) -> np.ndarray:
+    """The uint64 hash of each ``(n, M)`` code row: every coordinate xored
+    in and times :data:`HASH_MUL` (wrapping), then a xor-shift and one more
+    multiply."""
+    bits = np.ascontiguousarray(codes, dtype=np.int64).view(np.uint64)
+    h = np.zeros(bits.shape[0], dtype=np.uint64)
+    for column in bits.T:
+        h = (h ^ column) * HASH_MUL
+    return (h ^ (h >> np.uint64(32))) * HASH_MUL
+
+
+def cell_bits(n: int) -> int:
+    """``b >= 1`` of an ``n``-row array's ``2^b >= 2 n`` index cells."""
+    return max(1, (2 * int(n) - 1).bit_length())
+
+
+#: The numpy table's cells of any array: none, as its search reads none.
+#: The compiled search refuses a layout or hierarchy level over them.
+NO_CELLS = np.empty(0, dtype=np.int32)
+
+
+def bucket_index_ref(arrays: Sequence[np.ndarray]) -> "list[np.ndarray]":
+    """Reference for ``bucket_index``: the ``2^b`` int32 cells through
+    which the compiled search finds a row of each array of distinct ``(n,
+    M)`` code rows in one hash probe.  Row ``i`` is homed at the top ``b``
+    bits of its :func:`row_hash_ref` and put, in row order, in the first
+    free cell at or past its home, the last cell followed by the first; a
+    lookup reads cells from its home to its row or a ``-1``."""
+    out = []
+    for codes in arrays:
+        bits = cell_bits(codes.shape[0])
+        cells = np.full(1 << bits, -1, dtype=np.int32)
+        homes = row_hash_ref(codes) >> np.uint64(64 - bits)
+        for row, cell in enumerate(homes.tolist()):
+            while cells[cell] >= 0:
+                cell = (cell + 1) % cells.shape[0]
+            cells[cell] = row
+        out.append(cells)
+    return out
+
+
 def lookup_codes_ref(bucket_codes: np.ndarray,
                      codes: np.ndarray) -> np.ndarray:
-    """Reference for ``lookup_codes``: lexicographic binary search.
+    """Reference for ``lookup_codes``, the search the hashed bucket index
+    must agree with: the index of each code row in the ``(B, M)`` sorted,
+    distinct, never rewritten ``bucket_codes`` (their packed keys are
+    remembered), ``-1`` where absent, by one binary search.  The compiled
+    table serves it from here: only ``benchmarks/e2e`` calls the kernel."""
+    from repro.lsh.table import pack_codes, packed_keys  # cycle
 
-    ``bucket_codes`` is the ``(B, M)`` lexicographically sorted array of
-    distinct bucket codes (not written to after its first lookup — its
-    packed keys are remembered); returns the bucket index per query row,
-    ``-1`` for rows with no bucket.  No query path calls the kernel; it
-    stays on the tables because ``benchmarks/e2e`` wraps it by name.
-    """
-    from repro.lsh.table import LSHTable, pack_codes, packed_keys  # cycle
-
-    return LSHTable._searchsorted_keys(packed_keys(bucket_codes),
-                                       pack_codes(codes))
+    keys, rows = packed_keys(bucket_codes), pack_codes(codes)
+    at = np.minimum(np.searchsorted(keys, rows), max(keys.size - 1, 0))
+    hit = keys[at] == rows if keys.size else False
+    return np.where(hit, at, -1).astype(np.int64)
 
 
 def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,

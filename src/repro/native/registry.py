@@ -21,8 +21,8 @@ can be pinned or disabled.
 no-compiled-tier CI job and the parity tests, which re-pin through
 :func:`reset`).
 
-P, the threads the compiled ``bucket_spans`` and ``rank_topk`` hand their
-work to (Section V's work queue, DESIGN.md §12), resolves with the table:
+P, the threads of the compiled kernels on Section V's work queue
+(DESIGN.md §12), resolves with the table:
 the CPUs this process may run on, or ``REPRO_NATIVE_THREADS``.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,14 +40,15 @@ from repro.native import ref
 
 __all__ = ["KERNEL_NAMES", "NUMPY_KERNELS", "NumpyKernels",
            "check_legacy_engine", "load_kernels", "native_backend",
-           "native_status", "reset"]
+           "native_status", "reset", "resolved_kernels"]
 
 #: Kernel entry points every table must provide (the table's schema).
 #: No query path calls ``lookup_codes`` or ``dedup_candidates`` any more;
 #: they stay because ``benchmarks/e2e`` wraps them by name.
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
                                  "rank_topk", "e8_decode", "zm_probe_codes",
-                                 "bucket_spans", "hierarchy_walk")
+                                 "bucket_spans", "hierarchy_walk",
+                                 "bucket_index")
 
 _VALID_PINS = ("auto", "cext", "none")
 
@@ -68,6 +69,11 @@ class NumpyKernels:
     zm_probe_codes = staticmethod(ref.zm_probe_codes_ref)
     bucket_spans = staticmethod(ref.bucket_spans_ref)
     hierarchy_walk = staticmethod(ref.hierarchy_walk_ref)
+
+    @staticmethod
+    def bucket_index(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """:data:`ref.NO_CELLS` each (spec: :func:`ref.bucket_index_ref`)."""
+        return [ref.NO_CELLS] * len(arrays)
 
     # The decoder lives with its lattice, which imports ``ref`` for the
     # summation tree — hence the call-time import.
@@ -153,6 +159,15 @@ def load_kernels() -> object:
     return kernels
 
 
+def resolved_kernels() -> object:
+    """:func:`load_kernels`' table without its warning: what a fit, load
+    or insert builds with, so a missing compiler still warns once, at
+    the first query."""
+    with _lock:
+        _resolve_locked()
+        return _kernels
+
+
 def check_legacy_engine(engine: Optional[str]) -> None:
     """Name-check an inert ``engine=`` value; it selects nothing.
 
@@ -171,8 +186,8 @@ def check_legacy_engine(engine: Optional[str]) -> None:
     raise ValueError(
         f"unknown engine {engine!r}: engine= no longer selects anything "
         f"('native' and 'vectorized' are accepted and ignored); the "
-        f"per-query scalar path is the test oracle "
-        f"repro.lsh.index.oracle_query_batch, not an engine")
+        f"per-query scalar path is the test oracle oracle_query_batch "
+        f"(tests/oracle.py), not an engine")
 
 
 def native_backend() -> Optional[str]:

@@ -34,7 +34,7 @@ NATIVE_KERNEL_SECONDS = "repro_native_kernel_seconds"
 #: ``native/registry.py`` and this module must stay import-light).
 TIMED_KERNEL_NAMES = ("lookup_codes", "dedup_candidates", "rank_topk",
                       "e8_decode", "zm_probe_codes", "bucket_spans",
-                      "hierarchy_walk")
+                      "hierarchy_walk", "bucket_index")
 
 
 class TimedKernels:

@@ -73,7 +73,7 @@ def _standard_restore(path: str, prefix: str, meta: dict, arrays,
     for t in range(int(scalars["n_tables"])):
         layout = sub_arrays(derived, f"table{t}/")
         try:
-            flaw = layout and SortedLayout.adopt(**layout).flaw(n_rows)
+            flaw = layout and SortedLayout.flaw(n_rows, **layout)
         except (TypeError, ValueError) as error:
             flaw = ("", str(error))
         if flaw:

@@ -316,7 +316,7 @@ class TestInsertsRacingReads:
 
 
 class TestTableOverlayRaces:
-    """LSHTable.add (re-sorting the overlay) racing gather_batch."""
+    """LSHTable.add_all (re-sorting the overlay) racing gather_batch."""
 
     def test_concurrent_add_and_gather(self):
         rng = np.random.default_rng(7)
@@ -345,7 +345,7 @@ class TestTableOverlayRaces:
             chunks = [(extra_codes[i:i + 10], extra_ids[i:i + 10])
                       for i in range(0, 160, 10)]
             with ThreadPoolExecutor(max_workers=4) as pool:
-                done, _ = wait([pool.submit(table.add, c, i)
+                done, _ = wait([pool.submit(LSHTable.add_all, [table], [c], i)
                                 for c, i in chunks])
             for future in done:
                 future.result()
@@ -388,7 +388,8 @@ class TestSeededInterleavings:
         table = LSHTable(base_codes)
         chunks = [(extra_codes[i:i + 10], extra_ids[i:i + 10])
                   for i in range(0, 40, 10)]
-        writer_ops = [lambda c=c, i=i: table.add(c, i) for c, i in chunks]
+        writer_ops = [lambda c=c, i=i: LSHTable.add_all([table], [c], i)
+                      for c, i in chunks]
 
         def gather():
             ids, counts = table.gather_batch(probe)

@@ -36,6 +36,18 @@ def _make(points_scale=4.0, n=150, seed=0, max_levels=24):
     return y, codes, lat, table, E8Hierarchy(table, lat, max_levels=max_levels)
 
 
+def _ids_at_level(hier, code, level):
+    """Point ids under the node matching ``code``'s ancestor at
+    ``level``, ``None`` when no bucket shares that ancestor."""
+    if not 0 <= level < hier.n_levels:
+        raise ValueError(f"level must be in [0, {hier.n_levels}), got {level}")
+    node = int(NUMPY_KERNELS.lookup_codes(
+        hier.level_codes[level], hier.lattice.ancestor(code, level))[0])
+    if node < 0:
+        return None
+    return hier.ids[hier.level_starts[level][node]:
+                    hier.level_ends[level][node]]
+
 class TestConstruction:
     def test_level_zero_is_buckets(self):
         _, codes, lat, table, hier = _make()
@@ -61,17 +73,20 @@ class TestConstruction:
 
     def test_level_words_name_the_level_arrays(self):
         # What the compiled walk reads: width, levels, settled, the id
-        # array, then per level its codes, count, starts and ends.
-        _, _, lat, _, hier = _make()
+        # array, then per level its codes, count, starts, ends and cells.
+        _, _, lat, table, hier = _make()
         words = hier.words.tolist()
         assert words[:5] == [8, hier.n_levels, hier.settled,
                              hier.ids.ctypes.data, hier.ids.size]
         for level in range(hier.n_levels):
             codes = hier.level_codes[level]
-            assert words[5 + 4 * level:9 + 4 * level] == [
+            assert words[5 + 5 * level:10 + 5 * level] == [
                 codes.ctypes.data, codes.shape[0],
                 hier.level_starts[level].ctypes.data,
-                hier.level_ends[level].ctypes.data]
+                hier.level_ends[level].ctypes.data,
+                hier.level_cells[level].ctypes.data]
+        # Level 0 is the table's buckets, and searched through its index.
+        assert hier.level_cells[0] is table.layouts()[0].cells
 
     def test_every_level_partitions_buckets(self):
         # Each level's node runs tile the tree-ordered id array, which
@@ -157,7 +172,7 @@ def _chain_built(table, max_levels=24):
 def _built_with(kernels, table, lattice):
     """``E8Hierarchy(table, lattice)`` climbing through ``kernels``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.hierarchy.e8_hierarchy.load_kernels",
+        patch.setattr("repro.hierarchy.e8_hierarchy.resolved_kernels",
                       lambda: kernels)
         return E8Hierarchy(table, lattice)
 
@@ -229,7 +244,8 @@ def _reference_candidates(table, lattice, n_levels, code, min_count):
         buckets = levels[level].get(anc[0].tobytes())
         if buckets is None:
             continue
-        ids = np.concatenate([table.sorted_ids[slice(*table.bucket_bounds(b))]
+        base = table.layouts()[0]
+        ids = np.concatenate([table.sorted_ids[base.starts[b]:base.ends[b]]
                               for b in buckets])
         if ids.size >= min_count:
             return np.unique(ids)
@@ -346,8 +362,8 @@ class TestWalkKernel:
 class TestQueries:
     def test_exact_bucket_at_level_zero(self):
         y, codes, lat, table, hier = _make()
-        ids = hier.ids_at_level(codes[0], 0)
-        own = table.lookup(codes[0])
+        ids = _ids_at_level(hier, codes[0], 0)
+        own = table.gather_batch(codes[0])[0]
         np.testing.assert_array_equal(np.sort(ids), np.sort(own))
 
     def test_candidates_meet_min_count_when_possible(self):
@@ -359,7 +375,7 @@ class TestQueries:
         y, codes, lat, table, hier = _make()
         prev_size = 0
         for level in range(hier.n_levels):
-            ids = hier.ids_at_level(codes[0], level)
+            ids = _ids_at_level(hier, codes[0], level)
             if ids is not None:
                 assert ids.size >= prev_size
                 prev_size = ids.size
@@ -369,7 +385,7 @@ class TestQueries:
         y, codes, lat, table, hier = _make()
         prev = None
         for level in range(hier.n_levels):
-            ids = hier.ids_at_level(codes[3], level)
+            ids = _ids_at_level(hier, codes[3], level)
             if ids is None:
                 continue
             cur = set(ids.tolist())
@@ -377,14 +393,10 @@ class TestQueries:
                 assert prev.issubset(cur)
             prev = cur
 
-    def test_deepest_match_for_indexed_code(self):
-        y, codes, lat, table, hier = _make()
-        assert hier.deepest_match(codes[0]) == 0
-
     def test_level_out_of_range(self):
         _, codes, _, _, hier = _make()
         with pytest.raises(ValueError):
-            hier.ids_at_level(codes[0], hier.n_levels)
+            _ids_at_level(hier, codes[0], hier.n_levels)
 
     def test_unseen_code_escalates(self):
         # A code far outside the data may match only coarse levels (or

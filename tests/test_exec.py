@@ -27,10 +27,11 @@ from repro.core.config import BiLevelConfig
 from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.runner import evaluate_index
 from repro.exec import ExecutionContext, QueryStats, executor
-from repro.lsh.index import StandardLSH, oracle_query_batch
+from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import QueryValidationError
 from repro.runtime import IndexRuntime
+from tests.oracle import oracle_query_batch
 from tests.shards import shard_rows
 from tests.stall import stalled_stage
 from tests.threads import THREADS, native_threads

@@ -12,8 +12,9 @@ from repro.lsh.table import LSHTable
 class TestTableOverlaySemantics:
     def test_lookup_many_sees_overlay(self):
         table = LSHTable(np.array([[0, 0], [1, 1]]))
-        table.add(np.array([[0, 0], [2, 2]]), np.array([5, 6]))
-        got = table.lookup_many(np.array([[0, 0], [2, 2]]))
+        LSHTable.add_all([table], [np.array([[0, 0], [2, 2]])],
+                         np.array([5, 6]))
+        got = table.gather_batch(np.array([[0, 0], [2, 2]]))[0]
         assert set(got.tolist()) == {0, 5, 6}
 
     def test_bucket_sizes_reflect_base_only(self):
@@ -21,7 +22,7 @@ class TestTableOverlaySemantics:
         # is counted separately via n_extra.
         table = LSHTable(np.array([[0], [0], [1]]))
         base_total = table.bucket_sizes().sum()
-        table.add(np.array([[0]]), np.array([9]))
+        LSHTable.add_all([table], [np.array([[0]])], np.array([9]))
         assert table.bucket_sizes().sum() == base_total
         assert table.n_extra == 1
         assert table.n_points == 4

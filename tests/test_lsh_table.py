@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lsh.table import LSHTable
+from repro.native.registry import NUMPY_KERNELS
 
 
 class TestBuild:
@@ -16,13 +17,13 @@ class TestBuild:
     def test_single_point(self):
         table = LSHTable(np.array([[5, -3]]))
         assert table.n_buckets == 1
-        np.testing.assert_array_equal(table.lookup(np.array([5, -3])), [0])
+        np.testing.assert_array_equal(table.gather_batch(np.array([5, -3]))[0], [0])
 
     def test_custom_ids(self):
         codes = np.array([[1], [1], [2]])
         ids = np.array([10, 20, 30])
         table = LSHTable(codes, ids=ids)
-        got = set(table.lookup(np.array([1])).tolist())
+        got = set(table.gather_batch(np.array([1]))[0].tolist())
         assert got == {10, 20}
 
     def test_bad_ids_shape(self):
@@ -33,13 +34,13 @@ class TestBuild:
         codes = np.zeros((10, 3), dtype=np.int64)
         table = LSHTable(codes)
         assert table.n_buckets == 1
-        assert table.lookup(np.zeros(3, dtype=np.int64)).size == 10
+        assert table.gather_batch(np.zeros(3, dtype=np.int64))[0].size == 10
 
 
 class TestLookup:
     def test_missing_code_empty(self):
         table = LSHTable(np.array([[0, 0]]))
-        assert table.lookup(np.array([9, 9])).size == 0
+        assert table.gather_batch(np.array([9, 9]))[0].size == 0
 
     def test_lookup_returns_members_exactly(self):
         rng = np.random.default_rng(0)
@@ -47,27 +48,28 @@ class TestLookup:
         table = LSHTable(codes)
         for probe in rng.integers(-3, 3, size=(20, 4)):
             expected = np.nonzero(np.all(codes == probe, axis=1))[0]
-            got = np.sort(table.lookup(probe))
+            got = np.sort(table.gather_batch(probe)[0])
             np.testing.assert_array_equal(got, expected)
 
     def test_lookup_many_dedupes(self):
         codes = np.array([[0], [0], [1]])
         table = LSHTable(codes)
-        out = table.lookup_many(np.array([[0], [0], [1]]))
+        out = np.unique(table.gather_batch(np.array([[0], [0], [1]]))[0])
         np.testing.assert_array_equal(out, [0, 1, 2])
 
     def test_bucket_index_and_bounds(self):
         codes = np.array([[0], [1], [0]])
         table = LSHTable(codes)
-        idx = table.bucket_index(np.array([0]))
-        s, e = table.bucket_bounds(idx)
+        lookup = NUMPY_KERNELS.lookup_codes
+        idx = int(lookup(table.bucket_codes, np.array([[0]]))[0])
+        s, e = table.layouts()[0].starts[idx], table.layouts()[0].ends[idx]
         assert e - s == 2
-        assert table.bucket_index(np.array([7])) is None
+        assert lookup(table.bucket_codes, np.array([[7]])).tolist() == [-1]
 
     def test_negative_codes(self):
         codes = np.array([[-5, 3], [-5, 3], [0, 0]])
         table = LSHTable(codes)
-        assert table.lookup(np.array([-5, 3])).size == 2
+        assert table.gather_batch(np.array([-5, 3]))[0].size == 2
 
 
 class TestInvariants:

@@ -58,7 +58,7 @@ class TestMortonHierarchy:
         codes = [[0, 0], [0, 1], [5, 5], [0, 0]]
         table, hier = _build_hierarchy(codes)
         got = hier.candidates(np.array([0, 0]), min_count=1)
-        own = set(table.lookup(np.array([0, 0])).tolist())
+        own = set(table.gather_batch(np.array([0, 0]))[0].tolist())
         assert own.issubset(set(got.tolist()))
 
     def test_escalation_reaches_min_count(self):
@@ -85,7 +85,7 @@ class TestMortonHierarchy:
         codes = [[-5, -5], [-5, -4], [3, 3]]
         table, hier = _build_hierarchy(codes)
         got = hier.candidates(np.array([-5, -5]), min_count=1)
-        own = set(table.lookup(np.array([-5, -5])).tolist())
+        own = set(table.gather_batch(np.array([-5, -5]))[0].tolist())
         assert own.issubset(set(got.tolist()))
 
     def test_window_size_consistency(self):
@@ -93,15 +93,6 @@ class TestMortonHierarchy:
         codes = rng.integers(0, 4, size=(40, 2))
         table, hier = _build_hierarchy(codes)
         assert hier.window_size(0, hier.n_buckets) == 40
-
-    def test_shared_msb_higher_for_nearby_query(self):
-        # A query equal to an existing bucket shares all bits; a distant
-        # one shares fewer.
-        codes = [[0, 0], [0, 1], [1, 0], [15, 15]]
-        table, hier = _build_hierarchy(codes)
-        near = hier.shared_msb(np.array([0, 0]))
-        far = hier.shared_msb(np.array([8, 2]))
-        assert near >= far
 
     def test_min_count_one_small_window(self):
         # With a populated home bucket, min_count=1 should not escalate to
@@ -122,7 +113,7 @@ class TestCandidatesBatch:
         shifted = table.bucket_codes - hier.offset
         mortons = morton_encode(shifted, hier.bits)
         curve = sorted(range(len(mortons)), key=mortons.__getitem__)
-        parts = [table.lookup(table.bucket_codes[b]) for b in curve[lo:hi]]
+        parts = [table.gather_batch(table.bucket_codes[b])[0] for b in curve[lo:hi]]
         return np.unique(np.concatenate(parts)) if parts else np.empty(0)
 
     @pytest.mark.parametrize("m,span", [(1, 40), (2, 8), (3, 4), (8, 3),

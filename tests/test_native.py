@@ -53,7 +53,9 @@ from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import SortedLayout, TableLayouts
 from repro.native import kernels_cext, registry
-from repro.native.ref import (Spans, bucket_spans_ref, rank_topk_ref,
+from repro.lattice.e8 import E8Lattice
+from repro.native.ref import (NO_CELLS, Spans, bucket_index_ref,
+                              bucket_spans_ref, cell_bits, rank_topk_ref, row_hash_ref,
                               spans_union_ref, tree_rowdot,
                               zm_probe_codes_ref)
 from repro.obs.kernels import TIMED_KERNEL_NAMES
@@ -265,9 +267,30 @@ class TestParityMatrix:
                 for layout, expected in zip(table.layouts(), other.layouts()):
                     for a, b in zip(layout[:4], expected[:4]):
                         assert a.dtype == b.dtype and np.array_equal(a, b)
+                    # Cells are the compiled search's alone.
+                    assert expected.cells is NO_CELLS
             assert len(got._hierarchies) == cfg.n_tables
             for hier, expected in zip(got._hierarchies, want._hierarchies):
                 assert_same_hierarchy(hier, expected)
+
+    def test_an_e8_insert_hashes_on_the_loaded_table(self, kernels, dataset,
+                                                     monkeypatch):
+        # An insert decodes its E8 codes through the loaded table, as a
+        # fit and a query do: the compiled decoder runs, and the overlay
+        # holds the codes the numpy table gives.
+        index = StandardLSH(n_tables=3, bucket_width=3.0, lattice="e8",
+                            seed=5).fit(dataset[:500])
+        loaded, rows = registry.load_kernels(), []
+        decode = loaded.e8_decode
+        monkeypatch.setattr(loaded, "e8_decode", lambda y: rows.append(
+            y.shape[0]) or decode(y), raising=False)
+        index.insert(dataset[500:520])
+        assert rows == [3 * 20]
+        _, want = index._hash(dataset[500:520], registry.NUMPY_KERNELS)
+        for table, codes in zip(index._tables, want):
+            overlay = table.layouts()[1]
+            np.testing.assert_array_equal(overlay.bucket_codes,
+                                          np.unique(codes, axis=0))
 
     @pytest.mark.parametrize("config", ["e8-hier",
                                         "zm-probes16-hier-tombstones"])
@@ -872,20 +895,21 @@ class TestBucketUnion:
             TableLayouts.of([(layout,)], 2)
         stacked = TableLayouts.of([(layout,), (layout, layout)], 3)
         assert stacked.n_layouts.tolist() == [1, 2]
-        assert stacked.pointers.shape == (3, 6)
+        assert stacked.pointers.shape == (3, 7)
 
     def test_layout_refuses_arrays_the_kernel_cannot_address(self):
         codes = np.zeros((3, 2), dtype=np.int64)
         good = SortedLayout.sort(codes, np.arange(3))
         with pytest.raises(ValueError, match="C-contiguous int64"):
-            SortedLayout.adopt(good.bucket_codes, good.starts.astype(np.int32),
-                               good.ends, good.sorted_ids)
+            SortedLayout.adopt_all([(good.bucket_codes, good.starts.astype(
+                np.int32), good.ends, good.sorted_ids)])
         with pytest.raises(ValueError, match="C-contiguous int64"):
-            SortedLayout.adopt(good.bucket_codes, good.starts, good.ends,
-                               np.arange(6)[::2])
+            SortedLayout.adopt_all([(good.bucket_codes, good.starts,
+                                     good.ends, np.arange(6)[::2])])
         with pytest.raises(ValueError, match="inconsistent"):
-            SortedLayout.adopt(good.bucket_codes, good.starts,
-                               np.zeros(2, dtype=np.int64), good.sorted_ids)
+            SortedLayout.adopt_all([(good.bucket_codes, good.starts,
+                                     np.zeros(2, dtype=np.int64),
+                                     good.sorted_ids)])
 
 
 class TestZmProbeKernel:
@@ -926,7 +950,168 @@ class TestZmProbeKernel:
                   if not name.startswith("_") and callable(getattr(table, name))}
         assert TIMED_KERNEL_NAMES == registry.KERNEL_NAMES
         assert served == set(registry.KERNEL_NAMES)
-        assert len(served) == 7 and "hierarchy_walk" in served
+        assert len(served) == 8 and "bucket_index" in served
+
+
+# ------------------------------------------------------------ bucket index
+
+
+def _homed_at(cell, n, m, seed=5):
+    """``n`` distinct ``m``-wide code rows every one of which an index of
+    ``n`` rows homes at ``cell``: one run of filled cells from there."""
+    rng, shift, found = np.random.default_rng(seed), np.uint64(
+        64 - cell_bits(n)), {}
+    while len(found) < n:
+        draw = rng.integers(-60, 60, size=(1 << 14, m))
+        for row in draw[(row_hash_ref(draw) >> shift) == cell].tolist():
+            found[tuple(row)] = None
+    return np.array(list(found)[:n], dtype=np.int64)
+
+
+def _adversarial_codes():
+    """Sorted-array contents the index must survive, by name: every row
+    in the first cell, every row in the last (its run spills past the
+    2^b cells), nothing, negative codes, codes at and around +-2^62, and
+    E8 codes doubled as a hierarchy's levels double them."""
+    rng = np.random.default_rng(11)
+    top = 2 ** 62
+    edge = np.array([[top - 1, 0], [top, 0], [-top, 0], [-top - 1, 0],
+                     [0, top], [0, -top], [top, top], [-top, -top],
+                     [top, -top], [2 ** 63 - 1, -2 ** 63]], dtype=np.int64)
+    e8 = E8Lattice(8).quantize(rng.normal(0.0, 3.0, size=(300, 8)))
+    return {
+        "first-cell": _homed_at(0, 40, 3),
+        "last-cell": _homed_at((1 << cell_bits(40)) - 1, 40, 3),
+        "empty": np.empty((0, 3), dtype=np.int64),
+        "negative": rng.integers(-2 ** 40, 0, size=(200, 3)),
+        "near-2^62": np.concatenate([edge, edge + np.array([[0, 7]])]),
+        "e8-doubled": np.concatenate([e8, 2 * e8, 8 * e8]),
+    }
+
+
+ADVERSARIAL = sorted(_adversarial_codes())
+
+
+class TestBucketIndex:
+    """The hashed bucket index: the compiled build writes the spec's
+    cells, and the search through them finds the bucket the spec's
+    sorted search finds, for every lookup row."""
+
+    def test_cells_match_the_spec(self, any_table):
+        arrays = [SortedLayout.sort(c, np.arange(c.shape[0])).bucket_codes
+                  for c in _adversarial_codes().values()]
+        got, want = any_table.bucket_index(arrays), bucket_index_ref(arrays)
+        assert len(got) == len(want) == len(arrays)
+        if any_table is registry.NUMPY_KERNELS:  # its search reads none
+            assert all(g is NO_CELLS for g in got)
+            return
+        for codes, g, w in zip(arrays, got, want):
+            assert g.dtype == np.int32 and np.array_equal(g, w)
+            # Every row once, in 2^b >= 2 n cells.
+            n = codes.shape[0]
+            assert sorted(g[g >= 0].tolist()) == list(range(n))
+            assert g.size == 1 << cell_bits(n) and g.size >= 2 * n
+        assert any_table.bucket_index([]) == []
+
+    def test_one_cell_fills_a_run(self):
+        codes = SortedLayout.sort(_homed_at((1 << cell_bits(40)) - 1, 40, 3),
+                                  np.arange(40)).bucket_codes
+        (cells,) = bucket_index_ref([codes])
+        # 40 rows homed at the last of 128 cells: 39 of them go round to
+        # the first cells.
+        assert cells.size == 128 and cells[127] >= 0
+        assert (cells[:39] >= 0).all() and (cells[39:127] < 0).all()
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_search_finds_the_spec_bucket(self, any_table, name):
+        rng = np.random.default_rng(12)
+        codes = _adversarial_codes()[name]
+        n = codes.shape[0]
+        # A base and a live overlay over the same codes and some more:
+        # duplicate codes share a bucket, every bucket holds ids.
+        base = SortedLayout.sort(np.concatenate([codes, codes[::3]]),
+                                 np.arange(n + -(-n // 3)))
+        extra = codes[::2] + np.array([1] + [0] * (codes.shape[1] - 1))
+        overlay = SortedLayout.sort(np.concatenate([codes[1::2], extra]),
+                                    np.arange(n // 2 + extra.shape[0]))
+        # Every bucket code of either layout, a row off each (a miss or
+        # another bucket), rows homed like the one-cell ones but absent.
+        rows = np.concatenate([base.bucket_codes, overlay.bucket_codes,
+                               codes ^ 1, _homed_at(0, 40, codes.shape[1],
+                                                    seed=99)])
+        rows = rows[rng.permutation(rows.shape[0])]
+        row_q = rng.integers(0, 3, size=rows.shape[0])
+        for per_table in ([(base, overlay)], [(base,), (overlay,)]):
+            lookups = _stacked(codes.shape[1], *[
+                (layouts, rows, row_q) for layouts in per_table])
+            spans = any_table.bucket_spans(*lookups, 3)
+            want = bucket_spans_ref(*lookups, 3)
+            assert np.array_equal(spans.words, want.words)
+            assert np.array_equal(spans.misses, want.misses)
+
+    def test_walk_through_indexed_levels_matches_the_spec(self, kernels):
+        from repro.hierarchy.e8_hierarchy import E8Hierarchy
+        from repro.lsh.table import LSHTable
+        from repro.native.ref import hierarchy_walk_ref
+
+        rng = np.random.default_rng(13)
+        lat = E8Lattice(8)
+        codes = lat.quantize(rng.normal(0.0, 4.0, size=(500, 8)))
+        hiers = [E8Hierarchy(LSHTable(codes[t::2]), lat) for t in range(2)]
+        rows = np.stack([np.concatenate([codes, lat.quantize(
+            rng.normal(0.0, 30.0, size=(100, 8)))]) for _ in range(2)])
+        for min_count in (1, 5, 50, 10 ** 6):
+            got = kernels.hierarchy_walk(hiers, rows, min_count)
+            want = hierarchy_walk_ref(hiers, rows, min_count)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_compiled_search_refuses_numpy_built_cells(self, kernels):
+        # The numpy table builds no cells; searching its layouts or
+        # levels on the compiled table is refused, never read.
+        from repro.hierarchy.e8_hierarchy import E8Hierarchy
+        from repro.lsh.table import LSHTable
+
+        lat = E8Lattice(8)
+        codes = lat.quantize(np.random.default_rng(14).normal(
+            0.0, 4.0, size=(50, 8)))
+        with numpy_table():
+            hier = E8Hierarchy(LSHTable(codes), lat)
+        layouts = TableLayouts.of([hier.table.layouts()], 8)
+        assert not layouts.indexed and hier.level_cells[0] is NO_CELLS
+        with pytest.raises(ValueError, match="without cells"):
+            kernels.bucket_spans(layouts, codes, np.zeros(50, np.int64),
+                                 np.array([50]), 1)
+        with pytest.raises(ValueError, match="without cells"):
+            kernels.hierarchy_walk([hier], codes[None], 1)
+
+
+class TestThreadedProbes:
+    """``zm_probe_codes`` on the work queue: at P = 1, P = 3 and on the
+    numpy table it emits the same codes and counts, with calls below and
+    above its inline floor and rows that run out of sets (m = 1, 2)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("q", [3, 700, 2100])
+    def test_every_p_and_the_spec_agree(self, build, m, q):
+        rng = np.random.default_rng(m * 1000 + q)
+        y = rng.uniform(-6, 6, (q, m))
+        y[::5] = np.round(y[::5] * 2) / 2     # ties on half-integers
+        codes = np.floor(y).astype(np.int64)
+        want = zm_probe_codes_ref(y, codes, 32)
+        for p in (1, 3):
+            with _threads_on(build, p):
+                got = build.zm_probe_codes(y, codes, 32)
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[0], want[0])
+        if m < 3:   # 2 sets for m = 1, 8 for m = 2: fewer than asked
+            assert (want[1] < 32).all()
+        assert got[0].shape == (int(want[1].sum()), m)
+
+    def test_an_empty_block_emits_nothing(self, build):
+        probes, counts = build.zm_probe_codes(
+            np.zeros((0, 4)), np.zeros((0, 4), dtype=np.int64), 8)
+        assert probes.shape == (0, 4) and counts.shape == (0,)
 
 
 # ------------------------------------------------------- compiled decoders
@@ -1062,6 +1247,27 @@ class TestFallback:
             assert "repro_native_fallbacks_total" in snap
             batches = snap["repro_native_batches_total"]["samples"]
             assert [s["labels"] for s in batches] == [{"backend": "numpy"}]
+        finally:
+            registry.reset()
+
+    def test_builds_leave_the_warning_to_the_first_query(
+            self, monkeypatch, dataset, queries):
+        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "none")
+        registry.reset()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for config in ({}, {"lattice": "e8", "hierarchy": True}):
+                    index = StandardLSH(n_tables=3, bucket_width=6.0,
+                                        seed=5, **config).fit(dataset)
+                    index = StandardLSH.from_state(*index.state())
+                    index.insert(queries[:4])
+                built = len(caught)
+                index.query_batch(queries, K)
+                index.query_batch(queries, K)
+            assert built == 0, [str(w.message) for w in caught]
+            assert ["native kernels unavailable" in str(w.message)
+                    for w in caught] == [True]
         finally:
             registry.reset()
 
@@ -1428,8 +1634,7 @@ class TestThreadedKernels:
         # -3 comes from the spans step: any P.
         codes = np.zeros((1, 2), dtype=np.int64)
         good = SortedLayout.sort(codes, np.array([0]))
-        bad = SortedLayout.adopt(good.bucket_codes, good.starts,
-                                 good.ends, good.sorted_ids)
+        (bad,) = SortedLayout.adopt_all([good[:4]])
         bad.ends[0] = 2
         for p in (1, 2, 7):
             with _threads_on(kernels, p), \

@@ -54,7 +54,7 @@ def test_table_lookup_agrees_with_linear_scan(codes):
     table = LSHTable(codes)
     for row in (0, codes.shape[0] - 1):
         expected = np.nonzero(np.all(codes == codes[row], axis=1))[0]
-        got = np.sort(table.lookup(codes[row]))
+        got = np.sort(table.gather_batch(codes[row])[0])
         np.testing.assert_array_equal(got, expected)
 
 

@@ -604,6 +604,15 @@ class TestAdoptedRoundtrip:
             for want, got in zip(a._tables, b._tables):
                 np.testing.assert_array_equal(got.sorted_ids,
                                               want.sorted_ids)
+                # The bucket index is derived at load, bit for bit.
+                np.testing.assert_array_equal(got.layouts()[0].cells,
+                                              want.layouts()[0].cells)
+            for want, got in zip(a._hierarchies, b._hierarchies):
+                for x, y in zip(getattr(want, "level_cells", ()),
+                                getattr(got, "level_cells", ())):
+                    np.testing.assert_array_equal(x, y)
+        with np.load(path) as archive:  # and never stored
+            assert not [key for key in archive.files if "cells" in key]
 
     @pytest.mark.parametrize("kind, lattice, hierarchy", KINDS,
                              ids=KIND_IDS)

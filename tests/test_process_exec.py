@@ -538,20 +538,30 @@ class TestShardTelemetry:
                                              queries, shape, backend_env):
         from repro.native import registry
 
-        if shape == "zm_probes":
-            index = StandardLSH(n_tables=4, bucket_width=6.0, seed=9,
-                                n_probes=4).fit(dataset)
         snaps = {}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_NATIVE_BACKEND", backend_env)
-            for name, p in (("inline", 1), ("threaded", 2)):
-                with native_threads(p), IndexRuntime(index) as rt:
-                    index.query_batch(queries, K)  # resolved, unobserved
-                    target = index if name == "inline" else rt
-                    with shard_rows(index, 2):
-                        _, snaps[name] = _observed(
-                            lambda: target.query_batch(
-                                queries, K, hierarchy_threshold=THRESHOLD))
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("REPRO_NATIVE_BACKEND", backend_env)
+                registry.reset()
+                # Built on the pinned table: the compiled one searches
+                # only layouts whose cells it built.
+                index = (StandardLSH(n_tables=4, bucket_width=6.0, seed=9,
+                                     n_probes=4).fit(dataset)
+                         if shape == "zm_probes"
+                         else StandardLSH.from_state(*index.state()))
+                for name, p in (("inline", 1), ("threaded", 2)):
+                    with native_threads(p), IndexRuntime(index) as rt:
+                        index.query_batch(queries, K)  # resolved, unobserved
+                        target = index if name == "inline" else rt
+                        with shard_rows(index, 2):
+                            _, snaps[name] = _observed(
+                                lambda: target.query_batch(
+                                    queries, K,
+                                    hierarchy_threshold=THRESHOLD))
+        finally:
+            # native_threads re-resolved under the pin: forget it, or the
+            # next test fits on the numpy table.
+            registry.reset()
         want = _deterministic(snaps["inline"])
         assert _deterministic(snaps["threaded"]) == want
         # Not vacuous: every table looked up, probed, and — on the

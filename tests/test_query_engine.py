@@ -3,7 +3,7 @@
 The staged plan (sorted-code bucket lookup, CSR candidate gathering,
 fused cached-norm ranking, batched top-k merge — on whichever kernel
 table loaded) must return the same neighbors as the seed per-query path
-(``repro.lsh.index.oracle_query_batch``) across the full configuration
+(``tests.oracle.oracle_query_batch``) across the full configuration
 matrix: both lattices, multi-probe on/off, hierarchy on/off, spill
 routing, and post-insert/delete states.  Distances are compared with
 ``allclose`` because the fused kernel ``||x||^2 - 2 x.q + ||q||^2`` and
@@ -15,10 +15,11 @@ import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH, _gather_candidates
+from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable, pack_codes
+from repro.native.registry import NUMPY_KERNELS
 from repro.runtime import IndexRuntime
-from tests.oracle import oracle_query
+from tests.oracle import _gather_candidates, oracle_query
 from tests.shards import shard_rows
 from tests.threads import native_threads
 
@@ -152,23 +153,24 @@ class TestPackedKeys:
         codes = rng.integers(-3, 3, size=(400, 4))
         table = LSHTable(codes)
         probes = rng.integers(-4, 4, size=(100, 4))
-        bidx = table.lookup_batch(probes)
-        for row, b in zip(probes, bidx):
-            expected = table.bucket_index(row)
-            assert (expected if expected is not None else -1) == int(b)
+        bidx = NUMPY_KERNELS.lookup_codes(table.bucket_codes, probes)
+        bucket = {tuple(code): b
+                  for b, code in enumerate(table.bucket_codes.tolist())}
+        for row, b in zip(probes.tolist(), bidx):
+            assert bucket.get(tuple(row), -1) == int(b)
 
     def test_gather_batch_matches_scalar_lookup(self):
         rng = np.random.default_rng(25)
         codes = rng.integers(-2, 2, size=(200, 3))
         table = LSHTable(codes)
-        table.add(rng.integers(-2, 2, size=(20, 3)),
-                  np.arange(200, 220))
+        LSHTable.add_all([table], [rng.integers(-2, 2, size=(20, 3))],
+                         np.arange(200, 220))
         probes = rng.integers(-3, 3, size=(60, 3))
         ids, counts = table.gather_batch(probes)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         for i, row in enumerate(probes):
             np.testing.assert_array_equal(ids[offsets[i]:offsets[i + 1]],
-                                          table.lookup(row))
+                                          table.gather_batch(row)[0])
 
 
 class TestEmptyTable:
@@ -179,17 +181,19 @@ class TestEmptyTable:
 
     def test_empty_lookup_paths(self):
         table = LSHTable(np.empty((0, 2), dtype=np.int64))
-        assert table.lookup(np.array([1, 2])).size == 0
+        assert table.gather_batch(np.array([1, 2]))[0].size == 0
         np.testing.assert_array_equal(
-            table.lookup_batch(np.array([[1, 2], [0, 0]])), [-1, -1])
+            NUMPY_KERNELS.lookup_codes(table.bucket_codes,
+                                       np.array([[1, 2], [0, 0]])), [-1, -1])
         ids, counts = table.gather_batch(np.array([[1, 2]]))
         assert ids.size == 0 and counts.tolist() == [0]
-        assert table.bucket_index(np.array([1, 2])) is None
+        assert NUMPY_KERNELS.lookup_codes(
+            table.bucket_codes, np.array([[1, 2]])).tolist() == [-1]
 
     def test_empty_table_accepts_adds(self):
         table = LSHTable(np.empty((0, 2), dtype=np.int64))
-        table.add(np.array([[3, 3]]), np.array([7]))
-        np.testing.assert_array_equal(table.lookup(np.array([3, 3])), [7])
+        LSHTable.add_all([table], [np.array([[3, 3]])], np.array([7]))
+        np.testing.assert_array_equal(table.gather_batch(np.array([3, 3]))[0], [7])
 
 
 class TestInsertRebuild:

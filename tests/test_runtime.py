@@ -44,7 +44,7 @@ import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH, oracle_query_batch
+from repro.lsh.index import StandardLSH
 from repro.maintenance import WriteAheadLog, recover_index
 from repro.obs.registry import MetricsRegistry
 from repro.persistence import save_index
@@ -60,6 +60,7 @@ from repro.runtime import (
     merge_key,
     shed_response,
 )
+from tests.oracle import oracle_query_batch
 from tests.shards import shard_rows
 from tests.threads import THREADS, native_threads
 

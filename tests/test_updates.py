@@ -5,31 +5,34 @@ import pytest
 
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
-from repro.lsh.index import StandardLSH, oracle_query_batch
+from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable
 from repro.persistence import save_index
+from tests.oracle import oracle_query_batch
 
 
 class TestTableOverlay:
     def test_add_merges_with_base(self):
         table = LSHTable(np.array([[0, 0], [1, 1]]))
-        table.add(np.array([[0, 0]]), np.array([7]))
-        got = set(table.lookup(np.array([0, 0])).tolist())
+        LSHTable.add_all([table], [np.array([[0, 0]])], np.array([7]))
+        got = set(table.gather_batch(np.array([0, 0]))[0].tolist())
         assert got == {0, 7}
         assert table.n_extra == 1
         assert table.n_points == 3
 
     def test_add_new_code(self):
         table = LSHTable(np.array([[0, 0]]))
-        table.add(np.array([[5, 5]]), np.array([9]))
-        np.testing.assert_array_equal(table.lookup(np.array([5, 5])), [9])
+        LSHTable.add_all([table], [np.array([[5, 5]])], np.array([9]))
+        np.testing.assert_array_equal(table.gather_batch(np.array([5, 5]))[0], [9])
 
     def test_add_shape_checks(self):
         table = LSHTable(np.array([[0, 0]]))
         with pytest.raises(ValueError):
-            table.add(np.array([[1, 2, 3]]), np.array([1]))
+            LSHTable.add_all([table], [np.array([[1, 2, 3]])],
+                             np.array([1]))
         with pytest.raises(ValueError):
-            table.add(np.array([[1, 2]]), np.array([1, 2]))
+            LSHTable.add_all([table], [np.array([[1, 2]])],
+                             np.array([1, 2]))
 
 
 class TestStandardInsert:

@@ -1,16 +1,19 @@
 /* ThreadSanitizer driver for the kernels' work queue.
  *
- * Calls repro_bucket_spans and repro_rank_topk of
+ * Calls repro_bucket_spans, repro_rank_topk and repro_zm_probe_codes of
  * src/repro/native/_kernels.c on inputs past their inline thresholds at
- * P = 4 and compares every output word with the P = 1 call: both tile
- * paths of the rank (inverted, and query by query through the bitmap or
- * the sort), the same ids in several spans, queries with nothing,
- * tombstones, the counting mode (k = 0), and a bad id or a bad lookup row
- * early and late, which must be refused with the code P = 1 returns.  The
- * rows rank reads end at a page no thread may touch (a refused id is
- * refused before its row is read), and the outputs carry a guard past
- * their bound.  A standalone program because an interpreter cannot load
- * libtsan late.
+ * P = 4 and compares every output word with the P = 1 call: the indexed
+ * bucket search (layouts whose rows crowd into one run of cells, and
+ * rows that miss), both tile paths of the rank (inverted, and query by
+ * query through the bitmap or the sort), the same ids in several spans,
+ * queries with nothing, tombstones, the counting mode (k = 0), a bad id
+ * or a bad lookup row early and late, which must be refused with the code
+ * P = 1 returns, and probe sequences of rows that run out of sets.  It
+ * also walks repro_hierarchy_walk's indexed levels (one thread), every
+ * level-0 node found where it lies.  The rows rank reads end at a page no
+ * thread may touch (a refused id is refused before its row is read), and
+ * the outputs carry a guard past their bound.  A standalone program
+ * because an interpreter cannot load libtsan late.
  *
  *   cc -O1 -g -fsanitize=thread -pthread tools/tsan_kernels.c \
  *      src/repro/native/_kernels.c -o tsan_kernels -lm && ./tsan_kernels
@@ -37,6 +40,27 @@ i64 repro_rank_topk(const double *data, i64 dim, const double *sq_norms,
 i64 repro_bucket_spans(const i64 *codes, const i64 *row_q, const i64 *tables,
                        i64 n_tables, const i64 *layouts, i64 m, i64 nq,
                        i64 *spans, i64 *misses, i64 n_threads);
+i64 repro_bucket_index(const i64 *arrays, i64 n_arrays, int32_t *cells,
+                       i64 *at);
+i64 repro_zm_probe_codes(const double *y, const i64 *codes, i64 q, i64 m,
+                         i64 n_probes, i64 *out, i64 *counts,
+                         i64 n_threads);
+i64 repro_hierarchy_walk(const i64 *hiers, i64 n_tables, const i64 *codes,
+                         i64 n, i64 dim, i64 min_count, i64 *start,
+                         i64 *size, i64 *depth);
+
+/* The cells of one array of n rows of m codes (2^b >= 2n, b >= 1). */
+static int32_t *index_of(const i64 *codes, i64 n, i64 m) {
+    i64 words[3] = {(i64)(intptr_t)codes, n, m}, at[2], cells = 2;
+    int32_t *out;
+    while (cells < 2 * n) cells *= 2;
+    out = malloc(sizeof(int32_t) * cells);
+    if (repro_bucket_index(words, 1, out, at) != cells) {
+        fprintf(stderr, "bucket_index of %lld rows failed\n", (long long)n);
+        exit(2);
+    }
+    return out;
+}
 
 #define GUARD 64
 #define GUARD_WORD ((i64)0x5a5a5a5a5a5a5a5a)
@@ -155,25 +179,29 @@ static void rank_case(i64 nq, i64 per, i64 copies, i64 width, i64 n_rows,
 }
 
 /* n_tables tables of one layout each over m = 2 codes (b x b buckets of
- * ids), rows lookup rows per table with codes drawn one past the grid (so
- * some miss); bad_table >= 0 puts a row of an unknown segment in that
- * table, bad_interval >= 0 a bucket end past its ids in that table. */
+ * ids, codes spaced by `stride`: stride 2^58 leaves the hash little to
+ * spread, so rows crowd into runs of cells), rows lookup rows per table
+ * with codes drawn one past the grid (so some miss); bad_table >= 0 puts
+ * a row of an unknown segment in that table, bad_interval >= 0 a bucket
+ * end past its ids in that table. */
 static void spans_case(i64 n_tables, i64 rows, i64 nq, i64 bad_table,
-                       i64 bad_interval) {
+                       i64 bad_interval, i64 stride) {
     i64 b = 12, n_buckets = b * b, n_ids = 4 * n_buckets, total = 0;
     i64 n_rows = n_tables * rows, rc[2];
     i64 *bucket_codes = malloc(sizeof(i64) * 2 * n_buckets);
     i64 *starts = malloc(sizeof(i64) * n_buckets * n_tables);
     i64 *ends = malloc(sizeof(i64) * n_buckets * n_tables);
     i64 *ids = malloc(sizeof(i64) * n_ids);
-    i64 *layouts = malloc(sizeof(i64) * 6 * n_tables);
+    i64 *layouts = malloc(sizeof(i64) * 7 * n_tables);
     i64 *tables = malloc(sizeof(i64) * 2 * n_tables);
     i64 *codes = malloc(sizeof(i64) * 2 * n_rows);
     i64 *row_q = malloc(sizeof(i64) * n_rows), *spans[2], *miss[2];
+    int32_t *cells;
     for (i64 c = 0; c < n_buckets; c++) {
-        bucket_codes[2 * c] = c / b;
-        bucket_codes[2 * c + 1] = c % b;
+        bucket_codes[2 * c] = c / b * stride;
+        bucket_codes[2 * c + 1] = c % b * stride;
     }
+    cells = index_of(bucket_codes, n_buckets, 2);
     for (i64 i = 0; i < n_ids; i++) ids[i] = below(1000);
     for (i64 t = 0; t < n_tables; t++) {
         i64 *st = starts + t * n_buckets, *en = ends + t * n_buckets;
@@ -184,20 +212,20 @@ static void spans_case(i64 n_tables, i64 rows, i64 nq, i64 bad_table,
             at = en[c];
         }
         if (t == bad_interval) en[n_buckets / 2] = n_ids + 1;
-        i64 words[6] = {(i64)(intptr_t)bucket_codes, n_buckets,
+        i64 words[7] = {(i64)(intptr_t)bucket_codes, n_buckets,
                         (i64)(intptr_t)st, (i64)(intptr_t)en,
-                        (i64)(intptr_t)ids, n_ids};
-        memcpy(layouts + 6 * t, words, sizeof(words));
+                        (i64)(intptr_t)ids, n_ids, (i64)(intptr_t)cells};
+        memcpy(layouts + 7 * t, words, sizeof(words));
         tables[2 * t] = rows;
         tables[2 * t + 1] = 1;
     }
     for (i64 i = 0; i < n_rows; i++) {
-        codes[2 * i] = below(b + 1);
-        codes[2 * i + 1] = below(b);
+        codes[2 * i] = below(b + 1) * stride;
+        codes[2 * i + 1] = below(b) * stride;
         row_q[i] = below(nq);
         if (i / rows == bad_interval) {     /* every row hits the bad end */
-            codes[2 * i] = (n_buckets / 2) / b;
-            codes[2 * i + 1] = (n_buckets / 2) % b;
+            codes[2 * i] = (n_buckets / 2) / b * stride;
+            codes[2 * i + 1] = (n_buckets / 2) % b * stride;
         }
     }
     if (bad_table >= 0) row_q[bad_table * rows + rows / 2] = nq;
@@ -223,14 +251,94 @@ static void spans_case(i64 n_tables, i64 rows, i64 nq, i64 bad_table,
         free(spans[v]); free(miss[v]);
     }
     free(bucket_codes); free(starts); free(ends); free(ids); free(layouts);
-    free(tables); free(codes); free(row_q);
+    free(tables); free(codes); free(row_q); free(cells);
+}
+
+/* q rows of m-wide probe sequences, n_probes each (fewer for m = 1, 2),
+ * at P = 4 against P = 1; the output carries a guard past its bound. */
+static void probe_case(i64 q, i64 m, i64 n_probes) {
+    double *y = malloc(sizeof(double) * q * m);
+    i64 *codes = malloc(sizeof(i64) * q * m), *out[2], *counts[2], rc[2];
+    for (i64 i = 0; i < q * m; i++) {
+        y[i] = (double)below(4001) / 400.0 - 5.0;
+        codes[i] = (i64)(y[i] + 10.0) - 10;   /* floor */
+    }
+    for (int v = 0; v < 2; v++) {
+        out[v] = malloc(sizeof(i64) * (q * n_probes * m + GUARD));
+        counts[v] = malloc(sizeof(i64) * q);
+        for (i64 i = 0; i < GUARD; i++) out[v][q * n_probes * m + i] = GUARD_WORD;
+        rc[v] = repro_zm_probe_codes(y, codes, q, m, n_probes, out[v],
+                                     counts[v], v ? 4 : 1);
+        for (i64 i = 0; i < GUARD; i++)
+            check(out[v][q * n_probes * m + i] == GUARD_WORD,
+                  "probe guards untouched");
+    }
+    check(rc[0] > 0 && rc[0] == rc[1], "probe totals at P = 4");
+    check(!memcmp(counts[0], counts[1], sizeof(i64) * q),
+          "probe counts at P = 4");
+    check(rc[0] == rc[1] &&
+              !memcmp(out[0], out[1], sizeof(i64) * (rc[0] > 0 ? rc[0] : 0) * m),
+          "probe codes at P = 4");
+    for (int v = 0; v < 2; v++) {
+        free(out[v]); free(counts[v]);
+    }
+    free(y); free(codes);
+}
+
+/* One hierarchy of n_levels levels over 8-wide codes: level 0 holds n
+ * nodes (ascending, runs of 1-4 ids), the levels above copies of it.
+ * Rows are every node's code, walked with min_count 1 (each stops at its
+ * own node, level 0), and codes one past them (they climb or miss). */
+static void walk_case(i64 n, i64 n_levels) {
+    i64 dim = 8, n_ids = 0;
+    i64 *codes = malloc(sizeof(i64) * n * dim);
+    i64 *starts = malloc(sizeof(i64) * n), *ends = malloc(sizeof(i64) * n);
+    i64 *words = malloc(sizeof(i64) * (5 + 5 * n_levels));
+    i64 *rows = malloc(sizeof(i64) * 2 * n * dim), *out = malloc(sizeof(i64) * 6 * n);
+    i64 *ids, hier;
+    int32_t *cells;
+    for (i64 i = 0; i < n; i++) {
+        for (i64 j = 0; j < dim; j++)     /* ascending: the first word is i */
+            codes[i * dim + j] = j ? 2 * below(8) - 8 : 2 * i - n;
+        starts[i] = n_ids;
+        n_ids += 1 + below(4);
+        ends[i] = n_ids;
+    }
+    ids = malloc(sizeof(i64) * n_ids);
+    for (i64 i = 0; i < n_ids; i++) ids[i] = i;
+    cells = index_of(codes, n, dim);
+    i64 head[5] = {dim, n_levels, n_levels, (i64)(intptr_t)ids, n_ids};
+    memcpy(words, head, sizeof(head));
+    for (i64 level = 0; level < n_levels; level++) {
+        i64 v[5] = {(i64)(intptr_t)codes, n, (i64)(intptr_t)starts,
+                    (i64)(intptr_t)ends, (i64)(intptr_t)cells};
+        memcpy(words + 5 + 5 * level, v, sizeof(v));
+    }
+    memcpy(rows, codes, sizeof(i64) * n * dim);
+    for (i64 i = 0; i < n * dim; i++) rows[n * dim + i] = codes[i] + 1;
+    hier = (i64)(intptr_t)words;
+    check(repro_hierarchy_walk(&hier, 1, rows, 2 * n, dim, 1, out,
+                               out + 2 * n, out + 4 * n) == 0,
+          "walk over indexed levels");
+    for (i64 i = 0; i < n; i++)
+        check(out[i] == starts[i] && out[2 * n + i] == ends[i] - starts[i] &&
+                  out[4 * n + i] == 0,
+              "walk finds every level-0 node");
+    free(codes); free(starts); free(ends); free(words); free(rows);
+    free(out); free(ids); free(cells);
 }
 
 int main(void) {
-    spans_case(40, 200, 100, -1, -1);
-    spans_case(40, 200, 100, 0, -1);        /* unknown segment, first table */
-    spans_case(40, 200, 100, 39, -1);       /* unknown segment, last table */
-    spans_case(40, 200, 100, -1, 37);       /* bad interval, late table */
+    spans_case(40, 200, 100, -1, -1, 1);
+    spans_case(40, 200, 100, -1, -1, (i64)1 << 58);  /* crowded cells */
+    spans_case(40, 200, 100, 0, -1, 1);     /* unknown segment, first table */
+    spans_case(40, 200, 100, 39, -1, 1);    /* unknown segment, last table */
+    spans_case(40, 200, 100, -1, 37, 1);    /* bad interval, late table */
+    probe_case(3000, 8, 32);
+    probe_case(700, 2, 32);                 /* 8 sets: every row runs out */
+    probe_case(700, 1, 5);                  /* 2 sets */
+    walk_case(300, 1);
+    walk_case(300, 3);
     rank_case(200, 400, 2, 600, 3000, 16, 10, -1);      /* inverted tiles */
     rank_case(150, 300, 2, 40000, 60000, 8, 5, -1);     /* bitmap queries */
     rank_case(300, 100, 3, 2000000, 2000000, 2, 5, -1); /* sorted queries */
