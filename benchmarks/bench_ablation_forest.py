@@ -15,9 +15,9 @@ from repro.evaluation.runner import (
     format_results_table,
     run_method,
 )
-from repro.exec import QueryStats
 from repro.experiments.figures import _sweep
 from repro.experiments.workloads import make_workload
+from repro.lsh.query import QueryStats
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import as_float_matrix
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Sharded vs unsharded execution-core benchmark.
+"""Sharded vs unsharded query-path benchmark.
 
-The executor (``repro.exec.executor``) splits a batch of more than
+The query path (``repro.lsh.query``) splits a batch of more than
 ``SHARD_LOOKUP_ROWS`` lookup rows (query rows x tables x (1 + probes) x
 spill) into contiguous row shards, each run through the same staged
 plan, to bound its scratch memory.  No batch here comes near that

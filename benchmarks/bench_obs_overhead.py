@@ -5,8 +5,8 @@ Times six configurations of the same :class:`StandardLSH` batch query,
 interleaved round-robin so machine drift cancels:
 
 - ``plain``   — the plan's stages run directly with no observer
-  (``run_validated``: bypasses even the once-per-batch
-  ``obs.active()`` gate read);
+  (``run_batch`` on a ``Batch`` of already-validated queries: bypasses
+  even the once-per-batch ``obs.active()`` gate read);
 - ``off``     — the public path with observability disabled (what every
   production query pays: validation plus one module-global read per
   batch for the obs gate);
@@ -47,9 +47,9 @@ from conftest import interleaved_times, shard_rows
 
 from repro import obs
 from repro.analysis import sanitizer
-from repro.exec import ExecutionContext, run_validated
 from repro.experiments.workloads import Scale, make_workload
 from repro.lsh.index import StandardLSH
+from repro.lsh.query import Batch
 from repro.obs.registry import MetricsRegistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -103,8 +103,7 @@ def main(argv=None):
     def run_plain():
         # The stage loop with the observer hard-wired to None: no gate
         # read, no StageTimer, nothing — the floor the public path chases.
-        return run_validated(index.execution_plan(),
-                             ExecutionContext.for_batch(queries, k))
+        return index.execution_plan().run_batch(Batch.of(queries, k))
 
     def run_off():
         obs.disable()

@@ -27,8 +27,8 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.exec import executor
 from repro.experiments.workloads import Scale
+from repro.lsh import query
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,15 @@ def latency_row(timing: TimingResult, n_queries: int,
 @contextlib.contextmanager
 def shard_rows(index: Any, rows: int) -> Iterator[None]:
     """Inside, ``index``'s batches run in shards of ``rows`` query rows:
-    the executor's ``SHARD_LOOKUP_ROWS`` set to ``rows`` of the plan's
+    the query path's ``SHARD_LOOKUP_ROWS`` set to ``rows`` of the plan's
     lookup rows, and restored on exit."""
-    saved = executor.SHARD_LOOKUP_ROWS
-    executor.SHARD_LOOKUP_ROWS = (
+    saved = query.SHARD_LOOKUP_ROWS
+    query.SHARD_LOOKUP_ROWS = (
         rows * index.execution_plan().lookups_per_row())
     try:
         yield
     finally:
-        executor.SHARD_LOOKUP_ROWS = saved
+        query.SHARD_LOOKUP_ROWS = saved
 
 
 def _selected_scale() -> Scale:

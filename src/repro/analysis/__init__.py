@@ -31,9 +31,6 @@ executors):
 - **R7** ``recorded-failures`` — pipeline ``except`` handlers re-raise
   or record the failure (directly, or via a helper the call graph
   resolves).
-- **R8** ``exec-centralized`` — query execution plumbing lives only in
-  :mod:`repro.exec`; front-end ``query_batch`` delegates to
-  ``run_plan``.
 - **R9** ``native-dispatch`` — compiled kernel backends are imported
   only by the native registry.
 - **R10** ``lock-order`` — the static lock-acquisition graph is

@@ -8,7 +8,7 @@ or aliased to a local, and cannot tell which ``self.method`` a receiver
 resolves to.  This rewrite keeps the conservative by-name edges as a
 fallback and layers *resolved* edges on top:
 
-- **imports** — ``import repro.exec.executor as ex; ex.f()`` and
+- **imports** — ``import repro.lsh.query as q; q.f()`` and
   ``from repro.lsh.table import pack_codes as pk; pk()`` resolve to the
   defining :class:`FunctionNode` when the target module is in the
   analyzed corpus;

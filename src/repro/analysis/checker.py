@@ -19,7 +19,6 @@ from repro.analysis.concurrency import check_lock_order
 from repro.analysis.core import ModuleInfo, Violation, load_module
 from repro.analysis.rules import (
     build_alias_table,
-    check_exec_centralized,
     check_explicit_dtype,
     check_locked_mutation,
     check_native_dispatch,
@@ -33,7 +32,7 @@ from repro.analysis.rules import (
 )
 
 ALL_RULES: Tuple[str, ...] = (
-    "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
+    "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R9",
     "R10", "R13", "R14",
 )
 
@@ -53,9 +52,6 @@ RULE_SUMMARIES: Dict[str, str] = {
     "R7": "recorded-failures: pipeline except handlers re-raise or record "
           "the failure (obs record_fault / record_deadline_exhausted) — no "
           "silently swallowed errors in pipeline code",
-    "R8": "exec-centralized: front-end query_batch implementations "
-          "delegate to repro.exec.run_plan, and gate reads / Deadline / "
-          "StageTimer plumbing never reappears inline outside repro/exec",
     "R9": "native-dispatch: the compiled kernel backend (kernels_cext) "
           "is imported only by repro.native.registry — "
           "every compiled entry point is reached through load_kernels() "
@@ -84,14 +80,13 @@ class AnalysisConfig:
     #: global RNG machinery).
     rng_module_suffixes: Tuple[str, ...] = ("utils/rng.py",)
     #: Packages whose modules form the dtype-sensitive hot path (R2).
-    hot_path_parts: Tuple[str, ...] = ("lsh", "lattice", "core", "exec",
+    hot_path_parts: Tuple[str, ...] = ("lsh", "lattice", "core",
                                        "maintenance")
     #: Bare names of the batch-query entry points a query thread
     #: executes — the roots of the R3 reachability walk.
     worker_roots: Tuple[str, ...] = (
-        "query_batch", "candidate_sets", "gather_batch",
-        "lookup_batch", "lookup", "lookup_many",
-        "run_plan", "run_validated",
+        "query_batch", "candidate_sets", "gather_batch", "run_plan",
+        "run_batch",
     )
     #: ``self.<attr>`` names that constitute shared index state (R3).
     guarded_attrs: frozenset = field(default_factory=lambda: frozenset({
@@ -105,7 +100,7 @@ class AnalysisConfig:
     #: telemetry there must flow through ``repro.obs``.
     telemetry_scope_parts: Tuple[str, ...] = (
         "lsh", "lattice", "core", "hierarchy", "gpu", "rptree", "cluster",
-        "exec", "maintenance",
+        "maintenance",
     )
     #: Extra packages R6 covers beyond the shared telemetry scope.  The
     #: native tier is worker-reachable (its kernels run inside shard
@@ -123,12 +118,6 @@ class AnalysisConfig:
     #: and the analysis package (handlers there report through Violations).
     resilience_exempt_parts: Tuple[str, ...] = ("obs", "resilience",
                                                 "analysis")
-    #: Front-end packages whose ``query_batch`` definitions must delegate
-    #: to the shared executor, with no inline gate plumbing (R8).
-    exec_scope_parts: Tuple[str, ...] = ("lsh", "core", "gpu", "evaluation")
-    #: Path parts identifying the execution core itself — the one place
-    #: the R8-banned plumbing is supposed to live.
-    exec_exempt_parts: Tuple[str, ...] = ("exec",)
     #: Path suffixes of the one module allowed to import the compiled
     #: kernel backends (R9): the native dispatch table.
     native_registry_suffixes: Tuple[str, ...] = ("native/registry.py",)
@@ -139,9 +128,9 @@ class AnalysisConfig:
     #: ``attach_*`` mutators outside ``attach_*`` lifecycle defs (R14).
     runtime_scope_parts: Tuple[str, ...] = ("lsh", "core", "gpu",
                                             "evaluation", "cli")
-    #: Path parts identifying the layers R14 exempts: the execution core
-    #: and the runtime package itself, which owns the attachments.
-    runtime_exempt_parts: Tuple[str, ...] = ("exec", "runtime")
+    #: Path parts identifying the layer R14 exempts: the runtime package
+    #: itself, which owns the attachments.
+    runtime_exempt_parts: Tuple[str, ...] = ("runtime",)
     #: Directory names never descended into during file discovery.
     skip_dirs: Tuple[str, ...] = (
         "__pycache__", ".git", ".mypy_cache", ".ruff_cache", "build", "dist",
@@ -193,10 +182,6 @@ def analyze_modules(
         violations += check_recorded_failures(
             modules, graph, config.telemetry_scope_parts,
             config.resilience_exempt_parts
-        )
-    if "R8" in config.rules:
-        violations += check_exec_centralized(
-            modules, config.exec_scope_parts, config.exec_exempt_parts
         )
     if "R9" in config.rules:
         violations += check_native_dispatch(

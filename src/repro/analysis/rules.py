@@ -485,100 +485,6 @@ def check_recorded_failures(
     return violations
 
 
-# --------------------------------------------------------------------- R8
-
-#: Fault-gate reads and stage-timing constructors owned by the
-#: execution core: front-end modules must not call these inline.
-EXEC_PLUMBING_CALLS = frozenset({"faults_active", "StageTimer"})
-
-#: Call tails a ``query_batch`` may delegate execution to: the staged
-#: executor itself, or the runtime's ``submit`` (a thin front over
-#: ``run_plan`` — see :mod:`repro.runtime.session`).
-EXEC_DELEGATION_CALLS = frozenset({"run_plan", "submit"})
-
-
-def _is_stub_def_body(body: Sequence[ast.stmt]) -> bool:
-    """True for protocol/ABC stubs: only ``pass``/``...``/a docstring."""
-    for stmt in body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-            continue
-        return False
-    return True
-
-
-def check_exec_centralized(
-    modules: Sequence[ModuleInfo],
-    exec_scope_parts: Tuple[str, ...],
-    exec_exempt_parts: Tuple[str, ...],
-) -> List[Violation]:
-    """R8: query execution is centralized in :mod:`repro.exec`.
-
-    Inside the front-end packages (``lsh``, ``core``, ``gpu``,
-    ``evaluation``), (a) every non-stub ``query_batch`` definition must
-    delegate to :func:`repro.exec.run_plan` — the one executor that owns
-    gate reads, deadlines, stage timing and batch sharding
-    — either directly or through the runtime's ``submit`` (itself a thin
-    front over ``run_plan``) — and (b) that
-    executor-owned plumbing must not reappear inline: no
-    ``faults_active()`` gate reads, no
-    ``StageTimer`` construction, and no ``Deadline`` construction
-    (``Deadline(...)`` or ``Deadline.from_ms(...)``).  Protocol/ABC
-    stubs (bodies that are only ``...``/``pass``/a docstring) are
-    exempt, as is the execution core itself — it is where this plumbing
-    lives by design.
-    """
-    violations: List[Violation] = []
-    scope = set(exec_scope_parts)
-    exempt = set(exec_exempt_parts)
-    for module in modules:
-        parts = set(module.path_parts())
-        if parts & exempt or not parts & scope:
-            continue
-        for node in ast.walk(module.tree):
-            if isinstance(node, _FUNC_DEFS) and node.name == "query_batch":
-                if _is_stub_def_body(node.body):
-                    continue
-                delegates = any(
-                    isinstance(sub, ast.Call)
-                    and (dotted_attribute(sub.func) or "").rpartition(".")[2]
-                    in EXEC_DELEGATION_CALLS
-                    for sub in ast.walk(node)
-                )
-                if not delegates:
-                    violations.append(Violation(
-                        "R8", module.posix_path, node.lineno,
-                        "query_batch does not delegate to "
-                        "repro.exec.run_plan (directly or via the "
-                        "runtime's submit); front-end query "
-                        "paths must execute through the shared staged "
-                        "executor",
-                    ))
-            elif isinstance(node, ast.Call):
-                dotted = dotted_attribute(node.func)
-                if dotted is None:
-                    continue
-                tail = dotted.rpartition(".")[2]
-                if tail in EXEC_PLUMBING_CALLS:
-                    violations.append(Violation(
-                        "R8", module.posix_path, node.lineno,
-                        f"inline {dotted}() in a front-end module; gate "
-                        "reads and stage timing belong to the execution "
-                        "core (repro.exec.run_plan)",
-                    ))
-                elif dotted == "Deadline" or (
-                    tail == "from_ms" and "Deadline" in dotted
-                ):
-                    violations.append(Violation(
-                        "R8", module.posix_path, node.lineno,
-                        f"inline {dotted}(...) deadline construction in a "
-                        "front-end module; pass deadline_ms/deadline to "
-                        "repro.exec.run_plan instead",
-                    ))
-    return violations
-
-
 # --------------------------------------------------------------------- R9
 
 #: The compiled-kernel backend modules.  Importing them anywhere except
@@ -655,13 +561,13 @@ def check_wal_before_ack(
 
     Inside the index front-end packages (``lsh``, ``core``), any class
     that answers queries (defines ``query_batch``) and accepts live
-    mutation (defines a non-stub ``insert`` or ``delete``) is a durable
+    mutation (defines ``insert`` or ``delete``) is a durable
     surface: those mutating methods must contain a WAL append call
     (``append_insert`` / ``append_delete`` / ``wal_append``) so an
     acknowledged write can always be replayed after a crash
     (:mod:`repro.maintenance`).  The append is gated on an attached WAL
     at runtime; the rule checks that the *plumbing* exists, which is the
-    part a refactor silently loses.  Protocol/ABC stubs are exempt.
+    part a refactor silently loses.
     """
     violations: List[Violation] = []
     scope = set(wal_scope_parts)
@@ -679,7 +585,7 @@ def check_wal_before_ack(
                 continue
             for name in ("insert", "delete"):
                 method = methods.get(name)
-                if method is None or _is_stub_def_body(method.body):
+                if method is None:
                     continue
                 logs = any(
                     isinstance(sub, ast.Call)
@@ -719,8 +625,8 @@ def check_runtime_centralized(
     ``gpu``, ``evaluation``, ``cli``) the stateful attachment mutator
     ``attach_wal`` must not be *called* outside a def itself named
     ``attach_*`` (a front-end's delegation chain).
-    The runtime package and the execution core are exempt: they are
-    where attachments are owned by design.  (That the index packages
+    The runtime package is exempt: it is where attachments are owned
+    by design.  (That the index packages
     never import the runtime is ``tests/test_layering.py``'s line.)
     """
     violations: List[Violation] = []

@@ -10,7 +10,7 @@ RowStore`, never a copy.  A batch is routed (to each row's group, or its
 ``multi_assign`` most plausible ones), hashed per group, searched by one
 ``bucket_spans`` over all G·L group tables, escalated per group and
 ranked from the spans by one ``rank_topk`` against the one matrix: the
-stages of :class:`~repro.lsh.index._LSHPlan` with a route stage in front.
+stages of :class:`~repro.lsh.query._LSHPlan` with a route stage in front.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import numpy as np
 
 from repro.cluster.kmeans import KMeansPartitioner
 from repro.core.config import BiLevelConfig
-from repro.exec import ExecutionContext, QueryPlan, QueryStats, Stage, run_plan
-from repro.lsh.index import Member, RowStore, StandardLSH, _LSHPlan
+from repro.lsh.index import RowStore, StandardLSH
+from repro.lsh.query import (Batch, Member, QueryStats, Stages, _LSHPlan,
+                             run_plan)
 from repro.lsh.params import CollisionModel, tune_bucket_width
 from repro.lsh.table import TableLayouts
 from repro.native import registry as native_registry
@@ -34,6 +35,7 @@ from repro.utils.validation import as_float_matrix
 
 if TYPE_CHECKING:  # runtime import would cycle: maintenance replays via us
     from repro.maintenance.wal import WriteAheadLog
+    from repro.obs import Observer
 
 
 def grouped_store(data: np.ndarray, leaves: List[np.ndarray],
@@ -338,11 +340,9 @@ class BiLevelLSH:
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch; see :meth:`StandardLSH.query_batch`.
 
-        Feeds the bi-level plan (route → hash → gather → [escalate] →
-        rank) to :func:`repro.exec.run_plan`.  Each query is answered in
-        one pass from the tables of its group (with ``multi_assign > 1``,
-        its most plausible groups); by default a row escalates by its
-        group's fitted ``escalation_threshold``.
+        Each query is answered in one pass from the tables of its group
+        (with ``multi_assign > 1``, its most plausible groups); by default
+        a row escalates by its group's fitted ``escalation_threshold``.
         """
         self._check_fitted()
         return run_plan(self.execution_plan(hierarchy_threshold, engine),
@@ -350,8 +350,8 @@ class BiLevelLSH:
                         deadline=deadline)
 
     def execution_plan(self, hierarchy_threshold: Optional[int] = None,
-                       engine: Optional[str] = None) -> QueryPlan:
-        """Staged bi-level plan for :func:`repro.exec.run_plan`.
+                       engine: Optional[str] = None) -> "_BiLevelPlan":
+        """Staged bi-level plan for :func:`repro.lsh.query.run_plan`.
         ``engine`` is the inert keyword of :meth:`query_batch`."""
         native_registry.check_legacy_engine(engine)
         return _BiLevelPlan(self, hierarchy_threshold,
@@ -359,7 +359,8 @@ class BiLevelLSH:
 
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
         """Raw per-query candidate id sets (before short-list ranking):
-        the plan's route, hash and gather, spill included."""
+        the plan's route, hash and gather, spill included, over queries
+        validated as :meth:`query_batch` validates."""
         self._check_fitted()
         return self.execution_plan().candidate_sets(queries)
 
@@ -390,13 +391,13 @@ class BiLevelLSH:
 
 
 class _BiLevelPlan(_LSHPlan):
-    """:class:`~repro.lsh.index._LSHPlan` behind a route stage that turns
+    """:class:`~repro.lsh.query._LSHPlan` behind a route stage that turns
     the batch into one member per group its rows reach."""
 
     site = "bilevel"
 
-    def stages(self) -> Tuple[Stage, ...]:
-        return (Stage("bilevel.route", self._stage_route),) + super().stages()
+    def stages(self) -> Stages:
+        return [("bilevel.route", self._stage_route)] + super().stages()
 
     def lookups_per_row(self) -> int:
         # Every group is built from the one config: same tables, probes.
@@ -404,7 +405,7 @@ class _BiLevelPlan(_LSHPlan):
         spill = min(self.index.config.multi_assign, len(groups))
         return spill * self._route_lookups(groups[0])
 
-    def _stage_route(self, ctx: ExecutionContext) -> None:
+    def _stage_route(self, batch: Batch) -> None:
         index = self.index
         groups = index.group_indexes
         spill = min(index.config.multi_assign, len(groups))
@@ -413,7 +414,7 @@ class _BiLevelPlan(_LSHPlan):
         # the row at position p is segment p * spill + j — a row's
         # segments are adjacent, so its candidates stay one run.
         if spill <= 1:
-            by_group = rows_by_group(index.partitioner.assign(ctx.queries),
+            by_group = rows_by_group(index.partitioner.assign(batch.queries),
                                      len(groups))
             members, start = [], 0
             for g, rows in enumerate(by_group):
@@ -428,24 +429,21 @@ class _BiLevelPlan(_LSHPlan):
         else:
             # Every row has ``spill`` distinct groups: route ``p`` of the
             # flat ``(nq, spill)`` block is row p // spill's route p % spill.
-            leaves = np.stack(index.partitioner.assign_multi(ctx.queries,
+            leaves = np.stack(index.partitioner.assign_multi(batch.queries,
                                                              spill))
             order = np.argsort(leaves[:, 0], kind="stable")
-            position = np.empty(ctx.nq, dtype=np.int64)
-            position[order] = np.arange(ctx.nq, dtype=np.int64)
+            position = np.empty(batch.nq, dtype=np.int64)
+            position[order] = np.arange(batch.nq, dtype=np.int64)
             members = [
                 Member(groups[g], g, g * groups[g].n_tables, pairs // spill,
                        position[pairs // spill] * spill + pairs % spill)
                 for g, pairs in enumerate(rows_by_group(leaves.ravel(),
                                                         len(groups)))
                 if pairs.size]
-        ctx.scratch["spill"] = spill
-        ctx.scratch["order"] = order
-        ctx.scratch["members"] = members
+        batch.spill, batch.order, batch.members = spill, order, members
 
-    def record_obs(self, ctx: ExecutionContext) -> None:
-        super().record_obs(ctx)
-        ob = ctx.ob
+    def record_obs(self, ob: "Observer", batch: Batch) -> None:
+        super().record_obs(ob, batch)
         ob.record_index_size(self.index.n_points)
-        for m in ctx.scratch["members"]:
+        for m in batch.members:
             ob.record_group(m.group, int(m.rows.size), m.n_escalated)

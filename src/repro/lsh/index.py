@@ -12,31 +12,27 @@ query-adaptive enhancements the paper evaluates:
 
 The same class indexes one RP-tree leaf group of
 :class:`repro.core.bilevel.BiLevelLSH` (its rows of the shared row store),
-and one plan runs both, so baseline and contribution share every line of
-hashing/probing/short-list code — exactly the apples-to-apples setup of
-the paper's experiments.
+and one plan (:mod:`repro.lsh.query`) runs both, so baseline and
+contribution share every line of hashing/probing/short-list code —
+exactly the apples-to-apples setup of the paper's experiments.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
-                        run_plan)
-from repro.exec.plan import check_hierarchy_threshold, validate_query_batch
 from repro.lattice.base import Lattice
 from repro.lattice.e8 import E8Lattice
 from repro.lattice.zm import ZMLattice
 from repro.lsh.functions import PStableHashFamily, StackedProjection
+from repro.lsh.query import Batch, QueryStats, _LSHPlan, run_plan
 from repro.lsh.table import LSHTable, SortedLayout, TableLayouts, sort_runs
 from repro.native import registry as native_registry
-from repro.native.ref import (SpanSet, rank_topk_ref, spans_union_ref,
-                              tree_rowdot)
+from repro.native.ref import tree_rowdot
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import faults_active
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -202,11 +198,6 @@ class RowStore:
                 norms = tree_rowdot(data, data)
                 self.sq_norms = norms
         return norms
-
-
-# QueryStats moved to repro.exec.context with the execution-core refactor;
-# re-exported here (see __all__) because the bi-level index and a long
-# tail of tests import it from this module.
 
 
 class StandardLSH:
@@ -447,7 +438,7 @@ class StandardLSH:
         """
         self._check_fitted()
         with self._update_lock:
-            plan = faults_active()  # invariant: disable=R8 — the fold's own fault site; no query runs here
+            plan = faults_active()
             if plan is not None and plan.check("maintenance.compact",
                                                group=group):
                 return False
@@ -503,13 +494,12 @@ class StandardLSH:
         rows = rows[::-(-rows.size // self.THRESHOLD_SAMPLE)]
         store = self._store
         plan = _LSHPlan(self, None, native_registry.resolved_kernels())
-        ctx = ExecutionContext.for_batch(  # no observer
+        batch = Batch.of(  # no observer
             np.asarray(store.data[rows], dtype=np.float64), 1)
-        plan._stage_hash(ctx)
-        plan._stage_gather(ctx)
-        _, _, counts = ctx.scratch["kernels"].rank_topk(
-            None, None, None, ctx.scratch["spans"], store.n_rows,
-            store.deleted, 0)
+        plan._stage_hash(batch)
+        plan._stage_gather(batch)
+        _, _, counts = batch.kernels.rank_topk(
+            None, None, None, batch.spans, store.n_rows, store.deleted, 0)
         return int(np.median(counts - 1))
 
     def _hash(self, rows: np.ndarray,
@@ -688,10 +678,9 @@ class StandardLSH:
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN for a batch of queries.
 
-        Feeds :meth:`execution_plan` to :func:`repro.exec.run_plan`;
-        validation, deadline construction, stage timing and batch
-        sharding (sized by the executor from the plan's lookups per row)
-        all live in the execution core.
+        Feeds :meth:`execution_plan` to :func:`repro.lsh.query.run_plan`,
+        which validates, starts the deadline, times the stages and
+        shards the batch (sized from the plan's lookups per row).
 
         The whole batch runs array-at-a-time through the kernel table
         :func:`repro.native.load_kernels` resolved (compiled when a C
@@ -736,12 +725,10 @@ class StandardLSH:
                         deadline=deadline)
 
     def execution_plan(self, hierarchy_threshold: Optional[int] = None,
-                       engine: Optional[str] = None) -> QueryPlan:
-        """Staged :class:`~repro.exec.plan.QueryPlan` for this index.
-
-        :meth:`query_batch` feeds it to :func:`repro.exec.run_plan`.
-        ``engine`` is the inert keyword of :meth:`query_batch`.
-        """
+                       engine: Optional[str] = None) -> _LSHPlan:
+        """The staged plan :meth:`query_batch` feeds to
+        :func:`repro.lsh.query.run_plan`.  ``engine`` is the inert
+        keyword of :meth:`query_batch`."""
         native_registry.check_legacy_engine(engine)
         return _LSHPlan(self, hierarchy_threshold,
                         native_registry.load_kernels())
@@ -761,7 +748,8 @@ class StandardLSH:
         return max(hierarchy_threshold, k)
 
     def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
-        """Raw candidate id sets (before short-list ranking), per query.
+        """Raw candidate id sets (before short-list ranking), per query,
+        validated as :meth:`query_batch` validates.
 
         Exposed for tests that inspect the gathered candidates directly.
         """
@@ -772,291 +760,3 @@ class StandardLSH:
         return (f"StandardLSH(M={self.n_hashes}, L={self.n_tables}, "
                 f"W={self.bucket_width:g}, lattice={self.lattice_kind!r}, "
                 f"n_probes={self.n_probes}, hierarchy={self.use_hierarchy})")
-
-
-
-
-# --------------------------------------------------------------------------
-# The execution plan (repro.exec).  The stage bodies need private access to
-# the index internals, so the plan lives here rather than in repro/exec.
-# --------------------------------------------------------------------------
-
-
-#: Escalated rows of a member walked per ``walk`` call — the granularity
-#: of the deadline check in ``_stage_escalate``.
-ESCALATE_CHUNK = 256
-
-
-@dataclass(eq=False)
-class Member:
-    """One index a batch runs through (a :class:`StandardLSH`, or a
-    Bi-level group) and the batch ``rows`` routed to it.
-
-    ``slots[i]`` is ``rows[i]``'s candidate segment in the one
-    ``bucket_spans`` (``q * spill + j`` for row ``q``'s ``j``-th route:
-    a row's segments are adjacent); ``first_table`` is where its tables
-    start in the layouts searched.  The hash stage fills ``y`` /
-    ``codes``.
-    """
-
-    index: StandardLSH
-    group: Optional[int]
-    first_table: int
-    rows: np.ndarray
-    slots: np.ndarray
-    y: Optional[np.ndarray] = None
-    codes: Optional[np.ndarray] = None
-    n_escalated: int = 0
-
-
-class _LSHPlan(QueryPlan):
-    """The staged LSH engine: hash → gather → [escalate] → rank.
-
-    The stages run over the batch's members (:class:`Member`): one hash per
-    member, one ``bucket_spans``, escalation per member, one
-    ``rank_topk`` from those spans against the one row store.  A
-    :class:`StandardLSH` is the one-member case; the Bi-level plan adds a
-    route stage in front.
-
-    Every hot inner loop (lattice decode, ``Z^M`` probe sequences, the
-    bucket spans, the hierarchy walk, fused short-list and rank) is a call on
-    ``kernels``, the table :func:`repro.native.load_kernels` resolved —
-    compiled or numpy, bit-identical by the parity matrix in
-    ``tests/test_native.py``.  A memmapped corpus is ranked by the numpy
-    spec, the one fork on the input (see ``_stage_rank``).
-    """
-
-    site = "lsh"
-
-    def __init__(self, index: object, hierarchy_threshold: object,
-                 kernels: object) -> None:
-        self.index = index
-        self.hierarchy_threshold = check_hierarchy_threshold(
-            hierarchy_threshold)
-        self.kernels = kernels
-
-    def validate(self, queries: object, k: int) -> Tuple[np.ndarray, int]:
-        return validate_query_batch(queries, k, self.index._data.shape[1])
-
-    def stages(self) -> Tuple[Stage, ...]:
-        stages = [Stage("lsh.hash", self._stage_hash),
-                  Stage("lsh.gather", self._stage_gather)]
-        if self.index.use_hierarchy:
-            stages.append(Stage("lsh.escalate", self._stage_escalate))
-        stages.append(Stage("lsh.rank", self._stage_rank))
-        return tuple(stages)
-
-    def lookups_per_row(self) -> int:
-        return self._route_lookups(self.index)
-
-    @staticmethod
-    def _route_lookups(index: StandardLSH) -> int:
-        """Lookup rows one routed query row costs ``index``: per table,
-        its own bucket and its probes (``E8`` has 240 per block)."""
-        probes = index.n_probes
-        if isinstance(index._lattice, E8Lattice):
-            probes = min(probes, 240 * index._lattice.n_blocks)
-        return index.n_tables * (1 + probes)
-
-    def candidate_sets(self, queries: np.ndarray) -> List[np.ndarray]:
-        """Raw per-query candidate ids: the plan's stages up to and
-        including the gather, over ``queries``."""
-        ctx = ExecutionContext.for_batch(
-            as_float_matrix(queries, name="queries"), 1)
-        for stage in self.stages():
-            stage.fn(ctx)
-            if stage.name == "lsh.gather":
-                break
-        store = self.index._store
-        cand, counts = spans_union_ref(ctx.scratch["spans"], ctx.nq,
-                                       store.n_rows, store.deleted)
-        runs = np.split(store.ids[cand], np.cumsum(counts)[:-1])
-        order = np.arange(ctx.nq, dtype=np.int64)[ctx.scratch["order"]]
-        return [runs[i] for i in np.argsort(order)]
-
-    def _stage_hash(self, ctx: ExecutionContext) -> None:
-        kernels = self.kernels
-        if ctx.ob is not None:
-            # Each kernel call of this batch lands in the
-            # ``repro_native_kernel_seconds`` histogram and the batch's
-            # ``kernel/*`` trace spans; with observability off the stages
-            # hold the raw table — zero indirection on the gated path.
-            kernels = ctx.ob.timed_kernels(kernels, ctx.timer.stages)
-        ctx.scratch["kernels"] = kernels
-        members = ctx.scratch.get("members")
-        if members is None:  # no route stage: the index answers every row
-            rows = np.arange(ctx.nq, dtype=np.int64)
-            members = ctx.scratch["members"] = [
-                Member(self.index, None, 0, rows, rows)]
-            ctx.scratch["spill"] = 1
-            ctx.scratch["order"] = slice(None)
-        for m in members:
-            # Rows are ascending: all of them is the batch itself.
-            queries = (ctx.queries if m.rows.shape[0] == ctx.nq
-                       else ctx.queries[m.rows])
-            m.y, m.codes = m.index._hash(queries, kernels)
-
-    def _probe_rows(self, members: List[Member], kernels: object,
-                    n_tables: int,
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(codes, row_slot, table_rows)``: every lookup row of the
-        members' tables (member ``m``'s at ``m.first_table`` on) and its
-        segment, table ``t`` owning ``table_rows[t]`` consecutive rows —
-        each routed row's self code, then each one's probes in sequence
-        order.  Every member's probes come from one ``zm_probe_codes``
-        (or :meth:`E8Lattice.probe_codes`) call: groups share one config.
-        """
-        index = members[0].index
-        # The members' blocks, stacked, are in table order.
-        own = np.concatenate([m.codes.reshape(-1, m.codes.shape[2])
-                              for m in members])
-        of_table = np.concatenate([np.repeat(np.arange(
-            m.first_table, m.first_table + m.codes.shape[0], dtype=np.int64),
-            m.codes.shape[1]) for m in members])
-        slot = np.concatenate([np.tile(m.slots, m.codes.shape[0])
-                               for m in members])
-        own_rows = np.bincount(of_table, minlength=n_tables)
-        if index.n_probes <= 0:
-            return own, slot, own_rows
-        y = np.concatenate([m.y.reshape(-1, m.y.shape[2]) for m in members])
-        if isinstance(index._lattice, ZMLattice):
-            probes, counts = kernels.zm_probe_codes(y, own, index.n_probes)
-        else:  # E8: every row gets the same number of probes
-            probes = index._lattice.probe_codes(y, own, index.n_probes)
-            counts = np.full(own.shape[0], probes.shape[1], dtype=np.int64)
-            probes = probes.reshape(-1, own.shape[1])
-        probe_rows = np.bincount(of_table, weights=counts,
-                                 minlength=n_tables).astype(np.int64)
-        # Table t's self rows follow the earlier tables' probes, its probes
-        # its own and the earlier self rows: scattered into place, as a
-        # gather from the two stacked would hold the rows three times.
-        at_own = np.repeat(np.cumsum(probe_rows) - probe_rows, own_rows)
-        at_own += np.arange(own.shape[0], dtype=np.int64)
-        at_probe = np.repeat(np.cumsum(own_rows), probe_rows)
-        at_probe += np.arange(at_probe.shape[0], dtype=np.int64)
-        codes = np.empty((own.shape[0] + probes.shape[0], own.shape[1]),
-                         dtype=np.int64)
-        row_slot = np.empty(codes.shape[0], dtype=np.int64)
-        codes[at_own], codes[at_probe] = own, probes
-        row_slot[at_own], row_slot[at_probe] = slot, np.repeat(slot, counts)
-        return codes, row_slot, own_rows + probe_rows
-
-    def _stage_gather(self, ctx: ExecutionContext) -> None:
-        """Candidate gathering for the whole batch, query-major.
-
-        Every member's lookup rows — self and probe codes, table by
-        table — go to one ``kernels.bucket_spans`` over the published
-        :class:`TableLayouts`, leaving ``scratch["spans"]``: the bucket
-        interval each row hit, per segment, with nothing read behind it —
-        ``rank_topk`` reads the ids.  A query's segments (one per group it
-        routes to) are adjacent and groups hold disjoint rows.
-        """
-        ob, nq = ctx.ob, ctx.nq
-        kernels = ctx.scratch["kernels"]
-        members = ctx.scratch["members"]
-        spill = ctx.scratch["spill"]
-        # One snapshot of the published layouts: a concurrent insert or
-        # rebuild publishes a new one, it never edits this one.
-        layouts = self.index._layouts
-        codes, row_slot, table_rows = self._probe_rows(
-            members, kernels, layouts.n_layouts.shape[0])
-        spans = kernels.bucket_spans(layouts, codes, row_slot, table_rows,
-                                     nq * spill)
-        misses = spans.misses
-        probes = None
-        if ob is not None:
-            probes = np.bincount(row_slot // spill, minlength=nq)
-            for m in members:
-                n_rows = m.rows.shape[0]
-                for t in range(m.index.n_tables):
-                    n_lookups = int(table_rows[m.first_table + t])
-                    ob.record_table_lookup(
-                        t, n_lookups=n_lookups,
-                        n_misses=int(misses[m.first_table + t]),
-                        n_probes=n_lookups - n_rows)
-                probes[m.slots // spill] -= m.index.n_tables
-            probes[ctx.scratch["order"]] = probes.copy()
-        ctx.scratch["spans"] = spans
-        ctx.scratch["probes"] = probes
-
-    def _stage_escalate(self, ctx: ExecutionContext) -> None:
-        # Per member, rows whose segment is below its threshold (its
-        # fitted one unless pinned) walk its hierarchies, a chunk of rows
-        # per call for all L tables; each node they settle on is one span
-        # of its hierarchy's ids.  The budget is re-checked before each chunk:
-        # rows of chunks not started keep their base short-list, flagged
-        # `exhausted_budget`.  Segment sizes come from ``rank_topk``'s
-        # counting mode; the row count is read after the layouts, and an
-        # insert publishes its rows before the layouts that hold their
-        # ids, so it bounds every id the kernel meets.
-        kernels, store = ctx.scratch["kernels"], self.index._store
-        _, _, counts = kernels.rank_topk(None, None, None,
-                                         ctx.scratch["spans"], store.n_rows,
-                                         store.deleted, 0)
-        spans: List[SpanSet] = []
-        depths: List[np.ndarray] = []
-        expired = False
-        for m in ctx.scratch["members"]:
-            hierarchies = m.index._hierarchies  # one snapshot, as for tables
-            codes = m.codes
-            threshold = m.index._resolve_threshold(ctx.k,
-                                                   self.hierarchy_threshold)
-            esc = np.nonzero(counts[m.slots] < threshold)[0]
-            done = 0
-            while done < esc.size and not expired:
-                if ctx.deadline is not None and ctx.deadline.expired():
-                    expired = True
-                    break
-                chunk = esc[done:done + ESCALATE_CHUNK]
-                if hierarchies:
-                    kind = type(hierarchies[0])
-                    starts, sizes, depth = kind.walk(
-                        hierarchies, codes[:, chunk], threshold, kernels)
-                    spans.append(([h.ids for h in hierarchies], starts,
-                                  sizes, m.slots[chunk]))
-                    depths.append(depth.ravel())
-                done += chunk.size
-            ctx.escalated[m.rows[esc[:done]]] = True
-            m.n_escalated = done
-            if done < esc.size:
-                skipped = m.rows[esc[done:]]
-                ctx.ensure_exhausted()[skipped] = True
-                if ctx.ob is not None:
-                    ctx.ob.record_deadline_exhausted("lsh.escalate",
-                                                     int(skipped.size))
-        if not depths:
-            return
-        if ctx.ob is not None:
-            ctx.ob.record_escalation_depth(kind.depth_label,
-                                           np.concatenate(depths))
-        ctx.scratch["spans"] = ctx.scratch["spans"].with_extra(spans)
-
-    def _stage_rank(self, ctx: ExecutionContext) -> None:
-        # One call builds every short-list from the spans and ranks it:
-        # distance and top-k fused.  ``rank_topk`` — and every cached norm,
-        # and the queries' own — sums each dot product in the halving-tree
-        # order of :func:`repro.native.ref.tree_rowdot`, which is what
-        # makes the kernel tables bit-identical and an indexed query's
-        # self-distance exactly ``0.0``.  The rows are read after every
-        # layout and hierarchy snapshot: their count bounds every id.
-        store, spans = self.index._store, ctx.scratch["spans"]
-        order = ctx.scratch["order"]  # the rows in the order spans run
-        data = store.data
-        # The fork reads the data, not the kernels: a memmapped corpus is
-        # always ranked by the numpy spec, which gathers candidate rows
-        # before touching them — the only pages read off disk.
-        rank = (rank_topk_ref if isinstance(data, np.memmap)
-                else ctx.scratch["kernels"].rank_topk)
-        sel, dists, counts = rank(data, store.point_sq_norms(),
-                                  ctx.queries[order], spans, data.shape[0],
-                                  store.deleted, ctx.k)
-        hit = sel >= 0
-        sel[hit] = store.ids[sel[hit]]
-        ctx.ids_out[order] = sel
-        ctx.dists_out[order] = dists
-        ctx.n_candidates[order] = counts
-
-    def record_obs(self, ctx: ExecutionContext) -> None:
-        ctx.ob.record_batch("lsh", ctx.n_candidates, ctx.escalated,
-                            ctx.timer.stages, probes=ctx.scratch["probes"])
-        ctx.ob.record_native_batch(self.kernels.backend)

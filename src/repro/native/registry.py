@@ -1,8 +1,8 @@
 """The one dispatch table for kernel entry points (invariant R9).
 
-The staged LSH plan (``StandardLSH.execution_plan``) calls its hot inner
-loops as ``kernels.<name>`` on whatever :func:`load_kernels` returns —
-there is no engine to choose, only the table that loaded:
+The query path (:mod:`repro.lsh.query`) calls its hot inner loops as
+``kernels.<name>`` on whatever :func:`load_kernels` returns — there is
+no engine to choose, only the table that loaded:
 
 1. ``cext`` — ``_kernels.c`` compiled on demand via the system C
    compiler, bound with ctypes;

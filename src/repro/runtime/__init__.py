@@ -1,7 +1,7 @@
 """Runtime/session layer: process-lifetime index ownership and serving.
 
 The packages below this one answer "how is one batch executed"
-(:mod:`repro.exec`) and "how does an index stay durable"
+(:mod:`repro.lsh.query`) and "how does an index stay durable"
 (:mod:`repro.maintenance`).  This package answers "who owns all of that
 for the life of a process": :class:`IndexRuntime` holds an index plus
 its attachments (WAL, obs registry) behind one
@@ -19,9 +19,9 @@ the analysis fixtures) never need; ``repro-knn serve`` imports it
 directly.
 
 The layering is one-way: nothing under ``repro.lsh`` / ``core`` /
-``evaluation`` / ``gpu`` / ``exec`` imports this package
-(``tests/test_layering.py``) — an index's ``query_batch`` calls
-:func:`repro.exec.run_plan` itself — and invariant rule R14
+``evaluation`` / ``gpu`` imports this package
+(``tests/test_layering.py``) — an index's ``query_batch`` runs its own
+query path — and invariant rule R14
 ("runtime-centralized") keeps ``attach_*`` wiring here.
 """
 

@@ -15,8 +15,8 @@ rides the next.
 
 Correctness of the merge rests on two facts about the executor:
 
-1. Row independence — every plan stage maps query rows independently
-   (rule R8 centralizes execution on that contract), so stacking two
+1. Row independence — every query stage maps query rows independently
+   (:mod:`repro.lsh.query` is the one query path), so stacking two
    requests' rows changes neither request's candidates nor distances.
    That includes escalation: a hierarchy index escalates by its fitted
    threshold (or the request's own), never by a statistic of the batch.
@@ -66,7 +66,7 @@ from typing import (Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from repro.exec.context import QueryStats
+from repro.lsh.query import QueryStats
 from repro.runtime.session import QueryRequest, QueryResponse, shed_response
 
 __all__ = ["DEADLINE_BUCKET_MS", "MicroBatcher", "merge_key", "split_stats"]

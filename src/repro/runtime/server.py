@@ -55,11 +55,12 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.exec.plan import check_hierarchy_threshold, validate_query_batch
 from repro.runtime.admission import AdmissionController
 from repro.runtime.batching import MicroBatcher
 from repro.runtime.session import (IndexRuntime, QueryRequest, QueryResponse,
                                    check_legacy_engine, shed_response)
+from repro.utils.validation import (check_hierarchy_threshold,
+                                    validate_query_batch)
 
 __all__ = ["RuntimeServer", "serialize_response"]
 
@@ -407,7 +408,7 @@ class RuntimeServer:
     def _build_request(self, payload: _JSON) -> QueryRequest:
         if "queries" not in payload:
             raise _HTTPError(400, "missing field: queries")
-        # Checked here, by the executor's own validation, so a NaN or
+        # Checked here, by the query path's own validation, so a NaN or
         # infinite entry (which ``json.loads`` accepts) or a row of the
         # wrong width answers 400 naming ``queries`` and never joins a
         # merge queue, where it would fail every read merged with it.

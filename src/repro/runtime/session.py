@@ -17,11 +17,11 @@ the obs registry, and one place where a request meets the defaults:
   (request fields, then the config, then the front-end default; the
   deadline clock started): the HTTP door, the micro-batcher and
   :meth:`IndexRuntime.submit` all read a request through it, and
-  ``submit`` hands the resolved fields to :func:`repro.exec.run_plan`.
+  ``submit`` hands the resolved fields to the index's ``query_batch``.
 
 Import discipline: this module sits *above* the index packages —
-nothing under ``repro.lsh`` / ``core`` / ``evaluation`` / ``gpu`` /
-``exec`` imports it (``tests/test_layering.py``) — and reaches them by
+nothing under ``repro.lsh`` / ``core`` / ``evaluation`` / ``gpu``
+imports it (``tests/test_layering.py``) — and reaches them by
 duck typing and call-time imports.
 """
 
@@ -33,8 +33,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exec.context import QueryStats
-from repro.exec.executor import run_plan
+from repro.lsh.query import QueryStats
 from repro.native.registry import check_legacy_engine
 from repro.resilience.deadline import Deadline
 
@@ -158,7 +157,7 @@ class QueryResponse:
     """The answer to one :class:`QueryRequest`.
 
     ``ids``/``distances`` are the padded ``(q, k)`` result matrices and
-    ``stats`` the per-query :class:`~repro.exec.context.QueryStats`,
+    ``stats`` the per-query :class:`~repro.lsh.query.QueryStats`,
     exactly as the tuple-returning ``query_batch`` contract.  ``shed``
     marks a request the admission controller refused under overload (or
     one whose deadline had already expired on arrival): the response is
@@ -233,9 +232,8 @@ class IndexRuntime:
     while serving) and the obs registry live here, and queries enter
     through one door — :meth:`submit`.
 
-    The runtime does not *replace* the index API: reads delegate to the
-    shared executor exactly as ``index.query_batch`` does (and return
-    bit-identical results); writes delegate to ``index.insert`` /
+    The runtime does not *replace* the index API: reads delegate to
+    ``index.query_batch`` (and return bit-identical results); writes delegate to ``index.insert`` /
     ``index.delete`` whose WAL append-before-ack discipline (R13) is
     unchanged.  What it adds is lifecycle: everything attached here is
     detached/closed by :meth:`close`, in reverse order.
@@ -328,18 +326,17 @@ class IndexRuntime:
     def submit(self, request: QueryRequest) -> QueryResponse:
         """Answer one request; the runtime's single query entry.
 
-        The resolved request goes field for field onto
-        :func:`repro.exec.run_plan` over the live index, so the answer is
-        ``index.query_batch``'s and a read
-        sees every write acknowledged before it.
+        The resolved request goes field for field onto the live index's
+        ``query_batch``, so a read sees every write acknowledged before
+        it.
         """
         if self._closed:
             raise RuntimeError("runtime is closed")
         request = self.resolve(request)
-        plan = self.index.execution_plan(  # type: ignore[attr-defined]
-            request.hierarchy_threshold)
-        ids, dists, stats = run_plan(
-            plan, request.queries, request.k, deadline=request.deadline)
+        ids, dists, stats = self.index.query_batch(  # type: ignore[attr-defined]
+            request.queries, request.k,
+            hierarchy_threshold=request.hierarchy_threshold,
+            deadline=request.deadline)
         return QueryResponse(ids=ids, distances=dists, stats=stats)
 
     def query_batch(self, queries: np.ndarray, k: int,

@@ -7,10 +7,12 @@ uniform, descriptive errors for invalid parameters.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
+
+from repro.resilience.errors import QueryValidationError
 
 Numeric = Union[int, float, np.integer, np.floating]
 
@@ -99,6 +101,37 @@ def check_k(k: int, n_points: Optional[int] = None) -> int:
     if n_points is not None and k > n_points:
         raise ValueError(f"k={k} exceeds the number of indexed points ({n_points})")
     return int(k)
+
+
+def validate_query_batch(queries: object, k: int, dim: int,
+                         ) -> Tuple[np.ndarray, int]:
+    """``(queries, k)`` validated for a ``dim``-column index: the query
+    path's check, and the HTTP door's before a request may join a merge
+    queue.  Shape, dim, non-finite and ``k`` problems raise
+    :class:`QueryValidationError` (a ``ValueError``) naming the field."""
+    try:
+        queries = as_query_matrix(queries, dim=dim, name="queries")
+    except ValueError as error:
+        raise QueryValidationError(str(error), field="queries") from error
+    try:
+        k = check_k(k)
+    except ValueError as error:
+        raise QueryValidationError(str(error), field="k") from error
+    return queries, k
+
+
+def check_hierarchy_threshold(value: object) -> Optional[int]:
+    """``value`` as an escalation threshold: ``None`` (the index's fitted
+    one) or an integer ``>= 0``, not a ``bool``; anything else raises
+    :class:`QueryValidationError` naming the field, on every index."""
+    if value is None:
+        return None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and value >= 0:
+        return int(value)
+    raise QueryValidationError(
+        "hierarchy_threshold must be None or an integer >= 0, "
+        f"got {value!r}", field="hierarchy_threshold")
 
 
 def check_positive(value: Numeric, name: str, strict: bool = True) -> Numeric:

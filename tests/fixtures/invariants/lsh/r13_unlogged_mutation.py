@@ -1,7 +1,6 @@
 """Seeded violation: R13 (and only R13) must fire on this file.
 
-``UnloggedIndex`` answers queries (``query_batch`` delegating to
-``run_plan``, so R8 stays quiet) and accepts live
+``UnloggedIndex`` answers queries (``query_batch``) and accepts live
 mutation, but its ``insert``/``delete`` never append to a write-ahead
 log — an acknowledged write would be unrecoverable after a crash.
 Everything else is fully annotated, dtype-explicit, lock-disciplined
@@ -14,8 +13,6 @@ import threading
 from typing import Tuple
 
 import numpy as np
-
-from repro.exec.executor import run_plan
 
 
 class UnloggedIndex:
@@ -45,5 +42,6 @@ class UnloggedIndex:
 
     def query_batch(self, queries: np.ndarray,
                     k: int) -> Tuple[np.ndarray, np.ndarray]:
-        ids, dists, _stats = run_plan(self.execution_plan(), queries, k)
-        return ids, dists
+        nq = queries.shape[0]
+        return (np.full((nq, k), -1, dtype=np.int64),
+                np.full((nq, k), np.inf, dtype=np.float64))

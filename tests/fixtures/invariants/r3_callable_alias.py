@@ -1,6 +1,6 @@
 """Seeded R3 violation the PR 2 name-indexed graph could not see.
 
-``lookup_batch`` (a worker root) calls ``refresh`` — a module-level
+``gather_batch`` (a worker root) calls ``refresh`` — a module-level
 alias of ``_grow_entry`` — which reaches the unguarded mutation in
 ``AliasedTable._grow``.  The old by-name walk looked for a function
 *named* ``refresh``, found none, and stopped; the v2 graph resolves the
@@ -27,5 +27,5 @@ def _grow_entry(table: AliasedTable) -> None:
 refresh = _grow_entry
 
 
-def lookup_batch(table: AliasedTable) -> None:
+def gather_batch(table: AliasedTable) -> None:
     refresh(table)

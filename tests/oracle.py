@@ -15,9 +15,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.exec import QueryStats
-from repro.exec.plan import check_hierarchy_threshold, validate_query_batch
 from repro.lsh.index import StandardLSH
+from repro.lsh.query import QueryStats
+from repro.utils.validation import (check_hierarchy_threshold,
+                                    validate_query_batch)
 
 
 def _filter_deleted(index: StandardLSH, local_ids: np.ndarray) -> np.ndarray:

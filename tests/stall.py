@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.lsh.index import _LSHPlan
+from repro.lsh.query import _LSHPlan
 
 
 class Stall:
@@ -33,13 +33,13 @@ def stalled_stage(name, delay_ms, max_hits=1):
     stall = Stall()
     lock = threading.Lock()
 
-    def stalled(plan, ctx):
+    def stalled(plan, batch):
         with lock:
             hit = stall.hits < max_hits
             stall.hits += hit
         if hit:
             time.sleep(delay_ms / 1000.0)
-        return stage(plan, ctx)
+        return stage(plan, batch)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_LSHPlan, attr, stalled)

@@ -6,6 +6,7 @@ rule, and (b) each seeded-violation fixture under
 refactor that silently disables a rule breaks the suite.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,6 @@ FIXTURE_RULES = {
     "lsh/r6_raw_telemetry.py": "R6",
     "native/r6_worker_timing.py": "R6",
     "lsh/r7_swallowed_exception.py": "R7",
-    "lsh/r8_inline_plumbing.py": "R8",
     "r9_direct_backend_import.py": "R9",
     "r10_lock_order.py": "R10",
     "lsh/r13_unlogged_mutation.py": "R13",
@@ -79,6 +79,31 @@ class TestSeededFixtures:
         assert {v.rule for v in violations} == set(ALL_RULES)
 
 
+class TestConfigNamesLiveCode:
+    """R3's configuration names what ``src/repro`` holds: a root that
+    names no ``def`` walks nothing, and a guarded attribute nothing
+    assigns guards nothing."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return [ast.parse(path.read_text(encoding="utf-8"))
+                for path in sorted((SRC / "repro").rglob("*.py"))]
+
+    def test_every_worker_root_names_a_def(self, trees):
+        defined = {node.name for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))}
+        missing = set(AnalysisConfig().worker_roots) - defined
+        assert not missing, f"roots naming no def: {sorted(missing)}"
+
+    def test_every_guarded_attr_is_assigned(self, trees):
+        assigned = {node.attr for tree in trees for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)}
+        missing = set(AnalysisConfig().guarded_attrs) - assigned
+        assert not missing, f"guarded attrs never assigned: {sorted(missing)}"
+
+
 class TestRuleDetails:
     def test_pragma_suppresses_a_violation(self):
         src = (
@@ -105,7 +130,7 @@ class TestRuleDetails:
     def test_r3_lock_scope_exempts_mutation(self):
         src = (
             "class T:\n"
-            "    def lookup(self, code):\n"
+            "    def gather_batch(self, code):\n"
             "        with self._overlay_lock:\n"
             "            self._overlay = None\n"
         )
@@ -232,7 +257,7 @@ class TestRuleDetails:
     def test_r3_flags_mutation_inside_match_arm(self):
         src = (
             "class T:\n"
-            "    def lookup(self, code):\n"
+            "    def gather_batch(self, code):\n"
             "        match code:\n"
             "            case 0:\n"
             "                self._overlay = None\n"
@@ -259,7 +284,7 @@ class TestRuleDetails:
         main = parse_source(
             "from pkg.helpers import refresh as reload_table\n"
             "\n"
-            "def lookup_batch(table):\n"
+            "def gather_batch(table):\n"
             "    reload_table(table)\n",
             "pkg/query.py",
         )

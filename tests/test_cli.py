@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.exec import executor
+from repro.lsh import query as lsh_query
 from repro.resilience import QueryValidationError
 from tests.threads import THREADS, native_threads
 
@@ -81,7 +81,7 @@ class TestBuildQueryInfo:
                 out = str(tmp_path / f"res{len(outputs)}.npz")
                 with native_threads(p), pytest.MonkeyPatch.context() as mp:
                     if sharded:
-                        mp.setattr(executor, "SHARD_LOOKUP_ROWS", 1)
+                        mp.setattr(lsh_query, "SHARD_LOOKUP_ROWS", 1)
                     assert main(["query", index_path, query_file, "-k",
                                  "3", "--output", out]) == 0
                 outputs.append(np.load(out))
@@ -250,7 +250,7 @@ class TestResilienceCLI:
                                                      monkeypatch):
         # The budget is checked between shards: every one-row shard
         # starts late.
-        monkeypatch.setattr(executor, "SHARD_LOOKUP_ROWS", 1)
+        monkeypatch.setattr(lsh_query, "SHARD_LOOKUP_ROWS", 1)
         rc = main(["query", index_file, query_file, "-k", "5",
                    "--deadline-ms", "0.000001", "--show", "0"])
         assert rc == 0

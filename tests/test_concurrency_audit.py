@@ -29,11 +29,11 @@ from repro.analysis.sanitizer import InterleavingDriver
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh import index as index_module
+from repro.lsh import query as lsh_query
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable
 from repro.native import registry
 from repro.native.ref import tree_rowdot
-from repro.exec import executor
 from repro.runtime import IndexRuntime
 from tests.shards import shard_rows
 from tests.threads import native_threads
@@ -228,7 +228,7 @@ class TestInsertsRacingReads:
         # Half the readers ask the index, half a runtime, every batch as
         # 5-row shards: each shard takes its own layouts-then-row-count
         # snapshot.
-        monkeypatch.setattr(executor, "SHARD_LOOKUP_ROWS",
+        monkeypatch.setattr(lsh_query, "SHARD_LOOKUP_ROWS",
                             5 * index.execution_plan().lookups_per_row())
         threaded = IndexRuntime(index)
 

@@ -1,8 +1,8 @@
-"""Execution-core tests: sharding parity, cross-shard deadlines.
+"""Query-path tests: sharding parity, cross-shard deadlines.
 
-The contract under test (see DESIGN.md "Execution core"):
+The contract under test (see DESIGN.md §11, "The query path"):
 
-1. **Shard parity** — the executor's shard size (``SHARD_LOOKUP_ROWS``
+1. **Shard parity** — the query path's shard size (``SHARD_LOOKUP_ROWS``
    over the plan's lookups per row) bounds memory, not semantics: for
    every front-end, supervised (under a generous deadline, whose
    ``exhausted_budget`` mask must fold alike) or not, the sharded batch
@@ -18,6 +18,8 @@ All datasets are seeded; the CI ``chaos`` job runs this file with
 ``PYTHONHASHSEED=0``.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,10 @@ from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.evaluation.groundtruth import GroundTruth
 from repro.evaluation.runner import evaluate_index
-from repro.exec import ExecutionContext, QueryStats, executor
+from repro.lsh import query as lsh_query
 from repro.lsh.index import StandardLSH
 from repro.obs.registry import MetricsRegistry
-from repro.resilience import QueryValidationError
+from repro.resilience import Deadline, QueryValidationError
 from repro.runtime import IndexRuntime
 from tests.oracle import oracle_query_batch
 from tests.shards import shard_rows
@@ -131,7 +133,7 @@ class TestShardParity:
                                     rt.query_batch(queries, K, **kwargs))
 
     def test_config_default_is_used(self, dataset, queries):
-        # The executor's default shards every batch with no option set:
+        # The query path shards every batch with no option set:
         # ``SHARD_LOOKUP_ROWS`` over the plan's lookups per row, here
         # spill 2 x 6 tables x 5 own-and-probe buckets = 60 per row.  The
         # obs shard counter proves the split actually happened.
@@ -143,7 +145,7 @@ class TestShardParity:
         obs.enable(registry=reg)
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(executor, "SHARD_LOOKUP_ROWS", 200)
+                patch.setattr(lsh_query, "SHARD_LOOKUP_ROWS", 200)
                 sharded = index.query_batch(queries, K)
         finally:
             obs.disable()
@@ -186,7 +188,7 @@ def _answer_bytes(result):
 
 
 class TestDerivedShardSize:
-    """With no option set, the executor shards a batch at
+    """With no option set, the query path shards a batch at
     ``SHARD_LOOKUP_ROWS // plan.lookups_per_row()`` rows, where a row
     costs tables x (1 + probes) x spill lookups: a lookup-heavy batch
     splits, and no call shaped like an e2e workload does."""
@@ -200,7 +202,7 @@ class TestDerivedShardSize:
             seed=5)).fit(dataset)
         per_row = index.execution_plan().lookups_per_row()
         assert per_row == 2 * 4 * 241
-        rows = executor.SHARD_LOOKUP_ROWS // per_row
+        rows = lsh_query.SHARD_LOOKUP_ROWS // per_row
         queries = np.random.default_rng(9).standard_normal((rows + 17, DIM))
         options = dict(deadline_ms=600_000.0)
         sharded, n_shards = _count_shards(
@@ -208,7 +210,7 @@ class TestDerivedShardSize:
         assert n_shards == -(-queries.shape[0] // rows) == 2
         assert sharded[2].escalated.any()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(executor, "SHARD_LOOKUP_ROWS",
+            patch.setattr(lsh_query, "SHARD_LOOKUP_ROWS",
                           per_row * queries.shape[0])
             whole, n_whole = _count_shards(
                 lambda: index.query_batch(queries, K, **options))
@@ -268,6 +270,24 @@ class TestHierarchyThresholdValidation:
             hierarchy.query_batch(queries, K, hierarchy_threshold=K))
 
 
+class TestCandidateSetsValidation:
+    """``candidate_sets`` refuses what ``query_batch`` refuses, with the
+    same typed error, on both indexes."""
+
+    @pytest.mark.parametrize("bad", ["narrow", "nan"])
+    @pytest.mark.parametrize("kind", ["standard", "bilevel"])
+    def test_refused_like_query_batch(self, request, queries, kind, bad):
+        index = request.getfixturevalue(kind)
+        rows = queries[:, :8] if bad == "narrow" else queries.copy()
+        if bad == "nan":
+            rows[2, 3] = np.nan
+        for call in (lambda: index.query_batch(rows, K),
+                     lambda: index.candidate_sets(rows)):
+            with pytest.raises(QueryValidationError) as excinfo:
+                call()
+            assert excinfo.value.field == "queries"
+
+
 # ------------------------------------------------------------- deadlines
 
 
@@ -308,42 +328,52 @@ class TestDeadlineAcrossShards:
 
 
 class TestAbsorb:
-    """``ExecutionContext.absorb`` is the one place a sub-result is put
-    into a result: the shard loop folds every shard through it."""
+    """A shard is the batch's record over its rows, written in place: the
+    only way a shard's answers, counts and flags reach the batch's."""
 
     @pytest.mark.parametrize("again", [False, True])
     @pytest.mark.parametrize("exhausted", [False, True])
-    def test_lazy_masks(self, again, exhausted):
-        # A mask the sub-result does not carry leaves the parent's at
-        # ``None`` ("no deadline"); one it carries is allocated on first
-        # need and OR-ed in, over exactly the absorbed rows — and a flag
-        # one fold set is not cleared by the next (``again``).
-        rng = np.random.default_rng(7)
-        ctx = ExecutionContext.for_batch(rng.standard_normal((6, DIM)), 3)
-        rows = slice(1, 3)
-        flag = np.array([True, False])
-        stats = QueryStats(
-            np.array([5, 9]), np.array([False, True]),
-            exhausted_budget=flag if exhausted else None)
-        ids = np.array([[10, 11, 12], [20, 21, -1]])
-        dists = np.array([[0.1, 0.2, 0.3], [0.5, 0.6, np.inf]])
-        ctx.absorb(rows, ids, dists, stats)
+    def test_lazy_masks(self, dataset, queries, again, exhausted):
+        # Without a budget the exhausted mask stays ``None`` ("no
+        # deadline"), stalled shards or not (``again``).  With one, every
+        # shard's flags are OR-ed into the one mask over exactly its
+        # rows: the loop's for shards that start late, and with
+        # ``again`` also the escalate stage's inside the shard that
+        # spent the budget, which keeps its answers.
+        index = StandardLSH(n_tables=6, bucket_width=8.0, hierarchy=True,
+                            seed=5).fit(dataset)
+        options = dict(hierarchy_threshold=10 ** 6)  # every row escalates
+        base = index.query_batch(queries, K, **options)
+        if exhausted and not again:
+            options["deadline"] = Deadline.from_ms(0.001)
+            time.sleep(0.01)
+        elif exhausted:
+            options["deadline_ms"] = 50.0
+        reg = MetricsRegistry()
+        obs.enable(registry=reg)
+        try:
+            with stalled_stage("gather", 150.0 if again else 0.0,
+                               max_hits=1), shard_rows(index, 8):
+                ids, dists, stats = index.query_batch(queries, K, **options)
+        finally:
+            obs.disable()
+        counter = reg.get(obs.DEADLINE_EXHAUSTED_TOTAL)
+        flagged = {} if counter is None else {
+            dict(c.label_items)["stage"]: c.value for c in counter.children()}
+        if not exhausted:
+            assert stats.exhausted_budget is None
+            assert flagged == {}
+            assert_same_results(base, (ids, dists, stats))
+            return
+        assert stats.exhausted_budget.all()
+        assert not stats.escalated.any()
+        assert (ids[8:] == -1).all() and np.isinf(dists[8:]).all()
         if again:
-            ctx.absorb(rows, ids, dists, QueryStats(
-                np.array([5, 9]), np.array([False, True]),
-                exhausted_budget=~flag if exhausted else None))
-        assert np.array_equal(ctx.ids_out[rows], ids)
-        assert np.array_equal(ctx.dists_out[rows], dists)
-        untouched = [0, 3, 4, 5]
-        assert (ctx.ids_out[untouched] == -1).all()
-        assert np.isinf(ctx.dists_out[untouched]).all()
-        assert ctx.n_candidates.tolist() == [0, 5, 9, 0, 0, 0]
-        assert ctx.escalated.tolist() == [False, False, True] + [False] * 3
-        out = ctx.build_stats()
-        assert (out.exhausted_budget is None) == (not exhausted)
-        if exhausted:
-            assert out.exhausted_budget.tolist() == [
-                False, True, again, False, False, False]
+            assert flagged == {"lsh.escalate": 8, "lsh.shard": N_QUERIES - 8}
+            assert (ids[:8, 0] >= 0).all()
+        else:
+            assert flagged == {"lsh.shard": N_QUERIES}
+            assert (ids == -1).all()
 
     def test_every_path_folds_to_the_same_stats(self, dataset, queries):
         # Unsharded == sharded == sharded on a runtime's threads, on

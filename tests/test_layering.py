@@ -1,8 +1,8 @@
 """Import layering: the serving package sits above the index packages.
 
 ``repro.runtime`` resolves a request against session defaults and calls
-:func:`repro.exec.run_plan`; nothing below it may import it back.  An
-index's ``query_batch`` calls ``run_plan`` itself, so an import of the
+the index's ``query_batch``; nothing below it may import it back.  An
+index's ``query_batch`` runs the query path itself, so an import of the
 runtime from these packages is a layer re-grown — what rule R14's
 ``query_batch`` half used to demand the opposite of.  Walks the import
 statements of ``src/repro`` (function-level ones included), so a
@@ -57,5 +57,5 @@ def test_the_walk_sees_a_runtime_import(tmp_path):
         "from repro import runtime\n"
         "def f():\n"
         "    from repro.runtime.session import QueryRequest\n"
-        "    from repro.exec import run_plan  # allowed\n")
+        "    from repro.lsh.query import run_plan  # allowed\n")
     assert [lineno for lineno, _ in runtime_imports(sample)] == [1, 2, 4]

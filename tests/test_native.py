@@ -48,9 +48,9 @@ from repro import obs
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.core.outofcore import fit_standard_chunked
-from repro.exec import run_plan
 from repro.lattice.e8 import decode_e8
 from repro.lsh.index import StandardLSH
+from repro.lsh.query import run_plan
 from repro.lsh.table import SortedLayout, TableLayouts
 from repro.native import kernels_cext, registry
 from repro.lattice.e8 import E8Lattice

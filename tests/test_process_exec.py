@@ -6,7 +6,7 @@ processes, and later on a runtime-owned thread pool; some class and
 test names are the ones that survived.)
 
 The contract under test (DESIGN.md §11): an
-:class:`~repro.runtime.IndexRuntime` runs the executor's own shard loop,
+:class:`~repro.runtime.IndexRuntime` runs the query path's own shard loop,
 in turn, over the live index, and the compiled kernels hand their work
 to P threads inside each call, so
 
@@ -23,7 +23,7 @@ to P threads inside each call, so
 4. **Nothing to go stale, leak or die** — a write is visible to the next
    read, and every kernel thread is joined before its call returns.
 
-The executor sizes its shards from the plan, far above these batches;
+The query path sizes its shards from the plan, far above these batches;
 ``tests.shards.shard_rows`` patches that size down, and
 ``tests.stall.stalled_stage`` slows a stage to spend a budget.  All
 datasets are seeded; CI's ``chaos`` job runs this file.
@@ -38,11 +38,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.exec import (ExecutionContext, QueryPlan, QueryStats, Stage,
-                        run_validated)
 from repro.lsh.index import StandardLSH
+from repro.lsh.query import _LSHPlan
 from repro.obs.registry import MetricsRegistry
-from repro.lsh.index import _LSHPlan
 from repro.resilience import Deadline, QueryValidationError
 from repro.runtime import IndexRuntime, QueryRequest
 from tests.shards import shard_rows
@@ -109,7 +107,7 @@ def assert_bit_identical(result, reference):
 class TestParity:
     def test_single_shard_is_bit_identical(self, runtime, queries,
                                            reference):
-        # A batch the executor does not split runs inline.
+        # A batch the query path does not split runs inline.
         result = runtime.query_batch(queries, K,
                                      hierarchy_threshold=THRESHOLD)
         assert_bit_identical(result, reference)
@@ -297,7 +295,7 @@ class TestChaos:
         # raises out of the batch.
         gather = _LSHPlan._stage_gather
 
-        def failing(plan, ctx):
+        def failing(plan, batch):
             raise _Boom(0)
 
         with shard_rows(runtime.index, 5):
@@ -313,47 +311,37 @@ class TestChaos:
                                          hierarchy_threshold=THRESHOLD)
         assert_bit_identical(result, reference)
 
-    def test_exception_surfaces_in_shard_order(self):
+    def test_exception_surfaces_in_shard_order(self, dataset):
         # Shards 1 and 3 would both raise; the caller sees shard 1's, and
-        # no shard after it starts.
+        # no shard after it starts.  A row's first coordinate names its
+        # shard.
+        index = StandardLSH(n_tables=4, bucket_width=6.0,
+                            seed=9).fit(dataset)
+        rows = np.zeros((20, DIM))
+        rows[:, 0] = np.arange(20.0)
         started, ended = [], []
+        hash_stage = _LSHPlan._stage_hash
 
-        def stage(ctx):
-            shard = int(ctx.queries[0, 0]) // 5
+        def stage(plan, batch):
+            shard = int(batch.queries[0, 0]) // 5
             started.append(shard)
             try:
                 if shard in (1, 3):
                     raise _Boom(shard)
+                hash_stage(plan, batch)
             finally:
                 ended.append(shard)
 
-        with pytest.raises(_Boom) as caught:
-            _run_probe(stage)
+        with shard_rows(index, 5), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_LSHPlan, "_stage_hash", stage)
+            with pytest.raises(_Boom) as caught:
+                index.query_batch(rows, K)
         assert caught.value.args == (1,)
         assert started == ended == [0, 1]
 
 
 class _Boom(Exception):
     pass
-
-
-class _ProbePlan(QueryPlan):
-    """One stage, given by the test; rows say which shard they are in."""
-
-    site = "probe"
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def stages(self):
-        return (Stage("probe.run", self.fn),)
-
-
-def _run_probe(fn, n_rows=20, shard=5):
-    rows = np.arange(float(n_rows)).reshape(n_rows, 1)
-    plan = _ProbePlan(fn)
-    with shard_rows(plan, shard):
-        return run_validated(plan, ExecutionContext.for_batch(rows, K))
 
 
 # -------------------------------------------------------------- deadlines

@@ -5,8 +5,8 @@ import pytest
 
 from repro.evaluation.groundtruth import brute_force_knn
 from repro.evaluation.metrics import recall_ratio
-from repro.exec import ExecutionContext
 from repro.lsh.index import StandardLSH, make_lattice
+from repro.lsh.query import Batch
 
 
 class TestMakeLattice:
@@ -266,9 +266,9 @@ class TestOneCallHashing:
             # One row, a few, and the whole block the index was fit on.
             for rows in (gaussian_data[:1], gaussian_data[5:8],
                          gaussian_data[:700]):
-                ctx = ExecutionContext.for_batch(rows, 1)
-                index.execution_plan()._stage_hash(ctx)
-                member, = ctx.scratch["members"]
+                batch = Batch.of(rows, 1)
+                index.execution_plan()._stage_hash(batch)
+                member, = batch.members
                 _, inserted = index._hash(rows)
                 assert member.codes.shape[:2] == (5, rows.shape[0])
                 for t, family in enumerate(index._families):
