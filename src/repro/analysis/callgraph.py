@@ -9,7 +9,7 @@ resolves to.  This rewrite keeps the conservative by-name edges as a
 fallback and layers *resolved* edges on top:
 
 - **imports** — ``import repro.lsh.query as q; q.f()`` and
-  ``from repro.lsh.table import pack_codes as pk; pk()`` resolve to the
+  ``from repro.lsh.table import morton_keys as mk; mk()`` resolve to the
   defining :class:`FunctionNode` when the target module is in the
   analyzed corpus;
 - **class hierarchy** — ``self.method()`` resolves through the

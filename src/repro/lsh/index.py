@@ -8,7 +8,7 @@ query-adaptive enhancements the paper evaluates:
   neighbors for ``E8``;
 - *hierarchical table* (``hierarchy=True``): escalate queries whose
   short-list is smaller than the fitted median to coarser bucket levels
-  (Morton prefix levels for ``Z^M``, scaled-lattice levels for ``E8``).
+  (Morton prefixes of a ``Z^M`` table's own layout, ``E8`` lattice levels).
 
 The same class indexes one RP-tree leaf group of
 :class:`repro.core.bilevel.BiLevelLSH` (its rows of the shared row store),
@@ -365,9 +365,9 @@ class StandardLSH:
                    store: Optional[RowStore] = None) -> "StandardLSH":
         """The index :meth:`state` described, over the arrays given, by
         reference: no copy, and a memmap stays a memmap.  Table layouts
-        absent from ``derived`` are rebuilt from ``data``; hierarchies
-        are always rebuilt from the tables (their Morton keys are Python
-        ints past 62 bits) and the escalation threshold refitted.  With
+        absent from ``derived`` are rebuilt from ``data``; a ``Z^M``
+        hierarchy is a view of its table's layout, an ``E8`` one is
+        rebuilt from the table, and the escalation threshold refitted.  With
         a ``store`` the index is a group of a Bi-level index over its
         ``source["rows"]`` of it, whose tombstones go into the store's
         one mask.  Retired options are dropped or refused

@@ -12,13 +12,15 @@ layout of "a linear array along with an indexing table"; points inserted
 after the build live in a second layout of the same shape.  The plan's
 ``bucket_spans`` kernel searches both, every table's at once (one
 :class:`TableLayouts`), each through its hashed bucket index: one hash
-probe a lookup.  The numpy lookups search *packed keys* instead — each
-code row one big-endian byte string ordered as the code tuple — with one
-:func:`numpy.searchsorted` a batch (:meth:`gather_batch`).
+probe a lookup.  Buckets lie in the Morton order of their codes
+(:func:`morton_keys`), so a ``Z^M`` table is its own hierarchy, and the
+numpy lookups search the keys with one :func:`numpy.searchsorted` a
+batch (:meth:`gather_batch`).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from contextlib import ExitStack
@@ -30,65 +32,96 @@ from repro import obs
 from repro.native.ref import NO_CELLS, lookup_codes_ref
 from repro.native.registry import resolved_kernels
 
-#: Sign-bit flip making the unsigned byte order of an int64 match its
-#: signed numeric order.
-_SIGN_FLIP = np.uint64(1 << 63)
+
+@functools.lru_cache(maxsize=64)
+def _spread_table(m: int, bits: int) -> np.ndarray:
+    """``(M, ceil(bits / 8), 256, W)`` uint64: at ``[j, k, x]`` the key
+    words (most significant first) that value ``x`` of byte ``k`` of
+    coordinate ``j`` puts into a :func:`morton_keys` key."""
+    n_bytes, words = -(-bits // 8), max(1, -(-m * bits // 64))
+    bit = np.arange(8 * n_bytes, dtype=np.int64)
+    # Where bit ``b`` of coordinate ``j`` lands, from the key's lowest bit.
+    pos = (64 * words - m * bits + bit * m + np.arange(
+        m - 1, -1, -1, dtype=np.int64)[:, None])[:, None, :, None]
+    on = (np.arange(256, dtype=np.int64)[:, None] >> bit % 8) & 1 & (bit < bits)
+    table = np.where(pos // 64 == np.arange(words - 1, -1, -1, dtype=np.int64),
+                     on[..., None].astype(np.uint64) << (pos % 64).astype(np.uint64), 0)
+    table = table.reshape(m, 256, n_bytes, 8, words).sum(axis=3).transpose(0, 2, 1, 3)
+    table.flags.writeable = False  # one table serves every caller
+    return table
 
 
-def pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Pack ``(n, M)`` int64 codes into ``(n,)`` sortable fixed-width keys.
-
-    Each row is mapped to an ``S(8*M)`` byte string: the sign bit of every
-    coordinate is flipped (so signed order becomes unsigned order) and the
-    coordinates are laid out big-endian, most-significant coordinate first.
-    Comparing two keys byte-wise is then exactly the lexicographic
-    comparison of the two code tuples, which makes the keys directly
-    usable with :func:`numpy.sort` / :func:`numpy.searchsorted`.
-    """
+def morton_keys(codes: np.ndarray,
+                box: Optional[Tuple[np.ndarray, int]] = None,
+                ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(keys, offset, bits)`` of ``(n, M)`` int64 code rows, the keys in
+    the order of the Morton curve (Section IV-B.2a): each row's ``bits``
+    low bits of its coordinates less ``offset`` (the coordinate-wise
+    minimum; ``bits`` fits the largest), interleaved plane by plane from
+    the most significant, coordinate 0 first, left-aligned in ``W =
+    ceil(M * bits / 64)`` words — a ``uint64``, or past one word the
+    words big-endian as ``S(8 W)`` bytes.  Equal keys are equal rows.
+    With ``box = (offset, bits)`` rows are keyed, clamped, in that box."""
     codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
     n, m = codes.shape
-    if n == 0:
-        return np.empty(0, dtype=f"S{8 * m}")
-    packed = (codes.view(np.uint64) ^ _SIGN_FLIP).astype(">u8")
-    return np.ascontiguousarray(packed, dtype=">u8").view(f"S{8 * m}").ravel()
+    if box is None:
+        offset = codes.min(axis=0) if n else np.zeros(m, dtype=np.int64)
+        # Exact in uint64: no code is below the offset.
+        shifted = codes.view(np.uint64) - offset.view(np.uint64)
+        bits = int(shifted.max(initial=0)).bit_length()
+    else:
+        offset, bits = box
+        shifted = np.minimum(
+            np.maximum(codes, offset).view(np.uint64) - offset.view(np.uint64),
+            np.uint64(2 ** 64 - 1) >> np.uint64(64 - bits))
+    table = _spread_table(m, bits)
+    low = shifted.astype("<u8", copy=False).view(np.uint8).reshape(n, m, 8)
+    words = np.zeros((n, table.shape[3]), dtype=np.uint64)
+    for j, k in np.ndindex(*table.shape[:2]):
+        words |= table[j, k][low[:, j, k]]
+    keys = (words[:, 0] if words.shape[1] == 1 else
+            words.astype(">u8").view(f"S{8 * words.shape[1]}").ravel())
+    return keys, offset, bits
 
 
-#: Packed keys of the sorted code arrays searched so far, by ``id`` of the
-#: array, dropped when the array dies.  Tables and hierarchy levels publish
-#: their code arrays once and never write to them, and search the same ones
-#: on every batch — repacking per call would cost more than the search.
-_PACKED: Dict[int, Tuple["weakref.ref[np.ndarray]", np.ndarray]] = {}
+#: Morton keys of the sorted code arrays searched so far, by ``id`` of
+#: the array, dropped when the array dies: tables and hierarchy levels
+#: publish their code arrays once and search them on every batch.
+_PACKED: Dict[int, Tuple["weakref.ref[np.ndarray]",
+                         Tuple[np.ndarray, np.ndarray, int]]] = {}
 
 
-def packed_keys(sorted_codes: np.ndarray) -> np.ndarray:
-    """:func:`pack_codes` of a published (never rewritten) code array,
-    remembered for as long as the array lives."""
+def packed_keys(sorted_codes: np.ndarray,
+                ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """:func:`morton_keys` of a published (never rewritten) code array,
+    with its ``(offset, bits)``, remembered for as long as the array
+    lives."""
     token = id(sorted_codes)
     entry = _PACKED.get(token)
     if entry is not None and entry[0]() is sorted_codes:
         return entry[1]
-    keys = pack_codes(sorted_codes)
+    keyed = morton_keys(sorted_codes)
     _PACKED[token] = (
         weakref.ref(sorted_codes,
                     lambda _ref, token=token: _PACKED.pop(token, None)),
-        keys)
-    return keys
+        keyed)
+    return keyed
 
 
 def sort_runs(codes: np.ndarray, ids: np.ndarray,
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``ids`` grouped by their ``(n, M)`` int64 code rows: ``(distinct
-    codes ascending, starts, ends, sorted ids)``, each code's ids the run
-    ``[start, end)`` of the sorted ids.  The sort is stable: ids sharing a
-    code keep their order."""
+    codes in Morton order, starts, ends, sorted ids)``, each code's ids
+    the run ``[start, end)`` of the sorted ids.  The sort is stable: ids
+    sharing a code keep their order."""
     n = codes.shape[0]
-    order = np.lexsort(codes.T[::-1])
-    sorted_codes = codes[order]
+    keys = morton_keys(codes)[0]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     # Where each run of identical codes starts (none when there are none).
-    head = (sorted_codes[1:] != sorted_codes[:-1]).any(axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], head))[:n])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[:n])
     ends = np.append(starts[1:], n)[:starts.size]
-    return sorted_codes[starts], starts, ends, ids[order]
+    return codes[order[starts]], starts, ends, ids[order]
 
 
 class SortedLayout(NamedTuple):
@@ -158,9 +191,9 @@ class SortedLayout(NamedTuple):
                 or not np.array_equal(starts[1:], ends[:-1])
                 or (ends <= starts).any()):
             return "ends", f"does not tile the {sorted_ids.shape[0]} sorted ids"
-        keys = pack_codes(bucket_codes)
+        keys = morton_keys(bucket_codes)[0]
         if (keys[1:] <= keys[:-1]).any():
-            return "bucket_codes", "is not strictly ascending"
+            return "bucket_codes", "is not strictly ascending along the curve"
         if sorted_ids.shape[0] and (sorted_ids.min() < 0
                                     or sorted_ids.max() >= n_rows):
             return "sorted_ids", f"holds ids outside [0, {n_rows})"
@@ -354,7 +387,7 @@ class LSHTable:
 
     @property
     def bucket_codes(self) -> np.ndarray:
-        """The distinct codes, one row per bucket (lexicographically sorted)."""
+        """The distinct codes, one row per bucket, in Morton order."""
         return self._bucket_codes
 
     @property

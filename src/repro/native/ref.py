@@ -126,16 +126,18 @@ def bucket_index_ref(arrays: Sequence[np.ndarray]) -> "list[np.ndarray]":
 def lookup_codes_ref(bucket_codes: np.ndarray,
                      codes: np.ndarray) -> np.ndarray:
     """Reference for ``lookup_codes``, the search the hashed bucket index
-    must agree with: the index of each code row in the ``(B, M)`` sorted,
-    distinct, never rewritten ``bucket_codes`` (their packed keys are
-    remembered), ``-1`` where absent, by one binary search.  The compiled
+    must agree with: the index of each code row in the ``(B, M)`` distinct,
+    never rewritten ``bucket_codes`` (their Morton keys are remembered),
+    ``-1`` where absent, by one binary search of the keys.  The compiled
     table serves it from here: only ``benchmarks/e2e`` calls the kernel."""
-    from repro.lsh.table import pack_codes, packed_keys  # cycle
+    from repro.lsh.table import morton_keys, packed_keys  # cycle
 
-    keys, rows = packed_keys(bucket_codes), pack_codes(codes)
-    at = np.minimum(np.searchsorted(keys, rows), max(keys.size - 1, 0))
-    hit = keys[at] == rows if keys.size else False
-    return np.where(hit, at, -1).astype(np.int64)
+    keys, offset, bits = packed_keys(bucket_codes)
+    codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+    at = np.minimum(np.searchsorted(keys, morton_keys(codes, (offset, bits))[0]),
+                    max(keys.size - 1, 0))
+    hit = (bucket_codes[at] == codes).all(axis=1) if keys.size else False
+    return np.where(hit, at, -1)
 
 
 def dedup_candidates_ref(local_ids: np.ndarray, qidx: np.ndarray, nq: int,

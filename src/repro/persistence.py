@@ -8,8 +8,9 @@ CRC-32 / dtype / shape entry per array, so no pickle is involved.  It
 holds :meth:`StandardLSH.state` whole: the source arrays and, under
 ``.../derived/``, every table's sorted layout — the paper's "linear
 array along with an indexing table" (Section V-A) — which load adopts
-after O(buckets) checks instead of sorting again; hierarchies are
-rebuilt.  Versions 1 and 2 hold no layouts: their tables are rebuilt.
+after O(buckets) checks instead of sorting again (version 3's, in
+lexicographic order, re-sorted first); ``E8`` hierarchies are rebuilt.
+Versions 1 and 2 hold no layouts: their tables are rebuilt.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.config import BiLevelConfig
 from repro.cluster.kmeans import KMeansPartitioner
 from repro.lsh.index import (RowStore, StandardLSH, drop_retired_options,
                              prefixed, sub_arrays)
-from repro.lsh.table import SortedLayout
+from repro.lsh.table import SortedLayout, sort_runs
 from repro.resilience.errors import CorruptIndexError, InjectedFault
 from repro.resilience.faults import faults_active
 from repro.rptree.rules import SplitResult
@@ -35,9 +36,10 @@ from repro.rptree.tree import RPTree, RPTreeNode
 
 #: Version 2 adds per-array CRC-32 checksums to ``__meta__`` (version-1
 #: files skip verification); version 3 stores the table layouts and
-#: Bi-level's row store as it stands, uncompressed.
-FORMAT_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: Bi-level's row store as it stands, uncompressed; version 4 stores the
+#: layouts in Morton order.
+FORMAT_VERSION = 4
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 
 # ------------------------------------------------------------- standard LSH
@@ -320,6 +322,20 @@ def _inject_load_corruption(meta: dict,
         return
 
 
+def _resort_layouts(path: str, arrays: Dict[str, np.ndarray]) -> None:
+    """Re-sort each lexicographic table layout of a version-3 archive along
+    the Morton curve from its own row codes; :meth:`SortedLayout.flaw` checks it."""
+    names = ("bucket_codes", "starts", "ends", "sorted_ids")
+    for key in [key for key in arrays if key.endswith("/bucket_codes")]:
+        prefix = key[:-len(names[0])]
+        codes, starts, ends, ids = (arrays[prefix + name] for name in names)
+        rows = np.repeat(codes, ends - starts, axis=0)
+        if rows.shape[0] != ids.shape[0]:
+            raise CorruptIndexError(path, prefix + "ends", "does not tile "
+                                    f"the {ids.shape[0]} sorted ids")
+        arrays.update(zip([prefix + n for n in names], sort_runs(rows, ids)))
+
+
 def _read_archive(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read ``__meta__`` + arrays, enforce version, apply load faults."""
     with np.load(path) as archive:
@@ -410,6 +426,8 @@ def load_index(path: str) -> Union[StandardLSH, BiLevelLSH]:
     """
     meta, arrays = _read_archive(str(path))
     _verify_arrays(str(path), meta, arrays)
+    if meta["version"] == 3:
+        _resort_layouts(str(path), arrays)
     kind = meta["type"]
     if kind == "bilevel":
         index = _bilevel_restore(str(path), meta["body"], arrays)

@@ -286,8 +286,8 @@ class TestRefusedArchive:
 
     @pytest.mark.parametrize("meta, reason", [
         ({"version": 2, "type": "forest", "body": {}}, "'forest'"),
-        ({"version": 4, "type": "standard", "body": {}}, "version 4"),
-    ], ids=["forest-type", "version-4"])
+        ({"version": 5, "type": "standard", "body": {}}, "version 5"),
+    ], ids=["forest-type", "version-5"])
     @pytest.mark.parametrize("command", ["query", "info", "stats",
                                          "compact", "recover"])
     def test_exits_2_naming_the_refusal(self, tmp_path, query_file, capsys,

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from repro.hierarchy.e8_hierarchy import E8Hierarchy
 from repro.lattice.e8 import E8Lattice, e8_decode
-from repro.lsh.table import LSHTable
+from repro.lsh.table import LSHTable, sort_runs
 from repro.native import load_kernels
 from repro.native.ref import hierarchy_walk_ref
 from repro.native.registry import NUMPY_KERNELS
+from tests.oracle import morton_order
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +148,10 @@ def _chain_built(table, max_levels=24):
             first = np.unique(group, return_index=True)[1]
             uniq, inverse = np.unique(next(chain)[1][first], axis=0,
                                       return_inverse=True)
-            group = inverse.ravel()[group]
+            # A level's codes lie along the Morton curve, as a table's do.
+            curve = np.array(morton_order(uniq), dtype=np.int64)
+            uniq, rank = uniq[curve], np.argsort(curve)
+            group = rank[inverse.ravel()][group]
             if np.array_equal(uniq, 2 * level_codes[-1]):
                 settled = len(groups) - 1
         level_codes.append(uniq)
@@ -188,6 +192,23 @@ def assert_same_hierarchy(hier, want):
         for got, exp in zip(getattr(hier, name), get(name)):
             assert got.dtype == np.int64 and got.flags.c_contiguous
             np.testing.assert_array_equal(got, exp)
+
+
+class TestLevelOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.3, 3.0, 40.0, 5000.0]),
+           n=st.sampled_from([1, 2, 40, 400]))
+    def test_doubling_a_level_keeps_its_order(self, seed, scale, n):
+        # Past the settled level a level is the one below doubled: the
+        # build tells it by comparing the sorted parents with the doubled
+        # codes, so the sort must keep a doubled level in its order.
+        _, _, _, _, hier = _make(points_scale=scale, n=n, seed=seed)
+        for codes in hier.level_codes:
+            doubled, _, _, order = sort_runs(2 * codes,
+                                             np.arange(codes.shape[0]))
+            np.testing.assert_array_equal(doubled, 2 * codes)
+            np.testing.assert_array_equal(order, np.arange(codes.shape[0]))
 
 
 class TestBuildOracle:

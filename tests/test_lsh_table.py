@@ -5,6 +5,7 @@ import pytest
 
 from repro.lsh.table import LSHTable
 from repro.native.registry import NUMPY_KERNELS
+from tests.oracle import morton_order
 
 
 class TestBuild:
@@ -87,7 +88,6 @@ class TestInvariants:
         table = LSHTable(codes)
         bc = table.bucket_codes
         assert np.unique(bc, axis=0).shape[0] == bc.shape[0]
-        # Lexicographic sorting.
-        for i in range(bc.shape[0] - 1):
-            assert tuple(bc[i]) < tuple(bc[i + 1])
+        # Morton order, ties impossible among distinct codes.
+        assert morton_order(bc) == list(range(bc.shape[0]))
 

@@ -357,7 +357,7 @@ class TestVerifiedPersistence:
     def test_verify_index_report(self, saved):
         path, _ = saved
         report = verify_index(path)
-        assert report["path"] == path and report["version"] == 3
+        assert report["path"] == path and report["version"] == 4
         assert report["checksummed"] is True
         assert report["n_verified"] == report["n_arrays"] > 0
 
@@ -579,6 +579,34 @@ def _write_v2(index, path):
         json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
+def _write_v3(index, path):
+    """What ``save_index`` wrote in format 3: every table layout with its
+    buckets in lexicographic order, ids sharing a code in fitted order."""
+    from repro.persistence import _array_checksums
+
+    names = ("bucket_codes", "starts", "ends", "sorted_ids")
+
+    def lexicographic(meta, arrays):
+        for key in [key for key in arrays if key.endswith("/bucket_codes")]:
+            prefix = key[:-len(names[0])]
+            codes, starts, ends, ids = (arrays[prefix + name]
+                                        for name in names)
+            rows = np.repeat(codes, ends - starts, axis=0)
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            head = np.flatnonzero(np.concatenate((
+                [True], (rows[1:] != rows[:-1]).any(axis=1))))[:rows.shape[0]]
+            arrays.update(zip([prefix + name for name in names], [
+                rows[head], head, np.append(head[1:], rows.shape[0]),
+                ids[order]]))
+        meta["version"] = 3
+        meta["checksums"] = _array_checksums(
+            {key: arr for key, arr in arrays.items() if key != "__meta__"})
+
+    save_index(index, path)
+    _rewrite_archive(path, lexicographic)
+
+
 KINDS = [(kind, lattice, hierarchy) for kind in ("standard", "bilevel")
          for lattice in ("zm", "e8") for hierarchy in (False, True)]
 KIND_IDS = [f"{kind}-{lattice}-{'hier' if hierarchy else 'flat'}"
@@ -672,14 +700,36 @@ class TestAdoptedRoundtrip:
         assert verify_index(path)["version"] == 2
         _assert_byte_equal(index, load_index(path), gaussian_queries)
 
-    def test_recover_rewrites_a_version_2_archive_as_version_3(
-            self, gaussian_data, gaussian_queries, tmp_path, capsys):
+    @pytest.mark.parametrize("kind, lattice, hierarchy", KINDS,
+                             ids=KIND_IDS)
+    def test_a_version_3_archive_loads_by_resorting(
+            self, gaussian_data, gaussian_queries, tmp_path, monkeypatch,
+            kind, lattice, hierarchy):
+        # Format 3 stored lexicographic layouts: load re-sorts each along
+        # the curve from its own row codes, and no table is rebuilt.
+        index = _fit(kind, gaussian_data, lattice, hierarchy)
+        index.delete(np.arange(0, 800, 9))
+        path = str(tmp_path / "v3.npz")
+        _write_v3(index, path)
+        assert verify_index(path)["version"] == 3
+        _no_rebuild(monkeypatch)
+        loaded = load_index(path)
+        _assert_byte_equal(index, loaded, gaussian_queries)
+        for a, b in zip(_members(index), _members(loaded)):
+            for want, got in zip(a._tables, b._tables):
+                for x, y in zip(want.layouts()[0][:4], got.layouts()[0][:4]):
+                    assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_recover_rewrites_an_old_archive_as_version_4(
+            self, gaussian_data, gaussian_queries, tmp_path, capsys,
+            version):
         from repro.cli import main
         from repro.maintenance import WriteAheadLog
 
         index = _fit("bilevel", gaussian_data[:700])
-        old, wal_path = str(tmp_path / "v2.npz"), str(tmp_path / "tail.wal")
-        _write_v2(index, old)
+        old, wal_path = str(tmp_path / "old.npz"), str(tmp_path / "tail.wal")
+        (_write_v2 if version == 2 else _write_v3)(index, old)
         with WriteAheadLog(wal_path) as wal:
             wal.append_insert(gaussian_data[700:710],
                               np.arange(700, 710, dtype=np.int64))
@@ -688,7 +738,7 @@ class TestAdoptedRoundtrip:
         assert main(["recover", old, "--wal", wal_path, "--out", new]) == 0
         assert json.loads(capsys.readouterr().out)["applied"] == 2
         assert main(["verify-index", new]) == 0
-        assert json.loads(capsys.readouterr().out)["version"] == 3
+        assert json.loads(capsys.readouterr().out)["version"] == 4
         index.insert(gaussian_data[700:710])
         index.delete([1, 702])
         _assert_byte_equal(index, load_index(new), gaussian_queries)
@@ -779,3 +829,27 @@ class TestAdoptionRefusesBadLayouts:
         with pytest.raises(CorruptIndexError) as err:
             load_index(saved)
         assert err.value.key == self.PREFIX + name
+
+    def test_two_swapped_buckets_are_refused(self, saved):
+        # Buckets b and b + 1 trade places, ids and all: the layout still
+        # tiles its ids, but its codes no longer ascend along the curve.
+        def swap(arrays):
+            codes, starts, ends, ids = (
+                arrays[self.PREFIX + name].copy() for name in
+                ("bucket_codes", "starts", "ends", "sorted_ids"))
+            b = codes.shape[0] // 2
+            first, second = ids[starts[b]:ends[b]], ids[starts[b + 1]:ends[b + 1]]
+            ids[starts[b]:ends[b + 1]] = np.concatenate([second, first])
+            ends[b] = starts[b] + second.size
+            starts[b + 1] = ends[b]
+            codes[[b, b + 1]] = codes[[b + 1, b]]
+            arrays.update({self.PREFIX + "bucket_codes": codes,
+                           self.PREFIX + "starts": starts,
+                           self.PREFIX + "ends": ends,
+                           self.PREFIX + "sorted_ids": ids})
+
+        _rechecksum(saved, swap)
+        verify_index(saved)
+        with pytest.raises(CorruptIndexError, match="ascending") as err:
+            load_index(saved)
+        assert err.value.key == self.PREFIX + "bucket_codes"

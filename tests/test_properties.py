@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from pytest import approx as pytest_approx
 
-from repro.hierarchy.morton import morton_encode
+from repro.lsh.table import morton_keys
 from repro.lattice.e8 import decode_d8, decode_e8, e8_minimal_vectors
 from repro.lattice.zm import ZMLattice
 from repro.lsh.multiprobe import boundary_distances, perturbation_sets
 from repro.evaluation.metrics import error_ratio, recall_ratio
+from tests.oracle import morton_encode
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -112,15 +113,20 @@ class TestMortonProperties:
         codes = np.array(pairs, dtype=np.int64)
         mortons = morton_encode(codes, bits=6)
         assert len(set(mortons)) == len(pairs)
+        assert len(set(morton_keys(codes)[0].tolist())) == len(pairs)
 
     @given(st.integers(0, 31), st.integers(0, 31))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_each_coordinate(self, x, y):
-        # Increasing one coordinate strictly increases the Morton code.
+        # Increasing one coordinate strictly increases the Morton code,
+        # and the key of one box orders the same way.
         base = morton_encode(np.array([[x, y]]), bits=6)[0]
         up_x = morton_encode(np.array([[x + 1, y]]), bits=6)[0]
         up_y = morton_encode(np.array([[x, y + 1]]), bits=6)[0]
         assert up_x > base and up_y > base
+        keys = morton_keys(np.array([[0, 0], [x, y], [x + 1, y],
+                                     [x, y + 1]]))[0]
+        assert keys[2] > keys[1] and keys[3] > keys[1]
 
 
 class TestMetricProperties:

@@ -16,10 +16,10 @@ import pytest
 from repro.core.bilevel import BiLevelLSH
 from repro.core.config import BiLevelConfig
 from repro.lsh.index import StandardLSH
-from repro.lsh.table import LSHTable, pack_codes
+from repro.lsh.table import LSHTable, morton_keys
 from repro.native.registry import NUMPY_KERNELS
 from repro.runtime import IndexRuntime
-from tests.oracle import _gather_candidates, oracle_query
+from tests.oracle import _gather_candidates, morton_order, oracle_query
 from tests.shards import shard_rows
 from tests.threads import native_threads
 
@@ -137,16 +137,17 @@ class TestBiLevelEquivalence:
 
 
 class TestPackedKeys:
-    def test_pack_order_matches_lexicographic(self):
+    def test_key_order_matches_the_interleave(self):
+        # 5 coordinates of 41 bits: a 205-bit key, four words.
         rng = np.random.default_rng(23)
         codes = rng.integers(-(2 ** 40), 2 ** 40, size=(300, 5))
-        keys = pack_codes(codes)
+        keys = morton_keys(codes)[0]
         np.testing.assert_array_equal(np.argsort(keys, kind="stable"),
-                                      np.lexsort(codes.T[::-1]))
+                                      morton_order(codes))
 
     def test_pack_distinct_rows_distinct_keys(self):
         codes = np.array([[0, 0], [0, 1], [1, 0], [-1, 0]])
-        assert len(set(pack_codes(codes).tolist())) == 4
+        assert len(set(morton_keys(codes)[0].tolist())) == 4
 
     def test_lookup_batch_matches_scalar_lookup(self):
         rng = np.random.default_rng(24)
