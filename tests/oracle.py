@@ -87,12 +87,17 @@ def morton_box(codes: np.ndarray) -> Tuple[List[int], int]:
     return offset, bits
 
 
+def morton_interleave(codes: np.ndarray) -> List[int]:
+    """The Python-int Morton keys of ``codes`` in their own box."""
+    offset, bits = morton_box(codes)
+    return morton_encode([[c - o for c, o in zip(row, offset)]
+                          for row in codes.tolist()], bits)
+
+
 def morton_order(codes: np.ndarray) -> List[int]:
     """The rows of ``codes`` by their Morton keys in their own box, ties
     by row: the order every sorted code array keeps."""
-    offset, bits = morton_box(codes)
-    keys = morton_encode([[c - o for c, o in zip(row, offset)]
-                          for row in codes.tolist()], bits)
+    keys = morton_interleave(codes)
     return sorted(range(len(keys)), key=lambda i: (keys[i], i))
 
 

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from repro.lsh.index import StandardLSH
 from repro.lsh.table import LSHTable, SortedLayout, morton_keys
 from repro.native.ref import lookup_codes_ref
-from tests.oracle import morton_box, morton_encode, morton_order
+from tests.oracle import morton_interleave, morton_order
 
 int64_full = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
 code_arrays = arrays(
@@ -25,13 +25,6 @@ code_arrays = arrays(
               st.integers(min_value=1, max_value=4)),
     elements=int64_full,
 )
-
-
-def _interleaved(codes):
-    """The oracle's Python-int keys of ``codes`` in their own box."""
-    offset, bits = morton_box(codes)
-    return morton_encode([[c - o for c, o in zip(row, offset)]
-                          for row in codes.tolist()], bits)
 
 
 @given(code_arrays)
@@ -54,7 +47,7 @@ def test_keys_are_injective_on_distinct_rows(codes):
 @settings(max_examples=200, deadline=None)
 def test_pairwise_comparison_is_preserved(codes):
     a, b = morton_keys(codes)[0]
-    x, y = _interleaved(codes)
+    x, y = morton_interleave(codes)
     assert (a < b) == (x < y)
     assert (a == b) == (x == y)
 
